@@ -1105,10 +1105,11 @@ impl FleetDaemon {
                     .expect("socket transport always builds a socket front");
                 // 1a. Step every target cluster-parallel, then transmit each
                 //     cluster's monitoring traffic on its loopback connection
-                //     in cluster order (the front end's send buffer is
-                //     shared, so the uplink stays on this thread). The
-                //     measurement stays incomplete (no observation) until
-                //     the traffic lands back in the daemon.
+                //     in cluster order: one write per member per tick (the
+                //     front end's batch buffer is shared, so the uplink
+                //     stays on this thread). The measurement stays
+                //     incomplete (no observation) until the traffic lands
+                //     back in the daemon.
                 {
                     let sessions_ptr = ShardPtr::new(sessions.as_mut_slice());
                     let measurements_ptr = ShardPtr::new(measurements.as_mut_slice());
@@ -1123,15 +1124,10 @@ impl FleetDaemon {
                     });
                 }
                 for (i, session) in sessions.iter_mut().enumerate() {
-                    let mut uplink_error: Option<std::io::Error> = None;
-                    session.system.drain_outbox(|message| {
-                        if uplink_error.is_none() {
-                            if let Err(e) = front.send_uplink(i, &message) {
-                                uplink_error = Some(e);
-                            }
-                        }
-                    });
-                    if let Some(e) = uplink_error {
+                    session
+                        .system
+                        .drain_outbox(|message| front.send_uplink(i, &message));
+                    if let Err(e) = front.flush_uplink(i) {
                         // capes-check: allow(boundary-panic) -- loopback pipe to our own server; failure means the daemon is torn.
                         panic!("socket uplink for cluster {i} failed: {e}");
                     }

@@ -8,6 +8,15 @@
 //! order. Actions travel the other way — queued on the server by cluster id,
 //! read back off the client socket with a blocking frame read.
 //!
+//! Write pattern: the uplink is tick-batched. A member's monitors report
+//! once per sampling tick, so [`SocketFront::send_uplink`] only frames each
+//! message into a reused buffer and [`SocketFront::flush_uplink`] hands the
+//! member's whole tick to its connection in **one `write_all`** — one
+//! syscall, and on these `TCP_NODELAY` streams one reactor wake-up, per
+//! member per tick instead of one per frame. The batch buffer is shared by
+//! all members (each is flushed before the next is framed), which is why the
+//! uplink stays on the tick thread, in cluster order.
+//!
 //! Determinism: each cluster's traffic rides its own connection, so its
 //! per-cluster ingest order is exactly its send order — the same order the
 //! in-process transports use. Cross-cluster arrival interleaving varies run
@@ -18,15 +27,21 @@
 //! Backpressure sizing: the ingress channel is provisioned for (at least)
 //! one full fleet tick of messages, and the tick loop fully drains it every
 //! tick, so the reactor thread never stalls mid-tick against the channel
-//! while the tick loop is still writing uplink frames — the pairing that
-//! would otherwise deadlock a single-threaded driver.
+//! while the tick loop is still writing uplink batches — the pairing that
+//! would otherwise deadlock a single-threaded driver. That is also what
+//! makes a blocking `write_all` of a batch larger than the socket's send
+//! buffer safe: the reactor keeps reading (a `read_chunk` at a time) into a
+//! channel that has room for everything in flight, so the write always
+//! completes without the tick thread having to drain in between.
 
-use std::io;
+use std::io::{self, Write};
 use std::net::TcpStream;
 
 use capes_agents::wire::{decode_cluster_frame, encode_cluster_frame};
 use capes_agents::{ActionMessage, Message};
-use capes_net::{read_frame, write_frame, FleetServer, NetConfig, NetStatsSnapshot, ServerHandle};
+use capes_net::{
+    encode_frame_into, read_frame, FleetServer, NetConfig, NetStatsSnapshot, ServerHandle,
+};
 use crossbeam::channel::Receiver;
 
 /// The server plus the member clusters' loopback connections.
@@ -37,6 +52,9 @@ pub(crate) struct SocketFront {
     clients: Vec<TcpStream>,
     /// Messages each cluster sends per measurement tick (2 × its monitors).
     expected_per_tick: Vec<usize>,
+    /// Length-prefixed uplink frames of the member being gathered, not yet
+    /// written; reused across members and ticks.
+    uplink: Vec<u8>,
     /// Scratch for per-tick arrival counting.
     counts: Vec<usize>,
     /// Scratch for blocking frame reads.
@@ -74,6 +92,7 @@ impl SocketFront {
             handle,
             ingress,
             clients,
+            uplink: Vec::new(),
             counts: vec![0; num_clusters],
             expected_per_tick,
             read_buf: Vec::new(),
@@ -91,11 +110,18 @@ impl SocketFront {
         self.handle.local_addr()
     }
 
-    /// Writes one uplink message on `cluster`'s connection (blocking; the
-    /// reactor drains continuously, so loopback writes complete promptly).
-    pub(crate) fn send_uplink(&mut self, cluster: usize, message: &Message) -> io::Result<()> {
+    /// Frames one uplink message from `cluster` into the pending batch.
+    /// Nothing reaches the socket until [`flush_uplink`](Self::flush_uplink).
+    pub(crate) fn send_uplink(&mut self, cluster: usize, message: &Message) {
         let frame = encode_cluster_frame(cluster as u32, message);
-        write_frame(&mut self.clients[cluster], &frame)
+        encode_frame_into(&mut self.uplink, &frame);
+    }
+
+    /// Writes the pending batch on `cluster`'s connection in one `write_all`
+    /// (blocking; the reactor drains continuously, so loopback writes
+    /// complete promptly) and empties it for the next member.
+    pub(crate) fn flush_uplink(&mut self, cluster: usize) -> io::Result<()> {
+        write_batch(&mut self.clients[cluster], &mut self.uplink)
     }
 
     /// Receives exactly one measurement tick's traffic from the server's
@@ -154,5 +180,76 @@ impl SocketFront {
             Message::Action(action) => action,
             other => panic!("expected an action on the downlink, got {other:?}"),
         }
+    }
+}
+
+/// Hands `batch` to `w` whole and clears it, whatever the outcome — a batch
+/// must never leak into the next member's connection.
+fn write_batch<W: Write>(w: &mut W, batch: &mut Vec<u8>) -> io::Result<()> {
+    let written = w.write_all(batch);
+    batch.clear();
+    written
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use capes_agents::PiReport;
+
+    /// Accepts everything it is given and counts the `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn report(tick: u64, node: usize) -> Message {
+        Message::Report(PiReport {
+            tick,
+            node,
+            total_pis: 8,
+            changed: vec![(0, 1.25), (3, -0.5), (7, 1024.0)],
+        })
+    }
+
+    #[test]
+    fn a_member_tick_is_flushed_in_exactly_one_write() {
+        let mut front = SocketFront::new(vec![4, 4]).expect("loopback front");
+        let sent: Vec<Message> = (0..4).map(|node| report(9, node)).collect();
+        for message in &sent {
+            front.send_uplink(1, message);
+        }
+        let mut w = CountingWriter::default();
+        write_batch(&mut w, &mut front.uplink).unwrap();
+        assert_eq!(w.writes, 1, "one write per member per tick");
+        assert!(
+            front.uplink.is_empty(),
+            "batch must not leak into the next member"
+        );
+
+        // The one write carried the member's frames whole and in send order.
+        let mut cursor = &w.bytes[..];
+        let mut buf = Vec::new();
+        for message in &sent {
+            read_frame(&mut cursor, front.max_frame_len, &mut buf).unwrap();
+            assert_eq!(decode_cluster_frame(&buf).unwrap(), (1, message.clone()));
+        }
+        assert!(cursor.is_empty());
+
+        // A member with nothing to say costs no syscall at all.
+        write_batch(&mut w, &mut front.uplink).unwrap();
+        assert_eq!(w.writes, 1);
     }
 }

@@ -9,7 +9,7 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use capes::{Hyperparameters, Phase, PhaseKind, Transport};
-use capes_fleet::{Fleet, FleetDaemon, FleetPlan, ScenarioSpec};
+use capes_fleet::{encode_cluster_frame, Fleet, FleetDaemon, FleetPlan, Replayer, ScenarioSpec};
 use capes_simstore::Workload;
 
 fn quick_hp() -> Hyperparameters {
@@ -48,8 +48,16 @@ fn plan() -> FleetPlan {
 fn socket_fleet_is_bit_identical_to_wire_fleet() {
     let mut wire = build(Transport::Wire);
     let mut socket = build(Transport::Socket);
+    // Tap the socket ingest path: the log is the list of frames the members
+    // sent, which the byte accounting below is held against.
+    let log = std::env::temp_dir().join(format!(
+        "capes-fleet-socket-loopback-{}.log",
+        std::process::id()
+    ));
+    socket.record_to(&log).expect("socket fleets record");
     let wire_report = wire.run(&plan());
     let socket_report = socket.run(&plan());
+    let recorded = socket.stop_recording().expect("log flushes");
 
     // The deterministic sections — every cluster's full result series and
     // the arena occupancy — must match byte for byte. (Wall-clock fields
@@ -71,6 +79,17 @@ fn socket_fleet_is_bit_identical_to_wire_fleet() {
     assert_eq!(net.active, 2);
     // Per tick: 2 messages per monitor, 2 + 3 monitors, 46 ticks.
     assert_eq!(net.frames_in, 2 * 5 * 46);
+    // Every byte read is a length prefix or an enveloped frame, whatever
+    // write pattern carried it: `wire_bytes_per_cluster_tick` cannot drift.
+    assert_eq!(recorded, net.frames_in);
+    let mut replayer = Replayer::open(&log).expect("log opens");
+    let mut sent_bytes = 0u64;
+    while let Some((_tick, cluster, message)) = replayer.next_message().expect("clean log") {
+        let frame = encode_cluster_frame(cluster, &message);
+        sent_bytes += (capes_net::LENGTH_PREFIX_BYTES + frame.len()) as u64;
+    }
+    std::fs::remove_file(&log).expect("remove log");
+    assert_eq!(net.bytes_in, sent_bytes);
     // Actions go out on non-baseline ticks only.
     assert_eq!(net.frames_out, 2 * 38);
     assert!(net.bytes_in > 0 && net.bytes_out > 0);

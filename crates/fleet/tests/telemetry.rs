@@ -182,11 +182,27 @@ mod socket {
         for series in [
             "fleet_tick_total{quantile=\"0.99\"}",
             "net_frames_in_total",
+            "net_reads_total",
             "drl_train_step_count",
             "fleet_tick_recent_rate",
         ] {
             assert!(response.contains(series), "missing {series}: {response}");
         }
+
+        // Frames per read is answerable from the scrape, and a tick-batched
+        // uplink lands more than one frame per read (two reads per frame
+        // before the batching).
+        let series = |name: &str| -> f64 {
+            let line = response
+                .lines()
+                .find(|line| line.starts_with(name))
+                .unwrap_or_else(|| panic!("missing {name}: {response}"));
+            line[name.len()..].trim().parse().expect("numeric sample")
+        };
+        assert!(
+            series("net_frames_in_total ") > series("net_reads_total "),
+            "uplink is not batched: {response}"
+        );
 
         // The members keep ticking unharmed, and a second scrape still works.
         for _ in 0..8 {

@@ -8,19 +8,23 @@
 
 use std::io::{self, Read, Write};
 
-use crate::framing::LENGTH_PREFIX_BYTES;
+use crate::framing::{encode_frame_into, LENGTH_PREFIX_BYTES};
 
 /// Writes `payload` to `w` as one length-prefixed frame.
+///
+/// Prefix and payload are coalesced and handed to the writer together: on a
+/// `TCP_NODELAY` stream every `write` is its own syscall and its own
+/// segment, so a frame written as prefix-then-payload costs the peer two
+/// wake-ups. A caller with several frames ready should go one step further
+/// and batch them — [`encode_frame_into`] a reused buffer, then one
+/// `write_all`.
 ///
 /// # Errors
 /// Any I/O error from the underlying writer.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
-    assert!(
-        payload.len() <= u32::MAX as usize,
-        "frame payload exceeds u32 length prefix"
-    );
-    w.write_all(&(payload.len() as u32).to_be_bytes())?;
-    w.write_all(payload)
+    let mut frame = Vec::with_capacity(LENGTH_PREFIX_BYTES + payload.len());
+    encode_frame_into(&mut frame, payload);
+    w.write_all(&frame)
 }
 
 /// Reads one length-prefixed frame from `r` into `buf` (cleared first).
@@ -59,6 +63,44 @@ mod tests {
         assert_eq!(buf, b"ping");
         read_frame(&mut cursor, 64, &mut buf).unwrap();
         assert!(buf.is_empty());
+    }
+
+    /// Accepts everything it is given and counts the `write` calls, the way
+    /// a `TCP_NODELAY` stream counts segments.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_reaches_the_writer_in_a_single_write() {
+        let mut w = CountingWriter::default();
+        write_frame(&mut w, b"ping").unwrap();
+        assert_eq!(w.writes, 1, "prefix and payload must not be split");
+        write_frame(&mut w, &[]).unwrap();
+        write_frame(&mut w, &[7u8; 70_000]).unwrap();
+        assert_eq!(w.writes, 3);
+
+        let mut cursor = &w.bytes[..];
+        let mut buf = Vec::new();
+        for expected in [&b"ping"[..], &[], &[7u8; 70_000]] {
+            read_frame(&mut cursor, 1 << 20, &mut buf).unwrap();
+            assert_eq!(buf, expected);
+        }
+        assert!(cursor.is_empty());
     }
 
     #[test]

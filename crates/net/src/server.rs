@@ -94,6 +94,10 @@ pub struct NetStats {
     frames_out: Counter,
     bytes_in: Counter,
     bytes_out: Counter,
+    /// Successful non-empty socket reads. `frames_in ÷ reads` is how well the
+    /// members batch: 0.5 for a peer that writes prefix and payload apart,
+    /// a member's whole tick per read for one that writes it at once.
+    reads: Counter,
     /// Decoded messages sitting in the ingress channel, refreshed by the
     /// reactor after every delivery and before every `/metrics` scrape.
     ingress_depth: Gauge,
@@ -139,6 +143,7 @@ impl NetStats {
         registry.publish_counter("net.frames_out", &self.frames_out);
         registry.publish_counter("net.bytes_in", &self.bytes_in);
         registry.publish_counter("net.bytes_out", &self.bytes_out);
+        registry.publish_counter("net.reads", &self.reads);
         registry.publish_gauge("net.ingress.depth", &self.ingress_depth);
     }
 }
@@ -266,6 +271,8 @@ impl FleetServer {
             conns: Vec::new(),
             free: Vec::new(),
             routes: HashMap::new(),
+            routes_epoch: 0,
+            read_buf: vec![0; config.read_chunk],
             ingress: ingress_tx,
             cmds: cmd_rx,
             waker: Arc::clone(&waker),
@@ -330,6 +337,10 @@ struct Conn {
     /// Whether the fd is currently registered with WRITABLE interest.
     want_write: bool,
     last_activity: Instant,
+    /// The cluster this connection last claimed in `routes`, and the
+    /// `routes_epoch` at which that entry was known to point here. While the
+    /// epoch stands, frames for the same cluster skip the map entirely.
+    routed: Option<(u32, u64)>,
 }
 
 struct ServerLoop {
@@ -339,6 +350,12 @@ struct ServerLoop {
     free: Vec<usize>,
     /// cluster id → slab index of the connection that last spoke for it.
     routes: HashMap<u32, usize>,
+    /// Bumped whenever a connection claims a cluster or takes one over;
+    /// invalidates every `Conn::routed`. (Closing a connection only removes
+    /// routes that pointed at it, and its own `routed` dies with it.)
+    routes_epoch: u64,
+    /// One `read` syscall's worth of scratch, shared by every connection.
+    read_buf: Vec<u8>,
     ingress: Sender<(u32, Message)>,
     cmds: Receiver<ServerCmd>,
     waker: Arc<Waker>,
@@ -439,6 +456,7 @@ impl ServerLoop {
                         out_cursor: 0,
                         want_write: false,
                         last_activity: Instant::now(),
+                        routed: None,
                     });
                     bump!(self.stats, accepted);
                     // Only the reactor thread updates `active`, so the
@@ -457,11 +475,12 @@ impl ServerLoop {
     /// Drains readable bytes from connection `idx`. Returns `false` if the
     /// connection was closed (its slab slot is gone).
     fn conn_readable(&mut self, idx: usize) -> bool {
-        let mut chunk = vec![0u8; self.config.read_chunk];
         loop {
             let ServerLoop {
                 conns,
                 routes,
+                routes_epoch,
+                read_buf: chunk,
                 ingress,
                 stats,
                 config,
@@ -474,7 +493,7 @@ impl ServerLoop {
                 // Times the read syscall alone; the decode work below has
                 // its own span.
                 let _span = capes_telemetry::span!("net.read");
-                conn.stream.read(&mut chunk)
+                conn.stream.read(chunk)
             };
             match read_result {
                 Ok(0) => {
@@ -482,6 +501,7 @@ impl ServerLoop {
                     return false;
                 }
                 Ok(n) => {
+                    bump!(stats, reads);
                     bump!(stats, bytes_in, n);
                     conn.last_activity = Instant::now();
                     if conn.mode == ConnMode::Fresh {
@@ -514,13 +534,23 @@ impl ServerLoop {
                         continue;
                     }
                     let mut consumer_gone = false;
+                    let routed = &mut conn.routed;
                     let ingested = {
                         let _span = capes_telemetry::span!("net.decode");
                         conn.state
                             // In bounds: `read` wrote exactly `n <= chunk.len()`.
                             .ingest(&chunk[..n], config.num_clusters, |cluster, message| {
                                 bump!(stats, frames_in);
-                                routes.insert(cluster, idx);
+                                // The last connection to speak for a cluster
+                                // owns its downlink. A member says the same
+                                // thing on every frame, so it pays the map
+                                // only when some route has moved since.
+                                if *routed != Some((cluster, *routes_epoch)) {
+                                    if routes.insert(cluster, idx) != Some(idx) {
+                                        *routes_epoch += 1;
+                                    }
+                                    *routed = Some((cluster, *routes_epoch));
+                                }
                                 // A full channel blocks us here — that *is*
                                 // the backpressure valve. Err means the
                                 // consumer dropped the receiver: shut down.

@@ -199,6 +199,136 @@ fn idle_connections_are_swept() {
     assert_eq!(stats.active, 0);
 }
 
+#[test]
+fn the_last_connection_to_speak_for_a_cluster_owns_its_downlink() {
+    let (handle, ingress) =
+        FleetServer::spawn("127.0.0.1:0", NetConfig::default()).expect("spawn server");
+    let mut first = TcpStream::connect(handle.local_addr()).unwrap();
+    let mut second = TcpStream::connect(handle.local_addr()).unwrap();
+    let action = |tick| {
+        Message::Action(ActionMessage {
+            tick,
+            action_index: 1,
+            parameter_values: vec![8.0],
+        })
+    };
+    // `speaker` reports for cluster 0, then the action sent to cluster 0
+    // must come out of that same connection.
+    let mut tick = 0;
+    let mut speak_and_expect_action = |speaker: &mut TcpStream| {
+        tick += 1;
+        let (m, f) = report(0, tick, 0);
+        write_frame(speaker, &f).unwrap();
+        assert_eq!(ingress.recv_timeout_or_panic(), (0, m));
+        assert!(handle.send(0, &action(tick)));
+        speaker
+            .set_read_timeout(Some(Duration::from_secs(2)))
+            .unwrap();
+        let mut frame = Vec::new();
+        read_frame(speaker, 1 << 20, &mut frame).expect("action arrives on the speaker");
+        let decoded = capes_agents::wire::decode_cluster_frame(&frame).unwrap();
+        assert_eq!(decoded, (0, action(tick)));
+    };
+
+    // Repeating yourself keeps the route; a takeover moves it; the earlier
+    // connection takes it back by speaking again…
+    speak_and_expect_action(&mut first);
+    speak_and_expect_action(&mut first);
+    speak_and_expect_action(&mut second);
+    speak_and_expect_action(&mut first);
+    // …including after the connection that took it over has gone away.
+    speak_and_expect_action(&mut second);
+    drop(second);
+    wait_for(|| handle.stats().disconnects == 1, "second closed");
+    speak_and_expect_action(&mut first);
+
+    let stats = handle.shutdown();
+    assert_eq!((stats.frames_in, stats.frames_out), (6, 6));
+}
+
+/// One member's oversized tick: full-width reports (every PI changed),
+/// length-prefixed back to back until the batch passes `min_bytes`.
+fn wide_batch(cluster: u32, min_bytes: usize) -> (Vec<(u32, Message)>, Vec<u8>) {
+    let mut messages = Vec::new();
+    let mut batch = Vec::new();
+    while batch.len() <= min_bytes {
+        let message = Message::Report(PiReport {
+            tick: 1,
+            node: messages.len(),
+            total_pis: 1024,
+            changed: (0..1024u16).map(|pi| (pi, f64::from(pi) * 0.5)).collect(),
+        });
+        capes_net::encode_frame_into(&mut batch, &encode_cluster_frame(cluster, &message));
+        messages.push((cluster, message));
+    }
+    (messages, batch)
+}
+
+/// Spawns a server whose ingress channel holds exactly `messages`, delivers
+/// `batch` with `deliver` from this thread *before* receiving anything — the
+/// single-threaded driver's order — and returns what came out and the final
+/// counters.
+fn deliver_before_draining(
+    messages: usize,
+    batch: &[u8],
+    deliver: impl FnOnce(&mut TcpStream, &[u8]),
+) -> (Vec<(u32, Message)>, capes_net::NetStatsSnapshot) {
+    let config = NetConfig {
+        ingress_capacity: messages,
+        ..NetConfig::default()
+    };
+    assert!(batch.len() > config.read_chunk);
+    let (handle, ingress) = FleetServer::spawn("127.0.0.1:0", config).expect("spawn server");
+    let mut client = TcpStream::connect(handle.local_addr()).expect("connect");
+    client.set_nodelay(true).unwrap();
+    // A deadlock must fail the test, not hang the suite.
+    client
+        .set_write_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    deliver(&mut client, batch);
+    let got = (0..messages)
+        .map(|_| ingress.recv_timeout_or_panic())
+        .collect();
+    (got, handle.shutdown())
+}
+
+#[test]
+fn a_tick_batch_larger_than_the_send_buffer_completes_on_one_thread() {
+    // Past 4 MiB: more than Linux's default `tcp_wmem` ceiling lets a send
+    // buffer hold, and 256 reads' worth of `read_chunk`. The blocking write
+    // runs to completion with nobody draining the channel, because the
+    // reactor keeps reading into a channel with room for the whole tick.
+    let (sent, batch) = wide_batch(3, 4 << 20);
+    let (got, stats) = deliver_before_draining(sent.len(), &batch, |client, batch| {
+        client.write_all(batch).expect("whole batch written");
+    });
+    assert_eq!(got, sent);
+    assert_eq!(stats.frames_in, sent.len() as u64);
+    assert_eq!(stats.bytes_in, batch.len() as u64);
+    assert_eq!((stats.decode_errors, stats.disconnects), (0, 0));
+}
+
+#[test]
+fn one_write_and_a_byte_drip_deliver_the_same_sequence() {
+    // Four `read_chunk`s, not the 4 MiB of the test above: the reassembler
+    // sees the same one-byte chunks either way, and 4 Mi one-byte writes are
+    // 14 s of syscalls.
+    let (sent, batch) = wide_batch(0, 64 << 10);
+    let (whole, whole_stats) = deliver_before_draining(sent.len(), &batch, |client, batch| {
+        client.write_all(batch).expect("whole batch written");
+    });
+    let (dripped, drip_stats) = deliver_before_draining(sent.len(), &batch, |client, batch| {
+        for byte in batch.chunks(1) {
+            client.write_all(byte).expect("byte written");
+        }
+    });
+    assert_eq!(whole, sent);
+    assert_eq!(dripped, sent);
+    assert_eq!(whole_stats.frames_in, drip_stats.frames_in);
+    assert_eq!(whole_stats.bytes_in, drip_stats.bytes_in);
+    assert_eq!(drip_stats.bytes_in, batch.len() as u64);
+}
+
 /// `recv` with a deadline, panicking with context on timeout — keeps the
 /// individual tests free of unwrap-noise.
 trait RecvTimeout {

@@ -91,5 +91,7 @@ pub const NET_FRAMES_OUT: &str = "net.frames_out";
 pub const NET_BYTES_IN: &str = "net.bytes_in";
 /// Counter: bytes written to the wire.
 pub const NET_BYTES_OUT: &str = "net.bytes_out";
+/// Counter: successful socket reads (`net.frames_in` ÷ this = frames per read).
+pub const NET_READS: &str = "net.reads";
 /// Gauge: frames queued for ingest, not yet consumed by the daemon.
 pub const NET_INGRESS_DEPTH: &str = "net.ingress.depth";
