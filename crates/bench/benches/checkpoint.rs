@@ -4,8 +4,8 @@
 //!
 //! Checkpointing rides the hot loop when auto-checkpointing is enabled, so
 //! its cost per snapshot (serialize every agent, RNG stream and replay
-//! stripe, then fsync twice) is what bounds how tight an interval a fleet
-//! can afford.
+//! stripe, checksum the buffer, then fsync twice) is what bounds how tight
+//! an interval a fleet can afford.
 
 use capes::{Hyperparameters, Phase, PhaseKind};
 use capes_fleet::{Fleet, FleetDaemon, FleetPlan, ScenarioSpec};
@@ -50,6 +50,14 @@ fn bench_checkpoint(c: &mut Criterion) {
             daemon.checkpoint(&path).expect("checkpoint");
             black_box(daemon.persist_report().checkpoints_written)
         })
+    });
+
+    // The integrity check alone, over the snapshot just written: its time
+    // against the file's size is the CRC's throughput, which bounds both
+    // the write above and the restore below.
+    let snapshot = std::fs::read(&path).expect("snapshot written above");
+    group.bench_function(format!("crc32_snapshot_{FLEET_SIZE}_clusters"), |bench| {
+        bench.iter(|| black_box(capes_persist::crc32(black_box(&snapshot))))
     });
 
     let mut target = warmed_fleet();

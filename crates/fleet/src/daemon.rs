@@ -320,10 +320,8 @@ impl FleetBuilder {
         }
         let num_clusters = sessions.len();
         let num_profiles = profiles.len();
-        // Observability wiring: checkpoint fsync timings flow into the
-        // registry through capes-persist's observer hook, and the daemon's
-        // durability counters are scraped under the `persist.*` names.
-        capes_persist::set_fsync_observer(fsync_observer);
+        // Observability wiring: the daemon's durability counters are scraped
+        // under the `persist.*` names.
         let persist = PersistCounters::new();
         persist.publish(capes_telemetry::global());
         let names: Vec<&str> = sessions.iter().map(|s| s.name.as_str()).collect();
@@ -353,6 +351,7 @@ impl FleetBuilder {
             persist,
             telemetry,
             auto_checkpoint: None,
+            last_snapshot_len: 0,
             recorder: None,
             #[cfg(feature = "net")]
             socket,
@@ -463,6 +462,14 @@ struct FleetTelemetry {
     /// fleet stores the aggregate).
     reports_rejected: Counter,
     implausible_ticks: Counter,
+    /// `persist.checkpoint.write` / `.fsync`: the atomic file write split
+    /// into everything but the data fsync, and the data fsync. Recorded from
+    /// the timings `write_atomic_timed` returns (`capes-persist` is
+    /// dependency-free and cannot open spans itself).
+    checkpoint_write: Histogram,
+    checkpoint_fsync: Histogram,
+    /// `persist.checkpoint.bytes`: size of the latest snapshot file.
+    checkpoint_bytes: Gauge,
     /// Completion instants of the last [`TICK_WINDOW`] fleet ticks.
     window: VecDeque<Instant>,
     /// Last computed windowed rate (mirrors the gauge for the report).
@@ -485,6 +492,9 @@ impl FleetTelemetry {
                 .collect(),
             reports_rejected: registry.counter("daemon.reports_rejected"),
             implausible_ticks: registry.counter("daemon.implausible_ticks"),
+            checkpoint_write: registry.histogram("persist.checkpoint.write"),
+            checkpoint_fsync: registry.histogram("persist.checkpoint.fsync"),
+            checkpoint_bytes: registry.gauge("persist.checkpoint.bytes"),
             window: VecDeque::with_capacity(TICK_WINDOW + 1),
             recent_rate_value: 0.0,
         }
@@ -558,15 +568,6 @@ impl PersistCounters {
     }
 }
 
-/// Feeds snapshot fsync timings into `persist.checkpoint.fsync`.
-/// `capes-persist` is deliberately dependency-free, so it exposes a plain
-/// `fn(u64)` observer hook; this is the fleet's end of it.
-fn fsync_observer(nanos: u64) {
-    static HIST: std::sync::OnceLock<Histogram> = std::sync::OnceLock::new();
-    HIST.get_or_init(|| capes_telemetry::global().histogram("persist.checkpoint.fsync"))
-        .record(nanos);
-}
-
 /// The multi-cluster tuning service (see the module docs for the tick
 /// pipeline).
 pub struct FleetDaemon {
@@ -607,6 +608,9 @@ pub struct FleetDaemon {
     telemetry: FleetTelemetry,
     /// Automatic checkpointing: every N fleet ticks, snapshot to the path.
     auto_checkpoint: Option<(u64, PathBuf)>,
+    /// Size of the last snapshot written (0 before the first): the next
+    /// snapshot's buffer is pre-sized from it.
+    last_snapshot_len: usize,
     /// Wire-traffic recorder tapping the socket ingest path.
     recorder: Option<RecordLogWriter>,
     /// The socket front end ([`Transport::Socket`] only).
@@ -761,10 +765,17 @@ impl FleetDaemon {
     /// in the payload — a restored fleet's future snapshots stay
     /// byte-identical to the original's.
     pub fn checkpoint(&mut self, path: &Path) -> Result<(), FleetError> {
-        // Covers serialization and the atomic file write; the fsync inside
-        // is timed separately under `persist.checkpoint.fsync`.
-        let _span = capes_telemetry::span!("persist.checkpoint.write");
-        let mut w = capes_persist::Writer::new();
+        // Four disjoint pieces of `persist.checkpoint.total`: `.encode`,
+        // `.crc`, `.write` (the atomic file write minus its data fsync) and
+        // `.fsync`.
+        let _total = capes_telemetry::span!("persist.checkpoint.total");
+        // The snapshot is built in place behind its container header, in a
+        // buffer sized from the previous snapshot. The session series grow
+        // every tick, so an exact-size hint would force one whole-buffer
+        // reallocation per checkpoint; a sixteenth of headroom absorbs it.
+        let hint = self.last_snapshot_len + self.last_snapshot_len / 16;
+        let mut w = capes_persist::SnapshotWriter::with_capacity(hint);
+        let encode_span = capes_telemetry::span!("persist.checkpoint.encode");
         w.put_u8(transport_tag(self.transport));
         w.put_u64(self.tick);
         w.put_usize(self.train_cursor);
@@ -797,11 +808,25 @@ impl FleetDaemon {
             // Each member system's state rides as one length-prefixed blob,
             // so restore can collect and validate all of them before
             // touching any session.
-            let mut sub = capes_persist::Writer::new();
-            session.system.encode_state(&mut sub);
-            w.put_bytes(sub.as_slice());
+            w.put_blob(|w| session.system.encode_state(w));
         }
-        capes_persist::write_snapshot_file(path, w.as_slice())?;
+        drop(encode_span);
+        let bytes = {
+            let _span = capes_telemetry::span!("persist.checkpoint.crc");
+            w.finish()
+        };
+        let started = Instant::now();
+        let fsync = capes_persist::write_atomic_timed(path, &bytes)?;
+        // `.fsync` counts the data fsyncs issued, so it is never muted;
+        // `.write` is a span in all but name and follows the span switch.
+        self.telemetry.checkpoint_fsync.record_duration(fsync);
+        if capes_telemetry::recording() {
+            self.telemetry
+                .checkpoint_write
+                .record_duration(started.elapsed().saturating_sub(fsync));
+        }
+        self.telemetry.checkpoint_bytes.set(bytes.len() as f64);
+        self.last_snapshot_len = bytes.len();
         self.persist.checkpoints_written.inc();
         Ok(())
     }

@@ -39,11 +39,17 @@ fn plan() -> FleetPlan {
         })
 }
 
+/// Held by every test that checkpoints: the registry is process-global, so
+/// `checkpoint_spans_partition_the_total` can only attribute histogram
+/// growth to its own checkpoint while nobody else is writing one.
+static CHECKPOINTING: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 /// Runs a fleet with auto-checkpointing on and checks the report's telemetry
 /// section for every hot-path histogram the issue names. The registry is
 /// process-global, so counts only ever grow — `count > 0` is safe even with
 /// other tests recording concurrently.
 fn run_and_check(transport: Transport, seed: u64, tag: &str) -> FleetReport {
+    let _exclusive = CHECKPOINTING.lock().unwrap_or_else(|e| e.into_inner());
     let dir = std::env::temp_dir().join(format!("capes-fleet-telemetry-{tag}"));
     std::fs::create_dir_all(&dir).unwrap();
     let snap = dir.join("auto.capes");
@@ -82,6 +88,9 @@ fn run_and_check(transport: Transport, seed: u64, tag: &str) -> FleetReport {
         "drl.train_step",
         "arena.sample",
         "daemon.ingest",
+        "persist.checkpoint.total",
+        "persist.checkpoint.encode",
+        "persist.checkpoint.crc",
         "persist.checkpoint.write",
         "persist.checkpoint.fsync",
     ] {
@@ -119,6 +128,45 @@ fn run_and_check(transport: Transport, seed: u64, tag: &str) -> FleetReport {
 
     std::fs::remove_dir_all(&dir).ok();
     report
+}
+
+/// `persist.checkpoint.{encode,crc,write,fsync}` are disjoint pieces of
+/// `persist.checkpoint.total`: on one checkpoint they must add up to it,
+/// leaving under a tenth unattributed.
+#[test]
+fn checkpoint_spans_partition_the_total() {
+    let _exclusive = CHECKPOINTING.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = std::env::temp_dir().join("capes-fleet-telemetry-spans");
+    std::fs::create_dir_all(&dir).unwrap();
+    let snap = dir.join("one.capes");
+    let mut fleet = build(Transport::Wire, 59);
+    fleet.run(&plan());
+
+    let registry = capes_telemetry::global();
+    let sum_ns = |name: &str| registry.histogram(name).sum() as f64;
+    let parts_ns = || {
+        ["encode", "crc", "write", "fsync"]
+            .iter()
+            .map(|part| sum_ns(&format!("persist.checkpoint.{part}")))
+            .sum::<f64>()
+    };
+    let mut attributed_share = || {
+        let (total_before, parts_before) = (sum_ns("persist.checkpoint.total"), parts_ns());
+        fleet.checkpoint(&snap).expect("checkpoint");
+        (parts_ns() - parts_before) / (sum_ns("persist.checkpoint.total") - total_before)
+    };
+    // A preemption landing in the few instructions between two spans shows
+    // up as unattributed time; one clean checkpoint in five is enough.
+    let shares: Vec<f64> = (0..5).map(|_| attributed_share()).collect();
+    assert!(
+        shares.iter().any(|share| (0.9..=1.0).contains(share)),
+        "encode + crc + write + fsync over total, per checkpoint: {shares:?}"
+    );
+    assert_eq!(
+        registry.gauge("persist.checkpoint.bytes").get(),
+        std::fs::metadata(&snap).unwrap().len() as f64
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

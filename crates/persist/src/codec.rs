@@ -26,6 +26,13 @@ impl Writer {
         Writer { buf: Vec::new() }
     }
 
+    /// An empty writer whose buffer already holds room for `capacity` bytes.
+    pub fn with_capacity(capacity: usize) -> Self {
+        Writer {
+            buf: Vec::with_capacity(capacity),
+        }
+    }
+
     /// Consumes the writer, returning the encoded bytes.
     pub fn into_vec(self) -> Vec<u8> {
         self.buf
@@ -90,6 +97,34 @@ impl Writer {
     /// Appends raw bytes with no length prefix (for fixed-size fields).
     pub fn put_raw(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
+    }
+
+    /// Appends whatever `fill` encodes as one length-prefixed blob — the same
+    /// bytes [`Writer::put_bytes`] writes for that content — without a second
+    /// writer: the length slot is reserved first and back-patched after.
+    pub fn put_blob(&mut self, fill: impl FnOnce(&mut Writer)) {
+        let slot = self.buf.len();
+        self.put_u64(0);
+        let start = self.buf.len();
+        fill(self);
+        let len = (self.buf.len() - start) as u64;
+        // In bounds: the writer only ever appends, so the eight bytes
+        // reserved at `slot..start` are still there.
+        self.buf[slot..start].copy_from_slice(&len.to_le_bytes());
+    }
+
+    /// Appends a count-prefixed run of 8-byte little-endian words in one
+    /// resize: the copy loop has no capacity check per element and compiles
+    /// to a memcpy.
+    fn put_words<T: Copy>(&mut self, run: &[T], to_le: impl Fn(T) -> [u8; 8]) {
+        self.put_usize(run.len());
+        let start = self.buf.len();
+        self.buf.resize(start + run.len() * 8, 0);
+        // In bounds: `start` is the length before the resize above.
+        let (words, _) = self.buf[start..].as_chunks_mut::<8>();
+        for (word, v) in words.iter_mut().zip(run) {
+            *word = to_le(*v);
+        }
     }
 }
 
@@ -198,6 +233,15 @@ impl<'a> Reader<'a> {
         })
     }
 
+    /// Reads a count-prefixed run of 8-byte little-endian words with one
+    /// bounds check and one allocation, made only after `get_count` has
+    /// proven that `count * 8` bytes are present.
+    fn get_words<T>(&mut self, from_le: impl Fn([u8; 8]) -> T) -> Result<Vec<T>, PersistError> {
+        let count = self.get_count(8)?;
+        let (words, _) = self.take(count * 8)?.as_chunks::<8>();
+        Ok(words.iter().map(|word| from_le(*word)).collect())
+    }
+
     /// Succeeds only if every input byte has been consumed.
     pub fn finish(&self) -> Result<(), PersistError> {
         if self.remaining() != 0 {
@@ -220,6 +264,27 @@ pub trait Persist: Sized {
 
     /// Decodes one value, consuming exactly the bytes `encode` produced.
     fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError>;
+
+    /// Appends a count-prefixed run of values: the encoding of `Vec<Self>`.
+    /// Types whose runs can move in bulk (`f64`, `u64`, `bool`) override
+    /// this; the bytes must equal this element-by-element form.
+    fn encode_slice(run: &[Self], w: &mut Writer) {
+        w.put_usize(run.len());
+        for v in run {
+            v.encode(w);
+        }
+    }
+
+    /// Decodes what [`Persist::encode_slice`] wrote. The stored count is
+    /// validated against the remaining input before anything is allocated.
+    fn decode_vec(r: &mut Reader<'_>) -> Result<Vec<Self>, PersistError> {
+        let count = r.get_count(Self::MIN_SIZE)?;
+        let mut out = Vec::with_capacity(count);
+        for _ in 0..count {
+            out.push(Self::decode(r)?);
+        }
+        Ok(out)
+    }
 }
 
 impl Persist for u8 {
@@ -250,6 +315,12 @@ impl Persist for u64 {
     fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         r.get_u64()
     }
+    fn encode_slice(run: &[Self], w: &mut Writer) {
+        w.put_words(run, u64::to_le_bytes);
+    }
+    fn decode_vec(r: &mut Reader<'_>) -> Result<Vec<Self>, PersistError> {
+        r.get_words(u64::from_le_bytes)
+    }
 }
 
 impl Persist for usize {
@@ -270,6 +341,12 @@ impl Persist for f64 {
     fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         r.get_f64()
     }
+    fn encode_slice(run: &[Self], w: &mut Writer) {
+        w.put_words(run, |v| v.to_bits().to_le_bytes());
+    }
+    fn decode_vec(r: &mut Reader<'_>) -> Result<Vec<Self>, PersistError> {
+        r.get_words(|word| f64::from_bits(u64::from_le_bytes(word)))
+    }
 }
 
 impl Persist for bool {
@@ -279,6 +356,20 @@ impl Persist for bool {
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         r.get_bool()
+    }
+    fn encode_slice(run: &[Self], w: &mut Writer) {
+        w.put_usize(run.len());
+        w.buf.extend(run.iter().map(|&v| v as u8));
+    }
+    fn decode_vec(r: &mut Reader<'_>) -> Result<Vec<Self>, PersistError> {
+        let count = r.get_count(Self::MIN_SIZE)?;
+        let bytes = r.take(count)?;
+        if bytes.iter().any(|&b| b > 1) {
+            return Err(PersistError::BadValue {
+                what: "bool byte not 0 or 1",
+            });
+        }
+        Ok(bytes.iter().map(|&b| b == 1).collect())
     }
 }
 
@@ -307,18 +398,10 @@ impl Persist for [u64; 4] {
 impl<T: Persist> Persist for Vec<T> {
     const MIN_SIZE: usize = 8;
     fn encode(&self, w: &mut Writer) {
-        w.put_usize(self.len());
-        for v in self {
-            v.encode(w);
-        }
+        T::encode_slice(self, w);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        let count = r.get_count(T::MIN_SIZE)?;
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            out.push(T::decode(r)?);
-        }
-        Ok(out)
+        T::decode_vec(r)
     }
 }
 
@@ -377,6 +460,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn round_trip<T: Persist + PartialEq + std::fmt::Debug>(v: &T) {
         let mut w = Writer::new();
@@ -451,12 +535,26 @@ mod tests {
 
     #[test]
     fn corrupt_count_rejected_before_allocation() {
-        // A Vec<f64> claiming u64::MAX elements with 0 payload bytes.
+        fn rejects<T: Persist + std::fmt::Debug>(bytes: &[u8]) {
+            let err = Vec::<T>::decode(&mut Reader::new(bytes)).unwrap_err();
+            assert!(matches!(err, PersistError::CountTooLarge { .. }), "{err}");
+        }
+        // A vector claiming u64::MAX elements with 0 payload bytes: honouring
+        // the count would abort on allocation, bulk path or not.
         let mut w = Writer::new();
         w.put_u64(u64::MAX);
         let bytes = w.into_vec();
-        let err = Vec::<f64>::decode(&mut Reader::new(&bytes)).unwrap_err();
-        assert!(matches!(err, PersistError::CountTooLarge { .. }), "{err}");
+        rejects::<f64>(&bytes);
+        rejects::<u64>(&bytes);
+        rejects::<bool>(&bytes);
+        rejects::<String>(&bytes);
+        // One element more than the bytes present can hold.
+        let mut w = Writer::new();
+        w.put_u64(4);
+        w.put_raw(&[0; 31]);
+        let bytes = w.into_vec();
+        rejects::<f64>(&bytes);
+        rejects::<u64>(&bytes);
     }
 
     #[test]
@@ -467,6 +565,125 @@ mod tests {
         for cut in 0..bytes.len() - 1 {
             let err = Vec::<f64>::decode(&mut Reader::new(&bytes[..cut]));
             assert!(err.is_err(), "decode of {cut}-byte prefix succeeded");
+        }
+    }
+
+    /// The element-by-element form of a run — the `Persist` defaults, which
+    /// `f64`, `u64` and `bool` override with bulk moves.
+    fn encode_per_element<T: Persist>(run: &[T]) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.put_usize(run.len());
+        for v in run {
+            v.encode(&mut w);
+        }
+        w.into_vec()
+    }
+
+    fn decode_per_element<T: Persist>(bytes: &[u8]) -> Result<Vec<T>, PersistError> {
+        let mut r = Reader::new(bytes);
+        let count = r.get_count(T::MIN_SIZE)?;
+        (0..count).map(|_| T::decode(&mut r)).collect()
+    }
+
+    /// Bulk and per-element agree on the encoded bytes, on the decoded
+    /// values (compared through `key`, so NaNs count) and, for every
+    /// truncation of the run, on the typed error.
+    fn assert_bulk_matches_per_element<T, K>(run: &[T], key: impl Fn(&T) -> K)
+    where
+        T: Persist,
+        K: PartialEq + std::fmt::Debug,
+    {
+        let mut w = Writer::new();
+        T::encode_slice(run, &mut w);
+        let bytes = w.into_vec();
+        assert_eq!(bytes, encode_per_element(run));
+
+        let mut r = Reader::new(&bytes);
+        let back = T::decode_vec(&mut r).expect("bulk decode");
+        r.finish().expect("bulk decode consumed the run exactly");
+        let keys = |vs: &[T]| vs.iter().map(&key).collect::<Vec<K>>();
+        assert_eq!(keys(&back), keys(run));
+        assert_eq!(keys(&decode_per_element::<T>(&bytes).unwrap()), keys(run));
+
+        for cut in 0..bytes.len() {
+            let bulk = T::decode_vec(&mut Reader::new(&bytes[..cut])).map(|v| keys(&v));
+            let reference = decode_per_element::<T>(&bytes[..cut]).map(|v| keys(&v));
+            match (bulk, reference) {
+                (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "cut {cut}"),
+                (a, b) => panic!("cut {cut}: bulk {a:?} vs per-element {b:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn bulk_runs_match_per_element_on_special_values() {
+        let quiet_nan_payload = f64::from_bits(0x7FF8_0000_DEAD_BEEF);
+        let signalling_nan = f64::from_bits(0x7FF0_0000_0000_0001);
+        let negative_nan = f64::from_bits(0xFFF8_0000_0000_0000);
+        let floats = [
+            quiet_nan_payload,
+            signalling_nan,
+            negative_nan,
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE / 2.0,
+            f64::MAX,
+        ];
+        assert_bulk_matches_per_element(&floats, |v| v.to_bits());
+        assert_bulk_matches_per_element(&[] as &[f64], |v| v.to_bits());
+        assert_bulk_matches_per_element(&[0u64, 1, u64::MAX], |v| *v);
+        assert_bulk_matches_per_element(&[] as &[u64], |v| *v);
+        assert_bulk_matches_per_element(&[true, false, false, true], |v| *v);
+        assert_bulk_matches_per_element(&[] as &[bool], |v| *v);
+    }
+
+    #[test]
+    fn bulk_bool_run_rejects_a_stray_byte_like_the_scalar_path() {
+        let mut bytes = encode_per_element(&[true, false, true]);
+        *bytes.last_mut().unwrap() = 2;
+        let bulk = Vec::<bool>::decode(&mut Reader::new(&bytes)).unwrap_err();
+        let reference = decode_per_element::<bool>(&bytes).unwrap_err();
+        assert!(matches!(bulk, PersistError::BadValue { .. }), "{bulk}");
+        assert_eq!(bulk.to_string(), reference.to_string());
+    }
+
+    #[test]
+    fn blob_is_byte_identical_to_a_sub_writer() {
+        let mut sub = Writer::new();
+        vec![1.5f64, -2.0].encode(&mut sub);
+        sub.put_str("tail");
+        let mut expected = Writer::new();
+        expected.put_u8(9);
+        expected.put_bytes(sub.as_slice());
+        expected.put_bytes(&[]);
+
+        let mut w = Writer::new();
+        w.put_u8(9);
+        w.put_blob(|w| {
+            vec![1.5f64, -2.0].encode(w);
+            w.put_str("tail");
+        });
+        w.put_blob(|_| {});
+        assert_eq!(w.into_vec(), expected.into_vec());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Raw bit patterns, so NaN payloads, infinities and subnormals all
+        /// turn up; lengths 0..40 cover the empty run and odd tails.
+        #[test]
+        fn bulk_runs_match_per_element(
+            bits in prop::collection::vec(any::<u64>(), 40),
+            flags in prop::collection::vec(any::<bool>(), 40),
+            len in 0usize..=40,
+        ) {
+            let floats: Vec<f64> = bits[..len].iter().map(|&b| f64::from_bits(b)).collect();
+            assert_bulk_matches_per_element(&floats, |v| v.to_bits());
+            assert_bulk_matches_per_element(&bits[..len], |v| *v);
+            assert_bulk_matches_per_element(&flags[..len], |v| *v);
         }
     }
 

@@ -1,12 +1,34 @@
-//! CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320).
+//! CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), slicing-by-16.
 //!
-//! Hand-rolled so the integrity check owes nothing to any shim. The table is
-//! built at compile time; the loop is the classic byte-at-a-time form, fast
-//! enough that checksumming even a multi-megabyte snapshot is dwarfed by the
-//! fsync that follows it.
+//! Hand-rolled so the integrity check owes nothing to any shim, and in safe
+//! code only (this crate forbids `unsafe`, which rules out PCLMULQDQ
+//! folding). Sixteen 256-entry tables are built at compile time; the loop
+//! consumes 16 input bytes per iteration with sixteen independent lookups,
+//! and a byte-at-a-time tail finishes the last `len % 16` bytes. The value
+//! is bit-for-bit the classic byte-at-a-time CRC, which survives as the
+//! test oracle.
+//!
+//! The checksum is **not** free next to the fsync. Measured on the 21.6 MB
+//! snapshot of the 8-cluster durable benchmark fleet (`fleet8_mix_durable`,
+//! 2-vCPU shared host, ext4), one `FleetDaemon::checkpoint` split as:
+//!
+//! | layer                         | byte-at-a-time            | slicing-by-16           |
+//! |-------------------------------|---------------------------|-------------------------|
+//! | CRC-32 over the snapshot      | 56–61 ms (0.35–0.39 GB/s) | 10–12 ms (2.0–2.1 GB/s) |
+//! | encode (+ container copies)   | 25–30 ms                  | ~4 ms                   |
+//! | write + fsync + rename        | 15–17 ms                  | 15–17 ms                |
+//! | whole checkpoint (quiet best) | 100–107 ms                | 31–32 ms                |
+//!
+//! (The encode row moved with the bulk codec runs and the in-place container
+//! of `codec.rs` / `snapshot.rs`, not with this file.) The old loop cost
+//! 3.5× the fsync it guards; this one costs less than the disk does, so a
+//! checkpoint is now roughly half disk, a third CRC and a tenth encode.
 
-const fn build_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `TABLES[0]` is the classic byte-at-a-time table; `TABLES[k][b]` is the CRC
+/// of byte `b` followed by `k` zero bytes, which is what lets sixteen input
+/// bytes be folded with sixteen independent lookups.
+const fn build_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -19,21 +41,64 @@ const fn build_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        // In bounds: the loop runs `i` over 0..256, the table's length.
-        table[i] = crc;
+        // In bounds: the loop runs `i` over 0..256, each table's length.
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            // In bounds: `k` runs over 1..16 and `i` over 0..256, the two
+            // dimensions; the inner index is masked to 0..=255.
+            let prev = tables[k - 1][i];
+            // In bounds: as above.
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static TABLE: [u32; 256] = build_table();
+static TABLES: [[u32; 256]; 16] = build_tables();
+
+/// Folds one 32-bit word of input through the four tables `T[base + 3]`
+/// (lowest byte) down to `T[base]` (highest byte).
+#[inline(always)]
+fn fold_word(word: u32, base: usize) -> u32 {
+    let b = word.to_le_bytes();
+    // In bounds: callers pass `base` in {0, 4, 8, 12} so `base + 3 <= 15`,
+    // `b` has four bytes, and a `u8` always indexes inside a 256-entry table.
+    let lanes = [
+        TABLES[base + 3][b[0] as usize],
+        TABLES[base + 2][b[1] as usize],
+        TABLES[base + 1][b[2] as usize],
+        TABLES[base][b[3] as usize],
+    ];
+    // In bounds: `lanes` has exactly four entries.
+    lanes[0] ^ lanes[1] ^ lanes[2] ^ lanes[3]
+}
 
 /// CRC-32 of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        // In bounds: the index is masked to 0..=255 and TABLE has 256 slots.
-        crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let (blocks, tail) = bytes.as_chunks::<16>();
+    for b in blocks {
+        // In bounds: `b` is a `[u8; 16]` and every index is a constant < 16.
+        let w0 = u32::from_le_bytes([b[0], b[1], b[2], b[3]]) ^ crc;
+        // In bounds: as above.
+        let w1 = u32::from_le_bytes([b[4], b[5], b[6], b[7]]);
+        // In bounds: as above.
+        let w2 = u32::from_le_bytes([b[8], b[9], b[10], b[11]]);
+        // In bounds: as above.
+        let w3 = u32::from_le_bytes([b[12], b[13], b[14], b[15]]);
+        crc = fold_word(w0, 12) ^ fold_word(w1, 8) ^ fold_word(w2, 4) ^ fold_word(w3, 0);
+    }
+    for &b in tail {
+        // In bounds: the index is masked to 0..=255 and each table has 256
+        // slots.
+        crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -41,6 +106,16 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The classic byte-at-a-time loop: the oracle the sliced form must match.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
+        }
+        !crc
+    }
 
     #[test]
     fn known_vectors() {
@@ -67,6 +142,35 @@ mod tests {
                     "flip at {byte}:{bit} undetected"
                 );
             }
+        }
+    }
+
+    proptest! {
+        /// Every length 0..=80 at every start offset 0..16: all block/tail
+        /// splits and every alignment of the input against the 16-byte step.
+        #[test]
+        fn sliced_matches_bytewise_at_every_length_and_offset(
+            pool in prop::collection::vec(0u8..=255, 96),
+        ) {
+            for offset in 0..16 {
+                for len in 0..=80 {
+                    let input = &pool[offset..offset + len];
+                    prop_assert_eq!(
+                        crc32(input),
+                        crc32_bytewise(input),
+                        "offset {} len {}", offset, len
+                    );
+                }
+            }
+        }
+
+        #[test]
+        fn sliced_matches_bytewise_on_multi_kib_inputs(
+            pool in prop::collection::vec(0u8..=255, 8192),
+            len in 2048usize..=8192,
+        ) {
+            let input = &pool[..len];
+            prop_assert_eq!(crc32(input), crc32_bytewise(input));
         }
     }
 }

@@ -44,6 +44,9 @@ pub struct RecordEntry {
 pub struct RecordLogWriter {
     out: BufWriter<File>,
     records: u64,
+    /// The record being assembled; reused so a steady-state append allocates
+    /// nothing.
+    scratch: Vec<u8>,
 }
 
 impl RecordLogWriter {
@@ -52,20 +55,28 @@ impl RecordLogWriter {
         let mut out = BufWriter::new(File::create(path)?);
         out.write_all(&RECORD_LOG_MAGIC)?;
         out.write_all(&RECORD_LOG_VERSION.to_le_bytes())?;
-        Ok(RecordLogWriter { out, records: 0 })
+        Ok(RecordLogWriter {
+            out,
+            records: 0,
+            scratch: Vec::new(),
+        })
     }
 
     /// Appends one `(tick, cluster, frame)` record.
     pub fn append(&mut self, tick: u64, cluster: u32, frame: &[u8]) -> Result<(), PersistError> {
         let len = 8 + 4 + frame.len();
         assert!(len <= MAX_RECORD_LEN, "frame exceeds the record cap");
-        let mut payload = Vec::with_capacity(len);
-        payload.extend_from_slice(&tick.to_le_bytes());
-        payload.extend_from_slice(&cluster.to_le_bytes());
-        payload.extend_from_slice(frame);
-        self.out.write_all(&(len as u32).to_le_bytes())?;
-        self.out.write_all(&payload)?;
-        self.out.write_all(&crc32(&payload).to_le_bytes())?;
+        let record = &mut self.scratch;
+        record.clear();
+        record.extend_from_slice(&(len as u32).to_le_bytes());
+        record.extend_from_slice(&tick.to_le_bytes());
+        record.extend_from_slice(&cluster.to_le_bytes());
+        record.extend_from_slice(frame);
+        // In bounds: the four length bytes were pushed just above; the CRC
+        // covers the payload behind them.
+        let crc = crc32(&record[4..]);
+        record.extend_from_slice(&crc.to_le_bytes());
+        self.out.write_all(record)?;
         self.records += 1;
         Ok(())
     }
@@ -236,6 +247,34 @@ mod tests {
         assert_eq!(entries[0].frame, b"alpha");
         assert_eq!(entries[1].cluster, 1);
         assert_eq!(entries[2].frame, b"bravo");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn appended_bytes_match_a_hand_assembled_record() {
+        let path = temp_path("golden.log");
+        let mut w = RecordLogWriter::create(&path).unwrap();
+        w.append(0x0102_0304_0506_0708, 0x0A0B_0C0D, b"frame")
+            .unwrap();
+        // A shorter record after a longer one: nothing of the first may
+        // linger in the reused scratch buffer.
+        w.append(2, 1, b"").unwrap();
+        w.finish().unwrap();
+
+        let mut expected = b"CAPESLOG".to_vec();
+        expected.extend_from_slice(&1u32.to_le_bytes());
+        for (tick, cluster, frame) in [
+            (0x0102_0304_0506_0708u64, 0x0A0B_0C0Du32, &b"frame"[..]),
+            (2, 1, &b""[..]),
+        ] {
+            let mut payload = tick.to_le_bytes().to_vec();
+            payload.extend_from_slice(&cluster.to_le_bytes());
+            payload.extend_from_slice(frame);
+            expected.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            expected.extend_from_slice(&payload);
+            expected.extend_from_slice(&crc32(&payload).to_le_bytes());
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), expected);
         std::fs::remove_file(&path).unwrap();
     }
 

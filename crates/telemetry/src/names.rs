@@ -28,8 +28,13 @@ pub const SPAN_NET_READ: &str = "net.read";
 pub const SPAN_NET_DECODE: &str = "net.decode";
 /// Span: flushing queued egress bytes to a connection.
 pub const SPAN_NET_EGRESS: &str = "net.egress";
-/// Span: serializing and fsyncing a durable checkpoint.
-pub const SPAN_PERSIST_CHECKPOINT_WRITE: &str = "persist.checkpoint.write";
+/// Span: one whole durable checkpoint; the four `persist.checkpoint.*`
+/// timings below partition it.
+pub const SPAN_PERSIST_CHECKPOINT_TOTAL: &str = "persist.checkpoint.total";
+/// Span: serializing fleet state into the snapshot buffer.
+pub const SPAN_PERSIST_CHECKPOINT_ENCODE: &str = "persist.checkpoint.encode";
+/// Span: sealing the snapshot container (CRC-32 over the whole buffer).
+pub const SPAN_PERSIST_CHECKPOINT_CRC: &str = "persist.checkpoint.crc";
 /// Span: restoring daemon state from a checkpoint.
 pub const SPAN_PERSIST_RESTORE: &str = "persist.restore";
 
@@ -68,8 +73,13 @@ pub const PERSIST_RECORDS_APPENDED: &str = "persist.records_appended";
 pub const PERSIST_RECORD_FAILURES: &str = "persist.record_failures";
 /// Counter: auto-checkpoint attempts that failed.
 pub const PERSIST_AUTO_CHECKPOINT_FAILURES: &str = "persist.auto_checkpoint_failures";
+/// Histogram: the atomic snapshot file write minus its data fsync (temp
+/// file write, rename, directory fsync).
+pub const PERSIST_CHECKPOINT_WRITE: &str = "persist.checkpoint.write";
 /// Histogram: checkpoint fsync latency.
 pub const PERSIST_CHECKPOINT_FSYNC: &str = "persist.checkpoint.fsync";
+/// Gauge: size in bytes of the latest snapshot file.
+pub const PERSIST_CHECKPOINT_BYTES: &str = "persist.checkpoint.bytes";
 
 /// Counter: connections accepted.
 pub const NET_ACCEPTED: &str = "net.accepted";
