@@ -81,10 +81,11 @@ fn bench_gemm_strategies(c: &mut Criterion) {
     }
     // The explicit SIMD inner kernels against the portable scalar fallback,
     // on raw slices at a pinned level (no dispatch threshold, no pool):
-    // `gemm/simd/*` is the detected vector level — AVX2+FMA where the CPU
-    // has it, otherwise it degenerates to the scalar kernel and the two
-    // entries read equal — and `gemm/simd_scalar/*` pins the fallback on the
-    // same shapes (what `CAPES_SIMD=off` dispatches).
+    // `gemm/simd/*` is the highest detected level — 512-bit panel tiles,
+    // AVX2+FMA, or (degenerating to equal entries) the scalar kernel —
+    // `gemm/simd_avx2/*` pins the 256-bit kernels on a 512-bit host (what
+    // `CAPES_SIMD=avx2` dispatches), and `gemm/simd_scalar/*` pins the
+    // fallback on the same shapes (what `CAPES_SIMD=off` dispatches).
     for &(label, m, k, n) in &[
         ("batch_32x600x600", 32usize, 600usize, 600usize),
         ("square_600x600x600", 600, 600, 600),
@@ -94,8 +95,13 @@ fn bench_gemm_strategies(c: &mut Criterion) {
         let mut out = vec![0.0; m * n];
         for (name, level) in [
             ("simd", simd::detected_level()),
+            ("simd_avx2", SimdLevel::Avx2Fma),
             ("simd_scalar", SimdLevel::Scalar),
         ] {
+            // Only a 512-bit host has a 256-bit level distinct from `simd`.
+            if name == "simd_avx2" && simd::detected_level() <= level {
+                continue;
+            }
             group.bench_function(BenchmarkId::new(name, label), |bench| {
                 bench.iter(|| {
                     out.fill(0.0);

@@ -5,8 +5,12 @@
 //! so the tuning surface the process reads from its environment is
 //! documented in exactly one place.
 
-/// `1/on/true` forces the SIMD GEMM kernels on; `0/off/false` forces the
-/// scalar fallback. Unset: runtime AVX2+FMA detection decides.
+/// SIMD kernel level. Unset, `auto` or `1/on/true`: the highest level
+/// runtime detection finds (scalar < AVX2+FMA < AVX-512). `avx2` (or `fma`)
+/// is a **cap**: at most the AVX2+FMA kernels, so a 512-bit host can pin the
+/// 256-bit ones — still clamped to what the CPU supports. `0/off/false` (or
+/// `scalar`) forces the scalar fallback; any other value does too, with a
+/// one-time warning.
 pub const ENV_SIMD: &str = "CAPES_SIMD";
 
 /// Worker-thread count for the GEMM worker pool. Unset or `0`: derived from

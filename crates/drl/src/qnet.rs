@@ -137,14 +137,6 @@ impl QNetwork {
             .unwrap_or(0)
     }
 
-    /// Soft-update of this network toward `online`:
-    /// `θ⁻ ← θ⁻ (1 − α) + θ α` (the paper's target-network rule, Table 1:
-    /// α = 0.01).
-    pub fn soft_update_from(&mut self, online: &QNetwork, alpha: f64) {
-        assert!((0.0..=1.0).contains(&alpha), "α must be in [0, 1]");
-        self.network.blend_from(&online.network, alpha);
-    }
-
     /// Parameter distance to another Q-network (diagnostics / tests).
     pub fn distance_to(&self, other: &QNetwork) -> f64 {
         self.network.parameter_distance(&other.network)
@@ -252,19 +244,6 @@ mod tests {
         // Iterator::max_by keeps the last of equal maxima.
         assert_eq!(best_action_in_row(&q, 0), 2);
         assert_eq!(best_action_in_row(&q, 1), 3);
-    }
-
-    #[test]
-    fn soft_update_converges_to_online_network() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let online = QNetwork::new(5, 3, &mut rng);
-        let mut target = QNetwork::new(5, 3, &mut rng);
-        let initial = target.distance_to(&online);
-        assert!(initial > 0.0);
-        for _ in 0..800 {
-            target.soft_update_from(&online, 0.01);
-        }
-        assert!(target.distance_to(&online) < initial * 1e-3);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! network: `θ⁻ ← θ⁻ (1 − α) + θ α`.
 
 use crate::qnet::QNetwork;
-use capes_nn::{Adam, Optimizer, Workspace};
+use capes_nn::{Adam, Workspace};
 use capes_replay::{Minibatch, ReplayBatch};
 use capes_tensor::{simd, Matrix};
 use rand::Rng;
@@ -412,10 +412,17 @@ impl Trainer {
         }
 
         online.mlp().backward_into(states, ws_online);
-        optimizer.step(online.mlp_mut(), ws_online.grads());
-
-        // θ⁻ ← θ⁻ (1 − α) + θ α
-        target.soft_update_from(online, config.target_update_rate);
+        {
+            // Adam, with θ⁻ ← θ⁻ (1 − α) + θ α riding the same pass over
+            // the parameters.
+            let _span = capes_telemetry::span!("nn.adam_step");
+            optimizer.step_with_target(
+                online.mlp_mut(),
+                ws_online.grads(),
+                target.mlp_mut(),
+                config.target_update_rate,
+            );
+        }
 
         *steps += 1;
         TrainReport {

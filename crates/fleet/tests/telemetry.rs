@@ -77,11 +77,15 @@ fn run_and_check(transport: Transport, seed: u64, tag: &str) -> FleetReport {
         );
     }
     // GEMM rides one of the runtime-dispatched kernels.
-    let gemm: u64 = ["gemm.kernel.avx2", "gemm.kernel.scalar"]
-        .iter()
-        .filter_map(|n| report.telemetry.histogram(n))
-        .map(|h| h.count)
-        .sum();
+    let gemm: u64 = [
+        "gemm.kernel.avx512",
+        "gemm.kernel.avx2",
+        "gemm.kernel.scalar",
+    ]
+    .iter()
+    .filter_map(|n| report.telemetry.histogram(n))
+    .map(|h| h.count)
+    .sum();
     assert!(gemm > 0, "no GEMM kernel span recorded");
     // Training, sampling, ingest and checkpointing.
     for name in [

@@ -190,15 +190,6 @@ impl Dense {
         self.bias.axpy(scale, &grads.d_bias);
     }
 
-    /// Soft-updates this layer's parameters toward `other`'s:
-    /// `θ ← θ·(1−α) + θ_other·α` — the paper's target-network rule.
-    pub fn blend_from(&mut self, other: &Dense, alpha: f64) {
-        assert_eq!(self.weights.shape(), other.weights.shape());
-        assert_eq!(self.bias.shape(), other.bias.shape());
-        self.weights.blend(alpha, &other.weights);
-        self.bias.blend(alpha, &other.bias);
-    }
-
     fn affine(&self, x: &Matrix) -> Matrix {
         assert_eq!(
             x.cols(),
@@ -372,18 +363,6 @@ mod tests {
     fn backward_without_forward_panics() {
         let mut l = layer(2, 2, Activation::Tanh);
         let _ = l.backward(&Matrix::ones(1, 2));
-    }
-
-    #[test]
-    fn blend_from_moves_toward_other() {
-        let mut a = layer_seeded(3, 3, Activation::Tanh, 1);
-        let b = layer_seeded(3, 3, Activation::Tanh, 2);
-        let before = a.weights.sub(&b.weights).frobenius_norm();
-        a.blend_from(&b, 0.5);
-        let after = a.weights.sub(&b.weights).frobenius_norm();
-        assert!(after < before);
-        a.blend_from(&b, 1.0);
-        assert!(a.weights.approx_eq(&b.weights, 1e-12));
     }
 
     #[test]

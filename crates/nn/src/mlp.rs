@@ -200,21 +200,6 @@ impl Mlp {
         grads.into_iter().map(Option::unwrap).collect()
     }
 
-    /// Soft-updates every parameter toward `other`: `θ ← θ(1−α) + θ_other·α`.
-    ///
-    /// This is the target-network update of paper §3.4 with `other` being the
-    /// online network.
-    pub fn blend_from(&mut self, other: &Mlp, alpha: f64) {
-        assert_eq!(
-            self.layers.len(),
-            other.layers.len(),
-            "cannot blend networks with different depths"
-        );
-        for (a, b) in self.layers.iter_mut().zip(other.layers.iter()) {
-            a.blend_from(b, alpha);
-        }
-    }
-
     /// Euclidean distance between this network's parameters and `other`'s
     /// (useful for tests and for monitoring target-network lag).
     pub fn parameter_distance(&self, other: &Mlp) -> f64 {
@@ -362,22 +347,6 @@ mod tests {
         let out = n.forward_into(&Matrix::ones(4, 5), &mut ws);
         assert_eq!(out.shape(), (4, 3));
         assert_eq!(ws.batch(), 4);
-    }
-
-    #[test]
-    fn blend_converges_to_online_network() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let online = Mlp::new(&[4, 6, 2], Activation::Tanh, &mut rng);
-        let mut target = Mlp::new(&[4, 6, 2], Activation::Tanh, &mut rng);
-        let mut prev = target.parameter_distance(&online);
-        assert!(prev > 0.0);
-        for _ in 0..400 {
-            target.blend_from(&online, 0.05);
-            let d = target.parameter_distance(&online);
-            assert!(d <= prev + 1e-12, "distance must be non-increasing");
-            prev = d;
-        }
-        assert!(prev < 1e-3, "target should have converged, distance {prev}");
     }
 
     #[test]

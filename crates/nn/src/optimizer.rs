@@ -5,7 +5,7 @@
 //! comparison point for the hyperparameter ablation benchmarks.
 
 use crate::{Mlp, MlpGrads};
-use capes_tensor::simd::{adam_update, AdamStep};
+use capes_tensor::simd::{adam_update, AdamStep, SoftTarget};
 use capes_tensor::Matrix;
 use serde::{Deserialize, Serialize};
 
@@ -223,29 +223,76 @@ impl capes_persist::Persist for Adam {
     }
 }
 
-impl Optimizer for Adam {
-    fn step(&mut self, network: &mut Mlp, grads: &MlpGrads) {
+impl Adam {
+    /// One Adam step on `network` with the DQN soft target update riding in
+    /// the same pass over the parameters: tensor by tensor, right after
+    /// `θ[i]` is stored, `θ⁻[i] = θ⁻[i]·(1−α) + θ[i]·α` on `target`'s copy.
+    /// Bit-identical to [`Optimizer::step`] followed by `Matrix::blend` on
+    /// every tensor of `target`.
+    ///
+    /// # Panics
+    /// Panics if `α` is outside `[0, 1]` or `target` differs from `network`
+    /// in depth or in any tensor's length.
+    pub fn step_with_target(
+        &mut self,
+        network: &mut Mlp,
+        grads: &MlpGrads,
+        target: &mut Mlp,
+        alpha: f64,
+    ) {
+        assert!((0.0..=1.0).contains(&alpha), "α must be in [0, 1]");
+        assert_eq!(
+            target.layers().len(),
+            network.layers().len(),
+            "target network depth does not match the online network"
+        );
+        self.step_tensors(network, grads, Some(target), alpha);
+    }
+
+    /// The update loop behind both entry points.
+    fn step_tensors(
+        &mut self,
+        network: &mut Mlp,
+        grads: &MlpGrads,
+        target: Option<&mut Mlp>,
+        alpha: f64,
+    ) {
         assert_eq!(
             grads.len() * 2,
             self.m.len(),
             "gradient count does not match optimizer state"
         );
-        self.t += 1;
-        let t = self.t as i32;
-        let lr = self.learning_rate;
-        let (b1, b2, eps) = (self.beta1, self.beta2, self.epsilon);
-        let bias1 = 1.0 - b1.powi(t);
-        let bias2 = 1.0 - b2.powi(t);
+        self.t = self.t.saturating_add(1);
+        // A restored snapshot may carry any `t`: saturate the exponent
+        // instead of letting the cast wrap negative (a negative power makes
+        // `bias2` negative and the step NaN). Both powers are exactly 0.0
+        // long before `i32::MAX`, so no reachable step changes.
+        let t = i32::try_from(self.t).unwrap_or(i32::MAX);
+        let step = AdamStep {
+            learning_rate: self.learning_rate,
+            beta1: self.beta1,
+            beta2: self.beta2,
+            epsilon: self.epsilon,
+            bias1: 1.0 - self.beta1.powi(t),
+            bias2: 1.0 - self.beta2.powi(t),
+            scale: 1.0,
+        };
 
+        let mut target_layers = target.map(|net| net.layers_mut().iter_mut());
         for (i, (layer, g)) in network
             .layers_mut()
             .iter_mut()
             .zip(grads.iter())
             .enumerate()
         {
-            for (param, grad, idx) in [
-                (&mut layer.weights, &g.d_weights, 2 * i),
-                (&mut layer.bias, &g.d_bias, 2 * i + 1),
+            let (target_weights, target_bias) =
+                match target_layers.as_mut().and_then(Iterator::next) {
+                    Some(l) => (Some(&mut l.weights), Some(&mut l.bias)),
+                    None => (None, None),
+                };
+            for (param, grad, idx, target_param) in [
+                (&mut layer.weights, &g.d_weights, 2 * i, target_weights),
+                (&mut layer.bias, &g.d_bias, 2 * i + 1, target_bias),
             ] {
                 // Gradient clipping is folded into the update as a scale
                 // factor instead of materialising a clipped copy, keeping the
@@ -262,7 +309,7 @@ impl Optimizer for Adam {
                     None => 1.0,
                 };
                 // The fused element-wise kernel dispatches through the
-                // CAPES_SIMD runtime switch; both arms are bit-identical to
+                // CAPES_SIMD runtime switch; every arm is bit-identical to
                 // the loop this replaced, so optimizer trajectories are
                 // unchanged at every level.
                 adam_update(
@@ -270,18 +317,20 @@ impl Optimizer for Adam {
                     grad.as_slice(),
                     self.m[idx].as_mut_slice(),
                     self.v[idx].as_mut_slice(),
-                    &AdamStep {
-                        learning_rate: lr,
-                        beta1: b1,
-                        beta2: b2,
-                        epsilon: eps,
-                        bias1,
-                        bias2,
-                        scale,
-                    },
+                    &AdamStep { scale, ..step },
+                    target_param.map(|t| SoftTarget {
+                        params: t.as_mut_slice(),
+                        alpha,
+                    }),
                 );
             }
         }
+    }
+}
+
+impl Optimizer for Adam {
+    fn step(&mut self, network: &mut Mlp, grads: &MlpGrads) {
+        self.step_tensors(network, grads, None, 0.0);
     }
 
     fn learning_rate(&self) -> f64 {
@@ -485,6 +534,95 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn restored_step_count_past_i32_does_not_poison_the_next_step() {
+        // `Adam::decode` accepts any u64 step count. `t as i32` used to wrap
+        // 2³¹ to a negative exponent: β₂ᵗ > 1 → bias2 < 0 → √(negative) →
+        // NaN weights on the first step after such a restore.
+        use capes_persist::{Persist, Reader, Writer};
+        let mut rng = StdRng::seed_from_u64(9);
+        let net = Mlp::new(&[3, 4, 2], Activation::Tanh, &mut rng);
+        let grads = {
+            let mut n = net.clone();
+            let pred = n.forward(&Matrix::filled(2, 3, 0.7));
+            let (_, d) = MseLoss.loss_and_grad(&pred, &Matrix::zeros(2, 2));
+            n.backward(&d)
+        };
+        let step_from = |t: u64| {
+            let mut adam = Adam::new(0.01, net.parameter_shapes());
+            adam.t = t;
+            let mut w = Writer::new();
+            adam.encode(&mut w);
+            let mut restored = Adam::decode(&mut Reader::new(w.as_slice())).expect("decodes");
+            let mut stepped = net.clone();
+            restored.step(&mut stepped, &grads);
+            (stepped, restored.steps())
+        };
+        // Both β powers are exactly 0.0 long before i32::MAX, so every step
+        // from there on — saturated exponent or not — is the same step.
+        let (reference, _) = step_from(i32::MAX as u64 - 1);
+        assert!(reference.is_finite());
+        for t in [i32::MAX as u64, 1 << 31, 1 << 40, u64::MAX - 1] {
+            let (stepped, steps) = step_from(t);
+            assert!(stepped.is_finite(), "t = {t}: NaN weights after restore");
+            assert_eq!(stepped.parameter_distance(&reference), 0.0, "t = {t}");
+            assert_eq!(steps, t + 1);
+        }
+        // The counter itself saturates instead of overflowing.
+        assert_eq!(step_from(u64::MAX).1, u64::MAX);
+    }
+
+    #[test]
+    fn step_with_target_is_step_then_blend_and_converges() {
+        // Zero gradients leave θ where it is (m = v = 0 → a zero update), so
+        // the target's walk toward a fixed θ is observable on its own: the
+        // distance never grows and converges — what the deleted
+        // `blend_from` tests checked — and every step equals
+        // `Optimizer::step` followed by `Matrix::blend`, bit for bit.
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut online = Mlp::new(&[4, 6, 2], Activation::Tanh, &mut rng);
+        let mut target = Mlp::new(&[4, 6, 2], Activation::Tanh, &mut rng);
+        let frozen = online.clone();
+        let zero_grads = {
+            let mut n = online.clone();
+            n.forward(&Matrix::ones(1, 4));
+            n.backward(&Matrix::zeros(1, 2))
+        };
+        let mut adam = Adam::new(0.01, online.parameter_shapes());
+        let mut prev = target.parameter_distance(&online);
+        assert!(prev > 0.0);
+        for _ in 0..400 {
+            let mut reference = target.clone();
+            for (t, o) in reference.layers_mut().iter_mut().zip(online.layers()) {
+                t.weights.blend(0.05, &o.weights);
+                t.bias.blend(0.05, &o.bias);
+            }
+            adam.step_with_target(&mut online, &zero_grads, &mut target, 0.05);
+            assert_eq!(online.parameter_distance(&frozen), 0.0, "θ must not move");
+            assert_eq!(target.parameter_distance(&reference), 0.0, "blend diverged");
+            let d = target.parameter_distance(&online);
+            assert!(d <= prev + 1e-12, "distance must be non-increasing");
+            prev = d;
+        }
+        assert!(prev < 1e-3, "target should have converged, distance {prev}");
+        // α = 1 snaps the target onto the online network.
+        let mut snapped = Mlp::new(&[4, 6, 2], Activation::Tanh, &mut rng);
+        adam.step_with_target(&mut online, &zero_grads, &mut snapped, 1.0);
+        assert_eq!(snapped.parameter_distance(&online), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "depth does not match")]
+    fn step_with_target_rejects_a_shallower_target() {
+        let mut rng = StdRng::seed_from_u64(6);
+        let mut online = Mlp::new(&[4, 6, 2], Activation::Tanh, &mut rng);
+        let mut target = Mlp::new(&[4, 2], Activation::Tanh, &mut rng);
+        online.forward(&Matrix::ones(1, 4));
+        let grads = online.backward(&Matrix::zeros(1, 2));
+        let mut adam = Adam::new(0.01, online.parameter_shapes());
+        adam.step_with_target(&mut online, &grads, &mut target, 0.5);
     }
 
     #[test]

@@ -33,8 +33,8 @@
 //! | family | metrics |
 //! |---|---|
 //! | fleet | `fleet.tick.{gather,decide,scatter,train,total}` (histograms), `fleet.tick.recent_rate` (gauge), `fleet.cluster.<name>.objective` (gauge) |
-//! | drl | `drl.train_step` (histogram) |
-//! | gemm | `gemm.pool_dispatch`, `gemm.kernel.{avx2,scalar}` (histograms) |
+//! | drl, nn | `drl.train_step`, and inside it `nn.adam_step` (histograms) |
+//! | gemm | `gemm.pool_dispatch`, `gemm.kernel.{avx512,avx2,scalar}` (histograms) |
 //! | arena | `arena.lock_wait`, `arena.sample` (histograms) |
 //! | daemon | `daemon.ingest` (histogram), `daemon.reports_rejected`, `daemon.implausible_ticks` (counters) |
 //! | net | `net.read`, `net.decode`, `net.egress` (histograms), `net.ingress.depth` (gauge), plus the `net.*` counters mirroring `NetStats` |

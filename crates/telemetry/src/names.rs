@@ -18,10 +18,22 @@ pub const SPAN_ARENA_SAMPLE: &str = "arena.sample";
 pub const SPAN_DAEMON_INGEST: &str = "daemon.ingest";
 /// Span and histogram: one DRL optimizer step.
 pub const DRL_TRAIN_STEP: &str = "drl.train_step";
+/// Span: the parameter update inside `drl.train_step` — Adam **and** the
+/// soft target update, which rides the same pass over the parameters (its
+/// time is inside this span, not in the gap after it). With the forward and
+/// backward passes it partitions the train step.
+pub const SPAN_NN_ADAM_STEP: &str = "nn.adam_step";
 /// Span: dispatching a fleet tick batch onto the shard pool.
 pub const SPAN_FLEET_POOL_DISPATCH: &str = "fleet.pool_dispatch";
 /// Span: dispatching a GEMM row range onto the worker pool.
 pub const SPAN_GEMM_POOL_DISPATCH: &str = "gemm.pool_dispatch";
+/// Span: one GEMM kernel call (or pool chunk) that ran the scalar arm.
+pub const SPAN_GEMM_KERNEL_SCALAR: &str = "gemm.kernel.scalar";
+/// Span: one GEMM kernel call (or pool chunk) that ran the AVX2+FMA arm.
+pub const SPAN_GEMM_KERNEL_AVX2: &str = "gemm.kernel.avx2";
+/// Span: one GEMM kernel call (or pool chunk) that ran at the AVX-512
+/// level (512-bit panel tiles; the `a · bᵀ` kernel's 256-bit arm).
+pub const SPAN_GEMM_KERNEL_AVX512: &str = "gemm.kernel.avx512";
 /// Span: draining readable bytes from one connection.
 pub const SPAN_NET_READ: &str = "net.read";
 /// Span: decoding length-prefixed frames from a connection buffer.

@@ -27,8 +27,9 @@
 //! The inner kernels themselves live in [`crate::simd`]: every strategy
 //! (blocked, threaded, pooled) calls through the runtime-dispatched
 //! entry points there, so single-threaded and pool-chunked products alike
-//! run the AVX2+FMA vector kernels when the CPU supports them (and the
-//! portable scalar kernels otherwise, or under `CAPES_SIMD=off`).
+//! run the widest vector kernels the CPU supports (AVX2+FMA, with 512-bit
+//! GEMM tiles under `avx512f`; the portable scalar kernels otherwise, or
+//! under `CAPES_SIMD=off`).
 
 use crate::simd::{gemm_rows, gemm_ta_rows, gemm_tb_rows};
 use crate::{pool, Matrix};

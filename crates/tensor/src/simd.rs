@@ -3,8 +3,8 @@
 //! The blocked kernels in [`crate::matmul`] are bounds-check-free and rank-4
 //! unrolled, but at the x86-64 *baseline* target (SSE2) the autovectorizer
 //! can only emit 2-wide f64 arithmetic and no fused multiply-adds. This
-//! module provides hand-written AVX2+FMA inner kernels (4-wide `f64x4`
-//! FMAs) for all three GEMM shapes the training step uses —
+//! module provides hand-written vector inner kernels for all three GEMM
+//! shapes the training step uses —
 //!
 //! * `out += a · b` ([`gemm_rows_with`], also the fused-affine kernel:
 //!   `affine_into` seeds `out` with the bias and accumulates on top),
@@ -12,53 +12,90 @@
 //!   ([`gemm_ta_rows_with`], the weight-gradient product), and
 //! * `out = a · bᵀ` ([`gemm_tb_rows_with`], the input-gradient product)
 //!
-//! — selected **once per process** and cached: the first dispatch (the
-//! worker-pool initialisation warms it) probes the CPU via
+//! — at three totally ordered levels ([`SimdLevel`]), `Scalar < Avx2Fma <
+//! Avx512`:
+//!
+//! | level     | what it vectorises                                              |
+//! |-----------|-----------------------------------------------------------------|
+//! | `Scalar`  | nothing by hand — the portable rank-4 kernels                   |
+//! | `Avx2Fma` | everything below: 4 × 8 `ymm` GEMM tiles, the `a · bᵀ` dot kernel, Adam, tanh, Bellman targets |
+//! | `Avx512`  | **only** the shared GEMM panel of `out += a · b` / `out += aᵀ · b` (8 × 24 `zmm` tiles, remainders on the `ymm` tiles); every other kernel runs its `Avx2Fma` arm unchanged |
+//!
+//! The 512-bit level is deliberately that narrow. The panel's per-element
+//! FMA chain is the same at any lane width, so widening it is
+//! **bit-identical** to `Avx2Fma`; the `a · bᵀ` dot kernel's horizontal sum
+//! `(l0 + l2) + (l1 + l3)` fixes its summation order to four lanes (eight
+//! would change bits), Adam is bound by the divider (`vdivpd zmm` has the
+//! same per-element throughput as `ymm`), and tanh/Bellman are a rounding
+//! error of a training step.
+//!
+//! The level is selected **once per process** and cached: the first dispatch
+//! (the worker-pool initialisation warms it) probes the CPU via
 //! `is_x86_feature_detected!` and honours the `CAPES_SIMD` environment
 //! variable:
 //!
 //! | `CAPES_SIMD`                  | effect                                   |
 //! |-------------------------------|------------------------------------------|
-//! | unset / `auto`                | use AVX2+FMA when the CPU supports both  |
+//! | unset / `auto` / `on`         | the highest level the CPU supports       |
 //! | `off` / `scalar` / `0`        | always use the portable scalar kernels   |
-//! | `avx2` / `fma` / `on`         | request AVX2+FMA (clamped to what the CPU supports — never unsound) |
+//! | `avx2` / `fma`                | **cap** the level at `Avx2Fma` (clamped to what the CPU supports — never unsound); on a 512-bit host this pins the 256-bit kernels |
 //! | anything else                 | scalar kernels + a one-time warning (a typo in the kill switch fails safe) |
+//!
+//! Every `_with(level, ..)` entry clamps a request the CPU cannot run *down*
+//! to the highest level it can ([`detected_level`]), so any level is safe to
+//! pass anywhere.
 //!
 //! The scalar arm is byte-for-byte the pre-SIMD blocked kernel, so forcing
 //! `CAPES_SIMD=off` reproduces the previous releases' results bit-for-bit.
-//! The vector arm contracts each multiply-add into one FMA (one rounding
-//! instead of two), so its results can differ from the scalar arm in the
+//! The vector arms contract each multiply-add into one FMA (one rounding
+//! instead of two), so their results can differ from the scalar arm in the
 //! final ulp — the property tests bound the difference against the naive
-//! reference. Non-finite operands propagate exactly like the naive kernel in
-//! both arms: every product is computed, `0 · NaN` is `NaN`, never skipped.
-//! Remainder columns/rows that do not fill a 4-lane vector are handled with
-//! scalar-FMA tails inside the vector arm, and every load/store is unaligned
-//! (`loadu`/`storeu`), so kernels accept arbitrary sub-slices.
+//! reference — while `Avx512` and `Avx2Fma` agree bit-for-bit
+//! (property-tested). Non-finite operands propagate exactly like the naive
+//! kernel in every arm: every product is computed, `0 · NaN` is `NaN`, never
+//! skipped. Remainder columns/rows that do not fill a vector are handled
+//! with narrower tiles and scalar-FMA tails inside the vector arms, and every
+//! load/store is unaligned (`loadu`/`storeu`), so kernels accept arbitrary
+//! sub-slices.
 //!
 //! All three kernels chunk by *output rows* only, and every output element is
-//! computed by exactly one instruction sequence regardless of the chunking —
-//! which is why the pooled (multi-threaded) and single-threaded dispatch
-//! agree bit-for-bit (property-tested).
+//! computed by exactly one in-order FMA chain regardless of the chunking or
+//! of which tile shape covered it — which is why the pooled (multi-threaded)
+//! and single-threaded dispatch, and the 256- and 512-bit tiles, agree
+//! bit-for-bit (property-tested).
 //!
-//! Besides the GEMMs, the module carries one element-wise training kernel:
-//! the fused Adam parameter update ([`adam_update_with`]). Unlike the GEMM
-//! vector arm, its AVX2 arm uses **no FMA contraction** — every operation
-//! (mul, add, div, sqrt, sub) is individually correctly rounded, in the same
-//! order as the scalar arm — so the two arms are **bit-identical**, not
-//! merely ulp-close (property-tested). Toggling `CAPES_SIMD` therefore never
-//! perturbs an optimizer trajectory on its own.
+//! Besides the GEMMs, the module carries the element-wise training kernels.
+//! The fused Adam parameter update ([`adam_update_with`]) optionally carries
+//! the DQN soft target update in the same pass
+//! ([`adam_update_blend_with`]): after `θ[i]` is stored,
+//! `θ⁻[i] = θ⁻[i]·(1−α) + θ[i]·α`. Unlike the GEMM vector arms, its AVX2 arm
+//! uses **no FMA contraction** — every operation (mul, add, div, sqrt, sub)
+//! is individually correctly rounded, in the same order as the scalar arm —
+//! so the arms are **bit-identical**, not merely ulp-close (property-tested),
+//! and the blend lands on the bits of `Matrix::blend`. Toggling `CAPES_SIMD`
+//! therefore never perturbs an optimizer trajectory on its own.
 
 use std::fmt;
 use std::sync::OnceLock;
 
-/// Which inner-kernel implementation the GEMMs run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Which inner-kernel implementation the kernels run. Totally ordered,
+/// lowest first: a level runs everything the levels below it run, so "can
+/// run AVX2" is `level >= SimdLevel::Avx2Fma`, never `==`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SimdLevel {
     /// Portable scalar kernels (rank-4 unrolled, autovectorized at whatever
     /// baseline the build targets). Bit-identical to the pre-SIMD kernels.
     Scalar,
     /// Hand-written AVX2 kernels with FMA contraction (x86-64 only).
     Avx2Fma,
+    /// [`SimdLevel::Avx2Fma`] with the shared GEMM panel on 512-bit tiles
+    /// (x86-64 with `avx512f`); bit-identical to `Avx2Fma` everywhere.
+    Avx512,
+}
+
+impl SimdLevel {
+    /// Every level, lowest first.
+    pub const ALL: [SimdLevel; 3] = [SimdLevel::Scalar, SimdLevel::Avx2Fma, SimdLevel::Avx512];
 }
 
 impl fmt::Display for SimdLevel {
@@ -66,6 +103,7 @@ impl fmt::Display for SimdLevel {
         match self {
             SimdLevel::Scalar => write!(f, "scalar"),
             SimdLevel::Avx2Fma => write!(f, "avx2+fma"),
+            SimdLevel::Avx512 => write!(f, "avx512"),
         }
     }
 }
@@ -82,18 +120,34 @@ pub fn detected_level() -> SimdLevel {
     #[cfg(target_arch = "x86_64")]
     {
         if std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma") {
+            if std::is_x86_feature_detected!("avx512f") {
+                return SimdLevel::Avx512;
+            }
             return SimdLevel::Avx2Fma;
         }
     }
     SimdLevel::Scalar
 }
 
+/// Every level this CPU can run, lowest first — what the level-explicit
+/// tests and benches iterate.
+pub fn runnable_levels() -> &'static [SimdLevel] {
+    &SimdLevel::ALL[..=detected_level() as usize]
+}
+
+/// The arm a request for `level` runs on this CPU: the request itself when
+/// the CPU supports it, otherwise the highest level it does support.
+#[inline]
+fn runnable(level: SimdLevel) -> SimdLevel {
+    level.min(detected_level())
+}
+
 /// The level every auto-dispatching kernel in this process uses, selected on
 /// first call (the GEMM pool initialisation warms it) and cached for the
 /// process lifetime: the `CAPES_SIMD` override when set (see the module
 /// docs), otherwise [`detected_level`]. Requests for a level the CPU cannot
-/// run are clamped to [`SimdLevel::Scalar`], never dispatched unsoundly —
-/// and a value the switch does not recognise degrades to the scalar kernels
+/// run are clamped down to one it can, never dispatched unsoundly — and a
+/// value the switch does not recognise degrades to the scalar kernels
 /// (with a one-time warning) rather than silently enabling the vector path:
 /// the override exists as a kill switch, so a typo must fail safe.
 pub fn active_level() -> SimdLevel {
@@ -105,12 +159,14 @@ pub fn active_level() -> SimdLevel {
         {
             Ok("off" | "scalar" | "0" | "false") => SimdLevel::Scalar,
             // An explicit vector request still goes through detection: a
-            // level the CPU cannot run must never be dispatched.
-            Ok("avx2" | "fma" | "on" | "1" | "true" | "auto") | Err(_) => detected_level(),
+            // level the CPU cannot run must never be dispatched. `avx2` is a
+            // cap, so a 512-bit host can pin the 256-bit kernels.
+            Ok("avx2" | "fma") => runnable(SimdLevel::Avx2Fma),
+            Ok("on" | "1" | "true" | "auto") | Err(_) => detected_level(),
             Ok(other) => {
                 eprintln!(
                     "capes-tensor: unrecognised CAPES_SIMD value {other:?}; \
-                     falling back to the scalar kernels (use off/scalar or avx2/auto)"
+                     falling back to the scalar kernels (use off/scalar, avx2 or auto)"
                 );
                 SimdLevel::Scalar
             }
@@ -124,14 +180,20 @@ pub fn active_level() -> SimdLevel {
 /// seed it with zeros or, for the fused affine path, with the broadcast
 /// bias).
 ///
-/// A [`SimdLevel::Avx2Fma`] request on a build or CPU that cannot run it
-/// (non-x86-64, or x86-64 without AVX2+FMA) silently degrades to the scalar
-/// kernels, mirroring [`active_level`]'s clamping — the function is safe to
-/// call with any level anywhere.
+/// A request for a level this build or CPU cannot run (non-x86-64, or
+/// x86-64 without the features) silently degrades to the highest level it
+/// can, mirroring [`active_level`]'s clamping — the function is safe to call
+/// with any level anywhere.
+///
+/// Wide-and-tall products take the packed-B variant — bit-identical to the
+/// streaming kernel (see [`gemm_rows_packed_with`]), so the gate can never
+/// perturb a result, only the memory traffic. Below the gate the pack cost
+/// is not amortised (few output rows reuse each packed panel) and the
+/// streaming kernel already runs at full speed.
 ///
 /// # Panics
-/// Panics if any slice length disagrees with the dimensions (the vector arm
-/// relies on the exact lengths for memory safety).
+/// Panics if any slice length disagrees with the dimensions (the vector arms
+/// rely on the exact lengths for memory safety).
 pub fn gemm_rows_with(
     level: SimdLevel,
     a: &[f64],
@@ -141,27 +203,7 @@ pub fn gemm_rows_with(
     cols_a: usize,
     cols_b: usize,
 ) {
-    assert_eq!(a.len(), rows_a * cols_a, "gemm_rows: a length mismatch");
-    assert_eq!(b.len(), cols_a * cols_b, "gemm_rows: b length mismatch");
-    assert_eq!(out.len(), rows_a * cols_b, "gemm_rows: out length mismatch");
-    match level {
-        // SAFETY: the guard re-confirms the CPU runs AVX2+FMA (std caches
-        // the probe); lengths were asserted above. Wide-and-tall products
-        // take the packed-B variant — bit-identical to the streaming kernel
-        // (see `gemm_rows_packed_with`), so the gate can never perturb a
-        // result, only the memory traffic. Below the gate the pack cost is
-        // not amortised (few output rows reuse each packed panel) and the
-        // streaming kernel already runs at full speed.
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2Fma if detected_level() == SimdLevel::Avx2Fma => unsafe {
-            if rows_a >= PACK_MIN_ROWS && cols_b >= PACK_MIN_COLS {
-                avx2::gemm_rows_packed(a, b, out, rows_a, cols_a, cols_b)
-            } else {
-                avx2::gemm_rows(a, b, out, rows_a, cols_a, cols_b)
-            }
-        },
-        _ => gemm_rows_scalar(a, b, out, rows_a, cols_a, cols_b),
-    }
+    gemm_rows_dispatch(level, None, a, b, out, rows_a, cols_a, cols_b);
 }
 
 /// Auto-dispatch gate for the packed-B `gemm_rows` variant: packing a
@@ -175,7 +217,19 @@ const PACK_MIN_ROWS: usize = 8;
 #[cfg(target_arch = "x86_64")]
 const PACK_MIN_COLS: usize = 128;
 
-/// [`gemm_rows_with`] through the **packed-B** AVX2 kernel unconditionally:
+/// Whether the auto gate packs `b` for this shape at this (runnable) level.
+/// The 512-bit microkernel sweeps a k-panel of `b` exactly once while the
+/// panel's `a` block stays L1-resident (see `avx512::panel`), so there is no
+/// re-sweep for packing to speed up until the block outgrows L1: measured on
+/// 32 × 600 · 600 × 600, streaming 47.7 GFLOP/s against packed 38.
+#[cfg(target_arch = "x86_64")]
+fn pack_gate(level: SimdLevel, rows_a: usize, cols_a: usize, cols_b: usize) -> bool {
+    let a_resident =
+        level == SimdLevel::Avx512 && rows_a * BLOCK.min(cols_a) <= avx512::A_RESIDENT_ELEMS;
+    rows_a >= PACK_MIN_ROWS && cols_b >= PACK_MIN_COLS && !a_resident
+}
+
+/// [`gemm_rows_with`] through the **packed-B** vector kernel unconditionally:
 /// each k-panel of `b` is repacked into contiguous tile-major storage (a
 /// thread-local, grow-only scratch buffer — allocation-free at steady state)
 /// before the register-tiled sweep, so the inner loop reads `b` fragments
@@ -203,20 +257,10 @@ pub fn gemm_rows_packed_with(
     cols_a: usize,
     cols_b: usize,
 ) {
-    assert_eq!(a.len(), rows_a * cols_a, "gemm_rows: a length mismatch");
-    assert_eq!(b.len(), cols_a * cols_b, "gemm_rows: b length mismatch");
-    assert_eq!(out.len(), rows_a * cols_b, "gemm_rows: out length mismatch");
-    match level {
-        // SAFETY: as in `gemm_rows_with`.
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2Fma if detected_level() == SimdLevel::Avx2Fma => unsafe {
-            avx2::gemm_rows_packed(a, b, out, rows_a, cols_a, cols_b)
-        },
-        _ => gemm_rows_scalar(a, b, out, rows_a, cols_a, cols_b),
-    }
+    gemm_rows_dispatch(level, Some(true), a, b, out, rows_a, cols_a, cols_b);
 }
 
-/// [`gemm_rows_with`] through the **streaming** (non-packing) AVX2 kernel
+/// [`gemm_rows_with`] through the **streaming** (non-packing) vector kernel
 /// unconditionally, bypassing the packed-B gate. This is the pre-packing
 /// dispatch, kept public so the bit-equality property tests and the `gemm`
 /// benches can pin the unpacked path on shapes the auto gate would pack.
@@ -232,14 +276,40 @@ pub fn gemm_rows_unpacked_with(
     cols_a: usize,
     cols_b: usize,
 ) {
+    gemm_rows_dispatch(level, Some(false), a, b, out, rows_a, cols_a, cols_b);
+}
+
+/// The one `out += a · b` dispatch behind the three public entries, which
+/// differ only in `packed`: pinned, or `None` for the auto gate.
+#[allow(clippy::too_many_arguments)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+fn gemm_rows_dispatch(
+    level: SimdLevel,
+    packed: Option<bool>,
+    a: &[f64],
+    b: &[f64],
+    out: &mut [f64],
+    rows_a: usize,
+    cols_a: usize,
+    cols_b: usize,
+) {
     assert_eq!(a.len(), rows_a * cols_a, "gemm_rows: a length mismatch");
     assert_eq!(b.len(), cols_a * cols_b, "gemm_rows: b length mismatch");
     assert_eq!(out.len(), rows_a * cols_b, "gemm_rows: out length mismatch");
+    let level = runnable(level);
+    let _kernel = kernel_span(level);
     match level {
-        // SAFETY: as in `gemm_rows_with`.
+        // SAFETY: `runnable` confirmed the CPU runs AVX2+FMA — and `avx512f`
+        // when `wide` is set (std caches the probes); lengths were asserted
+        // above.
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2Fma if detected_level() == SimdLevel::Avx2Fma => unsafe {
-            avx2::gemm_rows(a, b, out, rows_a, cols_a, cols_b)
+        SimdLevel::Avx2Fma | SimdLevel::Avx512 => unsafe {
+            let wide = level == SimdLevel::Avx512;
+            if packed.unwrap_or_else(|| pack_gate(level, rows_a, cols_a, cols_b)) {
+                avx2::gemm_rows_packed(wide, a, b, out, rows_a, cols_a, cols_b)
+            } else {
+                avx2::gemm_rows(wide, a, b, out, rows_a, cols_a, cols_b)
+            }
         },
         _ => gemm_rows_scalar(a, b, out, rows_a, cols_a, cols_b),
     }
@@ -249,8 +319,7 @@ pub fn gemm_rows_unpacked_with(
 /// slices at an explicit [`SimdLevel`], where `a` is `n × m` and `b` is
 /// `n × p`; `out` holds the rows `i_start..i_end` of the `m × p` product.
 ///
-/// Unrunnable level requests degrade to the scalar kernel as in
-/// [`gemm_rows_with`].
+/// Unrunnable level requests are clamped down as in [`gemm_rows_with`].
 ///
 /// # Panics
 /// Panics if any slice length disagrees with the dimensions or the row range
@@ -278,11 +347,14 @@ pub fn gemm_ta_rows_with(
         (i_end - i_start) * p,
         "gemm_ta_rows: out length mismatch"
     );
+    let level = runnable(level);
+    let _kernel = kernel_span(level);
     match level {
-        // SAFETY: as in `gemm_rows_with`.
+        // SAFETY: as in `gemm_rows_dispatch`.
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2Fma if detected_level() == SimdLevel::Avx2Fma => unsafe {
-            avx2::gemm_ta_rows(a, b, out, i_start, i_end, n, m, p)
+        SimdLevel::Avx2Fma | SimdLevel::Avx512 => unsafe {
+            let wide = level == SimdLevel::Avx512;
+            avx2::gemm_ta_rows(wide, a, b, out, i_start, i_end, n, m, p)
         },
         _ => gemm_ta_rows_scalar(a, b, out, i_start, i_end, n, m, p),
     }
@@ -292,7 +364,9 @@ pub fn gemm_ta_rows_with(
 /// `out` holds the dot products of row `i` of `a` with every row of `b`
 /// (`out` is zeroed and accumulated into, panel by panel).
 ///
-/// Unrunnable level requests degrade to the scalar kernel as in
+/// [`SimdLevel::Avx512`] runs the `Avx2Fma` arm: the dot kernel's horizontal
+/// sum fixes the per-element summation order to four lanes, so a wider one
+/// would change bits. Unrunnable level requests are clamped down as in
 /// [`gemm_rows_with`].
 ///
 /// # Panics
@@ -313,10 +387,13 @@ pub fn gemm_tb_rows_with(
         rows_a * rows_b,
         "gemm_tb_rows: out length mismatch"
     );
+    let level = runnable(level);
+    let _kernel = kernel_span(level);
     match level {
-        // SAFETY: as in `gemm_rows_with`.
+        // SAFETY: `runnable` confirmed the CPU runs AVX2+FMA; lengths were
+        // asserted above.
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2Fma if detected_level() == SimdLevel::Avx2Fma => unsafe {
+        SimdLevel::Avx2Fma | SimdLevel::Avx512 => unsafe {
             avx2::gemm_tb_rows(a, b, out, rows_a, cols, rows_b)
         },
         _ => gemm_tb_rows_scalar(a, b, out, rows_a, cols, rows_b),
@@ -345,22 +422,40 @@ pub struct AdamStep {
     pub scale: f64,
 }
 
-/// Fused element-wise Adam update at an explicit [`SimdLevel`]:
+/// The DQN soft target update riding an Adam pass: the target network's
+/// copy of the tensor being stepped, and the update rate `α`.
+#[derive(Debug)]
+pub struct SoftTarget<'a> {
+    /// The target parameters `θ⁻`, as long as the online parameters.
+    pub params: &'a mut [f64],
+    /// Update rate `α` of `θ⁻ ← θ⁻·(1−α) + θ·α`.
+    pub alpha: f64,
+}
+
+/// Fused element-wise Adam update at an explicit [`SimdLevel`], optionally
+/// carrying the soft target update in the same pass:
 ///
 /// ```text
 /// g   = grad[i] · scale
 /// m[i] = β₁·m[i] + (1 − β₁)·g
 /// v[i] = β₂·v[i] + (1 − β₂)·g·g
 /// params[i] −= lr · (m[i] / bias1) / (√(v[i] / bias2) + ε)
+/// target[i] = target[i]·(1 − α) + params[i]·α        (with a target only)
 /// ```
 ///
-/// Both arms produce **bit-identical** results: the AVX2 arm uses only
+/// Every arm produces **bit-identical** results: the AVX2 arm uses only
 /// individually-rounded operations (no FMA contraction) in the scalar arm's
-/// exact evaluation order. Unrunnable level requests degrade to the scalar
-/// kernel as in [`gemm_rows_with`].
+/// exact evaluation order, and the blend is `Matrix::blend`'s mul, mul, add
+/// on the freshly stored parameter — so one call with a target equals a call
+/// without one followed by `Matrix::blend` (property-tested). The update is
+/// bound by the divider (three divisions and a square root per element), so
+/// the blend's loads and multiplies hide under it, and a 512-bit arm would
+/// buy nothing: [`SimdLevel::Avx512`] runs the `Avx2Fma` arm. Unrunnable
+/// level requests are clamped down as in [`gemm_rows_with`].
 ///
 /// # Panics
-/// Panics if `grads`, `m` or `v` disagree with `params` in length.
+/// Panics if `grads`, `m`, `v` or the target disagree with `params` in
+/// length.
 pub fn adam_update_with(
     level: SimdLevel,
     params: &mut [f64],
@@ -368,6 +463,7 @@ pub fn adam_update_with(
     m: &mut [f64],
     v: &mut [f64],
     step: &AdamStep,
+    target: Option<SoftTarget<'_>>,
 ) {
     assert_eq!(
         grads.len(),
@@ -376,14 +472,40 @@ pub fn adam_update_with(
     );
     assert_eq!(m.len(), params.len(), "adam_update: m length mismatch");
     assert_eq!(v.len(), params.len(), "adam_update: v length mismatch");
-    match level {
-        // SAFETY: the guard re-confirms the CPU (the kernel only needs AVX2;
-        // the level implies it); lengths were asserted above.
+    match target {
+        Some(t) => {
+            assert_eq!(
+                t.params.len(),
+                params.len(),
+                "adam_update: target length mismatch"
+            );
+            adam_update_arm::<true>(level, params, grads, m, v, step, t.params, t.alpha);
+        }
+        None => adam_update_arm::<false>(level, params, grads, m, v, step, &mut [], 0.0),
+    }
+}
+
+/// Level dispatch of [`adam_update_with`], monomorphised over whether a
+/// target rides along (`target` is empty and unread when `BLEND` is false).
+#[allow(clippy::too_many_arguments)]
+fn adam_update_arm<const BLEND: bool>(
+    level: SimdLevel,
+    params: &mut [f64],
+    grads: &[f64],
+    m: &mut [f64],
+    v: &mut [f64],
+    step: &AdamStep,
+    target: &mut [f64],
+    alpha: f64,
+) {
+    match runnable(level) {
+        // SAFETY: `runnable` confirmed the CPU (the kernel only needs AVX2;
+        // both levels imply it); lengths were asserted by the caller.
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2Fma if detected_level() == SimdLevel::Avx2Fma => unsafe {
-            avx2::adam_update(params, grads, m, v, step)
+        SimdLevel::Avx2Fma | SimdLevel::Avx512 => unsafe {
+            avx2::adam_update::<BLEND>(params, grads, m, v, step, target, alpha)
         },
-        _ => adam_update_scalar(params, grads, m, v, step),
+        _ => adam_update_scalar::<BLEND>(params, grads, m, v, step, target, alpha),
     }
 }
 
@@ -395,29 +517,29 @@ pub fn adam_update(
     m: &mut [f64],
     v: &mut [f64],
     step: &AdamStep,
+    target: Option<SoftTarget<'_>>,
 ) {
-    adam_update_with(active_level(), params, grads, m, v, step);
+    adam_update_with(active_level(), params, grads, m, v, step, target);
 }
 
 /// Element-wise `tanh` forward pass at an explicit [`SimdLevel`]:
 /// `dst[i] = tanh(src[i])`.
 ///
-/// Both arms evaluate the same two-branch rational/exp approximation
+/// Every arm evaluates the same two-branch rational/exp approximation
 /// ([`tanh_value`]) with identical, individually-rounded operation sequences
 /// (no FMA), so the levels are **bit-identical** — toggling `CAPES_SIMD`
 /// never perturbs a forward pass. Accuracy against the libm `tanh` is a few
-/// ulp (property-tested at 1e-14 relative).
+/// ulp (property-tested at 1e-14 relative). [`SimdLevel::Avx512`] runs the
+/// `Avx2Fma` arm.
 ///
 /// # Panics
 /// Panics if `src` and `dst` disagree in length.
 pub fn tanh_forward_with(level: SimdLevel, src: &[f64], dst: &mut [f64]) {
     assert_eq!(src.len(), dst.len(), "tanh_forward: length mismatch");
-    match level {
-        // SAFETY: the guard re-confirms the CPU; lengths were asserted.
+    match runnable(level) {
+        // SAFETY: `runnable` confirmed the CPU; lengths were asserted.
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2Fma if detected_level() == SimdLevel::Avx2Fma => unsafe {
-            avx2::tanh_forward(src, dst)
-        },
+        SimdLevel::Avx2Fma | SimdLevel::Avx512 => unsafe { avx2::tanh_forward(src, dst) },
         _ => tanh_forward_scalar(src, dst),
     }
 }
@@ -436,12 +558,10 @@ pub fn tanh_forward(src: &[f64], dst: &mut [f64]) {
 /// Panics if `output` and `grads` disagree in length.
 pub fn tanh_backward_with(level: SimdLevel, output: &[f64], grads: &mut [f64]) {
     assert_eq!(output.len(), grads.len(), "tanh_backward: length mismatch");
-    match level {
-        // SAFETY: the guard re-confirms the CPU; lengths were asserted.
+    match runnable(level) {
+        // SAFETY: `runnable` confirmed the CPU; lengths were asserted.
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2Fma if detected_level() == SimdLevel::Avx2Fma => unsafe {
-            avx2::tanh_backward(output, grads)
-        },
+        SimdLevel::Avx2Fma | SimdLevel::Avx512 => unsafe { avx2::tanh_backward(output, grads) },
         _ => tanh_backward_scalar(output, grads),
     }
 }
@@ -461,7 +581,8 @@ pub fn tanh_backward(output: &[f64], grads: &mut [f64]) {
 /// (first element wins ties; a `NaN` never displaces the running maximum,
 /// and a leading `NaN` poisons the row), and the vector arm mirrors it with
 /// an ordered greater-than compare plus blend — so the levels are
-/// **bit-identical**, no FMA anywhere.
+/// **bit-identical**, no FMA anywhere. [`SimdLevel::Avx512`] runs the
+/// `Avx2Fma` arm.
 ///
 /// # Panics
 /// Panics if `cols` is zero, `next_q` is not `rewards.len() · cols` long, or
@@ -485,10 +606,10 @@ pub fn bellman_targets_with(
         rewards.len(),
         "bellman_targets: out length mismatch"
     );
-    match level {
-        // SAFETY: the guard re-confirms the CPU; shapes were asserted.
+    match runnable(level) {
+        // SAFETY: `runnable` confirmed the CPU; shapes were asserted.
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2Fma if detected_level() == SimdLevel::Avx2Fma => unsafe {
+        SimdLevel::Avx2Fma | SimdLevel::Avx512 => unsafe {
             avx2::bellman_targets(rewards, next_q, cols, discount, out)
         },
         _ => bellman_targets_scalar(rewards, next_q, cols, discount, out),
@@ -512,13 +633,17 @@ pub fn bellman_targets(
 // ---------------------------------------------------------------------------
 
 /// Per-level kernel timing: one `gemm.kernel.<level>` histogram per SIMD
-/// arm, so a scrape shows which kernels actually ran and at what latency.
-/// Chunked pool dispatches record once per chunk.
+/// level, recorded by every GEMM dispatch under the level it actually ran
+/// (after clamping), so a scrape shows which kernels ran and at what
+/// latency. Chunked pool dispatches record once per chunk.
 #[inline]
-fn kernel_span() -> capes_telemetry::SpanGuard {
-    static AVX2: capes_telemetry::LazySpan = capes_telemetry::LazySpan::new("gemm.kernel.avx2");
-    static SCALAR: capes_telemetry::LazySpan = capes_telemetry::LazySpan::new("gemm.kernel.scalar");
-    match active_level() {
+fn kernel_span(level: SimdLevel) -> capes_telemetry::SpanGuard {
+    use capes_telemetry::LazySpan;
+    static AVX512: LazySpan = LazySpan::new("gemm.kernel.avx512");
+    static AVX2: LazySpan = LazySpan::new("gemm.kernel.avx2");
+    static SCALAR: LazySpan = LazySpan::new("gemm.kernel.scalar");
+    match level {
+        SimdLevel::Avx512 => AVX512.enter(),
         SimdLevel::Avx2Fma => AVX2.enter(),
         SimdLevel::Scalar => SCALAR.enter(),
     }
@@ -533,7 +658,6 @@ pub(crate) fn gemm_rows(
     cols_a: usize,
     cols_b: usize,
 ) {
-    let _kernel = kernel_span();
     gemm_rows_with(active_level(), a, b, out, rows_a, cols_a, cols_b);
 }
 
@@ -549,7 +673,6 @@ pub(crate) fn gemm_ta_rows(
     m: usize,
     p: usize,
 ) {
-    let _kernel = kernel_span();
     gemm_ta_rows_with(active_level(), a, b, out, i_start, i_end, n, m, p);
 }
 
@@ -562,7 +685,6 @@ pub(crate) fn gemm_tb_rows(
     cols: usize,
     rows_b: usize,
 ) {
-    let _kernel = kernel_span();
     gemm_tb_rows_with(active_level(), a, b, out, rows_a, cols, rows_b);
 }
 
@@ -656,20 +778,24 @@ fn gemm_ta_rows_scalar(
 
 /// Scalar arm of the Adam update — the reference evaluation order the vector
 /// arm reproduces bit-for-bit (and verbatim the loop the pre-SIMD optimizer
-/// ran).
-fn adam_update_scalar(
+/// ran), followed under `BLEND` by `Matrix::blend`'s expression on the
+/// parameter just stored.
+fn adam_update_scalar<const BLEND: bool>(
     params: &mut [f64],
     grads: &[f64],
     m: &mut [f64],
     v: &mut [f64],
     s: &AdamStep,
+    target: &mut [f64],
+    alpha: f64,
 ) {
     let (b1, b2) = (s.beta1, s.beta2);
-    for (((p, &raw_g), m_e), v_e) in params
+    for (i, (((p, &raw_g), m_e), v_e)) in params
         .iter_mut()
         .zip(grads)
         .zip(m.iter_mut())
         .zip(v.iter_mut())
+        .enumerate()
     {
         let g = raw_g * s.scale;
         *m_e = b1 * *m_e + (1.0 - b1) * g;
@@ -677,6 +803,9 @@ fn adam_update_scalar(
         let m_hat = *m_e / s.bias1;
         let v_hat = *v_e / s.bias2;
         *p -= s.learning_rate * m_hat / (v_hat.sqrt() + s.epsilon);
+        if BLEND {
+            target[i] = target[i] * (1.0 - alpha) + *p * alpha;
+        }
     }
 }
 
@@ -876,46 +1005,118 @@ mod avx2 {
         _mm_cvtsd_f64(_mm_fmadd_sd(_mm_set_sd(a), _mm_set_sd(b), _mm_set_sd(c)))
     }
 
-    /// Register-tiled panel driver shared by the `out += a · b` and
-    /// `out += aᵀ · b` kernels, which differ only in how the broadcast
-    /// operand walks `a`.
+    /// One register-tiled panel product — the unit of work every GEMM driver
+    /// below hands to a microkernel ([`panel`], or [`super::avx512::panel`]
+    /// at [`super::SimdLevel::Avx512`]):
     ///
-    /// Computes `out[t][j] += Σ_q a_elem(t, q) · b[q][j]` for `t` in
-    /// `0..rows`, `j` in `0..cols` and `q` in `0..steps`, where
-    /// `a_elem(t, q) = *a.add(t * a_row_stride + q * a_step)`, `b` rows are
-    /// `b_stride` apart and `out` rows are `cols_out` apart.
+    /// `out[t][j] += Σ_q a_elem(t, q) · b[q][j]` for `t` in `0..rows`, `j` in
+    /// `0..cols` and `q` in `0..steps`, where
+    /// `a_elem(t, q) = *a.add(t * a_row_stride + q * a_step)` and `out` rows
+    /// are `cols_out` apart. The `out += a · b` and `out += aᵀ · b` kernels
+    /// differ only in how the broadcast operand walks `a`.
+    ///
+    /// The microkernels' `PACKED` const parameter says how `b` is addressed:
+    /// **streaming** — row `q` of the panel starts at `b.add(q * b_stride)`;
+    /// **packed** — `b` is a [`pack_b_panel`] buffer over exactly these
+    /// `cols` columns and `steps` rows, so the 8-column tile at column `j`
+    /// starts at `b.add(j * steps)` with its rows 8 apart (`b_stride` is
+    /// unused). Everything else about a microkernel is the same either way.
+    #[derive(Clone, Copy)]
+    pub(super) struct Panel {
+        pub a: *const f64,
+        pub a_row_stride: usize,
+        pub a_step: usize,
+        pub b: *const f64,
+        pub b_stride: usize,
+        pub out: *mut f64,
+        pub cols_out: usize,
+        pub rows: usize,
+        pub cols: usize,
+        pub steps: usize,
+    }
+
+    impl Panel {
+        /// The sub-panel of output rows `t0..t0 + rows` and columns
+        /// `j0..j0 + cols`. An output element's FMA chain does not depend on
+        /// which (sub-)panel computes it, so a microkernel may split its
+        /// panel freely.
+        ///
+        /// # Safety
+        /// The rectangle must lie inside `self`. For a packed `b`, `j0` must
+        /// be a multiple of 8 and the rectangle must reach `self`'s right
+        /// edge (the packed remainder tile is found from the column count).
+        pub(super) unsafe fn sub<const PACKED: bool>(
+            self,
+            t0: usize,
+            rows: usize,
+            j0: usize,
+            cols: usize,
+        ) -> Panel {
+            debug_assert!(t0 + rows <= self.rows && j0 + cols <= self.cols);
+            debug_assert!(!PACKED || (j0.is_multiple_of(8) && j0 + cols == self.cols));
+            // SAFETY: the caller upholds this function's `# Safety` contract.
+            unsafe {
+                Panel {
+                    a: self.a.add(t0 * self.a_row_stride),
+                    b: self.b.add(if PACKED { j0 * self.steps } else { j0 }),
+                    out: self.out.add(t0 * self.cols_out + j0),
+                    rows,
+                    cols,
+                    ..self
+                }
+            }
+        }
+    }
+
+    /// The 256-bit microkernel over one [`Panel`], streaming or packed `b`.
     ///
     /// The tile shape is 4 output rows × 8 columns: the eight accumulators
     /// live in registers for the whole reduction sweep and every 64-byte
     /// b-row fragment loaded is reused across all four output rows, which
     /// quarters the L2 traffic per FMA compared with a row-at-a-time sweep —
     /// that traffic, not the ALUs, is what bounds the un-tiled kernel.
-    /// Remainder rows fall back to 1×8 tiles and remainder columns to 4-wide
-    /// and scalar-FMA lanes, so every shape is handled and every output
-    /// element is produced by one in-order FMA chain regardless of how
-    /// callers chunk the rows (this is what keeps pooled and single-threaded
-    /// dispatch bit-identical).
+    /// Remainder columns go through [`row_tail`] (4-wide and scalar-FMA
+    /// lanes) and remainder rows through single-row sweeps, so every shape
+    /// is handled and every output element is produced by one in-order FMA
+    /// chain regardless of how callers chunk the rows (this is what keeps
+    /// pooled and single-threaded dispatch bit-identical).
+    ///
+    /// Per output element the FMA chain is **instruction-for-instruction the
+    /// same** for both `b` addressings — same broadcast, same 4-wide
+    /// fragment loads, same step order — only the addresses the fragments
+    /// come from differ. That is the whole packed ≡ streaming bit-identity
+    /// argument: equal operands through equal operations in equal order.
     ///
     /// # Safety
     /// The CPU must support AVX2+FMA, and every `a`/`b`/`out` index reachable
-    /// from the dimensions above must be in bounds of the allocations the
-    /// pointers came from.
-    #[allow(clippy::too_many_arguments)]
+    /// from the panel's dimensions must be in bounds of the allocations the
+    /// pointers came from (for `PACKED`, `b` must hold the `steps × cols`
+    /// panel in [`pack_b_panel`] layout).
     #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn panel(
-        a: *const f64,
-        a_row_stride: usize,
-        a_step: usize,
-        b: *const f64,
-        b_stride: usize,
-        out: *mut f64,
-        cols_out: usize,
-        rows: usize,
-        cols: usize,
-        steps: usize,
-    ) {
+    pub(super) unsafe fn panel<const PACKED: bool>(p: Panel) {
+        let Panel {
+            a,
+            a_row_stride,
+            a_step,
+            b,
+            b_stride,
+            out,
+            cols_out,
+            rows,
+            cols,
+            steps,
+        } = p;
         // SAFETY: the caller upholds this function's `# Safety` contract.
         unsafe {
+            // Step 0 of the 8-column tile at column `j`, and the distance
+            // between consecutive steps' fragment rows.
+            let tile = |j: usize| if PACKED { b.add(j * steps) } else { b.add(j) };
+            let b_step = if PACKED { 8 } else { b_stride };
+            // The `w = cols % 8` remainder columns: a `w`-wide packed tile
+            // after the full ones, or simply the columns from `full` on.
+            let full = cols / 8 * 8;
+            let w = cols - full;
+            let tail_step = if PACKED { w } else { b_stride };
             let mut t = 0usize;
             while t + 4 <= rows {
                 let a0 = a.add(t * a_row_stride);
@@ -936,7 +1137,7 @@ mod avx2 {
                     let mut acc21 = _mm256_loadu_pd(o2.add(j + 4));
                     let mut acc30 = _mm256_loadu_pd(o3.add(j));
                     let mut acc31 = _mm256_loadu_pd(o3.add(j + 4));
-                    let mut bp = b.add(j);
+                    let mut bp = tile(j);
                     let mut off = 0usize;
                     for _ in 0..steps {
                         let bv0 = _mm256_loadu_pd(bp);
@@ -953,7 +1154,7 @@ mod avx2 {
                         let v3 = _mm256_broadcast_sd(&*a3.add(off));
                         acc30 = _mm256_fmadd_pd(v3, bv0, acc30);
                         acc31 = _mm256_fmadd_pd(v3, bv1, acc31);
-                        bp = bp.add(b_stride);
+                        bp = bp.add(b_step);
                         off += a_step;
                     }
                     _mm256_storeu_pd(o0.add(j), acc00);
@@ -966,71 +1167,97 @@ mod avx2 {
                     _mm256_storeu_pd(o3.add(j + 4), acc31);
                     j += 8;
                 }
-                if j < cols {
-                    row_tail(a0, a_step, b, b_stride, o0, j, cols, steps);
-                    row_tail(a1, a_step, b, b_stride, o1, j, cols, steps);
-                    row_tail(a2, a_step, b, b_stride, o2, j, cols, steps);
-                    row_tail(a3, a_step, b, b_stride, o3, j, cols, steps);
+                if w > 0 {
+                    row_tail(a0, a_step, tile(full), tail_step, o0.add(full), w, steps);
+                    row_tail(a1, a_step, tile(full), tail_step, o1.add(full), w, steps);
+                    row_tail(a2, a_step, tile(full), tail_step, o2.add(full), w, steps);
+                    row_tail(a3, a_step, tile(full), tail_step, o3.add(full), w, steps);
                 }
                 t += 4;
             }
-            // Remainder rows stream each b-row contiguously (broadcast-sweep like
-            // the scalar kernel) instead of walking b_stride-strided column
-            // strips: a lone row — the 1-row inference forward pass — has no
-            // register reuse to win, and the strided walk defeats the hardware
-            // prefetcher on large matrices. The per-element FMA chain is the same
-            // p-ordered sequence either way, so results stay bit-identical to the
-            // tiled path regardless of where row chunking lands.
             while t < rows {
                 let a_row = a.add(t * a_row_stride);
                 let o_row = out.add(t * cols_out);
-                let mut bp = b;
-                let mut off = 0usize;
-                for _ in 0..steps {
-                    let v = _mm256_broadcast_sd(&*a_row.add(off));
+                if PACKED {
+                    // 1×8 tiles down the packed tile rows.
                     let mut j = 0usize;
                     while j + 8 <= cols {
-                        let acc0 = _mm256_fmadd_pd(
-                            v,
-                            _mm256_loadu_pd(bp.add(j)),
-                            _mm256_loadu_pd(o_row.add(j)),
-                        );
-                        let acc1 = _mm256_fmadd_pd(
-                            v,
-                            _mm256_loadu_pd(bp.add(j + 4)),
-                            _mm256_loadu_pd(o_row.add(j + 4)),
-                        );
+                        let mut acc0 = _mm256_loadu_pd(o_row.add(j));
+                        let mut acc1 = _mm256_loadu_pd(o_row.add(j + 4));
+                        let mut bp = tile(j);
+                        let mut off = 0usize;
+                        for _ in 0..steps {
+                            let v = _mm256_broadcast_sd(&*a_row.add(off));
+                            acc0 = _mm256_fmadd_pd(v, _mm256_loadu_pd(bp), acc0);
+                            acc1 = _mm256_fmadd_pd(v, _mm256_loadu_pd(bp.add(4)), acc1);
+                            bp = bp.add(8);
+                            off += a_step;
+                        }
                         _mm256_storeu_pd(o_row.add(j), acc0);
                         _mm256_storeu_pd(o_row.add(j + 4), acc1);
                         j += 8;
                     }
-                    if j + 4 <= cols {
-                        let acc = _mm256_fmadd_pd(
-                            v,
-                            _mm256_loadu_pd(bp.add(j)),
-                            _mm256_loadu_pd(o_row.add(j)),
-                        );
-                        _mm256_storeu_pd(o_row.add(j), acc);
-                        j += 4;
+                    if w > 0 {
+                        row_tail(a_row, a_step, tile(full), w, o_row.add(full), w, steps);
                     }
-                    while j < cols {
-                        *o_row.add(j) = fmadd_sd(*a_row.add(off), *bp.add(j), *o_row.add(j));
-                        j += 1;
+                } else {
+                    // A streaming remainder row sweeps each b-row
+                    // contiguously (broadcast-sweep like the scalar kernel)
+                    // instead of walking b_stride-strided column strips: a
+                    // lone row — the 1-row inference forward pass — has no
+                    // register reuse to win, and the strided walk defeats
+                    // the hardware prefetcher on large matrices. The
+                    // per-element FMA chain is the same step-ordered
+                    // sequence either way, so results stay bit-identical to
+                    // the tiled path regardless of where row chunking lands.
+                    let mut bp = b;
+                    let mut off = 0usize;
+                    for _ in 0..steps {
+                        let v = _mm256_broadcast_sd(&*a_row.add(off));
+                        let mut j = 0usize;
+                        while j + 8 <= cols {
+                            let acc0 = _mm256_fmadd_pd(
+                                v,
+                                _mm256_loadu_pd(bp.add(j)),
+                                _mm256_loadu_pd(o_row.add(j)),
+                            );
+                            let acc1 = _mm256_fmadd_pd(
+                                v,
+                                _mm256_loadu_pd(bp.add(j + 4)),
+                                _mm256_loadu_pd(o_row.add(j + 4)),
+                            );
+                            _mm256_storeu_pd(o_row.add(j), acc0);
+                            _mm256_storeu_pd(o_row.add(j + 4), acc1);
+                            j += 8;
+                        }
+                        if j + 4 <= cols {
+                            let acc = _mm256_fmadd_pd(
+                                v,
+                                _mm256_loadu_pd(bp.add(j)),
+                                _mm256_loadu_pd(o_row.add(j)),
+                            );
+                            _mm256_storeu_pd(o_row.add(j), acc);
+                            j += 4;
+                        }
+                        while j < cols {
+                            *o_row.add(j) = fmadd_sd(*a_row.add(off), *bp.add(j), *o_row.add(j));
+                            j += 1;
+                        }
+                        bp = bp.add(b_stride);
+                        off += a_step;
                     }
-                    bp = bp.add(b_stride);
-                    off += a_step;
                 }
                 t += 1;
             }
         }
     }
 
-    /// Remainder columns `j0..cols` of one output row: a 4-wide vector lane
-    /// while one fits, then scalar-FMA lanes.
+    /// The `cols < 8` remainder columns of one output row, `b` rows
+    /// `b_stride` apart: a 4-wide vector lane while one fits, then
+    /// scalar-FMA lanes.
     ///
     /// # Safety
     /// As in [`panel`].
-    #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn row_tail(
         a_row: *const f64,
@@ -1038,13 +1265,12 @@ mod avx2 {
         b: *const f64,
         b_stride: usize,
         out_row: *mut f64,
-        j0: usize,
         cols: usize,
         steps: usize,
     ) {
         // SAFETY: the caller upholds this function's `# Safety` contract.
         unsafe {
-            let mut j = j0;
+            let mut j = 0usize;
             if j + 4 <= cols {
                 let mut acc = _mm256_loadu_pd(out_row.add(j));
                 let mut bp = b.add(j);
@@ -1073,15 +1299,32 @@ mod avx2 {
         }
     }
 
-    /// AVX2+FMA arm of [`super::gemm_rows_with`]: the scalar kernel's k-panel
-    /// blocking with the register-tiled [`panel`] microkernel inside (the
+    /// Hands one panel to the widest microkernel the level allows: the
+    /// 512-bit tiles when `wide`, else the 256-bit ones.
+    ///
+    /// # Safety
+    /// As in [`panel`]; `wide` additionally requires `avx512f`.
+    #[inline]
+    unsafe fn run_panel<const PACKED: bool>(wide: bool, p: Panel) {
+        // SAFETY: the caller upholds this function's `# Safety` contract.
+        unsafe {
+            if wide {
+                super::avx512::panel::<PACKED>(p)
+            } else {
+                panel::<PACKED>(p)
+            }
+        }
+    }
+
+    /// Vector arm of [`super::gemm_rows_unpacked_with`]: the scalar kernel's
+    /// k-panel blocking with a register-tiled microkernel inside (the
     /// broadcast operand walks row `i` of `a`, one element per step).
     ///
     /// # Safety
-    /// The CPU must support AVX2 and FMA; slice lengths must match the
-    /// dimensions exactly (asserted by the caller).
-    #[target_feature(enable = "avx2", enable = "fma")]
+    /// The CPU must support AVX2 and FMA — and `avx512f` when `wide`; slice
+    /// lengths must match the dimensions exactly (asserted by the caller).
     pub(super) unsafe fn gemm_rows(
+        wide: bool,
         a: &[f64],
         b: &[f64],
         out: &mut [f64],
@@ -1089,21 +1332,24 @@ mod avx2 {
         cols_a: usize,
         cols_b: usize,
     ) {
-        // SAFETY: the caller upholds this function's `# Safety` contract.
-        unsafe {
-            for kk in (0..cols_a).step_by(BLOCK) {
-                let k_end = (kk + BLOCK).min(cols_a);
-                panel(
-                    a.as_ptr().add(kk),
-                    cols_a,
-                    1,
-                    b.as_ptr().add(kk * cols_b),
-                    cols_b,
-                    out.as_mut_ptr(),
-                    cols_b,
-                    rows_a,
-                    cols_b,
-                    k_end - kk,
+        for kk in (0..cols_a).step_by(BLOCK) {
+            // SAFETY: the caller upholds this function's `# Safety`
+            // contract; `kk < cols_a` keeps both offsets in bounds.
+            unsafe {
+                run_panel::<false>(
+                    wide,
+                    Panel {
+                        a: a.as_ptr().add(kk),
+                        a_row_stride: cols_a,
+                        a_step: 1,
+                        b: b.as_ptr().add(kk * cols_b),
+                        b_stride: cols_b,
+                        out: out.as_mut_ptr(),
+                        cols_out: cols_b,
+                        rows: rows_a,
+                        cols: cols_b,
+                        steps: (kk + BLOCK).min(cols_a) - kk,
+                    },
                 );
             }
         }
@@ -1127,6 +1373,7 @@ mod avx2 {
     /// # Safety
     /// As in [`gemm_rows`].
     pub(super) unsafe fn gemm_rows_packed(
+        wide: bool,
         a: &[f64],
         b: &[f64],
         out: &mut [f64],
@@ -1152,16 +1399,20 @@ mod avx2 {
                         steps,
                         buf.as_mut_ptr(),
                     );
-                    panel_packed(
-                        a.as_ptr().add(kk),
-                        cols_a,
-                        1,
-                        buf.as_ptr(),
-                        out.as_mut_ptr(),
-                        cols_b,
-                        rows_a,
-                        cols_b,
-                        steps,
+                    run_panel::<true>(
+                        wide,
+                        Panel {
+                            a: a.as_ptr().add(kk),
+                            a_row_stride: cols_a,
+                            a_step: 1,
+                            b: buf.as_ptr(),
+                            b_stride: 0,
+                            out: out.as_mut_ptr(),
+                            cols_out: cols_b,
+                            rows: rows_a,
+                            cols: cols_b,
+                            steps,
+                        },
                     );
                 }
             }
@@ -1213,134 +1464,16 @@ mod avx2 {
         }
     }
 
-    /// [`panel`] over a [`pack_b_panel`]-packed panel. Per output element the
-    /// FMA chain is **instruction-for-instruction the same** as [`panel`]'s —
-    /// same broadcast, same 4-wide fragment loads, same step order — only the
-    /// addresses the `b` fragments come from differ (contiguous tile rows
-    /// instead of `b_stride`-strided ones). That is the whole bit-identity
-    /// argument: equal operands through equal operations in equal order.
-    /// Remainder columns land in the packed remainder tile and go through the
-    /// *same* [`row_tail`] helper (stride `w` instead of `b_stride`);
-    /// remainder rows run 1×8 tiles whose per-element chain matches the
-    /// streaming kernel's broadcast sweep.
-    ///
-    /// # Safety
-    /// As in [`panel`]; `packed` must hold the `steps × cols` panel in
-    /// [`pack_b_panel`] layout.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn panel_packed(
-        a: *const f64,
-        a_row_stride: usize,
-        a_step: usize,
-        packed: *const f64,
-        out: *mut f64,
-        cols_out: usize,
-        rows: usize,
-        cols: usize,
-        steps: usize,
-    ) {
-        // SAFETY: the caller upholds this function's `# Safety` contract.
-        unsafe {
-            let full = cols / 8 * 8;
-            let w = cols - full;
-            let rem = packed.add((full / 8) * steps * 8);
-            let mut t = 0usize;
-            while t + 4 <= rows {
-                let a0 = a.add(t * a_row_stride);
-                let a1 = a.add((t + 1) * a_row_stride);
-                let a2 = a.add((t + 2) * a_row_stride);
-                let a3 = a.add((t + 3) * a_row_stride);
-                let o0 = out.add(t * cols_out);
-                let o1 = out.add((t + 1) * cols_out);
-                let o2 = out.add((t + 2) * cols_out);
-                let o3 = out.add((t + 3) * cols_out);
-                let mut j = 0usize;
-                while j + 8 <= cols {
-                    let mut acc00 = _mm256_loadu_pd(o0.add(j));
-                    let mut acc01 = _mm256_loadu_pd(o0.add(j + 4));
-                    let mut acc10 = _mm256_loadu_pd(o1.add(j));
-                    let mut acc11 = _mm256_loadu_pd(o1.add(j + 4));
-                    let mut acc20 = _mm256_loadu_pd(o2.add(j));
-                    let mut acc21 = _mm256_loadu_pd(o2.add(j + 4));
-                    let mut acc30 = _mm256_loadu_pd(o3.add(j));
-                    let mut acc31 = _mm256_loadu_pd(o3.add(j + 4));
-                    let mut bp = packed.add((j / 8) * steps * 8);
-                    let mut off = 0usize;
-                    for _ in 0..steps {
-                        let bv0 = _mm256_loadu_pd(bp);
-                        let bv1 = _mm256_loadu_pd(bp.add(4));
-                        let v0 = _mm256_broadcast_sd(&*a0.add(off));
-                        acc00 = _mm256_fmadd_pd(v0, bv0, acc00);
-                        acc01 = _mm256_fmadd_pd(v0, bv1, acc01);
-                        let v1 = _mm256_broadcast_sd(&*a1.add(off));
-                        acc10 = _mm256_fmadd_pd(v1, bv0, acc10);
-                        acc11 = _mm256_fmadd_pd(v1, bv1, acc11);
-                        let v2 = _mm256_broadcast_sd(&*a2.add(off));
-                        acc20 = _mm256_fmadd_pd(v2, bv0, acc20);
-                        acc21 = _mm256_fmadd_pd(v2, bv1, acc21);
-                        let v3 = _mm256_broadcast_sd(&*a3.add(off));
-                        acc30 = _mm256_fmadd_pd(v3, bv0, acc30);
-                        acc31 = _mm256_fmadd_pd(v3, bv1, acc31);
-                        bp = bp.add(8);
-                        off += a_step;
-                    }
-                    _mm256_storeu_pd(o0.add(j), acc00);
-                    _mm256_storeu_pd(o0.add(j + 4), acc01);
-                    _mm256_storeu_pd(o1.add(j), acc10);
-                    _mm256_storeu_pd(o1.add(j + 4), acc11);
-                    _mm256_storeu_pd(o2.add(j), acc20);
-                    _mm256_storeu_pd(o2.add(j + 4), acc21);
-                    _mm256_storeu_pd(o3.add(j), acc30);
-                    _mm256_storeu_pd(o3.add(j + 4), acc31);
-                    j += 8;
-                }
-                if j < cols {
-                    row_tail(a0, a_step, rem, w, o0.add(full), 0, w, steps);
-                    row_tail(a1, a_step, rem, w, o1.add(full), 0, w, steps);
-                    row_tail(a2, a_step, rem, w, o2.add(full), 0, w, steps);
-                    row_tail(a3, a_step, rem, w, o3.add(full), 0, w, steps);
-                }
-                t += 4;
-            }
-            while t < rows {
-                let a_row = a.add(t * a_row_stride);
-                let o_row = out.add(t * cols_out);
-                let mut j = 0usize;
-                while j + 8 <= cols {
-                    let mut acc0 = _mm256_loadu_pd(o_row.add(j));
-                    let mut acc1 = _mm256_loadu_pd(o_row.add(j + 4));
-                    let mut bp = packed.add((j / 8) * steps * 8);
-                    let mut off = 0usize;
-                    for _ in 0..steps {
-                        let v = _mm256_broadcast_sd(&*a_row.add(off));
-                        acc0 = _mm256_fmadd_pd(v, _mm256_loadu_pd(bp), acc0);
-                        acc1 = _mm256_fmadd_pd(v, _mm256_loadu_pd(bp.add(4)), acc1);
-                        bp = bp.add(8);
-                        off += a_step;
-                    }
-                    _mm256_storeu_pd(o_row.add(j), acc0);
-                    _mm256_storeu_pd(o_row.add(j + 4), acc1);
-                    j += 8;
-                }
-                if j < cols {
-                    row_tail(a_row, a_step, rem, w, o_row.add(full), 0, w, steps);
-                }
-                t += 1;
-            }
-        }
-    }
-
-    /// AVX2+FMA arm of [`super::gemm_ta_rows_with`]: the same [`panel`]
-    /// microkernel with the broadcast operand walking a *column* of `a`
-    /// (stride `m` per reduction step, stride 1 between output rows).
+    /// Vector arm of [`super::gemm_ta_rows_with`]: the same microkernels
+    /// with the broadcast operand walking a *column* of `a` (stride `m` per
+    /// reduction step, stride 1 between output rows).
     ///
     /// # Safety
     /// As in [`gemm_rows`]; additionally `i_start..i_end` must lie within
     /// `0..m`.
     #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2", enable = "fma")]
     pub(super) unsafe fn gemm_ta_rows(
+        wide: bool,
         a: &[f64],
         b: &[f64],
         out: &mut [f64],
@@ -1352,17 +1485,20 @@ mod avx2 {
     ) {
         // SAFETY: the caller upholds this function's `# Safety` contract.
         unsafe {
-            panel(
-                a.as_ptr().add(i_start),
-                1,
-                m,
-                b.as_ptr(),
-                p,
-                out.as_mut_ptr(),
-                p,
-                i_end - i_start,
-                p,
-                n,
+            run_panel::<false>(
+                wide,
+                Panel {
+                    a: a.as_ptr().add(i_start),
+                    a_row_stride: 1,
+                    a_step: m,
+                    b: b.as_ptr(),
+                    b_stride: p,
+                    out: out.as_mut_ptr(),
+                    cols_out: p,
+                    rows: i_end - i_start,
+                    cols: p,
+                    steps: n,
+                },
             );
         }
     }
@@ -1482,20 +1618,23 @@ mod avx2 {
     /// Deliberately **FMA-free**: mul, add, div, sqrt and sub are each
     /// correctly rounded (IEEE 754), and the lane sequence is the scalar
     /// arm's evaluation order operation for operation — `(1 − β)·g` products
-    /// first, then the add; `(lr·m̂)` before the divide — so every element
-    /// lands on the same bits the scalar arm produces. An FMA here would
-    /// save one rounding and break that equality.
+    /// first, then the add; `(lr·m̂)` before the divide; under `BLEND` the
+    /// two blend products before their add — so every element lands on the
+    /// same bits the scalar arm produces. An FMA here would save one
+    /// rounding and break that equality.
     ///
     /// # Safety
-    /// The CPU must support AVX2; the four slices must be equal-length
-    /// (asserted by the caller).
+    /// The CPU must support AVX2; the four slices — and `target` under
+    /// `BLEND` — must be equal-length (asserted by the caller).
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn adam_update(
+    pub(super) unsafe fn adam_update<const BLEND: bool>(
         params: &mut [f64],
         grads: &[f64],
         m: &mut [f64],
         v: &mut [f64],
         s: &super::AdamStep,
+        target: &mut [f64],
+        alpha: f64,
     ) {
         // SAFETY: the caller upholds this function's `# Safety` contract.
         unsafe {
@@ -1510,10 +1649,13 @@ mod avx2 {
             let lr = _mm256_set1_pd(s.learning_rate);
             let eps = _mm256_set1_pd(s.epsilon);
             let scale = _mm256_set1_pd(s.scale);
+            let keep = _mm256_set1_pd(1.0 - alpha);
+            let take = _mm256_set1_pd(alpha);
             let p_ptr = params.as_mut_ptr();
             let g_ptr = grads.as_ptr();
             let m_ptr = m.as_mut_ptr();
             let v_ptr = v.as_mut_ptr();
+            let t_ptr = target.as_mut_ptr();
             let mut i = 0usize;
             while i + 4 <= n {
                 let g = _mm256_mul_pd(_mm256_loadu_pd(g_ptr.add(i)), scale);
@@ -1533,18 +1675,25 @@ mod avx2 {
                     _mm256_mul_pd(lr, m_hat),
                     _mm256_add_pd(_mm256_sqrt_pd(v_hat), eps),
                 );
-                _mm256_storeu_pd(
-                    p_ptr.add(i),
-                    _mm256_sub_pd(_mm256_loadu_pd(p_ptr.add(i)), delta),
-                );
+                let p = _mm256_sub_pd(_mm256_loadu_pd(p_ptr.add(i)), delta);
+                _mm256_storeu_pd(p_ptr.add(i), p);
+                if BLEND {
+                    let t = _mm256_loadu_pd(t_ptr.add(i));
+                    _mm256_storeu_pd(
+                        t_ptr.add(i),
+                        _mm256_add_pd(_mm256_mul_pd(t, keep), _mm256_mul_pd(p, take)),
+                    );
+                }
                 i += 4;
             }
-            super::adam_update_scalar(
+            super::adam_update_scalar::<BLEND>(
                 &mut params[lanes..],
                 &grads[lanes..],
                 &mut m[lanes..],
                 &mut v[lanes..],
                 s,
+                if BLEND { &mut target[lanes..] } else { target },
+                alpha,
             );
         }
     }
@@ -1817,6 +1966,150 @@ mod avx2 {
     }
 }
 
+// ---------------------------------------------------------------------------
+// AVX-512 arm — the shared GEMM panel only.
+// ---------------------------------------------------------------------------
+
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use super::avx2::{self, Panel};
+    use std::arch::x86_64::*;
+
+    /// Output rows per 512-bit tile.
+    const TILE_ROWS: usize = 8;
+    /// 8-lane fragments per tile row: 8 × 3 accumulators, three `b`
+    /// fragments and one broadcast occupy 28 of the 32 `zmm` registers.
+    const TILE_FRAGS: usize = 3;
+    /// Output columns per 512-bit tile.
+    const TILE_COLS: usize = 8 * TILE_FRAGS;
+    /// How many column tiles ahead the streaming kernel prefetches `b`
+    /// (measured on cold 600 × 600 weights: none 675–710 µs, one tile 596,
+    /// two 495–521, four 529–557 per 32-row product).
+    const PREFETCH_TILES: usize = 2;
+    /// Largest `a` block (output rows × reduction steps, in elements) the
+    /// microkernel treats as L1-resident: 32 KiB of a 48 KiB L1d, leaving
+    /// room for one 12 KiB `b` tile.
+    pub(super) const A_RESIDENT_ELEMS: usize = 4096;
+
+    /// The 512-bit microkernel over one [`Panel`], streaming or packed `b`:
+    /// 8 output rows × 24 columns per tile, so each `b` fragment loaded is
+    /// reused across eight rows (half the L2 traffic per FMA of the 4 × 8
+    /// `ymm` tile) at twice the lane width. A packed panel's 8-column tile
+    /// rows are exactly one 64-byte fragment, so the [`avx2::pack_b_panel`]
+    /// layout serves both widths.
+    ///
+    /// Every accumulator lane is seeded from `out` and runs the same
+    /// step-ordered `fmadd` chain as the 256-bit tiles — lane width is
+    /// invisible to an element's chain — so the result is **bit-identical**
+    /// to [`avx2::panel`]. That also makes the seams free: the
+    /// `rows % 8` bottom rows and `cols % 24` right-hand columns (and every
+    /// panel smaller than one tile) are handed to the 256-bit microkernel as
+    /// sub-panels.
+    ///
+    /// # Safety
+    /// As in [`avx2::panel`]; the CPU must additionally support `avx512f`.
+    #[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
+    pub(super) unsafe fn panel<const PACKED: bool>(p: Panel) {
+        let Panel {
+            a,
+            a_row_stride,
+            a_step,
+            b,
+            b_stride,
+            out,
+            cols_out,
+            rows,
+            cols,
+            steps,
+        } = p;
+        let tiled_rows = rows / TILE_ROWS * TILE_ROWS;
+        let tiled_cols = cols / TILE_COLS * TILE_COLS;
+        // SAFETY: the caller upholds this function's `# Safety` contract;
+        // both sub-panels reach the panel's right edge and start on a
+        // multiple of 24 (hence 8) columns.
+        unsafe {
+            // Distance between neighbouring 8-column fragments of one step,
+            // and between consecutive steps' fragment rows.
+            let (frag_gap, b_step) = if PACKED {
+                (8 * steps, 8)
+            } else {
+                (8, b_stride)
+            };
+            // Tile order. Whichever operand the inner loop re-reads should
+            // stay in L1: while the panel's `a` block fits there, walk down
+            // the rows inside each column tile — the `b` tile is then read
+            // from L2 exactly once per panel; a taller panel walks along
+            // each row tile instead, which re-streams `b` per row tile but
+            // visits `out` row-contiguously. Either order runs the same
+            // tiles, so the choice cannot change a bit of the result.
+            let (row_tiles, col_tiles) = (tiled_rows / TILE_ROWS, tiled_cols / TILE_COLS);
+            let rows_inner = tiled_rows * steps <= A_RESIDENT_ELEMS;
+            for tile in 0..row_tiles * col_tiles {
+                let (t, j) = if rows_inner {
+                    (tile % row_tiles * TILE_ROWS, tile / row_tiles * TILE_COLS)
+                } else {
+                    (tile / col_tiles * TILE_ROWS, tile % col_tiles * TILE_COLS)
+                };
+                let o_t = out.add(t * cols_out + j);
+                let mut acc = [[_mm512_setzero_pd(); TILE_FRAGS]; TILE_ROWS];
+                for (r, row) in acc.iter_mut().enumerate() {
+                    for (c, lane) in row.iter_mut().enumerate() {
+                        *lane = _mm512_loadu_pd(o_t.add(r * cols_out + 8 * c));
+                    }
+                }
+                let mut bp = if PACKED { b.add(j * steps) } else { b.add(j) };
+                let mut ap = a.add(t * a_row_stride);
+                for _ in 0..steps {
+                    let bv = [
+                        _mm512_loadu_pd(bp),
+                        _mm512_loadu_pd(bp.add(frag_gap)),
+                        _mm512_loadu_pd(bp.add(2 * frag_gap)),
+                    ];
+                    for (r, row) in acc.iter_mut().enumerate() {
+                        let v = _mm512_set1_pd(*ap.add(r * a_row_stride));
+                        for (lane, &frag) in row.iter_mut().zip(&bv) {
+                            *lane = _mm512_fmadd_pd(v, frag, *lane);
+                        }
+                    }
+                    if !PACKED {
+                        // A streamed `b` arrives in `b_stride`-strided
+                        // 192-byte pieces the hardware prefetcher cannot
+                        // follow (the stride crosses a page per step), and
+                        // the weights are far larger than L2: fetch this
+                        // row's piece for the tile two to the right. The
+                        // address is never dereferenced, so running past
+                        // the row (or the allocation) is harmless.
+                        let ahead = bp.wrapping_add(PREFETCH_TILES * TILE_COLS);
+                        _mm_prefetch::<_MM_HINT_T0>(ahead as *const i8);
+                        _mm_prefetch::<_MM_HINT_T0>(ahead.wrapping_add(8) as *const i8);
+                        _mm_prefetch::<_MM_HINT_T0>(ahead.wrapping_add(16) as *const i8);
+                    }
+                    // Wrapping: after the last step these point past the
+                    // operands (and are not read again).
+                    bp = bp.wrapping_add(b_step);
+                    ap = ap.wrapping_add(a_step);
+                }
+                for (r, row) in acc.iter().enumerate() {
+                    for (c, &lane) in row.iter().enumerate() {
+                        _mm512_storeu_pd(o_t.add(r * cols_out + 8 * c), lane);
+                    }
+                }
+            }
+            if tiled_cols < cols {
+                avx2::panel::<PACKED>(p.sub::<PACKED>(
+                    0,
+                    tiled_rows,
+                    tiled_cols,
+                    cols - tiled_cols,
+                ));
+            }
+            if tiled_rows < rows {
+                avx2::panel::<PACKED>(p.sub::<PACKED>(tiled_rows, rows - tiled_rows, 0, cols));
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1838,10 +2131,15 @@ mod tests {
         // On x86-64 this asserts the probe agrees with std's detection macro;
         // elsewhere it must be scalar.
         #[cfg(target_arch = "x86_64")]
-        assert_eq!(
-            detected_level() == SimdLevel::Avx2Fma,
-            std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma")
-        );
+        {
+            let avx2 =
+                std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma");
+            assert_eq!(detected_level() >= SimdLevel::Avx2Fma, avx2);
+            assert_eq!(
+                detected_level() == SimdLevel::Avx512,
+                avx2 && std::is_x86_feature_detected!("avx512f")
+            );
+        }
         #[cfg(not(target_arch = "x86_64"))]
         assert_eq!(detected_level(), SimdLevel::Scalar);
     }
@@ -1850,6 +2148,7 @@ mod tests {
     fn levels_display_for_diagnostics() {
         assert_eq!(SimdLevel::Scalar.to_string(), "scalar");
         assert_eq!(SimdLevel::Avx2Fma.to_string(), "avx2+fma");
+        assert_eq!(SimdLevel::Avx512.to_string(), "avx512");
     }
 
     #[test]
@@ -1894,7 +2193,7 @@ mod tests {
         ] {
             let a: Vec<f64> = (0..m * k).map(|i| (i as f64).sin()).collect();
             let b: Vec<f64> = (0..k * n).map(|i| (i as f64).cos()).collect();
-            for level in runnable_levels() {
+            for &level in runnable_levels() {
                 let mut unpacked = vec![0.1; m * n];
                 let mut packed = vec![0.1; m * n];
                 let mut auto = vec![0.1; m * n];
@@ -1933,7 +2232,15 @@ mod tests {
         let mut p = [1.0];
         let mut m = [0.0];
         let mut v = [0.0];
-        adam_update_with(SimdLevel::Scalar, &mut p, &[0.5], &mut m, &mut v, &step);
+        adam_update_with(
+            SimdLevel::Scalar,
+            &mut p,
+            &[0.5],
+            &mut m,
+            &mut v,
+            &step,
+            None,
+        );
         // m = (1−β₁)·g, v = (1−β₂)·g²; bias corrections cancel on step 1, so
         // m̂ = g, v̂ = g² and the update is lr·g/(|g|+ε) ≈ lr.
         assert!((m[0] - (1.0 - b1) * 0.5).abs() < 1e-15);
@@ -1963,6 +2270,7 @@ mod tests {
             &mut m_scaled,
             &mut v_scaled,
             &step,
+            None,
         );
         // Same update on pre-scaled gradients with scale = 1.
         let pre_scaled: Vec<f64> = grads.iter().map(|g| g * 0.5).collect();
@@ -1977,6 +2285,7 @@ mod tests {
             &mut m_ref,
             &mut v_ref,
             &unit,
+            None,
         );
         assert_eq!(p_scaled, p_ref);
         assert_eq!(m_scaled, m_ref);
@@ -1998,7 +2307,15 @@ mod tests {
         let mut p = [0.0; 2];
         let mut m = [0.0; 1];
         let mut v = [0.0; 2];
-        adam_update_with(SimdLevel::Scalar, &mut p, &[0.0; 2], &mut m, &mut v, &step);
+        adam_update_with(
+            SimdLevel::Scalar,
+            &mut p,
+            &[0.0; 2],
+            &mut m,
+            &mut v,
+            &step,
+            None,
+        );
     }
 
     #[test]
@@ -2014,15 +2331,6 @@ mod tests {
             2,
             2,
         );
-    }
-
-    /// Every level this host can run (mirrors the integration suite).
-    fn runnable_levels() -> Vec<SimdLevel> {
-        let mut levels = vec![SimdLevel::Scalar];
-        if detected_level() == SimdLevel::Avx2Fma {
-            levels.push(SimdLevel::Avx2Fma);
-        }
-        levels
     }
 
     #[test]
@@ -2081,7 +2389,7 @@ mod tests {
         for (&x, &y) in src.iter().zip(&reference) {
             assert_eq!(y.to_bits(), tanh_value(x).to_bits());
         }
-        for level in runnable_levels() {
+        for &level in runnable_levels() {
             let mut dst = vec![f64::NAN; src.len()];
             tanh_forward_with(level, &src, &mut dst);
             for (i, (got, want)) in dst.iter().zip(&reference).enumerate() {
@@ -2101,7 +2409,7 @@ mod tests {
         let grads0: Vec<f64> = (0..101).map(|i| (i as f64) * 0.3 - 11.0).collect();
         let mut reference = grads0.clone();
         tanh_backward_with(SimdLevel::Scalar, &output, &mut reference);
-        for level in runnable_levels() {
+        for &level in runnable_levels() {
             let mut grads = grads0.clone();
             tanh_backward_with(level, &output, &mut grads);
             for (got, want) in grads.iter().zip(&reference) {
@@ -2119,7 +2427,7 @@ mod tests {
             1.0, 2.0, 3.0, 7.0,
         ];
         let rewards = [10.0, 20.0, 30.0];
-        for level in runnable_levels() {
+        for &level in runnable_levels() {
             let mut out = [f64::NAN; 3];
             bellman_targets_with(level, &rewards, &next_q, 4, 0.5, &mut out);
             assert_eq!(out, [10.0 + 0.5 * 9.0, 20.0 + 0.5 * 8.0, 30.0 + 0.5 * 7.0]);
@@ -2142,7 +2450,7 @@ mod tests {
         bellman_targets_with(SimdLevel::Scalar, &rewards, &next_q, 3, 1.0, &mut reference);
         assert_eq!(reference[0], 2.0);
         assert!(reference[1].is_nan());
-        for level in runnable_levels() {
+        for &level in runnable_levels() {
             let mut out = [0.0; 2];
             bellman_targets_with(level, &rewards, &next_q, 3, 1.0, &mut out);
             assert_eq!(out[0].to_bits(), reference[0].to_bits(), "{level}");

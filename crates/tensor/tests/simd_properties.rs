@@ -1,6 +1,6 @@
 //! Property tests for the explicit SIMD kernels (`capes_tensor::simd`).
 //!
-//! Three families of guarantees:
+//! Four families of guarantees:
 //!
 //! 1. **Reference equivalence** — at every runnable [`SimdLevel`], each
 //!    kernel matches a naive triple-loop reference within 1e-9 across
@@ -15,33 +15,29 @@
 //!    single-threaded call, at every level (the pooled dispatch only moves
 //!    row boundaries around, and every element's FMA chain is
 //!    boundary-independent by construction).
+//! 4. **Width invariance** — the 512-bit GEMM panel is bit-for-bit the
+//!    256-bit one on shapes that hit every tile seam, and the Adam update
+//!    carrying the soft target update is bit-for-bit the plain update
+//!    followed by `Matrix::blend`, at every level.
 //!
 //! The `CAPES_SIMD=off` arm of CI runs this whole suite (and everything
 //! else) with the scalar kernels dispatched, so both sides of the runtime
-//! switch stay covered; `runnable_levels` additionally pins the scalar arm
-//! in-process on every host.
+//! switch stay covered; `runnable_levels` additionally pins every level the
+//! host can run in-process — on a 512-bit runner that proves `Avx2Fma`
+//! explicitly, without a `CAPES_SIMD=avx2` pass. The 512-bit cases skip (not
+//! fail) on hosts without `avx512f`, and the suite prints which levels ran.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
 use capes_tensor::simd::{
-    self, active_level, adam_update_with, bellman_targets_with, detected_level,
-    gemm_rows_packed_with, gemm_rows_unpacked_with, gemm_rows_with, gemm_ta_rows_with,
-    gemm_tb_rows_with, tanh_backward_with, tanh_forward_with, tanh_value, AdamStep, SimdLevel,
+    active_level, adam_update_with, bellman_targets_with, detected_level, gemm_rows_packed_with,
+    gemm_rows_unpacked_with, gemm_rows_with, gemm_ta_rows_with, gemm_tb_rows_with, runnable_levels,
+    tanh_backward_with, tanh_forward_with, tanh_value, AdamStep, SimdLevel, SoftTarget,
 };
-use capes_tensor::WorkerPool;
+use capes_tensor::{Matrix, WorkerPool};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Every level this host can actually run: scalar always, the vector arm
-/// when detection says so.
-fn runnable_levels() -> Vec<SimdLevel> {
-    let mut levels = vec![SimdLevel::Scalar];
-    if detected_level() == SimdLevel::Avx2Fma {
-        levels.push(SimdLevel::Avx2Fma);
-    }
-    levels
-}
 
 fn random_vec(rng: &mut StdRng, len: usize) -> Vec<f64> {
     (0..len).map(|_| rng.gen_range(-2.0..2.0)).collect()
@@ -87,7 +83,7 @@ proptest! {
         let a = offset_vec(&mut rng, m * k, off_a);
         let b = offset_vec(&mut rng, k * n, off_b);
         let reference = naive_gemm(&a[off_a..], &b[off_b..], m, k, n);
-        for level in runnable_levels() {
+        for &level in runnable_levels() {
             let mut out = offset_vec(&mut rng, m * n, off_out);
             out[off_out..].fill(0.0);
             gemm_rows_with(level, &a[off_a..], &b[off_b..], &mut out[off_out..], m, k, n);
@@ -115,7 +111,7 @@ proptest! {
             }
         }
         let reference = naive_gemm(&at, &b, m, n, p);
-        for level in runnable_levels() {
+        for &level in runnable_levels() {
             let mut out = vec![0.0; m * p];
             gemm_ta_rows_with(level, &a[off..], &b, &mut out, 0, m, n, m, p);
             for (got, want) in out.iter().zip(&reference) {
@@ -143,7 +139,7 @@ proptest! {
             }
         }
         let reference = naive_gemm(&a[off..], &bt, m, k, n);
-        for level in runnable_levels() {
+        for &level in runnable_levels() {
             let mut out = vec![f64::NAN; m * n];
             gemm_tb_rows_with(level, &a[off..], &b, &mut out, m, k, n);
             for (got, want) in out.iter().zip(&reference) {
@@ -169,7 +165,7 @@ proptest! {
         let a = random_vec(&mut rng, m * k);
         let b = offset_vec(&mut rng, k * n, off_b);
         let seed_out = random_vec(&mut rng, m * n);
-        for level in runnable_levels() {
+        for &level in runnable_levels() {
             let mut unpacked = seed_out.clone();
             let mut packed = seed_out.clone();
             let mut auto = seed_out.clone();
@@ -212,7 +208,7 @@ proptest! {
             a[(pos % m) * k + row] = 0.0; // force a 0 · poison product
         }
         let reference = naive_gemm(&a, &b, m, k, n);
-        for level in runnable_levels() {
+        for &level in runnable_levels() {
             let mut out = vec![0.0; m * n];
             gemm_rows_with(level, &a, &b, &mut out, m, k, n);
             for (got, want) in out.iter().zip(&reference) {
@@ -266,11 +262,11 @@ proptest! {
             p_ref[i] -= step.learning_rate * m_hat / (v_hat.sqrt() + step.epsilon);
         }
 
-        for level in runnable_levels() {
+        for &level in runnable_levels() {
             let mut p = p0.clone();
             let mut m = m0.clone();
             let mut v = v0.clone();
-            adam_update_with(level, &mut p, &grads, &mut m, &mut v, &step);
+            adam_update_with(level, &mut p, &grads, &mut m, &mut v, &step, None);
             prop_assert!(bits_equal(&p, &p_ref), "{level} len={len} t={t}: params diverged");
             prop_assert!(bits_equal(&m, &m_ref), "{level} len={len} t={t}: m diverged");
             prop_assert!(bits_equal(&v, &v_ref), "{level} len={len} t={t}: v diverged");
@@ -315,7 +311,7 @@ proptest! {
                 );
             }
         }
-        for level in runnable_levels() {
+        for &level in runnable_levels() {
             let mut dst = vec![f64::NAN; len + off_dst];
             tanh_forward_with(level, &src[off_src..], &mut dst[off_dst..]);
             prop_assert!(bits_equal(&dst[off_dst..], &reference), "{level} len={len} diverged");
@@ -337,7 +333,7 @@ proptest! {
         for (g, &y) in reference.iter_mut().zip(&output[off..]) {
             *g *= 1.0 - y * y;
         }
-        for level in runnable_levels() {
+        for &level in runnable_levels() {
             let mut grads = grads0.clone();
             tanh_backward_with(level, &output[off..], &mut grads[off..]);
             prop_assert!(bits_equal(&grads[off..], &reference), "{level} len={len} diverged");
@@ -374,7 +370,7 @@ proptest! {
             }
             reference[i] = rewards[i] + discount * m;
         }
-        for level in runnable_levels() {
+        for &level in runnable_levels() {
             let mut out = vec![0.0; rows];
             bellman_targets_with(level, &rewards, &next_q, cols, discount, &mut out);
             prop_assert!(bits_equal(&out, &reference), "{level} {rows}x{cols} diverged");
@@ -393,7 +389,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let a = random_vec(&mut rng, m * k);
         let b = random_vec(&mut rng, k * n);
-        for level in runnable_levels() {
+        for &level in runnable_levels() {
             // Single-threaded reference run.
             let mut whole = vec![0.0; m * n];
             gemm_rows_with(level, &a, &b, &mut whole, m, k, n);
@@ -443,6 +439,142 @@ proptest! {
     }
 }
 
+/// The 512-bit GEMM panel against the 256-bit one, **bit for bit**, on shapes
+/// that hit every seam of the 8 × 24 tile: no full row tile, exactly one, one
+/// plus a remainder, the training batch and one past it, and a panel tall
+/// enough to flip the tile order and the pack gate; no full column
+/// tile, one short of one, exactly one, one past, the 600-wide network and
+/// one past it; a single step, half a k-panel, and both sides of the
+/// 64-step panel edge. `out` is seeded non-zero (the chains start from it),
+/// all three `gemm_rows` entries are pinned, and `gemm_ta_rows` additionally
+/// runs over sub-ranges the way the pool chunks its output rows.
+#[test]
+fn avx512_panel_is_bit_identical_to_avx2_on_every_seam() {
+    eprintln!(
+        "simd_properties: levels run on this host: {:?}",
+        runnable_levels()
+    );
+    if detected_level() < SimdLevel::Avx512 {
+        eprintln!("simd_properties: no avx512f on this host — 512-bit cases skipped");
+        return;
+    }
+    let (narrow, wide) = (SimdLevel::Avx2Fma, SimdLevel::Avx512);
+    let mut rng = StdRng::seed_from_u64(512);
+    for &rows in &[1usize, 7, 8, 9, 32, 33, 72] {
+        for &cols in &[5usize, 23, 24, 25, 600, 601] {
+            for &k in &[1usize, 32, 63, 64, 65, 600] {
+                let shape = format!("{rows}x{k}x{cols}");
+                let a = random_vec(&mut rng, rows * k);
+                let b = random_vec(&mut rng, k * cols);
+                let seed_out = random_vec(&mut rng, rows * cols);
+                type Gemm = fn(SimdLevel, &[f64], &[f64], &mut [f64], usize, usize, usize);
+                let entries: [(&str, Gemm); 3] = [
+                    ("auto", gemm_rows_with),
+                    ("packed", gemm_rows_packed_with),
+                    ("unpacked", gemm_rows_unpacked_with),
+                ];
+                for (name, gemm) in entries {
+                    let mut want = seed_out.clone();
+                    let mut got = seed_out.clone();
+                    gemm(narrow, &a, &b, &mut want, rows, k, cols);
+                    gemm(wide, &a, &b, &mut got, rows, k, cols);
+                    assert!(bits_equal(&got, &want), "gemm_rows {name} {shape}");
+                }
+
+                // aᵀ · b: `a` is k × rows read transposed, `b` is k × cols.
+                let mut want = seed_out.clone();
+                gemm_ta_rows_with(narrow, &a, &b, &mut want, 0, rows, k, rows, cols);
+                let mut whole = seed_out.clone();
+                gemm_ta_rows_with(wide, &a, &b, &mut whole, 0, rows, k, rows, cols);
+                assert!(bits_equal(&whole, &want), "gemm_ta_rows {shape}");
+                // Row sub-ranges, as `WorkerPool::run` would hand them out.
+                let mut chunked = seed_out.clone();
+                for chunk in [
+                    0..rows / 3,
+                    rows / 3..rows - rows / 2,
+                    rows - rows / 2..rows,
+                ] {
+                    let (start, end) = (chunk.start, chunk.end);
+                    let out = &mut chunked[start * cols..end * cols];
+                    gemm_ta_rows_with(wide, &a, &b, out, start, end, k, rows, cols);
+                }
+                assert!(bits_equal(&chunked, &want), "gemm_ta_rows chunked {shape}");
+            }
+        }
+    }
+}
+
+/// The Adam update carrying the soft target update equals the plain update
+/// followed by `Matrix::blend` — the oracle the deleted `blend_from` chain
+/// bottomed out in — bit for bit at every runnable level: every length
+/// around the 4-lane boundary plus a large ragged one, a clip scale ≠ 1, the
+/// α edge cases (0 leaves the target alone, 1 snaps it onto the online
+/// parameters), and NaN / ±0 / subnormal moments and targets.
+#[test]
+fn adam_with_target_is_adam_then_blend_at_every_level() {
+    let mut rng = StdRng::seed_from_u64(77);
+    let specials = [
+        f64::NAN,
+        0.0,
+        -0.0,
+        f64::MIN_POSITIVE / 4.0,
+        -f64::MIN_POSITIVE / 1024.0,
+        5e-324,
+    ];
+    let (b1, b2) = (0.9, 0.999);
+    let step = AdamStep {
+        learning_rate: 1e-3,
+        beta1: b1,
+        beta2: b2,
+        epsilon: 1e-8,
+        bias1: 1.0 - b1.powi(3),
+        bias2: 1.0 - b2.powi(3),
+        scale: 0.37,
+    };
+    for len in (0..=9).chain([1031]) {
+        let p0 = random_vec(&mut rng, len);
+        let grads = random_vec(&mut rng, len);
+        let mut m0 = random_vec(&mut rng, len);
+        let mut v0: Vec<f64> = (0..len).map(|_| rng.gen_range(0.0..2.0)).collect();
+        let mut t0 = random_vec(&mut rng, len);
+        // Specials at rotating positions of each state vector.
+        for (i, &special) in specials.iter().enumerate() {
+            if len > 0 {
+                m0[i % len] = special;
+                v0[(i + 1) % len] = special.abs();
+                t0[(i + 2) % len] = special;
+            }
+        }
+        for alpha in [0.0, 0.01, 1.0] {
+            for &level in runnable_levels() {
+                let (mut p_ref, mut m_ref, mut v_ref) = (p0.clone(), m0.clone(), v0.clone());
+                adam_update_with(
+                    level, &mut p_ref, &grads, &mut m_ref, &mut v_ref, &step, None,
+                );
+                // `Matrix` has no empty shape; an empty target stays empty.
+                let mut t_ref = t0.clone();
+                if len > 0 {
+                    let mut oracle = Matrix::from_vec(1, len, t_ref);
+                    oracle.blend(alpha, &Matrix::from_vec(1, len, p_ref.clone()));
+                    t_ref = oracle.as_slice().to_vec();
+                }
+
+                let (mut p, mut m, mut v, mut t) = (p0.clone(), m0.clone(), v0.clone(), t0.clone());
+                let target = Some(SoftTarget {
+                    params: &mut t,
+                    alpha,
+                });
+                adam_update_with(level, &mut p, &grads, &mut m, &mut v, &step, target);
+                let case = format!("{level} len={len} α={alpha}");
+                assert!(bits_equal(&p, &p_ref), "{case}: params diverged");
+                assert!(bits_equal(&m, &m_ref), "{case}: m diverged");
+                assert!(bits_equal(&v, &v_ref), "{case}: v diverged");
+                assert!(bits_equal(&t, &t_ref), "{case}: target diverged");
+            }
+        }
+    }
+}
+
 /// Exact bitwise equality (NaNs compare equal to themselves by bit pattern).
 fn bits_equal(a: &[f64], b: &[f64]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
@@ -472,7 +604,7 @@ impl SendPtr {
 /// exactly what `MatmulStrategy::Blocked`/`Pooled` run.
 #[test]
 fn dispatched_matrix_kernels_match_the_active_level_bitwise() {
-    use capes_tensor::{MatmulStrategy, Matrix};
+    use capes_tensor::MatmulStrategy;
     let mut rng = StdRng::seed_from_u64(99);
     let (m, k, n) = (13, 77, 21);
     let a = Matrix::from_vec(m, k, random_vec(&mut rng, m * k));
@@ -490,12 +622,16 @@ fn dispatched_matrix_kernels_match_the_active_level_bitwise() {
     }
 
     // Under CAPES_SIMD=off the active level must be scalar even on AVX2
-    // hosts; otherwise it must be whatever detection found.
+    // hosts, `avx2` caps it there on a 512-bit host; otherwise it must be
+    // whatever detection found.
     match std::env::var("CAPES_SIMD").as_deref() {
         Ok("off") | Ok("scalar") | Ok("0") | Ok("false") => {
             assert_eq!(level, SimdLevel::Scalar, "CAPES_SIMD=off must force scalar");
         }
-        _ => assert_eq!(level, simd::detected_level()),
+        Ok("avx2") | Ok("fma") => {
+            assert_eq!(level, detected_level().min(SimdLevel::Avx2Fma));
+        }
+        _ => assert_eq!(level, detected_level()),
     }
 }
 
@@ -503,7 +639,6 @@ fn dispatched_matrix_kernels_match_the_active_level_bitwise() {
 /// bias-broadcast + explicit-level GEMM bit-for-bit at the active level.
 #[test]
 fn affine_into_rides_the_active_level_bitwise() {
-    use capes_tensor::Matrix;
     let mut rng = StdRng::seed_from_u64(7);
     let (m, k, n) = (9, 33, 14);
     let x = Matrix::from_vec(m, k, random_vec(&mut rng, m * k));
