@@ -351,7 +351,6 @@ impl FleetBuilder {
             persist,
             telemetry,
             auto_checkpoint: None,
-            last_snapshot_len: 0,
             recorder: None,
             #[cfg(feature = "net")]
             socket,
@@ -462,12 +461,14 @@ struct FleetTelemetry {
     /// fleet stores the aggregate).
     reports_rejected: Counter,
     implausible_ticks: Counter,
-    /// `persist.checkpoint.write` / `.fsync`: the atomic file write split
-    /// into everything but the data fsync, and the data fsync. Recorded from
-    /// the timings `write_atomic_timed` returns (`capes-persist` is
-    /// dependency-free and cannot open spans itself).
+    /// `persist.checkpoint.{encode,crc,write,fsync,dirsync}`: where one
+    /// streamed checkpoint's time went, recorded from the
+    /// `capes_persist::SnapshotStats` its writer returns.
+    checkpoint_encode: Histogram,
+    checkpoint_crc: Histogram,
     checkpoint_write: Histogram,
     checkpoint_fsync: Histogram,
+    checkpoint_dirsync: Histogram,
     /// `persist.checkpoint.bytes`: size of the latest snapshot file.
     checkpoint_bytes: Gauge,
     /// Completion instants of the last [`TICK_WINDOW`] fleet ticks.
@@ -492,8 +493,11 @@ impl FleetTelemetry {
                 .collect(),
             reports_rejected: registry.counter("daemon.reports_rejected"),
             implausible_ticks: registry.counter("daemon.implausible_ticks"),
+            checkpoint_encode: registry.histogram("persist.checkpoint.encode"),
+            checkpoint_crc: registry.histogram("persist.checkpoint.crc"),
             checkpoint_write: registry.histogram("persist.checkpoint.write"),
             checkpoint_fsync: registry.histogram("persist.checkpoint.fsync"),
+            checkpoint_dirsync: registry.histogram("persist.checkpoint.dirsync"),
             checkpoint_bytes: registry.gauge("persist.checkpoint.bytes"),
             window: VecDeque::with_capacity(TICK_WINDOW + 1),
             recent_rate_value: 0.0,
@@ -608,9 +612,6 @@ pub struct FleetDaemon {
     telemetry: FleetTelemetry,
     /// Automatic checkpointing: every N fleet ticks, snapshot to the path.
     auto_checkpoint: Option<(u64, PathBuf)>,
-    /// Size of the last snapshot written (0 before the first): the next
-    /// snapshot's buffer is pre-sized from it.
-    last_snapshot_len: usize,
     /// Wire-traffic recorder tapping the socket ingest path.
     recorder: Option<RecordLogWriter>,
     /// The socket front end ([`Transport::Socket`] only).
@@ -765,17 +766,14 @@ impl FleetDaemon {
     /// in the payload — a restored fleet's future snapshots stay
     /// byte-identical to the original's.
     pub fn checkpoint(&mut self, path: &Path) -> Result<(), FleetError> {
-        // Four disjoint pieces of `persist.checkpoint.total`: `.encode`,
-        // `.crc`, `.write` (the atomic file write minus its data fsync) and
-        // `.fsync`.
+        // Five disjoint pieces of `persist.checkpoint.total`: `.encode`,
+        // `.crc`, `.write`, `.fsync` and `.dirsync`. Encoding, checksumming
+        // and writing interleave chunk by chunk as the snapshot streams into
+        // its temporary file, so the writer accumulates them and reports
+        // the sums (`capes-persist` is dependency-free and cannot record
+        // them itself).
         let _total = capes_telemetry::span!("persist.checkpoint.total");
-        // The snapshot is built in place behind its container header, in a
-        // buffer sized from the previous snapshot. The session series grow
-        // every tick, so an exact-size hint would force one whole-buffer
-        // reallocation per checkpoint; a sixteenth of headroom absorbs it.
-        let hint = self.last_snapshot_len + self.last_snapshot_len / 16;
-        let mut w = capes_persist::SnapshotWriter::with_capacity(hint);
-        let encode_span = capes_telemetry::span!("persist.checkpoint.encode");
+        let mut w = capes_persist::SnapshotWriter::create(path)?;
         w.put_u8(transport_tag(self.transport));
         w.put_u64(self.tick);
         w.put_usize(self.train_cursor);
@@ -807,26 +805,26 @@ impl FleetDaemon {
             w.put_usize(session.errors_before);
             // Each member system's state rides as one length-prefixed blob,
             // so restore can collect and validate all of them before
-            // touching any session.
+            // touching any session. An open blob is held whole in the
+            // writer's buffer; members run a `NullEngine` (their agents are
+            // the profiles' above), so theirs stay far below the window.
             w.put_blob(|w| session.system.encode_state(w));
         }
-        drop(encode_span);
-        let bytes = {
-            let _span = capes_telemetry::span!("persist.checkpoint.crc");
-            w.finish()
-        };
-        let started = Instant::now();
-        let fsync = capes_persist::write_atomic_timed(path, &bytes)?;
-        // `.fsync` counts the data fsyncs issued, so it is never muted;
-        // `.write` is a span in all but name and follows the span switch.
-        self.telemetry.checkpoint_fsync.record_duration(fsync);
+        let stats = w.finish()?;
+        // `.fsync` counts the data fsyncs issued, so it is never muted; the
+        // others are spans in all but name and follow the span switch.
+        self.telemetry.checkpoint_fsync.record_duration(stats.fsync);
         if capes_telemetry::recording() {
             self.telemetry
-                .checkpoint_write
-                .record_duration(started.elapsed().saturating_sub(fsync));
+                .checkpoint_encode
+                .record_duration(stats.encode);
+            self.telemetry.checkpoint_crc.record_duration(stats.crc);
+            self.telemetry.checkpoint_write.record_duration(stats.write);
+            self.telemetry
+                .checkpoint_dirsync
+                .record_duration(stats.dirsync);
         }
-        self.telemetry.checkpoint_bytes.set(bytes.len() as f64);
-        self.last_snapshot_len = bytes.len();
+        self.telemetry.checkpoint_bytes.set(stats.bytes as f64);
         self.persist.checkpoints_written.inc();
         Ok(())
     }
@@ -849,8 +847,12 @@ impl FleetDaemon {
     /// part-restored. Such a daemon must be discarded, not run.
     pub fn restore(&mut self, path: &Path) -> Result<(), FleetError> {
         let _span = capes_telemetry::span!("persist.restore");
-        let payload = capes_persist::read_snapshot_file(path)?;
-        let mut r = capes_persist::Reader::new(&payload);
+        // Two passes over one open file. The first verifies the container —
+        // magic, version, length against the file size, CRC — before any
+        // payload byte is interpreted; the second streams the payload
+        // through the codec's window, so the file image is never resident.
+        let mut snapshot = capes_persist::SnapshotFile::open(path)?;
+        let mut r = snapshot.reader()?;
 
         // Pure phase: decode and validate everything into locals.
         let tag = r.get_u8()?;
@@ -977,20 +979,25 @@ impl FleetDaemon {
             }
             let series = Vec::<f64>::decode(&mut r)?;
             let errors_before = r.get_usize()?;
-            let blob = r.get_bytes()?;
+            // The reader's window moves on; the member blob is detached.
+            let blob = r.get_byte_vec()?;
             session_state.push((series, errors_before, blob));
         }
         r.finish()?;
+        // Everything is decoded: release the window and the file before the
+        // apply phase.
+        drop(r);
+        drop(snapshot);
 
         // Apply phase: nothing above touched `self`.
-        self.arena.restore_from(&arena)?;
+        self.arena.restore_from(arena)?;
         for (profile, agent) in self.profiles.iter_mut().zip(agents) {
             profile.agent = agent;
         }
         self.profile_sharing = sharing;
         for (session, (series, errors_before, blob)) in self.sessions.iter_mut().zip(session_state)
         {
-            let mut sub = capes_persist::Reader::new(blob);
+            let mut sub = capes_persist::Reader::new(&blob);
             session.system.decode_state(&mut sub)?;
             sub.finish()?;
             session.series = series;

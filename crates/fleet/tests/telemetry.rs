@@ -97,6 +97,7 @@ fn run_and_check(transport: Transport, seed: u64, tag: &str) -> FleetReport {
         "persist.checkpoint.crc",
         "persist.checkpoint.write",
         "persist.checkpoint.fsync",
+        "persist.checkpoint.dirsync",
     ] {
         let hist = report
             .telemetry
@@ -134,8 +135,9 @@ fn run_and_check(transport: Transport, seed: u64, tag: &str) -> FleetReport {
     report
 }
 
-/// `persist.checkpoint.{encode,crc,write,fsync}` are disjoint pieces of
-/// `persist.checkpoint.total`: on one checkpoint they must add up to it,
+/// `persist.checkpoint.{encode,crc,write,fsync,dirsync}` are disjoint pieces
+/// of `persist.checkpoint.total` — the first three accumulated chunk by chunk
+/// as the snapshot streams out: on one checkpoint they must add up to it,
 /// leaving under a tenth unattributed.
 #[test]
 fn checkpoint_spans_partition_the_total() {
@@ -149,7 +151,7 @@ fn checkpoint_spans_partition_the_total() {
     let registry = capes_telemetry::global();
     let sum_ns = |name: &str| registry.histogram(name).sum() as f64;
     let parts_ns = || {
-        ["encode", "crc", "write", "fsync"]
+        ["encode", "crc", "write", "fsync", "dirsync"]
             .iter()
             .map(|part| sum_ns(&format!("persist.checkpoint.{part}")))
             .sum::<f64>()
@@ -164,7 +166,7 @@ fn checkpoint_spans_partition_the_total() {
     let shares: Vec<f64> = (0..5).map(|_| attributed_share()).collect();
     assert!(
         shares.iter().any(|share| (0.9..=1.0).contains(share)),
-        "encode + crc + write + fsync over total, per checkpoint: {shares:?}"
+        "encode + crc + write + fsync + dirsync over total, per checkpoint: {shares:?}"
     );
     assert_eq!(
         registry.gauge("persist.checkpoint.bytes").get(),

@@ -6,12 +6,15 @@
 //! * a little-endian binary codec ([`Writer`] / [`Reader`]) whose decoding
 //!   side validates every length and count against the bytes actually
 //!   present **before** allocating — the same discipline the wire codec
-//!   applies to network input;
+//!   applies to network input — and whose two ends work either on a whole
+//!   buffer or, streaming, through a fixed 1 MiB window;
 //! * a [`Persist`] trait implemented by every checkpointable type in the
 //!   workspace;
 //! * a versioned, CRC-guarded snapshot container
-//!   (`CAPESNAP` magic + version + payload length + payload + CRC32), built
-//!   in place by [`SnapshotWriter`] and checksummed at ~2 GB/s, with
+//!   (`CAPESNAP` magic + version + payload length + payload + CRC32),
+//!   streamed to disk by [`SnapshotWriter`] and back by [`SnapshotFile`]
+//!   without either ever holding the file image (an incremental [`Crc32`]
+//!   folds each window as it passes), with
 //!   crash-safe atomic writes (write-to-temp + fsync + rename + directory
 //!   fsync) — a torn or truncated snapshot is detected and rejected, never
 //!   half-loaded; and
@@ -32,12 +35,12 @@ mod record;
 mod snapshot;
 
 pub use codec::{Persist, Reader, Writer};
-pub use crc32::crc32;
+pub use crc32::{combine, crc32, Crc32};
 pub use error::PersistError;
 pub use record::{
     RecordEntry, RecordLogReader, RecordLogWriter, RECORD_LOG_MAGIC, RECORD_LOG_VERSION,
 };
 pub use snapshot::{
-    decode_snapshot, encode_snapshot, read_snapshot_file, write_atomic, write_atomic_timed,
-    SnapshotWriter, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+    decode_snapshot, encode_snapshot, read_snapshot_file, write_atomic, SnapshotFile,
+    SnapshotStats, SnapshotWriter, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };

@@ -180,7 +180,7 @@ impl ReplayArena {
     /// # Errors
     /// [`capes_persist::PersistError::Mismatch`] when the snapshot's stripe
     /// count or any stripe configuration disagrees with this arena's.
-    pub fn restore_from(&self, snapshot: &ReplayArena) -> Result<(), capes_persist::PersistError> {
+    pub fn restore_from(&self, snapshot: ReplayArena) -> Result<(), capes_persist::PersistError> {
         if snapshot.num_stripes() != self.num_stripes() {
             return Err(capes_persist::PersistError::mismatch(format!(
                 "snapshot holds {} arena stripes, this fleet has {}",
@@ -195,9 +195,10 @@ impl ReplayArena {
                 )));
             }
         }
+        // Moved, not copied: the live stripe takes the decoded one, and the
+        // stripe it replaces is freed with `snapshot`.
         for i in 0..self.num_stripes() {
-            let db = snapshot.read_stripe(i).clone();
-            *self.write_stripe(i) = db;
+            std::mem::swap(&mut *self.write_stripe(i), &mut *snapshot.write_stripe(i));
         }
         Ok(())
     }
@@ -431,14 +432,14 @@ mod tests {
         let mut r = capes_persist::Reader::new(w.as_slice());
         let snapshot = ReplayArena::decode(&mut r).expect("snapshot decodes");
         arena
-            .restore_from(&snapshot)
+            .restore_from(snapshot)
             .expect("same geometry restores");
         assert_eq!(arena.stripe(0).len(), 30);
         assert_eq!(view.len(), 30, "pre-restore views track the overlay");
         assert_eq!(view.with_read(|db| db.objective_at(4)), Some(504.0));
         // A snapshot with the wrong stripe count is rejected untouched.
         let skewed = ReplayArena::uniform(config(), 3);
-        let err = arena.restore_from(&skewed).unwrap_err();
+        let err = arena.restore_from(skewed).unwrap_err();
         assert!(err.to_string().contains("stripes"));
         assert_eq!(arena.stripe(0).len(), 30);
         // … and so is one with a different per-stripe configuration.
@@ -449,7 +450,7 @@ mod tests {
             },
             2,
         );
-        let err = arena.restore_from(&narrow).unwrap_err();
+        let err = arena.restore_from(narrow).unwrap_err();
         assert!(err.to_string().contains("configuration"));
     }
 

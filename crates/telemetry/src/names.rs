@@ -40,13 +40,9 @@ pub const SPAN_NET_READ: &str = "net.read";
 pub const SPAN_NET_DECODE: &str = "net.decode";
 /// Span: flushing queued egress bytes to a connection.
 pub const SPAN_NET_EGRESS: &str = "net.egress";
-/// Span: one whole durable checkpoint; the four `persist.checkpoint.*`
-/// timings below partition it.
+/// Span: one whole durable checkpoint; the five `persist.checkpoint.*`
+/// histograms below partition it.
 pub const SPAN_PERSIST_CHECKPOINT_TOTAL: &str = "persist.checkpoint.total";
-/// Span: serializing fleet state into the snapshot buffer.
-pub const SPAN_PERSIST_CHECKPOINT_ENCODE: &str = "persist.checkpoint.encode";
-/// Span: sealing the snapshot container (CRC-32 over the whole buffer).
-pub const SPAN_PERSIST_CHECKPOINT_CRC: &str = "persist.checkpoint.crc";
 /// Span: restoring daemon state from a checkpoint.
 pub const SPAN_PERSIST_RESTORE: &str = "persist.restore";
 
@@ -85,11 +81,18 @@ pub const PERSIST_RECORDS_APPENDED: &str = "persist.records_appended";
 pub const PERSIST_RECORD_FAILURES: &str = "persist.record_failures";
 /// Counter: auto-checkpoint attempts that failed.
 pub const PERSIST_AUTO_CHECKPOINT_FAILURES: &str = "persist.auto_checkpoint_failures";
-/// Histogram: the atomic snapshot file write minus its data fsync (temp
-/// file write, rename, directory fsync).
+/// Histogram: serializing fleet state into the snapshot window, summed over
+/// one checkpoint's chunks.
+pub const PERSIST_CHECKPOINT_ENCODE: &str = "persist.checkpoint.encode";
+/// Histogram: folding the chunks into the snapshot's CRC-32, summed likewise.
+pub const PERSIST_CHECKPOINT_CRC: &str = "persist.checkpoint.crc";
+/// Histogram: creating the temporary file, writing the chunks and sealing
+/// the header, summed likewise.
 pub const PERSIST_CHECKPOINT_WRITE: &str = "persist.checkpoint.write";
-/// Histogram: checkpoint fsync latency.
+/// Histogram: checkpoint data fsync latency.
 pub const PERSIST_CHECKPOINT_FSYNC: &str = "persist.checkpoint.fsync";
+/// Histogram: the rename over the destination plus the directory fsync.
+pub const PERSIST_CHECKPOINT_DIRSYNC: &str = "persist.checkpoint.dirsync";
 /// Gauge: size in bytes of the latest snapshot file.
 pub const PERSIST_CHECKPOINT_BYTES: &str = "persist.checkpoint.bytes";
 

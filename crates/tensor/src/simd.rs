@@ -448,9 +448,12 @@ pub struct SoftTarget<'a> {
 /// exact evaluation order, and the blend is `Matrix::blend`'s mul, mul, add
 /// on the freshly stored parameter — so one call with a target equals a call
 /// without one followed by `Matrix::blend` (property-tested). The update is
-/// bound by the divider (three divisions and a square root per element), so
-/// the blend's loads and multiplies hide under it, and a 512-bit arm would
-/// buy nothing: [`SimdLevel::Avx512`] runs the `Avx2Fma` arm. Unrunnable
+/// bound by the divider (three divisions and a square root per element) and,
+/// behind it, by its nine parameter streams, so the blend's loads and
+/// multiplies hide under it, and a 512-bit arm would buy nothing:
+/// [`SimdLevel::Avx512`] runs the `Avx2Fma` arm. A `bias1` that has rounded
+/// to exactly `1.0` is not divided by (same bits, one division fewer;
+/// property-tested against the always-dividing formula). Unrunnable
 /// level requests are clamped down as in [`gemm_rows_with`].
 ///
 /// # Panics
@@ -485,10 +488,34 @@ pub fn adam_update_with(
     }
 }
 
-/// Level dispatch of [`adam_update_with`], monomorphised over whether a
-/// target rides along (`target` is empty and unread when `BLEND` is false).
+/// Per-step dispatch of [`adam_update_with`], monomorphised over whether a
+/// target rides along (`target` is empty and unread when `BLEND` is false)
+/// and over whether the step still divides by `bias1`: once `1 − 0.9ᵗ` has
+/// rounded to exactly `1.0` (from `t = 356`) it is not divided by, and since
+/// `x / 1.0 == x` for every bit pattern an arithmetic result can take, the
+/// bits do not depend on the choice.
 #[allow(clippy::too_many_arguments)]
 fn adam_update_arm<const BLEND: bool>(
+    level: SimdLevel,
+    params: &mut [f64],
+    grads: &[f64],
+    m: &mut [f64],
+    v: &mut [f64],
+    step: &AdamStep,
+    target: &mut [f64],
+    alpha: f64,
+) {
+    if step.bias1 != 1.0 {
+        adam_update_level::<BLEND, true>(level, params, grads, m, v, step, target, alpha)
+    } else {
+        adam_update_level::<BLEND, false>(level, params, grads, m, v, step, target, alpha)
+    }
+}
+
+/// Level dispatch of one [`adam_update_arm`] variant (`DIV1`: divide by
+/// `bias1`).
+#[allow(clippy::too_many_arguments)]
+fn adam_update_level<const BLEND: bool, const DIV1: bool>(
     level: SimdLevel,
     params: &mut [f64],
     grads: &[f64],
@@ -503,9 +530,9 @@ fn adam_update_arm<const BLEND: bool>(
         // both levels imply it); lengths were asserted by the caller.
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2Fma | SimdLevel::Avx512 => unsafe {
-            avx2::adam_update::<BLEND>(params, grads, m, v, step, target, alpha)
+            avx2::adam_update::<BLEND, DIV1>(params, grads, m, v, step, target, alpha)
         },
-        _ => adam_update_scalar::<BLEND>(params, grads, m, v, step, target, alpha),
+        _ => adam_update_scalar::<BLEND, DIV1>(params, grads, m, v, step, target, alpha),
     }
 }
 
@@ -779,8 +806,9 @@ fn gemm_ta_rows_scalar(
 /// Scalar arm of the Adam update — the reference evaluation order the vector
 /// arm reproduces bit-for-bit (and verbatim the loop the pre-SIMD optimizer
 /// ran), followed under `BLEND` by `Matrix::blend`'s expression on the
-/// parameter just stored.
-fn adam_update_scalar<const BLEND: bool>(
+/// parameter just stored. `DIV1` is false only when `bias1` is exactly
+/// `1.0`, where dividing changes no bit.
+fn adam_update_scalar<const BLEND: bool, const DIV1: bool>(
     params: &mut [f64],
     grads: &[f64],
     m: &mut [f64],
@@ -800,7 +828,7 @@ fn adam_update_scalar<const BLEND: bool>(
         let g = raw_g * s.scale;
         *m_e = b1 * *m_e + (1.0 - b1) * g;
         *v_e = b2 * *v_e + (1.0 - b2) * g * g;
-        let m_hat = *m_e / s.bias1;
+        let m_hat = if DIV1 { *m_e / s.bias1 } else { *m_e };
         let v_hat = *v_e / s.bias2;
         *p -= s.learning_rate * m_hat / (v_hat.sqrt() + s.epsilon);
         if BLEND {
@@ -1621,13 +1649,13 @@ mod avx2 {
     /// first, then the add; `(lr·m̂)` before the divide; under `BLEND` the
     /// two blend products before their add — so every element lands on the
     /// same bits the scalar arm produces. An FMA here would save one
-    /// rounding and break that equality.
+    /// rounding and break that equality. `DIV1` as in the scalar arm.
     ///
     /// # Safety
     /// The CPU must support AVX2; the four slices — and `target` under
     /// `BLEND` — must be equal-length (asserted by the caller).
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn adam_update<const BLEND: bool>(
+    pub(super) unsafe fn adam_update<const BLEND: bool, const DIV1: bool>(
         params: &mut [f64],
         grads: &[f64],
         m: &mut [f64],
@@ -1669,7 +1697,7 @@ mod avx2 {
                 );
                 _mm256_storeu_pd(m_ptr.add(i), mv);
                 _mm256_storeu_pd(v_ptr.add(i), vv);
-                let m_hat = _mm256_div_pd(mv, bias1);
+                let m_hat = if DIV1 { _mm256_div_pd(mv, bias1) } else { mv };
                 let v_hat = _mm256_div_pd(vv, bias2);
                 let delta = _mm256_div_pd(
                     _mm256_mul_pd(lr, m_hat),
@@ -1686,7 +1714,7 @@ mod avx2 {
                 }
                 i += 4;
             }
-            super::adam_update_scalar::<BLEND>(
+            super::adam_update_scalar::<BLEND, DIV1>(
                 &mut params[lanes..],
                 &grads[lanes..],
                 &mut m[lanes..],

@@ -224,15 +224,19 @@ proptest! {
     /// an independently-written scalar reference of the textbook recurrence —
     /// stronger than the GEMM guarantee (ulp-close), because the vector arm
     /// deliberately forgoes FMA. Lengths cross the 4-lane boundary in every
-    /// residue class, `t` exercises early (large-bias-correction) and late
-    /// steps, and `scale` covers clipped and unclipped gradients.
+    /// residue class, `t` exercises early (large-bias-correction) steps and
+    /// the later era in which `bias1` has rounded to exactly 1.0 and the
+    /// kernels stop dividing by it (the reference always divides), and
+    /// `scale` covers clipped and unclipped gradients.
     #[test]
     fn adam_update_is_bit_identical_at_every_level(
         len in 1usize..130,
         t in 1i32..60,
+        late in any::<bool>(),
         clip in any::<bool>(),
         seed in any::<u64>(),
     ) {
+        let t = if late { t + 355 } else { t };
         let mut rng = StdRng::seed_from_u64(seed);
         let p0 = random_vec(&mut rng, len);
         let grads = random_vec(&mut rng, len);
@@ -570,6 +574,78 @@ fn adam_with_target_is_adam_then_blend_at_every_level() {
                 assert!(bits_equal(&m, &m_ref), "{case}: m diverged");
                 assert!(bits_equal(&v, &v_ref), "{case}: v diverged");
                 assert!(bits_equal(&t, &t_ref), "{case}: target diverged");
+            }
+        }
+    }
+}
+
+/// A `bias1` of exactly 1.0 is not divided by. The always-dividing textbook
+/// loop is the oracle: every arm, with and without a target riding along,
+/// lands on its bits with `bias1` at 1.0 and (the control) below it — on NaN,
+/// ±0, subnormal and ±∞ moments and gradients too, where `x / 1.0 == x` has
+/// to hold for the payload and the sign, not just the value.
+#[test]
+fn adam_skipped_bias_division_changes_no_bit() {
+    let mut rng = StdRng::seed_from_u64(356);
+    let specials = [
+        f64::NAN,
+        0.0,
+        -0.0,
+        f64::MIN_POSITIVE / 4.0,
+        -f64::MIN_POSITIVE / 1024.0,
+        5e-324,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ];
+    let (b1, b2) = (0.9f64, 0.999f64);
+    assert_eq!(1.0 - b1.powi(356), 1.0, "bias1 is exactly 1.0 from t = 356");
+    assert!(1.0 - b1.powi(355) < 1.0);
+    let len = 3 * specials.len() + 5;
+    for (bias1, bias2) in [(1.0, 1.0 - b2.powi(356)), (0.75, 1.0 - b2.powi(356))] {
+        let step = AdamStep {
+            learning_rate: 1e-3,
+            beta1: b1,
+            beta2: b2,
+            epsilon: 1e-8,
+            bias1: std::hint::black_box(bias1),
+            bias2: std::hint::black_box(bias2),
+            scale: 0.37,
+        };
+        let p0 = random_vec(&mut rng, len);
+        let mut grads = random_vec(&mut rng, len);
+        let mut m0 = random_vec(&mut rng, len);
+        let mut v0: Vec<f64> = (0..len).map(|_| rng.gen_range(0.0..2.0)).collect();
+        let t0 = random_vec(&mut rng, len);
+        // One special per element at most, so no lane has two NaN payloads
+        // to choose between.
+        for (i, &special) in specials.iter().enumerate() {
+            m0[3 * i] = special;
+            v0[3 * i + 1] = special.abs();
+            grads[3 * i + 2] = special;
+        }
+
+        let (mut p_ref, mut m_ref, mut v_ref) = (p0.clone(), m0.clone(), v0.clone());
+        for i in 0..len {
+            let g = grads[i] * step.scale;
+            m_ref[i] = b1 * m_ref[i] + (1.0 - b1) * g;
+            v_ref[i] = b2 * v_ref[i] + (1.0 - b2) * g * g;
+            let m_hat = m_ref[i] / step.bias1;
+            let v_hat = v_ref[i] / step.bias2;
+            p_ref[i] -= step.learning_rate * m_hat / (v_hat.sqrt() + step.epsilon);
+        }
+
+        for &level in runnable_levels() {
+            for blend in [false, true] {
+                let (mut p, mut m, mut v, mut t) = (p0.clone(), m0.clone(), v0.clone(), t0.clone());
+                let target = blend.then_some(SoftTarget {
+                    params: &mut t,
+                    alpha: 0.01,
+                });
+                adam_update_with(level, &mut p, &grads, &mut m, &mut v, &step, target);
+                let case = format!("{level} bias=({bias1}, {bias2}) blend={blend}");
+                assert!(bits_equal(&p, &p_ref), "{case}: params diverged");
+                assert!(bits_equal(&m, &m_ref), "{case}: m diverged");
+                assert!(bits_equal(&v, &v_ref), "{case}: v diverged");
             }
         }
     }
