@@ -1,8 +1,8 @@
 //! Criterion micro-benchmarks for the neural-network kernels behind the
-//! Table-2 training-step measurements: GEMM strategies, forward passes and
-//! full forward+backward passes at the paper's network sizes.
+//! Table-2 training-step measurements: the blocked GEMM, inference forward
+//! passes and the Adam update at the paper's network sizes.
 
-use capes_nn::{Adam, Loss, Mlp, MseLoss, Optimizer};
+use capes_nn::{Adam, Loss, Mlp, MseLoss, Optimizer, Workspace};
 use capes_tensor::simd::{adam_update_with, detected_level, AdamStep, SimdLevel};
 use capes_tensor::{MatmulStrategy, Matrix};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -19,9 +19,6 @@ fn bench_matmul(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("blocked", n), &n, |bench, _| {
             bench.iter(|| black_box(a.matmul_with(&b, MatmulStrategy::Blocked)))
         });
-        group.bench_with_input(BenchmarkId::new("threaded", n), &n, |bench, _| {
-            bench.iter(|| black_box(a.matmul_with(&b, MatmulStrategy::Threaded)))
-        });
     }
     group.finish();
 }
@@ -35,25 +32,6 @@ fn bench_forward(c: &mut Criterion) {
         let x = Matrix::random_init(1, input, capes_tensor::WeightInit::XavierUniform, &mut rng);
         group.bench_function(label, |bench| {
             bench.iter(|| black_box(net.forward_inference(&x)))
-        });
-    }
-    group.finish();
-}
-
-fn bench_forward_backward(c: &mut Criterion) {
-    let mut group = c.benchmark_group("q_network_train_pass");
-    group.sample_size(10);
-    let mut rng = StdRng::seed_from_u64(3);
-    for &(label, input) in &[("compact_240", 240usize), ("paper_2200", 2200usize)] {
-        let mut net = Mlp::capes_q_network(input, 5, &mut rng);
-        let x = Matrix::random_init(32, input, capes_tensor::WeightInit::XavierUniform, &mut rng);
-        let t = Matrix::zeros(32, 5);
-        group.bench_function(label, |bench| {
-            bench.iter(|| {
-                let pred = net.forward(&x);
-                let (_, d) = MseLoss.loss_and_grad(&pred, &t);
-                black_box(net.backward(&d))
-            })
         });
     }
     group.finish();
@@ -93,9 +71,12 @@ fn bench_adam(c: &mut Criterion) {
     let mut adam = Adam::new(1e-4, net.parameter_shapes());
     let x = Matrix::random_init(32, 2200, capes_tensor::WeightInit::XavierUniform, &mut rng);
     let t = Matrix::zeros(32, 5);
-    let pred = net.forward(&x);
-    let (_, d) = MseLoss.loss_and_grad(&pred, &t);
-    let net_grads = net.backward(&d);
+    let mut ws = Workspace::new(&net, 32);
+    net.forward_into(&x, &mut ws);
+    let (pred, delta) = ws.output_and_delta_mut();
+    delta.copy_from(&MseLoss.grad(pred, &t));
+    net.backward_into(&x, &mut ws);
+    let net_grads = ws.grads().clone();
     group.bench_function("optimizer_step_paper_2200", |bench| {
         bench.iter(|| {
             adam.step(&mut net, &net_grads);
@@ -105,11 +86,5 @@ fn bench_adam(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_matmul,
-    bench_forward,
-    bench_forward_backward,
-    bench_adam
-);
+criterion_group!(benches, bench_matmul, bench_forward, bench_adam);
 criterion_main!(benches);

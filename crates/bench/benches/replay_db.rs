@@ -2,7 +2,7 @@
 //! assembly and Algorithm-1 minibatch construction (the data-plane costs
 //! behind the Table-2 replay-DB rows).
 
-use capes_replay::{ReplayConfig, ReplayDb};
+use capes_replay::{ReplayBatch, ReplayConfig, ReplayDb};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -56,8 +56,12 @@ fn bench_minibatch(c: &mut Criterion) {
     for &ticks in &[1_000u64, 10_000] {
         let db = filled_db(ticks);
         let mut rng = StdRng::seed_from_u64(5);
+        let mut batch = ReplayBatch::new(32, db.config().observation_size());
         group.bench_with_input(BenchmarkId::from_parameter(ticks), &ticks, |b, _| {
-            b.iter(|| black_box(db.construct_minibatch(32, &mut rng).unwrap()))
+            b.iter(|| {
+                db.construct_minibatch_into(&mut batch, &mut rng).unwrap();
+                black_box(batch.rewards()[0])
+            })
         });
     }
     group.finish();

@@ -1,9 +1,8 @@
 //! Criterion benchmark for the full DQN training step (minibatch sampling +
 //! Bellman targets + backpropagation + Adam + target-network update) — the
 //! "duration of training step" row of Table 2 — plus action-selection
-//! latency, GEMM kernel strategies (persistent pool vs per-call thread
-//! spawning vs single-threaded), and the allocation-free vs legacy training
-//! paths. Medians are recorded in `BENCH_train_step.json` at the repo root.
+//! latency and GEMM kernel strategies (persistent pool vs single-threaded).
+//! Medians are recorded in `BENCH_train_step.json` at the repo root.
 
 use capes_drl::{DqnAgent, DqnAgentConfig};
 use capes_replay::{ReplayConfig, SharedReplayDb};
@@ -51,11 +50,9 @@ fn bench_training_step(c: &mut Criterion) {
     group.finish();
 }
 
-/// Pooled-vs-scoped-vs-blocked GEMM on the training-step shapes: the batch
-/// forward product (32 × 600 · 600 × 600) and a square hidden-layer-sized
-/// product. On multi-core hosts this isolates the thread-spawn latency the
-/// persistent pool eliminates; on single-core hosts both parallel strategies
-/// degenerate to the blocked kernel.
+/// Pooled-vs-blocked GEMM on the training-step shapes: the batch forward
+/// product (32 × 600 · 600 × 600) and a square hidden-layer-sized product. On
+/// single-core hosts the pooled strategy degenerates to the blocked kernel.
 fn bench_gemm_strategies(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(11);
     let mut group = c.benchmark_group("gemm");
@@ -68,7 +65,6 @@ fn bench_gemm_strategies(c: &mut Criterion) {
         let mut out = Matrix::zeros(m, n);
         for (name, strategy) in [
             ("blocked", MatmulStrategy::Blocked),
-            ("scoped_threads", MatmulStrategy::Threaded),
             ("pooled", MatmulStrategy::Pooled),
         ] {
             group.bench_function(BenchmarkId::new(name, label), |bench| {
@@ -204,32 +200,6 @@ fn unblocked_tb(a: &[f64], b: &[f64], out: &mut [f64], rows_a: usize, cols: usiz
     }
 }
 
-/// Allocation-free vs legacy training path on the Table 2 shape: the fast
-/// path samples into a persistent `ReplayBatch` and trains through reused
-/// workspaces; the legacy path materialises a `Minibatch` of boxed
-/// transitions first (the pre-optimization behaviour of `train_from_db`).
-fn bench_train_paths(c: &mut Criterion) {
-    let obs = 600usize;
-    let db = filled_db(obs, 500);
-    let mut group = c.benchmark_group("train_paths_600");
-    group.sample_size(10);
-
-    let mut fast_agent = DqnAgent::new(DqnAgentConfig::paper_default(obs, 2), 3);
-    group.bench_function("alloc_free", |bench| {
-        bench.iter(|| black_box(fast_agent.train_from_db(&db).unwrap()))
-    });
-
-    let mut legacy_agent = DqnAgent::new(DqnAgentConfig::paper_default(obs, 2), 3);
-    let mut rng = StdRng::seed_from_u64(5);
-    group.bench_function("legacy_minibatch", |bench| {
-        bench.iter(|| {
-            let batch = db.construct_minibatch(32, &mut rng).unwrap();
-            black_box(legacy_agent.train_on_batch(&batch))
-        })
-    });
-    group.finish();
-}
-
 fn bench_action_selection(c: &mut Criterion) {
     let mut group = c.benchmark_group("action_selection");
     for &(label, obs) in &[("compact_240", 240usize), ("paper_2200", 2200usize)] {
@@ -247,7 +217,6 @@ criterion_group!(
     benches,
     bench_training_step,
     bench_gemm_strategies,
-    bench_train_paths,
     bench_action_selection
 );
 criterion_main!(benches);

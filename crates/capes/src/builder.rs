@@ -1,7 +1,4 @@
-//! Builder-first construction of a CAPES deployment.
-//!
-//! Replaces the telescoping constructors (`CapesSystem::new`,
-//! `CapesSystem::with_objective_and_checker`) with one fallible builder:
+//! Builder-first construction of a CAPES deployment: one fallible builder.
 //!
 //! ```
 //! use capes::prelude::*;

@@ -325,11 +325,6 @@ impl<S: SearchStrategy> SearchEngine<S> {
         self.ticks_used
     }
 
-    /// The wrapped strategy.
-    pub fn strategy(&self) -> &S {
-        &self.strategy
-    }
-
     /// Summarises the finished search as a [`TunerResult`].
     pub fn result(&self) -> TunerResult {
         let (best_params, best_throughput) = match &self.best {
@@ -489,8 +484,7 @@ impl TuningEngine for NullEngine {
 
 /// Drives a search engine directly against a bare target system (no
 /// monitoring/daemon pipeline), until the strategy converges or `max_ticks`
-/// is spent. This is the legacy `Tuner::tune` code path, reimplemented on the
-/// engine interface so batch and online searches share one implementation.
+/// is spent, so batch and online searches share one implementation.
 pub fn run_search<T: TargetSystem, S: SearchStrategy + 'static>(
     engine: &mut SearchEngine<S>,
     target: &mut T,

@@ -89,8 +89,6 @@ pub use experiment::{Experiment, ExperimentReport, Phase, PhaseKind, TickObserve
 pub use hyperparams::Hyperparameters;
 pub use objective::Objective;
 pub use session::SessionResult;
-#[allow(deprecated)]
-pub use session::{run_baseline_session, run_training_session, run_tuning_session};
 pub use system::{CapesSystem, SystemTick, TickMeasurement, Transport};
 pub use target::{TargetSystem, TargetTick, TunableSpec};
 
@@ -117,11 +115,9 @@ pub mod prelude {
     pub use crate::hyperparams::Hyperparameters;
     pub use crate::objective::Objective;
     pub use crate::session::SessionResult;
-    #[allow(deprecated)]
-    pub use crate::session::{run_baseline_session, run_training_session, run_tuning_session};
     pub use crate::system::{CapesSystem, SystemTick, TickMeasurement, Transport};
     pub use crate::target::{TargetSystem, TargetTick, TunableSpec};
-    pub use crate::tuners::{HillClimbing, RandomSearch, StaticBaseline, Tuner, TunerResult};
+    pub use crate::tuners::{HillClimbing, RandomSearch, StaticBaseline, TunerResult};
     pub use capes_drl::SamplingScope;
     pub use capes_replay::{ReplayArena, SharedReplayDb};
     pub use capes_simstore::{ClusterConfig, PiMode, TunableParams, Workload};

@@ -1,16 +1,12 @@
-//! Session results and the legacy session runners.
+//! Session results.
 //!
 //! The paper's evaluation workflow (Appendix A.4) is "turn on CAPES and train
 //! for 12–24 hours, turn it off and measure the baseline, turn it on and
-//! measure the tuned performance". Those phases are now expressed
-//! declaratively with [`crate::experiment::Experiment`] and
-//! [`crate::experiment::Phase`]; the free `run_*_session` functions remain as
-//! thin deprecated shims over [`crate::system::CapesSystem::run_phase`] for
-//! one release.
+//! measure the tuned performance". Those phases are expressed declaratively
+//! with [`crate::experiment::Experiment`] and [`crate::experiment::Phase`];
+//! each produces one [`SessionResult`].
 
-use crate::experiment::{Phase, PhaseKind};
-use crate::system::CapesSystem;
-use crate::target::TargetSystem;
+use crate::experiment::PhaseKind;
 use capes_stats::{analyze, AnalysisConfig, AnalysisReport};
 use serde::{Deserialize, Serialize};
 
@@ -86,51 +82,15 @@ impl SessionResult {
     }
 }
 
-/// Runs `ticks` seconds of online training (exploratory actions plus training
-/// steps), as the paper does for 12–24 hours before measuring.
-#[deprecated(note = "use `Experiment::new(system).phase(Phase::Train { ticks }).run()` instead")]
-pub fn run_training_session<T: TargetSystem>(
-    system: &mut CapesSystem<T>,
-    ticks: u64,
-) -> SessionResult {
-    system.run_phase(&Phase::Train { ticks })
-}
-
-/// Runs `ticks` seconds with the trained policy acting greedily (the "tuned"
-/// measurements of Figures 2–4).
-#[deprecated(
-    note = "use `Experiment::new(system).phase(Phase::Tuned { ticks, label }).run()` instead"
-)]
-pub fn run_tuning_session<T: TargetSystem>(
-    system: &mut CapesSystem<T>,
-    ticks: u64,
-    label: impl Into<String>,
-) -> SessionResult {
-    system.run_phase(&Phase::Tuned {
-        ticks,
-        label: label.into(),
-    })
-}
-
-/// Resets the parameters to their defaults and runs `ticks` seconds without
-/// any tuning (the "baseline, default Lustre settings" measurements).
-#[deprecated(note = "use `Experiment::new(system).phase(Phase::Baseline { ticks }).run()` instead")]
-pub fn run_baseline_session<T: TargetSystem>(
-    system: &mut CapesSystem<T>,
-    ticks: u64,
-    label: impl Into<String>,
-) -> SessionResult {
-    let mut result = system.run_phase(&Phase::Baseline { ticks });
-    result.label = label.into();
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::Capes;
+    use crate::experiment::Phase;
     use crate::hyperparams::Hyperparameters;
+    use crate::system::CapesSystem;
     use crate::target::test_target::QuadraticTarget;
+    use crate::target::TargetSystem;
 
     fn system() -> CapesSystem<QuadraticTarget> {
         Capes::builder(QuadraticTarget::new(55.0))
@@ -193,21 +153,6 @@ mod tests {
         sys.target_mut().apply_params(&[90.0]);
         let baseline = sys.run_phase(&Phase::Baseline { ticks: 30 });
         assert_eq!(baseline.final_params, vec![10.0], "defaults restored first");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_still_work() {
-        let mut sys = system();
-        let baseline = run_baseline_session(&mut sys, 30, "custom baseline label");
-        assert_eq!(baseline.label, "custom baseline label");
-        assert_eq!(baseline.kind, PhaseKind::Baseline);
-        let training = run_training_session(&mut sys, 40);
-        assert_eq!(training.kind, PhaseKind::Train);
-        assert_eq!(training.label, "training");
-        let tuned = run_tuning_session(&mut sys, 30, "tuned");
-        assert_eq!(tuned.kind, PhaseKind::Tuned);
-        assert_eq!(tuned.throughput_series.len(), 30);
     }
 
     #[test]

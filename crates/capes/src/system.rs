@@ -4,8 +4,7 @@
 //! Action Checker screening those actions, and a Control Agent applying them
 //! to the target system.
 //!
-//! Systems are assembled through [`crate::builder::Capes::builder`]; the old
-//! telescoping constructors remain as deprecated shims.
+//! Systems are assembled through [`crate::builder::Capes::builder`].
 
 use crate::engine::{DrlEngine, EngineContext, ProposedAction, TuningEngine};
 use crate::error::CapesError;
@@ -112,36 +111,6 @@ pub struct CapesSystem<T: TargetSystem> {
 }
 
 impl<T: TargetSystem> CapesSystem<T> {
-    /// Builds a CAPES deployment around `target` with the default
-    /// (throughput) objective and a permissive Action Checker.
-    #[deprecated(note = "use `Capes::builder(target)…build()` instead")]
-    pub fn new(target: T, hyperparams: Hyperparameters, seed: u64) -> Self {
-        crate::builder::Capes::builder(target)
-            .hyperparams(hyperparams)
-            .seed(seed)
-            .build()
-            .expect("invalid CAPES configuration")
-    }
-
-    /// Fully-configurable constructor: custom objective function and Action
-    /// Checker.
-    #[deprecated(note = "use `Capes::builder(target)…build()` instead")]
-    pub fn with_objective_and_checker(
-        target: T,
-        hyperparams: Hyperparameters,
-        objective: Objective,
-        checker: ActionChecker,
-        seed: u64,
-    ) -> Self {
-        crate::builder::Capes::builder(target)
-            .hyperparams(hyperparams)
-            .objective(objective)
-            .checker(checker)
-            .seed(seed)
-            .build()
-            .expect("invalid CAPES configuration")
-    }
-
     /// Wires the deployment together. Called by the builder, which has
     /// already validated the hyperparameters, the tunable-spec list and (when
     /// supplied) the external replay stripe's configuration. `replay_db` is
@@ -315,8 +284,7 @@ impl<T: TargetSystem> CapesSystem<T> {
     }
 
     /// Runs one phase of an experiment plan and returns its session result.
-    /// This is the single code path behind [`crate::experiment::Experiment`]
-    /// and the deprecated free session runners.
+    /// This is the single code path behind [`crate::experiment::Experiment`].
     pub fn run_phase(&mut self, phase: &Phase) -> SessionResult {
         let kind = phase.kind();
         let label = phase.label();

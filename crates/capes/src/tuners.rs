@@ -17,13 +17,12 @@
 //! [`crate::engine::SearchEngine`] it implements the same
 //! [`crate::engine::TuningEngine`] interface as the DRL engine, so the
 //! benchmark harness drives CAPES and all three comparators through one code
-//! path. The legacy [`Tuner`] trait remains for one-shot batch tuning against
-//! a bare target and is itself implemented on top of the engine interface —
+//! path; [`crate::engine::run_search`] runs one against a bare target —
 //! exactly the "tweak-benchmark cycle" the paper argues is too slow, which
 //! the benchmark harness quantifies.
 
-use crate::engine::{run_search, SearchEngine, SearchStrategy};
-use crate::target::{TargetSystem, TunableSpec};
+use crate::engine::SearchStrategy;
+use crate::target::TunableSpec;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -39,17 +38,6 @@ pub struct TunerResult {
     pub evaluations: usize,
     /// Total target-system ticks consumed (the tuning cost).
     pub ticks_used: u64,
-}
-
-/// A parameter tuner that can be compared against CAPES with a one-shot
-/// batch run against a bare target system.
-pub trait Tuner {
-    /// Runs the tuner against `target`, evaluating each candidate for
-    /// `eval_ticks` seconds, and returns the best configuration found.
-    fn tune<T: TargetSystem>(&mut self, target: &mut T, eval_ticks: u64) -> TunerResult;
-
-    /// Human-readable name used in benchmark output.
-    fn name(&self) -> &'static str;
 }
 
 /// Keeps the default parameter values (the untuned baseline of every figure).
@@ -71,17 +59,6 @@ impl SearchStrategy for StaticBaseline {
     ) -> Option<Vec<f64>> {
         // One evaluation of the defaults, then done.
         None
-    }
-}
-
-impl Tuner for StaticBaseline {
-    fn tune<T: TargetSystem>(&mut self, target: &mut T, eval_ticks: u64) -> TunerResult {
-        let mut engine = SearchEngine::new(*self, eval_ticks);
-        run_search(&mut engine, target, eval_ticks)
-    }
-
-    fn name(&self) -> &'static str {
-        SearchStrategy::name(self)
     }
 }
 
@@ -137,22 +114,6 @@ impl SearchStrategy for RandomSearch {
         } else {
             None
         }
-    }
-}
-
-impl Tuner for RandomSearch {
-    fn tune<T: TargetSystem>(&mut self, target: &mut T, eval_ticks: u64) -> TunerResult {
-        let mut engine = SearchEngine::new(self.clone(), eval_ticks);
-        let budget = (self.candidates as u64 + 1) * eval_ticks;
-        let result = run_search(&mut engine, target, budget);
-        // Carry the advanced RNG state back, so repeated `tune` calls on one
-        // RandomSearch draw fresh candidate sequences.
-        self.rng = engine.strategy().rng.clone();
-        result
-    }
-
-    fn name(&self) -> &'static str {
-        "random search"
     }
 }
 
@@ -270,40 +231,30 @@ impl SearchStrategy for HillClimbing {
     }
 }
 
-impl Tuner for HillClimbing {
-    fn tune<T: TargetSystem>(&mut self, target: &mut T, eval_ticks: u64) -> TunerResult {
-        // A fresh strategy per run: the search state is not reusable.
-        let strategy = HillClimbing::new(self.max_evaluations);
-        let mut engine = SearchEngine::new(strategy, eval_ticks);
-        let budget = self.max_evaluations as u64 * eval_ticks;
-        run_search(&mut engine, target, budget)
-    }
-
-    fn name(&self) -> &'static str {
-        "hill climbing"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{run_search, SearchEngine, TuningEngine};
     use crate::target::test_target::QuadraticTarget;
+    use crate::target::TargetSystem;
 
     #[test]
     fn static_baseline_keeps_defaults() {
         let mut target = QuadraticTarget::new(60.0);
-        let result = StaticBaseline.tune(&mut target, 20);
+        let mut engine = SearchEngine::new(StaticBaseline, 20);
+        let result = run_search(&mut engine, &mut target, 20);
         assert_eq!(result.best_params, vec![10.0]);
         assert_eq!(result.evaluations, 1);
-        assert_eq!(Tuner::name(&StaticBaseline), "static defaults");
+        assert_eq!(engine.name(), "static defaults");
     }
 
     #[test]
     fn random_search_beats_the_baseline_on_an_easy_surface() {
         let mut target = QuadraticTarget::new(60.0);
-        let baseline = StaticBaseline.tune(&mut target, 20).best_throughput;
-        let mut search = RandomSearch::new(40, 7);
-        let result = search.tune(&mut target, 20);
+        let baseline =
+            run_search(&mut SearchEngine::new(StaticBaseline, 20), &mut target, 20).best_throughput;
+        let mut engine = SearchEngine::new(RandomSearch::new(40, 7), 20);
+        let result = run_search(&mut engine, &mut target, 41 * 20);
         assert!(result.best_throughput > baseline);
         assert_eq!(result.evaluations, 41);
         assert!(result.ticks_used >= 41 * 20);
@@ -317,15 +268,15 @@ mod tests {
     #[test]
     fn hill_climbing_walks_toward_the_optimum() {
         let mut target = QuadraticTarget::new(40.0);
-        let mut climber = HillClimbing::new(200);
-        let result = climber.tune(&mut target, 20);
+        let mut engine = SearchEngine::new(HillClimbing::new(200), 20);
+        let result = run_search(&mut engine, &mut target, 200 * 20);
         assert!(
             result.best_params[0] > 25.0,
             "hill climbing stopped too early at {}",
             result.best_params[0]
         );
         assert!(result.evaluations <= 200);
-        assert_eq!(Tuner::name(&climber), "hill climbing");
+        assert_eq!(engine.name(), "hill climbing");
         // The target is left configured with the tuned value.
         assert_eq!(target.current_params(), result.best_params);
     }
@@ -333,23 +284,8 @@ mod tests {
     #[test]
     fn hill_climbing_respects_its_budget() {
         let mut target = QuadraticTarget::new(90.0);
-        let mut climber = HillClimbing::new(5);
-        let result = climber.tune(&mut target, 5);
+        let mut engine = SearchEngine::new(HillClimbing::new(5), 5);
+        let result = run_search(&mut engine, &mut target, 5 * 5);
         assert!(result.evaluations <= 5);
-    }
-
-    #[test]
-    fn tuner_and_engine_paths_agree() {
-        // The batch Tuner API and the TuningEngine API are the same
-        // implementation; a hill climb through either must land on the same
-        // configuration for the same (deterministic) target.
-        let mut batch_target = QuadraticTarget::new(40.0);
-        let batch = HillClimbing::new(60).tune(&mut batch_target, 15);
-
-        let mut engine = SearchEngine::new(HillClimbing::new(60), 15);
-        let mut engine_target = QuadraticTarget::new(40.0);
-        let engine_result = run_search(&mut engine, &mut engine_target, 60 * 15);
-        assert_eq!(batch.best_params, engine_result.best_params);
-        assert_eq!(batch.evaluations, engine_result.evaluations);
     }
 }

@@ -6,9 +6,10 @@
 //! explored exhaustively:
 //!
 //! * the bounded ring channel from the crossbeam shim (the zero-allocation
-//!   dispatch backbone of both the GEMM `WorkerPool` and the fleet pool);
-//! * the dispatch/acknowledge/panic-propagation protocol of the pools
-//!   themselves (`capes_tensor::pool`, `capes_fleet::sched`);
+//!   dispatch backbone of `WorkerPool`, which serves both the GEMM kernels
+//!   and the fleet tick);
+//! * the dispatch/acknowledge/panic-propagation protocol of the pool itself
+//!   (`capes_tensor::pool`);
 //! * the telemetry registry's lock-guarded interning and the histogram's
 //!   relaxed read-modify-write recording path.
 //!
@@ -133,9 +134,9 @@ fn ring_channel_disconnect_unblocks_the_receiver() {
 }
 
 // ---------------------------------------------------------------------------
-// Port of the WorkerPool / fleet-pool dispatch protocol: single-slot task
-// channels, an acknowledgement channel, panics contained on the worker and
-// re-raised on the dispatcher after the ack barrier.
+// Port of the WorkerPool dispatch protocol: single-slot task channels, an
+// acknowledgement channel, panics contained on the worker and re-raised on
+// the dispatcher after the ack barrier.
 // ---------------------------------------------------------------------------
 
 /// One dispatched chunk: which cell to bump, and whether the chunk "panics"

@@ -10,9 +10,7 @@ use crate::epsilon::EpsilonSchedule;
 use crate::qnet::{best_action_in_row, QNetwork};
 use crate::trainer::{TrainReport, Trainer, TrainerConfig};
 use capes_nn::Workspace;
-use capes_replay::{
-    Minibatch, MinibatchError, Observation, ReplayArena, ReplayBatch, SharedReplayDb,
-};
+use capes_replay::{MinibatchError, Observation, ReplayArena, ReplayBatch, SharedReplayDb};
 use capes_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -26,7 +24,7 @@ pub struct DqnAgentConfig {
     pub observation_size: usize,
     /// Number of tunable parameters (the action space is `2 × this + 1`).
     pub num_params: usize,
-    /// Minibatch size for each training step (paper: 32).
+    /// Size of the minibatch for each training step (paper: 32).
     pub minibatch_size: usize,
     /// Training hyperparameters.
     pub trainer: TrainerConfig,
@@ -421,11 +419,6 @@ impl DqnAgent {
             SamplingScope::Own => self.train_from_db(db),
             SamplingScope::Profile { weights } => self.train_weighted(db.arena(), weights),
         }
-    }
-
-    /// Performs one training step on an explicit minibatch.
-    pub fn train_on_batch(&mut self, batch: &Minibatch) -> TrainReport {
-        self.trainer.train_step(batch)
     }
 
     /// Saves the agent's networks and configuration to a JSON checkpoint.

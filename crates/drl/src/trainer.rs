@@ -7,8 +7,8 @@
 
 use crate::qnet::QNetwork;
 use capes_nn::{Adam, Workspace};
-use capes_replay::{Minibatch, ReplayBatch};
-use capes_tensor::{simd, Matrix};
+use capes_replay::ReplayBatch;
+use capes_tensor::simd;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -112,11 +112,9 @@ pub struct TrainReport {
 }
 
 /// Persistent buffers for the allocation-free training step: workspaces for
-/// the online and target networks, plus stacking buffers built only when a
-/// legacy [`Minibatch`] of individual transitions is handed in (the hot
-/// [`ReplayBatch`] path carries its own matrices and never allocates them).
-/// Sized lazily on the first step and reused for every step after (the
-/// "warm-up" after which the hot path performs zero heap allocations).
+/// the online and target networks (the [`ReplayBatch`] carries its own
+/// matrices). Sized lazily on the first step and reused for every step after
+/// (the "warm-up" after which the hot path performs zero heap allocations).
 #[derive(Debug, Clone)]
 struct TrainerScratch {
     ws_online: Workspace,
@@ -124,28 +122,6 @@ struct TrainerScratch {
     /// Per-row Bellman targets, filled by the fused
     /// [`capes_tensor::simd::bellman_targets`] kernel each step.
     targets: Vec<f64>,
-    stack: Option<StackingBufs>,
-}
-
-/// Batch-shaped buffers the legacy [`Trainer::train_step`] wrapper stacks a
-/// [`Minibatch`]'s transitions into.
-#[derive(Debug, Clone)]
-struct StackingBufs {
-    states: Matrix,
-    next_states: Matrix,
-    actions: Vec<usize>,
-    rewards: Vec<f64>,
-}
-
-impl StackingBufs {
-    fn new(batch: usize, obs: usize) -> Self {
-        StackingBufs {
-            states: Matrix::zeros(batch, obs),
-            next_states: Matrix::zeros(batch, obs),
-            actions: vec![0; batch],
-            rewards: vec![0.0; batch],
-        }
-    }
 }
 
 impl TrainerScratch {
@@ -154,7 +130,6 @@ impl TrainerScratch {
             ws_online: Workspace::new(online.mlp(), batch),
             ws_target: Workspace::new(online.mlp(), batch),
             targets: vec![0.0; batch],
-            stack: None,
         }
     }
 
@@ -246,71 +221,10 @@ impl Trainer {
         self.target = target;
     }
 
-    /// Performs one training step on a legacy minibatch of individual
-    /// transitions (Equation 1) and soft-updates the target network.
-    ///
-    /// This is a thin wrapper over the allocation-free core: the transitions
-    /// are stacked into the trainer's persistent batch buffers, so after the
-    /// first call the step itself performs no heap allocations. Callers that
-    /// also want allocation-free *sampling* should use
-    /// [`Trainer::train_step_batch`] with a [`ReplayBatch`].
-    pub fn train_step(&mut self, batch: &Minibatch) -> TrainReport {
-        assert!(!batch.transitions.is_empty(), "empty minibatch");
-        let n = batch.transitions.len();
-        let obs_size = self.online.observation_size();
-        self.ensure_scratch(n);
-        let scratch = self.scratch.as_mut().expect("scratch just ensured");
-        let stack = scratch
-            .stack
-            .get_or_insert_with(|| StackingBufs::new(n, obs_size));
-        if stack.states.shape() != (n, obs_size) {
-            *stack = StackingBufs::new(n, obs_size);
-        }
-
-        // Stack states and next states into the persistent (n × obs_size)
-        // matrices.
-        for (i, tr) in batch.transitions.iter().enumerate() {
-            assert_eq!(tr.state.size(), obs_size, "state width mismatch");
-            assert_eq!(tr.next_state.size(), obs_size, "next-state width mismatch");
-            stack.states.copy_row_from(i, &tr.state.features, 0);
-            stack
-                .next_states
-                .copy_row_from(i, &tr.next_state.features, 0);
-            stack.actions[i] = tr.action;
-            stack.rewards[i] = tr.reward;
-        }
-
-        let TrainerScratch {
-            ws_online,
-            ws_target,
-            targets,
-            stack,
-        } = &mut **scratch;
-        let StackingBufs {
-            states,
-            next_states,
-            actions,
-            rewards,
-        } = stack.as_mut().expect("stacking buffers just ensured");
-        Self::train_core(
-            &mut self.online,
-            &mut self.target,
-            &mut self.optimizer,
-            &self.config,
-            &mut self.steps,
-            states,
-            next_states,
-            actions,
-            rewards,
-            ws_online,
-            ws_target,
-            targets,
-        )
-    }
-
-    /// Performs one training step on a pre-encoded [`ReplayBatch`] — the
-    /// fully allocation-free path: after the first call sized for this batch
-    /// shape, no heap allocation occurs anywhere in the step.
+    /// Performs one training step (Equation 1) on a pre-encoded
+    /// [`ReplayBatch`] and soft-updates the target network. Allocation-free:
+    /// after the first call sized for this batch shape, no heap allocation
+    /// occurs anywhere in the step.
     pub fn train_step_batch(&mut self, batch: &ReplayBatch) -> TrainReport {
         // Covers the whole step: both forward passes, Bellman targets,
         // backprop, Adam and the soft target update.
@@ -321,59 +235,20 @@ impl Trainer {
             "batch observation width does not match the network"
         );
         self.ensure_scratch(batch.len());
-        let scratch = self.scratch.as_mut().expect("scratch just ensured");
-        Self::train_core(
-            &mut self.online,
-            &mut self.target,
-            &mut self.optimizer,
-            &self.config,
-            &mut self.steps,
-            batch.states(),
-            batch.next_states(),
-            batch.actions(),
-            batch.rewards(),
-            &mut scratch.ws_online,
-            &mut scratch.ws_target,
-            &mut scratch.targets,
-        )
-    }
-
-    fn ensure_scratch(&mut self, batch: usize) {
-        let fits = self
-            .scratch
-            .as_ref()
-            .is_some_and(|s| s.matches(&self.online, batch));
-        if !fits {
-            self.scratch = Some(Box::new(TrainerScratch::new(&self.online, batch)));
-        }
-    }
-
-    /// The training step itself, operating entirely on caller-provided
-    /// buffers: forward both networks through their workspaces, form the
-    /// Bellman targets, inject the (sparse) MSE gradient, backpropagate and
-    /// update. Free function over destructured fields so the legacy wrapper
-    /// can borrow the batch out of `self.scratch` at the same time.
-    #[allow(clippy::too_many_arguments)]
-    fn train_core(
-        online: &mut QNetwork,
-        target: &mut QNetwork,
-        optimizer: &mut Adam,
-        config: &TrainerConfig,
-        steps: &mut u64,
-        states: &Matrix,
-        next_states: &Matrix,
-        actions: &[usize],
-        rewards: &[f64],
-        ws_online: &mut Workspace,
-        ws_target: &mut Workspace,
-        targets: &mut Vec<f64>,
-    ) -> TrainReport {
-        let n = states.rows();
-        let num_actions = online.num_actions();
+        let TrainerScratch {
+            ws_online,
+            ws_target,
+            targets,
+        } = &mut **self.scratch.as_mut().expect("scratch just ensured");
+        let (states, actions, rewards) = (batch.states(), batch.actions(), batch.rewards());
+        let n = batch.len();
+        let num_actions = self.online.num_actions();
 
         // Bellman targets from the target network: r + γ max_a' Q(s', a'; θ⁻).
-        target.mlp().forward_into(next_states, ws_target);
-        online.mlp().forward_into(states, ws_online);
+        self.target
+            .mlp()
+            .forward_into(batch.next_states(), ws_target);
+        self.online.mlp().forward_into(states, ws_online);
 
         // Only the entries belonging to the taken actions differ between
         // predictions and targets, so the MSE gradient is zero everywhere
@@ -392,7 +267,7 @@ impl Trainer {
                 rewards,
                 next_q.as_slice(),
                 num_actions,
-                config.discount_rate,
+                self.config.discount_rate,
                 targets,
             );
             let (predictions, delta) = ws_online.output_and_delta_mut();
@@ -411,25 +286,35 @@ impl Trainer {
             loss /= denom;
         }
 
-        online.mlp().backward_into(states, ws_online);
+        self.online.mlp().backward_into(states, ws_online);
         {
             // Adam, with θ⁻ ← θ⁻ (1 − α) + θ α riding the same pass over
             // the parameters.
             let _span = capes_telemetry::span!("nn.adam_step");
-            optimizer.step_with_target(
-                online.mlp_mut(),
+            self.optimizer.step_with_target(
+                self.online.mlp_mut(),
                 ws_online.grads(),
-                target.mlp_mut(),
-                config.target_update_rate,
+                self.target.mlp_mut(),
+                self.config.target_update_rate,
             );
         }
 
-        *steps += 1;
+        self.steps += 1;
         TrainReport {
             loss,
             prediction_error: abs_error_sum / n as f64,
             mean_reward: reward_sum / n as f64,
-            step: *steps,
+            step: self.steps,
+        }
+    }
+
+    fn ensure_scratch(&mut self, batch: usize) {
+        let fits = self
+            .scratch
+            .as_ref()
+            .is_some_and(|s| s.matches(&self.online, batch));
+        if !fits {
+            self.scratch = Some(Box::new(TrainerScratch::new(&self.online, batch)));
         }
     }
 }
@@ -483,43 +368,36 @@ impl capes_persist::Persist for Trainer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use capes_replay::{Observation, Transition};
+    use capes_replay::Observation;
+    use capes_tensor::Matrix;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     /// A tiny synthetic environment: two feature patterns; action 1 is good
     /// (reward 1) in pattern A, action 2 is good in pattern B, other actions
     /// earn 0. Terminal-free, so the Bellman target includes bootstrapping.
-    fn synthetic_batch(rng: &mut StdRng, n: usize) -> Minibatch {
+    fn synthetic_batch(rng: &mut StdRng, n: usize) -> ReplayBatch {
         use rand::Rng;
-        let mut transitions = Vec::with_capacity(n);
-        for _ in 0..n {
+        let mut states = Matrix::zeros(n, 4);
+        let mut actions = Vec::with_capacity(n);
+        let mut rewards = Vec::with_capacity(n);
+        for i in 0..n {
             let pattern_a = rng.gen_bool(0.5);
             let features = if pattern_a {
-                vec![1.0, 0.0, 0.3, -0.2]
+                [1.0, 0.0, 0.3, -0.2]
             } else {
-                vec![0.0, 1.0, -0.4, 0.1]
+                [0.0, 1.0, -0.4, 0.1]
             };
             let action = rng.gen_range(0..3usize);
             let reward = match (pattern_a, action) {
                 (true, 1) | (false, 2) => 1.0,
                 _ => 0.0,
             };
-            let obs = Observation {
-                tick: 0,
-                features: Matrix::row_vector(&features),
-            };
-            transitions.push(Transition {
-                state: obs.clone(),
-                next_state: obs,
-                action,
-                reward,
-            });
+            states.row_mut(i).copy_from_slice(&features);
+            actions.push(action);
+            rewards.push(reward);
         }
-        Minibatch {
-            transitions,
-            timestamps_drawn: n,
-        }
+        ReplayBatch::from_parts(states.clone(), states, actions, rewards)
     }
 
     #[test]
@@ -544,7 +422,7 @@ mod tests {
         let mut last = 0.0;
         for _ in 0..400 {
             let batch = synthetic_batch(&mut rng, 16);
-            let report = trainer.train_step(&batch);
+            let report = trainer.train_step_batch(&batch);
             if first.is_none() {
                 first = Some(report.prediction_error);
             }
@@ -570,7 +448,7 @@ mod tests {
         let mut trainer = Trainer::with_new_network(4, 3, config, &mut rng);
         for _ in 0..600 {
             let batch = synthetic_batch(&mut rng, 16);
-            trainer.train_step(&batch);
+            trainer.train_step_batch(&batch);
         }
         let pattern_a = Observation {
             tick: 0,
@@ -590,7 +468,7 @@ mod tests {
         let mut trainer = Trainer::with_new_network(4, 3, TrainerConfig::default(), &mut rng);
         assert_eq!(trainer.online().distance_to(trainer.target()), 0.0);
         let batch = synthetic_batch(&mut rng, 8);
-        trainer.train_step(&batch);
+        trainer.train_step_batch(&batch);
         let d1 = trainer.online().distance_to(trainer.target());
         assert!(d1 > 0.0, "one step must separate the networks");
         // With α = 1 the target snaps to the online network every step.
@@ -603,7 +481,7 @@ mod tests {
             },
             &mut rng,
         );
-        snap.train_step(&batch);
+        snap.train_step_batch(&batch);
         assert!(snap.online().distance_to(snap.target()) < 1e-12);
     }
 
@@ -612,8 +490,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(14);
         let mut trainer = Trainer::with_new_network(4, 3, TrainerConfig::default(), &mut rng);
         let batch = synthetic_batch(&mut rng, 32);
-        let expected_mean: f64 = batch.transitions.iter().map(|t| t.reward).sum::<f64>() / 32.0;
-        let report = trainer.train_step(&batch);
+        let expected_mean: f64 = batch.rewards().iter().sum::<f64>() / 32.0;
+        let report = trainer.train_step_batch(&batch);
         assert!((report.mean_reward - expected_mean).abs() < 1e-12);
         assert!(report.loss >= 0.0);
         assert!(report.prediction_error >= 0.0);
@@ -627,48 +505,10 @@ mod tests {
         let snapshot_online = trainer.online().clone();
         let snapshot_target = trainer.target().clone();
         let batch = synthetic_batch(&mut rng, 8);
-        trainer.train_step(&batch);
+        trainer.train_step_batch(&batch);
         assert!(trainer.online().distance_to(&snapshot_online) > 0.0);
         trainer.restore_networks(snapshot_online.clone(), snapshot_target);
         assert_eq!(trainer.online().distance_to(&snapshot_online), 0.0);
-    }
-
-    #[test]
-    fn batch_path_matches_legacy_path() {
-        // Two trainers with identical seeds; one consumes Minibatch
-        // transitions, the other a pre-encoded ReplayBatch carrying the same
-        // data. Reports and resulting parameters must agree.
-        let mut rng = StdRng::seed_from_u64(21);
-        let config = TrainerConfig {
-            learning_rate: 1e-3,
-            ..Default::default()
-        };
-        let mut legacy = Trainer::with_new_network(4, 3, config, &mut rng);
-        let mut fast = legacy.clone();
-        let mut batch_rng = StdRng::seed_from_u64(22);
-        for _ in 0..5 {
-            let batch = synthetic_batch(&mut batch_rng, 16);
-            let legacy_report = legacy.train_step(&batch);
-            let encoded = {
-                let mut states = Matrix::zeros(16, 4);
-                let mut next_states = Matrix::zeros(16, 4);
-                let mut actions = vec![0usize; 16];
-                let mut rewards = vec![0.0; 16];
-                for (i, tr) in batch.transitions.iter().enumerate() {
-                    states.copy_row_from(i, &tr.state.features, 0);
-                    next_states.copy_row_from(i, &tr.next_state.features, 0);
-                    actions[i] = tr.action;
-                    rewards[i] = tr.reward;
-                }
-                capes_replay::ReplayBatch::from_parts(states, next_states, actions, rewards)
-            };
-            let fast_report = fast.train_step_batch(&encoded);
-            assert!((legacy_report.loss - fast_report.loss).abs() < 1e-12);
-            assert!((legacy_report.prediction_error - fast_report.prediction_error).abs() < 1e-12);
-            assert_eq!(legacy_report.step, fast_report.step);
-        }
-        assert!(legacy.online().distance_to(fast.online()) < 1e-12);
-        assert!(legacy.target().distance_to(fast.target()) < 1e-12);
     }
 
     #[test]
@@ -677,9 +517,9 @@ mod tests {
         let mut trainer = Trainer::with_new_network(4, 3, TrainerConfig::default(), &mut rng);
         let small = synthetic_batch(&mut rng, 8);
         let large = synthetic_batch(&mut rng, 16);
-        trainer.train_step(&small);
-        trainer.train_step(&large);
-        trainer.train_step(&small);
+        trainer.train_step_batch(&small);
+        trainer.train_step_batch(&large);
+        trainer.train_step_batch(&small);
         assert_eq!(trainer.steps(), 3);
         assert!(trainer.online().mlp().is_finite());
     }

@@ -1,19 +1,13 @@
-//! Persistent worker pool for cluster-parallel fleet ticking.
+//! The fleet daemon's worker pool.
 //!
 //! The fleet daemon shards its member clusters across a fixed set of worker
 //! threads: gather (measure + monitoring ingest), scatter (apply_action) and
 //! the non-trained share of a training tick run cluster-parallel, meeting
-//! only at the per-profile `decide_batch` barrier. [`FleetPool`] reuses the
-//! machinery of the GEMM pool in `capes-tensor::pool` — jobs are `Copy`
-//! structs pushed into pre-allocated bounded channels, so steady-state
-//! dispatch performs **zero heap allocations** — and adds what the fleet
-//! needs on top:
-//!
-//! - per-worker busy histograms (`fleet.worker.<i>.busy`) and a
-//!   `fleet.workers` gauge, so `/metrics` shows parallel efficiency;
-//! - [`FleetPool::run_with`], which overlaps a main-thread job (training one
-//!   profile's agent) with worker chunks (applying the other profiles'
-//!   actions).
+//! only at the per-profile `decide_batch` barrier. [`FleetPool`] is
+//! `capes-tensor`'s [`WorkerPool`] under the fleet's telemetry names:
+//! per-worker busy histograms (`fleet.worker.<i>.busy`), a `fleet.workers`
+//! gauge and the `fleet.pool_dispatch` span, so `/metrics` shows parallel
+//! efficiency.
 //!
 //! Determinism does not depend on the pool: work is partitioned into fixed
 //! contiguous chunks (never stolen), every chunk writes only its own
@@ -22,245 +16,58 @@
 //! ticked, never *what* it computes or in which tick-relative order results
 //! are merged.
 //!
-//! Worker count defaults to **1** (today's sequential path) and is raised via
+//! Worker count defaults to **1** (the sequential path) and is raised via
 //! the `FleetPlan::workers` knob or the `CAPES_FLEET_THREADS` environment
 //! variable.
 
-use capes_telemetry::Histogram;
-use crossbeam::channel::{bounded, Receiver, Sender};
-use std::sync::Mutex;
-use std::time::Instant;
+use capes_telemetry::{names, LazySpan};
+use capes_tensor::pool::{PoolProfile, WorkerPool};
 
-/// A cluster-range job: an erased `Fn(usize, usize)` invoked as
-/// `call(ctx, start, end)`. The dispatcher blocks until every job it sent has
-/// been acknowledged, so `ctx` (a pointer to a caller-stack closure) never
-/// outlives the closure it points to.
-#[derive(Clone, Copy)]
-struct Task {
-    call: unsafe fn(*const (), usize, usize),
-    ctx: *const (),
-    start: usize,
-    end: usize,
-}
-
-// SAFETY: the pointers inside a Task are only dereferenced while the
-// dispatching thread is blocked in `FleetPool::run`/`run_with`, which keeps
-// the referents alive; the closure is required to be `Sync`.
-unsafe impl Send for Task {}
-
-/// # Safety
-/// `ctx` must point to a live `F` for the duration of the call.
-unsafe fn trampoline<F: Fn(usize, usize) + Sync>(ctx: *const (), start: usize, end: usize) {
-    // SAFETY: the dispatcher passes a pointer to the closure it keeps alive
-    // while blocked on the acks; `F: Sync` allows the shared call.
-    let f = unsafe { &*(ctx as *const F) };
-    f(start, end);
-}
+static DISPATCH: LazySpan = LazySpan::new(names::SPAN_FLEET_POOL_DISPATCH);
 
 /// A fixed set of worker threads executing cluster-range jobs for the fleet
 /// daemon.
-pub struct FleetPool {
-    /// One single-slot channel per worker; a worker only ever holds one job.
-    task_txs: Vec<Sender<Task>>,
-    /// Acknowledgement channel; the payload is `true` if the chunk panicked.
-    done_rx: Receiver<bool>,
-    /// Serialises dispatches so concurrent callers cannot interleave jobs
-    /// and acknowledgements.
-    dispatch: Mutex<()>,
-    /// Total parallelism including the calling thread.
-    threads: usize,
-}
+#[derive(Debug)]
+pub struct FleetPool(WorkerPool);
 
 impl FleetPool {
     /// Creates a pool with `threads` total parallelism (the calling thread
     /// participates, so `threads - 1` workers are spawned; `threads <= 1`
-    /// spawns none and [`FleetPool::run`] executes inline).
+    /// spawns none and [`WorkerPool::run`] executes inline).
     ///
     /// Each worker thread owns a `fleet.worker.<i>.busy` histogram recording
     /// the wall time it spends executing chunks, and the pool publishes a
     /// `fleet.workers` gauge with the total parallelism.
     pub fn new(threads: usize) -> Self {
         let threads = threads.max(1);
-        let workers = threads - 1;
         let registry = capes_telemetry::global();
         registry.gauge("fleet.workers").set(threads as f64);
-        let (done_tx, done_rx) = bounded::<bool>(workers.max(1));
-        let mut task_txs = Vec::with_capacity(workers);
-        for i in 0..workers {
-            let (tx, rx) = bounded::<Task>(1);
-            let done = done_tx.clone();
-            let busy: Histogram = registry.histogram(&format!("fleet.worker.{i}.busy"));
-            std::thread::Builder::new()
-                .name(format!("capes-fleet-{i}"))
-                .spawn(move || {
-                    while let Ok(task) = rx.recv() {
-                        // Contain panics so a failing chunk cannot kill the
-                        // worker: the dispatcher must always receive its ack
-                        // (otherwise it would block forever), and the worker
-                        // must stay usable for the next dispatch. The panic
-                        // flag travels back in the ack and is re-raised on
-                        // the dispatching thread.
-                        let started = capes_telemetry::recording().then(Instant::now);
-                        let result =
-                            // SAFETY: the Task invariant (see `unsafe impl
-                            // Send for Task`) keeps `ctx` alive until this
-                            // worker acks; `call` is the matching trampoline.
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| unsafe {
-                                (task.call)(task.ctx, task.start, task.end)
-                            }));
-                        if let Some(started) = started {
-                            busy.record_duration(started.elapsed());
-                        }
-                        if done.send(result.is_err()).is_err() {
-                            break;
-                        }
-                    }
-                })
-                .expect("failed to spawn fleet worker");
-            task_txs.push(tx);
-        }
-        FleetPool {
-            task_txs,
-            done_rx,
-            dispatch: Mutex::new(()),
+        FleetPool(WorkerPool::with_profile(
             threads,
-        }
-    }
-
-    /// Total parallelism of the pool (workers + the calling thread).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Splits `0..rows` into contiguous chunks of at least `min_rows` and runs
-    /// `f(start, end)` on each, using the pool's workers plus the calling
-    /// thread. Blocks until every chunk has completed. Runs inline when the
-    /// pool is single-threaded or the problem is too small to split.
-    pub fn run<F: Fn(usize, usize) + Sync>(&self, rows: usize, min_rows: usize, f: F) {
-        if rows == 0 {
-            return;
-        }
-        let max_parts = rows.div_ceil(min_rows.max(1));
-        let parts = self.threads.min(max_parts);
-        if parts <= 1 {
-            f(0, rows);
-            return;
-        }
-        self.dispatch_chunks(rows, parts, &f, || {});
-    }
-
-    /// Like [`FleetPool::run`], but the calling thread executes `main`
-    /// concurrently with the worker chunks instead of taking the tail chunk:
-    /// all of `0..rows` is handed to workers (in at most `threads - 1`
-    /// contiguous chunks) while the caller runs `main`. Blocks until both
-    /// `main` and every chunk have completed.
-    ///
-    /// The fleet daemon uses this to overlap one profile's training step
-    /// (`main`, which must stay on the dispatching thread because it consumes
-    /// the agent's RNG) with the remaining clusters' action application.
-    ///
-    /// With a single-threaded pool the chunks run inline first, then `main` —
-    /// the exact sequential order of the 1-worker path.
-    pub fn run_with<F, M>(&self, rows: usize, min_rows: usize, f: F, main: M)
-    where
-        F: Fn(usize, usize) + Sync,
-        M: FnOnce(),
-    {
-        if rows == 0 {
-            main();
-            return;
-        }
-        let max_parts = rows.div_ceil(min_rows.max(1));
-        let parts = (self.threads - 1).min(max_parts);
-        if parts == 0 {
-            f(0, rows);
-            main();
-            return;
-        }
-        self.dispatch_chunks(rows, parts + 1, &f, main);
-    }
-
-    /// Shared dispatch: sends `parts - 1` chunks to workers, runs `tail` on
-    /// the calling thread (either the tail chunk via a closure that calls
-    /// `f`, or an unrelated overlapped job), then drains acknowledgements.
-    fn dispatch_chunks<F: Fn(usize, usize) + Sync, M: FnOnce()>(
-        &self,
-        rows: usize,
-        parts: usize,
-        f: &F,
-        main: M,
-    ) {
-        let _span = capes_telemetry::span!("fleet.pool_dispatch");
-        // The guard protects no data (the mutex only serialises dispatches),
-        // so a poison left by a previous dispatch's propagated panic is
-        // harmless — recover it.
-        let _guard = self
-            .dispatch
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        let chunk = rows.div_ceil(parts);
-        let ctx = f as *const F as *const ();
-        let mut dispatched = 0usize;
-        let mut send_failed = false;
-        for i in 0..parts - 1 {
-            let start = i * chunk;
-            let end = ((i + 1) * chunk).min(rows);
-            if start >= end {
-                break;
-            }
-            if self.task_txs[i]
-                .send(Task {
-                    call: trampoline::<F>,
-                    ctx,
-                    start,
-                    end,
-                })
-                .is_err()
-            {
-                // Cannot happen while the pool is alive (workers contain
-                // panics and never exit their loop), but if it ever did we
-                // must still drain the already-dispatched acks below before
-                // unwinding: workers hold a raw pointer into this frame.
-                send_failed = true;
-                break;
-            }
-            dispatched += 1;
-        }
-        // The calling thread takes the tail work while workers run theirs.
-        // Its panic (if any) must not unwind past this frame before every
-        // worker has acknowledged: `f` lives on this stack and workers hold a
-        // raw pointer to it, so unwinding early would be a use-after-free.
-        let tail = (parts - 1) * chunk;
-        let caller_result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            if !send_failed && tail < rows {
-                f(tail, rows);
-            }
-            main();
-        }));
-        let mut worker_panicked = false;
-        for _ in 0..dispatched {
-            worker_panicked |= self.done_rx.recv().expect("fleet worker disappeared");
-        }
-        assert!(!send_failed, "fleet worker disappeared");
-        if let Err(payload) = caller_result {
-            std::panic::resume_unwind(payload);
-        }
-        assert!(!worker_panicked, "a fleet pool worker chunk panicked");
+            PoolProfile {
+                thread_prefix: "capes-fleet",
+                dispatch_span: &DISPATCH,
+                worker_busy: (0..threads - 1)
+                    .map(|i| registry.histogram(&format!("fleet.worker.{i}.busy")))
+                    .collect(),
+            },
+        ))
     }
 }
 
-impl std::fmt::Debug for FleetPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FleetPool")
-            .field("threads", &self.threads)
-            .finish()
+/// `threads`, `run` and `run_with` are the shared pool's.
+impl std::ops::Deref for FleetPool {
+    type Target = WorkerPool;
+
+    fn deref(&self) -> &WorkerPool {
+        &self.0
     }
 }
 
 /// Fleet parallelism configured for this process: `CAPES_FLEET_THREADS` when
 /// set to a positive integer, otherwise **1** — the fleet stays on the
-/// battle-tested sequential path unless parallelism is asked for (by this
-/// variable, `FleetBuilder::workers` or the `FleetPlan::workers` knob).
+/// sequential path unless parallelism is asked for (by this variable,
+/// `FleetBuilder::workers` or the `FleetPlan::workers` knob).
 pub fn configured_fleet_threads() -> usize {
     std::env::var("CAPES_FLEET_THREADS")
         .ok()
@@ -272,100 +79,6 @@ pub fn configured_fleet_threads() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-
-    #[test]
-    fn covers_every_row_exactly_once() {
-        let pool = FleetPool::new(4);
-        let rows = 103;
-        let hits: Vec<AtomicUsize> = (0..rows).map(|_| AtomicUsize::new(0)).collect();
-        pool.run(rows, 1, |start, end| {
-            for h in &hits[start..end] {
-                h.fetch_add(1, Ordering::SeqCst);
-            }
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::SeqCst) == 1));
-    }
-
-    #[test]
-    fn run_with_covers_rows_and_runs_main() {
-        for threads in [1, 2, 4, 8] {
-            let pool = FleetPool::new(threads);
-            let rows = 13;
-            let hits: Vec<AtomicUsize> = (0..rows).map(|_| AtomicUsize::new(0)).collect();
-            let main_ran = AtomicBool::new(false);
-            pool.run_with(
-                rows,
-                1,
-                |start, end| {
-                    for h in &hits[start..end] {
-                        h.fetch_add(1, Ordering::SeqCst);
-                    }
-                },
-                || main_ran.store(true, Ordering::SeqCst),
-            );
-            assert!(hits.iter().all(|h| h.load(Ordering::SeqCst) == 1));
-            assert!(main_ran.load(Ordering::SeqCst));
-        }
-    }
-
-    #[test]
-    fn run_with_zero_rows_still_runs_main() {
-        let pool = FleetPool::new(2);
-        let main_ran = AtomicBool::new(false);
-        pool.run_with(
-            0,
-            1,
-            |_, _| panic!("must not be called"),
-            || main_ran.store(true, Ordering::SeqCst),
-        );
-        assert!(main_ran.load(Ordering::SeqCst));
-    }
-
-    #[test]
-    fn single_thread_pool_runs_inline_in_order() {
-        let pool = FleetPool::new(1);
-        assert_eq!(pool.threads(), 1);
-        // Sequential semantics: chunks first, then main, on this thread.
-        let order = Mutex::new(Vec::new());
-        pool.run_with(
-            3,
-            1,
-            |start, end| order.lock().unwrap().push((start, end)),
-            || order.lock().unwrap().push((99, 99)),
-        );
-        assert_eq!(*order.lock().unwrap(), vec![(0, 3), (99, 99)]);
-    }
-
-    #[test]
-    fn panicking_chunk_propagates_and_leaves_the_pool_usable() {
-        let pool = FleetPool::new(3);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.run(30, 1, |start, _end| {
-                if start == 0 {
-                    panic!("chunk failure");
-                }
-            });
-        }));
-        assert!(result.is_err(), "the chunk panic must propagate");
-        let total = AtomicUsize::new(0);
-        pool.run(30, 1, |start, end| {
-            total.fetch_add(end - start, Ordering::SeqCst);
-        });
-        assert_eq!(total.load(Ordering::SeqCst), 30);
-    }
-
-    #[test]
-    fn pool_is_reusable_across_dispatches() {
-        let pool = FleetPool::new(3);
-        for round in 1..=20usize {
-            let total = AtomicUsize::new(0);
-            pool.run(round * 7, 1, |start, end| {
-                total.fetch_add(end - start, Ordering::SeqCst);
-            });
-            assert_eq!(total.load(Ordering::SeqCst), round * 7);
-        }
-    }
 
     #[test]
     fn configured_fleet_threads_defaults_to_one() {

@@ -39,23 +39,6 @@ impl Activation {
         }
     }
 
-    /// Derivative of the activation, expressed as a function of the
-    /// pre-activation `z` (not the output), applied element-wise.
-    pub fn derivative(&self, z: &Matrix) -> Matrix {
-        match self {
-            Activation::Tanh => z.map(|x| {
-                let t = tanh_value(x);
-                1.0 - t * t
-            }),
-            Activation::Relu => z.map(|x| if x > 0.0 { 1.0 } else { 0.0 }),
-            Activation::Sigmoid => z.map(|x| {
-                let s = sigmoid(x);
-                s * (1.0 - s)
-            }),
-            Activation::Identity => Matrix::ones(z.rows(), z.cols()),
-        }
-    }
-
     /// Applies the activation element-wise, writing into a caller-owned
     /// output matrix (allocation-free).
     ///
@@ -175,34 +158,48 @@ mod tests {
         assert!(sig.as_slice().iter().all(|&v| v > 0.0 && v < 1.0));
     }
 
+    /// `upstream · σ'(x)` through the in-place backward kernel.
+    fn analytic_derivative(a: Activation, x: f64, upstream: f64) -> f64 {
+        let output = a.forward(&Matrix::row_vector(&[x]));
+        let mut d = Matrix::row_vector(&[upstream]);
+        a.apply_derivative_from_output(&output, &mut d);
+        d[(0, 0)]
+    }
+
     #[test]
     fn derivatives_match_finite_differences() {
         let points = [-2.0, -0.5, 0.3, 1.7];
         for a in [Activation::Tanh, Activation::Sigmoid, Activation::Identity] {
             for &x in &points {
-                let z = Matrix::row_vector(&[x]);
-                let analytic = a.derivative(&z)[(0, 0)];
-                let numeric = numeric_derivative(a, x);
-                assert!(
-                    (analytic - numeric).abs() < 1e-5,
-                    "{a:?} at {x}: {analytic} vs {numeric}"
-                );
+                for upstream in [1.0, -0.8] {
+                    let analytic = analytic_derivative(a, x, upstream);
+                    let numeric = upstream * numeric_derivative(a, x);
+                    assert!(
+                        (analytic - numeric).abs() < 1e-5,
+                        "{a:?} at {x}: {analytic} vs {numeric}"
+                    );
+                }
             }
         }
         // ReLU away from the kink.
         for &x in &[-1.0, 1.0] {
-            let z = Matrix::row_vector(&[x]);
-            let analytic = Activation::Relu.derivative(&z)[(0, 0)];
-            assert!((analytic - numeric_derivative(Activation::Relu, x)).abs() < 1e-5);
+            let analytic = analytic_derivative(Activation::Relu, x, 2.0);
+            let numeric = 2.0 * numeric_derivative(Activation::Relu, x);
+            assert!((analytic - numeric).abs() < 1e-5);
         }
     }
 
     #[test]
     fn tanh_derivative_bounded_by_one() {
-        let z = Matrix::row_vector(&[-5.0, -1.0, 0.0, 1.0, 5.0]);
-        let d = Activation::Tanh.derivative(&z);
-        assert!(d.as_slice().iter().all(|&v| (0.0..=1.0).contains(&v)));
-        assert_eq!(d[(0, 2)], 1.0, "derivative at 0 is exactly 1");
+        for x in [-5.0, -1.0, 0.0, 1.0, 5.0] {
+            let d = analytic_derivative(Activation::Tanh, x, 1.0);
+            assert!((0.0..=1.0).contains(&d));
+        }
+        assert_eq!(
+            analytic_derivative(Activation::Tanh, 0.0, 1.0),
+            1.0,
+            "derivative at 0 is exactly 1"
+        );
     }
 
     #[test]
@@ -217,24 +214,6 @@ mod tests {
             let mut out = Matrix::filled(1, 5, f64::NAN);
             a.forward_into(&z, &mut out);
             assert!(out.approx_eq(&a.forward(&z), 1e-12), "{a:?}");
-        }
-    }
-
-    #[test]
-    fn derivative_from_output_matches_derivative_from_preactivation() {
-        let z = Matrix::row_vector(&[-2.0, -0.5, 0.0, 0.7, 3.0]);
-        for a in [
-            Activation::Tanh,
-            Activation::Relu,
-            Activation::Sigmoid,
-            Activation::Identity,
-        ] {
-            let output = a.forward(&z);
-            let upstream = Matrix::row_vector(&[0.3, -1.2, 2.0, 0.5, -0.8]);
-            let mut d = upstream.clone();
-            a.apply_derivative_from_output(&output, &mut d);
-            let expected = upstream.hadamard(&a.derivative(&z));
-            assert!(d.approx_eq(&expected, 1e-12), "{a:?}");
         }
     }
 

@@ -31,8 +31,7 @@ impl GradCheckReport {
 ///
 /// The analytic gradients are produced by the workspace-based
 /// [`Mlp::backward_into`] path — the one the training hot loop actually
-/// runs — so this check validates the allocation-free kernels, not just the
-/// legacy allocating ones.
+/// runs — against losses evaluated through [`Mlp::forward_inference`].
 ///
 /// `max_params_per_matrix` bounds how many entries of each parameter matrix
 /// are probed (probing all 600×600 entries of a CAPES-sized layer would be

@@ -16,9 +16,10 @@ pub struct LayerGrads {
 
 /// A fully-connected layer computing `activation(x · W + b)`.
 ///
-/// The layer caches its inputs and pre-activations during [`Dense::forward`]
-/// so that [`Dense::backward`] can compute gradients; inference-only callers
-/// should use [`Dense::forward_inference`], which skips the caching.
+/// The layer holds parameters only: training runs [`Dense::forward_into`] /
+/// [`Dense::backward_into`] against caller-owned intermediates (see
+/// [`crate::Workspace`]), and action selection uses
+/// [`Dense::forward_inference`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Dense {
     /// Weight matrix of shape `(input_dim, output_dim)`.
@@ -27,10 +28,6 @@ pub struct Dense {
     pub bias: Matrix,
     /// Activation applied to the affine output.
     pub activation: Activation,
-    #[serde(skip)]
-    cached_input: Option<Matrix>,
-    #[serde(skip)]
-    cached_preact: Option<Matrix>,
 }
 
 impl Dense {
@@ -50,8 +47,6 @@ impl Dense {
             weights: Matrix::random_init(input_dim, output_dim, scheme, rng),
             bias: Matrix::zeros(1, output_dim),
             activation,
-            cached_input: None,
-            cached_preact: None,
         }
     }
 
@@ -68,8 +63,6 @@ impl Dense {
             weights,
             bias,
             activation,
-            cached_input: None,
-            cached_preact: None,
         }
     }
 
@@ -88,19 +81,7 @@ impl Dense {
         self.weights.len() + self.bias.len()
     }
 
-    /// Forward pass that caches intermediates for a later [`Dense::backward`].
-    ///
-    /// `x` has shape `(batch, input_dim)`; the result has shape
-    /// `(batch, output_dim)`.
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let z = self.affine(x);
-        let out = self.activation.forward(&z);
-        self.cached_input = Some(x.clone());
-        self.cached_preact = Some(z);
-        out
-    }
-
-    /// Forward pass without caching (used at action-selection time, where no
+    /// Allocating forward pass (used at action-selection time, where no
     /// gradient is needed).
     pub fn forward_inference(&self, x: &Matrix) -> Matrix {
         let z = self.affine(x);
@@ -108,9 +89,7 @@ impl Dense {
     }
 
     /// Allocation-free forward pass writing the pre-activation into `preact`
-    /// and the activated output into `out` (both `batch × output_dim`). The
-    /// layer itself stays immutable: callers own the intermediates (see
-    /// [`crate::Workspace`]) instead of this layer caching clones of them.
+    /// and the activated output into `out` (both `batch × output_dim`).
     pub fn forward_into(&self, x: &Matrix, preact: &mut Matrix, out: &mut Matrix) {
         assert_eq!(
             x.cols(),
@@ -155,35 +134,6 @@ impl Dense {
         }
     }
 
-    /// Backward pass. `d_out` is the gradient of the loss with respect to the
-    /// layer output; returns the gradient with respect to the layer input and
-    /// the parameter gradients.
-    ///
-    /// # Panics
-    /// Panics if called before [`Dense::forward`].
-    pub fn backward(&mut self, d_out: &Matrix) -> (Matrix, LayerGrads) {
-        let x = self
-            .cached_input
-            .take()
-            .expect("backward called without a preceding forward");
-        let z = self
-            .cached_preact
-            .take()
-            .expect("backward called without a preceding forward");
-        assert_eq!(
-            d_out.shape(),
-            (x.rows(), self.output_dim()),
-            "gradient shape mismatch"
-        );
-        // dL/dz = dL/dout ⊙ activation'(z)
-        let dz = d_out.hadamard(&self.activation.derivative(&z));
-        // dL/dW = xᵀ · dz ; dL/db = Σ_batch dz ; dL/dx = dz · Wᵀ
-        let d_weights = x.matmul_transpose_a(&dz);
-        let d_bias = dz.sum_rows();
-        let d_input = dz.matmul_transpose_b(&self.weights);
-        (d_input, LayerGrads { d_weights, d_bias })
-    }
-
     /// Applies pre-computed parameter deltas: `W += scale * dW`, `b += scale * db`.
     pub fn apply_update(&mut self, grads: &LayerGrads, scale: f64) {
         self.weights.axpy(scale, &grads.d_weights);
@@ -203,8 +153,7 @@ impl Dense {
 }
 
 impl capes_persist::Persist for Dense {
-    // weights + bias (matrices) + activation tag. Forward caches are
-    // transient and deliberately not persisted, mirroring `#[serde(skip)]`.
+    // weights + bias (matrices) + activation tag.
     const MIN_SIZE: usize = 49;
 
     fn encode(&self, w: &mut capes_persist::Writer) {
@@ -243,12 +192,29 @@ mod tests {
         Dense::new(input, output, act, &mut rng)
     }
 
+    /// One `forward_into` + `backward_into` round on fresh buffers:
+    /// `(output, d_input, grads)`.
+    fn forward_backward(l: &Dense, x: &Matrix, d_out: &Matrix) -> (Matrix, Matrix, LayerGrads) {
+        let mut preact = Matrix::zeros(x.rows(), l.output_dim());
+        let mut out = Matrix::zeros(x.rows(), l.output_dim());
+        l.forward_into(x, &mut preact, &mut out);
+        let mut dz = d_out.clone();
+        let mut dx = Matrix::zeros(x.rows(), l.input_dim());
+        let mut grads = LayerGrads {
+            d_weights: Matrix::zeros(l.input_dim(), l.output_dim()),
+            d_bias: Matrix::zeros(1, l.output_dim()),
+        };
+        l.backward_into(x, &out, &mut dz, Some(&mut dx), &mut grads);
+        (out, dx, grads)
+    }
+
     #[test]
     fn forward_shapes() {
-        let mut l = layer(4, 3, Activation::Tanh);
+        let l = layer(4, 3, Activation::Tanh);
         let x = Matrix::ones(5, 4);
-        let y = l.forward(&x);
+        let (y, dx, _) = forward_backward(&l, &x, &Matrix::ones(5, 3));
         assert_eq!(y.shape(), (5, 3));
+        assert_eq!(dx.shape(), (5, 4));
         assert_eq!(l.input_dim(), 4);
         assert_eq!(l.output_dim(), 3);
         assert_eq!(l.parameter_count(), 4 * 3 + 3);
@@ -258,17 +224,17 @@ mod tests {
     fn identity_layer_is_affine() {
         let w = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 2.0]]);
         let b = Matrix::row_vector(&[1.0, -1.0]);
-        let mut l = Dense::from_parameters(w, b, Activation::Identity);
+        let l = Dense::from_parameters(w, b, Activation::Identity);
         let x = Matrix::from_rows(&[&[3.0, 4.0]]);
-        let y = l.forward(&x);
+        let (y, _, _) = forward_backward(&l, &x, &Matrix::ones(1, 2));
         assert!(y.approx_eq(&Matrix::row_vector(&[4.0, 7.0]), 1e-12));
     }
 
     #[test]
-    fn inference_matches_forward() {
-        let mut l = layer(6, 2, Activation::Sigmoid);
+    fn inference_matches_forward_into() {
+        let l = layer(6, 2, Activation::Sigmoid);
         let x = Matrix::filled(3, 6, 0.25);
-        let a = l.forward(&x);
+        let (a, _, _) = forward_backward(&l, &x, &Matrix::ones(3, 2));
         let b = l.forward_inference(&x);
         assert!(a.approx_eq(&b, 1e-12));
     }
@@ -280,8 +246,7 @@ mod tests {
         let x = Matrix::from_rows(&[&[0.5, -0.3, 0.8], &[0.1, 0.9, -0.7]]);
         // Loss = sum of outputs, so d_out = ones.
         let loss = |l: &Dense, x: &Matrix| l.forward_inference(x).sum();
-        let _ = l.forward(&x);
-        let (_dx, grads) = l.backward(&Matrix::ones(2, 2));
+        let (_, _dx, grads) = forward_backward(&l, &x, &Matrix::ones(2, 2));
 
         let h = 1e-6;
         for r in 0..3 {
@@ -316,10 +281,9 @@ mod tests {
     #[test]
     fn input_gradient_matches_finite_difference() {
         let mut rng = StdRng::seed_from_u64(8);
-        let mut l = Dense::new(3, 4, Activation::Sigmoid, &mut rng);
+        let l = Dense::new(3, 4, Activation::Sigmoid, &mut rng);
         let mut x = Matrix::from_rows(&[&[0.2, -0.1, 0.6]]);
-        let _ = l.forward(&x);
-        let (dx, _) = l.backward(&Matrix::ones(1, 4));
+        let (_, dx, _) = forward_backward(&l, &x, &Matrix::ones(1, 4));
         let h = 1e-6;
         for c in 0..3 {
             let orig = x[(0, c)];
@@ -331,38 +295,6 @@ mod tests {
             let numeric = (plus - minus) / (2.0 * h);
             assert!((dx[(0, c)] - numeric).abs() < 1e-5);
         }
-    }
-
-    #[test]
-    fn into_paths_match_the_allocating_paths() {
-        let mut l = layer(4, 3, Activation::Tanh);
-        let x = Matrix::from_rows(&[&[0.5, -0.3, 0.8, 0.1], &[0.2, 0.9, -0.7, -0.4]]);
-        let mut preact = Matrix::zeros(2, 3);
-        let mut out = Matrix::zeros(2, 3);
-        l.forward_into(&x, &mut preact, &mut out);
-        let legacy = l.forward(&x);
-        assert!(out.approx_eq(&legacy, 1e-12));
-
-        let d_out = Matrix::from_rows(&[&[1.0, -0.5, 0.3], &[0.2, 0.8, -1.1]]);
-        let (legacy_dx, legacy_grads) = l.backward(&d_out);
-
-        let mut dz = d_out.clone();
-        let mut dx = Matrix::zeros(2, 4);
-        let mut grads = LayerGrads {
-            d_weights: Matrix::zeros(4, 3),
-            d_bias: Matrix::zeros(1, 3),
-        };
-        l.backward_into(&x, &out, &mut dz, Some(&mut dx), &mut grads);
-        assert!(dx.approx_eq(&legacy_dx, 1e-9));
-        assert!(grads.d_weights.approx_eq(&legacy_grads.d_weights, 1e-9));
-        assert!(grads.d_bias.approx_eq(&legacy_grads.d_bias, 1e-9));
-    }
-
-    #[test]
-    #[should_panic(expected = "without a preceding forward")]
-    fn backward_without_forward_panics() {
-        let mut l = layer(2, 2, Activation::Tanh);
-        let _ = l.backward(&Matrix::ones(1, 2));
     }
 
     #[test]
@@ -382,9 +314,8 @@ mod tests {
     }
 
     #[test]
-    fn serde_skips_caches() {
-        let mut l = layer(3, 3, Activation::Tanh);
-        let _ = l.forward(&Matrix::ones(1, 3));
+    fn serde_round_trip_preserves_parameters() {
+        let l = layer(3, 3, Activation::Tanh);
         let json = serde_json::to_string(&l).unwrap();
         let back: Dense = serde_json::from_str(&json).unwrap();
         assert!(back.weights.approx_eq(&l.weights, 1e-12));

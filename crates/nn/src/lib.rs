@@ -20,7 +20,7 @@
 //! ## Example
 //!
 //! ```
-//! use capes_nn::{Activation, Adam, Loss, Mlp, MseLoss, Optimizer};
+//! use capes_nn::{Activation, Adam, Loss, Mlp, MseLoss, Optimizer, Workspace};
 //! use capes_tensor::Matrix;
 //! use rand::rngs::StdRng;
 //! use rand::SeedableRng;
@@ -29,18 +29,18 @@
 //! // 4 inputs -> 8 tanh -> 8 tanh -> 3 linear outputs (e.g. 3 actions).
 //! let mut net = Mlp::new(&[4, 8, 8, 3], Activation::Tanh, &mut rng);
 //! let mut adam = Adam::new(1e-2, net.parameter_shapes());
+//! let mut ws = Workspace::new(&net, 1);
 //!
 //! let x = Matrix::from_rows(&[&[0.1, -0.2, 0.3, 0.5]]);
 //! let target = Matrix::from_rows(&[&[1.0, 0.0, -1.0]]);
-//! let mut last = f64::MAX;
 //! for _ in 0..200 {
-//!     let pred = net.forward(&x);
-//!     let (loss, dloss) = MseLoss.loss_and_grad(&pred, &target);
-//!     let grads = net.backward(&dloss);
-//!     adam.step(&mut net, &grads);
-//!     last = loss;
+//!     net.forward_into(&x, &mut ws);
+//!     let (pred, delta) = ws.output_and_delta_mut();
+//!     delta.copy_from(&MseLoss.grad(pred, &target));
+//!     net.backward_into(&x, &mut ws);
+//!     adam.step(&mut net, ws.grads());
 //! }
-//! assert!(last < 1e-2);
+//! assert!(MseLoss.loss(&net.forward_inference(&x), &target) < 1e-2);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -117,17 +117,8 @@ impl Mlp {
         shapes
     }
 
-    /// Forward pass caching intermediates for a later [`Mlp::backward`].
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let mut h = x.clone();
-        for layer in &mut self.layers {
-            h = layer.forward(&h);
-        }
-        h
-    }
-
-    /// Forward pass without caching — used for action selection and for the
-    /// target network, where no gradients are required.
+    /// Allocating forward pass on `&self` — used for one-off action selection
+    /// and as the numeric side of [`crate::gradcheck`].
     pub fn forward_inference(&self, x: &Matrix) -> Matrix {
         let mut h = x.clone();
         for layer in &self.layers {
@@ -137,9 +128,9 @@ impl Mlp {
     }
 
     /// Allocation-free forward pass through a [`Workspace`], which is resized
-    /// on the fly if the batch shape changed. Works on `&self` (nothing is
-    /// cached in the layers), so it serves both training and target-network
-    /// inference. Returns the network output, which lives in the workspace.
+    /// on the fly if the batch shape changed. Works on `&self`, so it serves
+    /// both training and target-network inference. Returns the network
+    /// output, which lives in the workspace.
     pub fn forward_into<'w>(&self, x: &Matrix, ws: &'w mut Workspace) -> &'w Matrix {
         ws.ensure(self, x.rows());
         for (i, layer) in self.layers.iter().enumerate() {
@@ -182,22 +173,6 @@ impl Mlp {
             };
             layer.backward_into(input, output, d_out, d_input, &mut ws.grads[i]);
         }
-    }
-
-    /// Backward pass. `d_output` is the gradient of the loss with respect to
-    /// the network output; returns per-layer gradients ordered input → output.
-    ///
-    /// # Panics
-    /// Panics if [`Mlp::forward`] was not called first.
-    pub fn backward(&mut self, d_output: &Matrix) -> MlpGrads {
-        let mut grads = vec![None; self.layers.len()];
-        let mut d = d_output.clone();
-        for (i, layer) in self.layers.iter_mut().enumerate().rev() {
-            let (d_input, g) = layer.backward(&d);
-            grads[i] = Some(g);
-            d = d_input;
-        }
-        grads.into_iter().map(Option::unwrap).collect()
     }
 
     /// Euclidean distance between this network's parameters and `other`'s
@@ -285,10 +260,11 @@ mod tests {
     }
 
     #[test]
-    fn forward_inference_matches_forward() {
-        let mut n = net();
+    fn forward_into_matches_forward_inference() {
+        let n = net();
         let x = Matrix::from_rows(&[&[0.1, 0.2, -0.3, 0.4, 0.0], &[1.0, -1.0, 0.5, 0.2, 0.9]]);
-        let a = n.forward(&x);
+        let mut ws = Workspace::new(&n, 2);
+        let a = n.forward_into(&x, &mut ws);
         let b = n.forward_inference(&x);
         assert!(a.approx_eq(&b, 1e-12));
         assert_eq!(a.shape(), (2, 3));
@@ -296,47 +272,20 @@ mod tests {
 
     #[test]
     fn backward_produces_gradients_for_every_layer() {
-        let mut n = net();
+        let n = net();
         let x = Matrix::ones(4, 5);
-        let y = n.forward(&x);
-        let grads = n.backward(&Matrix::ones(y.rows(), y.cols()));
-        assert_eq!(grads.len(), 3);
-        for (g, l) in grads.iter().zip(n.layers()) {
+        let mut ws = Workspace::new(&n, 4);
+        n.forward_into(&x, &mut ws);
+        ws.output_delta_mut().copy_from(&Matrix::ones(4, 3));
+        n.backward_into(&x, &mut ws);
+        assert_eq!(ws.grads().len(), 3);
+        for (g, l) in ws.grads().iter().zip(n.layers()) {
             assert_eq!(g.d_weights.shape(), l.weights.shape());
             assert_eq!(g.d_bias.shape(), l.bias.shape());
-        }
-    }
-
-    #[test]
-    fn workspace_forward_matches_legacy_forward() {
-        let mut n = net();
-        let x = Matrix::from_rows(&[&[0.1, 0.2, -0.3, 0.4, 0.0], &[1.0, -1.0, 0.5, 0.2, 0.9]]);
-        let legacy = n.forward(&x);
-        let mut ws = Workspace::new(&n, 2);
-        let out = n.forward_into(&x, &mut ws).clone();
-        assert!(out.approx_eq(&legacy, 1e-12));
-    }
-
-    #[test]
-    fn workspace_backward_matches_legacy_backward() {
-        let mut n = net();
-        let x = Matrix::from_rows(&[
-            &[0.1, 0.2, -0.3, 0.4, 0.0],
-            &[1.0, -1.0, 0.5, 0.2, 0.9],
-            &[-0.2, 0.7, 0.3, -0.8, 0.5],
-        ]);
-        let d_out = Matrix::from_rows(&[&[1.0, -0.5, 0.3], &[0.2, 0.8, -1.1], &[0.0, 0.4, 0.9]]);
-
-        let _ = n.forward(&x);
-        let legacy = n.backward(&d_out);
-
-        let mut ws = Workspace::new(&n, 3);
-        n.forward_into(&x, &mut ws);
-        ws.output_delta_mut().copy_from(&d_out);
-        n.backward_into(&x, &mut ws);
-        for (g, lg) in ws.grads().iter().zip(&legacy) {
-            assert!(g.d_weights.approx_eq(&lg.d_weights, 1e-9));
-            assert!(g.d_bias.approx_eq(&lg.d_bias, 1e-9));
+            assert!(
+                g.d_weights.frobenius_norm() > 0.0,
+                "gradient reached the layer"
+            );
         }
     }
 

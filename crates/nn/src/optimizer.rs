@@ -341,9 +341,25 @@ impl Optimizer for Adam {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Activation, Loss, MseLoss};
+    use crate::{Activation, Loss, MseLoss, Workspace};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// MSE loss of `net(x)` against `t` and its parameter gradients.
+    fn mse_grads(net: &Mlp, x: &Matrix, t: &Matrix) -> (f64, MlpGrads) {
+        let mut ws = Workspace::new(net, x.rows());
+        net.forward_into(x, &mut ws);
+        let (pred, delta) = ws.output_and_delta_mut();
+        let (loss, dloss) = MseLoss.loss_and_grad(pred, t);
+        delta.copy_from(&dloss);
+        net.backward_into(x, &mut ws);
+        (loss, ws.grads().clone())
+    }
+
+    /// All-zero gradients shaped like `net`'s parameters.
+    fn zero_grads(net: &Mlp) -> MlpGrads {
+        Workspace::new(net, 1).grads().clone()
+    }
 
     /// Trains a tiny regression problem and returns the final loss.
     fn train<O: Optimizer>(mut opt: O, net: &mut Mlp, iterations: usize) -> f64 {
@@ -352,9 +368,7 @@ mod tests {
         let t = Matrix::from_rows(&[&[0.0], &[1.0], &[1.0], &[0.0]]);
         let mut last = f64::MAX;
         for _ in 0..iterations {
-            let pred = net.forward(&x);
-            let (loss, dloss) = MseLoss.loss_and_grad(&pred, &t);
-            let grads = net.backward(&dloss);
+            let (loss, grads) = mse_grads(net, &x, &t);
             opt.step(net, &grads);
             last = loss;
         }
@@ -394,9 +408,7 @@ mod tests {
             let mut sgd = Sgd::new(0.01, 0.0, shapes);
             let mut last = 0.0;
             for _ in 0..300 {
-                let pred = net.forward(&x);
-                let (loss, dloss) = MseLoss.loss_and_grad(&pred, &t);
-                let grads = net.backward(&dloss);
+                let (loss, grads) = mse_grads(&net, &x, &t);
                 if use_adam {
                     adam.step(&mut net, &grads);
                 } else {
@@ -423,9 +435,7 @@ mod tests {
         let x = Matrix::ones(1, 2);
         let t = Matrix::ones(1, 1);
         for i in 1..=5 {
-            let pred = net.forward(&x);
-            let (_, d) = MseLoss.loss_and_grad(&pred, &t);
-            let grads = net.backward(&d);
+            let (_, grads) = mse_grads(&net, &x, &t);
             adam.step(&mut net, &grads);
             assert_eq!(adam.steps(), i);
         }
@@ -472,9 +482,7 @@ mod tests {
             (&mut clipped_net, &mut clipped),
         ] {
             let (net, opt) = net_and_opt;
-            let pred = net.forward(&x);
-            let (_, d) = MseLoss.loss_and_grad(&pred, &t);
-            let grads = net.backward(&d);
+            let (_, grads) = mse_grads(net, &x, &t);
             opt.step(net, &grads);
         }
         // Both updated, but they should now differ because one was clipped.
@@ -496,9 +504,7 @@ mod tests {
 
         let x = Matrix::filled(2, 3, 0.7);
         let t = Matrix::zeros(2, 2);
-        let pred = net.forward(&x);
-        let (_, d) = MseLoss.loss_and_grad(&pred, &t);
-        let grads = net.backward(&d);
+        let (_, grads) = mse_grads(&net, &x, &t);
         adam.step(&mut net, &grads);
 
         let (bias1, bias2) = (1.0 - b1, 1.0 - b2); // t = 1
@@ -544,12 +550,7 @@ mod tests {
         use capes_persist::{Persist, Reader, Writer};
         let mut rng = StdRng::seed_from_u64(9);
         let net = Mlp::new(&[3, 4, 2], Activation::Tanh, &mut rng);
-        let grads = {
-            let mut n = net.clone();
-            let pred = n.forward(&Matrix::filled(2, 3, 0.7));
-            let (_, d) = MseLoss.loss_and_grad(&pred, &Matrix::zeros(2, 2));
-            n.backward(&d)
-        };
+        let (_, grads) = mse_grads(&net, &Matrix::filled(2, 3, 0.7), &Matrix::zeros(2, 2));
         let step_from = |t: u64| {
             let mut adam = Adam::new(0.01, net.parameter_shapes());
             adam.t = t;
@@ -585,11 +586,7 @@ mod tests {
         let mut online = Mlp::new(&[4, 6, 2], Activation::Tanh, &mut rng);
         let mut target = Mlp::new(&[4, 6, 2], Activation::Tanh, &mut rng);
         let frozen = online.clone();
-        let zero_grads = {
-            let mut n = online.clone();
-            n.forward(&Matrix::ones(1, 4));
-            n.backward(&Matrix::zeros(1, 2))
-        };
+        let zero_grads = zero_grads(&online);
         let mut adam = Adam::new(0.01, online.parameter_shapes());
         let mut prev = target.parameter_distance(&online);
         assert!(prev > 0.0);
@@ -619,8 +616,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let mut online = Mlp::new(&[4, 6, 2], Activation::Tanh, &mut rng);
         let mut target = Mlp::new(&[4, 2], Activation::Tanh, &mut rng);
-        online.forward(&Matrix::ones(1, 4));
-        let grads = online.backward(&Matrix::zeros(1, 2));
+        let grads = zero_grads(&online);
         let mut adam = Adam::new(0.01, online.parameter_shapes());
         adam.step_with_target(&mut online, &grads, &mut target, 0.5);
     }
@@ -642,9 +638,7 @@ mod tests {
         let mut sgd = Sgd::new(0.1, 0.0, net.parameter_shapes());
         let x = Matrix::filled(1, 1, 1.0);
         let t = Matrix::filled(1, 1, 1.0);
-        let pred = net.forward(&x);
-        let (_, d) = MseLoss.loss_and_grad(&pred, &t);
-        let grads = net.backward(&d);
+        let (_, grads) = mse_grads(&net, &x, &t);
         sgd.step(&mut net, &grads);
         // grad of (w - 1)^2 at w=0 is -2, bias grad is -2; step 0.1 → w = 0.2, b = 0.2.
         assert!((net.layers()[0].weights[(0, 0)] - 0.2).abs() < 1e-12);

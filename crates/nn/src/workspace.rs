@@ -1,12 +1,10 @@
 //! Reusable per-batch buffers for allocation-free training.
 //!
-//! The legacy [`crate::Mlp::forward`] / [`crate::Mlp::backward`] pair clones
-//! the input into every layer's cache and allocates a fresh matrix for every
-//! intermediate — a dozen heap round-trips per training step. A [`Workspace`]
-//! owns all of those intermediates (per-layer pre-activations, activations,
-//! output-gradient buffers and parameter gradients), sized once for a given
-//! network architecture and batch shape; [`crate::Mlp::forward_into`] and
-//! [`crate::Mlp::backward_into`] then run entirely inside it.
+//! A [`Workspace`] owns every intermediate of a training step (per-layer
+//! pre-activations, activations, output-gradient buffers and parameter
+//! gradients), sized once for a given network architecture and batch shape;
+//! [`crate::Mlp::forward_into`] and [`crate::Mlp::backward_into`] then run
+//! entirely inside it.
 
 use crate::{LayerGrads, Mlp, MlpGrads};
 use capes_tensor::Matrix;

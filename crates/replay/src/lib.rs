@@ -37,6 +37,6 @@ pub mod shared;
 
 pub use arena::{ReplayArena, StripeStats};
 pub use db::{ReplayConfig, ReplayDb};
-pub use minibatch::{Minibatch, MinibatchError, ReplayBatch};
-pub use record::{NodeId, Observation, Tick, Transition};
+pub use minibatch::{MinibatchError, ReplayBatch};
+pub use record::{NodeId, Observation, Tick};
 pub use shared::SharedReplayDb;

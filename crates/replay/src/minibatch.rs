@@ -1,4 +1,4 @@
-//! Minibatch construction — Algorithm 1 of the paper.
+//! Algorithm 1 of the paper: minibatch construction.
 //!
 //! A training step needs `w_t = (s_t, s_{t+1}, a_t, r_t)`. Algorithm 1 draws
 //! timestamps uniformly at random, keeps those for which the Replay DB has
@@ -6,29 +6,19 @@
 //! collected.
 
 use crate::db::ReplayDb;
-use crate::record::{Tick, Transition};
+use crate::record::Tick;
 use capes_tensor::Matrix;
 use rand::Rng;
 use std::fmt;
 
-/// A batch of transitions ready for one stochastic-gradient-descent update.
-#[derive(Debug, Clone)]
-pub struct Minibatch {
-    /// The sampled transitions (`minibatch size` of them, paper default 32).
-    pub transitions: Vec<Transition>,
-    /// How many candidate timestamps were drawn to fill the batch — a measure
-    /// of how sparse the usable data still is.
-    pub timestamps_drawn: usize,
-}
-
 /// Caller-owned, reusable batch buffers filled by
-/// [`ReplayDb::construct_minibatch_into`].
+/// [`ReplayDb::construct_minibatch_into`]: a batch of transitions
+/// (`minibatch size` of them, paper default 32) ready for one
+/// stochastic-gradient-descent update.
 ///
-/// Instead of materialising one [`Transition`] (four heap allocations) per
-/// sampled timestamp and then copying the rows *again* into training
-/// matrices, the sampler encodes states and next-states straight from the
-/// ring buffer into these matrices. A trainer allocates one `ReplayBatch` at
-/// start-up and refills it every tick with zero allocator traffic.
+/// The sampler encodes states and next-states straight from the ring buffer
+/// into these matrices. A trainer allocates one `ReplayBatch` at start-up and
+/// refills it every tick with zero allocator traffic.
 #[derive(Debug, Clone)]
 pub struct ReplayBatch {
     pub(crate) states: Matrix,
@@ -119,8 +109,8 @@ impl ReplayBatch {
         &self.ticks
     }
 
-    /// Candidate timestamps drawn by the last successful fill — the same
-    /// sparsity measure as [`Minibatch::timestamps_drawn`].
+    /// Candidate timestamps drawn by the last successful fill — a measure
+    /// of how sparse the usable data still is.
     pub fn timestamps_drawn(&self) -> usize {
         self.timestamps_drawn
     }
@@ -163,77 +153,16 @@ impl fmt::Display for MinibatchError {
 impl std::error::Error for MinibatchError {}
 
 impl ReplayDb {
-    /// Constructs a minibatch of `n` transitions per Algorithm 1.
+    /// Allocation-free Algorithm 1: fills every row of `batch` with a sampled
+    /// transition, encoding states and next-states straight from the ring
+    /// buffer into the batch matrices.
     ///
     /// Timestamps are drawn uniformly from the sampleable range; a timestamp
     /// is kept only if the DB "contains enough data" at it (complete-enough
     /// observations at `t` and `t+1`, a recorded action at `t`, and an
     /// objective value at `t+1` for the reward). The loop keeps drawing until
-    /// the batch is full or an iteration budget proportional to `n` is
+    /// the batch is full or an iteration budget proportional to its size is
     /// exhausted.
-    pub fn construct_minibatch<R: Rng + ?Sized>(
-        &self,
-        n: usize,
-        rng: &mut R,
-    ) -> Result<Minibatch, MinibatchError> {
-        assert!(n > 0, "minibatch size must be positive");
-        let (lo, hi) = self
-            .sampleable_range()
-            .ok_or(MinibatchError::NotEnoughData)?;
-        if hi <= lo {
-            return Err(MinibatchError::NotEnoughData);
-        }
-
-        let mut transitions = Vec::with_capacity(n);
-        let mut drawn = 0usize;
-        // Generous budget: the paper's loop runs until filled; we bound it so a
-        // DB with zero recorded actions cannot spin forever.
-        let budget = n * 200;
-
-        while transitions.len() < n && drawn < budget {
-            let samples_needed = n - transitions.len();
-            for _ in 0..samples_needed {
-                let t = rng.gen_range(lo..=hi);
-                drawn += 1;
-                if !self.has_transition_data(t) {
-                    continue;
-                }
-                // has_transition_data guarantees all of these succeed.
-                let state = self
-                    .observation_at(t)
-                    .expect("checked by has_transition_data");
-                let next_state = self
-                    .observation_at(t + 1)
-                    .expect("checked by has_transition_data");
-                let action = self.action_at(t).expect("checked by has_transition_data");
-                let reward = self.reward_at(t).expect("checked by has_transition_data");
-                transitions.push(Transition {
-                    state,
-                    next_state,
-                    action,
-                    reward,
-                });
-            }
-        }
-
-        if transitions.len() < n {
-            return Err(MinibatchError::TooSparse {
-                collected: transitions.len(),
-                requested: n,
-            });
-        }
-        Ok(Minibatch {
-            transitions,
-            timestamps_drawn: drawn,
-        })
-    }
-
-    /// Allocation-free Algorithm 1: fills every row of `batch` with a sampled
-    /// transition, encoding states and next-states straight from the ring
-    /// buffer into the batch matrices. Sampling semantics (uniform timestamp
-    /// draws, the "contains enough data" filter, the iteration budget) match
-    /// [`ReplayDb::construct_minibatch`] exactly; given the same RNG state
-    /// the two draw the same transitions.
     ///
     /// On error the batch contents are unspecified and must not be trained
     /// on.
@@ -260,12 +189,11 @@ impl ReplayDb {
 
         let mut filled = 0usize;
         let mut drawn = 0usize;
+        // Generous budget: the paper's loop runs until filled; we bound it so a
+        // DB with zero recorded actions cannot spin forever. It is checked
+        // once per round of `n - filled` draws, so a round may overshoot it.
         let budget = n * 200;
 
-        // Same round structure as `construct_minibatch`: the budget is
-        // checked once per round of `n - filled` draws (so a round may
-        // overshoot it, exactly like the legacy loop), keeping the two
-        // samplers draw-for-draw identical under the same RNG state.
         while filled < n && drawn < budget {
             let samples_needed = n - filled;
             for _ in 0..samples_needed {
@@ -329,39 +257,36 @@ mod tests {
         db
     }
 
+    fn sample(db: &ReplayDb, n: usize, seed: u64) -> ReplayBatch {
+        let mut batch = ReplayBatch::new(n, config().observation_size());
+        db.construct_minibatch_into(&mut batch, &mut StdRng::seed_from_u64(seed))
+            .unwrap();
+        batch
+    }
+
     #[test]
     fn fills_requested_batch() {
         let db = filled_db(300);
-        let mut rng = StdRng::seed_from_u64(1);
-        let batch = db.construct_minibatch(32, &mut rng).unwrap();
-        assert_eq!(batch.transitions.len(), 32);
-        assert!(batch.timestamps_drawn >= 32);
-        for tr in &batch.transitions {
-            assert_eq!(tr.next_state.tick, tr.state.tick + 1);
-            assert_eq!(tr.state.size(), config().observation_size());
+        let batch = sample(&db, 32, 1);
+        assert_eq!(batch.len(), 32);
+        assert!(batch.timestamps_drawn() >= 32);
+        for (i, &tick) in batch.ticks().iter().enumerate() {
+            let state = db.observation_at(tick).unwrap();
+            let next_state = db.observation_at(tick + 1).unwrap();
+            assert_eq!(batch.states().row(i), state.features.as_slice());
+            assert_eq!(batch.next_states().row(i), next_state.features.as_slice());
             // Reward equals the stored objective of the next tick.
-            assert_eq!(tr.reward, db.objective_at(tr.state.tick + 1).unwrap());
-            assert_eq!(tr.action, db.action_at(tr.state.tick).unwrap());
+            assert_eq!(batch.rewards()[i], db.objective_at(tick + 1).unwrap());
+            assert_eq!(batch.actions()[i], db.action_at(tick).unwrap());
         }
     }
 
     #[test]
     fn sampling_is_spread_over_time() {
         let db = filled_db(2000);
-        let mut rng = StdRng::seed_from_u64(2);
-        let batch = db.construct_minibatch(256, &mut rng).unwrap();
-        let min = batch
-            .transitions
-            .iter()
-            .map(|t| t.state.tick)
-            .min()
-            .unwrap();
-        let max = batch
-            .transitions
-            .iter()
-            .map(|t| t.state.tick)
-            .max()
-            .unwrap();
+        let batch = sample(&db, 256, 2);
+        let min = batch.ticks().iter().min().unwrap();
+        let max = batch.ticks().iter().max().unwrap();
         assert!(
             max - min > 1000,
             "uniform sampling should span most of the DB ({min}..{max})"
@@ -369,80 +294,25 @@ mod tests {
     }
 
     #[test]
-    fn empty_db_reports_not_enough_data() {
-        let db = ReplayDb::new(config());
-        let mut rng = StdRng::seed_from_u64(3);
-        assert_eq!(
-            db.construct_minibatch(8, &mut rng).unwrap_err(),
-            MinibatchError::NotEnoughData
-        );
-    }
-
-    #[test]
-    fn db_without_actions_is_too_sparse() {
-        let mut db = ReplayDb::new(config());
-        for t in 0..100u64 {
-            for n in 0..2 {
-                db.insert_snapshot(t, n, vec![1.0, 2.0, 3.0, 4.0]);
-            }
-            db.insert_objective(t, 1.0);
-            // No actions recorded at all.
-        }
-        let mut rng = StdRng::seed_from_u64(4);
-        match db.construct_minibatch(8, &mut rng).unwrap_err() {
-            MinibatchError::TooSparse {
-                collected,
-                requested,
-            } => {
-                assert_eq!(collected, 0);
-                assert_eq!(requested, 8);
-            }
-            other => panic!("unexpected error {other:?}"),
-        }
-    }
-
-    #[test]
     fn partially_sparse_db_still_fills_batch() {
-        let mut db = filled_db(400);
-        // Drop the action from every odd tick; sampling must skip them.
-        for t in (1..400u64).step_by(2) {
-            // Re-create db without those actions by overwriting with a fresh DB
-            // would be awkward; instead verify through has_transition_data.
-            let _ = t;
+        // No action on odd ticks; sampling must skip them.
+        let mut db = ReplayDb::new(config());
+        for t in 0..400u64 {
+            for n in 0..2 {
+                db.insert_snapshot(t, n, vec![t as f64, n as f64, 0.5, -0.5]);
+            }
+            db.insert_objective(t, 200.0);
+            if t % 2 == 0 {
+                db.insert_action(t, (t % 5) as usize);
+            }
         }
-        let mut rng = StdRng::seed_from_u64(5);
-        let batch = db.construct_minibatch(64, &mut rng).unwrap();
-        assert_eq!(batch.transitions.len(), 64);
-        // Check repeated sampling draws differing transitions (experience replay
-        // needs variety, not the same transition 64 times).
-        let distinct: std::collections::HashSet<u64> =
-            batch.transitions.iter().map(|t| t.state.tick).collect();
+        let batch = sample(&db, 64, 5);
+        assert_eq!(batch.len(), 64);
+        assert!(batch.timestamps_drawn() > 64, "rejected draws are counted");
+        assert!(batch.ticks().iter().all(|t| t % 2 == 0));
+        // Experience replay needs variety, not the same transition 64 times.
+        let distinct: std::collections::HashSet<u64> = batch.ticks().iter().copied().collect();
         assert!(distinct.len() > 16);
-        let _ = &mut db;
-    }
-
-    #[test]
-    fn into_path_samples_the_same_transitions_as_the_allocating_path() {
-        let db = filled_db(300);
-        let obs_size = config().observation_size();
-        let legacy = db
-            .construct_minibatch(32, &mut StdRng::seed_from_u64(9))
-            .unwrap();
-        let mut batch = ReplayBatch::new(32, obs_size);
-        db.construct_minibatch_into(&mut batch, &mut StdRng::seed_from_u64(9))
-            .unwrap();
-        assert_eq!(batch.len(), 32);
-        assert_eq!(batch.timestamps_drawn(), legacy.timestamps_drawn);
-        for (i, tr) in legacy.transitions.iter().enumerate() {
-            assert_eq!(batch.ticks()[i], tr.state.tick);
-            assert_eq!(batch.actions()[i], tr.action);
-            assert_eq!(batch.rewards()[i], tr.reward);
-            assert_eq!(batch.states().row(i), tr.state.features.as_slice());
-            assert_eq!(
-                batch.next_states().row(i),
-                tr.next_state.features.as_slice()
-            );
-        }
     }
 
     #[test]

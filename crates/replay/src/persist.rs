@@ -73,6 +73,7 @@ impl ReplayDb {
 mod tests {
     use super::*;
     use crate::db::ReplayConfig;
+    use crate::minibatch::ReplayBatch;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -115,7 +116,10 @@ mod tests {
         assert_eq!(a, b);
         // And support minibatch sampling.
         let mut rng = StdRng::seed_from_u64(1);
-        assert!(loaded.construct_minibatch(8, &mut rng).is_ok());
+        let mut batch = ReplayBatch::new(8, loaded.config().observation_size());
+        assert!(loaded
+            .construct_minibatch_into(&mut batch, &mut rng)
+            .is_ok());
         std::fs::remove_file(&path).ok();
     }
 

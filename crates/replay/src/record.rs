@@ -33,21 +33,6 @@ impl Observation {
     }
 }
 
-/// One state transition used for Q-learning: `w_t = (s_t, s_{t+1}, a_t, r_t)`
-/// (paper §3.5).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Transition {
-    /// Observation at time `t`.
-    pub state: Observation,
-    /// Observation at time `t + 1`.
-    pub next_state: Observation,
-    /// Index of the action performed at time `t`.
-    pub action: usize,
-    /// Immediate reward measured after performing the action (the paper uses
-    /// the objective-function output of the following second).
-    pub reward: f64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -59,24 +44,5 @@ mod tests {
             features: Matrix::zeros(1, 30),
         };
         assert_eq!(o.size(), 30);
-    }
-
-    #[test]
-    fn transition_serde_round_trip() {
-        let t = Transition {
-            state: Observation {
-                tick: 1,
-                features: Matrix::row_vector(&[1.0, 2.0]),
-            },
-            next_state: Observation {
-                tick: 2,
-                features: Matrix::row_vector(&[3.0, 4.0]),
-            },
-            action: 3,
-            reward: 1.5,
-        };
-        let json = serde_json::to_string(&t).unwrap();
-        let back: Transition = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, t);
     }
 }

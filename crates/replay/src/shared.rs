@@ -11,7 +11,7 @@
 
 use crate::arena::ReplayArena;
 use crate::db::{ReplayConfig, ReplayDb};
-use crate::minibatch::{Minibatch, MinibatchError, ReplayBatch};
+use crate::minibatch::{MinibatchError, ReplayBatch};
 use crate::record::{NodeId, Observation, Tick};
 use rand::Rng;
 
@@ -90,16 +90,6 @@ impl SharedReplayDb {
             .with_read(self.stripe, |db| db.observation_at(tick))
     }
 
-    /// Reader-side: samples a minibatch per Algorithm 1.
-    pub fn construct_minibatch<R: Rng + ?Sized>(
-        &self,
-        n: usize,
-        rng: &mut R,
-    ) -> Result<Minibatch, MinibatchError> {
-        self.arena
-            .with_read(self.stripe, |db| db.construct_minibatch(n, rng))
-    }
-
     /// Reader-side: fills a caller-owned [`ReplayBatch`] per Algorithm 1
     /// without allocating (see
     /// [`crate::db::ReplayDb::construct_minibatch_into`]).
@@ -175,7 +165,10 @@ mod tests {
         assert_eq!(shared.latest_tick(), Some(19));
         assert!(shared.observation_at(10).is_some());
         let mut rng = StdRng::seed_from_u64(1);
-        assert!(shared.construct_minibatch(4, &mut rng).is_ok());
+        let mut batch = ReplayBatch::new(4, config().observation_size());
+        assert!(shared
+            .construct_minibatch_into(&mut batch, &mut rng)
+            .is_ok());
     }
 
     #[test]
@@ -198,9 +191,10 @@ mod tests {
                 let db = shared.clone();
                 thread::spawn(move || {
                     let mut rng = StdRng::seed_from_u64(seed);
+                    let mut batch = ReplayBatch::new(8, config().observation_size());
                     let mut batches = 0usize;
                     for _ in 0..50 {
-                        if db.construct_minibatch(8, &mut rng).is_ok() {
+                        if db.construct_minibatch_into(&mut batch, &mut rng).is_ok() {
                             batches += 1;
                         }
                     }
@@ -216,7 +210,10 @@ mod tests {
         assert_eq!(shared.len(), 2000);
         // After the writer finishes, sampling must succeed.
         let mut rng = StdRng::seed_from_u64(99);
-        assert!(shared.construct_minibatch(32, &mut rng).is_ok());
+        let mut batch = ReplayBatch::new(32, config().observation_size());
+        assert!(shared
+            .construct_minibatch_into(&mut batch, &mut rng)
+            .is_ok());
     }
 
     #[test]

@@ -278,7 +278,7 @@ fn assert_equivalent_trace(
         );
     }
 
-    // Minibatch sampling: identical draws under identical RNG streams.
+    // Algorithm 1 sampling: identical draws under identical RNG streams.
     let mut flat_rng = StdRng::seed_from_u64(seed ^ 0xfeed);
     let mut ref_rng = StdRng::seed_from_u64(seed ^ 0xfeed);
     let mut flat_batch = ReplayBatch::new(16, cfg.observation_size());

@@ -1,16 +1,12 @@
 //! General matrix multiplication kernels.
 //!
-//! Four strategies are provided:
+//! Three strategies are provided:
 //!
 //! * [`MatmulStrategy::Naive`] — textbook triple loop, used as the reference
 //!   implementation in tests.
 //! * [`MatmulStrategy::Blocked`] — cache-blocked kernel with a rank-4 inner
 //!   update that walks both operands row-major; the default for small
 //!   problems.
-//! * [`MatmulStrategy::Threaded`] — the blocked kernel with output rows
-//!   partitioned across `std::thread::scope` workers, re-spawned per call.
-//!   Kept as the comparison baseline for the pooled kernel (see the
-//!   `training_step` bench).
 //! * [`MatmulStrategy::Pooled`] — the blocked kernel dispatched onto the
 //!   persistent worker pool ([`crate::pool`]); no spawn cost and no heap
 //!   allocation per call. This is what the dispatcher picks for large
@@ -24,15 +20,16 @@
 //! The kernels propagate non-finite values exactly like the naive reference:
 //! `0 · NaN` is `NaN`, never silently skipped.
 //!
-//! The inner kernels themselves live in [`crate::simd`]: every strategy
-//! (blocked, threaded, pooled) calls through the runtime-dispatched
-//! entry points there, so single-threaded and pool-chunked products alike
-//! run the widest vector kernels the CPU supports (AVX2+FMA, with 512-bit
-//! GEMM tiles under `avx512f`; the portable scalar kernels otherwise, or
-//! under `CAPES_SIMD=off`).
+//! The inner kernels themselves live in [`crate::simd`]: both blocked
+//! strategies call through the runtime-dispatched entry points there, so
+//! single-threaded and pool-chunked products alike run the widest vector
+//! kernels the CPU supports (AVX2+FMA, with 512-bit GEMM tiles under
+//! `avx512f`; the portable scalar kernels otherwise, or under
+//! `CAPES_SIMD=off`).
 
+use crate::pool::{self, WorkerPool};
 use crate::simd::{gemm_rows, gemm_ta_rows, gemm_tb_rows};
-use crate::{pool, Matrix};
+use crate::Matrix;
 
 /// Which GEMM kernel to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,8 +38,6 @@ pub enum MatmulStrategy {
     Naive,
     /// Cache-blocked single-threaded kernel.
     Blocked,
-    /// Cache-blocked kernel with rows split across freshly spawned threads.
-    Threaded,
     /// Cache-blocked kernel with rows split across the persistent pool.
     Pooled,
 }
@@ -74,6 +69,34 @@ impl SendPtr {
         // SAFETY: forwarded caller contract (see `# Safety` above).
         unsafe { std::slice::from_raw_parts_mut(self.0.add(offset), len) }
     }
+}
+
+/// The global pool when a product of `flops` multiply-adds is worth splitting
+/// across it.
+fn pool_for(flops: usize) -> Option<&'static WorkerPool> {
+    (flops >= PARALLEL_FLOP_THRESHOLD && pool::global().threads() > 1).then(pool::global)
+}
+
+/// Calls `kernel(start, end, chunk)` with `chunk` the output rows
+/// `start..end` of `out`, covering every row once: split across `pool` when
+/// there is one, in a single call on this thread otherwise.
+fn for_row_chunks<K>(pool: Option<&WorkerPool>, out: &mut Matrix, kernel: K)
+where
+    K: Fn(usize, usize, &mut [f64]) + Sync,
+{
+    let (rows, width) = out.shape();
+    let Some(pool) = pool else {
+        kernel(0, rows, out.as_mut_slice());
+        return;
+    };
+    let out_ptr = SendPtr(out.as_mut_slice().as_mut_ptr());
+    pool.run(rows, MIN_ROWS_PER_CHUNK, |start, end| {
+        // SAFETY: this chunk owns output rows start..end — row ranges from
+        // one dispatch are disjoint and inside `out`'s `rows × width` buffer,
+        // which is mutably borrowed until the dispatch returns.
+        let chunk = unsafe { out_ptr.slice_mut(start * width, (end - start) * width) };
+        kernel(start, end, chunk);
+    });
 }
 
 impl Matrix {
@@ -139,7 +162,6 @@ impl Matrix {
                     n,
                 );
             }
-            MatmulStrategy::Threaded => matmul_threaded(self, other, out),
             MatmulStrategy::Pooled => matmul_pooled(self, other, out),
         }
     }
@@ -173,21 +195,10 @@ impl Matrix {
         for r in 0..m {
             out.row_mut(r).copy_from_slice(bias_row);
         }
-        let flops = m * k * n;
-        if flops >= PARALLEL_FLOP_THRESHOLD && pool::global().threads() > 1 {
-            let a_s = self.as_slice();
-            let b_s = w.as_slice();
-            let out_ptr = SendPtr(out.as_mut_slice().as_mut_ptr());
-            pool::global().run(m, MIN_ROWS_PER_CHUNK, |start, end| {
-                let rows = end - start;
-                // SAFETY: this chunk owns output rows start..end — row ranges
-                // from one dispatch are disjoint and in bounds.
-                let chunk = unsafe { out_ptr.slice_mut(start * n, rows * n) };
-                gemm_rows(&a_s[start * k..end * k], b_s, chunk, rows, k, n);
-            });
-        } else {
-            gemm_rows(self.as_slice(), w.as_slice(), out.as_mut_slice(), m, k, n);
-        }
+        let (a_s, b_s) = (self.as_slice(), w.as_slice());
+        for_row_chunks(pool_for(m * k * n), out, |start, end, chunk| {
+            gemm_rows(&a_s[start * k..end * k], b_s, chunk, end - start, k, n);
+        });
     }
 
     /// `self · otherᵀ` without materialising the transpose.
@@ -219,19 +230,9 @@ impl Matrix {
         let n = other.rows();
         let a_s = self.as_slice();
         let b_s = other.as_slice();
-        let flops = m * k * n;
-        if flops >= PARALLEL_FLOP_THRESHOLD && pool::global().threads() > 1 {
-            let out_ptr = SendPtr(out.as_mut_slice().as_mut_ptr());
-            pool::global().run(m, MIN_ROWS_PER_CHUNK, |start, end| {
-                let rows = end - start;
-                // SAFETY: this chunk owns output rows start..end — row ranges
-                // from one dispatch are disjoint and in bounds.
-                let chunk = unsafe { out_ptr.slice_mut(start * n, rows * n) };
-                gemm_tb_rows(&a_s[start * k..end * k], b_s, chunk, rows, k, n);
-            });
-        } else {
-            gemm_tb_rows(a_s, b_s, out.as_mut_slice(), m, k, n);
-        }
+        for_row_chunks(pool_for(m * k * n), out, |start, end, chunk| {
+            gemm_tb_rows(&a_s[start * k..end * k], b_s, chunk, end - start, k, n);
+        });
     }
 
     /// `selfᵀ · other` without materialising the transpose.
@@ -263,19 +264,9 @@ impl Matrix {
         out.as_mut_slice().fill(0.0);
         let a_s = self.as_slice();
         let b_s = other.as_slice();
-        let flops = n * m * p;
-        if flops >= PARALLEL_FLOP_THRESHOLD && pool::global().threads() > 1 {
-            let out_ptr = SendPtr(out.as_mut_slice().as_mut_ptr());
-            pool::global().run(m, MIN_ROWS_PER_CHUNK, |start, end| {
-                let rows = end - start;
-                // SAFETY: this chunk owns output rows start..end — row ranges
-                // from one dispatch are disjoint and in bounds.
-                let chunk = unsafe { out_ptr.slice_mut(start * p, rows * p) };
-                gemm_ta_rows(a_s, b_s, chunk, start, end, n, m, p);
-            });
-        } else {
-            gemm_ta_rows(a_s, b_s, out.as_mut_slice(), 0, m, n, m, p);
-        }
+        for_row_chunks(pool_for(n * m * p), out, |start, end, chunk| {
+            gemm_ta_rows(a_s, b_s, chunk, start, end, n, m, p);
+        });
     }
 
     /// Matrix–vector product `self · v` where `v` is a plain slice of length
@@ -303,53 +294,15 @@ fn matmul_naive(a: &Matrix, b: &Matrix, out: &mut Matrix) {
 }
 
 fn matmul_pooled(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    let (m, k) = a.shape();
-    let n = b.cols();
+    let (k, n) = b.shape();
     out.as_mut_slice().fill(0.0);
-    let a_s = a.as_slice();
-    let b_s = b.as_slice();
-    let out_ptr = SendPtr(out.as_mut_slice().as_mut_ptr());
-    pool::global().run(m, MIN_ROWS_PER_CHUNK, |start, end| {
-        let rows = end - start;
-        // SAFETY: this chunk owns output rows start..end — row ranges
-        // from one dispatch are disjoint and in bounds.
-        let chunk = unsafe { out_ptr.slice_mut(start * n, rows * n) };
-        gemm_rows(&a_s[start * k..end * k], b_s, chunk, rows, k, n);
+    let (a_s, b_s) = (a.as_slice(), b.as_slice());
+    for_row_chunks(Some(pool::global()), out, |start, end, chunk| {
+        gemm_rows(&a_s[start * k..end * k], b_s, chunk, end - start, k, n);
     });
 }
 
-fn matmul_threaded(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    let (m, k) = a.shape();
-    let n = b.cols();
-    let threads = available_threads().min(m).max(1);
-    out.as_mut_slice().fill(0.0);
-    if threads <= 1 {
-        gemm_rows(a.as_slice(), b.as_slice(), out.as_mut_slice(), m, k, n);
-        return;
-    }
-    let rows_per = m.div_ceil(threads);
-    let a_slice = a.as_slice();
-    let b_slice = b.as_slice();
-    {
-        let out_slice = out.as_mut_slice();
-        std::thread::scope(|scope| {
-            let mut rest = out_slice;
-            let mut row_start = 0usize;
-            while row_start < m {
-                let rows_here = rows_per.min(m - row_start);
-                let (chunk, tail) = rest.split_at_mut(rows_here * n);
-                rest = tail;
-                let a_chunk = &a_slice[row_start * k..(row_start + rows_here) * k];
-                scope.spawn(move || {
-                    gemm_rows(a_chunk, b_slice, chunk, rows_here, k, n);
-                });
-                row_start += rows_here;
-            }
-        });
-    }
-}
-
-/// Number of worker threads available to the threaded kernel.
+/// Number of hardware threads available to this process.
 pub fn available_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -359,14 +312,12 @@ pub fn available_threads() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::WorkerPool;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    const ALL_STRATEGIES: [MatmulStrategy; 4] = [
+    const ALL_STRATEGIES: [MatmulStrategy; 3] = [
         MatmulStrategy::Naive,
         MatmulStrategy::Blocked,
-        MatmulStrategy::Threaded,
         MatmulStrategy::Pooled,
     ];
 
@@ -406,11 +357,7 @@ mod tests {
             let a = random_matrix(&mut rng, m, k);
             let b = random_matrix(&mut rng, k, n);
             let reference = a.matmul_with(&b, MatmulStrategy::Naive);
-            for strategy in [
-                MatmulStrategy::Blocked,
-                MatmulStrategy::Threaded,
-                MatmulStrategy::Pooled,
-            ] {
+            for strategy in [MatmulStrategy::Blocked, MatmulStrategy::Pooled] {
                 let got = a.matmul_with(&b, strategy);
                 assert!(got.approx_eq(&reference, 1e-9), "{strategy:?} {m}x{k}x{n}");
             }
@@ -455,11 +402,7 @@ mod tests {
         let b = Matrix::from_rows(&[&[f64::NAN, 3.0], &[4.0, f64::INFINITY]]);
         let reference = a.matmul_with(&b, MatmulStrategy::Naive);
         assert!(reference[(0, 0)].is_nan(), "0·NaN + 1·4 must be NaN");
-        for strategy in [
-            MatmulStrategy::Blocked,
-            MatmulStrategy::Threaded,
-            MatmulStrategy::Pooled,
-        ] {
+        for strategy in [MatmulStrategy::Blocked, MatmulStrategy::Pooled] {
             let got = a.matmul_with(&b, strategy);
             assert!(got.approx_eq(&reference, 1e-9), "{strategy:?}");
         }
@@ -510,15 +453,9 @@ mod tests {
         let a = random_matrix(&mut rng, m, k);
         let b = random_matrix(&mut rng, k, n);
         let mut out = Matrix::zeros(m, n);
-        let a_s = a.as_slice();
-        let b_s = b.as_slice();
-        let out_ptr = SendPtr(out.as_mut_slice().as_mut_ptr());
-        pool.run(m, 1, |start, end| {
-            let rows = end - start;
-            // SAFETY: this chunk owns output rows start..end — row ranges
-            // from one dispatch are disjoint and in bounds.
-            let chunk = unsafe { out_ptr.slice_mut(start * n, rows * n) };
-            gemm_rows(&a_s[start * k..end * k], b_s, chunk, rows, k, n);
+        let (a_s, b_s) = (a.as_slice(), b.as_slice());
+        for_row_chunks(Some(&pool), &mut out, |start, end, chunk| {
+            gemm_rows(&a_s[start * k..end * k], b_s, chunk, end - start, k, n);
         });
         assert!(out.approx_eq(&a.matmul_with(&b, MatmulStrategy::Naive), 1e-9));
     }

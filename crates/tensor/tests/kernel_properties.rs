@@ -23,11 +23,7 @@ proptest! {
         let b = random_matrix(seed.wrapping_add(1), k, n);
         let reference = a.matmul_with(&b, MatmulStrategy::Naive);
         let mut out = Matrix::filled(m, n, f64::NAN);
-        for strategy in [
-            MatmulStrategy::Blocked,
-            MatmulStrategy::Threaded,
-            MatmulStrategy::Pooled,
-        ] {
+        for strategy in [MatmulStrategy::Blocked, MatmulStrategy::Pooled] {
             a.matmul_into_with(&b, &mut out, strategy);
             prop_assert!(out.approx_eq(&reference, 1e-9), "{strategy:?} {m}x{k}x{n}");
         }

@@ -46,9 +46,9 @@ proptest! {
         let b = Matrix::from_vec(k, n, (0..k*n).map(|_| rng.gen_range(-5.0..5.0)).collect());
         let naive = a.matmul_with(&b, MatmulStrategy::Naive);
         let blocked = a.matmul_with(&b, MatmulStrategy::Blocked);
-        let threaded = a.matmul_with(&b, MatmulStrategy::Threaded);
+        let pooled = a.matmul_with(&b, MatmulStrategy::Pooled);
         prop_assert!(naive.approx_eq(&blocked, 1e-8));
-        prop_assert!(naive.approx_eq(&threaded, 1e-8));
+        prop_assert!(naive.approx_eq(&pooled, 1e-8));
     }
 
     #[test]
