@@ -13,7 +13,7 @@ use capes_bench::{build_system, print_figure, write_json, Bar, FigureRow, Scale}
 
 fn main() {
     let scale = Scale::from_env();
-    let checkpoint = std::env::temp_dir().join("capes-fig4-model.json");
+    let checkpoint = std::env::temp_dir().join("capes-fig4-model.ckpt");
 
     // Train once on the fileserver workload and checkpoint the model.
     eprintln!("[fig4] initial training…");

@@ -13,6 +13,7 @@
 use capes::prelude::*;
 use capes_bench::{build_system, compare_engines, print_engine_comparison, write_json, Scale};
 use capes_drl::{DqnAgent, DqnAgentConfig};
+use capes_persist::Persist;
 use capes_replay::ReplayConfig;
 use std::time::Instant;
 
@@ -41,9 +42,12 @@ fn main() {
 
     let db_records = system.replay_db().len();
     let (db_memory, db_disk, obs_size) = system.replay_db().with_read(|db| {
+        // What a snapshot stores for this stripe: its `Persist` encoding.
+        let mut encoded = capes_persist::Writer::new();
+        db.encode(&mut encoded);
         (
             db.memory_bytes(),
-            db.disk_size_estimate(),
+            encoded.len(),
             db.config().observation_size(),
         )
     });
@@ -91,7 +95,7 @@ fn main() {
     );
     println!(
         "{:<46}{:>15.1} MB   0.5 GB (250 k records)",
-        "size of the Replay DB on disk (serialised)",
+        "size of the Replay DB in a snapshot (binary)",
         mb(db_disk)
     );
     println!(

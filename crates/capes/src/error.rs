@@ -42,7 +42,7 @@ pub enum CapesError {
         operation: &'static str,
     },
     /// A checkpoint could not be written, read or decoded.
-    Checkpoint(std::io::Error),
+    Checkpoint(capes_persist::PersistError),
     /// A restored checkpoint does not fit the assembled system (e.g. it was
     /// trained for a different observation width).
     CheckpointMismatch {
@@ -79,7 +79,7 @@ impl fmt::Display for CapesError {
             CapesError::EngineUnsupported { engine, operation } => {
                 write!(f, "engine `{engine}` does not support {operation}")
             }
-            CapesError::Checkpoint(e) => write!(f, "checkpoint I/O failed: {e}"),
+            CapesError::Checkpoint(e) => write!(f, "checkpoint failed: {e}"),
             CapesError::CheckpointMismatch { reason } => {
                 write!(f, "checkpoint incompatible with this system: {reason}")
             }
@@ -102,8 +102,8 @@ impl std::error::Error for CapesError {
     }
 }
 
-impl From<std::io::Error> for CapesError {
-    fn from(e: std::io::Error) -> Self {
+impl From<capes_persist::PersistError> for CapesError {
+    fn from(e: capes_persist::PersistError) -> Self {
         CapesError::Checkpoint(e)
     }
 }
@@ -135,10 +135,11 @@ mod tests {
     }
 
     #[test]
-    fn io_errors_convert_and_chain() {
+    fn persist_errors_convert_and_chain() {
         let io = std::io::Error::new(std::io::ErrorKind::NotFound, "gone");
-        let e: CapesError = io.into();
+        let e: CapesError = capes_persist::PersistError::Io(io).into();
         assert!(matches!(e, CapesError::Checkpoint(_)));
+        assert!(e.to_string().contains("gone"));
         assert!(std::error::Error::source(&e).is_some());
     }
 }

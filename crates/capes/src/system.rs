@@ -47,6 +47,18 @@ pub enum Transport {
     Socket,
 }
 
+impl Transport {
+    /// The transport's discriminant in snapshot payloads (stable across
+    /// releases — snapshot compatibility depends on it).
+    pub fn tag(self) -> u8 {
+        match self {
+            Transport::InProcess => 0,
+            Transport::Wire => 1,
+            Transport::Socket => 2,
+        }
+    }
+}
+
 /// Everything that happened during one system tick.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SystemTick {
@@ -331,11 +343,12 @@ impl<T: TargetSystem> CapesSystem<T> {
         }
     }
 
-    /// Saves the engine's learned model to a checkpoint file.
+    /// Saves the engine's learned model to a checkpoint file (see
+    /// [`capes_drl::checkpoint`] for the format).
     ///
     /// # Errors
     /// [`CapesError::EngineUnsupported`] if the engine has no persistable
-    /// model; [`CapesError::Checkpoint`] on I/O failure.
+    /// model; [`CapesError::Checkpoint`] if the file could not be written.
     pub fn save_checkpoint<P: AsRef<Path>>(&self, path: P) -> Result<(), CapesError> {
         let agent = self
             .dqn_agent()
@@ -343,16 +356,19 @@ impl<T: TargetSystem> CapesSystem<T> {
                 engine: self.engine.name().to_string(),
                 operation: "checkpointing",
             })?;
-        agent.save_checkpoint(path).map_err(CapesError::from)
+        Ok(agent.save_checkpoint(path)?)
     }
 
     /// Replaces the DRL engine's agent with one restored from a checkpoint
-    /// (the Figure-4 protocol: reuse a trained model in a later session).
+    /// (the Figure-4 protocol: reuse a trained model in a later session). On
+    /// any error the engine keeps the agent it had.
     ///
     /// # Errors
     /// [`CapesError::EngineUnsupported`] if the engine is not the DRL engine;
     /// [`CapesError::CheckpointMismatch`] if the checkpoint was trained for a
-    /// different observation size; [`CapesError::Checkpoint`] on I/O failure.
+    /// different observation size or parameter count;
+    /// [`CapesError::Checkpoint`] if the file is unreadable, corrupt or not a
+    /// model checkpoint.
     pub fn restore_checkpoint<P: AsRef<Path>>(
         &mut self,
         path: P,
@@ -366,12 +382,20 @@ impl<T: TargetSystem> CapesSystem<T> {
                 operation: "checkpoint restoration",
             },
         )?;
-        let expected = engine.agent().config().observation_size;
-        let actual = restored.config().observation_size;
-        if expected != actual {
+        // Action indices map onto parameters by position, so a model for
+        // another parameter count would tune the wrong knobs, or none.
+        let (expected, actual) = (engine.agent().config(), restored.config());
+        if (expected.observation_size, expected.num_params)
+            != (actual.observation_size, actual.num_params)
+        {
             return Err(CapesError::CheckpointMismatch {
                 reason: format!(
-                    "checkpoint was trained for observation size {actual}, system uses {expected}"
+                    "checkpoint was trained for observation size {} and {} parameters, \
+                     system uses {} and {}",
+                    actual.observation_size,
+                    actual.num_params,
+                    expected.observation_size,
+                    expected.num_params
                 ),
             });
         }
@@ -606,16 +630,6 @@ impl<T: TargetSystem> CapesSystem<T> {
         result
     }
 
-    /// Wire format tag of a [`Transport`] (stable across releases — snapshot
-    /// compatibility depends on it).
-    fn transport_tag(transport: Transport) -> u8 {
-        match transport {
-            Transport::InProcess => 0,
-            Transport::Wire => 1,
-            Transport::Socket => 2,
-        }
-    }
-
     fn run_tick(&mut self, kind: PhaseKind) -> SystemTick {
         let measurement = self.begin_tick(kind);
         let mut chosen_action = None;
@@ -664,7 +678,7 @@ impl<T: TargetSystem + capes_persist::Persist> CapesSystem<T> {
     /// once alongside this state.
     pub fn encode_state(&self, w: &mut capes_persist::Writer) {
         use capes_persist::Persist;
-        w.put_u8(Self::transport_tag(self.transport));
+        w.put_u8(self.transport.tag());
         w.put_u64(self.tick);
         self.target.encode(w);
         self.monitors.encode(w);
@@ -708,7 +722,7 @@ impl<T: TargetSystem + capes_persist::Persist> CapesSystem<T> {
     ) -> Result<(), capes_persist::PersistError> {
         use capes_persist::{Persist, PersistError};
         let tag = r.get_u8()?;
-        if tag != Self::transport_tag(self.transport) {
+        if tag != self.transport.tag() {
             return Err(PersistError::BadValue {
                 what: "snapshot transport disagrees with the deployment",
             });
@@ -922,7 +936,7 @@ mod tests {
     #[test]
     fn checkpoint_round_trip_through_the_system() {
         let mut path = std::env::temp_dir();
-        path.push(format!("capes-system-ckpt-{}.json", std::process::id()));
+        path.push(format!("capes-system-ckpt-{}.ckpt", std::process::id()));
         let mut system = quick_system(60.0, 6);
         for _ in 0..200 {
             system.training_tick();
@@ -945,11 +959,11 @@ mod tests {
             .build()
             .unwrap();
         let err = system
-            .save_checkpoint("/tmp/never-written.json")
+            .save_checkpoint("/tmp/never-written.ckpt")
             .unwrap_err();
         assert!(matches!(err, CapesError::EngineUnsupported { .. }));
         let err = system
-            .restore_checkpoint("/tmp/never-read.json", 1)
+            .restore_checkpoint("/tmp/never-read.ckpt", 1)
             .unwrap_err();
         // Load fails before the engine check (file missing) — either way a
         // typed error comes back.

@@ -1,9 +1,9 @@
-//! The DRL agent: action selection (ε-greedy) plus training, with
-//! checkpointing of the learned model.
+//! The DRL agent: action selection (ε-greedy) plus training.
 //!
 //! This corresponds to the paper's "DRL Engine" / "Deep Q-Learning Daemon":
-//! it reads observations, suggests actions, trains on experience-replay
-//! minibatches, and persists its networks between sessions.
+//! it reads observations, suggests actions and trains on experience-replay
+//! minibatches. Carrying the learned model between sessions is
+//! [`crate::checkpoint`]'s job.
 
 use crate::action::ActionSpace;
 use crate::epsilon::EpsilonSchedule;
@@ -15,7 +15,6 @@ use capes_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::path::Path;
 
 /// Static configuration of a [`DqnAgent`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -43,6 +42,28 @@ impl DqnAgentConfig {
             trainer: TrainerConfig::default(),
             epsilon: EpsilonSchedule::paper_default(),
         }
+    }
+
+    /// `Ok` if `network` has the input width and the `2 × num_params + 1`
+    /// outputs this configuration describes. Both sides come from a file;
+    /// the network's are bounded by the bytes that were in it, the
+    /// configuration's are not, hence the checked arithmetic.
+    pub(crate) fn check_network(
+        &self,
+        network: &QNetwork,
+    ) -> Result<(), capes_persist::PersistError> {
+        let num_actions = self
+            .num_params
+            .checked_mul(2)
+            .and_then(|n| n.checked_add(1));
+        if network.observation_size() != self.observation_size
+            || Some(network.num_actions()) != num_actions
+        {
+            return Err(capes_persist::PersistError::BadValue {
+                what: "network width or action count disagrees with the agent configuration",
+            });
+        }
+        Ok(())
     }
 }
 
@@ -78,16 +99,6 @@ impl capes_persist::Persist for DqnAgentConfig {
             epsilon,
         })
     }
-}
-
-/// Checkpoint payload: both networks plus the configuration they were trained
-/// with.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct AgentCheckpoint {
-    config: DqnAgentConfig,
-    online: QNetwork,
-    target: QNetwork,
-    training_steps: u64,
 }
 
 /// Where a training step draws its experience from.
@@ -164,11 +175,18 @@ impl DqnAgent {
         let mut rng = StdRng::seed_from_u64(seed);
         let action_space = ActionSpace::new(config.num_params);
         let online = QNetwork::new(config.observation_size, action_space.len(), &mut rng);
+        Self::from_parts(config, Trainer::new(online, config.trainer), rng)
+    }
+
+    /// Assembles an agent at the start of its ε schedule around an
+    /// already-built trainer, whose networks the caller has checked with
+    /// [`DqnAgentConfig::check_network`].
+    pub(crate) fn from_parts(config: DqnAgentConfig, trainer: Trainer, rng: StdRng) -> Self {
         DqnAgent {
-            action_space,
-            trainer: Trainer::new(online, config.trainer),
-            epsilon: config.epsilon,
             config,
+            action_space: ActionSpace::new(config.num_params),
+            trainer,
+            epsilon: config.epsilon,
             rng,
             batch_buf: None,
             decide_ws: None,
@@ -189,6 +207,11 @@ impl DqnAgent {
     /// The online Q-network.
     pub fn q_network(&self) -> &QNetwork {
         self.trainer.online()
+    }
+
+    /// The slowly-updated target network.
+    pub fn target_network(&self) -> &QNetwork {
+        self.trainer.target()
     }
 
     /// Number of training steps performed so far.
@@ -420,48 +443,6 @@ impl DqnAgent {
             SamplingScope::Profile { weights } => self.train_weighted(db.arena(), weights),
         }
     }
-
-    /// Saves the agent's networks and configuration to a JSON checkpoint.
-    pub fn save_checkpoint<P: AsRef<Path>>(&self, path: P) -> Result<(), std::io::Error> {
-        let checkpoint = AgentCheckpoint {
-            config: self.config,
-            online: self.trainer.online().clone(),
-            target: self.trainer.target().clone(),
-            training_steps: self.trainer.steps(),
-        };
-        let json =
-            serde_json::to_string(&checkpoint).map_err(|e| std::io::Error::other(e.to_string()))?;
-        if let Some(parent) = path.as_ref().parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        let tmp = path.as_ref().with_extension("tmp");
-        std::fs::write(&tmp, json)?;
-        std::fs::rename(tmp, path)?;
-        Ok(())
-    }
-
-    /// Restores an agent from a checkpoint written by
-    /// [`DqnAgent::save_checkpoint`]. The RNG is reseeded with `seed`.
-    pub fn load_checkpoint<P: AsRef<Path>>(path: P, seed: u64) -> Result<Self, std::io::Error> {
-        let data = std::fs::read_to_string(path)?;
-        let checkpoint: AgentCheckpoint =
-            serde_json::from_str(&data).map_err(|e| std::io::Error::other(e.to_string()))?;
-        let action_space = ActionSpace::new(checkpoint.config.num_params);
-        let mut trainer = Trainer::new(checkpoint.online.clone(), checkpoint.config.trainer);
-        trainer.restore_networks(checkpoint.online, checkpoint.target);
-        Ok(DqnAgent {
-            config: checkpoint.config,
-            action_space,
-            trainer,
-            epsilon: checkpoint.config.epsilon,
-            rng: StdRng::seed_from_u64(seed),
-            batch_buf: None,
-            decide_ws: None,
-            fleet_ws: None,
-        })
-    }
 }
 
 impl capes_persist::Persist for DqnAgent {
@@ -471,7 +452,7 @@ impl capes_persist::Persist for DqnAgent {
         + 32;
 
     fn encode(&self, w: &mut capes_persist::Writer) {
-        // Unlike the JSON checkpoint (which reseeds the RNG and resets the
+        // Unlike the model checkpoint (which reseeds the RNG and resets the
         // optimizer), this carries the full mutable state: a restored agent's
         // future decisions and training steps are bit-identical.
         self.config.encode(w);
@@ -485,32 +466,15 @@ impl capes_persist::Persist for DqnAgent {
         let trainer = Trainer::decode(r)?;
         let epsilon = EpsilonSchedule::decode(r)?;
         let rng_state = <[u64; 4]>::decode(r)?;
-        let action_space = ActionSpace::new(config.num_params);
-        if trainer.online().observation_size() != config.observation_size {
-            return Err(capes_persist::PersistError::BadValue {
-                what: "trainer network width disagrees with the agent configuration",
-            });
-        }
-        if trainer.online().num_actions() != action_space.len() {
-            return Err(capes_persist::PersistError::BadValue {
-                what: "trainer action count disagrees with the agent's action space",
-            });
-        }
+        config.check_network(trainer.online())?;
         if rng_state == [0u64; 4] {
             return Err(capes_persist::PersistError::BadValue {
                 what: "all-zero agent RNG state",
             });
         }
-        Ok(DqnAgent {
-            config,
-            action_space,
-            trainer,
-            epsilon,
-            rng: StdRng::from_state(rng_state),
-            batch_buf: None,
-            decide_ws: None,
-            fleet_ws: None,
-        })
+        let mut agent = DqnAgent::from_parts(config, trainer, StdRng::from_state(rng_state));
+        agent.epsilon = epsilon;
+        Ok(agent)
     }
 }
 
@@ -781,31 +745,12 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_round_trip_preserves_policy() {
-        let mut path = std::env::temp_dir();
-        path.push(format!("capes-drl-agent-{}.json", std::process::id()));
-        let agent = DqnAgent::new(small_config(), 6);
-        let o = obs(&[0.3, 0.6, -0.4, 0.2, 0.0, 0.8]);
-        let before = agent.greedy_action(&o);
-        agent.save_checkpoint(&path).unwrap();
-        let restored = DqnAgent::load_checkpoint(&path, 99).unwrap();
-        assert_eq!(restored.greedy_action(&o), before);
-        assert_eq!(restored.config().observation_size, 6);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn load_checkpoint_missing_file_errors() {
-        assert!(DqnAgent::load_checkpoint("/nonexistent/agent.json", 1).is_err());
-    }
-
-    #[test]
     fn persist_round_trip_resumes_bit_identically() {
         use capes_persist::Persist;
         // Train an agent mid-experiment, snapshot it, and require that the
         // restored copy makes the same decisions AND takes the same Adam
-        // steps — the property the JSON checkpoint (reset optimizer, reseeded
-        // RNG) cannot provide.
+        // steps — the property the model checkpoint (reset optimizer,
+        // reseeded RNG) does not provide.
         let arena = filled_arena(2, 200);
         let db = arena.stripe(0);
         let mut original = DqnAgent::new(small_config(), 41);

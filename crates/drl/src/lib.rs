@@ -15,6 +15,7 @@
 
 pub mod action;
 pub mod agent;
+pub mod checkpoint;
 pub mod epsilon;
 pub mod qnet;
 pub mod trainer;

@@ -9,7 +9,6 @@ use capes_nn::{Activation, Mlp, Workspace};
 use capes_replay::Observation;
 use capes_tensor::Matrix;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Index of the maximal entry of `row` of a Q-value matrix, with the same
 /// tie-breaking as [`QNetwork::best_action`] (`Iterator::max_by`: when several
@@ -31,7 +30,7 @@ pub fn best_action_in_row(q: &Matrix, row: usize) -> usize {
 
 /// A Q-network: maps a flattened observation to a vector of Q-values, one per
 /// action.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct QNetwork {
     network: Mlp,
 }
@@ -262,19 +261,5 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let q = QNetwork::new(4, 3, &mut rng);
         let _ = q.q_values(&obs(&[1.0, 2.0]));
-    }
-
-    #[test]
-    fn serde_round_trip_preserves_q_values() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let q = QNetwork::new(6, 5, &mut rng);
-        let o = obs(&[0.3, 0.1, -0.2, 0.7, 0.0, -0.9]);
-        let json = serde_json::to_string(&q).unwrap();
-        let back: QNetwork = serde_json::from_str(&json).unwrap();
-        let a = q.q_values(&o);
-        let b = back.q_values(&o);
-        for (x, y) in a.iter().zip(b.iter()) {
-            assert!((x - y).abs() < 1e-12);
-        }
     }
 }

@@ -153,22 +153,38 @@ impl Trainer {
     /// Creates a trainer whose target network starts as a copy of the online
     /// network.
     pub fn new(online: QNetwork, config: TrainerConfig) -> Self {
+        let target = online.clone();
+        Self::resume(online, target, config, 0)
+    }
+
+    /// A trainer picking up stored networks `steps` training steps in (model
+    /// checkpoint restore). The optimizer starts fresh, matching the paper's
+    /// prototype which rebuilds it on restart.
+    ///
+    /// # Panics
+    /// Panics if `config` is invalid or the two networks' shapes differ.
+    pub fn resume(online: QNetwork, target: QNetwork, config: TrainerConfig, steps: u64) -> Self {
         config.validate();
+        let shapes = online.mlp().parameter_shapes();
+        assert_eq!(
+            shapes,
+            target.mlp().parameter_shapes(),
+            "online and target networks must have one shape"
+        );
         let optimizer = Adam::with_config(
             config.learning_rate,
             0.9,
             0.999,
             1e-8,
             config.gradient_clip,
-            online.mlp().parameter_shapes(),
+            shapes,
         );
-        let target = online.clone();
         Trainer {
             online,
             target,
             optimizer,
             config,
-            steps: 0,
+            steps,
             scratch: None,
         }
     }
@@ -201,24 +217,6 @@ impl Trainer {
     /// Number of completed training steps.
     pub fn steps(&self) -> u64 {
         self.steps
-    }
-
-    /// Replaces both networks (checkpoint restore). The optimizer state is
-    /// reset, matching the paper's prototype which rebuilds the optimizer on
-    /// restart.
-    pub fn restore_networks(&mut self, online: QNetwork, target: QNetwork) {
-        assert_eq!(online.observation_size(), target.observation_size());
-        assert_eq!(online.num_actions(), target.num_actions());
-        self.optimizer = Adam::with_config(
-            self.config.learning_rate,
-            0.9,
-            0.999,
-            1e-8,
-            self.config.gradient_clip,
-            online.mlp().parameter_shapes(),
-        );
-        self.online = online;
-        self.target = target;
     }
 
     /// Performs one training step (Equation 1) on a pre-encoded
@@ -328,7 +326,7 @@ impl capes_persist::Persist for Trainer {
     fn encode(&self, w: &mut capes_persist::Writer) {
         // The optimizer is carried verbatim (moments and step count) so a
         // restored trainer takes bit-identical Adam steps — unlike
-        // `restore_networks`, which rebuilds it from scratch.
+        // `Trainer::resume`, which rebuilds it from scratch.
         self.online.encode(w);
         self.target.encode(w);
         self.optimizer.encode(w);
@@ -499,16 +497,19 @@ mod tests {
     }
 
     #[test]
-    fn restore_networks_resets_optimizer_but_keeps_weights() {
+    fn resume_keeps_weights_and_steps_but_resets_the_optimizer() {
         let mut rng = StdRng::seed_from_u64(15);
         let mut trainer = Trainer::with_new_network(4, 3, TrainerConfig::default(), &mut rng);
-        let snapshot_online = trainer.online().clone();
-        let snapshot_target = trainer.target().clone();
         let batch = synthetic_batch(&mut rng, 8);
         trainer.train_step_batch(&batch);
-        assert!(trainer.online().distance_to(&snapshot_online) > 0.0);
-        trainer.restore_networks(snapshot_online.clone(), snapshot_target);
-        assert_eq!(trainer.online().distance_to(&snapshot_online), 0.0);
+        trainer.train_step_batch(&batch);
+        let (online, target) = (trainer.online().clone(), trainer.target().clone());
+        assert!(online.distance_to(&target) > 0.0);
+        let resumed = Trainer::resume(online.clone(), target.clone(), *trainer.config(), 2);
+        assert_eq!(resumed.online().distance_to(&online), 0.0);
+        assert_eq!(resumed.target().distance_to(&target), 0.0);
+        assert_eq!(resumed.steps(), 2);
+        assert_eq!(resumed.optimizer.steps(), 0);
     }
 
     #[test]

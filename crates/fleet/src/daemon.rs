@@ -121,16 +121,6 @@ impl From<PersistError> for FleetError {
     }
 }
 
-/// The transport discriminant stored in fleet snapshots (shared with the
-/// member-system payloads, which use the same mapping).
-fn transport_tag(transport: Transport) -> u8 {
-    match transport {
-        Transport::InProcess => 0,
-        Transport::Wire => 1,
-        Transport::Socket => 2,
-    }
-}
-
 fn checkpoint_mismatch(reason: impl Into<String>) -> FleetError {
     FleetError::Capes(CapesError::CheckpointMismatch {
         reason: reason.into(),
@@ -774,7 +764,7 @@ impl FleetDaemon {
         // them itself).
         let _total = capes_telemetry::span!("persist.checkpoint.total");
         let mut w = capes_persist::SnapshotWriter::create(path)?;
-        w.put_u8(transport_tag(self.transport));
+        w.put_u8(self.transport.tag());
         w.put_u64(self.tick);
         w.put_usize(self.train_cursor);
         w.put_u64(self.cluster_ticks);
@@ -856,7 +846,7 @@ impl FleetDaemon {
 
         // Pure phase: decode and validate everything into locals.
         let tag = r.get_u8()?;
-        if tag != transport_tag(self.transport) {
+        if tag != self.transport.tag() {
             return Err(checkpoint_mismatch(format!(
                 "snapshot transport tag {tag} disagrees with the fleet's {:?} transport",
                 self.transport

@@ -6,13 +6,12 @@
 
 use capes_tensor::simd::{tanh_backward, tanh_forward, tanh_value};
 use capes_tensor::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// Activation functions supported by [`crate::Dense`] layers.
 ///
 /// The CAPES paper uses `Tanh` for the two hidden layers and `Identity`
 /// (a plain fully-connected linear layer) for the Q-value output head.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Activation {
     /// Hyperbolic tangent — the paper's choice for hidden layers.
     Tanh,
@@ -218,16 +217,20 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip() {
+    fn persist_round_trip_and_unknown_tag() {
+        use capes_persist::Persist;
         for a in [
             Activation::Tanh,
             Activation::Relu,
             Activation::Sigmoid,
             Activation::Identity,
         ] {
-            let s = serde_json::to_string(&a).unwrap();
-            let back: Activation = serde_json::from_str(&s).unwrap();
+            let mut w = capes_persist::Writer::new();
+            a.encode(&mut w);
+            let bytes = w.into_vec();
+            let back = Activation::decode(&mut capes_persist::Reader::new(&bytes)).unwrap();
             assert_eq!(a, back);
         }
+        assert!(Activation::decode(&mut capes_persist::Reader::new(&[4])).is_err());
     }
 }

@@ -3,7 +3,6 @@
 use crate::Activation;
 use capes_tensor::{Matrix, WeightInit};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Gradients of a [`Dense`] layer produced by one backward pass.
 #[derive(Debug, Clone, PartialEq)]
@@ -20,7 +19,7 @@ pub struct LayerGrads {
 /// [`Dense::backward_into`] against caller-owned intermediates (see
 /// [`crate::Workspace`]), and action selection uses
 /// [`Dense::forward_inference`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Dense {
     /// Weight matrix of shape `(input_dim, output_dim)`.
     pub weights: Matrix,
@@ -311,14 +310,5 @@ mod tests {
         l.apply_update(&grads, -0.1);
         assert!(l.weights.approx_eq(&Matrix::filled(2, 1, 0.8), 1e-12));
         assert!(l.bias.approx_eq(&Matrix::filled(1, 1, -0.1), 1e-12));
-    }
-
-    #[test]
-    fn serde_round_trip_preserves_parameters() {
-        let l = layer(3, 3, Activation::Tanh);
-        let json = serde_json::to_string(&l).unwrap();
-        let back: Dense = serde_json::from_str(&json).unwrap();
-        assert!(back.weights.approx_eq(&l.weights, 1e-12));
-        assert_eq!(back.activation, l.activation);
     }
 }

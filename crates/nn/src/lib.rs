@@ -14,8 +14,9 @@
 //!
 //! This crate implements exactly that class of network (plus ReLU/Sigmoid for
 //! experiments), mean-squared-error and Huber losses, SGD and Adam optimizers,
-//! finite-difference gradient checking, and JSON checkpointing so a trained
-//! model can be persisted between tuning sessions (paper Appendix A.4).
+//! and finite-difference gradient checking. Every parameter-bearing type
+//! implements [`capes_persist::Persist`]; the model file itself (paper
+//! Appendix A.4) is written by `capes-drl`.
 //!
 //! ## Example
 //!
@@ -46,7 +47,6 @@
 #![forbid(unsafe_code)]
 
 pub mod activation;
-pub mod checkpoint;
 pub mod gradcheck;
 pub mod layer;
 pub mod loss;
@@ -55,7 +55,6 @@ pub mod optimizer;
 pub mod workspace;
 
 pub use activation::Activation;
-pub use checkpoint::{load_mlp, save_mlp, CheckpointError};
 pub use layer::{Dense, LayerGrads};
 pub use loss::{HuberLoss, Loss, MseLoss};
 pub use mlp::{Mlp, MlpGrads};

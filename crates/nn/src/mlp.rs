@@ -3,7 +3,6 @@
 use crate::{Activation, Dense, LayerGrads, Workspace};
 use capes_tensor::Matrix;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Gradients for every layer of an [`Mlp`], ordered input → output.
 pub type MlpGrads = Vec<LayerGrads>;
@@ -14,7 +13,7 @@ pub type MlpGrads = Vec<LayerGrads>;
 /// topology the paper describes in §3.4: every hidden layer uses the chosen
 /// nonlinearity and the final layer is linear ("a fully-connected linear layer
 /// with a single output for each valid action").
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Mlp {
     layers: Vec<Dense>,
 }
@@ -326,13 +325,17 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip_preserves_predictions() {
+    fn persist_round_trip_preserves_predictions() {
+        use capes_persist::Persist;
         let n = net();
         let x = Matrix::from_rows(&[&[0.3, -0.2, 0.5, 0.7, -0.9]]);
-        let before = n.forward_inference(&x);
-        let json = serde_json::to_string(&n).unwrap();
-        let back: Mlp = serde_json::from_str(&json).unwrap();
-        let after = back.forward_inference(&x);
-        assert!(before.approx_eq(&after, 1e-12));
+        let mut w = capes_persist::Writer::new();
+        n.encode(&mut w);
+        let bytes = w.into_vec();
+        let mut r = capes_persist::Reader::new(&bytes);
+        let back = Mlp::decode(&mut r).unwrap();
+        r.finish().unwrap();
+        assert_eq!(back.parameter_distance(&n), 0.0);
+        assert_eq!(back.forward_inference(&x), n.forward_inference(&x));
     }
 }

@@ -7,7 +7,6 @@
 use crate::{Mlp, MlpGrads};
 use capes_tensor::simd::{adam_update, AdamStep, SoftTarget};
 use capes_tensor::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// An optimizer that updates an [`Mlp`] in place from a set of gradients.
 pub trait Optimizer {
@@ -19,7 +18,7 @@ pub trait Optimizer {
 }
 
 /// Stochastic gradient descent with optional classical momentum.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Sgd {
     /// Step size.
     pub learning_rate: f64,
@@ -84,7 +83,7 @@ impl Optimizer for Sgd {
 }
 
 /// The Adam optimizer (Kingma & Ba, 2015) — the paper's choice (§3.4).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Adam {
     /// Step size (paper default: `1e-4`).
     pub learning_rate: f64,

@@ -75,7 +75,7 @@ impl ReplayConfig {
 /// the former side `BTreeMap`s held them under independent keys. A lookup is
 /// therefore one index computation plus one tag comparison — no tree probes
 /// anywhere on the sampling path.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct TickSlot {
     /// The tick whose snapshots are stored in this slot, if any.
     tick: Option<Tick>,
@@ -136,7 +136,7 @@ impl TickSlot {
 /// record that lived there (`t − capacity` when ticks arrive densely),
 /// exactly the retention window the explicit eviction loop used to enforce.
 /// Retired snapshot ticks are counted in [`ReplayDb::evicted_ticks`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ReplayDb {
     config: ReplayConfig,
     /// Ring of per-tick slots, indexed by `tick % capacity_ticks`.

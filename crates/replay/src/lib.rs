@@ -14,8 +14,9 @@
 //! * the action performed at each action tick,
 //!
 //! plus the minibatch-construction procedure of Algorithm 1, including the
-//! paper's 20 % missing-entry tolerance, and JSON persistence so a replay
-//! database can be saved and reloaded between sessions.
+//! paper's 20 % missing-entry tolerance. The store is carried between
+//! sessions inside a `capes-persist` snapshot (every type here that holds
+//! experience implements [`capes_persist::Persist`]).
 //!
 //! Storage is organised as a [`ReplayArena`]: a fleet-wide store striped by
 //! cluster, where every per-tick record (snapshots, objective, action) lives
@@ -31,7 +32,6 @@
 pub mod arena;
 pub mod db;
 pub mod minibatch;
-pub mod persist;
 pub mod record;
 pub mod shared;
 

@@ -1,7 +1,6 @@
 //! Record types stored in (or produced from) the Replay Database.
 
 use capes_tensor::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a monitored node (client) in the target system.
 pub type NodeId = usize;
@@ -17,7 +16,7 @@ pub type Tick = u64;
 /// The paper constructs the observation at time `t` as an `S × N` matrix of
 /// per-node values; with `P` performance indicators per node the reproduction
 /// uses an `S × (N · P)` matrix, flattened row-major (oldest tick first).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Observation {
     /// The tick this observation describes (the last tick included in it).
     pub tick: Tick,

@@ -1,7 +1,6 @@
 //! Row-major dense matrix of `f64`.
 
 use capes_persist::{Persist, PersistError, Reader, Writer};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
@@ -11,7 +10,7 @@ use std::ops::{Index, IndexMut};
 /// represented as `1 × n` or `n × 1` matrices. The storage is a single
 /// contiguous `Vec<f64>` so that the GEMM kernels in [`crate::matmul`] can walk
 /// it linearly.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -445,14 +444,6 @@ mod tests {
         assert!(a.approx_eq(&b, 1e-9));
         assert!(!a.approx_eq(&Matrix::filled(2, 2, 1.1), 1e-9));
         assert!(!a.approx_eq(&Matrix::filled(2, 3, 1.0), 1e-9));
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let m = Matrix::from_rows(&[&[1.5, 2.5], &[3.5, -4.5]]);
-        let json = serde_json::to_string(&m).unwrap();
-        let back: Matrix = serde_json::from_str(&json).unwrap();
-        assert_eq!(m, back);
     }
 
     #[test]

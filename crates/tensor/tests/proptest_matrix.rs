@@ -1,5 +1,6 @@
 //! Property-based tests for the matrix algebra kernels.
 
+use capes_persist::{Persist, Reader, Writer};
 use capes_tensor::{MatmulStrategy, Matrix};
 use proptest::prelude::*;
 
@@ -117,9 +118,12 @@ proptest! {
     }
 
     #[test]
-    fn serde_round_trip(m in matrix(3, 5)) {
-        let json = serde_json::to_string(&m).unwrap();
-        let back: Matrix = serde_json::from_str(&json).unwrap();
-        prop_assert_eq!(back, m);
+    fn persist_round_trip(m in matrix(3, 5)) {
+        let mut w = Writer::new();
+        m.encode(&mut w);
+        let bytes = w.into_vec();
+        let mut r = Reader::new(&bytes);
+        prop_assert_eq!(Matrix::decode(&mut r).unwrap(), m);
+        prop_assert!(r.finish().is_ok());
     }
 }

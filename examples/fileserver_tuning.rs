@@ -22,7 +22,7 @@ fn env_ticks(name: &str, default: u64) -> u64 {
 fn main() {
     let train_ticks = env_ticks("CAPES_TRAIN_TICKS", 8_000);
     let measure_ticks = env_ticks("CAPES_MEASURE_TICKS", 600);
-    let checkpoint = std::env::temp_dir().join("capes-fileserver-model.json");
+    let checkpoint = std::env::temp_dir().join("capes-fileserver-model.ckpt");
 
     let target = SimulatedLustre::builder()
         .workload(Workload::fileserver())

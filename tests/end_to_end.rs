@@ -120,10 +120,8 @@ fn checkpointed_model_keeps_its_gains_in_a_later_session() {
     // Scaled-down Figure 4: train, checkpoint, perturb the cluster (simulating
     // two weeks of unrelated file operations), restore the model, and check the
     // tuned run still beats the baseline.
-    let checkpoint = std::env::temp_dir().join(format!(
-        "capes-integration-ckpt-{}.json",
-        std::process::id()
-    ));
+    let checkpoint =
+        std::env::temp_dir().join(format!("capes-integration-{}.ckpt", std::process::id()));
     let mut experiment = Experiment::new(build_system(Workload::random_rw(0.1), 404))
         .phase(Phase::Train { ticks: 6_000 });
     experiment.run();
