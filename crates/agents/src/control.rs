@@ -1,5 +1,7 @@
-//! Control Agent: receives Action Messages and applies the parameter changes
-//! to its node (paper §3.7).
+//! Control Agent: receives Action Messages and decides which parameter
+//! changes its node must apply (paper §3.7). Messages arrive by value from
+//! [`crate::InterfaceDaemon::broadcast_action`]; [`ControlAgent::handle`]
+//! returns the values to set, and the caller sets them.
 
 use crate::message::ActionMessage;
 use capes_persist::Persist;
@@ -18,25 +20,24 @@ pub struct ControlStats {
 
 /// A Control Agent running on one client node.
 ///
-/// The agent is generic over how parameters are actually set: the caller
-/// provides a `setter` closure that receives the full parameter vector. For
-/// the simulated cluster this forwards to
-/// `Cluster::set_params`; for a real deployment it would shell out to
-/// `lctl set_param`, exactly like the paper's Lustre adapter.
-pub struct ControlAgent<F: FnMut(&[f64])> {
+/// The agent screens incoming actions for staleness and duplicates and hands
+/// back the parameter vector its node should switch to; the caller sets the
+/// values. For the simulated cluster that is `TargetSystem::apply_params`; a
+/// real deployment would shell out to `lctl set_param`, exactly like the
+/// paper's Lustre adapter.
+#[derive(Debug)]
+pub struct ControlAgent {
     node: usize,
-    setter: F,
     last_applied_tick: Option<u64>,
     last_values: Option<Vec<f64>>,
     stats: ControlStats,
 }
 
-impl<F: FnMut(&[f64])> ControlAgent<F> {
-    /// Creates a control agent for `node` with the given parameter setter.
-    pub fn new(node: usize, setter: F) -> Self {
+impl ControlAgent {
+    /// Creates a control agent for `node`.
+    pub fn new(node: usize) -> Self {
         ControlAgent {
             node,
-            setter,
             last_applied_tick: None,
             last_values: None,
             stats: ControlStats::default(),
@@ -70,35 +71,29 @@ impl<F: FnMut(&[f64])> ControlAgent<F> {
     /// Handles an incoming action message. Messages older than the most
     /// recently applied one are ignored (they can arrive out of order when the
     /// control network is congested); identical values are not re-applied.
-    /// Returns `true` if the setter was invoked.
-    pub fn handle(&mut self, message: &ActionMessage) -> bool {
+    /// Returns the values the node must now use — moved out of the message
+    /// into the deduplication cache — or `None` if there is nothing to set.
+    pub fn handle(&mut self, message: ActionMessage) -> Option<&[f64]> {
         self.stats.received += 1;
         if let Some(last) = self.last_applied_tick {
             if message.tick < last {
                 self.stats.ignored_stale += 1;
-                return false;
+                return None;
             }
         }
-        let unchanged = self
-            .last_values
-            .as_ref()
-            .map(|v| v == &message.parameter_values)
-            .unwrap_or(false);
         self.last_applied_tick = Some(message.tick);
-        if unchanged {
-            return false;
+        if self.last_values.as_ref() == Some(&message.parameter_values) {
+            return None;
         }
-        (self.setter)(&message.parameter_values);
-        self.last_values = Some(message.parameter_values.clone());
         self.stats.applied += 1;
-        true
+        Some(self.last_values.insert(message.parameter_values).as_slice())
     }
 
     /// Serializes the agent's mutable state: the staleness/deduplication
-    /// caches and the counters. The node id and the setter are wiring,
-    /// re-established by whoever assembles the agent — without the caches a
-    /// restored agent would re-apply (or wrongly accept stale) actions the
-    /// original would have deduplicated, and its statistics would diverge.
+    /// caches and the counters. The node id is wiring, re-established by
+    /// whoever assembles the agent — without the caches a restored agent
+    /// would re-apply (or wrongly accept stale) actions the original would
+    /// have deduplicated, and its statistics would diverge.
     pub fn encode_state(&self, w: &mut capes_persist::Writer) {
         self.last_applied_tick.encode(w);
         self.last_values.encode(w);
@@ -142,8 +137,6 @@ impl Persist for ControlStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
-    use std::rc::Rc;
 
     fn action(tick: u64, values: &[f64]) -> ActionMessage {
         ActionMessage {
@@ -155,12 +148,15 @@ mod tests {
 
     #[test]
     fn applies_new_parameter_values() {
-        let applied = Rc::new(RefCell::new(Vec::<Vec<f64>>::new()));
-        let sink = applied.clone();
-        let mut agent = ControlAgent::new(1, move |v: &[f64]| sink.borrow_mut().push(v.to_vec()));
-        assert!(agent.handle(&action(1, &[8.0, 2000.0])));
-        assert!(agent.handle(&action(2, &[10.0, 2000.0])));
-        assert_eq!(applied.borrow().len(), 2);
+        let mut agent = ControlAgent::new(1);
+        assert_eq!(
+            agent.handle(action(1, &[8.0, 2000.0])),
+            Some(&[8.0, 2000.0][..])
+        );
+        assert_eq!(
+            agent.handle(action(2, &[10.0, 2000.0])),
+            Some(&[10.0, 2000.0][..])
+        );
         assert_eq!(agent.last_values(), Some(&[10.0, 2000.0][..]));
         assert_eq!(agent.stats().applied, 2);
         assert_eq!(agent.node(), 1);
@@ -168,30 +164,25 @@ mod tests {
 
     #[test]
     fn identical_values_are_not_reapplied() {
-        let count = Rc::new(RefCell::new(0u32));
-        let sink = count.clone();
-        let mut agent = ControlAgent::new(0, move |_: &[f64]| *sink.borrow_mut() += 1);
-        assert!(agent.handle(&action(1, &[8.0])));
+        let mut agent = ControlAgent::new(0);
+        assert!(agent.handle(action(1, &[8.0])).is_some());
         assert!(
-            !agent.handle(&action(2, &[8.0])),
+            agent.handle(action(2, &[8.0])).is_none(),
             "same values → no syscall"
         );
-        assert_eq!(*count.borrow(), 1);
         assert_eq!(agent.stats().received, 2);
         assert_eq!(agent.stats().applied, 1);
     }
 
     #[test]
     fn state_round_trip_preserves_dedup_and_stats() {
-        let mut agent = ControlAgent::new(0, |_: &[f64]| {});
-        agent.handle(&action(3, &[8.0, 2000.0]));
-        agent.handle(&action(5, &[8.0, 2000.0])); // deduplicated
-        agent.handle(&action(1, &[9.0])); // stale
+        let mut agent = ControlAgent::new(0);
+        agent.handle(action(3, &[8.0, 2000.0]));
+        agent.handle(action(5, &[8.0, 2000.0])); // deduplicated
+        agent.handle(action(1, &[9.0])); // stale
         let mut w = capes_persist::Writer::new();
         agent.encode_state(&mut w);
-        let count = Rc::new(RefCell::new(0u32));
-        let sink = count.clone();
-        let mut restored = ControlAgent::new(0, move |_: &[f64]| *sink.borrow_mut() += 1);
+        let mut restored = ControlAgent::new(0);
         let mut r = capes_persist::Reader::new(w.as_slice());
         restored.decode_state(&mut r).expect("state decodes");
         r.finish().expect("nothing trails");
@@ -199,18 +190,18 @@ mod tests {
         assert_eq!(restored.last_values(), Some(&[8.0, 2000.0][..]));
         // The restored dedup cache suppresses the re-proposal the original
         // would have suppressed, and still drops stale ticks.
-        assert!(!restored.handle(&action(6, &[8.0, 2000.0])));
-        assert!(!restored.handle(&action(2, &[1.0])));
-        assert_eq!(*count.borrow(), 0);
+        assert!(restored.handle(action(6, &[8.0, 2000.0])).is_none());
+        assert!(restored.handle(action(2, &[1.0])).is_none());
+        assert_eq!(restored.stats().applied, agent.stats().applied);
         assert_eq!(restored.stats().ignored_stale, 2);
     }
 
     #[test]
     fn stale_messages_are_ignored() {
-        let mut agent = ControlAgent::new(0, |_: &[f64]| {});
-        assert!(agent.handle(&action(10, &[8.0])));
+        let mut agent = ControlAgent::new(0);
+        assert!(agent.handle(action(10, &[8.0])).is_some());
         assert!(
-            !agent.handle(&action(5, &[16.0])),
+            agent.handle(action(5, &[16.0])).is_none(),
             "older tick must be dropped"
         );
         assert_eq!(agent.stats().ignored_stale, 1);

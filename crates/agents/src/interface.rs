@@ -3,8 +3,8 @@
 //! The daemon is the only component that writes to the Replay DB. It receives
 //! differential PI reports and objective measurements from the Monitoring
 //! Agents, reconstructs the full per-node indicator vectors, stores them, and
-//! broadcasts the DRL engine's actions to the registered Control Agents
-//! (optionally after passing them through the Action Checker).
+//! screens the DRL engine's actions with the Action Checker, recording each
+//! one that passes and handing it back for the Control Agent.
 
 use crate::checker::{ActionChecker, CheckOutcome};
 use crate::message::{ActionMessage, Message, PiReport};
@@ -12,7 +12,6 @@ use crate::wire::{decode_message, encode_message, WireError};
 use capes_persist::Persist;
 use capes_replay::SharedReplayDb;
 use capes_telemetry::Counter;
-use crossbeam::channel::Sender;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -35,7 +34,7 @@ pub struct InterfaceStats {
     pub objectives_received: u64,
     /// Total encoded bytes of all ingested messages.
     pub bytes_received: u64,
-    /// Actions broadcast to control agents.
+    /// Actions that passed the checker and were handed to the Control Agent.
     pub actions_broadcast: u64,
     /// Actions rejected by the Action Checker.
     pub actions_rejected: u64,
@@ -133,8 +132,6 @@ pub struct InterfaceDaemon {
     node_state: HashMap<usize, Vec<f64>>,
     /// Per-tick partial objective sums (node → value) awaiting aggregation.
     pending_objectives: HashMap<u64, HashMap<usize, f64>>,
-    /// Registered control-agent channels.
-    control_channels: Vec<Sender<ActionMessage>>,
     /// Number of nodes expected to report an objective each tick.
     expected_nodes: usize,
     /// Replay-store geometry, cached so corrupt reports can be screened
@@ -175,7 +172,6 @@ impl InterfaceDaemon {
             checker,
             node_state: HashMap::new(),
             pending_objectives: HashMap::new(),
-            control_channels: Vec::new(),
             expected_nodes,
             db_nodes,
             db_pis_per_node,
@@ -186,11 +182,6 @@ impl InterfaceDaemon {
             staged_len: 0,
             counters: DaemonCounters::default(),
         }
-    }
-
-    /// Registers a Control Agent's inbound channel for action broadcasts.
-    pub fn register_control_channel(&mut self, sender: Sender<ActionMessage>) {
-        self.control_channels.push(sender);
     }
 
     /// Accumulated statistics.
@@ -276,40 +267,27 @@ impl InterfaceDaemon {
         }
     }
 
-    /// Broadcasts an action to every registered Control Agent and records it
-    /// in the Replay DB (for experience replay). Returns the number of agents
-    /// the action was delivered to, or 0 if the Action Checker rejected it.
-    pub fn broadcast_action(&mut self, action: ActionMessage) -> usize {
+    /// Screens an action with the Action Checker and records the checked
+    /// action in the Replay DB (for experience replay). Returns the action
+    /// for the Control Agent — carrying the clamped values when the checker
+    /// clamped — or `None` when the checker vetoed it.
+    pub fn broadcast_action(&mut self, mut action: ActionMessage) -> Option<ActionMessage> {
         match self.checker.check(&action.parameter_values) {
             CheckOutcome::Rejected(_) => {
                 self.counters.actions_rejected.inc();
-                return 0;
+                return None;
             }
-            CheckOutcome::Clamped(values) => {
-                let mut adjusted = action;
-                adjusted.parameter_values = values;
-                return self.deliver(adjusted);
-            }
+            CheckOutcome::Clamped(values) => action.parameter_values = values,
             CheckOutcome::Allowed => {}
         }
-        self.deliver(action)
+        self.db.insert_action(action.tick, action.action_index);
+        self.counters.actions_broadcast.inc();
+        Some(action)
     }
 
     /// Approximate wire size of an action broadcast, in bytes (Table 2).
     pub fn action_message_size(action: &ActionMessage) -> usize {
         encode_message(&Message::Action(action.clone())).len()
-    }
-
-    fn deliver(&mut self, action: ActionMessage) -> usize {
-        self.db.insert_action(action.tick, action.action_index);
-        let mut delivered = 0;
-        for channel in &self.control_channels {
-            if channel.send(action.clone()).is_ok() {
-                delivered += 1;
-            }
-        }
-        self.counters.actions_broadcast.inc();
-        delivered
     }
 
     fn ingest_report(&mut self, report: &PiReport) {
@@ -381,9 +359,9 @@ impl InterfaceDaemon {
 
     /// Serialises the daemon's mutable ingest state — differential
     /// reconstruction vectors, pending objective sums, tick plausibility
-    /// baseline, staged group commit and counters. The replay store itself,
-    /// the checker and the control channels are deliberately excluded: they
-    /// are wiring re-established by the host on restore, not state.
+    /// baseline, staged group commit and counters. The replay store itself
+    /// and the checker are deliberately excluded: they are wiring
+    /// re-established by the host on restore, not state.
     pub fn encode_state(&self, w: &mut capes_persist::Writer) {
         // Geometry first, so a restore into a differently-shaped deployment
         // fails loudly instead of poisoning the store.
@@ -500,7 +478,6 @@ mod tests {
     use super::*;
     use crate::monitoring::MonitoringAgent;
     use capes_replay::ReplayConfig;
-    use crossbeam::channel::unbounded;
 
     fn db(nodes: usize, pis: usize) -> SharedReplayDb {
         SharedReplayDb::new(ReplayConfig {
@@ -579,19 +556,12 @@ mod tests {
                 false,
             ),
         );
-        let (tx_a, rx_a) = unbounded();
-        let (tx_b, rx_b) = unbounded();
-        daemon.register_control_channel(tx_a);
-        daemon.register_control_channel(tx_b);
-
         let ok = ActionMessage {
             tick: 3,
             action_index: 1,
             parameter_values: vec![16.0],
         };
-        assert_eq!(daemon.broadcast_action(ok.clone()), 2);
-        assert_eq!(rx_a.recv().unwrap(), ok);
-        assert_eq!(rx_b.recv().unwrap(), ok);
+        assert_eq!(daemon.broadcast_action(ok.clone()), Some(ok.clone()));
         shared.with_read(|db| assert_eq!(db.action_at(3), Some(1)));
         assert!(InterfaceDaemon::action_message_size(&ok) > 0);
 
@@ -600,10 +570,10 @@ mod tests {
             action_index: 2,
             parameter_values: vec![1e9],
         };
-        assert_eq!(daemon.broadcast_action(bad), 0, "checker must veto");
+        assert_eq!(daemon.broadcast_action(bad), None, "checker must veto");
         assert_eq!(daemon.stats().actions_rejected, 1);
+        assert_eq!(daemon.stats().actions_broadcast, 1);
         shared.with_read(|db| assert_eq!(db.action_at(4), None));
-        assert!(rx_a.try_recv().is_err());
     }
 
     #[test]
@@ -621,14 +591,15 @@ mod tests {
                 true,
             ),
         );
-        let (tx, rx) = unbounded();
-        daemon.register_control_channel(tx);
-        daemon.broadcast_action(ActionMessage {
+        let checked = daemon.broadcast_action(ActionMessage {
             tick: 1,
             action_index: 0,
             parameter_values: vec![2.0],
         });
-        assert_eq!(rx.recv().unwrap().parameter_values, vec![8.0]);
+        assert_eq!(
+            checked.expect("clamped, not vetoed").parameter_values,
+            vec![8.0]
+        );
     }
 
     #[test]

@@ -8,12 +8,13 @@
 //!
 //! In the paper these components are separate processes talking over the
 //! cluster's control network with a differential, compressed protocol; in the
-//! reproduction they are objects connected either directly (synchronous
-//! in-process use, which keeps experiments deterministic) or through
-//! crossbeam channels (the threaded deployment exercised by the integration
-//! tests). The wire format is implemented for real — every PI report is
-//! differentially encoded and serialised to a compact binary frame — so the
-//! per-client message sizes of Table 2 can be measured.
+//! reproduction they are objects called synchronously on one thread, which
+//! keeps experiments deterministic: an action passes by value from the
+//! Interface Daemon (checker verdict, Replay DB record) to the Control Agent
+//! (staleness and deduplication) to the caller that sets the parameters. The
+//! wire format is implemented for real — every PI report is differentially
+//! encoded and serialised to a compact binary frame — so the per-client
+//! message sizes of Table 2 can be measured.
 
 #![forbid(unsafe_code)]
 

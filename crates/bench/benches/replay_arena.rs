@@ -5,9 +5,9 @@
 //! Medians are recorded in `BENCH_replay_arena.json` at the repo root.
 //!
 //! The PR 3 comparison isolates what the flat slot records buy: its
-//! `has_transition_data` path cost two B-tree probes plus two full
-//! observation builds per candidate draw, where the arena's flat probe costs
-//! `O(window)` slot reads and builds observations only for accepted draws.
+//! transition check cost two B-tree probes plus two full observation builds
+//! per candidate draw, where the arena's flat probes cost two slot reads and
+//! build observations straight into the batch row.
 
 use capes_replay::{ReplayArena, ReplayBatch, ReplayConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -47,7 +47,7 @@ fn fill_stripe(arena: &ReplayArena, stripe: usize, ticks: u64) {
 // ---------------------------------------------------------------------------
 // The PR 3 store, reimplemented for comparison: flat snapshot ring plus side
 // objectives/actions BTreeMaps behind one RwLock, sampled through the
-// observation-building `has_transition_data` it shipped with.
+// observation-building transition check it shipped with.
 // ---------------------------------------------------------------------------
 
 struct Pr3Db {
@@ -130,7 +130,7 @@ impl Pr3Db {
         true
     }
 
-    /// PR 3's sampler: `has_transition_data` builds both observations per
+    /// PR 3's sampler: the transition check builds both observations per
     /// candidate (into scratch), accepted candidates build them again into
     /// the batch rows.
     fn sample(&self, n: usize, rng: &mut StdRng, scratch: &mut [f64], out: &mut [f64]) -> usize {

@@ -29,7 +29,7 @@ use crate::objective::Objective;
 use crate::system::{CapesSystem, Transport};
 use crate::target::TargetSystem;
 use capes_agents::ActionChecker;
-use capes_drl::{DqnAgent, SamplingScope};
+use capes_drl::DqnAgent;
 use capes_replay::SharedReplayDb;
 
 /// Entry point for the builder API.
@@ -48,7 +48,6 @@ impl Capes {
             observers: Vec::new(),
             transport: Transport::InProcess,
             replay_db: None,
-            sampling_scope: None,
         }
     }
 }
@@ -67,7 +66,6 @@ pub struct CapesBuilder<T: TargetSystem> {
     observers: Vec<Box<dyn TickObserver>>,
     transport: Transport,
     replay_db: Option<SharedReplayDb>,
-    sampling_scope: Option<SamplingScope>,
 }
 
 impl<T: TargetSystem> CapesBuilder<T> {
@@ -136,17 +134,6 @@ impl<T: TargetSystem> CapesBuilder<T> {
         self
     }
 
-    /// Sets the replay [`SamplingScope`] of the DRL engine (default:
-    /// [`SamplingScope::Own`]). [`SamplingScope::Profile`] makes training
-    /// steps sample a weighted stripe set of the replay arena — experience
-    /// sharing across the clusters of one profile. Ignored by engines that do
-    /// not learn from the replay database.
-    #[must_use]
-    pub fn sampling_scope(mut self, scope: SamplingScope) -> Self {
-        self.sampling_scope = Some(scope);
-        self
-    }
-
     /// Validates the configuration and assembles the system.
     ///
     /// # Errors
@@ -156,9 +143,7 @@ impl<T: TargetSystem> CapesBuilder<T> {
     /// * [`CapesError::NoTunableParameters`] if the target exposes an empty
     ///   tunable-spec list;
     /// * [`CapesError::ReplayConfigMismatch`] if a supplied replay stripe was
-    ///   configured for a different geometry than the target needs;
-    /// * [`CapesError::InvalidSamplingScope`] if a profile scope's weight
-    ///   vector does not fit the system's arena.
+    ///   configured for a different geometry than the target needs.
     pub fn build(self) -> Result<CapesSystem<T>, CapesError> {
         self.hyperparams.validate()?;
         let specs = self.target.tunable_specs();
@@ -176,29 +161,7 @@ impl<T: TargetSystem> CapesBuilder<T> {
                 });
             }
         }
-        if let Some(SamplingScope::Profile { weights }) = &self.sampling_scope {
-            // Without an external stripe the system builds a one-stripe arena.
-            let stripes = self
-                .replay_db
-                .as_ref()
-                .map_or(1, |db| db.arena().num_stripes());
-            if weights.len() != stripes {
-                return Err(CapesError::InvalidSamplingScope {
-                    reason: format!(
-                        "scope carries {} weights but the arena has {stripes} stripes",
-                        weights.len()
-                    ),
-                });
-            }
-            if weights.iter().any(|w| !w.is_finite() || *w < 0.0)
-                || weights.iter().all(|&w| w <= 0.0)
-            {
-                return Err(CapesError::InvalidSamplingScope {
-                    reason: "weights must be finite, non-negative and not all zero".into(),
-                });
-            }
-        }
-        let mut engine = match self.engine {
+        let engine = match self.engine {
             Some(engine) => engine,
             None => {
                 // The default engine: a freshly-initialised DQN sized for the
@@ -210,11 +173,6 @@ impl<T: TargetSystem> CapesBuilder<T> {
                 Box::new(DrlEngine::new(DqnAgent::new(config, self.seed ^ 0x5eed)))
             }
         };
-        if let Some(scope) = self.sampling_scope {
-            if let Some(drl) = engine.as_any_mut().downcast_mut::<DrlEngine>() {
-                drl.set_scope(scope);
-            }
-        }
         Ok(CapesSystem::assemble(
             self.target,
             self.hyperparams,
@@ -327,45 +285,6 @@ mod tests {
             result,
             Err(CapesError::ReplayConfigMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn profile_scope_weights_are_validated_against_the_arena() {
-        // Two weights against the default one-stripe arena.
-        let result = Capes::builder(QuadraticTarget::new(60.0))
-            .hyperparams(Hyperparameters::quick_test())
-            .sampling_scope(SamplingScope::Profile {
-                weights: vec![1.0, 1.0],
-            })
-            .build();
-        assert!(matches!(
-            result,
-            Err(CapesError::InvalidSamplingScope { .. })
-        ));
-        // All-zero weights are rejected too.
-        let result = Capes::builder(QuadraticTarget::new(60.0))
-            .hyperparams(Hyperparameters::quick_test())
-            .sampling_scope(SamplingScope::Profile { weights: vec![0.0] })
-            .build();
-        assert!(matches!(
-            result,
-            Err(CapesError::InvalidSamplingScope { .. })
-        ));
-    }
-
-    #[test]
-    fn sampling_scope_reaches_the_default_drl_engine() {
-        let system = Capes::builder(QuadraticTarget::new(60.0))
-            .hyperparams(Hyperparameters::quick_test())
-            .sampling_scope(SamplingScope::Profile { weights: vec![1.0] })
-            .build()
-            .expect("valid configuration");
-        let engine = system
-            .engine()
-            .as_any()
-            .downcast_ref::<DrlEngine>()
-            .expect("default engine is the DQN");
-        assert!(matches!(engine.scope(), SamplingScope::Profile { .. }));
     }
 
     #[test]

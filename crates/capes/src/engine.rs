@@ -25,7 +25,7 @@
 use crate::system::SystemTick;
 use crate::target::{TargetSystem, TunableSpec};
 use crate::tuners::TunerResult;
-use capes_drl::{ActionSpace, DqnAgent, SamplingScope};
+use capes_drl::{ActionSpace, DqnAgent};
 use capes_replay::{Observation, SharedReplayDb};
 use std::any::Any;
 
@@ -120,24 +120,16 @@ pub trait TuningEngine: Any + Send {
 pub struct DrlEngine {
     agent: DqnAgent,
     action_space: ActionSpace,
-    scope: SamplingScope,
 }
 
 impl DrlEngine {
-    /// Wraps a DQN agent as a tuning engine sampling its own replay stripe
-    /// ([`SamplingScope::Own`], the pre-arena behaviour).
+    /// Wraps a DQN agent as a tuning engine training on the system's own
+    /// replay stripe (experience sharing across clusters is the fleet's
+    /// business: `capes_fleet::ExperienceSharing`).
     pub fn new(agent: DqnAgent) -> Self {
-        Self::with_scope(agent, SamplingScope::Own)
-    }
-
-    /// Wraps a DQN agent with an explicit replay [`SamplingScope`]: an
-    /// engine scoped to a profile trains on a weighted stripe set of the
-    /// system's replay arena instead of the system's own stripe only.
-    pub fn with_scope(agent: DqnAgent, scope: SamplingScope) -> Self {
         DrlEngine {
             action_space: agent.action_space(),
             agent,
-            scope,
         }
     }
 
@@ -149,16 +141,6 @@ impl DrlEngine {
     /// Mutable access to the wrapped agent.
     pub fn agent_mut(&mut self) -> &mut DqnAgent {
         &mut self.agent
-    }
-
-    /// The replay sampling scope training steps use.
-    pub fn scope(&self) -> &SamplingScope {
-        &self.scope
-    }
-
-    /// Replaces the replay sampling scope.
-    pub fn set_scope(&mut self, scope: SamplingScope) {
-        self.scope = scope;
     }
 
     /// Replaces the wrapped agent (checkpoint restoration).
@@ -211,7 +193,7 @@ impl TuningEngine for DrlEngine {
     }
 
     fn train_step(&mut self, db: &SharedReplayDb) -> Option<f64> {
-        match self.agent.train_scoped(db, &self.scope) {
+        match self.agent.train_from_db(db) {
             Ok(Some(report)) => Some(report.prediction_error),
             _ => None,
         }

@@ -55,12 +55,6 @@ pub enum CapesError {
         /// Description of the mismatch (expected vs provided configuration).
         reason: String,
     },
-    /// A configured replay sampling scope cannot be used with the system's
-    /// arena (wrong weight count, or no positive weight).
-    InvalidSamplingScope {
-        /// Description of the problem.
-        reason: String,
-    },
 }
 
 impl fmt::Display for CapesError {
@@ -85,9 +79,6 @@ impl fmt::Display for CapesError {
             }
             CapesError::ReplayConfigMismatch { reason } => {
                 write!(f, "replay store incompatible with this system: {reason}")
-            }
-            CapesError::InvalidSamplingScope { reason } => {
-                write!(f, "invalid replay sampling scope: {reason}")
             }
         }
     }

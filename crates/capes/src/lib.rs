@@ -92,10 +92,9 @@ pub use session::SessionResult;
 pub use system::{CapesSystem, SystemTick, TickMeasurement, Transport};
 pub use target::{TargetSystem, TargetTick, TunableSpec};
 
-// Replay-layer types that surface through the builder API (`replay_db`,
-// `sampling_scope`): re-exported so downstream crates need not depend on
-// capes-drl / capes-replay directly to configure experience sharing.
-pub use capes_drl::SamplingScope;
+// Replay-layer types that surface through the builder API (`replay_db`):
+// re-exported so downstream crates need not depend on capes-replay directly
+// to hand a system an arena stripe.
 pub use capes_replay::{ReplayArena, SharedReplayDb, StripeStats};
 
 /// Convenient glob import for examples, benchmarks and downstream crates.
@@ -118,7 +117,6 @@ pub mod prelude {
     pub use crate::system::{CapesSystem, SystemTick, TickMeasurement, Transport};
     pub use crate::target::{TargetSystem, TargetTick, TunableSpec};
     pub use crate::tuners::{HillClimbing, RandomSearch, StaticBaseline, TunerResult};
-    pub use capes_drl::SamplingScope;
     pub use capes_replay::{ReplayArena, SharedReplayDb};
     pub use capes_simstore::{ClusterConfig, PiMode, TunableParams, Workload};
 }

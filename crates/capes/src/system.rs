@@ -19,10 +19,7 @@ use capes_agents::{
 };
 use capes_drl::DqnAgent;
 use capes_replay::{Observation, SharedReplayDb};
-use crossbeam::channel::{unbounded, Receiver};
-use parking_lot::Mutex;
 use std::path::Path;
-use std::sync::Arc;
 
 /// How monitoring traffic travels from the agents to the Interface Daemon.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -96,9 +93,6 @@ pub struct TickMeasurement {
     pub observation: Option<Observation>,
 }
 
-/// The boxed parameter-setter closure the Control Agent drives.
-type ParamSetter = Box<dyn FnMut(&[f64]) + Send>;
-
 /// The CAPES system wired around a target system.
 pub struct CapesSystem<T: TargetSystem> {
     target: T,
@@ -107,9 +101,7 @@ pub struct CapesSystem<T: TargetSystem> {
     db: SharedReplayDb,
     daemon: InterfaceDaemon,
     monitors: Vec<MonitoringAgent>,
-    control_rx: Receiver<ActionMessage>,
-    control_agent: ControlAgent<ParamSetter>,
-    staged_params: Arc<Mutex<Option<Vec<f64>>>>,
+    control_agent: ControlAgent,
     engine: Box<dyn TuningEngine>,
     observers: Vec<Box<dyn TickObserver>>,
     specs: Vec<TunableSpec>,
@@ -148,16 +140,7 @@ impl<T: TargetSystem> CapesSystem<T> {
         let db = replay_db.unwrap_or_else(|| {
             SharedReplayDb::new(hyperparams.replay_config(num_nodes, pis_per_node))
         });
-        let mut daemon = InterfaceDaemon::new(db.clone(), num_nodes, checker);
-
-        let (control_tx, control_rx) = unbounded();
-        daemon.register_control_channel(control_tx);
-        let staged_params: Arc<Mutex<Option<Vec<f64>>>> = Arc::new(Mutex::new(None));
-        let staging = staged_params.clone();
-        let setter: ParamSetter =
-            Box::new(move |values: &[f64]| *staging.lock() = Some(values.to_vec()));
-        let control_agent = ControlAgent::new(0, setter);
-
+        let daemon = InterfaceDaemon::new(db.clone(), num_nodes, checker);
         let monitors = (0..num_nodes)
             .map(|n| MonitoringAgent::new(n, 0.0))
             .collect();
@@ -169,9 +152,7 @@ impl<T: TargetSystem> CapesSystem<T> {
             db,
             daemon,
             monitors,
-            control_rx,
-            control_agent,
-            staged_params,
+            control_agent: ControlAgent::new(0),
             engine,
             observers,
             specs,
@@ -418,10 +399,13 @@ impl<T: TargetSystem> CapesSystem<T> {
     //
     // One tick = begin_tick (measure + store) → decide + apply_action
     // (skipped for baselines) → training → finish_tick (feedback +
-    // bookkeeping). `run_tick` composes the stages with the in-system engine;
-    // external drivers such as the fleet daemon interleave the stages of many
-    // systems so that all of their decisions collapse into one batched
-    // forward pass.
+    // bookkeeping). `apply_action` is a straight line of calls on this
+    // thread: Action Checker + Replay DB record (Interface Daemon), staleness
+    // and deduplication (Control Agent), then the target's `apply_params` —
+    // nothing is left staged between ticks. `run_tick` composes the stages
+    // with the in-system engine; external drivers such as the fleet daemon
+    // interleave the stages of many systems so that all of their decisions
+    // collapse into one batched forward pass.
     // -----------------------------------------------------------------------
 
     /// Measurement stage of one tick: lets the target run for one second,
@@ -556,25 +540,22 @@ impl<T: TargetSystem> CapesSystem<T> {
         }
     }
 
-    /// Action stage of one tick: routes a proposal through the Interface
-    /// Daemon (Action Checker included) and lets the Control Agent apply
-    /// whatever arrives. Call between [`CapesSystem::begin_tick`] and
-    /// [`CapesSystem::finish_tick`]; baseline ticks skip it. Takes the
-    /// proposal by value so its parameter vector moves into the action
-    /// message instead of being re-allocated every tick.
+    /// Action stage of one tick: the Interface Daemon screens the proposal
+    /// (Action Checker) and records it, the Control Agent drops it if stale
+    /// or unchanged, and whatever survives is applied to the target. Call
+    /// between [`CapesSystem::begin_tick`] and [`CapesSystem::finish_tick`];
+    /// baseline ticks skip it. Takes the proposal by value so its parameter
+    /// vector moves through to the Control Agent's cache without a copy.
     pub fn apply_action(&mut self, proposal: ProposedAction) {
-        self.daemon.broadcast_action(ActionMessage {
+        let checked = self.daemon.broadcast_action(ActionMessage {
             tick: self.tick,
             // Engines that do not reason in the discrete space (the
             // search comparators) record the NULL action.
             action_index: proposal.action_index.unwrap_or(0),
             parameter_values: proposal.params,
         });
-        while let Ok(message) = self.control_rx.try_recv() {
-            self.control_agent.handle(&message);
-        }
-        if let Some(values) = self.staged_params.lock().take() {
-            self.target.apply_params(&values);
+        if let Some(values) = checked.and_then(|action| self.control_agent.handle(action)) {
+            self.target.apply_params(values);
         }
     }
 
@@ -682,7 +663,9 @@ impl<T: TargetSystem + capes_persist::Persist> CapesSystem<T> {
         w.put_u64(self.tick);
         self.target.encode(w);
         self.monitors.encode(w);
-        self.staged_params.lock().encode(w);
+        // Reserved: once a staged-parameter slot, always empty at a tick
+        // boundary (`apply_action` stages nothing).
+        w.put_u8(0);
         // Socket traffic staged for an external transmitter rides along as
         // wire frames (empty at tick boundaries).
         w.put_usize(self.outbox.len());
@@ -744,7 +727,13 @@ impl<T: TargetSystem + capes_persist::Persist> CapesSystem<T> {
                 what: "snapshot monitor set disagrees with the target geometry",
             });
         }
-        let staged = Option::<Vec<f64>>::decode(r)?;
+        // Anything but the reserved empty byte would be parameter values
+        // that never passed the Action Checker.
+        if r.get_u8()? != 0 {
+            return Err(PersistError::BadValue {
+                what: "reserved staged-parameter byte is not 0",
+            });
+        }
         let outbox_len = r.get_count(1)?;
         let mut outbox = Vec::with_capacity(outbox_len);
         for _ in 0..outbox_len {
@@ -790,7 +779,6 @@ impl<T: TargetSystem + capes_persist::Persist> CapesSystem<T> {
         self.tick = tick;
         self.target = target;
         self.monitors = monitors;
-        *self.staged_params.lock() = staged;
         self.outbox = outbox;
         self.throughput_history = throughput_history;
         self.prediction_errors = prediction_errors;
@@ -1139,6 +1127,52 @@ mod tests {
         let mut r = capes_persist::Reader::new(w.as_slice());
         let err = search.decode_state(&mut r).unwrap_err();
         assert!(err.to_string().contains("engine"), "got: {err}");
+    }
+
+    #[test]
+    fn snapshot_borne_parameters_are_rejected_untouched() {
+        use capes_persist::{Persist, Reader, Writer};
+        // A NullEngine re-proposes the current parameters, so its next action
+        // is deduplicated by the Control Agent — the tick on which values
+        // staged by a snapshot would reach the target unchecked.
+        let build = || {
+            Capes::builder(QuadraticTarget::new(60.0))
+                .hyperparams(quick_hyperparams())
+                .engine(Box::new(crate::engine::NullEngine))
+                .build()
+                .unwrap()
+        };
+        let mut original = build();
+        for _ in 0..5 {
+            original.training_tick();
+        }
+        let mut honest = Writer::new();
+        original.encode_state(&mut honest);
+        // Splice `Some([42.0])` over the reserved byte behind the monitors.
+        let mut crafted = Writer::new();
+        crafted.put_u8(original.transport.tag());
+        crafted.put_u64(original.tick);
+        original.target.encode(&mut crafted);
+        original.monitors.encode(&mut crafted);
+        let at = crafted.len();
+        assert_eq!(honest.as_slice()[at], 0, "the reserved byte");
+        Some(vec![42.0]).encode(&mut crafted);
+        crafted.put_raw(&honest.as_slice()[at + 1..]);
+
+        let mut restored = build();
+        let err = restored
+            .decode_state(&mut Reader::new(crafted.as_slice()))
+            .unwrap_err();
+        assert!(err.to_string().contains("reserved"), "got: {err}");
+        assert_eq!(restored.tick(), 0, "nothing was overwritten");
+        assert_eq!(restored.daemon_stats(), Default::default());
+        // The honest snapshot restores, and the deduplicated proposal leaves
+        // the knob where it was.
+        restored
+            .decode_state(&mut Reader::new(honest.as_slice()))
+            .unwrap();
+        restored.training_tick();
+        assert_eq!(restored.current_params(), vec![10.0]);
     }
 
     #[test]

@@ -101,40 +101,6 @@ impl capes_persist::Persist for DqnAgentConfig {
     }
 }
 
-/// Where a training step draws its experience from.
-///
-/// The replay layer stores every cluster's experience in one
-/// [`ReplayArena`] striped by cluster; an agent serving several clusters of
-/// one *profile* (same observation geometry) may either keep each training
-/// call on the caller's own stripe — the pre-arena behaviour, bit-identical
-/// RNG consumption — or sample across the profile's stripes with per-cluster
-/// weights (transfer learning between clusters running one policy).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum SamplingScope {
-    /// Sample only the stripe behind the [`SharedReplayDb`] handed to the
-    /// training call. Default; identical to pre-arena training.
-    Own,
-    /// Sample across the arena with one relative weight per stripe (zero
-    /// excludes a stripe). A weight vector with exactly one positive entry
-    /// consumes the RNG identically to [`SamplingScope::Own`] on that stripe.
-    Profile {
-        /// Relative draw probability of each arena stripe.
-        weights: Vec<f64>,
-    },
-}
-
-impl SamplingScope {
-    /// A profile scope weighting every listed stripe equally within an arena
-    /// of `num_stripes` stripes.
-    pub fn uniform_over(num_stripes: usize, members: &[usize]) -> Self {
-        let mut weights = vec![0.0; num_stripes];
-        for &stripe in members {
-            weights[stripe] = 1.0;
-        }
-        SamplingScope::Profile { weights }
-    }
-}
-
 /// The decision made by [`DqnAgent::select_action`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ActionDecision {
@@ -428,21 +394,6 @@ impl DqnAgent {
             Err(MinibatchError::NotEnoughData) | Err(MinibatchError::TooSparse { .. }) => Ok(None),
         }
     }
-
-    /// Scope-dispatching training step: [`SamplingScope::Own`] trains from
-    /// `db`'s own stripe exactly like [`DqnAgent::train_from_db`] (same RNG
-    /// stream, same transitions); [`SamplingScope::Profile`] samples `db`'s
-    /// arena with the scope's stripe weights.
-    pub fn train_scoped(
-        &mut self,
-        db: &SharedReplayDb,
-        scope: &SamplingScope,
-    ) -> Result<Option<TrainReport>, MinibatchError> {
-        match scope {
-            SamplingScope::Own => self.train_from_db(db),
-            SamplingScope::Profile { weights } => self.train_weighted(db.arena(), weights),
-        }
-    }
 }
 
 impl capes_persist::Persist for DqnAgent {
@@ -687,61 +638,34 @@ mod tests {
     }
 
     #[test]
-    fn own_scope_matches_train_from_db_exactly() {
-        let arena = filled_arena(2, 200);
-        let db = arena.stripe(0);
-        let mut direct = DqnAgent::new(small_config(), 21);
-        let mut scoped = direct.clone();
-        for _ in 0..5 {
-            let a = direct.train_from_db(&db).unwrap().expect("trains");
-            let b = scoped
-                .train_scoped(&db, &SamplingScope::Own)
-                .unwrap()
-                .expect("trains");
-            assert_eq!(a.step, b.step);
-            assert_eq!(a.prediction_error, b.prediction_error);
-            assert_eq!(a.loss, b.loss);
-        }
-    }
-
-    #[test]
-    fn one_hot_profile_scope_matches_own_scope() {
+    fn one_hot_weights_match_train_from_db() {
         let arena = filled_arena(3, 200);
         let db = arena.stripe(1);
-        let one_hot = SamplingScope::uniform_over(3, &[1]);
         let mut own = DqnAgent::new(small_config(), 22);
-        let mut profiled = own.clone();
+        let mut weighted = own.clone();
         for _ in 0..5 {
-            let a = own.train_scoped(&db, &SamplingScope::Own).unwrap().unwrap();
-            let b = profiled.train_scoped(&db, &one_hot).unwrap().unwrap();
+            let a = own.train_from_db(&db).unwrap().unwrap();
+            let b = weighted
+                .train_weighted(&arena, &[0.0, 1.0, 0.0])
+                .unwrap()
+                .unwrap();
             assert_eq!(a.prediction_error, b.prediction_error);
             assert_eq!(a.loss, b.loss);
         }
     }
 
     #[test]
-    fn profile_scope_trains_across_stripes() {
+    fn weighted_training_spans_stripes() {
         let arena = filled_arena(2, 200);
-        let db = arena.stripe(0);
         let mut agent = DqnAgent::new(small_config(), 23);
-        let scope = SamplingScope::uniform_over(2, &[0, 1]);
-        let report = agent.train_scoped(&db, &scope).unwrap().expect("trains");
+        let report = agent
+            .train_weighted(&arena, &[1.0, 1.0])
+            .unwrap()
+            .expect("trains");
         assert_eq!(report.step, 1);
         // An empty arena yields no training step, like an empty DB.
-        let empty = capes_replay::ReplayArena::uniform(
-            ReplayConfig {
-                num_nodes: 2,
-                pis_per_node: 3,
-                ticks_per_observation: 1,
-                missing_entry_tolerance: 0.2,
-                capacity_ticks: 1000,
-            },
-            2,
-        );
-        assert!(agent
-            .train_scoped(&empty.stripe(0), &scope)
-            .unwrap()
-            .is_none());
+        let empty = filled_arena(2, 0);
+        assert!(agent.train_weighted(&empty, &[1.0, 1.0]).unwrap().is_none());
     }
 
     #[test]

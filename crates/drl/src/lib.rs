@@ -21,7 +21,7 @@ pub mod qnet;
 pub mod trainer;
 
 pub use action::{Action, ActionSpace};
-pub use agent::{ActionDecision, DqnAgent, DqnAgentConfig, SamplingScope};
+pub use agent::{ActionDecision, DqnAgent, DqnAgentConfig};
 pub use epsilon::EpsilonSchedule;
 pub use qnet::{best_action_in_row, QNetwork};
 pub use trainer::{TrainReport, Trainer, TrainerConfig};

@@ -14,7 +14,7 @@
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
-use capes_drl::{ActionDecision, DqnAgent, DqnAgentConfig, SamplingScope};
+use capes_drl::{ActionDecision, DqnAgent, DqnAgentConfig};
 use capes_replay::{Observation, ReplayArena, ReplayConfig, SharedReplayDb};
 use capes_tensor::Matrix;
 use rand::rngs::StdRng;
@@ -191,10 +191,11 @@ fn steady_state_train_step_performs_zero_heap_allocations() {
 
     // --- Arena training paths (same binary, same reason) ---
     //
-    // `train_scoped` through a multi-stripe arena must stay allocation-free
-    // at steady state under both scopes: `Own` (single-stripe sampling) and
-    // `Profile` (weighted stripe-set sampling, which read-locks one stripe
-    // per candidate draw but allocates nothing).
+    // Training on a multi-stripe arena must stay allocation-free at steady
+    // state both ways: `train_from_db` on one stripe view (single-stripe
+    // sampling) and `train_weighted` over the arena (weighted stripe-set
+    // sampling, which read-locks one stripe per candidate draw but
+    // allocates nothing).
     let mut rng = StdRng::seed_from_u64(13);
     let arena = ReplayArena::uniform(
         ReplayConfig {
@@ -216,18 +217,16 @@ fn steady_state_train_step_performs_zero_heap_allocations() {
         }
     }
     let own_view = arena.stripe(0);
-    let profile_scope = SamplingScope::Profile {
-        weights: vec![3.0, 1.0],
-    };
+    let weights = [3.0, 1.0];
     let mut arena_agent = DqnAgent::new(DqnAgentConfig::paper_default(600, 2), 2);
-    // Warm-up sizes the batch buffers and trainer workspaces for both scopes.
+    // Warm-up sizes the batch buffers and trainer workspaces for both paths.
     for _ in 0..2 {
         arena_agent
-            .train_scoped(&own_view, &SamplingScope::Own)
+            .train_from_db(&own_view)
             .expect("sampling must succeed")
             .expect("stripe has enough data");
         arena_agent
-            .train_scoped(&own_view, &profile_scope)
+            .train_weighted(&arena, &weights)
             .expect("sampling must succeed")
             .expect("arena has enough data");
     }
@@ -237,11 +236,11 @@ fn steady_state_train_step_performs_zero_heap_allocations() {
     let mut last_step = 0;
     for _ in 0..5 {
         arena_agent
-            .train_scoped(&own_view, &SamplingScope::Own)
+            .train_from_db(&own_view)
             .expect("sampling must succeed")
             .expect("stripe has enough data");
         last_step = arena_agent
-            .train_scoped(&own_view, &profile_scope)
+            .train_weighted(&arena, &weights)
             .expect("sampling must succeed")
             .expect("arena has enough data")
             .step;
@@ -251,11 +250,11 @@ fn steady_state_train_step_performs_zero_heap_allocations() {
     assert_eq!(last_step, 4 + 10, "all arena steps must have trained");
     assert_eq!(
         allocs, 0,
-        "steady-state arena train_scoped must not allocate ({allocs} allocations)"
+        "steady-state arena training must not allocate ({allocs} allocations)"
     );
     assert_eq!(
         deallocs, 0,
-        "steady-state arena train_scoped must not free ({deallocs} deallocations)"
+        "steady-state arena training must not free ({deallocs} deallocations)"
     );
 
     // --- Telemetry record path (same binary, same reason) ---

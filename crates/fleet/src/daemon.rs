@@ -13,9 +13,12 @@
 //!    shared [`DqnAgent`] ([`DqnAgent::decide_batch`]) — the ROADMAP's 1-row
 //!    `q_values` hot path widened into an N-row GEMM riding the pooled
 //!    kernels,
-//! 3. scatters the resulting actions back through each cluster's Interface
-//!    Daemon / Action Checker / Control Agent (optionally over
-//!    cluster-multiplexed wire frames, [`crate::wire`]), and
+//! 3. builds one action message per cluster from its decision, moves it
+//!    through the fleet's transport (cluster-multiplexed wire frames,
+//!    [`crate::wire`], or the loopback sockets; in-process it stays put), and
+//!    hands it to [`CapesSystem::apply_action`] — Action Checker and Replay
+//!    DB record in the cluster's Interface Daemon, then its Control Agent,
+//!    then the knob — and
 //! 4. round-robins training across the clusters: each fleet tick trains one
 //!    cluster's profile agent, sampling that cluster's arena stripe — or, with
 //!    experience sharing enabled for the profile
@@ -581,7 +584,8 @@ pub struct FleetDaemon {
     router: FrameRouter,
     /// Wire-mode action bus: cluster-multiplexed frames of this tick.
     bus: Vec<bytes::Bytes>,
-    /// Actions decoded off the bus awaiting application, per cluster.
+    /// Per-cluster action messages in flight through the transport this
+    /// tick (empty between ticks).
     pending_actions: Vec<Option<ActionMessage>>,
     /// Per-cluster actions staged for the (possibly parallel) apply step —
     /// every transport's scatter path converges here before application.
@@ -746,8 +750,8 @@ impl FleetDaemon {
     /// crash-safe snapshot file: transport, tick counters, per-profile
     /// experience sharing and DQN agents (weights, Adam state, ε-schedule
     /// RNG), the whole replay arena, and every member system's state
-    /// (simulated cluster RNGs, monitors, interface daemon, control agent,
-    /// staged actions). [`FleetDaemon::restore`] of the file into an
+    /// (simulated cluster RNGs, monitors, interface daemon, control-agent
+    /// caches, tick bookkeeping). [`FleetDaemon::restore`] of the file into an
     /// identically-built fleet resumes bit-identically: the same future
     /// reports and the same final weights as the uninterrupted run.
     ///
@@ -1265,55 +1269,39 @@ impl FleetDaemon {
             let scatter_started = Instant::now();
 
             // 3. Scatter, staging half: map each decision onto absolute
-            //    parameter values and move it through the cluster's transport
-            //    — over the cluster-multiplexed action bus in wire mode —
-            //    into `staged_actions`. Staging stays on this thread (the
-            //    bus, router and socket buffers are shared); application is
+            //    parameter values in one action message per cluster, move
+            //    the messages through the transport — over the
+            //    cluster-multiplexed action bus in wire mode, the loopback
+            //    connections in socket mode — and stage what arrives in
+            //    `staged_actions`. Staging stays on this thread (the bus,
+            //    router and socket buffers are shared); application is
             //    sharded below.
+            for (i, session) in sessions.iter().enumerate() {
+                // In bounds: `session.profile`/`session.row` are assigned
+                // from `profiles` positions at build time.
+                let profile = &profiles[session.profile];
+                // In bounds: same build-time assignment.
+                let decision = profile.decisions[session.row];
+                // In bounds: `pending_actions` is sized to `sessions`.
+                pending_actions[i] = Some(ActionMessage {
+                    tick: session.system.tick(),
+                    action_index: decision.action,
+                    parameter_values: step_params(
+                        &profile.agent.action_space(),
+                        decision.action,
+                        &session.system.current_params(),
+                        session.system.specs(),
+                    ),
+                });
+            }
             match *transport {
-                Transport::InProcess => {
-                    for (i, session) in sessions.iter().enumerate() {
-                        // In bounds: `session.profile`/`session.row` are assigned
-                        // from `profiles` positions at build time.
-                        let profile = &profiles[session.profile];
-                        let decision = profile.decisions[session.row]; // In bounds: row assigned at build.
-                        let current = session.system.current_params();
-                        let params = step_params(
-                            &profile.agent.action_space(),
-                            decision.action,
-                            &current,
-                            session.system.specs(),
-                        );
-                        // In bounds: `staged_actions` is sized to `sessions`.
-                        staged_actions[i] = Some(ProposedAction {
-                            action_index: Some(decision.action),
-                            explored: decision.explored,
-                            params,
-                        });
-                    }
-                }
+                Transport::InProcess => {}
                 Transport::Wire => {
                     bus.clear();
-                    for (i, session) in sessions.iter().enumerate() {
-                        // In bounds: `session.profile`/`session.row` are assigned
-                        // from `profiles` positions at build time.
-                        let profile = &profiles[session.profile];
-                        let decision = profile.decisions[session.row]; // In bounds: row assigned at build.
-                        let current = session.system.current_params();
-                        let params = step_params(
-                            &profile.agent.action_space(),
-                            decision.action,
-                            &current,
-                            session.system.specs(),
-                        );
-                        bus.push(encode_cluster_frame(
-                            i as u32,
-                            &Message::Action(ActionMessage {
-                                tick: session.system.tick(),
-                                action_index: decision.action,
-                                parameter_values: params,
-                            }),
-                        ));
+                    for (i, slot) in pending_actions.iter_mut().enumerate() {
+                        // capes-check: allow(boundary-panic) -- the loop above built one action per cluster.
+                        let action = slot.take().expect("every cluster has an action");
+                        bus.push(encode_cluster_frame(i as u32, &Message::Action(action)));
                     }
                     for frame in bus.drain(..) {
                         router
@@ -1327,22 +1315,6 @@ impl FleetDaemon {
                             // capes-check: allow(boundary-panic) -- frames were encoded by this daemon one loop above.
                             .expect("self-encoded fleet frames always route");
                     }
-                    for (i, session) in sessions.iter().enumerate() {
-                        // In bounds: `pending_actions` is sized to `sessions`.
-                        let action = pending_actions[i]
-                            .take()
-                            // capes-check: allow(boundary-panic) -- the routing loop above delivered one action per cluster.
-                            .expect("every cluster received its action");
-                        // In bounds: `session.profile`/`session.row` are
-                        // assigned from `profiles` positions at build time.
-                        let decision = profiles[session.profile].decisions[session.row];
-                        // In bounds: `staged_actions` is sized to `sessions`.
-                        staged_actions[i] = Some(ProposedAction {
-                            action_index: Some(action.action_index),
-                            explored: decision.explored,
-                            params: action.parameter_values,
-                        });
-                    }
                 }
                 Transport::Socket => {
                     #[cfg(feature = "net")]
@@ -1355,44 +1327,34 @@ impl FleetDaemon {
                         // Queue every cluster's action on the server-side
                         // downlink first, then read them back — the reactor
                         // flushes all connections concurrently.
-                        for (i, session) in sessions.iter().enumerate() {
-                            // In bounds: `session.profile`/`session.row` are assigned
-                            // from `profiles` positions at build time.
-                            let profile = &profiles[session.profile];
-                            let decision = profile.decisions[session.row]; // In bounds: row assigned at build.
-                            let current = session.system.current_params();
-                            let params = step_params(
-                                &profile.agent.action_space(),
-                                decision.action,
-                                &current,
-                                session.system.specs(),
-                            );
-                            front.send_action(
-                                i,
-                                ActionMessage {
-                                    tick: session.system.tick(),
-                                    action_index: decision.action,
-                                    parameter_values: params,
-                                },
-                            );
+                        for (i, slot) in pending_actions.iter_mut().enumerate() {
+                            // capes-check: allow(boundary-panic) -- the loop above built one action per cluster.
+                            front.send_action(i, slot.take().expect("every cluster has an action"));
                         }
-                        for (i, session) in sessions.iter().enumerate() {
-                            let action = front.recv_action(i);
-                            // In bounds: `session.profile`/`session.row` are
-                            // assigned from `profiles` positions at build.
-                            let decision = profiles[session.profile].decisions[session.row];
-                            // In bounds: sized to `sessions`.
-                            staged_actions[i] = Some(ProposedAction {
-                                action_index: Some(action.action_index),
-                                explored: decision.explored,
-                                params: action.parameter_values,
-                            });
+                        for (i, slot) in pending_actions.iter_mut().enumerate() {
+                            *slot = Some(front.recv_action(i));
                         }
                     }
                     #[cfg(not(feature = "net"))]
                     // capes-check: allow(boundary-panic) -- cfg invariant: Socket transport is unconstructible without the net feature.
                     unreachable!("socket transport cannot be built without the net feature");
                 }
+            }
+            for (i, session) in sessions.iter().enumerate() {
+                // In bounds: `pending_actions` is sized to `sessions`.
+                let action = pending_actions[i]
+                    .take()
+                    // capes-check: allow(boundary-panic) -- every transport arm above delivers one action per cluster.
+                    .expect("every cluster received its action");
+                // In bounds: `session.profile`/`session.row` are assigned
+                // from `profiles` positions at build time.
+                let decision = profiles[session.profile].decisions[session.row];
+                // In bounds: `staged_actions` is sized to `sessions`.
+                staged_actions[i] = Some(ProposedAction {
+                    action_index: Some(action.action_index),
+                    explored: decision.explored,
+                    params: action.parameter_values,
+                });
             }
 
             // 3b/4. Apply + training. Applying a staged action touches only

@@ -312,21 +312,9 @@ impl ReplayArena {
                     continue;
                 }
                 let t = rng.gen_range(lo..=hi);
-                let (Some(action), Some(reward)) = (db.action_at(t), db.reward_at(t)) else {
-                    continue;
-                };
-                // A rejected candidate may leave a partially written row
-                // behind; the next candidate overwrites every slot of it.
-                if !db.write_observation(t, batch.states.row_mut(filled)) {
-                    continue;
+                if db.fill_row(t, batch, filled) {
+                    filled += 1;
                 }
-                if !db.write_observation(t + 1, batch.next_states.row_mut(filled)) {
-                    continue;
-                }
-                batch.actions[filled] = action;
-                batch.rewards[filled] = reward;
-                batch.ticks[filled] = t;
-                filled += 1;
             }
         }
 

@@ -123,14 +123,13 @@ impl TickSlot {
 /// lives in a single flat ring of [`TickSlot`]s keyed by
 /// `tick % capacity_ticks`, so each lookup on the sampling path is one modulo
 /// and one bounds check. The side `objectives`/`actions` maps the earlier
-/// revisions kept are gone; [`ReplayDb::has_transition_data`] in particular
-/// is a fully flat slot probe (no tree lookups, no observation
-/// materialisation). The `occupied` `BTreeMap` earlier revisions kept for
-/// the ordered queries is gone too: earliest/latest tick and the retained
-/// tick/row counts are plain maintained scalars, and the backward fill of
-/// missing entries ([`ReplayDb::latest_snapshot_before`]) runs on a per-node
-/// last-reported-tick index plus flat ring probes — the store contains no
-/// tree at all.
+/// revisions kept are gone, so Algorithm 1's action/reward test for a
+/// candidate is two flat slot probes. The `occupied` `BTreeMap` earlier
+/// revisions kept for the ordered queries is gone too: earliest/latest tick
+/// and the retained tick/row counts are plain maintained scalars, and the
+/// backward fill of missing entries ([`ReplayDb::latest_snapshot_before`])
+/// runs on a per-node last-reported-tick index plus flat ring probes — the
+/// store contains no tree at all.
 ///
 /// Eviction is implicit: inserting tick `t` into an occupied slot retires the
 /// record that lived there (`t − capacity` when ticks arrive densely),
@@ -539,46 +538,6 @@ impl ReplayDb {
         true
     }
 
-    /// `true` if a complete-enough observation *could* be assembled at `tick`
-    /// — the acceptance half of [`ReplayDb::write_observation`] (window not
-    /// starting before tick 0, missing entries within tolerance) without
-    /// touching any PI data. Runs entirely on flat slot probes.
-    pub fn can_build_observation(&self, tick: Tick) -> bool {
-        let s = self.config.ticks_per_observation as u64;
-        if tick + 1 < s {
-            return false;
-        }
-        let start = tick + 1 - s;
-        let total_slots = self.config.ticks_per_observation * self.config.num_nodes;
-        let max_missing =
-            (total_slots as f64 * self.config.missing_entry_tolerance).floor() as usize;
-        let mut missing = 0usize;
-        for t in start..=tick {
-            match self.slot_for(t) {
-                Some(slot) => missing += slot.present.iter().filter(|&&p| !p).count(),
-                None => missing += self.config.num_nodes,
-            }
-            if missing > max_missing {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// `true` if a complete-enough observation can be built at `tick` *and*
-    /// the action and reward needed to form a transition are present — the
-    /// "Replay DB contains enough data at tᵢ" check of Algorithm 1.
-    ///
-    /// Every constituent check is a flat slot probe (one index computation
-    /// each; no tree lookups, no observation materialisation), so the
-    /// rejection path of the sampling loop costs O(window) slot reads.
-    pub fn has_transition_data(&self, tick: Tick) -> bool {
-        self.action_at(tick).is_some()
-            && self.objective_at(tick + 1).is_some()
-            && self.can_build_observation(tick)
-            && self.can_build_observation(tick + 1)
-    }
-
     /// Ticks eligible for sampling: ticks with a recorded action whose
     /// observation window is complete.
     pub fn sampleable_range(&self) -> Option<(Tick, Tick)> {
@@ -875,27 +834,6 @@ mod tests {
             // Node 1 never reports: 4 of 8 slots missing = 50 % > 20 %.
         }
         assert!(db.observation_at(9).is_none());
-    }
-
-    #[test]
-    fn has_transition_data_needs_action_and_next_objective() {
-        // Like `filled_db(20)` but with no action recorded at tick 11 →
-        // tick 11 is not sampleable.
-        let mut db = ReplayDb::new(small_config());
-        for t in 0..20u64 {
-            for n in 0..2 {
-                db.insert_snapshot(t, n, vec![t as f64, n as f64, t as f64 + n as f64]);
-            }
-            db.insert_objective(t, 100.0 + t as f64);
-            if t != 11 {
-                db.insert_action(t, (t % 5) as usize);
-            }
-        }
-        assert!(db.has_transition_data(10));
-        assert!(!db.has_transition_data(11));
-        assert!(db.has_transition_data(12));
-        // Latest tick has no next observation.
-        assert!(!db.has_transition_data(19));
     }
 
     #[test]

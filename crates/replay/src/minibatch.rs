@@ -199,21 +199,9 @@ impl ReplayDb {
             for _ in 0..samples_needed {
                 let t = rng.gen_range(lo..=hi);
                 drawn += 1;
-                let (Some(action), Some(reward)) = (self.action_at(t), self.reward_at(t)) else {
-                    continue;
-                };
-                // A rejected candidate may leave a partially written row
-                // behind; the next candidate overwrites every slot of it.
-                if !self.write_observation(t, batch.states.row_mut(filled)) {
-                    continue;
+                if self.fill_row(t, batch, filled) {
+                    filled += 1;
                 }
-                if !self.write_observation(t + 1, batch.next_states.row_mut(filled)) {
-                    continue;
-                }
-                batch.actions[filled] = action;
-                batch.rewards[filled] = reward;
-                batch.ticks[filled] = t;
-                filled += 1;
             }
         }
 
@@ -225,6 +213,28 @@ impl ReplayDb {
             });
         }
         Ok(())
+    }
+
+    /// Algorithm 1's per-candidate body, shared by the single-stripe and the
+    /// weighted arena sampler: keeps candidate `t` if the DB "contains enough
+    /// data" at it — an action at `t`, a reward (the objective at `t + 1`)
+    /// and complete-enough observations at `t` and `t + 1` — writing the
+    /// transition into `batch` row `row`. Returns whether it was kept.
+    pub(crate) fn fill_row(&self, t: Tick, batch: &mut ReplayBatch, row: usize) -> bool {
+        let (Some(action), Some(reward)) = (self.action_at(t), self.reward_at(t)) else {
+            return false;
+        };
+        // A rejected candidate may leave a partially written row behind; the
+        // next candidate overwrites every slot of it.
+        if !self.write_observation(t, batch.states.row_mut(row))
+            || !self.write_observation(t + 1, batch.next_states.row_mut(row))
+        {
+            return false;
+        }
+        batch.actions[row] = action;
+        batch.rewards[row] = reward;
+        batch.ticks[row] = t;
+        true
     }
 }
 

@@ -1,16 +1,14 @@
 //! Equivalence proof for the fully-flat per-tick record store.
 //!
 //! Through PR 3 the `ReplayDb` kept snapshots in a flat ring but still held
-//! objectives and actions in two side `BTreeMap`s, and `has_transition_data`
-//! materialised two full observations per probe. Both are gone: every record
-//! lives inline in its ring slot and the probe is flat. This test
-//! re-implements the PR 3 store verbatim — ring snapshots, side maps, the
-//! observation-building transition check, and its allocation-free
+//! objectives and actions in two side `BTreeMap`s. They are gone: every
+//! record lives inline in its ring slot. This test re-implements the PR 3
+//! store verbatim — ring snapshots, side maps and its allocation-free
 //! Algorithm-1 sampler — and drives it and the flat store through randomized
 //! workloads (partial node reports, missing objectives/actions, eviction past
-//! capacity, expired late arrivals), asserting that every record lookup,
-//! every transition probe and every sampled minibatch is identical, RNG
-//! stream included. Same pattern as `ring_equivalence.rs`, one layer up.
+//! capacity, expired late arrivals), asserting that every record lookup and
+//! every sampled minibatch is identical, RNG stream included. Same pattern as
+//! `ring_equivalence.rs`, one layer up.
 
 use capes_replay::{ReplayBatch, ReplayConfig, ReplayDb};
 use rand::rngs::StdRng;
@@ -143,15 +141,6 @@ impl Pr3Db {
         true
     }
 
-    /// PR 3's transition probe: two tree lookups plus two full observation
-    /// builds into scratch buffers.
-    fn has_transition_data(&self, tick: u64, scratch: &mut [f64]) -> bool {
-        self.actions.contains_key(&tick)
-            && self.objectives.contains_key(&(tick + 1))
-            && self.write_observation(tick, scratch)
-            && self.write_observation(tick + 1, scratch)
-    }
-
     fn sampleable_range(&self) -> Option<(u64, u64)> {
         let earliest = *self.occupied.keys().next()?;
         let latest = *self.occupied.keys().next_back()?;
@@ -197,7 +186,7 @@ fn config(capacity: usize) -> ReplayConfig {
 }
 
 /// Drives both stores through one randomized trace and compares record
-/// lookups, transition probes and sampled minibatches.
+/// lookups and sampled minibatches.
 ///
 /// `pin_node0` makes node 0 report every tick. Traces that evict (ticks >
 /// capacity) need it: with *whole* ticks missing, a ring keyed by residue
@@ -253,8 +242,7 @@ fn assert_equivalent_trace(
     assert_eq!(reference.occupied.keys().next().copied(), Some(lo));
     assert_eq!(reference.occupied.keys().next_back().copied(), Some(hi));
 
-    // Record lookups and transition probes over the retained window.
-    let mut scratch = vec![0.0; cfg.observation_size()];
+    // Record lookups over the retained window.
     for t in lo..=hi {
         assert_eq!(
             flat.action_at(t),
@@ -270,11 +258,6 @@ fn assert_equivalent_trace(
             flat.reward_at(t),
             reference.objectives.get(&(t + 1)).copied(),
             "reward_at differs at tick {t} (seed {seed})"
-        );
-        assert_eq!(
-            flat.has_transition_data(t),
-            reference.has_transition_data(t, &mut scratch),
-            "has_transition_data differs at tick {t} (seed {seed})"
         );
     }
 

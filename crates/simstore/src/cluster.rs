@@ -150,7 +150,7 @@ impl Cluster {
     /// Applies new parameter values (takes effect from the next tick). Values
     /// are clamped into their valid ranges.
     pub fn set_params(&mut self, params: TunableParams) {
-        self.params = TunableParams::from_vec(&params.as_vec());
+        self.params = TunableParams::from_vec(&[params.congestion_window, params.io_rate_limit]);
     }
 
     /// Replaces the running workload (e.g. a scheduled workload change, which
