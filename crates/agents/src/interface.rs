@@ -8,8 +8,8 @@
 
 use crate::checker::{ActionChecker, CheckOutcome};
 use crate::message::{ActionMessage, Message, PiReport};
-use crate::wire::{decode_message, encode_message, WireError};
-use capes_persist::Persist;
+use crate::wire::decode_message;
+use capes_persist::{Persist, PersistError, Reader, Writer};
 use capes_replay::SharedReplayDb;
 use capes_telemetry::Counter;
 use serde::{Deserialize, Serialize};
@@ -45,7 +45,7 @@ pub struct InterfaceStats {
 impl Persist for InterfaceStats {
     const MIN_SIZE: usize = 8 * 8;
 
-    fn encode(&self, w: &mut capes_persist::Writer) {
+    fn encode(&self, w: &mut Writer) {
         w.put_u64(self.reports_received);
         w.put_u64(self.reports_rejected);
         w.put_u64(self.implausible_ticks_rejected);
@@ -56,7 +56,7 @@ impl Persist for InterfaceStats {
         w.put_u64(self.objectives_recorded);
     }
 
-    fn decode(r: &mut capes_persist::Reader<'_>) -> Result<Self, capes_persist::PersistError> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         Ok(InterfaceStats {
             reports_received: r.get_u64()?,
             reports_rejected: r.get_u64()?,
@@ -201,7 +201,7 @@ impl InterfaceDaemon {
     }
 
     /// Ingests an encoded wire frame (as received from a Monitoring Agent).
-    pub fn ingest_frame(&mut self, frame: &[u8]) -> Result<(), WireError> {
+    pub fn ingest_frame(&mut self, frame: &[u8]) -> Result<(), PersistError> {
         let message = decode_message(frame)?;
         self.counters.bytes_received.add(frame.len() as u64);
         self.ingest(&message);
@@ -285,11 +285,6 @@ impl InterfaceDaemon {
         Some(action)
     }
 
-    /// Approximate wire size of an action broadcast, in bytes (Table 2).
-    pub fn action_message_size(action: &ActionMessage) -> usize {
-        encode_message(&Message::Action(action.clone())).len()
-    }
-
     fn ingest_report(&mut self, report: &PiReport) {
         self.counters.reports_received.inc();
         // Content hardening: a decodable frame can still carry a node id or
@@ -362,7 +357,7 @@ impl InterfaceDaemon {
     /// baseline, staged group commit and counters. The replay store itself
     /// and the checker are deliberately excluded: they are wiring
     /// re-established by the host on restore, not state.
-    pub fn encode_state(&self, w: &mut capes_persist::Writer) {
+    pub fn encode_state(&self, w: &mut Writer) {
         // Geometry first, so a restore into a differently-shaped deployment
         // fails loudly instead of poisoning the store.
         w.put_usize(self.expected_nodes);
@@ -387,10 +382,7 @@ impl InterfaceDaemon {
     /// daemon. The snapshot's geometry must match the daemon's replay store
     /// and expected node count; per-node vectors are re-validated against the
     /// store's indicator width before anything is overwritten.
-    pub fn decode_state(
-        &mut self,
-        r: &mut capes_persist::Reader<'_>,
-    ) -> Result<(), capes_persist::PersistError> {
+    pub fn decode_state(&mut self, r: &mut Reader<'_>) -> Result<(), PersistError> {
         let expected_nodes = r.get_usize()?;
         let db_nodes = r.get_usize()?;
         let db_pis_per_node = r.get_usize()?;
@@ -403,7 +395,7 @@ impl InterfaceDaemon {
                 self.db_capacity,
             )
         {
-            return Err(capes_persist::PersistError::BadValue {
+            return Err(PersistError::BadValue {
                 what: "interface daemon snapshot geometry disagrees with the deployment",
             });
         }
@@ -412,7 +404,7 @@ impl InterfaceDaemon {
             .iter()
             .any(|(node, pis)| *node >= db_nodes || pis.len() != db_pis_per_node)
         {
-            return Err(capes_persist::PersistError::BadValue {
+            return Err(PersistError::BadValue {
                 what: "interface daemon node state outside the store geometry",
             });
         }
@@ -421,26 +413,26 @@ impl InterfaceDaemon {
             .values()
             .any(|m| m.keys().any(|node| *node >= db_nodes))
         {
-            return Err(capes_persist::PersistError::BadValue {
+            return Err(PersistError::BadValue {
                 what: "pending objective from a node outside the store geometry",
             });
         }
         let newest_tick = Option::<u64>::decode(r)?;
         let staged_tick = Option::<u64>::decode(r)?;
-        let staged_len = r.get_count(8 + <Vec<f64> as capes_persist::Persist>::MIN_SIZE)?;
+        let staged_len = r.get_count(8 + <Vec<f64> as Persist>::MIN_SIZE)?;
         let mut staged = Vec::with_capacity(staged_len);
         for _ in 0..staged_len {
             let node = r.get_usize()?;
             let pis = Vec::<f64>::decode(r)?;
             if node >= db_nodes || pis.len() != db_pis_per_node {
-                return Err(capes_persist::PersistError::BadValue {
+                return Err(PersistError::BadValue {
                     what: "staged snapshot outside the store geometry",
                 });
             }
             staged.push((node, pis));
         }
         if staged_len > 0 && staged_tick.is_none() {
-            return Err(capes_persist::PersistError::BadValue {
+            return Err(PersistError::BadValue {
                 what: "staged snapshots without a staged tick",
             });
         }
@@ -477,6 +469,7 @@ impl InterfaceDaemon {
 mod tests {
     use super::*;
     use crate::monitoring::MonitoringAgent;
+    use crate::wire::encode_message;
     use capes_replay::ReplayConfig;
 
     fn db(nodes: usize, pis: usize) -> SharedReplayDb {
@@ -563,7 +556,6 @@ mod tests {
         };
         assert_eq!(daemon.broadcast_action(ok.clone()), Some(ok.clone()));
         shared.with_read(|db| assert_eq!(db.action_at(3), Some(1)));
-        assert!(InterfaceDaemon::action_message_size(&ok) > 0);
 
         let bad = ActionMessage {
             tick: 4,
@@ -735,11 +727,11 @@ mod tests {
 
         // Snapshot the store and the daemon state together, as a checkpoint
         // does: the daemon state alone is only the in-flight ingest window.
-        let mut w = capes_persist::Writer::new();
+        let mut w = Writer::new();
         shared_a.with_read(|db| db.encode(&mut w));
         original.encode_state(&mut w);
         let bytes = w.into_vec();
-        let mut r = capes_persist::Reader::new(&bytes);
+        let mut r = Reader::new(&bytes);
         let shared_b = SharedReplayDb::from_db(capes_replay::ReplayDb::decode(&mut r).unwrap());
         let mut restored = InterfaceDaemon::new(shared_b.clone(), 2, ActionChecker::permissive());
         restored.decode_state(&mut r).unwrap();
@@ -773,14 +765,12 @@ mod tests {
             node: 0,
             value: 1.0,
         });
-        let mut w = capes_persist::Writer::new();
+        let mut w = Writer::new();
         original.encode_state(&mut w);
         let bytes = w.into_vec();
         // Same node count, different indicator width: refused up front.
         let mut skewed = InterfaceDaemon::new(db(2, 4), 2, ActionChecker::permissive());
-        let err = skewed
-            .decode_state(&mut capes_persist::Reader::new(&bytes))
-            .unwrap_err();
+        let err = skewed.decode_state(&mut Reader::new(&bytes)).unwrap_err();
         assert!(err.to_string().contains("geometry"), "{err}");
         assert_eq!(skewed.stats(), InterfaceStats::default(), "nothing loaded");
     }

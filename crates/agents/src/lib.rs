@@ -14,7 +14,10 @@
 //! (staleness and deduplication) to the caller that sets the parameters. The
 //! wire format is implemented for real — every PI report is differentially
 //! encoded and serialised to a compact binary frame — so the per-client
-//! message sizes of Table 2 can be measured.
+//! message sizes of Table 2 can be measured. The messages implement
+//! `capes_persist::Persist` with that frame layout: frames go through the
+//! same bounds-checked codec as snapshots, and decode failures are typed
+//! `PersistError`s.
 
 #![forbid(unsafe_code)]
 
@@ -30,7 +33,4 @@ pub use control::ControlAgent;
 pub use interface::{DaemonCounters, InterfaceDaemon, InterfaceStats};
 pub use message::{ActionMessage, Message, PiReport};
 pub use monitoring::MonitoringAgent;
-pub use wire::{
-    decode_cluster_frame, decode_message, encode_cluster_frame, encode_message, get_varint,
-    put_varint, WireError, FLEET_FRAME_TAG,
-};
+pub use wire::{decode_cluster_frame, decode_message, encode_cluster_frame, encode_message};

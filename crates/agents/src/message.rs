@@ -1,6 +1,5 @@
 //! Message types exchanged between the agents and the Interface Daemon.
-
-use serde::{Deserialize, Serialize};
+//! Their binary encoding is in [`crate::wire`].
 
 /// A differential performance-indicator report from one Monitoring Agent.
 ///
@@ -8,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// included ("a differential communication protocol designed to only send out
 /// a performance indicator when its data is different from the value of the
 /// previous sampling tick", §3.3).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PiReport {
     /// Sampling tick the report describes.
     pub tick: u64,
@@ -22,7 +21,7 @@ pub struct PiReport {
 }
 
 /// An action broadcast from the Interface Daemon to the Control Agents.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ActionMessage {
     /// Action tick the decision belongs to.
     pub tick: u64,
@@ -34,7 +33,7 @@ pub struct ActionMessage {
 }
 
 /// Everything that can travel between CAPES components.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Message {
     /// Monitoring Agent → Interface Daemon.
     Report(PiReport),
@@ -56,37 +55,4 @@ pub enum Message {
         /// Tick at which the new workload starts.
         tick: u64,
     },
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn serde_round_trips() {
-        let messages = vec![
-            Message::Report(PiReport {
-                tick: 42,
-                node: 3,
-                total_pis: 12,
-                changed: vec![(0, 8.0), (5, 1.25)],
-            }),
-            Message::Objective {
-                tick: 42,
-                node: 3,
-                value: 87.5,
-            },
-            Message::Action(ActionMessage {
-                tick: 43,
-                action_index: 2,
-                parameter_values: vec![10.0, 1500.0],
-            }),
-            Message::WorkloadChange { tick: 100 },
-        ];
-        for m in messages {
-            let json = serde_json::to_string(&m).unwrap();
-            let back: Message = serde_json::from_str(&json).unwrap();
-            assert_eq!(back, m);
-        }
-    }
 }

@@ -1,8 +1,9 @@
 //! Monitoring Agent: samples performance indicators on one client node and
 //! produces differential reports for the Interface Daemon (paper §3.3).
 
-use crate::message::{Message, PiReport};
-use crate::wire::encode_message;
+use crate::message::PiReport;
+use crate::wire::{FRAME_CAPACITY, TAG_REPORT};
+use capes_persist::Persist;
 use serde::{Deserialize, Serialize};
 
 /// Byte- and message-count statistics kept by a monitoring agent, used to
@@ -96,9 +97,12 @@ impl MonitoringAgent {
             total_pis: pis.len(),
             changed,
         };
-        let encoded = encode_message(&Message::Report(report.clone()));
+        // The report's frame: its tag byte, then its `Persist` encoding.
+        let mut frame = capes_persist::Writer::with_capacity(FRAME_CAPACITY);
+        frame.put_u8(TAG_REPORT);
+        report.encode(&mut frame);
         self.stats.reports += 1;
-        self.stats.bytes_sent += encoded.len() as u64;
+        self.stats.bytes_sent += frame.len() as u64;
         self.stats.indicators_sent += report.changed.len() as u64;
         report
     }

@@ -13,242 +13,203 @@
 //! objective := varint(tick) varint(node) f64(value)
 //! action  := varint(tick) varint(action) varint(count) { f64(value) }*
 //! workload := varint(tick)
+//! fleet_frame := 0xF7 varint(cluster_id) frame
 //! ```
+//!
+//! The single-cluster protocol has no notion of *which* cluster a frame
+//! belongs to — the paper never needed one. Multi-cluster carriers (the fleet
+//! daemon's wire transport, the socket server's ingest path) wrap every frame
+//! in the `fleet_frame` envelope, whose tag is outside the message tags, so a
+//! stray un-enveloped frame is rejected rather than mis-routed.
+//!
+//! Varints are LEB128 and floats are big-endian. [`PiReport`],
+//! [`ActionMessage`] and [`Message`] implement [`Persist`] with exactly this
+//! layout, so frames are written by `capes-persist`'s [`Writer`] and read by
+//! its bounds-checked [`Reader`]. Every fault is a typed [`PersistError`]:
+//!
+//! - a frame that ends early: `UnexpectedEof`;
+//! - a count the remaining bytes cannot hold (5 bytes per report entry, 8 per
+//!   action value): `CountTooLarge`, raised before anything is allocated;
+//! - an unknown tag, a varint that overflows 64 bits, a PI index beyond 16
+//!   bits or a cluster id beyond 32: `BadValue`;
+//! - bytes left over after a complete message: `TrailingBytes`.
 
 use crate::message::{ActionMessage, Message, PiReport};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use std::fmt;
+use capes_persist::{Persist, PersistError, Reader, Writer};
 
-/// Errors produced when decoding a frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WireError {
-    /// The buffer ended before the frame was complete. Also returned when a
-    /// length prefix promises more payload than the buffer holds — the
-    /// decoder sizes nothing from a count it has not yet covered with bytes,
-    /// so a corrupt count can never trigger a huge allocation.
-    Truncated,
-    /// The leading tag byte does not name a known message type.
-    UnknownTag(u8),
-    /// A varint ran past its maximum length.
-    MalformedVarint,
-    /// A decoded field exceeds its protocol range (e.g. a PI index beyond
-    /// 16 bits); the payload names the field.
-    Overflow(&'static str),
-}
-
-impl fmt::Display for WireError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            WireError::Truncated => write!(f, "frame truncated"),
-            WireError::UnknownTag(t) => write!(f, "unknown message tag {t:#x}"),
-            WireError::MalformedVarint => write!(f, "malformed varint"),
-            WireError::Overflow(field) => write!(f, "field {field} out of protocol range"),
-        }
-    }
-}
-
-impl std::error::Error for WireError {}
-
-const TAG_REPORT: u8 = 0x01;
+/// Leading byte of a report frame.
+pub(crate) const TAG_REPORT: u8 = 0x01;
 const TAG_OBJECTIVE: u8 = 0x02;
 const TAG_ACTION: u8 = 0x03;
 const TAG_WORKLOAD: u8 = 0x04;
+const FLEET_FRAME_TAG: u8 = 0xF7;
+
+/// Initial buffer of an encoded frame; anything but a large report fits.
+pub(crate) const FRAME_CAPACITY: usize = 64;
+
+/// Reads a varint element count, rejecting one the remaining bytes cannot
+/// hold at `min_size` bytes per element before the caller sizes anything
+/// from it.
+fn get_count(r: &mut Reader<'_>, min_size: usize) -> Result<usize, PersistError> {
+    let count = r.get_varint()?;
+    let max = (r.remaining() / min_size) as u64;
+    if count > max {
+        return Err(PersistError::CountTooLarge { count, max });
+    }
+    Ok(count as usize)
+}
+
+/// Reads the `N` raw bytes of a big-endian float.
+fn get_be<const N: usize>(r: &mut Reader<'_>) -> Result<[u8; N], PersistError> {
+    let mut bytes = [0; N];
+    // In bounds: `take(N)` returned exactly `N` bytes.
+    bytes.copy_from_slice(r.take(N)?);
+    Ok(bytes)
+}
+
+impl Persist for PiReport {
+    fn encode(&self, w: &mut Writer) {
+        w.put_varint(self.tick);
+        w.put_varint(self.node as u64);
+        w.put_varint(self.total_pis as u64);
+        w.put_varint(self.changed.len() as u64);
+        for &(index, value) in &self.changed {
+            w.put_varint(index.into());
+            w.put_raw(&(value as f32).to_be_bytes());
+        }
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
+        let tick = r.get_varint()?;
+        let node = r.get_varint()? as usize;
+        let total_pis = r.get_varint()? as usize;
+        // An entry is at least a one-byte index varint and an f32.
+        let count = get_count(r, 5)?;
+        let mut changed = Vec::with_capacity(count);
+        for _ in 0..count {
+            // A wider index must not be truncated onto another indicator.
+            let index = u16::try_from(r.get_varint()?).map_err(|_| PersistError::BadValue {
+                what: "pi index beyond 16 bits",
+            })?;
+            changed.push((index, f32::from_be_bytes(get_be(r)?) as f64));
+        }
+        Ok(PiReport {
+            tick,
+            node,
+            total_pis,
+            changed,
+        })
+    }
+}
+
+impl Persist for ActionMessage {
+    fn encode(&self, w: &mut Writer) {
+        w.put_varint(self.tick);
+        w.put_varint(self.action_index as u64);
+        w.put_varint(self.parameter_values.len() as u64);
+        for v in &self.parameter_values {
+            w.put_raw(&v.to_be_bytes());
+        }
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
+        let tick = r.get_varint()?;
+        let action_index = r.get_varint()? as usize;
+        let count = get_count(r, 8)?;
+        let parameter_values = (0..count)
+            .map(|_| Ok(f64::from_be_bytes(get_be(r)?)))
+            .collect::<Result<_, PersistError>>()?;
+        Ok(ActionMessage {
+            tick,
+            action_index,
+            parameter_values,
+        })
+    }
+}
+
+impl Persist for Message {
+    fn encode(&self, w: &mut Writer) {
+        match self {
+            Message::Report(report) => {
+                w.put_u8(TAG_REPORT);
+                report.encode(w);
+            }
+            Message::Objective { tick, node, value } => {
+                w.put_u8(TAG_OBJECTIVE);
+                w.put_varint(*tick);
+                w.put_varint(*node as u64);
+                w.put_raw(&value.to_be_bytes());
+            }
+            Message::Action(action) => {
+                w.put_u8(TAG_ACTION);
+                action.encode(w);
+            }
+            Message::WorkloadChange { tick } => {
+                w.put_u8(TAG_WORKLOAD);
+                w.put_varint(*tick);
+            }
+        }
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
+        match r.get_u8()? {
+            TAG_REPORT => PiReport::decode(r).map(Message::Report),
+            TAG_OBJECTIVE => Ok(Message::Objective {
+                tick: r.get_varint()?,
+                node: r.get_varint()? as usize,
+                value: f64::from_be_bytes(get_be(r)?),
+            }),
+            TAG_ACTION => ActionMessage::decode(r).map(Message::Action),
+            TAG_WORKLOAD => Ok(Message::WorkloadChange {
+                tick: r.get_varint()?,
+            }),
+            _ => Err(PersistError::BadValue {
+                what: "unknown message tag",
+            }),
+        }
+    }
+}
 
 /// Encodes a message into its binary frame.
-pub fn encode_message(message: &Message) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64);
-    match message {
-        Message::Report(r) => {
-            buf.put_u8(TAG_REPORT);
-            put_varint(&mut buf, r.tick);
-            put_varint(&mut buf, r.node as u64);
-            put_varint(&mut buf, r.total_pis as u64);
-            put_varint(&mut buf, r.changed.len() as u64);
-            for &(index, value) in &r.changed {
-                put_varint(&mut buf, index as u64);
-                buf.put_f32(value as f32);
-            }
-        }
-        Message::Objective { tick, node, value } => {
-            buf.put_u8(TAG_OBJECTIVE);
-            put_varint(&mut buf, *tick);
-            put_varint(&mut buf, *node as u64);
-            buf.put_f64(*value);
-        }
-        Message::Action(a) => {
-            buf.put_u8(TAG_ACTION);
-            put_varint(&mut buf, a.tick);
-            put_varint(&mut buf, a.action_index as u64);
-            put_varint(&mut buf, a.parameter_values.len() as u64);
-            for &v in &a.parameter_values {
-                buf.put_f64(v);
-            }
-        }
-        Message::WorkloadChange { tick } => {
-            buf.put_u8(TAG_WORKLOAD);
-            put_varint(&mut buf, *tick);
-        }
-    }
-    buf.freeze()
+pub fn encode_message(message: &Message) -> Vec<u8> {
+    let mut w = Writer::with_capacity(FRAME_CAPACITY);
+    message.encode(&mut w);
+    w.into_vec()
 }
 
-/// Decodes a binary frame back into a [`Message`].
-pub fn decode_message(frame: &[u8]) -> Result<Message, WireError> {
-    let mut buf = frame;
-    if buf.is_empty() {
-        return Err(WireError::Truncated);
-    }
-    let tag = buf.get_u8();
-    match tag {
-        TAG_REPORT => {
-            let tick = get_varint(&mut buf)?;
-            let node = get_varint(&mut buf)? as usize;
-            let total_pis = get_varint(&mut buf)? as usize;
-            let count = get_varint(&mut buf)? as usize;
-            // Every changed entry occupies at least 5 bytes (1-byte index
-            // varint + f32); a count the remaining payload cannot possibly
-            // cover is corruption, detected *before* sizing the vector.
-            if count > buf.remaining() / 5 {
-                return Err(WireError::Truncated);
-            }
-            let mut changed = Vec::with_capacity(count);
-            for _ in 0..count {
-                let index = get_varint(&mut buf)?;
-                if index > u16::MAX as u64 {
-                    return Err(WireError::Overflow("pi index"));
-                }
-                if buf.remaining() < 4 {
-                    return Err(WireError::Truncated);
-                }
-                let value = buf.get_f32() as f64;
-                changed.push((index as u16, value));
-            }
-            Ok(Message::Report(PiReport {
-                tick,
-                node,
-                total_pis,
-                changed,
-            }))
-        }
-        TAG_OBJECTIVE => {
-            let tick = get_varint(&mut buf)?;
-            let node = get_varint(&mut buf)? as usize;
-            if buf.remaining() < 8 {
-                return Err(WireError::Truncated);
-            }
-            Ok(Message::Objective {
-                tick,
-                node,
-                value: buf.get_f64(),
-            })
-        }
-        TAG_ACTION => {
-            let tick = get_varint(&mut buf)?;
-            let action_index = get_varint(&mut buf)? as usize;
-            let count = get_varint(&mut buf)? as usize;
-            // Each parameter is 8 bytes; see the report-count check above.
-            if count > buf.remaining() / 8 {
-                return Err(WireError::Truncated);
-            }
-            let mut parameter_values = Vec::with_capacity(count);
-            for _ in 0..count {
-                if buf.remaining() < 8 {
-                    return Err(WireError::Truncated);
-                }
-                parameter_values.push(buf.get_f64());
-            }
-            Ok(Message::Action(ActionMessage {
-                tick,
-                action_index,
-                parameter_values,
-            }))
-        }
-        TAG_WORKLOAD => Ok(Message::WorkloadChange {
-            tick: get_varint(&mut buf)?,
-        }),
-        other => Err(WireError::UnknownTag(other)),
-    }
+/// Decodes a binary frame that holds exactly one [`Message`].
+pub fn decode_message(frame: &[u8]) -> Result<Message, PersistError> {
+    let mut r = Reader::new(frame);
+    let message = Message::decode(&mut r)?;
+    r.finish()?;
+    Ok(message)
 }
 
-/// Appends `value` as a LEB128-style varint. Public so envelope protocols
-/// layered on top of this codec (the fleet's cluster-multiplexed frames) can
-/// reuse the same integer encoding.
-pub fn put_varint(buf: &mut BytesMut, mut value: u64) {
-    loop {
-        let byte = (value & 0x7f) as u8;
-        value >>= 7;
-        if value == 0 {
-            buf.put_u8(byte);
-            return;
-        }
-        buf.put_u8(byte | 0x80);
-    }
+/// Encodes `message` as a fleet frame addressed to/from `cluster`: envelope
+/// and message go into one buffer.
+pub fn encode_cluster_frame(cluster: u32, message: &Message) -> Vec<u8> {
+    let mut w = Writer::with_capacity(FRAME_CAPACITY);
+    w.put_u8(FLEET_FRAME_TAG);
+    w.put_varint(cluster.into());
+    message.encode(&mut w);
+    w.into_vec()
 }
 
-/// Reads a varint written by [`put_varint`], advancing `buf` past it.
-pub fn get_varint(buf: &mut &[u8]) -> Result<u64, WireError> {
-    let mut value = 0u64;
-    for shift in 0..10 {
-        if !buf.has_remaining() {
-            return Err(WireError::Truncated);
-        }
-        let byte = buf.get_u8();
-        value |= ((byte & 0x7f) as u64) << (7 * shift);
-        if byte & 0x80 == 0 {
-            return Ok(value);
-        }
+/// Decodes a fleet frame that holds exactly one message back into its
+/// cluster id and message.
+pub fn decode_cluster_frame(frame: &[u8]) -> Result<(u32, Message), PersistError> {
+    let mut r = Reader::new(frame);
+    if r.get_u8()? != FLEET_FRAME_TAG {
+        return Err(PersistError::BadValue {
+            what: "frame tag is not the cluster envelope",
+        });
     }
-    Err(WireError::MalformedVarint)
-}
-
-// ---------------------------------------------------------------------------
-// Cluster-multiplexed envelope.
-//
-// The single-cluster protocol above has no notion of *which* cluster a frame
-// belongs to — the paper never needed one. Multi-cluster carriers (the fleet
-// daemon's action bus, the socket server's ingest path) wrap every frame in a
-// one-byte-tag envelope carrying the cluster id as a varint:
-//
-// ```text
-// fleet_frame := 0xF7 varint(cluster_id) inner_frame
-// ```
-//
-// The envelope tag is outside the value range of the inner protocol's tags,
-// so a stray un-enveloped frame is rejected rather than mis-routed. The codec
-// lives here (not in the fleet crate) so every transport layer decodes
-// through the one hardened implementation.
-// ---------------------------------------------------------------------------
-
-/// Leading byte of every fleet-enveloped frame (outside the inner protocol's
-/// tag space).
-pub const FLEET_FRAME_TAG: u8 = 0xF7;
-
-/// Encodes `message` as a fleet frame addressed to/from `cluster`.
-pub fn encode_cluster_frame(cluster: u32, message: &Message) -> Bytes {
-    let inner = encode_message(message);
-    let mut buf = BytesMut::with_capacity(inner.len() + 6);
-    buf.put_u8(FLEET_FRAME_TAG);
-    put_varint(&mut buf, cluster as u64);
-    buf.put_slice(&inner);
-    buf.freeze()
-}
-
-/// Decodes a fleet frame back into its cluster id and message.
-pub fn decode_cluster_frame(frame: &[u8]) -> Result<(u32, Message), WireError> {
-    let mut buf = frame;
-    if buf.is_empty() {
-        return Err(WireError::Truncated);
-    }
-    let tag = buf.get_u8();
-    if tag != FLEET_FRAME_TAG {
-        return Err(WireError::UnknownTag(tag));
-    }
-    let cluster = get_varint(&mut buf)?;
-    if cluster > u32::MAX as u64 {
-        return Err(WireError::MalformedVarint);
-    }
-    let message = decode_message(buf)?;
-    Ok((cluster as u32, message))
+    let cluster = u32::try_from(r.get_varint()?).map_err(|_| PersistError::BadValue {
+        what: "cluster id beyond 32 bits",
+    })?;
+    let message = Message::decode(&mut r)?;
+    r.finish()?;
+    Ok((cluster, message))
 }
 
 #[cfg(test)]
@@ -264,40 +225,37 @@ mod tests {
         })
     }
 
+    fn action(tick: u64) -> Message {
+        Message::Action(ActionMessage {
+            tick,
+            action_index: 3,
+            parameter_values: vec![12.0, 1500.0],
+        })
+    }
+
+    /// One of every message kind; every value is exact in f32.
+    fn messages() -> Vec<Message> {
+        let objective = Message::Objective {
+            tick: 7,
+            node: 2,
+            value: 350.25,
+        };
+        let workload = Message::WorkloadChange { tick: u64::MAX };
+        vec![report(44), report(0), objective, action(9), workload]
+    }
+
+    /// A frame of `tag` and `varints`, for crafting corrupt input.
+    fn crafted(tag: u8, varints: &[u64]) -> Writer {
+        let mut w = Writer::new();
+        w.put_u8(tag);
+        varints.iter().for_each(|&v| w.put_varint(v));
+        w
+    }
+
     #[test]
     fn round_trip_every_message_type() {
-        let messages = vec![
-            report(44),
-            report(0),
-            Message::Objective {
-                tick: 7,
-                node: 2,
-                value: 350.25,
-            },
-            Message::Action(ActionMessage {
-                tick: 9,
-                action_index: 3,
-                parameter_values: vec![12.0, 1500.0],
-            }),
-            Message::WorkloadChange { tick: u64::MAX },
-        ];
-        for m in messages {
-            let encoded = encode_message(&m);
-            let decoded = decode_message(&encoded).unwrap();
-            match (&m, &decoded) {
-                (Message::Report(a), Message::Report(b)) => {
-                    assert_eq!(a.tick, b.tick);
-                    assert_eq!(a.node, b.node);
-                    assert_eq!(a.total_pis, b.total_pis);
-                    assert_eq!(a.changed.len(), b.changed.len());
-                    for ((ia, va), (ib, vb)) in a.changed.iter().zip(b.changed.iter()) {
-                        assert_eq!(ia, ib);
-                        // Values travel as f32.
-                        assert!((va - vb).abs() < 1e-3);
-                    }
-                }
-                _ => assert_eq!(m, decoded),
-            }
+        for m in messages() {
+            assert_eq!(decode_message(&encode_message(&m)).unwrap(), m);
         }
     }
 
@@ -305,13 +263,8 @@ mod tests {
     fn full_report_is_compact() {
         // A full 44-indicator report must land in the same ballpark as the
         // paper's measured ≈186 bytes per client per second.
-        let encoded = encode_message(&report(44));
-        assert!(
-            encoded.len() <= 280,
-            "44-PI report too large: {} bytes",
-            encoded.len()
-        );
-        assert!(encoded.len() >= 44 * 5, "suspiciously small frame");
+        let len = encode_message(&report(44)).len();
+        assert!((44 * 5..=280).contains(&len), "44-PI report is {len} bytes");
     }
 
     #[test]
@@ -327,80 +280,81 @@ mod tests {
     fn truncated_frames_are_rejected() {
         let encoded = encode_message(&report(10));
         for cut in [0usize, 1, 3, encoded.len() - 1] {
-            assert!(
-                decode_message(&encoded[..cut]).is_err(),
-                "cut at {cut} should fail"
-            );
+            let err = decode_message(&encoded[..cut]);
+            assert!(err.is_err(), "cut at {cut} should fail");
         }
+        let empty = decode_message(&[]).unwrap_err().to_string();
+        assert!(empty.contains("end of input"), "{empty}");
     }
 
     #[test]
     fn unknown_tag_is_rejected() {
-        assert_eq!(
-            decode_message(&[0x7f, 0, 0]),
-            Err(WireError::UnknownTag(0x7f))
-        );
+        let err = decode_message(&[0x7f, 0, 0]).unwrap_err();
+        assert!(matches!(err, PersistError::BadValue { .. }), "{err}");
+        assert!(err.to_string().contains("tag"));
     }
 
     #[test]
-    fn huge_report_count_is_rejected_before_allocation() {
-        // tag, tick=1, node=1, total_pis=1, count=u64::MAX: a corrupt count
-        // must fail fast as Truncated, not attempt a giant Vec (which would
-        // abort the process — a remote-triggerable crash).
-        let mut buf = BytesMut::new();
-        buf.put_u8(TAG_REPORT);
-        put_varint(&mut buf, 1);
-        put_varint(&mut buf, 1);
-        put_varint(&mut buf, 1);
-        put_varint(&mut buf, u64::MAX);
-        let frame = buf.freeze();
-        assert_eq!(decode_message(&frame), Err(WireError::Truncated));
-    }
-
-    #[test]
-    fn huge_action_count_is_rejected_before_allocation() {
-        let mut buf = BytesMut::new();
-        buf.put_u8(TAG_ACTION);
-        put_varint(&mut buf, 1);
-        put_varint(&mut buf, 0);
-        put_varint(&mut buf, u64::MAX / 2);
-        let frame = buf.freeze();
-        assert_eq!(decode_message(&frame), Err(WireError::Truncated));
-    }
-
-    #[test]
-    fn oversized_pi_index_is_rejected() {
-        // A PI index wider than 16 bits used to be silently truncated with
-        // `as u16`, remapping the value onto a different indicator.
-        let mut buf = BytesMut::new();
-        buf.put_u8(TAG_REPORT);
-        put_varint(&mut buf, 1); // tick
-        put_varint(&mut buf, 0); // node
-        put_varint(&mut buf, 44); // total_pis
-        put_varint(&mut buf, 1); // count
-        put_varint(&mut buf, u16::MAX as u64 + 7); // index out of range
-        buf.put_f32(1.5);
-        let frame = buf.freeze();
-        assert_eq!(decode_message(&frame), Err(WireError::Overflow("pi index")));
-        assert!(WireError::Overflow("pi index")
-            .to_string()
-            .contains("pi index"));
-    }
-
-    #[test]
-    fn varint_round_trip_extremes() {
-        for value in [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX] {
-            let mut buf = BytesMut::new();
-            put_varint(&mut buf, value);
-            let bytes = buf.freeze();
-            let mut slice: &[u8] = &bytes;
-            assert_eq!(get_varint(&mut slice).unwrap(), value);
+    fn huge_counts_are_rejected_before_allocation() {
+        // A corrupt count must fail fast, not attempt a giant Vec (which
+        // would abort the process — a remote-triggerable crash).
+        let report = crafted(TAG_REPORT, &[1, 1, 1, u64::MAX]);
+        let action = crafted(TAG_ACTION, &[1, 0, u64::MAX / 2]);
+        for frame in [report, action] {
+            let err = decode_message(frame.as_slice()).unwrap_err();
+            assert!(matches!(err, PersistError::CountTooLarge { .. }), "{err}");
         }
     }
 
     #[test]
-    fn error_display_is_informative() {
-        assert!(WireError::Truncated.to_string().contains("truncated"));
-        assert!(WireError::UnknownTag(9).to_string().contains("tag"));
+    fn oversized_pi_index_is_rejected() {
+        // tick, node, total_pis, count, then an index out of range.
+        let mut frame = crafted(TAG_REPORT, &[1, 0, 44, 1, u16::MAX as u64 + 7]);
+        frame.put_raw(&1.5f32.to_be_bytes());
+        let err = decode_message(frame.as_slice()).unwrap_err();
+        assert!(matches!(err, PersistError::BadValue { .. }), "{err}");
+        assert!(err.to_string().contains("pi index"));
+    }
+
+    #[test]
+    fn trailing_bytes_are_rejected_bare_and_enveloped() {
+        // An appended byte (garbage, or a field from a newer sender) must
+        // not be accepted silently and counted as received.
+        for m in messages() {
+            let mut bare = encode_message(&m);
+            let mut enveloped = encode_cluster_frame(7, &m);
+            bare.push(0);
+            enveloped.push(0);
+            for err in [
+                decode_message(&bare).err(),
+                decode_cluster_frame(&enveloped).err(),
+            ] {
+                let trailing = matches!(err, Some(PersistError::TrailingBytes { count: 1 }));
+                assert!(trailing, "{m:?}: {err:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn cluster_frame_with_an_overflowing_tick_is_rejected() {
+        // Shifting out its high bits would read the tick `[0xff; 9] ++ [0x7f]`
+        // as u64::MAX.
+        let frame = [&[FLEET_FRAME_TAG, 3, TAG_WORKLOAD][..], &[0xff; 9], &[0x7f]].concat();
+        let err = decode_cluster_frame(&frame).unwrap_err();
+        assert!(matches!(err, PersistError::BadValue { .. }), "{err}");
+    }
+
+    #[test]
+    fn envelope_round_trips_every_cluster_id_width() {
+        for cluster in [0u32, 1, 127, 128, 300, 65_535, u32::MAX] {
+            let frame = encode_cluster_frame(cluster, &action(42));
+            assert_eq!(decode_cluster_frame(&frame).unwrap(), (cluster, action(42)));
+        }
+    }
+
+    #[test]
+    fn inner_frames_without_envelope_are_rejected_not_misrouted() {
+        let err = decode_cluster_frame(&encode_message(&action(1))).unwrap_err();
+        assert!(matches!(err, PersistError::BadValue { .. }), "{err}");
     }
 }

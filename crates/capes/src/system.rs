@@ -670,7 +670,7 @@ impl<T: TargetSystem + capes_persist::Persist> CapesSystem<T> {
         // wire frames (empty at tick boundaries).
         w.put_usize(self.outbox.len());
         for message in &self.outbox {
-            w.put_bytes(&encode_message(message));
+            w.put_blob(|w| message.encode(w));
         }
         self.throughput_history.encode(w);
         w.put_usize(self.prediction_errors.len());
@@ -737,10 +737,7 @@ impl<T: TargetSystem + capes_persist::Persist> CapesSystem<T> {
         let outbox_len = r.get_count(1)?;
         let mut outbox = Vec::with_capacity(outbox_len);
         for _ in 0..outbox_len {
-            let frame = r.get_bytes()?;
-            outbox.push(decode_message(frame).map_err(|_| PersistError::BadValue {
-                what: "staged outbox frame does not decode",
-            })?);
+            outbox.push(decode_message(r.get_bytes()?)?);
         }
         let throughput_history = Vec::<f64>::decode(r)?;
         let errors_len = r.get_count(16)?;

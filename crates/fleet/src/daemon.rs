@@ -44,13 +44,13 @@ use crate::report::{
 };
 use crate::scenario::ScenarioSpec;
 use crate::sched::FleetPool;
-use crate::wire::{encode_cluster_frame, FrameRouter};
 use capes::{
     step_params, Capes, CapesError, CapesSystem, Hyperparameters, NullEngine, PhaseKind,
     ProposedAction, SessionResult, SimulatedLustre, TickMeasurement, Transport,
 };
 #[cfg(feature = "net")]
 use capes_agents::wire::encode_message;
+use capes_agents::wire::{decode_cluster_frame, encode_cluster_frame};
 use capes_agents::{ActionMessage, Message};
 use capes_drl::{ActionDecision, DqnAgent};
 use capes_persist::{Persist, PersistError, RecordLogWriter};
@@ -332,8 +332,6 @@ impl FleetBuilder {
             profile_sharing: vec![ExperienceSharing::Disabled; num_profiles],
             weights_buf: vec![0.0; num_clusters],
             measurements: (0..num_clusters).map(|_| None).collect(),
-            router: FrameRouter::new(num_clusters),
-            bus: Vec::new(),
             pending_actions: (0..num_clusters).map(|_| None).collect(),
             staged_actions: (0..num_clusters).map(|_| None).collect(),
             order_buf: Vec::with_capacity(num_clusters),
@@ -580,10 +578,6 @@ pub struct FleetDaemon {
     weights_buf: Vec<f64>,
     /// Per-cluster measurement of the in-flight tick (reused every tick).
     measurements: Vec<Option<TickMeasurement>>,
-    /// Demultiplexer for the wire-mode action bus.
-    router: FrameRouter,
-    /// Wire-mode action bus: cluster-multiplexed frames of this tick.
-    bus: Vec<bytes::Bytes>,
     /// Per-cluster action messages in flight through the transport this
     /// tick (empty between ticks).
     pending_actions: Vec<Option<ActionMessage>>,
@@ -1098,8 +1092,6 @@ impl FleetDaemon {
             profile_sharing,
             weights_buf,
             measurements,
-            router,
-            bus,
             pending_actions,
             staged_actions,
             order_buf,
@@ -1270,12 +1262,11 @@ impl FleetDaemon {
 
             // 3. Scatter, staging half: map each decision onto absolute
             //    parameter values in one action message per cluster, move
-            //    the messages through the transport — over the
-            //    cluster-multiplexed action bus in wire mode, the loopback
-            //    connections in socket mode — and stage what arrives in
-            //    `staged_actions`. Staging stays on this thread (the bus,
-            //    router and socket buffers are shared); application is
-            //    sharded below.
+            //    the messages through the transport — as cluster-enveloped
+            //    frames in wire mode, over the loopback connections in
+            //    socket mode — and stage what arrives in `staged_actions`.
+            //    Staging stays on this thread (the socket buffers are
+            //    shared); application is sharded below.
             for (i, session) in sessions.iter().enumerate() {
                 // In bounds: `session.profile`/`session.row` are assigned
                 // from `profiles` positions at build time.
@@ -1297,23 +1288,17 @@ impl FleetDaemon {
             match *transport {
                 Transport::InProcess => {}
                 Transport::Wire => {
-                    bus.clear();
                     for (i, slot) in pending_actions.iter_mut().enumerate() {
                         // capes-check: allow(boundary-panic) -- the loop above built one action per cluster.
                         let action = slot.take().expect("every cluster has an action");
-                        bus.push(encode_cluster_frame(i as u32, &Message::Action(action)));
-                    }
-                    for frame in bus.drain(..) {
-                        router
-                            .route(&frame, |cluster, message| {
-                                if let Message::Action(action) = message {
-                                    // In bounds: the router validated
-                                    // `cluster` against the fleet size.
-                                    pending_actions[cluster] = Some(action);
-                                }
-                            })
-                            // capes-check: allow(boundary-panic) -- frames were encoded by this daemon one loop above.
-                            .expect("self-encoded fleet frames always route");
+                        let frame = encode_cluster_frame(i as u32, &Message::Action(action));
+                        *slot = match decode_cluster_frame(&frame) {
+                            Ok((cluster, Message::Action(action))) if cluster as usize == i => {
+                                Some(action)
+                            }
+                            // capes-check: allow(boundary-panic) -- the frame was encoded by this daemon one line above.
+                            other => panic!("cluster {i}'s action frame decoded as {other:?}"),
+                        };
                     }
                 }
                 Transport::Socket => {

@@ -15,6 +15,11 @@
 //! amortised across the fleet (an N-row GEMM reuses the Q-network weights
 //! N times, where N sequential decisions stream them from memory N times).
 //!
+//! Actions leave the daemon as cluster-enveloped frames (the
+//! [`encode_cluster_frame`] codec of `capes_agents::wire`): encoded and
+//! decoded in process by the wire transport, sent over loopback by the socket
+//! transport.
+//!
 //! ```
 //! use capes::{Hyperparameters, Phase};
 //! use capes_fleet::{Fleet, FleetPlan, ScenarioSpec};
@@ -49,8 +54,8 @@ pub mod sched;
 #[cfg(feature = "net")]
 mod socket;
 pub mod traffic;
-pub mod wire;
 
+pub use capes_agents::wire::{decode_cluster_frame, encode_cluster_frame};
 pub use daemon::{Fleet, FleetBuilder, FleetDaemon, FleetError};
 pub use report::{
     ClusterReport, ExperienceSharing, FleetPlan, FleetReport, NetReport, PersistReport,
@@ -58,6 +63,3 @@ pub use report::{
 };
 pub use scenario::ScenarioSpec;
 pub use traffic::Replayer;
-pub use wire::{
-    decode_cluster_frame, encode_cluster_frame, FrameRouter, RouteError, FLEET_FRAME_TAG,
-};

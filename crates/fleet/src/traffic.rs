@@ -41,9 +41,7 @@ impl Replayer {
         let Some(entry) = self.reader.next_record()? else {
             return Ok(None);
         };
-        let message = decode_message(&entry.frame).map_err(|_| PersistError::BadValue {
-            what: "recorded frame does not decode as a wire message",
-        })?;
+        let message = decode_message(&entry.frame)?;
         Ok(Some((entry.tick, entry.cluster, message)))
     }
 }
@@ -98,6 +96,22 @@ mod tests {
         assert!(matches!(
             replayer.next_message(),
             Err(PersistError::BadValue { .. })
+        ));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn truncated_frames_keep_their_decode_error() {
+        let path = temp_path("truncated.log");
+        let frame = capes_agents::wire::encode_message(&report(1));
+        let mut w = RecordLogWriter::create(&path).unwrap();
+        // Cut inside the header, before the entry count.
+        w.append(1, 0, &frame[..3]).unwrap();
+        w.finish().unwrap();
+        let mut replayer = Replayer::open(&path).unwrap();
+        assert!(matches!(
+            replayer.next_message(),
+            Err(PersistError::UnexpectedEof { .. })
         ));
         std::fs::remove_file(&path).unwrap();
     }

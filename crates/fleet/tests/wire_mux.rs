@@ -5,11 +5,13 @@
 //! For random message mixes (differential PI reports, objectives, actions,
 //! workload changes) across random cluster counts, every fleet-enveloped
 //! frame must decode to its original cluster id and payload (modulo the
-//! protocol's documented f32 precision for PI values), and the router must
-//! hand each message to exactly the right cluster in arrival order.
+//! protocol's documented f32 precision for PI values), and demultiplexing
+//! on the decoded cluster id must hand each message to exactly the right
+//! cluster in arrival order.
 
 use capes_agents::message::{ActionMessage, Message, PiReport};
-use capes_fleet::{decode_cluster_frame, encode_cluster_frame, FrameRouter};
+use capes_fleet::{decode_cluster_frame, encode_cluster_frame};
+use capes_persist::PersistError;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -90,15 +92,14 @@ proptest! {
             assert_wire_equal(message, &decoded);
         }
 
-        // Demux: the router delivers per-cluster subsequences in order.
-        let mut router = FrameRouter::new(num_clusters);
+        // Demux: the decoded cluster ids deliver per-cluster subsequences in
+        // order.
         let mut delivered: Vec<Vec<Message>> = vec![Vec::new(); num_clusters];
         for frame in &frames {
-            router
-                .route(frame, |cluster, message| delivered[cluster].push(message))
-                .expect("routes");
+            let (cluster, message) = decode_cluster_frame(frame).expect("decodes");
+            delivered[cluster as usize].push(message);
         }
-        prop_assert_eq!(router.routed(), num_messages as u64);
+        prop_assert_eq!(delivered.iter().map(Vec::len).sum::<usize>(), num_messages);
         let mut expected: Vec<Vec<&Message>> = vec![Vec::new(); num_clusters];
         for (cluster, message) in &traffic {
             expected[*cluster].push(message);
@@ -118,13 +119,9 @@ proptest! {
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let frame = encode_cluster_frame(cluster, &random_message(&mut rng));
-        // Truncations at every prefix length must error, never deliver.
+        // Truncations at every prefix length must error, never decode.
         for cut in 0..frame.len() {
-            let mut router = FrameRouter::new(8);
-            let mut deliveries = 0usize;
-            let result = router.route(&frame[..cut], |_, _| deliveries += 1);
-            prop_assert!(result.is_err() || cut == frame.len());
-            prop_assert_eq!(deliveries, 0);
+            prop_assert!(decode_cluster_frame(&frame[..cut]).is_err());
         }
         // A flipped envelope tag is rejected.
         let mut bad = frame.to_vec();
@@ -132,12 +129,13 @@ proptest! {
         prop_assert!(decode_cluster_frame(&bad).is_err());
     }
 
-    /// Arbitrary byte corruption anywhere in a fleet frame must never panic,
-    /// abort (e.g. by allocating from a corrupt length prefix) or deliver to
-    /// a cluster outside the router: every outcome is a clean `Ok` (the
-    /// corruption landed in a payload value) or a `RouteError`.
+    /// Arbitrary byte corruption anywhere in a fleet frame must never panic
+    /// or abort (e.g. by allocating from a corrupt length prefix): every
+    /// outcome is a clean `Ok` (the corruption landed in a payload value or
+    /// the cluster id) or a typed `PersistError`. Corruption behind the
+    /// envelope never readdresses the frame.
     #[test]
-    fn flipped_bytes_never_panic_or_escape_the_router(
+    fn flipped_bytes_never_panic_or_readdress(
         seed in any::<u64>(),
         cluster in 0u32..8,
         flips in prop::collection::vec((any::<u32>(), any::<u32>()), 3),
@@ -149,12 +147,14 @@ proptest! {
         for &(pos, xor) in &flips {
             bad[pos as usize % len] ^= (xor & 0xff) as u8;
         }
-        let mut router = FrameRouter::new(8);
-        let mut delivered_to: Vec<usize> = Vec::new();
-        let result = router.route(&bad, |c, _| delivered_to.push(c));
-        match result {
-            Ok(()) => prop_assert!(delivered_to.iter().all(|&c| c < 8)),
-            Err(_) => prop_assert!(delivered_to.is_empty(), "errors must not deliver"),
+        let result = decode_cluster_frame(&bad);
+        // Clusters below 128 make a two-byte envelope. A flipped cluster id
+        // is the consumer's to reject (the socket server's `ConnState`
+        // checks it against the fleet size).
+        if bad[..2] == frame[..2] {
+            if let Ok((decoded, _)) = result {
+                prop_assert_eq!(decoded, cluster, "payload corruption readdressed");
+            }
         }
     }
 }
@@ -165,28 +165,19 @@ proptest! {
 /// `Vec::with_capacity`, an abort a single corrupt frame could trigger.
 #[test]
 fn huge_inner_count_is_a_clean_wire_error() {
-    use bytes::{BufMut, BytesMut};
-    use capes_agents::wire::{put_varint, WireError};
-    use capes_fleet::RouteError;
-    let mut buf = BytesMut::new();
-    buf.put_u8(0xF7); // fleet envelope tag
-    put_varint(&mut buf, 3); // cluster id
-    buf.put_u8(0x01); // inner TAG_REPORT
-    put_varint(&mut buf, 9); // tick
-    put_varint(&mut buf, 0); // node
-    put_varint(&mut buf, 44); // total_pis
-    put_varint(&mut buf, u64::MAX); // corrupt count
-    let frame = buf.freeze();
-    assert_eq!(
-        decode_cluster_frame(&frame),
-        Err(WireError::Truncated),
+    let mut w = capes_persist::Writer::new();
+    w.put_u8(0xF7); // fleet envelope tag
+    w.put_varint(3); // cluster id
+    w.put_u8(0x01); // inner TAG_REPORT
+    w.put_varint(9); // tick
+    w.put_varint(0); // node
+    w.put_varint(44); // total_pis
+    w.put_varint(u64::MAX); // corrupt count
+    assert!(
+        matches!(
+            decode_cluster_frame(w.as_slice()),
+            Err(PersistError::CountTooLarge { .. })
+        ),
         "corrupt counts must be detected before allocation"
     );
-    let mut router = FrameRouter::new(8);
-    let result = router.route(&frame, |_, _| panic!("must not deliver"));
-    assert!(matches!(
-        result,
-        Err(RouteError::Wire(WireError::Truncated))
-    ));
-    assert_eq!(router.routed(), 0);
 }

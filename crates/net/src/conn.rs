@@ -2,24 +2,27 @@
 //!
 //! [`ConnState`] owns the byte→message half of a connection: a
 //! [`FrameReassembler`] feeding each completed frame through the hardened
-//! cluster-envelope decoder ([`capes_agents::wire::decode_cluster_frame`]).
-//! Keeping it socket-free means the partial-read and corruption property
-//! tests can drive it with raw byte chunks, exactly as the reactor does.
+//! cluster-envelope decoder ([`capes_agents::wire::decode_cluster_frame`],
+//! which reports every fault as a typed [`PersistError`]) and checking the
+//! frame's cluster id against the fleet size. Keeping it socket-free means
+//! the partial-read and corruption property tests can drive it with raw
+//! byte chunks, exactly as the reactor does.
 
 use std::ops::ControlFlow;
 
-use capes_agents::wire::{decode_cluster_frame, WireError};
+use capes_agents::wire::decode_cluster_frame;
 use capes_agents::Message;
+use capes_persist::PersistError;
 
 use crate::framing::{FrameReassembler, FramingError};
 
 /// Why a connection's ingest stream was rejected.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 pub enum ConnError {
     /// The byte stream violated framing (only oversized prefixes can).
     Framing(FramingError),
     /// A complete frame failed the envelope or message decoder.
-    Wire(WireError),
+    Wire(PersistError),
     /// A well-formed frame named a cluster outside the configured range.
     UnknownCluster {
         /// The cluster id the frame carried.
@@ -58,12 +61,6 @@ impl std::error::Error for ConnError {
 impl From<FramingError> for ConnError {
     fn from(e: FramingError) -> Self {
         ConnError::Framing(e)
-    }
-}
-
-impl From<WireError> for ConnError {
-    fn from(e: WireError) -> Self {
-        ConnError::Wire(e)
     }
 }
 
@@ -201,13 +198,13 @@ mod tests {
         let buf = framed(9, 1);
         let mut state = ConnState::new(1024);
         let err = state.ingest(&buf, Some(4), |_, _| {}).unwrap_err();
-        assert_eq!(
+        assert!(matches!(
             err,
             ConnError::UnknownCluster {
                 cluster: 9,
                 num_clusters: 4
             }
-        );
+        ));
     }
 
     #[test]

@@ -177,7 +177,7 @@ pub struct NetStatsSnapshot {
 enum ServerCmd {
     /// Queue `frame` (already cluster-enveloped, not yet length-prefixed)
     /// for the connection currently serving `cluster`.
-    Send { cluster: u32, frame: bytes::Bytes },
+    Send { cluster: u32, frame: Vec<u8> },
     /// Stop the reactor and close every connection.
     Shutdown,
 }

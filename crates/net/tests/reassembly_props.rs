@@ -58,7 +58,7 @@ fn framed_stream(rng: &mut StdRng, clusters: u32, count: usize) -> (Vec<u8>, Vec
         let message = random_message(rng);
         let frame = encode_cluster_frame(cluster, &message);
         // The reference decode is the *whole-buffer* path: what the fleet's
-        // in-process FrameRouter would see without any socket in between.
+        // in-process wire transport would see without any socket in between.
         let reference = decode_cluster_frame(&frame).expect("clean frame decodes");
         encode_frame_into(&mut stream, &frame);
         expected.push(reference);
@@ -216,18 +216,16 @@ proptest! {
 /// it before sizing any allocation, as a clean `ConnError::Wire`.
 #[test]
 fn huge_inner_count_through_reassembly_is_a_clean_wire_error() {
-    use bytes::{BufMut, BytesMut};
-    use capes_agents::wire::put_varint;
-    let mut inner = BytesMut::new();
+    let mut inner = capes_persist::Writer::new();
     inner.put_u8(0xF7); // fleet envelope tag
-    put_varint(&mut inner, 3); // cluster id
+    inner.put_varint(3); // cluster id
     inner.put_u8(0x01); // inner TAG_REPORT
-    put_varint(&mut inner, 9); // tick
-    put_varint(&mut inner, 0); // node
-    put_varint(&mut inner, 44); // total_pis
-    put_varint(&mut inner, u64::MAX); // corrupt count
+    inner.put_varint(9); // tick
+    inner.put_varint(0); // node
+    inner.put_varint(44); // total_pis
+    inner.put_varint(u64::MAX); // corrupt count
     let mut stream = Vec::new();
-    encode_frame_into(&mut stream, &inner);
+    encode_frame_into(&mut stream, inner.as_slice());
 
     let mut state = ConnState::new(1 << 20);
     let mut outcome = Ok(0);

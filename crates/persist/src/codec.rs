@@ -1,4 +1,8 @@
-//! The little-endian binary codec underneath snapshots and record logs.
+//! The binary codec underneath snapshots, record logs and wire frames.
+//!
+//! Fixed-width integers are little-endian; [`Writer::put_varint`] writes
+//! LEB128 varints (1–10 bytes), which the wire frames use for ticks, ids
+//! and counts.
 //!
 //! Encoding is infallible appends to a byte vector. Decoding treats the
 //! input as hostile: every read is bounds-checked, every collection count is
@@ -263,6 +267,17 @@ impl Writer {
         self.put_u64(v.to_bits());
     }
 
+    /// Appends a u64 as an LEB128 varint: seven bits per byte, low group
+    /// first, the high bit set on every byte but the last — 1 to 10 bytes.
+    pub fn put_varint(&mut self, mut v: u64) {
+        self.make_room(10);
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
+    }
+
     /// Appends a bool as a single 0/1 byte.
     pub fn put_bool(&mut self, v: bool) {
         self.put_u8(v as u8);
@@ -498,6 +513,26 @@ impl<'a> Reader<'a> {
     /// Reads an f64 from its raw IEEE-754 bits.
     pub fn get_f64(&mut self) -> Result<f64, PersistError> {
         Ok(f64::from_bits(self.get_u64()?))
+    }
+
+    /// Reads a varint written by [`Writer::put_varint`]. Nine bytes carry 63
+    /// bits, so a tenth may only be `0x00` or `0x01`: anything else would
+    /// shift bits out of the u64 or run past ten bytes.
+    pub fn get_varint(&mut self) -> Result<u64, PersistError> {
+        let mut value = 0u64;
+        for shift in (0..63).step_by(7) {
+            let byte = self.get_u8()?;
+            value |= u64::from(byte & 0x7f) << shift;
+            if byte & 0x80 == 0 {
+                return Ok(value);
+            }
+        }
+        match self.get_u8()? {
+            last @ 0..=1 => Ok(value | u64::from(last) << 63),
+            _ => Err(PersistError::BadValue {
+                what: "varint overflows 64 bits",
+            }),
+        }
     }
 
     /// Reads a bool, rejecting any byte other than 0 or 1.
@@ -1283,6 +1318,39 @@ mod tests {
             Option::<u8>::decode(&mut Reader::new(&[9, 0])),
             Err(PersistError::BadValue { .. })
         ));
+    }
+
+    #[test]
+    fn varints_round_trip_at_every_width_and_reject_every_cut() {
+        for v in [0u64, 1, 127, 128, 300, u32::MAX as u64, 1 << 63, u64::MAX] {
+            let mut w = Writer::new();
+            w.put_varint(v);
+            let bytes = w.into_vec();
+            assert_eq!(
+                bytes.len(),
+                (64 - v.leading_zeros() as usize).div_ceil(7).max(1)
+            );
+            assert_eq!(stream_out(16, |w| w.put_varint(v)), bytes);
+            assert_eq!(stream_in(16, &bytes, |r| r.get_varint()).unwrap(), v);
+            for cut in 0..bytes.len() {
+                let err = Reader::new(&bytes[..cut]).get_varint().unwrap_err();
+                assert!(matches!(err, PersistError::UnexpectedEof { .. }), "{err}");
+            }
+        }
+    }
+
+    #[test]
+    fn varint_overflowing_64_bits_is_rejected() {
+        // Nine groups carry 63 bits; shifting out the high bits of a tenth
+        // byte above 0x01 would read `[0xff; 9] ++ [0x7f]` as u64::MAX.
+        let mut overflow = [0xff; 10];
+        for last in [0x02, 0x7f, 0x80, 0xff] {
+            overflow[9] = last;
+            let err = Reader::new(&overflow).get_varint().unwrap_err();
+            assert!(matches!(err, PersistError::BadValue { .. }), "{err}");
+        }
+        overflow[9] = 0x01;
+        assert_eq!(Reader::new(&overflow).get_varint().unwrap(), u64::MAX);
     }
 
     #[test]

@@ -1,15 +1,17 @@
-//! Durable binary persistence for CAPES checkpoints and wire-traffic logs.
+//! Durable binary persistence for CAPES checkpoints and wire-traffic logs,
+//! and the workspace's one binary codec.
 //!
-//! This crate is the trust boundary between the process and the disk. It
-//! provides:
+//! This crate is the trust boundary between the process and the disk, and
+//! its codec is the one the network input decodes through too. It provides:
 //!
-//! * a little-endian binary codec ([`Writer`] / [`Reader`]) whose decoding
-//!   side validates every length and count against the bytes actually
-//!   present **before** allocating — the same discipline the wire codec
-//!   applies to network input — and whose two ends work either on a whole
-//!   buffer or, streaming, through a fixed 1 MiB window;
+//! * a binary codec ([`Writer`] / [`Reader`]: little-endian words plus
+//!   LEB128 varints) whose decoding side validates every length and count
+//!   against the bytes actually present **before** allocating, and whose two
+//!   ends work either on a whole buffer or, streaming, through a fixed 1 MiB
+//!   window;
 //! * a [`Persist`] trait implemented by every checkpointable type in the
-//!   workspace;
+//!   workspace and by the wire messages (`capes_agents::wire` keeps their
+//!   frame layout);
 //! * a versioned, CRC-guarded snapshot container
 //!   (`CAPESNAP` magic + version + payload length + payload + CRC32),
 //!   streamed to disk by [`SnapshotWriter`] and back by [`SnapshotFile`]
