@@ -30,8 +30,9 @@
 //! - a frame that ends early: `UnexpectedEof`;
 //! - a count the remaining bytes cannot hold (5 bytes per report entry, 8 per
 //!   action value): `CountTooLarge`, raised before anything is allocated;
-//! - an unknown tag, a varint that overflows 64 bits, a PI index beyond 16
-//!   bits or a cluster id beyond 32: `BadValue`;
+//! - an unknown tag, a varint that overflows 64 bits or is not in its
+//!   minimal form, a PI index beyond 16 bits or a cluster id beyond 32:
+//!   `BadValue`;
 //! - bytes left over after a complete message: `TrailingBytes`.
 
 use crate::message::{ActionMessage, Message, PiReport};
@@ -342,6 +343,40 @@ mod tests {
         let frame = [&[FLEET_FRAME_TAG, 3, TAG_WORKLOAD][..], &[0xff; 9], &[0x7f]].concat();
         let err = decode_cluster_frame(&frame).unwrap_err();
         assert!(matches!(err, PersistError::BadValue { .. }), "{err}");
+    }
+
+    /// One frame, one byte string: a varint padded with `0x80 … 0x00` would
+    /// decode to the same message as its minimal form.
+    #[test]
+    fn overlong_varints_are_rejected_in_reports_and_envelopes() {
+        let minimal = encode_message(&report(0));
+        // The report's tick 123 456 is three varint bytes; the third is last.
+        let tick = [0xc0, 0xc4, 0x87, 0x00];
+        let overlong = [&[TAG_REPORT][..], &tick, &minimal[4..]].concat();
+        assert_eq!(&minimal[1..3], &tick[..2]);
+        let frames = [
+            overlong,
+            [&[FLEET_FRAME_TAG, 0x83, 0x00][..], &minimal].concat(),
+            [&[FLEET_FRAME_TAG, 0x80, 0x00][..], &minimal].concat(),
+        ];
+        let errs = [
+            decode_message(&frames[0]).unwrap_err(),
+            decode_cluster_frame(&frames[1]).unwrap_err(),
+            decode_cluster_frame(&frames[2]).unwrap_err(),
+        ];
+        for err in errs {
+            let overlong = matches!(
+                err,
+                PersistError::BadValue {
+                    what: "varint not minimally encoded"
+                }
+            );
+            assert!(overlong, "{err}");
+        }
+        assert_eq!(
+            decode_cluster_frame(&[&[FLEET_FRAME_TAG, 0x03][..], &minimal].concat()).unwrap(),
+            (3, report(0))
+        );
     }
 
     #[test]

@@ -244,10 +244,16 @@ fn test_mod_regions(lexed: &Lexed) -> Vec<(usize, usize)> {
 fn brace_block(lexed: &Lexed, from: usize) -> Option<(usize, usize)> {
     let toks = &lexed.tokens;
     let mut i = from;
+    // `(`/`[` nesting: the `;` of an array type in a signature
+    // (`b: &[u8; 16]`) ends nothing.
+    let mut nesting = 0usize;
     while i < toks.len() && toks[i].kind != TokKind::Punct('{') {
-        // A `;` first means there is no block (`mod name;`, fn declarations).
-        if toks[i].kind == TokKind::Punct(';') {
-            return None;
+        match toks[i].kind {
+            TokKind::Punct('(') | TokKind::Punct('[') => nesting += 1,
+            TokKind::Punct(')') | TokKind::Punct(']') => nesting = nesting.saturating_sub(1),
+            // A `;` first means there is no block (`mod name;`, fn declarations).
+            TokKind::Punct(';') if nesting == 0 => return None,
+            _ => {}
         }
         i += 1;
     }
@@ -724,6 +730,11 @@ mod tests {
         assert!(findings
             .iter()
             .all(|f| f.rule == "hot-path-alloc" && f.line == 2));
+        // The `;` of an array type in the signature does not hide the body.
+        let src = "fn hot(b: &[u8; 16], c: [[u8; 4]; 2]) -> u32 {\n    b.to_vec(); 0\n}";
+        let findings = lint_file("crates/x/src/lib.rs", src, &config, &Registries::default());
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].line, 2);
     }
 
     #[test]

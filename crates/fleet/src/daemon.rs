@@ -839,7 +839,10 @@ impl FleetDaemon {
         // magic, version, length against the file size, CRC — before any
         // payload byte is interpreted; the second streams the payload
         // through the codec's window, so the file image is never resident.
-        let mut snapshot = capes_persist::SnapshotFile::open(path)?;
+        let mut snapshot = {
+            let _verify = capes_telemetry::span!("persist.restore.verify");
+            capes_persist::SnapshotFile::open(path)?
+        };
         let mut r = snapshot.reader()?;
 
         // Pure phase: decode and validate everything into locals.
@@ -1074,13 +1077,17 @@ impl FleetDaemon {
     /// actions, train round-robin, finish everywhere.
     pub fn tick_all(&mut self, kind: PhaseKind) {
         self.tick_inner(kind);
-        if let Some((every, path)) = self.auto_checkpoint.clone() {
-            if self.tick.is_multiple_of(every) {
-                match self.checkpoint(&path) {
-                    Ok(()) => self.persist.auto_checkpoints.inc(),
-                    Err(_) => self.persist.auto_checkpoint_failures.inc(),
-                }
+        // The setting is only moved out on a due tick, and put back after.
+        let tick = self.tick;
+        let due = self
+            .auto_checkpoint
+            .take_if(|(every, _)| tick.is_multiple_of(*every));
+        if let Some((every, path)) = due {
+            match self.checkpoint(&path) {
+                Ok(()) => self.persist.auto_checkpoints.inc(),
+                Err(_) => self.persist.auto_checkpoint_failures.inc(),
             }
+            self.auto_checkpoint = Some((every, path));
         }
     }
 

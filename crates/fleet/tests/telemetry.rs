@@ -175,6 +175,42 @@ fn checkpoint_spans_partition_the_total() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `persist.restore.verify` times each restore's verifying pass: one sample
+/// per restore, published in `/metrics`, and never more than the whole
+/// `persist.restore` it is part of.
+#[test]
+fn restore_verify_records_one_sample_per_restore() {
+    let _exclusive = CHECKPOINTING.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = std::env::temp_dir().join("capes-fleet-telemetry-restore");
+    std::fs::create_dir_all(&dir).unwrap();
+    let snap = dir.join("restore.capes");
+    let mut fleet = build(Transport::Wire, 61);
+    fleet.run(&plan());
+    fleet.checkpoint(&snap).expect("checkpoint");
+
+    let registry = capes_telemetry::global();
+    let verify = registry.histogram("persist.restore.verify");
+    let restore = registry.histogram("persist.restore");
+    let (count_before, verify_before, restore_before) =
+        (verify.count(), verify.sum(), restore.sum());
+    let mut restored = build(Transport::Wire, 61);
+    for _ in 0..3 {
+        restored.restore(&snap).expect("restore");
+    }
+    assert_eq!(verify.count() - count_before, 3);
+    assert!(verify.sum() > verify_before, "verify pass never timed");
+    assert!(
+        verify.sum() - verify_before <= restore.sum() - restore_before,
+        "the verify pass outlasted the restores it is part of"
+    );
+    let metrics = registry.snapshot().render_prometheus();
+    assert!(
+        metrics.contains("persist_restore_verify_count"),
+        "{metrics}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn in_process_fleet_reports_telemetry() {
     run_and_check(Transport::InProcess, 41, "inproc");

@@ -1,8 +1,8 @@
 //! The binary codec underneath snapshots, record logs and wire frames.
 //!
 //! Fixed-width integers are little-endian; [`Writer::put_varint`] writes
-//! LEB128 varints (1–10 bytes), which the wire frames use for ticks, ids
-//! and counts.
+//! minimal LEB128 varints (1–10 bytes), which the wire frames use for ticks,
+//! ids and counts, and [`Reader::get_varint`] accepts no other form.
 //!
 //! Encoding is infallible appends to a byte vector. Decoding treats the
 //! input as hostile: every read is bounds-checked, every collection count is
@@ -515,20 +515,30 @@ impl<'a> Reader<'a> {
         Ok(f64::from_bits(self.get_u64()?))
     }
 
-    /// Reads a varint written by [`Writer::put_varint`]. Nine bytes carry 63
-    /// bits, so a tenth may only be `0x00` or `0x01`: anything else would
-    /// shift bits out of the u64 or run past ten bytes.
+    /// Reads a varint written by [`Writer::put_varint`], and only in the
+    /// minimal form it writes, so one value has one encoding: a last byte of
+    /// `0x00` after a continuation byte is rejected. Nine bytes carry 63
+    /// bits, so a tenth may only be `0x01`: anything larger would shift bits
+    /// out of the u64 or run past ten bytes.
     pub fn get_varint(&mut self) -> Result<u64, PersistError> {
+        const OVERLONG: PersistError = PersistError::BadValue {
+            what: "varint not minimally encoded",
+        };
         let mut value = 0u64;
         for shift in (0..63).step_by(7) {
             let byte = self.get_u8()?;
             value |= u64::from(byte & 0x7f) << shift;
             if byte & 0x80 == 0 {
-                return Ok(value);
+                return if byte == 0 && shift > 0 {
+                    Err(OVERLONG)
+                } else {
+                    Ok(value)
+                };
             }
         }
         match self.get_u8()? {
-            last @ 0..=1 => Ok(value | u64::from(last) << 63),
+            0 => Err(OVERLONG),
+            1 => Ok(value | 1 << 63),
             _ => Err(PersistError::BadValue {
                 what: "varint overflows 64 bits",
             }),
@@ -1351,6 +1361,46 @@ mod tests {
         }
         overflow[9] = 0x01;
         assert_eq!(Reader::new(&overflow).get_varint().unwrap(), u64::MAX);
+    }
+
+    #[test]
+    fn overlong_varints_are_rejected() {
+        let overlong: [(u64, &[u8]); 7] = [
+            (0, &[0x80, 0x00]),
+            (0, &[0x80, 0x80, 0x00]),
+            (
+                0,
+                &[0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00],
+            ),
+            (1, &[0x81, 0x00]),
+            (1, &[0x81, 0x80, 0x00]),
+            (127, &[0xff, 0x00]),
+            (127, &[0xff, 0x80, 0x80, 0x00]),
+        ];
+        for (v, bytes) in overlong {
+            let mut minimal = Writer::new();
+            minimal.put_varint(v);
+            assert_ne!(minimal.as_slice(), bytes);
+            let err = Reader::new(bytes).get_varint().unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    PersistError::BadValue {
+                        what: "varint not minimally encoded"
+                    }
+                ),
+                "{v} as {bytes:02x?}: {err}"
+            );
+            let err = stream_in(16, bytes, |r| r.get_varint()).unwrap_err();
+            assert!(matches!(err, PersistError::BadValue { .. }), "{err}");
+        }
+        // u64::MAX already takes all ten bytes: any longer form carries a
+        // continuation bit in the tenth, which overflows.
+        let mut longer = [0xff; 11];
+        longer[9] = 0x81;
+        longer[10] = 0x00;
+        let err = Reader::new(&longer).get_varint().unwrap_err();
+        assert!(matches!(err, PersistError::BadValue { .. }), "{err}");
     }
 
     #[test]

@@ -2,12 +2,28 @@
 //! slicing-by-16, with a GF(2) [`combine`].
 //!
 //! Hand-rolled so the integrity check owes nothing to any shim, and in safe
-//! code only (this crate forbids `unsafe`, which rules out PCLMULQDQ
-//! folding). Sixteen 256-entry tables are built at compile time; the loop
+//! code only. Sixteen 256-entry tables are built at compile time; the loop
 //! consumes 16 input bytes per iteration with sixteen independent lookups,
 //! and a byte-at-a-time tail finishes the last `len % 16` bytes. The value
 //! is bit-for-bit the classic byte-at-a-time CRC, which survives as the
 //! test oracle.
+//!
+//! What sets the loop's speed is the register's dependency chain: only four
+//! of an iteration's sixteen lookups depend on the previous register. They
+//! are XORed in last. XORed in first, they put the other twelve's serial
+//! XORs on the chain, and the loop ran at 1.8–1.9 GB/s instead of 3.5–3.8
+//! on the snapshot writer's 1 MiB windows.
+//!
+//! Two faster forms are left out:
+//!
+//! - **Interleaved lanes.** Three independent streams folded side by side
+//!   and joined with [`combine`]'s arithmetic read 4.3–4.5 GB/s on 1 MiB
+//!   windows. End to end they did not pay for the second code path: over
+//!   12 alternating `fleet8_mix_durable` pairs against this loop, train
+//!   cluster-ticks/s went 1 536 → 1 542 (+0.4 %), ahead in only 7.
+//! - **PCLMULQDQ.** Carry-less-multiply folding would be faster still, but
+//!   it needs `core::arch` intrinsics, i.e. `unsafe`, and this crate is the
+//!   disk boundary.
 //!
 //! [`Crc32`] carries the register between `update` calls, so a snapshot is
 //! checksummed window by window while each window is still cache-resident,
@@ -19,23 +35,28 @@
 //! snapshot of the 8-cluster durable benchmark fleet (`fleet8_mix_durable`,
 //! 2-vCPU shared host, ext4), one `FleetDaemon::checkpoint` split as:
 //!
-//! | layer                          | byte-at-a-time            | slicing-by-16, whole buffer | slicing-by-16, streamed     |
-//! |--------------------------------|---------------------------|-----------------------------|-----------------------------|
-//! | CRC-32 over the snapshot       | 56–61 ms (0.35–0.39 GB/s) | 12.5–13.9 ms (1.5–1.7 GB/s) | 10.3–12.4 ms (1.7–2.1 GB/s) |
-//! | encode (+ container copies)    | 25–30 ms                  | 4.2–6.5 ms                  | 3.1–4.2 ms                  |
-//! | write + rename + dir fsync     | 15–17 ms with the fsync   | 17.8–22.9 ms                | 5.3–8.3 + 12.0–15.2 ms      |
-//! | data fsync                     | (in the row above)        | 21–32 ms                    | 21–33 ms                    |
-//! | whole checkpoint               | 100–107 ms                | 57.7–70.7 ms                | 47.4–62.8 ms                |
+//! | layer                          | byte-at-a-time            | slicing-by-16, whole buffer | slicing-by-16, streamed     | register XORed in last, streamed |
+//! |--------------------------------|---------------------------|-----------------------------|-----------------------------|----------------------------------|
+//! | CRC-32 over the snapshot       | 56–61 ms (0.35–0.39 GB/s) | 12.5–13.9 ms (1.5–1.7 GB/s) | 10.3–12.4 ms (1.7–2.1 GB/s) | 5.0–5.7 ms (3.8–4.3 GB/s)        |
+//! | encode (+ container copies)    | 25–30 ms                  | 4.2–6.5 ms                  | 3.1–4.2 ms                  | 2.0–2.6 ms                       |
+//! | write + rename + dir fsync     | 15–17 ms with the fsync   | 17.8–22.9 ms                | 5.3–8.3 + 12.0–15.2 ms      | 3.4–4.2 + 0.1–5.9 ms             |
+//! | data fsync                     | (in the row above)        | 21–32 ms                    | 21–33 ms                    | 6.9–12.3 ms                      |
+//! | whole checkpoint               | 100–107 ms                | 57.7–70.7 ms                | 47.4–62.8 ms                | 22.3–26.7 ms                     |
 //!
-//! (The last two columns were taken alternately on one day, the five fastest
-//! of 25 checkpoints in each of four processes; the first is the record of
-//! the day slicing-by-16 landed, when the same loop read 2.0–2.1 GB/s and
-//! the fsync ~10 ms — compare columns taken together.) The loop is the same
-//! in the last two columns; the streamed one folds each window while it is
-//! still cache-resident instead of making one pass over a cold 21 MB buffer.
+//! (Each column is the five fastest of 25–30 checkpoints in each of four
+//! processes, read off the `persist.checkpoint.*` histograms. The middle two
+//! were taken alternately on one day; the first is the record of the day
+//! slicing-by-16 landed, when the same loop read 2.0–2.1 GB/s and the fsync
+//! ~10 ms. The last was taken in rotation with the previous XOR order,
+//! which read CRC 9.8–12.0 ms (1.8–2.2 GB/s) and whole checkpoint
+//! 25.5–32.5 ms that day — compare columns taken together.) The streamed
+//! columns fold each window while it is still cache-resident instead of
+//! making one pass over a cold 21 MB buffer. A restore's verifying pass
+//! (`persist.restore.verify`) fell the same way, 11.0–14.7 → 6.1–6.9 ms,
+//! and the whole restore 15.7–21.0 → 10.7–11.9 ms.
 //!
 //! The encode row moved with the bulk codec runs of `codec.rs`, not with
-//! this file; the last column also stopped building the file image in
+//! this file; the streamed columns also stopped building the file image in
 //! memory — see `snapshot.rs`.
 
 /// The reflected CRC-32 polynomial.
@@ -180,7 +201,9 @@ impl Crc32 {
             let w2 = u32::from_le_bytes([b[8], b[9], b[10], b[11]]);
             // In bounds: as above.
             let w3 = u32::from_le_bytes([b[12], b[13], b[14], b[15]]);
-            register = fold_word(w0, 12) ^ fold_word(w1, 8) ^ fold_word(w2, 4) ^ fold_word(w3, 0);
+            // Only `w0`'s four lookups wait on the previous register; XORed
+            // in last, they leave the other twelve off its dependency chain.
+            register = fold_word(w3, 0) ^ fold_word(w2, 4) ^ fold_word(w1, 8) ^ fold_word(w0, 12);
         }
         for &b in tail {
             // In bounds: the index is masked to 0..=255 and each table has

@@ -36,7 +36,9 @@ pub struct RecordEntry {
     pub tick: u64,
     /// Index of the cluster whose connection delivered it.
     pub cluster: u32,
-    /// The raw wire frame, exactly as the ingest path saw it.
+    /// The canonical encoding of the message the ingest path decoded,
+    /// without its cluster envelope: the recorder re-encodes the message
+    /// rather than keeping the bytes that arrived.
     pub frame: Vec<u8>,
 }
 

@@ -45,6 +45,10 @@ pub const SPAN_NET_EGRESS: &str = "net.egress";
 pub const SPAN_PERSIST_CHECKPOINT_TOTAL: &str = "persist.checkpoint.total";
 /// Span: restoring daemon state from a checkpoint.
 pub const SPAN_PERSIST_RESTORE: &str = "persist.restore";
+/// Span: a restore's verifying pass over the snapshot file — magic,
+/// version, length and the CRC over every byte — before any decoding; its
+/// share of `persist.restore` is the CRC's share of a restore.
+pub const SPAN_PERSIST_RESTORE_VERIFY: &str = "persist.restore.verify";
 
 /// Histogram: whole fleet tick latency.
 pub const FLEET_TICK_TOTAL: &str = "fleet.tick.total";
