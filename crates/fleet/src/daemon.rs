@@ -13,20 +13,30 @@
 //!    shared [`DqnAgent`] ([`DqnAgent::decide_batch`]) — the ROADMAP's 1-row
 //!    `q_values` hot path widened into an N-row GEMM riding the pooled
 //!    kernels,
-//! 3. builds one action message per cluster from its decision, moves it
-//!    through the fleet's transport (cluster-multiplexed wire frames,
-//!    [`crate::wire`], or the loopback sockets; in-process it stays put), and
-//!    hands it to [`CapesSystem::apply_action`] — Action Checker and Replay
-//!    DB record in the cluster's Interface Daemon, then its Control Agent,
-//!    then the knob — and
-//! 4. round-robins training across the clusters: each fleet tick trains one
-//!    cluster's profile agent, sampling that cluster's arena stripe — or, with
-//!    experience sharing enabled for the profile
+//! 3. builds one action message per cluster from its decision and moves it
+//!    through the fleet's transport: as a cluster-enveloped frame
+//!    ([`encode_cluster_frame`]/[`decode_cluster_frame`]) on the wire
+//!    transport, over the cluster's loopback connection on the socket
+//!    transport, and as the message itself on the in-process transport.
+//!    Every cluster then hands its message to [`CapesSystem::apply_action`] —
+//!    Action Checker and Replay DB record in the cluster's Interface Daemon,
+//!    then its Control Agent, then the knob — and
+//! 4. once every cluster has applied its action, round-robins training
+//!    across the clusters: each training tick trains one cluster's profile
+//!    agent, sampling that cluster's arena stripe — or, with experience
+//!    sharing enabled for the profile
 //!    ([`crate::report::ExperienceSharing`]), a weighted set of the profile's
 //!    stripes.
 //!
-//! Experience lives in **one** fleet-wide
-//! [`ReplayArena`](capes_replay::ReplayArena) striped by cluster
+//! Measuring, applying and finishing touch one cluster each, so they run
+//! cluster-parallel on the fleet pool:
+//! [`WorkerPool::run_mut`](capes_tensor::WorkerPool::run_mut) hands every
+//! worker a disjoint `&mut` chunk of the sessions, and each session carries
+//! its own in-flight measurement and action. Deciding, moving actions through
+//! the transport and training stay on the daemon thread; training consumes
+//! the shared agent's RNG.
+//!
+//! Experience lives in **one** fleet-wide [`ReplayArena`] striped by cluster
 //! (replacing the per-cluster `SharedReplayDb` shards of the pre-arena
 //! daemon): every member system is built over a stripe view of the shared
 //! arena, so its monitoring pipeline — wire frames included — writes straight
@@ -286,6 +296,8 @@ impl FleetBuilder {
                 row,
                 series: Vec::new(),
                 errors_before: 0,
+                measurement: None,
+                action: None,
             });
         }
         for profile in &mut profiles {
@@ -331,10 +343,6 @@ impl FleetBuilder {
             arena,
             profile_sharing: vec![ExperienceSharing::Disabled; num_profiles],
             weights_buf: vec![0.0; num_clusters],
-            measurements: (0..num_clusters).map(|_| None).collect(),
-            pending_actions: (0..num_clusters).map(|_| None).collect(),
-            staged_actions: (0..num_clusters).map(|_| None).collect(),
-            order_buf: Vec::with_capacity(num_clusters),
             sched,
             tick: 0,
             train_cursor: 0,
@@ -362,54 +370,13 @@ struct ClusterSession {
     series: Vec<f64>,
     /// Prediction-error count at the start of the in-progress phase.
     errors_before: usize,
+    /// This tick's measurement, from the measure phase to `finish_tick`
+    /// (`None` between ticks).
+    measurement: Option<TickMeasurement>,
+    /// This tick's action message, from the decision to `apply_action`
+    /// (`None` outside that stretch).
+    action: Option<ActionMessage>,
 }
-
-// The parallel tick moves `&mut ClusterSession`s to pool workers and shares
-// `&[Profile]` across them; both obligations are compile-time facts, checked
-// here so a future non-Send field fails the build instead of the dispatch.
-const _: () = {
-    const fn assert_send<T: Send>() {}
-    const fn assert_sync<T: Sync>() {}
-    assert_send::<ClusterSession>();
-    assert_sync::<Profile>();
-};
-
-/// Unsafe shared pointer into a per-cluster slice, handed to pool workers.
-/// Each dispatched chunk touches only the indices it owns (a cluster is owned
-/// by exactly one worker per phase), so disjoint chunks never alias, and the
-/// dispatcher blocks until every chunk acknowledges before the slice is
-/// borrowed normally again.
-struct ShardPtr<T>(*mut T);
-
-impl<T> ShardPtr<T> {
-    fn new(slice: &mut [T]) -> Self {
-        ShardPtr(slice.as_mut_ptr())
-    }
-
-    /// # Safety
-    /// `i` must be in bounds, and no other thread may access index `i` while
-    /// the returned reference lives.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn at(&self, i: usize) -> &mut T {
-        // SAFETY: forwarded caller contract (see `# Safety` above).
-        unsafe { &mut *self.0.add(i) }
-    }
-}
-
-impl<T> Clone for ShardPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<T> Copy for ShardPtr<T> {}
-
-// SAFETY: see `ShardPtr::at` — the tick partitions indices disjointly and
-// joins every chunk before reborrowing; `T: Send` is asserted above for the
-// element types that cross threads.
-unsafe impl<T: Send> Send for ShardPtr<T> {}
-// SAFETY: as above — shared access only ever touches disjoint indices.
-unsafe impl<T: Send> Sync for ShardPtr<T> {}
 
 /// A group of clusters sharing one observation geometry and therefore one
 /// DQN: their observations stack into `batch` and one
@@ -576,17 +543,6 @@ pub struct FleetDaemon {
     profile_sharing: Vec<ExperienceSharing>,
     /// Persistent stripe-weight buffer for shared training draws.
     weights_buf: Vec<f64>,
-    /// Per-cluster measurement of the in-flight tick (reused every tick).
-    measurements: Vec<Option<TickMeasurement>>,
-    /// Per-cluster action messages in flight through the transport this
-    /// tick (empty between ticks).
-    pending_actions: Vec<Option<ActionMessage>>,
-    /// Per-cluster actions staged for the (possibly parallel) apply step —
-    /// every transport's scatter path converges here before application.
-    staged_actions: Vec<Option<ProposedAction>>,
-    /// Scratch cluster ordering for training ticks: the trained profile's
-    /// members first, everyone else after (capacity = clusters, reused).
-    order_buf: Vec<usize>,
     /// The fleet worker pool sharding member clusters across threads.
     sched: FleetPool,
     tick: u64,
@@ -1098,10 +1054,6 @@ impl FleetDaemon {
             arena,
             profile_sharing,
             weights_buf,
-            measurements,
-            pending_actions,
-            staged_actions,
-            order_buf,
             sched,
             transport,
             hyperparams,
@@ -1135,19 +1087,11 @@ impl FleetDaemon {
                 //     stays on this thread). The measurement stays
                 //     incomplete (no observation) until the traffic lands
                 //     back in the daemon.
-                {
-                    let sessions_ptr = ShardPtr::new(sessions.as_mut_slice());
-                    let measurements_ptr = ShardPtr::new(measurements.as_mut_slice());
-                    sched.run(num_clusters, 1, |start, end| {
-                        for i in start..end {
-                            // SAFETY: this chunk owns clusters start..end.
-                            let (session, slot) =
-                                // SAFETY: this chunk owns clusters start..end.
-                                unsafe { (sessions_ptr.at(i), measurements_ptr.at(i)) };
-                            *slot = Some(session.system.measure_tick());
-                        }
-                    });
-                }
+                sched.run_mut(sessions, 1, 1, |_, chunk| {
+                    for session in chunk {
+                        session.measurement = Some(session.system.measure_tick());
+                    }
+                });
                 for (i, session) in sessions.iter_mut().enumerate() {
                     session
                         .system
@@ -1186,41 +1130,28 @@ impl FleetDaemon {
                 }
                 // 1c. Commit snapshots and assemble observations,
                 //     cluster-parallel again.
-                {
-                    let sessions_ptr = ShardPtr::new(sessions.as_mut_slice());
-                    let measurements_ptr = ShardPtr::new(measurements.as_mut_slice());
-                    sched.run(num_clusters, 1, |start, end| {
-                        for i in start..end {
-                            // SAFETY: this chunk owns clusters start..end.
-                            let (session, slot) =
-                                // SAFETY: this chunk owns clusters start..end.
-                                unsafe { (sessions_ptr.at(i), measurements_ptr.at(i)) };
-                            // capes-check: allow(boundary-panic) -- phase 1a filled every slot this tick.
-                            let measurement = slot.as_mut().expect("measured above");
-                            session.system.complete_measurement(kind, measurement);
-                        }
-                    });
-                }
+                sched.run_mut(sessions, 1, 1, |_, chunk| {
+                    for session in chunk {
+                        // capes-check: allow(boundary-panic) -- phase 1a measured every cluster this tick.
+                        let measurement = session.measurement.as_mut().expect("measured above");
+                        session.system.complete_measurement(kind, measurement);
+                    }
+                });
             }
             #[cfg(not(feature = "net"))]
             // capes-check: allow(boundary-panic) -- cfg invariant: Socket transport is unconstructible without the net feature.
             unreachable!("socket transport cannot be built without the net feature");
         } else {
-            let sessions_ptr = ShardPtr::new(sessions.as_mut_slice());
-            let measurements_ptr = ShardPtr::new(measurements.as_mut_slice());
-            sched.run(num_clusters, 1, |start, end| {
-                for i in start..end {
-                    // SAFETY: this chunk owns clusters start..end.
-                    let (session, slot) = unsafe { (sessions_ptr.at(i), measurements_ptr.at(i)) };
-                    *slot = Some(session.system.begin_tick(kind));
+            sched.run_mut(sessions, 1, 1, |_, chunk| {
+                for session in chunk {
+                    session.measurement = Some(session.system.begin_tick(kind));
                 }
             });
         }
         if kind != PhaseKind::Baseline {
-            for (i, session) in sessions.iter().enumerate() {
-                // In bounds: `measurements` is sized to `sessions`.
-                // capes-check: allow(boundary-panic) -- the measure phase above filled every slot this tick.
-                let measurement = measurements[i].as_ref().expect("measured above");
+            for session in sessions.iter() {
+                // capes-check: allow(boundary-panic) -- the measure phase above measured every cluster this tick.
+                let measurement = session.measurement.as_ref().expect("measured above");
                 // In bounds: `session.profile` indexes `profiles` at build.
                 let profile = &mut profiles[session.profile];
                 match &measurement.observation {
@@ -1242,8 +1173,7 @@ impl FleetDaemon {
         }
 
         // Outcome of the round-robin training step (shard index, mean
-        // prediction error) and its duration, written by the overlapped
-        // closure below and consumed by the feedback phase.
+        // prediction error) and its duration, consumed by the feedback phase.
         let mut trained: Option<(usize, f64)> = None;
         let mut train_elapsed = std::time::Duration::ZERO;
         if kind != PhaseKind::Baseline {
@@ -1267,21 +1197,18 @@ impl FleetDaemon {
             }
             let scatter_started = Instant::now();
 
-            // 3. Scatter, staging half: map each decision onto absolute
-            //    parameter values in one action message per cluster, move
-            //    the messages through the transport — as cluster-enveloped
-            //    frames in wire mode, over the loopback connections in
-            //    socket mode — and stage what arrives in `staged_actions`.
-            //    Staging stays on this thread (the socket buffers are
-            //    shared); application is sharded below.
-            for (i, session) in sessions.iter().enumerate() {
+            // 3. Scatter: map each decision onto absolute parameter values in
+            //    one action message per cluster and move the messages through
+            //    the transport — as cluster-enveloped frames in wire mode,
+            //    over the loopback connections in socket mode. This stays on
+            //    this thread (the socket buffers are shared).
+            for session in sessions.iter_mut() {
                 // In bounds: `session.profile`/`session.row` are assigned
                 // from `profiles` positions at build time.
                 let profile = &profiles[session.profile];
                 // In bounds: same build-time assignment.
                 let decision = profile.decisions[session.row];
-                // In bounds: `pending_actions` is sized to `sessions`.
-                pending_actions[i] = Some(ActionMessage {
+                session.action = Some(ActionMessage {
                     tick: session.system.tick(),
                     action_index: decision.action,
                     parameter_values: step_params(
@@ -1295,11 +1222,11 @@ impl FleetDaemon {
             match *transport {
                 Transport::InProcess => {}
                 Transport::Wire => {
-                    for (i, slot) in pending_actions.iter_mut().enumerate() {
+                    for (i, session) in sessions.iter_mut().enumerate() {
                         // capes-check: allow(boundary-panic) -- the loop above built one action per cluster.
-                        let action = slot.take().expect("every cluster has an action");
+                        let action = session.action.take().expect("every cluster has an action");
                         let frame = encode_cluster_frame(i as u32, &Message::Action(action));
-                        *slot = match decode_cluster_frame(&frame) {
+                        session.action = match decode_cluster_frame(&frame) {
                             Ok((cluster, Message::Action(action))) if cluster as usize == i => {
                                 Some(action)
                             }
@@ -1319,12 +1246,13 @@ impl FleetDaemon {
                         // Queue every cluster's action on the server-side
                         // downlink first, then read them back — the reactor
                         // flushes all connections concurrently.
-                        for (i, slot) in pending_actions.iter_mut().enumerate() {
+                        for (i, session) in sessions.iter_mut().enumerate() {
                             // capes-check: allow(boundary-panic) -- the loop above built one action per cluster.
-                            front.send_action(i, slot.take().expect("every cluster has an action"));
+                            let action = session.action.take().expect("built above");
+                            front.send_action(i, action);
                         }
-                        for (i, slot) in pending_actions.iter_mut().enumerate() {
-                            *slot = Some(front.recv_action(i));
+                        for (i, session) in sessions.iter_mut().enumerate() {
+                            session.action = Some(front.recv_action(i));
                         }
                     }
                     #[cfg(not(feature = "net"))]
@@ -1332,141 +1260,81 @@ impl FleetDaemon {
                     unreachable!("socket transport cannot be built without the net feature");
                 }
             }
-            for (i, session) in sessions.iter().enumerate() {
-                // In bounds: `pending_actions` is sized to `sessions`.
-                let action = pending_actions[i]
-                    .take()
+
+            // 3b. Apply, cluster-parallel: an action touches only its own
+            //     cluster's state and replay stripe.
+            let decided = &*profiles;
+            sched.run_mut(sessions, 1, 1, |_, chunk| {
+                for session in chunk {
                     // capes-check: allow(boundary-panic) -- every transport arm above delivers one action per cluster.
-                    .expect("every cluster received its action");
-                // In bounds: `session.profile`/`session.row` are assigned
-                // from `profiles` positions at build time.
-                let decision = profiles[session.profile].decisions[session.row];
-                // In bounds: `staged_actions` is sized to `sessions`.
-                staged_actions[i] = Some(ProposedAction {
-                    action_index: Some(action.action_index),
-                    explored: decision.explored,
-                    params: action.parameter_values,
-                });
+                    let action = session.action.take().expect("delivered above");
+                    // In bounds: `session.profile`/`session.row` are assigned
+                    // from `profiles` positions at build time.
+                    let decision = decided[session.profile].decisions[session.row];
+                    session.system.apply_action(ProposedAction {
+                        action_index: Some(action.action_index),
+                        explored: decision.explored,
+                        params: action.parameter_values,
+                    });
+                }
+            });
+            if recording {
+                telemetry
+                    .tick_scatter
+                    .record_duration(scatter_started.elapsed());
             }
 
-            // 3b/4. Apply + training. Applying a staged action touches only
-            //    its own cluster's state and replay stripe, so application
-            //    shards across the pool. On a training tick the trained
-            //    profile's members are applied first (their stripes must
-            //    hold this tick's transitions before sampling); the training
-            //    step itself — which consumes the shared agent's RNG and
-            //    therefore stays on this thread — then overlaps the
-            //    remaining clusters' applies. The sequential path (1 worker)
-            //    applies everything in cluster order, then trains, exactly
-            //    as before.
+            // 4. Training, on this thread: it consumes the shared agent's
+            //    RNG. Every stripe already holds this tick's transition.
             if kind == PhaseKind::Train {
+                let train_started = Instant::now();
                 let shard = *train_cursor % num_clusters;
                 *train_cursor += 1;
-                // In bounds: `shard < num_clusters == sessions.len()` and
-                // `profile_idx` was assigned from `profiles` at build.
-                let profile_idx = sessions[shard].profile;
-                order_buf.clear();
-                // In bounds: `profile_idx` indexes `profiles` (see above).
-                order_buf.extend_from_slice(&profiles[profile_idx].stripe_members);
-                let members = order_buf.len();
-                for (i, session) in sessions.iter().enumerate() {
-                    if session.profile != profile_idx {
-                        order_buf.push(i);
+                // In bounds: `shard < num_clusters == sessions.len()`.
+                let session = &sessions[shard];
+                // In bounds: `session.profile` indexes both `profiles` and
+                // the parallel `profile_sharing` table (assigned at build).
+                let profile = &mut profiles[session.profile];
+                let mode = profile_sharing[session.profile]; // In bounds: parallel table.
+                let shared_weights = match mode {
+                    ExperienceSharing::Disabled => None,
+                    ExperienceSharing::Uniform => {
+                        weights_buf.iter_mut().for_each(|w| *w = 0.0);
+                        for &stripe in &profile.stripe_members {
+                            // In bounds: stripes are cluster indices.
+                            weights_buf[stripe] = 1.0;
+                        }
+                        Some(&*weights_buf)
                     }
-                }
-                let order = &order_buf[..]; // Full-range slice, always in bounds.
-                let sessions_ptr = ShardPtr::new(sessions.as_mut_slice());
-                let staged_ptr = ShardPtr::new(staged_actions.as_mut_slice());
-                let apply = |base: usize, start: usize, end: usize| {
-                    for j in start..end {
-                        // In bounds: the pool is dispatched over
-                        // `order.len()` positions split at `base`.
-                        let i = order[base + j];
-                        // SAFETY: `order` is a permutation of the clusters
-                        // and this chunk owns positions base+start..base+end.
-                        let (session, slot) = unsafe { (sessions_ptr.at(i), staged_ptr.at(i)) };
-                        // capes-check: allow(boundary-panic) -- the decide phase staged an action for every cluster.
-                        let action = slot.take().expect("every cluster has a staged action");
-                        session.system.apply_action(action);
+                    ExperienceSharing::SelfBiased { own, peers } => {
+                        weights_buf.iter_mut().for_each(|w| *w = 0.0);
+                        for &stripe in &profile.stripe_members {
+                            // In bounds: stripes are cluster indices.
+                            weights_buf[stripe] = peers;
+                        }
+                        // In bounds: `shard < num_clusters`.
+                        weights_buf[shard] = own;
+                        Some(&*weights_buf)
                     }
                 };
-                sched.run(members, 1, |start, end| apply(0, start, end));
-                sched.run_with(
-                    num_clusters - members,
-                    1,
-                    |start, end| apply(members, start, end),
-                    || {
-                        let train_started = Instant::now();
-                        // SAFETY: `shard` belongs to the trained profile, so
-                        // its action was applied in the barrier above; no
-                        // concurrent chunk touches it.
-                        let session = unsafe { sessions_ptr.at(shard) };
-                        // In bounds: `profile_idx` indexes both `profiles`
-                        // and the parallel `profile_sharing` table.
-                        let profile = &mut profiles[profile_idx];
-                        let mode = profile_sharing[profile_idx]; // In bounds: parallel table.
-                        let shared_weights = match mode {
-                            ExperienceSharing::Disabled => None,
-                            ExperienceSharing::Uniform => {
-                                weights_buf.iter_mut().for_each(|w| *w = 0.0);
-                                for &stripe in &profile.stripe_members {
-                                    // In bounds: stripes are cluster indices.
-                                    weights_buf[stripe] = 1.0;
-                                }
-                                Some(&*weights_buf)
-                            }
-                            ExperienceSharing::SelfBiased { own, peers } => {
-                                weights_buf.iter_mut().for_each(|w| *w = 0.0);
-                                for &stripe in &profile.stripe_members {
-                                    // In bounds: stripes are cluster indices.
-                                    weights_buf[stripe] = peers;
-                                }
-                                // In bounds: `shard < num_clusters`.
-                                weights_buf[shard] = own;
-                                Some(&*weights_buf)
-                            }
-                        };
-                        let agent = &mut profile.agent;
-                        let db = session.system.replay_db();
-                        let mut sum = 0.0;
-                        let mut count = 0usize;
-                        for _ in 0..hyperparams.train_steps_per_tick {
-                            let result = match shared_weights {
-                                None => agent.train_from_db(db),
-                                Some(weights) => agent.train_weighted(arena, weights),
-                            };
-                            if let Ok(Some(report)) = result {
-                                sum += report.prediction_error;
-                                count += 1;
-                            }
-                        }
-                        if count > 0 {
-                            trained = Some((shard, sum / count as f64));
-                        }
-                        train_elapsed = train_started.elapsed();
-                    },
-                );
-            } else {
-                let sessions_ptr = ShardPtr::new(sessions.as_mut_slice());
-                let staged_ptr = ShardPtr::new(staged_actions.as_mut_slice());
-                sched.run(num_clusters, 1, |start, end| {
-                    for i in start..end {
-                        // SAFETY: this chunk owns clusters start..end.
-                        let (session, slot) = unsafe { (sessions_ptr.at(i), staged_ptr.at(i)) };
-                        // capes-check: allow(boundary-panic) -- the decide phase staged an action for every cluster.
-                        let action = slot.take().expect("every cluster has a staged action");
-                        session.system.apply_action(action);
+                let agent = &mut profile.agent;
+                let db = session.system.replay_db();
+                let mut sum = 0.0;
+                let mut count = 0usize;
+                for _ in 0..hyperparams.train_steps_per_tick {
+                    let result = match shared_weights {
+                        None => agent.train_from_db(db),
+                        Some(weights) => agent.train_weighted(arena, weights),
+                    };
+                    if let Ok(Some(report)) = result {
+                        sum += report.prediction_error;
+                        count += 1;
                     }
-                });
-            }
-            if recording {
-                // Scatter time excludes the overlapped training step so the
-                // phase histograms keep their sequential meaning.
-                let scatter_elapsed = scatter_started
-                    .elapsed()
-                    .checked_sub(train_elapsed)
-                    .unwrap_or_default();
-                telemetry.tick_scatter.record_duration(scatter_elapsed);
+                }
+                if count > 0 {
+                    trained = Some((shard, sum / count as f64));
+                }
+                train_elapsed = train_started.elapsed();
             }
         }
         if recording {
@@ -1474,42 +1342,32 @@ impl FleetDaemon {
         }
 
         // 5. Feedback: finish every cluster's tick, cluster-parallel — each
-        //    chunk writes only its own clusters' sessions and measurement
-        //    slots, reads the (frozen) decisions, and the objective gauges
-        //    are atomic cells.
-        {
-            let objectives = &telemetry.objectives;
-            let profiles_ref = &*profiles;
-            let sessions_ptr = ShardPtr::new(sessions.as_mut_slice());
-            let measurements_ptr = ShardPtr::new(measurements.as_mut_slice());
-            sched.run(num_clusters, 1, |start, end| {
-                // The index drives the raw shard pointers, not just the
-                // objective-gauge slice, so a range loop is the honest shape.
-                #[allow(clippy::needless_range_loop)]
-                for i in start..end {
-                    // SAFETY: this chunk owns clusters start..end.
-                    let (session, slot) = unsafe { (sessions_ptr.at(i), measurements_ptr.at(i)) };
-                    // capes-check: allow(boundary-panic) -- the measure phase filled every slot this tick.
-                    let measurement = slot.take().expect("measured above");
-                    let (action, explored) = if kind == PhaseKind::Baseline {
-                        (None, false)
-                    } else {
-                        // In bounds: `session.profile`/`session.row` are
-                        // assigned from `profiles` positions at build.
-                        let decision = profiles_ref[session.profile].decisions[session.row];
-                        (Some(decision.action), decision.explored)
-                    };
-                    let error = trained.and_then(|(shard, e)| (shard == i).then_some(e));
-                    let system_tick =
-                        session
-                            .system
-                            .finish_tick(kind, &measurement, action, explored, error);
-                    session.series.push(system_tick.throughput_mbps);
-                    // In bounds: one objective gauge per cluster.
-                    objectives[i].set(system_tick.throughput_mbps);
-                }
-            });
-        }
+        //    chunk writes only its own sessions, reads the (frozen)
+        //    decisions, and the objective gauges are atomic cells.
+        let objectives = &telemetry.objectives;
+        let decided = &*profiles;
+        sched.run_mut(sessions, 1, 1, |first, chunk| {
+            for (i, session) in (first..).zip(chunk) {
+                // capes-check: allow(boundary-panic) -- the measure phase measured every cluster this tick.
+                let measurement = session.measurement.take().expect("measured above");
+                let (action, explored) = if kind == PhaseKind::Baseline {
+                    (None, false)
+                } else {
+                    // In bounds: `session.profile`/`session.row` are
+                    // assigned from `profiles` positions at build.
+                    let decision = decided[session.profile].decisions[session.row];
+                    (Some(decision.action), decision.explored)
+                };
+                let error = trained.and_then(|(shard, e)| (shard == i).then_some(e));
+                let system_tick =
+                    session
+                        .system
+                        .finish_tick(kind, &measurement, action, explored, error);
+                session.series.push(system_tick.throughput_mbps);
+                // In bounds: one objective gauge per cluster.
+                objectives[i].set(system_tick.throughput_mbps);
+            }
+        });
         *cluster_ticks += num_clusters as u64;
         *tick += 1;
 

@@ -45,7 +45,7 @@
 //! assert!(capes_fleet::FleetReport::from_json(&report.to_json()).is_ok());
 //! ```
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 pub mod daemon;
 pub mod report;

@@ -1,9 +1,11 @@
 //! The fleet daemon's worker pool.
 //!
 //! The fleet daemon shards its member clusters across a fixed set of worker
-//! threads: gather (measure + monitoring ingest), scatter (apply_action) and
-//! the non-trained share of a training tick run cluster-parallel, meeting
-//! only at the per-profile `decide_batch` barrier. [`FleetPool`] is
+//! threads: measuring, applying actions and finishing a tick run
+//! cluster-parallel, each phase one [`WorkerPool::run_mut`] over the cluster
+//! sessions, so every worker holds a disjoint `&mut` chunk of them. Between
+//! the phases the daemon thread decides per profile, moves actions through
+//! the transport and trains. [`FleetPool`] is
 //! `capes-tensor`'s [`WorkerPool`] under the fleet's telemetry names:
 //! per-worker busy histograms (`fleet.worker.<i>.busy`), a `fleet.workers`
 //! gauge and the `fleet.pool_dispatch` span, so `/metrics` shows parallel
@@ -55,7 +57,7 @@ impl FleetPool {
     }
 }
 
-/// `threads`, `run` and `run_with` are the shared pool's.
+/// `threads`, `run` and `run_mut` are the shared pool's.
 impl std::ops::Deref for FleetPool {
     type Target = WorkerPool;
 

@@ -7,7 +7,7 @@
 //! dispatch is a `Copy` task pushed into pre-allocated bounded channels — no
 //! boxing, no `Arc`, no per-call `Vec`. This binary installs a counting
 //! `#[global_allocator]`, warms the pool (first dispatches may fault in
-//! thread-local state), then asserts that further `run` and `run_with`
+//! thread-local state), then asserts that further `run` and `run_mut`
 //! dispatches perform **zero** heap allocations. This is the acceptance gate
 //! for ISSUE 9's allocation-free parallel tick dispatch.
 //!
@@ -102,28 +102,28 @@ fn steady_state_pool_dispatch_is_allocation_free() {
             slot.fetch_add(1, Ordering::Relaxed);
         }
     };
+    let mut rows = vec![0usize; 16];
+    let bump = |_: usize, chunk: &mut [usize]| chunk.iter_mut().for_each(|row| *row += 1);
 
     // Warm-up: the first dispatches may fault in lazily-initialised state
     // (thread locals, panic machinery, telemetry interning).
     for _ in 0..32 {
         pool.run(16, 1, touch);
-        pool.run_with(16, 1, touch, || {
-            work[0].fetch_add(1, Ordering::Relaxed);
-        });
+        pool.run_mut(&mut rows, 1, 1, bump);
     }
 
     let (allocs, deallocs) = count(|| {
         for _ in 0..100 {
             pool.run(16, 1, touch);
-            pool.run_with(16, 1, touch, || {
-                work[0].fetch_add(1, Ordering::Relaxed);
-            });
+            pool.run_mut(&mut rows, 1, 1, bump);
         }
     });
 
-    // Sanity: the chunks actually ran.
-    let total: usize = work.iter().map(|s| s.load(Ordering::Relaxed)).sum();
-    assert!(total >= 2 * 132 * 16 / 16, "chunks must have executed");
+    // Sanity: every row of both dispatch kinds ran once per round.
+    assert!(
+        work.iter().all(|s| s.load(Ordering::Relaxed) == 132) && rows.iter().all(|&r| r == 132),
+        "chunks must have executed"
+    );
 
     assert_eq!(
         (allocs, deallocs),

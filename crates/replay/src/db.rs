@@ -120,14 +120,14 @@ impl TickSlot {
 /// In-memory, time-indexed replay store (paper §3.5).
 ///
 /// Every per-tick record — node snapshots, objective value, action index —
-/// lives in a single flat ring of [`TickSlot`]s keyed by
+/// lives in a single flat ring of `TickSlot`s keyed by
 /// `tick % capacity_ticks`, so each lookup on the sampling path is one modulo
 /// and one bounds check. The side `objectives`/`actions` maps the earlier
 /// revisions kept are gone, so Algorithm 1's action/reward test for a
 /// candidate is two flat slot probes. The `occupied` `BTreeMap` earlier
 /// revisions kept for the ordered queries is gone too: earliest/latest tick
 /// and the retained tick/row counts are plain maintained scalars, and the
-/// backward fill of missing entries ([`ReplayDb::latest_snapshot_before`])
+/// backward fill of missing entries (`ReplayDb::latest_snapshot_before`)
 /// runs on a per-node last-reported-tick index plus flat ring probes — the
 /// store contains no tree at all.
 ///

@@ -49,28 +49,6 @@ const PARALLEL_FLOP_THRESHOLD: usize = 4_000_000;
 /// in dispatch than it recovers in parallelism.
 const MIN_ROWS_PER_CHUNK: usize = 4;
 
-/// Raw `*mut f64` that may cross threads: the pool guarantees the chunks
-/// written through it are disjoint row ranges.
-#[derive(Clone, Copy)]
-struct SendPtr(*mut f64);
-// SAFETY: SendPtr is only handed to pool chunks that write disjoint row
-// ranges of one output buffer that outlives the dispatch.
-unsafe impl Send for SendPtr {}
-// SAFETY: as above — concurrent access is confined to disjoint ranges.
-unsafe impl Sync for SendPtr {}
-
-impl SendPtr {
-    /// Mutable slice of `len` elements starting `offset` elements in.
-    ///
-    /// # Safety
-    /// The caller must guarantee the range is in bounds and not aliased by
-    /// any concurrently accessed range.
-    unsafe fn slice_mut<'a>(self, offset: usize, len: usize) -> &'a mut [f64] {
-        // SAFETY: forwarded caller contract (see `# Safety` above).
-        unsafe { std::slice::from_raw_parts_mut(self.0.add(offset), len) }
-    }
-}
-
 /// The global pool when a product of `flops` multiply-adds is worth splitting
 /// across it.
 fn pool_for(flops: usize) -> Option<&'static WorkerPool> {
@@ -89,14 +67,15 @@ where
         kernel(0, rows, out.as_mut_slice());
         return;
     };
-    let out_ptr = SendPtr(out.as_mut_slice().as_mut_ptr());
-    pool.run(rows, MIN_ROWS_PER_CHUNK, |start, end| {
-        // SAFETY: this chunk owns output rows start..end — row ranges from
-        // one dispatch are disjoint and inside `out`'s `rows × width` buffer,
-        // which is mutably borrowed until the dispatch returns.
-        let chunk = unsafe { out_ptr.slice_mut(start * width, (end - start) * width) };
-        kernel(start, end, chunk);
-    });
+    // `Matrix` dimensions are never zero, so the rows are `width` wide.
+    pool.run_mut(
+        out.as_mut_slice(),
+        width,
+        MIN_ROWS_PER_CHUNK,
+        |start, chunk| {
+            kernel(start, start + chunk.len() / width, chunk);
+        },
+    );
 }
 
 impl Matrix {

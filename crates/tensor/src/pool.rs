@@ -8,6 +8,13 @@
 //! chunks acknowledge, so the thread count only changes *where* a row is
 //! processed, never *what* is computed.
 //!
+//! Two entry points share that one partition. [`WorkerPool::run`] hands each
+//! chunk a row range `start..end`. [`WorkerPool::run_mut`] hands each chunk
+//! its rows of a caller's slice as a `&mut` borrow, so callers that write
+//! per-row state (GEMM output rows, the fleet's cluster sessions) stay in
+//! safe code. The pointer arithmetic behind those borrows lives here, beside
+//! the partition that keeps them disjoint.
+//!
 //! What differs between the pools built on this core is data handed to
 //! [`WorkerPool::with_profile`] (thread names, the dispatch span, optional
 //! per-worker busy histograms), not code.
@@ -36,7 +43,7 @@ struct Task {
 }
 
 // SAFETY: the pointers inside a Task are only dereferenced while the
-// dispatching thread is blocked in `WorkerPool::dispatch_chunks`, which keeps
+// dispatching thread is blocked in `WorkerPool::run`, which keeps
 // the referents alive; the closure is required to be `Sync`.
 unsafe impl Send for Task {}
 
@@ -164,58 +171,11 @@ impl WorkerPool {
             f(0, rows);
             return;
         }
-        // The calling thread takes the tail chunk while workers run theirs.
+        // Workers take `chunk`-sized pieces of `0..tail`; the calling thread
+        // takes `tail..rows` meanwhile. The ranges are disjoint and cover
+        // `0..rows` once, which is what `run_mut` relies on.
         let chunk = rows.div_ceil(parts);
-        let tail = (parts - 1) * chunk;
-        self.dispatch_chunks(tail.min(rows), chunk, &f, || {
-            if tail < rows {
-                f(tail, rows);
-            }
-        });
-    }
-
-    /// Like [`WorkerPool::run`], but the calling thread executes `main`
-    /// concurrently with the worker chunks instead of taking the tail chunk:
-    /// all of `0..rows` is handed to workers (in at most `threads - 1`
-    /// contiguous chunks) while the caller runs `main`. Blocks until both
-    /// `main` and every chunk have completed.
-    ///
-    /// The fleet daemon uses this to overlap one profile's training step
-    /// (`main`, which must stay on the dispatching thread because it consumes
-    /// the agent's RNG) with the remaining clusters' action application.
-    ///
-    /// With a single-threaded pool the chunks run inline first, then `main` —
-    /// the exact sequential order of the 1-worker path.
-    pub fn run_with<F, M>(&self, rows: usize, min_rows: usize, f: F, main: M)
-    where
-        F: Fn(usize, usize) + Sync,
-        M: FnOnce(),
-    {
-        if rows == 0 {
-            main();
-            return;
-        }
-        let max_parts = rows.div_ceil(min_rows.max(1));
-        let parts = (self.threads - 1).min(max_parts);
-        if parts == 0 {
-            f(0, rows);
-            main();
-            return;
-        }
-        self.dispatch_chunks(rows, rows.div_ceil(parts), &f, main);
-    }
-
-    /// Shared dispatch: sends `0..rows` to the workers in `chunk`-sized
-    /// pieces (the callers size `chunk` so there are at most `threads - 1`),
-    /// runs `caller` on the calling thread meanwhile, then drains the
-    /// acknowledgements.
-    fn dispatch_chunks<F: Fn(usize, usize) + Sync, M: FnOnce()>(
-        &self,
-        rows: usize,
-        chunk: usize,
-        f: &F,
-        caller: M,
-    ) {
+        let tail = ((parts - 1) * chunk).min(rows);
         let _span = self.dispatch_span.enter();
         // The guard protects no data (the mutex only serialises dispatches),
         // so a poison left by a previous dispatch's propagated panic is
@@ -227,18 +187,18 @@ impl WorkerPool {
         // Checked before the first send: a chunk without a worker would be
         // silently skipped, and nothing may unwind once a worker holds `ctx`.
         assert!(
-            rows.div_ceil(chunk) <= self.task_txs.len(),
+            tail.div_ceil(chunk) <= self.task_txs.len(),
             "more chunks than pool workers"
         );
-        let ctx = f as *const F as *const ();
+        let ctx = &f as *const F as *const ();
         let mut dispatched = 0usize;
         let mut send_failed = false;
-        for (tx, start) in self.task_txs.iter().zip((0..rows).step_by(chunk)) {
+        for (tx, start) in self.task_txs.iter().zip((0..tail).step_by(chunk)) {
             let task = Task {
                 call: trampoline::<F>,
                 ctx,
                 start,
-                end: (start + chunk).min(rows),
+                end: (start + chunk).min(tail),
             };
             if tx.send(task).is_err() {
                 // Cannot happen while the pool is alive (workers contain
@@ -255,8 +215,8 @@ impl WorkerPool {
         // has acknowledged: `f` lives on the caller's stack and workers hold
         // a raw pointer to it, so unwinding early would be a use-after-free.
         let caller_result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            if !send_failed {
-                caller();
+            if !send_failed && tail < rows {
+                f(tail, rows);
             }
         }));
         let mut worker_panicked = false;
@@ -268,6 +228,54 @@ impl WorkerPool {
             std::panic::resume_unwind(payload);
         }
         assert!(!worker_panicked, "a pool worker chunk panicked");
+    }
+
+    /// Cuts `data` into rows of `width` elements, splits the rows into the
+    /// chunks [`WorkerPool::run`] would, and calls `f(first_row, chunk)` on
+    /// each with exclusive access to that chunk's rows. Blocks until every
+    /// chunk has completed.
+    ///
+    /// # Panics
+    /// Panics, before any chunk runs, if `width` is zero or does not divide
+    /// `data.len()`; and after every chunk has finished, if one of them
+    /// panicked.
+    pub fn run_mut<T, F>(&self, data: &mut [T], width: usize, min_rows: usize, f: F)
+    where
+        T: Send,
+        F: Fn(usize, &mut [T]) + Sync,
+    {
+        assert!(
+            width > 0 && data.len().is_multiple_of(width),
+            "run_mut: {} elements do not split into rows of width {width}",
+            data.len()
+        );
+        let base = RowsPtr(data.as_mut_ptr());
+        self.run(data.len() / width, min_rows, |start, end| {
+            // SAFETY: `run` hands out disjoint row ranges inside
+            // `0..data.len() / width`, each once, and returns only after all
+            // of them finished, so every chunk is in bounds, aliases no other
+            // chunk, and ends before the `&mut data` borrow does.
+            let chunk = unsafe { base.rows(start * width, (end - start) * width) };
+            f(start, chunk);
+        });
+    }
+}
+
+/// The base of the slice [`WorkerPool::run_mut`] cuts into chunks.
+struct RowsPtr<T>(*mut T);
+
+// SAFETY: a `RowsPtr` only reaches other threads inside `run_mut`, which
+// turns it into disjoint `&mut [T]` chunks; sending those needs `T: Send`.
+unsafe impl<T: Send> Sync for RowsPtr<T> {}
+
+impl<T> RowsPtr<T> {
+    /// # Safety
+    /// `offset..offset + len` must lie inside the slice, and no other live
+    /// reference may overlap it.
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn rows(&self, offset: usize, len: usize) -> &mut [T] {
+        // SAFETY: forwarded caller contract (see `# Safety` above).
+        unsafe { std::slice::from_raw_parts_mut(self.0.add(offset), len) }
     }
 }
 
@@ -321,77 +329,79 @@ mod tests {
     }
 
     #[test]
-    fn run_with_covers_rows_and_runs_main() {
-        for threads in [1, 2, 4, 8] {
-            let pool = WorkerPool::new(threads);
-            let rows = 13;
-            let hits: Vec<AtomicUsize> = (0..rows).map(|_| AtomicUsize::new(0)).collect();
-            let main_ran = AtomicBool::new(false);
-            pool.run_with(
-                rows,
-                1,
-                |start, end| {
-                    for h in &hits[start..end] {
-                        h.fetch_add(1, Ordering::SeqCst);
+    fn run_mut_visits_every_element_once_in_the_chunks_run_uses() {
+        let pools: Vec<WorkerPool> = [1, 2, 3, 4, 8].into_iter().map(WorkerPool::new).collect();
+        for pool in &pools {
+            for width in [1, 3, 7] {
+                for rows in 0..40 {
+                    for min_rows in [1, 4] {
+                        let case = format!("{} threads, {rows} × {width}", pool.threads());
+                        // (the index the chunk saw this element at, visits)
+                        let mut data = vec![(usize::MAX, 0u32); rows * width];
+                        let chunks = Mutex::new(Vec::new());
+                        pool.run_mut(&mut data, width, min_rows, |first_row, chunk| {
+                            assert_eq!(chunk.len() % width, 0, "{case}: whole rows");
+                            for (j, slot) in chunk.iter_mut().enumerate() {
+                                *slot = (first_row * width + j, slot.1 + 1);
+                            }
+                            let end = first_row + chunk.len() / width;
+                            chunks.lock().unwrap().push((first_row, end));
+                        });
+                        for (i, &slot) in data.iter().enumerate() {
+                            assert_eq!(slot, (i, 1), "{case}: element {i}");
+                        }
+                        let expected = Mutex::new(Vec::new());
+                        pool.run(rows, min_rows, |start, end| {
+                            expected.lock().unwrap().push((start, end));
+                        });
+                        let (mut got, mut want) =
+                            (chunks.into_inner().unwrap(), expected.into_inner().unwrap());
+                        got.sort_unstable();
+                        want.sort_unstable();
+                        assert_eq!(got, want, "{case}: the chunks `run` hands out");
                     }
-                },
-                || main_ran.store(true, Ordering::SeqCst),
-            );
-            assert!(hits.iter().all(|h| h.load(Ordering::SeqCst) == 1));
-            assert!(main_ran.load(Ordering::SeqCst));
+                }
+            }
         }
     }
 
     #[test]
-    fn run_with_zero_rows_still_runs_main() {
-        let pool = WorkerPool::new(2);
-        let main_ran = AtomicBool::new(false);
-        pool.run_with(
-            0,
-            1,
-            |_, _| panic!("must not be called"),
-            || main_ran.store(true, Ordering::SeqCst),
-        );
-        assert!(main_ran.load(Ordering::SeqCst));
-    }
-
-    #[test]
-    fn single_thread_run_with_runs_chunks_then_main() {
-        let pool = WorkerPool::new(1);
-        let order = Mutex::new(Vec::new());
-        pool.run_with(
-            3,
-            1,
-            |start, end| order.lock().unwrap().push((start, end)),
-            || order.lock().unwrap().push((99, 99)),
-        );
-        assert_eq!(*order.lock().unwrap(), vec![(0, 3), (99, 99)]);
-    }
-
-    #[test]
-    fn run_with_keeps_every_chunk_off_the_dispatching_thread() {
-        let dispatcher = std::thread::current().id();
-        for threads in [2, 4] {
-            let pool = WorkerPool::new(threads);
-            let chunk_threads = Mutex::new(Vec::new());
-            let main_thread = Mutex::new(None);
-            pool.run_with(
-                64,
-                1,
-                |start, end| {
-                    chunk_threads
-                        .lock()
-                        .unwrap()
-                        .push((std::thread::current().id(), end - start));
-                },
-                || *main_thread.lock().unwrap() = Some(std::thread::current().id()),
-            );
-            let chunks = chunk_threads.into_inner().unwrap();
-            assert!(chunks.len() < threads, "at most threads - 1 chunks");
-            assert_eq!(chunks.iter().map(|&(_, rows)| rows).sum::<usize>(), 64);
-            assert!(chunks.iter().all(|&(id, _)| id != dispatcher));
-            assert_eq!(main_thread.into_inner().unwrap(), Some(dispatcher));
+    fn run_mut_rejects_a_bad_width_before_any_chunk_runs() {
+        let pool = WorkerPool::new(3);
+        for (len, width) in [(10, 0), (0, 0), (10, 3), (7, 2)] {
+            let ran = AtomicBool::new(false);
+            let mut data = vec![0u32; len];
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                pool.run_mut(&mut data, width, 1, |_, _| {
+                    ran.store(true, Ordering::SeqCst)
+                });
+            }));
+            assert!(result.is_err(), "{len} elements, width {width}");
+            assert!(!ran.load(Ordering::SeqCst), "{len} elements, width {width}");
         }
+        let mut data = vec![0u32; 30];
+        pool.run_mut(&mut data, 5, 1, |_, chunk| {
+            chunk.iter_mut().for_each(|x| *x += 1)
+        });
+        assert!(data.iter().all(|&x| x == 1), "the pool still dispatches");
+    }
+
+    #[test]
+    fn run_mut_panicking_chunk_propagates_and_leaves_the_pool_usable() {
+        let pool = WorkerPool::new(3);
+        let mut data = vec![0u32; 30];
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.run_mut(&mut data, 1, 1, |first_row, _| {
+                if first_row == 0 {
+                    panic!("chunk failure");
+                }
+            });
+        }));
+        assert!(result.is_err(), "the chunk panic must propagate");
+        pool.run_mut(&mut data, 1, 1, |_, chunk| {
+            chunk.iter_mut().for_each(|x| *x += 1)
+        });
+        assert!(data.iter().all(|&x| x == 1));
     }
 
     #[test]

@@ -66,8 +66,8 @@
 //!
 //! Besides the GEMMs, the module carries the element-wise training kernels.
 //! The fused Adam parameter update ([`adam_update_with`]) optionally carries
-//! the DQN soft target update in the same pass
-//! ([`adam_update_blend_with`]): after `θ[i]` is stored,
+//! the DQN soft target update in the same pass (its [`SoftTarget`]
+//! argument): after `θ[i]` is stored,
 //! `θ⁻[i] = θ⁻[i]·(1−α) + θ[i]·α`. Unlike the GEMM vector arms, its AVX2 arm
 //! uses **no FMA contraction** — every operation (mul, add, div, sqrt, sub)
 //! is individually correctly rounded, in the same order as the scalar arm —

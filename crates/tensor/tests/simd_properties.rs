@@ -27,7 +27,7 @@
 //! explicitly, without a `CAPES_SIMD=avx2` pass. The 512-bit cases skip (not
 //! fail) on hosts without `avx512f`, and the suite prints which levels ran.
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 use capes_tensor::simd::{
     active_level, adam_update_with, bellman_targets_with, detected_level, gemm_rows_packed_with,
@@ -400,12 +400,9 @@ proptest! {
             // Chunked run over the pool (min 1 row per chunk → maximal
             // boundary movement).
             let mut chunked = vec![0.0; m * n];
-            let out_ptr = SendPtr(chunked.as_mut_ptr());
-            pool.run(m, 1, |start, end| {
-                let rows = end - start;
-                // SAFETY: this chunk owns output rows start..end — ranges from
-                // one dispatch are disjoint and in bounds.
-                let chunk = unsafe { out_ptr.slice_mut(start * n, rows * n) };
+            pool.run_mut(&mut chunked, n, 1, |start, chunk| {
+                let rows = chunk.len() / n;
+                let end = start + rows;
                 gemm_rows_with(level, &a[start * k..end * k], &b, chunk, rows, k, n);
             });
             prop_assert!(bits_equal(&whole, &chunked), "{level} gemm_rows chunked");
@@ -415,12 +412,8 @@ proptest! {
             let mut ta_whole = vec![0.0; m * n];
             gemm_ta_rows_with(level, &ta_a, &b[..k * n], &mut ta_whole, 0, m, k, m, n);
             let mut ta_chunked = vec![0.0; m * n];
-            let ta_ptr = SendPtr(ta_chunked.as_mut_ptr());
-            pool.run(m, 1, |start, end| {
-                let rows = end - start;
-                // SAFETY: this chunk owns output rows start..end — ranges from
-                // one dispatch are disjoint and in bounds.
-                let chunk = unsafe { ta_ptr.slice_mut(start * n, rows * n) };
+            pool.run_mut(&mut ta_chunked, n, 1, |start, chunk| {
+                let end = start + chunk.len() / n;
                 gemm_ta_rows_with(level, &ta_a, &b[..k * n], chunk, start, end, k, m, n);
             });
             prop_assert!(bits_equal(&ta_whole, &ta_chunked), "{level} gemm_ta chunked");
@@ -430,12 +423,9 @@ proptest! {
             let mut tb_whole = vec![0.0; m * n];
             gemm_tb_rows_with(level, &a, &tb_b, &mut tb_whole, m, k, n);
             let mut tb_chunked = vec![0.0; m * n];
-            let tb_ptr = SendPtr(tb_chunked.as_mut_ptr());
-            pool.run(m, 1, |start, end| {
-                let rows = end - start;
-                // SAFETY: this chunk owns output rows start..end — ranges from
-                // one dispatch are disjoint and in bounds.
-                let chunk = unsafe { tb_ptr.slice_mut(start * n, rows * n) };
+            pool.run_mut(&mut tb_chunked, n, 1, |start, chunk| {
+                let rows = chunk.len() / n;
+                let end = start + rows;
                 gemm_tb_rows_with(level, &a[start * k..end * k], &tb_b, chunk, rows, k, n);
             });
             prop_assert!(bits_equal(&tb_whole, &tb_chunked), "{level} gemm_tb chunked");
@@ -654,24 +644,6 @@ fn adam_skipped_bias_division_changes_no_bit() {
 /// Exact bitwise equality (NaNs compare equal to themselves by bit pattern).
 fn bits_equal(a: &[f64], b: &[f64]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-}
-
-/// Raw pointer wrapper for disjoint row-range writes across pool threads
-/// (mirrors the one the production dispatch uses).
-#[derive(Clone, Copy)]
-struct SendPtr(*mut f64);
-// SAFETY: only dereferenced through disjoint in-bounds row ranges while the
-// owning buffer is alive.
-unsafe impl Send for SendPtr {}
-// SAFETY: as above — concurrent access is confined to disjoint ranges.
-unsafe impl Sync for SendPtr {}
-impl SendPtr {
-    /// # Safety
-    /// The range must be in bounds and disjoint from concurrent accesses.
-    unsafe fn slice_mut<'a>(self, offset: usize, len: usize) -> &'a mut [f64] {
-        // SAFETY: forwarded caller contract (see `# Safety` above).
-        unsafe { std::slice::from_raw_parts_mut(self.0.add(offset), len) }
-    }
 }
 
 /// The dispatched Matrix-level kernels and the level-explicit slice kernels
