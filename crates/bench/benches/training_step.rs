@@ -127,21 +127,36 @@ fn bench_gemm_strategies(c: &mut Criterion) {
         });
     }
     {
-        // And the transpose-B kernel (the backward input-gradient product).
+        // And the transpose-B kernel (the backward input-gradient product),
+        // plus the tanh forward pass over a batch-by-hidden-layer activation;
+        // `simd_avx2` again pins the 256-bit arms on a 512-bit host.
         let (m, k) = (32usize, 600usize);
         let a: Vec<f64> = (0..m * k).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let w: Vec<f64> = (0..k * k).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let z: Vec<f64> = (0..m * k).map(|_| rng.gen_range(-3.0..3.0)).collect();
         let mut out = vec![0.0; m * k];
         for (name, level) in [
             ("simd", simd::detected_level()),
+            ("simd_avx2", SimdLevel::Avx2Fma),
             ("simd_scalar", SimdLevel::Scalar),
         ] {
+            if name == "simd_avx2" && simd::detected_level() <= level {
+                continue;
+            }
             group.bench_function(BenchmarkId::new(name, "transpose_b_32x600x600"), |bench| {
                 bench.iter(|| {
                     simd::gemm_tb_rows_with(level, &a, &w, &mut out, m, k, k);
                     black_box(out[0])
                 })
             });
+            if name != "simd_scalar" {
+                group.bench_function(BenchmarkId::new(name, "tanh_forward_32x600"), |bench| {
+                    bench.iter(|| {
+                        simd::tanh_forward_with(level, &z, &mut out);
+                        black_box(out[0])
+                    })
+                });
+            }
         }
     }
 

@@ -240,7 +240,6 @@ impl Matrix {
         );
         let (n, m) = self.shape();
         let p = other.cols();
-        out.as_mut_slice().fill(0.0);
         let a_s = self.as_slice();
         let b_s = other.as_slice();
         for_row_chunks(pool_for(n * m * p), out, |start, end, chunk| {

@@ -8,8 +8,9 @@
 //!
 //! * `out += a · b` ([`gemm_rows_with`], also the fused-affine kernel:
 //!   `affine_into` seeds `out` with the bias and accumulates on top),
-//! * `out[i_start..i_end] += (aᵀ · b)[i_start..i_end]`
-//!   ([`gemm_ta_rows_with`], the weight-gradient product), and
+//! * `out[i_start..i_end] = (aᵀ · b)[i_start..i_end]`
+//!   ([`gemm_ta_rows_with`], the weight-gradient product, which overwrites:
+//!   its chains start from `+0.0`, so nobody zero-fills `out` first), and
 //! * `out = a · bᵀ` ([`gemm_tb_rows_with`], the input-gradient product)
 //!
 //! — at three totally ordered levels ([`SimdLevel`]), `Scalar < Avx2Fma <
@@ -19,15 +20,18 @@
 //! |-----------|-----------------------------------------------------------------|
 //! | `Scalar`  | nothing by hand — the portable rank-4 kernels                   |
 //! | `Avx2Fma` | everything below: 4 × 8 `ymm` GEMM tiles, the `a · bᵀ` dot kernel, Adam, tanh, Bellman targets |
-//! | `Avx512`  | **only** the shared GEMM panel of `out += a · b` / `out += aᵀ · b` (8 × 24 `zmm` tiles, remainders on the `ymm` tiles); every other kernel runs its `Avx2Fma` arm unchanged |
+//! | `Avx512`  | the shared GEMM panel of `out += a · b` and of the zero-seeded `out = aᵀ · b` (8 × 24 `zmm` tiles), `a · bᵀ` (8 a-rows × 4 b-rows, two a-rows per `zmm`) and the tanh forward pass (8 lanes); remainders run the 256-bit code, and Adam, tanh backward and the Bellman targets run their `Avx2Fma` arms |
 //!
-//! The 512-bit level is deliberately that narrow. The panel's per-element
-//! FMA chain is the same at any lane width, so widening it is
-//! **bit-identical** to `Avx2Fma`; the `a · bᵀ` dot kernel's horizontal sum
+//! Every 512-bit arm is **bit-identical** to `Avx2Fma`, because each output
+//! element keeps its exact operation chain. The panel's per-element FMA
+//! chain is the same at any lane width. The `a · bᵀ` dot's horizontal sum
 //! `(l0 + l2) + (l1 + l3)` fixes its summation order to four lanes (eight
-//! would change bits), Adam is bound by the divider (`vdivpd zmm` has the
-//! same per-element throughput as `ymm`), and tanh/Bellman are a rounding
-//! error of a training step.
+//! would change bits), so the 512-bit tile keeps four lanes per dot and puts
+//! two a-rows in one register instead. tanh is a fixed sequence of
+//! individually rounded operations, whatever the width; at 4 × 83 µs per
+//! Table 2 step it is ≈ 6 % of the step. Adam stays 256-bit: it is bound by
+//! the divider (`vdivpd zmm` has the same per-element throughput as `ymm`).
+//! The Bellman targets and tanh backward are too small to matter.
 //!
 //! The level is selected **once per process** and cached: the first dispatch
 //! (the worker-pool initialisation warms it) probes the CPU via
@@ -88,8 +92,9 @@ pub enum SimdLevel {
     Scalar,
     /// Hand-written AVX2 kernels with FMA contraction (x86-64 only).
     Avx2Fma,
-    /// [`SimdLevel::Avx2Fma`] with the shared GEMM panel on 512-bit tiles
-    /// (x86-64 with `avx512f`); bit-identical to `Avx2Fma` everywhere.
+    /// [`SimdLevel::Avx2Fma`] with the GEMM panel, `a · bᵀ` and the tanh
+    /// forward pass on 512-bit registers (x86-64 with `avx512f`);
+    /// bit-identical to `Avx2Fma` everywhere.
     Avx512,
 }
 
@@ -315,10 +320,16 @@ fn gemm_rows_dispatch(
     }
 }
 
-/// Accumulating `out[i_start..i_end] += (aᵀ · b)[i_start..i_end]` over raw
-/// slices at an explicit [`SimdLevel`], where `a` is `n × m` and `b` is
-/// `n × p`; `out` holds the rows `i_start..i_end` of the `m × p` product.
+/// Overwriting `out = (aᵀ · b)[i_start..i_end]` over raw slices at an
+/// explicit [`SimdLevel`], where `a` is `n × m` and `b` is `n × p`; `out`
+/// holds the rows `i_start..i_end` of the `m × p` product, and its previous
+/// contents are never read.
 ///
+/// Every element's FMA chain starts from a `+0.0` register rather than from
+/// `out`, which is bit for bit what accumulating onto a zeroed `out` gave,
+/// without the pass that zeroed it (a 600 × 600 weight gradient is 2.9 MB).
+/// The 512-bit tiles seed the same way as the 256-bit ones, so
+/// [`SimdLevel::Avx512`] stays bit-identical to [`SimdLevel::Avx2Fma`].
 /// Unrunnable level requests are clamped down as in [`gemm_rows_with`].
 ///
 /// # Panics
@@ -364,9 +375,11 @@ pub fn gemm_ta_rows_with(
 /// `out` holds the dot products of row `i` of `a` with every row of `b`
 /// (`out` is zeroed and accumulated into, panel by panel).
 ///
-/// [`SimdLevel::Avx512`] runs the `Avx2Fma` arm: the dot kernel's horizontal
-/// sum fixes the per-element summation order to four lanes, so a wider one
-/// would change bits. Unrunnable level requests are clamped down as in
+/// The vector arms compute each panel's dot as four lane accumulators joined
+/// `(l0 + l2) + (l1 + l3)`, then a scalar-FMA tail. [`SimdLevel::Avx512`]
+/// keeps that four-lane chain and widens the tile instead: one `zmm` holds
+/// two a-rows' four lanes side by side, so it is **bit-identical** to
+/// [`SimdLevel::Avx2Fma`]. Unrunnable level requests are clamped down as in
 /// [`gemm_rows_with`].
 ///
 /// # Panics
@@ -393,9 +406,10 @@ pub fn gemm_tb_rows_with(
         // SAFETY: `runnable` confirmed the CPU runs AVX2+FMA; lengths were
         // asserted above.
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2Fma | SimdLevel::Avx512 => unsafe {
-            avx2::gemm_tb_rows(a, b, out, rows_a, cols, rows_b)
-        },
+        SimdLevel::Avx2Fma => unsafe { avx2::gemm_tb_rows(a, b, out, rows_a, cols, rows_b) },
+        // SAFETY: as above, and `runnable` confirmed `avx512f`.
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx512 => unsafe { avx512::gemm_tb_rows(a, b, out, rows_a, cols, rows_b) },
         _ => gemm_tb_rows_scalar(a, b, out, rows_a, cols, rows_b),
     }
 }
@@ -557,7 +571,8 @@ pub fn adam_update(
 /// (no FMA), so the levels are **bit-identical** — toggling `CAPES_SIMD`
 /// never perturbs a forward pass. Accuracy against the libm `tanh` is a few
 /// ulp (property-tested at 1e-14 relative). [`SimdLevel::Avx512`] runs the
-/// `Avx2Fma` arm.
+/// sequence eight lanes at a time, two vectors per iteration so their
+/// polynomial chains overlap.
 ///
 /// # Panics
 /// Panics if `src` and `dst` disagree in length.
@@ -566,7 +581,10 @@ pub fn tanh_forward_with(level: SimdLevel, src: &[f64], dst: &mut [f64]) {
     match runnable(level) {
         // SAFETY: `runnable` confirmed the CPU; lengths were asserted.
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2Fma | SimdLevel::Avx512 => unsafe { avx2::tanh_forward(src, dst) },
+        SimdLevel::Avx2Fma => unsafe { avx2::tanh_forward(src, dst) },
+        // SAFETY: as above, and `runnable` confirmed `avx512f`.
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx512 => unsafe { avx512::tanh_forward(src, dst) },
         _ => tanh_forward_scalar(src, dst),
     }
 }
@@ -761,7 +779,8 @@ fn gemm_rows_scalar(
 }
 
 /// The reduction dimension `n` is unrolled by 4, keeping the output row
-/// resident while four `b` rows stream.
+/// resident while four `b` rows stream. `out` is zeroed first: the kernel
+/// overwrites, and the sums start from `+0.0` as they always have.
 #[allow(clippy::too_many_arguments)]
 fn gemm_ta_rows_scalar(
     a: &[f64],
@@ -773,6 +792,7 @@ fn gemm_ta_rows_scalar(
     m: usize,
     p: usize,
 ) {
+    out.fill(0.0);
     for i in i_start..i_end {
         let out_row = &mut out[(i - i_start) * p..][..p];
         let mut r = 0;
@@ -843,9 +863,10 @@ fn adam_update_scalar<const BLEND: bool, const DIV1: bool>(
 // s = x²; larger |x| goes through 1 − 2/(e^{2|x|} + 1) with a hand-rolled
 // exp (Cody–Waite range reduction + degree-13 Taylor + exponent bit-stuff).
 // Every operation below is individually rounded (no FMA, no libm), and the
-// AVX2 arm executes the exact same sequence 4 lanes at a time — that is what
-// makes the levels bit-identical. |x| ≥ 20 saturates: 2/(e^{40}+1) is below
-// half an ulp of 1.0, so the subtraction rounds to exactly 1.0.
+// AVX2 and AVX-512 arms execute the exact same sequence 4 and 8 lanes at a
+// time — that is what makes the levels bit-identical. |x| ≥ 20 saturates:
+// 2/(e^{40}+1) is below half an ulp of 1.0, so the subtraction rounds to
+// exactly 1.0.
 
 // The Cephes coefficients are quoted at their published precision; the
 // doubled digits document the source even though f64 rounds them.
@@ -1048,7 +1069,10 @@ mod avx2 {
     /// **packed** — `b` is a [`pack_b_panel`] buffer over exactly these
     /// `cols` columns and `steps` rows, so the 8-column tile at column `j`
     /// starts at `b.add(j * steps)` with its rows 8 apart (`b_stride` is
-    /// unused). Everything else about a microkernel is the same either way.
+    /// unused). Their `OVERWRITE` const parameter says where each chain
+    /// starts: from `out` (the `+=` above), or from a `+0.0` register, so
+    /// that `out[t][j] = Σ …` without `out` ever being read. Everything else
+    /// about a microkernel is the same either way.
     #[derive(Clone, Copy)]
     pub(super) struct Panel {
         pub a: *const f64,
@@ -1121,7 +1145,7 @@ mod avx2 {
     /// pointers came from (for `PACKED`, `b` must hold the `steps × cols`
     /// panel in [`pack_b_panel`] layout).
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn panel<const PACKED: bool>(p: Panel) {
+    pub(super) unsafe fn panel<const PACKED: bool, const OVERWRITE: bool>(p: Panel) {
         let Panel {
             a,
             a_row_stride,
@@ -1157,14 +1181,14 @@ mod avx2 {
                 let o3 = out.add((t + 3) * cols_out);
                 let mut j = 0usize;
                 while j + 8 <= cols {
-                    let mut acc00 = _mm256_loadu_pd(o0.add(j));
-                    let mut acc01 = _mm256_loadu_pd(o0.add(j + 4));
-                    let mut acc10 = _mm256_loadu_pd(o1.add(j));
-                    let mut acc11 = _mm256_loadu_pd(o1.add(j + 4));
-                    let mut acc20 = _mm256_loadu_pd(o2.add(j));
-                    let mut acc21 = _mm256_loadu_pd(o2.add(j + 4));
-                    let mut acc30 = _mm256_loadu_pd(o3.add(j));
-                    let mut acc31 = _mm256_loadu_pd(o3.add(j + 4));
+                    let mut acc00 = seed::<OVERWRITE>(o0.add(j));
+                    let mut acc01 = seed::<OVERWRITE>(o0.add(j + 4));
+                    let mut acc10 = seed::<OVERWRITE>(o1.add(j));
+                    let mut acc11 = seed::<OVERWRITE>(o1.add(j + 4));
+                    let mut acc20 = seed::<OVERWRITE>(o2.add(j));
+                    let mut acc21 = seed::<OVERWRITE>(o2.add(j + 4));
+                    let mut acc30 = seed::<OVERWRITE>(o3.add(j));
+                    let mut acc31 = seed::<OVERWRITE>(o3.add(j + 4));
                     let mut bp = tile(j);
                     let mut off = 0usize;
                     for _ in 0..steps {
@@ -1196,10 +1220,18 @@ mod avx2 {
                     j += 8;
                 }
                 if w > 0 {
-                    row_tail(a0, a_step, tile(full), tail_step, o0.add(full), w, steps);
-                    row_tail(a1, a_step, tile(full), tail_step, o1.add(full), w, steps);
-                    row_tail(a2, a_step, tile(full), tail_step, o2.add(full), w, steps);
-                    row_tail(a3, a_step, tile(full), tail_step, o3.add(full), w, steps);
+                    for (a_row, o_row) in [(a0, o0), (a1, o1), (a2, o2), (a3, o3)] {
+                        let o_tail = o_row.add(full);
+                        row_tail::<OVERWRITE>(
+                            a_row,
+                            a_step,
+                            tile(full),
+                            tail_step,
+                            o_tail,
+                            w,
+                            steps,
+                        );
+                    }
                 }
                 t += 4;
             }
@@ -1210,8 +1242,8 @@ mod avx2 {
                     // 1×8 tiles down the packed tile rows.
                     let mut j = 0usize;
                     while j + 8 <= cols {
-                        let mut acc0 = _mm256_loadu_pd(o_row.add(j));
-                        let mut acc1 = _mm256_loadu_pd(o_row.add(j + 4));
+                        let mut acc0 = seed::<OVERWRITE>(o_row.add(j));
+                        let mut acc1 = seed::<OVERWRITE>(o_row.add(j + 4));
                         let mut bp = tile(j);
                         let mut off = 0usize;
                         for _ in 0..steps {
@@ -1226,7 +1258,8 @@ mod avx2 {
                         j += 8;
                     }
                     if w > 0 {
-                        row_tail(a_row, a_step, tile(full), w, o_row.add(full), w, steps);
+                        let o_tail = o_row.add(full);
+                        row_tail::<OVERWRITE>(a_row, a_step, tile(full), w, o_tail, w, steps);
                     }
                 } else {
                     // A streaming remainder row sweeps each b-row
@@ -1238,6 +1271,11 @@ mod avx2 {
                     // per-element FMA chain is the same step-ordered
                     // sequence either way, so results stay bit-identical to
                     // the tiled path regardless of where row chunking lands.
+                    // An overwriting sweep zeroes its row first: every chain
+                    // then starts from `+0.0`, as in the tiles.
+                    if OVERWRITE {
+                        o_row.write_bytes(0, cols);
+                    }
                     let mut bp = b;
                     let mut off = 0usize;
                     for _ in 0..steps {
@@ -1280,14 +1318,32 @@ mod avx2 {
         }
     }
 
+    /// A 4-lane accumulator's starting value: the `out` lanes at `out`, or
+    /// `+0.0` when the microkernel overwrites (`out` is then not read).
+    ///
+    /// # Safety
+    /// The CPU must support AVX; without `OVERWRITE`, `out` must be valid
+    /// for four reads.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn seed<const OVERWRITE: bool>(out: *const f64) -> __m256d {
+        if OVERWRITE {
+            _mm256_setzero_pd()
+        } else {
+            // SAFETY: the caller upholds this function's `# Safety` contract.
+            unsafe { _mm256_loadu_pd(out) }
+        }
+    }
+
     /// The `cols < 8` remainder columns of one output row, `b` rows
     /// `b_stride` apart: a 4-wide vector lane while one fits, then
-    /// scalar-FMA lanes.
+    /// scalar-FMA lanes, each seeded as [`panel`]'s `OVERWRITE` says.
     ///
     /// # Safety
     /// As in [`panel`].
+    #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn row_tail(
+    unsafe fn row_tail<const OVERWRITE: bool>(
         a_row: *const f64,
         a_step: usize,
         b: *const f64,
@@ -1300,7 +1356,7 @@ mod avx2 {
         unsafe {
             let mut j = 0usize;
             if j + 4 <= cols {
-                let mut acc = _mm256_loadu_pd(out_row.add(j));
+                let mut acc = seed::<OVERWRITE>(out_row.add(j));
                 let mut bp = b.add(j);
                 let mut off = 0usize;
                 for _ in 0..steps {
@@ -1313,7 +1369,7 @@ mod avx2 {
                 j += 4;
             }
             while j < cols {
-                let mut acc = *out_row.add(j);
+                let mut acc = if OVERWRITE { 0.0 } else { *out_row.add(j) };
                 let mut bp = b.add(j);
                 let mut off = 0usize;
                 for _ in 0..steps {
@@ -1333,13 +1389,13 @@ mod avx2 {
     /// # Safety
     /// As in [`panel`]; `wide` additionally requires `avx512f`.
     #[inline]
-    unsafe fn run_panel<const PACKED: bool>(wide: bool, p: Panel) {
+    unsafe fn run_panel<const PACKED: bool, const OVERWRITE: bool>(wide: bool, p: Panel) {
         // SAFETY: the caller upholds this function's `# Safety` contract.
         unsafe {
             if wide {
-                super::avx512::panel::<PACKED>(p)
+                super::avx512::panel::<PACKED, OVERWRITE>(p)
             } else {
-                panel::<PACKED>(p)
+                panel::<PACKED, OVERWRITE>(p)
             }
         }
     }
@@ -1364,7 +1420,7 @@ mod avx2 {
             // SAFETY: the caller upholds this function's `# Safety`
             // contract; `kk < cols_a` keeps both offsets in bounds.
             unsafe {
-                run_panel::<false>(
+                run_panel::<false, false>(
                     wide,
                     Panel {
                         a: a.as_ptr().add(kk),
@@ -1427,7 +1483,7 @@ mod avx2 {
                         steps,
                         buf.as_mut_ptr(),
                     );
-                    run_panel::<true>(
+                    run_panel::<true, false>(
                         wide,
                         Panel {
                             a: a.as_ptr().add(kk),
@@ -1513,7 +1569,7 @@ mod avx2 {
     ) {
         // SAFETY: the caller upholds this function's `# Safety` contract.
         unsafe {
-            run_panel::<false>(
+            run_panel::<false, true>(
                 wide,
                 Panel {
                     a: a.as_ptr().add(i_start),
@@ -1542,7 +1598,7 @@ mod avx2 {
     /// `a` and `b` must be valid for `len` reads; CPU must support AVX2+FMA.
     #[target_feature(enable = "avx2", enable = "fma")]
     #[inline]
-    unsafe fn dot(a: *const f64, b: *const f64, len: usize) -> f64 {
+    pub(super) unsafe fn dot(a: *const f64, b: *const f64, len: usize) -> f64 {
         // SAFETY: the caller upholds this function's `# Safety` contract.
         unsafe {
             let mut acc = _mm256_setzero_pd();
@@ -1590,50 +1646,71 @@ mod avx2 {
         cols: usize,
         rows_b: usize,
     ) {
+        out.fill(0.0);
+        let (a_ptr, b_ptr, out_ptr) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
+        for kk in (0..cols).step_by(BLOCK) {
+            // SAFETY: the caller upholds this function's `# Safety`
+            // contract, and `kk < cols`.
+            unsafe { tb_panel(a_ptr, b_ptr, out_ptr, 0, rows_a, cols, rows_b, kk) };
+        }
+    }
+
+    /// The k-panel `kk..kk + BLOCK` of [`gemm_tb_rows`] for the a-rows
+    /// `i0..rows_a`: each panel sum is added onto `out`. `a`, `b` and `out`
+    /// are the whole operands (`rows_a × cols`, `rows_b × cols`,
+    /// `rows_a × rows_b`).
+    ///
+    /// # Safety
+    /// As in [`gemm_rows`], with `i0 <= rows_a` and `kk < cols`.
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(super) unsafe fn tb_panel(
+        a_ptr: *const f64,
+        b_ptr: *const f64,
+        out_ptr: *mut f64,
+        i0: usize,
+        rows_a: usize,
+        cols: usize,
+        rows_b: usize,
+        kk: usize,
+    ) {
         // SAFETY: the caller upholds this function's `# Safety` contract.
         unsafe {
-            out.fill(0.0);
-            let a_ptr = a.as_ptr();
-            let b_ptr = b.as_ptr();
-            let out_ptr = out.as_mut_ptr();
-            for kk in (0..cols).step_by(BLOCK) {
-                let k_end = (kk + BLOCK).min(cols);
-                let seg = k_end - kk;
-                for jj in (0..rows_b).step_by(BLOCK) {
-                    let j_end = (jj + BLOCK).min(rows_b);
-                    let mut i = 0usize;
-                    while i + 2 <= rows_a {
-                        let a0 = a_ptr.add(i * cols + kk);
-                        let a1 = a_ptr.add((i + 1) * cols + kk);
-                        let o0 = out_ptr.add(i * rows_b);
-                        let o1 = out_ptr.add((i + 1) * rows_b);
-                        let mut j = jj;
-                        while j + 4 <= j_end {
-                            dot_2x4(
-                                a0,
-                                a1,
-                                b_ptr.add(j * cols + kk),
-                                cols,
-                                seg,
-                                o0.add(j),
-                                o1.add(j),
-                            );
-                            j += 4;
-                        }
-                        while j < j_end {
-                            let bj = b_ptr.add(j * cols + kk);
-                            *o0.add(j) += dot(a0, bj, seg);
-                            *o1.add(j) += dot(a1, bj, seg);
-                            j += 1;
-                        }
-                        i += 2;
+            let seg = (kk + BLOCK).min(cols) - kk;
+            for jj in (0..rows_b).step_by(BLOCK) {
+                let j_end = (jj + BLOCK).min(rows_b);
+                let mut i = i0;
+                while i + 2 <= rows_a {
+                    let a0 = a_ptr.add(i * cols + kk);
+                    let a1 = a_ptr.add((i + 1) * cols + kk);
+                    let o0 = out_ptr.add(i * rows_b);
+                    let o1 = out_ptr.add((i + 1) * rows_b);
+                    let mut j = jj;
+                    while j + 4 <= j_end {
+                        dot_2x4(
+                            a0,
+                            a1,
+                            b_ptr.add(j * cols + kk),
+                            cols,
+                            seg,
+                            o0.add(j),
+                            o1.add(j),
+                        );
+                        j += 4;
                     }
-                    if i < rows_a {
-                        let a0 = a_ptr.add(i * cols + kk);
-                        let o0 = out_ptr.add(i * rows_b);
-                        for j in jj..j_end {
-                            *o0.add(j) += dot(a0, b_ptr.add(j * cols + kk), seg);
-                        }
+                    while j < j_end {
+                        let bj = b_ptr.add(j * cols + kk);
+                        *o0.add(j) += dot(a0, bj, seg);
+                        *o1.add(j) += dot(a1, bj, seg);
+                        j += 1;
+                    }
+                    i += 2;
+                }
+                if i < rows_a {
+                    let a0 = a_ptr.add(i * cols + kk);
+                    let o0 = out_ptr.add(i * rows_b);
+                    for j in jj..j_end {
+                        *o0.add(j) += dot(a0, b_ptr.add(j * cols + kk), seg);
                     }
                 }
             }
@@ -1961,46 +2038,53 @@ mod avx2 {
                 acc13 = _mm256_fmadd_pd(va1, vb3, acc13);
                 i += 4;
             }
-            let mut s00 = hsum(acc00);
-            let mut s01 = hsum(acc01);
-            let mut s02 = hsum(acc02);
-            let mut s03 = hsum(acc03);
-            let mut s10 = hsum(acc10);
-            let mut s11 = hsum(acc11);
-            let mut s12 = hsum(acc12);
-            let mut s13 = hsum(acc13);
+            let mut s0 = hsum4(acc00, acc01, acc02, acc03);
+            let mut s1 = hsum4(acc10, acc11, acc12, acc13);
             while i < len {
-                let x0 = *a0.add(i);
-                let x1 = *a1.add(i);
-                s00 = fmadd_sd(x0, *b0.add(i), s00);
-                s01 = fmadd_sd(x0, *b1.add(i), s01);
-                s02 = fmadd_sd(x0, *b2.add(i), s02);
-                s03 = fmadd_sd(x0, *b3.add(i), s03);
-                s10 = fmadd_sd(x1, *b0.add(i), s10);
-                s11 = fmadd_sd(x1, *b1.add(i), s11);
-                s12 = fmadd_sd(x1, *b2.add(i), s12);
-                s13 = fmadd_sd(x1, *b3.add(i), s13);
+                // Lane q: the scalar tail's `fmadd(x, b_q[i], s)`.
+                let bv = _mm256_set_pd(*b3.add(i), *b2.add(i), *b1.add(i), *b0.add(i));
+                s0 = _mm256_fmadd_pd(_mm256_set1_pd(*a0.add(i)), bv, s0);
+                s1 = _mm256_fmadd_pd(_mm256_set1_pd(*a1.add(i)), bv, s1);
                 i += 1;
             }
-            *o0 += s00;
-            *o0.add(1) += s01;
-            *o0.add(2) += s02;
-            *o0.add(3) += s03;
-            *o1 += s10;
-            *o1.add(1) += s11;
-            *o1.add(2) += s12;
-            *o1.add(3) += s13;
+            _mm256_storeu_pd(o0, _mm256_add_pd(_mm256_loadu_pd(o0), s0));
+            _mm256_storeu_pd(o1, _mm256_add_pd(_mm256_loadu_pd(o1), s1));
         }
+    }
+
+    /// [`hsum`] of four accumulators at once, as `[s(a), s(b), s(c), s(d)]`:
+    /// the same `(l0 + l2) + (l1 + l3)` per accumulator, each add's first
+    /// operand the lower lane. Eight scalar [`hsum`]s in a row get fused by
+    /// the compiler into `vhaddpd`, which kept the `(l1 + l3)` NaN where
+    /// [`dot`] keeps the `(l0 + l2)` one when both are NaN; spelling the
+    /// reduction out keeps every `a · bᵀ` path on one NaN payload.
+    ///
+    /// # Safety
+    /// CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn hsum4(a: __m256d, b: __m256d, c: __m256d, d: __m256d) -> __m256d {
+        // [a: l0 + l2, l1 + l3 | c: l0 + l2, l1 + l3], and likewise b/d.
+        let ac = _mm256_add_pd(
+            _mm256_permute2f128_pd::<0x20>(a, c),
+            _mm256_permute2f128_pd::<0x31>(a, c),
+        );
+        let bd = _mm256_add_pd(
+            _mm256_permute2f128_pd::<0x20>(b, d),
+            _mm256_permute2f128_pd::<0x31>(b, d),
+        );
+        _mm256_add_pd(_mm256_unpacklo_pd(ac, bd), _mm256_unpackhi_pd(ac, bd))
     }
 }
 
 // ---------------------------------------------------------------------------
-// AVX-512 arm — the shared GEMM panel only.
+// AVX-512 arm — the shared GEMM panel, `a · bᵀ` and the tanh forward pass.
 // ---------------------------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
     use super::avx2::{self, Panel};
+    use super::BLOCK;
     use std::arch::x86_64::*;
 
     /// Output rows per 512-bit tile.
@@ -2026,18 +2110,18 @@ mod avx512 {
     /// rows are exactly one 64-byte fragment, so the [`avx2::pack_b_panel`]
     /// layout serves both widths.
     ///
-    /// Every accumulator lane is seeded from `out` and runs the same
-    /// step-ordered `fmadd` chain as the 256-bit tiles — lane width is
-    /// invisible to an element's chain — so the result is **bit-identical**
-    /// to [`avx2::panel`]. That also makes the seams free: the
-    /// `rows % 8` bottom rows and `cols % 24` right-hand columns (and every
-    /// panel smaller than one tile) are handed to the 256-bit microkernel as
-    /// sub-panels.
+    /// Every accumulator lane is seeded as `OVERWRITE` says (from `out`, or
+    /// `+0.0`) and runs the same step-ordered `fmadd` chain as the 256-bit
+    /// tiles — lane width is invisible to an element's chain — so the result
+    /// is **bit-identical** to [`avx2::panel`]. That also makes the seams
+    /// free: the `rows % 8` bottom rows and `cols % 24` right-hand columns
+    /// (and every panel smaller than one tile) are handed to the 256-bit
+    /// microkernel as sub-panels.
     ///
     /// # Safety
     /// As in [`avx2::panel`]; the CPU must additionally support `avx512f`.
     #[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn panel<const PACKED: bool>(p: Panel) {
+    pub(super) unsafe fn panel<const PACKED: bool, const OVERWRITE: bool>(p: Panel) {
         let Panel {
             a,
             a_row_stride,
@@ -2080,9 +2164,11 @@ mod avx512 {
                 };
                 let o_t = out.add(t * cols_out + j);
                 let mut acc = [[_mm512_setzero_pd(); TILE_FRAGS]; TILE_ROWS];
-                for (r, row) in acc.iter_mut().enumerate() {
-                    for (c, lane) in row.iter_mut().enumerate() {
-                        *lane = _mm512_loadu_pd(o_t.add(r * cols_out + 8 * c));
+                if !OVERWRITE {
+                    for (r, row) in acc.iter_mut().enumerate() {
+                        for (c, lane) in row.iter_mut().enumerate() {
+                            *lane = _mm512_loadu_pd(o_t.add(r * cols_out + 8 * c));
+                        }
                     }
                 }
                 let mut bp = if PACKED { b.add(j * steps) } else { b.add(j) };
@@ -2124,16 +2210,287 @@ mod avx512 {
                 }
             }
             if tiled_cols < cols {
-                avx2::panel::<PACKED>(p.sub::<PACKED>(
-                    0,
-                    tiled_rows,
-                    tiled_cols,
-                    cols - tiled_cols,
-                ));
+                let right = p.sub::<PACKED>(0, tiled_rows, tiled_cols, cols - tiled_cols);
+                avx2::panel::<PACKED, OVERWRITE>(right);
             }
             if tiled_rows < rows {
-                avx2::panel::<PACKED>(p.sub::<PACKED>(tiled_rows, rows - tiled_rows, 0, cols));
+                let bottom = p.sub::<PACKED>(tiled_rows, rows - tiled_rows, 0, cols);
+                avx2::panel::<PACKED, OVERWRITE>(bottom);
             }
+        }
+    }
+
+    /// a-rows per 512-bit `a · bᵀ` tile: four pairs, each sharing a `zmm`.
+    const TB_ROWS: usize = 8;
+    /// b-rows per 512-bit `a · bᵀ` tile: 4 pairs × 4 b-rows = 16
+    /// accumulators, plus four a-pair and four b vectors per step.
+    const TB_COLS: usize = 4;
+
+    /// 512-bit arm of [`super::gemm_tb_rows_with`], bit-identical to
+    /// [`avx2::gemm_tb_rows`]: the same k-panels, and per output element the
+    /// same chain — four lane accumulators from `+0.0` over the panel's
+    /// 4-element steps, joined `(l0 + l2) + (l1 + l3)`, then added onto
+    /// `out`.
+    ///
+    /// What widens is the tile. A `zmm` holds a-row `i`'s four lanes in
+    /// lanes 0–3 and row `i + 1`'s in lanes 4–7; each b-row segment is
+    /// broadcast to both halves. A tile is 8 a-rows × 4 b-rows, with the
+    /// 8-row block of `a` packed pairwise into a 4 KiB stack buffer once per
+    /// k-panel and row tile, then swept against every b-row. The seams run
+    /// the 256-bit code on the same chain:
+    /// [`avx2::dot`] for the `rows_b % 4` b-rows of a tiled block, and
+    /// [`avx2::tb_panel`] for the `rows_a % 8` a-rows — and for a whole
+    /// panel whose segment ends in a scalar-FMA tail, which only the last
+    /// panel of a `cols % 4 ≠ 0` product has.
+    ///
+    /// # Safety
+    /// As in [`avx2::gemm_tb_rows`]; the CPU must additionally support
+    /// `avx512f`.
+    #[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
+    pub(super) unsafe fn gemm_tb_rows(
+        a: &[f64],
+        b: &[f64],
+        out: &mut [f64],
+        rows_a: usize,
+        cols: usize,
+        rows_b: usize,
+    ) {
+        out.fill(0.0);
+        let mut pack = [0.0f64; TB_ROWS * BLOCK];
+        let (a_ptr, b_ptr, out_ptr) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
+        let tiled_b_rows = rows_b / TB_COLS * TB_COLS;
+        for kk in (0..cols).step_by(BLOCK) {
+            let seg = (kk + BLOCK).min(cols) - kk;
+            let tiled_rows = if seg.is_multiple_of(4) {
+                rows_a / TB_ROWS * TB_ROWS
+            } else {
+                0
+            };
+            // SAFETY: the caller upholds this function's `# Safety`
+            // contract; every row index stays below `rows_a`/`rows_b`, and
+            // `pack` holds `TB_ROWS * seg` elements.
+            unsafe {
+                for i in (0..tiled_rows).step_by(TB_ROWS) {
+                    let a_blk = a_ptr.add(i * cols + kk);
+                    pack_pairs(a_blk, cols, seg, pack.as_mut_ptr());
+                    let o_blk = out_ptr.add(i * rows_b);
+                    for j in (0..tiled_b_rows).step_by(TB_COLS) {
+                        let b_blk = b_ptr.add(j * cols + kk);
+                        tb_tile(pack.as_ptr(), b_blk, cols, seg, o_blk.add(j), rows_b);
+                    }
+                    for j in tiled_b_rows..rows_b {
+                        let bj = b_ptr.add(j * cols + kk);
+                        for r in 0..TB_ROWS {
+                            *o_blk.add(r * rows_b + j) += avx2::dot(a_blk.add(r * cols), bj, seg);
+                        }
+                    }
+                }
+                avx2::tb_panel(a_ptr, b_ptr, out_ptr, tiled_rows, rows_a, cols, rows_b, kk);
+            }
+        }
+    }
+
+    /// Copies the `TB_ROWS × seg` block at `a` (rows `stride` apart) into
+    /// `dst` pairwise: for each 4-element step, four 8-element groups, group
+    /// `p` holding rows `2p` and `2p + 1`'s step side by side — exactly the
+    /// `zmm` [`tb_tile`] multiplies.
+    ///
+    /// # Safety
+    /// The CPU must support AVX; `seg` must be a multiple of 4, `a` valid
+    /// for the block's reads and `dst` for `TB_ROWS * seg` writes.
+    #[target_feature(enable = "avx2")]
+    unsafe fn pack_pairs(a: *const f64, stride: usize, seg: usize, dst: *mut f64) {
+        // SAFETY: the caller upholds this function's `# Safety` contract.
+        unsafe {
+            let mut d = dst;
+            for k in (0..seg).step_by(4) {
+                for pair in 0..TB_ROWS / 2 {
+                    let row = a.add(2 * pair * stride + k);
+                    _mm256_storeu_pd(d, _mm256_loadu_pd(row));
+                    _mm256_storeu_pd(d.add(4), _mm256_loadu_pd(row.add(stride)));
+                    d = d.add(8);
+                }
+            }
+        }
+    }
+
+    /// One 8 × 4 tile of [`gemm_tb_rows`]: the dots of the packed a-rows
+    /// against the 4 b-rows at `b` (`b_stride` apart), over `seg` steps,
+    /// added onto the 8 × 4 block at `out` (rows `out_stride` apart).
+    ///
+    /// # Safety
+    /// As in [`pack_pairs`]; `pack` must hold a [`pack_pairs`] block of
+    /// `seg` steps, `b` be valid for the four segments' reads and `out` for
+    /// the block's reads and writes; the CPU must support `avx512f`.
+    #[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
+    unsafe fn tb_tile(
+        pack: *const f64,
+        b: *const f64,
+        b_stride: usize,
+        seg: usize,
+        out: *mut f64,
+        out_stride: usize,
+    ) {
+        // SAFETY: the caller upholds this function's `# Safety` contract.
+        unsafe {
+            // acc[pair][q]: b-row q's four lanes for a-rows 2·pair and
+            // 2·pair + 1.
+            let mut acc = [[_mm512_setzero_pd(); TB_COLS]; TB_ROWS / 2];
+            let mut ap = pack;
+            for k in (0..seg).step_by(4) {
+                let mut bv = [_mm512_setzero_pd(); TB_COLS];
+                for (q, v) in bv.iter_mut().enumerate() {
+                    *v = _mm512_broadcast_f64x4(_mm256_loadu_pd(b.add(q * b_stride + k)));
+                }
+                for (pair, row) in acc.iter_mut().enumerate() {
+                    let av = _mm512_loadu_pd(ap.add(8 * pair));
+                    for (lane, &bq) in row.iter_mut().zip(&bv) {
+                        *lane = _mm512_fmadd_pd(av, bq, *lane);
+                    }
+                }
+                ap = ap.add(4 * TB_ROWS);
+            }
+            for (pair, row) in acc.iter().enumerate() {
+                let sums = hsum_pair(row);
+                let o0 = out.add(2 * pair * out_stride);
+                let o1 = o0.add(out_stride);
+                let lo = _mm512_castpd512_pd256(sums);
+                let hi = _mm512_extractf64x4_pd::<1>(sums);
+                _mm256_storeu_pd(o0, _mm256_add_pd(_mm256_loadu_pd(o0), lo));
+                _mm256_storeu_pd(o1, _mm256_add_pd(_mm256_loadu_pd(o1), hi));
+            }
+        }
+    }
+
+    /// The horizontal sums of four pair accumulators `acc[q]` (lanes 0–3:
+    /// row `r`'s lanes `l0..l3` for b-row `q`; lanes 4–7: row `r + 1`'s), as
+    /// `[s(r, 0..4), s(r + 1, 0..4)]` with `s = (l0 + l2) + (l1 + l3)` —
+    /// [`avx2::dot`]'s order, each add's first operand the lower lane.
+    ///
+    /// # Safety
+    /// The CPU must support `avx512f`.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn hsum_pair(acc: &[__m512d; TB_COLS]) -> __m512d {
+        // Lanes `l0 l1` / `l2 l3` of two accumulators, side by side per row
+        // (indices 8.. pick from the second operand).
+        let low = _mm512_set_epi64(13, 12, 5, 4, 9, 8, 1, 0);
+        let high = _mm512_set_epi64(15, 14, 7, 6, 11, 10, 3, 2);
+        let half = |x: __m512d, y: __m512d| {
+            // [x: l0+l2, l1+l3 | y: …] for row r, then for row r + 1.
+            _mm512_add_pd(
+                _mm512_permutex2var_pd(x, low, y),
+                _mm512_permutex2var_pd(x, high, y),
+            )
+        };
+        let ac = half(acc[0], acc[2]);
+        let bd = half(acc[1], acc[3]);
+        // unpacklo: (l0 + l2) of b-rows 0, 1, 2, 3 per row; unpackhi: (l1 + l3).
+        _mm512_add_pd(_mm512_unpacklo_pd(ac, bd), _mm512_unpackhi_pd(ac, bd))
+    }
+
+    /// Eight-lane `tanh`, [`avx2::tanh_pd`]'s operation sequence (and so
+    /// [`super::tanh_value`]'s) with the floor as a round-down `roundscale`,
+    /// and compares, blends and the NaN restore on mask registers.
+    ///
+    /// # Safety
+    /// The CPU must support `avx512f`.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn tanh_pd(x: __m512d) -> __m512d {
+        let bits = _mm512_castpd_si512(x);
+        let sign_bit = _mm512_set1_epi64(i64::MIN);
+        let sign = _mm512_and_si512(bits, sign_bit);
+        let a = _mm512_castsi512_pd(_mm512_andnot_si512(sign_bit, bits));
+
+        // Rational branch: a + a·(s·(P(s)/Q(s))), s = a².
+        let s = _mm512_mul_pd(a, a);
+        let p = _mm512_add_pd(
+            _mm512_mul_pd(
+                _mm512_add_pd(
+                    _mm512_mul_pd(_mm512_set1_pd(super::TANH_P0), s),
+                    _mm512_set1_pd(super::TANH_P1),
+                ),
+                s,
+            ),
+            _mm512_set1_pd(super::TANH_P2),
+        );
+        let q = _mm512_add_pd(
+            _mm512_mul_pd(
+                _mm512_add_pd(
+                    _mm512_mul_pd(_mm512_add_pd(s, _mm512_set1_pd(super::TANH_Q0)), s),
+                    _mm512_set1_pd(super::TANH_Q1),
+                ),
+                s,
+            ),
+            _mm512_set1_pd(super::TANH_Q2),
+        );
+        let pq = _mm512_div_pd(p, q);
+        let rational = _mm512_add_pd(a, _mm512_mul_pd(a, _mm512_mul_pd(s, pq)));
+
+        // Exp branch: 1 − 2/(e^{2·min(a,20)} + 1); NaN lanes as in the
+        // 256-bit arm, overwritten by the final blend.
+        let ac = _mm512_min_pd(a, _mm512_set1_pd(20.0));
+        let z = _mm512_add_pd(ac, ac);
+        const FLOOR: i32 = _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC;
+        let k = _mm512_roundscale_pd::<FLOOR>(_mm512_add_pd(
+            _mm512_mul_pd(z, _mm512_set1_pd(super::EXP_LOG2E)),
+            _mm512_set1_pd(0.5),
+        ));
+        let r = _mm512_sub_pd(
+            _mm512_sub_pd(z, _mm512_mul_pd(k, _mm512_set1_pd(super::EXP_LN2_HI))),
+            _mm512_mul_pd(k, _mm512_set1_pd(super::EXP_LN2_LO)),
+        );
+        let mut e = _mm512_set1_pd(super::EXP_C[13]);
+        let mut j = 13;
+        while j > 0 {
+            j -= 1;
+            e = _mm512_add_pd(_mm512_mul_pd(e, r), _mm512_set1_pd(super::EXP_C[j]));
+        }
+        let ik = _mm512_and_si512(
+            _mm512_castpd_si512(_mm512_add_pd(k, _mm512_set1_pd(super::EXP_SHIFTER))),
+            _mm512_set1_epi64(0x000F_FFFF_FFFF_FFFF),
+        );
+        let two_k = _mm512_castsi512_pd(_mm512_slli_epi64::<52>(_mm512_add_epi64(
+            ik,
+            _mm512_set1_epi64(1023),
+        )));
+        let ez = _mm512_mul_pd(e, two_k);
+        let expo = _mm512_sub_pd(
+            _mm512_set1_pd(1.0),
+            _mm512_div_pd(_mm512_set1_pd(2.0), _mm512_add_pd(ez, _mm512_set1_pd(1.0))),
+        );
+
+        let lt = _mm512_cmp_pd_mask::<_CMP_LT_OQ>(a, _mm512_set1_pd(0.625));
+        let t = _mm512_mask_blend_pd(lt, expo, rational);
+        let signed = _mm512_castsi512_pd(_mm512_or_si512(_mm512_castpd_si512(t), sign));
+        let unord = _mm512_cmp_pd_mask::<_CMP_UNORD_Q>(x, x);
+        _mm512_mask_blend_pd(unord, signed, x)
+    }
+
+    /// 512-bit arm of [`super::tanh_forward_with`]: two [`tanh_pd`] vectors
+    /// per iteration, so their Horner chains overlap; the last `< 16`
+    /// elements go to [`avx2::tanh_forward`], on the same sequence.
+    ///
+    /// # Safety
+    /// The CPU must support `avx512f` and AVX2; slice lengths must match
+    /// (asserted by the caller).
+    #[target_feature(enable = "avx512f", enable = "avx2")]
+    pub(super) unsafe fn tanh_forward(src: &[f64], dst: &mut [f64]) {
+        let n = src.len();
+        let lanes = n - n % 16;
+        // SAFETY: the caller upholds this function's `# Safety` contract;
+        // every vector ends at or before `lanes <= n`.
+        unsafe {
+            let s_ptr = src.as_ptr();
+            let d_ptr = dst.as_mut_ptr();
+            for i in (0..lanes).step_by(16) {
+                let y0 = tanh_pd(_mm512_loadu_pd(s_ptr.add(i)));
+                let y1 = tanh_pd(_mm512_loadu_pd(s_ptr.add(i + 8)));
+                _mm512_storeu_pd(d_ptr.add(i), y0);
+                _mm512_storeu_pd(d_ptr.add(i + 8), y1);
+            }
+            avx2::tanh_forward(&src[lanes..], &mut dst[lanes..]);
         }
     }
 }

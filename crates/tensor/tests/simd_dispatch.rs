@@ -66,9 +66,10 @@ fn every_level_request_dispatches_the_arm_it_names() {
         tb_by_level.push(out);
     }
 
-    // The a · bᵀ kernel has no 512-bit arm: at `Avx512` it must run the
-    // AVX2 code — same bits — and never the scalar code, whose unfused
-    // multiply-adds land on different bits for this input.
+    // The a · bᵀ kernel's 512-bit arm keeps the AVX2 arm's per-element
+    // chain, so at `Avx512` it must land on the AVX2 bits — and never on the
+    // scalar code's, whose unfused multiply-adds give different bits for
+    // this input.
     if runnable_levels().contains(&SimdLevel::Avx2Fma) {
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&tb_by_level[2]), bits(&tb_by_level[1]));

@@ -15,8 +15,9 @@
 //!    single-threaded call, at every level (the pooled dispatch only moves
 //!    row boundaries around, and every element's FMA chain is
 //!    boundary-independent by construction).
-//! 4. **Width invariance** — the 512-bit GEMM panel is bit-for-bit the
-//!    256-bit one on shapes that hit every tile seam, and the Adam update
+//! 4. **Width invariance** — the 512-bit GEMM panel and `a · bᵀ` kernel are
+//!    bit-for-bit the 256-bit ones on shapes that hit every tile seam (NaN
+//!    payloads included for `a · bᵀ`), and the Adam update
 //!    carrying the soft target update is bit-for-bit the plain update
 //!    followed by `Matrix::blend`, at every level.
 //!
@@ -93,7 +94,8 @@ proptest! {
         }
     }
 
-    /// `out += aᵀ · b` at every runnable level vs the naive reference.
+    /// `out = aᵀ · b` at every runnable level vs the naive reference, from a
+    /// NaN-poisoned `out`: the kernel overwrites and never reads it.
     #[test]
     fn gemm_ta_rows_matches_naive_at_every_level(
         (n, m, p) in (1usize..40, 1usize..23, 1usize..37),
@@ -112,7 +114,7 @@ proptest! {
         }
         let reference = naive_gemm(&at, &b, m, n, p);
         for &level in runnable_levels() {
-            let mut out = vec![0.0; m * p];
+            let mut out = vec![f64::NAN; m * p];
             gemm_ta_rows_with(level, &a[off..], &b, &mut out, 0, m, n, m, p);
             for (got, want) in out.iter().zip(&reference) {
                 prop_assert!(approx(*got, *want), "{level} ta {n}x{m}x{p}: {got} vs {want}");
@@ -279,15 +281,15 @@ proptest! {
 
     /// The tanh forward kernel at every runnable level is **bit-identical**
     /// to the scalar [`tanh_value`] sequence (FMA-free like Adam), on lengths
-    /// crossing the 4-lane boundary in every residue class, at unaligned
-    /// offsets, with inputs spanning both approximation branches, the
-    /// saturation clamp and non-finite values — and it tracks the libm
-    /// `tanh` within 1e-14 relative.
+    /// crossing the 4-, 8- and 16-lane boundaries in every residue class, at
+    /// unaligned offsets, with inputs spanning both approximation branches,
+    /// the saturation clamp, non-finite values, NaN payloads and subnormals —
+    /// and it tracks the libm `tanh` within 1e-14 relative.
     #[test]
     fn tanh_forward_is_bit_identical_at_every_level(
         len in 1usize..130,
         (off_src, off_dst) in (0usize..3, 0usize..3),
-        poisons in prop::collection::vec((0usize..130, 0usize..4), 3),
+        poisons in prop::collection::vec((0usize..130, 0usize..6), 3),
         seed in any::<u64>(),
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -300,7 +302,11 @@ proptest! {
                 0 => f64::NAN,
                 1 => f64::INFINITY,
                 2 => f64::NEG_INFINITY,
-                _ => -0.0,
+                3 => -0.0,
+                // A negative NaN with a payload: every lane must hand back
+                // the input bits, not a default NaN.
+                4 => f64::from_bits(0xFFF8_0000_0000_0000 | (pos as u64 + 1)),
+                _ => -f64::MIN_POSITIVE / (pos as f64 + 2.0),
             };
         }
         let reference: Vec<f64> = src[off_src..].iter().map(|&x| tanh_value(x)).collect();
@@ -407,11 +413,12 @@ proptest! {
             });
             prop_assert!(bits_equal(&whole, &chunked), "{level} gemm_rows chunked");
 
-            // Transpose-A: chunk the output rows of the m × p product.
+            // Transpose-A: chunk the output rows of the m × p product, which
+            // overwrites its NaN-poisoned buffers.
             let ta_a = random_vec(&mut StdRng::seed_from_u64(seed ^ 1), k * m);
-            let mut ta_whole = vec![0.0; m * n];
+            let mut ta_whole = vec![f64::NAN; m * n];
             gemm_ta_rows_with(level, &ta_a, &b[..k * n], &mut ta_whole, 0, m, k, m, n);
-            let mut ta_chunked = vec![0.0; m * n];
+            let mut ta_chunked = vec![f64::NAN; m * n];
             pool.run_mut(&mut ta_chunked, n, 1, |start, chunk| {
                 let end = start + chunk.len() / n;
                 gemm_ta_rows_with(level, &ta_a, &b[..k * n], chunk, start, end, k, m, n);
@@ -439,9 +446,10 @@ proptest! {
 /// enough to flip the tile order and the pack gate; no full column
 /// tile, one short of one, exactly one, one past, the 600-wide network and
 /// one past it; a single step, half a k-panel, and both sides of the
-/// 64-step panel edge. `out` is seeded non-zero (the chains start from it),
-/// all three `gemm_rows` entries are pinned, and `gemm_ta_rows` additionally
-/// runs over sub-ranges the way the pool chunks its output rows.
+/// 64-step panel edge. `out` is seeded non-zero for `gemm_rows` (the chains
+/// start from it) and NaN-poisoned for `gemm_ta_rows` (which overwrites), all
+/// three `gemm_rows` entries are pinned, and `gemm_ta_rows` additionally runs
+/// over sub-ranges the way the pool chunks its output rows.
 #[test]
 fn avx512_panel_is_bit_identical_to_avx2_on_every_seam() {
     eprintln!(
@@ -476,13 +484,14 @@ fn avx512_panel_is_bit_identical_to_avx2_on_every_seam() {
                 }
 
                 // aᵀ · b: `a` is k × rows read transposed, `b` is k × cols.
-                let mut want = seed_out.clone();
+                // It overwrites, so every buffer starts NaN-poisoned.
+                let mut want = vec![f64::NAN; rows * cols];
                 gemm_ta_rows_with(narrow, &a, &b, &mut want, 0, rows, k, rows, cols);
-                let mut whole = seed_out.clone();
+                let mut whole = vec![f64::NAN; rows * cols];
                 gemm_ta_rows_with(wide, &a, &b, &mut whole, 0, rows, k, rows, cols);
                 assert!(bits_equal(&whole, &want), "gemm_ta_rows {shape}");
-                // Row sub-ranges, as `WorkerPool::run` would hand them out.
-                let mut chunked = seed_out.clone();
+                // Row sub-ranges, as `WorkerPool::run_mut` would hand them out.
+                let mut chunked = vec![f64::NAN; rows * cols];
                 for chunk in [
                     0..rows / 3,
                     rows / 3..rows - rows / 2,
@@ -493,6 +502,63 @@ fn avx512_panel_is_bit_identical_to_avx2_on_every_seam() {
                     gemm_ta_rows_with(wide, &a, &b, out, start, end, k, rows, cols);
                 }
                 assert!(bits_equal(&chunked, &want), "gemm_ta_rows chunked {shape}");
+            }
+        }
+    }
+}
+
+/// The 512-bit `a · bᵀ` kernel against the 256-bit one, **bit for bit**, on
+/// shapes that hit every seam of its 8 × 4 tile: a-rows below, at and past a
+/// tile and a pair; a reduction of one step, a scalar tail alone, one 4-lane
+/// step with and without a tail, both sides of the 64-step panel edge and
+/// the 600-wide network; b-rows below, at and past a tile and a panel. `out`
+/// starts NaN-poisoned, and the rows also run chunked over a real pool.
+///
+/// The inputs carry the values a wrong join would show: a-row 0 and b-row 0
+/// are tiny enough that their products round to `−0.0` (the panel sum is
+/// added onto `+0.0`, which makes it `+0.0`), and the dot of a-row 1 with
+/// b-row 1 meets two NaNs with different payloads in different lanes, so the
+/// horizontal sum's operand order decides which payload survives.
+#[test]
+fn avx512_tb_is_bit_identical_to_avx2_on_every_seam() {
+    if detected_level() < SimdLevel::Avx512 {
+        eprintln!("simd_properties: no avx512f on this host — 512-bit a · bᵀ cases skipped");
+        return;
+    }
+    let (narrow, wide) = (SimdLevel::Avx2Fma, SimdLevel::Avx512);
+    let pool = WorkerPool::new(4);
+    let mut rng = StdRng::seed_from_u64(4096);
+    let nan = |payload: u64| f64::from_bits(0x7FF8_0000_0000_0000 | payload);
+    for &rows_a in &[1usize, 2, 7, 8, 9, 16, 32, 33] {
+        for &k in &[1usize, 3, 4, 5, 63, 64, 65, 600, 601] {
+            for &rows_b in &[1usize, 3, 4, 5, 63, 64, 65, 600] {
+                let shape = format!("{rows_a}x{k}x{rows_b}");
+                let mut a = random_vec(&mut rng, rows_a * k);
+                let mut b = random_vec(&mut rng, rows_b * k);
+                for (x, y) in a[..k].iter_mut().zip(&mut b[..k]) {
+                    *x = -1e-200 * x.abs();
+                    *y = 1e-200 * y.abs();
+                }
+                if rows_a > 1 && rows_b > 1 && k > 1 {
+                    a[k] = nan(1);
+                    b[k + 1] = nan(2);
+                }
+                let mut want = vec![f64::NAN; rows_a * rows_b];
+                gemm_tb_rows_with(narrow, &a, &b, &mut want, rows_a, k, rows_b);
+                let mut got = vec![f64::NAN; rows_a * rows_b];
+                gemm_tb_rows_with(wide, &a, &b, &mut got, rows_a, k, rows_b);
+                assert!(bits_equal(&got, &want), "gemm_tb_rows {shape}");
+                assert_eq!(want[0].to_bits(), 0.0f64.to_bits(), "−0.0 dot {shape}");
+                // Chunking moves rows between tiles, pairs and single dots.
+                for level in [narrow, wide] {
+                    let mut chunked = vec![f64::NAN; rows_a * rows_b];
+                    pool.run_mut(&mut chunked, rows_b, 1, |start, chunk| {
+                        let rows = chunk.len() / rows_b;
+                        let a_rows = &a[start * k..(start + rows) * k];
+                        gemm_tb_rows_with(level, a_rows, &b, chunk, rows, k, rows_b);
+                    });
+                    assert!(bits_equal(&chunked, &want), "{level} chunked {shape}");
+                }
             }
         }
     }
