@@ -365,9 +365,19 @@ fn check_hot_paths(
             && !test_regions.iter().any(|&(lo, hi)| lo <= i && i <= hi)
     };
     let toks = &lexed.tokens;
-    const ALLOC_METHODS: &[&str] = &["clone", "to_vec", "to_string", "to_owned", "collect"];
+    const ALLOC_METHODS: &[&str] = &[
+        "clone",
+        "to_vec",
+        "to_string",
+        "to_owned",
+        "collect",
+        "to_path_buf",
+        "to_os_string",
+    ];
     const ALLOC_MACROS: &[&str] = &["vec", "format"];
-    const ALLOC_TYPES: &[&str] = &["Vec", "VecDeque", "Box", "String", "BTreeMap", "HashMap"];
+    const ALLOC_TYPES: &[&str] = &[
+        "Vec", "VecDeque", "Box", "String", "BTreeMap", "HashMap", "PathBuf", "OsString",
+    ];
     const ALLOC_CTORS: &[&str] = &["new", "with_capacity", "from"];
     for i in 0..toks.len() {
         if !in_hot(i) || toks[i].attr || toks[i].kind != TokKind::Ident {

@@ -1,5 +1,5 @@
 //! Fixture: `hot-path-alloc` rule, whole-file hot path.
-//! Violations at lines 6, 8, 9, 10 and 11.
+//! Violations at lines 6, 8, 9, 10, 11, 23 and 24.
 
 /// The whole file is declared hot, so every allocation below is flagged.
 pub fn tick(xs: &[f64]) -> f64 {
@@ -16,4 +16,10 @@ pub fn tick(xs: &[f64]) -> f64 {
 /// Arithmetic stays clean: nothing here allocates.
 pub fn fused(a: f64, b: f64, c: f64) -> f64 {
     a * b + c
+}
+
+/// Owned paths allocate too.
+pub fn sibling(path: &std::path::Path) -> std::path::PathBuf {
+    let name = path.to_path_buf();
+    std::path::PathBuf::from(name)
 }

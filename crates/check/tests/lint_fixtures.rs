@@ -37,6 +37,8 @@ fn expected() -> Vec<(String, u32, &'static str)> {
         ("src/hot.rs", 9, "hot-path-alloc"),
         ("src/hot.rs", 10, "hot-path-alloc"),
         ("src/hot.rs", 11, "hot-path-alloc"),
+        ("src/hot.rs", 23, "hot-path-alloc"),
+        ("src/hot.rs", 24, "hot-path-alloc"),
         ("src/hot_fns.rs", 8, "hot-path-alloc"),
         ("src/metrics.rs", 8, "metric-registry"),
         ("src/metrics.rs", 13, "metric-registry"),

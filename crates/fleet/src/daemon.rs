@@ -63,7 +63,7 @@ use capes_agents::wire::encode_message;
 use capes_agents::wire::{decode_cluster_frame, encode_cluster_frame};
 use capes_agents::{ActionMessage, Message};
 use capes_drl::{ActionDecision, DqnAgent};
-use capes_persist::{Persist, PersistError, RecordLogWriter};
+use capes_persist::{Persist, PersistError, RecordLogWriter, SnapshotSlot};
 use capes_replay::ReplayArena;
 use capes_telemetry::{Counter, Gauge, Histogram};
 use capes_tensor::Matrix;
@@ -350,6 +350,7 @@ impl FleetBuilder {
             persist,
             telemetry,
             auto_checkpoint: None,
+            snapshot_slot: None,
             recorder: None,
             #[cfg(feature = "net")]
             socket,
@@ -421,12 +422,15 @@ struct FleetTelemetry {
     implausible_ticks: Counter,
     /// `persist.checkpoint.{encode,crc,write,fsync,dirsync}`: where one
     /// streamed checkpoint's time went, recorded from the
-    /// `capes_persist::SnapshotStats` its writer returns.
+    /// `capes_persist::SnapshotStats` its writer returns; and
+    /// `persist.checkpoint.writeback`, the early flushes that ran beside
+    /// them.
     checkpoint_encode: Histogram,
     checkpoint_crc: Histogram,
     checkpoint_write: Histogram,
     checkpoint_fsync: Histogram,
     checkpoint_dirsync: Histogram,
+    checkpoint_writeback: Histogram,
     /// `persist.checkpoint.bytes`: size of the latest snapshot file.
     checkpoint_bytes: Gauge,
     /// Completion instants of the last [`TICK_WINDOW`] fleet ticks.
@@ -456,6 +460,7 @@ impl FleetTelemetry {
             checkpoint_write: registry.histogram("persist.checkpoint.write"),
             checkpoint_fsync: registry.histogram("persist.checkpoint.fsync"),
             checkpoint_dirsync: registry.histogram("persist.checkpoint.dirsync"),
+            checkpoint_writeback: registry.histogram("persist.checkpoint.writeback"),
             checkpoint_bytes: registry.gauge("persist.checkpoint.bytes"),
             window: VecDeque::with_capacity(TICK_WINDOW + 1),
             recent_rate_value: 0.0,
@@ -556,6 +561,11 @@ pub struct FleetDaemon {
     telemetry: FleetTelemetry,
     /// Automatic checkpointing: every N fleet ticks, snapshot to the path.
     auto_checkpoint: Option<(u64, PathBuf)>,
+    /// The destination of the latest [`FleetDaemon::checkpoint`] and its
+    /// spare, the previous generation's file the next checkpoint to the
+    /// same path overwrites. Replaced when the path changes; dropping it
+    /// removes the spare.
+    snapshot_slot: Option<SnapshotSlot>,
     /// Wire-traffic recorder tapping the socket ingest path.
     recorder: Option<RecordLogWriter>,
     /// The socket front end ([`Transport::Socket`] only).
@@ -706,9 +716,16 @@ impl FleetDaemon {
     /// reports and the same final weights as the uninterrupted run.
     ///
     /// The write is atomic (temp file + fsync + rename), so a crash leaves
-    /// the previous snapshot intact. Durability counters themselves are not
-    /// in the payload — a restored fleet's future snapshots stay
-    /// byte-identical to the original's.
+    /// the previous snapshot intact, and `Ok` means the new one is durable
+    /// under `path`. The daemon keeps a [`SnapshotSlot`] for the path it
+    /// last checkpointed to: from the second checkpoint to the same path
+    /// on, the previous generation's file stays beside it as `<path>.tmp`
+    /// and the next checkpoint overwrites it in place, which spares the
+    /// filesystem a fresh file and the rename the eviction of a whole
+    /// snapshot. Checkpointing to another path, or dropping the daemon,
+    /// removes that spare. Durability counters themselves are not in the
+    /// payload — a restored fleet's future snapshots stay byte-identical
+    /// to the original's.
     pub fn checkpoint(&mut self, path: &Path) -> Result<(), FleetError> {
         // Five disjoint pieces of `persist.checkpoint.total`: `.encode`,
         // `.crc`, `.write`, `.fsync` and `.dirsync`. Encoding, checksumming
@@ -716,8 +733,21 @@ impl FleetDaemon {
         // its temporary file, so the writer accumulates them and reports
         // the sums (`capes-persist` is dependency-free and cannot record
         // them itself).
+        // A slot for another path is dropped first, outside the span: that
+        // removes its spare, and the kernel evicts and frees a whole
+        // snapshot, which none of the five pieces would account for.
+        if self
+            .snapshot_slot
+            .as_ref()
+            .is_some_and(|slot| slot.path() != path)
+        {
+            self.snapshot_slot = None;
+        }
         let _total = capes_telemetry::span!("persist.checkpoint.total");
-        let mut w = capes_persist::SnapshotWriter::create(path)?;
+        let slot = self
+            .snapshot_slot
+            .get_or_insert_with(|| SnapshotSlot::new(path));
+        let mut w = slot.writer()?;
         w.put_u8(self.transport.tag());
         w.put_u64(self.tick);
         w.put_usize(self.train_cursor);
@@ -767,6 +797,9 @@ impl FleetDaemon {
             self.telemetry
                 .checkpoint_dirsync
                 .record_duration(stats.dirsync);
+            self.telemetry
+                .checkpoint_writeback
+                .record_duration(stats.writeback);
         }
         self.telemetry.checkpoint_bytes.set(stats.bytes as f64);
         self.persist.checkpoints_written.inc();
@@ -958,10 +991,14 @@ impl FleetDaemon {
     }
 
     /// Enables automatic checkpointing: after every `every`-th fleet tick
-    /// the daemon snapshots itself to `path` (atomically replacing the
-    /// previous snapshot). A failed automatic checkpoint is counted in the
-    /// [`PersistReport`] and the run continues — durability must not take
-    /// the experiment down.
+    /// the daemon snapshots itself to `path` with [`FleetDaemon::checkpoint`]
+    /// (atomically replacing the previous snapshot, and from the second
+    /// snapshot on overwriting the generation before it in place, so the
+    /// directory holds `path` and `<path>.tmp` until the daemon checkpoints
+    /// elsewhere or is dropped; [`FleetDaemon::disable_auto_checkpoint`]
+    /// keeps the spare for the next enable). A failed automatic checkpoint
+    /// is counted in the [`PersistReport`] and the run continues —
+    /// durability must not take the experiment down.
     ///
     /// # Panics
     /// Panics if `every` is zero.

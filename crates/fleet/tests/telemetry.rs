@@ -98,6 +98,7 @@ fn run_and_check(transport: Transport, seed: u64, tag: &str) -> FleetReport {
         "persist.checkpoint.write",
         "persist.checkpoint.fsync",
         "persist.checkpoint.dirsync",
+        "persist.checkpoint.writeback",
     ] {
         let hist = report
             .telemetry
@@ -138,13 +139,15 @@ fn run_and_check(transport: Transport, seed: u64, tag: &str) -> FleetReport {
 /// `persist.checkpoint.{encode,crc,write,fsync,dirsync}` are disjoint pieces
 /// of `persist.checkpoint.total` — the first three accumulated chunk by chunk
 /// as the snapshot streams out: on one checkpoint they must add up to it,
-/// leaving under a tenth unattributed.
+/// leaving under a tenth unattributed. Checkpoints to one path reuse its
+/// spare; the later ones alternate two paths, so each drops the other
+/// path's slot and its spare.
 #[test]
 fn checkpoint_spans_partition_the_total() {
     let _exclusive = CHECKPOINTING.lock().unwrap_or_else(|e| e.into_inner());
     let dir = std::env::temp_dir().join("capes-fleet-telemetry-spans");
     std::fs::create_dir_all(&dir).unwrap();
-    let snap = dir.join("one.capes");
+    let paths = [dir.join("one.capes"), dir.join("two.capes")];
     let mut fleet = build(Transport::Wire, 59);
     fleet.run(&plan());
 
@@ -156,21 +159,31 @@ fn checkpoint_spans_partition_the_total() {
             .map(|part| sum_ns(&format!("persist.checkpoint.{part}")))
             .sum::<f64>()
     };
-    let mut attributed_share = || {
+    let mut attributed_share = |snap: &std::path::Path| {
         let (total_before, parts_before) = (sum_ns("persist.checkpoint.total"), parts_ns());
-        fleet.checkpoint(&snap).expect("checkpoint");
+        fleet.checkpoint(snap).expect("checkpoint");
         (parts_ns() - parts_before) / (sum_ns("persist.checkpoint.total") - total_before)
     };
     // A preemption landing in the few instructions between two spans shows
     // up as unattributed time; one clean checkpoint in five is enough.
-    let shares: Vec<f64> = (0..5).map(|_| attributed_share()).collect();
-    assert!(
-        shares.iter().any(|share| (0.9..=1.0).contains(share)),
-        "encode + crc + write + fsync + dirsync over total, per checkpoint: {shares:?}"
-    );
+    let mut check = |schedule: &[usize]| {
+        let shares: Vec<f64> = schedule
+            .iter()
+            .map(|&p| attributed_share(&paths[p]))
+            .collect();
+        assert!(
+            shares.iter().any(|share| (0.9..=1.0).contains(share)),
+            "encode + crc + write + fsync + dirsync over total, per checkpoint \
+             to paths {schedule:?}: {shares:?}"
+        );
+    };
+    check(&[0; 5]);
+    // All but the second of these drop the other path's slot together with
+    // a spare that holds a whole snapshot.
+    check(&[1, 0, 1, 0, 1, 0, 1]);
     assert_eq!(
         registry.gauge("persist.checkpoint.bytes").get(),
-        std::fs::metadata(&snap).unwrap().len() as f64
+        std::fs::metadata(&paths[0]).unwrap().len() as f64
     );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -113,13 +113,9 @@ impl Writer {
         }
     }
 
-    /// A writer that streams into `out` through a [`WINDOW`]-byte buffer.
-    pub(crate) fn streaming(out: Box<dyn Write>) -> Self {
-        Self::streaming_with_window(out, WINDOW)
-    }
-
-    /// [`Writer::streaming`] with the window shrunk, so tests can make every
-    /// value straddle a drain.
+    /// A writer that streams into `out` through a `window`-byte buffer:
+    /// [`WINDOW`] for snapshots, shrunk in tests so every value straddles a
+    /// drain.
     pub(crate) fn streaming_with_window(out: Box<dyn Write>, window: usize) -> Self {
         assert!(window >= MIN_WINDOW, "window must hold one word");
         Writer {

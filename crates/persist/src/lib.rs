@@ -19,7 +19,8 @@
 //!   folds each window as it passes), with
 //!   crash-safe atomic writes (write-to-temp + fsync + rename + directory
 //!   fsync) — a torn or truncated snapshot is detected and rejected, never
-//!   half-loaded; and
+//!   half-loaded — and a [`SnapshotSlot`] that recycles the previous
+//!   generation's file as the next temporary file; and
 //! * an append-only record log (`CAPESLOG`) of `(tick, cluster, frame)`
 //!   entries, each individually CRC-guarded, used to capture live socket
 //!   ingest traffic for deterministic offline replay.
@@ -43,6 +44,6 @@ pub use record::{
     RecordEntry, RecordLogReader, RecordLogWriter, RECORD_LOG_MAGIC, RECORD_LOG_VERSION,
 };
 pub use snapshot::{
-    decode_snapshot, encode_snapshot, read_snapshot_file, write_atomic, SnapshotFile,
+    decode_snapshot, encode_snapshot, read_snapshot_file, write_atomic, SnapshotFile, SnapshotSlot,
     SnapshotStats, SnapshotWriter, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };

@@ -18,6 +18,7 @@ use std::path::Path;
 
 use crate::crc32::crc32;
 use crate::error::PersistError;
+use crate::snapshot::sync_dir;
 
 /// First eight bytes of every record log.
 pub const RECORD_LOG_MAGIC: [u8; 8] = *b"CAPESLOG";
@@ -52,9 +53,13 @@ pub struct RecordLogWriter {
 }
 
 impl RecordLogWriter {
-    /// Creates (or truncates) the log at `path` and writes the header.
+    /// Creates (or truncates) the log at `path` and writes the header. The
+    /// directory is fsynced once the file exists, so the log's name is
+    /// durable from here on and every later [`RecordLogWriter::sync`] only
+    /// needs to fsync the file.
     pub fn create(path: &Path) -> Result<Self, PersistError> {
         let mut out = BufWriter::new(File::create(path)?);
+        sync_dir(path);
         out.write_all(&RECORD_LOG_MAGIC)?;
         out.write_all(&RECORD_LOG_VERSION.to_le_bytes())?;
         Ok(RecordLogWriter {
@@ -95,7 +100,9 @@ impl RecordLogWriter {
         Ok(())
     }
 
-    /// Flushes, fsyncs and closes the log.
+    /// Flushes, fsyncs and closes the log. `Ok` means every record and the
+    /// log's directory entry are durable: a crash after it returns loses
+    /// neither.
     pub fn finish(mut self) -> Result<u64, PersistError> {
         self.sync()?;
         Ok(self.records)

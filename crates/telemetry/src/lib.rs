@@ -38,7 +38,7 @@
 //! | arena | `arena.lock_wait`, `arena.sample` (histograms) |
 //! | daemon | `daemon.ingest` (histogram), `daemon.reports_rejected`, `daemon.implausible_ticks` (counters) |
 //! | net | `net.read`, `net.decode`, `net.egress` (histograms), `net.ingress.depth` (gauge), plus the `net.*` counters mirroring `NetStats` |
-//! | persist | `persist.checkpoint.{total,encode,crc,write,fsync}`, `persist.restore` (histograms), `persist.checkpoint.bytes` (gauge) plus `persist.*` counters |
+//! | persist | `persist.checkpoint.{total,encode,crc,write,fsync,dirsync,writeback}`, `persist.restore`, `persist.restore.verify` (histograms), `persist.checkpoint.bytes` (gauge) plus `persist.*` counters |
 //!
 //! Exposition mangles dots to underscores (`fleet_tick_total`).
 //!

@@ -40,8 +40,9 @@ pub const SPAN_NET_READ: &str = "net.read";
 pub const SPAN_NET_DECODE: &str = "net.decode";
 /// Span: flushing queued egress bytes to a connection.
 pub const SPAN_NET_EGRESS: &str = "net.egress";
-/// Span: one whole durable checkpoint; the five `persist.checkpoint.*`
-/// histograms below partition it.
+/// Span: one whole durable checkpoint; the five
+/// `persist.checkpoint.{encode,crc,write,fsync,dirsync}` histograms below
+/// partition it.
 pub const SPAN_PERSIST_CHECKPOINT_TOTAL: &str = "persist.checkpoint.total";
 /// Span: restoring daemon state from a checkpoint.
 pub const SPAN_PERSIST_RESTORE: &str = "persist.restore";
@@ -93,10 +94,19 @@ pub const PERSIST_CHECKPOINT_CRC: &str = "persist.checkpoint.crc";
 /// Histogram: creating the temporary file, writing the chunks and sealing
 /// the header, summed likewise.
 pub const PERSIST_CHECKPOINT_WRITE: &str = "persist.checkpoint.write";
-/// Histogram: checkpoint data fsync latency.
+/// Histogram: checkpoint data fsync latency, including the wait for the
+/// early-writeback helper's last flush.
 pub const PERSIST_CHECKPOINT_FSYNC: &str = "persist.checkpoint.fsync";
-/// Histogram: the rename over the destination plus the directory fsync.
+/// Histogram: keeping the replaced generation as the spare (a link and a
+/// second rename), the rename over the destination, and the directory
+/// fsync. Before the spare, the rename dropped the last link to the
+/// previous snapshot and most of this was the kernel evicting and freeing
+/// it.
 pub const PERSIST_CHECKPOINT_DIRSYNC: &str = "persist.checkpoint.dirsync";
+/// Histogram: the early-writeback helper's `sync_data` calls while one
+/// checkpoint streamed, summed. They run beside the five parts above, so
+/// this one lies outside their partition of `persist.checkpoint.total`.
+pub const PERSIST_CHECKPOINT_WRITEBACK: &str = "persist.checkpoint.writeback";
 /// Gauge: size in bytes of the latest snapshot file.
 pub const PERSIST_CHECKPOINT_BYTES: &str = "persist.checkpoint.bytes";
 
