@@ -33,4 +33,7 @@ pub use control::ControlAgent;
 pub use interface::{DaemonCounters, InterfaceDaemon, InterfaceStats};
 pub use message::{ActionMessage, Message, PiReport};
 pub use monitoring::MonitoringAgent;
-pub use wire::{decode_cluster_frame, decode_message, encode_cluster_frame, encode_message};
+pub use wire::{
+    decode_cluster_frame, decode_message, encode_cluster_frame, encode_cluster_frame_into,
+    encode_message,
+};

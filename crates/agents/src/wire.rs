@@ -14,6 +14,7 @@
 //! action  := varint(tick) varint(action) varint(count) { f64(value) }*
 //! workload := varint(tick)
 //! fleet_frame := 0xF7 varint(cluster_id) frame
+//! stream_frame := u32_be(len) fleet_frame
 //! ```
 //!
 //! The single-cluster protocol has no notion of *which* cluster a frame
@@ -47,6 +48,10 @@ const FLEET_FRAME_TAG: u8 = 0xF7;
 
 /// Initial buffer of an encoded frame; anything but a large report fits.
 pub(crate) const FRAME_CAPACITY: usize = 64;
+
+/// Bytes of the big-endian length prefix in front of every frame on a
+/// stream (`capes_net`'s `LENGTH_PREFIX_BYTES`).
+const STREAM_PREFIX_BYTES: usize = 4;
 
 /// Reads a varint element count, rejecting one the remaining bytes cannot
 /// hold at `min_size` bytes per element before the caller sizes anything
@@ -190,10 +195,39 @@ pub fn decode_message(frame: &[u8]) -> Result<Message, PersistError> {
 /// and message go into one buffer.
 pub fn encode_cluster_frame(cluster: u32, message: &Message) -> Vec<u8> {
     let mut w = Writer::with_capacity(FRAME_CAPACITY);
+    put_cluster_frame(&mut w, cluster, message);
+    w.into_vec()
+}
+
+/// Appends `message` to `out` as one stream frame: the `u32_be(len)` prefix
+/// the socket transport puts in front of every frame, then exactly the bytes
+/// [`encode_cluster_frame`] returns. The frame is encoded straight into
+/// `out` and the prefix back-patched once its length is known, so a reused
+/// buffer (the socket uplink's per-member batch) allocates nothing.
+///
+/// # Panics
+/// If the frame exceeds `u32::MAX` bytes, which no length prefix can carry.
+pub fn encode_cluster_frame_into(out: &mut Vec<u8>, cluster: u32, message: &Message) {
+    let slot = out.len();
+    let mut w = Writer::appending(std::mem::take(out));
+    w.put_raw(&[0; STREAM_PREFIX_BYTES]);
+    put_cluster_frame(&mut w, cluster, message);
+    *out = w.into_vec();
+    let len = out.len() - slot - STREAM_PREFIX_BYTES;
+    assert!(
+        len <= u32::MAX as usize,
+        "frame payload exceeds u32 length prefix"
+    );
+    // In bounds: the prefix slot was appended at `slot` above, and the
+    // writer only appended behind it.
+    out[slot..slot + STREAM_PREFIX_BYTES].copy_from_slice(&(len as u32).to_be_bytes());
+}
+
+/// The `fleet_frame` envelope, then `message`.
+fn put_cluster_frame(w: &mut Writer, cluster: u32, message: &Message) {
     w.put_u8(FLEET_FRAME_TAG);
     w.put_varint(cluster.into());
-    message.encode(&mut w);
-    w.into_vec()
+    message.encode(w);
 }
 
 /// Decodes a fleet frame that holds exactly one message back into its
@@ -385,6 +419,19 @@ mod tests {
             let frame = encode_cluster_frame(cluster, &action(42));
             assert_eq!(decode_cluster_frame(&frame).unwrap(), (cluster, action(42)));
         }
+    }
+
+    #[test]
+    fn stream_frames_append_prefix_and_envelope_bytes() {
+        let mut out = b"earlier".to_vec();
+        let mut expected = out.clone();
+        for (cluster, message) in [(3u32, report(44)), (300, action(9)), (0, report(0))] {
+            encode_cluster_frame_into(&mut out, cluster, &message);
+            let frame = encode_cluster_frame(cluster, &message);
+            expected.extend_from_slice(&(frame.len() as u32).to_be_bytes());
+            expected.extend_from_slice(&frame);
+        }
+        assert_eq!(out, expected);
     }
 
     #[test]

@@ -14,23 +14,27 @@
 //!   relaxed read-modify-write recording path.
 //!
 //! A failing schedule panics with a replay seed (`"0-1-0-2"`); the final
-//! test proves the harness actually catches a seeded protocol bug and that
-//! its seed replays deterministically.
+//! tests prove the harness actually catches seeded protocol bugs (a TOCTOU
+//! overflow and a lost wake-up) and that their seeds replay
+//! deterministically.
 
 use interleave::sync::atomic::{AtomicUsize, Ordering};
-use interleave::sync::{Condvar, Mutex};
+use interleave::sync::{Condvar, Mutex, MutexGuard};
 use interleave::thread;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
-// Port of the crossbeam shim's bounded channel (State/Shared, two condvars).
+// Port of the crossbeam shim's bounded channel (State/Shared, two condvars,
+// wake-ups only for parked peers).
 // ---------------------------------------------------------------------------
 
 struct RingState<T> {
     queue: VecDeque<T>,
     capacity: usize,
     senders: usize,
+    parked_receivers: usize,
+    parked_senders: usize,
 }
 
 struct Ring<T> {
@@ -46,23 +50,31 @@ impl<T> Ring<T> {
                 queue: VecDeque::with_capacity(capacity),
                 capacity,
                 senders: 1,
+                parked_receivers: 0,
+                parked_senders: 0,
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
         }
     }
 
-    /// Mirrors `Sender::send`: blocks while the ring is full.
+    /// Mirrors `Sender::send`: blocks while the ring is full, and wakes a
+    /// receiver only if one is parked.
     fn send(&self, value: T) {
         let mut state = self.state.lock().unwrap();
         loop {
             if state.queue.len() < state.capacity {
                 state.queue.push_back(value);
+                let wake = state.parked_receivers > 0;
                 drop(state);
-                self.not_empty.notify_one();
+                if wake {
+                    self.not_empty.notify_one();
+                }
                 return;
             }
+            state.parked_senders += 1;
             state = self.not_full.wait(state).unwrap();
+            state.parked_senders -= 1;
         }
     }
 
@@ -71,14 +83,24 @@ impl<T> Ring<T> {
         let mut state = self.state.lock().unwrap();
         loop {
             if let Some(v) = state.queue.pop_front() {
-                drop(state);
-                self.not_full.notify_one();
+                self.popped(state);
                 return Some(v);
             }
             if state.senders == 0 {
                 return None;
             }
+            state.parked_receivers += 1;
             state = self.not_empty.wait(state).unwrap();
+            state.parked_receivers -= 1;
+        }
+    }
+
+    /// Mirrors `Receiver::popped`: wakes a sender only if one is parked.
+    fn popped(&self, state: MutexGuard<'_, RingState<T>>) {
+        let wake = state.parked_senders > 0;
+        drop(state);
+        if wake {
+            self.not_full.notify_one();
         }
     }
 
@@ -131,6 +153,39 @@ fn ring_channel_disconnect_unblocks_the_receiver() {
         assert_eq!(ring.recv(), None, "disconnect after drain");
         producer.join();
     });
+}
+
+#[test]
+fn ring_channel_parked_sender_and_two_receivers_never_deadlock() {
+    let report = interleave::model(|| {
+        // Capacity 1 and three sends: the sender must park on the full ring
+        // in some schedules, and either receiver may be the one whose pop
+        // has to wake it. Both receivers may be parked at once too, so a
+        // send must wake exactly one of them and the disconnect the rest.
+        let ring = Arc::new(Ring::new(1));
+        let receivers: Vec<_> = (0..2)
+            .map(|_| {
+                let rx = Arc::clone(&ring);
+                thread::spawn(move || {
+                    let mut got = Vec::new();
+                    while let Some(v) = rx.recv() {
+                        got.push(v);
+                    }
+                    got
+                })
+            })
+            .collect();
+        for v in [1u32, 2, 3] {
+            ring.send(v);
+        }
+        ring.drop_sender();
+        let mut got: Vec<u32> = receivers.into_iter().flat_map(|r| r.join()).collect();
+        got.sort_unstable();
+        assert_eq!(got, [1, 2, 3], "every message delivered exactly once");
+        let state = ring.state.lock().unwrap();
+        assert_eq!((state.parked_receivers, state.parked_senders), (0, 0));
+    });
+    assert!(report.schedules > 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -392,4 +447,56 @@ fn checker_finds_the_seeded_toctou_and_its_seed_replays() {
     // the failure is deterministic, not a flaky race.
     let replayed = std::panic::catch_unwind(move || interleave::replay(&seed, toctou_model));
     assert!(replayed.is_err(), "the replay seed must reproduce the bug");
+}
+
+/// A deliberately broken recv: the receiver counts itself as parked only
+/// after `wait` returns instead of before it, so a sender that pushes while
+/// it sleeps sees no parked receiver, skips the wake-up, and the receiver
+/// sleeps forever.
+fn late_count_recv(ring: &Ring<u32>) -> Option<u32> {
+    let mut state = ring.state.lock().unwrap();
+    loop {
+        if let Some(v) = state.queue.pop_front() {
+            ring.popped(state);
+            return Some(v);
+        }
+        if state.senders == 0 {
+            return None;
+        }
+        state = ring.not_empty.wait(state).unwrap();
+        state.parked_receivers += 1;
+        state.parked_receivers -= 1;
+    }
+}
+
+fn lost_wakeup_model() {
+    let ring = Arc::new(Ring::new(1));
+    let rx = Arc::clone(&ring);
+    let receiver = thread::spawn(move || late_count_recv(&rx));
+    ring.send(5);
+    assert_eq!(receiver.join(), Some(5));
+}
+
+#[test]
+fn checker_finds_the_seeded_lost_wakeup_and_its_seed_replays() {
+    let failure = std::panic::catch_unwind(|| interleave::model(lost_wakeup_model))
+        .expect_err("the lost wake-up must be discovered");
+    let message = failure
+        .downcast_ref::<String>()
+        .cloned()
+        .expect("model failures carry a message");
+    assert!(message.contains("deadlock"), "got: {message}");
+    let seed = message
+        .split('"')
+        .nth(1)
+        .expect("the seed is quoted")
+        .to_string();
+    // The replayed schedule parks the receiver before the send, every time.
+    let replayed = std::panic::catch_unwind(move || interleave::replay(&seed, lost_wakeup_model))
+        .expect_err("the replay seed must reproduce the deadlock");
+    let replayed = replayed
+        .downcast_ref::<String>()
+        .cloned()
+        .expect("replay failures carry a message");
+    assert!(replayed.contains("deadlock"), "got: {replayed}");
 }

@@ -1281,13 +1281,13 @@ impl FleetDaemon {
                             // capes-check: allow(boundary-panic) -- construction invariant: Socket transport builds the front in new().
                             .expect("socket transport always builds a socket front");
                         // Queue every cluster's action on the server-side
-                        // downlink first, then read them back — the reactor
+                        // downlink first (one reactor wake for the whole
+                        // fan-out), then read them back — the reactor
                         // flushes all connections concurrently.
-                        for (i, session) in sessions.iter_mut().enumerate() {
+                        front.send_actions(sessions.iter_mut().enumerate().map(|(i, session)| {
                             // capes-check: allow(boundary-panic) -- the loop above built one action per cluster.
-                            let action = session.action.take().expect("built above");
-                            front.send_action(i, action);
-                        }
+                            (i, session.action.take().expect("built above"))
+                        }));
                         for (i, session) in sessions.iter_mut().enumerate() {
                             session.action = Some(front.recv_action(i));
                         }

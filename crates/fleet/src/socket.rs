@@ -10,12 +10,23 @@
 //!
 //! Write pattern: the uplink is tick-batched. A member's monitors report
 //! once per sampling tick, so [`SocketFront::send_uplink`] only frames each
-//! message into a reused buffer and [`SocketFront::flush_uplink`] hands the
+//! message into a reused buffer (length prefix back-patched in place, no
+//! allocation per frame) and [`SocketFront::flush_uplink`] hands the
 //! member's whole tick to its connection in **one `write_all`** — one
 //! syscall, and on these `TCP_NODELAY` streams one reactor wake-up, per
 //! member per tick instead of one per frame. The batch buffer is shared by
 //! all members (each is flushed before the next is framed), which is why the
 //! uplink stays on the tick thread, in cluster order.
+//!
+//! Downlink pattern: [`SocketFront::send_actions`] queues the whole action
+//! fan-out on the server and wakes its reactor **once**, not once per
+//! cluster. Each member reads through a small [`BufReader`] that holds a
+//! whole action frame, so the frame's length prefix and payload cost one
+//! `recv` together instead of one each; the reactor, for its part, ends a
+//! connection's drain on a short read instead of reading again for
+//! `EAGAIN`. A tick's socket traffic is thus one `send` and one reactor
+//! `recv` per member up, one waker write for the fan-out, and one `send`
+//! and one member `recv` per member down.
 //!
 //! Determinism: each cluster's traffic rides its own connection, so its
 //! per-cluster ingest order is exactly its send order — the same order the
@@ -34,22 +45,33 @@
 //! channel that has room for everything in flight, so the write always
 //! completes without the tick thread having to drain in between.
 
-use std::io::{self, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::TcpStream;
 
-use capes_agents::wire::{decode_cluster_frame, encode_cluster_frame};
+use capes_agents::wire::{decode_cluster_frame, encode_cluster_frame_into};
 use capes_agents::{ActionMessage, Message};
-use capes_net::{
-    encode_frame_into, read_frame, FleetServer, NetConfig, NetStatsSnapshot, ServerHandle,
-};
+use capes_net::{read_frame, FleetServer, NetConfig, NetStatsSnapshot, ServerHandle};
 use crossbeam::channel::Receiver;
+
+/// Read buffer of a member connection: an action frame (a few dozen bytes
+/// for the simulator's knobs) fits whole, so one `recv` fetches prefix and
+/// payload together, while 64 members hold 16 KiB rather than the 512 KiB
+/// of std's default 8 KiB buffers. A larger frame still reads correctly,
+/// its payload straight into the caller's buffer.
+const MEMBER_READ_CAPACITY: usize = 256;
+
+/// Wraps a member's downlink in its small read buffer.
+fn member_reader<R: Read>(inner: R) -> BufReader<R> {
+    BufReader::with_capacity(MEMBER_READ_CAPACITY, inner)
+}
 
 /// The server plus the member clusters' loopback connections.
 pub(crate) struct SocketFront {
     handle: ServerHandle,
     ingress: Receiver<(u32, Message)>,
-    /// One blocking connection per cluster, index = cluster id.
-    clients: Vec<TcpStream>,
+    /// One blocking connection per cluster, index = cluster id; reads go
+    /// through the buffer, writes straight to the stream.
+    clients: Vec<BufReader<TcpStream>>,
     /// Messages each cluster sends per measurement tick (2 × its monitors).
     expected_per_tick: Vec<usize>,
     /// Length-prefixed uplink frames of the member being gathered, not yet
@@ -85,7 +107,7 @@ impl SocketFront {
             .map(|_| {
                 let stream = TcpStream::connect(handle.local_addr())?;
                 stream.set_nodelay(true)?;
-                Ok(stream)
+                Ok(member_reader(stream))
             })
             .collect::<io::Result<Vec<_>>>()?;
         Ok(SocketFront {
@@ -113,15 +135,14 @@ impl SocketFront {
     /// Frames one uplink message from `cluster` into the pending batch.
     /// Nothing reaches the socket until [`flush_uplink`](Self::flush_uplink).
     pub(crate) fn send_uplink(&mut self, cluster: usize, message: &Message) {
-        let frame = encode_cluster_frame(cluster as u32, message);
-        encode_frame_into(&mut self.uplink, &frame);
+        encode_cluster_frame_into(&mut self.uplink, cluster as u32, message);
     }
 
     /// Writes the pending batch on `cluster`'s connection in one `write_all`
     /// (blocking; the reactor drains continuously, so loopback writes
     /// complete promptly) and empties it for the next member.
     pub(crate) fn flush_uplink(&mut self, cluster: usize) -> io::Result<()> {
-        write_batch(&mut self.clients[cluster], &mut self.uplink)
+        write_batch(self.clients[cluster].get_mut(), &mut self.uplink)
     }
 
     /// Receives exactly one measurement tick's traffic from the server's
@@ -151,16 +172,20 @@ impl SocketFront {
         }
     }
 
-    /// Queues an action for `cluster` on the server-side downlink.
-    pub(crate) fn send_action(&self, cluster: usize, action: ActionMessage) {
+    /// Queues every `(cluster, action)` of a fan-out on the server-side
+    /// downlink and wakes the reactor once for all of them.
+    pub(crate) fn send_actions(&self, actions: impl IntoIterator<Item = (usize, ActionMessage)>) {
+        let messages = actions
+            .into_iter()
+            .map(|(cluster, action)| (cluster as u32, Message::Action(action)));
         assert!(
-            self.handle.send(cluster as u32, &Message::Action(action)),
+            self.handle.send_all(messages),
             "socket server died before the action downlink"
         );
     }
 
     /// Blocks until `cluster`'s connection delivers its action frame and
-    /// decodes it.
+    /// decodes it: one `recv` for a frame that fits the member's buffer.
     ///
     /// # Panics
     /// Panics on I/O failure, on a frame that does not decode, or on a frame
@@ -195,6 +220,7 @@ fn write_batch<W: Write>(w: &mut W, batch: &mut Vec<u8>) -> io::Result<()> {
 mod tests {
     use super::*;
     use capes_agents::PiReport;
+    use capes_net::DEFAULT_MAX_FRAME_LEN;
 
     /// Accepts everything it is given and counts the `write` calls.
     #[derive(Default)]
@@ -213,6 +239,78 @@ mod tests {
         fn flush(&mut self) -> io::Result<()> {
             Ok(())
         }
+    }
+
+    /// Serves one queued segment per `read` at most (the way a socket
+    /// returns what has arrived so far) and counts the `read` calls.
+    struct CountingReader {
+        segments: std::collections::VecDeque<Vec<u8>>,
+        reads: usize,
+    }
+
+    impl Read for CountingReader {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            let Some(segment) = self.segments.front_mut() else {
+                return Ok(0);
+            };
+            let n = segment.len().min(buf.len());
+            buf[..n].copy_from_slice(&segment[..n]);
+            segment.drain(..n);
+            if segment.is_empty() {
+                self.segments.pop_front();
+            }
+            Ok(n)
+        }
+    }
+
+    fn action(tick: u64) -> Message {
+        Message::Action(ActionMessage {
+            tick,
+            action_index: 5,
+            parameter_values: vec![64.0, 400.0, 1.5, 8.0],
+        })
+    }
+
+    /// Three ticks' action frames, each arriving as its own segment.
+    fn action_segments() -> std::collections::VecDeque<Vec<u8>> {
+        (0..3)
+            .map(|tick| {
+                let mut frame = Vec::new();
+                encode_cluster_frame_into(&mut frame, 2, &action(tick));
+                assert!(frame.len() <= MEMBER_READ_CAPACITY);
+                frame
+            })
+            .collect()
+    }
+
+    #[test]
+    fn an_action_frame_costs_the_member_exactly_one_read() {
+        let mut member = member_reader(CountingReader {
+            segments: action_segments(),
+            reads: 0,
+        });
+        let mut buf = Vec::new();
+        for tick in 0..3 {
+            read_frame(&mut member, DEFAULT_MAX_FRAME_LEN, &mut buf).unwrap();
+            assert_eq!(decode_cluster_frame(&buf).unwrap(), (2, action(tick)));
+            assert_eq!(
+                member.get_ref().reads,
+                tick as usize + 1,
+                "one read per frame"
+            );
+        }
+
+        // Unbuffered, the same frames cost a read for the prefix and one
+        // for the payload.
+        let mut raw = CountingReader {
+            segments: action_segments(),
+            reads: 0,
+        };
+        for _ in 0..3 {
+            read_frame(&mut raw, DEFAULT_MAX_FRAME_LEN, &mut buf).unwrap();
+        }
+        assert_eq!(raw.reads, 6);
     }
 
     fn report(tick: u64, node: usize) -> Message {

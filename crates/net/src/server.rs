@@ -15,7 +15,14 @@
 //!   [`FrameReassembler`](crate::framing::FrameReassembler), which validates
 //!   against `max_frame_len` before allocating, and every frame decodes via
 //!   the hardened [`capes_agents::wire`] path.
+//! - **Cross into the kernel only to move bytes.** A fan-out of frames
+//!   ([`ServerHandle::send_all`]) costs one waker write, not one per frame.
+//!   A read shorter than `read_chunk` ends a connection's drain: epoll is
+//!   level-triggered, so bytes that land afterwards are reported again on
+//!   the next poll, and the `EAGAIN` read that would only confirm an empty
+//!   socket is never issued.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -208,9 +215,24 @@ impl ServerHandle {
     /// if no connection has identified itself with that cluster id yet, the
     /// frame is dropped by the reactor.
     pub fn send(&self, cluster: u32, message: &Message) -> bool {
-        let frame = encode_cluster_frame(cluster, message);
-        if self.cmds.send(ServerCmd::Send { cluster, frame }).is_err() {
-            return false;
+        self.send_all([(cluster, message)])
+    }
+
+    /// Queues every `(cluster, message)` pair, in order, as [`send`] would,
+    /// and wakes the reactor once for the lot: one waker write per fan-out
+    /// instead of one per frame. Returns `false` if the reactor has already
+    /// stopped.
+    ///
+    /// [`send`]: ServerHandle::send
+    pub fn send_all<M: Borrow<Message>>(
+        &self,
+        messages: impl IntoIterator<Item = (u32, M)>,
+    ) -> bool {
+        for (cluster, message) in messages {
+            let frame = encode_cluster_frame(cluster, message.borrow());
+            if self.cmds.send(ServerCmd::Send { cluster, frame }).is_err() {
+                return false;
+            }
         }
         self.waker.wake().is_ok()
     }
@@ -472,8 +494,10 @@ impl ServerLoop {
         }
     }
 
-    /// Drains readable bytes from connection `idx`. Returns `false` if the
-    /// connection was closed (its slab slot is gone).
+    /// Drains readable bytes from connection `idx`, stopping at the first
+    /// read shorter than `read_chunk` (the socket is then empty; anything
+    /// arriving later is reported again, epoll being level-triggered).
+    /// Returns `false` if the connection was closed (its slab slot is gone).
     fn conn_readable(&mut self, idx: usize) -> bool {
         loop {
             let ServerLoop {
@@ -513,23 +537,28 @@ impl ServerLoop {
                             ConnMode::Framed
                         };
                     }
+                    let drained = n < chunk.len();
                     if conn.mode == ConnMode::Http {
-                        if conn.close_after_flush {
-                            // Response already queued; discard trailing bytes.
-                            continue;
+                        // Once the response is queued, trailing bytes are
+                        // discarded.
+                        if !conn.close_after_flush {
+                            // In bounds: `read` wrote exactly `n <= chunk.len()`.
+                            conn.http_buf.extend_from_slice(&chunk[..n]);
+                            if conn.http_buf.len() > MAX_HTTP_REQUEST {
+                                self.close(idx, CloseReason::Protocol);
+                                return false;
+                            }
+                            // Headers complete (we ignore their content —
+                            // every GET gets the same exposition) → answer
+                            // and close.
+                            if conn.http_buf.windows(4).any(|w| w == b"\r\n\r\n")
+                                && !self.respond_metrics(idx)
+                            {
+                                return false;
+                            }
                         }
-                        // In bounds: `read` wrote exactly `n <= chunk.len()`.
-                        conn.http_buf.extend_from_slice(&chunk[..n]);
-                        if conn.http_buf.len() > MAX_HTTP_REQUEST {
-                            self.close(idx, CloseReason::Protocol);
-                            return false;
-                        }
-                        // Headers complete (we ignore their content — every
-                        // GET gets the same exposition) → answer and close.
-                        if conn.http_buf.windows(4).any(|w| w == b"\r\n\r\n")
-                            && !self.respond_metrics(idx)
-                        {
-                            return false;
+                        if drained {
+                            return true;
                         }
                         continue;
                     }
@@ -568,6 +597,9 @@ impl ServerLoop {
                         };
                         self.close(idx, reason);
                         return false;
+                    }
+                    if drained {
+                        return true;
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,

@@ -104,8 +104,17 @@ impl Writer {
     /// An empty in-memory writer whose buffer already holds room for
     /// `capacity` bytes.
     pub fn with_capacity(capacity: usize) -> Self {
+        Self::appending(Vec::with_capacity(capacity))
+    }
+
+    /// An in-memory writer that appends after `buf`'s bytes, reusing its
+    /// capacity: a caller framing many messages into one reused buffer
+    /// hands it in and takes it back with [`Writer::into_vec`], and once the
+    /// buffer has grown to its working size nothing allocates. Positions
+    /// ([`Writer::len`]) count `buf`'s bytes too.
+    pub fn appending(buf: Vec<u8>) -> Self {
         Writer {
-            buf: Vec::with_capacity(capacity),
+            buf,
             window: usize::MAX,
             drained: 0,
             pin: None,

@@ -9,13 +9,26 @@
 //!   `capes-tensor` relies on for its allocation-free dispatch path.
 //!
 //! Both halves are cloneable (MPMC), matching the upstream crate.
+//!
+//! Wake-ups cost a syscall only when someone is asleep. std's futex
+//! `Condvar::notify_one` issues a `FUTEX_WAKE` syscall whether or not a
+//! thread waits on it, roughly ten times the cost of the uncontended lock
+//! the message itself needs. So the channel counts, under its mutex, the
+//! receivers parked on `not_empty` and the senders parked on `not_full`
+//! (bumped before `wait`, dropped after it returns): `send` notifies only
+//! when a receiver is parked, `recv`/`try_recv` only when a sender is. A
+//! zero count seen under the lock means the peer has not parked yet, and it
+//! re-checks the queue under that same lock before it does, so no wake-up
+//! is lost. Disconnects still `notify_all` unconditionally. The `models`
+//! test of `capes-check` explores the protocol, including a seeded
+//! lost-wakeup variant the checker must report.
 
 #![forbid(unsafe_code)]
 
 /// MPMC channels.
 pub mod channel {
     use std::collections::VecDeque;
-    use std::sync::{Arc, Condvar, Mutex};
+    use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
     struct State<T> {
         queue: VecDeque<T>,
@@ -23,12 +36,30 @@ pub mod channel {
         capacity: Option<usize>,
         senders: usize,
         receivers: usize,
+        /// Receivers blocked in `not_empty.wait`.
+        parked_receivers: usize,
+        /// Senders blocked in `not_full.wait`.
+        parked_senders: usize,
     }
 
     struct Shared<T> {
         state: Mutex<State<T>>,
         not_empty: Condvar,
         not_full: Condvar,
+        /// `notify_one` calls issued, for the crossing-count tests.
+        #[cfg(test)]
+        notifies: std::sync::atomic::AtomicUsize,
+    }
+
+    impl<T> Shared<T> {
+        /// Wakes one thread parked on `condvar`; the caller has seen, under
+        /// the lock, that one is.
+        fn wake_one(&self, condvar: &Condvar) {
+            #[cfg(test)]
+            self.notifies
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            condvar.notify_one();
+        }
     }
 
     /// Sending half of a channel.
@@ -82,9 +113,13 @@ pub mod channel {
                 capacity,
                 senders: 1,
                 receivers: 1,
+                parked_receivers: 0,
+                parked_senders: 0,
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
+            #[cfg(test)]
+            notifies: std::sync::atomic::AtomicUsize::new(0),
         });
         (
             Sender {
@@ -169,11 +204,16 @@ pub mod channel {
                 let full = state.capacity.is_some_and(|cap| state.queue.len() >= cap);
                 if !full {
                     state.queue.push_back(message);
+                    let wake = state.parked_receivers > 0;
                     drop(state);
-                    self.shared.not_empty.notify_one();
+                    if wake {
+                        self.shared.wake_one(&self.shared.not_empty);
+                    }
                     return Ok(());
                 }
+                state.parked_senders += 1;
                 state = self.shared.not_full.wait(state).unwrap();
+                state.parked_senders -= 1;
             }
         }
     }
@@ -194,8 +234,7 @@ pub mod channel {
             let mut state = self.shared.state.lock().unwrap();
             match state.queue.pop_front() {
                 Some(v) => {
-                    drop(state);
-                    self.shared.not_full.notify_one();
+                    self.popped(state);
                     Ok(v)
                 }
                 None if state.senders == 0 => Err(TryRecvError::Disconnected),
@@ -208,20 +247,48 @@ pub mod channel {
             let mut state = self.shared.state.lock().unwrap();
             loop {
                 if let Some(v) = state.queue.pop_front() {
-                    drop(state);
-                    self.shared.not_full.notify_one();
+                    self.popped(state);
                     return Ok(v);
                 }
                 if state.senders == 0 {
                     return Err(RecvError);
                 }
+                state.parked_receivers += 1;
                 state = self.shared.not_empty.wait(state).unwrap();
+                state.parked_receivers -= 1;
+            }
+        }
+
+        /// Releases the lock after a pop, waking one parked sender if any:
+        /// the pop freed the slot it is waiting for.
+        fn popped(&self, state: MutexGuard<'_, State<T>>) {
+            let wake = state.parked_senders > 0;
+            drop(state);
+            if wake {
+                self.shared.wake_one(&self.shared.not_full);
             }
         }
 
         /// Drains currently queued messages without blocking.
         pub fn try_iter(&self) -> impl Iterator<Item = T> + '_ {
             std::iter::from_fn(move || self.try_recv().ok())
+        }
+    }
+
+    /// Test probes into the wake-up protocol.
+    #[cfg(test)]
+    impl<T> Sender<T> {
+        /// `notify_one` calls this channel has issued so far.
+        pub(crate) fn notifies(&self) -> usize {
+            self.shared
+                .notifies
+                .load(std::sync::atomic::Ordering::Relaxed)
+        }
+
+        /// `(parked receivers, parked senders)` right now.
+        pub(crate) fn parked(&self) -> (usize, usize) {
+            let state = self.shared.state.lock().unwrap();
+            (state.parked_receivers, state.parked_senders)
         }
     }
 }
@@ -287,6 +354,54 @@ mod tests {
         let (tx, rx) = bounded::<u32>(1);
         drop(rx);
         assert!(tx.send(7).is_err());
+    }
+
+    /// Spins until `probe` holds; the parked counts are set under the lock
+    /// just before `wait`, so this observes a peer that is (about to be)
+    /// asleep.
+    fn until(probe: impl Fn() -> bool) {
+        while !probe() {
+            thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn no_parked_peer_means_no_notify() {
+        for (tx, rx) in [bounded(4), unbounded()] {
+            for i in 0..3u32 {
+                tx.send(i).unwrap();
+            }
+            assert_eq!(rx.recv().unwrap(), 0);
+            assert_eq!(rx.try_recv().unwrap(), 1);
+            assert_eq!(rx.try_iter().collect::<Vec<_>>(), [2]);
+            assert_eq!(tx.notifies(), 0, "nobody was asleep to wake");
+        }
+    }
+
+    #[test]
+    fn send_to_a_parked_receiver_notifies_exactly_once() {
+        let (tx, rx) = bounded(4);
+        let receiver = thread::spawn(move || rx.recv().unwrap());
+        until(|| tx.parked() == (1, 0));
+        tx.send(42u32).unwrap();
+        assert_eq!(receiver.join().unwrap(), 42);
+        // The woken receiver's pop finds no parked sender: one wake total.
+        assert_eq!(tx.notifies(), 1);
+        assert_eq!(tx.parked(), (0, 0));
+    }
+
+    #[test]
+    fn recv_from_a_full_ring_wakes_its_parked_sender_once() {
+        let (tx, rx) = bounded(1);
+        tx.send(1u32).unwrap();
+        let probe = tx.clone();
+        let sender = thread::spawn(move || tx.send(2).unwrap());
+        until(|| probe.parked() == (0, 1));
+        assert_eq!(rx.recv().unwrap(), 1);
+        sender.join().unwrap();
+        assert_eq!(probe.notifies(), 1);
+        assert_eq!(rx.recv().unwrap(), 2);
+        assert_eq!(probe.notifies(), 1);
     }
 
     #[test]

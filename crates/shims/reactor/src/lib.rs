@@ -316,13 +316,15 @@ impl Waker {
     }
 
     /// Drains queued wake-up bytes so the (level-triggered) readiness clears.
-    /// Call when a poll event carries the waker's token.
+    /// Call when a poll event carries the waker's token. A short read means
+    /// the pipe is empty, so it ends the drain without a read that could
+    /// only return `EAGAIN`; a byte that lands later re-arms the readiness.
     pub fn drain(&self) {
         let mut sink = [0u8; 64];
         loop {
             // SAFETY: reads at most `sink.len()` bytes into the live buffer.
             let ret = unsafe { ffi::read(self.read_fd, sink.as_mut_ptr(), sink.len()) };
-            if ret <= 0 {
+            if ret < sink.len() as isize {
                 return;
             }
         }
