@@ -236,7 +236,7 @@ impl InterfaceDaemon {
 
     /// Ingests a decoded message.
     pub fn ingest(&mut self, message: &Message) {
-        // Every transport (in-process, wire frames, socket server) funnels
+        // Every transport (wire frames, socket server) funnels
         // decoded traffic through here, so this one span covers ingest
         // latency fleet-wide.
         let _span = capes_telemetry::span!("daemon.ingest");

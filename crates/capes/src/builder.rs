@@ -46,7 +46,7 @@ impl Capes {
             seed: 0,
             engine: None,
             observers: Vec::new(),
-            transport: Transport::InProcess,
+            transport: Transport::Wire,
             replay_db: None,
         }
     }
@@ -113,9 +113,10 @@ impl<T: TargetSystem> CapesBuilder<T> {
         self
     }
 
-    /// Sets the monitoring transport (default: [`Transport::InProcess`]).
-    /// [`Transport::Wire`] routes every monitoring message through the binary
-    /// wire codec, exactly as a networked deployment would.
+    /// Sets the monitoring transport (default: [`Transport::Wire`], which
+    /// routes every monitoring message through the binary wire codec,
+    /// exactly as a networked deployment would). [`Transport::Socket`]
+    /// stages the messages for an external transmitter instead.
     #[must_use]
     pub fn transport(mut self, transport: Transport) -> Self {
         self.transport = transport;

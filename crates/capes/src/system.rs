@@ -24,14 +24,11 @@ use std::path::Path;
 /// How monitoring traffic travels from the agents to the Interface Daemon.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Transport {
-    /// Decoded [`Message`] values are handed to the daemon directly (the
-    /// historical in-process default; PI values keep full `f64` precision).
-    #[default]
-    InProcess,
     /// Every message is encoded into its binary wire frame and decoded by the
     /// daemon — the paper's deployment shape. PI values round-trip through
     /// `f32` exactly as they would over the network, and the daemon's
     /// byte counters (Table 2) accumulate real frame sizes.
+    #[default]
     Wire,
     /// Messages leave the system entirely: they are staged in an outbox for
     /// an external driver (the fleet daemon's socket front end) to transmit
@@ -46,10 +43,10 @@ pub enum Transport {
 
 impl Transport {
     /// The transport's discriminant in snapshot payloads (stable across
-    /// releases — snapshot compatibility depends on it).
+    /// releases — snapshot compatibility depends on it). Tag 0 belonged to
+    /// the retired in-process transport and decodes as a mismatch.
     pub fn tag(self) -> u8 {
         match self {
-            Transport::InProcess => 0,
             Transport::Wire => 1,
             Transport::Socket => 2,
         }
@@ -107,7 +104,7 @@ pub struct CapesSystem<T: TargetSystem> {
     specs: Vec<TunableSpec>,
     transport: Transport,
     /// Messages staged for an external transmitter ([`Transport::Socket`]
-    /// only); always empty on the in-process transports.
+    /// only); always empty on [`Transport::Wire`].
     outbox: Vec<Message>,
     tick: u64,
     throughput_history: Vec<f64>,
@@ -431,8 +428,8 @@ impl<T: TargetSystem> CapesSystem<T> {
 
     /// First half of the measurement stage: lets the target run for one
     /// second and routes the Monitoring Agents' differential reports and the
-    /// objective over the configured [`Transport`]. On the in-process
-    /// transports the messages land in the daemon immediately; on
+    /// objective over the configured [`Transport`]. On [`Transport::Wire`]
+    /// the frames are decoded into the daemon immediately; on
     /// [`Transport::Socket`] they are staged in the outbox
     /// ([`CapesSystem::drain_outbox`]) and the measurement is incomplete
     /// until every message has come back through
@@ -529,7 +526,6 @@ impl<T: TargetSystem> CapesSystem<T> {
         message: &Message,
     ) {
         match transport {
-            Transport::InProcess => daemon.ingest(message),
             Transport::Wire => {
                 let frame = encode_message(message);
                 daemon
@@ -973,7 +969,6 @@ mod tests {
         }
         let stats = system.daemon_stats();
         assert_eq!(stats.reports_received, 60);
-        // In-process ingestion never counts bytes; the wire transport must.
         assert!(stats.bytes_received > 0, "wire frames carry real bytes");
         assert_eq!(system.replay_db().len(), 60);
     }
@@ -1088,13 +1083,22 @@ mod tests {
         original.encode_state(&mut w);
 
         // Transport skew.
-        let mut wire = Capes::builder(QuadraticTarget::new(60.0))
+        let mut socket = Capes::builder(QuadraticTarget::new(60.0))
             .hyperparams(quick_hyperparams())
             .seed(1)
-            .transport(Transport::Wire)
+            .transport(Transport::Socket)
             .build()
             .unwrap();
         let mut r = capes_persist::Reader::new(w.as_slice());
+        let err = socket.decode_state(&mut r).unwrap_err();
+        assert!(err.to_string().contains("transport"), "got: {err}");
+        assert_eq!(socket.tick(), 0, "nothing was overwritten");
+
+        // A snapshot of the retired in-process transport (tag 0).
+        let mut retired = w.as_slice().to_vec();
+        retired[0] = 0;
+        let mut wire = quick_system(60.0, 1);
+        let mut r = capes_persist::Reader::new(&retired);
         let err = wire.decode_state(&mut r).unwrap_err();
         assert!(err.to_string().contains("transport"), "got: {err}");
         assert_eq!(wire.tick(), 0, "nothing was overwritten");

@@ -51,7 +51,6 @@ pub mod daemon;
 pub mod report;
 pub mod scenario;
 pub mod sched;
-#[cfg(feature = "net")]
 mod socket;
 pub mod traffic;
 

@@ -128,13 +128,12 @@ pub struct StripeOccupancy {
 
 /// Connection and ingest health of the fleet's network front end (ISSUE 6).
 ///
-/// Always present in a [`FleetReport`]; on the in-process transports every
-/// counter is zero and `enabled` is false. Counters cover the daemon's whole
-/// lifetime, not just the reported run.
+/// Always present in a [`FleetReport`]; on the wire transport every counter
+/// but `reports_rejected` is zero and `enabled` is false. Counters cover the
+/// daemon's whole lifetime, not just the reported run.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct NetReport {
-    /// Which transport the fleet ran on (`"in-process"`, `"wire"` or
-    /// `"socket"`). Only the socket transport measures connection counters,
+    /// Which transport the fleet ran on (`"wire"` or `"socket"`). Only the socket transport measures connection counters,
     /// so consumers need this tag to tell "no traffic" from "not measured":
     /// a wire fleet moves real frames that never touch these counters.
     pub transport: String,
@@ -209,15 +208,15 @@ pub struct FleetReport {
     /// cluster, a checkpoint spike) dents this long before it moves the
     /// whole-run average above.
     pub recent_cluster_ticks_per_sec: f64,
-    /// Network front-end health (zeros on in-process transports).
+    /// Network front-end health (zeros on the wire transport).
     pub net: NetReport,
     /// Checkpoint/record activity (zeros when durability is unused).
     pub persist: PersistReport,
     /// Every metric in the global registry at report time (ISSUE 8) —
     /// tick-phase latency histograms, GEMM/arena/ingest/checkpoint timings,
     /// per-cluster objective gauges — the same numbers a live `/metrics`
-    /// scrape would show, carried in the report so the in-process and wire
-    /// transports get them too.
+    /// scrape would show, carried in the report so the wire transport gets
+    /// them too.
     pub telemetry: TelemetrySnapshot,
 }
 

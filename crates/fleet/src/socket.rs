@@ -1,5 +1,5 @@
-//! The fleet's socket front end (`net` feature): member clusters talk to the
-//! daemon over real loopback TCP through the [`capes_net`] reactor server.
+//! The fleet's socket front end: member clusters talk to the daemon over
+//! real loopback TCP through the [`capes_net`] reactor server.
 //!
 //! One blocking [`TcpStream`] per cluster plays the member's network stack:
 //! the daemon's tick loop writes the cluster's monitoring frames into it,
@@ -30,7 +30,7 @@
 //!
 //! Determinism: each cluster's traffic rides its own connection, so its
 //! per-cluster ingest order is exactly its send order — the same order the
-//! in-process transports use. Cross-cluster arrival interleaving varies run
+//! wire transport uses. Cross-cluster arrival interleaving varies run
 //! to run, but clusters do not share daemon state, so the fleet's results
 //! are bit-identical to [`capes::Transport::Wire`] (the integration tests
 //! hold the report JSON equal).

@@ -107,12 +107,6 @@ fn wire_restore_resumes_bit_identically() {
 }
 
 #[test]
-fn in_process_restore_resumes_bit_identically() {
-    assert_restore_resumes_bit_identically(Transport::InProcess, "inproc");
-}
-
-#[cfg(feature = "net")]
-#[test]
 fn socket_restore_resumes_bit_identically() {
     assert_restore_resumes_bit_identically(Transport::Socket, "socket");
 }
@@ -178,13 +172,13 @@ fn restore_rejects_geometry_skew_untouched() {
     assert_eq!(wide.tick(), 0);
 
     // Wrong transport.
-    let mut inproc = two_cluster_fleet(Transport::InProcess, 7);
-    let err = inproc.restore(&snap).expect_err("transport must mismatch");
+    let mut socket = two_cluster_fleet(Transport::Socket, 7);
+    let err = socket.restore(&snap).expect_err("transport must mismatch");
     assert!(
         format!("{err}").contains("transport"),
         "unexpected error: {err}"
     );
-    assert_eq!(inproc.tick(), 0);
+    assert_eq!(socket.tick(), 0);
 
     // Mismatched replay configuration: same geometry, smaller arena stripes.
     let mut small = Fleet::builder()
@@ -255,7 +249,43 @@ fn record_without_socket_transport_is_rejected() {
     assert_eq!(fleet.stop_recording().unwrap(), 0, "no recording active");
 }
 
-#[cfg(feature = "net")]
+#[test]
+fn record_to_finishes_the_open_log_before_starting_another() {
+    let first = temp_path("first.log");
+    let second = temp_path("second.log");
+    let mut fleet = two_cluster_fleet(Transport::Socket, 37);
+    fleet.record_to(&first).expect("start the first log");
+    for _ in 0..3 {
+        fleet.tick_all(PhaseKind::Train);
+    }
+    fleet
+        .record_to(&second)
+        .expect("finish the first, start the second");
+    let recorded = fleet.persist_report().records_appended;
+    assert!(recorded > 0);
+    // The first log is complete on disk without a `stop_recording`.
+    let mut offline = two_cluster_fleet(Transport::Wire, 37);
+    assert_eq!(offline.replay_traffic(&first).unwrap(), recorded);
+
+    // `/dev/full` opens and buffers the header, then fails the flush: a
+    // log that cannot be finished surfaces its error, and the next log is
+    // not started in its place.
+    fleet
+        .record_to(std::path::Path::new("/dev/full"))
+        .expect("finish the second, open /dev/full");
+    let err = fleet
+        .record_to(&first)
+        .expect_err("the open log cannot be finished");
+    assert!(
+        matches!(err, FleetError::Persist(_)),
+        "unexpected error: {err}"
+    );
+    assert_eq!(fleet.stop_recording().unwrap(), 0, "no recording active");
+    for path in [&first, &second] {
+        let _ = std::fs::remove_file(path);
+    }
+}
+
 #[test]
 fn recorded_socket_traffic_replays_to_the_same_monitoring_state() {
     let log = temp_path("traffic.log");

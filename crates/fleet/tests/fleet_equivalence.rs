@@ -41,7 +41,8 @@ fn phases() -> Vec<Phase> {
     ]
 }
 
-fn run_equivalence(transport: Transport) {
+#[test]
+fn one_cluster_fleet_is_bit_identical_to_experiment_over_wire_frames() {
     const FLEET_SEED: u64 = 7;
     const CLUSTER_SEED: u64 = 4242;
     let workload = Workload::random_rw(0.1);
@@ -60,7 +61,7 @@ fn run_equivalence(transport: Transport) {
     let system = Capes::builder(target)
         .hyperparams(quick_hp())
         .seed(FLEET_SEED)
-        .transport(transport)
+        .transport(Transport::Wire)
         .build()
         .expect("valid system");
     let mut experiment = Experiment::new(system);
@@ -73,7 +74,7 @@ fn run_equivalence(transport: Transport) {
     let mut daemon = Fleet::builder()
         .hyperparams(quick_hp())
         .seed(FLEET_SEED)
-        .transport(transport)
+        .transport(Transport::Wire)
         .scenario(
             ScenarioSpec::new("solo", workload)
                 .clients(num_clients)
@@ -100,22 +101,12 @@ fn run_equivalence(transport: Transport) {
             .unwrap_or_else(|| fleet_json.len().min(standalone_json.len()));
         let lo = byte.saturating_sub(80);
         panic!(
-            "fleet N=1 report diverges from the standalone experiment at byte {byte} \
-             ({transport:?}):\n fleet: …{}…\n solo:  …{}…",
+            "fleet N=1 report diverges from the standalone experiment at byte {byte}:\n \
+             fleet: …{}…\n solo:  …{}…",
             &fleet_json[lo..(byte + 40).min(fleet_json.len())],
             &standalone_json[lo..(byte + 40).min(standalone_json.len())],
         );
     }
-}
-
-#[test]
-fn one_cluster_fleet_is_bit_identical_to_experiment_over_wire_frames() {
-    run_equivalence(Transport::Wire);
-}
-
-#[test]
-fn one_cluster_fleet_is_bit_identical_to_experiment_in_process() {
-    run_equivalence(Transport::InProcess);
 }
 
 #[test]

@@ -96,11 +96,6 @@ fn assert_workers_bit_identical(transport: Transport, sharing: bool, tag: &str) 
 }
 
 #[test]
-fn in_process_fleet_is_bit_identical_across_worker_counts() {
-    assert_workers_bit_identical(Transport::InProcess, false, "inproc");
-}
-
-#[test]
 fn wire_fleet_is_bit_identical_across_worker_counts() {
     assert_workers_bit_identical(Transport::Wire, false, "wire");
 }
@@ -112,13 +107,11 @@ fn sharing_fleet_is_bit_identical_across_worker_counts() {
     assert_workers_bit_identical(Transport::Wire, true, "wire-sharing");
 }
 
-#[cfg(feature = "net")]
 #[test]
 fn socket_fleet_is_bit_identical_across_worker_counts() {
     assert_workers_bit_identical(Transport::Socket, false, "socket");
 }
 
-#[cfg(feature = "net")]
 #[test]
 fn socket_sharing_fleet_is_bit_identical_across_worker_counts() {
     assert_workers_bit_identical(Transport::Socket, true, "socket-sharing");

@@ -1,4 +1,4 @@
-//! Kernel crossings of a socket fleet tick (`net` feature), counted.
+//! Kernel crossings of a socket fleet tick, counted.
 //!
 //! A tuned tick moves one uplink batch and one action frame per member. The
 //! only bytes that must cross into the kernel are those, plus one wake-up of
@@ -14,7 +14,6 @@
 //!   collect `EAGAIN`.
 //!
 //! Both counters are process-wide, so this binary holds exactly one test.
-#![cfg(feature = "net")]
 
 use capes::{Hyperparameters, PhaseKind, Transport};
 use capes_fleet::{Fleet, ScenarioSpec};

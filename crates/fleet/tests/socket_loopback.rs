@@ -1,8 +1,7 @@
-//! Socket-transport integration tests (`net` feature): a fleet whose member
-//! clusters connect over real loopback TCP must be bit-identical to the same
-//! fleet on the in-process wire transport, and rogue/stalled connections
-//! must be counted and shed without touching the members.
-#![cfg(feature = "net")]
+//! Socket-transport integration tests: a fleet whose member clusters
+//! connect over real loopback TCP must be bit-identical to the same fleet on
+//! the wire transport, and rogue/stalled connections must be counted and
+//! shed without touching the members.
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -142,11 +141,7 @@ fn rogue_connection_is_counted_and_does_not_disturb_the_fleet() {
 }
 
 #[test]
-fn socket_without_feature_error_is_reserved_for_featureless_builds() {
-    // With the feature on, socket fleets build; the error variant is for
-    // builds without it. Exercise the success path plus the error Display.
-    let fleet = build(Transport::Socket);
-    assert!(fleet.socket_addr().is_some());
-    let message = capes_fleet::FleetError::SocketUnsupported.to_string();
-    assert!(message.contains("net"), "unexpected message: {message}");
+fn only_socket_fleets_expose_a_loopback_address() {
+    assert!(build(Transport::Socket).socket_addr().is_some());
+    assert!(build(Transport::Wire).socket_addr().is_none());
 }

@@ -225,16 +225,10 @@ fn restore_verify_records_one_sample_per_restore() {
 }
 
 #[test]
-fn in_process_fleet_reports_telemetry() {
-    run_and_check(Transport::InProcess, 41, "inproc");
-}
-
-#[test]
 fn wire_fleet_reports_telemetry() {
     run_and_check(Transport::Wire, 43, "wire");
 }
 
-#[cfg(feature = "net")]
 mod socket {
     use super::*;
     use capes::PhaseKind;

@@ -749,7 +749,6 @@ impl ServerLoop {
             return;
         };
         let _ = self.poll.deregister(conn.stream.as_raw_fd());
-        drop(conn);
         self.routes.retain(|_, &mut v| v != idx);
         self.free.push(idx);
         self.stats.active.set(self.stats.active.get() - 1.0);
@@ -759,6 +758,9 @@ impl ServerLoop {
             CloseReason::ShedIdle => bump!(self.stats, shed_idle),
             CloseReason::Protocol => bump!(self.stats, decode_errors),
         };
+        // Closing the socket last: a peer that sees EOF already sees the
+        // connection counted as closed.
+        drop(conn);
     }
 }
 

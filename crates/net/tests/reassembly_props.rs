@@ -58,7 +58,7 @@ fn framed_stream(rng: &mut StdRng, clusters: u32, count: usize) -> (Vec<u8>, Vec
         let message = random_message(rng);
         let frame = encode_cluster_frame(cluster, &message);
         // The reference decode is the *whole-buffer* path: what the fleet's
-        // in-process wire transport would see without any socket in between.
+        // wire transport sees, with no socket in between.
         let reference = decode_cluster_frame(&frame).expect("clean frame decodes");
         encode_frame_into(&mut stream, &frame);
         expected.push(reference);

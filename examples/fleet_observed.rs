@@ -1,11 +1,11 @@
-//! Live fleet observability (`--features net`): an 8-cluster socket fleet
+//! Live fleet observability: an 8-cluster socket fleet
 //! runs in a background thread while the main thread scrapes the reactor's
 //! `/metrics` endpoint — plain HTTP on the same port the member clusters
 //! use for framed traffic — and prints the live p99 fleet-tick latency and
 //! every cluster's objective gauge as training progresses.
 //!
 //! ```bash
-//! cargo run --release --features net --example fleet_observed
+//! cargo run --release --example fleet_observed
 //! ```
 //!
 //! Ticks can be scaled with `CAPES_FLEET_TRAIN_TICKS` /

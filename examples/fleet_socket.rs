@@ -1,12 +1,12 @@
-//! Fleet tuning over real loopback TCP (`--features net`): member clusters
-//! send their monitoring frames through the `capes-net` reactor server
-//! instead of the in-process wire transport, and actions return the same
-//! way. The result series is bit-identical to `Transport::Wire` under the
-//! same seeds — the socket layer adds observability (the report's `net`
+//! Fleet tuning over real loopback TCP: member clusters send their
+//! monitoring frames through the `capes-net` reactor server instead of
+//! decoding them in process (the wire transport), and actions return the
+//! same way. The result series is bit-identical to `Transport::Wire` under
+//! the same seeds — the socket layer adds observability (the report's `net`
 //! section) without perturbing a single decision.
 //!
 //! ```bash
-//! cargo run --release --features net --example fleet_socket
+//! cargo run --release --example fleet_socket
 //! ```
 //!
 //! Ticks can be scaled with `CAPES_FLEET_TRAIN_TICKS` /
