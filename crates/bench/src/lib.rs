@@ -24,10 +24,9 @@
 //! comparators through one generic [`TuningEngine`] code path (the paper's
 //! future-work comparison).
 //!
-//! The `benches/` directory contains Criterion micro-benchmarks for the
-//! kernels behind Table 2 (forward/backward passes, training steps, minibatch
-//! construction, simulator ticks) and ablation benches for the design choices
-//! called out in DESIGN.md.
+//! Timing lives elsewhere: the detached `benchmark/` workspace times the
+//! kernels behind Table 2 (GEMM, forward/backward, Adam, the training step)
+//! and every fleet layer, and writes a machine-readable record per run.
 
 #![forbid(unsafe_code)]
 

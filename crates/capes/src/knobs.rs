@@ -17,8 +17,8 @@ pub const ENV_SIMD: &str = "CAPES_SIMD";
 /// available parallelism.
 pub const ENV_THREADS: &str = "CAPES_THREADS";
 
-/// Shard-worker count for the fleet daemon's tick pool. Unset or `0`:
-/// derived from available parallelism.
+/// Shard-worker count for the fleet daemon's tick pool. Unset, `0` or
+/// unparsable: 1, the sequential tick. `FleetBuilder::workers` overrides it.
 pub const ENV_FLEET_THREADS: &str = "CAPES_FLEET_THREADS";
 
 /// `1/on/true` enables span journaling (tracing) in `capes-telemetry`.
@@ -27,9 +27,6 @@ pub const ENV_TRACE: &str = "CAPES_TRACE";
 /// `1/on/true` runs the full-length experiment schedules instead of the CI
 /// quick profile.
 pub const ENV_FULL: &str = "CAPES_FULL";
-
-/// Connection count used by the net soak/integration harness.
-pub const ENV_NET_CONNS: &str = "CAPES_NET_CONNS";
 
 /// Training-phase tick count override for the single-system examples.
 pub const ENV_TRAIN_TICKS: &str = "CAPES_TRAIN_TICKS";
@@ -45,6 +42,3 @@ pub const ENV_FLEET_TRAIN_TICKS: &str = "CAPES_FLEET_TRAIN_TICKS";
 
 /// Measurement-phase tick count override for the fleet examples.
 pub const ENV_FLEET_MEASURE_TICKS: &str = "CAPES_FLEET_MEASURE_TICKS";
-
-/// Simulated fleet size override for the fleet examples.
-pub const ENV_FLEET_WORKERS: &str = "CAPES_FLEET_WORKERS";

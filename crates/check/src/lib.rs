@@ -16,6 +16,7 @@ pub mod rules;
 pub use config::Config;
 pub use rules::{Finding, Registries};
 
+use std::collections::HashSet;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -50,9 +51,20 @@ pub fn run(root: &Path, config: &Config) -> io::Result<Report> {
     }
 
     let mut findings = Vec::new();
+    let mut env_reads = HashSet::new();
     for rel in &files {
         let src = fs::read_to_string(root.join(rel))?;
-        findings.extend(rules::lint_file(rel, &src, config, &registries));
+        findings.extend(rules::lint_file(
+            rel,
+            &src,
+            config,
+            &registries,
+            &mut env_reads,
+        ));
+    }
+    for rel in config.env_registry.iter() {
+        let src = fs::read_to_string(root.join(rel))?;
+        findings.extend(rules::unread_env_knobs(rel, &src, &env_reads));
     }
     findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     Ok(Report {
@@ -61,7 +73,7 @@ pub fn run(root: &Path, config: &Config) -> io::Result<Report> {
     })
 }
 
-fn read_literals(root: &Path, rel: &str) -> io::Result<std::collections::HashSet<String>> {
+fn read_literals(root: &Path, rel: &str) -> io::Result<HashSet<String>> {
     let path = root.join(rel);
     let src = fs::read_to_string(&path)
         .map_err(|e| io::Error::new(e.kind(), format!("registry file {rel} is unreadable: {e}")))?;

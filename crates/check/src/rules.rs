@@ -5,7 +5,8 @@
 //! | `safety-comment`  | every `unsafe` block/fn/impl has a `// SAFETY:` comment above it |
 //! | `hot-path-alloc`  | no allocating calls in modules/fns declared hot in `check.toml`  |
 //! | `boundary-panic`  | no unwrap/expect/panic!/bare indexing in hardened boundary code  |
-//! | `env-registry`    | every `CAPES_*` literal appears in the env knob registry         |
+//! | `env-registry`    | every `CAPES_*` literal appears in the env knob registry, and    |
+//! |                   | every registry literal appears in some non-test file             |
 //! | `metric-registry` | every metric/span name literal appears in the name registry      |
 //! | `bad-suppression` | suppression comments name a real rule and carry a reason         |
 //!
@@ -71,11 +72,14 @@ struct Suppression {
 }
 
 /// Lints one file; `rel_path` is workspace-relative with `/` separators.
+/// Adds to `env_reads` every `CAPES_*` literal the file holds outside tests,
+/// for [`unread_env_knobs`].
 pub fn lint_file(
     rel_path: &str,
     src: &str,
     config: &Config,
     registries: &Registries,
+    env_reads: &mut HashSet<String>,
 ) -> Vec<Finding> {
     let lexed = lex(src);
     let test_regions = test_mod_regions(&lexed);
@@ -108,6 +112,7 @@ pub fn lint_file(
             config,
             registries,
             &in_tests,
+            env_reads,
             &mut findings,
         );
         check_metric_literals(
@@ -120,6 +125,40 @@ pub fn lint_file(
         );
     }
 
+    apply_suppressions(&mut findings, &suppressions);
+    findings
+}
+
+/// The other direction of rule `env-registry`: a `CAPES_*` literal in the
+/// registry file `rel_path` that no non-test file holds (`env_reads`, as
+/// gathered by [`lint_file`] over the workspace) documents a knob
+/// nothing reads.
+pub fn unread_env_knobs(rel_path: &str, src: &str, env_reads: &HashSet<String>) -> Vec<Finding> {
+    let lexed = lex(src);
+    // Malformed suppressions are already reported by `lint_file`.
+    let suppressions = collect_suppressions(rel_path, &lexed, &mut Vec::new());
+    let mut findings: Vec<Finding> = lexed
+        .tokens
+        .iter()
+        .filter(|t| t.kind == TokKind::Str && !t.attr && is_knob(&t.text))
+        .filter(|t| !env_reads.contains(&t.text))
+        .map(|t| Finding {
+            file: rel_path.to_string(),
+            line: t.line,
+            rule: "env-registry",
+            message: format!(
+                "env var `{}` is registered but no non-test file reads it",
+                t.text
+            ),
+        })
+        .collect();
+    apply_suppressions(&mut findings, &suppressions);
+    findings
+}
+
+/// Drops the findings an inline suppression waives and sorts the rest by
+/// (line, rule).
+fn apply_suppressions(findings: &mut Vec<Finding>, suppressions: &[Suppression]) {
     findings.retain(|f| {
         f.rule == "bad-suppression"
             || !suppressions.iter().any(|s| {
@@ -127,7 +166,6 @@ pub fn lint_file(
             })
     });
     findings.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
-    findings
 }
 
 /// `prefix` either names the file exactly or a directory prefix of it.
@@ -581,26 +619,33 @@ fn check_boundary(
     }
 }
 
-/// Rule `env-registry`.
+/// `CAPES_` followed by at least one of `A-Z`, `0-9`, `_`.
+fn is_knob(name: &str) -> bool {
+    name.len() > "CAPES_".len()
+        && name.starts_with("CAPES_")
+        && name
+            .bytes()
+            .all(|b| b.is_ascii_uppercase() || b.is_ascii_digit() || b == b'_')
+}
+
+/// Rule `env-registry`: flags unregistered knob literals and records every
+/// knob literal into `env_reads`.
 fn check_env_literals(
     rel_path: &str,
     lexed: &Lexed,
     config: &Config,
     registries: &Registries,
     in_tests: &dyn Fn(usize) -> bool,
+    env_reads: &mut HashSet<String>,
     findings: &mut Vec<Finding>,
 ) {
     for (i, tok) in lexed.tokens.iter().enumerate() {
-        if tok.kind != TokKind::Str || tok.attr || in_tests(i) {
+        let name = tok.text.as_str();
+        if tok.kind != TokKind::Str || tok.attr || in_tests(i) || !is_knob(name) {
             continue;
         }
-        let name = tok.text.as_str();
-        let is_knob = name.len() > "CAPES_".len()
-            && name.starts_with("CAPES_")
-            && name
-                .bytes()
-                .all(|b| b.is_ascii_uppercase() || b.is_ascii_digit() || b == b'_');
-        if is_knob && !registries.env.contains(name) {
+        env_reads.insert(name.to_string());
+        if !registries.env.contains(name) {
             findings.push(Finding {
                 file: rel_path.to_string(),
                 line: tok.line,
@@ -683,11 +728,16 @@ mod tests {
     }
 
     fn lint(src: &str) -> Vec<Finding> {
+        lint_with(src, &bare_config(), &Registries::default())
+    }
+
+    fn lint_with(src: &str, config: &Config, registries: &Registries) -> Vec<Finding> {
         lint_file(
             "crates/x/src/lib.rs",
             src,
-            &bare_config(),
-            &Registries::default(),
+            config,
+            registries,
+            &mut HashSet::new(),
         )
     }
 
@@ -735,14 +785,14 @@ mod tests {
         });
         let src =
             "fn cold() { let v = Vec::new(); }\nfn hot() { let v = vec![1]; let s = x.clone(); }";
-        let findings = lint_file("crates/x/src/lib.rs", src, &config, &Registries::default());
+        let findings = lint_with(src, &config, &Registries::default());
         assert_eq!(findings.len(), 2, "{findings:?}");
         assert!(findings
             .iter()
             .all(|f| f.rule == "hot-path-alloc" && f.line == 2));
         // The `;` of an array type in the signature does not hide the body.
         let src = "fn hot(b: &[u8; 16], c: [[u8; 4]; 2]) -> u32 {\n    b.to_vec(); 0\n}";
-        let findings = lint_file("crates/x/src/lib.rs", src, &config, &Registries::default());
+        let findings = lint_with(src, &config, &Registries::default());
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert_eq!(findings[0].line, 2);
     }
@@ -754,7 +804,7 @@ mod tests {
         let src = "fn f(v: &[u8]) -> u8 { let x = v[0]; x }\n\
                    fn g() { q().unwrap(); panic!(\"no\"); }\n\
                    #[cfg(test)]\nmod tests { fn t() { q().unwrap(); } }";
-        let findings = lint_file("crates/x/src/lib.rs", src, &config, &Registries::default());
+        let findings = lint_with(src, &config, &Registries::default());
         let rules: Vec<_> = findings.iter().map(|f| (f.line, f.rule)).collect();
         assert_eq!(
             rules,
@@ -767,12 +817,7 @@ mod tests {
         );
         // A justifying comment waives the indexing finding.
         let commented = "fn f(v: &[u8]) -> u8 { v[0] } // len checked by caller";
-        let ok = lint_file(
-            "crates/x/src/lib.rs",
-            commented,
-            &config,
-            &Registries::default(),
-        );
+        let ok = lint_with(commented, &config, &Registries::default());
         assert!(ok.is_empty(), "{ok:?}");
     }
 
@@ -795,7 +840,7 @@ mod tests {
                    let _t = span!(\"gemm.mystery\");\n\
                    reg.counter(\"gemm.mystery\");\n\
                    }";
-        let findings = lint_file("crates/x/src/lib.rs", src, &config, &registries);
+        let findings = lint_with(src, &config, &registries);
         let rules: Vec<_> = findings.iter().map(|f| (f.line, f.rule)).collect();
         assert_eq!(
             rules,

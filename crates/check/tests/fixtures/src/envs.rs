@@ -9,3 +9,13 @@ pub fn known() -> Option<String> {
 pub fn unknown() -> Option<String> {
     std::env::var("CAPES_FIXTURE_ROGUE").ok()
 }
+
+/// `CAPES_FIXTURE_STALE` is read only here, inside tests, so its registry
+/// line in `registry_env.rs` is flagged as unread.
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn stale() {
+        let _ = std::env::var("CAPES_FIXTURE_STALE");
+    }
+}

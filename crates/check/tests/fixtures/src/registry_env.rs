@@ -2,3 +2,6 @@
 
 /// A knob the fixtures are allowed to read.
 pub const KNOWN: &str = "CAPES_FIXTURE_KNOWN";
+
+/// A knob only a test reads: flagged as unread (line 7).
+pub const STALE: &str = "CAPES_FIXTURE_STALE";

@@ -42,6 +42,7 @@ fn expected() -> Vec<(String, u32, &'static str)> {
         ("src/hot_fns.rs", 8, "hot-path-alloc"),
         ("src/metrics.rs", 8, "metric-registry"),
         ("src/metrics.rs", 13, "metric-registry"),
+        ("src/registry_env.rs", 7, "env-registry"),
         ("src/safety.rs", 10, "safety-comment"),
         ("src/safety.rs", 20, "safety-comment"),
         ("src/suppress.rs", 5, "bad-suppression"),

@@ -1,8 +1,8 @@
 //! Blocking client-side frame I/O.
 //!
-//! The fleet's loopback clients (and the ingest bench) are simple blocking
-//! writers: they already pace themselves on the tick schedule, so async
-//! machinery on the client side would buy nothing. These helpers put the
+//! The fleet's loopback clients are simple blocking writers: they already
+//! pace themselves on the tick schedule, so async machinery on the client
+//! side would buy nothing. These helpers put the
 //! length prefix on outbound frames and strip it from inbound ones, with the
 //! same pre-allocation length check the server enforces.
 

@@ -15,7 +15,7 @@
 //! | [`framing`] | length-prefixed reassembly; allocation-safe against hostile prefixes |
 //! | [`conn`] | byte-stream → decoded-message state for one connection, socket-free |
 //! | [`server`] | the reactor loop: accept, readiness, backpressure, shedding, stats |
-//! | [`client`] | blocking helpers for loopback clients and benches |
+//! | [`client`] | blocking helpers for loopback clients and tests |
 //!
 //! Backpressure has exactly two rules, both enforced with counters rather
 //! than unbounded memory: a slow *consumer* (the trainer) blocks the reactor

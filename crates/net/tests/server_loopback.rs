@@ -329,6 +329,75 @@ fn one_write_and_a_byte_drip_deliver_the_same_sequence() {
     assert_eq!(drip_stats.bytes_in, batch.len() as u64);
 }
 
+/// Zero-drop soak: 1 024 concurrent connections, one per cluster, each
+/// sending 8 report frames, written by 8 threads while this thread drains the
+/// ingress channel. Every well-formed frame arrives, in order per cluster,
+/// and nothing is shed, fails to decode or disconnects.
+#[test]
+fn a_thousand_connections_deliver_every_frame() {
+    const CONNS: usize = 1024;
+    const FRAMES_PER_CONN: u64 = 8;
+    const WRITERS: usize = 8;
+    let config = NetConfig {
+        num_clusters: Some(CONNS),
+        ingress_capacity: 2 * CONNS * FRAMES_PER_CONN as usize,
+        ..NetConfig::default()
+    };
+    let (handle, ingress) = FleetServer::spawn("127.0.0.1:0", config).expect("spawn server");
+    let mut clients: Vec<(TcpStream, Vec<u8>)> = (0..CONNS)
+        .map(|cluster| {
+            let stream = TcpStream::connect(handle.local_addr()).expect("connect");
+            stream.set_nodelay(true).expect("nodelay");
+            let mut burst = Vec::new();
+            for tick in 0..FRAMES_PER_CONN {
+                let message = Message::Report(PiReport {
+                    tick,
+                    node: cluster,
+                    total_pis: 12,
+                    changed: (0..12u16).map(|pi| (pi, 0.25 + f64::from(pi))).collect(),
+                });
+                let frame = encode_cluster_frame(cluster as u32, &message);
+                capes_net::encode_frame_into(&mut burst, &frame);
+            }
+            (stream, burst)
+        })
+        .collect();
+
+    let mut next_tick = vec![0u64; CONNS];
+    std::thread::scope(|scope| {
+        for shard in clients.chunks_mut(CONNS / WRITERS) {
+            scope.spawn(move || {
+                for (stream, burst) in shard {
+                    stream.write_all(burst).expect("burst write");
+                }
+            });
+        }
+        // Drain while the writers push, as the fleet tick does.
+        for _ in 0..CONNS as u64 * FRAMES_PER_CONN {
+            let (cluster, message) = ingress.recv_timeout_or_panic();
+            let Message::Report(report) = message else {
+                panic!("cluster {cluster} sent a report, got {message:?}");
+            };
+            let expected = &mut next_tick[cluster as usize];
+            assert_eq!(report.tick, *expected, "cluster {cluster} out of order");
+            *expected += 1;
+        }
+    });
+
+    let stats = handle.stats();
+    assert_eq!(stats.accepted, CONNS as u64, "all connections accepted");
+    assert_eq!(stats.active, CONNS as u64, "no connection lost");
+    assert_eq!(
+        stats.frames_in,
+        CONNS as u64 * FRAMES_PER_CONN,
+        "dropped well-formed frames"
+    );
+    assert_eq!(stats.decode_errors, 0);
+    assert_eq!(stats.shed_backpressure, 0);
+    assert_eq!(stats.shed_idle, 0);
+    assert_eq!(stats.disconnects, 0);
+}
+
 /// `recv` with a deadline, panicking with context on timeout — keeps the
 /// individual tests free of unwrap-noise.
 trait RecvTimeout {

@@ -26,7 +26,7 @@ impl ConfidenceInterval {
         self.mean + self.half_width
     }
 
-    /// `true` if the two intervals do not overlap — the criterion the paper
+    /// `true` if the two intervals do not overlap — the test the paper
     /// uses to call a throughput difference significant.
     pub fn significantly_different_from(&self, other: &ConfidenceInterval) -> bool {
         self.lower() > other.upper() || self.upper() < other.lower()

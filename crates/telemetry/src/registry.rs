@@ -142,8 +142,9 @@ pub fn global() -> &'static Registry {
     GLOBAL.get_or_init(Registry::new)
 }
 
-/// Master recording switch. On by default; benches flip it off to measure
-/// the uninstrumented baseline in-process.
+/// Master recording switch. On by default; the overhead test
+/// (`crates/drl/tests/telemetry_overhead.rs`) flips it off to measure the
+/// uninstrumented baseline in-process.
 static RECORDING: AtomicBool = AtomicBool::new(true);
 
 /// Whether spans record (one relaxed load on every span entry).

@@ -34,7 +34,6 @@ pub mod pool;
 pub mod simd;
 
 pub use init::WeightInit;
-pub use matmul::MatmulStrategy;
 pub use matrix::Matrix;
 pub use pool::WorkerPool;
 pub use simd::SimdLevel;

@@ -1,16 +1,12 @@
 //! General matrix multiplication kernels.
 //!
-//! Three strategies are provided:
-//!
-//! * [`MatmulStrategy::Naive`] — textbook triple loop, used as the reference
-//!   implementation in tests.
-//! * [`MatmulStrategy::Blocked`] — cache-blocked kernel with a rank-4 inner
-//!   update that walks both operands row-major; the default for small
-//!   problems.
-//! * [`MatmulStrategy::Pooled`] — the blocked kernel dispatched onto the
-//!   persistent worker pool ([`crate::pool`]); no spawn cost and no heap
-//!   allocation per call. This is what the dispatcher picks for large
-//!   problems.
+//! The four products — [`Matrix::matmul_into`], [`Matrix::affine_into`],
+//! [`Matrix::matmul_transpose_b_into`] and [`Matrix::matmul_transpose_a_into`]
+//! — run one cache-blocked kernel per shape on their output rows, split
+//! across the persistent worker pool ([`crate::pool`]) once a product is
+//! large enough to pay for the dispatch. No spawn cost and no heap allocation
+//! per call. [`Matrix::matmul_naive`], the textbook triple loop, is the
+//! reference the tests compare every kernel against.
 //!
 //! Every product also has an `_into` variant that writes into a caller-owned
 //! output matrix, so steady-state callers (the DQN training step) never touch
@@ -20,27 +16,15 @@
 //! The kernels propagate non-finite values exactly like the naive reference:
 //! `0 · NaN` is `NaN`, never silently skipped.
 //!
-//! The inner kernels themselves live in [`crate::simd`]: both blocked
-//! strategies call through the runtime-dispatched entry points there, so
-//! single-threaded and pool-chunked products alike run the widest vector
-//! kernels the CPU supports (AVX2+FMA, with 512-bit GEMM tiles under
-//! `avx512f`; the portable scalar kernels otherwise, or under
-//! `CAPES_SIMD=off`).
+//! The inner kernels themselves live in [`crate::simd`]: single-threaded and
+//! pool-chunked products alike call the runtime-dispatched entry points
+//! there, so they run the widest vector kernels the CPU supports (AVX2+FMA,
+//! with 512-bit GEMM tiles under `avx512f`; the portable scalar kernels
+//! otherwise, or under `CAPES_SIMD=off`).
 
 use crate::pool::{self, WorkerPool};
 use crate::simd::{gemm_rows, gemm_ta_rows, gemm_tb_rows};
 use crate::Matrix;
-
-/// Which GEMM kernel to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MatmulStrategy {
-    /// Reference triple loop.
-    Naive,
-    /// Cache-blocked single-threaded kernel.
-    Blocked,
-    /// Cache-blocked kernel with rows split across the persistent pool.
-    Pooled,
-}
 
 /// FLOP threshold above which the dispatcher parallelises across the pool.
 const PARALLEL_FLOP_THRESHOLD: usize = 4_000_000;
@@ -89,31 +73,13 @@ impl Matrix {
         out
     }
 
-    /// `self · other` written into `out` (shape `self.rows × other.cols`),
-    /// dispatching on problem size. Allocation-free.
-    pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
-        let flops = self.rows() * self.cols() * other.cols();
-        let strategy = if flops >= PARALLEL_FLOP_THRESHOLD {
-            MatmulStrategy::Pooled
-        } else {
-            MatmulStrategy::Blocked
-        };
-        self.matmul_into_with(other, out, strategy);
-    }
-
-    /// `self · other` with an explicit kernel choice.
-    pub fn matmul_with(&self, other: &Matrix, strategy: MatmulStrategy) -> Matrix {
-        let mut out = Matrix::zeros(self.rows(), other.cols());
-        self.matmul_into_with(other, &mut out, strategy);
-        out
-    }
-
-    /// `self · other` written into `out` with an explicit kernel choice.
+    /// `self · other` written into `out` (shape `self.rows × other.cols`).
+    /// Allocation-free; parallelised over the pool for large problems.
     ///
     /// # Panics
     /// Panics if the inner dimensions do not agree or `out` has the wrong
     /// shape.
-    pub fn matmul_into_with(&self, other: &Matrix, out: &mut Matrix, strategy: MatmulStrategy) {
+    pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols(),
             other.rows(),
@@ -126,23 +92,41 @@ impl Matrix {
             (self.rows(), other.cols()),
             "matmul output shape mismatch"
         );
-        match strategy {
-            MatmulStrategy::Naive => matmul_naive(self, other, out),
-            MatmulStrategy::Blocked => {
-                out.as_mut_slice().fill(0.0);
-                let (m, k) = self.shape();
-                let n = other.cols();
-                gemm_rows(
-                    self.as_slice(),
-                    other.as_slice(),
-                    out.as_mut_slice(),
-                    m,
-                    k,
-                    n,
-                );
+        let (m, k) = self.shape();
+        let n = other.cols();
+        out.as_mut_slice().fill(0.0);
+        let (a_s, b_s) = (self.as_slice(), other.as_slice());
+        for_row_chunks(pool_for(m * k * n), out, |start, end, chunk| {
+            gemm_rows(&a_s[start * k..end * k], b_s, chunk, end - start, k, n);
+        });
+    }
+
+    /// `self · other` by the textbook triple loop: the reference every
+    /// kernel in this module is tested against, never used on a hot path.
+    ///
+    /// # Panics
+    /// Panics if the inner dimensions do not agree.
+    pub fn matmul_naive(&self, other: &Matrix) -> Matrix {
+        assert_eq!(
+            self.cols(),
+            other.rows(),
+            "matmul dimension mismatch: {:?} · {:?}",
+            self.shape(),
+            other.shape()
+        );
+        let (m, k) = self.shape();
+        let n = other.cols();
+        let mut out = Matrix::zeros(m, n);
+        for i in 0..m {
+            for j in 0..n {
+                let mut acc = 0.0;
+                for p in 0..k {
+                    acc += self.get(i, p) * other.get(p, j);
+                }
+                out.set(i, j, acc);
             }
-            MatmulStrategy::Pooled => matmul_pooled(self, other, out),
         }
+        out
     }
 
     /// Fused affine map `self · w + bias` (bias broadcast over rows) written
@@ -257,29 +241,6 @@ impl Matrix {
     }
 }
 
-fn matmul_naive(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    let (m, k) = a.shape();
-    let n = b.cols();
-    for i in 0..m {
-        for j in 0..n {
-            let mut acc = 0.0;
-            for p in 0..k {
-                acc += a.get(i, p) * b.get(p, j);
-            }
-            out.set(i, j, acc);
-        }
-    }
-}
-
-fn matmul_pooled(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    let (k, n) = b.shape();
-    out.as_mut_slice().fill(0.0);
-    let (a_s, b_s) = (a.as_slice(), b.as_slice());
-    for_row_chunks(Some(pool::global()), out, |start, end, chunk| {
-        gemm_rows(&a_s[start * k..end * k], b_s, chunk, end - start, k, n);
-    });
-}
-
 /// Number of hardware threads available to this process.
 pub fn available_threads() -> usize {
     std::thread::available_parallelism()
@@ -293,12 +254,6 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    const ALL_STRATEGIES: [MatmulStrategy; 3] = [
-        MatmulStrategy::Naive,
-        MatmulStrategy::Blocked,
-        MatmulStrategy::Pooled,
-    ];
-
     fn random_matrix(rng: &mut StdRng, r: usize, c: usize) -> Matrix {
         Matrix::from_vec(r, c, (0..r * c).map(|_| rng.gen_range(-1.0..1.0)).collect())
     }
@@ -308,9 +263,8 @@ mod tests {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
         let expected = Matrix::from_rows(&[&[19.0, 22.0], &[43.0, 50.0]]);
-        for strategy in ALL_STRATEGIES {
-            assert!(a.matmul_with(&b, strategy).approx_eq(&expected, 1e-12));
-        }
+        assert!(a.matmul_naive(&b).approx_eq(&expected, 1e-12));
+        assert!(a.matmul(&b).approx_eq(&expected, 1e-12));
     }
 
     #[test]
@@ -323,7 +277,7 @@ mod tests {
     }
 
     #[test]
-    fn strategies_agree_on_odd_shapes() {
+    fn matmul_agrees_with_the_naive_reference_on_odd_shapes() {
         let mut rng = StdRng::seed_from_u64(2);
         for &(m, k, n) in &[
             (1, 1, 1),
@@ -334,11 +288,8 @@ mod tests {
         ] {
             let a = random_matrix(&mut rng, m, k);
             let b = random_matrix(&mut rng, k, n);
-            let reference = a.matmul_with(&b, MatmulStrategy::Naive);
-            for strategy in [MatmulStrategy::Blocked, MatmulStrategy::Pooled] {
-                let got = a.matmul_with(&b, strategy);
-                assert!(got.approx_eq(&reference, 1e-9), "{strategy:?} {m}x{k}x{n}");
-            }
+            let got = a.matmul(&b);
+            assert!(got.approx_eq(&a.matmul_naive(&b), 1e-9), "{m}x{k}x{n}");
         }
     }
 
@@ -347,14 +298,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(12);
         let a = random_matrix(&mut rng, 9, 14);
         let b = random_matrix(&mut rng, 14, 6);
-        // Poisoned output: every kernel must fully overwrite it.
+        // Poisoned output: the kernel must fully overwrite it.
         let mut out = Matrix::filled(9, 6, f64::NAN);
-        let reference = a.matmul_with(&b, MatmulStrategy::Naive);
-        for strategy in ALL_STRATEGIES {
-            a.matmul_into_with(&b, &mut out, strategy);
-            assert!(out.approx_eq(&reference, 1e-9), "{strategy:?}");
-            out.as_mut_slice().fill(f64::NAN);
-        }
+        a.matmul_into(&b, &mut out);
+        assert!(out.approx_eq(&a.matmul_naive(&b), 1e-9));
     }
 
     #[test]
@@ -365,9 +312,7 @@ mod tests {
         let bias = random_matrix(&mut rng, 1, 7);
         let mut out = Matrix::filled(5, 7, f64::NAN);
         x.affine_into(&w, &bias, &mut out);
-        let reference = x
-            .matmul_with(&w, MatmulStrategy::Naive)
-            .add_row_broadcast(&bias);
+        let reference = x.matmul_naive(&w).add_row_broadcast(&bias);
         assert!(out.approx_eq(&reference, 1e-9));
     }
 
@@ -378,15 +323,12 @@ mod tests {
         // the reference implementation on poisoned inputs.
         let a = Matrix::from_rows(&[&[0.0, 1.0], &[2.0, 0.0]]);
         let b = Matrix::from_rows(&[&[f64::NAN, 3.0], &[4.0, f64::INFINITY]]);
-        let reference = a.matmul_with(&b, MatmulStrategy::Naive);
+        let reference = a.matmul_naive(&b);
         assert!(reference[(0, 0)].is_nan(), "0·NaN + 1·4 must be NaN");
-        for strategy in [MatmulStrategy::Blocked, MatmulStrategy::Pooled] {
-            let got = a.matmul_with(&b, strategy);
-            assert!(got.approx_eq(&reference, 1e-9), "{strategy:?}");
-        }
+        assert!(a.matmul(&b).approx_eq(&reference, 1e-9));
         // And the transpose-A kernel, which had the same skip.
         let direct = a.matmul_transpose_a(&b);
-        let explicit = a.transpose().matmul_with(&b, MatmulStrategy::Naive);
+        let explicit = a.transpose().matmul_naive(&b);
         assert!(direct.approx_eq(&explicit, 1e-9));
     }
 
@@ -396,12 +338,12 @@ mod tests {
         let a = random_matrix(&mut rng, 6, 11);
         let b = random_matrix(&mut rng, 9, 11);
         let direct = a.matmul_transpose_b(&b);
-        let explicit = a.matmul_with(&b.transpose(), MatmulStrategy::Naive);
+        let explicit = a.matmul_naive(&b.transpose());
         assert!(direct.approx_eq(&explicit, 1e-9));
 
         let c = random_matrix(&mut rng, 6, 4);
         let direct_a = a.matmul_transpose_a(&c);
-        let explicit_a = a.transpose().matmul_with(&c, MatmulStrategy::Naive);
+        let explicit_a = a.transpose().matmul_naive(&c);
         assert!(direct_a.approx_eq(&explicit_a, 1e-9));
     }
 
@@ -412,12 +354,12 @@ mod tests {
         let b = random_matrix(&mut rng, 5, 13);
         let mut out = Matrix::filled(8, 5, f64::NAN);
         a.matmul_transpose_b_into(&b, &mut out);
-        assert!(out.approx_eq(&a.matmul_with(&b.transpose(), MatmulStrategy::Naive), 1e-9));
+        assert!(out.approx_eq(&a.matmul_naive(&b.transpose()), 1e-9));
 
         let c = random_matrix(&mut rng, 8, 4);
         let mut out_a = Matrix::filled(13, 4, f64::NAN);
         a.matmul_transpose_a_into(&c, &mut out_a);
-        assert!(out_a.approx_eq(&a.transpose().matmul_with(&c, MatmulStrategy::Naive), 1e-9));
+        assert!(out_a.approx_eq(&a.transpose().matmul_naive(&c), 1e-9));
     }
 
     #[test]
@@ -435,7 +377,7 @@ mod tests {
         for_row_chunks(Some(&pool), &mut out, |start, end, chunk| {
             gemm_rows(&a_s[start * k..end * k], b_s, chunk, end - start, k, n);
         });
-        assert!(out.approx_eq(&a.matmul_with(&b, MatmulStrategy::Naive), 1e-9));
+        assert!(out.approx_eq(&a.matmul_naive(&b), 1e-9));
     }
 
     #[test]

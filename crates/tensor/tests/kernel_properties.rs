@@ -1,7 +1,7 @@
 //! Property tests: every `_into` kernel and the fused affine path must match
 //! the naive reference within 1e-9 across random shapes.
 
-use capes_tensor::{MatmulStrategy, Matrix};
+use capes_tensor::Matrix;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -15,22 +15,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn matmul_into_matches_naive_for_every_strategy(
+    fn matmul_into_matches_naive(
         (m, k, n) in (1usize..40, 1usize..70, 1usize..40),
         seed in any::<u64>(),
     ) {
         let a = random_matrix(seed, m, k);
         let b = random_matrix(seed.wrapping_add(1), k, n);
-        let reference = a.matmul_with(&b, MatmulStrategy::Naive);
+        let reference = a.matmul_naive(&b);
         let mut out = Matrix::filled(m, n, f64::NAN);
-        for strategy in [MatmulStrategy::Blocked, MatmulStrategy::Pooled] {
-            a.matmul_into_with(&b, &mut out, strategy);
-            prop_assert!(out.approx_eq(&reference, 1e-9), "{strategy:?} {m}x{k}x{n}");
-        }
-        // The auto-dispatching into-variant as well.
-        out.as_mut_slice().fill(f64::NAN);
         a.matmul_into(&b, &mut out);
-        prop_assert!(out.approx_eq(&reference, 1e-9), "auto {m}x{k}x{n}");
+        prop_assert!(out.approx_eq(&reference, 1e-9), "{m}x{k}x{n}");
     }
 
     #[test]
@@ -43,9 +37,7 @@ proptest! {
         let bias = random_matrix(seed.wrapping_add(2), 1, n);
         let mut out = Matrix::filled(m, n, f64::NAN);
         x.affine_into(&w, &bias, &mut out);
-        let reference = x
-            .matmul_with(&w, MatmulStrategy::Naive)
-            .add_row_broadcast(&bias);
+        let reference = x.matmul_naive(&w).add_row_broadcast(&bias);
         prop_assert!(out.approx_eq(&reference, 1e-9), "affine {m}x{k}x{n}");
     }
 
@@ -58,7 +50,7 @@ proptest! {
         let b = random_matrix(seed.wrapping_add(1), n, k);
         let mut out = Matrix::filled(m, n, f64::NAN);
         a.matmul_transpose_b_into(&b, &mut out);
-        let reference = a.matmul_with(&b.transpose(), MatmulStrategy::Naive);
+        let reference = a.matmul_naive(&b.transpose());
         prop_assert!(out.approx_eq(&reference, 1e-9), "tb {m}x{k}x{n}");
     }
 
@@ -75,7 +67,7 @@ proptest! {
         let b = random_matrix(seed.wrapping_add(1), n, k);
         let mut out = Matrix::filled(m, n, f64::NAN);
         a.matmul_transpose_b_into(&b, &mut out);
-        let reference = a.matmul_with(&b.transpose(), MatmulStrategy::Naive);
+        let reference = a.matmul_naive(&b.transpose());
         prop_assert!(out.approx_eq(&reference, 1e-9), "blocked tb {m}x{k}x{n}");
     }
 
@@ -88,7 +80,7 @@ proptest! {
         let b = random_matrix(seed.wrapping_add(1), k, n);
         let mut out = Matrix::filled(m, n, f64::NAN);
         a.matmul_transpose_a_into(&b, &mut out);
-        let reference = a.transpose().matmul_with(&b, MatmulStrategy::Naive);
+        let reference = a.transpose().matmul_naive(&b);
         prop_assert!(out.approx_eq(&reference, 1e-9), "ta {m}x{k}x{n}");
     }
 

@@ -1,7 +1,7 @@
 //! Property-based tests for the matrix algebra kernels.
 
 use capes_persist::{Persist, Reader, Writer};
-use capes_tensor::{MatmulStrategy, Matrix};
+use capes_tensor::Matrix;
 use proptest::prelude::*;
 
 /// Strategy producing a matrix of the given shape with bounded entries.
@@ -40,16 +40,12 @@ proptest! {
     }
 
     #[test]
-    fn matmul_strategies_agree((m, k, n) in dims(), seed in any::<u64>()) {
+    fn matmul_agrees_with_naive((m, k, n) in dims(), seed in any::<u64>()) {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let a = Matrix::from_vec(m, k, (0..m*k).map(|_| rng.gen_range(-5.0..5.0)).collect());
         let b = Matrix::from_vec(k, n, (0..k*n).map(|_| rng.gen_range(-5.0..5.0)).collect());
-        let naive = a.matmul_with(&b, MatmulStrategy::Naive);
-        let blocked = a.matmul_with(&b, MatmulStrategy::Blocked);
-        let pooled = a.matmul_with(&b, MatmulStrategy::Pooled);
-        prop_assert!(naive.approx_eq(&blocked, 1e-8));
-        prop_assert!(naive.approx_eq(&pooled, 1e-8));
+        prop_assert!(a.matmul_naive(&b).approx_eq(&a.matmul(&b), 1e-8));
     }
 
     #[test]
@@ -60,7 +56,7 @@ proptest! {
         let b = Matrix::from_vec(n, k, (0..k*n).map(|_| rng.gen_range(-5.0..5.0)).collect());
         // a · bᵀ computed directly vs. explicitly.
         let direct = a.matmul_transpose_b(&b);
-        let explicit = a.matmul_with(&b.transpose(), MatmulStrategy::Naive);
+        let explicit = a.matmul_naive(&b.transpose());
         prop_assert!(direct.approx_eq(&explicit, 1e-8));
     }
 
@@ -71,7 +67,7 @@ proptest! {
         let a = Matrix::from_vec(k, m, (0..m*k).map(|_| rng.gen_range(-5.0..5.0)).collect());
         let b = Matrix::from_vec(k, n, (0..k*n).map(|_| rng.gen_range(-5.0..5.0)).collect());
         let direct = a.matmul_transpose_a(&b);
-        let explicit = a.transpose().matmul_with(&b, MatmulStrategy::Naive);
+        let explicit = a.transpose().matmul_naive(&b);
         prop_assert!(direct.approx_eq(&explicit, 1e-8));
     }
 

@@ -715,23 +715,20 @@ fn bits_equal(a: &[f64], b: &[f64]) -> bool {
 /// The dispatched Matrix-level kernels and the level-explicit slice kernels
 /// must agree bit-for-bit: whatever `active_level()` resolved to (auto-detect
 /// normally, scalar under `CAPES_SIMD=off` in the dedicated CI pass) is
-/// exactly what `MatmulStrategy::Blocked`/`Pooled` run.
+/// exactly what `matmul` runs, on one thread below the pool threshold and
+/// split across the pool above it (under `CAPES_THREADS=2` in CI).
 #[test]
 fn dispatched_matrix_kernels_match_the_active_level_bitwise() {
-    use capes_tensor::MatmulStrategy;
     let mut rng = StdRng::seed_from_u64(99);
-    let (m, k, n) = (13, 77, 21);
-    let a = Matrix::from_vec(m, k, random_vec(&mut rng, m * k));
-    let b = Matrix::from_vec(k, n, random_vec(&mut rng, k * n));
     let level = active_level();
-
-    let mut expected = vec![0.0; m * n];
-    gemm_rows_with(level, a.as_slice(), b.as_slice(), &mut expected, m, k, n);
-    for strategy in [MatmulStrategy::Blocked, MatmulStrategy::Pooled] {
-        let got = a.matmul_with(&b, strategy);
+    for (m, k, n) in [(13, 77, 21), (160, 160, 161)] {
+        let a = Matrix::from_vec(m, k, random_vec(&mut rng, m * k));
+        let b = Matrix::from_vec(k, n, random_vec(&mut rng, k * n));
+        let mut expected = vec![0.0; m * n];
+        gemm_rows_with(level, a.as_slice(), b.as_slice(), &mut expected, m, k, n);
         assert!(
-            bits_equal(got.as_slice(), &expected),
-            "{strategy:?} must dispatch to the active SIMD level ({level})"
+            bits_equal(a.matmul(&b).as_slice(), &expected),
+            "{m}x{k}x{n} must dispatch to the active SIMD level ({level})"
         );
     }
 

@@ -16,7 +16,9 @@
 //! whole profile's experience.
 //!
 //! Run with `cargo run --release --example fleet_tuning`. Ticks can be scaled
-//! with `CAPES_FLEET_TRAIN_TICKS` / `CAPES_FLEET_MEASURE_TICKS`.
+//! with `CAPES_FLEET_TRAIN_TICKS` / `CAPES_FLEET_MEASURE_TICKS`, and
+//! `CAPES_FLEET_THREADS` shards the member ticks across that many fleet
+//! workers (default 1).
 
 use capes::{Hyperparameters, Phase};
 use capes_fleet::{ExperienceSharing, Fleet, FleetPlan, ScenarioSpec};
@@ -35,23 +37,22 @@ fn main() {
 
     // Eight clusters cycling the paper's workload families and read/write
     // mixes with varying client counts — one run exercises many scenarios.
-    // Fleet workers shard the member ticks across threads (also settable via
-    // CAPES_FLEET_THREADS); any worker count is bit-identical to sequential,
-    // so this only changes wall-clock on multi-core hosts, never results.
-    let workers = env_ticks("CAPES_FLEET_WORKERS", 2) as usize;
+    // The builder takes its worker count from CAPES_FLEET_THREADS; any worker
+    // count is bit-identical to sequential, so it only changes wall-clock on
+    // multi-core hosts, never results.
     let scenarios = ScenarioSpec::heterogeneous_mix(8);
     let mut daemon = Fleet::builder()
         .hyperparams(Hyperparameters::quick_test())
         .seed(7)
-        .workers(workers)
         .scenarios(scenarios)
         .build()
         .expect("valid fleet");
     println!(
         "fleet: {} clusters across {} profiles (shared DQN per profile), \
-         {workers} fleet workers",
+         {} fleet workers",
         daemon.num_clusters(),
-        daemon.num_profiles()
+        daemon.num_profiles(),
+        daemon.workers()
     );
     for name in daemon.cluster_names() {
         println!("  · {name}");
