@@ -365,6 +365,89 @@ mod tests {
         assert_eq!(back, plan);
     }
 
+    /// A hand-built report touching every section: one cluster, two arena
+    /// stripes, a socket front end, durability counters and a telemetry
+    /// snapshot with a NaN gauge.
+    fn sample() -> FleetReport {
+        FleetReport {
+            clusters: vec![ClusterReport {
+                name: "write-heavy".into(),
+                scenario: "random 1:9 \"hot\"\t4 clients".into(),
+                report: ExperimentReport {
+                    sessions: Vec::new(),
+                },
+            }],
+            arena: vec![
+                StripeOccupancy {
+                    cluster: "write-heavy".into(),
+                    occupied_ticks: 56,
+                    evicted_ticks: 0,
+                    total_inserted: 112,
+                },
+                StripeOccupancy {
+                    cluster: "read-heavy".into(),
+                    occupied_ticks: 48,
+                    evicted_ticks: 8,
+                    total_inserted: 4096,
+                },
+            ],
+            cluster_ticks: 10,
+            elapsed_seconds: 1.0,
+            cluster_ticks_per_sec: 10.0,
+            recent_cluster_ticks_per_sec: 12.5,
+            net: NetReport {
+                transport: "socket".into(),
+                enabled: true,
+                accepted: 1024,
+                active: 1000,
+                shed_backpressure: 3,
+                shed_idle: 1,
+                disconnects: 20,
+                decode_errors: 2,
+                reports_rejected: 7,
+                frames_in: 123_456,
+                frames_out: 60_000,
+                bytes_in: 9_876_543,
+                bytes_out: 2_345_678,
+                bytes_in_per_tick: 1234.5,
+                bytes_out_per_tick: 678.25,
+            },
+            persist: PersistReport {
+                checkpoints_written: 5,
+                restores: 1,
+                auto_checkpoints: 4,
+                auto_checkpoint_failures: 0,
+                records_appended: 2048,
+                record_failures: 0,
+            },
+            telemetry: TelemetrySnapshot {
+                counters: vec![capes_telemetry::CounterSnapshot {
+                    name: "net.frames_in".into(),
+                    value: 460,
+                }],
+                gauges: vec![capes_telemetry::GaugeSnapshot {
+                    name: "fleet.cluster.write-heavy.objective".into(),
+                    value: f64::NAN,
+                }],
+                histograms: vec![capes_telemetry::HistogramSnapshot {
+                    name: "fleet.tick.total".into(),
+                    count: 46,
+                    mean_ns: 1_500_000.0,
+                    p50_ns: 1_400_000.0,
+                    p90_ns: 2_000_000.0,
+                    p99_ns: 2_500_000.0,
+                    max_ns: 3_000_000,
+                }],
+            },
+        }
+    }
+
+    #[test]
+    fn report_json_matches_the_golden() {
+        let json = sample().to_json();
+        assert_eq!(json, include_str!("../tests/fixtures/fleet_report.json"));
+    }
+
     #[test]
     fn net_report_round_trips_through_json() {
         let net = NetReport {

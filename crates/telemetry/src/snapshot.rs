@@ -166,6 +166,15 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_json_matches_the_golden() {
+        let json = serde_json::to_string_pretty(&sample()).unwrap();
+        assert_eq!(
+            json,
+            include_str!("../tests/fixtures/telemetry_snapshot.json")
+        );
+    }
+
+    #[test]
     fn snapshot_round_trips_through_json() {
         let snap = sample();
         let json = serde_json::to_string(&snap).unwrap();
