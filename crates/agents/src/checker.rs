@@ -6,11 +6,10 @@
 //! operator encodes what the system "should never do" and the checker shields
 //! those actions regardless of what the DNN suggests.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Result of checking one proposed parameter vector.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum CheckOutcome {
     /// The action is allowed through unchanged.
     Allowed,
@@ -29,7 +28,7 @@ impl CheckOutcome {
 }
 
 /// A per-parameter bound enforced by the checker.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ParamBound {
     /// Parameter name (for error messages).
     pub name: &'static str,

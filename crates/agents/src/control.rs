@@ -5,10 +5,9 @@
 
 use crate::message::ActionMessage;
 use capes_persist::Persist;
-use serde::{Deserialize, Serialize};
 
 /// Statistics kept by a control agent.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ControlStats {
     /// Action messages received.
     pub received: u64,

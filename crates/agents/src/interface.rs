@@ -12,11 +12,10 @@ use crate::wire::decode_message;
 use capes_persist::{Persist, PersistError, Reader, Writer};
 use capes_replay::SharedReplayDb;
 use capes_telemetry::Counter;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Counters kept by the daemon (Table-2 style accounting).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct InterfaceStats {
     /// PI reports ingested.
     pub reports_received: u64,

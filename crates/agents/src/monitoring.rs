@@ -4,11 +4,10 @@
 use crate::message::PiReport;
 use crate::wire::{FRAME_CAPACITY, TAG_REPORT};
 use capes_persist::Persist;
-use serde::{Deserialize, Serialize};
 
 /// Byte- and message-count statistics kept by a monitoring agent, used to
 /// reproduce the "average message size per client" row of Table 2.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MonitoringStats {
     /// Reports produced so far.
     pub reports: u64,

@@ -31,8 +31,6 @@
 #![forbid(unsafe_code)]
 
 use capes::prelude::*;
-use capes_stats::ConfidenceInterval;
-use serde::Serialize;
 
 /// Experiment scale selected through the `CAPES_FULL` environment variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,7 +85,7 @@ impl Scale {
 }
 
 /// One measured bar of a figure: a label plus mean ± CI throughput.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Bar {
     /// Bar label (e.g. "baseline", "12 h").
     pub label: String,
@@ -96,6 +94,8 @@ pub struct Bar {
     /// Half-width of the 95 % confidence interval.
     pub ci: f64,
 }
+
+serde::serialize_struct! { Bar { label, mean, ci } }
 
 impl Bar {
     /// Builds a bar from a session result.
@@ -115,25 +115,18 @@ impl Bar {
             ci: result.ci_half_width(),
         }
     }
-
-    /// Builds a bar from a pre-computed confidence interval.
-    pub fn from_interval(label: impl Into<String>, interval: &ConfidenceInterval) -> Self {
-        Bar {
-            label: label.into(),
-            mean: interval.mean,
-            ci: interval.half_width,
-        }
-    }
 }
 
 /// One row of a figure: a workload plus its bars.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FigureRow {
     /// Workload label (e.g. "random 1:9").
     pub workload: String,
     /// The bars, in presentation order.
     pub bars: Vec<Bar>,
 }
+
+serde::serialize_struct! { FigureRow { workload, bars } }
 
 impl FigureRow {
     /// Relative change of bar `index` over bar 0 (the baseline), in percent.
@@ -169,16 +162,20 @@ pub fn print_figure(title: &str, rows: &[FigureRow]) {
     }
 }
 
-/// Writes experiment output as JSON under `target/capes-results/` so
-/// EXPERIMENTS.md can reference machine-readable results.
-pub fn write_json<T: Serialize>(name: &str, rows: &T) {
+/// Writes experiment output as pretty JSON to
+/// `target/capes-results/<name>.json`, relative to the working directory.
+/// A failure is reported on stderr.
+pub fn write_json<T: serde::Serialize>(name: &str, rows: &T) {
     let dir = std::path::Path::new("target").join("capes-results");
-    if std::fs::create_dir_all(&dir).is_ok() {
-        let path = dir.join(format!("{name}.json"));
-        if let Ok(json) = serde_json::to_string_pretty(rows) {
-            let _ = std::fs::write(&path, json);
-            println!("(results written to {})", path.display());
-        }
+    let path = dir.join(format!("{name}.json"));
+    let write = || -> Result<(), Box<dyn std::error::Error>> {
+        std::fs::create_dir_all(&dir)?;
+        std::fs::write(&path, serde_json::to_string_pretty(rows)?)?;
+        Ok(())
+    };
+    match write() {
+        Ok(()) => println!("(results written to {})", path.display()),
+        Err(e) => eprintln!("error: results not written to {}: {e}", path.display()),
     }
 }
 
@@ -221,7 +218,7 @@ pub fn train_then_measure(
 }
 
 /// One engine's outcome in the unified comparison.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct EngineRow {
     /// Engine name as reported by [`TuningEngine::name`].
     pub engine: String,
@@ -238,6 +235,10 @@ pub struct EngineRow {
     /// Parameter values the engine settled on.
     pub final_params: Vec<f64>,
 }
+
+serde::serialize_struct! { EngineRow {
+    engine, baseline_mean, tuned_mean, improvement_pct, train_ticks, final_params,
+} }
 
 /// The engine line-up of the paper's future-work comparison: the DRL engine
 /// (`None` = the builder's default) plus the three search comparators wrapped

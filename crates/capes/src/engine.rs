@@ -138,11 +138,6 @@ impl DrlEngine {
         &self.agent
     }
 
-    /// Mutable access to the wrapped agent.
-    pub fn agent_mut(&mut self) -> &mut DqnAgent {
-        &mut self.agent
-    }
-
     /// Replaces the wrapped agent (checkpoint restoration).
     pub fn replace_agent(&mut self, agent: DqnAgent) {
         self.action_space = agent.action_space();

@@ -29,10 +29,9 @@
 use crate::session::SessionResult;
 use crate::system::{CapesSystem, SystemTick};
 use crate::target::TargetSystem;
-use serde::{Deserialize, Serialize};
 
 /// The kind of work a phase performs (also tags every [`SessionResult`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PhaseKind {
     /// Parameters reset to defaults; no engine involvement.
     Baseline,
@@ -41,6 +40,8 @@ pub enum PhaseKind {
     /// The engine exploits what it has learnt; no training.
     Tuned,
 }
+
+serde::serialize_unit_enum! { PhaseKind { Baseline, Train, Tuned } }
 
 impl PhaseKind {
     /// Lower-case label used in reports.
@@ -54,7 +55,7 @@ impl PhaseKind {
 }
 
 /// One phase of an experiment plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Phase {
     /// Reset parameters to their defaults and measure without tuning.
     Baseline {
@@ -188,11 +189,13 @@ impl<T: TargetSystem> Experiment<T> {
 }
 
 /// The aggregated outcome of an experiment run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExperimentReport {
     /// One session result per executed phase, in plan order.
     pub sessions: Vec<SessionResult>,
 }
+
+serde::serialize_struct! { ExperimentReport { sessions } }
 
 impl ExperimentReport {
     /// The first baseline session, if the plan had one.
@@ -246,11 +249,6 @@ impl ExperimentReport {
     /// Serializes the report as pretty-printed JSON.
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("report serialization cannot fail")
-    }
-
-    /// Parses a report back from [`ExperimentReport::to_json`] output.
-    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(json)
     }
 }
 
@@ -317,7 +315,8 @@ mod tests {
     }
 
     #[test]
-    fn report_round_trips_through_json() {
+    fn report_json_parses_back_to_its_sessions() {
+        use serde::{map_get, Serialize, Value};
         let mut experiment = Experiment::new(quick_system())
             .phase(Phase::Baseline { ticks: 30 })
             .phase(Phase::Tuned {
@@ -325,15 +324,10 @@ mod tests {
                 label: "t".into(),
             });
         let report = experiment.run();
-        let json = report.to_json();
-        let back = ExperimentReport::from_json(&json).expect("round trip");
-        assert_eq!(back.sessions.len(), report.sessions.len());
-        assert_eq!(back.sessions[0].kind, PhaseKind::Baseline);
-        assert_eq!(back.sessions[1].label, "t");
-        assert!(
-            (back.sessions[0].mean_throughput() - report.sessions[0].mean_throughput()).abs()
-                < 1e-9
-        );
+        let json: Value = serde_json::from_str(&report.to_json()).expect("valid JSON");
+        let sessions = map_get(json.as_map().unwrap(), "sessions").unwrap();
+        assert_eq!(sessions, &report.sessions.to_value());
+        assert_eq!(sessions.as_seq().unwrap().len(), 2);
     }
 
     #[test]

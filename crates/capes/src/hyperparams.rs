@@ -2,12 +2,11 @@
 
 use crate::error::CapesError;
 use capes_drl::{DqnAgentConfig, EpsilonSchedule, TrainerConfig};
-use serde::{Deserialize, Serialize};
 
 /// Every hyperparameter listed in Table 1 of the paper, plus the few knobs the
 /// reproduction adds to let experiments run at laptop scale (none of which
 /// change the algorithm).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Hyperparameters {
     /// "action tick length" — one action is performed every this many seconds
     /// (paper: 1).
@@ -325,13 +324,5 @@ mod tests {
         let hp = Hyperparameters::paper();
         // The paper's full configuration: 5 clients × 44 PIs × 10 ticks.
         assert_eq!(hp.observation_size(5, 44), 2200);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let hp = Hyperparameters::paper();
-        let json = serde_json::to_string(&hp).unwrap();
-        let back: Hyperparameters = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, hp);
     }
 }

@@ -7,10 +7,9 @@
 //! [`Objective::Weighted`].
 
 use crate::target::TargetTick;
-use serde::{Deserialize, Serialize};
 
 /// A reward function over one tick of target-system behaviour.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Objective {
     /// Reward = aggregate throughput in MB/s (the paper's evaluation).
     #[default]

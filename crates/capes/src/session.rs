@@ -8,10 +8,9 @@
 
 use crate::experiment::PhaseKind;
 use capes_stats::{analyze, AnalysisConfig, AnalysisReport};
-use serde::{Deserialize, Serialize};
 
 /// The outcome of one measurement or training session.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SessionResult {
     /// The kind of phase that produced this session.
     pub kind: PhaseKind,
@@ -27,6 +26,10 @@ pub struct SessionResult {
     /// Parameter values in force at the end of the session.
     pub final_params: Vec<f64>,
 }
+
+serde::serialize_struct! { SessionResult {
+    kind, label, throughput_series, prediction_errors, analysis, final_params,
+} }
 
 impl SessionResult {
     /// Mean steady-state throughput (after transient removal and subsession
@@ -156,7 +159,8 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip() {
+    fn json_parses_back_to_the_in_memory_value() {
+        use serde::{Serialize, Value};
         let r = SessionResult::from_series(
             PhaseKind::Train,
             "x",
@@ -164,10 +168,7 @@ mod tests {
             vec![(0, 0.5)],
             vec![8.0],
         );
-        let json = serde_json::to_string(&r).unwrap();
-        let back: SessionResult = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.label, "x");
-        assert_eq!(back.kind, PhaseKind::Train);
-        assert_eq!(back.throughput_series.len(), 4);
+        let json: Value = serde_json::from_str(&serde_json::to_string(&r).unwrap()).unwrap();
+        assert_eq!(json, r.to_value());
     }
 }

@@ -186,11 +186,6 @@ impl<T: TargetSystem> CapesSystem<T> {
         self.engine.as_ref()
     }
 
-    /// Mutable access to the tuning engine.
-    pub fn engine_mut(&mut self) -> &mut dyn TuningEngine {
-        self.engine.as_mut()
-    }
-
     /// The DQN agent, when the system runs the DRL engine (`None` for the
     /// search comparators).
     pub fn dqn_agent(&self) -> Option<&DqnAgent> {
@@ -198,11 +193,6 @@ impl<T: TargetSystem> CapesSystem<T> {
             .as_any()
             .downcast_ref::<DrlEngine>()
             .map(DrlEngine::agent)
-    }
-
-    /// Registers an additional per-tick observer at runtime.
-    pub fn add_observer<O: TickObserver + 'static>(&mut self, observer: O) {
-        self.observers.push(Box::new(observer));
     }
 
     /// Current tick (seconds since the system was assembled).

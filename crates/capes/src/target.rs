@@ -3,10 +3,8 @@
 //! for collecting the observation from the target system and for setting the
 //! parameters to the target system").
 
-use serde::{Deserialize, Serialize};
-
 /// Description of one tunable parameter exposed by a target system.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TunableSpec {
     /// Human-readable parameter name.
     pub name: String,
@@ -28,7 +26,7 @@ impl TunableSpec {
 }
 
 /// Everything the target system reports for one sampling tick.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TargetTick {
     /// Per-node performance-indicator vectors (already normalised for the
     /// DNN; all nodes must report the same number of indicators).

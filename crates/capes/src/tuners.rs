@@ -25,10 +25,9 @@ use crate::engine::SearchStrategy;
 use crate::target::TunableSpec;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Result of a tuner run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TunerResult {
     /// Best parameter vector found.
     pub best_params: Vec<f64>,

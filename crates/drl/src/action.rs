@@ -4,10 +4,8 @@
 //! tunable parameter by that parameter's step size, or does nothing (the NULL
 //! action). With `P` tunable parameters this yields `2 P + 1` actions.
 
-use serde::{Deserialize, Serialize};
-
 /// A decoded action.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Action {
     /// Do not change any parameter this tick.
     Null,
@@ -28,7 +26,7 @@ pub enum Action {
 ///
 /// Index layout: `0` is NULL, then for parameter `p` the pair
 /// `(1 + 2p, 2 + 2p)` is (increase, decrease).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ActionSpace {
     num_params: usize,
 }

@@ -14,10 +14,9 @@ use capes_replay::{MinibatchError, Observation, ReplayArena, ReplayBatch, Shared
 use capes_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Static configuration of a [`DqnAgent`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DqnAgentConfig {
     /// Width of the flattened observation the agent consumes.
     pub observation_size: usize,
@@ -102,7 +101,7 @@ impl capes_persist::Persist for DqnAgentConfig {
 }
 
 /// The decision made by [`DqnAgent::select_action`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ActionDecision {
     /// Index of the chosen action.
     pub action: usize,

@@ -6,10 +6,8 @@
 //! back up to 0.2 so the agent re-explores without discarding what it already
 //! knows.
 
-use serde::{Deserialize, Serialize};
-
 /// Linear ε-annealing schedule with workload-change bumps.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpsilonSchedule {
     /// ε at the start of training (paper: 1.0).
     pub initial: f64,

@@ -10,10 +10,9 @@ use capes_nn::{Adam, Workspace};
 use capes_replay::ReplayBatch;
 use capes_tensor::simd;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Hyperparameters of the training step (defaults follow Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainerConfig {
     /// Discount rate γ (paper: 0.99).
     pub discount_rate: f64,
@@ -98,7 +97,7 @@ impl capes_persist::Persist for TrainerConfig {
 }
 
 /// Outcome of one training step.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainReport {
     /// Mean-squared Bellman error of the minibatch (the optimised loss).
     pub loss: f64,

@@ -630,12 +630,6 @@ impl FleetDaemon {
         &self.arena
     }
 
-    /// Profile index serving `cluster`.
-    pub fn profile_of(&self, cluster: usize) -> usize {
-        // In bounds: caller contract — `cluster` indexes the fleet.
-        self.sessions[cluster].profile
-    }
-
     /// Member clusters (= arena stripes) of `profile`, in row order.
     pub fn profile_members(&self, profile: usize) -> &[usize] {
         // In bounds: caller contract — `profile` indexes `profiles`.
@@ -1543,6 +1537,7 @@ mod tests {
     use super::*;
     use capes::Phase;
     use capes_simstore::Workload;
+    use serde::{map_get, Serialize, Value};
 
     fn quick_hp() -> Hyperparameters {
         Hyperparameters {
@@ -1620,10 +1615,14 @@ mod tests {
         // Training happened: the shared agent stepped, and prediction errors
         // were recorded against round-robin shards.
         assert!(daemon.agent_for(0).training_steps() > 0);
-        // Reports round-trip through JSON.
-        let back = FleetReport::from_json(&report.to_json()).expect("round trip");
-        assert_eq!(back.clusters.len(), 2);
-        assert_eq!(back.cluster_ticks, report.cluster_ticks);
+        // The printed report parses back to the in-memory clusters.
+        let json: Value = serde_json::from_str(&report.to_json()).expect("valid JSON");
+        let fields = json.as_map().unwrap();
+        assert_eq!(
+            map_get(fields, "clusters"),
+            Some(&report.clusters.to_value())
+        );
+        assert_eq!(map_get(fields, "cluster_ticks"), Some(&Value::U64(2 * 50)));
     }
 
     #[test]
@@ -1706,10 +1705,12 @@ mod tests {
             assert!(occ.total_inserted >= 2 * 56);
         }
         assert!(report.summary().contains("arena: 3 stripes"));
-        // Reports with arena stats still round-trip.
-        let back = FleetReport::from_json(&report.to_json()).expect("round trip");
-        assert_eq!(back.arena.len(), 3);
-        assert_eq!(back.arena[1].occupied_ticks, 56);
+        // The printed report carries the arena stats.
+        let json: Value = serde_json::from_str(&report.to_json()).expect("valid JSON");
+        assert_eq!(
+            map_get(json.as_map().unwrap(), "arena"),
+            Some(&report.arena.to_value())
+        );
     }
 
     #[test]

@@ -41,8 +41,8 @@
 //! );
 //! assert_eq!(report.clusters.len(), 2);
 //! assert_eq!(report.cluster_ticks, 2 * 45);
-//! // Fleet reports round-trip through JSON like experiment reports do.
-//! assert!(capes_fleet::FleetReport::from_json(&report.to_json()).is_ok());
+//! // Fleet reports print as JSON like experiment reports do.
+//! assert!(report.to_json().contains("\"cluster_ticks\": 90"));
 //! ```
 
 #![forbid(unsafe_code)]

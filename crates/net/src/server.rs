@@ -36,7 +36,6 @@ use capes_agents::Message;
 use capes_telemetry::{Counter, Gauge};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use reactor::{Events, Interest, Poll, TimerQueue, Token, Waker};
-use serde::{Deserialize, Serialize};
 
 use crate::conn::ConnState;
 use crate::framing::{encode_frame_into, DEFAULT_MAX_FRAME_LEN, LENGTH_PREFIX_BYTES};
@@ -156,7 +155,7 @@ impl NetStats {
 }
 
 /// Plain-value copy of [`NetStats`], serialisable into reports.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetStatsSnapshot {
     /// Connections accepted over the server's lifetime.
     pub accepted: u64,

@@ -44,11 +44,10 @@ use crate::minibatch::{MinibatchError, ReplayBatch};
 use crate::shared::SharedReplayDb;
 use parking_lot::RwLock;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Occupancy snapshot of one arena stripe.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StripeStats {
     /// Ticks currently holding snapshot data.
     pub occupied_ticks: u64,

@@ -2,10 +2,9 @@
 
 use crate::record::{NodeId, Observation, Tick};
 use capes_tensor::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// Static configuration of a [`ReplayDb`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReplayConfig {
     /// Number of monitored nodes (the paper's evaluation monitors 5 clients).
     pub num_nodes: usize,

@@ -1,19 +1,18 @@
 //! Offline, API-compatible subset of `serde` for this workspace.
 //!
 //! The build container has no crates.io access, so the workspace vendors the
-//! thin slice of serde it actually uses: the `Serialize` / `Deserialize`
-//! traits, derive macros for plain structs and enums (including
-//! `#[serde(skip)]` fields), and a JSON-shaped [`Value`] data model that
-//! `serde_json` (the sibling shim) prints and parses.
+//! thin slice of serde it actually uses: a JSON-shaped [`Value`] data model
+//! that `serde_json` (the sibling shim) prints and parses, the [`Serialize`]
+//! trait that lowers a report into it, and two macros that implement it for
+//! report structs ([`serialize_struct!`]) and fieldless enums
+//! ([`serialize_unit_enum!`]).
 //!
-//! The data model is deliberately simple: every serializable type lowers to a
-//! [`Value`] tree and every deserializable type is rebuilt from one. That is
-//! enough for the checkpoints, reports and figures this workspace round-trips,
-//! while keeping the shim a few hundred lines.
+//! JSON is write-only for the workspace's own types: reports and figure rows
+//! serialize, nothing deserializes. The one [`Deserialize`] impl is for
+//! [`Value`] itself, so JSON text can be parsed into a tree and inspected.
+//! Stateful types persist through `capes-persist`, not through this shim.
 
 #![forbid(unsafe_code)]
-
-pub use serde_derive::{Deserialize, Serialize};
 
 /// JSON-shaped intermediate value every serializable type lowers to.
 #[derive(Debug, Clone, PartialEq)]
@@ -100,33 +99,10 @@ impl Value {
     }
 }
 
-/// Looks up `key` in the entry list of an object value (used by derived code).
+/// Looks up `key` in the entry list of an object value.
 pub fn map_get<'a>(entries: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
     entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
 }
-
-/// Deserialization error.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DeError {
-    message: String,
-}
-
-impl DeError {
-    /// Creates an error with the given message.
-    pub fn custom<T: std::fmt::Display>(message: T) -> Self {
-        DeError {
-            message: message.to_string(),
-        }
-    }
-}
-
-impl std::fmt::Display for DeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.message)
-    }
-}
-
-impl std::error::Error for DeError {}
 
 /// A type that can lower itself into the [`Value`] data model.
 pub trait Serialize {
@@ -134,80 +110,60 @@ pub trait Serialize {
     fn to_value(&self) -> Value;
 }
 
-/// A type that can be rebuilt from the [`Value`] data model.
-pub trait Deserialize: Sized {
-    /// Rebuilds `Self` from a [`Value`] tree.
-    fn from_value(value: &Value) -> Result<Self, DeError>;
+/// A type that can be built from a parsed [`Value`] tree. Only [`Value`]
+/// implements it: JSON text parses into a tree and is inspected as one.
+pub trait Deserialize {
+    /// Builds `Self` from a [`Value`] tree.
+    fn from_value(value: Value) -> Self;
 }
 
-macro_rules! impl_serde_uint {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::U64(*self as u64)
+/// Implements [`Serialize`] for a struct with named fields: a JSON object
+/// whose keys are the listed fields, in the listed (declaration) order. The
+/// generated body destructures `self` without `..`, so a field missing from
+/// the list is a compile error.
+#[macro_export]
+macro_rules! serialize_struct {
+    ($ty:ident { $($field:ident),+ $(,)? }) => {
+        impl $crate::Serialize for $ty {
+            fn to_value(&self) -> $crate::Value {
+                let $ty { $($field),+ } = self;
+                $crate::Value::Map(vec![
+                    $((stringify!($field).to_string(), $crate::Serialize::to_value($field))),+
+                ])
             }
         }
-        impl Deserialize for $t {
-            fn from_value(value: &Value) -> Result<Self, DeError> {
-                let raw = value
-                    .as_u64()
-                    .ok_or_else(|| DeError::custom(concat!("expected ", stringify!($t))))?;
-                <$t>::try_from(raw)
-                    .map_err(|_| DeError::custom(concat!("out of range for ", stringify!($t))))
+    };
+}
+
+/// Implements [`Serialize`] for a fieldless enum: each variant as a string
+/// of its name. The match lists every variant, so one missing from the list
+/// is a compile error.
+#[macro_export]
+macro_rules! serialize_unit_enum {
+    ($ty:ident { $($variant:ident),+ $(,)? }) => {
+        impl $crate::Serialize for $ty {
+            fn to_value(&self) -> $crate::Value {
+                let name = match self {
+                    $($ty::$variant => stringify!($variant)),+
+                };
+                $crate::Value::Str(name.to_string())
+            }
+        }
+    };
+}
+
+macro_rules! impl_serialize {
+    ($variant:ident as $as:ty: $($t:ty),*) => {$(
+        impl Serialize for $t {
+            fn to_value(&self) -> Value {
+                Value::$variant(*self as $as)
             }
         }
     )*};
 }
 
-macro_rules! impl_serde_int {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::I64(*self as i64)
-            }
-        }
-        impl Deserialize for $t {
-            fn from_value(value: &Value) -> Result<Self, DeError> {
-                let raw = value
-                    .as_i64()
-                    .ok_or_else(|| DeError::custom(concat!("expected ", stringify!($t))))?;
-                <$t>::try_from(raw)
-                    .map_err(|_| DeError::custom(concat!("out of range for ", stringify!($t))))
-            }
-        }
-    )*};
-}
-
-impl_serde_uint!(u8, u16, u32, u64, usize);
-impl_serde_int!(i8, i16, i32, i64, isize);
-
-impl Serialize for f64 {
-    fn to_value(&self) -> Value {
-        Value::F64(*self)
-    }
-}
-
-impl Deserialize for f64 {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        value
-            .as_f64()
-            .ok_or_else(|| DeError::custom("expected f64"))
-    }
-}
-
-impl Serialize for f32 {
-    fn to_value(&self) -> Value {
-        Value::F64(*self as f64)
-    }
-}
-
-impl Deserialize for f32 {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        Ok(value
-            .as_f64()
-            .ok_or_else(|| DeError::custom("expected f32"))? as f32)
-    }
-}
+impl_serialize!(U64 as u64: u64, usize);
+impl_serialize!(F64 as f64: f64);
 
 impl Serialize for bool {
     fn to_value(&self) -> Value {
@@ -215,85 +171,9 @@ impl Serialize for bool {
     }
 }
 
-impl Deserialize for bool {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        value
-            .as_bool()
-            .ok_or_else(|| DeError::custom("expected bool"))
-    }
-}
-
 impl Serialize for String {
     fn to_value(&self) -> Value {
         Value::Str(self.clone())
-    }
-}
-
-impl Deserialize for String {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        value
-            .as_str()
-            .map(str::to_string)
-            .ok_or_else(|| DeError::custom("expected string"))
-    }
-}
-
-impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
-    }
-}
-
-impl Serialize for char {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
-    }
-}
-
-impl Deserialize for char {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let s = value
-            .as_str()
-            .ok_or_else(|| DeError::custom("expected char"))?;
-        let mut chars = s.chars();
-        match (chars.next(), chars.next()) {
-            (Some(c), None) => Ok(c),
-            _ => Err(DeError::custom("expected single-character string")),
-        }
-    }
-}
-
-// Borrowed strings can be serialized but not rebuilt; the error only fires if
-// something actually tries to deserialize one (nothing in this workspace does).
-impl Deserialize for &'static str {
-    fn from_value(_value: &Value) -> Result<Self, DeError> {
-        Err(DeError::custom(
-            "cannot deserialize into a borrowed &'static str",
-        ))
-    }
-}
-
-impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-}
-
-impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
-        match self {
-            Some(inner) => inner.to_value(),
-            None => Value::Null,
-        }
-    }
-}
-
-impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        match value {
-            Value::Null => Ok(None),
-            other => Ok(Some(T::from_value(other)?)),
-        }
     }
 }
 
@@ -309,130 +189,9 @@ impl<T: Serialize> Serialize for Vec<T> {
     }
 }
 
-impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        value
-            .as_seq()
-            .ok_or_else(|| DeError::custom("expected array"))?
-            .iter()
-            .map(T::from_value)
-            .collect()
-    }
-}
-
-impl<T: Serialize, const N: usize> Serialize for [T; N] {
+impl<A: Serialize, B: Serialize> Serialize for (A, B) {
     fn to_value(&self) -> Value {
-        self.as_slice().to_value()
-    }
-}
-
-macro_rules! impl_serde_tuple {
-    ($(($($name:ident : $index:tt),+))*) => {$(
-        impl<$($name: Serialize),+> Serialize for ($($name,)+) {
-            fn to_value(&self) -> Value {
-                Value::Seq(vec![$(self.$index.to_value()),+])
-            }
-        }
-        impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
-            fn from_value(value: &Value) -> Result<Self, DeError> {
-                let seq = value.as_seq().ok_or_else(|| DeError::custom("expected tuple array"))?;
-                let expected = [$($index),+].len();
-                if seq.len() != expected {
-                    return Err(DeError::custom(format!(
-                        "expected tuple of length {expected}, got {}",
-                        seq.len()
-                    )));
-                }
-                Ok(($($name::from_value(&seq[$index])?,)+))
-            }
-        }
-    )*};
-}
-
-impl_serde_tuple! {
-    (A: 0)
-    (A: 0, B: 1)
-    (A: 0, B: 1, C: 2)
-    (A: 0, B: 1, C: 2, D: 3)
-}
-
-/// A type usable as a map key: rendered to / parsed from an object key
-/// string, the way `serde_json` stringifies integer keys.
-pub trait MapKey: Sized {
-    /// Renders the key as an object-key string.
-    fn to_key(&self) -> String;
-    /// Parses the key back from an object-key string.
-    fn from_key(key: &str) -> Result<Self, DeError>;
-}
-
-macro_rules! impl_map_key_numeric {
-    ($($t:ty),*) => {$(
-        impl MapKey for $t {
-            fn to_key(&self) -> String {
-                self.to_string()
-            }
-            fn from_key(key: &str) -> Result<Self, DeError> {
-                key.parse::<$t>()
-                    .map_err(|_| DeError::custom(concat!("bad map key for ", stringify!($t))))
-            }
-        }
-    )*};
-}
-
-impl_map_key_numeric!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
-
-impl MapKey for String {
-    fn to_key(&self) -> String {
-        self.clone()
-    }
-    fn from_key(key: &str) -> Result<Self, DeError> {
-        Ok(key.to_string())
-    }
-}
-
-impl<K: MapKey, V: Serialize> Serialize for std::collections::BTreeMap<K, V> {
-    fn to_value(&self) -> Value {
-        Value::Map(
-            self.iter()
-                .map(|(k, v)| (k.to_key(), v.to_value()))
-                .collect(),
-        )
-    }
-}
-
-impl<K: MapKey + Ord, V: Deserialize> Deserialize for std::collections::BTreeMap<K, V> {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        value
-            .as_map()
-            .ok_or_else(|| DeError::custom("expected object for map"))?
-            .iter()
-            .map(|(k, v)| Ok((K::from_key(k)?, V::from_value(v)?)))
-            .collect()
-    }
-}
-
-impl<K: MapKey, V: Serialize> Serialize for std::collections::HashMap<K, V> {
-    fn to_value(&self) -> Value {
-        // Sort for deterministic output.
-        let mut entries: Vec<(String, Value)> = self
-            .iter()
-            .map(|(k, v)| (k.to_key(), v.to_value()))
-            .collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        Value::Map(entries)
-    }
-}
-
-impl<K: MapKey + std::hash::Hash + Eq, V: Deserialize> Deserialize
-    for std::collections::HashMap<K, V>
-{
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        value
-            .as_map()
-            .ok_or_else(|| DeError::custom("expected object for map"))?
-            .iter()
-            .map(|(k, v)| Ok((K::from_key(k)?, V::from_value(v)?)))
-            .collect()
+        Value::Seq(vec![self.0.to_value(), self.1.to_value()])
     }
 }
 
@@ -443,7 +202,7 @@ impl Serialize for Value {
 }
 
 impl Deserialize for Value {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        Ok(value.clone())
+    fn from_value(value: Value) -> Self {
+        value
     }
 }

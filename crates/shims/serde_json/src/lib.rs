@@ -1,10 +1,10 @@
-//! Offline JSON front-end for the `serde` shim: prints and parses the shim's
-//! [`serde::Value`] data model with the usual `to_string` / `to_string_pretty`
-//! / `from_str` entry points.
+//! Offline JSON front-end for the `serde` shim: prints any
+//! [`Serialize`] type with the usual `to_string` / `to_string_pretty` entry
+//! points, and parses JSON text into a [`serde::Value`] tree with `from_str`.
 
 #![forbid(unsafe_code)]
 
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize, Value};
 
 /// JSON serialization/deserialization error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -28,12 +28,6 @@ impl std::fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-impl From<DeError> for Error {
-    fn from(e: DeError) -> Self {
-        Error::new(e.to_string())
-    }
-}
-
 /// Serializes `value` as compact JSON.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
@@ -48,10 +42,9 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Erro
     Ok(out)
 }
 
-/// Parses JSON text into any shim-deserializable type.
+/// Parses JSON text into a [`Value`] tree, the one `Deserialize` type.
 pub fn from_str<T: Deserialize>(text: &str) -> Result<T, Error> {
-    let value = parse_value(text)?;
-    Ok(T::from_value(&value)?)
+    Ok(T::from_value(parse_value(text)?))
 }
 
 fn write_value(out: &mut String, value: &Value, indent: Option<usize>, depth: usize) {
@@ -70,27 +63,20 @@ fn write_value(out: &mut String, value: &Value, indent: Option<usize>, depth: us
             }
         }
         Value::Str(s) => write_string(out, s),
-        Value::Seq(items) => write_sequence(out, items.iter(), items.len(), indent, depth, false),
+        Value::Seq(items) => write_sequence(out, items, indent, depth),
         Value::Map(entries) => {
             write_map_entries(out, entries, indent, depth);
         }
     }
 }
 
-fn write_sequence<'a, I: Iterator<Item = &'a Value>>(
-    out: &mut String,
-    items: I,
-    len: usize,
-    indent: Option<usize>,
-    depth: usize,
-    _is_map: bool,
-) {
-    if len == 0 {
+fn write_sequence(out: &mut String, items: &[Value], indent: Option<usize>, depth: usize) {
+    if items.is_empty() {
         out.push_str("[]");
         return;
     }
     out.push('[');
-    for (index, item) in items.enumerate() {
+    for (index, item) in items.iter().enumerate() {
         if index > 0 {
             out.push(',');
         }
@@ -416,5 +402,101 @@ impl<'a> Parser<'a> {
         text.parse::<f64>()
             .map(Value::F64)
             .map_err(|_| Error::new(format!("bad number {text:?}")))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[derive(Debug)]
+    struct Row {
+        name: String,
+        hits: u64,
+        kind: Kind,
+    }
+
+    #[derive(Debug)]
+    enum Kind {
+        Hot,
+        Cold,
+    }
+
+    serde::serialize_struct! { Row { name, hits, kind } }
+    serde::serialize_unit_enum! { Kind { Hot, Cold } }
+
+    fn compact(value: Value) -> String {
+        to_string(&value).unwrap()
+    }
+
+    #[test]
+    fn strings_escape_quotes_backslashes_and_control_characters() {
+        let s = Value::Str("a\"b\\c\nd\re\tf\u{1}\u{1f}é".into());
+        assert_eq!(compact(s), r#""a\"b\\c\nd\re\tf\u0001\u001fé""#);
+    }
+
+    #[test]
+    fn non_finite_floats_print_as_null() {
+        let floats = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY].map(Value::F64);
+        assert_eq!(compact(Value::Seq(floats.to_vec())), "[null,null,null]");
+    }
+
+    #[test]
+    fn integers_and_floats_keep_their_kind() {
+        assert_eq!(compact(Value::U64(10)), "10");
+        assert_eq!(compact(Value::I64(-10)), "-10");
+        assert_eq!(compact(Value::F64(10.0)), "10.0");
+        assert_eq!(compact(Value::F64(1e-7)), "1e-7");
+    }
+
+    #[test]
+    fn empty_containers_print_without_whitespace() {
+        let empty = Value::Seq(vec![Value::Seq(Vec::new()), Value::Map(Vec::new())]);
+        assert_eq!(compact(empty.clone()), "[[],{}]");
+        assert_eq!(to_string_pretty(&empty).unwrap(), "[\n  [],\n  {}\n]");
+    }
+
+    #[test]
+    fn pretty_output_indents_two_spaces_per_level() {
+        let value = Value::Map(vec![
+            ("a".into(), Value::Seq(vec![Value::Bool(true), Value::Null])),
+            ("b".into(), Value::Map(vec![("c".into(), Value::U64(1))])),
+        ]);
+        let expected = "{\n  \"a\": [\n    true,\n    null\n  ],\n  \"b\": {\n    \"c\": 1\n  }\n}";
+        assert_eq!(to_string_pretty(&value).unwrap(), expected);
+        assert_eq!(compact(value), r#"{"a":[true,null],"b":{"c":1}}"#);
+    }
+
+    #[test]
+    fn macros_print_fields_in_order_and_variants_by_name() {
+        let rows = vec![
+            Row {
+                name: "x".into(),
+                hits: 3,
+                kind: Kind::Hot,
+            },
+            Row {
+                name: "y".into(),
+                hits: 0,
+                kind: Kind::Cold,
+            },
+        ];
+        assert_eq!(
+            to_string(&rows).unwrap(),
+            r#"[{"name":"x","hits":3,"kind":"Hot"},{"name":"y","hits":0,"kind":"Cold"}]"#
+        );
+    }
+
+    #[test]
+    fn printed_text_parses_back_to_the_same_value() {
+        let value = Value::Map(vec![
+            ("s".into(), Value::Str("q\"\u{2}".into())),
+            (
+                "n".into(),
+                Value::Seq(vec![Value::U64(7), Value::I64(-7), Value::F64(0.5)]),
+            ),
+        ]);
+        let parsed: Value = from_str(&to_string_pretty(&value).unwrap()).unwrap();
+        assert_eq!(parsed, value);
     }
 }

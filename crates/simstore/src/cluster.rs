@@ -13,7 +13,6 @@ use crate::server::{
 use crate::workload::{Demand, Workload};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Nominal per-request service latency (seconds) used to estimate how many
 /// RPCs a client keeps outstanding per OSC when the system is *not*
@@ -29,7 +28,7 @@ const TYPICAL_READ_EFF: f64 = 0.55;
 const TYPICAL_WRITE_EFF: f64 = 0.80;
 
 /// Aggregate results of one simulated second.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TickStats {
     /// The tick these statistics describe.
     pub tick: u64,
@@ -56,7 +55,7 @@ impl TickStats {
 }
 
 /// Per-client dynamic state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct ClientState {
     oscs: Vec<OscState>,
     read_mbps: f64,

@@ -1,7 +1,5 @@
 //! Cluster geometry and hardware constants (paper §4.2).
 
-use serde::{Deserialize, Serialize};
-
 /// How many Performance Indicators each client reports per sampling tick.
 ///
 /// The paper's prototype reports 44 floats per client per second (Table 2).
@@ -9,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// perfectly feasible but slow on a laptop-class CPU, so the simulator also
 /// offers a compact PI set that keeps the indicators the paper's analysis
 /// identifies as informative while shrinking the observation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PiMode {
     /// Full 44-indicator set: 9 PIs for each of the 4 OSCs plus 8 client-level
     /// indicators (date/time features, thread count, rate limit, client-level
@@ -27,7 +25,7 @@ pub enum PiMode {
 /// 7200-RPM HGST disks (113 MB/s sequential read, 106 MB/s sequential write),
 /// gigabit Ethernet with ≈500 MB/s measured aggregate throughput, and a
 /// write-through server cache.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterConfig {
     /// Number of object storage servers (paper: 4).
     pub num_servers: usize,
@@ -129,11 +127,6 @@ impl ClusterConfig {
     /// Theoretical aggregate disk bandwidth for purely sequential writes.
     pub fn aggregate_disk_write_mbps(&self) -> f64 {
         self.disk_seq_write_mbps * self.num_servers as f64
-    }
-
-    /// Theoretical aggregate disk bandwidth for purely sequential reads.
-    pub fn aggregate_disk_read_mbps(&self) -> f64 {
-        self.disk_seq_read_mbps * self.num_servers as f64
     }
 }
 
@@ -259,13 +252,5 @@ mod tests {
             ..Default::default()
         };
         c.validate();
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let c = ClusterConfig::default();
-        let json = serde_json::to_string(&c).unwrap();
-        let back: ClusterConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, c);
     }
 }

@@ -12,10 +12,8 @@
 //!   requests can be merged and handled more efficiently if there are more
 //!   requests in the I/O queue", §4.3).
 
-use serde::{Deserialize, Serialize};
-
 /// Efficiency model of a single server disk.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiskModel {
     /// Sequential read bandwidth in MB/s.
     pub seq_read_mbps: f64,

@@ -7,10 +7,8 @@
 //! indicators. When too much data is in flight the effective bandwidth
 //! degrades — the network half of "congestion collapse".
 
-use serde::{Deserialize, Serialize};
-
 /// Bandwidth and latency model of the shared cluster network.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkModel {
     /// Aggregate bandwidth across all links in MB/s.
     pub aggregate_mbps: f64,

@@ -5,10 +5,9 @@
 //! and the nine performance indicators of §4.1 are collected per OSC.
 
 use capes_stats::Ewma;
-use serde::{Deserialize, Serialize};
 
 /// Per-OSC dynamic state and the indicators derived from it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OscState {
     /// Congestion window currently configured (`max_rpcs_in_flight`).
     pub congestion_window: f64,

@@ -10,12 +10,10 @@
 //! All clients share the same values ("All clients use the same parameter
 //! values for all connections").
 
-use serde::{Deserialize, Serialize};
-
 /// Description of one tunable parameter: its valid range and tuning step, as
 //  configured in the paper's `conf.py` (§3.7: "The valid range and tuning step
 /// size are customizable for each target system").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ParamSpec {
     /// Human-readable name.
     pub name: &'static str,
@@ -48,7 +46,7 @@ impl ParamSpec {
 }
 
 /// The current values of the two tunable parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TunableParams {
     /// Lustre congestion window (`max_rpcs_in_flight`) per OSC.
     pub congestion_window: f64,

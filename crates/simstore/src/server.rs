@@ -8,10 +8,8 @@
 //! allocation locks until it reaches the platter (the testbed uses
 //! write-through caching).
 
-use serde::{Deserialize, Serialize};
-
 /// Dynamic state of one object storage server.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServerState {
     /// Queue depth (outstanding RPCs) observed during the last tick.
     pub queue_depth: f64,

@@ -12,10 +12,9 @@
 //!   simulating HPC checkpointing and video-surveillance ingest.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Per-client, per-tick I/O demand presented to the storage cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Demand {
     /// Read bytes the client wants to move this second, in MB.
     pub read_mb: f64,
@@ -32,7 +31,7 @@ pub struct Demand {
 }
 
 /// The workload families of the paper's evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum WorkloadKind {
     /// Random read/write mix; `read_fraction` is the share of bytes that are
     /// reads (0.9 for the 9:1 workload, 0.1 for 1:9, …).
@@ -69,7 +68,7 @@ impl WorkloadKind {
 }
 
 /// A stateful workload generator for one cluster.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
     kind: WorkloadKind,
     /// Relative demand fluctuation from second to second.

@@ -6,10 +6,9 @@ use crate::autocorr::autocorrelation;
 use crate::changepoint::trim_transients;
 use crate::subsession::subsession_analysis;
 use crate::summary::ConfidenceInterval;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the analysis pipeline.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct AnalysisConfig {
     /// Confidence level for the final interval (paper: 0.95).
     pub confidence: f64,
@@ -31,7 +30,7 @@ impl Default for AnalysisConfig {
 }
 
 /// Result of running the full analysis pipeline over one measurement series.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AnalysisReport {
     /// Confidence interval of the steady-state mean.
     pub interval: ConfidenceInterval,
@@ -48,6 +47,11 @@ pub struct AnalysisReport {
     /// Number of raw samples provided.
     pub raw_samples: usize,
 }
+
+serde::serialize_struct! { AnalysisReport {
+    interval, raw_autocorrelation, merge_factor, warmup_removed, cooldown_removed, converged,
+    raw_samples,
+} }
 
 impl AnalysisReport {
     /// Formats the interval the way the paper reports throughput numbers,

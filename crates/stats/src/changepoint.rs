@@ -11,10 +11,8 @@
 //! error of the remaining samples, which is exactly the "drop the transient,
 //! keep the steady state" behaviour required here.
 
-use serde::{Deserialize, Serialize};
-
 /// Result of trimming transients from a sample series.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TransientTrim {
     /// Number of samples removed from the front (warm-up).
     pub warmup_removed: usize,

@@ -6,12 +6,11 @@
 //! filter used by the monitoring layer of the simulator.
 
 use capes_persist::{Persist, PersistError, Reader, Writer};
-use serde::{Deserialize, Serialize};
 
 /// An exponentially weighted moving average filter.
 ///
 /// `value ← value·(1−α) + sample·α`, seeded with the first sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Ewma {
     alpha: f64,
     value: Option<f64>,

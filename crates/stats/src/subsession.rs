@@ -7,10 +7,9 @@
 
 use crate::autocorr::{autocorrelation, IID_AUTOCORRELATION_THRESHOLD};
 use crate::summary::{confidence_interval, ConfidenceInterval};
-use serde::{Deserialize, Serialize};
 
 /// Outcome of the subsession analysis.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SubsessionResult {
     /// The merged (batch-means) series the confidence interval was computed from.
     pub merged: Vec<f64>,

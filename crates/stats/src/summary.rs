@@ -1,9 +1,7 @@
 //! Basic summary statistics and student-t confidence intervals.
 
-use serde::{Deserialize, Serialize};
-
 /// A symmetric confidence interval around a sample mean.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConfidenceInterval {
     /// Sample mean.
     pub mean: f64,
@@ -14,6 +12,8 @@ pub struct ConfidenceInterval {
     /// Number of samples the interval was computed from.
     pub samples: usize,
 }
+
+serde::serialize_struct! { ConfidenceInterval { mean, half_width, confidence, samples } }
 
 impl ConfidenceInterval {
     /// Lower bound of the interval.

@@ -1,10 +1,8 @@
 //! Snapshot types (the `FleetReport.telemetry` section) and the
 //! Prometheus-style text exposition behind the `/metrics` endpoint.
 
-use serde::{Deserialize, Serialize};
-
 /// Point-in-time value of one counter.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CounterSnapshot {
     /// Dotted metric name (`net.frames_in`).
     pub name: String,
@@ -12,8 +10,10 @@ pub struct CounterSnapshot {
     pub value: u64,
 }
 
+serde::serialize_struct! { CounterSnapshot { name, value } }
+
 /// Point-in-time value of one gauge.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GaugeSnapshot {
     /// Dotted metric name (`net.ingress.depth`).
     pub name: String,
@@ -21,8 +21,10 @@ pub struct GaugeSnapshot {
     pub value: f64,
 }
 
+serde::serialize_struct! { GaugeSnapshot { name, value } }
+
 /// Point-in-time summary of one latency histogram (nanosecond values).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HistogramSnapshot {
     /// Dotted metric name (`fleet.tick.total`).
     pub name: String,
@@ -40,10 +42,14 @@ pub struct HistogramSnapshot {
     pub max_ns: u64,
 }
 
+serde::serialize_struct! { HistogramSnapshot {
+    name, count, mean_ns, p50_ns, p90_ns, p99_ns, max_ns,
+} }
+
 /// Every metric in a registry at one instant — embedded in
 /// `FleetReport.telemetry` so non-socket transports get the same numbers a
 /// live `/metrics` scrape would show.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TelemetrySnapshot {
     /// All counters, sorted by name.
     pub counters: Vec<CounterSnapshot>,
@@ -52,6 +58,8 @@ pub struct TelemetrySnapshot {
     /// All histograms, sorted by name.
     pub histograms: Vec<HistogramSnapshot>,
 }
+
+serde::serialize_struct! { TelemetrySnapshot { counters, gauges, histograms } }
 
 impl TelemetrySnapshot {
     /// The histogram snapshot named `name`, if present.
@@ -175,13 +183,10 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_round_trips_through_json() {
+    fn accessors_find_entries_by_name() {
         let snap = sample();
-        let json = serde_json::to_string(&snap).unwrap();
-        let back: TelemetrySnapshot = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, snap);
-        assert_eq!(back.histogram("fleet.tick.total").unwrap().count, 46);
-        assert_eq!(back.counter("net.frames_in"), Some(460));
-        assert_eq!(back.gauge("net.ingress.depth"), Some(3.0));
+        assert_eq!(snap.histogram("fleet.tick.total").unwrap().count, 46);
+        assert_eq!(snap.counter("net.frames_in"), Some(460));
+        assert_eq!(snap.gauge("net.ingress.depth"), Some(3.0));
     }
 }
