@@ -24,10 +24,12 @@ fn main() {
         "{:<34}{:>14}{:>14}   description",
         "hyperparameter", "paper", "quick"
     );
+    // The simulator steps one second per tick, so both tick lengths are
+    // fixed at the paper's 1 s rather than configurable.
     row(
         "action tick length",
-        format!("{} s", paper.action_tick_length),
-        format!("{} s", quick.action_tick_length),
+        "1 s".into(),
+        "1 s".into(),
         "one action is performed every second",
     );
     row(
@@ -80,8 +82,8 @@ fn main() {
     );
     row(
         "sampling tick length",
-        format!("{} s", paper.sampling_tick_length),
-        format!("{} s", quick.sampling_tick_length),
+        "1 s".into(),
+        "1 s".into(),
         "one sample per second",
     );
     row(

@@ -5,15 +5,11 @@ use capes_drl::{DqnAgentConfig, EpsilonSchedule, TrainerConfig};
 
 /// Every hyperparameter listed in Table 1 of the paper, plus the few knobs the
 /// reproduction adds to let experiments run at laptop scale (none of which
-/// change the algorithm).
+/// change the algorithm). Table 1's action and sampling tick lengths are not
+/// fields: the simulator steps one second per tick, the paper's value for
+/// both.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Hyperparameters {
-    /// "action tick length" — one action is performed every this many seconds
-    /// (paper: 1).
-    pub action_tick_length: u64,
-    /// "sampling tick length" — one sample is taken every this many seconds
-    /// (paper: 1).
-    pub sampling_tick_length: u64,
     /// "sampling ticks per observation" (paper: 10).
     pub sampling_ticks_per_observation: usize,
     /// "ε initial value" (paper: 1.0).
@@ -63,8 +59,6 @@ impl Hyperparameters {
     /// The exact values of Table 1.
     pub fn paper() -> Self {
         Hyperparameters {
-            action_tick_length: 1,
-            sampling_tick_length: 1,
             sampling_ticks_per_observation: 10,
             epsilon_initial: 1.0,
             epsilon_final: 0.05,
@@ -111,17 +105,7 @@ impl Hyperparameters {
                 reason: reason.to_string(),
             }
         }
-        let checks: [(&'static str, bool, &str); 16] = [
-            (
-                "action_tick_length",
-                self.action_tick_length > 0,
-                "must be positive",
-            ),
-            (
-                "sampling_tick_length",
-                self.sampling_tick_length > 0,
-                "must be positive",
-            ),
+        let checks: [(&'static str, bool, &str); 14] = [
             (
                 "sampling_ticks_per_observation",
                 self.sampling_ticks_per_observation > 0,
@@ -253,8 +237,6 @@ mod tests {
     fn paper_values_match_table_1() {
         let hp = Hyperparameters::paper();
         hp.validate().expect("paper values are valid");
-        assert_eq!(hp.action_tick_length, 1);
-        assert_eq!(hp.sampling_tick_length, 1);
         assert_eq!(hp.sampling_ticks_per_observation, 10);
         assert_eq!(hp.epsilon_initial, 1.0);
         assert_eq!(hp.epsilon_final, 0.05);

@@ -10,7 +10,8 @@
 /// is a **cap**: at most the AVX2+FMA kernels, so a 512-bit host can pin the
 /// 256-bit ones — still clamped to what the CPU supports. `0/off/false` (or
 /// `scalar`) forces the scalar fallback; any other value does too, with a
-/// one-time warning.
+/// one-time warning. It selects speed, never bits: every level computes the
+/// same result.
 pub const ENV_SIMD: &str = "CAPES_SIMD";
 
 /// Worker-thread count for the GEMM worker pool. Unset or `0`: derived from

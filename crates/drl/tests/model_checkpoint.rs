@@ -2,11 +2,14 @@
 //! and what a restore keeps versus resets (the Figure 4 protocol).
 //!
 //! `fixtures/model_v1.ckpt` was written by `DqnAgent::save_checkpoint` at the
-//! commit that introduced the format, from `trained_agent()` below under
-//! `CAPES_SIMD=off` — a 6-input, 2-parameter agent five training steps in, so
-//! online and target networks have already drifted apart. It is never
-//! regenerated: a build that cannot load it, or that re-saves it to different
-//! bytes, has changed the v1 model format.
+//! commit that introduced the format, from `trained_agent()` below — a
+//! 6-input, 2-parameter agent five training steps in, so online and target
+//! networks have already drifted apart. Its weights came from a scalar GEMM
+//! arm that rounded every multiply and add separately; no SIMD level
+//! computes that arm any more, so `trained_agent()` no longer re-derives
+//! them and the fixture pins the format only. It is never regenerated: a
+//! build that cannot load it, or that re-saves it to different bytes, has
+//! changed the v1 model format.
 
 use capes_drl::{DqnAgent, DqnAgentConfig, EpsilonSchedule, TrainerConfig};
 use capes_persist::{Persist, PersistError, Writer};

@@ -1374,9 +1374,11 @@ impl FleetDaemon {
         *cluster_ticks += num_clusters as u64;
         *tick += 1;
 
+        // The window advances on every tick, so its rate never spans ticks
+        // it did not see.
+        telemetry.finish_tick(num_clusters);
         if recording {
             telemetry.tick_total.record_duration(tick_started.elapsed());
-            telemetry.finish_tick(sessions.len());
             // Fleet-wide aggregates of the member daemons' ingest health —
             // a handful of relaxed loads per tick.
             telemetry.reports_rejected.store(

@@ -8,26 +8,18 @@
 //! the wire transport, and the CRC-32 of its final checkpoint must equal a
 //! committed literal, at 1 and at 2 workers, with experience sharing off and
 //! on.
-//!
-//! The literals depend on the GEMM arm: the scalar kernels round every
-//! multiply and add, while the vector arms contract them into FMAs (both
-//! vector levels are bit-identical to each other). So each case carries one
-//! literal for `SimdLevel::Scalar` (the `CAPES_SIMD=off` pass) and one for
-//! the FMA levels.
 
 use capes::{Hyperparameters, PhaseKind, Transport};
 use capes_fleet::{ExperienceSharing, Fleet, FleetDaemon, ScenarioSpec};
 use capes_simstore::Workload;
-use capes_tensor::simd::{active_level, SimdLevel};
 use std::path::PathBuf;
 
-/// CRC-32 of the final checkpoint without experience sharing:
-/// (scalar, FMA levels).
-const GOLDEN_UNSHARED: (u32, u32) = (0xa82e_2544, 0xbe2e_98b1);
+/// CRC-32 of the final checkpoint without experience sharing.
+const GOLDEN_UNSHARED: u32 = 0xbe2e_98b1;
 
 /// CRC-32 of the final checkpoint with profile 0 sharing uniformly and
-/// profile 1 self-biased (2 : 1): (scalar, FMA levels).
-const GOLDEN_SHARED: (u32, u32) = (0x8b83_d515, 0xaf68_2344);
+/// profile 1 self-biased (2 : 1).
+const GOLDEN_SHARED: u32 = 0xaf68_2344;
 
 fn quick_hp() -> Hyperparameters {
     Hyperparameters {
@@ -96,18 +88,12 @@ fn final_checkpoint_crc(workers: usize, sharing: bool) -> u32 {
     crc
 }
 
-fn assert_golden(sharing: bool, (scalar, fma): (u32, u32)) {
-    let level = active_level();
-    let want = if level == SimdLevel::Scalar {
-        scalar
-    } else {
-        fma
-    };
+fn assert_golden(sharing: bool, want: u32) {
     for workers in [1, 2] {
         let got = final_checkpoint_crc(workers, sharing);
         assert_eq!(
             got, want,
-            "sharing={sharing}, {workers} worker(s), {level}: final checkpoint CRC \
+            "sharing={sharing}, {workers} worker(s): final checkpoint CRC \
              {got:#010x}, golden {want:#010x}"
         );
     }

@@ -13,7 +13,7 @@
 //! * the Adam optimizer with learning rate `1e-4`.
 //!
 //! This crate implements exactly that class of network (plus ReLU/Sigmoid for
-//! experiments), mean-squared-error and Huber losses, SGD and Adam optimizers,
+//! experiments), mean-squared-error and Huber losses, the Adam optimizer,
 //! and finite-difference gradient checking. Every parameter-bearing type
 //! implements [`capes_persist::Persist`]; the model file itself (paper
 //! Appendix A.4) is written by `capes-drl`.
@@ -58,5 +58,5 @@ pub use activation::Activation;
 pub use layer::{Dense, LayerGrads};
 pub use loss::{HuberLoss, Loss, MseLoss};
 pub use mlp::{Mlp, MlpGrads};
-pub use optimizer::{Adam, Optimizer, Sgd};
+pub use optimizer::{Adam, Optimizer};
 pub use workspace::Workspace;

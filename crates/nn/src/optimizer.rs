@@ -1,8 +1,7 @@
 //! Gradient-descent optimizers.
 //!
 //! The CAPES paper trains its Q-network with Adam at a learning rate of
-//! `1e-4` (Table 1). Plain SGD with optional momentum is also provided as a
-//! comparison point for the hyperparameter ablation benchmarks.
+//! `1e-4` (Table 1).
 
 use crate::{Mlp, MlpGrads};
 use capes_tensor::simd::{adam_update, AdamStep, SoftTarget};
@@ -15,71 +14,6 @@ pub trait Optimizer {
 
     /// The configured learning rate.
     fn learning_rate(&self) -> f64;
-}
-
-/// Stochastic gradient descent with optional classical momentum.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    /// Step size.
-    pub learning_rate: f64,
-    /// Momentum coefficient in `[0, 1)`; `0` disables momentum.
-    pub momentum: f64,
-    velocity: Vec<Matrix>,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer. `parameter_shapes` must come from
-    /// [`Mlp::parameter_shapes`] of the network that will be optimised.
-    pub fn new(learning_rate: f64, momentum: f64, parameter_shapes: Vec<(usize, usize)>) -> Self {
-        assert!(learning_rate > 0.0, "learning rate must be positive");
-        assert!((0.0..1.0).contains(&momentum), "momentum must be in [0, 1)");
-        Sgd {
-            learning_rate,
-            momentum,
-            velocity: parameter_shapes
-                .into_iter()
-                .map(|(r, c)| Matrix::zeros(r, c))
-                .collect(),
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, network: &mut Mlp, grads: &MlpGrads) {
-        assert_eq!(
-            grads.len() * 2,
-            self.velocity.len(),
-            "gradient count does not match optimizer state"
-        );
-        let lr = self.learning_rate;
-        let mu = self.momentum;
-        for (i, (layer, g)) in network
-            .layers_mut()
-            .iter_mut()
-            .zip(grads.iter())
-            .enumerate()
-        {
-            for (param, grad, vel_idx) in [
-                (&mut layer.weights, &g.d_weights, 2 * i),
-                (&mut layer.bias, &g.d_bias, 2 * i + 1),
-            ] {
-                let vel = &mut self.velocity[vel_idx];
-                if mu > 0.0 {
-                    // v ← μ·v − lr·g ; θ ← θ + v
-                    for (v, &gr) in vel.as_mut_slice().iter_mut().zip(grad.as_slice()) {
-                        *v = mu * *v - lr * gr;
-                    }
-                    param.axpy(1.0, vel);
-                } else {
-                    param.axpy(-lr, grad);
-                }
-            }
-        }
-    }
-
-    fn learning_rate(&self) -> f64 {
-        self.learning_rate
-    }
 }
 
 /// The Adam optimizer (Kingma & Ba, 2015) — the paper's choice (§3.4).
@@ -385,47 +319,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_with_momentum_learns_xor() {
-        let mut rng = StdRng::seed_from_u64(22);
-        let mut net = Mlp::new(&[2, 8, 1], Activation::Tanh, &mut rng);
-        let sgd = Sgd::new(0.1, 0.9, net.parameter_shapes());
-        let loss = train(sgd, &mut net, 3000);
-        assert!(loss < 5e-2, "SGD failed to fit XOR, final loss {loss}");
-    }
-
-    #[test]
-    fn adam_converges_faster_than_plain_sgd_on_badly_scaled_problem() {
-        // A problem with badly-scaled inputs; Adam's per-parameter step sizes
-        // should cope better than plain SGD at the same learning rate.
-        let x = Matrix::from_rows(&[&[100.0, 0.01], &[200.0, 0.02], &[-100.0, -0.03]]);
-        let t = Matrix::from_rows(&[&[1.0], &[2.0], &[-1.0]]);
-        let run = |use_adam: bool| {
-            let mut rng = StdRng::seed_from_u64(33);
-            let mut net = Mlp::new(&[2, 4, 1], Activation::Tanh, &mut rng);
-            let shapes = net.parameter_shapes();
-            let mut adam = Adam::new(0.01, shapes.clone());
-            let mut sgd = Sgd::new(0.01, 0.0, shapes);
-            let mut last = 0.0;
-            for _ in 0..300 {
-                let (loss, grads) = mse_grads(&net, &x, &t);
-                if use_adam {
-                    adam.step(&mut net, &grads);
-                } else {
-                    sgd.step(&mut net, &grads);
-                }
-                last = loss;
-            }
-            last
-        };
-        let adam_loss = run(true);
-        let sgd_loss = run(false);
-        assert!(
-            adam_loss < sgd_loss,
-            "expected Adam ({adam_loss}) to beat plain SGD ({sgd_loss})"
-        );
-    }
-
-    #[test]
     fn adam_step_counter_increments() {
         let mut rng = StdRng::seed_from_u64(1);
         let mut net = Mlp::new(&[2, 2, 1], Activation::Tanh, &mut rng);
@@ -624,23 +517,5 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_learning_rate_rejected() {
         let _ = Adam::new(0.0, vec![(2, 2)]);
-    }
-
-    #[test]
-    fn sgd_without_momentum_is_plain_descent() {
-        // One parameter, identity activation: loss = (w*x - t)^2 / 1
-        let mut net = Mlp::from_layers(vec![crate::Dense::from_parameters(
-            Matrix::filled(1, 1, 0.0),
-            Matrix::zeros(1, 1),
-            Activation::Identity,
-        )]);
-        let mut sgd = Sgd::new(0.1, 0.0, net.parameter_shapes());
-        let x = Matrix::filled(1, 1, 1.0);
-        let t = Matrix::filled(1, 1, 1.0);
-        let (_, grads) = mse_grads(&net, &x, &t);
-        sgd.step(&mut net, &grads);
-        // grad of (w - 1)^2 at w=0 is -2, bias grad is -2; step 0.1 → w = 0.2, b = 0.2.
-        assert!((net.layers()[0].weights[(0, 0)] - 0.2).abs() < 1e-12);
-        assert!((net.layers()[0].bias[(0, 0)] - 0.2).abs() < 1e-12);
     }
 }

@@ -6,7 +6,8 @@
 //! out-of-tile read) typically shows up as *run-to-run nondeterminism* or as
 //! batch-size-dependent results rather than a loud failure. This suite pins
 //! the two properties the DQN trainer relies on, at whatever level the host
-//! dispatches (CI runs it again with `CAPES_SIMD=off` for the scalar arm):
+//! dispatches (CI runs it again with `CAPES_SIMD=off` for the scalar arm,
+//! which computes the same bits as the vector arms):
 //!
 //! 1. identical inputs through identical (but distinct) workspaces produce
 //!    bit-identical activations and gradients, across odd batch sizes and

@@ -20,7 +20,8 @@
 //! pool-chunked products alike call the runtime-dispatched entry points
 //! there, so they run the widest vector kernels the CPU supports (AVX2+FMA,
 //! with 512-bit GEMM tiles under `avx512f`; the portable scalar kernels
-//! otherwise, or under `CAPES_SIMD=off`).
+//! otherwise, or under `CAPES_SIMD=off`). Every level computes the same
+//! bits.
 
 use crate::pool::{self, WorkerPool};
 use crate::simd::{gemm_rows, gemm_ta_rows, gemm_tb_rows};

@@ -1,10 +1,9 @@
 //! Explicit SIMD GEMM inner kernels with runtime dispatch.
 //!
-//! The blocked kernels in [`crate::matmul`] are bounds-check-free and rank-4
-//! unrolled, but at the x86-64 *baseline* target (SSE2) the autovectorizer
-//! can only emit 2-wide f64 arithmetic and no fused multiply-adds. This
-//! module provides hand-written vector inner kernels for all three GEMM
-//! shapes the training step uses —
+//! At the x86-64 *baseline* target (SSE2) the autovectorizer can only emit
+//! 2-wide f64 arithmetic and no fused multiply-adds. This module provides
+//! hand-written vector inner kernels for all three GEMM shapes the training
+//! step uses —
 //!
 //! * `out += a · b` ([`gemm_rows_with`], also the fused-affine kernel:
 //!   `affine_into` seeds `out` with the bias and accumulates on top),
@@ -18,7 +17,7 @@
 //!
 //! | level     | what it vectorises                                              |
 //! |-----------|-----------------------------------------------------------------|
-//! | `Scalar`  | nothing by hand — the portable rank-4 kernels                   |
+//! | `Scalar`  | nothing by hand — portable kernels running the vector arms' FMA chains one element at a time |
 //! | `Avx2Fma` | everything below: 4 × 8 `ymm` GEMM tiles, the `a · bᵀ` dot kernel, Adam, tanh, Bellman targets |
 //! | `Avx512`  | the shared GEMM panel of `out += a · b` and of the zero-seeded `out = aᵀ · b` (8 × 24 `zmm` tiles), `a · bᵀ` (8 a-rows × 4 b-rows, two a-rows per `zmm`) and the tanh forward pass (8 lanes); remainders run the 256-bit code, and Adam, tanh backward and the Bellman targets run their `Avx2Fma` arms |
 //!
@@ -49,14 +48,17 @@
 //! to the highest level it can ([`detected_level`]), so any level is safe to
 //! pass anywhere.
 //!
-//! The scalar arm is byte-for-byte the pre-SIMD blocked kernel, so forcing
-//! `CAPES_SIMD=off` reproduces the previous releases' results bit-for-bit.
-//! The vector arms contract each multiply-add into one FMA (one rounding
-//! instead of two), so their results can differ from the scalar arm in the
-//! final ulp — the property tests bound the difference against the naive
-//! reference — while `Avx512` and `Avx2Fma` agree bit-for-bit
-//! (property-tested). Non-finite operands propagate exactly like the naive
-//! kernel in every arm: every product is computed, `0 · NaN` is `NaN`, never
+//! **Every level computes the same bits.** The scalar arm runs each output
+//! element's exact FMA chain (`f64::mul_add`, one rounding per
+//! multiply-add) in the vector arms' order, so `CAPES_SIMD` and the host CPU
+//! select speed, never results: a checkpoint trained at one level is
+//! bit-identical to one trained at any other (property-tested on every tile
+//! seam; a NaN only has to stay a NaN, because a scalar `+` does not pin
+//! which payload it keeps). On x86-64 the scalar GEMMs are compiled a second
+//! time with the `fma` target feature and picked when the CPU has it;
+//! without it `mul_add` is a correctly rounded libm call, so both give the
+//! same bits. Non-finite operands propagate exactly like the naive kernel in
+//! every arm: every product is computed, `0 · NaN` is `NaN`, never
 //! skipped. Remainder columns/rows that do not fill a vector are handled
 //! with narrower tiles and scalar-FMA tails inside the vector arms, and every
 //! load/store is unaligned (`loadu`/`storeu`), so kernels accept arbitrary
@@ -72,12 +74,11 @@
 //! The fused Adam parameter update ([`adam_update_with`]) optionally carries
 //! the DQN soft target update in the same pass (its [`SoftTarget`]
 //! argument): after `θ[i]` is stored,
-//! `θ⁻[i] = θ⁻[i]·(1−α) + θ[i]·α`. Unlike the GEMM vector arms, its AVX2 arm
-//! uses **no FMA contraction** — every operation (mul, add, div, sqrt, sub)
-//! is individually correctly rounded, in the same order as the scalar arm —
-//! so the arms are **bit-identical**, not merely ulp-close (property-tested),
-//! and the blend lands on the bits of `Matrix::blend`. Toggling `CAPES_SIMD`
-//! therefore never perturbs an optimizer trajectory on its own.
+//! `θ⁻[i] = θ⁻[i]·(1−α) + θ[i]·α`. Unlike the GEMMs, it uses **no FMA
+//! contraction** in any arm — every operation (mul, add, div, sqrt, sub) is
+//! individually correctly rounded, in the same order in every arm — so the
+//! arms are bit-identical (property-tested), and the blend lands on the bits
+//! of `Matrix::blend`.
 
 use std::fmt;
 use std::sync::OnceLock;
@@ -87,8 +88,8 @@ use std::sync::OnceLock;
 /// run AVX2" is `level >= SimdLevel::Avx2Fma`, never `==`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SimdLevel {
-    /// Portable scalar kernels (rank-4 unrolled, autovectorized at whatever
-    /// baseline the build targets). Bit-identical to the pre-SIMD kernels.
+    /// Portable scalar kernels: the vector arms' per-element FMA chains, one
+    /// element at a time, so bit-identical to every other level.
     Scalar,
     /// Hand-written AVX2 kernels with FMA contraction (x86-64 only).
     Avx2Fma,
@@ -316,7 +317,7 @@ fn gemm_rows_dispatch(
                 avx2::gemm_rows(wide, a, b, out, rows_a, cols_a, cols_b)
             }
         },
-        _ => gemm_rows_scalar(a, b, out, rows_a, cols_a, cols_b),
+        _ => scalar::gemm_rows(a, b, out, rows_a, cols_a, cols_b),
     }
 }
 
@@ -367,7 +368,7 @@ pub fn gemm_ta_rows_with(
             let wide = level == SimdLevel::Avx512;
             avx2::gemm_ta_rows(wide, a, b, out, i_start, i_end, n, m, p)
         },
-        _ => gemm_ta_rows_scalar(a, b, out, i_start, i_end, n, m, p),
+        _ => scalar::gemm_ta_rows(a, b, out, i_start, i_end, n, m, p),
     }
 }
 
@@ -375,7 +376,7 @@ pub fn gemm_ta_rows_with(
 /// `out` holds the dot products of row `i` of `a` with every row of `b`
 /// (`out` is zeroed and accumulated into, panel by panel).
 ///
-/// The vector arms compute each panel's dot as four lane accumulators joined
+/// Every arm computes each panel's dot as four lane accumulators joined
 /// `(l0 + l2) + (l1 + l3)`, then a scalar-FMA tail. [`SimdLevel::Avx512`]
 /// keeps that four-lane chain and widens the tile instead: one `zmm` holds
 /// two a-rows' four lanes side by side, so it is **bit-identical** to
@@ -410,7 +411,7 @@ pub fn gemm_tb_rows_with(
         // SAFETY: as above, and `runnable` confirmed `avx512f`.
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx512 => unsafe { avx512::gemm_tb_rows(a, b, out, rows_a, cols, rows_b) },
-        _ => gemm_tb_rows_scalar(a, b, out, rows_a, cols, rows_b),
+        _ => scalar::gemm_tb_rows(a, b, out, rows_a, cols, rows_b),
     }
 }
 
@@ -734,14 +735,16 @@ pub(crate) fn gemm_tb_rows(
 }
 
 // ---------------------------------------------------------------------------
-// Scalar arm — byte-for-byte the pre-SIMD blocked kernels.
+// Scalar arm — the vector arms' FMA chains, one element at a time.
 // ---------------------------------------------------------------------------
 
-/// The inner update is rank-4: four rows of `b` are combined per sweep of the
-/// output row, which quarters the traffic on `out` and gives the
-/// autovectorizer four independent streams. All subslices carry exact lengths
-/// so the inner loops compile without bounds checks.
-fn gemm_rows_scalar(
+/// `out += a · b`: each output element is one in-order `mul_add` chain over
+/// the reduction index, seeded from `out` — the chain every vector tile runs,
+/// whatever its k-panel and tile boundaries. The `i → k → j` order sweeps
+/// each `b` row contiguously; every subslice carries its exact length, so
+/// the inner loop compiles without bounds checks.
+#[inline(always)]
+fn gemm_rows_chain(
     a: &[f64],
     b: &[f64],
     out: &mut [f64],
@@ -749,40 +752,24 @@ fn gemm_rows_scalar(
     cols_a: usize,
     cols_b: usize,
 ) {
-    for kk in (0..cols_a).step_by(BLOCK) {
-        let k_end = (kk + BLOCK).min(cols_a);
-        for i in 0..rows_a {
-            let a_row = &a[i * cols_a..][..cols_a];
-            let out_row = &mut out[i * cols_b..][..cols_b];
-            let mut p = kk;
-            while p + 4 <= k_end {
-                let (v0, v1, v2, v3) = (a_row[p], a_row[p + 1], a_row[p + 2], a_row[p + 3]);
-                let b0 = &b[p * cols_b..][..cols_b];
-                let b1 = &b[(p + 1) * cols_b..][..cols_b];
-                let b2 = &b[(p + 2) * cols_b..][..cols_b];
-                let b3 = &b[(p + 3) * cols_b..][..cols_b];
-                for j in 0..cols_b {
-                    out_row[j] += v0 * b0[j] + v1 * b1[j] + v2 * b2[j] + v3 * b3[j];
-                }
-                p += 4;
-            }
-            while p < k_end {
-                let v = a_row[p];
-                let b_row = &b[p * cols_b..][..cols_b];
-                for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                    *o += v * bv;
-                }
-                p += 1;
+    for i in 0..rows_a {
+        let a_row = &a[i * cols_a..][..cols_a];
+        let out_row = &mut out[i * cols_b..][..cols_b];
+        for (k, &v) in a_row.iter().enumerate() {
+            let b_row = &b[k * cols_b..][..cols_b];
+            for (o, &bv) in out_row.iter_mut().zip(b_row) {
+                *o = v.mul_add(bv, *o);
             }
         }
     }
 }
 
-/// The reduction dimension `n` is unrolled by 4, keeping the output row
-/// resident while four `b` rows stream. `out` is zeroed first: the kernel
-/// overwrites, and the sums start from `+0.0` as they always have.
+/// `out = (aᵀ · b)[i_start..i_end]`: [`gemm_rows_chain`]'s chain over the
+/// rows of `a`, each seeded from `+0.0` like the vector arms' overwriting
+/// tiles.
 #[allow(clippy::too_many_arguments)]
-fn gemm_ta_rows_scalar(
+#[inline(always)]
+fn gemm_ta_rows_chain(
     a: &[f64],
     b: &[f64],
     out: &mut [f64],
@@ -795,32 +782,109 @@ fn gemm_ta_rows_scalar(
     out.fill(0.0);
     for i in i_start..i_end {
         let out_row = &mut out[(i - i_start) * p..][..p];
-        let mut r = 0;
-        while r + 4 <= n {
-            let (v0, v1, v2, v3) = (
-                a[r * m + i],
-                a[(r + 1) * m + i],
-                a[(r + 2) * m + i],
-                a[(r + 3) * m + i],
-            );
-            let b0 = &b[r * p..][..p];
-            let b1 = &b[(r + 1) * p..][..p];
-            let b2 = &b[(r + 2) * p..][..p];
-            let b3 = &b[(r + 3) * p..][..p];
-            for j in 0..p {
-                out_row[j] += v0 * b0[j] + v1 * b1[j] + v2 * b2[j] + v3 * b3[j];
-            }
-            r += 4;
-        }
-        while r < n {
+        for r in 0..n {
             let v = a[r * m + i];
             let b_row = &b[r * p..][..p];
             for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                *o += v * bv;
+                *o = v.mul_add(bv, *o);
             }
-            r += 1;
         }
     }
+}
+
+/// One k-panel segment dot in the vector arms' order: four lane chains
+/// `c_q = x.mul_add(y, c_q)` from `0.0`, joined `(c0 + c2) + (c1 + c3)`,
+/// then the `len % 4` tail folded in with `mul_add` — `avx2::dot`.
+#[inline(always)]
+fn dot4(a: &[f64], b: &[f64]) -> f64 {
+    debug_assert_eq!(a.len(), b.len());
+    let mut c = [0.0f64; 4];
+    let mut ca = a.chunks_exact(4);
+    let mut cb = b.chunks_exact(4);
+    for (xa, xb) in (&mut ca).zip(&mut cb) {
+        for ((lane, &x), &y) in c.iter_mut().zip(xa).zip(xb) {
+            *lane = x.mul_add(y, *lane);
+        }
+    }
+    let mut sum = (c[0] + c[2]) + (c[1] + c[3]);
+    for (&x, &y) in ca.remainder().iter().zip(cb.remainder()) {
+        sum = x.mul_add(y, sum);
+    }
+    sum
+}
+
+/// `out = a · bᵀ`: every [`BLOCK`]-step k-panel's [`dot4`] is added onto
+/// `out` in panel order, as in the vector arms. Blocked over `b`'s rows as
+/// well, so each [`BLOCK`] × [`BLOCK`] panel of `b` (~32 KiB) is reused
+/// across every row of `a`; that blocking does not touch any element's
+/// chain.
+#[inline(always)]
+fn gemm_tb_rows_chain(
+    a: &[f64],
+    b: &[f64],
+    out: &mut [f64],
+    rows_a: usize,
+    cols: usize,
+    rows_b: usize,
+) {
+    out.fill(0.0);
+    for kk in (0..cols).step_by(BLOCK) {
+        let k_end = (kk + BLOCK).min(cols);
+        for jj in (0..rows_b).step_by(BLOCK) {
+            let j_end = (jj + BLOCK).min(rows_b);
+            for i in 0..rows_a {
+                let a_seg = &a[i * cols + kk..i * cols + k_end];
+                let out_seg = &mut out[i * rows_b + jj..i * rows_b + j_end];
+                for (j, o) in (jj..j_end).zip(out_seg.iter_mut()) {
+                    *o += dot4(a_seg, &b[j * cols + kk..j * cols + k_end]);
+                }
+            }
+        }
+    }
+}
+
+/// The scalar GEMM entries. Without the `fma` target feature `f64::mul_add`
+/// is a libm call per multiply-add, which made the `CAPES_SIMD=off` test
+/// suite more than 2.4× slower on a 2-vCPU AVX-512 Xeon, so on x86-64 each
+/// kernel is compiled a second time with the feature and picked when the
+/// CPU has FMA. `fma` is correctly rounded either way, so both copies
+/// compute the same bits.
+mod scalar {
+    /// Defines the entry `$name`, which runs `$kernel` as the FMA copy when
+    /// the CPU has FMA and as the portable copy otherwise.
+    macro_rules! fma_dispatch {
+        ($name:ident => $kernel:ident($($arg:ident: $ty:ty),*)) => {
+            #[allow(clippy::too_many_arguments)]
+            pub(super) fn $name($($arg: $ty),*) {
+                #[cfg(target_arch = "x86_64")]
+                if std::is_x86_feature_detected!("fma") {
+                    /// The kernel compiled with hardware FMA.
+                    ///
+                    /// # Safety
+                    /// The CPU must support FMA.
+                    #[allow(clippy::too_many_arguments)]
+                    #[target_feature(enable = "fma")]
+                    unsafe fn with_fma($($arg: $ty),*) {
+                        super::$kernel($($arg),*)
+                    }
+                    // SAFETY: the CPU supports FMA (probed just above).
+                    return unsafe { with_fma($($arg),*) };
+                }
+                super::$kernel($($arg),*)
+            }
+        };
+    }
+
+    fma_dispatch!(gemm_rows => gemm_rows_chain(
+        a: &[f64], b: &[f64], out: &mut [f64], rows_a: usize, cols_a: usize, cols_b: usize
+    ));
+    fma_dispatch!(gemm_ta_rows => gemm_ta_rows_chain(
+        a: &[f64], b: &[f64], out: &mut [f64], i_start: usize, i_end: usize, n: usize, m: usize,
+        p: usize
+    ));
+    fma_dispatch!(gemm_tb_rows => gemm_tb_rows_chain(
+        a: &[f64], b: &[f64], out: &mut [f64], rows_a: usize, cols: usize, rows_b: usize
+    ));
 }
 
 /// Scalar arm of the Adam update — the reference evaluation order the vector
@@ -980,56 +1044,6 @@ fn bellman_targets_scalar(
             }
         }
         *o = reward + discount * m;
-    }
-}
-
-/// Dot product with four independent accumulators (ILP + vectorization).
-#[inline]
-fn dot4(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut c0 = 0.0;
-    let mut c1 = 0.0;
-    let mut c2 = 0.0;
-    let mut c3 = 0.0;
-    let mut ca = a.chunks_exact(4);
-    let mut cb = b.chunks_exact(4);
-    for (xa, xb) in (&mut ca).zip(&mut cb) {
-        c0 += xa[0] * xb[0];
-        c1 += xa[1] * xb[1];
-        c2 += xa[2] * xb[2];
-        c3 += xa[3] * xb[3];
-    }
-    let mut tail = 0.0;
-    for (x, y) in ca.remainder().iter().zip(cb.remainder()) {
-        tail += x * y;
-    }
-    (c0 + c2) + (c1 + c3) + tail
-}
-
-/// Blocked in both the reduction dimension and `b`'s rows: each
-/// [`BLOCK`] × [`BLOCK`] panel of `b` (~32 KiB, resident in L1/L2) is reused
-/// across every row of `a` before the kernel moves on.
-fn gemm_tb_rows_scalar(
-    a: &[f64],
-    b: &[f64],
-    out: &mut [f64],
-    rows_a: usize,
-    cols: usize,
-    rows_b: usize,
-) {
-    out.fill(0.0);
-    for kk in (0..cols).step_by(BLOCK) {
-        let k_end = (kk + BLOCK).min(cols);
-        for jj in (0..rows_b).step_by(BLOCK) {
-            let j_end = (jj + BLOCK).min(rows_b);
-            for i in 0..rows_a {
-                let a_seg = &a[i * cols + kk..i * cols + k_end];
-                let out_seg = &mut out[i * rows_b + jj..i * rows_b + j_end];
-                for (j, o) in (jj..j_end).zip(out_seg.iter_mut()) {
-                    *o += dot4(a_seg, &b[j * cols + kk..j * cols + k_end]);
-                }
-            }
-        }
     }
 }
 

@@ -15,18 +15,19 @@
 //!    single-threaded call, at every level (the pooled dispatch only moves
 //!    row boundaries around, and every element's FMA chain is
 //!    boundary-independent by construction).
-//! 4. **Width invariance** — the 512-bit GEMM panel and `a · bᵀ` kernel are
-//!    bit-for-bit the 256-bit ones on shapes that hit every tile seam (NaN
-//!    payloads included for `a · bᵀ`), and the Adam update
-//!    carrying the soft target update is bit-for-bit the plain update
-//!    followed by `Matrix::blend`, at every level.
+//! 4. **Level invariance** — every level's GEMMs are bit-for-bit the scalar
+//!    arm's on shapes that hit every tile seam (a NaN only has to stay a
+//!    NaN against the scalar arm; the 512-bit kernels match the 256-bit
+//!    ones with NaN payloads included), and the Adam update carrying the
+//!    soft target update is bit-for-bit the plain update followed by
+//!    `Matrix::blend`, at every level.
 //!
 //! The `CAPES_SIMD=off` arm of CI runs this whole suite (and everything
 //! else) with the scalar kernels dispatched, so both sides of the runtime
 //! switch stay covered; `runnable_levels` additionally pins every level the
 //! host can run in-process — on a 512-bit runner that proves `Avx2Fma`
-//! explicitly, without a `CAPES_SIMD=avx2` pass. The 512-bit cases skip (not
-//! fail) on hosts without `avx512f`, and the suite prints which levels ran.
+//! explicitly, without a `CAPES_SIMD=avx2` pass. The suite prints which
+//! levels ran.
 
 #![forbid(unsafe_code)]
 
@@ -223,9 +224,8 @@ proptest! {
     }
 
     /// The fused Adam update at every runnable level is **bit-identical** to
-    /// an independently-written scalar reference of the textbook recurrence —
-    /// stronger than the GEMM guarantee (ulp-close), because the vector arm
-    /// deliberately forgoes FMA. Lengths cross the 4-lane boundary in every
+    /// an independently-written scalar reference of the textbook recurrence,
+    /// which uses no FMA, because no arm of the kernel does. Lengths cross the 4-lane boundary in every
     /// residue class, `t` exercises early (large-bias-correction) steps and
     /// the later era in which `bias1` has rounded to exactly 1.0 and the
     /// kernels stop dividing by it (the reference always divides), and
@@ -440,35 +440,40 @@ proptest! {
     }
 }
 
-/// The 512-bit GEMM panel against the 256-bit one, **bit for bit**, on shapes
-/// that hit every seam of the 8 × 24 tile: no full row tile, exactly one, one
-/// plus a remainder, the training batch and one past it, and a panel tall
-/// enough to flip the tile order and the pack gate; no full column
-/// tile, one short of one, exactly one, one past, the 600-wide network and
-/// one past it; a single step, half a k-panel, and both sides of the
-/// 64-step panel edge. `out` is seeded non-zero for `gemm_rows` (the chains
-/// start from it) and NaN-poisoned for `gemm_ta_rows` (which overwrites), all
-/// three `gemm_rows` entries are pinned, and `gemm_ta_rows` additionally runs
-/// over sub-ranges the way the pool chunks its output rows.
+/// Every runnable level's `out += a · b` and `out = aᵀ · b` against the
+/// scalar arm, **bit for bit**, on shapes that hit every seam of the 4 × 8
+/// and 8 × 24 tiles: no full row tile, exactly one, one plus a remainder,
+/// the training batch and one past it, and a panel tall enough to flip the
+/// tile order and the pack gate; no full column tile, one short of one,
+/// exactly one, one past, the 600-wide network and one past it; a single
+/// step, half a k-panel, and both sides of the 64-step panel edge. `out` is
+/// seeded non-zero for `gemm_rows` (the chains start from it) and
+/// NaN-poisoned for `gemm_ta_rows` (which overwrites), all three `gemm_rows`
+/// entries are pinned, and `gemm_ta_rows` additionally runs over sub-ranges
+/// the way the pool chunks its output rows. An `∞` in `a` and a zero a-row
+/// over `−0.0` seeds put infinities and signed zeros on the chains; a
+/// product `∞ · 0` may turn an element NaN, and such an element only has to
+/// be NaN at every level. The 512-bit tiles also match the 256-bit ones with
+/// NaN payloads included.
 #[test]
-fn avx512_panel_is_bit_identical_to_avx2_on_every_seam() {
+fn gemm_panel_is_bit_identical_to_scalar_at_every_level_on_every_seam() {
     eprintln!(
         "simd_properties: levels run on this host: {:?}",
         runnable_levels()
     );
-    if detected_level() < SimdLevel::Avx512 {
-        eprintln!("simd_properties: no avx512f on this host — 512-bit cases skipped");
-        return;
-    }
-    let (narrow, wide) = (SimdLevel::Avx2Fma, SimdLevel::Avx512);
     let mut rng = StdRng::seed_from_u64(512);
     for &rows in &[1usize, 7, 8, 9, 32, 33, 72] {
         for &cols in &[5usize, 23, 24, 25, 600, 601] {
             for &k in &[1usize, 32, 63, 64, 65, 600] {
                 let shape = format!("{rows}x{k}x{cols}");
-                let a = random_vec(&mut rng, rows * k);
+                let mut a = random_vec(&mut rng, rows * k);
                 let b = random_vec(&mut rng, k * cols);
-                let seed_out = random_vec(&mut rng, rows * cols);
+                let mut seed_out = random_vec(&mut rng, rows * cols);
+                a[k / 2] = f64::INFINITY;
+                if rows > 1 {
+                    a[(rows - 1) * k..].fill(0.0);
+                    seed_out[(rows - 1) * cols..].fill(-0.0);
+                }
                 type Gemm = fn(SimdLevel, &[f64], &[f64], &mut [f64], usize, usize, usize);
                 let entries: [(&str, Gemm); 3] = [
                     ("auto", gemm_rows_with),
@@ -476,56 +481,61 @@ fn avx512_panel_is_bit_identical_to_avx2_on_every_seam() {
                     ("unpacked", gemm_rows_unpacked_with),
                 ];
                 for (name, gemm) in entries {
-                    let mut want = seed_out.clone();
-                    let mut got = seed_out.clone();
-                    gemm(narrow, &a, &b, &mut want, rows, k, cols);
-                    gemm(wide, &a, &b, &mut got, rows, k, cols);
-                    assert!(bits_equal(&got, &want), "gemm_rows {name} {shape}");
+                    let per_level = runnable_levels().iter().map(|&level| {
+                        let mut out = seed_out.clone();
+                        gemm(level, &a, &b, &mut out, rows, k, cols);
+                        out
+                    });
+                    assert_levels_agree(per_level.collect(), &format!("gemm_rows {name} {shape}"));
                 }
 
                 // aᵀ · b: `a` is k × rows read transposed, `b` is k × cols.
                 // It overwrites, so every buffer starts NaN-poisoned.
-                let mut want = vec![f64::NAN; rows * cols];
-                gemm_ta_rows_with(narrow, &a, &b, &mut want, 0, rows, k, rows, cols);
-                let mut whole = vec![f64::NAN; rows * cols];
-                gemm_ta_rows_with(wide, &a, &b, &mut whole, 0, rows, k, rows, cols);
-                assert!(bits_equal(&whole, &want), "gemm_ta_rows {shape}");
-                // Row sub-ranges, as `WorkerPool::run_mut` would hand them out.
-                let mut chunked = vec![f64::NAN; rows * cols];
-                for chunk in [
-                    0..rows / 3,
-                    rows / 3..rows - rows / 2,
-                    rows - rows / 2..rows,
-                ] {
-                    let (start, end) = (chunk.start, chunk.end);
-                    let out = &mut chunked[start * cols..end * cols];
-                    gemm_ta_rows_with(wide, &a, &b, out, start, end, k, rows, cols);
+                let mut per_level = Vec::new();
+                for &level in runnable_levels() {
+                    let mut whole = vec![f64::NAN; rows * cols];
+                    gemm_ta_rows_with(level, &a, &b, &mut whole, 0, rows, k, rows, cols);
+                    // Row sub-ranges, as `WorkerPool::run_mut` would hand them out.
+                    let mut chunked = vec![f64::NAN; rows * cols];
+                    for chunk in [
+                        0..rows / 3,
+                        rows / 3..rows - rows / 2,
+                        rows - rows / 2..rows,
+                    ] {
+                        let (start, end) = (chunk.start, chunk.end);
+                        let out = &mut chunked[start * cols..end * cols];
+                        gemm_ta_rows_with(level, &a, &b, out, start, end, k, rows, cols);
+                    }
+                    assert!(
+                        bits_equal(&chunked, &whole),
+                        "{level} gemm_ta_rows chunked {shape}"
+                    );
+                    per_level.push(whole);
                 }
-                assert!(bits_equal(&chunked, &want), "gemm_ta_rows chunked {shape}");
+                assert_levels_agree(per_level, &format!("gemm_ta_rows {shape}"));
             }
         }
     }
 }
 
-/// The 512-bit `a · bᵀ` kernel against the 256-bit one, **bit for bit**, on
-/// shapes that hit every seam of its 8 × 4 tile: a-rows below, at and past a
-/// tile and a pair; a reduction of one step, a scalar tail alone, one 4-lane
-/// step with and without a tail, both sides of the 64-step panel edge and
-/// the 600-wide network; b-rows below, at and past a tile and a panel. `out`
-/// starts NaN-poisoned, and the rows also run chunked over a real pool.
+/// Every runnable level's `a · bᵀ` against the scalar arm, **bit for bit**,
+/// on shapes that hit every seam of the 2 × 4 and 8 × 4 tiles: a-rows below,
+/// at and past a tile and a pair; a reduction of one step, a scalar tail
+/// alone, one 4-lane step with and without a tail, both sides of the
+/// 64-step panel edge and the 600-wide network; b-rows below, at and past a
+/// tile and a panel. `out` starts NaN-poisoned, and the rows also run
+/// chunked over a real pool at every level.
 ///
 /// The inputs carry the values a wrong join would show: a-row 0 and b-row 0
 /// are tiny enough that their products round to `−0.0` (the panel sum is
-/// added onto `+0.0`, which makes it `+0.0`), and the dot of a-row 1 with
-/// b-row 1 meets two NaNs with different payloads in different lanes, so the
-/// horizontal sum's operand order decides which payload survives.
+/// added onto `+0.0`, which makes it `+0.0`), the last a-row carries an `∞`,
+/// and the dot of a-row 1 with b-row 1 meets two NaNs with different
+/// payloads in different lanes, so the horizontal sum's operand order
+/// decides which payload survives. The vector arms pin that order; a scalar
+/// `+` does not pin which payload it keeps, so against the scalar arm a NaN
+/// only has to be a NaN.
 #[test]
-fn avx512_tb_is_bit_identical_to_avx2_on_every_seam() {
-    if detected_level() < SimdLevel::Avx512 {
-        eprintln!("simd_properties: no avx512f on this host — 512-bit a · bᵀ cases skipped");
-        return;
-    }
-    let (narrow, wide) = (SimdLevel::Avx2Fma, SimdLevel::Avx512);
+fn gemm_tb_is_bit_identical_to_scalar_at_every_level_on_every_seam() {
     let pool = WorkerPool::new(4);
     let mut rng = StdRng::seed_from_u64(4096);
     let nan = |payload: u64| f64::from_bits(0x7FF8_0000_0000_0000 | payload);
@@ -543,24 +553,50 @@ fn avx512_tb_is_bit_identical_to_avx2_on_every_seam() {
                     a[k] = nan(1);
                     b[k + 1] = nan(2);
                 }
-                let mut want = vec![f64::NAN; rows_a * rows_b];
-                gemm_tb_rows_with(narrow, &a, &b, &mut want, rows_a, k, rows_b);
-                let mut got = vec![f64::NAN; rows_a * rows_b];
-                gemm_tb_rows_with(wide, &a, &b, &mut got, rows_a, k, rows_b);
-                assert!(bits_equal(&got, &want), "gemm_tb_rows {shape}");
-                assert_eq!(want[0].to_bits(), 0.0f64.to_bits(), "−0.0 dot {shape}");
-                // Chunking moves rows between tiles, pairs and single dots.
-                for level in [narrow, wide] {
+                if rows_a > 2 {
+                    a[(rows_a - 1) * k + k / 2] = f64::NEG_INFINITY;
+                }
+                let mut per_level = Vec::new();
+                for &level in runnable_levels() {
+                    let mut whole = vec![f64::NAN; rows_a * rows_b];
+                    gemm_tb_rows_with(level, &a, &b, &mut whole, rows_a, k, rows_b);
+                    assert_eq!(
+                        whole[0].to_bits(),
+                        0.0f64.to_bits(),
+                        "{level} −0.0 dot {shape}"
+                    );
+                    // Chunking moves rows between tiles, pairs and single dots.
                     let mut chunked = vec![f64::NAN; rows_a * rows_b];
                     pool.run_mut(&mut chunked, rows_b, 1, |start, chunk| {
                         let rows = chunk.len() / rows_b;
                         let a_rows = &a[start * k..(start + rows) * k];
                         gemm_tb_rows_with(level, a_rows, &b, chunk, rows, k, rows_b);
                     });
-                    assert!(bits_equal(&chunked, &want), "{level} chunked {shape}");
+                    assert!(bits_equal(&chunked, &whole), "{level} chunked {shape}");
+                    per_level.push(whole);
                 }
+                assert_levels_agree(per_level, &format!("gemm_tb_rows {shape}"));
             }
         }
+    }
+}
+
+/// Asserts that `per_level` — one output per [`runnable_levels`] entry,
+/// lowest (scalar) first — agrees bit for bit: every vector level with the
+/// scalar arm, up to the payload where both are NaN, and the 512-bit arm
+/// with the 256-bit one exactly, NaN payloads included.
+fn assert_levels_agree(per_level: Vec<Vec<f64>>, what: &str) {
+    let (scalar, vector) = per_level.split_first().expect("scalar always runs");
+    for (level, out) in runnable_levels()[1..].iter().zip(vector) {
+        let same = out.len() == scalar.len()
+            && out
+                .iter()
+                .zip(scalar)
+                .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()));
+        assert!(same, "{level} vs scalar: {what}");
+    }
+    if let [avx2, avx512] = vector {
+        assert!(bits_equal(avx512, avx2), "avx512 vs avx2: {what}");
     }
 }
 
