@@ -10,6 +10,9 @@
 
 use capes::prelude::*;
 use capes_bench::{compare_engines, print_engine_comparison, write_json, Scale};
+use capes_drl::QNetwork;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn row(name: &str, paper: String, quick: String, description: &str) {
     println!("{name:<34}{paper:>14}{quick:>14}   {description}");
@@ -68,10 +71,17 @@ fn main() {
         format!("{}%", quick.missing_entry_tolerance * 100.0),
         "missing data tolerated per observation",
     );
+    // The depth is fixed by the architecture, not configured: count the
+    // hidden layers of the Q-network the DRL engine builds.
+    let hidden_layers = QNetwork::new(1, 1, &mut StdRng::seed_from_u64(0))
+        .mlp()
+        .layers()
+        .len()
+        - 1;
     row(
         "number of hidden layers",
-        format!("{}", paper.num_hidden_layers),
-        format!("{}", quick.num_hidden_layers),
+        format!("{hidden_layers}"),
+        format!("{hidden_layers}"),
         "hidden layers are the same width as the input",
     );
     row(

@@ -7,7 +7,9 @@ use capes_drl::{DqnAgentConfig, EpsilonSchedule, TrainerConfig};
 /// reproduction adds to let experiments run at laptop scale (none of which
 /// change the algorithm). Table 1's action and sampling tick lengths are not
 /// fields: the simulator steps one second per tick, the paper's value for
-/// both.
+/// both. Nor is its number of hidden layers: the depth is fixed by the
+/// architecture [`capes_drl::QNetwork::new`] builds (two tanh layers as wide
+/// as the input).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Hyperparameters {
     /// "sampling ticks per observation" (paper: 10).
@@ -24,9 +26,6 @@ pub struct Hyperparameters {
     pub minibatch_size: usize,
     /// "missing entry tolerance" (paper: 20 %).
     pub missing_entry_tolerance: f64,
-    /// "number of hidden layers" (paper: 2). The hidden layers are the same
-    /// width as the input, per Table 1.
-    pub num_hidden_layers: usize,
     /// "Adam learning rate" (paper: 1e-4).
     pub adam_learning_rate: f64,
     /// "target network update rate (α)" (paper: 0.01).
@@ -66,7 +65,6 @@ impl Hyperparameters {
             discount_rate: 0.99,
             minibatch_size: 32,
             missing_entry_tolerance: 0.2,
-            num_hidden_layers: 2,
             adam_learning_rate: 1e-4,
             target_update_rate: 0.01,
             replay_capacity_ticks: 250_000,
@@ -105,7 +103,7 @@ impl Hyperparameters {
                 reason: reason.to_string(),
             }
         }
-        let checks: [(&'static str, bool, &str); 14] = [
+        let checks: [(&'static str, bool, &str); 13] = [
             (
                 "sampling_ticks_per_observation",
                 self.sampling_ticks_per_observation > 0,
@@ -145,11 +143,6 @@ impl Hyperparameters {
                 "missing_entry_tolerance",
                 (0.0..1.0).contains(&self.missing_entry_tolerance),
                 "must lie in [0, 1)",
-            ),
-            (
-                "num_hidden_layers",
-                self.num_hidden_layers >= 1,
-                "need at least one hidden layer",
             ),
             (
                 "adam_learning_rate",
@@ -244,7 +237,6 @@ mod tests {
         assert_eq!(hp.discount_rate, 0.99);
         assert_eq!(hp.minibatch_size, 32);
         assert_eq!(hp.missing_entry_tolerance, 0.2);
-        assert_eq!(hp.num_hidden_layers, 2);
         assert_eq!(hp.adam_learning_rate, 1e-4);
         assert_eq!(hp.target_update_rate, 0.01);
     }

@@ -100,7 +100,8 @@ impl capes_persist::Persist for DqnAgentConfig {
     }
 }
 
-/// The decision made by [`DqnAgent::select_action`].
+/// The decision made by [`DqnAgent::decide`] (one per row of
+/// [`DqnAgent::decide_batch`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ActionDecision {
     /// Index of the chosen action.
@@ -123,9 +124,8 @@ pub struct DqnAgent {
     /// Persistent minibatch buffers, allocated on the first training call and
     /// refilled in place every tick (see [`ReplayBatch`]).
     batch_buf: Option<ReplayBatch>,
-    /// Persistent single-row inference workspace behind [`DqnAgent::decide`]
-    /// and [`DqnAgent::select_action`]: at steady state a greedy decision
-    /// performs zero heap allocations.
+    /// Persistent single-row inference workspace behind [`DqnAgent::decide`]:
+    /// at steady state a greedy decision performs zero heap allocations.
     decide_ws: Option<Box<Workspace>>,
     /// Persistent fleet-sized inference workspace behind
     /// [`DqnAgent::decide_batch`]. Kept separate from `decide_ws` so
@@ -184,45 +184,6 @@ impl DqnAgent {
         self.trainer.steps()
     }
 
-    /// ε-greedy action selection for the observation at action tick `tick`.
-    ///
-    /// Greedy evaluations run through the agent's persistent inference
-    /// workspace: after the first call, a decision performs zero heap
-    /// allocations (the exploration branch never touches the network at all).
-    pub fn select_action(&mut self, observation: &Observation, tick: u64) -> ActionDecision {
-        let eps = self.epsilon.value_at(tick);
-        if self.rng.gen::<f64>() < eps {
-            ActionDecision {
-                action: self.rng.gen_range(0..self.action_space.len()),
-                explored: true,
-                epsilon: eps,
-            }
-        } else {
-            ActionDecision {
-                action: self.greedy_into_workspace(observation),
-                explored: false,
-                epsilon: eps,
-            }
-        }
-    }
-
-    /// Greedy action (no exploration) — used once training is complete and the
-    /// agent is only tuning. Allocating convenience (`&self`); the decision
-    /// hot path ([`DqnAgent::decide`]) uses the persistent workspace instead.
-    pub fn greedy_action(&self, observation: &Observation) -> usize {
-        self.trainer.online().best_action(observation)
-    }
-
-    /// Greedy action through the persistent single-row inference workspace.
-    fn greedy_into_workspace(&mut self, observation: &Observation) -> usize {
-        let online = self.trainer.online();
-        let ws = self
-            .decide_ws
-            .get_or_insert_with(|| Box::new(Workspace::new_inference(online.mlp(), 1)));
-        let q = online.q_values_into(&observation.features, ws);
-        best_action_in_row(q, 0)
-    }
-
     /// Full decision procedure for one action tick, covering the cold-start
     /// cases an engine otherwise has to special-case:
     ///
@@ -230,6 +191,10 @@ impl DqnAgent {
     ///   action (`greedy = true`, tuning);
     /// * without an observation (not enough history yet): a uniformly random
     ///   exploratory action while training, the NULL action while tuning.
+    ///
+    /// Greedy evaluations run through the agent's persistent inference
+    /// workspace: after the first call, a decision performs zero heap
+    /// allocations (the exploration branch never touches the network at all).
     pub fn decide(
         &mut self,
         observation: Option<&Observation>,
@@ -237,24 +202,16 @@ impl DqnAgent {
         greedy: bool,
     ) -> ActionDecision {
         let eps = self.epsilon.value_at(tick);
-        match (observation, greedy) {
-            (Some(obs), false) => self.select_action(obs, tick),
-            (Some(obs), true) => ActionDecision {
-                action: self.greedy_into_workspace(obs),
-                explored: false,
-                epsilon: eps,
-            },
-            (None, false) => ActionDecision {
-                action: self.rng.gen_range(0..self.action_space.len()),
-                explored: true,
-                epsilon: eps,
-            },
-            (None, true) => ActionDecision {
-                action: self.action_space.encode(crate::Action::Null),
-                explored: false,
-                epsilon: eps,
-            },
-        }
+        let online = self.trainer.online();
+        let decide_ws = &mut self.decide_ws;
+        let greedy_action = observation.map(|obs| {
+            move || {
+                let ws = decide_ws
+                    .get_or_insert_with(|| Box::new(Workspace::new_inference(online.mlp(), 1)));
+                best_action_in_row(online.q_values_into(&obs.features, ws), 0)
+            }
+        });
+        epsilon_greedy(&mut self.rng, eps, self.action_space, greedy, greedy_action)
     }
 
     /// Batched [`DqnAgent::decide`] for a fleet of deployments sharing this
@@ -308,42 +265,17 @@ impl DqnAgent {
         } else {
             None
         };
-        let rng = &mut self.rng;
-        let null_action = self.action_space.encode(crate::Action::Null);
         for (row, &has) in has_obs.iter().enumerate() {
-            let decision = match (has, greedy) {
-                (true, false) => {
-                    if rng.gen::<f64>() < eps {
-                        ActionDecision {
-                            action: rng.gen_range(0..self.action_space.len()),
-                            explored: true,
-                            epsilon: eps,
-                        }
-                    } else {
-                        ActionDecision {
-                            action: best_action_in_row(q.expect("row has an observation"), row),
-                            explored: false,
-                            epsilon: eps,
-                        }
-                    }
-                }
-                (true, true) => ActionDecision {
-                    action: best_action_in_row(q.expect("row has an observation"), row),
-                    explored: false,
-                    epsilon: eps,
-                },
-                (false, false) => ActionDecision {
-                    action: rng.gen_range(0..self.action_space.len()),
-                    explored: true,
-                    epsilon: eps,
-                },
-                (false, true) => ActionDecision {
-                    action: null_action,
-                    explored: false,
-                    epsilon: eps,
-                },
-            };
-            out.push(decision);
+            let greedy_action = q
+                .filter(|_| has)
+                .map(|q| move || best_action_in_row(q, row));
+            out.push(epsilon_greedy(
+                &mut self.rng,
+                eps,
+                self.action_space,
+                greedy,
+                greedy_action,
+            ));
         }
     }
 
@@ -395,6 +327,32 @@ impl DqnAgent {
     }
 }
 
+/// The ε-greedy rule behind one decision, shared by [`DqnAgent::decide`] and
+/// every row of [`DqnAgent::decide_batch`] so both consume the RNG alike.
+/// `greedy_action` is `Some` when the row has an observation; it is called
+/// only when the rule picks the greedy action.
+fn epsilon_greedy(
+    rng: &mut StdRng,
+    eps: f64,
+    action_space: ActionSpace,
+    greedy: bool,
+    greedy_action: Option<impl FnOnce() -> usize>,
+) -> ActionDecision {
+    // Tuning never explores; training without an observation always does
+    // and, with one, explores with probability ε.
+    let explored = !greedy && (greedy_action.is_none() || rng.gen::<f64>() < eps);
+    let action = match greedy_action {
+        _ if explored => rng.gen_range(0..action_space.len()),
+        Some(greedy_action) => greedy_action(),
+        None => action_space.encode(crate::Action::Null),
+    };
+    ActionDecision {
+        action,
+        explored,
+        epsilon: eps,
+    }
+}
+
 impl capes_persist::Persist for DqnAgent {
     const MIN_SIZE: usize = <DqnAgentConfig as capes_persist::Persist>::MIN_SIZE
         + <Trainer as capes_persist::Persist>::MIN_SIZE
@@ -441,6 +399,14 @@ mod tests {
         }
     }
 
+    /// The greedy action for `o` read straight off the online network, on
+    /// a fresh inference workspace.
+    fn argmax_q(agent: &DqnAgent, o: &Observation) -> usize {
+        let q = agent.q_network();
+        let mut ws = Workspace::new_inference(q.mlp(), 1);
+        best_action_in_row(q.q_values_into(&o.features, &mut ws), 0)
+    }
+
     fn small_config() -> DqnAgentConfig {
         DqnAgentConfig {
             observation_size: 6,
@@ -472,30 +438,23 @@ mod tests {
         let mut agent = DqnAgent::new(small_config(), 2);
         let o = obs(&[0.1, 0.2, 0.3, 0.4, 0.5, 0.6]);
         let explored_early = (0..200)
-            .filter(|_| agent.select_action(&o, 0).explored)
+            .filter(|_| agent.decide(Some(&o), 0, false).explored)
             .count();
         let explored_late = (0..200)
-            .filter(|_| agent.select_action(&o, 10_000).explored)
+            .filter(|_| agent.decide(Some(&o), 10_000, false).explored)
             .count();
         assert!(explored_early > 150, "ε=1.0 should explore almost always");
         assert!(explored_late < 30, "ε=0.05 should rarely explore");
     }
 
     #[test]
-    fn greedy_action_matches_q_network() {
-        let agent = DqnAgent::new(small_config(), 3);
-        let o = obs(&[0.5, -0.5, 0.2, 0.0, 0.9, -0.1]);
-        assert_eq!(agent.greedy_action(&o), agent.q_network().best_action(&o));
-    }
-
-    #[test]
     fn decide_covers_all_cold_start_cases() {
         let mut agent = DqnAgent::new(small_config(), 7);
         let o = obs(&[0.1, 0.2, 0.3, 0.4, 0.5, 0.6]);
-        // Greedy with an observation mirrors greedy_action.
+        // Greedy with an observation takes the Q-network's argmax.
         let d = agent.decide(Some(&o), 10_000, true);
         assert!(!d.explored);
-        assert_eq!(d.action, agent.greedy_action(&o));
+        assert_eq!(d.action, argmax_q(&agent, &o));
         // No observation while tuning: the NULL action (index 0), no
         // exploration.
         let d = agent.decide(None, 10_000, true);
@@ -559,13 +518,13 @@ mod tests {
     }
 
     #[test]
-    fn workspace_decide_matches_allocating_greedy_action() {
+    fn persistent_workspace_decide_matches_a_fresh_workspace() {
         let mut agent = DqnAgent::new(small_config(), 31);
         for i in 0..20 {
             let values: Vec<f64> = (0..6).map(|j| ((i + j) as f64).sin()).collect();
             let o = obs(&values);
             let via_workspace = agent.decide(Some(&o), 10_000, true).action;
-            assert_eq!(via_workspace, agent.greedy_action(&o));
+            assert_eq!(via_workspace, argmax_q(&agent, &o));
         }
     }
 
@@ -575,11 +534,11 @@ mod tests {
         let o = obs(&[0.0; 6]);
         // Long after annealing finished, exploration is rare…
         let before = (0..300)
-            .filter(|_| agent.select_action(&o, 50_000).explored)
+            .filter(|_| agent.decide(Some(&o), 50_000, false).explored)
             .count();
         agent.notify_workload_change(50_000, 1_000);
         let after = (0..300)
-            .filter(|_| agent.select_action(&o, 50_000).explored)
+            .filter(|_| agent.decide(Some(&o), 50_000, false).explored)
             .count();
         assert!(
             after > before,
@@ -681,7 +640,7 @@ mod tests {
             original.train_from_db(&db).unwrap().expect("trains");
         }
         let o = obs(&[0.3, 0.6, -0.4, 0.2, 0.0, 0.8]);
-        let _ = original.select_action(&o, 30); // move the RNG off its seed
+        let _ = original.decide(Some(&o), 30, false); // move the RNG off its seed
 
         let mut w = capes_persist::Writer::new();
         original.encode(&mut w);
@@ -691,8 +650,8 @@ mod tests {
         r.finish().unwrap();
 
         for tick in [35u64, 60, 90, 10_000] {
-            let a = original.select_action(&o, tick);
-            let b = restored.select_action(&o, tick);
+            let a = original.decide(Some(&o), tick, false);
+            let b = restored.decide(Some(&o), tick, false);
             assert_eq!(
                 (a.action, a.explored, a.epsilon),
                 (b.action, b.explored, b.epsilon)

@@ -5,15 +5,14 @@
 //! of candidate actions, and parameterises the network as a two-hidden-layer
 //! tanh MLP whose hidden layers are as wide as the input (Table 1).
 
-use capes_nn::{Activation, Mlp, Workspace};
-use capes_replay::Observation;
+use capes_nn::{Mlp, Workspace};
 use capes_tensor::Matrix;
 use rand::Rng;
 
-/// Index of the maximal entry of `row` of a Q-value matrix, with the same
-/// tie-breaking as [`QNetwork::best_action`] (`Iterator::max_by`: when several
-/// entries compare equal, the last one wins). Shared by the single-decision
-/// and batched-decision paths so they pick identical actions.
+/// Index of the maximal entry of `row` of a Q-value matrix, with
+/// `Iterator::max_by`'s tie-breaking (when several entries compare equal, the
+/// last one wins). Shared by the single-decision and batched-decision paths
+/// so they pick identical actions.
 pub fn best_action_in_row(q: &Matrix, row: usize) -> usize {
     let values = q.row(row);
     let mut best = 0usize;
@@ -45,23 +44,6 @@ impl QNetwork {
         }
     }
 
-    /// Builds a Q-network with custom hidden widths (used by the
-    /// hyperparameter-ablation benchmarks).
-    pub fn with_hidden_layers<R: Rng + ?Sized>(
-        observation_size: usize,
-        hidden: &[usize],
-        num_actions: usize,
-        rng: &mut R,
-    ) -> Self {
-        let mut dims = Vec::with_capacity(hidden.len() + 2);
-        dims.push(observation_size);
-        dims.extend_from_slice(hidden);
-        dims.push(num_actions);
-        QNetwork {
-            network: Mlp::new(&dims, Activation::Tanh, rng),
-        }
-    }
-
     /// Wraps an existing MLP (checkpoint loading).
     pub fn from_mlp(network: Mlp) -> Self {
         QNetwork { network }
@@ -87,31 +69,11 @@ impl QNetwork {
         self.network.output_dim()
     }
 
-    /// Q-values of every action for a single observation (no gradient state).
-    pub fn q_values(&self, observation: &Observation) -> Vec<f64> {
-        assert_eq!(
-            observation.size(),
-            self.observation_size(),
-            "observation width {} does not match the network input {}",
-            observation.size(),
-            self.observation_size()
-        );
-        self.network
-            .forward_inference(&observation.features)
-            .row(0)
-            .to_vec()
-    }
-
-    /// Q-values for a batch of observations stacked as rows (no gradients).
-    pub fn q_values_batch(&self, observations: &Matrix) -> Matrix {
-        self.network.forward_inference(observations)
-    }
-
-    /// Allocation-free batched Q-values: one forward pass through a
-    /// caller-owned [`Workspace`] for any number of observation rows. This is
-    /// the inference hot path behind [`crate::DqnAgent::decide`] and
+    /// Q-values of every action for each observation row: one allocation-free
+    /// forward pass through a caller-owned [`Workspace`]. This is the only
+    /// inference path, behind both [`crate::DqnAgent::decide`] and
     /// [`crate::DqnAgent::decide_batch`]; the returned matrix lives in the
-    /// workspace.
+    /// workspace, and [`best_action_in_row`] picks a row's greedy action.
     ///
     /// # Panics
     /// Panics if the column count differs from the network's input width.
@@ -124,16 +86,6 @@ impl QNetwork {
             self.observation_size()
         );
         self.network.forward_into(observations, ws)
-    }
-
-    /// Index of the greedy (highest-Q) action for an observation.
-    pub fn best_action(&self, observation: &Observation) -> usize {
-        let q = self.q_values(observation);
-        q.iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(i, _)| i)
-            .unwrap_or(0)
     }
 
     /// Parameter distance to another Q-network (diagnostics / tests).
@@ -164,6 +116,7 @@ impl capes_persist::Persist for QNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use capes_replay::Observation;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -192,11 +145,16 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let q = QNetwork::new(6, 5, &mut rng);
         let o = obs(&[0.1, -0.2, 0.3, 0.0, 0.5, -0.4]);
-        let values = q.q_values(&o);
-        assert_eq!(values.len(), 5);
-        let best = q.best_action(&o);
-        let max = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        assert_eq!(values[best], max);
+        let mut ws = Workspace::new_inference(q.mlp(), 1);
+        let values = q.q_values_into(&o.features, &mut ws);
+        assert_eq!(values.shape(), (1, 5));
+        let best = best_action_in_row(values, 0);
+        let max = values
+            .row(0)
+            .iter()
+            .cloned()
+            .fold(f64::NEG_INFINITY, f64::max);
+        assert_eq!(values[(0, best)], max);
     }
 
     #[test]
@@ -206,35 +164,19 @@ mod tests {
         let a = obs(&[0.1, 0.2, 0.3, 0.4]);
         let b = obs(&[-0.5, 0.0, 0.5, 1.0]);
         let batch = Matrix::vstack(&[&a.features, &b.features]);
-        let batch_q = q.q_values_batch(&batch);
-        let qa = q.q_values(&a);
-        let qb = q.q_values(&b);
-        for i in 0..3 {
-            assert!((batch_q[(0, i)] - qa[i]).abs() < 1e-12);
-            assert!((batch_q[(1, i)] - qb[i]).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn workspace_q_values_match_inference_and_argmax_agrees() {
-        let mut rng = StdRng::seed_from_u64(21);
-        let q = QNetwork::new(6, 5, &mut rng);
-        let rows = Matrix::from_rows(&[
-            &[0.1, -0.2, 0.3, 0.0, 0.5, -0.4],
-            &[0.9, 0.9, -0.9, 0.2, -0.1, 0.0],
-            &[0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-        ]);
-        let legacy = q.q_values_batch(&rows);
-        let mut ws = Workspace::new(q.mlp(), 3);
-        let fast = q.q_values_into(&rows, &mut ws);
-        assert!(fast.approx_eq(&legacy, 1e-12));
-        for r in 0..3 {
-            let obs = Observation {
-                tick: 0,
-                features: Matrix::row_vector(rows.row(r)),
-            };
-            assert_eq!(best_action_in_row(fast, r), q.best_action(&obs));
-        }
+        let batch_q = q
+            .q_values_into(&batch, &mut Workspace::new_inference(q.mlp(), 2))
+            .clone();
+        let mut single = Workspace::new_inference(q.mlp(), 1);
+        // A batched row is bit-identical to the same row forwarded alone.
+        assert_eq!(
+            q.q_values_into(&a.features, &mut single).row(0),
+            batch_q.row(0)
+        );
+        assert_eq!(
+            q.q_values_into(&b.features, &mut single).row(0),
+            batch_q.row(1)
+        );
     }
 
     #[test]
@@ -246,20 +188,11 @@ mod tests {
     }
 
     #[test]
-    fn custom_hidden_layers() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let q = QNetwork::with_hidden_layers(10, &[32, 16], 7, &mut rng);
-        assert_eq!(q.mlp().layers().len(), 3);
-        assert_eq!(q.mlp().layers()[0].output_dim(), 32);
-        assert_eq!(q.mlp().layers()[1].output_dim(), 16);
-        assert_eq!(q.num_actions(), 7);
-    }
-
-    #[test]
     #[should_panic(expected = "does not match the network input")]
     fn wrong_observation_width_panics() {
         let mut rng = StdRng::seed_from_u64(6);
         let q = QNetwork::new(4, 3, &mut rng);
-        let _ = q.q_values(&obs(&[1.0, 2.0]));
+        let mut ws = Workspace::new_inference(q.mlp(), 1);
+        let _ = q.q_values_into(&obs(&[1.0, 2.0]).features, &mut ws);
     }
 }

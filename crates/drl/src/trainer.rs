@@ -365,7 +365,7 @@ impl capes_persist::Persist for Trainer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use capes_replay::Observation;
+    use crate::qnet::best_action_in_row;
     use capes_tensor::Matrix;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -447,16 +447,12 @@ mod tests {
             let batch = synthetic_batch(&mut rng, 16);
             trainer.train_step_batch(&batch);
         }
-        let pattern_a = Observation {
-            tick: 0,
-            features: Matrix::row_vector(&[1.0, 0.0, 0.3, -0.2]),
-        };
-        let pattern_b = Observation {
-            tick: 0,
-            features: Matrix::row_vector(&[0.0, 1.0, -0.4, 0.1]),
-        };
-        assert_eq!(trainer.online().best_action(&pattern_a), 1);
-        assert_eq!(trainer.online().best_action(&pattern_b), 2);
+        let patterns = Matrix::from_rows(&[&[1.0, 0.0, 0.3, -0.2], &[0.0, 1.0, -0.4, 0.1]]);
+        let online = trainer.online();
+        let mut ws = Workspace::new_inference(online.mlp(), 2);
+        let q = online.q_values_into(&patterns, &mut ws);
+        assert_eq!(best_action_in_row(q, 0), 1);
+        assert_eq!(best_action_in_row(q, 1), 2);
     }
 
     #[test]

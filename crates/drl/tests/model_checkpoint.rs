@@ -117,8 +117,8 @@ fn load_keeps_the_model_and_starts_a_fresh_session() {
         tick: 0,
         features: Matrix::row_vector(&[0.3, 0.6, -0.4, 0.2, 0.0, 0.8]),
     };
-    assert!(original.select_action(&o, 10_100).epsilon > 0.05);
-    assert_eq!(loaded.select_action(&o, 10_100).epsilon, 0.05);
+    assert!(original.decide(Some(&o), 10_100, false).epsilon > 0.05);
+    assert_eq!(loaded.decide(Some(&o), 10_100, false).epsilon, 0.05);
     // … and Adam starts over, as in a never-trained agent.
     let fresh = optimizer_bytes(&DqnAgent::new(config(), 0));
     assert_ne!(optimizer_bytes(&original), fresh);
@@ -130,7 +130,7 @@ fn load_keeps_the_model_and_starts_a_fresh_session() {
         let mut agent = DqnAgent::load_checkpoint(&path, seed).unwrap();
         (0..64)
             .map(|_| {
-                let d = agent.select_action(&o, 50);
+                let d = agent.decide(Some(&o), 50, false);
                 (d.action, d.explored)
             })
             .collect::<Vec<_>>()

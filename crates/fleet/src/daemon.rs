@@ -10,8 +10,8 @@
 //!    ([`CapesSystem::begin_tick`]) and gathers the observation vectors into
 //!    one matrix per *profile* (clusters sharing an observation geometry),
 //! 2. runs **one batched forward pass** per profile through that profile's
-//!    shared [`DqnAgent`] ([`DqnAgent::decide_batch`]) — the ROADMAP's 1-row
-//!    `q_values` hot path widened into an N-row GEMM riding the pooled
+//!    shared [`DqnAgent`] ([`DqnAgent::decide_batch`]) — the 1-row
+//!    [`DqnAgent::decide`] widened into an N-row GEMM riding the pooled
 //!    kernels,
 //! 3. builds one action message per cluster from its decision and moves it
 //!    through the fleet's transport: as a cluster-enveloped frame

@@ -16,7 +16,6 @@ use std::path::{Path, PathBuf};
 fn fixture_fleet(seed: u64) -> FleetDaemon {
     let hp = Hyperparameters {
         sampling_ticks_per_observation: 2,
-        num_hidden_layers: 1,
         exploration_period_ticks: 300,
         adam_learning_rate: 2e-3,
         ..Hyperparameters::quick_test()

@@ -10,10 +10,10 @@
 
 use capes::prelude::*;
 use capes::{CapesError, CapesSystem, Transport};
-use capes_drl::{DqnAgent, DqnAgentConfig};
+use capes_drl::{best_action_in_row, DqnAgent, DqnAgentConfig};
 use capes_fleet::{Fleet, FleetDaemon, FleetError, ScenarioSpec};
+use capes_nn::Workspace;
 use capes_persist::PersistError;
-use capes_replay::Observation;
 use capes_simstore::Workload;
 use capes_tensor::Matrix;
 use std::path::{Path, PathBuf};
@@ -86,11 +86,10 @@ fn trained_system() -> CapesSystem<TwoKnobs> {
 fn fingerprint(agent: &DqnAgent) -> (usize, u64) {
     let width = agent.config().observation_size;
     let features: Vec<f64> = (0..width).map(|i| (i as f64 * 0.37).sin()).collect();
-    let observation = Observation {
-        tick: 0,
-        features: Matrix::row_vector(&features),
-    };
-    (agent.greedy_action(&observation), agent.training_steps())
+    let q = agent.q_network();
+    let mut ws = Workspace::new_inference(q.mlp(), 1);
+    let greedy = best_action_in_row(q.q_values_into(&Matrix::row_vector(&features), &mut ws), 0);
+    (greedy, agent.training_steps())
 }
 
 fn model_fixture() -> PathBuf {
@@ -227,7 +226,6 @@ fn fixture_fleet() -> FleetDaemon {
     Fleet::builder()
         .hyperparams(Hyperparameters {
             sampling_ticks_per_observation: 2,
-            num_hidden_layers: 1,
             exploration_period_ticks: 300,
             adam_learning_rate: 2e-3,
             ..Hyperparameters::quick_test()

@@ -4,7 +4,7 @@
 //! [`capes_tensor::simd`], which are bit-identical across dispatch levels —
 //! toggling the SIMD switch never changes a forward pass or a gradient.
 
-use capes_tensor::simd::{tanh_backward, tanh_forward, tanh_value};
+use capes_tensor::simd::{tanh_backward, tanh_forward};
 use capes_tensor::Matrix;
 
 /// Activation functions supported by [`crate::Dense`] layers.
@@ -15,29 +15,11 @@ use capes_tensor::Matrix;
 pub enum Activation {
     /// Hyperbolic tangent — the paper's choice for hidden layers.
     Tanh,
-    /// Rectified linear unit, provided for ablation experiments.
-    Relu,
-    /// Logistic sigmoid.
-    Sigmoid,
     /// No nonlinearity (linear layer) — used for the output head.
     Identity,
 }
 
 impl Activation {
-    /// Applies the activation element-wise to a pre-activation matrix.
-    pub fn forward(&self, z: &Matrix) -> Matrix {
-        match self {
-            Activation::Tanh => {
-                let mut out = Matrix::zeros(z.rows(), z.cols());
-                tanh_forward(z.as_slice(), out.as_mut_slice());
-                out
-            }
-            Activation::Relu => z.map(|x| x.max(0.0)),
-            Activation::Sigmoid => z.map(sigmoid),
-            Activation::Identity => z.clone(),
-        }
-    }
-
     /// Applies the activation element-wise, writing into a caller-owned
     /// output matrix (allocation-free).
     ///
@@ -48,21 +30,14 @@ impl Activation {
         let src = z.as_slice();
         let dst = out.as_mut_slice();
         match self {
-            Activation::Identity => dst.copy_from_slice(src),
             Activation::Tanh => tanh_forward(src, dst),
-            _ => {
-                for (o, &x) in dst.iter_mut().zip(src) {
-                    *o = self.apply_scalar(x);
-                }
-            }
+            Activation::Identity => dst.copy_from_slice(src),
         }
     }
 
     /// In-place backward kernel: `d ⊙= σ'`, with the derivative expressed as
     /// a function of the activation **output** `a = σ(z)` rather than the
-    /// pre-activation. For every activation in this crate the derivative has
-    /// a closed form in the output (`1 − a²` for tanh, `a(1 − a)` for
-    /// sigmoid, `[a > 0]` for ReLU), which saves re-evaluating the
+    /// pre-activation (`1 − a²` for tanh), which saves re-evaluating the
     /// transcendental in the hot backward path.
     ///
     /// # Panics
@@ -73,49 +48,21 @@ impl Activation {
             d.shape(),
             "activation derivative shape mismatch"
         );
-        let a = output.as_slice();
-        let dst = d.as_mut_slice();
         match self {
-            Activation::Tanh => tanh_backward(a, dst),
-            Activation::Relu => {
-                for (g, &y) in dst.iter_mut().zip(a) {
-                    if y <= 0.0 {
-                        *g = 0.0;
-                    }
-                }
-            }
-            Activation::Sigmoid => {
-                for (g, &y) in dst.iter_mut().zip(a) {
-                    *g *= y * (1.0 - y);
-                }
-            }
+            Activation::Tanh => tanh_backward(output.as_slice(), d.as_mut_slice()),
             Activation::Identity => {}
         }
     }
-
-    /// Scalar forward evaluation, handy for tests.
-    pub fn apply_scalar(&self, x: f64) -> f64 {
-        match self {
-            Activation::Tanh => tanh_value(x),
-            Activation::Relu => x.max(0.0),
-            Activation::Sigmoid => sigmoid(x),
-            Activation::Identity => x,
-        }
-    }
-}
-
-fn sigmoid(x: f64) -> f64 {
-    1.0 / (1.0 + (-x).exp())
 }
 
 impl capes_persist::Persist for Activation {
     const MIN_SIZE: usize = 1;
 
     fn encode(&self, w: &mut capes_persist::Writer) {
+        // Tags 1 and 2 belonged to retired activations; they stay unused so
+        // no old file decodes as a different network.
         w.put_u8(match self {
             Activation::Tanh => 0,
-            Activation::Relu => 1,
-            Activation::Sigmoid => 2,
             Activation::Identity => 3,
         });
     }
@@ -123,8 +70,6 @@ impl capes_persist::Persist for Activation {
     fn decode(r: &mut capes_persist::Reader<'_>) -> Result<Self, capes_persist::PersistError> {
         match r.get_u8()? {
             0 => Ok(Activation::Tanh),
-            1 => Ok(Activation::Relu),
-            2 => Ok(Activation::Sigmoid),
             3 => Ok(Activation::Identity),
             _ => Err(capes_persist::PersistError::BadValue {
                 what: "unknown activation tag",
@@ -136,30 +81,28 @@ impl capes_persist::Persist for Activation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use capes_persist::{PersistError, Reader};
+    use capes_tensor::simd::tanh_value;
 
-    fn numeric_derivative(a: Activation, x: f64) -> f64 {
-        let h = 1e-6;
-        (a.apply_scalar(x + h) - a.apply_scalar(x - h)) / (2.0 * h)
+    fn forward(a: Activation, z: &Matrix) -> Matrix {
+        let mut out = Matrix::filled(z.rows(), z.cols(), f64::NAN);
+        a.forward_into(z, &mut out);
+        out
     }
 
     #[test]
     fn forward_known_values() {
         let z = Matrix::row_vector(&[-1.0, 0.0, 2.0]);
-        assert!(Activation::Tanh.forward(&z).approx_eq(
+        assert!(forward(Activation::Tanh, &z).approx_eq(
             &Matrix::row_vector(&[(-1.0f64).tanh(), 0.0, 2.0f64.tanh()]),
             1e-12
         ));
-        assert!(Activation::Relu
-            .forward(&z)
-            .approx_eq(&Matrix::row_vector(&[0.0, 0.0, 2.0]), 1e-12));
-        assert!(Activation::Identity.forward(&z).approx_eq(&z, 1e-12));
-        let sig = Activation::Sigmoid.forward(&z);
-        assert!(sig.as_slice().iter().all(|&v| v > 0.0 && v < 1.0));
+        assert_eq!(forward(Activation::Identity, &z), z);
     }
 
     /// `upstream · σ'(x)` through the in-place backward kernel.
     fn analytic_derivative(a: Activation, x: f64, upstream: f64) -> f64 {
-        let output = a.forward(&Matrix::row_vector(&[x]));
+        let output = forward(a, &Matrix::row_vector(&[x]));
         let mut d = Matrix::row_vector(&[upstream]);
         a.apply_derivative_from_output(&output, &mut d);
         d[(0, 0)]
@@ -167,24 +110,21 @@ mod tests {
 
     #[test]
     fn derivatives_match_finite_differences() {
-        let points = [-2.0, -0.5, 0.3, 1.7];
-        for a in [Activation::Tanh, Activation::Sigmoid, Activation::Identity] {
-            for &x in &points {
+        let h = 1e-6;
+        for (a, f) in [
+            (Activation::Tanh, tanh_value as fn(f64) -> f64),
+            (Activation::Identity, |x| x),
+        ] {
+            for x in [-2.0, -0.5, 0.3, 1.7] {
                 for upstream in [1.0, -0.8] {
                     let analytic = analytic_derivative(a, x, upstream);
-                    let numeric = upstream * numeric_derivative(a, x);
+                    let numeric = upstream * (f(x + h) - f(x - h)) / (2.0 * h);
                     assert!(
                         (analytic - numeric).abs() < 1e-5,
                         "{a:?} at {x}: {analytic} vs {numeric}"
                     );
                 }
             }
-        }
-        // ReLU away from the kink.
-        for &x in &[-1.0, 1.0] {
-            let analytic = analytic_derivative(Activation::Relu, x, 2.0);
-            let numeric = 2.0 * numeric_derivative(Activation::Relu, x);
-            assert!((analytic - numeric).abs() < 1e-5);
         }
     }
 
@@ -202,35 +142,28 @@ mod tests {
     }
 
     #[test]
-    fn forward_into_matches_forward() {
-        let z = Matrix::row_vector(&[-2.0, -0.5, 0.0, 0.7, 3.0]);
-        for a in [
-            Activation::Tanh,
-            Activation::Relu,
-            Activation::Sigmoid,
-            Activation::Identity,
-        ] {
-            let mut out = Matrix::filled(1, 5, f64::NAN);
-            a.forward_into(&z, &mut out);
-            assert!(out.approx_eq(&a.forward(&z), 1e-12), "{a:?}");
+    fn persist_round_trip_keeps_tags_0_and_3() {
+        use capes_persist::Persist;
+        for (a, tag) in [(Activation::Tanh, 0u8), (Activation::Identity, 3)] {
+            let mut w = capes_persist::Writer::new();
+            a.encode(&mut w);
+            let bytes = w.into_vec();
+            assert_eq!(bytes, [tag]);
+            assert_eq!(Activation::decode(&mut Reader::new(&bytes)).unwrap(), a);
         }
     }
 
     #[test]
-    fn persist_round_trip_and_unknown_tag() {
+    fn retired_and_unknown_tags_are_typed_errors() {
         use capes_persist::Persist;
-        for a in [
-            Activation::Tanh,
-            Activation::Relu,
-            Activation::Sigmoid,
-            Activation::Identity,
-        ] {
-            let mut w = capes_persist::Writer::new();
-            a.encode(&mut w);
-            let bytes = w.into_vec();
-            let back = Activation::decode(&mut capes_persist::Reader::new(&bytes)).unwrap();
-            assert_eq!(a, back);
+        for tag in [1u8, 2, 4, 255] {
+            assert!(
+                matches!(
+                    Activation::decode(&mut Reader::new(&[tag])),
+                    Err(PersistError::BadValue { .. })
+                ),
+                "tag {tag}"
+            );
         }
-        assert!(Activation::decode(&mut capes_persist::Reader::new(&[4])).is_err());
     }
 }

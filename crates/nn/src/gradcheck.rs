@@ -4,7 +4,7 @@
 //! network against central finite differences. Exposed publicly so downstream
 //! crates (and users extending the network) can check their own architectures.
 
-use crate::{Loss, Mlp, Workspace};
+use crate::{Mlp, MseLoss, Workspace};
 use capes_tensor::Matrix;
 
 /// Result of a gradient check.
@@ -26,19 +26,19 @@ impl GradCheckReport {
     }
 }
 
-/// Compares the analytic gradients of `network` against central finite
-/// differences for the given input/target batch and loss.
+/// Compares the analytic gradients of the mean-squared error of `network`
+/// against central finite differences for the given input/target batch.
 ///
-/// The analytic gradients are produced by the workspace-based
-/// [`Mlp::backward_into`] path — the one the training hot loop actually
-/// runs — against losses evaluated through [`Mlp::forward_inference`].
+/// Both sides run the production kernels: the analytic gradients come from
+/// [`Mlp::backward_into`], the path the training hot loop runs, and every
+/// finite-difference loss from [`Mlp::forward_into`] on an inference
+/// [`Workspace`], the path action selection runs.
 ///
 /// `max_params_per_matrix` bounds how many entries of each parameter matrix
 /// are probed (probing all 600×600 entries of a CAPES-sized layer would be
 /// needlessly slow); entries are sampled deterministically with a stride.
-pub fn check_gradients<L: Loss>(
+pub fn check_gradients(
     network: &mut Mlp,
-    loss: &L,
     x: &Matrix,
     target: &Matrix,
     max_params_per_matrix: usize,
@@ -49,10 +49,10 @@ pub fn check_gradients<L: Loss>(
     let mut ws = Workspace::new(network, x.rows());
     network.forward_into(x, &mut ws);
     let (pred, dloss_buf) = ws.output_and_delta_mut();
-    let dloss = loss.grad(pred, target);
-    dloss_buf.copy_from(&dloss);
+    dloss_buf.copy_from(&MseLoss.grad(pred, target));
     network.backward_into(x, &mut ws);
     let grads = ws.grads();
+    let mut probe = Workspace::new_inference(network, x.rows());
 
     let mut max_abs: f64 = 0.0;
     let mut max_rel: f64 = 0.0;
@@ -82,9 +82,9 @@ pub fn check_gradients<L: Loss>(
 
                 let orig = get_param(network, layer_idx, param_kind, r, c);
                 set_param(network, layer_idx, param_kind, r, c, orig + h);
-                let plus = loss.loss(&network.forward_inference(x), target);
+                let plus = MseLoss.loss(network.forward_into(x, &mut probe), target);
                 set_param(network, layer_idx, param_kind, r, c, orig - h);
-                let minus = loss.loss(&network.forward_inference(x), target);
+                let minus = MseLoss.loss(network.forward_into(x, &mut probe), target);
                 set_param(network, layer_idx, param_kind, r, c, orig);
 
                 let numeric = (plus - minus) / (2.0 * h);
@@ -129,14 +129,13 @@ fn set_param(net: &mut Mlp, layer: usize, kind: usize, r: usize, c: usize, value
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Activation, HuberLoss, MseLoss};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     #[test]
     fn mlp_gradients_are_correct_for_mse() {
         let mut rng = StdRng::seed_from_u64(17);
-        let mut net = Mlp::new(&[6, 10, 10, 4], Activation::Tanh, &mut rng);
+        let mut net = Mlp::new(&[6, 10, 10, 4], &mut rng);
         let x = Matrix::random_init(
             3,
             6,
@@ -149,30 +148,9 @@ mod tests {
             capes_tensor::WeightInit::Uniform { limit: 1.0 },
             &mut rng,
         );
-        let report = check_gradients(&mut net, &MseLoss, &x, &t, 40);
+        let report = check_gradients(&mut net, &x, &t, 40);
         assert!(report.checked > 50);
         assert!(report.passes(1e-4), "gradient check failed: {report:?}");
-    }
-
-    #[test]
-    fn mlp_gradients_are_correct_for_huber() {
-        let mut rng = StdRng::seed_from_u64(18);
-        let mut net = Mlp::new(&[4, 6, 2], Activation::Sigmoid, &mut rng);
-        let x = Matrix::random_init(
-            2,
-            4,
-            capes_tensor::WeightInit::Uniform { limit: 1.0 },
-            &mut rng,
-        );
-        // Large targets push some residuals into the linear Huber region.
-        let t = Matrix::random_init(
-            2,
-            2,
-            capes_tensor::WeightInit::Uniform { limit: 5.0 },
-            &mut rng,
-        );
-        let report = check_gradients(&mut net, &HuberLoss { delta: 0.5 }, &x, &t, 30);
-        assert!(report.passes(1e-3), "gradient check failed: {report:?}");
     }
 
     #[test]

@@ -15,10 +15,9 @@ pub struct LayerGrads {
 
 /// A fully-connected layer computing `activation(x · W + b)`.
 ///
-/// The layer holds parameters only: training runs [`Dense::forward_into`] /
-/// [`Dense::backward_into`] against caller-owned intermediates (see
-/// [`crate::Workspace`]), and action selection uses
-/// [`Dense::forward_inference`].
+/// The layer holds parameters only: training and action selection run
+/// [`Dense::forward_into`] (and training [`Dense::backward_into`]) against
+/// caller-owned intermediates (see [`crate::Workspace`]).
 #[derive(Debug, Clone)]
 pub struct Dense {
     /// Weight matrix of shape `(input_dim, output_dim)`.
@@ -38,12 +37,8 @@ impl Dense {
         activation: Activation,
         rng: &mut R,
     ) -> Self {
-        let scheme = match activation {
-            Activation::Relu => WeightInit::HeNormal,
-            _ => WeightInit::XavierUniform,
-        };
         Dense {
-            weights: Matrix::random_init(input_dim, output_dim, scheme, rng),
+            weights: Matrix::random_init(input_dim, output_dim, WeightInit::XavierUniform, rng),
             bias: Matrix::zeros(1, output_dim),
             activation,
         }
@@ -78,13 +73,6 @@ impl Dense {
     /// Number of trainable scalars in the layer.
     pub fn parameter_count(&self) -> usize {
         self.weights.len() + self.bias.len()
-    }
-
-    /// Allocating forward pass (used at action-selection time, where no
-    /// gradient is needed).
-    pub fn forward_inference(&self, x: &Matrix) -> Matrix {
-        let z = self.affine(x);
-        self.activation.forward(&z)
     }
 
     /// Allocation-free forward pass writing the pre-activation into `preact`
@@ -138,17 +126,6 @@ impl Dense {
         self.weights.axpy(scale, &grads.d_weights);
         self.bias.axpy(scale, &grads.d_bias);
     }
-
-    fn affine(&self, x: &Matrix) -> Matrix {
-        assert_eq!(
-            x.cols(),
-            self.input_dim(),
-            "input width {} does not match layer input dim {}",
-            x.cols(),
-            self.input_dim()
-        );
-        x.matmul(&self.weights).add_row_broadcast(&self.bias)
-    }
 }
 
 impl capes_persist::Persist for Dense {
@@ -191,6 +168,14 @@ mod tests {
         Dense::new(input, output, act, &mut rng)
     }
 
+    /// `Σ forward_into(x)`: the loss whose `∂L/∂output` is all ones.
+    fn output_sum(l: &Dense, x: &Matrix) -> f64 {
+        let mut preact = Matrix::zeros(x.rows(), l.output_dim());
+        let mut out = Matrix::zeros(x.rows(), l.output_dim());
+        l.forward_into(x, &mut preact, &mut out);
+        out.sum()
+    }
+
     /// One `forward_into` + `backward_into` round on fresh buffers:
     /// `(output, d_input, grads)`.
     fn forward_backward(l: &Dense, x: &Matrix, d_out: &Matrix) -> (Matrix, Matrix, LayerGrads) {
@@ -230,21 +215,11 @@ mod tests {
     }
 
     #[test]
-    fn inference_matches_forward_into() {
-        let l = layer(6, 2, Activation::Sigmoid);
-        let x = Matrix::filled(3, 6, 0.25);
-        let (a, _, _) = forward_backward(&l, &x, &Matrix::ones(3, 2));
-        let b = l.forward_inference(&x);
-        assert!(a.approx_eq(&b, 1e-12));
-    }
-
-    #[test]
     fn backward_gradient_matches_finite_difference() {
         let mut rng = StdRng::seed_from_u64(7);
         let mut l = Dense::new(3, 2, Activation::Tanh, &mut rng);
         let x = Matrix::from_rows(&[&[0.5, -0.3, 0.8], &[0.1, 0.9, -0.7]]);
         // Loss = sum of outputs, so d_out = ones.
-        let loss = |l: &Dense, x: &Matrix| l.forward_inference(x).sum();
         let (_, _dx, grads) = forward_backward(&l, &x, &Matrix::ones(2, 2));
 
         let h = 1e-6;
@@ -252,9 +227,9 @@ mod tests {
             for c in 0..2 {
                 let orig = l.weights[(r, c)];
                 l.weights[(r, c)] = orig + h;
-                let plus = loss(&l, &x);
+                let plus = output_sum(&l, &x);
                 l.weights[(r, c)] = orig - h;
-                let minus = loss(&l, &x);
+                let minus = output_sum(&l, &x);
                 l.weights[(r, c)] = orig;
                 let numeric = (plus - minus) / (2.0 * h);
                 assert!(
@@ -268,9 +243,9 @@ mod tests {
         for c in 0..2 {
             let orig = l.bias[(0, c)];
             l.bias[(0, c)] = orig + h;
-            let plus = loss(&l, &x);
+            let plus = output_sum(&l, &x);
             l.bias[(0, c)] = orig - h;
-            let minus = loss(&l, &x);
+            let minus = output_sum(&l, &x);
             l.bias[(0, c)] = orig;
             let numeric = (plus - minus) / (2.0 * h);
             assert!((grads.d_bias[(0, c)] - numeric).abs() < 1e-5);
@@ -280,16 +255,16 @@ mod tests {
     #[test]
     fn input_gradient_matches_finite_difference() {
         let mut rng = StdRng::seed_from_u64(8);
-        let l = Dense::new(3, 4, Activation::Sigmoid, &mut rng);
+        let l = Dense::new(3, 4, Activation::Tanh, &mut rng);
         let mut x = Matrix::from_rows(&[&[0.2, -0.1, 0.6]]);
         let (_, dx, _) = forward_backward(&l, &x, &Matrix::ones(1, 4));
         let h = 1e-6;
         for c in 0..3 {
             let orig = x[(0, c)];
             x[(0, c)] = orig + h;
-            let plus = l.forward_inference(&x).sum();
+            let plus = output_sum(&l, &x);
             x[(0, c)] = orig - h;
-            let minus = l.forward_inference(&x).sum();
+            let minus = output_sum(&l, &x);
             x[(0, c)] = orig;
             let numeric = (plus - minus) / (2.0 * h);
             assert!((dx[(0, c)] - numeric).abs() < 1e-5);

@@ -12,23 +12,24 @@
 //! * a fully-connected **linear** output layer with one output per action, and
 //! * the Adam optimizer with learning rate `1e-4`.
 //!
-//! This crate implements exactly that class of network (plus ReLU/Sigmoid for
-//! experiments), mean-squared-error and Huber losses, the Adam optimizer,
-//! and finite-difference gradient checking. Every parameter-bearing type
+//! This crate implements exactly that class of network, the mean-squared-error
+//! loss, the Adam optimizer, and finite-difference gradient checking. One
+//! allocation-free forward pass, [`Mlp::forward_into`], serves training and
+//! action selection alike. Every parameter-bearing type
 //! implements [`capes_persist::Persist`]; the model file itself (paper
 //! Appendix A.4) is written by `capes-drl`.
 //!
 //! ## Example
 //!
 //! ```
-//! use capes_nn::{Activation, Adam, Loss, Mlp, MseLoss, Optimizer, Workspace};
+//! use capes_nn::{Adam, Mlp, MseLoss, Optimizer, Workspace};
 //! use capes_tensor::Matrix;
 //! use rand::rngs::StdRng;
 //! use rand::SeedableRng;
 //!
 //! let mut rng = StdRng::seed_from_u64(7);
 //! // 4 inputs -> 8 tanh -> 8 tanh -> 3 linear outputs (e.g. 3 actions).
-//! let mut net = Mlp::new(&[4, 8, 8, 3], Activation::Tanh, &mut rng);
+//! let mut net = Mlp::new(&[4, 8, 8, 3], &mut rng);
 //! let mut adam = Adam::new(1e-2, net.parameter_shapes());
 //! let mut ws = Workspace::new(&net, 1);
 //!
@@ -41,7 +42,7 @@
 //!     net.backward_into(&x, &mut ws);
 //!     adam.step(&mut net, ws.grads());
 //! }
-//! assert!(MseLoss.loss(&net.forward_inference(&x), &target) < 1e-2);
+//! assert!(MseLoss.loss(net.forward_into(&x, &mut ws), &target) < 1e-2);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -56,7 +57,7 @@ pub mod workspace;
 
 pub use activation::Activation;
 pub use layer::{Dense, LayerGrads};
-pub use loss::{HuberLoss, Loss, MseLoss};
+pub use loss::MseLoss;
 pub use mlp::{Mlp, MlpGrads};
 pub use optimizer::{Adam, Optimizer};
 pub use workspace::Workspace;

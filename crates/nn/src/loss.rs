@@ -1,32 +1,17 @@
-//! Loss functions for training the Q-network.
+//! The training loss of the Q-network.
 //!
 //! The paper's training objective (Equation 1) is the mean-squared error
 //! between the predicted Q-value of the taken action and the Bellman target.
-//! The Huber loss is also provided because it is the standard robust choice
-//! for DQN-style training and is exercised by the ablation benchmarks.
 
 use capes_tensor::Matrix;
-
-/// A differentiable scalar loss over batched predictions.
-pub trait Loss {
-    /// Returns the scalar loss averaged over the batch.
-    fn loss(&self, prediction: &Matrix, target: &Matrix) -> f64;
-
-    /// Returns the gradient of the loss with respect to `prediction`.
-    fn grad(&self, prediction: &Matrix, target: &Matrix) -> Matrix;
-
-    /// Convenience returning `(loss, gradient)` in one call.
-    fn loss_and_grad(&self, prediction: &Matrix, target: &Matrix) -> (f64, Matrix) {
-        (self.loss(prediction, target), self.grad(prediction, target))
-    }
-}
 
 /// Mean-squared error, averaged over every element of the batch.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MseLoss;
 
-impl Loss for MseLoss {
-    fn loss(&self, prediction: &Matrix, target: &Matrix) -> f64 {
+impl MseLoss {
+    /// Returns the scalar loss averaged over the batch.
+    pub fn loss(&self, prediction: &Matrix, target: &Matrix) -> f64 {
         assert_eq!(prediction.shape(), target.shape(), "loss shape mismatch");
         let total: f64 = prediction
             .as_slice()
@@ -37,59 +22,16 @@ impl Loss for MseLoss {
         total / prediction.len() as f64
     }
 
-    fn grad(&self, prediction: &Matrix, target: &Matrix) -> Matrix {
+    /// Returns the gradient of the loss with respect to `prediction`.
+    pub fn grad(&self, prediction: &Matrix, target: &Matrix) -> Matrix {
         assert_eq!(prediction.shape(), target.shape(), "loss shape mismatch");
         let n = prediction.len() as f64;
         prediction.sub(target).scale(2.0 / n)
     }
-}
 
-/// Huber (smooth-L1) loss with configurable transition point `delta`.
-///
-/// Quadratic for |error| ≤ delta, linear beyond — bounding the gradient of
-/// outlier transitions, which stabilises Q-learning on noisy rewards.
-#[derive(Debug, Clone, Copy)]
-pub struct HuberLoss {
-    /// Error magnitude at which the loss switches from quadratic to linear.
-    pub delta: f64,
-}
-
-impl Default for HuberLoss {
-    fn default() -> Self {
-        HuberLoss { delta: 1.0 }
-    }
-}
-
-impl Loss for HuberLoss {
-    fn loss(&self, prediction: &Matrix, target: &Matrix) -> f64 {
-        assert_eq!(prediction.shape(), target.shape(), "loss shape mismatch");
-        assert!(self.delta > 0.0, "delta must be positive");
-        let d = self.delta;
-        let total: f64 = prediction
-            .as_slice()
-            .iter()
-            .zip(target.as_slice())
-            .map(|(&p, &t)| {
-                let e = p - t;
-                if e.abs() <= d {
-                    0.5 * e * e
-                } else {
-                    d * (e.abs() - 0.5 * d)
-                }
-            })
-            .sum();
-        total / prediction.len() as f64
-    }
-
-    fn grad(&self, prediction: &Matrix, target: &Matrix) -> Matrix {
-        assert_eq!(prediction.shape(), target.shape(), "loss shape mismatch");
-        let d = self.delta;
-        let n = prediction.len() as f64;
-        prediction.zip_map(target, |p, t| {
-            let e = p - t;
-            let g = if e.abs() <= d { e } else { d * e.signum() };
-            g / n
-        })
+    /// Convenience returning `(loss, gradient)` in one call.
+    pub fn loss_and_grad(&self, prediction: &Matrix, target: &Matrix) -> (f64, Matrix) {
+        (self.loss(prediction, target), self.grad(prediction, target))
     }
 }
 
@@ -113,49 +55,24 @@ mod tests {
     }
 
     #[test]
-    fn huber_matches_mse_inside_delta() {
-        let p = Matrix::row_vector(&[0.3, -0.2]);
-        let t = Matrix::row_vector(&[0.1, 0.1]);
-        let huber = HuberLoss { delta: 10.0 }.loss(&p, &t);
-        // Inside delta the Huber loss is 0.5 * MSE (because MSE here has no 0.5 factor).
-        let mse = MseLoss.loss(&p, &t);
-        assert!((huber - 0.5 * mse).abs() < 1e-12);
-    }
-
-    #[test]
-    fn huber_is_linear_outside_delta() {
-        let p = Matrix::row_vector(&[100.0]);
-        let t = Matrix::row_vector(&[0.0]);
-        let l = HuberLoss { delta: 1.0 }.loss(&p, &t);
-        assert!((l - (100.0 - 0.5)).abs() < 1e-12);
-        // Gradient magnitude is capped at delta / n = 1.
-        let g = HuberLoss { delta: 1.0 }.grad(&p, &t);
-        assert!((g[(0, 0)] - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn gradients_match_finite_differences() {
         let p = Matrix::from_rows(&[&[0.5, -1.5, 3.0], &[0.0, 2.0, -0.7]]);
         let t = Matrix::from_rows(&[&[0.0, 0.0, 0.0], &[1.0, 1.0, 1.0]]);
         let h = 1e-6;
-        let losses: Vec<Box<dyn Loss>> =
-            vec![Box::new(MseLoss), Box::new(HuberLoss { delta: 1.0 })];
-        for loss in &losses {
-            let g = loss.grad(&p, &t);
-            for r in 0..2 {
-                for c in 0..3 {
-                    let mut plus = p.clone();
-                    plus[(r, c)] += h;
-                    let mut minus = p.clone();
-                    minus[(r, c)] -= h;
-                    let numeric = (loss.loss(&plus, &t) - loss.loss(&minus, &t)) / (2.0 * h);
-                    assert!(
-                        (g[(r, c)] - numeric).abs() < 1e-5,
-                        "grad mismatch at ({r},{c}): {} vs {}",
-                        g[(r, c)],
-                        numeric
-                    );
-                }
+        let g = MseLoss.grad(&p, &t);
+        for r in 0..2 {
+            for c in 0..3 {
+                let mut plus = p.clone();
+                plus[(r, c)] += h;
+                let mut minus = p.clone();
+                minus[(r, c)] -= h;
+                let numeric = (MseLoss.loss(&plus, &t) - MseLoss.loss(&minus, &t)) / (2.0 * h);
+                assert!(
+                    (g[(r, c)] - numeric).abs() < 1e-5,
+                    "grad mismatch at ({r},{c}): {} vs {}",
+                    g[(r, c)],
+                    numeric
+                );
             }
         }
     }

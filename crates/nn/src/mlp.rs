@@ -9,10 +9,10 @@ pub type MlpGrads = Vec<LayerGrads>;
 
 /// A feed-forward multi-layered perceptron.
 ///
-/// `Mlp::new(&[in, h1, h2, out], Activation::Tanh, rng)` builds the exact
-/// topology the paper describes in §3.4: every hidden layer uses the chosen
-/// nonlinearity and the final layer is linear ("a fully-connected linear layer
-/// with a single output for each valid action").
+/// `Mlp::new(&[in, h1, h2, out], rng)` builds the exact topology the paper
+/// describes in §3.4: every hidden layer is tanh and the final layer is
+/// linear ("a fully-connected linear layer with a single output for each
+/// valid action").
 #[derive(Debug, Clone)]
 pub struct Mlp {
     layers: Vec<Dense>,
@@ -22,16 +22,12 @@ impl Mlp {
     /// Builds an MLP from a list of layer widths.
     ///
     /// `dims[0]` is the input width, `dims.last()` the output width; every
-    /// intermediate entry creates a hidden layer with `hidden_activation`.
-    /// The output layer is always linear ([`Activation::Identity`]).
+    /// intermediate entry creates a [`Activation::Tanh`] hidden layer. The
+    /// output layer is always linear ([`Activation::Identity`]).
     ///
     /// # Panics
     /// Panics if fewer than two widths are given.
-    pub fn new<R: Rng + ?Sized>(
-        dims: &[usize],
-        hidden_activation: Activation,
-        rng: &mut R,
-    ) -> Self {
+    pub fn new<R: Rng + ?Sized>(dims: &[usize], rng: &mut R) -> Self {
         assert!(dims.len() >= 2, "need at least input and output widths");
         let mut layers = Vec::with_capacity(dims.len() - 1);
         for i in 0..dims.len() - 1 {
@@ -39,7 +35,7 @@ impl Mlp {
             let act = if is_output {
                 Activation::Identity
             } else {
-                hidden_activation
+                Activation::Tanh
             };
             layers.push(Dense::new(dims[i], dims[i + 1], act, rng));
         }
@@ -54,11 +50,7 @@ impl Mlp {
         num_actions: usize,
         rng: &mut R,
     ) -> Self {
-        Self::new(
-            &[input_dim, input_dim, input_dim, num_actions],
-            Activation::Tanh,
-            rng,
-        )
+        Self::new(&[input_dim, input_dim, input_dim, num_actions], rng)
     }
 
     /// Builds an MLP from pre-existing layers (checkpoint loading).
@@ -116,20 +108,10 @@ impl Mlp {
         shapes
     }
 
-    /// Allocating forward pass on `&self` — used for one-off action selection
-    /// and as the numeric side of [`crate::gradcheck`].
-    pub fn forward_inference(&self, x: &Matrix) -> Matrix {
-        let mut h = x.clone();
-        for layer in &self.layers {
-            h = layer.forward_inference(&h);
-        }
-        h
-    }
-
     /// Allocation-free forward pass through a [`Workspace`], which is resized
     /// on the fly if the batch shape changed. Works on `&self`, so it serves
-    /// both training and target-network inference. Returns the network
-    /// output, which lives in the workspace.
+    /// training, target-network inference and action selection alike.
+    /// Returns the network output, which lives in the workspace.
     pub fn forward_into<'w>(&self, x: &Matrix, ws: &'w mut Workspace) -> &'w Matrix {
         ws.ensure(self, x.rows());
         for (i, layer) in self.layers.iter().enumerate() {
@@ -230,7 +212,7 @@ mod tests {
 
     fn net() -> Mlp {
         let mut rng = StdRng::seed_from_u64(11);
-        Mlp::new(&[5, 8, 8, 3], Activation::Tanh, &mut rng)
+        Mlp::new(&[5, 8, 8, 3], &mut rng)
     }
 
     #[test]
@@ -256,17 +238,6 @@ mod tests {
         assert_eq!(q.layers().len(), 3);
         assert_eq!(q.layers()[0].output_dim(), 600);
         assert_eq!(q.layers()[1].output_dim(), 600);
-    }
-
-    #[test]
-    fn forward_into_matches_forward_inference() {
-        let n = net();
-        let x = Matrix::from_rows(&[&[0.1, 0.2, -0.3, 0.4, 0.0], &[1.0, -1.0, 0.5, 0.2, 0.9]]);
-        let mut ws = Workspace::new(&n, 2);
-        let a = n.forward_into(&x, &mut ws);
-        let b = n.forward_inference(&x);
-        assert!(a.approx_eq(&b, 1e-12));
-        assert_eq!(a.shape(), (2, 3));
     }
 
     #[test]
@@ -336,6 +307,8 @@ mod tests {
         let back = Mlp::decode(&mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(back.parameter_distance(&n), 0.0);
-        assert_eq!(back.forward_inference(&x), n.forward_inference(&x));
+        let mut ws = Workspace::new_inference(&n, 1);
+        let before = n.forward_into(&x, &mut ws).clone();
+        assert_eq!(*back.forward_into(&x, &mut ws), before);
     }
 }

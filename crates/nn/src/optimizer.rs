@@ -274,7 +274,7 @@ impl Optimizer for Adam {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Activation, Loss, MseLoss, Workspace};
+    use crate::{MseLoss, Workspace};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -311,7 +311,7 @@ mod tests {
     #[test]
     fn adam_learns_xor() {
         let mut rng = StdRng::seed_from_u64(21);
-        let mut net = Mlp::new(&[2, 8, 1], Activation::Tanh, &mut rng);
+        let mut net = Mlp::new(&[2, 8, 1], &mut rng);
         let adam = Adam::new(0.02, net.parameter_shapes());
         let loss = train(adam, &mut net, 800);
         assert!(loss < 1e-2, "Adam failed to fit XOR, final loss {loss}");
@@ -321,7 +321,7 @@ mod tests {
     #[test]
     fn adam_step_counter_increments() {
         let mut rng = StdRng::seed_from_u64(1);
-        let mut net = Mlp::new(&[2, 2, 1], Activation::Tanh, &mut rng);
+        let mut net = Mlp::new(&[2, 2, 1], &mut rng);
         let mut adam = Adam::new(0.01, net.parameter_shapes());
         assert_eq!(adam.steps(), 0);
         let x = Matrix::ones(1, 2);
@@ -338,7 +338,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let make_net = || {
             let mut r = StdRng::seed_from_u64(2);
-            Mlp::new(&[2, 4, 1], Activation::Tanh, &mut r)
+            Mlp::new(&[2, 4, 1], &mut r)
         };
         let mut rngcheck = StdRng::seed_from_u64(2);
         let _ = &mut rng;
@@ -388,7 +388,7 @@ mod tests {
         // the textbook recurrence bit for bit, clipping included (the kernel
         // promises bit-identity at every CAPES_SIMD level).
         let mut rng = StdRng::seed_from_u64(5);
-        let mut net = Mlp::new(&[3, 4, 2], Activation::Tanh, &mut rng);
+        let mut net = Mlp::new(&[3, 4, 2], &mut rng);
         let mut reference = net.clone();
         let (lr, b1, b2, eps) = (0.01, 0.9, 0.999, 1e-8);
         let clip = 1e-3; // small enough that these grads engage clipping
@@ -441,7 +441,7 @@ mod tests {
         // NaN weights on the first step after such a restore.
         use capes_persist::{Persist, Reader, Writer};
         let mut rng = StdRng::seed_from_u64(9);
-        let net = Mlp::new(&[3, 4, 2], Activation::Tanh, &mut rng);
+        let net = Mlp::new(&[3, 4, 2], &mut rng);
         let (_, grads) = mse_grads(&net, &Matrix::filled(2, 3, 0.7), &Matrix::zeros(2, 2));
         let step_from = |t: u64| {
             let mut adam = Adam::new(0.01, net.parameter_shapes());
@@ -475,8 +475,8 @@ mod tests {
         // `blend_from` tests checked — and every step equals
         // `Optimizer::step` followed by `Matrix::blend`, bit for bit.
         let mut rng = StdRng::seed_from_u64(5);
-        let mut online = Mlp::new(&[4, 6, 2], Activation::Tanh, &mut rng);
-        let mut target = Mlp::new(&[4, 6, 2], Activation::Tanh, &mut rng);
+        let mut online = Mlp::new(&[4, 6, 2], &mut rng);
+        let mut target = Mlp::new(&[4, 6, 2], &mut rng);
         let frozen = online.clone();
         let zero_grads = zero_grads(&online);
         let mut adam = Adam::new(0.01, online.parameter_shapes());
@@ -497,7 +497,7 @@ mod tests {
         }
         assert!(prev < 1e-3, "target should have converged, distance {prev}");
         // α = 1 snaps the target onto the online network.
-        let mut snapped = Mlp::new(&[4, 6, 2], Activation::Tanh, &mut rng);
+        let mut snapped = Mlp::new(&[4, 6, 2], &mut rng);
         adam.step_with_target(&mut online, &zero_grads, &mut snapped, 1.0);
         assert_eq!(snapped.parameter_distance(&online), 0.0);
     }
@@ -506,8 +506,8 @@ mod tests {
     #[should_panic(expected = "depth does not match")]
     fn step_with_target_rejects_a_shallower_target() {
         let mut rng = StdRng::seed_from_u64(6);
-        let mut online = Mlp::new(&[4, 6, 2], Activation::Tanh, &mut rng);
-        let mut target = Mlp::new(&[4, 2], Activation::Tanh, &mut rng);
+        let mut online = Mlp::new(&[4, 6, 2], &mut rng);
+        let mut target = Mlp::new(&[4, 2], &mut rng);
         let grads = zero_grads(&online);
         let mut adam = Adam::new(0.01, online.parameter_shapes());
         adam.step_with_target(&mut online, &grads, &mut target, 0.5);

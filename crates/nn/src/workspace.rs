@@ -145,13 +145,12 @@ impl Workspace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Activation;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn net() -> Mlp {
         let mut rng = StdRng::seed_from_u64(3);
-        Mlp::new(&[4, 6, 2], Activation::Tanh, &mut rng)
+        Mlp::new(&[4, 6, 2], &mut rng)
     }
 
     #[test]
@@ -183,7 +182,7 @@ mod tests {
     fn ensure_rebuilds_for_a_different_architecture() {
         let mut rng = StdRng::seed_from_u64(4);
         let small = net();
-        let wide = Mlp::new(&[4, 10, 2], Activation::Tanh, &mut rng);
+        let wide = Mlp::new(&[4, 10, 2], &mut rng);
         let mut ws = Workspace::new(&small, 3);
         assert!(!ws.matches(&wide, 3));
         ws.ensure(&wide, 3);
@@ -218,7 +217,7 @@ mod tests {
         // (the grads check is vacuous for inference workspaces, so the
         // activation widths carry the architecture check).
         let mut rng = rand::rngs::StdRng::seed_from_u64(9);
-        let wide = Mlp::new(&[4, 10, 2], Activation::Tanh, &mut rng);
+        let wide = Mlp::new(&[4, 10, 2], &mut rng);
         assert!(!ws.matches(&wide, 8));
     }
 

@@ -16,7 +16,7 @@
 //!    pushed through a batch-1 forward pass (the single decide path and the
 //!    batched fleet decide path ride this).
 
-use capes_nn::{Activation, Loss, Mlp, MseLoss, Workspace};
+use capes_nn::{Mlp, MseLoss, Workspace};
 use capes_tensor::{simd, Matrix, WeightInit};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -35,7 +35,7 @@ fn forward_and_backward_are_bit_deterministic_across_workspaces() {
     // (61 = 7×8 + 4 + 1), and batches to hit 4-row tiles plus remainders.
     for &(batch, hidden) in &[(1usize, 61usize), (3, 61), (5, 33), (8, 9)] {
         let mut rng = StdRng::seed_from_u64(42);
-        let net = Mlp::new(&[23, hidden, 7], Activation::Tanh, &mut rng);
+        let net = Mlp::new(&[23, hidden, 7], &mut rng);
         let x = Matrix::random_init(batch, 23, WeightInit::Uniform { limit: 1.0 }, &mut rng);
         let t = Matrix::random_init(batch, 7, WeightInit::Uniform { limit: 1.0 }, &mut rng);
 
@@ -69,7 +69,7 @@ fn forward_and_backward_are_bit_deterministic_across_workspaces() {
 #[test]
 fn batched_rows_match_single_row_forwards_bitwise() {
     let mut rng = StdRng::seed_from_u64(7);
-    let net = Mlp::new(&[19, 45, 5], Activation::Tanh, &mut rng);
+    let net = Mlp::new(&[19, 45, 5], &mut rng);
     let batch = 6usize;
     let x = Matrix::random_init(batch, 19, WeightInit::Uniform { limit: 1.0 }, &mut rng);
 

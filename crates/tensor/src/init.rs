@@ -1,7 +1,6 @@
 //! Weight-initialisation schemes for neural-network layers.
 
 use crate::Matrix;
-use rand::distributions::Distribution;
 use rand::Rng;
 
 /// Initialisation schemes supported by [`Matrix::random_init`].
@@ -17,8 +16,6 @@ pub enum WeightInit {
     /// This is the standard choice for tanh layers, which is what the CAPES
     /// network uses for its two hidden layers.
     XavierUniform,
-    /// He/Kaiming normal: `stddev = sqrt(2 / fan_in)` — appropriate for ReLU.
-    HeNormal,
     /// All zeros (used for biases).
     Zeros,
 }
@@ -47,32 +44,7 @@ impl Matrix {
                 let limit = (6.0 / (rows as f64 + cols as f64)).sqrt();
                 Matrix::random_init(rows, cols, WeightInit::Uniform { limit }, rng)
             }
-            WeightInit::HeNormal => {
-                let stddev = (2.0 / rows as f64).sqrt();
-                let normal = GaussianSampler { stddev };
-                let mut m = Matrix::zeros(rows, cols);
-                for x in m.as_mut_slice() {
-                    *x = normal.sample(rng);
-                }
-                m
-            }
         }
-    }
-}
-
-/// Zero-mean Gaussian sampler built on the Box–Muller transform so we do not
-/// need `rand_distr` as an extra dependency.
-struct GaussianSampler {
-    stddev: f64,
-}
-
-impl Distribution<f64> for GaussianSampler {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        // Box–Muller: u1 in (0, 1] to avoid ln(0).
-        let u1: f64 = 1.0 - rng.gen::<f64>();
-        let u2: f64 = rng.gen();
-        let mag = (-2.0 * u1.ln()).sqrt();
-        mag * (2.0 * std::f64::consts::PI * u2).cos() * self.stddev
     }
 }
 
@@ -104,25 +76,6 @@ mod tests {
         let m = Matrix::random_init(300, 300, WeightInit::XavierUniform, &mut rng);
         let limit = (6.0 / 600.0f64).sqrt();
         assert!(m.as_slice().iter().all(|&x| x.abs() <= limit));
-    }
-
-    #[test]
-    fn he_normal_has_reasonable_spread() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let m = Matrix::random_init(200, 200, WeightInit::HeNormal, &mut rng);
-        let mean = m.mean();
-        let var = m
-            .as_slice()
-            .iter()
-            .map(|x| (x - mean) * (x - mean))
-            .sum::<f64>()
-            / (m.len() - 1) as f64;
-        let expected_var = 2.0 / 200.0;
-        assert!(mean.abs() < 0.01, "mean should be near zero, got {mean}");
-        assert!(
-            (var - expected_var).abs() / expected_var < 0.2,
-            "variance {var} should be near {expected_var}"
-        );
     }
 
     #[test]
