@@ -20,8 +20,8 @@ pub struct TrainerConfig {
     pub learning_rate: f64,
     /// Target-network update rate α (paper: 0.01).
     pub target_update_rate: f64,
-    /// Optional global gradient-norm clip (not used by the paper; exposed for
-    /// the ablation benchmarks).
+    /// Optional per-tensor gradient-norm clip (see `Adam::grad_clip`; not
+    /// used by the paper; exposed for the ablation benchmarks).
     pub gradient_clip: Option<f64>,
 }
 

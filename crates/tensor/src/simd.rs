@@ -29,8 +29,9 @@
 //! two a-rows in one register instead. tanh is a fixed sequence of
 //! individually rounded operations, whatever the width; at 4 × 83 µs per
 //! Table 2 step it is ≈ 6 % of the step. Adam stays 256-bit: it is bound by
-//! the divider (`vdivpd zmm` has the same per-element throughput as `ymm`).
-//! The Bellman targets and tanh backward are too small to matter.
+//! its one division and one square root per element and its nine parameter
+//! streams (`vdivpd zmm` has the same per-element throughput as `ymm`). The
+//! Bellman targets and tanh backward are too small to matter.
 //!
 //! The level is selected **once per process** and cached: the first dispatch
 //! (the worker-pool initialisation warms it) probes the CPU via
@@ -74,11 +75,15 @@
 //! The fused Adam parameter update ([`adam_update_with`]) optionally carries
 //! the DQN soft target update in the same pass (its [`SoftTarget`]
 //! argument): after `θ[i]` is stored,
-//! `θ⁻[i] = θ⁻[i]·(1−α) + θ[i]·α`. Unlike the GEMMs, it uses **no FMA
-//! contraction** in any arm — every operation (mul, add, div, sqrt, sub) is
+//! `θ⁻[i] = θ⁻[i]·(1−α) + θ[i]·α`. Unlike the GEMMs, it contracts **no
+//! operation into an FMA** in any arm — every mul, add, div, sqrt and sub is
 //! individually correctly rounded, in the same order in every arm — so the
 //! arms are bit-identical (property-tested), and the blend lands on the bits
-//! of `Matrix::blend`.
+//! of `Matrix::blend`. The vector arm's one use of FMA is not a contraction:
+//! it divides by the two bias corrections, constant for the whole step,
+//! through a reciprocal and two FMA corrections that return the IEEE
+//! quotient's bits (Markstein's theorem; the scalar arm's `/` is the
+//! oracle, swept over every bias correction a training run reaches).
 
 use std::fmt;
 use std::sync::OnceLock;
@@ -458,18 +463,23 @@ pub struct SoftTarget<'a> {
 /// target[i] = target[i]·(1 − α) + params[i]·α        (with a target only)
 /// ```
 ///
-/// Every arm produces **bit-identical** results: the AVX2 arm uses only
-/// individually-rounded operations (no FMA contraction) in the scalar arm's
-/// exact evaluation order, and the blend is `Matrix::blend`'s mul, mul, add
+/// Every arm produces **bit-identical** results: the AVX2 arm runs the
+/// scalar arm's exact evaluation order and contracts no multiply-add into
+/// an FMA, and the blend is `Matrix::blend`'s mul, mul, add
 /// on the freshly stored parameter — so one call with a target equals a call
-/// without one followed by `Matrix::blend` (property-tested). The update is
-/// bound by the divider (three divisions and a square root per element) and,
-/// behind it, by its nine parameter streams, so the blend's loads and
-/// multiplies hide under it, and a 512-bit arm would buy nothing:
-/// [`SimdLevel::Avx512`] runs the `Avx2Fma` arm. A `bias1` that has rounded
-/// to exactly `1.0` is not divided by (same bits, one division fewer;
-/// property-tested against the always-dividing formula). Unrunnable
-/// level requests are clamped down as in [`gemm_rows_with`].
+/// without one followed by `Matrix::blend` (property-tested). Its divisions
+/// by `bias1` and `bias2`, constant for the whole call, run as one scalar
+/// reciprocal per call and, per vector, a multiply and two FMA corrections
+/// that return the IEEE quotient's bits (Markstein's theorem). A vector
+/// with a nonzero lane outside `[2⁻⁹⁰⁰, 2⁹⁰⁰]` in magnitude, or a bias
+/// correction outside `[2⁻⁵³, 1]`, divides instead. The update is bound by
+/// its one division and one square root per element and by its nine
+/// parameter streams, so the blend's loads and multiplies hide under them,
+/// and a 512-bit arm would buy nothing: [`SimdLevel::Avx512`] runs the
+/// `Avx2Fma` arm. A `bias1` that has rounded to exactly `1.0` is not
+/// divided by (same bits, one quotient fewer; property-tested against the
+/// always-dividing formula). Unrunnable level requests are clamped down as
+/// in [`gemm_rows_with`].
 ///
 /// # Panics
 /// Panics if `grads`, `m`, `v` or the target disagree with `params` in
@@ -541,7 +551,7 @@ fn adam_update_level<const BLEND: bool, const DIV1: bool>(
     alpha: f64,
 ) {
     match runnable(level) {
-        // SAFETY: `runnable` confirmed the CPU (the kernel only needs AVX2;
+        // SAFETY: `runnable` confirmed the CPU (the kernel needs AVX2+FMA;
         // both levels imply it); lengths were asserted by the caller.
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2Fma | SimdLevel::Avx512 => unsafe {
@@ -1731,21 +1741,111 @@ mod avx2 {
         }
     }
 
+    /// A per-step constant divisor of the Adam bias corrections, broadcast,
+    /// with its reciprocal, for [`div_by_step_constant`].
+    #[derive(Clone, Copy)]
+    struct StepDivisor {
+        b: __m256d,
+        /// `RN(1/b)`: one IEEE division per call.
+        y: __m256d,
+        /// `b ∈ [2⁻⁵³, 1]`, the range [`div_by_step_constant`]'s proof covers.
+        exact: bool,
+    }
+
+    impl StepDivisor {
+        /// Broadcasts `b` and `RN(1/b)` and checks `b`'s range.
+        ///
+        /// # Safety
+        /// The CPU must support AVX2.
+        #[target_feature(enable = "avx2")]
+        unsafe fn new(b: f64) -> Self {
+            StepDivisor {
+                b: _mm256_set1_pd(b),
+                y: _mm256_set1_pd(1.0 / b),
+                exact: (f64::EPSILON / 2.0..=1.0).contains(&b),
+            }
+        }
+    }
+
+    /// `2⁻⁹⁰⁰` and `2⁹⁰⁰`: the nonzero dividends [`div_by_step_constant`]
+    /// takes off the divider lie between them in magnitude.
+    const STEP_DIVIDEND_MIN: f64 = f64::from_bits((1023 - 900) << 52);
+    const STEP_DIVIDEND_MAX: f64 = f64::from_bits((1023 + 900) << 52);
+
+    /// `x / b` for a bias correction `b = 1 − βᵗ`, constant for the whole
+    /// step, with the bits of `_mm256_div_pd` but no divider: with
+    /// `y = RN(1/b)`,
+    ///
+    /// ```text
+    /// q₀ = RN(x·y)
+    /// q₁ = RN(q₀ − RN(b·q₀ − x)·y)      (fmsub, then fnmadd)
+    /// q₂ = RN(q₁ − RN(b·q₁ − x)·y)
+    /// ```
+    ///
+    /// `y` and `q₀` carry one rounding each, so `q₀ = (x/b)(1 + δ)` with
+    /// `|δ| ≤ 2⁻⁵² + 2⁻¹⁰⁶`; the first correction cancels `δ` up to the
+    /// roundings of the residual and of `y`, leaving `≈ 2⁻¹⁰⁴·|x/b|` before
+    /// its own rounding, so `q₁` is within one ulp of `x/b`. Markstein's
+    /// theorem (IBM J. Res. Dev. 34(1), 1990; Muller et al., *Handbook of
+    /// Floating-Point Arithmetic*, Newton–Raphson-based division with an
+    /// FMA): if `y` is within half an ulp of `1/b` and `q` within one ulp of
+    /// `x/b`, the residual `r = x − b·q` is exact in one FMA and
+    /// `RN(q + r·y)` is `RN(x/b)`, provided nothing overflows or underflows.
+    /// So `q₂` is the IEEE quotient, bit for bit. The sequence carries the
+    /// residual negated (`b·q − x`, subtracted): round-to-nearest is
+    /// symmetric, so every nonzero lane gets the same values, and a `±0`
+    /// lane keeps its sign (`b·(±0) − (±0)` is `+0` and `±0 − (+0)·y` is
+    /// `±0`, where `x − b·q` would turn `−0` into `+0`).
+    ///
+    /// The guard keeps the theorem's conditions true. `b ∈ [2⁻⁵³, 1]`
+    /// (every `1 − βᵗ` with `β ∈ [0, 1)`; checked once per call as
+    /// [`StepDivisor::exact`]) and every nonzero lane's
+    /// `2⁻⁹⁰⁰ ≤ |x| ≤ 2⁹⁰⁰` put the quotients and `x·y` in
+    /// `[2⁻⁹⁰⁰, 2⁹⁵⁴)`, far from overflow, and the exact residual, a
+    /// multiple of `ulp(b)·ulp(q) ≥ 2^(e_x − 105)`, is normal whenever it is
+    /// not zero. A vector with any other lane — NaN, ±∞, subnormal, tiny or
+    /// huge — or a `b` outside the range divides, so those keep
+    /// `_mm256_div_pd`'s bits, NaN payloads included.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2+FMA.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    #[inline]
+    unsafe fn div_by_step_constant(x: __m256d, d: StepDivisor) -> __m256d {
+        let abs = _mm256_andnot_pd(_mm256_set1_pd(-0.0), x);
+        // NaN compares unordered: outside, and nonzero.
+        let outside = _mm256_or_pd(
+            _mm256_cmp_pd::<_CMP_NGE_UQ>(abs, _mm256_set1_pd(STEP_DIVIDEND_MIN)),
+            _mm256_cmp_pd::<_CMP_GT_OQ>(abs, _mm256_set1_pd(STEP_DIVIDEND_MAX)),
+        );
+        let nonzero = _mm256_cmp_pd::<_CMP_NEQ_UQ>(abs, _mm256_setzero_pd());
+        if !d.exact || _mm256_testz_pd(outside, nonzero) == 0 {
+            return _mm256_div_pd(x, d.b);
+        }
+        let q0 = _mm256_mul_pd(x, d.y);
+        let q1 = _mm256_fnmadd_pd(_mm256_fmsub_pd(d.b, q0, x), d.y, q0);
+        _mm256_fnmadd_pd(_mm256_fmsub_pd(d.b, q1, x), d.y, q1)
+    }
+
     /// AVX2 arm of [`super::adam_update_with`]: 4-wide lanes over the
     /// element-wise update, remainder handed to the scalar arm.
     ///
-    /// Deliberately **FMA-free**: mul, add, div, sqrt and sub are each
-    /// correctly rounded (IEEE 754), and the lane sequence is the scalar
-    /// arm's evaluation order operation for operation — `(1 − β)·g` products
-    /// first, then the add; `(lr·m̂)` before the divide; under `BLEND` the
-    /// two blend products before their add — so every element lands on the
-    /// same bits the scalar arm produces. An FMA here would save one
-    /// rounding and break that equality. `DIV1` as in the scalar arm.
+    /// Every element lands on the bits the scalar arm produces. The two
+    /// bias corrections go through [`div_by_step_constant`], which returns
+    /// the IEEE quotient's bits from one reciprocal per call and FMA
+    /// corrections. Everything else is FMA-free: mul, add, div, sqrt and sub
+    /// are each correctly rounded (IEEE 754), and the lane sequence is the
+    /// scalar arm's evaluation order operation for operation — `(1 − β)·g`
+    /// products first, then the add; `(lr·m̂)` before the divide; under
+    /// `BLEND` the two blend products before their add. Contracting any of
+    /// those into an FMA would save one rounding and break that equality.
+    /// The one division left per element, by `√v̂ + ε`, has a divisor that
+    /// changes per element. `DIV1` as in the scalar arm.
     ///
     /// # Safety
-    /// The CPU must support AVX2; the four slices — and `target` under
+    /// The CPU must support AVX2+FMA; the four slices — and `target` under
     /// `BLEND` — must be equal-length (asserted by the caller).
-    #[target_feature(enable = "avx2")]
+    #[target_feature(enable = "avx2", enable = "fma")]
     pub(super) unsafe fn adam_update<const BLEND: bool, const DIV1: bool>(
         params: &mut [f64],
         grads: &[f64],
@@ -1763,8 +1863,8 @@ mod avx2 {
             let b2 = _mm256_set1_pd(s.beta2);
             let omb1 = _mm256_set1_pd(1.0 - s.beta1);
             let omb2 = _mm256_set1_pd(1.0 - s.beta2);
-            let bias1 = _mm256_set1_pd(s.bias1);
-            let bias2 = _mm256_set1_pd(s.bias2);
+            let bias1 = StepDivisor::new(s.bias1);
+            let bias2 = StepDivisor::new(s.bias2);
             let lr = _mm256_set1_pd(s.learning_rate);
             let eps = _mm256_set1_pd(s.epsilon);
             let scale = _mm256_set1_pd(s.scale);
@@ -1788,8 +1888,12 @@ mod avx2 {
                 );
                 _mm256_storeu_pd(m_ptr.add(i), mv);
                 _mm256_storeu_pd(v_ptr.add(i), vv);
-                let m_hat = if DIV1 { _mm256_div_pd(mv, bias1) } else { mv };
-                let v_hat = _mm256_div_pd(vv, bias2);
+                let m_hat = if DIV1 {
+                    div_by_step_constant(mv, bias1)
+                } else {
+                    mv
+                };
+                let v_hat = div_by_step_constant(vv, bias2);
                 let delta = _mm256_div_pd(
                     _mm256_mul_pd(lr, m_hat),
                     _mm256_add_pd(_mm256_sqrt_pd(v_hat), eps),

@@ -224,9 +224,10 @@ proptest! {
     }
 
     /// The fused Adam update at every runnable level is **bit-identical** to
-    /// an independently-written scalar reference of the textbook recurrence,
-    /// which uses no FMA, because no arm of the kernel does. Lengths cross the 4-lane boundary in every
-    /// residue class, `t` exercises early (large-bias-correction) steps and
+    /// an independently-written scalar reference of the textbook recurrence
+    /// ([`textbook_adam`]: no FMA, IEEE `/` for the bias corrections the
+    /// vector arm takes off the divider). Lengths cross the 4-lane boundary
+    /// in every residue class, `t` exercises early (large-bias-correction) steps and
     /// the later era in which `bias1` has rounded to exactly 1.0 and the
     /// kernels stop dividing by it (the reference always divides), and
     /// `scale` covers clipped and unclipped gradients.
@@ -255,18 +256,8 @@ proptest! {
             scale: if clip { 0.37 } else { 1.0 },
         };
 
-        // Independent scalar reference (not the kernel's own scalar arm).
-        let mut p_ref = p0.clone();
-        let mut m_ref = m0.clone();
-        let mut v_ref = v0.clone();
-        for i in 0..len {
-            let g = grads[i] * step.scale;
-            m_ref[i] = b1 * m_ref[i] + (1.0 - b1) * g;
-            v_ref[i] = b2 * v_ref[i] + (1.0 - b2) * g * g;
-            let m_hat = m_ref[i] / step.bias1;
-            let v_hat = v_ref[i] / step.bias2;
-            p_ref[i] -= step.learning_rate * m_hat / (v_hat.sqrt() + step.epsilon);
-        }
+        let (mut p_ref, mut m_ref, mut v_ref) = (p0.clone(), m0.clone(), v0.clone());
+        textbook_adam(&step, &mut p_ref, &grads, &mut m_ref, &mut v_ref);
 
         for &level in runnable_levels() {
             let mut p = p0.clone();
@@ -280,7 +271,7 @@ proptest! {
     }
 
     /// The tanh forward kernel at every runnable level is **bit-identical**
-    /// to the scalar [`tanh_value`] sequence (FMA-free like Adam), on lengths
+    /// to the scalar [`tanh_value`] sequence (FMA-free in every arm), on lengths
     /// crossing the 4-, 8- and 16-lane boundaries in every residue class, at
     /// unaligned offsets, with inputs spanning both approximation branches,
     /// the saturation clamp, non-finite values, NaN payloads and subnormals —
@@ -717,14 +708,7 @@ fn adam_skipped_bias_division_changes_no_bit() {
         }
 
         let (mut p_ref, mut m_ref, mut v_ref) = (p0.clone(), m0.clone(), v0.clone());
-        for i in 0..len {
-            let g = grads[i] * step.scale;
-            m_ref[i] = b1 * m_ref[i] + (1.0 - b1) * g;
-            v_ref[i] = b2 * v_ref[i] + (1.0 - b2) * g * g;
-            let m_hat = m_ref[i] / step.bias1;
-            let v_hat = v_ref[i] / step.bias2;
-            p_ref[i] -= step.learning_rate * m_hat / (v_hat.sqrt() + step.epsilon);
-        }
+        textbook_adam(&step, &mut p_ref, &grads, &mut m_ref, &mut v_ref);
 
         for &level in runnable_levels() {
             for blend in [false, true] {
@@ -735,6 +719,138 @@ fn adam_skipped_bias_division_changes_no_bit() {
                 });
                 adam_update_with(level, &mut p, &grads, &mut m, &mut v, &step, target);
                 let case = format!("{level} bias=({bias1}, {bias2}) blend={blend}");
+                assert!(bits_equal(&p, &p_ref), "{case}: params diverged");
+                assert!(bits_equal(&m, &m_ref), "{case}: m diverged");
+                assert!(bits_equal(&v, &v_ref), "{case}: v diverged");
+            }
+        }
+    }
+}
+
+/// The textbook Adam recurrence, written independently of the kernel's own
+/// scalar arm: no FMA, and IEEE `/` for both bias corrections, always.
+fn textbook_adam(step: &AdamStep, p: &mut [f64], grads: &[f64], m: &mut [f64], v: &mut [f64]) {
+    let (b1, b2) = (step.beta1, step.beta2);
+    for i in 0..p.len() {
+        let g = grads[i] * step.scale;
+        m[i] = b1 * m[i] + (1.0 - b1) * g;
+        v[i] = b2 * v[i] + (1.0 - b2) * g * g;
+        let m_hat = m[i] / step.bias1;
+        let v_hat = v[i] / step.bias2;
+        p[i] -= step.learning_rate * m_hat / (v_hat.sqrt() + step.epsilon);
+    }
+}
+
+/// The vector arm divides by the bias corrections `b = 1 − βᵗ` without the
+/// divider (a reciprocal and two FMA corrections, Markstein's theorem);
+/// this is the proof's test: at every runnable level the kernel lands on
+/// [`textbook_adam`]'s IEEE quotients bit for bit for **every** step
+/// constant a training run reaches — `1 − 0.999ᵗ` for t = 1…40 000 (it is
+/// exactly 1.0 long before the end), `1 − 0.9ᵗ` for t = 1…355, and a β just
+/// below 1, where `b` falls to 2⁻⁵³ and `1/b` rises to 2⁵³ — plus a few
+/// constants outside that range, which a hand-built [`AdamStep`] can carry
+/// and the kernel must divide by.
+///
+/// The dividends are adversarial: all-zeros and all-ones significands and
+/// binade edges from 2⁻⁹⁰⁰ to 2⁹⁰⁰, the guard edges `2^±900` with one ulp
+/// either side, ±0, negative `v`, and — outside the guard, where the kernel
+/// divides — all-ones significands below 2⁻⁹⁷⁰, the smallest normal,
+/// subnormals, `f64::MAX`, ±∞ and NaN.
+/// Rotating them by the step index moves each through every lane and
+/// between pure and mixed vectors, and the lengths run through every
+/// residue mod 4, so the scalar tail takes a share too. The test fails if
+/// the guard's lower edge drops to 2⁻¹⁰⁰⁰ or its upper edge to ∞, if a
+/// `−0` lane comes out as `+0`, if the bias corrections swap places, or if
+/// an out-of-range `b` skips the divider. It passes with the second
+/// correction dropped: on the inputs tried one correction already lands on
+/// the IEEE bits, but only the second is covered by the theorem.
+///
+/// Two calls per constant make each quotient visible. With `β₁ = 0`,
+/// `β₂ = 1`, `lr = 1`, `ε = 0` and `p = −0`: the first puts the dividend in
+/// `m` (the gradient, exactly) with `v = b`, so `√(v/b) = 1` and `p` comes
+/// out as `−(m/b)`, every bit of the first quotient; the second puts it in
+/// `v` (exactly) with `bias1 = 1`, so `p = −1/√(v/b)` checks the second
+/// quotient's wiring.
+#[test]
+fn adam_bias_corrections_divide_bit_exactly_at_every_step_of_a_run() {
+    let below_one = 1.0 - f64::EPSILON / 2.0;
+    let mut divisors: Vec<f64> = (1..=40_000).map(|t| 1.0 - 0.999f64.powi(t)).collect();
+    divisors.extend((1..=355).map(|t| 1.0 - 0.9f64.powi(t)));
+    divisors.extend((1..=1000).map(|t| 1.0 - below_one.powi(t)));
+    assert_eq!(divisors[40_355], f64::EPSILON / 2.0, "1/b = 2⁵³");
+    // Outside the proof's `[2⁻⁵³, 1]`, where the kernel divides.
+    divisors.extend([f64::EPSILON / 4.0, 1.0f64.next_up(), 4.0, 1e-300]);
+
+    let (lo, hi) = (2f64.powi(-900), 2f64.powi(900));
+    let mut inside = vec![0.0, -0.0, lo, hi, lo.next_up(), hi.next_down()];
+    for e in [-900, -899, -537, -54, -53, -1, 0, 1, 52, 53, 511, 899] {
+        // The binade's first value (all-zeros significand) and last (all
+        // ones), each with its inward neighbour; consecutive exponents put
+        // both sides of a binade edge in.
+        let (first, last) = (2f64.powi(e), 2f64.powi(e + 1).next_down());
+        inside.extend([first, first.next_up(), last, last.next_down()]);
+    }
+    let mut rng = StdRng::seed_from_u64(39);
+    inside.extend((0..24).map(|_| rng.gen_range(-2.0..2.0)));
+    inside.extend((0..24).map(|_| rng.gen_range(1.0..2.0) * 2f64.powi(rng.gen_range(-900..900))));
+    let negated: Vec<f64> = inside.iter().map(|x| -x).collect();
+    inside.extend(negated);
+    // Below about 2⁻⁹⁷⁰ the corrections' residuals lose bits to underflow
+    // and the sequence misses the IEEE quotient for many `b` (most often
+    // on all-ones significands), which is what the guard is for: with
+    // these in, a guard loosened to 2⁻¹⁰⁰⁰ or below shows.
+    let outside = [
+        lo.next_down(),
+        hi.next_up(),
+        2f64.powi(-999).next_down(),
+        -(4.0 * f64::MIN_POSITIVE).next_down(),
+        f64::MIN_POSITIVE,
+        f64::MIN_POSITIVE.next_down(),
+        -f64::MIN_POSITIVE / 4.0,
+        5e-324,
+        f64::MAX,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+    ];
+
+    let mut xs = Vec::new();
+    for (k, &b) in divisors.iter().enumerate() {
+        xs.clear();
+        let rotation = k % inside.len();
+        let mut fill = inside[rotation..].iter().chain(&inside[..rotation]);
+        // Four in-guard dividends between out-of-guard ones, so no vector
+        // holds two of the latter and each one alone decides its fallback.
+        for &x in &outside {
+            xs.extend(fill.by_ref().take(4));
+            xs.push(x);
+        }
+        xs.extend(fill);
+        xs.truncate(xs.len() - k % 4);
+        let len = xs.len();
+        let quotient_in_m = AdamStep {
+            learning_rate: 1.0,
+            beta1: 0.0,
+            beta2: 1.0,
+            epsilon: 0.0,
+            bias1: b,
+            bias2: b,
+            scale: 1.0,
+        };
+        let quotient_in_v = AdamStep {
+            bias1: 1.0,
+            ..quotient_in_m
+        };
+        for (step, grads, m0, v0) in [
+            (&quotient_in_m, xs.clone(), vec![-0.0; len], vec![b; len]),
+            (&quotient_in_v, vec![1.0; len], vec![-0.0; len], xs.clone()),
+        ] {
+            let (mut p_ref, mut m_ref, mut v_ref) = (vec![-0.0; len], m0.clone(), v0.clone());
+            textbook_adam(step, &mut p_ref, &grads, &mut m_ref, &mut v_ref);
+            for &level in runnable_levels() {
+                let (mut p, mut m, mut v) = (vec![-0.0; len], m0.clone(), v0.clone());
+                adam_update_with(level, &mut p, &grads, &mut m, &mut v, step, None);
+                let case = format!("{level} b={b:e} (#{k}) bias1={}", step.bias1);
                 assert!(bits_equal(&p, &p_ref), "{case}: params diverged");
                 assert!(bits_equal(&m, &m_ref), "{case}: m diverged");
                 assert!(bits_equal(&v, &v_ref), "{case}: v diverged");
