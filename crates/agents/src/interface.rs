@@ -11,7 +11,6 @@ use crate::message::{ActionMessage, Message, PiReport};
 use crate::wire::decode_message;
 use capes_persist::{Persist, PersistError, Reader, Writer};
 use capes_replay::SharedReplayDb;
-use capes_telemetry::Counter;
 use std::collections::HashMap;
 
 /// Counters kept by the daemon (Table-2 style accounting).
@@ -69,60 +68,6 @@ impl Persist for InterfaceStats {
     }
 }
 
-/// The daemon's live counters: telemetry [`Counter`] handles, so the fleet
-/// can link the very same atomics into the global metrics registry while
-/// [`InterfaceDaemon::stats`] keeps returning the plain
-/// [`InterfaceStats`] snapshot the reports and checkpoints are built from.
-#[derive(Debug, Clone, Default)]
-pub struct DaemonCounters {
-    /// PI reports ingested (`daemon.reports_received`).
-    pub reports_received: Counter,
-    /// Content-rejected reports/objectives (`daemon.reports_rejected`).
-    pub reports_rejected: Counter,
-    /// Far-future ticks dropped (`daemon.implausible_ticks`).
-    pub implausible_ticks_rejected: Counter,
-    /// Objective messages ingested (`daemon.objectives_received`).
-    pub objectives_received: Counter,
-    /// Encoded bytes of all ingested messages (`daemon.bytes_received`).
-    pub bytes_received: Counter,
-    /// Actions broadcast (`daemon.actions_broadcast`).
-    pub actions_broadcast: Counter,
-    /// Actions vetoed by the checker (`daemon.actions_rejected`).
-    pub actions_rejected: Counter,
-    /// Aggregated objectives written (`daemon.objectives_recorded`).
-    pub objectives_recorded: Counter,
-}
-
-impl DaemonCounters {
-    /// Point-in-time snapshot as the plain stats struct.
-    pub fn snapshot(&self) -> InterfaceStats {
-        InterfaceStats {
-            reports_received: self.reports_received.get(),
-            reports_rejected: self.reports_rejected.get(),
-            implausible_ticks_rejected: self.implausible_ticks_rejected.get(),
-            objectives_received: self.objectives_received.get(),
-            bytes_received: self.bytes_received.get(),
-            actions_broadcast: self.actions_broadcast.get(),
-            actions_rejected: self.actions_rejected.get(),
-            objectives_recorded: self.objectives_recorded.get(),
-        }
-    }
-
-    /// Overwrites every counter from a snapshot — the checkpoint-restore
-    /// path (registry links to these atomics stay valid).
-    pub fn restore(&self, stats: &InterfaceStats) {
-        self.reports_received.store(stats.reports_received);
-        self.reports_rejected.store(stats.reports_rejected);
-        self.implausible_ticks_rejected
-            .store(stats.implausible_ticks_rejected);
-        self.objectives_received.store(stats.objectives_received);
-        self.bytes_received.store(stats.bytes_received);
-        self.actions_broadcast.store(stats.actions_broadcast);
-        self.actions_rejected.store(stats.actions_rejected);
-        self.objectives_recorded.store(stats.objectives_recorded);
-    }
-}
-
 /// The Interface Daemon.
 pub struct InterfaceDaemon {
     db: SharedReplayDb,
@@ -150,7 +95,7 @@ pub struct InterfaceDaemon {
     /// buffers from earlier ticks awaiting reuse.
     staged: Vec<(usize, Vec<f64>)>,
     staged_len: usize,
-    counters: DaemonCounters,
+    stats: InterfaceStats,
 }
 
 impl InterfaceDaemon {
@@ -179,19 +124,13 @@ impl InterfaceDaemon {
             staged_tick: None,
             staged: Vec::new(),
             staged_len: 0,
-            counters: DaemonCounters::default(),
+            stats: InterfaceStats::default(),
         }
     }
 
     /// Accumulated statistics.
     pub fn stats(&self) -> InterfaceStats {
-        self.counters.snapshot()
-    }
-
-    /// The live counter handles (clone them into a metrics registry to share
-    /// storage with the daemon — see [`DaemonCounters`]).
-    pub fn counters(&self) -> &DaemonCounters {
-        &self.counters
+        self.stats
     }
 
     /// The replay database the daemon writes into.
@@ -202,7 +141,7 @@ impl InterfaceDaemon {
     /// Ingests an encoded wire frame (as received from a Monitoring Agent).
     pub fn ingest_frame(&mut self, frame: &[u8]) -> Result<(), PersistError> {
         let message = decode_message(frame)?;
-        self.counters.bytes_received.add(frame.len() as u64);
+        self.stats.bytes_received += frame.len() as u64;
         self.ingest(&message);
         Ok(())
     }
@@ -217,7 +156,7 @@ impl InterfaceDaemon {
     fn tick_plausible(&mut self, tick: u64) -> bool {
         match self.newest_tick {
             Some(newest) if tick > newest.saturating_add(self.db_capacity) => {
-                self.counters.implausible_ticks_rejected.inc();
+                self.stats.implausible_ticks_rejected += 1;
                 false
             }
             Some(newest) => {
@@ -242,13 +181,13 @@ impl InterfaceDaemon {
         match message {
             Message::Report(report) => self.ingest_report(report),
             Message::Objective { tick, node, value } => {
-                self.counters.objectives_received.inc();
+                self.stats.objectives_received += 1;
                 // Same content screening as reports: an objective from an
                 // unknown node would otherwise count toward the expected
                 // quorum and fold a bogus value into the tick's aggregate
                 // reward while a real node's value is still outstanding.
                 if *node >= self.db_nodes {
-                    self.counters.reports_rejected.inc();
+                    self.stats.reports_rejected += 1;
                     return;
                 }
                 if !self.tick_plausible(*tick) {
@@ -273,25 +212,25 @@ impl InterfaceDaemon {
     pub fn broadcast_action(&mut self, mut action: ActionMessage) -> Option<ActionMessage> {
         match self.checker.check(&action.parameter_values) {
             CheckOutcome::Rejected(_) => {
-                self.counters.actions_rejected.inc();
+                self.stats.actions_rejected += 1;
                 return None;
             }
             CheckOutcome::Clamped(values) => action.parameter_values = values,
             CheckOutcome::Allowed => {}
         }
         self.db.insert_action(action.tick, action.action_index);
-        self.counters.actions_broadcast.inc();
+        self.stats.actions_broadcast += 1;
         Some(action)
     }
 
     fn ingest_report(&mut self, report: &PiReport) {
-        self.counters.reports_received.inc();
+        self.stats.reports_received += 1;
         // Content hardening: a decodable frame can still carry a node id or
         // indicator count the replay store was never configured for —
         // passing either through would panic inside the store. Corrupt or
         // misconfigured senders are dropped and counted instead.
         if report.node >= self.db_nodes || report.total_pis != self.db_pis_per_node {
-            self.counters.reports_rejected.inc();
+            self.stats.reports_rejected += 1;
             return;
         }
         if !self.tick_plausible(report.tick) {
@@ -372,9 +311,7 @@ impl InterfaceDaemon {
             w.put_usize(*node);
             pis.encode(w);
         }
-        // Counter values travel as the plain snapshot struct, so checkpoint
-        // bytes are identical to the pre-telemetry encoding.
-        self.counters.snapshot().encode(w);
+        self.stats.encode(w);
     }
 
     /// Restores state written by [`InterfaceDaemon::encode_state`] into this
@@ -442,7 +379,7 @@ impl InterfaceDaemon {
         self.staged_tick = staged_tick;
         self.staged_len = staged.len();
         self.staged = staged;
-        self.counters.restore(&stats);
+        self.stats = stats;
         Ok(())
     }
 
@@ -458,7 +395,7 @@ impl InterfaceDaemon {
             if let Some(values) = self.pending_objectives.remove(&tick) {
                 let total: f64 = values.values().sum();
                 self.db.insert_objective(tick, total);
-                self.counters.objectives_recorded.inc();
+                self.stats.objectives_recorded += 1;
             }
         }
     }

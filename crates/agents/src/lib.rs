@@ -30,7 +30,7 @@ pub mod wire;
 
 pub use checker::{ActionChecker, CheckOutcome};
 pub use control::ControlAgent;
-pub use interface::{DaemonCounters, InterfaceDaemon, InterfaceStats};
+pub use interface::{InterfaceDaemon, InterfaceStats};
 pub use message::{ActionMessage, Message, PiReport};
 pub use monitoring::MonitoringAgent;
 pub use wire::{

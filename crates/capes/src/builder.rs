@@ -90,7 +90,9 @@ impl<T: TargetSystem> CapesBuilder<T> {
         self
     }
 
-    /// Sets the RNG seed shared by the engine and the system (default: 0).
+    /// Sets the RNG seed of the default DQN engine (default: 0). Nothing
+    /// else reads it: the system draws no random numbers, and an engine
+    /// passed to [`CapesBuilder::engine`] brings its own.
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -179,7 +181,6 @@ impl<T: TargetSystem> CapesBuilder<T> {
             self.hyperparams,
             self.objective,
             self.checker,
-            self.seed,
             engine,
             self.observers,
             self.transport,

@@ -123,7 +123,6 @@ impl<T: TargetSystem> CapesSystem<T> {
         hyperparams: Hyperparameters,
         objective: Objective,
         checker: ActionChecker,
-        _seed: u64,
         engine: Box<dyn TuningEngine>,
         observers: Vec<Box<dyn TickObserver>>,
         transport: Transport,

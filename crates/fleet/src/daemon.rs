@@ -1406,9 +1406,6 @@ impl FleetDaemon {
     /// [`FleetDaemon::set_profile_sharing`] only outlives externally-driven
     /// [`FleetDaemon::tick_all`] loops, never a `run`).
     pub fn run(&mut self, plan: &FleetPlan) -> FleetReport {
-        if let Some(workers) = plan.workers {
-            self.set_workers(workers);
-        }
         self.profile_sharing
             .iter_mut()
             .for_each(|mode| *mode = ExperienceSharing::Disabled);

@@ -52,22 +52,14 @@ pub struct FleetPlan {
     /// Per-profile experience-sharing settings; profiles not listed stay at
     /// [`ExperienceSharing::Disabled`].
     pub sharing: Vec<ProfileSharing>,
-    /// Fleet worker parallelism (total threads ticking member clusters,
-    /// including the daemon thread). `None` keeps the daemon's current pool —
-    /// the `CAPES_FLEET_THREADS` / [`FleetBuilder`](crate::daemon::FleetBuilder)
-    /// setting. Worker count never changes results: multi-worker runs are
-    /// bit-identical to `workers = 1`.
-    pub workers: Option<usize>,
 }
 
 impl FleetPlan {
-    /// An empty plan (no phases, sharing disabled everywhere, worker count
-    /// inherited from the daemon).
+    /// An empty plan (no phases, sharing disabled everywhere).
     pub fn new() -> Self {
         FleetPlan {
             phases: Vec::new(),
             sharing: Vec::new(),
-            workers: None,
         }
     }
 
@@ -82,14 +74,6 @@ impl FleetPlan {
     #[must_use]
     pub fn share(mut self, profile: usize, mode: ExperienceSharing) -> Self {
         self.sharing.push(ProfileSharing { profile, mode });
-        self
-    }
-
-    /// Sets the fleet worker parallelism for this plan's run (1 = the
-    /// sequential path).
-    #[must_use]
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = Some(workers);
         self
     }
 

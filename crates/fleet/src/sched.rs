@@ -19,8 +19,8 @@
 //! are merged.
 //!
 //! Worker count defaults to **1** (the sequential path) and is raised via
-//! the `FleetPlan::workers` knob or the `CAPES_FLEET_THREADS` environment
-//! variable.
+//! `FleetBuilder::workers`, `FleetDaemon::set_workers` or the
+//! `CAPES_FLEET_THREADS` environment variable.
 
 use capes_telemetry::{names, LazySpan};
 use capes_tensor::pool::{PoolProfile, WorkerPool};
@@ -69,7 +69,7 @@ impl std::ops::Deref for FleetPool {
 /// Fleet parallelism configured for this process: `CAPES_FLEET_THREADS` when
 /// set to a positive integer, otherwise **1** — the fleet stays on the
 /// sequential path unless parallelism is asked for (by this variable,
-/// `FleetBuilder::workers` or the `FleetPlan::workers` knob).
+/// `FleetBuilder::workers` or `FleetDaemon::set_workers`).
 pub fn configured_fleet_threads() -> usize {
     std::env::var("CAPES_FLEET_THREADS")
         .ok()

@@ -118,28 +118,26 @@ fn socket_sharing_fleet_is_bit_identical_across_worker_counts() {
 }
 
 #[test]
-fn plan_workers_knob_is_bit_identical_to_sequential_run() {
-    // The FleetPlan knob drives the same pool: a plan pinned to 4 workers
-    // must reproduce the 1-worker plan's report and checkpoint exactly.
+fn plan_run_on_a_resized_pool_is_bit_identical_to_sequential_run() {
+    // A sequential fleet resized to 4 workers before `run` must reproduce
+    // the 1-worker plan's report and checkpoint exactly.
     use capes::Phase;
     use capes_fleet::FleetPlan;
 
-    let plan = |workers: usize| {
-        FleetPlan::new()
-            .phase(Phase::Baseline { ticks: 5 })
-            .phase(Phase::Train { ticks: 20 })
-            .phase(Phase::Tuned {
-                ticks: 5,
-                label: "tuned".into(),
-            })
-            .share(0, ExperienceSharing::Uniform)
-            .workers(workers)
-    };
+    let plan = FleetPlan::new()
+        .phase(Phase::Baseline { ticks: 5 })
+        .phase(Phase::Train { ticks: 20 })
+        .phase(Phase::Tuned {
+            ticks: 5,
+            label: "tuned".into(),
+        })
+        .share(0, ExperienceSharing::Uniform);
     let mut seq = fleet(Transport::Wire, 1);
     let mut par = fleet(Transport::Wire, 1);
-    let report_seq = seq.run(&plan(1));
-    let report_par = par.run(&plan(4));
-    assert_eq!(par.workers(), 4, "the plan resized the pool");
+    par.set_workers(4);
+    assert_eq!(par.workers(), 4, "set_workers resized the pool");
+    let report_seq = seq.run(&plan);
+    let report_par = par.run(&plan);
     // Reports carry timing fields; compare the result payloads.
     for (a, b) in report_seq.clusters.iter().zip(&report_par.clusters) {
         assert_eq!(a.report.to_json(), b.report.to_json());

@@ -231,15 +231,6 @@ impl Matrix {
             gemm_ta_rows(a_s, b_s, chunk, start, end, n, m, p);
         });
     }
-
-    /// Matrix–vector product `self · v` where `v` is a plain slice of length
-    /// `self.cols()`. Returns a `Vec` of length `self.rows()`.
-    pub fn matvec(&self, v: &[f64]) -> Vec<f64> {
-        assert_eq!(self.cols(), v.len(), "matvec dimension mismatch");
-        (0..self.rows())
-            .map(|r| self.row(r).iter().zip(v.iter()).map(|(&a, &b)| a * b).sum())
-            .collect()
-    }
 }
 
 /// Number of hardware threads available to this process.
@@ -379,18 +370,6 @@ mod tests {
             gemm_rows(&a_s[start * k..end * k], b_s, chunk, end - start, k, n);
         });
         assert!(out.approx_eq(&a.matmul_naive(&b), 1e-9));
-    }
-
-    #[test]
-    fn matvec_matches_matmul() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let a = random_matrix(&mut rng, 5, 8);
-        let v: Vec<f64> = (0..8).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let as_matrix = a.matmul(&Matrix::col_vector(&v));
-        let direct = a.matvec(&v);
-        for (i, &x) in direct.iter().enumerate() {
-            assert!((x - as_matrix.get(i, 0)).abs() < 1e-9);
-        }
     }
 
     #[test]

@@ -89,11 +89,6 @@ impl Matrix {
         Self::from_vec(1, values.len(), values.to_vec())
     }
 
-    /// Builds an `n × 1` column vector.
-    pub fn col_vector(values: &[f64]) -> Self {
-        Self::from_vec(values.len(), 1, values.to_vec())
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -172,12 +167,6 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Copies column `c` into a new `Vec`.
-    pub fn col(&self, c: usize) -> Vec<f64> {
-        assert!(c < self.cols, "col {} out of range ({})", c, self.cols);
-        (0..self.rows).map(|r| self.get(r, c)).collect()
-    }
-
     /// Copies row `r` of `src` into row `dst_row` of `self`.
     ///
     /// # Panics
@@ -238,28 +227,6 @@ impl Matrix {
             data.extend_from_slice(&m.data);
         }
         Matrix { rows, cols, data }
-    }
-
-    /// Flattens the matrix into a `1 × (rows*cols)` row vector, row-major.
-    pub fn flatten(&self) -> Matrix {
-        Matrix {
-            rows: 1,
-            cols: self.len(),
-            data: self.data.clone(),
-        }
-    }
-
-    /// Reinterprets the storage with a new shape (row-major order preserved).
-    ///
-    /// # Panics
-    /// Panics if `rows * cols != self.len()`.
-    pub fn reshape(&self, rows: usize, cols: usize) -> Matrix {
-        assert_eq!(rows * cols, self.len(), "reshape size mismatch");
-        Matrix {
-            rows,
-            cols,
-            data: self.data.clone(),
-        }
     }
 
     /// `true` if every element is finite (no NaN / infinity).
@@ -393,7 +360,6 @@ mod tests {
         let mut m = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
         assert_eq!(m[(0, 1)], 2.0);
         assert_eq!(m.row(1), &[4.0, 5.0, 6.0]);
-        assert_eq!(m.col(2), vec![3.0, 6.0]);
         m[(1, 0)] = 9.0;
         assert_eq!(m.get(1, 0), 9.0);
         m.row_mut(0)[2] = -1.0;
@@ -410,17 +376,12 @@ mod tests {
     }
 
     #[test]
-    fn vstack_flatten_reshape() {
+    fn vstack_stacks_rows() {
         let a = Matrix::from_rows(&[&[1.0, 2.0]]);
         let b = Matrix::from_rows(&[&[3.0, 4.0], &[5.0, 6.0]]);
         let s = Matrix::vstack(&[&a, &b]);
         assert_eq!(s.shape(), (3, 2));
         assert_eq!(s.row(2), &[5.0, 6.0]);
-
-        let f = s.flatten();
-        assert_eq!(f.shape(), (1, 6));
-        let r = f.reshape(2, 3);
-        assert_eq!(r.row(1), &[4.0, 5.0, 6.0]);
     }
 
     #[test]

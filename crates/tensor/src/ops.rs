@@ -50,11 +50,6 @@ impl Matrix {
         self.map(|x| x * k)
     }
 
-    /// Adds `k` to every element.
-    pub fn shift(&self, k: f64) -> Matrix {
-        self.map(|x| x + k)
-    }
-
     /// In-place `self += alpha * other` (the classic axpy update).
     ///
     /// # Panics
@@ -123,41 +118,6 @@ impl Matrix {
     /// Largest absolute element value.
     pub fn max_abs(&self) -> f64 {
         self.as_slice().iter().fold(0.0f64, |m, &x| m.max(x.abs()))
-    }
-
-    /// Index of the maximum value within row `r` (ties resolve to the first).
-    pub fn argmax_row(&self, r: usize) -> usize {
-        let row = self.row(r);
-        let mut best = 0usize;
-        let mut best_val = row[0];
-        for (i, &v) in row.iter().enumerate().skip(1) {
-            if v > best_val {
-                best = i;
-                best_val = v;
-            }
-        }
-        best
-    }
-
-    /// Maximum value within row `r`.
-    pub fn max_row(&self, r: usize) -> f64 {
-        self.row(r)
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
-
-    /// Per-column mean as a `1 × cols` row vector.
-    pub fn mean_rows(&self) -> Matrix {
-        let mut out = Matrix::zeros(1, self.cols());
-        for r in 0..self.rows() {
-            for c in 0..self.cols() {
-                out[(0, c)] += self.get(r, c);
-            }
-        }
-        let n = self.rows() as f64;
-        out.map_inplace(|x| x / n);
-        out
     }
 
     /// Per-column sum as a `1 × cols` row vector (used to reduce per-sample
@@ -240,7 +200,6 @@ mod tests {
         assert_eq!(a.sub(&b).get(1, 2), 4.0);
         assert_eq!(a.hadamard(&b).get(1, 1), 10.0);
         assert_eq!(a.scale(0.5).get(1, 2), 3.0);
-        assert_eq!(a.shift(1.0).get(0, 0), 2.0);
     }
 
     #[test]
@@ -280,13 +239,8 @@ mod tests {
     }
 
     #[test]
-    fn row_reductions_and_argmax() {
+    fn sum_rows_adds_up_each_column() {
         let a = Matrix::from_rows(&[&[0.5, 3.0, -1.0], &[2.0, 2.0, 2.0]]);
-        assert_eq!(a.argmax_row(0), 1);
-        assert_eq!(a.argmax_row(1), 0, "ties resolve to first index");
-        assert_eq!(a.max_row(0), 3.0);
-        let means = a.mean_rows();
-        assert!(means.approx_eq(&Matrix::row_vector(&[1.25, 2.5, 0.5]), 1e-12));
         let sums = a.sum_rows();
         assert!(sums.approx_eq(&Matrix::row_vector(&[2.5, 5.0, 1.0]), 1e-12));
     }

@@ -18,8 +18,8 @@
 //! | level     | what it vectorises                                              |
 //! |-----------|-----------------------------------------------------------------|
 //! | `Scalar`  | nothing by hand — portable kernels running the vector arms' FMA chains one element at a time |
-//! | `Avx2Fma` | everything below: 4 × 8 `ymm` GEMM tiles, the `a · bᵀ` dot kernel, Adam, tanh, Bellman targets |
-//! | `Avx512`  | the shared GEMM panel of `out += a · b` and of the zero-seeded `out = aᵀ · b` (8 × 24 `zmm` tiles), `a · bᵀ` (8 a-rows × 4 b-rows, two a-rows per `zmm`) and the tanh forward pass (8 lanes); remainders run the 256-bit code, and Adam, tanh backward and the Bellman targets run their `Avx2Fma` arms |
+//! | `Avx2Fma` | everything below: 4 × 8 `ymm` GEMM tiles, the `a · bᵀ` dot kernel, Adam, the tanh forward pass |
+//! | `Avx512`  | the shared GEMM panel of `out += a · b` and of the zero-seeded `out = aᵀ · b` (8 × 24 `zmm` tiles), `a · bᵀ` (8 a-rows × 4 b-rows, two a-rows per `zmm`) and the tanh forward pass (8 lanes); remainders run the 256-bit code, and Adam runs its `Avx2Fma` arm |
 //!
 //! Every 512-bit arm is **bit-identical** to `Avx2Fma`, because each output
 //! element keeps its exact operation chain. The panel's per-element FMA
@@ -31,7 +31,9 @@
 //! Table 2 step it is ≈ 6 % of the step. Adam stays 256-bit: it is bound by
 //! its one division and one square root per element and its nine parameter
 //! streams (`vdivpd zmm` has the same per-element throughput as `ymm`). The
-//! Bellman targets and tanh backward are too small to matter.
+//! Bellman targets and tanh backward have one portable loop and no level:
+//! on the DQN's 32-row minibatch a vector arm saved at most ~2 µs a call,
+//! under 0.1 % of a Table 2 step.
 //!
 //! The level is selected **once per process** and cached: the first dispatch
 //! (the worker-pool initialisation warms it) probes the CPU via
@@ -196,107 +198,16 @@ pub fn active_level() -> SimdLevel {
 /// can, mirroring [`active_level`]'s clamping — the function is safe to call
 /// with any level anywhere.
 ///
-/// Wide-and-tall products take the packed-B variant — bit-identical to the
-/// streaming kernel (see [`gemm_rows_packed_with`]), so the gate can never
-/// perturb a result, only the memory traffic. Below the gate the pack cost
-/// is not amortised (few output rows reuse each packed panel) and the
-/// streaming kernel already runs at full speed.
+/// The vector arms read `b` where it lies; nothing repacks it. Packing a
+/// k-panel of `b` into tile order pays only when many row tiles re-sweep
+/// it, and the training step's minibatch and the fleet's batched decide
+/// have at most 64 rows.
 ///
 /// # Panics
 /// Panics if any slice length disagrees with the dimensions (the vector arms
 /// rely on the exact lengths for memory safety).
 pub fn gemm_rows_with(
     level: SimdLevel,
-    a: &[f64],
-    b: &[f64],
-    out: &mut [f64],
-    rows_a: usize,
-    cols_a: usize,
-    cols_b: usize,
-) {
-    gemm_rows_dispatch(level, None, a, b, out, rows_a, cols_a, cols_b);
-}
-
-/// Auto-dispatch gate for the packed-B `gemm_rows` variant: packing a
-/// k-panel costs one pass over it, so it only pays when at least this many
-/// output rows re-sweep the panel …
-#[cfg(target_arch = "x86_64")]
-const PACK_MIN_ROWS: usize = 8;
-/// … and the panel is wide enough that the strided tile walk of the
-/// streaming kernel actually leaves cache-line locality on the table. The
-/// training-step shapes (32 × 600 · 600 × 600 and 600³) clear both bounds.
-#[cfg(target_arch = "x86_64")]
-const PACK_MIN_COLS: usize = 128;
-
-/// Whether the auto gate packs `b` for this shape at this (runnable) level.
-/// The 512-bit microkernel sweeps a k-panel of `b` exactly once while the
-/// panel's `a` block stays L1-resident (see `avx512::panel`), so there is no
-/// re-sweep for packing to speed up until the block outgrows L1: measured on
-/// 32 × 600 · 600 × 600, streaming 47.7 GFLOP/s against packed 38.
-#[cfg(target_arch = "x86_64")]
-fn pack_gate(level: SimdLevel, rows_a: usize, cols_a: usize, cols_b: usize) -> bool {
-    let a_resident =
-        level == SimdLevel::Avx512 && rows_a * BLOCK.min(cols_a) <= avx512::A_RESIDENT_ELEMS;
-    rows_a >= PACK_MIN_ROWS && cols_b >= PACK_MIN_COLS && !a_resident
-}
-
-/// [`gemm_rows_with`] through the **packed-B** vector kernel unconditionally:
-/// each k-panel of `b` is repacked into contiguous tile-major storage (a
-/// thread-local, grow-only scratch buffer — allocation-free at steady state)
-/// before the register-tiled sweep, so the inner loop reads `b` fragments
-/// from consecutive cache lines instead of `cols_b`-strided ones.
-///
-/// The packed kernel issues **the same FMA chain per output element** as the
-/// streaming kernel — only the addresses the `b` fragments are loaded from
-/// change — so its results are bit-identical to [`gemm_rows_unpacked_with`]
-/// at every level (property-tested). The scalar arm has no packed variant
-/// (packing buys nothing without the tile sweep) and delegates to the scalar
-/// kernel, which keeps this entry safe to call at any level anywhere.
-///
-/// [`gemm_rows_with`] auto-selects this variant for large shapes; this
-/// explicit entry exists so tests and benches can pin the packed path on
-/// both sides of the gate.
-///
-/// # Panics
-/// As in [`gemm_rows_with`].
-pub fn gemm_rows_packed_with(
-    level: SimdLevel,
-    a: &[f64],
-    b: &[f64],
-    out: &mut [f64],
-    rows_a: usize,
-    cols_a: usize,
-    cols_b: usize,
-) {
-    gemm_rows_dispatch(level, Some(true), a, b, out, rows_a, cols_a, cols_b);
-}
-
-/// [`gemm_rows_with`] through the **streaming** (non-packing) vector kernel
-/// unconditionally, bypassing the packed-B gate. This is the pre-packing
-/// dispatch, kept public so the bit-equality property tests and the `gemm`
-/// benches can pin the unpacked path on shapes the auto gate would pack.
-///
-/// # Panics
-/// As in [`gemm_rows_with`].
-pub fn gemm_rows_unpacked_with(
-    level: SimdLevel,
-    a: &[f64],
-    b: &[f64],
-    out: &mut [f64],
-    rows_a: usize,
-    cols_a: usize,
-    cols_b: usize,
-) {
-    gemm_rows_dispatch(level, Some(false), a, b, out, rows_a, cols_a, cols_b);
-}
-
-/// The one `out += a · b` dispatch behind the three public entries, which
-/// differ only in `packed`: pinned, or `None` for the auto gate.
-#[allow(clippy::too_many_arguments)]
-#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
-fn gemm_rows_dispatch(
-    level: SimdLevel,
-    packed: Option<bool>,
     a: &[f64],
     b: &[f64],
     out: &mut [f64],
@@ -316,11 +227,7 @@ fn gemm_rows_dispatch(
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2Fma | SimdLevel::Avx512 => unsafe {
             let wide = level == SimdLevel::Avx512;
-            if packed.unwrap_or_else(|| pack_gate(level, rows_a, cols_a, cols_b)) {
-                avx2::gemm_rows_packed(wide, a, b, out, rows_a, cols_a, cols_b)
-            } else {
-                avx2::gemm_rows(wide, a, b, out, rows_a, cols_a, cols_b)
-            }
+            avx2::gemm_rows(wide, a, b, out, rows_a, cols_a, cols_b)
         },
         _ => scalar::gemm_rows(a, b, out, rows_a, cols_a, cols_b),
     }
@@ -367,7 +274,7 @@ pub fn gemm_ta_rows_with(
     let level = runnable(level);
     let _kernel = kernel_span(level);
     match level {
-        // SAFETY: as in `gemm_rows_dispatch`.
+        // SAFETY: as in `gemm_rows_with`.
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2Fma | SimdLevel::Avx512 => unsafe {
             let wide = level == SimdLevel::Avx512;
@@ -606,45 +513,38 @@ pub fn tanh_forward(src: &[f64], dst: &mut [f64]) {
     tanh_forward_with(active_level(), src, dst);
 }
 
-/// Element-wise `tanh` backward pass at an explicit [`SimdLevel`]:
-/// `grads[i] *= 1 − output[i]²` (the derivative expressed in terms of the
-/// forward output). Bit-identical across levels like [`tanh_forward_with`].
+/// Element-wise `tanh` backward pass: `grads[i] *= 1 − output[i]²` (the
+/// derivative expressed in terms of the forward output).
+///
+/// One portable loop serves every level: on the DQN's 32 × 600 layers a
+/// 4-lane arm saved at most ~2 µs a call. Each element is an individually
+/// rounded mul, sub, mul, so the result does not depend on the CPU.
 ///
 /// # Panics
 /// Panics if `output` and `grads` disagree in length.
-pub fn tanh_backward_with(level: SimdLevel, output: &[f64], grads: &mut [f64]) {
+pub fn tanh_backward(output: &[f64], grads: &mut [f64]) {
     assert_eq!(output.len(), grads.len(), "tanh_backward: length mismatch");
-    match runnable(level) {
-        // SAFETY: `runnable` confirmed the CPU; lengths were asserted.
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2Fma | SimdLevel::Avx512 => unsafe { avx2::tanh_backward(output, grads) },
-        _ => tanh_backward_scalar(output, grads),
+    for (g, &y) in grads.iter_mut().zip(output) {
+        *g *= 1.0 - y * y;
     }
 }
 
-/// Auto-dispatching [`tanh_backward_with`] at [`active_level`].
-pub fn tanh_backward(output: &[f64], grads: &mut [f64]) {
-    tanh_backward_with(active_level(), output, grads);
-}
-
-/// Fused Bellman-target kernel at an explicit [`SimdLevel`]:
+/// Fused Bellman-target kernel — what the `capes-drl` trainer calls:
 ///
 /// ```text
 /// out[i] = rewards[i] + discount · max_j next_q[i · cols + j]
 /// ```
 ///
-/// The row maximum uses the strict `v > m` update of the scalar reference
-/// (first element wins ties; a `NaN` never displaces the running maximum,
-/// and a leading `NaN` poisons the row), and the vector arm mirrors it with
-/// an ordered greater-than compare plus blend — so the levels are
-/// **bit-identical**, no FMA anywhere. [`SimdLevel::Avx512`] runs the
-/// `Avx2Fma` arm.
+/// The row maximum uses the strict `v > m` update (first element wins ties;
+/// a `NaN` never displaces the running maximum, and a leading `NaN` poisons
+/// the row), and the target is mul-then-add, no FMA. One portable loop
+/// serves every level: on a 32-row minibatch a 4-row vector arm was no
+/// faster.
 ///
 /// # Panics
 /// Panics if `cols` is zero, `next_q` is not `rewards.len() · cols` long, or
 /// `out` disagrees with `rewards` in length.
-pub fn bellman_targets_with(
-    level: SimdLevel,
+pub fn bellman_targets(
     rewards: &[f64],
     next_q: &[f64],
     cols: usize,
@@ -662,26 +562,18 @@ pub fn bellman_targets_with(
         rewards.len(),
         "bellman_targets: out length mismatch"
     );
-    match runnable(level) {
-        // SAFETY: `runnable` confirmed the CPU; shapes were asserted.
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2Fma | SimdLevel::Avx512 => unsafe {
-            avx2::bellman_targets(rewards, next_q, cols, discount, out)
-        },
-        _ => bellman_targets_scalar(rewards, next_q, cols, discount, out),
+    for (o, (&reward, row)) in out
+        .iter_mut()
+        .zip(rewards.iter().zip(next_q.chunks_exact(cols)))
+    {
+        let mut m = row[0];
+        for &v in &row[1..] {
+            if v > m {
+                m = v;
+            }
+        }
+        *o = reward + discount * m;
     }
-}
-
-/// Auto-dispatching [`bellman_targets_with`] at [`active_level`] — what the
-/// `capes-drl` trainer calls.
-pub fn bellman_targets(
-    rewards: &[f64],
-    next_q: &[f64],
-    cols: usize,
-    discount: f64,
-    out: &mut [f64],
-) {
-    bellman_targets_with(active_level(), rewards, next_q, cols, discount, out);
 }
 
 // ---------------------------------------------------------------------------
@@ -1029,34 +921,6 @@ fn tanh_forward_scalar(src: &[f64], dst: &mut [f64]) {
     }
 }
 
-/// Scalar arm of the tanh backward pass: `g *= 1 − y²`.
-fn tanh_backward_scalar(output: &[f64], grads: &mut [f64]) {
-    for (g, &y) in grads.iter_mut().zip(output) {
-        *g *= 1.0 - y * y;
-    }
-}
-
-/// Scalar arm of the Bellman-target kernel — the reference row-max order
-/// (`if v > m`, first element seeds) the vector arm reproduces bit-for-bit.
-fn bellman_targets_scalar(
-    rewards: &[f64],
-    next_q: &[f64],
-    cols: usize,
-    discount: f64,
-    out: &mut [f64],
-) {
-    for (i, (o, &reward)) in out.iter_mut().zip(rewards).enumerate() {
-        let row = &next_q[i * cols..][..cols];
-        let mut m = row[0];
-        for &v in &row[1..] {
-            if v > m {
-                m = v;
-            }
-        }
-        *o = reward + discount * m;
-    }
-}
-
 // ---------------------------------------------------------------------------
 // AVX2+FMA arm.
 // ---------------------------------------------------------------------------
@@ -1086,14 +950,10 @@ mod avx2 {
     /// `0..cols` and `q` in `0..steps`, where
     /// `a_elem(t, q) = *a.add(t * a_row_stride + q * a_step)` and `out` rows
     /// are `cols_out` apart. The `out += a · b` and `out += aᵀ · b` kernels
-    /// differ only in how the broadcast operand walks `a`.
+    /// differ only in how the broadcast operand walks `a`. Row `q` of the
+    /// panel's `b` starts at `b.add(q * b_stride)`.
     ///
-    /// The microkernels' `PACKED` const parameter says how `b` is addressed:
-    /// **streaming** — row `q` of the panel starts at `b.add(q * b_stride)`;
-    /// **packed** — `b` is a [`pack_b_panel`] buffer over exactly these
-    /// `cols` columns and `steps` rows, so the 8-column tile at column `j`
-    /// starts at `b.add(j * steps)` with its rows 8 apart (`b_stride` is
-    /// unused). Their `OVERWRITE` const parameter says where each chain
+    /// The microkernels' `OVERWRITE` const parameter says where each chain
     /// starts: from `out` (the `+=` above), or from a `+0.0` register, so
     /// that `out[t][j] = Σ …` without `out` ever being read. Everything else
     /// about a microkernel is the same either way.
@@ -1118,23 +978,14 @@ mod avx2 {
         /// panel freely.
         ///
         /// # Safety
-        /// The rectangle must lie inside `self`. For a packed `b`, `j0` must
-        /// be a multiple of 8 and the rectangle must reach `self`'s right
-        /// edge (the packed remainder tile is found from the column count).
-        pub(super) unsafe fn sub<const PACKED: bool>(
-            self,
-            t0: usize,
-            rows: usize,
-            j0: usize,
-            cols: usize,
-        ) -> Panel {
+        /// The rectangle must lie inside `self`.
+        pub(super) unsafe fn sub(self, t0: usize, rows: usize, j0: usize, cols: usize) -> Panel {
             debug_assert!(t0 + rows <= self.rows && j0 + cols <= self.cols);
-            debug_assert!(!PACKED || (j0.is_multiple_of(8) && j0 + cols == self.cols));
             // SAFETY: the caller upholds this function's `# Safety` contract.
             unsafe {
                 Panel {
                     a: self.a.add(t0 * self.a_row_stride),
-                    b: self.b.add(if PACKED { j0 * self.steps } else { j0 }),
+                    b: self.b.add(j0),
                     out: self.out.add(t0 * self.cols_out + j0),
                     rows,
                     cols,
@@ -1144,7 +995,7 @@ mod avx2 {
         }
     }
 
-    /// The 256-bit microkernel over one [`Panel`], streaming or packed `b`.
+    /// The 256-bit microkernel over one [`Panel`].
     ///
     /// The tile shape is 4 output rows × 8 columns: the eight accumulators
     /// live in registers for the whole reduction sweep and every 64-byte
@@ -1157,19 +1008,12 @@ mod avx2 {
     /// chain regardless of how callers chunk the rows (this is what keeps
     /// pooled and single-threaded dispatch bit-identical).
     ///
-    /// Per output element the FMA chain is **instruction-for-instruction the
-    /// same** for both `b` addressings — same broadcast, same 4-wide
-    /// fragment loads, same step order — only the addresses the fragments
-    /// come from differ. That is the whole packed ≡ streaming bit-identity
-    /// argument: equal operands through equal operations in equal order.
-    ///
     /// # Safety
     /// The CPU must support AVX2+FMA, and every `a`/`b`/`out` index reachable
     /// from the panel's dimensions must be in bounds of the allocations the
-    /// pointers came from (for `PACKED`, `b` must hold the `steps × cols`
-    /// panel in [`pack_b_panel`] layout).
+    /// pointers came from.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn panel<const PACKED: bool, const OVERWRITE: bool>(p: Panel) {
+    pub(super) unsafe fn panel<const OVERWRITE: bool>(p: Panel) {
         let Panel {
             a,
             a_row_stride,
@@ -1184,15 +1028,9 @@ mod avx2 {
         } = p;
         // SAFETY: the caller upholds this function's `# Safety` contract.
         unsafe {
-            // Step 0 of the 8-column tile at column `j`, and the distance
-            // between consecutive steps' fragment rows.
-            let tile = |j: usize| if PACKED { b.add(j * steps) } else { b.add(j) };
-            let b_step = if PACKED { 8 } else { b_stride };
-            // The `w = cols % 8` remainder columns: a `w`-wide packed tile
-            // after the full ones, or simply the columns from `full` on.
+            // The `w = cols % 8` remainder columns, from `full` on.
             let full = cols / 8 * 8;
             let w = cols - full;
-            let tail_step = if PACKED { w } else { b_stride };
             let mut t = 0usize;
             while t + 4 <= rows {
                 let a0 = a.add(t * a_row_stride);
@@ -1213,7 +1051,7 @@ mod avx2 {
                     let mut acc21 = seed::<OVERWRITE>(o2.add(j + 4));
                     let mut acc30 = seed::<OVERWRITE>(o3.add(j));
                     let mut acc31 = seed::<OVERWRITE>(o3.add(j + 4));
-                    let mut bp = tile(j);
+                    let mut bp = b.add(j);
                     let mut off = 0usize;
                     for _ in 0..steps {
                         let bv0 = _mm256_loadu_pd(bp);
@@ -1230,7 +1068,7 @@ mod avx2 {
                         let v3 = _mm256_broadcast_sd(&*a3.add(off));
                         acc30 = _mm256_fmadd_pd(v3, bv0, acc30);
                         acc31 = _mm256_fmadd_pd(v3, bv1, acc31);
-                        bp = bp.add(b_step);
+                        bp = bp.add(b_stride);
                         off += a_step;
                     }
                     _mm256_storeu_pd(o0.add(j), acc00);
@@ -1249,8 +1087,8 @@ mod avx2 {
                         row_tail::<OVERWRITE>(
                             a_row,
                             a_step,
-                            tile(full),
-                            tail_step,
+                            b.add(full),
+                            b_stride,
                             o_tail,
                             w,
                             steps,
@@ -1262,80 +1100,55 @@ mod avx2 {
             while t < rows {
                 let a_row = a.add(t * a_row_stride);
                 let o_row = out.add(t * cols_out);
-                if PACKED {
-                    // 1×8 tiles down the packed tile rows.
+                // A remainder row sweeps each b-row contiguously
+                // (broadcast-sweep like the scalar kernel) instead of
+                // walking b_stride-strided column strips: a lone row — the
+                // 1-row inference forward pass — has no register reuse to
+                // win, and the strided walk defeats the hardware prefetcher
+                // on large matrices. The per-element FMA chain is the same
+                // step-ordered sequence either way, so results stay
+                // bit-identical to the tiled path regardless of where row
+                // chunking lands. An overwriting sweep zeroes its row
+                // first: every chain then starts from `+0.0`, as in the
+                // tiles.
+                if OVERWRITE {
+                    o_row.write_bytes(0, cols);
+                }
+                let mut bp = b;
+                let mut off = 0usize;
+                for _ in 0..steps {
+                    let v = _mm256_broadcast_sd(&*a_row.add(off));
                     let mut j = 0usize;
                     while j + 8 <= cols {
-                        let mut acc0 = seed::<OVERWRITE>(o_row.add(j));
-                        let mut acc1 = seed::<OVERWRITE>(o_row.add(j + 4));
-                        let mut bp = tile(j);
-                        let mut off = 0usize;
-                        for _ in 0..steps {
-                            let v = _mm256_broadcast_sd(&*a_row.add(off));
-                            acc0 = _mm256_fmadd_pd(v, _mm256_loadu_pd(bp), acc0);
-                            acc1 = _mm256_fmadd_pd(v, _mm256_loadu_pd(bp.add(4)), acc1);
-                            bp = bp.add(8);
-                            off += a_step;
-                        }
+                        let acc0 = _mm256_fmadd_pd(
+                            v,
+                            _mm256_loadu_pd(bp.add(j)),
+                            _mm256_loadu_pd(o_row.add(j)),
+                        );
+                        let acc1 = _mm256_fmadd_pd(
+                            v,
+                            _mm256_loadu_pd(bp.add(j + 4)),
+                            _mm256_loadu_pd(o_row.add(j + 4)),
+                        );
                         _mm256_storeu_pd(o_row.add(j), acc0);
                         _mm256_storeu_pd(o_row.add(j + 4), acc1);
                         j += 8;
                     }
-                    if w > 0 {
-                        let o_tail = o_row.add(full);
-                        row_tail::<OVERWRITE>(a_row, a_step, tile(full), w, o_tail, w, steps);
+                    if j + 4 <= cols {
+                        let acc = _mm256_fmadd_pd(
+                            v,
+                            _mm256_loadu_pd(bp.add(j)),
+                            _mm256_loadu_pd(o_row.add(j)),
+                        );
+                        _mm256_storeu_pd(o_row.add(j), acc);
+                        j += 4;
                     }
-                } else {
-                    // A streaming remainder row sweeps each b-row
-                    // contiguously (broadcast-sweep like the scalar kernel)
-                    // instead of walking b_stride-strided column strips: a
-                    // lone row — the 1-row inference forward pass — has no
-                    // register reuse to win, and the strided walk defeats
-                    // the hardware prefetcher on large matrices. The
-                    // per-element FMA chain is the same step-ordered
-                    // sequence either way, so results stay bit-identical to
-                    // the tiled path regardless of where row chunking lands.
-                    // An overwriting sweep zeroes its row first: every chain
-                    // then starts from `+0.0`, as in the tiles.
-                    if OVERWRITE {
-                        o_row.write_bytes(0, cols);
+                    while j < cols {
+                        *o_row.add(j) = fmadd_sd(*a_row.add(off), *bp.add(j), *o_row.add(j));
+                        j += 1;
                     }
-                    let mut bp = b;
-                    let mut off = 0usize;
-                    for _ in 0..steps {
-                        let v = _mm256_broadcast_sd(&*a_row.add(off));
-                        let mut j = 0usize;
-                        while j + 8 <= cols {
-                            let acc0 = _mm256_fmadd_pd(
-                                v,
-                                _mm256_loadu_pd(bp.add(j)),
-                                _mm256_loadu_pd(o_row.add(j)),
-                            );
-                            let acc1 = _mm256_fmadd_pd(
-                                v,
-                                _mm256_loadu_pd(bp.add(j + 4)),
-                                _mm256_loadu_pd(o_row.add(j + 4)),
-                            );
-                            _mm256_storeu_pd(o_row.add(j), acc0);
-                            _mm256_storeu_pd(o_row.add(j + 4), acc1);
-                            j += 8;
-                        }
-                        if j + 4 <= cols {
-                            let acc = _mm256_fmadd_pd(
-                                v,
-                                _mm256_loadu_pd(bp.add(j)),
-                                _mm256_loadu_pd(o_row.add(j)),
-                            );
-                            _mm256_storeu_pd(o_row.add(j), acc);
-                            j += 4;
-                        }
-                        while j < cols {
-                            *o_row.add(j) = fmadd_sd(*a_row.add(off), *bp.add(j), *o_row.add(j));
-                            j += 1;
-                        }
-                        bp = bp.add(b_stride);
-                        off += a_step;
-                    }
+                    bp = bp.add(b_stride);
+                    off += a_step;
                 }
                 t += 1;
             }
@@ -1413,18 +1226,18 @@ mod avx2 {
     /// # Safety
     /// As in [`panel`]; `wide` additionally requires `avx512f`.
     #[inline]
-    unsafe fn run_panel<const PACKED: bool, const OVERWRITE: bool>(wide: bool, p: Panel) {
+    unsafe fn run_panel<const OVERWRITE: bool>(wide: bool, p: Panel) {
         // SAFETY: the caller upholds this function's `# Safety` contract.
         unsafe {
             if wide {
-                super::avx512::panel::<PACKED, OVERWRITE>(p)
+                super::avx512::panel::<OVERWRITE>(p)
             } else {
-                panel::<PACKED, OVERWRITE>(p)
+                panel::<OVERWRITE>(p)
             }
         }
     }
 
-    /// Vector arm of [`super::gemm_rows_unpacked_with`]: the scalar kernel's
+    /// Vector arm of [`super::gemm_rows_with`]: the scalar kernel's
     /// k-panel blocking with a register-tiled microkernel inside (the
     /// broadcast operand walks row `i` of `a`, one element per step).
     ///
@@ -1444,7 +1257,7 @@ mod avx2 {
             // SAFETY: the caller upholds this function's `# Safety`
             // contract; `kk < cols_a` keeps both offsets in bounds.
             unsafe {
-                run_panel::<false, false>(
+                run_panel::<false>(
                     wide,
                     Panel {
                         a: a.as_ptr().add(kk),
@@ -1459,115 +1272,6 @@ mod avx2 {
                         steps: (kk + BLOCK).min(cols_a) - kk,
                     },
                 );
-            }
-        }
-    }
-
-    // Thread-local scratch for the packed-B kernel: grow-only, so after the
-    // first call at a given panel size every repack reuses the allocation
-    // and the steady-state dispatch stays allocation-free (the same
-    // guarantee the worker pool carries).
-    std::thread_local! {
-        static PACK_BUF: std::cell::RefCell<Vec<f64>> =
-            // capes-check: allow(hot-path-alloc) -- const-evaluated empty Vec: no heap allocation.
-            const { std::cell::RefCell::new(Vec::new()) };
-    }
-
-    /// Packed-B arm of [`super::gemm_rows_packed_with`] (and of the
-    /// [`super::gemm_rows_with`] auto gate): identical k-panel blocking to
-    /// [`gemm_rows`], but each panel of `b` is first copied into tile-major
-    /// scratch so the register-tiled sweep reads consecutive cache lines.
-    ///
-    /// # Safety
-    /// As in [`gemm_rows`].
-    pub(super) unsafe fn gemm_rows_packed(
-        wide: bool,
-        a: &[f64],
-        b: &[f64],
-        out: &mut [f64],
-        rows_a: usize,
-        cols_a: usize,
-        cols_b: usize,
-    ) {
-        PACK_BUF.with(|cell| {
-            let mut buf = cell.borrow_mut();
-            let needed = BLOCK.min(cols_a) * cols_b;
-            if buf.len() < needed {
-                buf.resize(needed, 0.0);
-            }
-            for kk in (0..cols_a).step_by(BLOCK) {
-                let steps = (kk + BLOCK).min(cols_a) - kk;
-                // SAFETY: forwarded from the caller; the scratch buffer holds
-                // at least `steps * cols_b` elements by the resize above.
-                unsafe {
-                    pack_b_panel(
-                        b.as_ptr().add(kk * cols_b),
-                        cols_b,
-                        cols_b,
-                        steps,
-                        buf.as_mut_ptr(),
-                    );
-                    run_panel::<true, false>(
-                        wide,
-                        Panel {
-                            a: a.as_ptr().add(kk),
-                            a_row_stride: cols_a,
-                            a_step: 1,
-                            b: buf.as_ptr(),
-                            b_stride: 0,
-                            out: out.as_mut_ptr(),
-                            cols_out: cols_b,
-                            rows: rows_a,
-                            cols: cols_b,
-                            steps,
-                        },
-                    );
-                }
-            }
-        });
-    }
-
-    /// Copies the `steps × cols` k-panel at `b` (rows `b_stride` apart) into
-    /// `dst` in **tile-major** order: each full 8-column tile is stored as
-    /// `steps` consecutive 8-element rows (so the microkernel's per-step
-    /// fragment loads walk `dst` with stride 8 — one cache line — instead of
-    /// stride `b_stride`), followed by the `w = cols % 8` remainder tile
-    /// stored as `steps` rows of `w` elements. Total footprint is exactly
-    /// `steps * cols` elements.
-    ///
-    /// # Safety
-    /// The CPU must support AVX2; `b` must be valid for the panel reads and
-    /// `dst` for `steps * cols` writes.
-    #[target_feature(enable = "avx2")]
-    unsafe fn pack_b_panel(
-        b: *const f64,
-        b_stride: usize,
-        cols: usize,
-        steps: usize,
-        dst: *mut f64,
-    ) {
-        // SAFETY: the caller upholds this function's `# Safety` contract.
-        unsafe {
-            let full = cols / 8 * 8;
-            let w = cols - full;
-            let mut j = 0usize;
-            while j < full {
-                let tile = dst.add((j / 8) * steps * 8);
-                for s in 0..steps {
-                    let src = b.add(s * b_stride + j);
-                    _mm256_storeu_pd(tile.add(s * 8), _mm256_loadu_pd(src));
-                    _mm256_storeu_pd(tile.add(s * 8 + 4), _mm256_loadu_pd(src.add(4)));
-                }
-                j += 8;
-            }
-            if w > 0 {
-                let rem = dst.add((full / 8) * steps * 8);
-                for s in 0..steps {
-                    let src = b.add(s * b_stride + full);
-                    for c in 0..w {
-                        *rem.add(s * w + c) = *src.add(c);
-                    }
-                }
             }
         }
     }
@@ -1593,7 +1297,7 @@ mod avx2 {
     ) {
         // SAFETY: the caller upholds this function's `# Safety` contract.
         unsafe {
-            run_panel::<false, true>(
+            run_panel::<true>(
                 wide,
                 Panel {
                     a: a.as_ptr().add(i_start),
@@ -2027,85 +1731,6 @@ mod avx2 {
         }
     }
 
-    /// AVX2 arm of [`super::tanh_backward_with`]: `g *= 1 − y²` with
-    /// individually-rounded mul/sub/mul in the scalar order.
-    ///
-    /// # Safety
-    /// The CPU must support AVX2; slice lengths must match (asserted by the
-    /// caller).
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn tanh_backward(output: &[f64], grads: &mut [f64]) {
-        // SAFETY: the caller upholds this function's `# Safety` contract.
-        unsafe {
-            let n = output.len();
-            let lanes = n - n % 4;
-            let one = _mm256_set1_pd(1.0);
-            let y_ptr = output.as_ptr();
-            let g_ptr = grads.as_mut_ptr();
-            let mut i = 0usize;
-            while i + 4 <= n {
-                let y = _mm256_loadu_pd(y_ptr.add(i));
-                let g = _mm256_loadu_pd(g_ptr.add(i));
-                let d = _mm256_sub_pd(one, _mm256_mul_pd(y, y));
-                _mm256_storeu_pd(g_ptr.add(i), _mm256_mul_pd(g, d));
-                i += 4;
-            }
-            super::tanh_backward_scalar(&output[lanes..], &mut grads[lanes..]);
-        }
-    }
-
-    /// AVX2 arm of [`super::bellman_targets_with`]: four output rows per
-    /// sweep, lanes gathered with strided `set_pd` loads. The running-max
-    /// update is `blendv(m, v, v > m)` with an ordered greater-than — the
-    /// exact truth table of the scalar `if v > m { m = v }` including NaN
-    /// behaviour (a NaN candidate never displaces `m`; a NaN seed sticks).
-    /// The final `r + γ·m` is mul-then-add, no FMA. Remainder rows fall to
-    /// the scalar arm on subslices.
-    ///
-    /// # Safety
-    /// The CPU must support AVX2; shapes must satisfy the caller's asserts.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn bellman_targets(
-        rewards: &[f64],
-        next_q: &[f64],
-        cols: usize,
-        discount: f64,
-        out: &mut [f64],
-    ) {
-        // SAFETY: the caller upholds this function's `# Safety` contract.
-        unsafe {
-            let rows = rewards.len();
-            let quads = rows - rows % 4;
-            let gamma = _mm256_set1_pd(discount);
-            let q_ptr = next_q.as_ptr();
-            let r_ptr = rewards.as_ptr();
-            let o_ptr = out.as_mut_ptr();
-            let mut i = 0usize;
-            while i + 4 <= rows {
-                let r0 = q_ptr.add(i * cols);
-                let r1 = q_ptr.add((i + 1) * cols);
-                let r2 = q_ptr.add((i + 2) * cols);
-                let r3 = q_ptr.add((i + 3) * cols);
-                let mut m = _mm256_set_pd(*r3, *r2, *r1, *r0);
-                for j in 1..cols {
-                    let v = _mm256_set_pd(*r3.add(j), *r2.add(j), *r1.add(j), *r0.add(j));
-                    let gt = _mm256_cmp_pd::<_CMP_GT_OQ>(v, m);
-                    m = _mm256_blendv_pd(m, v, gt);
-                }
-                let reward = _mm256_loadu_pd(r_ptr.add(i));
-                _mm256_storeu_pd(o_ptr.add(i), _mm256_add_pd(reward, _mm256_mul_pd(gamma, m)));
-                i += 4;
-            }
-            super::bellman_targets_scalar(
-                &rewards[quads..],
-                &next_q[quads * cols..],
-                cols,
-                discount,
-                &mut out[quads..],
-            );
-        }
-    }
-
     /// Eight simultaneous segment dots: a-rows `a0`/`a1` against four
     /// consecutive b-rows (`b0` plus `b_stride` apart), each pair sharing its
     /// operand loads. Accumulates the horizontal sums into
@@ -2219,14 +1844,12 @@ mod avx512 {
     /// Largest `a` block (output rows × reduction steps, in elements) the
     /// microkernel treats as L1-resident: 32 KiB of a 48 KiB L1d, leaving
     /// room for one 12 KiB `b` tile.
-    pub(super) const A_RESIDENT_ELEMS: usize = 4096;
+    const A_RESIDENT_ELEMS: usize = 4096;
 
-    /// The 512-bit microkernel over one [`Panel`], streaming or packed `b`:
-    /// 8 output rows × 24 columns per tile, so each `b` fragment loaded is
-    /// reused across eight rows (half the L2 traffic per FMA of the 4 × 8
-    /// `ymm` tile) at twice the lane width. A packed panel's 8-column tile
-    /// rows are exactly one 64-byte fragment, so the [`avx2::pack_b_panel`]
-    /// layout serves both widths.
+    /// The 512-bit microkernel over one [`Panel`]: 8 output rows × 24
+    /// columns per tile, so each `b` fragment loaded is reused across eight
+    /// rows (half the L2 traffic per FMA of the 4 × 8 `ymm` tile) at twice
+    /// the lane width.
     ///
     /// Every accumulator lane is seeded as `OVERWRITE` says (from `out`, or
     /// `+0.0`) and runs the same step-ordered `fmadd` chain as the 256-bit
@@ -2239,7 +1862,7 @@ mod avx512 {
     /// # Safety
     /// As in [`avx2::panel`]; the CPU must additionally support `avx512f`.
     #[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn panel<const PACKED: bool, const OVERWRITE: bool>(p: Panel) {
+    pub(super) unsafe fn panel<const OVERWRITE: bool>(p: Panel) {
         let Panel {
             a,
             a_row_stride,
@@ -2255,16 +1878,8 @@ mod avx512 {
         let tiled_rows = rows / TILE_ROWS * TILE_ROWS;
         let tiled_cols = cols / TILE_COLS * TILE_COLS;
         // SAFETY: the caller upholds this function's `# Safety` contract;
-        // both sub-panels reach the panel's right edge and start on a
-        // multiple of 24 (hence 8) columns.
+        // both sub-panels lie inside the panel.
         unsafe {
-            // Distance between neighbouring 8-column fragments of one step,
-            // and between consecutive steps' fragment rows.
-            let (frag_gap, b_step) = if PACKED {
-                (8 * steps, 8)
-            } else {
-                (8, b_stride)
-            };
             // Tile order. Whichever operand the inner loop re-reads should
             // stay in L1: while the panel's `a` block fits there, walk down
             // the rows inside each column tile — the `b` tile is then read
@@ -2289,13 +1904,13 @@ mod avx512 {
                         }
                     }
                 }
-                let mut bp = if PACKED { b.add(j * steps) } else { b.add(j) };
+                let mut bp = b.add(j);
                 let mut ap = a.add(t * a_row_stride);
                 for _ in 0..steps {
                     let bv = [
                         _mm512_loadu_pd(bp),
-                        _mm512_loadu_pd(bp.add(frag_gap)),
-                        _mm512_loadu_pd(bp.add(2 * frag_gap)),
+                        _mm512_loadu_pd(bp.add(8)),
+                        _mm512_loadu_pd(bp.add(16)),
                     ];
                     for (r, row) in acc.iter_mut().enumerate() {
                         let v = _mm512_set1_pd(*ap.add(r * a_row_stride));
@@ -2303,22 +1918,19 @@ mod avx512 {
                             *lane = _mm512_fmadd_pd(v, frag, *lane);
                         }
                     }
-                    if !PACKED {
-                        // A streamed `b` arrives in `b_stride`-strided
-                        // 192-byte pieces the hardware prefetcher cannot
-                        // follow (the stride crosses a page per step), and
-                        // the weights are far larger than L2: fetch this
-                        // row's piece for the tile two to the right. The
-                        // address is never dereferenced, so running past
-                        // the row (or the allocation) is harmless.
-                        let ahead = bp.wrapping_add(PREFETCH_TILES * TILE_COLS);
-                        _mm_prefetch::<_MM_HINT_T0>(ahead as *const i8);
-                        _mm_prefetch::<_MM_HINT_T0>(ahead.wrapping_add(8) as *const i8);
-                        _mm_prefetch::<_MM_HINT_T0>(ahead.wrapping_add(16) as *const i8);
-                    }
+                    // `b` arrives in `b_stride`-strided 192-byte pieces the
+                    // hardware prefetcher cannot follow (the stride crosses
+                    // a page per step), and the weights are far larger than
+                    // L2: fetch this row's piece for the tile two to the
+                    // right. The address is never dereferenced, so running
+                    // past the row (or the allocation) is harmless.
+                    let ahead = bp.wrapping_add(PREFETCH_TILES * TILE_COLS);
+                    _mm_prefetch::<_MM_HINT_T0>(ahead as *const i8);
+                    _mm_prefetch::<_MM_HINT_T0>(ahead.wrapping_add(8) as *const i8);
+                    _mm_prefetch::<_MM_HINT_T0>(ahead.wrapping_add(16) as *const i8);
                     // Wrapping: after the last step these point past the
                     // operands (and are not read again).
-                    bp = bp.wrapping_add(b_step);
+                    bp = bp.wrapping_add(b_stride);
                     ap = ap.wrapping_add(a_step);
                 }
                 for (r, row) in acc.iter().enumerate() {
@@ -2328,12 +1940,12 @@ mod avx512 {
                 }
             }
             if tiled_cols < cols {
-                let right = p.sub::<PACKED>(0, tiled_rows, tiled_cols, cols - tiled_cols);
-                avx2::panel::<PACKED, OVERWRITE>(right);
+                let right = p.sub(0, tiled_rows, tiled_cols, cols - tiled_cols);
+                avx2::panel::<OVERWRITE>(right);
             }
             if tiled_rows < rows {
-                let bottom = p.sub::<PACKED>(tiled_rows, rows - tiled_rows, 0, cols);
-                avx2::panel::<PACKED, OVERWRITE>(bottom);
+                let bottom = p.sub(tiled_rows, rows - tiled_rows, 0, cols);
+                avx2::panel::<OVERWRITE>(bottom);
             }
         }
     }
@@ -2679,11 +2291,10 @@ mod tests {
     }
 
     #[test]
-    fn packed_gemm_handles_degenerate_and_gate_straddling_shapes() {
-        // Shapes on both sides of the auto gate, including ones with no full
-        // 8-column tile (pure remainder), no remainder (cols % 8 == 0), and
-        // multiple k-panels; packed, unpacked and auto dispatch must agree
-        // bitwise at every runnable level.
+    fn gemm_rows_handles_degenerate_and_remainder_shapes() {
+        // Shapes with no full 8-column tile (pure remainder), no remainder
+        // (cols % 8 == 0), fewer rows than a tile and several k-panels:
+        // every runnable level must agree bitwise with the scalar arm.
         for &(m, k, n) in &[
             (1usize, 1usize, 1usize),
             (3, 5, 7),
@@ -2696,23 +2307,16 @@ mod tests {
         ] {
             let a: Vec<f64> = (0..m * k).map(|i| (i as f64).sin()).collect();
             let b: Vec<f64> = (0..k * n).map(|i| (i as f64).cos()).collect();
+            let mut scalar = vec![0.1; m * n];
+            gemm_rows_with(SimdLevel::Scalar, &a, &b, &mut scalar, m, k, n);
             for &level in runnable_levels() {
-                let mut unpacked = vec![0.1; m * n];
-                let mut packed = vec![0.1; m * n];
-                let mut auto = vec![0.1; m * n];
-                gemm_rows_unpacked_with(level, &a, &b, &mut unpacked, m, k, n);
-                gemm_rows_packed_with(level, &a, &b, &mut packed, m, k, n);
-                gemm_rows_with(level, &a, &b, &mut auto, m, k, n);
+                let mut out = vec![0.1; m * n];
+                gemm_rows_with(level, &a, &b, &mut out, m, k, n);
                 for i in 0..m * n {
                     assert_eq!(
-                        packed[i].to_bits(),
-                        unpacked[i].to_bits(),
-                        "{level} {m}x{k}x{n}: packed diverged at {i}"
-                    );
-                    assert_eq!(
-                        auto[i].to_bits(),
-                        unpacked[i].to_bits(),
-                        "{level} {m}x{k}x{n}: auto gate diverged at {i}"
+                        out[i].to_bits(),
+                        scalar[i].to_bits(),
+                        "{level} {m}x{k}x{n}: diverged from scalar at {i}"
                     );
                 }
             }
@@ -2907,21 +2511,6 @@ mod tests {
     }
 
     #[test]
-    fn tanh_backward_is_bit_identical_across_levels() {
-        let output: Vec<f64> = (0..101).map(|i| (i as f64 - 50.0) * 0.019).collect();
-        let grads0: Vec<f64> = (0..101).map(|i| (i as f64) * 0.3 - 11.0).collect();
-        let mut reference = grads0.clone();
-        tanh_backward_with(SimdLevel::Scalar, &output, &mut reference);
-        for &level in runnable_levels() {
-            let mut grads = grads0.clone();
-            tanh_backward_with(level, &output, &mut grads);
-            for (got, want) in grads.iter().zip(&reference) {
-                assert_eq!(got.to_bits(), want.to_bits(), "{level} backward diverged");
-            }
-        }
-    }
-
-    #[test]
     fn bellman_targets_takes_the_row_max() {
         // 3 rows × 4 cols with the max in a different column each row.
         let next_q = [
@@ -2930,15 +2519,13 @@ mod tests {
             1.0, 2.0, 3.0, 7.0,
         ];
         let rewards = [10.0, 20.0, 30.0];
-        for &level in runnable_levels() {
-            let mut out = [f64::NAN; 3];
-            bellman_targets_with(level, &rewards, &next_q, 4, 0.5, &mut out);
-            assert_eq!(out, [10.0 + 0.5 * 9.0, 20.0 + 0.5 * 8.0, 30.0 + 0.5 * 7.0]);
-        }
+        let mut out = [f64::NAN; 3];
+        bellman_targets(&rewards, &next_q, 4, 0.5, &mut out);
+        assert_eq!(out, [10.0 + 0.5 * 9.0, 20.0 + 0.5 * 8.0, 30.0 + 0.5 * 7.0]);
     }
 
     #[test]
-    fn bellman_nan_semantics_match_the_scalar_if() {
+    fn bellman_nan_candidates_never_win_and_a_nan_seed_sticks() {
         // A NaN candidate never displaces the running max; a NaN seed sticks.
         let next_q = [
             1.0,
@@ -2948,23 +2535,16 @@ mod tests {
             5.0,
             6.0,
         ];
-        let rewards = [0.0, 0.0];
-        let mut reference = [0.0; 2];
-        bellman_targets_with(SimdLevel::Scalar, &rewards, &next_q, 3, 1.0, &mut reference);
-        assert_eq!(reference[0], 2.0);
-        assert!(reference[1].is_nan());
-        for &level in runnable_levels() {
-            let mut out = [0.0; 2];
-            bellman_targets_with(level, &rewards, &next_q, 3, 1.0, &mut out);
-            assert_eq!(out[0].to_bits(), reference[0].to_bits(), "{level}");
-            assert_eq!(out[1].to_bits(), reference[1].to_bits(), "{level}");
-        }
+        let mut out = [0.0; 2];
+        bellman_targets(&[0.0, 0.0], &next_q, 3, 1.0, &mut out);
+        assert_eq!(out[0], 2.0);
+        assert!(out[1].is_nan());
     }
 
     #[test]
     #[should_panic(expected = "bellman_targets: next_q shape mismatch")]
-    fn bellman_rejects_bad_shapes_before_any_unsafe_code() {
+    fn bellman_rejects_bad_shapes() {
         let mut out = [0.0; 2];
-        bellman_targets_with(SimdLevel::Scalar, &[0.0; 2], &[0.0; 5], 3, 0.9, &mut out);
+        bellman_targets(&[0.0; 2], &[0.0; 5], 3, 0.9, &mut out);
     }
 }

@@ -87,12 +87,6 @@ proptest! {
     }
 
     #[test]
-    fn flatten_reshape_round_trip(m in matrix(6, 4)) {
-        let rt = m.flatten().reshape(6, 4);
-        prop_assert_eq!(rt, m);
-    }
-
-    #[test]
     fn blend_stays_within_bounds(m in matrix(3, 3), n in matrix(3, 3), alpha in 0.0f64..=1.0) {
         let mut blended = m.clone();
         blended.blend(alpha, &n);

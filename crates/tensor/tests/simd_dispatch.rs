@@ -7,8 +7,7 @@
 //! silently run its **scalar** code.
 
 use capes_tensor::simd::{
-    detected_level, gemm_rows_packed_with, gemm_rows_unpacked_with, gemm_rows_with,
-    gemm_ta_rows_with, gemm_tb_rows_with, SimdLevel,
+    detected_level, gemm_rows_with, gemm_ta_rows_with, gemm_tb_rows_with, SimdLevel,
 };
 
 /// Recorded calls per level, indexed like [`SimdLevel::ALL`].
@@ -28,15 +27,9 @@ fn every_level_request_dispatches_the_arm_it_names() {
     let a: Vec<f64> = (0..S * S).map(|i| (i as f64 * 0.37).sin()).collect();
     let b: Vec<f64> = (0..S * S).map(|i| (i as f64 * 0.11).cos()).collect();
     type Kernel = fn(SimdLevel, &[f64], &[f64], &mut [f64]);
-    let kernels: [(&str, Kernel); 5] = [
+    let kernels: [(&str, Kernel); 3] = [
         ("gemm_rows", |l, a, b, o| {
             gemm_rows_with(l, a, b, o, S, S, S)
-        }),
-        ("gemm_rows_packed", |l, a, b, o| {
-            gemm_rows_packed_with(l, a, b, o, S, S, S)
-        }),
-        ("gemm_rows_unpacked", |l, a, b, o| {
-            gemm_rows_unpacked_with(l, a, b, o, S, S, S)
         }),
         ("gemm_ta_rows", |l, a, b, o| {
             gemm_ta_rows_with(l, a, b, o, 0, S, S, S, S)

@@ -32,9 +32,9 @@
 #![forbid(unsafe_code)]
 
 use capes_tensor::simd::{
-    active_level, adam_update_with, bellman_targets_with, detected_level, gemm_rows_packed_with,
-    gemm_rows_unpacked_with, gemm_rows_with, gemm_ta_rows_with, gemm_tb_rows_with, runnable_levels,
-    tanh_backward_with, tanh_forward_with, tanh_value, AdamStep, SimdLevel, SoftTarget,
+    active_level, adam_update_with, bellman_targets, detected_level, gemm_rows_with,
+    gemm_ta_rows_with, gemm_tb_rows_with, runnable_levels, tanh_backward, tanh_forward_with,
+    tanh_value, AdamStep, SimdLevel, SoftTarget,
 };
 use capes_tensor::{Matrix, WorkerPool};
 use proptest::prelude::*;
@@ -151,15 +151,13 @@ proptest! {
         }
     }
 
-    /// The packed-B GEMM is **bit-identical** to the streaming kernel at
-    /// every runnable level — stronger than reference-equivalence: packing
-    /// only relocates the `b` fragments, every output element's FMA chain is
-    /// unchanged. Shapes cross the auto gate (`rows ≥ 8 && cols ≥ 128`) in
-    /// both directions, span 1–4 k-panels with ragged tails, hit every
-    /// `cols % 8` remainder class, and accumulate onto a non-zero seed; the
-    /// auto-dispatched entry must match both (the gate is invisible).
+    /// `out += a · b` at every runnable level is **bit-identical** to the
+    /// scalar arm — stronger than reference-equivalence — on random shapes
+    /// that span 1–4 k-panels with ragged tails, hit every `cols % 8`
+    /// remainder class, read `b` at unaligned offsets and accumulate onto a
+    /// non-zero seed.
     #[test]
-    fn packed_gemm_is_bit_identical_to_unpacked_at_every_level(
+    fn gemm_rows_is_bit_identical_to_scalar_at_every_level(
         (m, k, n) in (1usize..24, 1usize..200, 1usize..160),
         off_b in 0usize..3,
         seed in any::<u64>(),
@@ -168,20 +166,14 @@ proptest! {
         let a = random_vec(&mut rng, m * k);
         let b = offset_vec(&mut rng, k * n, off_b);
         let seed_out = random_vec(&mut rng, m * n);
+        let mut scalar = seed_out.clone();
+        gemm_rows_with(SimdLevel::Scalar, &a, &b[off_b..], &mut scalar, m, k, n);
         for &level in runnable_levels() {
-            let mut unpacked = seed_out.clone();
-            let mut packed = seed_out.clone();
-            let mut auto = seed_out.clone();
-            gemm_rows_unpacked_with(level, &a, &b[off_b..], &mut unpacked, m, k, n);
-            gemm_rows_packed_with(level, &a, &b[off_b..], &mut packed, m, k, n);
-            gemm_rows_with(level, &a, &b[off_b..], &mut auto, m, k, n);
+            let mut out = seed_out.clone();
+            gemm_rows_with(level, &a, &b[off_b..], &mut out, m, k, n);
             prop_assert!(
-                bits_equal(&packed, &unpacked),
-                "{level} {m}x{k}x{n}: packed kernel diverged from streaming"
-            );
-            prop_assert!(
-                bits_equal(&auto, &unpacked),
-                "{level} {m}x{k}x{n}: auto gate perturbed the result"
+                bits_equal(&out, &scalar),
+                "{level} {m}x{k}x{n}: diverged from the scalar arm"
             );
         }
     }
@@ -319,10 +311,10 @@ proptest! {
         }
     }
 
-    /// The tanh backward kernel (`g *= 1 − y²`) at every runnable level is
-    /// bit-identical to an independently-written scalar loop.
+    /// The tanh backward kernel (`g *= 1 − y²`) is bit-identical to an
+    /// independently-written scalar loop, on unaligned sub-slices.
     #[test]
-    fn tanh_backward_is_bit_identical_at_every_level(
+    fn tanh_backward_matches_an_independent_loop_bitwise(
         len in 1usize..130,
         off in 0usize..3,
         seed in any::<u64>(),
@@ -334,21 +326,18 @@ proptest! {
         for (g, &y) in reference.iter_mut().zip(&output[off..]) {
             *g *= 1.0 - y * y;
         }
-        for &level in runnable_levels() {
-            let mut grads = grads0.clone();
-            tanh_backward_with(level, &output[off..], &mut grads[off..]);
-            prop_assert!(bits_equal(&grads[off..], &reference), "{level} len={len} diverged");
-        }
+        let mut grads = grads0.clone();
+        tanh_backward(&output[off..], &mut grads[off..]);
+        prop_assert!(bits_equal(&grads[off..], &reference), "len={len} diverged");
     }
 
-    /// The fused Bellman-target kernel at every runnable level is
-    /// bit-identical to an independently-written reference of the scalar
-    /// recurrence (`if v > m` row max, then `r + γ·m`), across row counts in
-    /// every 4-lane residue class, ragged column counts, and NaN poison in
+    /// The fused Bellman-target kernel is bit-identical to an
+    /// independently-written reference of the recurrence (`if v > m` row
+    /// max, then `r + γ·m`), across row and column counts and NaN poison in
     /// the Q matrix (a NaN candidate must never displace the running max; a
     /// NaN row seed must poison that row's target).
     #[test]
-    fn bellman_targets_is_bit_identical_at_every_level(
+    fn bellman_targets_matches_an_independent_reference_bitwise(
         (rows, cols) in (1usize..30, 1usize..12),
         discount in 0.0f64..1.0,
         poisons in prop::collection::vec(0usize..360, 2),
@@ -371,11 +360,9 @@ proptest! {
             }
             reference[i] = rewards[i] + discount * m;
         }
-        for &level in runnable_levels() {
-            let mut out = vec![0.0; rows];
-            bellman_targets_with(level, &rewards, &next_q, cols, discount, &mut out);
-            prop_assert!(bits_equal(&out, &reference), "{level} {rows}x{cols} diverged");
-        }
+        let mut out = vec![0.0; rows];
+        bellman_targets(&rewards, &next_q, cols, discount, &mut out);
+        prop_assert!(bits_equal(&out, &reference), "{rows}x{cols} diverged");
     }
 
     /// Chunking the output rows across a real 4-thread pool is bit-for-bit
@@ -435,12 +422,13 @@ proptest! {
 /// scalar arm, **bit for bit**, on shapes that hit every seam of the 4 × 8
 /// and 8 × 24 tiles: no full row tile, exactly one, one plus a remainder,
 /// the training batch and one past it, and a panel tall enough to flip the
-/// tile order and the pack gate; no full column tile, one short of one,
+/// 512-bit tile order (`72 · 64` elements of `a` outgrow the L1-resident
+/// block, so the row tiles go outer); no full column tile, one short of one,
 /// exactly one, one past, the 600-wide network and one past it; a single
 /// step, half a k-panel, and both sides of the 64-step panel edge. `out` is
 /// seeded non-zero for `gemm_rows` (the chains start from it) and
-/// NaN-poisoned for `gemm_ta_rows` (which overwrites), all three `gemm_rows`
-/// entries are pinned, and `gemm_ta_rows` additionally runs over sub-ranges
+/// NaN-poisoned for `gemm_ta_rows` (which overwrites), and `gemm_ta_rows`
+/// additionally runs over sub-ranges
 /// the way the pool chunks its output rows. An `∞` in `a` and a zero a-row
 /// over `−0.0` seeds put infinities and signed zeros on the chains; a
 /// product `∞ · 0` may turn an element NaN, and such an element only has to
@@ -465,20 +453,12 @@ fn gemm_panel_is_bit_identical_to_scalar_at_every_level_on_every_seam() {
                     a[(rows - 1) * k..].fill(0.0);
                     seed_out[(rows - 1) * cols..].fill(-0.0);
                 }
-                type Gemm = fn(SimdLevel, &[f64], &[f64], &mut [f64], usize, usize, usize);
-                let entries: [(&str, Gemm); 3] = [
-                    ("auto", gemm_rows_with),
-                    ("packed", gemm_rows_packed_with),
-                    ("unpacked", gemm_rows_unpacked_with),
-                ];
-                for (name, gemm) in entries {
-                    let per_level = runnable_levels().iter().map(|&level| {
-                        let mut out = seed_out.clone();
-                        gemm(level, &a, &b, &mut out, rows, k, cols);
-                        out
-                    });
-                    assert_levels_agree(per_level.collect(), &format!("gemm_rows {name} {shape}"));
-                }
+                let per_level = runnable_levels().iter().map(|&level| {
+                    let mut out = seed_out.clone();
+                    gemm_rows_with(level, &a, &b, &mut out, rows, k, cols);
+                    out
+                });
+                assert_levels_agree(per_level.collect(), &format!("gemm_rows {shape}"));
 
                 // aᵀ · b: `a` is k × rows read transposed, `b` is k × cols.
                 // It overwrites, so every buffer starts NaN-poisoned.
