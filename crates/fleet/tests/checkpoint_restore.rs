@@ -10,7 +10,7 @@
 //! with typed errors, leaving the daemon untouched, and never panic.
 
 use capes::{Hyperparameters, PhaseKind, Transport};
-use capes_fleet::{Fleet, FleetDaemon, FleetError, ScenarioSpec};
+use capes_fleet::{ExperienceSharing, Fleet, FleetDaemon, FleetError, ScenarioSpec};
 use capes_simstore::Workload;
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -336,6 +336,87 @@ fn recorded_socket_traffic_replays_to_the_same_monitoring_state() {
         });
     }
     let _ = std::fs::remove_file(&log);
+}
+
+/// A one-cluster fleet (so its only profile has one member) sharing
+/// `SelfBiased { own: 1, peers: 1 }`, checkpointed after a few ticks. Returns
+/// the snapshot's payload, whose first sharing tag sits at offset 33 (after
+/// the transport tag, tick, train cursor, cluster ticks and the mode count),
+/// with `own` at 34..42 and `peers` at 42..50.
+fn self_biased_payload() -> Vec<u8> {
+    let snap = temp_path(&format!("sharing-base-{}.snap", std::process::id()));
+    let mut fleet = solo_fleet();
+    fleet.set_profile_sharing(
+        0,
+        ExperienceSharing::SelfBiased {
+            own: 1.0,
+            peers: 1.0,
+        },
+    );
+    for _ in 0..8 {
+        fleet.tick_all(PhaseKind::Train);
+    }
+    fleet.checkpoint(&snap).expect("checkpoint");
+    let payload = capes_persist::read_snapshot_file(&snap).expect("valid snapshot");
+    let _ = std::fs::remove_file(&snap);
+    assert_eq!(payload[25..33], 1u64.to_le_bytes(), "one sharing mode");
+    assert_eq!(payload[33], 2, "the self-biased tag");
+    assert_eq!(payload[34..42], 1.0f64.to_le_bytes());
+    assert_eq!(payload[42..50], 1.0f64.to_le_bytes());
+    payload
+}
+
+fn solo_fleet() -> FleetDaemon {
+    Fleet::builder()
+        .hyperparams(quick_hp())
+        .seed(5)
+        .scenario(ScenarioSpec::new("solo", Workload::random_rw(0.1)).clients(2))
+        .build()
+        .unwrap()
+}
+
+#[test]
+fn restore_rejects_invalid_sharing_modes_untouched() {
+    let payload = self_biased_payload();
+    // The unpatched snapshot restores, so each case below fails on its patch.
+    let path = temp_path(&format!("sharing-ok-{}.snap", std::process::id()));
+    capes_persist::write_atomic(&path, &capes_persist::encode_snapshot(&payload)).unwrap();
+    let mut fleet = solo_fleet();
+    fleet.restore(&path).expect("honest snapshot restores");
+    assert_eq!(fleet.tick(), 8);
+    let _ = std::fs::remove_file(&path);
+
+    // (case, sharing tag, own, peers), patched over tag 2 and its weights.
+    let cases = [
+        ("nan-own", 2, f64::NAN, 1.0),
+        ("negative-peers", 2, 1.0, -1.0f64),
+        ("both-zero", 2, 0.0, 0.0),
+        ("zero-own-solo", 2, 0.0, 1.0),
+        ("tag-3", 3, 1.0, 1.0),
+    ];
+    for (name, tag, own, peers) in cases {
+        let mut crafted = payload.clone();
+        crafted[33] = tag;
+        crafted[34..42].copy_from_slice(&own.to_le_bytes());
+        crafted[42..50].copy_from_slice(&peers.to_le_bytes());
+        let path = temp_path(&format!("sharing-{name}-{}.snap", std::process::id()));
+        capes_persist::write_atomic(&path, &capes_persist::encode_snapshot(&crafted)).unwrap();
+        let mut fleet = solo_fleet();
+        let err = fleet.restore(&path).expect_err(name);
+        assert!(
+            matches!(
+                err,
+                FleetError::Persist(capes_persist::PersistError::BadValue { .. })
+            ),
+            "{name}: unexpected error: {err}"
+        );
+        assert_eq!(fleet.tick(), 0, "{name}: failed restore moved the tick");
+        assert_eq!(fleet.persist_report().restores, 0);
+        let inserted: u64 = fleet.arena().stats().iter().map(|s| s.total_inserted).sum();
+        assert_eq!(inserted, 0, "{name}: failed restore overlaid the arena");
+        assert_eq!(fleet.profile_sharing(0), ExperienceSharing::Disabled);
+        let _ = std::fs::remove_file(&path);
+    }
 }
 
 fn small_snapshot_bytes() -> &'static [u8] {
