@@ -162,6 +162,12 @@ impl InterfaceDaemon {
             Some(newest) => {
                 if tick > newest {
                     self.newest_tick = Some(tick);
+                    // A tick whose quorum never completed (a node skipped
+                    // its objective) would otherwise stay pending forever;
+                    // past the retention window the store could not hold
+                    // its aggregate anyway.
+                    let oldest = tick.saturating_sub(self.db_capacity);
+                    self.pending_objectives.retain(|&t, _| t >= oldest);
                 }
                 true
             }
@@ -422,7 +428,7 @@ mod tests {
     fn differential_reports_are_reconstructed_into_full_snapshots() {
         let shared = db(1, 4);
         let mut daemon = InterfaceDaemon::new(shared.clone(), 1, ActionChecker::permissive());
-        let mut agent = MonitoringAgent::new(0, 0.0);
+        let mut agent = MonitoringAgent::new(0);
 
         daemon.ingest(&Message::Report(agent.sample(0, &[1.0, 2.0, 3.0, 4.0])));
         // Only one PI changes at tick 1; the daemon must still store the full
@@ -443,7 +449,7 @@ mod tests {
     fn frames_round_trip_through_the_daemon() {
         let shared = db(1, 3);
         let mut daemon = InterfaceDaemon::new(shared.clone(), 1, ActionChecker::permissive());
-        let mut agent = MonitoringAgent::new(0, 0.0);
+        let mut agent = MonitoringAgent::new(0);
         let frame = encode_message(&Message::Report(agent.sample(0, &[5.0, 6.0, 7.0])));
         daemon.ingest_frame(&frame).unwrap();
         assert!(daemon.stats().bytes_received > 0);
@@ -634,6 +640,30 @@ mod tests {
         daemon.flush_snapshots();
         shared.with_read(|db| assert_eq!(db.latest_tick(), Some(1850)));
         assert_eq!(daemon.stats().implausible_ticks_rejected, 2);
+    }
+
+    #[test]
+    fn incomplete_objective_quorums_expire_with_the_retention_window() {
+        // Two nodes are expected, but node 1 never sends its objective: no
+        // tick's quorum completes, and each would stay pending forever.
+        let mut daemon = InterfaceDaemon::new(db(2, 3), 2, ActionChecker::permissive());
+        let mut state_len = Vec::new();
+        for tick in 0..3_000u64 {
+            daemon.ingest(&Message::Objective {
+                tick,
+                node: 0,
+                value: 1.0,
+            });
+            if tick % 1_000 == 999 {
+                let mut w = Writer::new();
+                daemon.encode_state(&mut w);
+                state_len.push(w.len());
+            }
+        }
+        // db() keeps 1 000 ticks: the newest tick and the window behind it.
+        assert!(daemon.pending_objectives.len() <= 1_000 + 1);
+        assert_eq!(daemon.stats().objectives_recorded, 0);
+        assert_eq!(state_len[1], state_len[2], "snapshot size stays bounded");
     }
 
     #[test]

@@ -29,30 +29,25 @@ impl MonitoringStats {
 }
 
 /// A Monitoring Agent running on one client node.
+///
+/// It reports a PI only when its value differs from the previous tick's,
+/// the paper's exact-equality rule, so the values the Interface Daemon
+/// reconstructs are always exactly the values sampled.
 #[derive(Debug, Clone)]
 pub struct MonitoringAgent {
     node: usize,
     /// Values as of the previous sampling tick; indicators equal to their
-    /// previous value (within `threshold`) are suppressed from the report.
+    /// previous value are suppressed from the report.
     last_values: Option<Vec<f64>>,
-    /// Relative change below which an indicator is considered unchanged.
-    threshold: f64,
     stats: MonitoringStats,
 }
 
 impl MonitoringAgent {
-    /// Creates an agent for client `node`. `threshold` is the relative change
-    /// below which a PI is treated as unchanged (0 reproduces the paper's
-    /// exact-equality rule).
-    pub fn new(node: usize, threshold: f64) -> Self {
-        assert!(
-            (0.0..1.0).contains(&threshold),
-            "threshold must be in [0, 1)"
-        );
+    /// Creates an agent for client `node`.
+    pub fn new(node: usize) -> Self {
         MonitoringAgent {
             node,
             last_values: None,
-            threshold,
             stats: MonitoringStats::default(),
         }
     }
@@ -84,7 +79,7 @@ impl MonitoringAgent {
                 );
                 pis.iter()
                     .enumerate()
-                    .filter(|(i, &v)| !is_unchanged(prev[*i], v, self.threshold))
+                    .filter(|(i, &v)| prev[*i] != v)
                     .map(|(i, &v)| (i as u16, v))
                     .collect()
             }
@@ -137,35 +132,28 @@ impl capes_persist::Persist for MonitoringAgent {
     fn encode(&self, w: &mut capes_persist::Writer) {
         w.put_usize(self.node);
         self.last_values.encode(w);
-        w.put_f64(self.threshold);
+        // Reserved: once a relative change threshold, always 0.0.
+        w.put_f64(0.0);
         self.stats.encode(w);
     }
 
     fn decode(r: &mut capes_persist::Reader<'_>) -> Result<Self, capes_persist::PersistError> {
         let node = r.get_usize()?;
         let last_values = Option::<Vec<f64>>::decode(r)?;
-        let threshold = r.get_f64()?;
-        let stats = MonitoringStats::decode(r)?;
-        if !(0.0..1.0).contains(&threshold) {
+        // Anything but the reserved 0.0 would ask for a suppression rule
+        // this agent no longer has.
+        if r.get_f64()? != 0.0 {
             return Err(capes_persist::PersistError::BadValue {
-                what: "monitoring threshold outside [0, 1)",
+                what: "reserved monitoring threshold is not 0.0",
             });
         }
+        let stats = MonitoringStats::decode(r)?;
         Ok(MonitoringAgent {
             node,
             last_values,
-            threshold,
             stats,
         })
     }
-}
-
-fn is_unchanged(prev: f64, current: f64, threshold: f64) -> bool {
-    if threshold == 0.0 {
-        return prev == current;
-    }
-    let scale = prev.abs().max(current.abs()).max(1e-12);
-    (prev - current).abs() / scale <= threshold
 }
 
 #[cfg(test)]
@@ -174,7 +162,7 @@ mod tests {
 
     #[test]
     fn first_report_contains_every_indicator() {
-        let mut agent = MonitoringAgent::new(2, 0.0);
+        let mut agent = MonitoringAgent::new(2);
         let report = agent.sample(0, &[1.0, 2.0, 3.0]);
         assert_eq!(report.node, 2);
         assert_eq!(report.total_pis, 3);
@@ -183,7 +171,7 @@ mod tests {
 
     #[test]
     fn unchanged_indicators_are_suppressed() {
-        let mut agent = MonitoringAgent::new(0, 0.0);
+        let mut agent = MonitoringAgent::new(0);
         agent.sample(0, &[1.0, 2.0, 3.0, 4.0]);
         let report = agent.sample(1, &[1.0, 2.5, 3.0, 4.0]);
         assert_eq!(report.changed, vec![(1, 2.5)]);
@@ -194,17 +182,8 @@ mod tests {
     }
 
     #[test]
-    fn relative_threshold_filters_noise() {
-        let mut agent = MonitoringAgent::new(0, 0.01);
-        agent.sample(0, &[100.0, 50.0]);
-        // 0.5 % change on the first PI: below threshold → suppressed.
-        let r = agent.sample(1, &[100.5, 60.0]);
-        assert_eq!(r.changed, vec![(1, 60.0)]);
-    }
-
-    #[test]
     fn stats_accumulate_and_reflect_compression() {
-        let mut agent = MonitoringAgent::new(1, 0.0);
+        let mut agent = MonitoringAgent::new(1);
         let pis: Vec<f64> = (0..44).map(|i| i as f64).collect();
         agent.sample(0, &pis);
         for t in 1..100u64 {
@@ -223,7 +202,7 @@ mod tests {
 
     #[test]
     fn reset_forces_full_report() {
-        let mut agent = MonitoringAgent::new(0, 0.0);
+        let mut agent = MonitoringAgent::new(0);
         agent.sample(0, &[1.0, 2.0]);
         agent.reset();
         let r = agent.sample(1, &[1.0, 2.0]);
@@ -231,9 +210,31 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_keeps_a_reserved_zero_threshold_slot() {
+        use capes_persist::{Reader, Writer};
+        let mut agent = MonitoringAgent::new(3);
+        agent.sample(0, &[1.0, 2.0]);
+        let mut w = Writer::new();
+        agent.encode(&mut w);
+        let bytes = w.as_slice().to_vec();
+        // The slot sits between the cached values and the 24 stats bytes.
+        let slot = bytes.len() - 32..bytes.len() - 24;
+        assert_eq!(bytes[slot.clone()], 0.0f64.to_le_bytes());
+        let restored = MonitoringAgent::decode(&mut Reader::new(&bytes)).unwrap();
+        assert_eq!(restored.node(), 3);
+        assert_eq!(restored.stats(), agent.stats());
+        for value in [0.01, f64::NAN] {
+            let mut crafted = bytes.clone();
+            crafted[slot.clone()].copy_from_slice(&value.to_le_bytes());
+            let err = MonitoringAgent::decode(&mut Reader::new(&crafted)).unwrap_err();
+            assert!(err.to_string().contains("reserved"), "got: {err}");
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "indicator count changed")]
     fn inconsistent_width_panics() {
-        let mut agent = MonitoringAgent::new(0, 0.0);
+        let mut agent = MonitoringAgent::new(0);
         agent.sample(0, &[1.0, 2.0]);
         agent.sample(1, &[1.0, 2.0, 3.0]);
     }

@@ -23,10 +23,10 @@
 
 use crate::engine::{DrlEngine, TuningEngine};
 use crate::error::CapesError;
-use crate::experiment::TickObserver;
+use crate::experiment::PhaseKind;
 use crate::hyperparams::Hyperparameters;
 use crate::objective::Objective;
-use crate::system::{CapesSystem, Transport};
+use crate::system::{CapesSystem, Observer, SystemTick, Transport};
 use crate::target::TargetSystem;
 use capes_agents::ActionChecker;
 use capes_drl::DqnAgent;
@@ -63,7 +63,7 @@ pub struct CapesBuilder<T: TargetSystem> {
     checker: ActionChecker,
     seed: u64,
     engine: Option<Box<dyn TuningEngine>>,
-    observers: Vec<Box<dyn TickObserver>>,
+    observers: Vec<Observer>,
     transport: Transport,
     replay_db: Option<SharedReplayDb>,
 }
@@ -107,10 +107,15 @@ impl<T: TargetSystem> CapesBuilder<T> {
         self
     }
 
-    /// Registers a per-tick observer; may be called repeatedly. A plain
-    /// `FnMut(PhaseKind, &SystemTick)` closure works.
+    /// Registers a per-tick observer; may be called repeatedly. The system
+    /// calls it with the phase kind and the outcome of every tick it runs,
+    /// so dashboards and harnesses can watch a run without polling. It must
+    /// be [`Send`]: fleet members migrate across the fleet's worker threads.
     #[must_use]
-    pub fn observer<O: TickObserver + 'static>(mut self, observer: O) -> Self {
+    pub fn observer(
+        mut self,
+        observer: impl FnMut(PhaseKind, &SystemTick) + Send + 'static,
+    ) -> Self {
         self.observers.push(Box::new(observer));
         self
     }

@@ -23,8 +23,7 @@
 //! action loop).
 
 use crate::system::SystemTick;
-use crate::target::{TargetSystem, TunableSpec};
-use crate::tuners::TunerResult;
+use crate::target::TunableSpec;
 use capes_drl::{ActionSpace, DqnAgent};
 use capes_replay::{Observation, SharedReplayDb};
 use std::any::Any;
@@ -287,35 +286,6 @@ impl<S: SearchStrategy> SearchEngine<S> {
         }
     }
 
-    /// The best `(params, mean objective)` found so far.
-    pub fn best(&self) -> Option<(&[f64], f64)> {
-        self.best.as_ref().map(|(p, s)| (p.as_slice(), *s))
-    }
-
-    /// Candidate evaluations completed so far.
-    pub fn evaluations(&self) -> usize {
-        self.evaluations
-    }
-
-    /// Exploration ticks consumed so far (the tuning cost).
-    pub fn ticks_used(&self) -> u64 {
-        self.ticks_used
-    }
-
-    /// Summarises the finished search as a [`TunerResult`].
-    pub fn result(&self) -> TunerResult {
-        let (best_params, best_throughput) = match &self.best {
-            Some((p, s)) => (p.clone(), *s),
-            None => (self.current.clone(), 0.0),
-        };
-        TunerResult {
-            best_params,
-            best_throughput,
-            evaluations: self.evaluations,
-            ticks_used: self.ticks_used,
-        }
-    }
-
     fn finish_candidate(&mut self) {
         let score = self.score_acc / self.ticks_in_candidate.max(1) as f64;
         self.evaluations += 1;
@@ -459,49 +429,10 @@ impl TuningEngine for NullEngine {
     }
 }
 
-/// Drives a search engine directly against a bare target system (no
-/// monitoring/daemon pipeline), until the strategy converges or `max_ticks`
-/// is spent, so batch and online searches share one implementation.
-pub fn run_search<T: TargetSystem, S: SearchStrategy + 'static>(
-    engine: &mut SearchEngine<S>,
-    target: &mut T,
-    max_ticks: u64,
-) -> TunerResult {
-    let specs = target.tunable_specs();
-    let mut tick = 0u64;
-    while !engine.is_converged() && tick < max_ticks {
-        let current = target.current_params();
-        let proposal = engine.propose_action(&EngineContext {
-            tick,
-            observation: None,
-            current_params: &current,
-            specs: &specs,
-            explore: true,
-        });
-        target.apply_params(&proposal.params);
-        let measured = target.step();
-        engine.observe(&SystemTick {
-            tick,
-            throughput_mbps: measured.throughput_mbps,
-            objective: measured.throughput_mbps,
-            action: None,
-            explored: proposal.explored,
-            prediction_error: None,
-        });
-        tick += 1;
-    }
-    // Leave the target configured with the best parameters found.
-    if let Some((best, _)) = engine.best() {
-        let best = best.to_vec();
-        target.apply_params(&best);
-    }
-    engine.result()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::target::test_target::QuadraticTarget;
+    use crate::target::test_target::{system_with, train_until_converged};
     use crate::tuners::{RandomSearch, StaticBaseline};
     use capes_drl::DqnAgentConfig;
 
@@ -547,35 +478,27 @@ mod tests {
 
     #[test]
     fn search_engine_converges_and_reports_best() {
-        let mut engine = SearchEngine::new(RandomSearch::new(25, 9), 10);
-        let mut target = QuadraticTarget::new(60.0);
-        let result = run_search(&mut engine, &mut target, 100_000);
-        assert!(engine.is_converged());
-        assert_eq!(result.evaluations, 26, "defaults + 25 candidates");
-        assert_eq!(result.ticks_used, 26 * 10);
-        assert!(result.best_throughput > 0.0);
-        // The target was left configured with the best parameters.
-        assert_eq!(target.current_params(), result.best_params);
-        // Once converged, exploitation proposes the best candidate.
-        let specs = target.tunable_specs();
-        let proposal = engine.propose_action(&EngineContext {
-            tick: 0,
-            observation: None,
-            current_params: &result.best_params,
-            specs: &specs,
-            explore: true,
-        });
-        assert!(!proposal.explored);
-        assert_eq!(proposal.params, result.best_params);
+        let mut system = system_with(SearchEngine::new(RandomSearch::new(25, 9), 10), 60.0);
+        train_until_converged(&mut system, 100_000);
+        assert!(system.engine().is_converged());
+        // Defaults + 25 candidates, 10 ticks each.
+        assert_eq!(system.engine().exploration_ticks_used(), Some(26 * 10));
+        assert_eq!(system.tick(), 26 * 10);
+        let best = system.engine().current_params().expect("a best candidate");
+        // Once converged, training ticks exploit: the best candidate is
+        // applied through the checker and the Control Agent.
+        let t = system.training_tick();
+        assert!(!t.explored);
+        assert_eq!(system.current_params(), best);
+        assert_eq!(system.engine().exploration_ticks_used(), Some(26 * 10));
     }
 
     #[test]
     fn static_baseline_engine_evaluates_once() {
-        let mut engine = SearchEngine::new(StaticBaseline, 20);
-        let mut target = QuadraticTarget::new(40.0);
-        let result = run_search(&mut engine, &mut target, 100_000);
-        assert_eq!(result.evaluations, 1);
-        assert_eq!(result.best_params, vec![10.0]);
-        assert_eq!(engine.name(), "static defaults");
+        let mut system = system_with(SearchEngine::new(StaticBaseline, 20), 40.0);
+        train_until_converged(&mut system, 100_000);
+        assert_eq!(system.engine().exploration_ticks_used(), Some(20));
+        assert_eq!(system.engine().current_params(), Some(vec![10.0]));
+        assert_eq!(system.engine().name(), "static defaults");
     }
 }

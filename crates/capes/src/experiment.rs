@@ -27,7 +27,7 @@
 //! to JSON for the figure binaries.
 
 use crate::session::SessionResult;
-use crate::system::{CapesSystem, SystemTick};
+use crate::system::CapesSystem;
 use crate::target::TargetSystem;
 
 /// The kind of work a phase performs (also tags every [`SessionResult`]).
@@ -101,33 +101,6 @@ impl Phase {
             Phase::Tuned { label, .. } => label.clone(),
             other => other.kind().label().to_string(),
         }
-    }
-}
-
-/// Streaming consumer of per-tick telemetry during any phase.
-///
-/// Observers are registered on the builder
-/// ([`crate::builder::CapesBuilder::observer`]) and invoked by the system for
-/// every tick it runs, so monitoring dashboards and bench harnesses can watch
-/// a run without polling. A plain `FnMut(PhaseKind, &SystemTick)` closure is
-/// an observer.
-///
-/// Observers must be [`Send`]: member systems (which own their observers)
-/// migrate across the fleet daemon's worker threads during parallel ticking.
-pub trait TickObserver: Send {
-    /// Called when a phase starts.
-    fn on_phase_start(&mut self, _kind: PhaseKind, _label: &str) {}
-
-    /// Called for every tick the system runs.
-    fn on_tick(&mut self, kind: PhaseKind, tick: &SystemTick);
-
-    /// Called when a phase completes, with the phase's session result.
-    fn on_phase_end(&mut self, _kind: PhaseKind, _result: &SessionResult) {}
-}
-
-impl<F: FnMut(PhaseKind, &SystemTick) + Send> TickObserver for F {
-    fn on_tick(&mut self, kind: PhaseKind, tick: &SystemTick) {
-        self(kind, tick)
     }
 }
 
@@ -257,6 +230,7 @@ mod tests {
     use super::*;
     use crate::builder::Capes;
     use crate::hyperparams::Hyperparameters;
+    use crate::system::SystemTick;
     use crate::target::test_target::QuadraticTarget;
     use std::sync::{Arc, Mutex};
 

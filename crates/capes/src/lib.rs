@@ -24,9 +24,11 @@
 //!   the DQN engine and the search comparators;
 //! * [`experiment::Experiment`] — declarative baseline/train/tuned phase
 //!   plans producing JSON-serializable [`experiment::ExperimentReport`]s,
-//!   with [`experiment::TickObserver`] streaming per-tick telemetry;
+//!   while closures registered with [`builder::CapesBuilder::observer`]
+//!   stream per-tick telemetry;
 //! * [`tuners`] — comparator tuners (static defaults, random search, hill
-//!   climbing) representing the search-based prior work discussed in §5.
+//!   climbing) representing the search-based prior work discussed in §5;
+//!   they run through the same [`system::CapesSystem`] loop as the DQN.
 //!
 //! ## Quick start
 //!
@@ -84,7 +86,7 @@ pub use engine::{
     step_params, DrlEngine, EngineContext, NullEngine, ProposedAction, SearchEngine, TuningEngine,
 };
 pub use error::CapesError;
-pub use experiment::{Experiment, ExperimentReport, Phase, PhaseKind, TickObserver};
+pub use experiment::{Experiment, ExperimentReport, Phase, PhaseKind};
 pub use hyperparams::Hyperparameters;
 pub use objective::Objective;
 pub use session::SessionResult;
@@ -100,22 +102,23 @@ pub use capes_replay::{ReplayArena, SharedReplayDb, StripeStats};
 ///
 /// Brings in the builder-first construction API ([`Capes`],
 /// [`CapesBuilder`], [`CapesError`]), the declarative experiment API
-/// ([`Experiment`], [`Phase`], [`PhaseKind`], [`ExperimentReport`],
-/// [`TickObserver`]), the unified engine interface ([`TuningEngine`],
-/// [`DrlEngine`], [`SearchEngine`]), the comparator tuners, the bundled
-/// simulator adapter, and the simulator's configuration types.
+/// ([`Experiment`], [`Phase`], [`PhaseKind`], [`ExperimentReport`], and
+/// [`SystemTick`] for observers), the unified engine interface
+/// ([`TuningEngine`], [`DrlEngine`], [`SearchEngine`]), the comparator
+/// tuners, the bundled simulator adapter, and the simulator's configuration
+/// types.
 pub mod prelude {
     pub use crate::adapter::SimulatedLustre;
     pub use crate::builder::{Capes, CapesBuilder};
     pub use crate::engine::{DrlEngine, NullEngine, SearchEngine, TuningEngine};
     pub use crate::error::CapesError;
-    pub use crate::experiment::{Experiment, ExperimentReport, Phase, PhaseKind, TickObserver};
+    pub use crate::experiment::{Experiment, ExperimentReport, Phase, PhaseKind};
     pub use crate::hyperparams::Hyperparameters;
     pub use crate::objective::Objective;
     pub use crate::session::SessionResult;
     pub use crate::system::{CapesSystem, SystemTick, TickMeasurement, Transport};
     pub use crate::target::{TargetSystem, TargetTick, TunableSpec};
-    pub use crate::tuners::{HillClimbing, RandomSearch, StaticBaseline, TunerResult};
+    pub use crate::tuners::{HillClimbing, RandomSearch, StaticBaseline};
     pub use capes_replay::{ReplayArena, SharedReplayDb};
     pub use capes_simstore::{ClusterConfig, PiMode, TunableParams, Workload};
 }

@@ -63,10 +63,9 @@ impl SessionResult {
     }
 
     /// Builds a session result from a measured throughput series, running the
-    /// Pilot-style statistical analysis. Public so external phase drivers
-    /// (the fleet daemon) can assemble results through the exact code path
-    /// [`CapesSystem::run_phase`](crate::system::CapesSystem::run_phase) uses.
-    pub fn from_series(
+    /// Pilot-style statistical analysis. Every phase driver reaches it through
+    /// [`CapesSystem::end_phase`](crate::system::CapesSystem::end_phase).
+    pub(crate) fn from_series(
         kind: PhaseKind,
         label: impl Into<String>,
         series: Vec<f64>,

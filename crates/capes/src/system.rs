@@ -8,7 +8,7 @@
 
 use crate::engine::{DrlEngine, EngineContext, ProposedAction, TuningEngine};
 use crate::error::CapesError;
-use crate::experiment::{Phase, PhaseKind, TickObserver};
+use crate::experiment::{Phase, PhaseKind};
 use crate::hyperparams::Hyperparameters;
 use crate::objective::Objective;
 use crate::session::SessionResult;
@@ -90,6 +90,10 @@ pub struct TickMeasurement {
     pub observation: Option<Observation>,
 }
 
+/// A per-tick observer registered through
+/// [`crate::builder::CapesBuilder::observer`].
+pub(crate) type Observer = Box<dyn FnMut(PhaseKind, &SystemTick) + Send>;
+
 /// The CAPES system wired around a target system.
 pub struct CapesSystem<T: TargetSystem> {
     target: T,
@@ -100,7 +104,7 @@ pub struct CapesSystem<T: TargetSystem> {
     monitors: Vec<MonitoringAgent>,
     control_agent: ControlAgent,
     engine: Box<dyn TuningEngine>,
-    observers: Vec<Box<dyn TickObserver>>,
+    observers: Vec<Observer>,
     specs: Vec<TunableSpec>,
     transport: Transport,
     /// Messages staged for an external transmitter ([`Transport::Socket`]
@@ -124,7 +128,7 @@ impl<T: TargetSystem> CapesSystem<T> {
         objective: Objective,
         checker: ActionChecker,
         engine: Box<dyn TuningEngine>,
-        observers: Vec<Box<dyn TickObserver>>,
+        observers: Vec<Observer>,
         transport: Transport,
         replay_db: Option<SharedReplayDb>,
     ) -> Self {
@@ -137,9 +141,7 @@ impl<T: TargetSystem> CapesSystem<T> {
             SharedReplayDb::new(hyperparams.replay_config(num_nodes, pis_per_node))
         });
         let daemon = InterfaceDaemon::new(db.clone(), num_nodes, checker);
-        let monitors = (0..num_nodes)
-            .map(|n| MonitoringAgent::new(n, 0.0))
-            .collect();
+        let monitors = (0..num_nodes).map(MonitoringAgent::new).collect();
 
         CapesSystem {
             target,
@@ -266,48 +268,49 @@ impl<T: TargetSystem> CapesSystem<T> {
     /// This is the single code path behind [`crate::experiment::Experiment`].
     pub fn run_phase(&mut self, phase: &Phase) -> SessionResult {
         let kind = phase.kind();
-        let label = phase.label();
-        self.notify_phase_start(kind, &label);
+        let errors_before = self.begin_phase(kind);
+        let series = (0..phase.ticks())
+            .map(|_| self.run_tick(kind).throughput_mbps)
+            .collect();
+        self.end_phase(phase, series, errors_before)
+    }
+
+    /// Starts a phase of `kind`: a baseline first resets every knob to its
+    /// default. Returns the prediction-error mark
+    /// [`CapesSystem::end_phase`] takes. Together the two are the phase
+    /// protocol of [`CapesSystem::run_phase`] and of drivers that own the
+    /// tick loop themselves (the fleet daemon ticks its members in
+    /// lockstep).
+    pub fn begin_phase(&mut self, kind: PhaseKind) -> usize {
         if kind == PhaseKind::Baseline {
             self.reset_params_to_defaults();
         }
-        let errors_before = self.prediction_errors.len();
-        let ticks = phase.ticks();
-        let mut series = Vec::with_capacity(ticks as usize);
-        for _ in 0..ticks {
-            series.push(self.run_tick(kind).throughput_mbps);
-        }
+        self.prediction_errors.len()
+    }
+
+    /// Ends `phase` with the throughput `series` its ticks measured: a
+    /// training phase keeps the prediction errors recorded since
+    /// `errors_before` (the mark [`CapesSystem::begin_phase`] returned), and
+    /// the series gets the Pilot-style statistical analysis.
+    pub fn end_phase(
+        &self,
+        phase: &Phase,
+        series: Vec<f64>,
+        errors_before: usize,
+    ) -> SessionResult {
+        let kind = phase.kind();
         let prediction_errors = if kind == PhaseKind::Train {
             self.prediction_errors[errors_before..].to_vec()
         } else {
             Vec::new()
         };
-        let result = SessionResult::from_series(
+        SessionResult::from_series(
             kind,
-            label,
+            phase.label(),
             series,
             prediction_errors,
             self.current_params(),
-        );
-        self.notify_phase_end(kind, &result);
-        result
-    }
-
-    /// Invokes every observer's phase-start hook. Exposed so external phase
-    /// drivers (the fleet daemon) can mirror [`CapesSystem::run_phase`]'s
-    /// observer protocol while owning the tick loop themselves.
-    pub fn notify_phase_start(&mut self, kind: PhaseKind, label: &str) {
-        for observer in &mut self.observers {
-            observer.on_phase_start(kind, label);
-        }
-    }
-
-    /// Invokes every observer's phase-end hook (see
-    /// [`CapesSystem::notify_phase_start`]).
-    pub fn notify_phase_end(&mut self, kind: PhaseKind, result: &SessionResult) {
-        for observer in &mut self.observers {
-            observer.on_phase_end(kind, result);
-        }
+        )
     }
 
     /// Saves the engine's learned model to a checkpoint file (see
@@ -548,11 +551,7 @@ impl<T: TargetSystem> CapesSystem<T> {
     /// steps against the Replay DB through the in-system engine, returning
     /// the mean prediction error of the steps that actually trained. Engines
     /// that do not learn (and databases still warming up) yield `None`.
-    ///
-    /// External drivers that train a *shared* agent (the fleet daemon's
-    /// round-robin over cluster shards) skip this and pass their own error
-    /// into [`CapesSystem::finish_tick`].
-    pub fn engine_train_tick(&mut self) -> Option<f64> {
+    fn engine_train_tick(&mut self) -> Option<f64> {
         let mut sum = 0.0;
         let mut count = 0usize;
         for _ in 0..self.hyperparams.train_steps_per_tick {
@@ -590,7 +589,7 @@ impl<T: TargetSystem> CapesSystem<T> {
             self.engine.observe(&result);
         }
         for observer in &mut self.observers {
-            observer.on_tick(kind, &result);
+            observer(kind, &result);
         }
         self.tick += 1;
         result

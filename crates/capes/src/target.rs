@@ -82,6 +82,10 @@ pub trait TargetSystem {
 #[cfg(test)]
 pub(crate) mod test_target {
     use super::*;
+    use crate::builder::Capes;
+    use crate::engine::TuningEngine;
+    use crate::hyperparams::Hyperparameters;
+    use crate::system::CapesSystem;
 
     /// A deliberately simple synthetic target used by unit tests: throughput
     /// is a concave function of a single parameter, peaking away from the
@@ -147,6 +151,25 @@ pub(crate) mod test_target {
                 throughput_mbps: throughput,
                 latency_ms: 10.0 + 0.02 * d * d,
             }
+        }
+    }
+
+    /// A system around `QuadraticTarget::new(optimum)` driven by `engine`:
+    /// the search comparators' tests run through the same per-tick path as
+    /// the DQN's.
+    pub fn system_with(engine: impl TuningEngine, optimum: f64) -> CapesSystem<QuadraticTarget> {
+        Capes::builder(QuadraticTarget::new(optimum))
+            .hyperparams(Hyperparameters::quick_test())
+            .engine(Box::new(engine))
+            .build()
+            .expect("valid configuration")
+    }
+
+    /// Runs training ticks until the engine converges or the system reaches
+    /// tick `max_ticks`.
+    pub fn train_until_converged(system: &mut CapesSystem<QuadraticTarget>, max_ticks: u64) {
+        while !system.engine().is_converged() && system.tick() < max_ticks {
+            system.training_tick();
         }
     }
 

@@ -15,29 +15,17 @@
 //!
 //! Each comparator is a [`SearchStrategy`]: wrapped in
 //! [`crate::engine::SearchEngine`] it implements the same
-//! [`crate::engine::TuningEngine`] interface as the DRL engine, so the
-//! benchmark harness drives CAPES and all three comparators through one code
-//! path; [`crate::engine::run_search`] runs one against a bare target —
-//! exactly the "tweak-benchmark cycle" the paper argues is too slow, which
-//! the benchmark harness quantifies.
+//! [`crate::engine::TuningEngine`] interface as the DRL engine, so a
+//! [`crate::system::CapesSystem`] drives CAPES and all three comparators
+//! through one per-tick path (monitoring, Interface Daemon, Action Checker,
+//! Control Agent). Its training ticks are the search's "tweak-benchmark
+//! cycle", which the paper argues is too slow; `capes_bench::compare_engines`
+//! measures that cost next to the DQN's.
 
 use crate::engine::SearchStrategy;
 use crate::target::TunableSpec;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Result of a tuner run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TunerResult {
-    /// Best parameter vector found.
-    pub best_params: Vec<f64>,
-    /// Mean throughput measured with those parameters, MB/s.
-    pub best_throughput: f64,
-    /// Number of candidate configurations evaluated.
-    pub evaluations: usize,
-    /// Total target-system ticks consumed (the tuning cost).
-    pub ticks_used: u64,
-}
 
 /// Keeps the default parameter values (the untuned baseline of every figure).
 #[derive(Debug, Clone, Copy, Default)]
@@ -233,58 +221,76 @@ impl SearchStrategy for HillClimbing {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{run_search, SearchEngine, TuningEngine};
-    use crate::target::test_target::QuadraticTarget;
-    use crate::target::TargetSystem;
+    use crate::engine::SearchEngine;
+    use crate::target::test_target::{system_with, train_until_converged};
 
     #[test]
     fn static_baseline_keeps_defaults() {
-        let mut target = QuadraticTarget::new(60.0);
-        let mut engine = SearchEngine::new(StaticBaseline, 20);
-        let result = run_search(&mut engine, &mut target, 20);
-        assert_eq!(result.best_params, vec![10.0]);
-        assert_eq!(result.evaluations, 1);
-        assert_eq!(engine.name(), "static defaults");
+        let mut system = system_with(SearchEngine::new(StaticBaseline, 20), 60.0);
+        train_until_converged(&mut system, 20);
+        assert!(system.engine().is_converged(), "one evaluation of 20 ticks");
+        assert_eq!(system.engine().exploration_ticks_used(), Some(20));
+        assert_eq!(system.engine().current_params(), Some(vec![10.0]));
+        assert_eq!(system.engine().name(), "static defaults");
     }
 
     #[test]
     fn random_search_beats_the_baseline_on_an_easy_surface() {
-        let mut target = QuadraticTarget::new(60.0);
-        let baseline =
-            run_search(&mut SearchEngine::new(StaticBaseline, 20), &mut target, 20).best_throughput;
-        let mut engine = SearchEngine::new(RandomSearch::new(40, 7), 20);
-        let result = run_search(&mut engine, &mut target, 41 * 20);
-        assert!(result.best_throughput > baseline);
-        assert_eq!(result.evaluations, 41);
-        assert!(result.ticks_used >= 41 * 20);
+        let mut system = system_with(SearchEngine::new(RandomSearch::new(40, 7), 20), 60.0);
+        let mean = |ticks: Vec<f64>| ticks.iter().sum::<f64>() / ticks.len() as f64;
+        let baseline = mean(
+            (0..20)
+                .map(|_| system.baseline_tick().throughput_mbps)
+                .collect(),
+        );
+        train_until_converged(&mut system, 100_000);
+        assert!(system.engine().is_converged());
+        // Defaults + 40 candidates, 20 ticks each.
+        assert_eq!(system.engine().exploration_ticks_used(), Some(41 * 20));
+        let best = system.engine().current_params().expect("a best candidate");
         assert!(
-            (result.best_params[0] - 60.0).abs() < 30.0,
+            (best[0] - 60.0).abs() < 30.0,
             "best value {} should be near the optimum",
-            result.best_params[0]
+            best[0]
+        );
+        // The first tuning tick applies the best candidate; the next ones
+        // measure it.
+        system.tuning_tick();
+        let tuned = mean(
+            (0..20)
+                .map(|_| system.tuning_tick().throughput_mbps)
+                .collect(),
+        );
+        assert!(
+            tuned > baseline,
+            "tuned {tuned:.1} vs baseline {baseline:.1}"
         );
     }
 
     #[test]
     fn hill_climbing_walks_toward_the_optimum() {
-        let mut target = QuadraticTarget::new(40.0);
-        let mut engine = SearchEngine::new(HillClimbing::new(200), 20);
-        let result = run_search(&mut engine, &mut target, 200 * 20);
+        let mut system = system_with(SearchEngine::new(HillClimbing::new(200), 20), 40.0);
+        train_until_converged(&mut system, 200 * 20);
+        assert!(system.engine().is_converged());
+        assert!(system.engine().exploration_ticks_used() <= Some(200 * 20));
+        assert_eq!(system.engine().name(), "hill climbing");
+        let best = system.engine().current_params().expect("a best candidate");
         assert!(
-            result.best_params[0] > 25.0,
+            best[0] > 25.0,
             "hill climbing stopped too early at {}",
-            result.best_params[0]
+            best[0]
         );
-        assert!(result.evaluations <= 200);
-        assert_eq!(engine.name(), "hill climbing");
-        // The target is left configured with the tuned value.
-        assert_eq!(target.current_params(), result.best_params);
+        // Tuning ticks configure the target with the tuned value.
+        system.tuning_tick();
+        assert_eq!(system.current_params(), best);
     }
 
     #[test]
     fn hill_climbing_respects_its_budget() {
-        let mut target = QuadraticTarget::new(90.0);
-        let mut engine = SearchEngine::new(HillClimbing::new(5), 5);
-        let result = run_search(&mut engine, &mut target, 5 * 5);
-        assert!(result.evaluations <= 5);
+        let mut system = system_with(SearchEngine::new(HillClimbing::new(5), 5), 90.0);
+        train_until_converged(&mut system, 100);
+        assert!(system.engine().is_converged());
+        // At most 5 evaluations of 5 ticks each.
+        assert!(system.engine().exploration_ticks_used() <= Some(5 * 5));
     }
 }

@@ -76,11 +76,6 @@ impl EpsilonSchedule {
         self.bumped_until_tick = tick + duration_ticks;
         self.bumped_value = self.workload_change_value;
     }
-
-    /// `true` if a bump is currently in force at `tick`.
-    pub fn is_bumped(&self, tick: u64) -> bool {
-        tick < self.bumped_until_tick
-    }
 }
 
 impl capes_persist::Persist for EpsilonSchedule {
@@ -169,11 +164,9 @@ mod tests {
         // Past the exploration period ε is at the floor.
         assert_eq!(s.value_at(5000), 0.05);
         s.bump_for_workload_change(5000, 600);
-        assert!(s.is_bumped(5000));
         assert_eq!(s.value_at(5000), 0.2);
         assert_eq!(s.value_at(5599), 0.2);
         assert_eq!(s.value_at(5600), 0.05, "bump expires");
-        assert!(!s.is_bumped(5600));
     }
 
     #[test]

@@ -641,26 +641,18 @@ impl FleetDaemon {
     /// table through this.
     ///
     /// # Panics
-    /// Panics if `profile` is out of range or a [`ExperienceSharing::SelfBiased`]
-    /// weight is negative, non-finite, or both weights are zero.
+    /// Panics if `profile` is out of range, or if a
+    /// [`ExperienceSharing::SelfBiased`] weight is negative or non-finite,
+    /// both weights are zero, or `own` is zero on a one-member profile.
     pub fn set_profile_sharing(&mut self, profile: usize, mode: ExperienceSharing) {
         assert!(
             profile < self.profiles.len(),
             "profile {profile} out of range ({} profiles)",
             self.profiles.len()
         );
-        if let ExperienceSharing::SelfBiased { own, peers } = mode {
-            assert!(
-                own.is_finite() && peers.is_finite() && own >= 0.0 && peers >= 0.0,
-                "sharing weights must be finite and non-negative"
-            );
-            assert!(own + peers > 0.0, "sharing weights must not both be zero");
-            assert!(
-                // In bounds: the range assert above validated `profile`.
-                own > 0.0 || self.profiles[profile].stripe_members.len() > 1,
-                "own weight 0 on a single-member profile would leave nothing to sample"
-            );
-        }
+        // In bounds: the range assert above validated `profile`.
+        let verdict = mode.validate(self.profiles[profile].stripe_members.len());
+        assert!(verdict.is_ok(), "profile {profile}: {verdict:?}");
         // In bounds: the range assert above validated `profile`.
         self.profile_sharing[profile] = mode;
     }
@@ -843,29 +835,10 @@ impl FleetDaemon {
             let mode = match r.get_u8()? {
                 0 => ExperienceSharing::Disabled,
                 1 => ExperienceSharing::Uniform,
-                2 => {
-                    let own = r.get_f64()?;
-                    let peers = r.get_f64()?;
-                    if !own.is_finite() || !peers.is_finite() || own < 0.0 || peers < 0.0 {
-                        return Err(PersistError::BadValue {
-                            what: "non-finite or negative experience-sharing weight",
-                        }
-                        .into());
-                    }
-                    if own + peers <= 0.0 {
-                        return Err(PersistError::BadValue {
-                            what: "all-zero experience-sharing weights",
-                        }
-                        .into());
-                    }
-                    if own <= 0.0 && profile.stripe_members.len() <= 1 {
-                        return Err(PersistError::BadValue {
-                            what: "zero own-weight on a single-member profile",
-                        }
-                        .into());
-                    }
-                    ExperienceSharing::SelfBiased { own, peers }
-                }
+                2 => ExperienceSharing::SelfBiased {
+                    own: r.get_f64()?,
+                    peers: r.get_f64()?,
+                },
                 _ => {
                     return Err(PersistError::BadValue {
                         what: "invalid experience-sharing tag",
@@ -873,6 +846,8 @@ impl FleetDaemon {
                     .into())
                 }
             };
+            mode.validate(profile.stripe_members.len())
+                .map_err(|what| PersistError::BadValue { what })?;
             sharing.push(mode);
         }
         let num_profiles = r.get_count(1)?;
@@ -909,24 +884,6 @@ impl FleetDaemon {
             agents.push(agent);
         }
         let arena = ReplayArena::decode(&mut r)?;
-        if arena.num_stripes() != self.arena.num_stripes() {
-            return Err(FleetError::Capes(CapesError::ReplayConfigMismatch {
-                reason: format!(
-                    "snapshot arena has {} stripes, this fleet has {}",
-                    arena.num_stripes(),
-                    self.arena.num_stripes()
-                ),
-            }));
-        }
-        for i in 0..arena.num_stripes() {
-            if arena.stripe_config(i) != self.arena.stripe_config(i) {
-                return Err(FleetError::Capes(CapesError::ReplayConfigMismatch {
-                    reason: format!(
-                        "replay configuration of arena stripe {i} disagrees with the snapshot"
-                    ),
-                }));
-            }
-        }
         let num_sessions = r.get_count(1)?;
         if num_sessions != self.sessions.len() {
             return Err(checkpoint_mismatch(format!(
@@ -955,8 +912,13 @@ impl FleetDaemon {
         drop(r);
         drop(snapshot);
 
-        // Apply phase: nothing above touched `self`.
-        self.arena.restore_from(arena)?;
+        // Apply phase: nothing above touched `self`, and the arena checks
+        // its stripe count and configurations before it swaps anything.
+        self.arena
+            .restore_from(arena)
+            .map_err(|e| CapesError::ReplayConfigMismatch {
+                reason: e.to_string(),
+            })?;
         for (profile, agent) in self.profiles.iter_mut().zip(agents) {
             profile.agent = agent;
         }
@@ -1399,7 +1361,9 @@ impl FleetDaemon {
     /// Runs a fleet plan to completion: every phase advances all clusters in
     /// lockstep, and every cluster contributes one
     /// [`capes::ExperimentReport`]-shaped aggregate to the returned
-    /// [`FleetReport`]. The plan's experience-sharing table is applied to the
+    /// [`FleetReport`]. Each member opens and closes its phases with
+    /// [`CapesSystem::begin_phase`] and [`CapesSystem::end_phase`], the
+    /// protocol a standalone [`capes::Experiment`] runs. The plan's experience-sharing table is applied to the
     /// profiles first: profiles the plan does not list are reset to
     /// [`ExperienceSharing::Disabled`] (a plan fully describes the sharing
     /// configuration of its run — state set through
@@ -1418,36 +1382,20 @@ impl FleetDaemon {
             (0..self.sessions.len()).map(|_| Vec::new()).collect();
         for phase in &plan.phases {
             let kind = phase.kind();
-            let label = phase.label();
             for session in &mut self.sessions {
-                session.system.notify_phase_start(kind, &label);
-                if kind == PhaseKind::Baseline {
-                    session.system.reset_params_to_defaults();
-                }
-                session.errors_before = session.system.prediction_errors().len();
+                session.errors_before = session.system.begin_phase(kind);
                 session.series.clear();
             }
             for _ in 0..phase.ticks() {
                 self.tick_all(kind);
             }
-            for (i, session) in self.sessions.iter_mut().enumerate() {
-                let prediction_errors = if kind == PhaseKind::Train {
-                    // In bounds: `errors_before` is a previous length of this
-                    // grow-only series.
-                    session.system.prediction_errors()[session.errors_before..].to_vec()
-                } else {
-                    Vec::new()
-                };
-                let result = SessionResult::from_series(
-                    kind,
-                    label.clone(),
-                    std::mem::take(&mut session.series),
-                    prediction_errors,
-                    session.system.current_params(),
+            for (session, results) in self.sessions.iter_mut().zip(&mut per_cluster) {
+                let series = std::mem::take(&mut session.series);
+                results.push(
+                    session
+                        .system
+                        .end_phase(phase, series, session.errors_before),
                 );
-                session.system.notify_phase_end(kind, &result);
-                // In bounds: one result series per cluster.
-                per_cluster[i].push(result);
             }
         }
         let elapsed_seconds = started.elapsed().as_secs_f64();

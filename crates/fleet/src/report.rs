@@ -32,6 +32,28 @@ pub enum ExperienceSharing {
     },
 }
 
+impl ExperienceSharing {
+    /// Checks the mode for a profile of `members` clusters: `SelfBiased`
+    /// weights must be finite, non-negative and not both zero, and a
+    /// one-member profile needs a positive `own` weight (its only stripe).
+    /// [`crate::FleetDaemon::set_profile_sharing`] asserts this, and restore
+    /// rejects a snapshot that fails it.
+    pub(crate) fn validate(self, members: usize) -> Result<(), &'static str> {
+        let ExperienceSharing::SelfBiased { own, peers } = self else {
+            return Ok(());
+        };
+        if !(own.is_finite() && peers.is_finite() && own >= 0.0 && peers >= 0.0) {
+            Err("non-finite or negative experience-sharing weight")
+        } else if own + peers <= 0.0 {
+            Err("all-zero experience-sharing weights")
+        } else if own <= 0.0 && members <= 1 {
+            Err("zero own-weight on a single-member profile")
+        } else {
+            Ok(())
+        }
+    }
+}
+
 /// One profile's experience-sharing setting inside a [`FleetPlan`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProfileSharing {
@@ -75,11 +97,6 @@ impl FleetPlan {
     pub fn share(mut self, profile: usize, mode: ExperienceSharing) -> Self {
         self.sharing.push(ProfileSharing { profile, mode });
         self
-    }
-
-    /// Total ticks the plan will run per cluster.
-    pub fn total_ticks(&self) -> u64 {
-        self.phases.iter().map(Phase::ticks).sum()
     }
 }
 
@@ -349,7 +366,7 @@ mod tests {
     use serde::{map_get, Serialize, Value};
 
     #[test]
-    fn plan_accumulates_phases_and_ticks() {
+    fn plan_accumulates_phases() {
         let plan = FleetPlan::new()
             .phase(Phase::Baseline { ticks: 10 })
             .phase(Phase::Train { ticks: 25 })
@@ -358,7 +375,6 @@ mod tests {
                 label: "tuned".into(),
             });
         assert_eq!(plan.phases.len(), 3);
-        assert_eq!(plan.total_ticks(), 40);
         assert!(plan.sharing.is_empty(), "sharing defaults to disabled");
     }
 

@@ -120,12 +120,6 @@ impl Dense {
             d_out.matmul_transpose_b_into(&self.weights, di);
         }
     }
-
-    /// Applies pre-computed parameter deltas: `W += scale * dW`, `b += scale * db`.
-    pub fn apply_update(&mut self, grads: &LayerGrads, scale: f64) {
-        self.weights.axpy(scale, &grads.d_weights);
-        self.bias.axpy(scale, &grads.d_bias);
-    }
 }
 
 impl capes_persist::Persist for Dense {
@@ -269,21 +263,5 @@ mod tests {
             let numeric = (plus - minus) / (2.0 * h);
             assert!((dx[(0, c)] - numeric).abs() < 1e-5);
         }
-    }
-
-    #[test]
-    fn apply_update_descends() {
-        let mut l = Dense::from_parameters(
-            Matrix::filled(2, 1, 1.0),
-            Matrix::zeros(1, 1),
-            Activation::Identity,
-        );
-        let grads = LayerGrads {
-            d_weights: Matrix::filled(2, 1, 2.0),
-            d_bias: Matrix::filled(1, 1, 1.0),
-        };
-        l.apply_update(&grads, -0.1);
-        assert!(l.weights.approx_eq(&Matrix::filled(2, 1, 0.8), 1e-12));
-        assert!(l.bias.approx_eq(&Matrix::filled(1, 1, -0.1), 1e-12));
     }
 }

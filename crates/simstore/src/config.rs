@@ -87,14 +87,6 @@ impl Default for ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// Configuration matching the paper's testbed with the full 44-PI set.
-    pub fn paper_testbed() -> Self {
-        ClusterConfig {
-            pi_mode: PiMode::Full,
-            ..Default::default()
-        }
-    }
-
     /// Number of OSCs per client — with the paper's stripe count of 4, each
     /// client maintains one Object Storage Client per server.
     pub fn oscs_per_client(&self) -> usize {
@@ -232,16 +224,11 @@ mod tests {
         assert_eq!(c.disk_seq_write_mbps, 106.0);
         assert_eq!(c.network_aggregate_mbps, 500.0);
         assert_eq!(c.stripe_size_mb, 1.0);
+        assert_eq!(c.pi_mode, PiMode::Compact);
         // The paper chose hardware with a ~1:1 network-to-storage bandwidth
         // ratio; verify the defaults preserve that property.
         let ratio = c.network_aggregate_mbps / c.aggregate_disk_write_mbps();
         assert!((0.8..1.4).contains(&ratio), "network:storage ratio {ratio}");
-    }
-
-    #[test]
-    fn paper_testbed_uses_full_pis() {
-        assert_eq!(ClusterConfig::paper_testbed().pi_mode, PiMode::Full);
-        assert_eq!(ClusterConfig::default().pi_mode, PiMode::Compact);
     }
 
     #[test]

@@ -50,17 +50,6 @@ impl Matrix {
         self.map(|x| x * k)
     }
 
-    /// In-place `self += alpha * other` (the classic axpy update).
-    ///
-    /// # Panics
-    /// Panics if shapes differ.
-    pub fn axpy(&mut self, alpha: f64, other: &Matrix) {
-        assert_eq!(self.shape(), other.shape(), "axpy shape mismatch");
-        for (a, &b) in self.as_mut_slice().iter_mut().zip(other.as_slice()) {
-            *a += alpha * b;
-        }
-    }
-
     /// In-place convex blend `self = (1 - alpha) * self + alpha * other`.
     ///
     /// This is the exact soft-update rule the paper uses for the target
@@ -203,12 +192,7 @@ mod tests {
     }
 
     #[test]
-    fn axpy_and_blend() {
-        let mut a = Matrix::filled(2, 2, 1.0);
-        let g = Matrix::filled(2, 2, 4.0);
-        a.axpy(-0.25, &g);
-        assert!(a.approx_eq(&Matrix::zeros(2, 2), 1e-12));
-
+    fn blend_is_the_soft_update() {
         let mut target = Matrix::filled(2, 2, 0.0);
         let online = Matrix::filled(2, 2, 10.0);
         target.blend(0.01, &online);
@@ -270,8 +254,8 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "shape mismatch")]
-    fn mismatched_axpy_panics() {
+    fn mismatched_blend_panics() {
         let mut a = Matrix::zeros(2, 2);
-        a.axpy(1.0, &Matrix::zeros(3, 2));
+        a.blend(0.5, &Matrix::zeros(3, 2));
     }
 }

@@ -5,9 +5,9 @@
 //! describes how the Interface Daemon bumps ε back up to 0.2 whenever the job
 //! scheduler starts a new workload. This example alternates between a
 //! write-heavy random workload and the sequential-write workload, notifying
-//! CAPES at each switch, and reports per-phase throughput. A `TickObserver`
-//! registered on the builder streams exploration telemetry as the run
-//! progresses.
+//! CAPES at each switch, and reports per-phase throughput. A per-tick
+//! observer closure registered on the builder streams exploration telemetry
+//! as the run progresses.
 //!
 //! Run with `cargo run --release --example dynamic_workload`.
 

@@ -25,9 +25,8 @@ fn simulator_pis_flow_through_wire_daemon_and_replay_into_the_dqn() {
     let db = SharedReplayDb::new(replay_config);
     let mut daemon =
         InterfaceDaemon::new(db.clone(), config.num_clients, ActionChecker::permissive());
-    let mut monitors: Vec<MonitoringAgent> = (0..config.num_clients)
-        .map(|n| MonitoringAgent::new(n, 0.0))
-        .collect();
+    let mut monitors: Vec<MonitoringAgent> =
+        (0..config.num_clients).map(MonitoringAgent::new).collect();
 
     let ticks = 60u64;
     for tick in 0..ticks {
@@ -83,7 +82,7 @@ fn wire_values_survive_the_f32_round_trip_well_enough_for_observations() {
     cluster.step();
     let pis = cluster.normalized_indicators(0);
 
-    let mut monitor = MonitoringAgent::new(0, 0.0);
+    let mut monitor = MonitoringAgent::new(0);
     let report = monitor.sample(0, &pis);
     let frame = encode_message(&Message::Report(report));
     let decoded = capes_agents::decode_message(&frame).unwrap();
