@@ -237,12 +237,10 @@ mod tests {
     #[test]
     fn random_search_beats_the_baseline_on_an_easy_surface() {
         let mut system = system_with(SearchEngine::new(RandomSearch::new(40, 7), 20), 60.0);
-        let mean = |ticks: Vec<f64>| ticks.iter().sum::<f64>() / ticks.len() as f64;
-        let baseline = mean(
-            (0..20)
-                .map(|_| system.baseline_tick().throughput_mbps)
-                .collect(),
-        );
+        let baseline = (0..20)
+            .map(|_| system.baseline_tick().throughput_mbps)
+            .sum::<f64>()
+            / 20.0;
         train_until_converged(&mut system, 100_000);
         assert!(system.engine().is_converged());
         // Defaults + 40 candidates, 20 ticks each.
@@ -256,11 +254,10 @@ mod tests {
         // The first tuning tick applies the best candidate; the next ones
         // measure it.
         system.tuning_tick();
-        let tuned = mean(
-            (0..20)
-                .map(|_| system.tuning_tick().throughput_mbps)
-                .collect(),
-        );
+        let tuned = (0..20)
+            .map(|_| system.tuning_tick().throughput_mbps)
+            .sum::<f64>()
+            / 20.0;
         assert!(
             tuned > baseline,
             "tuned {tuned:.1} vs baseline {baseline:.1}"
@@ -272,7 +269,8 @@ mod tests {
         let mut system = system_with(SearchEngine::new(HillClimbing::new(200), 20), 40.0);
         train_until_converged(&mut system, 200 * 20);
         assert!(system.engine().is_converged());
-        assert!(system.engine().exploration_ticks_used() <= Some(200 * 20));
+        let used = system.engine().exploration_ticks_used();
+        assert!(used.is_some_and(|ticks| ticks <= 200 * 20), "{used:?}");
         assert_eq!(system.engine().name(), "hill climbing");
         let best = system.engine().current_params().expect("a best candidate");
         assert!(
@@ -291,6 +289,7 @@ mod tests {
         train_until_converged(&mut system, 100);
         assert!(system.engine().is_converged());
         // At most 5 evaluations of 5 ticks each.
-        assert!(system.engine().exploration_ticks_used() <= Some(5 * 5));
+        let used = system.engine().exploration_ticks_used();
+        assert!(used.is_some_and(|ticks| ticks <= 5 * 5), "{used:?}");
     }
 }

@@ -1363,8 +1363,9 @@ impl FleetDaemon {
     /// [`capes::ExperimentReport`]-shaped aggregate to the returned
     /// [`FleetReport`]. Each member opens and closes its phases with
     /// [`CapesSystem::begin_phase`] and [`CapesSystem::end_phase`], the
-    /// protocol a standalone [`capes::Experiment`] runs. The plan's experience-sharing table is applied to the
-    /// profiles first: profiles the plan does not list are reset to
+    /// protocol a standalone [`capes::Experiment`] runs. The plan's
+    /// experience-sharing table is applied to the profiles first: profiles
+    /// the plan does not list are reset to
     /// [`ExperienceSharing::Disabled`] (a plan fully describes the sharing
     /// configuration of its run — state set through
     /// [`FleetDaemon::set_profile_sharing`] only outlives externally-driven
