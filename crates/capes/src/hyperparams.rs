@@ -146,8 +146,8 @@ impl Hyperparameters {
             ),
             (
                 "adam_learning_rate",
-                self.adam_learning_rate > 0.0,
-                "must be positive",
+                self.adam_learning_rate.is_finite() && self.adam_learning_rate > 0.0,
+                "must be finite and positive",
             ),
             (
                 "target_update_rate",
@@ -159,7 +159,11 @@ impl Hyperparameters {
                 self.replay_capacity_ticks > self.sampling_ticks_per_observation,
                 "must exceed sampling_ticks_per_observation",
             ),
-            ("reward_scale", self.reward_scale > 0.0, "must be positive"),
+            (
+                "reward_scale",
+                self.reward_scale.is_finite() && self.reward_scale > 0.0,
+                "must be finite and positive",
+            ),
             (
                 "train_steps_per_tick",
                 self.train_steps_per_tick > 0,
@@ -291,6 +295,17 @@ mod tests {
                 ..
             })
         ));
+        // Rates must be finite as well as positive: an infinite learning
+        // rate or reward scale would turn the first Adam step into ±∞/NaN.
+        let (mut lr, mut scale) = (Hyperparameters::paper(), Hyperparameters::paper());
+        lr.adam_learning_rate = f64::INFINITY;
+        scale.reward_scale = f64::INFINITY;
+        for (hp, field) in [(lr, "adam_learning_rate"), (scale, "reward_scale")] {
+            match hp.validate() {
+                Err(CapesError::InvalidHyperparameter { name, .. }) => assert_eq!(name, field),
+                other => panic!("expected InvalidHyperparameter for {field}, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! each produces one [`SessionResult`].
 
 use crate::experiment::PhaseKind;
-use capes_stats::{analyze, AnalysisConfig, AnalysisReport};
+use capes_stats::{analyze, AnalysisReport};
 
 /// The outcome of one measurement or training session.
 #[derive(Debug, Clone)]
@@ -72,7 +72,7 @@ impl SessionResult {
         prediction_errors: Vec<(u64, f64)>,
         final_params: Vec<f64>,
     ) -> Self {
-        let analysis = analyze(&series, &AnalysisConfig::default());
+        let analysis = analyze(&series);
         SessionResult {
             kind,
             label: label.into(),

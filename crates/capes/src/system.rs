@@ -450,13 +450,13 @@ impl<T: TargetSystem> CapesSystem<T> {
                 self.transport,
                 &mut self.daemon,
                 &mut self.outbox,
-                &Message::Report(report),
+                Message::Report(report),
             );
             Self::route(
                 self.transport,
                 &mut self.daemon,
                 &mut self.outbox,
-                &Message::Objective {
+                Message::Objective {
                     tick: self.tick,
                     node,
                     value: per_node_objective,
@@ -515,16 +515,16 @@ impl<T: TargetSystem> CapesSystem<T> {
         transport: Transport,
         daemon: &mut InterfaceDaemon,
         outbox: &mut Vec<Message>,
-        message: &Message,
+        message: Message,
     ) {
         match transport {
             Transport::Wire => {
-                let frame = encode_message(message);
+                let frame = encode_message(&message);
                 daemon
                     .ingest_frame(&frame)
                     .expect("self-encoded frames always decode");
             }
-            Transport::Socket => outbox.push(message.clone()),
+            Transport::Socket => outbox.push(message),
         }
     }
 

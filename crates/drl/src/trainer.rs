@@ -39,15 +39,25 @@ impl Default for TrainerConfig {
 impl TrainerConfig {
     /// Validates the hyperparameters, panicking on the first invalid one.
     pub fn validate(&self) {
-        assert!(
-            (0.0..1.0).contains(&self.discount_rate),
-            "discount rate must be in [0, 1)"
-        );
-        assert!(self.learning_rate > 0.0, "learning rate must be positive");
-        assert!(
-            (0.0..=1.0).contains(&self.target_update_rate),
-            "target update rate must be in [0, 1]"
-        );
+        if let Err(what) = self.check() {
+            panic!("invalid trainer config: {what}");
+        }
+    }
+
+    /// The checks behind [`TrainerConfig::validate`] and `decode` (NaN fails
+    /// every one of them).
+    fn check(&self) -> Result<(), &'static str> {
+        if !(0.0..1.0).contains(&self.discount_rate) {
+            Err("discount rate outside [0, 1)")
+        } else if !(self.learning_rate.is_finite() && self.learning_rate > 0.0) {
+            Err("learning rate not finite and positive")
+        } else if !(0.0..=1.0).contains(&self.target_update_rate) {
+            Err("target update rate outside [0, 1]")
+        } else if self.gradient_clip.is_some_and(|c| c.is_nan() || c <= 0.0) {
+            Err("non-positive gradient clip")
+        } else {
+            Ok(())
+        }
     }
 }
 
@@ -62,37 +72,16 @@ impl capes_persist::Persist for TrainerConfig {
     }
 
     fn decode(r: &mut capes_persist::Reader<'_>) -> Result<Self, capes_persist::PersistError> {
-        let discount_rate = r.get_f64()?;
-        let learning_rate = r.get_f64()?;
-        let target_update_rate = r.get_f64()?;
-        let gradient_clip = Option::<f64>::decode(r)?;
-        // `validate`'s panics as typed errors (NaN fails every range check).
-        if !(0.0..1.0).contains(&discount_rate) {
-            return Err(capes_persist::PersistError::BadValue {
-                what: "discount rate outside [0, 1)",
-            });
-        }
-        if learning_rate.is_nan() || learning_rate <= 0.0 {
-            return Err(capes_persist::PersistError::BadValue {
-                what: "non-positive learning rate",
-            });
-        }
-        if !(0.0..=1.0).contains(&target_update_rate) {
-            return Err(capes_persist::PersistError::BadValue {
-                what: "target update rate outside [0, 1]",
-            });
-        }
-        if gradient_clip.is_some_and(|c| c.is_nan() || c <= 0.0) {
-            return Err(capes_persist::PersistError::BadValue {
-                what: "non-positive gradient clip",
-            });
-        }
-        Ok(TrainerConfig {
-            discount_rate,
-            learning_rate,
-            target_update_rate,
-            gradient_clip,
-        })
+        let config = TrainerConfig {
+            discount_rate: r.get_f64()?,
+            learning_rate: r.get_f64()?,
+            target_update_rate: r.get_f64()?,
+            gradient_clip: Option::<f64>::decode(r)?,
+        };
+        config
+            .check()
+            .map_err(|what| capes_persist::PersistError::BadValue { what })?;
+        Ok(config)
     }
 }
 
@@ -518,6 +507,21 @@ mod tests {
         trainer.train_step_batch(&small);
         assert_eq!(trainer.steps(), 3);
         assert!(trainer.online().mlp().is_finite());
+    }
+
+    #[test]
+    fn infinite_learning_rate_does_not_decode() {
+        use capes_persist::{Persist, PersistError, Reader, Writer};
+        let mut w = Writer::new();
+        TrainerConfig {
+            learning_rate: f64::INFINITY,
+            ..Default::default()
+        }
+        .encode(&mut w);
+        assert!(matches!(
+            TrainerConfig::decode(&mut Reader::new(w.as_slice())),
+            Err(PersistError::BadValue { .. })
+        ));
     }
 
     #[test]

@@ -6,27 +6,27 @@
 //! replay shard. What the members do *not* own is a decision maker: per fleet
 //! tick the daemon
 //!
-//! 1. runs every cluster's measurement stage
-//!    ([`CapesSystem::begin_tick`]) and gathers the observation vectors into
-//!    one matrix per *profile* (clusters sharing an observation geometry),
+//! 1. runs every cluster's measurement stage on either transport
+//!    ([`CapesSystem::measure_tick`], then — on the socket transport — the
+//!    uplink of the monitoring traffic and its ingest, then
+//!    [`CapesSystem::complete_measurement`]) and gathers the observation
+//!    vectors into one matrix per *profile* (clusters sharing an
+//!    observation geometry),
 //! 2. runs **one batched forward pass** per profile through that profile's
 //!    shared [`DqnAgent`] ([`DqnAgent::decide_batch`]) — the 1-row
 //!    [`DqnAgent::decide`] widened into an N-row GEMM riding the pooled
 //!    kernels,
-//! 3. builds one action message per cluster from its decision and moves it
-//!    through the fleet's transport: as a cluster-enveloped frame
-//!    ([`encode_cluster_frame`]/[`decode_cluster_frame`]) on the wire
-//!    transport, and over the cluster's loopback connection on the socket
-//!    transport. Every cluster then hands its message to
-//!    [`CapesSystem::apply_action`] — Action Checker and Replay DB record
-//!    in the cluster's Interface Daemon, then its Control Agent, then the
-//!    knob — and
+//! 3. builds one action message per cluster from its decision (on the socket
+//!    transport it travels over the cluster's loopback connection and back)
+//!    and hands it to [`CapesSystem::apply_action`] — Action Checker and
+//!    Replay DB record in the cluster's Interface Daemon, then its Control
+//!    Agent, then the knob — and
 //! 4. once every cluster has applied its action, round-robins training
 //!    across the clusters: each training tick trains one cluster's profile
-//!    agent, sampling that cluster's arena stripe — or, with experience
-//!    sharing enabled for the profile
-//!    ([`crate::report::ExperienceSharing`]), a weighted set of the profile's
-//!    stripes.
+//!    agent on the stripe weights of the profile's experience-sharing mode
+//!    ([`crate::report::ExperienceSharing`]): that cluster's own arena
+//!    stripe when sharing is disabled, a weighted set of the profile's
+//!    stripes otherwise.
 //!
 //! Measuring, applying and finishing touch one cluster each, so they run
 //! cluster-parallel on the fleet pool:
@@ -58,8 +58,8 @@ use capes::{
     step_params, Capes, CapesError, CapesSystem, Hyperparameters, NullEngine, PhaseKind,
     ProposedAction, SessionResult, SimulatedLustre, TickMeasurement, Transport,
 };
-use capes_agents::wire::{decode_cluster_frame, encode_cluster_frame, encode_message};
-use capes_agents::{ActionMessage, Message};
+use capes_agents::wire::encode_message;
+use capes_agents::ActionMessage;
 use capes_drl::{ActionDecision, DqnAgent};
 use capes_persist::{Persist, PersistError, RecordLogWriter, SnapshotSlot};
 use capes_replay::ReplayArena;
@@ -173,8 +173,9 @@ impl FleetBuilder {
     }
 
     /// Sets the transport (default: [`Transport::Wire`] — monitoring reports
-    /// travel as binary frames and actions as cluster-multiplexed fleet
-    /// frames, the deployment shape of the paper scaled out).
+    /// travel as binary frames into each member's Interface Daemon; with
+    /// [`Transport::Socket`] they, and the actions, also cross real loopback
+    /// TCP connections).
     #[must_use]
     pub fn transport(mut self, transport: Transport) -> Self {
         self.transport = transport;
@@ -362,6 +363,14 @@ struct ClusterSession {
     action: Option<ActionMessage>,
 }
 
+/// Fleet-wide sum of the member daemons' rejected monitoring reports.
+fn reports_rejected(sessions: &[ClusterSession]) -> u64 {
+    sessions
+        .iter()
+        .map(|s| s.system.daemon_stats().reports_rejected)
+        .sum()
+}
+
 /// A group of clusters sharing one observation geometry and therefore one
 /// DQN: their observations stack into `batch` and one
 /// [`DqnAgent::decide_batch`] call decides for all of them.
@@ -528,7 +537,7 @@ pub struct FleetDaemon {
     arena: ReplayArena,
     /// Experience-sharing mode per profile (default: disabled).
     profile_sharing: Vec<ExperienceSharing>,
-    /// Persistent stripe-weight buffer for shared training draws.
+    /// Persistent stripe-weight buffer for the training draws.
     weights_buf: Vec<f64>,
     /// The fleet worker pool sharding member clusters across threads.
     sched: FleetPool,
@@ -730,18 +739,7 @@ impl FleetDaemon {
         w.put_u64(self.tick);
         w.put_usize(self.train_cursor);
         w.put_u64(self.cluster_ticks);
-        w.put_usize(self.profile_sharing.len());
-        for mode in &self.profile_sharing {
-            match *mode {
-                ExperienceSharing::Disabled => w.put_u8(0),
-                ExperienceSharing::Uniform => w.put_u8(1),
-                ExperienceSharing::SelfBiased { own, peers } => {
-                    w.put_u8(2);
-                    w.put_f64(own);
-                    w.put_f64(peers);
-                }
-            }
-        }
+        self.profile_sharing.encode(&mut w);
         w.put_usize(self.profiles.len());
         for profile in &self.profiles {
             w.put_usize(profile.observation_size);
@@ -823,32 +821,17 @@ impl FleetDaemon {
         let tick = r.get_u64()?;
         let train_cursor = r.get_usize()?;
         let cluster_ticks = r.get_u64()?;
-        let sharing_len = r.get_count(1)?;
-        if sharing_len != self.profiles.len() {
+        let sharing = Vec::<ExperienceSharing>::decode(&mut r)?;
+        if sharing.len() != self.profiles.len() {
             return Err(checkpoint_mismatch(format!(
-                "snapshot holds sharing modes for {sharing_len} profiles, this fleet has {}",
+                "snapshot holds sharing modes for {} profiles, this fleet has {}",
+                sharing.len(),
                 self.profiles.len()
             )));
         }
-        let mut sharing = Vec::with_capacity(sharing_len);
-        for profile in &self.profiles {
-            let mode = match r.get_u8()? {
-                0 => ExperienceSharing::Disabled,
-                1 => ExperienceSharing::Uniform,
-                2 => ExperienceSharing::SelfBiased {
-                    own: r.get_f64()?,
-                    peers: r.get_f64()?,
-                },
-                _ => {
-                    return Err(PersistError::BadValue {
-                        what: "invalid experience-sharing tag",
-                    }
-                    .into())
-                }
-            };
+        for (mode, profile) in sharing.iter().zip(&self.profiles) {
             mode.validate(profile.stripe_members.len())
                 .map_err(|what| PersistError::BadValue { what })?;
-            sharing.push(mode);
         }
         let num_profiles = r.get_count(1)?;
         if num_profiles != self.profiles.len() {
@@ -1063,18 +1046,20 @@ impl FleetDaemon {
         //    profile batches. Clusters are independent here, so the work
         //    shards across the fleet pool: each chunk owns a contiguous
         //    cluster range and writes only those clusters' state.
+        // 1a. Step every target cluster-parallel. On the wire transport the
+        //     reports are already stored; on the socket transport they wait
+        //     in each member's outbox and the measurement stays incomplete
+        //     (no observation) until the traffic lands back in the daemon.
+        sched.run_mut(sessions, 1, 1, |_, chunk| {
+            for session in chunk {
+                session.measurement = Some(session.system.measure_tick());
+            }
+        });
         if let Some(front) = socket.as_mut() {
-            // 1a. Step every target cluster-parallel, then transmit each
-            //     cluster's monitoring traffic on its loopback connection in
-            //     cluster order: one write per member per tick (the front
-            //     end's batch buffer is shared, so the uplink stays on this
-            //     thread). The measurement stays incomplete (no observation)
-            //     until the traffic lands back in the daemon.
-            sched.run_mut(sessions, 1, 1, |_, chunk| {
-                for session in chunk {
-                    session.measurement = Some(session.system.measure_tick());
-                }
-            });
+            // 1b. Transmit each cluster's monitoring traffic on its loopback
+            //     connection in cluster order: one write per member per tick
+            //     (the front end's batch buffer is shared, so the uplink
+            //     stays on this thread).
             for (i, session) in sessions.iter_mut().enumerate() {
                 session
                     .system
@@ -1084,7 +1069,7 @@ impl FleetDaemon {
                     panic!("socket uplink for cluster {i} failed: {e}");
                 }
             }
-            // 1b. Drain exactly one tick's worth of decoded messages from the
+            // 1c. Drain exactly one tick's worth of decoded messages from the
             //     server and ingest them in arrival order. The recorder taps
             //     the stream here, before ingest, so a replayed log walks the
             //     exact same path.
@@ -1109,22 +1094,16 @@ impl FleetDaemon {
                 // silently.
                 *recorder = None;
             }
-            // 1c. Commit snapshots and assemble observations,
-            //     cluster-parallel again.
-            sched.run_mut(sessions, 1, 1, |_, chunk| {
-                for session in chunk {
-                    // capes-check: allow(boundary-panic) -- phase 1a measured every cluster this tick.
-                    let measurement = session.measurement.as_mut().expect("measured above");
-                    session.system.complete_measurement(kind, measurement);
-                }
-            });
-        } else {
-            sched.run_mut(sessions, 1, 1, |_, chunk| {
-                for session in chunk {
-                    session.measurement = Some(session.system.begin_tick(kind));
-                }
-            });
         }
+        // 1d. Commit snapshots and assemble observations, cluster-parallel
+        //     again.
+        sched.run_mut(sessions, 1, 1, |_, chunk| {
+            for session in chunk {
+                // capes-check: allow(boundary-panic) -- phase 1a measured every cluster this tick.
+                let measurement = session.measurement.as_mut().expect("measured above");
+                session.system.complete_measurement(kind, measurement);
+            }
+        });
         if kind != PhaseKind::Baseline {
             for session in sessions.iter() {
                 // capes-check: allow(boundary-panic) -- the measure phase above measured every cluster this tick.
@@ -1175,10 +1154,9 @@ impl FleetDaemon {
             let scatter_started = Instant::now();
 
             // 3. Scatter: map each decision onto absolute parameter values in
-            //    one action message per cluster and move the messages through
-            //    the transport — as cluster-enveloped frames in wire mode,
-            //    over the loopback connections in socket mode. This stays on
-            //    this thread (the socket buffers are shared).
+            //    one action message per cluster; on the socket transport the
+            //    messages cross the loopback connections. This stays on this
+            //    thread (the socket buffers are shared).
             for session in sessions.iter_mut() {
                 // In bounds: `session.profile`/`session.row` are assigned
                 // from `profiles` positions at build time.
@@ -1196,33 +1174,17 @@ impl FleetDaemon {
                     ),
                 });
             }
-            match socket.as_mut() {
-                Some(front) => {
-                    // Queue every cluster's action on the server-side
-                    // downlink first (one reactor wake for the whole
-                    // fan-out), then read them back — the reactor flushes
-                    // all connections concurrently.
-                    front.send_actions(sessions.iter_mut().enumerate().map(|(i, session)| {
-                        // capes-check: allow(boundary-panic) -- the loop above built one action per cluster.
-                        (i, session.action.take().expect("built above"))
-                    }));
-                    for (i, session) in sessions.iter_mut().enumerate() {
-                        session.action = Some(front.recv_action(i));
-                    }
-                }
-                None => {
-                    for (i, session) in sessions.iter_mut().enumerate() {
-                        // capes-check: allow(boundary-panic) -- the loop above built one action per cluster.
-                        let action = session.action.take().expect("every cluster has an action");
-                        let frame = encode_cluster_frame(i as u32, &Message::Action(action));
-                        session.action = match decode_cluster_frame(&frame) {
-                            Ok((cluster, Message::Action(action))) if cluster as usize == i => {
-                                Some(action)
-                            }
-                            // capes-check: allow(boundary-panic) -- the frame was encoded by this daemon one line above.
-                            other => panic!("cluster {i}'s action frame decoded as {other:?}"),
-                        };
-                    }
+            if let Some(front) = socket.as_mut() {
+                // Queue every cluster's action on the server-side downlink
+                // first (one reactor wake for the whole fan-out), then read
+                // them back — the reactor flushes all connections
+                // concurrently.
+                front.send_actions(sessions.iter_mut().enumerate().map(|(i, session)| {
+                    // capes-check: allow(boundary-panic) -- the loop above built one action per cluster.
+                    (i, session.action.take().expect("built above"))
+                }));
+                for (i, session) in sessions.iter_mut().enumerate() {
+                    session.action = Some(front.recv_action(i));
                 }
             }
 
@@ -1231,7 +1193,7 @@ impl FleetDaemon {
             let decided = &*profiles;
             sched.run_mut(sessions, 1, 1, |_, chunk| {
                 for session in chunk {
-                    // capes-check: allow(boundary-panic) -- every transport arm above delivers one action per cluster.
+                    // capes-check: allow(boundary-panic) -- the scatter above leaves one action per cluster.
                     let action = session.action.take().expect("delivered above");
                     // In bounds: `session.profile`/`session.row` are assigned
                     // from `profiles` positions at build time.
@@ -1256,42 +1218,15 @@ impl FleetDaemon {
                 let shard = *train_cursor % num_clusters;
                 *train_cursor += 1;
                 // In bounds: `shard < num_clusters == sessions.len()`.
-                let session = &sessions[shard];
-                // In bounds: `session.profile` indexes both `profiles` and
-                // the parallel `profile_sharing` table (assigned at build).
-                let profile = &mut profiles[session.profile];
-                let mode = profile_sharing[session.profile]; // In bounds: parallel table.
-                let shared_weights = match mode {
-                    ExperienceSharing::Disabled => None,
-                    ExperienceSharing::Uniform => {
-                        weights_buf.iter_mut().for_each(|w| *w = 0.0);
-                        for &stripe in &profile.stripe_members {
-                            // In bounds: stripes are cluster indices.
-                            weights_buf[stripe] = 1.0;
-                        }
-                        Some(&*weights_buf)
-                    }
-                    ExperienceSharing::SelfBiased { own, peers } => {
-                        weights_buf.iter_mut().for_each(|w| *w = 0.0);
-                        for &stripe in &profile.stripe_members {
-                            // In bounds: stripes are cluster indices.
-                            weights_buf[stripe] = peers;
-                        }
-                        // In bounds: `shard < num_clusters`.
-                        weights_buf[shard] = own;
-                        Some(&*weights_buf)
-                    }
-                };
-                let agent = &mut profile.agent;
-                let db = session.system.replay_db();
+                let index = sessions[shard].profile;
+                // In bounds: `index` indexes both `profiles` and the
+                // parallel `profile_sharing` table (assigned at build).
+                let (profile, mode) = (&mut profiles[index], profile_sharing[index]);
+                let weights = mode.stripe_weights(&profile.stripe_members, shard, weights_buf);
                 let mut sum = 0.0;
                 let mut count = 0usize;
                 for _ in 0..hyperparams.train_steps_per_tick {
-                    let result = match shared_weights {
-                        None => agent.train_from_db(db),
-                        Some(weights) => agent.train_weighted(arena, weights),
-                    };
-                    if let Ok(Some(report)) = result {
+                    if let Ok(Some(report)) = profile.agent.train_weighted(arena, weights) {
                         sum += report.prediction_error;
                         count += 1;
                     }
@@ -1343,12 +1278,7 @@ impl FleetDaemon {
             telemetry.tick_total.record_duration(tick_started.elapsed());
             // Fleet-wide aggregates of the member daemons' ingest health —
             // a handful of relaxed loads per tick.
-            telemetry.reports_rejected.store(
-                sessions
-                    .iter()
-                    .map(|s| s.system.daemon_stats().reports_rejected)
-                    .sum(),
-            );
+            telemetry.reports_rejected.store(reports_rejected(sessions));
             telemetry.implausible_ticks.store(
                 sessions
                     .iter()
@@ -1444,11 +1374,7 @@ impl FleetDaemon {
     /// `enabled` false) on the wire transport; `reports_rejected`
     /// aggregates the member daemons' ingest rejections on every transport.
     pub fn net_report(&self) -> NetReport {
-        let reports_rejected = self
-            .sessions
-            .iter()
-            .map(|s| s.system.daemon_stats().reports_rejected)
-            .sum();
+        let reports_rejected = reports_rejected(&self.sessions);
         let Some(front) = &self.socket else {
             return NetReport {
                 transport: "wire".to_string(),

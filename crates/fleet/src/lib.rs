@@ -15,10 +15,10 @@
 //! amortised across the fleet (an N-row GEMM reuses the Q-network weights
 //! N times, where N sequential decisions stream them from memory N times).
 //!
-//! Actions leave the daemon as cluster-enveloped frames (the
-//! [`encode_cluster_frame`] codec of `capes_agents::wire`): encoded and
-//! decoded in process by the wire transport, sent over loopback by the socket
-//! transport.
+//! On the socket transport actions cross each cluster's loopback connection
+//! as cluster-enveloped frames (the [`encode_cluster_frame`] codec of
+//! `capes_agents::wire`); on the wire transport the daemon hands each action
+//! straight to its cluster, as a standalone system's engine does.
 //!
 //! ```
 //! use capes::{Hyperparameters, Phase};

@@ -1,6 +1,7 @@
 //! Fleet plans and reports.
 
 use capes::{ExperimentReport, Phase};
+use capes_persist::{Persist, PersistError, Reader, Writer};
 use capes_telemetry::TelemetrySnapshot;
 
 /// How the clusters of one profile share experience through the fleet's
@@ -50,6 +51,64 @@ impl ExperienceSharing {
             Err("zero own-weight on a single-member profile")
         } else {
             Ok(())
+        }
+    }
+
+    /// Fills `buf` (one weight per arena stripe) with the training draw's
+    /// stripe weights when cluster `own` of a profile whose member stripes
+    /// are `members` is trained: `Disabled` weights only `own`'s stripe,
+    /// `Uniform` every member stripe alike, `SelfBiased` `own`'s stripe
+    /// `own` and the other members' `peers`. Stripes outside the profile
+    /// weigh 0.
+    pub(crate) fn stripe_weights<'a>(
+        &self,
+        members: &[usize],
+        own: usize,
+        buf: &'a mut [f64],
+    ) -> &'a [f64] {
+        let (own_weight, peer_weight) = match *self {
+            ExperienceSharing::Disabled => (1.0, 0.0),
+            ExperienceSharing::Uniform => (1.0, 1.0),
+            ExperienceSharing::SelfBiased { own, peers } => (own, peers),
+        };
+        buf.fill(0.0);
+        for &stripe in members {
+            // In bounds: member stripes are cluster indices, one per stripe.
+            buf[stripe] = peer_weight;
+        }
+        // In bounds: `own` is one of `members`.
+        buf[own] = own_weight;
+        buf
+    }
+}
+
+/// Snapshot encoding: tag 0 (`Disabled`), 1 (`Uniform`) or 2 (`SelfBiased`,
+/// followed by `own` and then `peers`). Decoding checks only the tag; the
+/// weights are checked against the profile by the fleet's restore.
+impl Persist for ExperienceSharing {
+    fn encode(&self, w: &mut Writer) {
+        match *self {
+            ExperienceSharing::Disabled => w.put_u8(0),
+            ExperienceSharing::Uniform => w.put_u8(1),
+            ExperienceSharing::SelfBiased { own, peers } => {
+                w.put_u8(2);
+                w.put_f64(own);
+                w.put_f64(peers);
+            }
+        }
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
+        match r.get_u8()? {
+            0 => Ok(ExperienceSharing::Disabled),
+            1 => Ok(ExperienceSharing::Uniform),
+            2 => Ok(ExperienceSharing::SelfBiased {
+                own: r.get_f64()?,
+                peers: r.get_f64()?,
+            }),
+            _ => Err(PersistError::BadValue {
+                what: "invalid experience-sharing tag",
+            }),
         }
     }
 }
@@ -537,5 +596,44 @@ mod tests {
         assert_eq!(plan.sharing.len(), 2);
         assert_eq!(plan.sharing[1].profile, 2);
         assert_eq!(ExperienceSharing::default(), ExperienceSharing::Disabled);
+    }
+
+    const BIASED: ExperienceSharing = ExperienceSharing::SelfBiased {
+        own: 3.0,
+        peers: 0.5,
+    };
+
+    #[test]
+    fn stripe_weights_follow_the_sharing_mode() {
+        use ExperienceSharing::{Disabled, Uniform};
+        // A profile of stripes 1, 2 and 4 in a five-stripe arena, training
+        // the cluster on stripe 2; stripes 0 and 3 belong to other profiles.
+        for (mode, expected) in [
+            (Disabled, [0.0, 0.0, 1.0, 0.0, 0.0]),
+            (Uniform, [0.0, 1.0, 1.0, 0.0, 1.0]),
+            (BIASED, [0.0, 0.5, 3.0, 0.0, 0.5]),
+        ] {
+            let mut buf = [9.0; 5];
+            assert_eq!(mode.stripe_weights(&[1, 2, 4], 2, &mut buf), expected);
+        }
+    }
+
+    #[test]
+    fn sharing_modes_persist_as_tagged_weights() {
+        use ExperienceSharing::{Disabled, Uniform};
+        let mut biased = vec![2];
+        biased.extend([3.0f64, 0.5].iter().flat_map(|w| w.to_bits().to_le_bytes()));
+        for (mode, bytes) in [(Disabled, vec![0]), (Uniform, vec![1]), (BIASED, biased)] {
+            let mut w = Writer::new();
+            mode.encode(&mut w);
+            assert_eq!(w.as_slice(), bytes.as_slice(), "{mode:?}");
+            let mut r = Reader::new(&bytes);
+            assert_eq!(ExperienceSharing::decode(&mut r).expect("decodes"), mode);
+            r.finish().expect("consumes every byte");
+        }
+        assert!(matches!(
+            ExperienceSharing::decode(&mut Reader::new(&[3])),
+            Err(PersistError::BadValue { .. })
+        ));
     }
 }

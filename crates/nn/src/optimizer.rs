@@ -51,18 +51,12 @@ impl Adam {
         grad_clip: Option<f64>,
         parameter_shapes: Vec<(usize, usize)>,
     ) -> Self {
-        assert!(learning_rate > 0.0, "learning rate must be positive");
-        assert!((0.0..1.0).contains(&beta1) && (0.0..1.0).contains(&beta2));
-        assert!(epsilon > 0.0);
-        if let Some(c) = grad_clip {
-            assert!(c > 0.0, "gradient clip must be positive");
-        }
         let m: Vec<Matrix> = parameter_shapes
             .iter()
             .map(|&(r, c)| Matrix::zeros(r, c))
             .collect();
         let v = m.clone();
-        Adam {
+        let adam = Adam {
             learning_rate,
             beta1,
             beta2,
@@ -71,6 +65,29 @@ impl Adam {
             t: 0,
             m,
             v,
+        };
+        if let Err(what) = adam.check() {
+            panic!("invalid Adam configuration: {what}");
+        }
+        adam
+    }
+
+    /// The invariants [`Adam::with_config`] asserts and `decode` returns as
+    /// typed errors (NaN fails every one of them).
+    fn check(&self) -> Result<(), &'static str> {
+        let (m, v) = (&self.m, &self.v);
+        if !(self.learning_rate.is_finite() && self.learning_rate > 0.0) {
+            Err("Adam learning rate not finite and positive")
+        } else if !((0.0..1.0).contains(&self.beta1) && (0.0..1.0).contains(&self.beta2)) {
+            Err("Adam beta outside [0, 1)")
+        } else if !(self.epsilon.is_finite() && self.epsilon > 0.0) {
+            Err("Adam epsilon not finite and positive")
+        } else if self.grad_clip.is_some_and(|c| c.is_nan() || c <= 0.0) {
+            Err("Adam gradient clip not positive")
+        } else if m.len() != v.len() || m.iter().zip(v).any(|(a, b)| a.shape() != b.shape()) {
+            Err("Adam moment vectors disagree in shape")
+        } else {
+            Ok(())
         }
     }
 
@@ -107,53 +124,19 @@ impl capes_persist::Persist for Adam {
     }
 
     fn decode(r: &mut capes_persist::Reader<'_>) -> Result<Self, capes_persist::PersistError> {
-        use capes_persist::PersistError::BadValue;
-        let learning_rate = r.get_f64()?;
-        let beta1 = r.get_f64()?;
-        let beta2 = r.get_f64()?;
-        let epsilon = r.get_f64()?;
-        let grad_clip = Option::<f64>::decode(r)?;
-        let t = r.get_u64()?;
-        let m = Vec::<Matrix>::decode(r)?;
-        let v = Vec::<Matrix>::decode(r)?;
-        // `with_config`'s invariants as typed errors.
-        if learning_rate.is_nan() || learning_rate <= 0.0 {
-            return Err(BadValue {
-                what: "Adam learning rate not positive",
-            });
-        }
-        if !((0.0..1.0).contains(&beta1) && (0.0..1.0).contains(&beta2)) {
-            return Err(BadValue {
-                what: "Adam beta outside [0, 1)",
-            });
-        }
-        if epsilon.is_nan() || epsilon <= 0.0 {
-            return Err(BadValue {
-                what: "Adam epsilon not positive",
-            });
-        }
-        if let Some(c) = grad_clip {
-            if c.is_nan() || c <= 0.0 {
-                return Err(BadValue {
-                    what: "Adam gradient clip not positive",
-                });
-            }
-        }
-        if m.len() != v.len() || m.iter().zip(&v).any(|(a, b)| a.shape() != b.shape()) {
-            return Err(BadValue {
-                what: "Adam moment vectors disagree in shape",
-            });
-        }
-        Ok(Adam {
-            learning_rate,
-            beta1,
-            beta2,
-            epsilon,
-            grad_clip,
-            t,
-            m,
-            v,
-        })
+        let adam = Adam {
+            learning_rate: r.get_f64()?,
+            beta1: r.get_f64()?,
+            beta2: r.get_f64()?,
+            epsilon: r.get_f64()?,
+            grad_clip: Option::<f64>::decode(r)?,
+            t: r.get_u64()?,
+            m: Vec::<Matrix>::decode(r)?,
+            v: Vec::<Matrix>::decode(r)?,
+        };
+        adam.check()
+            .map_err(|what| capes_persist::PersistError::BadValue { what })?;
+        Ok(adam)
     }
 }
 
@@ -514,5 +497,26 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_learning_rate_rejected() {
         let _ = Adam::new(0.0, vec![(2, 2)]);
+    }
+
+    #[test]
+    fn infinite_learning_rate_or_epsilon_does_not_decode() {
+        use capes_persist::{Persist, PersistError, Reader, Writer};
+        let mut w = Writer::new();
+        Adam::new(0.01, vec![(2, 2)]).encode(&mut w);
+        let valid = w.as_slice().to_vec();
+        assert!(Adam::decode(&mut Reader::new(&valid)).is_ok());
+        // The learning rate is the first f64 of the encoding, ε the fourth.
+        for offset in [0, 24] {
+            let mut patched = valid.clone();
+            patched[offset..offset + 8].copy_from_slice(&f64::INFINITY.to_le_bytes());
+            assert!(
+                matches!(
+                    Adam::decode(&mut Reader::new(&patched)),
+                    Err(PersistError::BadValue { .. })
+                ),
+                "+∞ at byte {offset} must not decode"
+            );
+        }
     }
 }

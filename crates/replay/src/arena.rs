@@ -42,9 +42,8 @@
 use crate::db::{ReplayConfig, ReplayDb};
 use crate::minibatch::{MinibatchError, ReplayBatch};
 use crate::shared::SharedReplayDb;
-use parking_lot::RwLock;
 use rand::Rng;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Occupancy snapshot of one arena stripe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,17 +66,23 @@ pub struct ReplayArena {
 impl ReplayArena {
     /// Acquires stripe `index`'s read lock, timing the wait under
     /// `arena.lock_wait`. The span guard drops as soon as the lock is held,
-    /// so the histogram sees contention, not hold time.
-    fn read_stripe(&self, index: usize) -> std::sync::RwLockReadGuard<'_, ReplayDb> {
+    /// so the histogram sees contention, not hold time. A poisoned lock is
+    /// recovered, so one panicked writer does not fail every later access
+    /// to its stripe.
+    fn read_stripe(&self, index: usize) -> RwLockReadGuard<'_, ReplayDb> {
         let _span = capes_telemetry::span!("arena.lock_wait");
-        self.stripes[index].read()
+        self.stripes[index]
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Acquires stripe `index`'s write lock; same timing discipline as
     /// [`ReplayArena::read_stripe`].
-    fn write_stripe(&self, index: usize) -> std::sync::RwLockWriteGuard<'_, ReplayDb> {
+    fn write_stripe(&self, index: usize) -> RwLockWriteGuard<'_, ReplayDb> {
         let _span = capes_telemetry::span!("arena.lock_wait");
-        self.stripes[index].write()
+        self.stripes[index]
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Creates an arena with one stripe per configuration (stripe `i` gets

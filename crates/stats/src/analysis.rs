@@ -7,27 +7,13 @@ use crate::changepoint::trim_transients;
 use crate::subsession::subsession_analysis;
 use crate::summary::ConfidenceInterval;
 
-/// Configuration of the analysis pipeline.
-#[derive(Debug, Clone, Copy)]
-pub struct AnalysisConfig {
-    /// Confidence level for the final interval (paper: 0.95).
-    pub confidence: f64,
-    /// Maximum fraction of the series that may be trimmed from each end as a
-    /// warm-up / cool-down transient.
-    pub max_transient_fraction: f64,
-    /// Minimum number of merged samples the subsession analysis must keep.
-    pub min_subsession_samples: usize,
-}
-
-impl Default for AnalysisConfig {
-    fn default() -> Self {
-        AnalysisConfig {
-            confidence: 0.95,
-            max_transient_fraction: 0.25,
-            min_subsession_samples: 8,
-        }
-    }
-}
+/// Confidence level of the final interval (the paper's 95 %).
+const CONFIDENCE: f64 = 0.95;
+/// Maximum fraction of the series that may be trimmed from each end as a
+/// warm-up / cool-down transient.
+const MAX_TRANSIENT_FRACTION: f64 = 0.25;
+/// Minimum number of merged samples the subsession analysis must keep.
+const MIN_SUBSESSION_SAMPLES: usize = 8;
 
 /// Result of running the full analysis pipeline over one measurement series.
 #[derive(Debug, Clone)]
@@ -65,14 +51,10 @@ impl AnalysisReport {
 }
 
 /// Runs the full Appendix-B pipeline over a series of per-second measurements.
-pub fn analyze(samples: &[f64], config: &AnalysisConfig) -> AnalysisReport {
-    let trim = trim_transients(samples, config.max_transient_fraction);
+pub fn analyze(samples: &[f64]) -> AnalysisReport {
+    let trim = trim_transients(samples, MAX_TRANSIENT_FRACTION);
     let raw_r1 = autocorrelation(&trim.steady_state, 1);
-    let sub = subsession_analysis(
-        &trim.steady_state,
-        config.confidence,
-        config.min_subsession_samples,
-    );
+    let sub = subsession_analysis(&trim.steady_state, CONFIDENCE, MIN_SUBSESSION_SAMPLES);
     AnalysisReport {
         interval: sub.interval,
         raw_autocorrelation: raw_r1,
@@ -97,7 +79,7 @@ mod tests {
         let mut xs: Vec<f64> = (0..120).map(|i| i as f64 * 3.0).collect();
         xs.extend((0..2000).map(|_| 400.0 + rng.gen_range(-20.0..20.0)));
         xs.extend((0..120).map(|i| 360.0 - i as f64 * 3.0));
-        let report = analyze(&xs, &AnalysisConfig::default());
+        let report = analyze(&xs);
         assert!((report.interval.mean - 400.0).abs() < 10.0);
         assert!(report.warmup_removed > 0);
         assert!(report.cooldown_removed > 0);
@@ -117,17 +99,9 @@ mod tests {
         let independent: Vec<f64> = (0..4096)
             .map(|_| 300.0 + rng.gen_range(-10.0..10.0))
             .collect();
-        let cfg = AnalysisConfig::default();
-        let corr_report = analyze(&correlated, &cfg);
-        let indep_report = analyze(&independent, &cfg);
+        let corr_report = analyze(&correlated);
+        let indep_report = analyze(&independent);
         assert!(corr_report.merge_factor > indep_report.merge_factor);
         assert!(corr_report.interval.half_width > indep_report.interval.half_width);
-    }
-
-    #[test]
-    fn default_config_matches_paper() {
-        let cfg = AnalysisConfig::default();
-        assert_eq!(cfg.confidence, 0.95);
-        assert!(cfg.min_subsession_samples >= 2);
     }
 }

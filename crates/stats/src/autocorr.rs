@@ -25,13 +25,6 @@ pub fn autocorrelation(samples: &[f64], lag: usize) -> f64 {
     num / denom
 }
 
-/// `true` if the lag-1 autocorrelation of `samples` is within the paper's
-/// ±0.1 threshold, i.e. the samples may be treated as i.i.d. for the purpose
-/// of computing a student-t confidence interval.
-pub fn is_iid(samples: &[f64]) -> bool {
-    autocorrelation(samples, 1).abs() <= IID_AUTOCORRELATION_THRESHOLD
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -43,7 +36,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let xs: Vec<f64> = (0..5000).map(|_| rng.gen_range(-1.0..1.0)).collect();
         assert!(autocorrelation(&xs, 1).abs() < 0.05);
-        assert!(is_iid(&xs));
+        assert!(autocorrelation(&xs, 1).abs() <= IID_AUTOCORRELATION_THRESHOLD);
     }
 
     #[test]
@@ -57,7 +50,7 @@ mod tests {
         }
         let r1 = autocorrelation(&xs, 1);
         assert!(r1 > 0.8, "expected high lag-1 autocorrelation, got {r1}");
-        assert!(!is_iid(&xs));
+        assert!(r1.abs() > IID_AUTOCORRELATION_THRESHOLD);
     }
 
     #[test]
@@ -81,7 +74,6 @@ mod tests {
         assert_eq!(autocorrelation(&[1.0, 2.0], 5), 0.0);
         // Constant series has zero variance → defined as uncorrelated.
         assert_eq!(autocorrelation(&[3.0; 100], 1), 0.0);
-        assert!(is_iid(&[3.0; 100]));
     }
 
     #[test]

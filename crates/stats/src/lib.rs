@@ -27,8 +27,8 @@ pub mod ewma;
 pub mod subsession;
 pub mod summary;
 
-pub use analysis::{analyze, AnalysisConfig, AnalysisReport};
-pub use autocorr::{autocorrelation, is_iid};
+pub use analysis::{analyze, AnalysisReport};
+pub use autocorr::autocorrelation;
 pub use changepoint::{trim_transients, TransientTrim};
 pub use ewma::Ewma;
 pub use subsession::{subsession_analysis, SubsessionResult};
