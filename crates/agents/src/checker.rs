@@ -6,8 +6,6 @@
 //! operator encodes what the system "should never do" and the checker shields
 //! those actions regardless of what the DNN suggests.
 
-use std::fmt;
-
 /// Result of checking one proposed parameter vector.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CheckOutcome {
@@ -18,13 +16,6 @@ pub enum CheckOutcome {
     /// The action was allowed after clamping one or more values into range;
     /// the payload is the adjusted parameter vector.
     Clamped(Vec<f64>),
-}
-
-impl CheckOutcome {
-    /// `true` unless the outcome is a rejection.
-    pub fn is_allowed(&self) -> bool {
-        !matches!(self, CheckOutcome::Rejected(_))
-    }
 }
 
 /// A per-parameter bound enforced by the checker.
@@ -38,26 +29,12 @@ pub struct ParamBound {
     pub max: f64,
 }
 
-/// A custom veto rule: returns `Some(reason)` to reject a parameter vector.
-pub type VetoRule = Box<dyn Fn(&[f64]) -> Option<String> + Send + Sync>;
-
 /// The Action Checker.
+#[derive(Debug)]
 pub struct ActionChecker {
     bounds: Vec<ParamBound>,
-    /// Custom veto rules: each returns `Some(reason)` to reject a vector.
-    vetoes: Vec<VetoRule>,
     /// If `true`, out-of-range values are clamped instead of rejected.
     clamp_instead_of_reject: bool,
-}
-
-impl fmt::Debug for ActionChecker {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ActionChecker")
-            .field("bounds", &self.bounds)
-            .field("vetoes", &self.vetoes.len())
-            .field("clamp_instead_of_reject", &self.clamp_instead_of_reject)
-            .finish()
-    }
 }
 
 impl ActionChecker {
@@ -68,35 +45,17 @@ impl ActionChecker {
         }
         ActionChecker {
             bounds,
-            vetoes: Vec::new(),
             clamp_instead_of_reject,
         }
     }
 
     /// A checker that allows everything (the paper's evaluation configuration).
     pub fn permissive() -> Self {
-        ActionChecker {
-            bounds: Vec::new(),
-            vetoes: Vec::new(),
-            clamp_instead_of_reject: false,
-        }
-    }
-
-    /// Adds a custom veto rule; the closure returns `Some(reason)` to reject.
-    pub fn add_veto<F>(&mut self, rule: F)
-    where
-        F: Fn(&[f64]) -> Option<String> + Send + Sync + 'static,
-    {
-        self.vetoes.push(Box::new(rule));
+        ActionChecker::new(Vec::new(), false)
     }
 
     /// Checks a proposed parameter vector.
     pub fn check(&self, proposed: &[f64]) -> CheckOutcome {
-        for veto in &self.vetoes {
-            if let Some(reason) = veto(proposed) {
-                return CheckOutcome::Rejected(reason);
-            }
-        }
         if self.bounds.is_empty() {
             return CheckOutcome::Allowed;
         }
@@ -162,7 +121,6 @@ mod tests {
         let checker = ActionChecker::new(lustre_bounds(), false);
         let outcome = checker.check(&[16.0, 500.0]);
         assert_eq!(outcome, CheckOutcome::Allowed);
-        assert!(outcome.is_allowed());
     }
 
     #[test]
@@ -191,23 +149,7 @@ mod tests {
     #[test]
     fn wrong_arity_rejected() {
         let checker = ActionChecker::new(lustre_bounds(), true);
-        assert!(!checker.check(&[16.0]).is_allowed());
-    }
-
-    #[test]
-    fn custom_veto_rules_run_first() {
-        let mut checker = ActionChecker::new(lustre_bounds(), true);
-        // Example of the paper's "never set the CPU clock rate to 0" class of
-        // rule: forbid simultaneously minimal window and minimal rate.
-        checker.add_veto(|p| {
-            if p[0] <= 8.0 && p[1] <= 50.0 {
-                Some("window and rate limit cannot both be at their minimum".into())
-            } else {
-                None
-            }
-        });
-        assert!(checker.check(&[16.0, 100.0]).is_allowed());
-        assert!(!checker.check(&[8.0, 50.0]).is_allowed());
+        assert!(matches!(checker.check(&[16.0]), CheckOutcome::Rejected(_)));
     }
 
     #[test]

@@ -698,7 +698,9 @@ mod tests {
         original.encode_state(&mut w);
         let bytes = w.into_vec();
         let mut r = Reader::new(&bytes);
-        let shared_b = SharedReplayDb::from_db(capes_replay::ReplayDb::decode(&mut r).unwrap());
+        let shared_b =
+            capes_replay::ReplayArena::from_dbs([capes_replay::ReplayDb::decode(&mut r).unwrap()])
+                .stripe(0);
         let mut restored = InterfaceDaemon::new(shared_b.clone(), 2, ActionChecker::permissive());
         restored.decode_state(&mut r).unwrap();
         r.finish().unwrap();

@@ -21,7 +21,7 @@ pub struct PiReport {
 }
 
 /// An action broadcast from the Interface Daemon to the Control Agents.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ActionMessage {
     /// Action tick the decision belongs to.
     pub tick: u64,

@@ -77,7 +77,7 @@ pub struct SystemTick {
 /// External drivers (the fleet daemon) run many systems' measurement stages
 /// first, decide for all of them in one batched forward pass, and only then
 /// apply actions and finish the ticks.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TickMeasurement {
     /// The tick this measurement belongs to.
     pub tick: u64,

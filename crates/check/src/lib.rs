@@ -66,6 +66,9 @@ pub fn run(root: &Path, config: &Config) -> io::Result<Report> {
         let src = fs::read_to_string(root.join(rel))?;
         findings.extend(rules::unread_env_knobs(rel, &src, &env_reads));
     }
+    findings.extend(rules::stale_manifest_entries(config, &files, |rel| {
+        fs::read_to_string(root.join(rel))
+    })?);
     findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     Ok(Report {
         findings,

@@ -3,8 +3,10 @@
 //! | rule id           | invariant                                                        |
 //! |-------------------|------------------------------------------------------------------|
 //! | `safety-comment`  | every `unsafe` block/fn/impl has a `// SAFETY:` comment above it |
-//! | `hot-path-alloc`  | no allocating calls in modules/fns declared hot in `check.toml`  |
-//! | `boundary-panic`  | no unwrap/expect/panic!/bare indexing in hardened boundary code  |
+//! | `hot-path-alloc`  | no allocating calls in modules/fns declared hot in `check.toml`, |
+//! |                   | and every declared file and fn exists                            |
+//! | `boundary-panic`  | no unwrap/expect/panic!/bare indexing in hardened boundary code, |
+//! |                   | and every `[boundary]` entry matches a linted file               |
 //! | `env-registry`    | every `CAPES_*` literal appears in the env knob registry, and    |
 //! |                   | every registry literal appears in some non-test file             |
 //! | `metric-registry` | every metric/span name literal appears in the name registry      |
@@ -33,7 +35,7 @@ pub const RULE_IDS: &[&str] = &[
 pub struct Finding {
     /// Workspace-relative path, `/`-separated.
     pub file: String,
-    /// 1-based line.
+    /// 1-based line (0 for an entry of `check.toml`).
     pub line: u32,
     pub rule: &'static str,
     pub message: String,
@@ -154,6 +156,48 @@ pub fn unread_env_knobs(rel_path: &str, src: &str, env_reads: &HashSet<String>) 
         .collect();
     apply_suppressions(&mut findings, &suppressions);
     findings
+}
+
+/// The other direction of rules `boundary-panic` and `hot-path-alloc`, which
+/// lint only what `check.toml` names: a `[boundary]` entry matching none of
+/// the linted `files`, a `[[hot_path]]` file that is not one of them, or a
+/// `fns` name its file declares no `fn` for, would silently lint nothing.
+/// Findings are reported against `check.toml`, at line 0.
+pub(crate) fn stale_manifest_entries(
+    config: &Config,
+    files: &[String],
+    source: impl Fn(&str) -> std::io::Result<String>,
+) -> std::io::Result<Vec<Finding>> {
+    let stale = |rule, message| Finding {
+        file: "check.toml".to_string(),
+        line: 0,
+        rule,
+        message,
+    };
+    let mut findings: Vec<Finding> = config
+        .boundary
+        .iter()
+        .filter(|entry| !files.iter().any(|f| path_matches(f, entry)))
+        .map(|entry| {
+            let message = format!("boundary entry `{entry}` matches no linted file");
+            stale("boundary-panic", message)
+        })
+        .collect();
+    for hot in &config.hot_paths {
+        if !files.contains(&hot.file) {
+            let message = format!("hot path `{}` is not a linted file", hot.file);
+            findings.push(stale("hot-path-alloc", message));
+            continue;
+        }
+        let lexed = lex(&source(&hot.file)?);
+        for name in &hot.fns {
+            if fn_body_regions(&lexed, std::slice::from_ref(name)).is_empty() {
+                let message = format!("hot path `{}` has no `fn {name}`", hot.file);
+                findings.push(stale("hot-path-alloc", message));
+            }
+        }
+    }
+    Ok(findings)
 }
 
 /// Drops the findings an inline suppression waives and sorts the rest by
@@ -819,6 +863,41 @@ mod tests {
         let commented = "fn f(v: &[u8]) -> u8 { v[0] } // len checked by caller";
         let ok = lint_with(commented, &config, &Registries::default());
         assert!(ok.is_empty(), "{ok:?}");
+    }
+
+    #[test]
+    fn a_manifest_entry_naming_no_file_is_one_finding() {
+        let files = ["crates/x/src/lib.rs".to_string()];
+        let mut boundary = bare_config();
+        boundary.boundary.push("crates/x/src/gone.rs".to_string());
+        let mut hot = bare_config();
+        hot.hot_paths.push(crate::config::HotPath {
+            file: "crates/x/src/gone.rs".to_string(),
+            fns: Vec::new(),
+        });
+        for (config, rule) in [(boundary, "boundary-panic"), (hot, "hot-path-alloc")] {
+            let findings = stale_manifest_entries(&config, &files, |_| Ok(String::new())).unwrap();
+            assert_eq!(findings.len(), 1, "{findings:?}");
+            assert_eq!(
+                (findings[0].file.as_str(), findings[0].rule),
+                ("check.toml", rule)
+            );
+        }
+    }
+
+    #[test]
+    fn a_hot_path_fn_naming_no_function_is_one_finding() {
+        let mut config = bare_config();
+        config.hot_paths.push(crate::config::HotPath {
+            file: "crates/x/src/lib.rs".to_string(),
+            fns: vec!["hot".to_string(), "gone".to_string()],
+        });
+        let files = ["crates/x/src/lib.rs".to_string()];
+        let source = |_: &str| Ok("fn hot() {}".to_string());
+        let findings = stale_manifest_entries(&config, &files, source).unwrap();
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].rule, "hot-path-alloc");
+        assert!(findings[0].message.contains("fn gone"), "{findings:?}");
     }
 
     #[test]

@@ -1,0 +1,269 @@
+//! Durability: [`FleetDaemon::checkpoint`], [`FleetDaemon::restore`] and
+//! automatic checkpointing.
+
+use super::{FleetDaemon, FleetError};
+use crate::report::ExperienceSharing;
+use capes::CapesError;
+use capes_drl::DqnAgent;
+use capes_persist::{Persist, PersistError, SnapshotSlot};
+use capes_replay::ReplayArena;
+use std::path::{Path, PathBuf};
+
+fn checkpoint_mismatch(reason: impl Into<String>) -> FleetError {
+    FleetError::Capes(CapesError::CheckpointMismatch {
+        reason: reason.into(),
+    })
+}
+
+impl FleetDaemon {
+    /// Serializes the complete mid-experiment state of the fleet into a
+    /// crash-safe snapshot file: transport, tick counters, per-profile
+    /// experience sharing and DQN agents (weights, Adam state, ε-schedule
+    /// RNG), the whole replay arena, and every member system's state
+    /// (simulated cluster RNGs, monitors, interface daemon, control-agent
+    /// caches, tick bookkeeping). [`FleetDaemon::restore`] of the file into an
+    /// identically-built fleet resumes bit-identically: the same future
+    /// reports and the same final weights as the uninterrupted run.
+    ///
+    /// The write is atomic (temp file + fsync + rename), so a crash leaves
+    /// the previous snapshot intact, and `Ok` means the new one is durable
+    /// under `path`. The daemon keeps a [`SnapshotSlot`] for the path it
+    /// last checkpointed to: from the second checkpoint to the same path
+    /// on, the previous generation's file stays beside it as `<path>.tmp`
+    /// and the next checkpoint overwrites it in place, which spares the
+    /// filesystem a fresh file and the rename the eviction of a whole
+    /// snapshot. Checkpointing to another path, or dropping the daemon,
+    /// removes that spare. Durability counters themselves are not in the
+    /// payload — a restored fleet's future snapshots stay byte-identical
+    /// to the original's.
+    pub fn checkpoint(&mut self, path: &Path) -> Result<(), FleetError> {
+        // Five disjoint pieces of `persist.checkpoint.total`: `.encode`,
+        // `.crc`, `.write`, `.fsync` and `.dirsync`. Encoding, checksumming
+        // and writing interleave chunk by chunk as the snapshot streams into
+        // its temporary file, so the writer accumulates them and reports
+        // the sums (`capes-persist` is dependency-free and cannot record
+        // them itself).
+        // A slot for another path is dropped first, outside the span: that
+        // removes its spare, and the kernel evicts and frees a whole
+        // snapshot, which none of the five pieces would account for.
+        if self
+            .snapshot_slot
+            .as_ref()
+            .is_some_and(|slot| slot.path() != path)
+        {
+            self.snapshot_slot = None;
+        }
+        let _total = capes_telemetry::span!("persist.checkpoint.total");
+        let transport = self.transport();
+        let slot = self
+            .snapshot_slot
+            .get_or_insert_with(|| SnapshotSlot::new(path));
+        let mut w = slot.writer()?;
+        w.put_u8(transport.tag());
+        w.put_u64(self.tick);
+        w.put_usize(self.train_cursor);
+        w.put_u64(self.cluster_ticks);
+        self.profile_sharing.encode(&mut w);
+        w.put_usize(self.profiles.len());
+        for profile in &self.profiles {
+            w.put_usize(profile.observation_size);
+            w.put_usize(profile.num_params);
+            profile.stripe_members.encode(&mut w);
+            profile.agent.encode(&mut w);
+        }
+        self.arena.encode(&mut w);
+        w.put_usize(self.sessions.len());
+        for session in &self.sessions {
+            w.put_str(&session.name);
+            session.series.encode(&mut w);
+            w.put_usize(session.errors_before);
+            // Each member system's state rides as one length-prefixed blob,
+            // so restore can collect and validate all of them before
+            // touching any session. An open blob is held whole in the
+            // writer's buffer; members run a `NullEngine` (their agents are
+            // the profiles' above), so theirs stay far below the window.
+            w.put_blob(|w| session.system.encode_state(w));
+        }
+        let stats = w.finish()?;
+        self.telemetry.record_checkpoint(&stats);
+        self.persist.checkpoints_written.inc();
+        Ok(())
+    }
+
+    /// Restores a [`FleetDaemon::checkpoint`] snapshot into this fleet.
+    ///
+    /// The fleet must have been built with the same plan the snapshot was
+    /// taken under: same transport, same scenarios (names and geometry in
+    /// order), same replay configuration. Everything is decoded and
+    /// validated *before* any state is overwritten, so configuration skew —
+    /// wrong cluster count, wrong observation width, mismatched replay
+    /// capacity — is a typed error that leaves the fleet untouched:
+    /// [`CapesError::CheckpointMismatch`] for geometry disagreements,
+    /// [`CapesError::ReplayConfigMismatch`] for arena-stripe disagreements,
+    /// [`FleetError::Persist`] for corrupt or truncated files.
+    ///
+    /// One caveat: the per-session apply step runs after global validation,
+    /// so a deliberately crafted payload that passes its CRC and every
+    /// geometry check yet still fails mid-session leaves the daemon
+    /// part-restored. Such a daemon must be discarded, not run.
+    pub fn restore(&mut self, path: &Path) -> Result<(), FleetError> {
+        let _span = capes_telemetry::span!("persist.restore");
+        // Two passes over one open file. The first verifies the container —
+        // magic, version, length against the file size, CRC — before any
+        // payload byte is interpreted; the second streams the payload
+        // through the codec's window, so the file image is never resident.
+        let mut snapshot = {
+            let _verify = capes_telemetry::span!("persist.restore.verify");
+            capes_persist::SnapshotFile::open(path)?
+        };
+        let mut r = snapshot.reader()?;
+
+        // Pure phase: decode and validate everything into locals.
+        let tag = r.get_u8()?;
+        if tag != self.transport().tag() {
+            return Err(checkpoint_mismatch(format!(
+                "snapshot transport tag {tag} disagrees with the fleet's {:?} transport",
+                self.transport()
+            )));
+        }
+        let tick = r.get_u64()?;
+        let train_cursor = r.get_usize()?;
+        let cluster_ticks = r.get_u64()?;
+        let sharing = Vec::<ExperienceSharing>::decode(&mut r)?;
+        if sharing.len() != self.profiles.len() {
+            return Err(checkpoint_mismatch(format!(
+                "snapshot holds sharing modes for {} profiles, this fleet has {}",
+                sharing.len(),
+                self.profiles.len()
+            )));
+        }
+        for (mode, profile) in sharing.iter().zip(&self.profiles) {
+            mode.validate(profile.stripe_members.len())
+                .map_err(|what| PersistError::BadValue { what })?;
+        }
+        let num_profiles = r.get_count(1)?;
+        if num_profiles != self.profiles.len() {
+            return Err(checkpoint_mismatch(format!(
+                "snapshot holds {num_profiles} profiles, this fleet has {}",
+                self.profiles.len()
+            )));
+        }
+        let mut agents = Vec::with_capacity(num_profiles);
+        for (i, profile) in self.profiles.iter().enumerate() {
+            let observation_size = r.get_usize()?;
+            let num_params = r.get_usize()?;
+            let stripe_members = Vec::<usize>::decode(&mut r)?;
+            if observation_size != profile.observation_size
+                || num_params != profile.num_params
+                || stripe_members != profile.stripe_members
+            {
+                return Err(checkpoint_mismatch(format!(
+                    "profile {i} geometry disagrees with the snapshot \
+                     (snapshot: {observation_size}-wide × {num_params} params over \
+                     {stripe_members:?}; fleet: {}-wide × {} params over {:?})",
+                    profile.observation_size, profile.num_params, profile.stripe_members
+                )));
+            }
+            let agent = DqnAgent::decode(&mut r)?;
+            if agent.config().observation_size != profile.observation_size
+                || agent.config().num_params != profile.num_params
+            {
+                return Err(checkpoint_mismatch(format!(
+                    "profile {i}'s snapshot agent was trained for a different geometry"
+                )));
+            }
+            agents.push(agent);
+        }
+        let arena = ReplayArena::decode(&mut r)?;
+        let num_sessions = r.get_count(1)?;
+        if num_sessions != self.sessions.len() {
+            return Err(checkpoint_mismatch(format!(
+                "snapshot holds {num_sessions} clusters, this fleet has {}",
+                self.sessions.len()
+            )));
+        }
+        let mut session_state = Vec::with_capacity(num_sessions);
+        for session in &self.sessions {
+            let name = r.get_str()?;
+            if name != session.name {
+                return Err(checkpoint_mismatch(format!(
+                    "snapshot cluster '{name}' does not match fleet cluster '{}'",
+                    session.name
+                )));
+            }
+            let series = Vec::<f64>::decode(&mut r)?;
+            let errors_before = r.get_usize()?;
+            // The reader's window moves on; the member blob is detached.
+            let blob = r.get_byte_vec()?;
+            session_state.push((series, errors_before, blob));
+        }
+        r.finish()?;
+        // Everything is decoded: release the window and the file before the
+        // apply phase.
+        drop(r);
+        drop(snapshot);
+
+        // Apply phase: nothing above touched `self`, and the arena checks
+        // its stripe count and configurations before it swaps anything.
+        self.arena
+            .restore_from(arena)
+            .map_err(|e| CapesError::ReplayConfigMismatch {
+                reason: e.to_string(),
+            })?;
+        for (profile, agent) in self.profiles.iter_mut().zip(agents) {
+            profile.agent = agent;
+        }
+        self.profile_sharing = sharing;
+        for (session, (series, errors_before, blob)) in self.sessions.iter_mut().zip(session_state)
+        {
+            let mut sub = capes_persist::Reader::new(&blob);
+            session.system.decode_state(&mut sub)?;
+            sub.finish()?;
+            session.series = series;
+            session.errors_before = errors_before;
+        }
+        self.tick = tick;
+        self.train_cursor = train_cursor;
+        self.cluster_ticks = cluster_ticks;
+        self.persist.restores.inc();
+        Ok(())
+    }
+
+    /// Enables automatic checkpointing: after every `every`-th fleet tick
+    /// the daemon snapshots itself to `path` with [`FleetDaemon::checkpoint`]
+    /// (atomically replacing the previous snapshot, and from the second
+    /// snapshot on overwriting the generation before it in place, so the
+    /// directory holds `path` and `<path>.tmp` until the daemon checkpoints
+    /// elsewhere or is dropped; [`FleetDaemon::disable_auto_checkpoint`]
+    /// keeps the spare for the next enable). A failed automatic checkpoint
+    /// is counted in the [`PersistReport`](crate::PersistReport) and the run continues —
+    /// durability must not take the experiment down.
+    ///
+    /// # Panics
+    /// Panics if `every` is zero.
+    pub fn auto_checkpoint_every(&mut self, every: u64, path: impl Into<PathBuf>) {
+        assert!(every > 0, "auto-checkpoint interval must be positive");
+        self.auto_checkpoint = Some((every, path.into()));
+    }
+
+    /// Disables automatic checkpointing.
+    pub fn disable_auto_checkpoint(&mut self) {
+        self.auto_checkpoint = None;
+    }
+
+    /// Takes the automatic checkpoint when this tick is due one. The setting
+    /// is only moved out on a due tick, and put back after.
+    pub(super) fn auto_checkpoint_if_due(&mut self) {
+        let tick = self.tick;
+        let due = self
+            .auto_checkpoint
+            .take_if(|(every, _)| tick.is_multiple_of(*every));
+        if let Some((every, path)) = due {
+            match self.checkpoint(&path) {
+                Ok(()) => self.persist.auto_checkpoints.inc(),
+                Err(_) => self.persist.auto_checkpoint_failures.inc(),
+            }
+            self.auto_checkpoint = Some((every, path));
+        }
+    }
+}

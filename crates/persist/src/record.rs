@@ -220,15 +220,6 @@ impl RecordLogReader {
             frame,
         }))
     }
-
-    /// Drains the whole log into a vector, failing on the first bad record.
-    pub fn read_all(&mut self) -> Result<Vec<RecordEntry>, PersistError> {
-        let mut out = Vec::new();
-        while let Some(entry) = self.next_record()? {
-            out.push(entry);
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -241,6 +232,11 @@ mod tests {
         dir.join(name)
     }
 
+    /// Drains the log with `next_record`, failing on the first bad record.
+    fn drain(r: &mut RecordLogReader) -> Result<Vec<RecordEntry>, PersistError> {
+        std::iter::from_fn(|| r.next_record().transpose()).collect()
+    }
+
     #[test]
     fn log_round_trips() {
         let path = temp_path("roundtrip.log");
@@ -250,7 +246,7 @@ mod tests {
         w.append(2, 0, b"bravo").unwrap();
         assert_eq!(w.finish().unwrap(), 3);
 
-        let entries = RecordLogReader::open(&path).unwrap().read_all().unwrap();
+        let entries = drain(&mut RecordLogReader::open(&path).unwrap()).unwrap();
         assert_eq!(entries.len(), 3);
         assert_eq!(entries[0].tick, 1);
         assert_eq!(entries[0].frame, b"alpha");
@@ -299,7 +295,7 @@ mod tests {
         let first_end = 12 + 4 + (8 + 4 + 13) + 4;
         for cut in 12..full.len() - 1 {
             let mut r = RecordLogReader::from_bytes(full[..cut].to_vec()).unwrap();
-            let result = r.read_all();
+            let result = drain(&mut r);
             if cut == 12 || cut == first_end {
                 // A cut exactly between records is a clean, shorter log.
                 assert!(result.unwrap().len() <= 1);
@@ -321,7 +317,7 @@ mod tests {
         for byte in 12..full.len() {
             let mut corrupt = full.clone();
             corrupt[byte] ^= 0x10;
-            let r = RecordLogReader::from_bytes(corrupt).and_then(|mut r| r.read_all());
+            let r = RecordLogReader::from_bytes(corrupt).and_then(|mut r| drain(&mut r));
             assert!(r.is_err(), "flip at byte {byte} accepted");
         }
         std::fs::remove_file(&path).unwrap();

@@ -30,12 +30,6 @@ impl SharedReplayDb {
         ReplayArena::single(config).stripe(0)
     }
 
-    /// Wraps an existing database (e.g. one loaded from disk) as a
-    /// one-stripe arena.
-    pub fn from_db(db: ReplayDb) -> Self {
-        ReplayArena::from_dbs([db]).stripe(0)
-    }
-
     /// Internal constructor used by [`ReplayArena::stripe`].
     pub(crate) fn from_arena(arena: ReplayArena, stripe: usize) -> Self {
         SharedReplayDb { arena, stripe }

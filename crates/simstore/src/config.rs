@@ -115,11 +115,6 @@ impl ClusterConfig {
             "interference probability must be in [0, 1)"
         );
     }
-
-    /// Theoretical aggregate disk bandwidth for purely sequential writes.
-    pub fn aggregate_disk_write_mbps(&self) -> f64 {
-        self.disk_seq_write_mbps * self.num_servers as f64
-    }
 }
 
 impl capes_persist::Persist for PiMode {
@@ -227,7 +222,7 @@ mod tests {
         assert_eq!(c.pi_mode, PiMode::Compact);
         // The paper chose hardware with a ~1:1 network-to-storage bandwidth
         // ratio; verify the defaults preserve that property.
-        let ratio = c.network_aggregate_mbps / c.aggregate_disk_write_mbps();
+        let ratio = c.network_aggregate_mbps / (c.disk_seq_write_mbps * c.num_servers as f64);
         assert!((0.8..1.4).contains(&ratio), "network:storage ratio {ratio}");
     }
 

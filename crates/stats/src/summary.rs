@@ -15,18 +15,6 @@ pub struct ConfidenceInterval {
 
 serde::serialize_struct! { ConfidenceInterval { mean, half_width, confidence, samples } }
 
-impl ConfidenceInterval {
-    /// Lower bound of the interval.
-    pub fn lower(&self) -> f64 {
-        self.mean - self.half_width
-    }
-
-    /// Upper bound of the interval.
-    pub fn upper(&self) -> f64 {
-        self.mean + self.half_width
-    }
-}
-
 /// Arithmetic mean. Returns 0 for an empty slice.
 pub fn mean(samples: &[f64]) -> f64 {
     if samples.is_empty() {
@@ -229,7 +217,7 @@ mod tests {
         let ci = confidence_interval(&xs, 0.95);
         assert!((ci.mean - 104.5).abs() < 1e-9);
         assert!(ci.half_width > 0.0);
-        assert!(ci.lower() < ci.mean && ci.upper() > ci.mean);
+        assert!(ci.mean - ci.half_width < ci.mean && ci.mean + ci.half_width > ci.mean);
         assert_eq!(ci.samples, 100);
 
         // Wider confidence level → wider interval.
@@ -266,14 +254,18 @@ mod tests {
             confidence: 0.95,
             samples: 10,
         };
-        assert!(a.lower() <= b.upper() && b.lower() <= a.upper(), "overlap");
+        assert!(
+            a.mean - a.half_width <= b.mean + b.half_width
+                && b.mean - b.half_width <= a.mean + a.half_width,
+            "overlap"
+        );
         let c = ConfidenceInterval {
             mean: 120.0,
             half_width: 5.0,
             confidence: 0.95,
             samples: 10,
         };
-        assert!(c.upper() < b.lower(), "disjoint");
+        assert!(c.mean + c.half_width < b.mean - b.half_width, "disjoint");
     }
 
     #[test]
