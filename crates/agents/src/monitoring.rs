@@ -142,11 +142,7 @@ impl capes_persist::Persist for MonitoringAgent {
         let last_values = Option::<Vec<f64>>::decode(r)?;
         // Anything but the reserved 0.0 would ask for a suppression rule
         // this agent no longer has.
-        if r.get_f64()? != 0.0 {
-            return Err(capes_persist::PersistError::BadValue {
-                what: "reserved monitoring threshold is not 0.0",
-            });
-        }
+        r.expect_f64(0.0, "reserved monitoring threshold is not 0.0")?;
         let stats = MonitoringStats::decode(r)?;
         Ok(MonitoringAgent {
             node,
@@ -223,7 +219,7 @@ mod tests {
         let restored = MonitoringAgent::decode(&mut Reader::new(&bytes)).unwrap();
         assert_eq!(restored.node(), 3);
         assert_eq!(restored.stats(), agent.stats());
-        for value in [0.01, f64::NAN] {
+        for value in [0.01, f64::NAN, -0.0] {
             let mut crafted = bytes.clone();
             crafted[slot.clone()].copy_from_slice(&value.to_le_bytes());
             let err = MonitoringAgent::decode(&mut Reader::new(&crafted)).unwrap_err();

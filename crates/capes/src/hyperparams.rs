@@ -3,13 +3,16 @@
 use crate::error::CapesError;
 use capes_drl::{DqnAgentConfig, EpsilonSchedule, TrainerConfig};
 
-/// Every hyperparameter listed in Table 1 of the paper, plus the few knobs the
-/// reproduction adds to let experiments run at laptop scale (none of which
-/// change the algorithm). Table 1's action and sampling tick lengths are not
-/// fields: the simulator steps one second per tick, the paper's value for
-/// both. Nor is its number of hidden layers: the depth is fixed by the
+/// Every hyperparameter listed in Table 1 of the paper, plus four knobs the
+/// reproduction adds to let experiments run at laptop scale (replay capacity,
+/// reward scale, train steps per tick and the workload-change ε bump; none of
+/// them changes the algorithm). Table 1's action and sampling tick lengths
+/// are not fields: the simulator steps one second per tick, the paper's value
+/// for both. Nor is its number of hidden layers: the depth is fixed by the
 /// architecture [`capes_drl::QNetwork::new`] builds (two tanh layers as wide
-/// as the input).
+/// as the input). Adam's β₁, β₂ and ε, which Table 1 does not list, are the
+/// constants `capes_nn::Adam::{BETA1, BETA2, EPSILON}`, and gradients are
+/// never clipped.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Hyperparameters {
     /// "sampling ticks per observation" (paper: 10).
@@ -215,7 +218,6 @@ impl Hyperparameters {
                 discount_rate: self.discount_rate,
                 learning_rate: self.adam_learning_rate,
                 target_update_rate: self.target_update_rate,
-                gradient_clip: None,
             },
             epsilon: EpsilonSchedule::new(
                 self.epsilon_initial,

@@ -20,9 +20,6 @@ pub struct TrainerConfig {
     pub learning_rate: f64,
     /// Target-network update rate α (paper: 0.01).
     pub target_update_rate: f64,
-    /// Optional per-tensor gradient-norm clip (see `Adam::grad_clip`; not
-    /// used by the paper; exposed for the ablation benchmarks).
-    pub gradient_clip: Option<f64>,
 }
 
 impl Default for TrainerConfig {
@@ -31,7 +28,6 @@ impl Default for TrainerConfig {
             discount_rate: 0.99,
             learning_rate: 1e-4,
             target_update_rate: 0.01,
-            gradient_clip: None,
         }
     }
 }
@@ -53,8 +49,6 @@ impl TrainerConfig {
             Err("learning rate not finite and positive")
         } else if !(0.0..=1.0).contains(&self.target_update_rate) {
             Err("target update rate outside [0, 1]")
-        } else if self.gradient_clip.is_some_and(|c| c.is_nan() || c <= 0.0) {
-            Err("non-positive gradient clip")
         } else {
             Ok(())
         }
@@ -68,7 +62,7 @@ impl capes_persist::Persist for TrainerConfig {
         w.put_f64(self.discount_rate);
         w.put_f64(self.learning_rate);
         w.put_f64(self.target_update_rate);
-        self.gradient_clip.encode(w);
+        w.put_u8(0); // v1 slot of the former gradient clip: `None`
     }
 
     fn decode(r: &mut capes_persist::Reader<'_>) -> Result<Self, capes_persist::PersistError> {
@@ -76,8 +70,12 @@ impl capes_persist::Persist for TrainerConfig {
             discount_rate: r.get_f64()?,
             learning_rate: r.get_f64()?,
             target_update_rate: r.get_f64()?,
-            gradient_clip: Option::<f64>::decode(r)?,
         };
+        if r.get_u8()? != 0 {
+            return Err(capes_persist::PersistError::BadValue {
+                what: "trainer gradient-clip slot is not `None`",
+            });
+        }
         config
             .check()
             .map_err(|what| capes_persist::PersistError::BadValue { what })?;
@@ -159,14 +157,7 @@ impl Trainer {
             target.mlp().parameter_shapes(),
             "online and target networks must have one shape"
         );
-        let optimizer = Adam::with_config(
-            config.learning_rate,
-            0.9,
-            0.999,
-            1e-8,
-            config.gradient_clip,
-            shapes,
-        );
+        let optimizer = Adam::new(config.learning_rate, shapes);
         Trainer {
             online,
             target,
@@ -510,18 +501,27 @@ mod tests {
     }
 
     #[test]
-    fn infinite_learning_rate_does_not_decode() {
+    fn infinite_learning_rate_or_a_clip_does_not_decode() {
         use capes_persist::{Persist, PersistError, Reader, Writer};
-        let mut w = Writer::new();
-        TrainerConfig {
+        let encode = |config: TrainerConfig| {
+            let mut w = Writer::new();
+            config.encode(&mut w);
+            w.into_vec()
+        };
+        let infinite = encode(TrainerConfig {
             learning_rate: f64::INFINITY,
             ..Default::default()
+        });
+        // The clip's tag follows the three f64s; `Some` is 1.
+        let mut clip = encode(TrainerConfig::default());
+        assert!(TrainerConfig::decode(&mut Reader::new(&clip)).is_ok());
+        clip[24] = 1;
+        for bytes in [infinite, clip] {
+            assert!(matches!(
+                TrainerConfig::decode(&mut Reader::new(&bytes)),
+                Err(PersistError::BadValue { .. })
+            ));
         }
-        .encode(&mut w);
-        assert!(matches!(
-            TrainerConfig::decode(&mut Reader::new(w.as_slice())),
-            Err(PersistError::BadValue { .. })
-        ));
     }
 
     #[test]

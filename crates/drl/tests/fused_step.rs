@@ -2,8 +2,7 @@
 //! applies Adam and the soft target update in a single streaming pass over
 //! the parameters, and must land on the bits of the step it replaced —
 //! `Optimizer::step` followed by `Matrix::blend` on every target tensor —
-//! for the online weights, the target weights and both Adam moments, with
-//! and without gradient clipping.
+//! for the online weights, the target weights and both Adam moments.
 
 use capes_drl::{QNetwork, Trainer, TrainerConfig};
 use capes_nn::{Adam, Mlp, Optimizer, Workspace};
@@ -49,14 +48,7 @@ impl Reference {
     fn new(online: &QNetwork, config: &TrainerConfig) -> Self {
         let mlp = online.mlp().clone();
         Reference {
-            adam: Adam::with_config(
-                config.learning_rate,
-                0.9,
-                0.999,
-                1e-8,
-                config.gradient_clip,
-                mlp.parameter_shapes(),
-            ),
+            adam: Adam::new(config.learning_rate, mlp.parameter_shapes()),
             ws_online: Workspace::new(&mlp, BATCH),
             ws_target: Workspace::new(&mlp, BATCH),
             target: mlp.clone(),
@@ -130,40 +122,36 @@ fn assert_networks_bit_equal(got: &Mlp, want: &Mlp, what: &str) {
 
 #[test]
 fn fused_step_matches_optimizer_step_then_blend_bitwise() {
-    // 1e-3 is far below these gradients' norms, so clipping engages.
-    for gradient_clip in [None, Some(1e-3)] {
-        let config = TrainerConfig {
-            learning_rate: 1e-3,
-            gradient_clip,
-            ..Default::default()
-        };
-        let mut rng = StdRng::seed_from_u64(2117);
-        let mut trainer = Trainer::with_new_network(OBS, ACTIONS, config, &mut rng);
-        let mut reference = Reference::new(trainer.online(), &config);
-        for step in 1..=25u64 {
-            let batch = random_batch(&mut rng);
-            let target_before = trainer.target().clone();
-            trainer.train_step_batch(&batch);
-            reference.step(&batch, &config);
-            let case = format!("clip {gradient_clip:?}, step {step}");
-            assert_networks_bit_equal(trainer.online().mlp(), &reference.online, &case);
-            assert_networks_bit_equal(trainer.target().mlp(), &reference.target, &case);
-            // Whole trainer state, Adam's step count and moments included.
-            let mut w = Writer::new();
-            trainer.encode(&mut w);
-            assert!(
-                w.as_slice() == reference.encode(&config, step),
-                "{case}: trainer snapshot (Adam moments) diverged from the reference"
-            );
-            // The target lags, and each step moves it toward where the
-            // online network now is.
-            let lag = trainer.target().distance_to(trainer.online());
-            assert!(lag > 0.0, "{case}: target must lag the online network");
-            assert!(
-                lag < target_before.distance_to(trainer.online()),
-                "{case}: soft update must shrink the distance to the online network"
-            );
-        }
+    let config = TrainerConfig {
+        learning_rate: 1e-3,
+        ..Default::default()
+    };
+    let mut rng = StdRng::seed_from_u64(2117);
+    let mut trainer = Trainer::with_new_network(OBS, ACTIONS, config, &mut rng);
+    let mut reference = Reference::new(trainer.online(), &config);
+    for step in 1..=25u64 {
+        let batch = random_batch(&mut rng);
+        let target_before = trainer.target().clone();
+        trainer.train_step_batch(&batch);
+        reference.step(&batch, &config);
+        let case = format!("step {step}");
+        assert_networks_bit_equal(trainer.online().mlp(), &reference.online, &case);
+        assert_networks_bit_equal(trainer.target().mlp(), &reference.target, &case);
+        // Whole trainer state, Adam's step count and moments included.
+        let mut w = Writer::new();
+        trainer.encode(&mut w);
+        assert!(
+            w.as_slice() == reference.encode(&config, step),
+            "{case}: trainer snapshot (Adam moments) diverged from the reference"
+        );
+        // The target lags, and each step moves it toward where the online
+        // network now is.
+        let lag = trainer.target().distance_to(trainer.online());
+        assert!(lag > 0.0, "{case}: target must lag the online network");
+        assert!(
+            lag < target_before.distance_to(trainer.online()),
+            "{case}: soft update must shrink the distance to the online network"
+        );
     }
 }
 

@@ -116,7 +116,6 @@ impl ScenarioSpec {
             num_clients: self.num_clients,
             num_servers: self.num_servers,
             pi_mode: self.pi_mode,
-            ..ClusterConfig::default()
         };
         SimulatedLustre::builder()
             .config(config)

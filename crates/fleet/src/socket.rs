@@ -41,7 +41,7 @@
 //! while the tick loop is still writing uplink batches — the pairing that
 //! would otherwise deadlock a single-threaded driver. That is also what
 //! makes a blocking `write_all` of a batch larger than the socket's send
-//! buffer safe: the reactor keeps reading (a `read_chunk` at a time) into a
+//! buffer safe: the reactor keeps reading (a `READ_CHUNK` at a time) into a
 //! channel that has room for everything in flight, so the write always
 //! completes without the tick thread having to drain in between.
 
@@ -50,7 +50,9 @@ use std::net::TcpStream;
 
 use capes_agents::wire::{decode_cluster_frame, encode_cluster_frame_into};
 use capes_agents::{ActionMessage, Message};
-use capes_net::{read_frame, FleetServer, NetConfig, NetStatsSnapshot, ServerHandle};
+use capes_net::{
+    read_frame, FleetServer, NetConfig, NetStatsSnapshot, ServerHandle, DEFAULT_MAX_FRAME_LEN,
+};
 use crossbeam::channel::Receiver;
 
 /// Read buffer of a member connection: an action frame (a few dozen bytes
@@ -81,7 +83,6 @@ pub(crate) struct SocketFront {
     counts: Vec<usize>,
     /// Scratch for blocking frame reads.
     read_buf: Vec<u8>,
-    max_frame_len: usize,
 }
 
 impl SocketFront {
@@ -101,7 +102,6 @@ impl SocketFront {
             expose_metrics: true,
             ..NetConfig::default()
         };
-        let max_frame_len = config.max_frame_len;
         let (handle, ingress) = FleetServer::spawn("127.0.0.1:0", config)?;
         let clients = (0..num_clusters)
             .map(|_| {
@@ -118,7 +118,6 @@ impl SocketFront {
             counts: vec![0; num_clusters],
             expected_per_tick,
             read_buf: Vec::new(),
-            max_frame_len,
         })
     }
 
@@ -194,7 +193,7 @@ impl SocketFront {
     pub(crate) fn recv_action(&mut self, cluster: usize) -> ActionMessage {
         read_frame(
             &mut self.clients[cluster],
-            self.max_frame_len,
+            DEFAULT_MAX_FRAME_LEN,
             &mut self.read_buf,
         )
         .expect("action downlink read failed");
@@ -220,7 +219,6 @@ fn write_batch<W: Write>(w: &mut W, batch: &mut Vec<u8>) -> io::Result<()> {
 mod tests {
     use super::*;
     use capes_agents::PiReport;
-    use capes_net::DEFAULT_MAX_FRAME_LEN;
 
     /// Accepts everything it is given and counts the `write` calls.
     #[derive(Default)]
@@ -341,7 +339,7 @@ mod tests {
         let mut cursor = &w.bytes[..];
         let mut buf = Vec::new();
         for message in &sent {
-            read_frame(&mut cursor, front.max_frame_len, &mut buf).unwrap();
+            read_frame(&mut cursor, DEFAULT_MAX_FRAME_LEN, &mut buf).unwrap();
             assert_eq!(decode_cluster_frame(&buf).unwrap(), (1, message.clone()));
         }
         assert!(cursor.is_empty());

@@ -36,4 +36,4 @@ pub use conn::{ConnError, ConnState};
 pub use framing::{
     encode_frame_into, FrameReassembler, FramingError, DEFAULT_MAX_FRAME_LEN, LENGTH_PREFIX_BYTES,
 };
-pub use server::{FleetServer, NetConfig, NetStats, NetStatsSnapshot, ServerHandle};
+pub use server::{FleetServer, NetConfig, NetStats, NetStatsSnapshot, ServerHandle, READ_CHUNK};

@@ -13,11 +13,11 @@
 //!   shed with a counted disconnect instead of growing a queue.
 //! - **Never trust a length prefix.** All reassembly goes through
 //!   [`FrameReassembler`](crate::framing::FrameReassembler), which validates
-//!   against `max_frame_len` before allocating, and every frame decodes via
+//!   against [`DEFAULT_MAX_FRAME_LEN`] before allocating, and every frame decodes via
 //!   the hardened [`capes_agents::wire`] path.
 //! - **Cross into the kernel only to move bytes.** A fan-out of frames
 //!   ([`ServerHandle::send_all`]) costs one waker write, not one per frame.
-//!   A read shorter than `read_chunk` ends a connection's drain: epoll is
+//!   A read shorter than [`READ_CHUNK`] ends a connection's drain: epoll is
 //!   level-triggered, so bytes that land afterwards are reported again on
 //!   the next poll, and the `EAGAIN` read that would only confirm an empty
 //!   socket is never issued.
@@ -40,17 +40,17 @@ use reactor::{Events, Interest, Poll, TimerQueue, Token, Waker};
 use crate::conn::ConnState;
 use crate::framing::{encode_frame_into, DEFAULT_MAX_FRAME_LEN, LENGTH_PREFIX_BYTES};
 
-/// Tuning knobs for a [`FleetServer`].
+/// Size of the reactor's read scratch buffer: one `read` syscall's worth.
+pub const READ_CHUNK: usize = 16 * 1024;
+
+/// Tuning knobs for a [`FleetServer`]. A frame's payload is capped at
+/// [`DEFAULT_MAX_FRAME_LEN`]: an oversized prefix closes the connection
+/// before any allocation.
 #[derive(Debug, Clone)]
 pub struct NetConfig {
-    /// Hard cap on a single frame's payload; oversized prefixes close the
-    /// connection before any allocation.
-    pub max_frame_len: usize,
     /// Cap on *outbound* bytes buffered per connection. A client further
     /// behind than this is shed (counted in `shed_backpressure`).
     pub max_conn_buffered: usize,
-    /// Size of the read scratch buffer (one `read` syscall's worth).
-    pub read_chunk: usize,
     /// Capacity of the bounded ingress channel handed to the consumer. Size
     /// it to at least one tick's worth of traffic (2 × total monitors) or
     /// the reactor will stall mid-tick waiting for the consumer.
@@ -65,16 +65,14 @@ pub struct NetConfig {
     /// HTTP/1.x client and answered with one Prometheus-style `/metrics`
     /// exposition of the process's telemetry registry, then closed. Framed
     /// traffic is unambiguous: `G` as the top byte of a length prefix would
-    /// claim a frame of ≥ 1.1 GiB, far beyond any sane `max_frame_len`.
+    /// claim a frame of ≥ 1.1 GiB, far beyond [`DEFAULT_MAX_FRAME_LEN`].
     pub expose_metrics: bool,
 }
 
 impl Default for NetConfig {
     fn default() -> Self {
         NetConfig {
-            max_frame_len: DEFAULT_MAX_FRAME_LEN,
             max_conn_buffered: 256 * 1024,
-            read_chunk: 16 * 1024,
             ingress_capacity: 4096,
             num_clusters: None,
             idle_timeout: None,
@@ -293,7 +291,7 @@ impl FleetServer {
             free: Vec::new(),
             routes: HashMap::new(),
             routes_epoch: 0,
-            read_buf: vec![0; config.read_chunk],
+            read_buf: vec![0; READ_CHUNK],
             ingress: ingress_tx,
             cmds: cmd_rx,
             waker: Arc::clone(&waker),
@@ -469,7 +467,7 @@ impl ServerLoop {
                     // holds slot indices already carved out of `conns`.
                     self.conns[idx] = Some(Conn {
                         stream,
-                        state: ConnState::new(self.config.max_frame_len),
+                        state: ConnState::new(DEFAULT_MAX_FRAME_LEN),
                         mode: ConnMode::Fresh,
                         http_buf: Vec::new(),
                         close_after_flush: false,
@@ -494,7 +492,7 @@ impl ServerLoop {
     }
 
     /// Drains readable bytes from connection `idx`, stopping at the first
-    /// read shorter than `read_chunk` (the socket is then empty; anything
+    /// read shorter than [`READ_CHUNK`] (the socket is then empty; anything
     /// arriving later is reported again, epoll being level-triggered).
     /// Returns `false` if the connection was closed (its slab slot is gone).
     fn conn_readable(&mut self, idx: usize) -> bool {

@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 use capes_agents::message::{ActionMessage, PiReport};
 use capes_agents::wire::encode_cluster_frame;
 use capes_agents::Message;
-use capes_net::{read_frame, write_frame, FleetServer, NetConfig};
+use capes_net::{read_frame, write_frame, FleetServer, NetConfig, READ_CHUNK};
 
 fn report(cluster: u32, tick: u64, node: usize) -> (Message, Vec<u8>) {
     let message = Message::Report(PiReport {
@@ -277,7 +277,7 @@ fn deliver_before_draining(
         ingress_capacity: messages,
         ..NetConfig::default()
     };
-    assert!(batch.len() > config.read_chunk);
+    assert!(batch.len() > READ_CHUNK);
     let (handle, ingress) = FleetServer::spawn("127.0.0.1:0", config).expect("spawn server");
     let mut client = TcpStream::connect(handle.local_addr()).expect("connect");
     client.set_nodelay(true).unwrap();
@@ -295,7 +295,7 @@ fn deliver_before_draining(
 #[test]
 fn a_tick_batch_larger_than_the_send_buffer_completes_on_one_thread() {
     // Past 4 MiB: more than Linux's default `tcp_wmem` ceiling lets a send
-    // buffer hold, and 256 reads' worth of `read_chunk`. The blocking write
+    // buffer hold, and 256 reads' worth of `READ_CHUNK`. The blocking write
     // runs to completion with nobody draining the channel, because the
     // reactor keeps reading into a channel with room for the whole tick.
     let (sent, batch) = wide_batch(3, 4 << 20);
@@ -310,7 +310,7 @@ fn a_tick_batch_larger_than_the_send_buffer_completes_on_one_thread() {
 
 #[test]
 fn one_write_and_a_byte_drip_deliver_the_same_sequence() {
-    // Four `read_chunk`s, not the 4 MiB of the test above: the reassembler
+    // Four `READ_CHUNK`s, not the 4 MiB of the test above: the reassembler
     // sees the same one-byte chunks either way, and 4 Mi one-byte writes are
     // 14 s of syscalls.
     let (sent, batch) = wide_batch(0, 64 << 10);

@@ -17,40 +17,30 @@ pub trait Optimizer {
 }
 
 /// The Adam optimizer (Kingma & Ba, 2015) — the paper's choice (§3.4).
+/// Table 1 sets only its learning rate; β₁, β₂ and ε are Kingma & Ba's
+/// defaults, and gradients are used unclipped.
 #[derive(Debug, Clone)]
 pub struct Adam {
     /// Step size (paper default: `1e-4`).
     pub learning_rate: f64,
-    /// Exponential decay for the first-moment estimate.
-    pub beta1: f64,
-    /// Exponential decay for the second-moment estimate.
-    pub beta2: f64,
-    /// Numerical-stability constant.
-    pub epsilon: f64,
-    /// Optional gradient-norm clip applied before the update, per tensor:
-    /// each weight matrix and bias vector whose Frobenius norm exceeds it is
-    /// scaled down to it on its own. `None` disables clipping.
-    pub grad_clip: Option<f64>,
     t: u64,
     m: Vec<Matrix>,
     v: Vec<Matrix>,
 }
 
 impl Adam {
-    /// Creates an Adam optimizer with standard β values (0.9 / 0.999).
-    pub fn new(learning_rate: f64, parameter_shapes: Vec<(usize, usize)>) -> Self {
-        Self::with_config(learning_rate, 0.9, 0.999, 1e-8, None, parameter_shapes)
-    }
+    /// Exponential decay of the first-moment estimate.
+    pub const BETA1: f64 = 0.9;
+    /// Exponential decay of the second-moment estimate.
+    pub const BETA2: f64 = 0.999;
+    /// Numerical-stability constant.
+    pub const EPSILON: f64 = 1e-8;
 
-    /// Fully-configurable constructor.
-    pub fn with_config(
-        learning_rate: f64,
-        beta1: f64,
-        beta2: f64,
-        epsilon: f64,
-        grad_clip: Option<f64>,
-        parameter_shapes: Vec<(usize, usize)>,
-    ) -> Self {
+    /// Creates an Adam optimizer for parameters of the given shapes.
+    ///
+    /// # Panics
+    /// Panics unless `learning_rate` is finite and positive.
+    pub fn new(learning_rate: f64, parameter_shapes: Vec<(usize, usize)>) -> Self {
         let m: Vec<Matrix> = parameter_shapes
             .iter()
             .map(|&(r, c)| Matrix::zeros(r, c))
@@ -58,10 +48,6 @@ impl Adam {
         let v = m.clone();
         let adam = Adam {
             learning_rate,
-            beta1,
-            beta2,
-            epsilon,
-            grad_clip,
             t: 0,
             m,
             v,
@@ -72,18 +58,12 @@ impl Adam {
         adam
     }
 
-    /// The invariants [`Adam::with_config`] asserts and `decode` returns as
-    /// typed errors (NaN fails every one of them).
+    /// The invariants [`Adam::new`] asserts and `decode` returns as typed
+    /// errors (NaN fails every one of them).
     fn check(&self) -> Result<(), &'static str> {
         let (m, v) = (&self.m, &self.v);
         if !(self.learning_rate.is_finite() && self.learning_rate > 0.0) {
             Err("Adam learning rate not finite and positive")
-        } else if !((0.0..1.0).contains(&self.beta1) && (0.0..1.0).contains(&self.beta2)) {
-            Err("Adam beta outside [0, 1)")
-        } else if !(self.epsilon.is_finite() && self.epsilon > 0.0) {
-            Err("Adam epsilon not finite and positive")
-        } else if self.grad_clip.is_some_and(|c| c.is_nan() || c <= 0.0) {
-            Err("Adam gradient clip not positive")
         } else if m.len() != v.len() || m.iter().zip(v).any(|(a, b)| a.shape() != b.shape()) {
             Err("Adam moment vectors disagree in shape")
         } else {
@@ -114,22 +94,28 @@ impl capes_persist::Persist for Adam {
 
     fn encode(&self, w: &mut capes_persist::Writer) {
         w.put_f64(self.learning_rate);
-        w.put_f64(self.beta1);
-        w.put_f64(self.beta2);
-        w.put_f64(self.epsilon);
-        self.grad_clip.encode(w);
+        // v1 slots of the former β₁, β₂, ε and gradient-clip fields.
+        w.put_f64(Self::BETA1);
+        w.put_f64(Self::BETA2);
+        w.put_f64(Self::EPSILON);
+        w.put_u8(0); // `None`
         w.put_u64(self.t);
         self.m.encode(w);
         self.v.encode(w);
     }
 
     fn decode(r: &mut capes_persist::Reader<'_>) -> Result<Self, capes_persist::PersistError> {
+        let learning_rate = r.get_f64()?;
+        r.expect_f64(Self::BETA1, "Adam β₁ slot is not the constant")?;
+        r.expect_f64(Self::BETA2, "Adam β₂ slot is not the constant")?;
+        r.expect_f64(Self::EPSILON, "Adam ε slot is not the constant")?;
+        if r.get_u8()? != 0 {
+            return Err(capes_persist::PersistError::BadValue {
+                what: "Adam gradient-clip slot is not `None`",
+            });
+        }
         let adam = Adam {
-            learning_rate: r.get_f64()?,
-            beta1: r.get_f64()?,
-            beta2: r.get_f64()?,
-            epsilon: r.get_f64()?,
-            grad_clip: Option::<f64>::decode(r)?,
+            learning_rate,
             t: r.get_u64()?,
             m: Vec::<Matrix>::decode(r)?,
             v: Vec::<Matrix>::decode(r)?,
@@ -187,12 +173,11 @@ impl Adam {
         let t = i32::try_from(self.t).unwrap_or(i32::MAX);
         let step = AdamStep {
             learning_rate: self.learning_rate,
-            beta1: self.beta1,
-            beta2: self.beta2,
-            epsilon: self.epsilon,
-            bias1: 1.0 - self.beta1.powi(t),
-            bias2: 1.0 - self.beta2.powi(t),
-            scale: 1.0,
+            beta1: Self::BETA1,
+            beta2: Self::BETA2,
+            epsilon: Self::EPSILON,
+            bias1: 1.0 - Self::BETA1.powi(t),
+            bias2: 1.0 - Self::BETA2.powi(t),
         };
 
         let mut target_layers = target.map(|net| net.layers_mut().iter_mut());
@@ -211,20 +196,6 @@ impl Adam {
                 (&mut layer.weights, &g.d_weights, 2 * i, target_weights),
                 (&mut layer.bias, &g.d_bias, 2 * i + 1, target_bias),
             ] {
-                // Gradient clipping is folded into the update as a scale
-                // factor instead of materialising a clipped copy, keeping the
-                // step allocation-free.
-                let scale = match self.grad_clip {
-                    Some(clip) => {
-                        let norm = grad.frobenius_norm();
-                        if norm > clip && norm > 0.0 {
-                            clip / norm
-                        } else {
-                            1.0
-                        }
-                    }
-                    None => 1.0,
-                };
                 // The fused element-wise kernel dispatches through the
                 // CAPES_SIMD runtime switch; every arm is bit-identical to
                 // the loop this replaced, so optimizer trajectories are
@@ -234,7 +205,7 @@ impl Adam {
                     grad.as_slice(),
                     self.m[idx].as_mut_slice(),
                     self.v[idx].as_mut_slice(),
-                    &AdamStep { scale, ..step },
+                    &step,
                     target_param.map(|t| SoftTarget {
                         params: t.as_mut_slice(),
                         alpha,
@@ -318,61 +289,15 @@ mod tests {
     }
 
     #[test]
-    fn gradient_clipping_limits_update_magnitude() {
-        let make_net = || {
-            let mut r = StdRng::seed_from_u64(2);
-            Mlp::new(&[2, 4, 1], &mut r)
-        };
-
-        let x = Matrix::filled(1, 2, 1000.0); // enormous inputs → enormous grads
-        let t = Matrix::filled(1, 1, -1000.0);
-
-        let mut unclipped_net = make_net();
-        let mut clipped_net = make_net();
-        let mut unclipped = Adam::with_config(
-            0.1,
-            0.9,
-            0.999,
-            1e-8,
-            None,
-            unclipped_net.parameter_shapes(),
-        );
-        let mut clipped = Adam::with_config(
-            0.1,
-            0.9,
-            0.999,
-            1e-8,
-            Some(0.5),
-            clipped_net.parameter_shapes(),
-        );
-
-        let before = unclipped_net.parameter_distance(&clipped_net);
-        assert!(before < 1e-12, "nets start identical");
-
-        for net_and_opt in [
-            (&mut unclipped_net, &mut unclipped),
-            (&mut clipped_net, &mut clipped),
-        ] {
-            let (net, opt) = net_and_opt;
-            let (_, grads) = mse_grads(net, &x, &t);
-            opt.step(net, &grads);
-        }
-        // Both updated, but they should now differ because one was clipped.
-        assert!(unclipped_net.parameter_distance(&clipped_net) > 0.0);
-        assert!(clipped_net.is_finite());
-    }
-
-    #[test]
     fn adam_step_matches_the_reference_recurrence_bitwise() {
         // Guard on the SIMD-kernel rewiring: one dispatched step must equal
-        // the textbook recurrence bit for bit, clipping included (the kernel
-        // promises bit-identity at every CAPES_SIMD level).
+        // the textbook recurrence bit for bit (the kernel promises
+        // bit-identity at every CAPES_SIMD level).
         let mut rng = StdRng::seed_from_u64(5);
         let mut net = Mlp::new(&[3, 4, 2], &mut rng);
         let mut reference = net.clone();
         let (lr, b1, b2, eps) = (0.01, 0.9, 0.999, 1e-8);
-        let clip = 1e-3; // small enough that these grads engage clipping
-        let mut adam = Adam::with_config(lr, b1, b2, eps, Some(clip), net.parameter_shapes());
+        let mut adam = Adam::new(lr, net.parameter_shapes());
 
         let x = Matrix::filled(2, 3, 0.7);
         let t = Matrix::zeros(2, 2);
@@ -385,14 +310,7 @@ mod tests {
                 (&mut layer.weights, &g.d_weights),
                 (&mut layer.bias, &g.d_bias),
             ] {
-                let norm = grad.frobenius_norm();
-                let scale = if norm > clip && norm > 0.0 {
-                    clip / norm
-                } else {
-                    1.0
-                };
-                for (p, &raw_g) in param.as_mut_slice().iter_mut().zip(grad.as_slice()) {
-                    let g = raw_g * scale;
+                for (p, &g) in param.as_mut_slice().iter_mut().zip(grad.as_slice()) {
                     // Fresh state (m = v = 0) written in the kernel's exact
                     // evaluation order so ±0 signs match too.
                     let m = b1 * 0.0 + (1.0 - b1) * g;
@@ -500,22 +418,35 @@ mod tests {
     }
 
     #[test]
-    fn infinite_learning_rate_or_epsilon_does_not_decode() {
+    fn infinite_learning_rate_or_a_non_constant_slot_does_not_decode() {
         use capes_persist::{Persist, PersistError, Reader, Writer};
         let mut w = Writer::new();
         Adam::new(0.01, vec![(2, 2)]).encode(&mut w);
         let valid = w.as_slice().to_vec();
         assert!(Adam::decode(&mut Reader::new(&valid)).is_ok());
-        // The learning rate is the first f64 of the encoding, ε the fourth.
-        for offset in [0, 24] {
+        // The learning rate is the first f64 of the encoding; β₁, β₂ and ε
+        // the reserved slots after it, then the gradient clip's `None` tag.
+        let f64_at = |offset: usize, value: f64| {
             let mut patched = valid.clone();
-            patched[offset..offset + 8].copy_from_slice(&f64::INFINITY.to_le_bytes());
+            patched[offset..offset + 8].copy_from_slice(&value.to_le_bytes());
+            (format!("{value} at byte {offset}"), patched)
+        };
+        let mut clip = valid.clone();
+        clip[32] = 1;
+        for (case, patched) in [
+            f64_at(0, f64::INFINITY),
+            f64_at(8, 0.5),
+            f64_at(16, 0.99),
+            f64_at(24, 1e-7),
+            f64_at(24, f64::INFINITY),
+            ("a `Some` clip tag".to_string(), clip),
+        ] {
             assert!(
                 matches!(
                     Adam::decode(&mut Reader::new(&patched)),
                     Err(PersistError::BadValue { .. })
                 ),
-                "+∞ at byte {offset} must not decode"
+                "{case} must not decode"
             );
         }
     }

@@ -520,6 +520,18 @@ impl<'a> Reader<'a> {
         Ok(f64::from_bits(self.get_u64()?))
     }
 
+    /// Reads an f64 slot that may hold only `expected`: the reserved slot of
+    /// a value that is now a constant. The comparison is by bits, so a NaN
+    /// never matches and `-0.0` is not `0.0`; anything else is `BadValue`
+    /// with `what`.
+    pub fn expect_f64(&mut self, expected: f64, what: &'static str) -> Result<(), PersistError> {
+        if self.get_u64()? == expected.to_bits() {
+            Ok(())
+        } else {
+            Err(PersistError::BadValue { what })
+        }
+    }
+
     /// Reads a varint written by [`Writer::put_varint`], and only in the
     /// minimal form it writes, so one value has one encoding: a last byte of
     /// `0x00` after a continuation byte is rejected. Nine bytes carry 63

@@ -1,16 +1,18 @@
 //! The simulated cluster: ties the disk, network, server and client models
 //! together and advances them one second at a time.
 
-use crate::config::{ClusterConfig, PiMode};
-use crate::disk::DiskModel;
+use crate::config::{
+    ClusterConfig, PiMode, DISK_SEQ_READ_MBPS, DISK_SEQ_WRITE_MBPS, INTERFERENCE_PROBABILITY,
+    NETWORK_PER_CLIENT_MBPS, NOISE_LEVEL, SERVER_CONGESTION_KNEE, STRIPE_SIZE_MB, V1_MODEL_SLOTS,
+};
 use crate::indicators::{self, pis_per_client};
-use crate::network::NetworkModel;
 use crate::osc::OscState;
 use crate::params::TunableParams;
 use crate::server::{
     metadata_overhead_factor, read_congestion_efficiency, write_congestion_efficiency, ServerState,
 };
 use crate::workload::{Demand, Workload};
+use crate::{disk, network};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -72,8 +74,6 @@ struct ClientState {
 #[derive(Debug, Clone)]
 pub struct Cluster {
     config: ClusterConfig,
-    disk: DiskModel,
-    network: NetworkModel,
     params: TunableParams,
     workload: Workload,
     clients: Vec<ClientState>,
@@ -94,23 +94,11 @@ impl Cluster {
     /// using default (untuned) parameter values.
     pub fn new(config: ClusterConfig, workload: Workload, seed: u64) -> Self {
         config.validate();
-        let disk = DiskModel::new(
-            config.disk_seq_read_mbps,
-            config.disk_seq_write_mbps,
-            config.disk_seek_ms,
-            config.stripe_size_mb,
-        );
-        let network = NetworkModel::new(
-            config.network_aggregate_mbps,
-            config.network_per_client_mbps,
-            config.network_base_latency_ms,
-            config.network_congestion_knee_mb,
-        );
         let params = TunableParams::defaults();
         let clients = (0..config.num_clients)
             .map(|_| ClientState {
                 oscs: (0..config.oscs_per_client())
-                    .map(|_| OscState::new(params.congestion_window, config.write_cache_mb))
+                    .map(|_| OscState::new(params.congestion_window))
                     .collect(),
                 read_mbps: 0.0,
                 write_mbps: 0.0,
@@ -122,8 +110,6 @@ impl Cluster {
             .collect();
         Cluster {
             config,
-            disk,
-            network,
             params,
             workload,
             clients,
@@ -192,12 +178,11 @@ impl Cluster {
     pub fn step(&mut self) -> TickStats {
         let n_clients = self.config.num_clients as f64;
         let n_servers = self.config.num_servers as f64;
-        let stripe = self.config.stripe_size_mb;
         let w = self.params.congestion_window;
         let rate_limit = self.params.io_rate_limit;
 
         // 1. External interference (the paper's departmental network scans).
-        let interference_mbps = if self.rng.gen::<f64>() < self.config.interference_probability {
+        let interference_mbps = if self.rng.gen::<f64>() < INTERFERENCE_PROBABILITY {
             self.rng.gen_range(30.0..120.0)
         } else {
             0.0
@@ -212,7 +197,7 @@ impl Cluster {
         let mut outstanding_per_osc = vec![0.0f64; self.config.num_clients];
         for (i, d) in demands.iter().enumerate() {
             let total_mb = d.read_mb + d.write_mb;
-            let demand_reqs = total_mb / stripe;
+            let demand_reqs = total_mb / STRIPE_SIZE_MB;
             let issued_reqs = demand_reqs.min(rate_limit);
             let scale = if demand_reqs > 0.0 {
                 issued_reqs / demand_reqs
@@ -234,8 +219,8 @@ impl Cluster {
             } else {
                 0.0
             };
-            let fair_share_mbps = (read_frac * self.config.disk_seq_read_mbps * TYPICAL_READ_EFF
-                + (1.0 - read_frac) * self.config.disk_seq_write_mbps * TYPICAL_WRITE_EFF)
+            let fair_share_mbps = (read_frac * DISK_SEQ_READ_MBPS * TYPICAL_READ_EFF
+                + (1.0 - read_frac) * DISK_SEQ_WRITE_MBPS * TYPICAL_WRITE_EFF)
                 * n_servers
                 / n_clients;
             let saturation = (((issued_mb / fair_share_mbps.max(1.0)) - 0.8) / 0.4).clamp(0.0, 1.0);
@@ -247,7 +232,7 @@ impl Cluster {
         //    client's traffic uniformly over the servers, so each server sees
         //    the same queue depth and 1/num_servers of the aggregate demand.
         let qd_per_server: f64 = outstanding_per_osc.iter().sum();
-        let total_in_flight_mb = qd_per_server * n_servers * stripe;
+        let total_in_flight_mb = qd_per_server * n_servers * STRIPE_SIZE_MB;
 
         let total_issued_read: f64 = issued_read.iter().sum();
         let total_issued_write: f64 = issued_write.iter().sum();
@@ -257,15 +242,14 @@ impl Cluster {
             demands.iter().map(|d| d.metadata_ops).sum::<f64>() / n_servers;
 
         let frag_factor = 1.0 - 0.08 * self.fragmentation;
-        let knee = self.config.server_congestion_knee;
         let meta_factor = metadata_overhead_factor(metadata_per_server);
 
-        let read_cap_per_server = self.disk.read_capacity(qd_per_server, read_seq)
-            * read_congestion_efficiency(qd_per_server, knee)
+        let read_cap_per_server = disk::read_capacity(qd_per_server, read_seq)
+            * read_congestion_efficiency(qd_per_server, SERVER_CONGESTION_KNEE)
             * meta_factor
             * frag_factor;
-        let write_cap_per_server = self.disk.write_capacity(qd_per_server, write_seq)
-            * write_congestion_efficiency(qd_per_server, knee)
+        let write_cap_per_server = disk::write_capacity(qd_per_server, write_seq)
+            * write_congestion_efficiency(qd_per_server, SERVER_CONGESTION_KNEE)
             * meta_factor
             * frag_factor;
 
@@ -283,9 +267,7 @@ impl Cluster {
 
         // 4. Network constraints: aggregate cap with congestion collapse, then
         //    per-client link caps (applied proportionally below).
-        let net_cap = self
-            .network
-            .usable_aggregate(total_in_flight_mb, interference_mbps);
+        let net_cap = network::usable_aggregate(total_in_flight_mb, interference_mbps);
         let total_served = total_read + total_write;
         if total_served > net_cap {
             let scale = net_cap / total_served;
@@ -307,17 +289,13 @@ impl Cluster {
             };
             let mut client_read = total_read * share;
             let mut client_write = total_write * share;
-            let link_cap = self.config.network_per_client_mbps;
             let client_total = client_read + client_write;
-            if client_total > link_cap {
-                let s = link_cap / client_total;
+            if client_total > NETWORK_PER_CLIENT_MBPS {
+                let s = NETWORK_PER_CLIENT_MBPS / client_total;
                 client_read *= s;
                 client_write *= s;
             }
-            let noise = 1.0
-                + self
-                    .rng
-                    .gen_range(-self.config.noise_level..=self.config.noise_level);
+            let noise = 1.0 + self.rng.gen_range(-NOISE_LEVEL..=NOISE_LEVEL);
             client_read *= noise;
             client_write *= noise;
             per_client[i] = client_read + client_write;
@@ -329,11 +307,11 @@ impl Cluster {
         }
 
         // 6. Latency, process time and per-OSC indicator updates.
-        let latency_ms = self.network.latency_ms(total_in_flight_mb)
-            + self.disk.base_service_time_ms(total_write > total_read);
-        let overload = ((qd_per_server - knee) / knee).max(0.0);
+        let latency_ms = network::latency_ms(total_in_flight_mb)
+            + disk::base_service_time_ms(total_write > total_read);
+        let overload = ((qd_per_server - SERVER_CONGESTION_KNEE) / SERVER_CONGESTION_KNEE).max(0.0);
         let process_time_ms =
-            self.disk.base_service_time_ms(true) * (1.0 + overload) + latency_ms * 0.25;
+            disk::base_service_time_ms(true) * (1.0 + overload) + latency_ms * 0.25;
 
         for server in &mut self.servers {
             server.record_tick(
@@ -353,8 +331,8 @@ impl Cluster {
             let backlog_mb = (issued_write[i] - client.write_mbps).max(0.0) * NOMINAL_SERVICE_S
                 / oscs
                 + per_osc_write * 0.05;
-            let served_reqs_per_osc = (per_osc_read + per_osc_write) / stripe;
-            let issued_reqs_per_osc = (issued_read[i] + issued_write[i]) / stripe / oscs;
+            let served_reqs_per_osc = (per_osc_read + per_osc_write) / STRIPE_SIZE_MB;
+            let issued_reqs_per_osc = (issued_read[i] + issued_write[i]) / STRIPE_SIZE_MB / oscs;
             let reply_gap_ms = if served_reqs_per_osc > 0.0 {
                 1000.0 / served_reqs_per_osc
             } else {
@@ -365,8 +343,8 @@ impl Cluster {
             } else {
                 1000.0
             };
-            let ping = self.network.latency_ms(total_in_flight_mb)
-                * (1.0 + self.rng.gen_range(-0.05..0.05));
+            let ping =
+                network::latency_ms(total_in_flight_mb) * (1.0 + self.rng.gen_range(-0.05..0.05));
             for osc in &mut client.oscs {
                 osc.record_tick(
                     w,
@@ -526,8 +504,9 @@ impl capes_persist::Persist for Cluster {
 
     fn encode(&self, w: &mut capes_persist::Writer) {
         self.config.encode(w);
-        self.disk.encode(w);
-        self.network.encode(w);
+        for value in V1_MODEL_SLOTS {
+            w.put_f64(value);
+        }
         self.params.encode(w);
         self.workload.encode(w);
         self.clients.encode(w);
@@ -542,8 +521,9 @@ impl capes_persist::Persist for Cluster {
     fn decode(r: &mut capes_persist::Reader<'_>) -> Result<Self, capes_persist::PersistError> {
         use capes_persist::PersistError::BadValue;
         let config = ClusterConfig::decode(r)?;
-        let disk = DiskModel::decode(r)?;
-        let network = NetworkModel::decode(r)?;
+        for value in V1_MODEL_SLOTS {
+            r.expect_f64(value, "disk or network slot is not the testbed constant")?;
+        }
         let params = TunableParams::decode(r)?;
         let workload = Workload::decode(r)?;
         let clients = Vec::<ClientState>::decode(r)?;
@@ -584,8 +564,6 @@ impl capes_persist::Persist for Cluster {
         }
         Ok(Cluster {
             config,
-            disk,
-            network,
             params,
             workload,
             clients,
@@ -916,6 +894,55 @@ mod tests {
             original.performance_indicators(1),
             restored.performance_indicators(1)
         );
+    }
+
+    #[test]
+    fn persist_rejects_hardware_slots_other_than_the_testbed_constants() {
+        use capes_persist::{Persist, PersistError, Reader, Writer};
+
+        // Fresh, so no simulated value can collide with a slot's constant.
+        let c = Cluster::new(ClusterConfig::default(), Workload::random_rw(0.1), 3);
+        let mut w = Writer::new();
+        c.encode(&mut w);
+        let valid = w.into_vec();
+        let slots_holding = |value: f64| -> Vec<usize> {
+            (0..=valid.len() - 8)
+                .filter(|&at| valid[at..at + 8] == value.to_le_bytes())
+                .collect()
+        };
+        // The write cache: the config's slot, then one per OSC.
+        let cache = slots_holding(32.0);
+        assert_eq!(cache.len(), 1 + 5 * 4);
+        // The seek time: the config's slot, then the former disk model's.
+        let seek = slots_holding(8.5);
+        assert_eq!(seek.len(), 2);
+        assert!(Cluster::decode(&mut Reader::new(&valid)).is_ok());
+
+        for bad in [-1.0, f64::NAN] {
+            let patched = |slots: &[usize]| {
+                let mut bytes = valid.clone();
+                for &at in slots {
+                    bytes[at..at + 8].copy_from_slice(&bad.to_le_bytes());
+                }
+                bytes
+            };
+            // Patched in every OSC at once, a cache size used to decode, and
+            // the first step then panicked clamping into [0, -1] or [0, NaN].
+            for (case, bytes) in [
+                ("every OSC cache slot", patched(&cache[1..])),
+                ("the last OSC cache slot", patched(&cache[20..])),
+                ("the config cache slot", patched(&cache[..1])),
+                ("the disk seek slot", patched(&seek[1..])),
+            ] {
+                assert!(
+                    matches!(
+                        Cluster::decode(&mut Reader::new(&bytes)),
+                        Err(PersistError::BadValue { .. })
+                    ),
+                    "{case} holding {bad} must not decode"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Cluster geometry and hardware constants (paper §4.2).
+//! Cluster geometry and the testbed's hardware constants (paper §4.2).
 
 /// How many Performance Indicators each client reports per sampling tick.
 ///
@@ -18,48 +18,85 @@ pub enum PiMode {
     Compact,
 }
 
-/// Static description of the simulated cluster.
+/// Stripe size in MB (paper: 1 MB). This is also the RPC transfer size.
+pub(crate) const STRIPE_SIZE_MB: f64 = 1.0;
+/// Per-disk sequential read bandwidth in MB/s (paper §4.2: the HGST
+/// Travelstar Z7K500 reads at 113 MB/s).
+pub(crate) const DISK_SEQ_READ_MBPS: f64 = 113.0;
+/// Per-disk sequential write bandwidth in MB/s (paper §4.2: 106 MB/s).
+pub(crate) const DISK_SEQ_WRITE_MBPS: f64 = 106.0;
+/// Average seek + rotational latency of the 7200-RPM disk in milliseconds.
+pub(crate) const DISK_SEEK_MS: f64 = 8.5;
+/// Aggregate network bandwidth in MB/s (paper §4.2: gigabit Ethernet with
+/// ≈500 MB/s measured across the four servers, a ~1:1 network-to-storage
+/// ratio).
+pub(crate) const NETWORK_AGGREGATE_MBPS: f64 = 500.0;
+/// Per-client link bandwidth in MB/s (gigabit Ethernet ≈ 117).
+pub(crate) const NETWORK_PER_CLIENT_MBPS: f64 = 117.0;
+/// Unloaded round-trip latency between a client and a server, in ms.
+pub(crate) const NETWORK_BASE_LATENCY_MS: f64 = 0.3;
+/// Per-OSC write cache (dirty-bytes) limit in MB (Lustre default: 32).
+pub(crate) const WRITE_CACHE_MB: f64 = 32.0;
+/// Queue depth at which a server's efficiency starts to degrade
+/// (thread-pool exhaustion / lock contention — the "congestion collapse"
+/// knee).
+pub(crate) const SERVER_CONGESTION_KNEE: f64 = 24.0;
+/// Total in-flight megabytes at which the shared network starts to
+/// collapse.
+pub(crate) const NETWORK_CONGESTION_KNEE_MB: f64 = 120.0;
+/// Relative half-width of the multiplicative measurement noise (the paper's
+/// testbed shares a departmental network; ~4 % is typical).
+pub(crate) const NOISE_LEVEL: f64 = 0.04;
+/// Probability per tick of an external interference event (IT-department
+/// scans in the paper) that temporarily steals network bandwidth.
+pub(crate) const INTERFERENCE_PROBABILITY: f64 = 0.01;
+
+/// The v1 snapshot slots that held the twelve hardware values above when
+/// they were `ClusterConfig` fields, in their encoding order. Encode writes
+/// the constants; decode accepts nothing else.
+const V1_CONFIG_SLOTS: [f64; 12] = [
+    STRIPE_SIZE_MB,
+    DISK_SEQ_READ_MBPS,
+    DISK_SEQ_WRITE_MBPS,
+    DISK_SEEK_MS,
+    NETWORK_AGGREGATE_MBPS,
+    NETWORK_PER_CLIENT_MBPS,
+    NETWORK_BASE_LATENCY_MS,
+    WRITE_CACHE_MB,
+    SERVER_CONGESTION_KNEE,
+    NETWORK_CONGESTION_KNEE_MB,
+    NOISE_LEVEL,
+    INTERFERENCE_PROBABILITY,
+];
+
+/// The v1 snapshot slots of the former disk and network models, which each
+/// cluster encoded after its configuration: the disk's read and write
+/// bandwidths, seek time and transfer unit, then the network's aggregate and
+/// per-client bandwidths, base latency and congestion knee.
+pub(crate) const V1_MODEL_SLOTS: [f64; 8] = [
+    DISK_SEQ_READ_MBPS,
+    DISK_SEQ_WRITE_MBPS,
+    DISK_SEEK_MS,
+    STRIPE_SIZE_MB,
+    NETWORK_AGGREGATE_MBPS,
+    NETWORK_PER_CLIENT_MBPS,
+    NETWORK_BASE_LATENCY_MS,
+    NETWORK_CONGESTION_KNEE_MB,
+];
+
+/// The shape of the simulated cluster.
 ///
-/// Defaults reproduce the paper's testbed: 4 object storage servers, 5
-/// clients, one OSC per client per server (stripe count 4, 1 MB stripes),
-/// 7200-RPM HGST disks (113 MB/s sequential read, 106 MB/s sequential write),
-/// gigabit Ethernet with ≈500 MB/s measured aggregate throughput, and a
-/// write-through server cache.
+/// Defaults reproduce the paper's testbed: 4 object storage servers and 5
+/// clients, one OSC per client per server (stripe count 4). The testbed's
+/// hardware — 1 MB stripes, 7200-RPM HGST disks, gigabit Ethernet with
+/// ≈500 MB/s aggregate throughput, the 32 MB Lustre write cache — is fixed:
+/// it is the constant block above.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterConfig {
     /// Number of object storage servers (paper: 4).
     pub num_servers: usize,
     /// Number of client nodes (paper: 5).
     pub num_clients: usize,
-    /// Stripe size in MB (paper: 1 MB). This is also the RPC transfer size.
-    pub stripe_size_mb: f64,
-    /// Per-disk sequential read bandwidth in MB/s (paper: 113).
-    pub disk_seq_read_mbps: f64,
-    /// Per-disk sequential write bandwidth in MB/s (paper: 106).
-    pub disk_seq_write_mbps: f64,
-    /// Average seek + rotational latency of the disk in milliseconds.
-    pub disk_seek_ms: f64,
-    /// Aggregate network bandwidth in MB/s (paper: ≈500).
-    pub network_aggregate_mbps: f64,
-    /// Per-client link bandwidth in MB/s (gigabit Ethernet ≈ 117).
-    pub network_per_client_mbps: f64,
-    /// Unloaded round-trip latency between a client and a server, in ms.
-    pub network_base_latency_ms: f64,
-    /// Per-OSC write cache (dirty-bytes) limit in MB (Lustre default: 32).
-    pub write_cache_mb: f64,
-    /// Queue depth at which a server's efficiency starts to degrade
-    /// (thread-pool exhaustion / lock contention — the "congestion collapse"
-    /// knee).
-    pub server_congestion_knee: f64,
-    /// Total in-flight megabytes at which the shared network starts to
-    /// collapse.
-    pub network_congestion_knee_mb: f64,
-    /// Relative standard deviation of the multiplicative measurement noise
-    /// (the paper's testbed shares a departmental network; ~4 % is typical).
-    pub noise_level: f64,
-    /// Probability per tick of an external interference event (IT-department
-    /// scans in the paper) that temporarily steals network bandwidth.
-    pub interference_probability: f64,
     /// Which Performance-Indicator set the cluster reports.
     pub pi_mode: PiMode,
 }
@@ -69,18 +106,6 @@ impl Default for ClusterConfig {
         ClusterConfig {
             num_servers: 4,
             num_clients: 5,
-            stripe_size_mb: 1.0,
-            disk_seq_read_mbps: 113.0,
-            disk_seq_write_mbps: 106.0,
-            disk_seek_ms: 8.5,
-            network_aggregate_mbps: 500.0,
-            network_per_client_mbps: 117.0,
-            network_base_latency_ms: 0.3,
-            write_cache_mb: 32.0,
-            server_congestion_knee: 24.0,
-            network_congestion_knee_mb: 120.0,
-            noise_level: 0.04,
-            interference_probability: 0.01,
             pi_mode: PiMode::Compact,
         }
     }
@@ -97,23 +122,6 @@ impl ClusterConfig {
     pub fn validate(&self) {
         assert!(self.num_servers > 0, "need at least one server");
         assert!(self.num_clients > 0, "need at least one client");
-        assert!(self.stripe_size_mb > 0.0, "stripe size must be positive");
-        assert!(
-            self.disk_seq_read_mbps > 0.0 && self.disk_seq_write_mbps > 0.0,
-            "disk bandwidths must be positive"
-        );
-        assert!(
-            self.network_aggregate_mbps > 0.0 && self.network_per_client_mbps > 0.0,
-            "network bandwidths must be positive"
-        );
-        assert!(
-            (0.0..0.5).contains(&self.noise_level),
-            "noise level must be in [0, 0.5)"
-        );
-        assert!(
-            (0.0..1.0).contains(&self.interference_probability),
-            "interference probability must be in [0, 1)"
-        );
     }
 }
 
@@ -144,60 +152,27 @@ impl capes_persist::Persist for ClusterConfig {
     fn encode(&self, w: &mut capes_persist::Writer) {
         w.put_usize(self.num_servers);
         w.put_usize(self.num_clients);
-        w.put_f64(self.stripe_size_mb);
-        w.put_f64(self.disk_seq_read_mbps);
-        w.put_f64(self.disk_seq_write_mbps);
-        w.put_f64(self.disk_seek_ms);
-        w.put_f64(self.network_aggregate_mbps);
-        w.put_f64(self.network_per_client_mbps);
-        w.put_f64(self.network_base_latency_ms);
-        w.put_f64(self.write_cache_mb);
-        w.put_f64(self.server_congestion_knee);
-        w.put_f64(self.network_congestion_knee_mb);
-        w.put_f64(self.noise_level);
-        w.put_f64(self.interference_probability);
+        for value in V1_CONFIG_SLOTS {
+            w.put_f64(value);
+        }
         self.pi_mode.encode(w);
     }
 
     fn decode(r: &mut capes_persist::Reader<'_>) -> Result<Self, capes_persist::PersistError> {
+        let num_servers = r.get_usize()?;
+        let num_clients = r.get_usize()?;
+        for value in V1_CONFIG_SLOTS {
+            r.expect_f64(value, "cluster hardware slot is not the testbed constant")?;
+        }
         let config = ClusterConfig {
-            num_servers: r.get_usize()?,
-            num_clients: r.get_usize()?,
-            stripe_size_mb: r.get_f64()?,
-            disk_seq_read_mbps: r.get_f64()?,
-            disk_seq_write_mbps: r.get_f64()?,
-            disk_seek_ms: r.get_f64()?,
-            network_aggregate_mbps: r.get_f64()?,
-            network_per_client_mbps: r.get_f64()?,
-            network_base_latency_ms: r.get_f64()?,
-            write_cache_mb: r.get_f64()?,
-            server_congestion_knee: r.get_f64()?,
-            network_congestion_knee_mb: r.get_f64()?,
-            noise_level: r.get_f64()?,
-            interference_probability: r.get_f64()?,
+            num_servers,
+            num_clients,
             pi_mode: PiMode::decode(r)?,
         };
         // `validate`'s invariants as typed errors instead of panics.
         if config.num_servers == 0 || config.num_clients == 0 {
             return Err(capes_persist::PersistError::BadValue {
                 what: "cluster with zero servers or clients",
-            });
-        }
-        if !(config.stripe_size_mb > 0.0
-            && config.disk_seq_read_mbps > 0.0
-            && config.disk_seq_write_mbps > 0.0
-            && config.network_aggregate_mbps > 0.0
-            && config.network_per_client_mbps > 0.0)
-        {
-            return Err(capes_persist::PersistError::BadValue {
-                what: "cluster bandwidth or stripe size not positive",
-            });
-        }
-        if !((0.0..0.5).contains(&config.noise_level)
-            && (0.0..1.0).contains(&config.interference_probability))
-        {
-            return Err(capes_persist::PersistError::BadValue {
-                what: "cluster noise or interference outside its range",
             });
         }
         Ok(config)
@@ -215,14 +190,10 @@ mod tests {
         assert_eq!(c.num_servers, 4);
         assert_eq!(c.num_clients, 5);
         assert_eq!(c.oscs_per_client(), 4);
-        assert_eq!(c.disk_seq_read_mbps, 113.0);
-        assert_eq!(c.disk_seq_write_mbps, 106.0);
-        assert_eq!(c.network_aggregate_mbps, 500.0);
-        assert_eq!(c.stripe_size_mb, 1.0);
         assert_eq!(c.pi_mode, PiMode::Compact);
         // The paper chose hardware with a ~1:1 network-to-storage bandwidth
-        // ratio; verify the defaults preserve that property.
-        let ratio = c.network_aggregate_mbps / (c.disk_seq_write_mbps * c.num_servers as f64);
+        // ratio; verify the constants preserve that property.
+        let ratio = NETWORK_AGGREGATE_MBPS / (DISK_SEQ_WRITE_MBPS * c.num_servers as f64);
         assert!((0.8..1.4).contains(&ratio), "network:storage ratio {ratio}");
     }
 

@@ -31,6 +31,11 @@
 //! read/write mixes at configurable ratios, the Filebench "fileserver"
 //! personality, and the five-stream sequential-write workload.
 //!
+//! Only the cluster's shape is configurable ([`ClusterConfig`]: servers,
+//! clients and the PI set). The testbed's hardware — disks, network, stripe
+//! and write-cache sizes, noise and interference — is one block of
+//! constants in `config.rs`, each citing its paper value.
+//!
 //! One simulator tick corresponds to one second of simulated time; a "12-hour
 //! training run" from the paper is 43 200 ticks, which the simulator executes
 //! in seconds of wall-clock time.
@@ -49,8 +54,6 @@ pub mod workload;
 
 pub use cluster::{Cluster, TickStats};
 pub use config::{ClusterConfig, PiMode};
-pub use disk::DiskModel;
 pub use indicators::{pi_labels, pi_scales, pis_per_client};
-pub use network::NetworkModel;
 pub use params::{ParamSpec, TunableParams};
 pub use workload::{Workload, WorkloadKind};

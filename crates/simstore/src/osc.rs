@@ -4,6 +4,7 @@
 //! paper's stripe count of four and four servers, every client has four OSCs
 //! and the nine performance indicators of §4.1 are collected per OSC.
 
+use crate::config::WRITE_CACHE_MB;
 use capes_stats::Ewma;
 
 /// Per-OSC dynamic state and the indicators derived from it.
@@ -15,10 +16,9 @@ pub struct OscState {
     pub read_throughput: f64,
     /// Write throughput achieved during the last tick, MB/s.
     pub write_throughput: f64,
-    /// Dirty bytes currently held in the client-side write cache, MB.
+    /// Dirty bytes currently held in the client-side write cache, MB (at
+    /// most the testbed's fixed write-cache size).
     pub dirty_bytes_mb: f64,
-    /// Maximum size of the write cache, MB.
-    pub max_write_cache_mb: f64,
     /// Ping latency from this client to the OSC's server, ms.
     pub ping_latency_ms: f64,
     /// EWMA of gaps between server replies (ms).
@@ -31,15 +31,13 @@ pub struct OscState {
 }
 
 impl OscState {
-    /// Creates an OSC with the given window and write-cache limit and no
-    /// traffic history.
-    pub fn new(congestion_window: f64, max_write_cache_mb: f64) -> Self {
+    /// Creates an OSC with the given window and no traffic history.
+    pub fn new(congestion_window: f64) -> Self {
         OscState {
             congestion_window,
             read_throughput: 0.0,
             write_throughput: 0.0,
             dirty_bytes_mb: 0.0,
-            max_write_cache_mb,
             ping_latency_ms: 0.0,
             ack_ewma: Ewma::new(0.125),
             send_ewma: Ewma::new(0.125),
@@ -67,7 +65,7 @@ impl OscState {
         self.congestion_window = congestion_window;
         self.read_throughput = read_mb;
         self.write_throughput = write_mb;
-        self.dirty_bytes_mb = dirty_mb.clamp(0.0, self.max_write_cache_mb);
+        self.dirty_bytes_mb = dirty_mb.clamp(0.0, WRITE_CACHE_MB);
         self.ping_latency_ms = ping_latency_ms;
         self.ack_ewma.update(reply_gap_ms);
         self.send_ewma.update(send_gap_ms);
@@ -93,7 +91,7 @@ impl OscState {
             self.read_throughput,
             self.write_throughput,
             self.dirty_bytes_mb,
-            self.max_write_cache_mb,
+            WRITE_CACHE_MB,
             self.ping_latency_ms,
             self.ack_ewma_ms(),
             self.send_ewma_ms(),
@@ -110,7 +108,8 @@ impl capes_persist::Persist for OscState {
         w.put_f64(self.read_throughput);
         w.put_f64(self.write_throughput);
         w.put_f64(self.dirty_bytes_mb);
-        w.put_f64(self.max_write_cache_mb);
+        // v1 slot of the former per-OSC write-cache size.
+        w.put_f64(WRITE_CACHE_MB);
         w.put_f64(self.ping_latency_ms);
         self.ack_ewma.encode(w);
         self.send_ewma.encode(w);
@@ -118,12 +117,21 @@ impl capes_persist::Persist for OscState {
     }
 
     fn decode(r: &mut capes_persist::Reader<'_>) -> Result<Self, capes_persist::PersistError> {
+        let congestion_window = r.get_f64()?;
+        let read_throughput = r.get_f64()?;
+        let write_throughput = r.get_f64()?;
+        let dirty_bytes_mb = r.get_f64()?;
+        // Any other cache size would be the bound `record_tick` clamps to:
+        // a negative or NaN one panics the next tick.
+        r.expect_f64(
+            WRITE_CACHE_MB,
+            "OSC write-cache slot is not the testbed constant",
+        )?;
         Ok(OscState {
-            congestion_window: r.get_f64()?,
-            read_throughput: r.get_f64()?,
-            write_throughput: r.get_f64()?,
-            dirty_bytes_mb: r.get_f64()?,
-            max_write_cache_mb: r.get_f64()?,
+            congestion_window,
+            read_throughput,
+            write_throughput,
+            dirty_bytes_mb,
             ping_latency_ms: r.get_f64()?,
             ack_ewma: Ewma::decode(r)?,
             send_ewma: Ewma::decode(r)?,
@@ -138,7 +146,7 @@ mod tests {
 
     #[test]
     fn fresh_osc_reports_defaults() {
-        let o = OscState::new(8.0, 32.0);
+        let o = OscState::new(8.0);
         let pis = o.performance_indicators();
         assert_eq!(pis[0], 8.0);
         assert_eq!(pis[4], 32.0);
@@ -148,7 +156,7 @@ mod tests {
 
     #[test]
     fn record_tick_updates_indicators() {
-        let mut o = OscState::new(8.0, 32.0);
+        let mut o = OscState::new(8.0);
         o.record_tick(16.0, 12.5, 30.0, 10.0, 1.2, 0.8, 0.9, 1.5);
         let pis = o.performance_indicators();
         assert_eq!(pis[0], 16.0);
@@ -162,7 +170,7 @@ mod tests {
 
     #[test]
     fn dirty_bytes_clamped_to_cache_size() {
-        let mut o = OscState::new(8.0, 32.0);
+        let mut o = OscState::new(8.0);
         o.record_tick(8.0, 0.0, 0.0, 500.0, 1.0, 1.0, 1.0, 1.0);
         assert_eq!(o.dirty_bytes_mb, 32.0);
         o.record_tick(8.0, 0.0, 0.0, -3.0, 1.0, 1.0, 1.0, 1.0);
@@ -171,7 +179,7 @@ mod tests {
 
     #[test]
     fn ewmas_smooth_their_inputs() {
-        let mut o = OscState::new(8.0, 32.0);
+        let mut o = OscState::new(8.0);
         o.record_tick(8.0, 0.0, 0.0, 0.0, 1.0, 10.0, 10.0, 1.0);
         for _ in 0..100 {
             o.record_tick(8.0, 0.0, 0.0, 0.0, 1.0, 2.0, 4.0, 1.0);
@@ -182,7 +190,7 @@ mod tests {
 
     #[test]
     fn indicator_array_has_paper_layout() {
-        let o = OscState::new(10.0, 32.0);
+        let o = OscState::new(10.0);
         assert_eq!(o.performance_indicators().len(), 9);
     }
 }

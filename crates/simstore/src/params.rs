@@ -37,12 +37,6 @@ impl ParamSpec {
     pub fn contains(&self, value: f64) -> bool {
         (self.min..=self.max).contains(&value)
     }
-
-    /// Number of distinct values the parameter can take when stepping from
-    /// `min` to `max` (used to reason about the search-space size).
-    pub fn cardinality(&self) -> usize {
-        ((self.max - self.min) / self.step).round() as usize + 1
-    }
 }
 
 /// The current values of the two tunable parameters.
@@ -172,7 +166,6 @@ mod tests {
         assert_eq!(spec.clamp(300.0), 256.0);
         assert_eq!(spec.clamp(16.0), 16.0);
         assert!(!spec.contains(0.5));
-        assert!(spec.cardinality() > 100);
     }
 
     #[test]

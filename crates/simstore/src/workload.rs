@@ -30,6 +30,13 @@ pub struct Demand {
     pub active_threads: f64,
 }
 
+/// I/O threads per client of the random read/write mixes (paper: 5).
+const THREADS_PER_CLIENT: usize = 5;
+/// Fileserver workload instances per client (paper: 32).
+const INSTANCES_PER_CLIENT: usize = 32;
+/// Sequential-write streams per client (paper: 5, 1 MB writes).
+const STREAMS_PER_CLIENT: usize = 5;
+
 /// The workload families of the paper's evaluation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum WorkloadKind {
@@ -38,31 +45,33 @@ pub enum WorkloadKind {
     RandomReadWrite {
         /// Fraction of demanded bytes that are reads.
         read_fraction: f64,
-        /// I/O threads per client (paper: 5).
-        threads_per_client: usize,
     },
-    /// The Filebench fileserver personality (paper: 32 instances per client).
-    FileServer {
-        /// Workload instances per client.
-        instances_per_client: usize,
-    },
-    /// Concurrent sequential-write streams (paper: 5 per client, 1 MB writes).
-    SequentialWrite {
-        /// Write streams per client.
-        streams_per_client: usize,
-    },
+    /// The Filebench fileserver personality.
+    FileServer,
+    /// Concurrent sequential-write streams.
+    SequentialWrite,
 }
 
 impl WorkloadKind {
     /// Short human-readable label, used by the figure harness.
     pub fn label(&self) -> String {
         match self {
-            WorkloadKind::RandomReadWrite { read_fraction, .. } => {
+            WorkloadKind::RandomReadWrite { read_fraction } => {
                 let r = (read_fraction * 10.0).round() as u32;
                 format!("random {}:{}", r, 10 - r)
             }
-            WorkloadKind::FileServer { .. } => "fileserver".to_string(),
-            WorkloadKind::SequentialWrite { .. } => "sequential write".to_string(),
+            WorkloadKind::FileServer => "fileserver".to_string(),
+            WorkloadKind::SequentialWrite => "sequential write".to_string(),
+        }
+    }
+
+    /// The family's per-client count: I/O threads, fileserver instances or
+    /// write streams.
+    fn per_client(&self) -> usize {
+        match self {
+            WorkloadKind::RandomReadWrite { .. } => THREADS_PER_CLIENT,
+            WorkloadKind::FileServer => INSTANCES_PER_CLIENT,
+            WorkloadKind::SequentialWrite => STREAMS_PER_CLIENT,
         }
     }
 }
@@ -71,8 +80,6 @@ impl WorkloadKind {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
     kind: WorkloadKind,
-    /// Relative demand fluctuation from second to second.
-    burstiness: f64,
 }
 
 impl Workload {
@@ -80,43 +87,22 @@ impl Workload {
     /// expressed as a read fraction (e.g. `0.1` for the paper's 1:9 mix).
     pub fn random_rw(read_fraction: f64) -> Self {
         assert!((0.0..=1.0).contains(&read_fraction));
-        Workload {
-            kind: WorkloadKind::RandomReadWrite {
-                read_fraction,
-                threads_per_client: 5,
-            },
-            burstiness: 0.06,
-        }
+        Workload::from_kind(WorkloadKind::RandomReadWrite { read_fraction })
     }
 
     /// The Filebench fileserver workload (32 instances per client).
     pub fn fileserver() -> Self {
-        Workload {
-            kind: WorkloadKind::FileServer {
-                instances_per_client: 32,
-            },
-            burstiness: 0.18,
-        }
+        Workload::from_kind(WorkloadKind::FileServer)
     }
 
     /// The five-stream sequential-write workload.
     pub fn sequential_write() -> Self {
-        Workload {
-            kind: WorkloadKind::SequentialWrite {
-                streams_per_client: 5,
-            },
-            burstiness: 0.04,
-        }
+        Workload::from_kind(WorkloadKind::SequentialWrite)
     }
 
     /// Builds a workload directly from a [`WorkloadKind`].
     pub fn from_kind(kind: WorkloadKind) -> Self {
-        let burstiness = match kind {
-            WorkloadKind::RandomReadWrite { .. } => 0.06,
-            WorkloadKind::FileServer { .. } => 0.18,
-            WorkloadKind::SequentialWrite { .. } => 0.04,
-        };
-        Workload { kind, burstiness }
+        Workload { kind }
     }
 
     /// The workload family.
@@ -124,38 +110,43 @@ impl Workload {
         self.kind
     }
 
+    /// Relative demand fluctuation from second to second.
+    fn burstiness(&self) -> f64 {
+        match self.kind {
+            WorkloadKind::RandomReadWrite { .. } => 0.06,
+            WorkloadKind::FileServer => 0.18,
+            WorkloadKind::SequentialWrite => 0.04,
+        }
+    }
+
     /// Demand presented by one client during one tick. `rng` supplies the
     /// per-second fluctuation; the same seed gives the same demand trace.
     pub fn demand<R: Rng + ?Sized>(&self, rng: &mut R) -> Demand {
-        let noise = |rng: &mut R| 1.0 + rng.gen_range(-self.burstiness..self.burstiness);
+        let burstiness = self.burstiness();
+        let noise = |rng: &mut R| 1.0 + rng.gen_range(-burstiness..burstiness);
         match self.kind {
-            WorkloadKind::RandomReadWrite {
-                read_fraction,
-                threads_per_client,
-            } => {
+            WorkloadKind::RandomReadWrite { read_fraction } => {
                 // Each thread keeps roughly 30 MB/s of 1 MB random I/O demand
                 // outstanding — five threads per client are comfortably enough
                 // to saturate the four-disk backend across five clients.
                 let per_thread_mb = 30.0;
-                let total = per_thread_mb * threads_per_client as f64 * noise(rng);
+                let total = per_thread_mb * THREADS_PER_CLIENT as f64 * noise(rng);
                 Demand {
                     read_mb: total * read_fraction,
                     write_mb: total * (1.0 - read_fraction),
                     read_seq_fraction: 0.0,
                     write_seq_fraction: 0.0,
                     metadata_ops: 2.0,
-                    active_threads: threads_per_client as f64,
+                    active_threads: THREADS_PER_CLIENT as f64,
                 }
             }
-            WorkloadKind::FileServer {
-                instances_per_client,
-            } => {
+            WorkloadKind::FileServer => {
                 // Each fileserver instance loops create(100 MB write), append
                 // (~100 MB write), whole-file read (100 MB), delete, stat.
                 // With 32 instances per client the offered load far exceeds
                 // the backend capacity, so the cluster runs saturated, and the
                 // mix is ~1/3 read, ~2/3 write plus heavy metadata traffic.
-                let inst = instances_per_client as f64;
+                let inst = INSTANCES_PER_CLIENT as f64;
                 let per_instance_mb = 6.0;
                 let total = per_instance_mb * inst * noise(rng);
                 Demand {
@@ -167,18 +158,18 @@ impl Workload {
                     active_threads: inst,
                 }
             }
-            WorkloadKind::SequentialWrite { streams_per_client } => {
+            WorkloadKind::SequentialWrite => {
                 // Each stream writes 1 MB requests back to back; a single
                 // stream can push ~35 MB/s through the client-side stack.
                 let per_stream_mb = 35.0;
-                let total = per_stream_mb * streams_per_client as f64 * noise(rng);
+                let total = per_stream_mb * STREAMS_PER_CLIENT as f64 * noise(rng);
                 Demand {
                     read_mb: 0.0,
                     write_mb: total,
                     read_seq_fraction: 0.0,
                     write_seq_fraction: 1.0,
                     metadata_ops: 0.5,
-                    active_threads: streams_per_client as f64,
+                    active_threads: STREAMS_PER_CLIENT as f64,
                 }
             }
         }
@@ -190,29 +181,19 @@ impl capes_persist::Persist for WorkloadKind {
 
     fn encode(&self, w: &mut capes_persist::Writer) {
         match self {
-            WorkloadKind::RandomReadWrite {
-                read_fraction,
-                threads_per_client,
-            } => {
+            WorkloadKind::RandomReadWrite { read_fraction } => {
                 w.put_u8(0);
                 w.put_f64(*read_fraction);
-                w.put_usize(*threads_per_client);
             }
-            WorkloadKind::FileServer {
-                instances_per_client,
-            } => {
-                w.put_u8(1);
-                w.put_usize(*instances_per_client);
-            }
-            WorkloadKind::SequentialWrite { streams_per_client } => {
-                w.put_u8(2);
-                w.put_usize(*streams_per_client);
-            }
+            WorkloadKind::FileServer => w.put_u8(1),
+            WorkloadKind::SequentialWrite => w.put_u8(2),
         }
+        // v1 slot of the former per-client count field.
+        w.put_usize(self.per_client());
     }
 
     fn decode(r: &mut capes_persist::Reader<'_>) -> Result<Self, capes_persist::PersistError> {
-        match r.get_u8()? {
+        let kind = match r.get_u8()? {
             0 => {
                 let read_fraction = r.get_f64()?;
                 if !(0.0..=1.0).contains(&read_fraction) {
@@ -220,21 +201,22 @@ impl capes_persist::Persist for WorkloadKind {
                         what: "workload read fraction outside [0, 1]",
                     });
                 }
-                Ok(WorkloadKind::RandomReadWrite {
-                    read_fraction,
-                    threads_per_client: r.get_usize()?,
+                WorkloadKind::RandomReadWrite { read_fraction }
+            }
+            1 => WorkloadKind::FileServer,
+            2 => WorkloadKind::SequentialWrite,
+            _ => {
+                return Err(capes_persist::PersistError::BadValue {
+                    what: "unknown workload tag",
                 })
             }
-            1 => Ok(WorkloadKind::FileServer {
-                instances_per_client: r.get_usize()?,
-            }),
-            2 => Ok(WorkloadKind::SequentialWrite {
-                streams_per_client: r.get_usize()?,
-            }),
-            _ => Err(capes_persist::PersistError::BadValue {
-                what: "unknown workload tag",
-            }),
+        };
+        if r.get_usize()? != kind.per_client() {
+            return Err(capes_persist::PersistError::BadValue {
+                what: "workload per-client count is not the family's constant",
+            });
         }
+        Ok(kind)
     }
 }
 
@@ -242,8 +224,8 @@ impl capes_persist::Persist for Workload {
     const MIN_SIZE: usize = WorkloadKind::MIN_SIZE;
 
     fn encode(&self, w: &mut capes_persist::Writer) {
-        // Burstiness is a pure function of the kind (`from_kind`), so the
-        // kind alone reconstructs the generator exactly.
+        // Burstiness and the per-client count are functions of the kind, so
+        // the kind alone reconstructs the generator exactly.
         self.kind.encode(w);
     }
 
@@ -343,6 +325,37 @@ mod tests {
         assert_eq!(Workload::random_rw(0.9).kind().label(), "random 9:1");
         assert_eq!(Workload::random_rw(0.1).kind().label(), "random 1:9");
         assert_eq!(Workload::random_rw(0.5).kind().label(), "random 5:5");
+    }
+
+    #[test]
+    fn persist_round_trips_and_rejects_a_count_other_than_the_family_constant() {
+        use capes_persist::{Persist, PersistError, Reader, Writer};
+        for kind in [
+            Workload::random_rw(0.3).kind(),
+            Workload::fileserver().kind(),
+            Workload::sequential_write().kind(),
+        ] {
+            let mut w = Writer::new();
+            kind.encode(&mut w);
+            let mut bytes = w.into_vec();
+            assert_eq!(
+                WorkloadKind::decode(&mut Reader::new(&bytes)).ok(),
+                Some(kind)
+            );
+            // The count is the last eight bytes.
+            let at = bytes.len() - 8;
+            let count = kind.per_client() as u64;
+            bytes[at..].copy_from_slice(&(count + 1).to_le_bytes());
+            assert!(
+                matches!(
+                    WorkloadKind::decode(&mut Reader::new(&bytes)),
+                    Err(PersistError::BadValue { .. })
+                ),
+                "{} with {} per client must not decode",
+                kind.label(),
+                count + 1
+            );
+        }
     }
 
     #[test]

@@ -328,8 +328,8 @@ pub fn gemm_tb_rows_with(
 }
 
 /// Per-step constants of one Adam update, shared by every element the step
-/// touches: the optimizer computes the bias corrections and the clip scale
-/// once per step and the kernel applies them element-wise.
+/// touches: the optimizer computes the bias corrections once per step and
+/// the kernel applies them element-wise.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdamStep {
     /// Step size `lr`.
@@ -344,9 +344,6 @@ pub struct AdamStep {
     pub bias1: f64,
     /// Second-moment bias correction `1 − β₂ᵗ` for the current step `t`.
     pub bias2: f64,
-    /// Gradient scale applied before the update (`clip / ‖g‖` when gradient
-    /// clipping engages, `1.0` otherwise).
-    pub scale: f64,
 }
 
 /// The DQN soft target update riding an Adam pass: the target network's
@@ -363,7 +360,7 @@ pub struct SoftTarget<'a> {
 /// carrying the soft target update in the same pass:
 ///
 /// ```text
-/// g   = grad[i] · scale
+/// g   = grad[i]
 /// m[i] = β₁·m[i] + (1 − β₁)·g
 /// v[i] = β₂·v[i] + (1 − β₂)·g·g
 /// params[i] −= lr · (m[i] / bias1) / (√(v[i] / bias2) + ε)
@@ -804,14 +801,13 @@ fn adam_update_scalar<const BLEND: bool, const DIV1: bool>(
     alpha: f64,
 ) {
     let (b1, b2) = (s.beta1, s.beta2);
-    for (i, (((p, &raw_g), m_e), v_e)) in params
+    for (i, (((p, &g), m_e), v_e)) in params
         .iter_mut()
         .zip(grads)
         .zip(m.iter_mut())
         .zip(v.iter_mut())
         .enumerate()
     {
-        let g = raw_g * s.scale;
         *m_e = b1 * *m_e + (1.0 - b1) * g;
         *v_e = b2 * *v_e + (1.0 - b2) * g * g;
         let m_hat = if DIV1 { *m_e / s.bias1 } else { *m_e };
@@ -1571,7 +1567,6 @@ mod avx2 {
             let bias2 = StepDivisor::new(s.bias2);
             let lr = _mm256_set1_pd(s.learning_rate);
             let eps = _mm256_set1_pd(s.epsilon);
-            let scale = _mm256_set1_pd(s.scale);
             let keep = _mm256_set1_pd(1.0 - alpha);
             let take = _mm256_set1_pd(alpha);
             let p_ptr = params.as_mut_ptr();
@@ -1581,7 +1576,7 @@ mod avx2 {
             let t_ptr = target.as_mut_ptr();
             let mut i = 0usize;
             while i + 4 <= n {
-                let g = _mm256_mul_pd(_mm256_loadu_pd(g_ptr.add(i)), scale);
+                let g = _mm256_loadu_pd(g_ptr.add(i));
                 let mv = _mm256_add_pd(
                     _mm256_mul_pd(b1, _mm256_loadu_pd(m_ptr.add(i))),
                     _mm256_mul_pd(omb1, g),
@@ -2325,7 +2320,7 @@ mod tests {
 
     #[test]
     fn adam_update_applies_the_textbook_formula() {
-        // One element, first step, no clipping: hand-check the update.
+        // One element, first step: hand-check the update.
         let (lr, b1, b2, eps) = (0.1, 0.9, 0.999, 1e-8);
         let step = AdamStep {
             learning_rate: lr,
@@ -2334,7 +2329,6 @@ mod tests {
             epsilon: eps,
             bias1: 1.0 - b1,
             bias2: 1.0 - b2,
-            scale: 1.0,
         };
         let mut p = [1.0];
         let mut m = [0.0];
@@ -2356,50 +2350,6 @@ mod tests {
     }
 
     #[test]
-    fn adam_update_gradient_scale_folds_in() {
-        let step = AdamStep {
-            learning_rate: 1e-2,
-            beta1: 0.9,
-            beta2: 0.999,
-            epsilon: 1e-8,
-            bias1: 0.1,
-            bias2: 1e-3,
-            scale: 0.5,
-        };
-        let grads = [2.0, -4.0, 8.0];
-        let mut p_scaled = [0.0; 3];
-        let mut m_scaled = [0.0; 3];
-        let mut v_scaled = [0.0; 3];
-        adam_update_with(
-            SimdLevel::Scalar,
-            &mut p_scaled,
-            &grads,
-            &mut m_scaled,
-            &mut v_scaled,
-            &step,
-            None,
-        );
-        // Same update on pre-scaled gradients with scale = 1.
-        let pre_scaled: Vec<f64> = grads.iter().map(|g| g * 0.5).collect();
-        let mut p_ref = [0.0; 3];
-        let mut m_ref = [0.0; 3];
-        let mut v_ref = [0.0; 3];
-        let unit = AdamStep { scale: 1.0, ..step };
-        adam_update_with(
-            SimdLevel::Scalar,
-            &mut p_ref,
-            &pre_scaled,
-            &mut m_ref,
-            &mut v_ref,
-            &unit,
-            None,
-        );
-        assert_eq!(p_scaled, p_ref);
-        assert_eq!(m_scaled, m_ref);
-        assert_eq!(v_scaled, v_ref);
-    }
-
-    #[test]
     #[should_panic(expected = "adam_update: m length mismatch")]
     fn adam_update_rejects_mismatched_state() {
         let step = AdamStep {
@@ -2409,7 +2359,6 @@ mod tests {
             epsilon: 1e-8,
             bias1: 0.1,
             bias2: 1e-3,
-            scale: 1.0,
         };
         let mut p = [0.0; 2];
         let mut m = [0.0; 1];

@@ -221,14 +221,12 @@ proptest! {
     /// vector arm takes off the divider). Lengths cross the 4-lane boundary
     /// in every residue class, `t` exercises early (large-bias-correction) steps and
     /// the later era in which `bias1` has rounded to exactly 1.0 and the
-    /// kernels stop dividing by it (the reference always divides), and
-    /// `scale` covers clipped and unclipped gradients.
+    /// kernels stop dividing by it (the reference always divides).
     #[test]
     fn adam_update_is_bit_identical_at_every_level(
         len in 1usize..130,
         t in 1i32..60,
         late in any::<bool>(),
-        clip in any::<bool>(),
         seed in any::<u64>(),
     ) {
         let t = if late { t + 355 } else { t };
@@ -245,7 +243,6 @@ proptest! {
             epsilon: 1e-8,
             bias1: 1.0 - b1.powi(t),
             bias2: 1.0 - b2.powi(t),
-            scale: if clip { 0.37 } else { 1.0 },
         };
 
         let (mut p_ref, mut m_ref, mut v_ref) = (p0.clone(), m0.clone(), v0.clone());
@@ -574,9 +571,9 @@ fn assert_levels_agree(per_level: Vec<Vec<f64>>, what: &str) {
 /// The Adam update carrying the soft target update equals the plain update
 /// followed by `Matrix::blend` — the oracle the deleted `blend_from` chain
 /// bottomed out in — bit for bit at every runnable level: every length
-/// around the 4-lane boundary plus a large ragged one, a clip scale ≠ 1, the
-/// α edge cases (0 leaves the target alone, 1 snaps it onto the online
-/// parameters), and NaN / ±0 / subnormal moments and targets.
+/// around the 4-lane boundary plus a large ragged one, the α edge cases (0
+/// leaves the target alone, 1 snaps it onto the online parameters), and
+/// NaN / ±0 / subnormal moments and targets.
 #[test]
 fn adam_with_target_is_adam_then_blend_at_every_level() {
     let mut rng = StdRng::seed_from_u64(77);
@@ -596,7 +593,6 @@ fn adam_with_target_is_adam_then_blend_at_every_level() {
         epsilon: 1e-8,
         bias1: 1.0 - b1.powi(3),
         bias2: 1.0 - b2.powi(3),
-        scale: 0.37,
     };
     for len in (0..=9).chain([1031]) {
         let p0 = random_vec(&mut rng, len);
@@ -672,7 +668,6 @@ fn adam_skipped_bias_division_changes_no_bit() {
             epsilon: 1e-8,
             bias1: std::hint::black_box(bias1),
             bias2: std::hint::black_box(bias2),
-            scale: 0.37,
         };
         let p0 = random_vec(&mut rng, len);
         let mut grads = random_vec(&mut rng, len);
@@ -712,7 +707,7 @@ fn adam_skipped_bias_division_changes_no_bit() {
 fn textbook_adam(step: &AdamStep, p: &mut [f64], grads: &[f64], m: &mut [f64], v: &mut [f64]) {
     let (b1, b2) = (step.beta1, step.beta2);
     for i in 0..p.len() {
-        let g = grads[i] * step.scale;
+        let g = grads[i];
         m[i] = b1 * m[i] + (1.0 - b1) * g;
         v[i] = b2 * v[i] + (1.0 - b2) * g * g;
         let m_hat = m[i] / step.bias1;
@@ -815,7 +810,6 @@ fn adam_bias_corrections_divide_bit_exactly_at_every_step_of_a_run() {
             epsilon: 0.0,
             bias1: b,
             bias2: b,
-            scale: 1.0,
         };
         let quotient_in_v = AdamStep {
             bias1: 1.0,
