@@ -24,30 +24,14 @@ pub struct ControlStats {
 /// values. For the simulated cluster that is `TargetSystem::apply_params`; a
 /// real deployment would shell out to `lctl set_param`, exactly like the
 /// paper's Lustre adapter.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ControlAgent {
-    node: usize,
     last_applied_tick: Option<u64>,
     last_values: Option<Vec<f64>>,
     stats: ControlStats,
 }
 
 impl ControlAgent {
-    /// Creates a control agent for `node`.
-    pub fn new(node: usize) -> Self {
-        ControlAgent {
-            node,
-            last_applied_tick: None,
-            last_values: None,
-            stats: ControlStats::default(),
-        }
-    }
-
-    /// The node this agent controls.
-    pub fn node(&self) -> usize {
-        self.node
-    }
-
     /// Accumulated statistics.
     pub fn stats(&self) -> ControlStats {
         self.stats
@@ -89,8 +73,7 @@ impl ControlAgent {
     }
 
     /// Serializes the agent's mutable state: the staleness/deduplication
-    /// caches and the counters. The node id is wiring, re-established by
-    /// whoever assembles the agent — without the caches a restored agent
+    /// caches and the counters. Without the caches a restored agent
     /// would re-apply (or wrongly accept stale) actions the original would
     /// have deduplicated, and its statistics would diverge.
     pub fn encode_state(&self, w: &mut capes_persist::Writer) {
@@ -147,7 +130,7 @@ mod tests {
 
     #[test]
     fn applies_new_parameter_values() {
-        let mut agent = ControlAgent::new(1);
+        let mut agent = ControlAgent::default();
         assert_eq!(
             agent.handle(action(1, &[8.0, 2000.0])),
             Some(&[8.0, 2000.0][..])
@@ -158,12 +141,11 @@ mod tests {
         );
         assert_eq!(agent.last_values(), Some(&[10.0, 2000.0][..]));
         assert_eq!(agent.stats().applied, 2);
-        assert_eq!(agent.node(), 1);
     }
 
     #[test]
     fn identical_values_are_not_reapplied() {
-        let mut agent = ControlAgent::new(0);
+        let mut agent = ControlAgent::default();
         assert!(agent.handle(action(1, &[8.0])).is_some());
         assert!(
             agent.handle(action(2, &[8.0])).is_none(),
@@ -175,13 +157,13 @@ mod tests {
 
     #[test]
     fn state_round_trip_preserves_dedup_and_stats() {
-        let mut agent = ControlAgent::new(0);
+        let mut agent = ControlAgent::default();
         agent.handle(action(3, &[8.0, 2000.0]));
         agent.handle(action(5, &[8.0, 2000.0])); // deduplicated
         agent.handle(action(1, &[9.0])); // stale
         let mut w = capes_persist::Writer::new();
         agent.encode_state(&mut w);
-        let mut restored = ControlAgent::new(0);
+        let mut restored = ControlAgent::default();
         let mut r = capes_persist::Reader::new(w.as_slice());
         restored.decode_state(&mut r).expect("state decodes");
         r.finish().expect("nothing trails");
@@ -197,7 +179,7 @@ mod tests {
 
     #[test]
     fn stale_messages_are_ignored() {
-        let mut agent = ControlAgent::new(0);
+        let mut agent = ControlAgent::default();
         assert!(agent.handle(action(10, &[8.0])).is_some());
         assert!(
             agent.handle(action(5, &[16.0])).is_none(),

@@ -21,7 +21,7 @@
 //! tuning engine, tick observers — is optional with the paper's evaluation
 //! setup as the default.
 
-use crate::engine::{DrlEngine, TuningEngine};
+use crate::engine::TuningEngine;
 use crate::error::CapesError;
 use crate::experiment::PhaseKind;
 use crate::hyperparams::Hyperparameters;
@@ -178,7 +178,7 @@ impl<T: TargetSystem> CapesBuilder<T> {
                     .hyperparams
                     .observation_size(self.target.num_nodes(), self.target.pis_per_node());
                 let config = self.hyperparams.agent_config(observation_size, specs.len());
-                Box::new(DrlEngine::new(DqnAgent::new(config, self.seed ^ 0x5eed)))
+                Box::new(DqnAgent::new(config, self.seed ^ 0x5eed))
             }
         };
         Ok(CapesSystem::assemble(

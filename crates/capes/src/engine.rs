@@ -10,8 +10,8 @@
 //!
 //! Two engine families ship with the crate:
 //!
-//! * [`DrlEngine`] — the deep-Q-network engine (paper §3.4–§3.6), wrapping
-//!   [`capes_drl::DqnAgent`];
+//! * [`capes_drl::DqnAgent`] — the deep-Q-network engine (paper §3.4–§3.6),
+//!   which implements the trait itself;
 //! * [`SearchEngine`] — an online evaluator for classic one-shot search
 //!   methods; any [`SearchStrategy`] (the comparators in [`crate::tuners`])
 //!   plugs into it.
@@ -26,7 +26,6 @@ use crate::system::SystemTick;
 use crate::target::TunableSpec;
 use capes_drl::{ActionSpace, DqnAgent};
 use capes_replay::{Observation, SharedReplayDb};
-use std::any::Any;
 
 /// Everything an engine may inspect when proposing an action for one tick.
 #[derive(Debug)]
@@ -59,14 +58,14 @@ pub struct ProposedAction {
 
 /// A decision maker the CAPES system can be built around.
 ///
-/// Implemented by the DQN-backed [`DrlEngine`] and by [`SearchEngine`] for
+/// Implemented by the DQN agent ([`DqnAgent`]) and by [`SearchEngine`] for
 /// the three search comparators, so sessions, experiments and benches drive
 /// any engine through a single generic code path.
 ///
 /// Engines must be [`Send`]: the fleet daemon shards its member systems
 /// (each of which owns a boxed engine) across worker threads, one cluster
 /// owned by exactly one worker per tick phase.
-pub trait TuningEngine: Any + Send {
+pub trait TuningEngine: Send {
     /// Human-readable engine name used in logs and benchmark output.
     fn name(&self) -> &str;
 
@@ -75,15 +74,20 @@ pub trait TuningEngine: Any + Send {
 
     /// Receives the measured outcome of a tick (called once per tick, after
     /// the measurement that the engine's previous proposal influenced).
-    fn observe(&mut self, tick: &SystemTick);
+    /// Default: ignored.
+    fn observe(&mut self, _tick: &SystemTick) {}
 
     /// Runs one training step against the replay database, returning the
-    /// step's prediction error. Engines that do not learn return `None`.
-    fn train_step(&mut self, db: &SharedReplayDb) -> Option<f64>;
+    /// step's prediction error. Default: `None`, for engines that do not learn.
+    fn train_step(&mut self, _db: &SharedReplayDb) -> Option<f64> {
+        None
+    }
 
     /// The engine's own estimate of the best parameter vector, if it keeps
-    /// one (`None` means "whatever the target currently uses").
-    fn current_params(&self) -> Option<Vec<f64>>;
+    /// one. Default: `None`, meaning "whatever the target currently uses".
+    fn current_params(&self) -> Option<Vec<f64>> {
+        None
+    }
 
     /// Signals a scheduled workload change (paper §3.6). Default: ignored.
     fn notify_workload_change(&mut self, _tick: u64, _bump_ticks: u64) {}
@@ -102,51 +106,26 @@ pub trait TuningEngine: Any + Send {
         None
     }
 
-    /// Upcast for engine-specific access (e.g. checkpointing the DQN).
-    fn as_any(&self) -> &dyn Any;
+    /// The DQN agent, when this engine is one (checkpointing and snapshots
+    /// persist it). Default: `None`.
+    fn dqn_agent(&self) -> Option<&DqnAgent> {
+        None
+    }
 
-    /// Mutable upcast.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
+    /// Mutable access to the DQN agent (checkpoint and snapshot restore).
+    /// Default: `None`.
+    fn dqn_agent_mut(&mut self) -> Option<&mut DqnAgent> {
+        None
+    }
 }
 
 // ---------------------------------------------------------------------------
 // The DRL engine.
 // ---------------------------------------------------------------------------
 
-/// The deep-Q-network engine: ε-greedy ±step actions plus experience-replay
-/// training (paper §3.4–§3.7).
-#[derive(Debug, Clone)]
-pub struct DrlEngine {
-    agent: DqnAgent,
-    action_space: ActionSpace,
-}
-
-impl DrlEngine {
-    /// Wraps a DQN agent as a tuning engine training on the system's own
-    /// replay stripe (experience sharing across clusters is the fleet's
-    /// business: `capes_fleet::ExperienceSharing`).
-    pub fn new(agent: DqnAgent) -> Self {
-        DrlEngine {
-            action_space: agent.action_space(),
-            agent,
-        }
-    }
-
-    /// The wrapped agent.
-    pub fn agent(&self) -> &DqnAgent {
-        &self.agent
-    }
-
-    /// Replaces the wrapped agent (checkpoint restoration).
-    pub fn replace_agent(&mut self, agent: DqnAgent) {
-        self.action_space = agent.action_space();
-        self.agent = agent;
-    }
-}
-
 /// Maps a discrete `2P + 1` action index onto the absolute parameter vector
 /// the target should use next: ±one `step` on the touched parameter, clamped
-/// into its spec range. Shared by [`DrlEngine::propose_action`] and the fleet
+/// into its spec range. Shared by the DQN's `propose_action` and the fleet
 /// daemon's batched scatter path so both produce identical proposals.
 pub fn step_params(
     space: &ActionSpace,
@@ -163,18 +142,22 @@ pub fn step_params(
         .collect()
 }
 
-impl TuningEngine for DrlEngine {
+/// The deep-Q-network engine: ε-greedy ±step actions plus experience-replay
+/// training (paper §3.4–§3.7) on the system's own replay stripe (experience
+/// sharing across clusters is the fleet's business:
+/// `capes_fleet::ExperienceSharing`).
+impl TuningEngine for DqnAgent {
     fn name(&self) -> &str {
         "deep RL (DQN)"
     }
 
     fn propose_action(&mut self, ctx: &EngineContext<'_>) -> ProposedAction {
-        let decision = self.agent.decide(ctx.observation, ctx.tick, !ctx.explore);
+        let decision = self.decide(ctx.observation, ctx.tick, !ctx.explore);
         ProposedAction {
             action_index: Some(decision.action),
             explored: decision.explored,
             params: step_params(
-                &self.action_space,
+                &self.action_space(),
                 decision.action,
                 ctx.current_params,
                 ctx.specs,
@@ -182,31 +165,23 @@ impl TuningEngine for DrlEngine {
         }
     }
 
-    fn observe(&mut self, _tick: &SystemTick) {
-        // The DQN learns from the replay DB, not from direct feedback.
-    }
-
     fn train_step(&mut self, db: &SharedReplayDb) -> Option<f64> {
-        match self.agent.train_from_db(db) {
+        match self.train_from_db(db) {
             Ok(Some(report)) => Some(report.prediction_error),
             _ => None,
         }
     }
 
-    fn current_params(&self) -> Option<Vec<f64>> {
-        None
-    }
-
     fn notify_workload_change(&mut self, tick: u64, bump_ticks: u64) {
-        self.agent.notify_workload_change(tick, bump_ticks);
+        DqnAgent::notify_workload_change(self, tick, bump_ticks);
     }
 
-    fn as_any(&self) -> &dyn Any {
-        self
+    fn dqn_agent(&self) -> Option<&DqnAgent> {
+        Some(self)
     }
 
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
+    fn dqn_agent_mut(&mut self) -> Option<&mut DqnAgent> {
+        Some(self)
     }
 }
 
@@ -222,19 +197,14 @@ pub trait SearchStrategy: Send {
     /// Name used in logs and benchmark output.
     fn name(&self) -> &'static str;
 
-    /// The first candidate to evaluate (default: the target's defaults).
-    fn initial_candidate(&mut self, specs: &[TunableSpec]) -> Vec<f64> {
-        specs.iter().map(|s| s.default).collect()
-    }
-
-    /// Given the score of the last candidate and the running best, produces
-    /// the next candidate to evaluate, or `None` when the search is done.
+    /// Given the last candidate and its score, produces the next candidate to
+    /// evaluate, or `None` when the search is done. The first candidate is
+    /// always the target's defaults.
     fn next_candidate(
         &mut self,
         specs: &[TunableSpec],
         last: &[f64],
         last_score: f64,
-        best: (&[f64], f64),
         evaluations: usize,
     ) -> Option<Vec<f64>>;
 }
@@ -296,15 +266,10 @@ impl<S: SearchStrategy> SearchEngine<S> {
         if improved {
             self.best = Some((self.current.clone(), score));
         }
-        let best_ref = self.best.as_ref().expect("best set above");
-        let next = self.strategy.next_candidate(
-            &self.specs,
-            &self.current,
-            score,
-            (&best_ref.0, best_ref.1),
-            self.evaluations,
-        );
-        match next {
+        match self
+            .strategy
+            .next_candidate(&self.specs, &self.current, score, self.evaluations)
+        {
             Some(candidate) => {
                 self.current = candidate;
                 self.ticks_in_candidate = 0;
@@ -315,7 +280,7 @@ impl<S: SearchStrategy> SearchEngine<S> {
     }
 }
 
-impl<S: SearchStrategy + 'static> TuningEngine for SearchEngine<S> {
+impl<S: SearchStrategy> TuningEngine for SearchEngine<S> {
     fn name(&self) -> &str {
         self.strategy.name()
     }
@@ -323,7 +288,7 @@ impl<S: SearchStrategy + 'static> TuningEngine for SearchEngine<S> {
     fn propose_action(&mut self, ctx: &EngineContext<'_>) -> ProposedAction {
         if !self.started {
             self.specs = ctx.specs.to_vec();
-            self.current = self.strategy.initial_candidate(ctx.specs);
+            self.current = ctx.specs.iter().map(|s| s.default).collect();
             self.started = true;
         }
         self.exploring = ctx.explore && !self.converged;
@@ -356,10 +321,6 @@ impl<S: SearchStrategy + 'static> TuningEngine for SearchEngine<S> {
         }
     }
 
-    fn train_step(&mut self, _db: &SharedReplayDb) -> Option<f64> {
-        None
-    }
-
     fn current_params(&self) -> Option<Vec<f64>> {
         self.best.as_ref().map(|(p, _)| p.clone())
     }
@@ -370,14 +331,6 @@ impl<S: SearchStrategy + 'static> TuningEngine for SearchEngine<S> {
 
     fn exploration_ticks_used(&self) -> Option<u64> {
         Some(self.ticks_used)
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -409,24 +362,6 @@ impl TuningEngine for NullEngine {
             params: ctx.current_params.to_vec(),
         }
     }
-
-    fn observe(&mut self, _tick: &SystemTick) {}
-
-    fn train_step(&mut self, _db: &SharedReplayDb) -> Option<f64> {
-        None
-    }
-
-    fn current_params(&self) -> Option<Vec<f64>> {
-        None
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 #[cfg(test)]
@@ -438,8 +373,7 @@ mod tests {
 
     #[test]
     fn drl_engine_proposes_step_actions_within_bounds() {
-        let agent = DqnAgent::new(DqnAgentConfig::paper_default(6, 1), 3);
-        let mut engine = DrlEngine::new(agent);
+        let mut engine = DqnAgent::new(DqnAgentConfig::paper_default(6, 1), 3);
         let specs = vec![TunableSpec {
             name: "knob".into(),
             min: 0.0,

@@ -21,7 +21,8 @@
 //! * [`system::CapesSystem`] — Monitoring Agents + Interface Daemon + Replay
 //!   DB + a pluggable tuning engine wired around a target system (Figure 1);
 //! * [`engine::TuningEngine`] — the unified engine interface implemented by
-//!   the DQN engine and the search comparators;
+//!   the DQN agent ([`capes_drl::DqnAgent`]) itself and the search
+//!   comparators;
 //! * [`experiment::Experiment`] — declarative baseline/train/tuned phase
 //!   plans producing JSON-serializable [`experiment::ExperimentReport`]s,
 //!   while closures registered with [`builder::CapesBuilder::observer`]
@@ -83,7 +84,7 @@ pub mod tuners;
 pub use adapter::SimulatedLustre;
 pub use builder::{Capes, CapesBuilder};
 pub use engine::{
-    step_params, DrlEngine, EngineContext, NullEngine, ProposedAction, SearchEngine, TuningEngine,
+    step_params, EngineContext, NullEngine, ProposedAction, SearchEngine, TuningEngine,
 };
 pub use error::CapesError;
 pub use experiment::{Experiment, ExperimentReport, Phase, PhaseKind};
@@ -104,13 +105,13 @@ pub use capes_replay::{ReplayArena, SharedReplayDb, StripeStats};
 /// [`CapesBuilder`], [`CapesError`]), the declarative experiment API
 /// ([`Experiment`], [`Phase`], [`PhaseKind`], [`ExperimentReport`], and
 /// [`SystemTick`] for observers), the unified engine interface
-/// ([`TuningEngine`], [`DrlEngine`], [`SearchEngine`]), the comparator
+/// ([`TuningEngine`], [`SearchEngine`]), the comparator
 /// tuners, the bundled simulator adapter, and the simulator's configuration
 /// types.
 pub mod prelude {
     pub use crate::adapter::SimulatedLustre;
     pub use crate::builder::{Capes, CapesBuilder};
-    pub use crate::engine::{DrlEngine, NullEngine, SearchEngine, TuningEngine};
+    pub use crate::engine::{NullEngine, SearchEngine, TuningEngine};
     pub use crate::error::CapesError;
     pub use crate::experiment::{Experiment, ExperimentReport, Phase, PhaseKind};
     pub use crate::hyperparams::Hyperparameters;

@@ -6,7 +6,7 @@
 //!
 //! Systems are assembled through [`crate::builder::Capes::builder`].
 
-use crate::engine::{DrlEngine, EngineContext, ProposedAction, TuningEngine};
+use crate::engine::{EngineContext, ProposedAction, TuningEngine};
 use crate::error::CapesError;
 use crate::experiment::{Phase, PhaseKind};
 use crate::hyperparams::Hyperparameters;
@@ -150,7 +150,7 @@ impl<T: TargetSystem> CapesSystem<T> {
             db,
             daemon,
             monitors,
-            control_agent: ControlAgent::new(0),
+            control_agent: ControlAgent::default(),
             engine,
             observers,
             specs,
@@ -190,10 +190,7 @@ impl<T: TargetSystem> CapesSystem<T> {
     /// The DQN agent, when the system runs the DRL engine (`None` for the
     /// search comparators).
     pub fn dqn_agent(&self) -> Option<&DqnAgent> {
-        self.engine
-            .as_any()
-            .downcast_ref::<DrlEngine>()
-            .map(DrlEngine::agent)
+        self.engine.dqn_agent()
     }
 
     /// Current tick (seconds since the system was assembled).
@@ -346,15 +343,16 @@ impl<T: TargetSystem> CapesSystem<T> {
     ) -> Result<(), CapesError> {
         let restored = DqnAgent::load_checkpoint(path, seed)?;
         let engine_name = self.engine.name().to_string();
-        let engine = self.engine.as_any_mut().downcast_mut::<DrlEngine>().ok_or(
-            CapesError::EngineUnsupported {
+        let agent = self
+            .engine
+            .dqn_agent_mut()
+            .ok_or(CapesError::EngineUnsupported {
                 engine: engine_name,
                 operation: "checkpoint restoration",
-            },
-        )?;
+            })?;
         // Action indices map onto parameters by position, so a model for
         // another parameter count would tune the wrong knobs, or none.
-        let (expected, actual) = (engine.agent().config(), restored.config());
+        let (expected, actual) = (agent.config(), restored.config());
         if (expected.observation_size, expected.num_params)
             != (actual.observation_size, actual.num_params)
         {
@@ -369,7 +367,7 @@ impl<T: TargetSystem> CapesSystem<T> {
                 ),
             });
         }
-        engine.replace_agent(restored);
+        *agent = restored;
         Ok(())
     }
 
@@ -763,10 +761,8 @@ impl<T: TargetSystem + capes_persist::Persist> CapesSystem<T> {
         self.outbox = outbox;
         self.throughput_history = throughput_history;
         self.prediction_errors = prediction_errors;
-        if let Some(agent) = agent {
-            if let Some(engine) = self.engine.as_any_mut().downcast_mut::<DrlEngine>() {
-                engine.replace_agent(agent);
-            }
+        if let (Some(restored), Some(current)) = (agent, self.engine.dqn_agent_mut()) {
+            *current = restored;
         }
         Ok(())
     }

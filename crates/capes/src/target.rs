@@ -157,7 +157,10 @@ pub(crate) mod test_target {
     /// A system around `QuadraticTarget::new(optimum)` driven by `engine`:
     /// the search comparators' tests run through the same per-tick path as
     /// the DQN's.
-    pub fn system_with(engine: impl TuningEngine, optimum: f64) -> CapesSystem<QuadraticTarget> {
+    pub fn system_with(
+        engine: impl TuningEngine + 'static,
+        optimum: f64,
+    ) -> CapesSystem<QuadraticTarget> {
         Capes::builder(QuadraticTarget::new(optimum))
             .hyperparams(Hyperparameters::quick_test())
             .engine(Box::new(engine))

@@ -41,7 +41,6 @@ impl SearchStrategy for StaticBaseline {
         _specs: &[TunableSpec],
         _last: &[f64],
         _last_score: f64,
-        _best: (&[f64], f64),
         _evaluations: usize,
     ) -> Option<Vec<f64>> {
         // One evaluation of the defaults, then done.
@@ -92,7 +91,6 @@ impl SearchStrategy for RandomSearch {
         specs: &[TunableSpec],
         _last: &[f64],
         _last_score: f64,
-        _best: (&[f64], f64),
         evaluations: usize,
     ) -> Option<Vec<f64>> {
         // The first evaluation was the defaults; then `candidates` randoms.
@@ -163,7 +161,6 @@ impl SearchStrategy for HillClimbing {
         specs: &[TunableSpec],
         last: &[f64],
         last_score: f64,
-        _best: (&[f64], f64),
         evaluations: usize,
     ) -> Option<Vec<f64>> {
         let position = match &mut self.position {

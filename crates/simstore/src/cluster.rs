@@ -245,11 +245,11 @@ impl Cluster {
         let meta_factor = metadata_overhead_factor(metadata_per_server);
 
         let read_cap_per_server = disk::read_capacity(qd_per_server, read_seq)
-            * read_congestion_efficiency(qd_per_server, SERVER_CONGESTION_KNEE)
+            * read_congestion_efficiency(qd_per_server)
             * meta_factor
             * frag_factor;
         let write_cap_per_server = disk::write_capacity(qd_per_server, write_seq)
-            * write_congestion_efficiency(qd_per_server, SERVER_CONGESTION_KNEE)
+            * write_congestion_efficiency(qd_per_server)
             * meta_factor
             * frag_factor;
 

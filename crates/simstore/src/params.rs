@@ -103,16 +103,6 @@ impl TunableParams {
             io_rate_limit: Self::io_rate_limit_spec().clamp(values[1]),
         }
     }
-
-    /// Applies a step of `direction` (+1 / −1) to parameter `index`, clamping
-    /// to the valid range. Index 0 is the congestion window, 1 the rate limit.
-    pub fn step_param(&self, index: usize, direction: f64) -> Self {
-        let specs = Self::specs();
-        assert!(index < specs.len(), "parameter index out of range");
-        let mut v = self.as_vec();
-        v[index] = specs[index].clamp(v[index] + direction * specs[index].step);
-        Self::from_vec(&v)
-    }
 }
 
 impl Default for TunableParams {
@@ -169,24 +159,6 @@ mod tests {
     }
 
     #[test]
-    fn step_param_moves_and_clamps() {
-        let p = TunableParams::defaults();
-        let up = p.step_param(0, 1.0);
-        assert_eq!(up.congestion_window, 10.0);
-        assert_eq!(up.io_rate_limit, p.io_rate_limit);
-
-        let down = p.step_param(1, -1.0);
-        assert_eq!(down.io_rate_limit, 1950.0);
-
-        // Stepping past the maximum clamps.
-        let mut q = p;
-        for _ in 0..500 {
-            q = q.step_param(0, 1.0);
-        }
-        assert_eq!(q.congestion_window, 256.0);
-    }
-
-    #[test]
     fn vector_round_trip() {
         let p = TunableParams {
             congestion_window: 24.0,
@@ -199,11 +171,5 @@ mod tests {
         let clamped = TunableParams::from_vec(&[1000.0, 1.0]);
         assert_eq!(clamped.congestion_window, 256.0);
         assert_eq!(clamped.io_rate_limit, 50.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "parameter index")]
-    fn bad_index_panics() {
-        let _ = TunableParams::defaults().step_param(5, 1.0);
     }
 }

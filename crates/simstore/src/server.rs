@@ -8,6 +8,8 @@
 //! allocation locks until it reaches the platter (the testbed uses
 //! write-through caching).
 
+use crate::config::SERVER_CONGESTION_KNEE;
+
 /// Dynamic state of one object storage server.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServerState {
@@ -94,15 +96,16 @@ impl capes_persist::Persist for ServerState {
 }
 
 /// Efficiency multiplier for **writes** when `queue_depth` exceeds the
-/// congestion knee. At or below the knee the server is fully efficient.
-pub fn write_congestion_efficiency(queue_depth: f64, knee: f64) -> f64 {
-    congestion_efficiency(queue_depth, knee, 1.0)
+/// congestion knee (`SERVER_CONGESTION_KNEE`). At or below the knee the
+/// server is fully efficient.
+pub fn write_congestion_efficiency(queue_depth: f64) -> f64 {
+    congestion_efficiency(queue_depth, 1.0)
 }
 
 /// Efficiency multiplier for **reads**: reads do not hold journal locks, so
 /// the degradation is considerably milder.
-pub fn read_congestion_efficiency(queue_depth: f64, knee: f64) -> f64 {
-    congestion_efficiency(queue_depth, knee, 0.15)
+pub fn read_congestion_efficiency(queue_depth: f64) -> f64 {
+    congestion_efficiency(queue_depth, 0.15)
 }
 
 /// Extra service overhead caused by metadata operations (creates, deletes,
@@ -114,13 +117,12 @@ pub fn metadata_overhead_factor(metadata_ops_per_sec: f64) -> f64 {
     (1.0 - 0.18 * (ops / 1000.0)).max(0.70)
 }
 
-fn congestion_efficiency(queue_depth: f64, knee: f64, severity: f64) -> f64 {
-    assert!(knee > 0.0, "congestion knee must be positive");
+fn congestion_efficiency(queue_depth: f64, severity: f64) -> f64 {
     let qd = queue_depth.max(0.0);
-    if qd <= knee {
+    if qd <= SERVER_CONGESTION_KNEE {
         return 1.0;
     }
-    let overload = (qd - knee) / knee;
+    let overload = (qd - SERVER_CONGESTION_KNEE) / SERVER_CONGESTION_KNEE;
     1.0 / (1.0 + severity * overload.powf(1.3))
 }
 
@@ -128,19 +130,20 @@ fn congestion_efficiency(queue_depth: f64, knee: f64, severity: f64) -> f64 {
 mod tests {
     use super::*;
 
+    const KNEE: f64 = SERVER_CONGESTION_KNEE;
+
     #[test]
     fn no_penalty_below_the_knee() {
-        assert_eq!(write_congestion_efficiency(10.0, 72.0), 1.0);
-        assert_eq!(write_congestion_efficiency(72.0, 72.0), 1.0);
-        assert_eq!(read_congestion_efficiency(50.0, 72.0), 1.0);
+        assert_eq!(write_congestion_efficiency(0.4 * KNEE), 1.0);
+        assert_eq!(write_congestion_efficiency(KNEE), 1.0);
+        assert_eq!(read_congestion_efficiency(0.7 * KNEE), 1.0);
     }
 
     #[test]
     fn writes_degrade_faster_than_reads() {
-        let knee = 72.0;
-        for qd in [100.0, 160.0, 320.0, 1280.0] {
-            let w = write_congestion_efficiency(qd, knee);
-            let r = read_congestion_efficiency(qd, knee);
+        for qd in [1.4, 2.2, 4.4, 17.8].map(|m| m * KNEE) {
+            let w = write_congestion_efficiency(qd);
+            let r = read_congestion_efficiency(qd);
             assert!(w < 1.0 && r < 1.0);
             assert!(w < r, "at qd {qd}: write {w} must be below read {r}");
         }
@@ -148,16 +151,15 @@ mod tests {
 
     #[test]
     fn efficiency_is_monotonically_decreasing() {
-        let knee = 72.0;
         let mut prev = 1.0;
-        for qd in (72..2000).step_by(16) {
-            let e = write_congestion_efficiency(qd as f64, knee);
+        for step in 0..120 {
+            let e = write_congestion_efficiency(KNEE * (1.0 + 0.25 * step as f64));
             assert!(e <= prev + 1e-12);
             assert!(e > 0.0);
             prev = e;
         }
         // Extreme overload collapses to a small fraction of capacity.
-        assert!(write_congestion_efficiency(1280.0, knee) < 0.1);
+        assert!(write_congestion_efficiency(17.8 * KNEE) < 0.1);
     }
 
     #[test]

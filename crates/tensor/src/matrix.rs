@@ -191,13 +191,6 @@ impl Matrix {
         }
     }
 
-    /// Applies `f` to every element in place.
-    pub fn map_inplace<F: Fn(f64) -> f64>(&mut self, f: F) {
-        for x in &mut self.data {
-            *x = f(*x);
-        }
-    }
-
     /// Returns a new matrix combining `self` and `other` element-wise with `f`.
     ///
     /// # Panics

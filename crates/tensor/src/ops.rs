@@ -16,26 +16,6 @@ impl Matrix {
         self.zip_map(other, |a, b| a - b)
     }
 
-    /// Element-wise (Hadamard) product.
-    pub fn hadamard(&self, other: &Matrix) -> Matrix {
-        self.zip_map(other, |a, b| a * b)
-    }
-
-    /// In-place element-wise (Hadamard) product `self ⊙= other`.
-    ///
-    /// # Panics
-    /// Panics if shapes differ.
-    pub fn hadamard_assign(&mut self, other: &Matrix) {
-        assert_eq!(
-            self.shape(),
-            other.shape(),
-            "hadamard_assign shape mismatch"
-        );
-        for (a, &b) in self.as_mut_slice().iter_mut().zip(other.as_slice()) {
-            *a *= b;
-        }
-    }
-
     /// Copies every element of `other` into `self` without reallocating.
     ///
     /// # Panics
@@ -109,15 +89,8 @@ impl Matrix {
         self.as_slice().iter().fold(0.0f64, |m, &x| m.max(x.abs()))
     }
 
-    /// Per-column sum as a `1 × cols` row vector (used to reduce per-sample
-    /// bias gradients over a minibatch).
-    pub fn sum_rows(&self) -> Matrix {
-        let mut out = Matrix::zeros(1, self.cols());
-        self.sum_rows_into(&mut out);
-        out
-    }
-
-    /// Per-column sum written into a caller-owned `1 × cols` row vector.
+    /// Per-column sum written into a caller-owned `1 × cols` row vector (used
+    /// to reduce per-sample bias gradients over a minibatch).
     ///
     /// # Panics
     /// Panics if `out` is not `1 × self.cols()`.
@@ -157,20 +130,6 @@ impl Matrix {
         assert!(lo <= hi, "clamp bounds inverted");
         self.map(|x| x.clamp(lo, hi))
     }
-
-    /// Rescales every element of the matrix so that the Frobenius norm does
-    /// not exceed `max_norm` (gradient clipping). Returns the scaling factor
-    /// applied (1.0 if no clipping was needed).
-    pub fn clip_norm(&mut self, max_norm: f64) -> f64 {
-        assert!(max_norm > 0.0, "max_norm must be positive");
-        let norm = self.frobenius_norm();
-        if norm <= max_norm || norm == 0.0 {
-            return 1.0;
-        }
-        let k = max_norm / norm;
-        self.map_inplace(|x| x * k);
-        k
-    }
 }
 
 #[cfg(test)]
@@ -182,12 +141,11 @@ mod tests {
     }
 
     #[test]
-    fn add_sub_hadamard_scale() {
+    fn add_sub_scale() {
         let a = sample();
         let b = Matrix::filled(2, 3, 2.0);
         assert_eq!(a.add(&b).get(0, 0), 3.0);
         assert_eq!(a.sub(&b).get(1, 2), 4.0);
-        assert_eq!(a.hadamard(&b).get(1, 1), 10.0);
         assert_eq!(a.scale(0.5).get(1, 2), 3.0);
     }
 
@@ -225,7 +183,8 @@ mod tests {
     #[test]
     fn sum_rows_adds_up_each_column() {
         let a = Matrix::from_rows(&[&[0.5, 3.0, -1.0], &[2.0, 2.0, 2.0]]);
-        let sums = a.sum_rows();
+        let mut sums = Matrix::filled(1, 3, 9.0);
+        a.sum_rows_into(&mut sums);
         assert!(sums.approx_eq(&Matrix::row_vector(&[2.5, 5.0, 1.0]), 1e-12));
     }
 
@@ -238,18 +197,6 @@ mod tests {
         let clamped = a.clamp(2.0, 5.0);
         assert_eq!(clamped.get(0, 0), 2.0);
         assert_eq!(clamped.get(1, 2), 5.0);
-    }
-
-    #[test]
-    fn clip_norm_scales_down_only_when_needed() {
-        let mut g = Matrix::filled(2, 2, 3.0); // norm = 6
-        let k = g.clip_norm(3.0);
-        assert!((k - 0.5).abs() < 1e-12);
-        assert!((g.frobenius_norm() - 3.0).abs() < 1e-9);
-
-        let mut small = Matrix::filled(2, 2, 0.1);
-        let k2 = small.clip_norm(100.0);
-        assert_eq!(k2, 1.0);
     }
 
     #[test]

@@ -85,25 +85,19 @@ proptest! {
     }
 
     #[test]
-    fn sum_rows_into_matches_sum_rows(
+    fn sum_rows_into_matches_a_per_column_loop(
         (m, n) in (1usize..30, 1usize..30),
         seed in any::<u64>(),
     ) {
         let a = random_matrix(seed, m, n);
         let mut out = Matrix::filled(1, n, f64::NAN);
         a.sum_rows_into(&mut out);
-        prop_assert!(out.approx_eq(&a.sum_rows(), 1e-9));
-    }
-
-    #[test]
-    fn hadamard_assign_matches_hadamard(
-        (m, n) in (1usize..30, 1usize..30),
-        seed in any::<u64>(),
-    ) {
-        let a = random_matrix(seed, m, n);
-        let b = random_matrix(seed.wrapping_add(1), m, n);
-        let mut c = a.clone();
-        c.hadamard_assign(&b);
-        prop_assert!(c.approx_eq(&a.hadamard(&b), 1e-12));
+        for c in 0..n {
+            let mut expected = 0.0;
+            for r in 0..m {
+                expected += a.get(r, c);
+            }
+            prop_assert_eq!(out.get(0, c), expected, "column {c}");
+        }
     }
 }

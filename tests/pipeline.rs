@@ -2,8 +2,9 @@
 //! (wire protocol → interface daemon → replay DB → DRL engine) without the
 //! full system orchestration.
 
+use capes::{step_params, SimulatedLustre, TargetSystem};
 use capes_agents::{encode_message, ActionChecker, InterfaceDaemon, Message, MonitoringAgent};
-use capes_drl::{DqnAgent, DqnAgentConfig, EpsilonSchedule, TrainerConfig};
+use capes_drl::{ActionSpace, DqnAgent, DqnAgentConfig, EpsilonSchedule, TrainerConfig};
 use capes_replay::{ReplayConfig, SharedReplayDb};
 use capes_simstore::{Cluster, ClusterConfig, TunableParams, Workload};
 
@@ -126,21 +127,29 @@ fn cluster_objective_reward_matches_paper_definition() {
 
 #[test]
 fn tunable_params_round_trip_through_the_action_pipeline() {
-    // Parameter vectors produced by the DRL layer must clamp into the ranges
-    // the simulator accepts, whatever the action sequence.
-    let mut cluster = Cluster::new(ClusterConfig::default(), Workload::sequential_write(), 9);
-    let specs = TunableParams::specs();
-    let mut params = TunableParams::defaults();
-    for i in 0..500 {
-        let param_idx = i % specs.len();
-        let direction = if i % 3 == 0 { -1.0 } else { 1.0 };
-        params = params.step_param(param_idx, direction);
-        cluster.set_params(params);
-        let applied = cluster.params();
-        assert!(specs[0].contains(applied.congestion_window));
-        assert!(specs[1].contains(applied.io_rate_limit));
+    // Every action index the DQN can choose, each held long enough to drive
+    // its knob into the end of its range, goes through the production path
+    // (`step_params`, then the adapter's `apply_params`); the simulator must
+    // only ever hold values inside the ranges it accepts.
+    let mut target = SimulatedLustre::builder()
+        .workload(Workload::sequential_write())
+        .seed(9)
+        .build();
+    let specs = target.tunable_specs();
+    let ranges = TunableParams::specs();
+    let space = ActionSpace::new(specs.len());
+    for action in 0..space.len() {
+        for _ in 0..150 {
+            let next = step_params(&space, action, &target.current_params(), &specs);
+            target.apply_params(&next);
+            let applied = target.cluster().params();
+            assert!(ranges[0].contains(applied.congestion_window));
+            assert!(ranges[1].contains(applied.io_rate_limit));
+        }
     }
+    // The walk ends on the decreases, so both knobs sit clamped at their
+    // minimum.
+    assert_eq!(target.current_params(), vec![ranges[0].min, ranges[1].min]);
     // The cluster still runs fine after the parameter walk.
-    let stats = cluster.step();
-    assert!(stats.aggregate_throughput() > 0.0);
+    assert!(target.step().throughput_mbps > 0.0);
 }
