@@ -37,11 +37,6 @@ impl ControlAgent {
         self.stats
     }
 
-    /// The parameter values most recently applied, if any.
-    pub fn last_values(&self) -> Option<&[f64]> {
-        self.last_values.as_deref()
-    }
-
     /// Forgets the cached last-applied values, so the next action message is
     /// applied even if it matches them. Callers that change the target's
     /// parameters outside the control path (e.g. resetting to defaults for a
@@ -139,7 +134,7 @@ mod tests {
             agent.handle(action(2, &[10.0, 2000.0])),
             Some(&[10.0, 2000.0][..])
         );
-        assert_eq!(agent.last_values(), Some(&[10.0, 2000.0][..]));
+        assert_eq!(agent.last_values.as_deref(), Some(&[10.0, 2000.0][..]));
         assert_eq!(agent.stats().applied, 2);
     }
 
@@ -168,7 +163,7 @@ mod tests {
         restored.decode_state(&mut r).expect("state decodes");
         r.finish().expect("nothing trails");
         assert_eq!(restored.stats(), agent.stats());
-        assert_eq!(restored.last_values(), Some(&[8.0, 2000.0][..]));
+        assert_eq!(restored.last_values.as_deref(), Some(&[8.0, 2000.0][..]));
         // The restored dedup cache suppresses the re-proposal the original
         // would have suppressed, and still drops stale ticks.
         assert!(restored.handle(action(6, &[8.0, 2000.0])).is_none());
@@ -186,6 +181,6 @@ mod tests {
             "older tick must be dropped"
         );
         assert_eq!(agent.stats().ignored_stale, 1);
-        assert_eq!(agent.last_values(), Some(&[8.0][..]));
+        assert_eq!(agent.last_values.as_deref(), Some(&[8.0][..]));
     }
 }

@@ -100,12 +100,6 @@ impl MonitoringAgent {
         self.stats.indicators_sent += report.changed.len() as u64;
         report
     }
-
-    /// Resets the differential state (e.g. after a reconnect), forcing the
-    /// next report to be a full one.
-    pub fn reset(&mut self) {
-        self.last_values = None;
-    }
 }
 
 impl capes_persist::Persist for MonitoringStats {
@@ -194,15 +188,6 @@ mod tests {
         assert!(stats.indicators_sent < 44 + 99 * 5);
         // Differential reports must average far below a full 44-PI frame.
         assert!(stats.mean_bytes_per_report() < 60.0);
-    }
-
-    #[test]
-    fn reset_forces_full_report() {
-        let mut agent = MonitoringAgent::new(0);
-        agent.sample(0, &[1.0, 2.0]);
-        agent.reset();
-        let r = agent.sample(1, &[1.0, 2.0]);
-        assert_eq!(r.changed.len(), 2);
     }
 
     #[test]

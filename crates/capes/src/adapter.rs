@@ -63,11 +63,6 @@ impl SimulatedLustre {
     pub fn cluster_mut(&mut self) -> &mut Cluster {
         &mut self.cluster
     }
-
-    /// Read access to the underlying cluster.
-    pub fn cluster(&self) -> &Cluster {
-        &self.cluster
-    }
 }
 
 impl TargetSystem for SimulatedLustre {

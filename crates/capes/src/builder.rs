@@ -78,6 +78,7 @@ impl<T: TargetSystem> CapesBuilder<T> {
 
     /// Sets the objective function (default: [`Objective::Throughput`]).
     #[must_use]
+    // capes-check: allow(dead-pub) -- tests/end_to_end.rs's multi_objective_tuning_runs_and_reports sets it
     pub fn objective(mut self, objective: Objective) -> Self {
         self.objective = objective;
         self
@@ -85,6 +86,7 @@ impl<T: TargetSystem> CapesBuilder<T> {
 
     /// Sets the Action Checker (default: permissive).
     #[must_use]
+    // capes-check: allow(dead-pub) -- tests/end_to_end.rs's action_checker_keeps_vetoed_regions_untouched sets it
     pub fn checker(mut self, checker: ActionChecker) -> Self {
         self.checker = checker;
         self
@@ -273,8 +275,10 @@ mod tests {
             .replay_db(arena.stripe(2))
             .build()
             .expect("matching stripe config");
-        assert_eq!(system.replay_db().stripe_index(), 2);
         assert_eq!(system.replay_db().arena().num_stripes(), 3);
+        system.replay_db().insert_snapshot(7, 0, vec![0.5, 0.5]);
+        assert_eq!(arena.stripe(2).len(), 1, "writes land in stripe 2");
+        assert!(arena.stripe(0).is_empty() && arena.stripe(1).is_empty());
     }
 
     #[test]

@@ -126,11 +126,6 @@ impl<T: TargetSystem> Experiment<T> {
         self
     }
 
-    /// The phases queued so far.
-    pub fn phases(&self) -> &[Phase] {
-        &self.phases
-    }
-
     /// Read access to the underlying system.
     pub fn system(&self) -> &CapesSystem<T> {
         &self.system
@@ -270,7 +265,7 @@ mod tests {
         assert_eq!(report.improvements_over_baseline().len(), 2);
         assert!(report.summary().contains("baseline"));
         // The plan drained; a second run with new phases reuses the system.
-        assert!(experiment.phases().is_empty());
+        assert!(experiment.phases.is_empty());
         let report2 = experiment.phase(Phase::Train { ticks: 30 }).run();
         assert_eq!(report2.sessions.len(), 1);
     }

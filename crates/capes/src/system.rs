@@ -198,11 +198,6 @@ impl<T: TargetSystem> CapesSystem<T> {
         self.tick
     }
 
-    /// Per-tick aggregate throughput observed so far.
-    pub fn throughput_history(&self) -> &[f64] {
-        &self.throughput_history
-    }
-
     /// `(tick, prediction error)` series collected from training steps —
     /// the data behind Figure 5.
     pub fn prediction_errors(&self) -> &[(u64, f64)] {
@@ -249,16 +244,6 @@ impl<T: TargetSystem> CapesSystem<T> {
     /// One training tick: measure, store, explore, train.
     pub fn training_tick(&mut self) -> SystemTick {
         self.run_tick(PhaseKind::Train)
-    }
-
-    /// One tuning tick: measure, store, exploit, no training.
-    pub fn tuning_tick(&mut self) -> SystemTick {
-        self.run_tick(PhaseKind::Tuned)
-    }
-
-    /// One baseline tick: measure and store only; parameters stay untouched.
-    pub fn baseline_tick(&mut self) -> SystemTick {
-        self.run_tick(PhaseKind::Baseline)
     }
 
     /// Runs one phase of an experiment plan and returns its session result.
@@ -593,7 +578,7 @@ impl<T: TargetSystem> CapesSystem<T> {
         result
     }
 
-    fn run_tick(&mut self, kind: PhaseKind) -> SystemTick {
+    pub(crate) fn run_tick(&mut self, kind: PhaseKind) -> SystemTick {
         let measurement = self.begin_tick(kind);
         let mut chosen_action = None;
         let mut explored = false;
@@ -803,7 +788,7 @@ mod tests {
         assert_eq!(agent.action_space().len(), 3);
         assert_eq!(system.current_params(), vec![10.0]);
         assert_eq!(system.tick(), 0);
-        assert!(system.throughput_history().is_empty());
+        assert!(system.throughput_history.is_empty());
         assert_eq!(system.engine().name(), "deep RL (DQN)");
     }
 
@@ -811,12 +796,12 @@ mod tests {
     fn baseline_ticks_never_touch_parameters() {
         let mut system = quick_system(60.0, 2);
         for _ in 0..50 {
-            let t = system.baseline_tick();
+            let t = system.run_tick(PhaseKind::Baseline);
             assert!(t.action.is_none());
             assert!(t.prediction_error.is_none());
         }
         assert_eq!(system.current_params(), vec![10.0]);
-        assert_eq!(system.throughput_history().len(), 50);
+        assert_eq!(system.throughput_history.len(), 50);
         // Baseline ticks still feed the replay DB (monitoring is always on).
         assert_eq!(system.replay_db().len(), 50);
     }
@@ -860,7 +845,7 @@ mod tests {
         let tuned_tp: f64 = {
             let mut sum = 0.0;
             for _ in 0..100 {
-                sum += system.tuning_tick().throughput_mbps;
+                sum += system.run_tick(PhaseKind::Tuned).throughput_mbps;
             }
             sum / 100.0
         };
@@ -868,7 +853,7 @@ mod tests {
         let baseline_tp: f64 = {
             let mut sum = 0.0;
             for _ in 0..100 {
-                sum += system.baseline_tick().throughput_mbps;
+                sum += system.run_tick(PhaseKind::Baseline).throughput_mbps;
             }
             sum / 100.0
         };
@@ -1049,7 +1034,8 @@ mod tests {
                 .dqn_agent()
                 .unwrap()
                 .q_network()
-                .distance_to(restored.dqn_agent().unwrap().q_network()),
+                .mlp()
+                .parameter_distance(restored.dqn_agent().unwrap().q_network().mlp()),
             0.0,
             "weights must stay bit-identical after resumed training"
         );
@@ -1200,7 +1186,7 @@ mod tests {
         assert_eq!(baseline.final_params, vec![10.0]);
         assert_eq!(system.current_params(), vec![10.0]);
         // Tuned: the engine re-proposes `best`; it must take effect again.
-        system.tuning_tick();
+        system.run_tick(PhaseKind::Tuned);
         assert_eq!(
             system.current_params(),
             best,
@@ -1229,7 +1215,7 @@ mod tests {
             .engine()
             .current_params()
             .expect("search engines expose their best");
-        let t = system.tuning_tick();
+        let t = system.run_tick(PhaseKind::Tuned);
         assert!(!t.explored);
         assert_eq!(system.current_params(), best);
         // The random search on an easy 1-D surface lands near the optimum.

@@ -219,6 +219,7 @@ impl SearchStrategy for HillClimbing {
 mod tests {
     use super::*;
     use crate::engine::SearchEngine;
+    use crate::experiment::PhaseKind;
     use crate::target::test_target::{system_with, train_until_converged};
 
     #[test]
@@ -235,7 +236,7 @@ mod tests {
     fn random_search_beats_the_baseline_on_an_easy_surface() {
         let mut system = system_with(SearchEngine::new(RandomSearch::new(40, 7), 20), 60.0);
         let baseline = (0..20)
-            .map(|_| system.baseline_tick().throughput_mbps)
+            .map(|_| system.run_tick(PhaseKind::Baseline).throughput_mbps)
             .sum::<f64>()
             / 20.0;
         train_until_converged(&mut system, 100_000);
@@ -250,9 +251,9 @@ mod tests {
         );
         // The first tuning tick applies the best candidate; the next ones
         // measure it.
-        system.tuning_tick();
+        system.run_tick(PhaseKind::Tuned);
         let tuned = (0..20)
-            .map(|_| system.tuning_tick().throughput_mbps)
+            .map(|_| system.run_tick(PhaseKind::Tuned).throughput_mbps)
             .sum::<f64>()
             / 20.0;
         assert!(
@@ -276,7 +277,7 @@ mod tests {
             best[0]
         );
         // Tuning ticks configure the target with the tuned value.
-        system.tuning_tick();
+        system.run_tick(PhaseKind::Tuned);
         assert_eq!(system.current_params(), best);
     }
 

@@ -295,9 +295,22 @@ pub fn lex(src: &str) -> Lexed {
                         }
                     }
                     Some(_) => {
-                        // Escaped or punctuation char literal `'\n'`, `'('`.
+                        // Escaped or punctuation char literal `'\n'`, `'('`,
+                        // `'\x7f'`, `'\u{0008}'`.
                         if cur.peek(0) == Some(b'\\') {
                             cur.bump();
+                            match cur.peek(0) {
+                                Some(b'x') => {
+                                    cur.bump();
+                                    cur.bump();
+                                }
+                                Some(b'u') if cur.peek(1) == Some(b'{') => {
+                                    while !matches!(cur.peek(0), None | Some(b'}' | b'\'')) {
+                                        cur.bump();
+                                    }
+                                }
+                                _ => {}
+                            }
                         }
                         cur.bump();
                         if cur.peek(0) == Some(b'\'') {
@@ -583,6 +596,18 @@ mod tests {
                 .count(),
             1
         );
+    }
+
+    #[test]
+    fn escaped_char_literals_are_one_token() {
+        let texts =
+            |src: &str| -> Vec<String> { lex(src).tokens.into_iter().map(|t| t.text).collect() };
+        assert_eq!(texts("'\\u{0008}')"), ["'\\u{0008}'", ")"]);
+        assert_eq!(
+            texts("m('\\x7f', \"unsafe\")"),
+            ["m", "(", "'\\x7f'", ",", "unsafe", ")"]
+        );
+        assert_eq!(texts("'\\x7f'}"), ["'\\x7f'", "}"]);
     }
 
     #[test]

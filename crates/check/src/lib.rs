@@ -3,9 +3,32 @@
 //! A dependency-free, token-level checker for the CAPES workspace's
 //! project-specific invariants — the things `rustc` and clippy cannot see:
 //! SAFETY-comment discipline, allocation-free hot paths, panic-free hardened
-//! boundaries, and centrally registered env knobs and metric names. See
-//! [`rules`] for the rule table and the inline suppression syntax, and
-//! `check.toml` at the workspace root for the manifest format ([`config`]).
+//! boundaries, centrally registered env knobs and metric names, and no dead
+//! public items. See [`rules`] for the rule table and the inline suppression
+//! syntax, and `check.toml` at the workspace root for the manifest format
+//! ([`config`]).
+//!
+//! `dead-pub` ([`rules::dead_pub`]) is the one rule `rustc` cannot stand in
+//! for: every item is `pub` across the workspace's crates, so the
+//! `dead_code` lint never sees a public function that only tests call.
+//!
+//! - **Indexed:** every `pub` fn, struct, enum, trait, const, static and
+//!   type in non-shim `crates/*/src`, outside `#[cfg(test)]` modules. Not
+//!   `pub mod`, `pub use`, fields or `pub(crate)` items, and nothing in the
+//!   two `[registry]` files, which the registry rules govern.
+//! - **A reference:** the item's name in non-test code of any linted file
+//!   (`src/`, `crates/`, `examples/`, `benchmark/`), but not in comments,
+//!   strings (bar inline format arguments such as `"{NAME}"`), `use`/`pub
+//!   use` lines, the item's own definition,
+//!   `#[cfg(test)]` modules or `tests/` directories. An item declared in an
+//!   `impl` block counts only at `.name(` or `::name`, and a `.name` with
+//!   no call after it reads a field, so it names no item at all.
+//! - **Test support:** waived in place with
+//!   `// capes-check: allow(dead-pub) -- <the test that uses it>`.
+//!
+//! The rule is lexical and matches by name alone, so an item sharing its
+//! name with a live one (two methods both named `reset`) is never reported:
+//! it can miss dead code, but it never reports a live item.
 
 #![forbid(unsafe_code)]
 
@@ -51,21 +74,16 @@ pub fn run(root: &Path, config: &Config) -> io::Result<Report> {
     }
 
     let mut findings = Vec::new();
-    let mut env_reads = HashSet::new();
+    let mut cross = rules::CrossFile::default();
     for rel in &files {
         let src = fs::read_to_string(root.join(rel))?;
-        findings.extend(rules::lint_file(
-            rel,
-            &src,
-            config,
-            &registries,
-            &mut env_reads,
-        ));
+        findings.extend(rules::lint_file(rel, &src, config, &registries, &mut cross));
     }
     for rel in config.env_registry.iter() {
         let src = fs::read_to_string(root.join(rel))?;
-        findings.extend(rules::unread_env_knobs(rel, &src, &env_reads));
+        findings.extend(rules::unread_env_knobs(rel, &src, &cross.env_reads));
     }
+    findings.extend(rules::dead_pub(&cross));
     findings.extend(rules::stale_manifest_entries(config, &files, |rel| {
         fs::read_to_string(root.join(rel))
     })?);

@@ -10,6 +10,8 @@
 //! | `env-registry`    | every `CAPES_*` literal appears in the env knob registry, and    |
 //! |                   | every registry literal appears in some non-test file             |
 //! | `metric-registry` | every metric/span name literal appears in the name registry      |
+//! | `dead-pub`        | every `pub` item of non-shim `crates/*/src` is named by some     |
+//! |                   | non-test code (see [`dead_pub`])                                 |
 //! | `bad-suppression` | suppression comments name a real rule and carry a reason         |
 //!
 //! Any finding except `bad-suppression` can be waived inline:
@@ -27,6 +29,7 @@ pub const RULE_IDS: &[&str] = &[
     "boundary-panic",
     "env-registry",
     "metric-registry",
+    "dead-pub",
     "bad-suppression",
 ];
 
@@ -73,19 +76,44 @@ struct Suppression {
     rules: Vec<String>,
 }
 
+/// What the cross-file passes ([`unread_env_knobs`], [`dead_pub`]) need from
+/// every linted file, gathered by [`lint_file`].
+#[derive(Debug, Default)]
+pub struct CrossFile {
+    /// `CAPES_*` literals held outside tests.
+    pub(crate) env_reads: HashSet<String>,
+    /// Unwaived `pub` items of non-shim `crates/*/src`.
+    items: Vec<PubItem>,
+    /// Identifiers non-test code names, outside `use` lines and definitions.
+    names: HashSet<String>,
+    /// Those of `names` that non-test code names after `::`, or calls after `.`.
+    members: HashSet<String>,
+}
+
+#[derive(Debug)]
+struct PubItem {
+    file: String,
+    line: u32,
+    kind: &'static str,
+    name: String,
+    /// Declared in an `impl` block, so only `.name`/`::name` reaches it.
+    associated: bool,
+}
+
 /// Lints one file; `rel_path` is workspace-relative with `/` separators.
-/// Adds to `env_reads` every `CAPES_*` literal the file holds outside tests,
-/// for [`unread_env_knobs`].
+/// Adds what the file declares and names to `cross`.
 pub fn lint_file(
     rel_path: &str,
     src: &str,
     config: &Config,
     registries: &Registries,
-    env_reads: &mut HashSet<String>,
+    cross: &mut CrossFile,
 ) -> Vec<Finding> {
     let lexed = lex(src);
     let test_regions = test_mod_regions(&lexed);
-    let is_test_file = rel_path.contains("/tests/") || rel_path.contains("/benches/");
+    let is_test_file = rel_path.starts_with("tests/")
+        || rel_path.contains("/tests/")
+        || rel_path.contains("/benches/");
     let is_registry_file = config.env_registry.iter().any(|p| p == rel_path)
         || config.metric_registry.iter().any(|p| p == rel_path);
 
@@ -94,6 +122,13 @@ pub fn lint_file(
 
     let in_tests =
         |i: usize| is_test_file || test_regions.iter().any(|&(lo, hi)| lo <= i && i <= hi);
+
+    if !is_test_file {
+        collect_names(&lexed, &in_tests, cross);
+    }
+    if !is_registry_file && is_crate_source(rel_path) {
+        collect_pub_items(rel_path, &lexed, &in_tests, &suppressions, cross);
+    }
 
     check_safety_comments(rel_path, &lexed, &mut findings);
     check_hot_paths(
@@ -114,7 +149,7 @@ pub fn lint_file(
             config,
             registries,
             &in_tests,
-            env_reads,
+            &mut cross.env_reads,
             &mut findings,
         );
         check_metric_literals(
@@ -156,6 +191,170 @@ pub fn unread_env_knobs(rel_path: &str, src: &str, env_reads: &HashSet<String>) 
         .collect();
     apply_suppressions(&mut findings, &suppressions);
     findings
+}
+
+/// Rule `dead-pub` over what [`lint_file`] gathered into `cross`: the `pub`
+/// items no non-test code names. The crate docs say what is indexed and
+/// what counts as naming an item.
+pub fn dead_pub(cross: &CrossFile) -> Vec<Finding> {
+    cross
+        .items
+        .iter()
+        .filter(|item| {
+            let names = if item.associated {
+                &cross.members
+            } else {
+                &cross.names
+            };
+            !names.contains(&item.name)
+        })
+        .map(|item| Finding {
+            file: item.file.clone(),
+            line: item.line,
+            rule: "dead-pub",
+            message: format!(
+                "`pub {} {}` is named by no non-test code; delete it, or waive it \
+                 naming the test that uses it",
+                item.kind, item.name
+            ),
+        })
+        .collect()
+}
+
+/// The item kinds rule `dead-pub` indexes.
+const ITEM_KINDS: &[&str] = &["fn", "struct", "enum", "trait", "const", "static", "type"];
+
+/// `crates/<name>/src/…` of any crate but the shims.
+fn is_crate_source(rel_path: &str) -> bool {
+    let mut parts = rel_path.split('/');
+    parts.next() == Some("crates")
+        && parts.next().is_some_and(|name| name != "shims")
+        && parts.next() == Some("src")
+}
+
+/// Adds the identifiers the file's non-test code names to `cross.names`, and
+/// those after `.` or `::` to `cross.members` too.
+fn collect_names(lexed: &Lexed, in_tests: &dyn Fn(usize) -> bool, cross: &mut CrossFile) {
+    let toks = &lexed.tokens;
+    // One past the `;` that closes the current `use` line.
+    let mut use_end = 0;
+    for (i, tok) in toks.iter().enumerate() {
+        if in_tests(i) {
+            continue;
+        }
+        if tok.kind == TokKind::Str {
+            // Inline format arguments (`"{NAME}"`, `"{name:>8}"`) are code.
+            for arg in tok.text.split('{').skip(1) {
+                let name = arg.split(['}', ':']).next().unwrap_or_default();
+                if name.chars().all(|c| c.is_alphanumeric() || c == '_') {
+                    cross.names.insert(name.to_string());
+                }
+            }
+        }
+        if tok.kind != TokKind::Ident {
+            continue;
+        }
+        if tok.text == "use" && !tok.attr {
+            use_end = (i..toks.len())
+                .find(|&j| lexed.is_punct(j, ';'))
+                .map_or(toks.len(), |j| j + 1);
+        }
+        let renamed = || {
+            lexed
+                .next_code(i + 1)
+                .is_some_and(|n| lexed.is_ident(n, "as"))
+        };
+        if (i < use_end && !renamed()) || is_definition_name(lexed, i) {
+            continue;
+        }
+        let prev = lexed.prev_code(i);
+        let dot = prev.is_some_and(|p| lexed.is_punct(p, '.'));
+        let path =
+            prev.is_some_and(|p| p > 0 && lexed.is_punct(p, ':') && lexed.is_punct(p - 1, ':'));
+        let next_is = |c| lexed.next_code(i + 1).is_some_and(|n| lexed.is_punct(n, c));
+        // `.name` with no call (or turbofish) after it reads a field, which
+        // no indexed item is.
+        if dot && !next_is('(') && !next_is(':') {
+            continue;
+        }
+        if dot || path {
+            cross.members.insert(tok.text.clone());
+        }
+        cross.names.insert(tok.text.clone());
+    }
+}
+
+/// Adds the file's unwaived non-test `pub` items to `cross.items`.
+fn collect_pub_items(
+    rel_path: &str,
+    lexed: &Lexed,
+    in_tests: &dyn Fn(usize) -> bool,
+    suppressions: &[Suppression],
+    cross: &mut CrossFile,
+) {
+    let toks = &lexed.tokens;
+    let impls: Vec<(usize, usize)> = (0..toks.len())
+        .filter(|&i| lexed.is_ident(i, "impl") && !toks[i].attr)
+        .filter_map(|i| brace_block(lexed, i))
+        .collect();
+    for i in 0..toks.len() {
+        if !lexed.is_ident(i, "pub") || toks[i].attr || in_tests(i) {
+            continue;
+        }
+        let Some((kind, name)) = pub_item(lexed, i) else {
+            continue;
+        };
+        let line = toks[name].line;
+        if waived(suppressions, line, "dead-pub") {
+            continue;
+        }
+        cross.items.push(PubItem {
+            file: rel_path.to_string(),
+            line,
+            kind,
+            name: toks[name].text.clone(),
+            associated: impls.iter().any(|&(lo, hi)| lo < i && i < hi),
+        });
+    }
+}
+
+/// For `pub [const] [unsafe] [async] [extern "abi"] <kind> <name>` at token
+/// `i` with `<kind>` in [`ITEM_KINDS`]: the kind and the name's index.
+fn pub_item(lexed: &Lexed, i: usize) -> Option<(&'static str, usize)> {
+    let toks = &lexed.tokens;
+    let qualifies = |k: usize| {
+        toks[k].kind == TokKind::Str
+            || ["unsafe", "async", "extern"]
+                .iter()
+                .any(|q| lexed.is_ident(k, q))
+    };
+    let mut k = lexed.next_code(i + 1)?;
+    loop {
+        let next = lexed.next_code(k + 1)?;
+        // `pub const fn` qualifies a fn; `pub const NAME` is a const.
+        let const_fn =
+            lexed.is_ident(k, "const") && (lexed.is_ident(next, "fn") || qualifies(next));
+        if !(qualifies(k) || const_fn) {
+            break;
+        }
+        k = next;
+    }
+    let kind = ITEM_KINDS.iter().copied().find(|q| lexed.is_ident(k, q))?;
+    let name = lexed.next_code(k + 1)?;
+    (toks[name].kind == TokKind::Ident).then_some((kind, name))
+}
+
+/// The token at `i` is the name an item definition introduces (`fn name`,
+/// `struct Name`, …), not a use of it.
+fn is_definition_name(lexed: &Lexed, i: usize) -> bool {
+    let Some(p) = lexed.prev_code(i) else {
+        return false;
+    };
+    // `*const T` names `T`.
+    if lexed.is_ident(p, "const") && lexed.prev_code(p).is_some_and(|q| lexed.is_punct(q, '*')) {
+        return false;
+    }
+    lexed.is_ident(p, "mod") || ITEM_KINDS.iter().any(|k| lexed.is_ident(p, k))
 }
 
 /// The other direction of rules `boundary-panic` and `hot-path-alloc`, which
@@ -203,13 +402,15 @@ pub(crate) fn stale_manifest_entries(
 /// Drops the findings an inline suppression waives and sorts the rest by
 /// (line, rule).
 fn apply_suppressions(findings: &mut Vec<Finding>, suppressions: &[Suppression]) {
-    findings.retain(|f| {
-        f.rule == "bad-suppression"
-            || !suppressions.iter().any(|s| {
-                (f.line == s.line || f.line == s.line + 1) && s.rules.iter().any(|r| r == f.rule)
-            })
-    });
+    findings.retain(|f| f.rule == "bad-suppression" || !waived(suppressions, f.line, f.rule));
     findings.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
+}
+
+/// A suppression of `rule` sits on `line` or the line above it.
+fn waived(suppressions: &[Suppression], line: u32, rule: &str) -> bool {
+    suppressions
+        .iter()
+        .any(|s| (line == s.line || line == s.line + 1) && s.rules.iter().any(|r| r == rule))
 }
 
 /// `prefix` either names the file exactly or a directory prefix of it.
@@ -289,8 +490,8 @@ fn test_mod_regions(lexed: &Lexed) -> Vec<(usize, usize)> {
         if toks[i].kind != TokKind::Ident || toks[i].text != "mod" || toks[i].attr {
             continue;
         }
-        // Walk back over the attribute tokens directly before `mod`, looking
-        // for `cfg ( test )`.
+        // Walk back over the attribute tokens directly before `mod` (and a
+        // `pub(crate)`-style visibility), looking for `cfg ( test )`.
         let mut has_cfg_test = false;
         let mut j = i;
         let mut attr_window: Vec<&str> = Vec::new();
@@ -300,10 +501,11 @@ fn test_mod_regions(lexed: &Lexed) -> Vec<(usize, usize)> {
             if t.kind == TokKind::Comment {
                 continue;
             }
-            if !t.attr {
+            if t.attr {
+                attr_window.push(t.text.as_str());
+            } else if !matches!(t.text.as_str(), "pub" | "(" | "crate" | "super" | ")") {
                 break;
             }
-            attr_window.push(t.text.as_str());
         }
         for w in attr_window.windows(3) {
             // Reversed order: `) test ( cfg` reads as windows of the
@@ -718,7 +920,6 @@ fn check_metric_literals(
         "histogram",
         "publish_counter",
         "publish_gauge",
-        "publish_histogram",
     ];
     let toks = &lexed.tokens;
     for i in 0..toks.len() {
@@ -781,7 +982,7 @@ mod tests {
             src,
             config,
             registries,
-            &mut HashSet::new(),
+            &mut CrossFile::default(),
         )
     }
 
@@ -898,6 +1099,28 @@ mod tests {
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert_eq!(findings[0].rule, "hot-path-alloc");
         assert!(findings[0].message.contains("fn gone"), "{findings:?}");
+    }
+
+    #[test]
+    fn dead_pub_sees_qualified_items_renames_raw_pointers_and_format_args() {
+        let mut cross = CrossFile::default();
+        let registries = Registries::default();
+        let items = "pub const fn a() {}\n\
+                     pub const B: u8 = 0;\n\
+                     pub static C: u8 = 0;\n\
+                     pub unsafe extern \"C\" fn d() {}\n\
+                     pub struct E;\n\
+                     pub struct F;\n";
+        let user = "use x::E as Renamed;\nfn g(_: *const F) -> Renamed { Renamed }\n\
+                    fn h() { println!(\"{B:>4}\") }\n";
+        for (path, src) in [
+            ("crates/x/src/lib.rs", items),
+            ("crates/y/src/lib.rs", user),
+        ] {
+            lint_file(path, src, &bare_config(), &registries, &mut cross);
+        }
+        let dead: Vec<_> = dead_pub(&cross).iter().map(|f| f.line).collect();
+        assert_eq!(dead, [1, 3, 4]);
     }
 
     #[test]

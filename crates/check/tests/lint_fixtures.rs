@@ -27,6 +27,15 @@ fn fixture_findings() -> Vec<(String, u32, &'static str)> {
 /// order `capes_check::run` promises.
 fn expected() -> Vec<(String, u32, &'static str)> {
     let raw: &[(&str, u32, &'static str)] = &[
+        ("crates/dead/src/lib.rs", 9, "dead-pub"),
+        ("crates/dead/src/lib.rs", 12, "dead-pub"),
+        ("crates/dead/src/lib.rs", 15, "dead-pub"),
+        ("crates/dead/src/lib.rs", 19, "dead-pub"),
+        ("crates/dead/src/lib.rs", 23, "dead-pub"),
+        ("crates/dead/src/lib.rs", 28, "dead-pub"),
+        ("crates/dead/src/lib.rs", 49, "dead-pub"),
+        ("crates/dead/src/lib.rs", 57, "bad-suppression"),
+        ("crates/dead/src/lib.rs", 58, "dead-pub"),
         ("src/boundary.rs", 6, "boundary-panic"),
         ("src/boundary.rs", 11, "boundary-panic"),
         ("src/boundary.rs", 17, "boundary-panic"),

@@ -1,8 +1,8 @@
 //! The gate that keeps the workspace honest: the linter, run over the real
 //! tree with the real `check.toml`, must report zero findings. Any new
-//! undocumented `unsafe`, hot-path allocation, boundary panic, or
-//! unregistered knob/metric name fails this test — the same signal CI gets
-//! from running the binary.
+//! undocumented `unsafe`, hot-path allocation, boundary panic,
+//! unregistered knob/metric name, or `pub` item that no non-test code names
+//! fails this test — the same signal CI gets from running the binary.
 
 use std::path::Path;
 

@@ -41,11 +41,6 @@ impl ActionSpace {
         ActionSpace { num_params }
     }
 
-    /// Number of tunable parameters.
-    pub fn num_params(&self) -> usize {
-        self.num_params
-    }
-
     /// Total number of actions: `2 × num_params + 1`.
     pub fn len(&self) -> usize {
         2 * self.num_params + 1

@@ -395,7 +395,7 @@ mod tests {
     fn obs(values: &[f64]) -> Observation {
         Observation {
             tick: 0,
-            features: Matrix::row_vector(values),
+            features: Matrix::from_vec(1, values.len(), values.to_vec()),
         }
     }
 
@@ -486,8 +486,7 @@ mod tests {
                     .collect()
             })
             .collect();
-        let row_refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
-        let stacked = Matrix::from_rows(&row_refs);
+        let stacked = Matrix::from_vec(rows.len(), 6, rows.concat());
         let has_obs = [true, true, false, true, false, true];
         for (tick, greedy) in [(0u64, false), (500, false), (10_000, false), (10_000, true)] {
             let mut out = Vec::new();
@@ -662,7 +661,13 @@ mod tests {
             let b = restored.train_from_db(&db).unwrap().expect("trains");
             assert_eq!(a, b, "restored training must be bit-identical");
         }
-        assert_eq!(original.q_network().distance_to(restored.q_network()), 0.0);
+        assert_eq!(
+            original
+                .q_network()
+                .mlp()
+                .parameter_distance(restored.q_network().mlp()),
+            0.0
+        );
     }
 
     #[test]

@@ -44,11 +44,6 @@ impl QNetwork {
         }
     }
 
-    /// Wraps an existing MLP (checkpoint loading).
-    pub fn from_mlp(network: Mlp) -> Self {
-        QNetwork { network }
-    }
-
     /// The underlying MLP (read access).
     pub fn mlp(&self) -> &Mlp {
         &self.network
@@ -88,11 +83,6 @@ impl QNetwork {
         self.network.forward_into(observations, ws)
     }
 
-    /// Parameter distance to another Q-network (diagnostics / tests).
-    pub fn distance_to(&self, other: &QNetwork) -> f64 {
-        self.network.parameter_distance(&other.network)
-    }
-
     /// In-memory model size in bytes (the Table-2 "size of the DNN model" row).
     pub fn model_size_bytes(&self) -> usize {
         self.network.model_size_bytes()
@@ -123,7 +113,7 @@ mod tests {
     fn obs(values: &[f64]) -> Observation {
         Observation {
             tick: 0,
-            features: Matrix::row_vector(values),
+            features: Matrix::from_vec(1, values.len(), values.to_vec()),
         }
     }
 
@@ -163,7 +153,11 @@ mod tests {
         let q = QNetwork::new(4, 3, &mut rng);
         let a = obs(&[0.1, 0.2, 0.3, 0.4]);
         let b = obs(&[-0.5, 0.0, 0.5, 1.0]);
-        let batch = Matrix::vstack(&[&a.features, &b.features]);
+        let batch = Matrix::from_vec(
+            2,
+            4,
+            [a.features.as_slice(), b.features.as_slice()].concat(),
+        );
         let batch_q = q
             .q_values_into(&batch, &mut Workspace::new_inference(q.mlp(), 2))
             .clone();
@@ -181,7 +175,7 @@ mod tests {
 
     #[test]
     fn best_action_in_row_breaks_ties_like_max_by() {
-        let q = Matrix::from_rows(&[&[1.0, 3.0, 3.0, 2.0], &[5.0, 5.0, 5.0, 5.0]]);
+        let q = Matrix::from_vec(2, 4, vec![1.0, 3.0, 3.0, 2.0, 5.0, 5.0, 5.0, 5.0]);
         // Iterator::max_by keeps the last of equal maxima.
         assert_eq!(best_action_in_row(&q, 0), 2);
         assert_eq!(best_action_in_row(&q, 1), 3);

@@ -9,7 +9,6 @@ use crate::qnet::QNetwork;
 use capes_nn::{Adam, Workspace};
 use capes_replay::ReplayBatch;
 use capes_tensor::simd;
-use rand::Rng;
 
 /// Hyperparameters of the training step (defaults follow Table 1).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -166,16 +165,6 @@ impl Trainer {
             steps,
             scratch: None,
         }
-    }
-
-    /// Creates a trainer with a fresh Q-network of the paper's architecture.
-    pub fn with_new_network<R: Rng + ?Sized>(
-        observation_size: usize,
-        num_actions: usize,
-        config: TrainerConfig,
-        rng: &mut R,
-    ) -> Self {
-        Self::new(QNetwork::new(observation_size, num_actions, rng), config)
     }
 
     /// The online (acting) network.
@@ -394,7 +383,7 @@ mod tests {
             discount_rate: 0.5,
             ..Default::default()
         };
-        let mut trainer = Trainer::with_new_network(4, 3, config, &mut rng);
+        let mut trainer = Trainer::new(QNetwork::new(4, 3, &mut rng), config);
         let mut first = None;
         let mut last = 0.0;
         for _ in 0..400 {
@@ -422,12 +411,12 @@ mod tests {
             discount_rate: 0.3,
             ..Default::default()
         };
-        let mut trainer = Trainer::with_new_network(4, 3, config, &mut rng);
+        let mut trainer = Trainer::new(QNetwork::new(4, 3, &mut rng), config);
         for _ in 0..600 {
             let batch = synthetic_batch(&mut rng, 16);
             trainer.train_step_batch(&batch);
         }
-        let patterns = Matrix::from_rows(&[&[1.0, 0.0, 0.3, -0.2], &[0.0, 1.0, -0.4, 0.1]]);
+        let patterns = Matrix::from_vec(2, 4, vec![1.0, 0.0, 0.3, -0.2, 0.0, 1.0, -0.4, 0.1]);
         let online = trainer.online();
         let mut ws = Workspace::new_inference(online.mlp(), 2);
         let q = online.q_values_into(&patterns, &mut ws);
@@ -438,30 +427,37 @@ mod tests {
     #[test]
     fn target_network_lags_behind_online_network() {
         let mut rng = StdRng::seed_from_u64(13);
-        let mut trainer = Trainer::with_new_network(4, 3, TrainerConfig::default(), &mut rng);
-        assert_eq!(trainer.online().distance_to(trainer.target()), 0.0);
+        let mut trainer = Trainer::new(QNetwork::new(4, 3, &mut rng), TrainerConfig::default());
+        assert_eq!(
+            trainer
+                .online()
+                .mlp()
+                .parameter_distance(trainer.target().mlp()),
+            0.0
+        );
         let batch = synthetic_batch(&mut rng, 8);
         trainer.train_step_batch(&batch);
-        let d1 = trainer.online().distance_to(trainer.target());
+        let d1 = trainer
+            .online()
+            .mlp()
+            .parameter_distance(trainer.target().mlp());
         assert!(d1 > 0.0, "one step must separate the networks");
         // With α = 1 the target snaps to the online network every step.
-        let mut snap = Trainer::with_new_network(
-            4,
-            3,
+        let mut snap = Trainer::new(
+            QNetwork::new(4, 3, &mut rng),
             TrainerConfig {
                 target_update_rate: 1.0,
                 ..Default::default()
             },
-            &mut rng,
         );
         snap.train_step_batch(&batch);
-        assert!(snap.online().distance_to(snap.target()) < 1e-12);
+        assert!(snap.online().mlp().parameter_distance(snap.target().mlp()) < 1e-12);
     }
 
     #[test]
     fn report_contains_reward_statistics() {
         let mut rng = StdRng::seed_from_u64(14);
-        let mut trainer = Trainer::with_new_network(4, 3, TrainerConfig::default(), &mut rng);
+        let mut trainer = Trainer::new(QNetwork::new(4, 3, &mut rng), TrainerConfig::default());
         let batch = synthetic_batch(&mut rng, 32);
         let expected_mean: f64 = batch.rewards().iter().sum::<f64>() / 32.0;
         let report = trainer.train_step_batch(&batch);
@@ -474,15 +470,15 @@ mod tests {
     #[test]
     fn resume_keeps_weights_and_steps_but_resets_the_optimizer() {
         let mut rng = StdRng::seed_from_u64(15);
-        let mut trainer = Trainer::with_new_network(4, 3, TrainerConfig::default(), &mut rng);
+        let mut trainer = Trainer::new(QNetwork::new(4, 3, &mut rng), TrainerConfig::default());
         let batch = synthetic_batch(&mut rng, 8);
         trainer.train_step_batch(&batch);
         trainer.train_step_batch(&batch);
         let (online, target) = (trainer.online().clone(), trainer.target().clone());
-        assert!(online.distance_to(&target) > 0.0);
+        assert!(online.mlp().parameter_distance(target.mlp()) > 0.0);
         let resumed = Trainer::resume(online.clone(), target.clone(), *trainer.config(), 2);
-        assert_eq!(resumed.online().distance_to(&online), 0.0);
-        assert_eq!(resumed.target().distance_to(&target), 0.0);
+        assert_eq!(resumed.online().mlp().parameter_distance(online.mlp()), 0.0);
+        assert_eq!(resumed.target().mlp().parameter_distance(target.mlp()), 0.0);
         assert_eq!(resumed.steps(), 2);
         assert_eq!(resumed.optimizer.steps(), 0);
     }
@@ -490,7 +486,7 @@ mod tests {
     #[test]
     fn scratch_is_reused_across_steps_and_resized_on_batch_change() {
         let mut rng = StdRng::seed_from_u64(23);
-        let mut trainer = Trainer::with_new_network(4, 3, TrainerConfig::default(), &mut rng);
+        let mut trainer = Trainer::new(QNetwork::new(4, 3, &mut rng), TrainerConfig::default());
         let small = synthetic_batch(&mut rng, 8);
         let large = synthetic_batch(&mut rng, 16);
         trainer.train_step_batch(&small);
@@ -527,14 +523,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "discount rate")]
     fn invalid_discount_rejected() {
-        Trainer::with_new_network(
-            4,
-            3,
+        Trainer::new(
+            QNetwork::new(4, 3, &mut StdRng::seed_from_u64(0)),
             TrainerConfig {
                 discount_rate: 1.5,
                 ..Default::default()
             },
-            &mut StdRng::seed_from_u64(0),
         );
     }
 }

@@ -96,8 +96,9 @@ impl Reference {
     /// steps.
     fn encode(&self, config: &TrainerConfig, steps: u64) -> Vec<u8> {
         let mut w = Writer::new();
-        QNetwork::from_mlp(self.online.clone()).encode(&mut w);
-        QNetwork::from_mlp(self.target.clone()).encode(&mut w);
+        // A `QNetwork` encodes as its MLP.
+        self.online.encode(&mut w);
+        self.target.encode(&mut w);
         self.adam.encode(&mut w);
         config.encode(&mut w);
         w.put_u64(steps);
@@ -127,7 +128,7 @@ fn fused_step_matches_optimizer_step_then_blend_bitwise() {
         ..Default::default()
     };
     let mut rng = StdRng::seed_from_u64(2117);
-    let mut trainer = Trainer::with_new_network(OBS, ACTIONS, config, &mut rng);
+    let mut trainer = Trainer::new(QNetwork::new(OBS, ACTIONS, &mut rng), config);
     let mut reference = Reference::new(trainer.online(), &config);
     for step in 1..=25u64 {
         let batch = random_batch(&mut rng);
@@ -146,10 +147,15 @@ fn fused_step_matches_optimizer_step_then_blend_bitwise() {
         );
         // The target lags, and each step moves it toward where the online
         // network now is.
-        let lag = trainer.target().distance_to(trainer.online());
+        let lag = trainer
+            .target()
+            .mlp()
+            .parameter_distance(trainer.online().mlp());
         assert!(lag > 0.0, "{case}: target must lag the online network");
         assert!(
-            lag < target_before.distance_to(trainer.online()),
+            lag < target_before
+                .mlp()
+                .parameter_distance(trainer.online().mlp()),
             "{case}: soft update must shrink the distance to the online network"
         );
     }
@@ -162,7 +168,7 @@ fn unit_update_rate_snaps_the_target_onto_the_online_network() {
         ..Default::default()
     };
     let mut rng = StdRng::seed_from_u64(2118);
-    let mut trainer = Trainer::with_new_network(OBS, ACTIONS, config, &mut rng);
+    let mut trainer = Trainer::new(QNetwork::new(OBS, ACTIONS, &mut rng), config);
     for step in 1..=3 {
         trainer.train_step_batch(&random_batch(&mut rng));
         assert_networks_bit_equal(

@@ -82,7 +82,13 @@ fn golden_model_loads_and_re_saves_identically() {
     let agent = DqnAgent::load_checkpoint(fixture_path(), 1).expect("load v1 fixture");
     assert_eq!(*agent.config(), config());
     assert_eq!(agent.training_steps(), 5);
-    assert!(agent.q_network().distance_to(agent.target_network()) > 0.0);
+    assert!(
+        agent
+            .q_network()
+            .mlp()
+            .parameter_distance(agent.target_network().mlp())
+            > 0.0
+    );
 
     let out = temp_path("re-save.ckpt");
     agent.save_checkpoint(&out).expect("re-save");
@@ -115,7 +121,7 @@ fn load_keeps_the_model_and_starts_a_fresh_session() {
     // Reset: ε follows the configured schedule again …
     let o = Observation {
         tick: 0,
-        features: Matrix::row_vector(&[0.3, 0.6, -0.4, 0.2, 0.0, 0.8]),
+        features: Matrix::from_vec(1, 6, vec![0.3, 0.6, -0.4, 0.2, 0.0, 0.8]),
     };
     assert!(original.decide(Some(&o), 10_100, false).epsilon > 0.05);
     assert_eq!(loaded.decide(Some(&o), 10_100, false).epsilon, 0.05);

@@ -142,11 +142,7 @@ fn steady_state_train_step_performs_zero_heap_allocations() {
     let mut rng = StdRng::seed_from_u64(11);
     let observation = Observation {
         tick: 0,
-        features: Matrix::row_vector(
-            &(0..600)
-                .map(|_| rng.gen_range(-1.0..1.0))
-                .collect::<Vec<_>>(),
-        ),
+        features: Matrix::from_vec(1, 600, (0..600).map(|_| rng.gen_range(-1.0..1.0)).collect()),
     };
     let fleet_rows = 8usize;
     let mut stacked = Matrix::zeros(fleet_rows, 600);

@@ -74,13 +74,6 @@ impl FleetBuilder {
         self
     }
 
-    /// Appends one member cluster.
-    #[must_use]
-    pub fn scenario(mut self, spec: ScenarioSpec) -> Self {
-        self.scenarios.push(spec);
-        self
-    }
-
     /// Appends many member clusters.
     #[must_use]
     pub fn scenarios<I: IntoIterator<Item = ScenarioSpec>>(mut self, specs: I) -> Self {
@@ -251,7 +244,7 @@ mod tests {
         for hyperparams in [tolerance, capacity] {
             let built = Fleet::builder()
                 .hyperparams(hyperparams)
-                .scenario(ScenarioSpec::new("w", Workload::random_rw(0.1)).clients(2))
+                .scenarios([ScenarioSpec::new("w", Workload::random_rw(0.1)).clients(2)])
                 .build();
             let invalid = matches!(
                 built,

@@ -234,11 +234,6 @@ impl FleetDaemon {
         self.tick
     }
 
-    /// Cluster-ticks executed so far (clusters × ticks).
-    pub fn cluster_ticks(&self) -> u64 {
-        self.cluster_ticks
-    }
-
     /// The hyperparameters in force.
     pub fn hyperparams(&self) -> &Hyperparameters {
         &self.hyperparams
@@ -331,13 +326,6 @@ impl FleetDaemon {
     /// (checkpoints written, restores, recorded frames).
     pub fn persist_report(&self) -> PersistReport {
         self.persist.snapshot()
-    }
-
-    /// The windowed fleet throughput: cluster-ticks/s over the last 32 fleet
-    /// ticks (also published as the `fleet.tick.recent_rate` gauge). Zero
-    /// until two ticks have completed.
-    pub fn recent_cluster_ticks_per_sec(&self) -> f64 {
-        self.telemetry.recent_rate_value
     }
 
     /// The [`FleetReport`] of a run: one report per cluster from its phase
@@ -444,7 +432,7 @@ mod tests {
     fn sharing_rejects_unknown_profiles() {
         let mut daemon = Fleet::builder()
             .hyperparams(quick_hp())
-            .scenario(ScenarioSpec::new("w", Workload::random_rw(0.1)).clients(2))
+            .scenarios([ScenarioSpec::new("w", Workload::random_rw(0.1)).clients(2)])
             .build()
             .unwrap();
         daemon.set_profile_sharing(5, ExperienceSharing::Uniform);

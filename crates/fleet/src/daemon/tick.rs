@@ -366,7 +366,7 @@ mod tests {
             assert_eq!(cluster.report.sessions[1].throughput_series.len(), 30);
             assert!(cluster.report.baseline().is_some());
         }
-        assert!(report.cluster("w").is_some());
+        assert!(report.clusters.iter().any(|c| c.name == "w"));
         assert!(report.summary().contains("cluster-ticks"));
         // Training happened: the shared agent stepped, and prediction errors
         // were recorded against round-robin shards.
@@ -390,7 +390,7 @@ mod tests {
             Fleet::builder()
                 .hyperparams(quick_hp())
                 .seed(13)
-                .scenario(ScenarioSpec::new("solo", Workload::random_rw(0.1)).clients(2))
+                .scenarios([ScenarioSpec::new("solo", Workload::random_rw(0.1)).clients(2)])
                 .build()
                 .unwrap()
         };

@@ -301,11 +301,6 @@ serde::serialize_struct! { FleetReport {
 } }
 
 impl FleetReport {
-    /// The report of the cluster named `name`, if present.
-    pub fn cluster(&self, name: &str) -> Option<&ClusterReport> {
-        self.clusters.iter().find(|c| c.name == name)
-    }
-
     /// `(cluster name, improvement of the labelled session over that
     /// cluster's baseline)` for every cluster that measured both.
     pub fn improvements_over_baseline(&self, label: &str) -> Vec<(String, f64)> {

@@ -52,20 +52,6 @@ impl ScenarioSpec {
         self
     }
 
-    /// Overrides the server count.
-    #[must_use]
-    pub fn servers(mut self, num_servers: usize) -> Self {
-        self.num_servers = num_servers;
-        self
-    }
-
-    /// Overrides the performance-indicator mode.
-    #[must_use]
-    pub fn pi_mode(mut self, pi_mode: PiMode) -> Self {
-        self.pi_mode = pi_mode;
-        self
-    }
-
     /// Pins the cluster's simulation seed (otherwise derived from the fleet
     /// seed and cluster index).
     #[must_use]

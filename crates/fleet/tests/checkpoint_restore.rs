@@ -95,7 +95,7 @@ fn assert_restore_resumes_bit_identically(transport: Transport, tag: &str) {
         original.agent_for(0).training_steps(),
         resumed.agent_for(0).training_steps()
     );
-    assert_eq!(original.cluster_ticks(), resumed.cluster_ticks());
+    assert_eq!(original.tick(), resumed.tick());
     for path in [&mid, &end_a, &end_b] {
         let _ = std::fs::remove_file(path);
     }
@@ -370,7 +370,7 @@ fn solo_fleet() -> FleetDaemon {
     Fleet::builder()
         .hyperparams(quick_hp())
         .seed(5)
-        .scenario(ScenarioSpec::new("solo", Workload::random_rw(0.1)).clients(2))
+        .scenarios([ScenarioSpec::new("solo", Workload::random_rw(0.1)).clients(2)])
         .build()
         .unwrap()
 }
@@ -426,7 +426,7 @@ fn small_snapshot_bytes() -> &'static [u8] {
         let mut fleet = Fleet::builder()
             .hyperparams(quick_hp())
             .seed(5)
-            .scenario(ScenarioSpec::new("solo", Workload::random_rw(0.1)).clients(2))
+            .scenarios([ScenarioSpec::new("solo", Workload::random_rw(0.1)).clients(2)])
             .build()
             .unwrap();
         for _ in 0..8 {
@@ -453,7 +453,7 @@ proptest! {
         let mut fleet = Fleet::builder()
             .hyperparams(quick_hp())
             .seed(5)
-            .scenario(ScenarioSpec::new("solo", Workload::random_rw(0.1)).clients(2))
+            .scenarios([ScenarioSpec::new("solo", Workload::random_rw(0.1)).clients(2)])
             .build()
             .unwrap();
         let err = fleet.restore(&path).expect_err("truncated snapshot accepted");
@@ -475,7 +475,7 @@ proptest! {
         let mut fleet = Fleet::builder()
             .hyperparams(quick_hp())
             .seed(5)
-            .scenario(ScenarioSpec::new("solo", Workload::random_rw(0.1)).clients(2))
+            .scenarios([ScenarioSpec::new("solo", Workload::random_rw(0.1)).clients(2)])
             .build()
             .unwrap();
         let err = fleet.restore(&path).expect_err("corrupt snapshot accepted");

@@ -76,11 +76,9 @@ fn one_cluster_fleet_is_bit_identical_to_experiment_over_wire_frames() {
         .hyperparams(quick_hp())
         .seed(FLEET_SEED)
         .transport(Transport::Wire)
-        .scenario(
-            ScenarioSpec::new("solo", workload)
-                .clients(num_clients)
-                .seed(CLUSTER_SEED),
-        )
+        .scenarios([ScenarioSpec::new("solo", workload)
+            .clients(num_clients)
+            .seed(CLUSTER_SEED)])
         .build()
         .expect("valid fleet");
     let mut plan = FleetPlan::new();

@@ -88,7 +88,13 @@ fn fingerprint(agent: &DqnAgent) -> (usize, u64) {
     let features: Vec<f64> = (0..width).map(|i| (i as f64 * 0.37).sin()).collect();
     let q = agent.q_network();
     let mut ws = Workspace::new_inference(q.mlp(), 1);
-    let greedy = best_action_in_row(q.q_values_into(&Matrix::row_vector(&features), &mut ws), 0);
+    let greedy = best_action_in_row(
+        q.q_values_into(
+            &Matrix::from_vec(1, features.len(), features.clone()),
+            &mut ws,
+        ),
+        0,
+    );
     (greedy, agent.training_steps())
 }
 

@@ -1,6 +1,6 @@
 //! The windowed fleet rate advances on every tick, recorded or not: with
-//! span recording switched off, the daemon accessor, the report field and
-//! the `fleet.tick.recent_rate` gauge still read a positive rate after three
+//! span recording switched off, the report field and the
+//! `fleet.tick.recent_rate` gauge still read a positive rate after three
 //! ticks. The recording switch is process-wide, so this test has its own
 //! binary.
 
@@ -23,7 +23,6 @@ fn recent_rate_advances_with_recording_off() {
         .expect("valid fleet");
     let report = fleet.run(&FleetPlan::new().phase(Phase::Baseline { ticks: 3 }));
 
-    assert!(fleet.recent_cluster_ticks_per_sec() > 0.0);
     assert!(report.recent_cluster_ticks_per_sec > 0.0);
     let gauge = capes_telemetry::global()
         .snapshot()

@@ -67,8 +67,6 @@ impl From<FramingError> for ConnError {
 /// Byte-stream → decoded-message state for one connection.
 pub struct ConnState {
     reassembler: FrameReassembler,
-    frames_in: u64,
-    last_cluster: Option<u32>,
 }
 
 impl ConnState {
@@ -76,21 +74,7 @@ impl ConnState {
     pub fn new(max_frame_len: usize) -> Self {
         ConnState {
             reassembler: FrameReassembler::new(max_frame_len),
-            frames_in: 0,
-            last_cluster: None,
         }
-    }
-
-    /// Complete frames decoded on this connection so far.
-    pub fn frames_in(&self) -> u64 {
-        self.frames_in
-    }
-
-    /// The cluster id of the most recent decoded frame, if any. The server
-    /// uses this to learn which connection serves which cluster for the
-    /// action downlink.
-    pub fn last_cluster(&self) -> Option<u32> {
-        self.last_cluster
     }
 
     /// Bytes held for a frame still being reassembled.
@@ -117,11 +101,7 @@ impl ConnState {
     where
         F: FnMut(u32, Message),
     {
-        let ConnState {
-            reassembler,
-            frames_in,
-            last_cluster,
-        } = self;
+        let reassembler = &mut self.reassembler;
         let mut delivered = 0usize;
         let mut failure: Option<ConnError> = None;
         reassembler.push(chunk, |frame| match decode_cluster_frame(frame) {
@@ -135,8 +115,6 @@ impl ConnState {
                         return ControlFlow::Break(());
                     }
                 }
-                *frames_in += 1;
-                *last_cluster = Some(cluster);
                 delivered += 1;
                 sink(cluster, message);
                 ControlFlow::Continue(())
@@ -189,8 +167,6 @@ mod tests {
             .unwrap();
         assert_eq!(seen.len(), 2);
         assert_eq!((seen[0].0, seen[1].0), (0, 1));
-        assert_eq!(state.frames_in(), 2);
-        assert_eq!(state.last_cluster(), Some(1));
     }
 
     #[test]

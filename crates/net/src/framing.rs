@@ -80,11 +80,6 @@ impl FrameReassembler {
         }
     }
 
-    /// The configured per-frame cap.
-    pub fn max_frame_len(&self) -> usize {
-        self.max_frame_len
-    }
-
     /// Bytes currently held for a frame still in flight. The payload buffer
     /// itself is retained across frames (it is reused), but its bytes only
     /// count while a frame is incomplete.

@@ -92,9 +92,9 @@ mod tests {
 
     #[test]
     fn forward_known_values() {
-        let z = Matrix::row_vector(&[-1.0, 0.0, 2.0]);
+        let z = Matrix::from_vec(1, 3, vec![-1.0, 0.0, 2.0]);
         assert!(forward(Activation::Tanh, &z).approx_eq(
-            &Matrix::row_vector(&[(-1.0f64).tanh(), 0.0, 2.0f64.tanh()]),
+            &Matrix::from_vec(1, 3, vec![(-1.0f64).tanh(), 0.0, 2.0f64.tanh()]),
             1e-12
         ));
         assert_eq!(forward(Activation::Identity, &z), z);
@@ -102,8 +102,8 @@ mod tests {
 
     /// `upstream · σ'(x)` through the in-place backward kernel.
     fn analytic_derivative(a: Activation, x: f64, upstream: f64) -> f64 {
-        let output = forward(a, &Matrix::row_vector(&[x]));
-        let mut d = Matrix::row_vector(&[upstream]);
+        let output = forward(a, &Matrix::from_vec(1, 1, vec![x]));
+        let mut d = Matrix::from_vec(1, 1, vec![upstream]);
         a.apply_derivative_from_output(&output, &mut d);
         d[(0, 0)]
     }

@@ -189,8 +189,8 @@ mod tests {
     #[test]
     fn forward_shapes() {
         let l = layer(4, 3, Activation::Tanh);
-        let x = Matrix::ones(5, 4);
-        let (y, dx, _) = forward_backward(&l, &x, &Matrix::ones(5, 3));
+        let x = Matrix::filled(5, 4, 1.0);
+        let (y, dx, _) = forward_backward(&l, &x, &Matrix::filled(5, 3, 1.0));
         assert_eq!(y.shape(), (5, 3));
         assert_eq!(dx.shape(), (5, 4));
         assert_eq!(l.input_dim(), 4);
@@ -200,21 +200,21 @@ mod tests {
 
     #[test]
     fn identity_layer_is_affine() {
-        let w = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 2.0]]);
-        let b = Matrix::row_vector(&[1.0, -1.0]);
+        let w = Matrix::from_vec(2, 2, vec![1.0, 0.0, 0.0, 2.0]);
+        let b = Matrix::from_vec(1, 2, vec![1.0, -1.0]);
         let l = Dense::from_parameters(w, b, Activation::Identity);
-        let x = Matrix::from_rows(&[&[3.0, 4.0]]);
-        let (y, _, _) = forward_backward(&l, &x, &Matrix::ones(1, 2));
-        assert!(y.approx_eq(&Matrix::row_vector(&[4.0, 7.0]), 1e-12));
+        let x = Matrix::from_vec(1, 2, vec![3.0, 4.0]);
+        let (y, _, _) = forward_backward(&l, &x, &Matrix::filled(1, 2, 1.0));
+        assert!(y.approx_eq(&Matrix::from_vec(1, 2, vec![4.0, 7.0]), 1e-12));
     }
 
     #[test]
     fn backward_gradient_matches_finite_difference() {
         let mut rng = StdRng::seed_from_u64(7);
         let mut l = Dense::new(3, 2, Activation::Tanh, &mut rng);
-        let x = Matrix::from_rows(&[&[0.5, -0.3, 0.8], &[0.1, 0.9, -0.7]]);
+        let x = Matrix::from_vec(2, 3, vec![0.5, -0.3, 0.8, 0.1, 0.9, -0.7]);
         // Loss = sum of outputs, so d_out = ones.
-        let (_, _dx, grads) = forward_backward(&l, &x, &Matrix::ones(2, 2));
+        let (_, _dx, grads) = forward_backward(&l, &x, &Matrix::filled(2, 2, 1.0));
 
         let h = 1e-6;
         for r in 0..3 {
@@ -250,8 +250,8 @@ mod tests {
     fn input_gradient_matches_finite_difference() {
         let mut rng = StdRng::seed_from_u64(8);
         let l = Dense::new(3, 4, Activation::Tanh, &mut rng);
-        let mut x = Matrix::from_rows(&[&[0.2, -0.1, 0.6]]);
-        let (_, dx, _) = forward_backward(&l, &x, &Matrix::ones(1, 4));
+        let mut x = Matrix::from_vec(1, 3, vec![0.2, -0.1, 0.6]);
+        let (_, dx, _) = forward_backward(&l, &x, &Matrix::filled(1, 4, 1.0));
         let h = 1e-6;
         for c in 0..3 {
             let orig = x[(0, c)];

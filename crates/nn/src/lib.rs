@@ -33,8 +33,8 @@
 //! let mut adam = Adam::new(1e-2, net.parameter_shapes());
 //! let mut ws = Workspace::new(&net, 1);
 //!
-//! let x = Matrix::from_rows(&[&[0.1, -0.2, 0.3, 0.5]]);
-//! let target = Matrix::from_rows(&[&[1.0, 0.0, -1.0]]);
+//! let x = Matrix::from_vec(1, 4, vec![0.1, -0.2, 0.3, 0.5]);
+//! let target = Matrix::from_vec(1, 3, vec![1.0, 0.0, -1.0]);
 //! for _ in 0..200 {
 //!     net.forward_into(&x, &mut ws);
 //!     let (pred, delta) = ws.output_and_delta_mut();

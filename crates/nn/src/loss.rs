@@ -28,11 +28,6 @@ impl MseLoss {
         let n = prediction.len() as f64;
         prediction.sub(target).scale(2.0 / n)
     }
-
-    /// Convenience returning `(loss, gradient)` in one call.
-    pub fn loss_and_grad(&self, prediction: &Matrix, target: &Matrix) -> (f64, Matrix) {
-        (self.loss(prediction, target), self.grad(prediction, target))
-    }
 }
 
 #[cfg(test)]
@@ -41,23 +36,23 @@ mod tests {
 
     #[test]
     fn mse_zero_for_equal_inputs() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
+        let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
         assert_eq!(MseLoss.loss(&a, &a), 0.0);
         assert!(MseLoss.grad(&a, &a).approx_eq(&Matrix::zeros(2, 2), 1e-12));
     }
 
     #[test]
     fn mse_known_value() {
-        let p = Matrix::row_vector(&[1.0, 2.0]);
-        let t = Matrix::row_vector(&[0.0, 4.0]);
+        let p = Matrix::from_vec(1, 2, vec![1.0, 2.0]);
+        let t = Matrix::from_vec(1, 2, vec![0.0, 4.0]);
         // ((1)^2 + (2)^2) / 2 = 2.5
         assert!((MseLoss.loss(&p, &t) - 2.5).abs() < 1e-12);
     }
 
     #[test]
     fn gradients_match_finite_differences() {
-        let p = Matrix::from_rows(&[&[0.5, -1.5, 3.0], &[0.0, 2.0, -0.7]]);
-        let t = Matrix::from_rows(&[&[0.0, 0.0, 0.0], &[1.0, 1.0, 1.0]]);
+        let p = Matrix::from_vec(2, 3, vec![0.5, -1.5, 3.0, 0.0, 2.0, -0.7]);
+        let t = Matrix::from_vec(2, 3, vec![0.0, 0.0, 0.0, 1.0, 1.0, 1.0]);
         let h = 1e-6;
         let g = MseLoss.grad(&p, &t);
         for r in 0..2 {
@@ -75,15 +70,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn loss_and_grad_consistent() {
-        let p = Matrix::row_vector(&[1.0, -2.0]);
-        let t = Matrix::row_vector(&[0.5, 0.5]);
-        let (l, g) = MseLoss.loss_and_grad(&p, &t);
-        assert_eq!(l, MseLoss.loss(&p, &t));
-        assert!(g.approx_eq(&MseLoss.grad(&p, &t), 1e-12));
     }
 
     #[test]

@@ -53,19 +53,6 @@ impl Mlp {
         Self::new(&[input_dim, input_dim, input_dim, num_actions], rng)
     }
 
-    /// Builds an MLP from pre-existing layers (checkpoint loading).
-    pub fn from_layers(layers: Vec<Dense>) -> Self {
-        assert!(!layers.is_empty(), "an MLP needs at least one layer");
-        for pair in layers.windows(2) {
-            assert_eq!(
-                pair[0].output_dim(),
-                pair[1].input_dim(),
-                "adjacent layer dimensions must agree"
-            );
-        }
-        Mlp { layers }
-    }
-
     /// Read-only access to the layers.
     pub fn layers(&self) -> &[Dense] {
         &self.layers
@@ -158,6 +145,7 @@ impl Mlp {
 
     /// Euclidean distance between this network's parameters and `other`'s
     /// (useful for tests and for monitoring target-network lag).
+    // capes-check: allow(dead-pub) -- the target-lag measure of crates/drl/tests/fused_step.rs
     pub fn parameter_distance(&self, other: &Mlp) -> f64 {
         assert_eq!(self.layers.len(), other.layers.len());
         let mut acc = 0.0;
@@ -186,7 +174,8 @@ impl capes_persist::Persist for Mlp {
 
     fn decode(r: &mut capes_persist::Reader<'_>) -> Result<Self, capes_persist::PersistError> {
         let layers = Vec::<Dense>::decode(r)?;
-        // The `from_layers` invariants as typed errors.
+        // A decoded network must chain: at least one layer, and each
+        // layer's output feeds the next layer's input.
         if layers.is_empty() {
             return Err(capes_persist::PersistError::BadValue {
                 what: "MLP with no layers",
@@ -243,10 +232,10 @@ mod tests {
     #[test]
     fn backward_produces_gradients_for_every_layer() {
         let n = net();
-        let x = Matrix::ones(4, 5);
+        let x = Matrix::filled(4, 5, 1.0);
         let mut ws = Workspace::new(&n, 4);
         n.forward_into(&x, &mut ws);
-        ws.output_delta_mut().copy_from(&Matrix::ones(4, 3));
+        ws.output_delta_mut().copy_from(&Matrix::filled(4, 3, 1.0));
         n.backward_into(&x, &mut ws);
         assert_eq!(ws.grads().len(), 3);
         for (g, l) in ws.grads().iter().zip(n.layers()) {
@@ -263,28 +252,8 @@ mod tests {
     fn workspace_forward_resizes_for_new_batch_shapes() {
         let n = net();
         let mut ws = Workspace::new(&n, 2);
-        let out = n.forward_into(&Matrix::ones(4, 5), &mut ws);
+        let out = n.forward_into(&Matrix::filled(4, 5, 1.0), &mut ws);
         assert_eq!(out.shape(), (4, 3));
-        assert_eq!(ws.batch(), 4);
-    }
-
-    #[test]
-    fn from_layers_validates_dimensions() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let l1 = Dense::new(3, 4, Activation::Tanh, &mut rng);
-        let l2 = Dense::new(4, 2, Activation::Identity, &mut rng);
-        let m = Mlp::from_layers(vec![l1, l2]);
-        assert_eq!(m.input_dim(), 3);
-        assert_eq!(m.output_dim(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "adjacent layer dimensions")]
-    fn from_layers_rejects_mismatch() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let l1 = Dense::new(3, 4, Activation::Tanh, &mut rng);
-        let l2 = Dense::new(5, 2, Activation::Identity, &mut rng);
-        let _ = Mlp::from_layers(vec![l1, l2]);
     }
 
     #[test]
@@ -299,7 +268,7 @@ mod tests {
     fn persist_round_trip_preserves_predictions() {
         use capes_persist::Persist;
         let n = net();
-        let x = Matrix::from_rows(&[&[0.3, -0.2, 0.5, 0.7, -0.9]]);
+        let x = Matrix::from_vec(1, 5, vec![0.3, -0.2, 0.5, 0.7, -0.9]);
         let mut w = capes_persist::Writer::new();
         n.encode(&mut w);
         let bytes = w.into_vec();

@@ -238,8 +238,8 @@ mod tests {
         let mut ws = Workspace::new(net, x.rows());
         net.forward_into(x, &mut ws);
         let (pred, delta) = ws.output_and_delta_mut();
-        let (loss, dloss) = MseLoss.loss_and_grad(pred, t);
-        delta.copy_from(&dloss);
+        let loss = MseLoss.loss(pred, t);
+        delta.copy_from(&MseLoss.grad(pred, t));
         net.backward_into(x, &mut ws);
         (loss, ws.grads().clone())
     }
@@ -251,9 +251,9 @@ mod tests {
 
     /// Trains a tiny regression problem and returns the final loss.
     fn train<O: Optimizer>(mut opt: O, net: &mut Mlp, iterations: usize) -> f64 {
-        let x = Matrix::from_rows(&[&[0.0, 0.0], &[0.0, 1.0], &[1.0, 0.0], &[1.0, 1.0]]);
+        let x = Matrix::from_vec(4, 2, vec![0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0]);
         // XOR-like target — nonlinear, so the hidden layer must be used.
-        let t = Matrix::from_rows(&[&[0.0], &[1.0], &[1.0], &[0.0]]);
+        let t = Matrix::from_vec(4, 1, vec![0.0, 1.0, 1.0, 0.0]);
         let mut last = f64::MAX;
         for _ in 0..iterations {
             let (loss, grads) = mse_grads(net, &x, &t);
@@ -279,8 +279,8 @@ mod tests {
         let mut net = Mlp::new(&[2, 2, 1], &mut rng);
         let mut adam = Adam::new(0.01, net.parameter_shapes());
         assert_eq!(adam.steps(), 0);
-        let x = Matrix::ones(1, 2);
-        let t = Matrix::ones(1, 1);
+        let x = Matrix::filled(1, 2, 1.0);
+        let t = Matrix::filled(1, 1, 1.0);
         for i in 1..=5 {
             let (_, grads) = mse_grads(&net, &x, &t);
             adam.step(&mut net, &grads);

@@ -110,11 +110,6 @@ impl Workspace {
         !self.grads.is_empty()
     }
 
-    /// Batch size the buffers are sized for.
-    pub fn batch(&self) -> usize {
-        self.batch
-    }
-
     /// Network output of the last [`crate::Mlp::forward_into`] call.
     pub fn output(&self) -> &Matrix {
         self.acts.last().expect("workspace has at least one layer")
@@ -157,7 +152,7 @@ mod tests {
     fn buffers_match_network_shapes() {
         let n = net();
         let ws = Workspace::new(&n, 5);
-        assert_eq!(ws.batch(), 5);
+        assert_eq!(ws.batch, 5);
         assert_eq!(ws.output().shape(), (5, 2));
         assert_eq!(ws.grads().len(), 2);
         assert_eq!(ws.grads()[0].d_weights.shape(), (4, 6));
@@ -174,7 +169,7 @@ mod tests {
         ws.ensure(&n, 3);
         assert_eq!(before, ws.output() as *const Matrix);
         ws.ensure(&n, 8);
-        assert_eq!(ws.batch(), 8);
+        assert_eq!(ws.batch, 8);
         assert_eq!(ws.output().shape(), (8, 2));
     }
 
@@ -204,14 +199,14 @@ mod tests {
         assert!(!ws.supports_backward());
         let full = Workspace::new(&n, 3);
         assert!(full.supports_backward());
-        let x = Matrix::ones(3, 4);
+        let x = Matrix::filled(3, 4, 1.0);
         let out = n.forward_into(&x, &mut ws).clone();
         let mut reference = Workspace::new(&n, 3);
         assert!(out.approx_eq(n.forward_into(&x, &mut reference), 1e-15));
         // `ensure` keeps an inference workspace inference-only across
         // resizes.
         ws.ensure(&n, 8);
-        assert_eq!(ws.batch(), 8);
+        assert_eq!(ws.batch, 8);
         assert!(!ws.supports_backward());
         // A different architecture at equal batch/layer count must not match
         // (the grads check is vacuous for inference workspaces, so the
@@ -226,7 +221,7 @@ mod tests {
     fn backward_into_rejects_inference_workspace() {
         let n = net();
         let mut ws = Workspace::new_inference(&n, 2);
-        let x = Matrix::ones(2, 4);
+        let x = Matrix::filled(2, 4, 1.0);
         n.forward_into(&x, &mut ws);
         n.backward_into(&x, &mut ws);
     }

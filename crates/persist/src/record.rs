@@ -88,11 +88,6 @@ impl RecordLogWriter {
         Ok(())
     }
 
-    /// Number of records appended so far.
-    pub fn records(&self) -> u64 {
-        self.records
-    }
-
     /// Flushes buffered records and fsyncs the file.
     pub fn sync(&mut self) -> Result<(), PersistError> {
         self.out.flush()?;

@@ -785,7 +785,7 @@ mod tests {
     fn observation_stacks_ticks_oldest_first() {
         let db = filled_db(20);
         let obs = db.observation_at(10).unwrap();
-        assert_eq!(obs.size(), 4 * 2 * 3);
+        assert_eq!(obs.features.len(), 4 * 2 * 3);
         // Row 0 of the stack is tick 7 (oldest), last row is tick 10.
         assert_eq!(
             obs.features[(0, 0)],

@@ -111,6 +111,7 @@ impl ReplayBatch {
 
     /// Candidate timestamps drawn by the last successful fill — a measure
     /// of how sparse the usable data still is.
+    // capes-check: allow(dead-pub) -- the draw-count check of tests/flat_store_equivalence.rs
     pub fn timestamps_drawn(&self) -> usize {
         self.timestamps_drawn
     }

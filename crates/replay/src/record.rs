@@ -23,25 +23,3 @@ pub struct Observation {
     /// Flattened `1 × (S · N · P)` feature vector.
     pub features: Matrix,
 }
-
-impl Observation {
-    /// Number of scalar features in the observation (the paper's evaluation
-    /// reports 1 760 for its 5-client setup — Table 2, "observation size").
-    pub fn size(&self) -> usize {
-        self.features.len()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn observation_size() {
-        let o = Observation {
-            tick: 5,
-            features: Matrix::zeros(1, 30),
-        };
-        assert_eq!(o.size(), 30);
-    }
-}

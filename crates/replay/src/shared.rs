@@ -40,11 +40,6 @@ impl SharedReplayDb {
         &self.arena
     }
 
-    /// The index of the stripe this view reads and writes.
-    pub fn stripe_index(&self) -> usize {
-        self.stripe
-    }
-
     /// Writer-side: records a node's PI snapshot.
     pub fn insert_snapshot(&self, tick: Tick, node: NodeId, pis: Vec<f64>) {
         self.arena
@@ -147,7 +142,7 @@ mod tests {
         let shared = SharedReplayDb::new(config());
         assert!(shared.is_empty());
         assert_eq!(shared.arena().num_stripes(), 1);
-        assert_eq!(shared.stripe_index(), 0);
+        assert_eq!(shared.stripe, 0);
         for t in 0..20u64 {
             for n in 0..2 {
                 shared.insert_snapshot(t, n, vec![1.0, 2.0, 3.0]);
@@ -218,7 +213,7 @@ mod tests {
         a.insert_snapshot(0, 0, vec![1.0, 1.0, 1.0]);
         assert_eq!(a.len(), 1);
         assert!(b.is_empty(), "writes to one stripe never leak into another");
-        assert_eq!(b.stripe_index(), 1);
+        assert_eq!(b.stripe, 1);
     }
 
     #[test]

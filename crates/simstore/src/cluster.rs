@@ -164,11 +164,6 @@ impl Cluster {
         self.epoch_minutes = self.epoch_minutes.wrapping_add(clock_offset_minutes);
     }
 
-    /// Statistics of the most recent tick, if any.
-    pub fn last_stats(&self) -> Option<&TickStats> {
-        self.last_stats.as_ref()
-    }
-
     /// Number of performance indicators each client reports per tick.
     pub fn pis_per_client(&self) -> usize {
         pis_per_client(self.config.pi_mode, self.config.oscs_per_client())

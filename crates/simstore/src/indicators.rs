@@ -1,4 +1,4 @@
-//! Performance-indicator layout, labels and normalisation scales.
+//! Performance-indicator layout and normalisation scales.
 //!
 //! The paper's prototype reports 44 floating-point indicators per client per
 //! second (Table 2): the nine §4.1 indicators for each of the four OSCs plus
@@ -32,61 +32,8 @@ pub fn pis_per_client(mode: PiMode, oscs_per_client: usize) -> usize {
     }
 }
 
-/// Human-readable labels of every indicator, in the order they appear in the
-/// per-client PI vector.
-pub fn pi_labels(mode: PiMode, oscs_per_client: usize) -> Vec<String> {
-    let osc_labels = |prefix: &str| -> Vec<String> {
-        [
-            "max_rpcs_in_flight",
-            "read_throughput_mbps",
-            "write_throughput_mbps",
-            "dirty_bytes_mb",
-            "max_write_cache_mb",
-            "ping_latency_ms",
-            "ack_ewma_ms",
-            "send_ewma_ms",
-            "process_time_ratio",
-        ]
-        .iter()
-        .map(|l| format!("{prefix}{l}"))
-        .collect()
-    };
-    match mode {
-        PiMode::Full => {
-            let mut labels = Vec::new();
-            for osc in 0..oscs_per_client {
-                labels.extend(osc_labels(&format!("osc{osc}.")));
-            }
-            labels.extend(
-                [
-                    "month",
-                    "day_of_week",
-                    "hour",
-                    "minute",
-                    "active_threads",
-                    "io_rate_limit",
-                    "client_read_mbps",
-                    "client_write_mbps",
-                ]
-                .iter()
-                .map(|s| s.to_string()),
-            );
-            labels
-        }
-        PiMode::Compact => {
-            let mut labels = osc_labels("agg.");
-            labels.extend(
-                ["io_rate_limit", "active_threads", "hour"]
-                    .iter()
-                    .map(|s| s.to_string()),
-            );
-            labels
-        }
-    }
-}
-
-/// Per-indicator divisor bringing every indicator roughly into `[0, a few]`.
-/// Same ordering as [`pi_labels`].
+/// Per-indicator divisor bringing every indicator roughly into `[0, a few]`,
+/// in the order of the per-client PI vector.
 pub fn pi_scales(mode: PiMode, oscs_per_client: usize) -> Vec<f64> {
     // window, read, write, dirty, cache, ping, ack, send, pt_ratio
     const OSC_SCALES: [f64; 9] = [64.0, 50.0, 50.0, 32.0, 32.0, 100.0, 100.0, 100.0, 5.0];
@@ -102,7 +49,8 @@ pub fn pi_scales(mode: PiMode, oscs_per_client: usize) -> Vec<f64> {
         }
         PiMode::Compact => {
             let mut scales = Vec::new();
-            // Aggregated throughput over 4 OSCs is ~4x one OSC's.
+            // Aggregated throughput over 4 OSCs is ~4x one OSC's. Then the
+            // rate limit, active threads, hour.
             scales.extend_from_slice(&[64.0, 150.0, 150.0, 128.0, 128.0, 100.0, 100.0, 100.0, 5.0]);
             scales.extend_from_slice(&[2000.0, 32.0, 24.0]);
             scales
@@ -135,24 +83,13 @@ mod tests {
     #[test]
     fn full_mode_matches_paper_44_pis() {
         assert_eq!(pis_per_client(PiMode::Full, 4), 44);
-        assert_eq!(pi_labels(PiMode::Full, 4).len(), 44);
         assert_eq!(pi_scales(PiMode::Full, 4).len(), 44);
     }
 
     #[test]
     fn compact_mode_is_twelve_wide() {
         assert_eq!(pis_per_client(PiMode::Compact, 4), 12);
-        assert_eq!(pi_labels(PiMode::Compact, 4).len(), 12);
         assert_eq!(pi_scales(PiMode::Compact, 4).len(), 12);
-    }
-
-    #[test]
-    fn labels_are_unique() {
-        for mode in [PiMode::Full, PiMode::Compact] {
-            let labels = pi_labels(mode, 4);
-            let unique: std::collections::HashSet<&String> = labels.iter().collect();
-            assert_eq!(unique.len(), labels.len(), "duplicate labels in {mode:?}");
-        }
     }
 
     #[test]

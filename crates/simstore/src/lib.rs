@@ -54,6 +54,6 @@ pub mod workload;
 
 pub use cluster::{Cluster, TickStats};
 pub use config::{ClusterConfig, PiMode};
-pub use indicators::{pi_labels, pi_scales, pis_per_client};
+pub use indicators::{pi_scales, pis_per_client};
 pub use params::{ParamSpec, TunableParams};
 pub use workload::{Workload, WorkloadKind};

@@ -39,17 +39,6 @@ serde::serialize_struct! { AnalysisReport {
     raw_samples,
 } }
 
-impl AnalysisReport {
-    /// Formats the interval the way the paper reports throughput numbers,
-    /// e.g. `"123.4 ± 5.6"`.
-    pub fn formatted(&self) -> String {
-        format!(
-            "{:.1} ± {:.1}",
-            self.interval.mean, self.interval.half_width
-        )
-    }
-}
-
 /// Runs the full Appendix-B pipeline over a series of per-second measurements.
 pub fn analyze(samples: &[f64]) -> AnalysisReport {
     let trim = trim_transients(samples, MAX_TRANSIENT_FRACTION);
@@ -85,7 +74,6 @@ mod tests {
         assert!(report.cooldown_removed > 0);
         assert!(report.converged);
         assert_eq!(report.raw_samples, xs.len());
-        assert!(report.formatted().contains('±'));
     }
 
     #[test]

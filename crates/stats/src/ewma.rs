@@ -45,16 +45,6 @@ impl Ewma {
     pub fn value(&self) -> Option<f64> {
         self.value
     }
-
-    /// Resets the filter to its empty state.
-    pub fn reset(&mut self) {
-        self.value = None;
-    }
-
-    /// The smoothing factor.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
 }
 
 impl Persist for Ewma {
@@ -124,15 +114,6 @@ mod tests {
             let v = e.update(x);
             assert!((-5.0..=5.0).contains(&v));
         }
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut e = Ewma::new(0.5);
-        e.update(1.0);
-        e.reset();
-        assert_eq!(e.value(), None);
-        assert_eq!(e.update(3.0), 3.0);
     }
 
     #[test]

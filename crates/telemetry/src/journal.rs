@@ -98,14 +98,10 @@ pub(crate) fn push(name: &'static str, start: Instant, dur_ns: u64) {
     });
 }
 
-/// The per-thread ring capacity (events kept before overwrite-oldest).
-pub fn journal_capacity() -> usize {
-    RING_CAPACITY
-}
-
 /// Dumps every thread's retained events as JSON lines sorted by start time:
 /// `{"name":"...","thread":N,"start_ns":...,"dur_ns":...}`. Returns the
 /// empty string when nothing was traced (e.g. `CAPES_TRACE` off).
+// capes-check: allow(dead-pub) -- the journal's one reader; push_and_dump_round_trip tests it
 pub fn dump_journal() -> String {
     let mut events: Vec<(u64, Event)> = Vec::new();
     for ring in rings().lock().unwrap().iter() {

@@ -57,7 +57,7 @@ pub mod names;
 mod registry;
 mod snapshot;
 
-pub use journal::{dump_journal, journal_capacity, trace_enabled, Event};
+pub use journal::{dump_journal, trace_enabled, Event};
 pub use metric::{Counter, Gauge, Histogram};
 pub use registry::{global, recording, set_recording, Registry};
 pub use snapshot::{

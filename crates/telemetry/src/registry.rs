@@ -86,12 +86,6 @@ impl Registry {
         Inner::upsert(&mut inner.gauges, name, gauge.clone());
     }
 
-    /// Links a component-owned histogram under `name` (latest wins).
-    pub fn publish_histogram(&self, name: &str, histogram: &Histogram) {
-        let mut inner = self.inner.lock().unwrap();
-        Inner::upsert(&mut inner.histograms, name, histogram.clone());
-    }
-
     /// Snapshot of every metric, sorted by name (deterministic JSON).
     pub fn snapshot(&self) -> crate::TelemetrySnapshot {
         let inner = self.inner.lock().unwrap();

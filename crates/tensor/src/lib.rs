@@ -18,8 +18,8 @@
 //! ```
 //! use capes_tensor::Matrix;
 //!
-//! let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-//! let b = Matrix::identity(2);
+//! let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
+//! let b = Matrix::from_vec(2, 2, vec![1.0, 0.0, 0.0, 1.0]);
 //! let c = a.matmul(&b);
 //! assert_eq!(c, a);
 //! ```
@@ -37,10 +37,6 @@ pub use init::WeightInit;
 pub use matrix::Matrix;
 pub use pool::WorkerPool;
 pub use simd::SimdLevel;
-
-/// Absolute tolerance used throughout the workspace when comparing floating
-/// point results of linear-algebra kernels.
-pub const DEFAULT_TOLERANCE: f64 = 1e-9;
 
 /// Returns `true` if `a` and `b` are within `tol` of each other.
 ///

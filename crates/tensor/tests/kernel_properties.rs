@@ -37,7 +37,7 @@ proptest! {
         let bias = random_matrix(seed.wrapping_add(2), 1, n);
         let mut out = Matrix::filled(m, n, f64::NAN);
         x.affine_into(&w, &bias, &mut out);
-        let reference = x.matmul_naive(&w).add_row_broadcast(&bias);
+        let reference = x.matmul_naive(&w).add(&Matrix::from_vec(m, n, bias.as_slice().repeat(m)));
         prop_assert!(out.approx_eq(&reference, 1e-9), "affine {m}x{k}x{n}");
     }
 

@@ -55,7 +55,8 @@ proptest! {
         let a = Matrix::from_vec(m, k, (0..m*k).map(|_| rng.gen_range(-5.0..5.0)).collect());
         let b = Matrix::from_vec(n, k, (0..k*n).map(|_| rng.gen_range(-5.0..5.0)).collect());
         // a · bᵀ computed directly vs. explicitly.
-        let direct = a.matmul_transpose_b(&b);
+        let mut direct = Matrix::zeros(m, n);
+        a.matmul_transpose_b_into(&b, &mut direct);
         let explicit = a.matmul_naive(&b.transpose());
         prop_assert!(direct.approx_eq(&explicit, 1e-8));
     }
@@ -66,7 +67,8 @@ proptest! {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let a = Matrix::from_vec(k, m, (0..m*k).map(|_| rng.gen_range(-5.0..5.0)).collect());
         let b = Matrix::from_vec(k, n, (0..k*n).map(|_| rng.gen_range(-5.0..5.0)).collect());
-        let direct = a.matmul_transpose_a(&b);
+        let mut direct = Matrix::zeros(m, n);
+        a.matmul_transpose_a_into(&b, &mut direct);
         let explicit = a.transpose().matmul_naive(&b);
         prop_assert!(direct.approx_eq(&explicit, 1e-8));
     }

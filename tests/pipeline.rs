@@ -142,7 +142,7 @@ fn tunable_params_round_trip_through_the_action_pipeline() {
         for _ in 0..150 {
             let next = step_params(&space, action, &target.current_params(), &specs);
             target.apply_params(&next);
-            let applied = target.cluster().params();
+            let applied = target.cluster_mut().params();
             assert!(ranges[0].contains(applied.congestion_window));
             assert!(ranges[1].contains(applied.io_rate_limit));
         }
