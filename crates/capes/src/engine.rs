@@ -144,8 +144,8 @@ pub fn step_params(
 
 /// The deep-Q-network engine: ε-greedy ±step actions plus experience-replay
 /// training (paper §3.4–§3.7) on the system's own replay stripe (experience
-/// sharing across clusters is the fleet's business:
-/// `capes_fleet::ExperienceSharing`).
+/// sharing across clusters is the fleet's business: the `own`/`peers` stripe
+/// weights `capes_fleet::FleetDaemon::set_profile_sharing` sets per profile).
 impl TuningEngine for DqnAgent {
     fn name(&self) -> &str {
         "deep RL (DQN)"

@@ -927,7 +927,7 @@ fn check_metric_literals(
             continue;
         }
         let name = toks[i].text.as_str();
-        // `span!("…")` — also the journaling variant `span!("…", journal)`.
+        // `span!("…")`: the macro's only form is one string literal.
         let name_tok = if name == "span" {
             lexed
                 .next_code(i + 1)

@@ -204,7 +204,7 @@ impl FleetBuilder {
             sessions,
             profiles,
             arena,
-            profile_sharing: vec![ExperienceSharing::Disabled; num_profiles],
+            profile_sharing: vec![ExperienceSharing::default(); num_profiles],
             weights_buf: vec![0.0; num_clusters],
             sched,
             tick: 0,

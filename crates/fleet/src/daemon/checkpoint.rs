@@ -92,11 +92,11 @@ impl FleetDaemon {
 
     /// Restores a [`FleetDaemon::checkpoint`] snapshot into this fleet.
     ///
-    /// The fleet must have been built with the same plan the snapshot was
-    /// taken under: same transport, same scenarios (names and geometry in
-    /// order), same replay configuration. Everything is decoded and
-    /// validated *before* any state is overwritten, so configuration skew —
-    /// wrong cluster count, wrong observation width, mismatched replay
+    /// The fleet must have been built with the same configuration the
+    /// snapshot was taken under: same transport, same scenarios (names and
+    /// geometry in order), same replay configuration. Everything is decoded
+    /// and validated *before* any state is overwritten, so configuration
+    /// skew — wrong cluster count, wrong observation width, mismatched replay
     /// capacity — is a typed error that leaves the fleet untouched:
     /// [`CapesError::CheckpointMismatch`] for geometry disagreements,
     /// [`CapesError::ReplayConfigMismatch`] for arena-stripe disagreements,

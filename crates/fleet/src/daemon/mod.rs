@@ -23,10 +23,10 @@
 //!    Agent, then the knob — and
 //! 4. once every cluster has applied its action, round-robins training
 //!    across the clusters: each training tick trains one cluster's profile
-//!    agent on the stripe weights of the profile's experience-sharing mode
-//!    ([`crate::report::ExperienceSharing`]): that cluster's own arena
-//!    stripe when sharing is disabled, a weighted set of the profile's
-//!    stripes otherwise.
+//!    agent on the profile's experience-sharing weights
+//!    ([`crate::report::ExperienceSharing`], set with
+//!    [`FleetDaemon::set_profile_sharing`]): that cluster's own arena stripe
+//!    weighted `own`, the profile's other stripes `peers`.
 //!
 //! Measuring, applying and finishing touch one cluster each, so they run
 //! cluster-parallel on the fleet pool:
@@ -46,7 +46,7 @@
 //! the two JSON reports equal — so the layer adds scale and transfer
 //! learning without changing the algorithm.
 //!
-//! One job per file: assembly (`build.rs`), the tick and plan runner
+//! One job per file: assembly (`build.rs`), the tick and phase runner
 //! (`tick.rs`), durability (`checkpoint.rs`), traffic recording
 //! (`record.rs`) and registry handles (`telemetry.rs`); this module holds
 //! the fleet's state, its accessors and its reports.
@@ -288,14 +288,16 @@ impl FleetDaemon {
         &self.profiles[profile].stripe_members
     }
 
-    /// Sets the experience-sharing mode of one profile (see
-    /// [`ExperienceSharing`]); [`FleetDaemon::run`] applies a plan's sharing
-    /// table through this.
+    /// Sets the experience-sharing weights of one profile (see
+    /// [`ExperienceSharing`]; every profile starts at
+    /// [`ExperienceSharing::Disabled`]). The setting is daemon state: it holds
+    /// for every later [`FleetDaemon::run`] and [`FleetDaemon::tick_all`]
+    /// until set again, and checkpoints carry it.
     ///
     /// # Panics
-    /// Panics if `profile` is out of range, or if a
-    /// [`ExperienceSharing::SelfBiased`] weight is negative or non-finite,
-    /// both weights are zero, or `own` is zero on a one-member profile.
+    /// Panics if `profile` is out of range, or if a weight is negative or
+    /// non-finite, both weights are zero, or `own` is zero on a one-member
+    /// profile.
     pub fn set_profile_sharing(&mut self, profile: usize, mode: ExperienceSharing) {
         assert!(
             profile < self.profiles.len(),

@@ -1,9 +1,9 @@
-//! The fleet tick ([`FleetDaemon::tick_all`]) and the plan runner
+//! The fleet tick ([`FleetDaemon::tick_all`]) and the phase runner
 //! ([`FleetDaemon::run`]).
 
 use super::{reports_rejected, FleetDaemon, Profile};
-use crate::report::{ExperienceSharing, FleetPlan, FleetReport, ProfileSharing};
-use capes::{step_params, PhaseKind, ProposedAction, SessionResult};
+use crate::report::FleetReport;
+use capes::{step_params, Phase, PhaseKind, ProposedAction, SessionResult};
 use capes_agents::wire::encode_message;
 use capes_agents::ActionMessage;
 use std::time::Instant;
@@ -282,30 +282,21 @@ impl FleetDaemon {
         }
     }
 
-    /// Runs a fleet plan to completion: every phase advances all clusters in
-    /// lockstep, and every cluster contributes one
+    /// Runs `phases` in order to completion: every phase advances all
+    /// clusters in lockstep (one fleet tick advances every cluster by one
+    /// second), and every cluster contributes one
     /// [`capes::ExperimentReport`]-shaped aggregate to the returned
     /// [`FleetReport`]. Each member opens and closes its phases with
     /// [`CapesSystem::begin_phase`](capes::CapesSystem::begin_phase) and [`CapesSystem::end_phase`](capes::CapesSystem::end_phase), the
-    /// protocol a standalone [`capes::Experiment`] runs. The plan's
-    /// experience-sharing table is applied to the profiles first: profiles
-    /// the plan does not list are reset to
-    /// [`ExperienceSharing::Disabled`] (a plan fully describes the sharing
-    /// configuration of its run — state set through
-    /// [`FleetDaemon::set_profile_sharing`] only outlives externally-driven
-    /// [`FleetDaemon::tick_all`] loops, never a `run`).
-    pub fn run(&mut self, plan: &FleetPlan) -> FleetReport {
-        self.profile_sharing
-            .iter_mut()
-            .for_each(|mode| *mode = ExperienceSharing::Disabled);
-        for &ProfileSharing { profile, mode } in &plan.sharing {
-            self.set_profile_sharing(profile, mode);
-        }
+    /// protocol a standalone [`capes::Experiment`] runs. Training draws follow
+    /// each profile's [`FleetDaemon::set_profile_sharing`] weights, which
+    /// hold across runs.
+    pub fn run(&mut self, phases: &[Phase]) -> FleetReport {
         let started = Instant::now();
         let ticks_before = self.cluster_ticks;
         let mut per_cluster: Vec<Vec<SessionResult>> =
             (0..self.sessions.len()).map(|_| Vec::new()).collect();
-        for phase in &plan.phases {
+        for phase in phases {
             let kind = phase.kind();
             for session in &mut self.sessions {
                 session.errors_before = session.system.begin_phase(kind);
@@ -332,9 +323,9 @@ impl FleetDaemon {
 mod tests {
     use super::*;
     use crate::daemon::tests::quick_hp;
+    use crate::report::ExperienceSharing;
     use crate::scenario::ScenarioSpec;
     use crate::Fleet;
-    use capes::Phase;
     use capes_simstore::Workload;
     use serde::{map_get, Serialize, Value};
 
@@ -349,14 +340,14 @@ mod tests {
             ])
             .build()
             .unwrap();
-        let plan = FleetPlan::new()
-            .phase(Phase::Baseline { ticks: 10 })
-            .phase(Phase::Train { ticks: 30 })
-            .phase(Phase::Tuned {
+        let report = daemon.run(&[
+            Phase::Baseline { ticks: 10 },
+            Phase::Train { ticks: 30 },
+            Phase::Tuned {
                 ticks: 10,
                 label: "tuned".into(),
-            });
-        let report = daemon.run(&plan);
+            },
+        ]);
         assert_eq!(report.clusters.len(), 2);
         assert_eq!(report.cluster_ticks, 2 * 50);
         assert!(report.cluster_ticks_per_sec > 0.0);
@@ -386,29 +377,25 @@ mod tests {
         // A profile of one cluster has a single-stripe set; enabling sharing
         // must consume the RNG identically to the disabled path, so the runs
         // are bit-identical.
-        let build = || {
-            Fleet::builder()
+        let run = |sharing: ExperienceSharing| {
+            let mut daemon = Fleet::builder()
                 .hyperparams(quick_hp())
                 .seed(13)
                 .scenarios([ScenarioSpec::new("solo", Workload::random_rw(0.1)).clients(2)])
                 .build()
-                .unwrap()
-        };
-        let plan = |sharing: Option<ExperienceSharing>| {
-            let mut plan = FleetPlan::new()
-                .phase(Phase::Baseline { ticks: 10 })
-                .phase(Phase::Train { ticks: 40 })
-                .phase(Phase::Tuned {
+                .unwrap();
+            daemon.set_profile_sharing(0, sharing);
+            daemon.run(&[
+                Phase::Baseline { ticks: 10 },
+                Phase::Train { ticks: 40 },
+                Phase::Tuned {
                     ticks: 10,
                     label: "tuned".into(),
-                });
-            if let Some(mode) = sharing {
-                plan = plan.share(0, mode);
-            }
-            plan
+                },
+            ])
         };
-        let disabled = build().run(&plan(None));
-        let uniform = build().run(&plan(Some(ExperienceSharing::Uniform)));
+        let disabled = run(ExperienceSharing::Disabled);
+        let uniform = run(ExperienceSharing::Uniform);
         assert_eq!(
             disabled.clusters[0].report.to_json(),
             uniform.clusters[0].report.to_json(),
@@ -431,26 +418,20 @@ mod tests {
         assert_eq!(daemon.num_profiles(), 1, "equal geometry shares a profile");
         assert_eq!(daemon.profile_members(0), &[0, 1, 2]);
         assert_eq!(daemon.profile_sharing(0), ExperienceSharing::Disabled);
-        let report = daemon.run(
-            &FleetPlan::new()
-                .phase(Phase::Baseline { ticks: 8 })
-                .phase(Phase::Train { ticks: 40 })
-                .phase(Phase::Tuned {
-                    ticks: 8,
-                    label: "tuned".into(),
-                })
-                .share(
-                    0,
-                    ExperienceSharing::SelfBiased {
-                        own: 2.0,
-                        peers: 1.0,
-                    },
-                ),
-        );
-        assert!(matches!(
-            daemon.profile_sharing(0),
-            ExperienceSharing::SelfBiased { .. }
-        ));
+        let biased = ExperienceSharing {
+            own: 2.0,
+            peers: 1.0,
+        };
+        daemon.set_profile_sharing(0, biased);
+        let report = daemon.run(&[
+            Phase::Baseline { ticks: 8 },
+            Phase::Train { ticks: 40 },
+            Phase::Tuned {
+                ticks: 8,
+                label: "tuned".into(),
+            },
+        ]);
+        assert_eq!(daemon.profile_sharing(0), biased);
         assert!(daemon.agent_for(0).training_steps() > 0);
         // Arena occupancy is reported per stripe, in cluster order.
         assert_eq!(report.arena.len(), 3);
@@ -470,7 +451,7 @@ mod tests {
     }
 
     #[test]
-    fn run_resets_sharing_for_profiles_the_plan_does_not_list() {
+    fn sharing_set_once_holds_across_runs() {
         let mut daemon = Fleet::builder()
             .hyperparams(quick_hp())
             .seed(29)
@@ -480,13 +461,10 @@ mod tests {
             ])
             .build()
             .unwrap();
-        let shared_plan = FleetPlan::new()
-            .phase(Phase::Train { ticks: 5 })
-            .share(0, ExperienceSharing::Uniform);
-        daemon.run(&shared_plan);
-        assert_eq!(daemon.profile_sharing(0), ExperienceSharing::Uniform);
-        // A later plan without a sharing table runs fully disabled again.
-        daemon.run(&FleetPlan::new().phase(Phase::Train { ticks: 5 }));
-        assert_eq!(daemon.profile_sharing(0), ExperienceSharing::Disabled);
+        daemon.set_profile_sharing(0, ExperienceSharing::Uniform);
+        for _ in 0..2 {
+            daemon.run(&[Phase::Train { ticks: 5 }]);
+            assert_eq!(daemon.profile_sharing(0), ExperienceSharing::Uniform);
+        }
     }
 }

@@ -22,7 +22,7 @@
 //!
 //! ```
 //! use capes::{Hyperparameters, Phase};
-//! use capes_fleet::{Fleet, FleetPlan, ScenarioSpec};
+//! use capes_fleet::{Fleet, ScenarioSpec};
 //! use capes_simstore::Workload;
 //!
 //! let mut daemon = Fleet::builder()
@@ -34,11 +34,7 @@
 //!     ])
 //!     .build()
 //!     .expect("valid fleet");
-//! let report = daemon.run(
-//!     &FleetPlan::new()
-//!         .phase(Phase::Baseline { ticks: 15 })
-//!         .phase(Phase::Train { ticks: 30 }),
-//! );
+//! let report = daemon.run(&[Phase::Baseline { ticks: 15 }, Phase::Train { ticks: 30 }]);
 //! assert_eq!(report.clusters.len(), 2);
 //! assert_eq!(report.cluster_ticks, 2 * 45);
 //! // Fleet reports print as JSON like experiment reports do.
@@ -57,8 +53,7 @@ pub mod traffic;
 pub use capes_agents::wire::{decode_cluster_frame, encode_cluster_frame};
 pub use daemon::{Fleet, FleetBuilder, FleetDaemon, FleetError};
 pub use report::{
-    ClusterReport, ExperienceSharing, FleetPlan, FleetReport, NetReport, PersistReport,
-    ProfileSharing, StripeOccupancy,
+    ClusterReport, ExperienceSharing, FleetReport, NetReport, PersistReport, StripeOccupancy,
 };
 pub use scenario::ScenarioSpec;
 pub use traffic::Replayer;

@@ -1,48 +1,50 @@
-//! Fleet plans and reports.
+//! Fleet reports and the per-profile experience-sharing weights.
 
-use capes::{ExperimentReport, Phase};
+use capes::ExperimentReport;
 use capes_persist::{Persist, PersistError, Reader, Writer};
 use capes_telemetry::TelemetrySnapshot;
 
 /// How the clusters of one profile share experience through the fleet's
-/// replay arena.
+/// replay arena: the round-robin cluster's stripe is weighted `own`, every
+/// other member stripe `peers`. Both must be non-negative, finite and not
+/// both zero.
 ///
 /// Sharing shapes only the *training* draws of the profile's shared DQN;
 /// monitoring, decisions and the per-cluster stripes themselves are
 /// unaffected. With sharing disabled (the default) every training call
 /// samples the round-robin cluster's own stripe exactly as the pre-arena
 /// fleet did — bit-identical reports.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub enum ExperienceSharing {
-    /// Each training call samples only the round-robin cluster's own stripe
-    /// (the default; pre-arena behaviour).
-    #[default]
-    Disabled,
-    /// Every member cluster's stripe is sampled with equal weight —
-    /// full experience pooling across the profile.
-    Uniform,
-    /// The round-robin cluster's stripe is weighted `own`, every other
-    /// member stripe `peers` — transfer learning that still favours local
-    /// experience. `own` and `peers` must be non-negative, finite and not
-    /// both zero.
-    SelfBiased {
-        /// Relative weight of the cluster currently being trained for.
-        own: f64,
-        /// Relative weight of each of its profile peers.
-        peers: f64,
-    },
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ExperienceSharing {
+    /// Relative weight of the cluster currently being trained for.
+    pub own: f64,
+    /// Relative weight of each of its profile peers.
+    pub peers: f64,
 }
 
+// Capitalised like variants: callers match on these values as patterns.
+#[allow(non_upper_case_globals)]
 impl ExperienceSharing {
-    /// Checks the mode for a profile of `members` clusters: `SelfBiased`
-    /// weights must be finite, non-negative and not both zero, and a
-    /// one-member profile needs a positive `own` weight (its only stripe).
+    /// Each training call samples only the round-robin cluster's own stripe
+    /// (the default; pre-arena behaviour).
+    pub const Disabled: ExperienceSharing = ExperienceSharing {
+        own: 1.0,
+        peers: 0.0,
+    };
+    /// Every member cluster's stripe is sampled with equal weight — full
+    /// experience pooling across the profile.
+    pub const Uniform: ExperienceSharing = ExperienceSharing {
+        own: 1.0,
+        peers: 1.0,
+    };
+
+    /// Checks the weights for a profile of `members` clusters: they must be
+    /// finite, non-negative and not both zero, and a one-member profile
+    /// needs a positive `own` weight (its only stripe).
     /// [`crate::FleetDaemon::set_profile_sharing`] asserts this, and restore
     /// rejects a snapshot that fails it.
     pub(crate) fn validate(self, members: usize) -> Result<(), &'static str> {
-        let ExperienceSharing::SelfBiased { own, peers } = self else {
-            return Ok(());
-        };
+        let ExperienceSharing { own, peers } = self;
         if !(own.is_finite() && peers.is_finite() && own >= 0.0 && peers >= 0.0) {
             Err("non-finite or negative experience-sharing weight")
         } else if own + peers <= 0.0 {
@@ -56,45 +58,45 @@ impl ExperienceSharing {
 
     /// Fills `buf` (one weight per arena stripe) with the training draw's
     /// stripe weights when cluster `own` of a profile whose member stripes
-    /// are `members` is trained: `Disabled` weights only `own`'s stripe,
-    /// `Uniform` every member stripe alike, `SelfBiased` `own`'s stripe
-    /// `own` and the other members' `peers`. Stripes outside the profile
-    /// weigh 0.
+    /// are `members` is trained: `own`'s stripe weighs `self.own`, the other
+    /// members' `self.peers`, and stripes outside the profile 0.
     pub(crate) fn stripe_weights<'a>(
         &self,
         members: &[usize],
         own: usize,
         buf: &'a mut [f64],
     ) -> &'a [f64] {
-        let (own_weight, peer_weight) = match *self {
-            ExperienceSharing::Disabled => (1.0, 0.0),
-            ExperienceSharing::Uniform => (1.0, 1.0),
-            ExperienceSharing::SelfBiased { own, peers } => (own, peers),
-        };
         buf.fill(0.0);
         for &stripe in members {
             // In bounds: member stripes are cluster indices, one per stripe.
-            buf[stripe] = peer_weight;
+            buf[stripe] = self.peers;
         }
         // In bounds: `own` is one of `members`.
-        buf[own] = own_weight;
+        buf[own] = self.own;
         buf
     }
 }
 
-/// Snapshot encoding: tag 0 (`Disabled`), 1 (`Uniform`) or 2 (`SelfBiased`,
-/// followed by `own` and then `peers`). Decoding checks only the tag; the
-/// weights are checked against the profile by the fleet's restore.
+impl Default for ExperienceSharing {
+    fn default() -> Self {
+        ExperienceSharing::Disabled
+    }
+}
+
+/// Snapshot encoding: tag 0 ([`ExperienceSharing::Disabled`]), 1
+/// ([`ExperienceSharing::Uniform`]) or 2 (any other pair, followed by `own`
+/// and then `peers`). Decoding checks only the tag; the weights are checked
+/// against the profile by the fleet's restore.
 impl Persist for ExperienceSharing {
     fn encode(&self, w: &mut Writer) {
-        match *self {
-            ExperienceSharing::Disabled => w.put_u8(0),
-            ExperienceSharing::Uniform => w.put_u8(1),
-            ExperienceSharing::SelfBiased { own, peers } => {
-                w.put_u8(2);
-                w.put_f64(own);
-                w.put_f64(peers);
-            }
+        if *self == ExperienceSharing::Disabled {
+            w.put_u8(0);
+        } else if *self == ExperienceSharing::Uniform {
+            w.put_u8(1);
+        } else {
+            w.put_u8(2);
+            w.put_f64(self.own);
+            w.put_f64(self.peers);
         }
     }
 
@@ -102,7 +104,7 @@ impl Persist for ExperienceSharing {
         match r.get_u8()? {
             0 => Ok(ExperienceSharing::Disabled),
             1 => Ok(ExperienceSharing::Uniform),
-            2 => Ok(ExperienceSharing::SelfBiased {
+            2 => Ok(ExperienceSharing {
                 own: r.get_f64()?,
                 peers: r.get_f64()?,
             }),
@@ -110,52 +112,6 @@ impl Persist for ExperienceSharing {
                 what: "invalid experience-sharing tag",
             }),
         }
-    }
-}
-
-/// One profile's experience-sharing setting inside a [`FleetPlan`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ProfileSharing {
-    /// Profile index (see [`crate::FleetDaemon::num_profiles`]).
-    pub profile: usize,
-    /// Sharing mode for that profile.
-    pub mode: ExperienceSharing,
-}
-
-/// A declarative fleet run: the same ordered phase list an
-/// [`capes::Experiment`] takes, executed on every member cluster in lockstep
-/// (one fleet tick advances every cluster by one second), plus the
-/// experience-sharing configuration of each profile.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FleetPlan {
-    /// Phases, executed in order across the whole fleet.
-    pub phases: Vec<Phase>,
-    /// Per-profile experience-sharing settings; profiles not listed stay at
-    /// [`ExperienceSharing::Disabled`].
-    pub sharing: Vec<ProfileSharing>,
-}
-
-impl FleetPlan {
-    /// An empty plan (no phases, sharing disabled everywhere).
-    pub fn new() -> Self {
-        FleetPlan {
-            phases: Vec::new(),
-            sharing: Vec::new(),
-        }
-    }
-
-    /// Appends a phase.
-    #[must_use]
-    pub fn phase(mut self, phase: Phase) -> Self {
-        self.phases.push(phase);
-        self
-    }
-
-    /// Sets the experience-sharing mode of one profile.
-    #[must_use]
-    pub fn share(mut self, profile: usize, mode: ExperienceSharing) -> Self {
-        self.sharing.push(ProfileSharing { profile, mode });
-        self
     }
 }
 
@@ -272,7 +228,7 @@ pub struct FleetReport {
     pub clusters: Vec<ClusterReport>,
     /// Replay-arena occupancy, one entry per stripe in cluster order.
     pub arena: Vec<StripeOccupancy>,
-    /// Cluster-ticks executed (clusters × plan ticks).
+    /// Cluster-ticks executed (clusters × phase ticks).
     pub cluster_ticks: u64,
     /// Wall-clock seconds the run took.
     pub elapsed_seconds: f64,
@@ -419,19 +375,6 @@ mod tests {
     use super::*;
     use serde::{map_get, Serialize, Value};
 
-    #[test]
-    fn plan_accumulates_phases() {
-        let plan = FleetPlan::new()
-            .phase(Phase::Baseline { ticks: 10 })
-            .phase(Phase::Train { ticks: 25 })
-            .phase(Phase::Tuned {
-                ticks: 5,
-                label: "tuned".into(),
-            });
-        assert_eq!(plan.phases.len(), 3);
-        assert!(plan.sharing.is_empty(), "sharing defaults to disabled");
-    }
-
     /// A hand-built report touching every section: one cluster, two arena
     /// stripes, a socket front end, durability counters and a telemetry
     /// snapshot with a NaN gauge.
@@ -576,36 +519,18 @@ mod tests {
         assert!(!quiet.summary().contains("telemetry:"));
     }
 
-    #[test]
-    fn sharing_config_accumulates_per_profile() {
-        let plan = FleetPlan::new()
-            .phase(Phase::Train { ticks: 10 })
-            .share(0, ExperienceSharing::Uniform)
-            .share(
-                2,
-                ExperienceSharing::SelfBiased {
-                    own: 3.0,
-                    peers: 1.0,
-                },
-            );
-        assert_eq!(plan.sharing.len(), 2);
-        assert_eq!(plan.sharing[1].profile, 2);
-        assert_eq!(ExperienceSharing::default(), ExperienceSharing::Disabled);
-    }
-
-    const BIASED: ExperienceSharing = ExperienceSharing::SelfBiased {
+    const BIASED: ExperienceSharing = ExperienceSharing {
         own: 3.0,
         peers: 0.5,
     };
 
     #[test]
     fn stripe_weights_follow_the_sharing_mode() {
-        use ExperienceSharing::{Disabled, Uniform};
         // A profile of stripes 1, 2 and 4 in a five-stripe arena, training
         // the cluster on stripe 2; stripes 0 and 3 belong to other profiles.
         for (mode, expected) in [
-            (Disabled, [0.0, 0.0, 1.0, 0.0, 0.0]),
-            (Uniform, [0.0, 1.0, 1.0, 0.0, 1.0]),
+            (ExperienceSharing::Disabled, [0.0, 0.0, 1.0, 0.0, 0.0]),
+            (ExperienceSharing::Uniform, [0.0, 1.0, 1.0, 0.0, 1.0]),
             (BIASED, [0.0, 0.5, 3.0, 0.0, 0.5]),
         ] {
             let mut buf = [9.0; 5];
@@ -615,10 +540,14 @@ mod tests {
 
     #[test]
     fn sharing_modes_persist_as_tagged_weights() {
-        use ExperienceSharing::{Disabled, Uniform};
+        assert_eq!(ExperienceSharing::default(), ExperienceSharing::Disabled);
         let mut biased = vec![2];
         biased.extend([3.0f64, 0.5].iter().flat_map(|w| w.to_bits().to_le_bytes()));
-        for (mode, bytes) in [(Disabled, vec![0]), (Uniform, vec![1]), (BIASED, biased)] {
+        for (mode, bytes) in [
+            (ExperienceSharing::Disabled, vec![0]),
+            (ExperienceSharing::Uniform, vec![1]),
+            (BIASED, biased),
+        ] {
             let mut w = Writer::new();
             mode.encode(&mut w);
             assert_eq!(w.as_slice(), bytes.as_slice(), "{mode:?}");
@@ -626,6 +555,19 @@ mod tests {
             assert_eq!(ExperienceSharing::decode(&mut r).expect("decodes"), mode);
             r.finish().expect("consumes every byte");
         }
+        // Field-built pairs equal to a named weight pair keep its short tag.
+        for (own, peers, tag) in [(1.0, 0.0, 0), (1.0, 1.0, 1)] {
+            let mut w = Writer::new();
+            ExperienceSharing { own, peers }.encode(&mut w);
+            assert_eq!(w.as_slice(), [tag]);
+        }
+        // Tag-2 bytes carrying (1, 0) load as the value `Disabled` is.
+        let mut one_hot = vec![2];
+        one_hot.extend([1.0f64, 0.0].iter().flat_map(|w| w.to_bits().to_le_bytes()));
+        assert_eq!(
+            ExperienceSharing::decode(&mut Reader::new(&one_hot)).expect("decodes"),
+            ExperienceSharing::Disabled
+        );
         assert!(matches!(
             ExperienceSharing::decode(&mut Reader::new(&[3])),
             Err(PersistError::BadValue { .. })

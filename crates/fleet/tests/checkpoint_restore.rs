@@ -339,7 +339,7 @@ fn recorded_socket_traffic_replays_to_the_same_monitoring_state() {
 }
 
 /// A one-cluster fleet (so its only profile has one member) sharing
-/// `SelfBiased { own: 1, peers: 1 }`, checkpointed after a few ticks. Returns
+/// the weights `{ own: 2, peers: 1 }`, checkpointed after a few ticks. Returns
 /// the snapshot's payload, whose first sharing tag sits at offset 33 (after
 /// the transport tag, tick, train cursor, cluster ticks and the mode count),
 /// with `own` at 34..42 and `peers` at 42..50.
@@ -348,8 +348,8 @@ fn self_biased_payload() -> Vec<u8> {
     let mut fleet = solo_fleet();
     fleet.set_profile_sharing(
         0,
-        ExperienceSharing::SelfBiased {
-            own: 1.0,
+        ExperienceSharing {
+            own: 2.0,
             peers: 1.0,
         },
     );
@@ -360,8 +360,8 @@ fn self_biased_payload() -> Vec<u8> {
     let payload = capes_persist::read_snapshot_file(&snap).expect("valid snapshot");
     let _ = std::fs::remove_file(&snap);
     assert_eq!(payload[25..33], 1u64.to_le_bytes(), "one sharing mode");
-    assert_eq!(payload[33], 2, "the self-biased tag");
-    assert_eq!(payload[34..42], 1.0f64.to_le_bytes());
+    assert_eq!(payload[33], 2, "the weight-pair tag");
+    assert_eq!(payload[34..42], 2.0f64.to_le_bytes());
     assert_eq!(payload[42..50], 1.0f64.to_le_bytes());
     payload
 }

@@ -10,7 +10,7 @@
 //! up here.
 
 use capes::{Capes, Experiment, Hyperparameters, Phase, SimulatedLustre, Transport};
-use capes_fleet::{Fleet, FleetPlan, ScenarioSpec};
+use capes_fleet::{Fleet, ScenarioSpec};
 use capes_simstore::{ClusterConfig, PiMode, Workload};
 use serde::{map_get, Serialize, Value};
 
@@ -81,11 +81,7 @@ fn one_cluster_fleet_is_bit_identical_to_experiment_over_wire_frames() {
             .seed(CLUSTER_SEED)])
         .build()
         .expect("valid fleet");
-    let mut plan = FleetPlan::new();
-    for phase in phases() {
-        plan = plan.phase(phase);
-    }
-    let fleet = daemon.run(&plan);
+    let fleet = daemon.run(&phases());
 
     // --- Bit-identical reports -------------------------------------------
     assert_eq!(fleet.clusters.len(), 1);
@@ -136,15 +132,14 @@ fn heterogeneous_fleet_runs_end_to_end_and_prints_json() {
         "mixed client counts must produce multiple profiles, got {}",
         daemon.num_profiles()
     );
-    let report = daemon.run(
-        &FleetPlan::new()
-            .phase(Phase::Baseline { ticks: 12 })
-            .phase(Phase::Train { ticks: 40 })
-            .phase(Phase::Tuned {
-                ticks: 12,
-                label: "tuned".into(),
-            }),
-    );
+    let report = daemon.run(&[
+        Phase::Baseline { ticks: 12 },
+        Phase::Train { ticks: 40 },
+        Phase::Tuned {
+            ticks: 12,
+            label: "tuned".into(),
+        },
+    ]);
     assert_eq!(report.clusters.len(), 8);
     assert_eq!(report.cluster_ticks, 8 * 64);
     let names: std::collections::BTreeSet<&str> =

@@ -63,7 +63,7 @@ fn final_checkpoint_crc(workers: usize, sharing: bool) -> u32 {
         daemon.set_profile_sharing(0, ExperienceSharing::Uniform);
         daemon.set_profile_sharing(
             1,
-            ExperienceSharing::SelfBiased {
+            ExperienceSharing {
                 own: 2.0,
                 peers: 1.0,
             },

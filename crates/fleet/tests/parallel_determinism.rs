@@ -57,7 +57,7 @@ fn run_and_checkpoint(mut daemon: FleetDaemon, sharing: bool, tag: &str) -> Vec<
         daemon.set_profile_sharing(0, ExperienceSharing::Uniform);
         daemon.set_profile_sharing(
             1,
-            ExperienceSharing::SelfBiased {
+            ExperienceSharing {
                 own: 2.0,
                 peers: 1.0,
             },
@@ -122,22 +122,24 @@ fn plan_run_on_a_resized_pool_is_bit_identical_to_sequential_run() {
     // A sequential fleet resized to 4 workers before `run` must reproduce
     // the 1-worker plan's report and checkpoint exactly.
     use capes::Phase;
-    use capes_fleet::FleetPlan;
 
-    let plan = FleetPlan::new()
-        .phase(Phase::Baseline { ticks: 5 })
-        .phase(Phase::Train { ticks: 20 })
-        .phase(Phase::Tuned {
+    let phases = [
+        Phase::Baseline { ticks: 5 },
+        Phase::Train { ticks: 20 },
+        Phase::Tuned {
             ticks: 5,
             label: "tuned".into(),
-        })
-        .share(0, ExperienceSharing::Uniform);
+        },
+    ];
     let mut seq = fleet(Transport::Wire, 1);
     let mut par = fleet(Transport::Wire, 1);
     par.set_workers(4);
     assert_eq!(par.workers(), 4, "set_workers resized the pool");
-    let report_seq = seq.run(&plan);
-    let report_par = par.run(&plan);
+    for daemon in [&mut seq, &mut par] {
+        daemon.set_profile_sharing(0, ExperienceSharing::Uniform);
+    }
+    let report_seq = seq.run(&phases);
+    let report_par = par.run(&phases);
     // Reports carry timing fields; compare the result payloads.
     for (a, b) in report_seq.clusters.iter().zip(&report_par.clusters) {
         assert_eq!(a.report.to_json(), b.report.to_json());

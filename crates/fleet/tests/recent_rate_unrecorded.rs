@@ -5,7 +5,7 @@
 //! binary.
 
 use capes::{Hyperparameters, Phase, Transport};
-use capes_fleet::{Fleet, FleetPlan, ScenarioSpec};
+use capes_fleet::{Fleet, ScenarioSpec};
 use capes_simstore::Workload;
 
 #[test]
@@ -21,7 +21,7 @@ fn recent_rate_advances_with_recording_off() {
         ])
         .build()
         .expect("valid fleet");
-    let report = fleet.run(&FleetPlan::new().phase(Phase::Baseline { ticks: 3 }));
+    let report = fleet.run(&[Phase::Baseline { ticks: 3 }]);
 
     assert!(report.recent_cluster_ticks_per_sec > 0.0);
     let gauge = capes_telemetry::global()

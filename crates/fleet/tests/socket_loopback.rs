@@ -8,7 +8,7 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use capes::{Hyperparameters, Phase, PhaseKind, Transport};
-use capes_fleet::{encode_cluster_frame, Fleet, FleetDaemon, FleetPlan, Replayer, ScenarioSpec};
+use capes_fleet::{encode_cluster_frame, Fleet, FleetDaemon, Replayer, ScenarioSpec};
 use capes_simstore::Workload;
 use serde::{map_get, Serialize, Value};
 
@@ -34,14 +34,15 @@ fn build(transport: Transport) -> FleetDaemon {
         .expect("valid fleet")
 }
 
-fn plan() -> FleetPlan {
-    FleetPlan::new()
-        .phase(Phase::Baseline { ticks: 8 })
-        .phase(Phase::Train { ticks: 30 })
-        .phase(Phase::Tuned {
+fn phases() -> [Phase; 3] {
+    [
+        Phase::Baseline { ticks: 8 },
+        Phase::Train { ticks: 30 },
+        Phase::Tuned {
             ticks: 8,
             label: "tuned".into(),
-        })
+        },
+    ]
 }
 
 #[test]
@@ -55,8 +56,8 @@ fn socket_fleet_is_bit_identical_to_wire_fleet() {
         std::process::id()
     ));
     socket.record_to(&log).expect("socket fleets record");
-    let wire_report = wire.run(&plan());
-    let socket_report = socket.run(&plan());
+    let wire_report = wire.run(&phases());
+    let socket_report = socket.run(&phases());
     let recorded = socket.stop_recording().expect("log flushes");
 
     // The deterministic sections — every cluster's full result series and

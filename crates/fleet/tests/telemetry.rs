@@ -4,7 +4,7 @@
 //! scrapes mid-run without disturbing the members.
 
 use capes::{Hyperparameters, Phase, Transport};
-use capes_fleet::{Fleet, FleetDaemon, FleetPlan, FleetReport, ScenarioSpec};
+use capes_fleet::{Fleet, FleetDaemon, FleetReport, ScenarioSpec};
 use capes_simstore::Workload;
 use serde::{map_get, Serialize, Value};
 
@@ -30,14 +30,15 @@ fn build(transport: Transport, seed: u64) -> FleetDaemon {
         .expect("valid fleet")
 }
 
-fn plan() -> FleetPlan {
-    FleetPlan::new()
-        .phase(Phase::Baseline { ticks: 6 })
-        .phase(Phase::Train { ticks: 24 })
-        .phase(Phase::Tuned {
+fn phases() -> [Phase; 3] {
+    [
+        Phase::Baseline { ticks: 6 },
+        Phase::Train { ticks: 24 },
+        Phase::Tuned {
             ticks: 6,
             label: "tuned".into(),
-        })
+        },
+    ]
 }
 
 /// Held by every test that checkpoints: the registry is process-global, so
@@ -56,7 +57,7 @@ fn run_and_check(transport: Transport, seed: u64, tag: &str) -> FleetReport {
     let snap = dir.join("auto.capes");
     let mut fleet = build(transport, seed);
     fleet.auto_checkpoint_every(10, &snap);
-    let report = fleet.run(&plan());
+    let report = fleet.run(&phases());
 
     // Tick phases.
     for name in [
@@ -153,7 +154,7 @@ fn checkpoint_spans_partition_the_total() {
     std::fs::create_dir_all(&dir).unwrap();
     let paths = [dir.join("one.capes"), dir.join("two.capes")];
     let mut fleet = build(Transport::Wire, 59);
-    fleet.run(&plan());
+    fleet.run(&phases());
 
     let registry = capes_telemetry::global();
     let sum_ns = |name: &str| registry.histogram(name).sum() as f64;
@@ -202,7 +203,7 @@ fn restore_verify_records_one_sample_per_restore() {
     std::fs::create_dir_all(&dir).unwrap();
     let snap = dir.join("restore.capes");
     let mut fleet = build(Transport::Wire, 61);
-    fleet.run(&plan());
+    fleet.run(&phases());
     fleet.checkpoint(&snap).expect("checkpoint");
 
     let registry = capes_telemetry::global();

@@ -16,7 +16,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use capes::{Hyperparameters, Phase, Transport};
-use capes_fleet::{Fleet, FleetPlan, ScenarioSpec};
+use capes_fleet::{Fleet, ScenarioSpec};
 
 fn env_ticks(name: &str, default: u64) -> u64 {
     std::env::var(name)
@@ -63,15 +63,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let addr = daemon.socket_addr().expect("socket transport is on");
     println!("fleet daemon on {addr} — scraping /metrics while it trains\n");
 
-    let plan = FleetPlan::new()
-        .phase(Phase::Baseline {
+    let phases = [
+        Phase::Baseline {
             ticks: measure_ticks,
-        })
-        .phase(Phase::Train { ticks: train_ticks })
-        .phase(Phase::Tuned {
+        },
+        Phase::Train { ticks: train_ticks },
+        Phase::Tuned {
             ticks: measure_ticks,
             label: "tuned".into(),
-        });
+        },
+    ];
 
     // The daemon is single-threaded by design, so the *scraper* runs on a
     // background thread — exactly what an external Prometheus would do.
@@ -106,7 +107,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         })
     };
 
-    let report = daemon.run(&plan);
+    let report = daemon.run(&phases);
     done.store(true, std::sync::atomic::Ordering::Relaxed);
     scraper.join().expect("scraper panicked");
     println!("\n{}", report.summary());

@@ -13,7 +13,7 @@
 //! `CAPES_FLEET_MEASURE_TICKS` (as in `fleet_tuning.rs`).
 
 use capes::{Hyperparameters, Phase, Transport};
-use capes_fleet::{Fleet, FleetPlan, ScenarioSpec};
+use capes_fleet::{Fleet, ScenarioSpec};
 
 fn env_ticks(name: &str, default: u64) -> u64 {
     std::env::var(name)
@@ -38,17 +38,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         daemon.socket_addr().expect("socket transport is on")
     );
 
-    let report = daemon.run(
-        &FleetPlan::new()
-            .phase(Phase::Baseline {
-                ticks: measure_ticks,
-            })
-            .phase(Phase::Train { ticks: train_ticks })
-            .phase(Phase::Tuned {
-                ticks: measure_ticks,
-                label: "tuned".into(),
-            }),
-    );
+    let report = daemon.run(&[
+        Phase::Baseline {
+            ticks: measure_ticks,
+        },
+        Phase::Train { ticks: train_ticks },
+        Phase::Tuned {
+            ticks: measure_ticks,
+            label: "tuned".into(),
+        },
+    ]);
 
     println!("{}", report.summary());
     let net = report.net;

@@ -21,7 +21,7 @@
 //! workers (default 1).
 
 use capes::{Hyperparameters, Phase};
-use capes_fleet::{ExperienceSharing, Fleet, FleetPlan, ScenarioSpec};
+use capes_fleet::{ExperienceSharing, Fleet, ScenarioSpec};
 use capes_simstore::Workload;
 
 fn env_ticks(name: &str, default: u64) -> u64 {
@@ -62,17 +62,17 @@ fn main() {
         "\nrunning baseline {measure_ticks} / train {train_ticks} / tuned {measure_ticks} \
          ticks across the fleet…"
     );
-    let report = daemon.run(
-        &FleetPlan::new()
-            .phase(Phase::Baseline {
-                ticks: measure_ticks,
-            })
-            .phase(Phase::Train { ticks: train_ticks })
-            .phase(Phase::Tuned {
-                ticks: measure_ticks,
-                label: "tuned".into(),
-            }),
-    );
+    let phases = [
+        Phase::Baseline {
+            ticks: measure_ticks,
+        },
+        Phase::Train { ticks: train_ticks },
+        Phase::Tuned {
+            ticks: measure_ticks,
+            label: "tuned".into(),
+        },
+    ];
+    let report = daemon.run(&phases);
 
     println!("\n{}", report.summary());
     println!("improvements over each cluster's baseline:");
@@ -90,9 +90,9 @@ fn main() {
     // Stage 2: one profile, eight clusters, experience sharing enabled.
     //
     // Equal geometry puts all eight clusters into a single profile (one
-    // shared DQN); the fleet plan turns on self-biased sharing so every
-    // training draw samples the trained cluster's own stripe at 3× the
-    // weight of each of its seven peers.
+    // shared DQN); setting the profile's sharing weights to own 3, peers 1
+    // makes every training draw sample the trained cluster's own stripe at
+    // 3× the weight of each of its seven peers.
     // ------------------------------------------------------------------
     let mixes = [0.1, 0.2, 0.3, 0.4, 0.6, 0.7, 0.8, 0.9];
     let mut shared = Fleet::builder()
@@ -110,24 +110,14 @@ fn main() {
         "\nshared-experience fleet: {} clusters in one profile, self-biased sampling",
         shared.num_clusters()
     );
-    let shared_report = shared.run(
-        &FleetPlan::new()
-            .phase(Phase::Baseline {
-                ticks: measure_ticks,
-            })
-            .phase(Phase::Train { ticks: train_ticks })
-            .phase(Phase::Tuned {
-                ticks: measure_ticks,
-                label: "tuned".into(),
-            })
-            .share(
-                0,
-                ExperienceSharing::SelfBiased {
-                    own: 3.0,
-                    peers: 1.0,
-                },
-            ),
+    shared.set_profile_sharing(
+        0,
+        ExperienceSharing {
+            own: 3.0,
+            peers: 1.0,
+        },
     );
+    let shared_report = shared.run(&phases);
     println!("\n{}", shared_report.summary());
     println!("improvements over each cluster's baseline (shared experience):");
     for (name, improvement) in shared_report.improvements_over_baseline("tuned") {
