@@ -78,7 +78,7 @@ impl<T: TargetSystem> CapesBuilder<T> {
 
     /// Sets the objective function (default: [`Objective::Throughput`]).
     #[must_use]
-    // capes-check: allow(dead-pub) -- tests/end_to_end.rs's multi_objective_tuning_runs_and_reports sets it
+    // capes-check: allow(dead-pub) -- the paper's multi-objective reward (§3.2); the floor test multi_objective_tuning_runs_and_reports in tests/end_to_end.rs drives it
     pub fn objective(mut self, objective: Objective) -> Self {
         self.objective = objective;
         self
@@ -86,7 +86,7 @@ impl<T: TargetSystem> CapesBuilder<T> {
 
     /// Sets the Action Checker (default: permissive).
     #[must_use]
-    // capes-check: allow(dead-pub) -- tests/end_to_end.rs's action_checker_keeps_vetoed_regions_untouched sets it
+    // capes-check: allow(dead-pub) -- the paper's Action Checker; the floor test action_checker_keeps_vetoed_regions_untouched in tests/end_to_end.rs drives it
     pub fn checker(mut self, checker: ActionChecker) -> Self {
         self.checker = checker;
         self

@@ -22,9 +22,6 @@ pub const ENV_THREADS: &str = "CAPES_THREADS";
 /// unparsable: 1, the sequential tick. `FleetBuilder::workers` overrides it.
 pub const ENV_FLEET_THREADS: &str = "CAPES_FLEET_THREADS";
 
-/// `1/on/true` enables span journaling (tracing) in `capes-telemetry`.
-pub const ENV_TRACE: &str = "CAPES_TRACE";
-
 /// `1/on/true` runs the full-length experiment schedules instead of the CI
 /// quick profile.
 pub const ENV_FULL: &str = "CAPES_FULL";

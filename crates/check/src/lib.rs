@@ -81,9 +81,10 @@ pub fn run(root: &Path, config: &Config) -> io::Result<Report> {
     }
     for rel in config.env_registry.iter() {
         let src = fs::read_to_string(root.join(rel))?;
-        findings.extend(rules::unread_env_knobs(rel, &src, &cross.env_reads));
+        findings.extend(rules::unread_env_knobs(rel, &src, &mut cross));
     }
-    findings.extend(rules::dead_pub(&cross));
+    findings.extend(rules::dead_pub(&mut cross));
+    findings.extend(rules::stale_suppressions(&cross));
     findings.extend(rules::stale_manifest_entries(config, &files, |rel| {
         fs::read_to_string(root.join(rel))
     })?);

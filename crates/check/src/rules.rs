@@ -1,22 +1,23 @@
 //! The invariant rules and their token-level matchers.
 //!
-//! | rule id           | invariant                                                        |
-//! |-------------------|------------------------------------------------------------------|
-//! | `safety-comment`  | every `unsafe` block/fn/impl has a `// SAFETY:` comment above it |
-//! | `hot-path-alloc`  | no allocating calls in modules/fns declared hot in `check.toml`, |
-//! |                   | and every declared file and fn exists                            |
-//! | `boundary-panic`  | no unwrap/expect/panic!/bare indexing in hardened boundary code, |
-//! |                   | and every `[boundary]` entry matches a linted file               |
-//! | `env-registry`    | every `CAPES_*` literal appears in the env knob registry, and    |
-//! |                   | every registry literal appears in some non-test file             |
-//! | `metric-registry` | every metric/span name literal appears in the name registry      |
-//! | `dead-pub`        | every `pub` item of non-shim `crates/*/src` is named by some     |
-//! |                   | non-test code (see [`dead_pub`])                                 |
-//! | `bad-suppression` | suppression comments name a real rule and carry a reason         |
+//! | rule id             | invariant                                                        |
+//! |---------------------|------------------------------------------------------------------|
+//! | `safety-comment`    | every `unsafe` block/fn/impl has a `// SAFETY:` comment above it |
+//! | `hot-path-alloc`    | no allocating calls in modules/fns declared hot in `check.toml`, |
+//! |                     | and every declared file and fn exists                            |
+//! | `boundary-panic`    | no unwrap/expect/panic!/bare indexing in hardened boundary code, |
+//! |                     | and every `[boundary]` entry matches a linted file               |
+//! | `env-registry`      | every `CAPES_*` literal appears in the env knob registry, and    |
+//! |                     | every registry literal appears in some non-test file             |
+//! | `metric-registry`   | every metric/span name literal appears in the name registry      |
+//! | `dead-pub`          | every `pub` item of non-shim `crates/*/src` is named by some     |
+//! |                     | non-test code (see [`dead_pub`])                                 |
+//! | `bad-suppression`   | suppression comments name a real rule and carry a reason         |
+//! | `stale-suppression` | every suppression waives some finding                            |
 //!
-//! Any finding except `bad-suppression` can be waived inline:
-//! `// capes-check: allow(<rule>) -- <reason>` on the offending line or the
-//! line above it.
+//! Any finding except `bad-suppression` and `stale-suppression` can be waived
+//! inline: `// capes-check: allow(<rule>) -- <reason>` on the offending line
+//! or the line above it.
 
 use crate::config::Config;
 use crate::lexer::{lex, Lexed, TokKind};
@@ -31,6 +32,7 @@ pub const RULE_IDS: &[&str] = &[
     "metric-registry",
     "dead-pub",
     "bad-suppression",
+    "stale-suppression",
 ];
 
 /// One rule violation.
@@ -71,23 +73,32 @@ pub fn literal_set(src: &str) -> HashSet<String> {
         .collect()
 }
 
+/// One rule a well-formed `capes-check: allow(…)` comment waives.
+#[derive(Debug)]
 struct Suppression {
+    file: String,
     line: u32,
-    rules: Vec<String>,
+    rule: String,
+    /// Set once it waives a finding; still unset after every pass, it is
+    /// stale.
+    used: bool,
 }
 
-/// What the cross-file passes ([`unread_env_knobs`], [`dead_pub`]) need from
-/// every linted file, gathered by [`lint_file`].
+/// What the cross-file passes ([`unread_env_knobs`], [`dead_pub`],
+/// [`stale_suppressions`]) need from every linted file, gathered by
+/// [`lint_file`].
 #[derive(Debug, Default)]
 pub struct CrossFile {
     /// `CAPES_*` literals held outside tests.
     pub(crate) env_reads: HashSet<String>,
-    /// Unwaived `pub` items of non-shim `crates/*/src`.
+    /// `pub` items of non-shim `crates/*/src`.
     items: Vec<PubItem>,
     /// Identifiers non-test code names, outside `use` lines and definitions.
     names: HashSet<String>,
     /// Those of `names` that non-test code names after `::`, or calls after `.`.
     members: HashSet<String>,
+    /// Every file's well-formed suppressions, one entry per rule named.
+    suppressions: Vec<Suppression>,
 }
 
 #[derive(Debug)]
@@ -118,7 +129,9 @@ pub fn lint_file(
         || config.metric_registry.iter().any(|p| p == rel_path);
 
     let mut findings: Vec<Finding> = Vec::new();
-    let suppressions = collect_suppressions(rel_path, &lexed, &mut findings);
+    cross
+        .suppressions
+        .extend(collect_suppressions(rel_path, &lexed, &mut findings));
 
     let in_tests =
         |i: usize| is_test_file || test_regions.iter().any(|&(lo, hi)| lo <= i && i <= hi);
@@ -127,7 +140,7 @@ pub fn lint_file(
         collect_names(&lexed, &in_tests, cross);
     }
     if !is_registry_file && is_crate_source(rel_path) {
-        collect_pub_items(rel_path, &lexed, &in_tests, &suppressions, cross);
+        collect_pub_items(rel_path, &lexed, &in_tests, cross);
     }
 
     check_safety_comments(rel_path, &lexed, &mut findings);
@@ -162,23 +175,22 @@ pub fn lint_file(
         );
     }
 
-    apply_suppressions(&mut findings, &suppressions);
+    apply_suppressions(&mut findings, &mut cross.suppressions);
     findings
 }
 
 /// The other direction of rule `env-registry`: a `CAPES_*` literal in the
 /// registry file `rel_path` that no non-test file holds (`env_reads`, as
 /// gathered by [`lint_file`] over the workspace) documents a knob
-/// nothing reads.
-pub fn unread_env_knobs(rel_path: &str, src: &str, env_reads: &HashSet<String>) -> Vec<Finding> {
+/// nothing reads. The waivers are those [`lint_file`] gathered from
+/// `rel_path`.
+pub fn unread_env_knobs(rel_path: &str, src: &str, cross: &mut CrossFile) -> Vec<Finding> {
     let lexed = lex(src);
-    // Malformed suppressions are already reported by `lint_file`.
-    let suppressions = collect_suppressions(rel_path, &lexed, &mut Vec::new());
     let mut findings: Vec<Finding> = lexed
         .tokens
         .iter()
         .filter(|t| t.kind == TokKind::Str && !t.attr && is_knob(&t.text))
-        .filter(|t| !env_reads.contains(&t.text))
+        .filter(|t| !cross.env_reads.contains(&t.text))
         .map(|t| Finding {
             file: rel_path.to_string(),
             line: t.line,
@@ -189,15 +201,15 @@ pub fn unread_env_knobs(rel_path: &str, src: &str, env_reads: &HashSet<String>) 
             ),
         })
         .collect();
-    apply_suppressions(&mut findings, &suppressions);
+    apply_suppressions(&mut findings, &mut cross.suppressions);
     findings
 }
 
 /// Rule `dead-pub` over what [`lint_file`] gathered into `cross`: the `pub`
-/// items no non-test code names. The crate docs say what is indexed and
-/// what counts as naming an item.
-pub fn dead_pub(cross: &CrossFile) -> Vec<Finding> {
-    cross
+/// items no non-test code names and no suppression waives. The crate docs
+/// say what is indexed and what counts as naming an item.
+pub fn dead_pub(cross: &mut CrossFile) -> Vec<Finding> {
+    let mut findings: Vec<Finding> = cross
         .items
         .iter()
         .filter(|item| {
@@ -217,6 +229,24 @@ pub fn dead_pub(cross: &CrossFile) -> Vec<Finding> {
                  naming the test that uses it",
                 item.kind, item.name
             ),
+        })
+        .collect();
+    apply_suppressions(&mut findings, &mut cross.suppressions);
+    findings
+}
+
+/// Rule `stale-suppression`, after every other pass has applied the
+/// waivers in `cross`: a suppression that waived no finding.
+pub fn stale_suppressions(cross: &CrossFile) -> Vec<Finding> {
+    cross
+        .suppressions
+        .iter()
+        .filter(|s| !s.used)
+        .map(|s| Finding {
+            file: s.file.clone(),
+            line: s.line,
+            rule: "stale-suppression",
+            message: format!("`allow({})` waives no finding; delete it", s.rule),
         })
         .collect()
 }
@@ -284,12 +314,11 @@ fn collect_names(lexed: &Lexed, in_tests: &dyn Fn(usize) -> bool, cross: &mut Cr
     }
 }
 
-/// Adds the file's unwaived non-test `pub` items to `cross.items`.
+/// Adds the file's non-test `pub` items to `cross.items`.
 fn collect_pub_items(
     rel_path: &str,
     lexed: &Lexed,
     in_tests: &dyn Fn(usize) -> bool,
-    suppressions: &[Suppression],
     cross: &mut CrossFile,
 ) {
     let toks = &lexed.tokens;
@@ -304,13 +333,9 @@ fn collect_pub_items(
         let Some((kind, name)) = pub_item(lexed, i) else {
             continue;
         };
-        let line = toks[name].line;
-        if waived(suppressions, line, "dead-pub") {
-            continue;
-        }
         cross.items.push(PubItem {
             file: rel_path.to_string(),
-            line,
+            line: toks[name].line,
             kind,
             name: toks[name].text.clone(),
             associated: impls.iter().any(|&(lo, hi)| lo < i && i < hi),
@@ -399,18 +424,24 @@ pub(crate) fn stale_manifest_entries(
     Ok(findings)
 }
 
-/// Drops the findings an inline suppression waives and sorts the rest by
-/// (line, rule).
-fn apply_suppressions(findings: &mut Vec<Finding>, suppressions: &[Suppression]) {
-    findings.retain(|f| f.rule == "bad-suppression" || !waived(suppressions, f.line, f.rule));
+/// Drops the findings an inline suppression waives, marking the waivers
+/// used, and sorts the rest by (line, rule).
+fn apply_suppressions(findings: &mut Vec<Finding>, suppressions: &mut [Suppression]) {
+    findings.retain(|f| !waived(suppressions, f));
     findings.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
 }
 
-/// A suppression of `rule` sits on `line` or the line above it.
-fn waived(suppressions: &[Suppression], line: u32, rule: &str) -> bool {
-    suppressions
-        .iter()
-        .any(|s| (line == s.line || line == s.line + 1) && s.rules.iter().any(|r| r == rule))
+/// Whether a suppression of `f`'s rule sits in its file, on its line or the
+/// line above; marks each such suppression used.
+fn waived(suppressions: &mut [Suppression], f: &Finding) -> bool {
+    let mut hit = false;
+    for s in suppressions.iter_mut().filter(|s| {
+        s.rule == f.rule && s.file == f.file && (f.line == s.line || f.line == s.line + 1)
+    }) {
+        s.used = true;
+        hit = true;
+    }
+    hit
 }
 
 /// `prefix` either names the file exactly or a directory prefix of it.
@@ -460,7 +491,8 @@ fn collect_suppressions(
             .collect();
         let mut ok = !rules.is_empty();
         for rule in &rules {
-            if !RULE_IDS.contains(&rule.as_str()) || rule == "bad-suppression" {
+            let unwaivable = matches!(rule.as_str(), "bad-suppression" | "stale-suppression");
+            if !RULE_IDS.contains(&rule.as_str()) || unwaivable {
                 findings.push(bad(format!("suppression names unknown rule `{rule}`")));
                 ok = false;
             }
@@ -473,10 +505,12 @@ fn collect_suppressions(
             ok = false;
         }
         if ok {
-            suppressions.push(Suppression {
+            suppressions.extend(rules.into_iter().map(|rule| Suppression {
+                file: rel_path.to_string(),
                 line: tok.line,
-                rules,
-            });
+                rule,
+                used: false,
+            }));
         }
     }
     suppressions
@@ -1119,7 +1153,7 @@ mod tests {
         ] {
             lint_file(path, src, &bare_config(), &registries, &mut cross);
         }
-        let dead: Vec<_> = dead_pub(&cross).iter().map(|f| f.line).collect();
+        let dead: Vec<_> = dead_pub(&mut cross).iter().map(|f| f.line).collect();
         assert_eq!(dead, [1, 3, 4]);
     }
 

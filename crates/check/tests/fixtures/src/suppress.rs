@@ -1,4 +1,4 @@
-//! Fixture: `bad-suppression` rule. Violations at lines 5, 7 and 9.
+//! Fixture: `bad-suppression` at lines 5, 7 and 9; `stale-suppression` at 16.
 
 /// Each malformed marker below is itself a finding.
 pub fn malformed() -> u32 {
@@ -9,4 +9,10 @@ pub fn malformed() -> u32 {
     // capes-check: disable everything please
     let wrong_shape = 3;
     without_reason + unknown_rule + wrong_shape
+}
+
+/// A well-formed waiver with no finding to waive is stale.
+pub fn stale() -> u32 {
+    // capes-check: allow(boundary-panic) -- suppress.rs is no boundary file.
+    4
 }

@@ -57,6 +57,7 @@ fn expected() -> Vec<(String, u32, &'static str)> {
         ("src/suppress.rs", 5, "bad-suppression"),
         ("src/suppress.rs", 7, "bad-suppression"),
         ("src/suppress.rs", 9, "bad-suppression"),
+        ("src/suppress.rs", 16, "stale-suppression"),
     ];
     raw.iter().map(|&(f, l, r)| (f.to_string(), l, r)).collect()
 }

@@ -257,16 +257,14 @@ fn steady_state_train_step_performs_zero_heap_allocations() {
     //
     // The training spans above prove instrumentation rides along for free;
     // this block holds the raw primitives to the same standard: once a
-    // metric is interned (and, under CAPES_TRACE=on, the thread's journal
-    // ring exists), counter/gauge/histogram records and span round-trips
-    // allocate nothing.
+    // metric is interned, counter/gauge/histogram records and span
+    // round-trips allocate nothing.
     let registry = capes_telemetry::global();
     let hist = registry.histogram("zero_alloc.probe.hist");
     let counter = registry.counter("zero_alloc.probe.count");
     let gauge = registry.gauge("zero_alloc.probe.gauge");
     {
-        // Warm-up: interns the span's histogram and, with CAPES_TRACE=on,
-        // allocates this thread's journal ring.
+        // Warm-up: interns the span's histogram.
         let _span = capes_telemetry::span!("zero_alloc.probe.span");
     }
 

@@ -391,9 +391,10 @@ impl FleetDaemon {
             };
         };
         let stats = front.stats();
-        // Per-tick rates are over the fleet's whole lifetime — the counters
-        // span every run of this daemon.
-        let ticks = self.tick.max(1) as f64;
+        // Per-tick rates are over the front end's lifetime, the span of its
+        // counters: every run of this daemon, but not the ticks a restored
+        // snapshot had carried before this process started.
+        let ticks = front.ticks().max(1) as f64;
         NetReport {
             transport: "socket".to_string(),
             enabled: true,

@@ -182,9 +182,9 @@ pub struct NetReport {
     pub bytes_in: u64,
     /// Raw bytes written to sockets.
     pub bytes_out: u64,
-    /// Mean inbound bytes per fleet tick.
+    /// Mean inbound bytes per tick this process's front end carried.
     pub bytes_in_per_tick: f64,
-    /// Mean outbound bytes per fleet tick.
+    /// Mean outbound bytes per tick this process's front end carried.
     pub bytes_out_per_tick: f64,
 }
 

@@ -83,6 +83,9 @@ pub(crate) struct SocketFront {
     counts: Vec<usize>,
     /// Scratch for blocking frame reads.
     read_buf: Vec<u8>,
+    /// Ticks this front end has carried since it started: the span of the
+    /// server's counters, which a restored tick number does not reset.
+    ticks: u64,
 }
 
 impl SocketFront {
@@ -118,12 +121,18 @@ impl SocketFront {
             counts: vec![0; num_clusters],
             expected_per_tick,
             read_buf: Vec::new(),
+            ticks: 0,
         })
     }
 
     /// Current server-side counters.
     pub(crate) fn stats(&self) -> NetStatsSnapshot {
         self.handle.stats()
+    }
+
+    /// Ticks drained since this front end started.
+    pub(crate) fn ticks(&self) -> u64 {
+        self.ticks
     }
 
     /// The loopback address the server listens on.
@@ -169,6 +178,7 @@ impl SocketFront {
             remaining -= 1;
             deliver(cluster, &message);
         }
+        self.ticks += 1;
     }
 
     /// Queues every `(cluster, action)` of a fan-out on the server-side

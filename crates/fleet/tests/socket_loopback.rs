@@ -146,6 +146,33 @@ fn rogue_connection_is_counted_and_does_not_disturb_the_fleet() {
 }
 
 #[test]
+fn per_tick_byte_rates_span_this_front_end_after_a_restore() {
+    let snap = std::env::temp_dir().join(format!(
+        "capes-fleet-socket-rates-{}.snap",
+        std::process::id()
+    ));
+    let mut original = build(Transport::Socket);
+    for _ in 0..40 {
+        original.tick_all(PhaseKind::Train);
+    }
+    original.checkpoint(&snap).expect("checkpoint");
+
+    // A fresh daemon's server counters start at its own front end, not at
+    // the restored tick 40.
+    let mut resumed = build(Transport::Socket);
+    resumed.restore(&snap).expect("restore");
+    let _ = std::fs::remove_file(&snap);
+    for _ in 0..10 {
+        resumed.tick_all(PhaseKind::Train);
+    }
+    assert_eq!(resumed.tick(), 50);
+    let net = resumed.net_report();
+    assert!(net.bytes_in > 0);
+    assert_eq!(net.bytes_in_per_tick, net.bytes_in as f64 / 10.0);
+    assert_eq!(net.bytes_out_per_tick, net.bytes_out as f64 / 10.0);
+}
+
+#[test]
 fn only_socket_fleets_expose_a_loopback_address() {
     assert!(build(Transport::Socket).socket_addr().is_some());
     assert!(build(Transport::Wire).socket_addr().is_none());

@@ -23,8 +23,7 @@
 //!    lose no counts (`tests/concurrency.rs`).
 //! 3. **Cheap when idle.** [`span!`] call sites cache their histogram in a
 //!    function-local `OnceLock`; with recording disabled
-//!    ([`set_recording`]) a span is one relaxed load, and the per-thread
-//!    event journal only engages under `CAPES_TRACE=on`.
+//!    ([`set_recording`]) a span is one relaxed load and no clock read.
 //!
 //! ## Metric naming
 //!
@@ -40,7 +39,8 @@
 //! | net | `net.read`, `net.decode`, `net.egress` (histograms), `net.ingress.depth` (gauge), plus the `net.*` counters mirroring `NetStats` |
 //! | persist | `persist.checkpoint.{total,encode,crc,write,fsync,dirsync,writeback}`, `persist.restore`, `persist.restore.verify` (histograms), `persist.checkpoint.bytes` (gauge) plus `persist.*` counters |
 //!
-//! Exposition mangles dots to underscores (`fleet_tick_total`).
+//! Exposition maps every character outside `[A-Za-z0-9_:]` to an underscore
+//! (`fleet_tick_total`), so any cluster name renders a valid metric name.
 //!
 //! ## Histogram layout
 //!
@@ -51,13 +51,11 @@
 
 #![forbid(unsafe_code)]
 
-mod journal;
 mod metric;
 pub mod names;
 mod registry;
 mod snapshot;
 
-pub use journal::{dump_journal, trace_enabled, Event};
 pub use metric::{Counter, Gauge, Histogram};
 pub use registry::{global, recording, set_recording, Registry};
 pub use snapshot::{
@@ -90,14 +88,13 @@ impl LazySpan {
     }
 
     /// Starts timing. The returned guard records the elapsed nanoseconds
-    /// into the histogram when dropped (and into the trace journal under
-    /// `CAPES_TRACE=on`). When recording is disabled this is one relaxed
-    /// load and no clock read.
+    /// into the histogram when dropped. When recording is disabled this is
+    /// one relaxed load and no clock read.
     #[inline]
     pub fn enter(&'static self) -> SpanGuard {
         if recording() {
             SpanGuard {
-                live: Some((self.name, self.histogram(), Instant::now())),
+                live: Some((self.histogram(), Instant::now())),
             }
         } else {
             SpanGuard { live: None }
@@ -107,18 +104,14 @@ impl LazySpan {
 
 /// RAII timer produced by [`span!`]; records on drop.
 pub struct SpanGuard {
-    live: Option<(&'static str, &'static Histogram, Instant)>,
+    live: Option<(&'static Histogram, Instant)>,
 }
 
 impl Drop for SpanGuard {
     #[inline]
     fn drop(&mut self) {
-        if let Some((name, hist, start)) = self.live.take() {
-            let nanos = start.elapsed().as_nanos() as u64;
-            hist.record(nanos);
-            if trace_enabled() {
-                journal::push(name, start, nanos);
-            }
+        if let Some((hist, start)) = self.live.take() {
+            hist.record(start.elapsed().as_nanos() as u64);
         }
     }
 }

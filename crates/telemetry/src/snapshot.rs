@@ -80,8 +80,9 @@ impl TelemetrySnapshot {
         self.gauges.iter().find(|g| g.name == name).map(|g| g.value)
     }
 
-    /// Renders the snapshot as Prometheus text-format exposition: dots in
-    /// names become underscores, counters get a `_total` suffix, histograms
+    /// Renders the snapshot as Prometheus text-format exposition: names
+    /// keep only `[A-Za-z0-9_:]` (anything else becomes an underscore),
+    /// counters get a `_total` suffix, histograms
     /// expose `{quantile="…"}` series plus `_count`, `_sum` and `_max`.
     pub fn render_prometheus(&self) -> String {
         let mut out = String::new();
@@ -112,8 +113,18 @@ impl TelemetrySnapshot {
     }
 }
 
+/// The Prometheus name of a dotted metric: every character outside
+/// `[A-Za-z0-9_:]` becomes `_`, and a leading digit gets a `_` in front.
 fn mangle(name: &str) -> String {
-    name.replace(['.', '-'], "_")
+    let keep = |c: char| c.is_ascii_alphanumeric() || c == ':';
+    let mut out: String = name
+        .chars()
+        .map(|c| if keep(c) { c } else { '_' })
+        .collect();
+    if out.starts_with(|c: char| c.is_ascii_digit()) {
+        out.insert(0, '_');
+    }
+    out
 }
 
 fn fmt_f64(v: f64) -> String {
@@ -157,20 +168,50 @@ mod tests {
         }
     }
 
+    /// `[a-zA-Z_:][a-zA-Z0-9_:]*`, the Prometheus metric-name grammar.
+    fn is_metric_name(name: &str) -> bool {
+        let mut chars = name.chars();
+        chars
+            .next()
+            .is_some_and(|c| c.is_ascii_alphabetic() || c == '_' || c == ':')
+            && chars.all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
+    }
+
     #[test]
     fn prometheus_rendering_mangles_and_labels() {
-        let text = sample().render_prometheus();
+        let mut snap = sample();
+        // Cluster names are free text in gauge names.
+        for name in [
+            "fleet.cluster.read heavy \"a\".objective",
+            "fleet.cluster.write-heavy-3.objective",
+            "9lives",
+        ] {
+            snap.gauges.push(GaugeSnapshot {
+                name: name.to_string(),
+                value: 1.5,
+            });
+        }
+        let text = snap.render_prometheus();
         assert!(text.contains("net_frames_in_total 460"), "{text}");
         assert!(text.contains("net_ingress_depth 3"), "{text}");
         assert!(text.contains("fleet_tick_total{quantile=\"0.5\"} 1400000"));
         assert!(text.contains("fleet_tick_total{quantile=\"0.99\"} 2500000"));
         assert!(text.contains("fleet_tick_total_count 46"));
         assert!(text.contains("fleet_tick_total_max 3000000"));
-        // No metric *name* keeps a dot (quantile label values may).
-        for line in text.lines().filter(|l| !l.starts_with('#')) {
-            let name = line.split(['{', ' ']).next().unwrap();
-            assert!(!name.contains('.'), "unmangled name in {line}");
+        // Every line parses: a valid name, its labels, a space, a number.
+        for line in text.lines() {
+            if let Some(decl) = line.strip_prefix("# TYPE ") {
+                let parts: Vec<_> = decl.split(' ').collect();
+                assert!(parts.len() == 2 && is_metric_name(parts[0]), "{line}");
+                continue;
+            }
+            let (series, value) = line.split_once(' ').unwrap();
+            let name = series.split('{').next().unwrap();
+            assert!(is_metric_name(name), "bad sample name in {line}");
+            assert!(value.parse::<f64>().is_ok(), "bad sample value in {line}");
         }
+        assert!(text.contains("\nfleet_cluster_write_heavy_3_objective 1.5\n"));
+        assert!(text.contains("\n_9lives 1.5\n"), "{text}");
     }
 
     #[test]
