@@ -26,25 +26,25 @@ fn main() {
         // One experiment plan covers the whole 12 h → 24 h protocol: train to
         // the 12-hour mark, measure baseline and tuned, train the remaining
         // 12 hours on the same system, measure tuned again.
-        let mut experiment = Experiment::new(build_system(workload, scale, seed))
-            .phase(Phase::Train {
+        let report = build_system(workload, scale, seed).run(&[
+            Phase::Train {
                 ticks: scale.twelve_hours(),
-            })
-            .phase(Phase::Baseline {
+            },
+            Phase::Baseline {
                 ticks: scale.measurement_ticks(),
-            })
-            .phase(Phase::Tuned {
+            },
+            Phase::Tuned {
                 ticks: scale.measurement_ticks(),
                 label: "after 12h".into(),
-            })
-            .phase(Phase::Train {
+            },
+            Phase::Train {
                 ticks: scale.twenty_four_hours() - scale.twelve_hours(),
-            })
-            .phase(Phase::Tuned {
+            },
+            Phase::Tuned {
                 ticks: scale.measurement_ticks(),
                 label: "after 24h".into(),
-            });
-        let report = experiment.run();
+            },
+        ]);
 
         rows.push(FigureRow {
             workload: label,

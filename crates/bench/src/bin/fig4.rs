@@ -17,13 +17,11 @@ fn main() {
 
     // Train once on the fileserver workload and checkpoint the model.
     eprintln!("[fig4] initial training…");
-    let mut trainer =
-        Experiment::new(build_system(Workload::fileserver(), scale, 4000)).phase(Phase::Train {
-            ticks: scale.twenty_four_hours(),
-        });
-    trainer.run();
+    let mut trainer = build_system(Workload::fileserver(), scale, 4000);
+    trainer.run(&[Phase::Train {
+        ticks: scale.twenty_four_hours(),
+    }]);
     trainer
-        .system()
         .save_checkpoint(&checkpoint)
         .expect("checkpoint save failed");
 
@@ -43,15 +41,15 @@ fn main() {
             .restore_checkpoint(&checkpoint, 4200 + session)
             .expect("checkpoint restore failed");
 
-        let mut experiment = Experiment::new(system)
-            .phase(Phase::Baseline {
+        let report = system.run(&[
+            Phase::Baseline {
                 ticks: scale.measurement_ticks(),
-            })
-            .phase(Phase::Tuned {
+            },
+            Phase::Tuned {
                 ticks: scale.measurement_ticks(),
                 label: "tuned".into(),
-            });
-        let report = experiment.run();
+            },
+        ]);
         rows.push(FigureRow {
             workload: format!("session {}", session + 1),
             bars: report.sessions.iter().map(Bar::from_session).collect(),

@@ -12,11 +12,9 @@ use capes_bench::{build_system, write_json, Bar, FigureRow, Scale};
 fn main() {
     let scale = Scale::from_env();
     eprintln!("[fig5] training…");
-    let mut experiment = Experiment::new(build_system(Workload::random_rw(0.1), scale, 5000))
-        .phase(Phase::Train {
-            ticks: scale.twelve_hours(),
-        });
-    let report = experiment.run();
+    let report = build_system(Workload::random_rw(0.1), scale, 5000).run(&[Phase::Train {
+        ticks: scale.twelve_hours(),
+    }]);
     let result = &report.sessions[0];
 
     // Bucket the prediction errors into a fixed number of bins over time (the

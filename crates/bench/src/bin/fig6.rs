@@ -22,10 +22,9 @@ fn main() {
             .target_mut()
             .cluster_mut()
             .perturb_session(0.2 * i as f64, 60 * 24 * i);
-        let mut experiment = Experiment::new(system).phase(Phase::Baseline {
+        let report = system.run(&[Phase::Baseline {
             ticks: scale.measurement_ticks() * 2,
-        });
-        let report = experiment.run();
+        }]);
         rows.push(FigureRow {
             workload: format!("baseline {}", i + 1),
             bars: vec![Bar::from_session_labelled(
@@ -41,11 +40,9 @@ fn main() {
         Scale::Full => 70 * 3600,
     };
     eprintln!("[fig6] training session ({training_ticks} ticks)…");
-    let mut experiment = Experiment::new(build_system(Workload::random_rw(0.1), scale, 6100))
-        .phase(Phase::Train {
-            ticks: training_ticks,
-        });
-    let report = experiment.run();
+    let report = build_system(Workload::random_rw(0.1), scale, 6100).run(&[Phase::Train {
+        ticks: training_ticks,
+    }]);
     rows.push(FigureRow {
         workload: "training session".into(),
         bars: vec![Bar::from_session_labelled(

@@ -128,8 +128,8 @@ fn main() {
     );
 
     // The hyperparameters in action: every engine — the DQN and the three
-    // search comparators — driven through the same builder + Experiment code
-    // path on a short write-heavy run.
+    // search comparators — driven through the same builder +
+    // `CapesSystem::run` code path on a short write-heavy run.
     let scale = Scale::from_env();
     let (train_ticks, measure_ticks) = match scale {
         Scale::Quick => (1_500, 300),

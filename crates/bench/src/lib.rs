@@ -19,8 +19,8 @@
 //! finishes in minutes; set `CAPES_FULL=1` to run paper-scale durations
 //! (12 h / 24 h training = 43 200 / 86 400 simulated seconds).
 //!
-//! Everything is driven through the `capes` crate's builder + `Experiment`
-//! API; [`compare_engines`] runs the DRL engine and the three search
+//! Everything is driven through the `capes` crate's builder +
+//! `CapesSystem::run` API; [`compare_engines`] runs the DRL engine and the three search
 //! comparators through one generic [`TuningEngine`] code path (the paper's
 //! future-work comparison).
 //!
@@ -195,26 +195,27 @@ pub fn build_system(workload: Workload, scale: Scale, seed: u64) -> CapesSystem<
 
 /// Runs the paper's standard experiment workflow for one workload: train for
 /// `train_ticks`, then measure baseline and tuned throughput — expressed as a
-/// declarative [`Experiment`] plan.
+/// declarative [`Phase`] plan.
 pub fn train_then_measure(
     workload: Workload,
     train_ticks: u64,
     scale: Scale,
     seed: u64,
 ) -> (SessionResult, SessionResult, CapesSystem<SimulatedLustre>) {
-    let mut experiment = Experiment::new(build_system(workload, scale, seed))
-        .phase(Phase::Train { ticks: train_ticks })
-        .phase(Phase::Baseline {
+    let mut system = build_system(workload, scale, seed);
+    let mut report = system.run(&[
+        Phase::Train { ticks: train_ticks },
+        Phase::Baseline {
             ticks: scale.measurement_ticks(),
-        })
-        .phase(Phase::Tuned {
+        },
+        Phase::Tuned {
             ticks: scale.measurement_ticks(),
             label: "tuned".into(),
-        });
-    let mut report = experiment.run();
+        },
+    ]);
     let tuned = report.sessions.pop().expect("tuned phase ran");
     let baseline = report.sessions.pop().expect("baseline phase ran");
-    (baseline, tuned, experiment.into_system())
+    (baseline, tuned, system)
 }
 
 /// One engine's outcome in the unified comparison.
@@ -259,7 +260,7 @@ pub fn engine_lineup(seed: u64, eval_ticks: u64) -> Vec<Option<Box<dyn TuningEng
 }
 
 /// Drives the DRL engine and the three search comparators through one
-/// generic baseline → train → tuned [`Experiment`] plan — the single
+/// generic baseline → train → tuned [`Phase`] plan — the single
 /// [`TuningEngine`] code path used by `table1` and `table2`.
 pub fn compare_engines(
     workload: Workload,
@@ -281,20 +282,19 @@ pub fn compare_engines(
             if let Some(engine) = engine {
                 builder = builder.engine(engine);
             }
-            let system = builder.build().expect("benchmark configuration is valid");
+            let mut system = builder.build().expect("benchmark configuration is valid");
             let name = system.engine().name().to_string();
-            let mut experiment = Experiment::new(system)
-                .phase(Phase::Baseline {
+            let report = system.run(&[
+                Phase::Baseline {
                     ticks: measure_ticks,
-                })
-                .phase(Phase::Train { ticks: train_ticks })
-                .phase(Phase::Tuned {
+                },
+                Phase::Train { ticks: train_ticks },
+                Phase::Tuned {
                     ticks: measure_ticks,
                     label: "tuned".into(),
-                });
-            let report = experiment.run();
-            let ticks_consumed = experiment
-                .system()
+                },
+            ]);
+            let ticks_consumed = system
                 .engine()
                 .exploration_ticks_used()
                 .unwrap_or(train_ticks);

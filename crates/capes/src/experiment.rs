@@ -3,22 +3,23 @@
 //! The paper's evaluation workflow (Appendix A.4) is always some arrangement
 //! of three phases: *train* (CAPES on, ε-greedy actions, 12–24 h), *baseline*
 //! (CAPES off, default parameters) and *tuned* (trained policy acting
-//! greedily). [`Experiment`] encodes that workflow declaratively:
+//! greedily). A plan is a slice of [`Phase`]s, run by
+//! [`CapesSystem::run`](crate::system::CapesSystem::run):
 //!
 //! ```
 //! use capes::prelude::*;
 //!
 //! let target = SimulatedLustre::builder().seed(7).build();
-//! let system = Capes::builder(target)
+//! let mut system = Capes::builder(target)
 //!     .hyperparams(Hyperparameters::quick_test())
 //!     .seed(7)
 //!     .build()
 //!     .unwrap();
-//! let report = Experiment::new(system)
-//!     .phase(Phase::Baseline { ticks: 40 })
-//!     .phase(Phase::Train { ticks: 60 })
-//!     .phase(Phase::Tuned { ticks: 40, label: "tuned".into() })
-//!     .run();
+//! let report = system.run(&[
+//!     Phase::Baseline { ticks: 40 },
+//!     Phase::Train { ticks: 60 },
+//!     Phase::Tuned { ticks: 40, label: "tuned".into() },
+//! ]);
 //! assert_eq!(report.sessions.len(), 3);
 //! ```
 //!
@@ -27,8 +28,6 @@
 //! to JSON for the figure binaries.
 
 use crate::session::SessionResult;
-use crate::system::CapesSystem;
-use crate::target::TargetSystem;
 
 /// The kind of work a phase performs (also tags every [`SessionResult`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,58 +103,6 @@ impl Phase {
     }
 }
 
-/// A declarative experiment: a system plus an ordered list of phases.
-pub struct Experiment<T: TargetSystem> {
-    system: CapesSystem<T>,
-    phases: Vec<Phase>,
-}
-
-impl<T: TargetSystem> Experiment<T> {
-    /// Starts an experiment plan around an assembled system.
-    pub fn new(system: CapesSystem<T>) -> Self {
-        Experiment {
-            system,
-            phases: Vec::new(),
-        }
-    }
-
-    /// Appends a phase to the plan.
-    #[must_use]
-    pub fn phase(mut self, phase: Phase) -> Self {
-        self.phases.push(phase);
-        self
-    }
-
-    /// Read access to the underlying system.
-    pub fn system(&self) -> &CapesSystem<T> {
-        &self.system
-    }
-
-    /// Mutable access to the underlying system (e.g. to change workloads or
-    /// restore checkpoints between `run` calls).
-    pub fn system_mut(&mut self) -> &mut CapesSystem<T> {
-        &mut self.system
-    }
-
-    /// Consumes the experiment, returning the system (e.g. to checkpoint it).
-    pub fn into_system(self) -> CapesSystem<T> {
-        self.system
-    }
-
-    /// Runs every queued phase in order and drains the plan, leaving the
-    /// experiment ready for further `phase(..)` / `run()` rounds on the same
-    /// system (the Figure-2 "train 12 h, measure, train 12 h more, measure"
-    /// protocol).
-    pub fn run(&mut self) -> ExperimentReport {
-        let phases = std::mem::take(&mut self.phases);
-        let mut sessions = Vec::with_capacity(phases.len());
-        for phase in &phases {
-            sessions.push(self.system.run_phase(phase));
-        }
-        ExperimentReport { sessions }
-    }
-}
-
 /// The aggregated outcome of an experiment run.
 #[derive(Debug, Clone)]
 pub struct ExperimentReport {
@@ -225,7 +172,7 @@ mod tests {
     use super::*;
     use crate::builder::Capes;
     use crate::hyperparams::Hyperparameters;
-    use crate::system::SystemTick;
+    use crate::system::{CapesSystem, SystemTick};
     use crate::target::test_target::QuadraticTarget;
     use std::sync::{Arc, Mutex};
 
@@ -245,14 +192,15 @@ mod tests {
 
     #[test]
     fn phases_run_in_order_and_fill_the_report() {
-        let mut experiment = Experiment::new(quick_system())
-            .phase(Phase::Baseline { ticks: 50 })
-            .phase(Phase::Train { ticks: 120 })
-            .phase(Phase::Tuned {
+        let mut system = quick_system();
+        let report = system.run(&[
+            Phase::Baseline { ticks: 50 },
+            Phase::Train { ticks: 120 },
+            Phase::Tuned {
                 ticks: 50,
                 label: "tuned".into(),
-            });
-        let report = experiment.run();
+            },
+        ]);
         assert_eq!(report.sessions.len(), 3);
         assert_eq!(report.sessions[0].kind, PhaseKind::Baseline);
         assert_eq!(report.sessions[1].kind, PhaseKind::Train);
@@ -264,10 +212,14 @@ mod tests {
         assert!(report.improvement_over_baseline("tuned").is_some());
         assert_eq!(report.improvements_over_baseline().len(), 2);
         assert!(report.summary().contains("baseline"));
-        // The plan drained; a second run with new phases reuses the system.
-        assert!(experiment.phases.is_empty());
-        let report2 = experiment.phase(Phase::Train { ticks: 30 }).run();
+        // Each phase's record moved into its session; a second run
+        // continues on the same system.
+        assert!(system.phase_throughput().is_empty());
+        assert!(system.prediction_errors().is_empty());
+        let report2 = system.run(&[Phase::Train { ticks: 30 }]);
         assert_eq!(report2.sessions.len(), 1);
+        assert_eq!(report2.sessions[0].throughput_series.len(), 30);
+        assert_eq!(system.tick(), 250);
     }
 
     #[test]
@@ -286,13 +238,13 @@ mod tests {
     #[test]
     fn report_json_parses_back_to_its_sessions() {
         use serde::{map_get, Serialize, Value};
-        let mut experiment = Experiment::new(quick_system())
-            .phase(Phase::Baseline { ticks: 30 })
-            .phase(Phase::Tuned {
+        let report = quick_system().run(&[
+            Phase::Baseline { ticks: 30 },
+            Phase::Tuned {
                 ticks: 30,
                 label: "t".into(),
-            });
-        let report = experiment.run();
+            },
+        ]);
         let json: Value = serde_json::from_str(&report.to_json()).expect("valid JSON");
         let sessions = map_get(json.as_map().unwrap(), "sessions").unwrap();
         assert_eq!(sessions, &report.sessions.to_value());
@@ -305,7 +257,7 @@ mod tests {
         // so the stream is collected behind an Arc<Mutex>.
         let seen: Arc<Mutex<Vec<(PhaseKind, u64)>>> = Arc::new(Mutex::new(Vec::new()));
         let sink = seen.clone();
-        let system = Capes::builder(QuadraticTarget::new(50.0))
+        let mut system = Capes::builder(QuadraticTarget::new(50.0))
             .hyperparams(Hyperparameters::quick_test())
             .seed(3)
             .observer(move |kind: PhaseKind, tick: &SystemTick| {
@@ -313,10 +265,7 @@ mod tests {
             })
             .build()
             .expect("valid system");
-        let mut experiment = Experiment::new(system)
-            .phase(Phase::Baseline { ticks: 10 })
-            .phase(Phase::Train { ticks: 15 });
-        experiment.run();
+        system.run(&[Phase::Baseline { ticks: 10 }, Phase::Train { ticks: 15 }]);
         let seen = seen.lock().unwrap();
         assert_eq!(seen.len(), 25);
         assert!(seen[..10].iter().all(|(k, _)| *k == PhaseKind::Baseline));

@@ -23,10 +23,10 @@
 //! * [`engine::TuningEngine`] — the unified engine interface implemented by
 //!   the DQN agent ([`capes_drl::DqnAgent`]) itself and the search
 //!   comparators;
-//! * [`experiment::Experiment`] — declarative baseline/train/tuned phase
-//!   plans producing JSON-serializable [`experiment::ExperimentReport`]s,
-//!   while closures registered with [`builder::CapesBuilder::observer`]
-//!   stream per-tick telemetry;
+//! * [`experiment::Phase`] — declarative baseline/train/tuned phase plans
+//!   that [`system::CapesSystem::run`] turns into JSON-serializable
+//!   [`experiment::ExperimentReport`]s, while closures registered with
+//!   [`builder::CapesBuilder::observer`] stream per-tick telemetry;
 //! * [`tuners`] — comparator tuners (static defaults, random search, hill
 //!   climbing) representing the search-based prior work discussed in §5;
 //!   they run through the same [`system::CapesSystem`] loop as the DQN.
@@ -45,7 +45,7 @@
 //! // Assemble CAPES around it. `quick_test()` scales the paper's
 //! // hyperparameters down so this doc-test runs quickly; invalid
 //! // configurations come back as typed errors instead of panics.
-//! let system = Capes::builder(target)
+//! let mut system = Capes::builder(target)
 //!     .hyperparams(Hyperparameters::quick_test())
 //!     .seed(7)
 //!     .build()
@@ -53,11 +53,11 @@
 //!
 //! // The paper's evaluation workflow as a declarative plan: measure the
 //! // baseline, train (very briefly, for the doc-test), measure tuned.
-//! let report = Experiment::new(system)
-//!     .phase(Phase::Baseline { ticks: 30 })
-//!     .phase(Phase::Train { ticks: 60 })
-//!     .phase(Phase::Tuned { ticks: 30, label: "tuned".into() })
-//!     .run();
+//! let report = system.run(&[
+//!     Phase::Baseline { ticks: 30 },
+//!     Phase::Train { ticks: 60 },
+//!     Phase::Tuned { ticks: 30, label: "tuned".into() },
+//! ]);
 //!
 //! assert_eq!(report.sessions.len(), 3);
 //! assert!(report.baseline().unwrap().mean_throughput() > 0.0);
@@ -87,7 +87,7 @@ pub use engine::{
     step_params, EngineContext, NullEngine, ProposedAction, SearchEngine, TuningEngine,
 };
 pub use error::CapesError;
-pub use experiment::{Experiment, ExperimentReport, Phase, PhaseKind};
+pub use experiment::{ExperimentReport, Phase, PhaseKind};
 pub use hyperparams::Hyperparameters;
 pub use objective::Objective;
 pub use session::SessionResult;
@@ -103,9 +103,9 @@ pub use capes_replay::{ReplayArena, SharedReplayDb, StripeStats};
 ///
 /// Brings in the builder-first construction API ([`Capes`],
 /// [`CapesBuilder`], [`CapesError`]), the declarative experiment API
-/// ([`Experiment`], [`Phase`], [`PhaseKind`], [`ExperimentReport`], and
-/// [`SystemTick`] for observers), the unified engine interface
-/// ([`TuningEngine`], [`SearchEngine`]), the comparator
+/// ([`Phase`] plans for [`CapesSystem::run`], [`PhaseKind`],
+/// [`ExperimentReport`], and [`SystemTick`] for observers), the unified
+/// engine interface ([`TuningEngine`], [`SearchEngine`]), the comparator
 /// tuners, the bundled simulator adapter, and the simulator's configuration
 /// types.
 pub mod prelude {
@@ -113,7 +113,7 @@ pub mod prelude {
     pub use crate::builder::{Capes, CapesBuilder};
     pub use crate::engine::{NullEngine, SearchEngine, TuningEngine};
     pub use crate::error::CapesError;
-    pub use crate::experiment::{Experiment, ExperimentReport, Phase, PhaseKind};
+    pub use crate::experiment::{ExperimentReport, Phase, PhaseKind};
     pub use crate::hyperparams::Hyperparameters;
     pub use crate::objective::Objective;
     pub use crate::session::SessionResult;

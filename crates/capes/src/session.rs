@@ -3,8 +3,9 @@
 //! The paper's evaluation workflow (Appendix A.4) is "turn on CAPES and train
 //! for 12–24 hours, turn it off and measure the baseline, turn it on and
 //! measure the tuned performance". Those phases are expressed declaratively
-//! with [`crate::experiment::Experiment`] and [`crate::experiment::Phase`];
-//! each produces one [`SessionResult`].
+//! as [`crate::experiment::Phase`]s, run by
+//! [`CapesSystem::run`](crate::system::CapesSystem::run); each produces one
+//! [`SessionResult`].
 
 use crate::experiment::PhaseKind;
 use capes_stats::{analyze, AnalysisReport};
@@ -62,9 +63,10 @@ impl SessionResult {
         )
     }
 
-    /// Builds a session result from a measured throughput series, running the
-    /// Pilot-style statistical analysis. Every phase driver reaches it through
-    /// [`CapesSystem::end_phase`](crate::system::CapesSystem::end_phase).
+    /// Builds a session result from a phase's measured throughput series and
+    /// prediction errors, running the Pilot-style statistical analysis. Its
+    /// one caller is [`CapesSystem::end_phase`](crate::system::CapesSystem::end_phase),
+    /// which moves the system's phase record in.
     pub(crate) fn from_series(
         kind: PhaseKind,
         label: impl Into<String>,
@@ -111,7 +113,18 @@ mod tests {
     #[test]
     fn phases_produce_series_and_statistics() {
         let mut sys = system();
-        let baseline = sys.run_phase(&Phase::Baseline { ticks: 120 });
+        let [baseline, training, tuned] = sys
+            .run(&[
+                Phase::Baseline { ticks: 120 },
+                Phase::Train { ticks: 300 },
+                Phase::Tuned {
+                    ticks: 120,
+                    label: "tuned".into(),
+                },
+            ])
+            .sessions
+            .try_into()
+            .expect("one session per phase");
         assert_eq!(baseline.kind, PhaseKind::Baseline);
         assert_eq!(baseline.throughput_series.len(), 120);
         assert!(baseline.mean_throughput() > 0.0);
@@ -119,15 +132,10 @@ mod tests {
         assert!(baseline.summary().contains("baseline"));
         assert_eq!(baseline.final_params, vec![10.0]);
 
-        let training = sys.run_phase(&Phase::Train { ticks: 300 });
         assert_eq!(training.kind, PhaseKind::Train);
         assert_eq!(training.throughput_series.len(), 300);
         assert!(!training.prediction_errors.is_empty());
 
-        let tuned = sys.run_phase(&Phase::Tuned {
-            ticks: 120,
-            label: "tuned".into(),
-        });
         assert_eq!(tuned.kind, PhaseKind::Tuned);
         assert_eq!(tuned.throughput_series.len(), 120);
         assert!(tuned.label == "tuned");
@@ -153,8 +161,12 @@ mod tests {
     fn baseline_phase_resets_parameters() {
         let mut sys = system();
         sys.target_mut().apply_params(&[90.0]);
-        let baseline = sys.run_phase(&Phase::Baseline { ticks: 30 });
-        assert_eq!(baseline.final_params, vec![10.0], "defaults restored first");
+        let report = sys.run(&[Phase::Baseline { ticks: 30 }]);
+        assert_eq!(
+            report.sessions[0].final_params,
+            vec![10.0],
+            "defaults restored first"
+        );
     }
 
     #[test]

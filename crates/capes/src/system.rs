@@ -8,7 +8,7 @@
 
 use crate::engine::{EngineContext, ProposedAction, TuningEngine};
 use crate::error::CapesError;
-use crate::experiment::{Phase, PhaseKind};
+use crate::experiment::{ExperimentReport, Phase, PhaseKind};
 use crate::hyperparams::Hyperparameters;
 use crate::objective::Objective;
 use crate::session::SessionResult;
@@ -111,7 +111,12 @@ pub struct CapesSystem<T: TargetSystem> {
     /// only); always empty on [`Transport::Wire`].
     outbox: Vec<Message>,
     tick: u64,
-    throughput_history: Vec<f64>,
+    /// The phase record: throughput of every tick, and `(tick, prediction
+    /// error)` of every training tick, since the in-progress phase began
+    /// (for ticks run outside a phase: since the last phase ended, or since
+    /// assembly). [`CapesSystem::end_phase`] moves both into the phase's
+    /// [`SessionResult`].
+    phase_throughput: Vec<f64>,
     prediction_errors: Vec<(u64, f64)>,
 }
 
@@ -157,7 +162,7 @@ impl<T: TargetSystem> CapesSystem<T> {
             transport,
             outbox: Vec::new(),
             tick: 0,
-            throughput_history: Vec::new(),
+            phase_throughput: Vec::new(),
             prediction_errors: Vec::new(),
         }
     }
@@ -198,8 +203,13 @@ impl<T: TargetSystem> CapesSystem<T> {
         self.tick
     }
 
-    /// `(tick, prediction error)` series collected from training steps —
-    /// the data behind Figure 5.
+    /// Throughput of every tick of the in-progress phase, MB/s.
+    pub fn phase_throughput(&self) -> &[f64] {
+        &self.phase_throughput
+    }
+
+    /// `(tick, prediction error)` of every training tick of the
+    /// in-progress phase — the data behind Figure 5.
     pub fn prediction_errors(&self) -> &[(u64, f64)] {
         &self.prediction_errors
     }
@@ -246,51 +256,47 @@ impl<T: TargetSystem> CapesSystem<T> {
         self.run_tick(PhaseKind::Train)
     }
 
-    /// Runs one phase of an experiment plan and returns its session result.
-    /// This is the single code path behind [`crate::experiment::Experiment`].
-    pub fn run_phase(&mut self, phase: &Phase) -> SessionResult {
-        let kind = phase.kind();
-        let errors_before = self.begin_phase(kind);
-        let series = (0..phase.ticks())
-            .map(|_| self.run_tick(kind).throughput_mbps)
+    /// Runs `phases` in order and returns one session result per phase —
+    /// the paper's baseline/train/tuned evaluation workflow (Appendix A.4).
+    /// Later calls continue on the same system (the Figure-2 "train 12 h,
+    /// measure, train 12 h more, measure" protocol).
+    pub fn run(&mut self, phases: &[Phase]) -> ExperimentReport {
+        let sessions = phases
+            .iter()
+            .map(|phase| {
+                let kind = phase.kind();
+                self.begin_phase(kind);
+                for _ in 0..phase.ticks() {
+                    self.run_tick(kind);
+                }
+                self.end_phase(phase)
+            })
             .collect();
-        self.end_phase(phase, series, errors_before)
+        ExperimentReport { sessions }
     }
 
     /// Starts a phase of `kind`: a baseline first resets every knob to its
-    /// default. Returns the prediction-error mark
-    /// [`CapesSystem::end_phase`] takes. Together the two are the phase
-    /// protocol of [`CapesSystem::run_phase`] and of drivers that own the
-    /// tick loop themselves (the fleet daemon ticks its members in
-    /// lockstep).
-    pub fn begin_phase(&mut self, kind: PhaseKind) -> usize {
+    /// default, and the phase record starts empty. Together with
+    /// [`CapesSystem::end_phase`] this is the phase protocol of
+    /// [`CapesSystem::run`] and of drivers that own the tick loop
+    /// themselves (the fleet daemon ticks its members in lockstep).
+    pub fn begin_phase(&mut self, kind: PhaseKind) {
         if kind == PhaseKind::Baseline {
             self.reset_params_to_defaults();
         }
-        self.prediction_errors.len()
+        self.phase_throughput.clear();
+        self.prediction_errors.clear();
     }
 
-    /// Ends `phase` with the throughput `series` its ticks measured: a
-    /// training phase keeps the prediction errors recorded since
-    /// `errors_before` (the mark [`CapesSystem::begin_phase`] returned), and
-    /// the series gets the Pilot-style statistical analysis.
-    pub fn end_phase(
-        &self,
-        phase: &Phase,
-        series: Vec<f64>,
-        errors_before: usize,
-    ) -> SessionResult {
-        let kind = phase.kind();
-        let prediction_errors = if kind == PhaseKind::Train {
-            self.prediction_errors[errors_before..].to_vec()
-        } else {
-            Vec::new()
-        };
+    /// Ends `phase`: its throughput series and prediction errors move out of
+    /// the phase record into the session result, and the series gets the
+    /// Pilot-style statistical analysis.
+    pub fn end_phase(&mut self, phase: &Phase) -> SessionResult {
         SessionResult::from_series(
-            kind,
+            phase.kind(),
             phase.label(),
-            series,
-            prediction_errors,
+            std::mem::take(&mut self.phase_throughput),
+            std::mem::take(&mut self.prediction_errors),
             self.current_params(),
         )
     }
@@ -421,7 +427,7 @@ impl<T: TargetSystem> CapesSystem<T> {
             "target reported an unexpected number of nodes"
         );
         let objective_value = self.objective.evaluate(&tick_data);
-        self.throughput_history.push(tick_data.throughput_mbps);
+        self.phase_throughput.push(tick_data.throughput_mbps);
 
         // 2. Monitoring Agents sample and report differentially; the Interface
         //    Daemon reconstructs and stores the snapshots and the reward.
@@ -614,10 +620,11 @@ impl<T: TargetSystem> CapesSystem<T> {
 impl<T: TargetSystem + capes_persist::Persist> CapesSystem<T> {
     /// Serializes the system's full mutable state — target simulation,
     /// Interface Daemon reconstruction/staging state, monitoring caches,
-    /// Control Agent caches, staged socket traffic, tick bookkeeping, and
-    /// (when the engine is the DRL engine) the complete agent including
-    /// optimizer moments and RNG streams — so a freshly-built system of the
-    /// same configuration resumes **bit-identically** after
+    /// Control Agent caches, staged socket traffic, the tick counter, the
+    /// phase record (the in-progress phase's throughput and prediction
+    /// errors), and (when the engine is the DRL engine) the complete agent
+    /// including optimizer moments and RNG streams — so a freshly-built
+    /// system of the same configuration resumes **bit-identically** after
     /// [`CapesSystem::decode_state`].
     ///
     /// The replay store is deliberately *not* part of this payload: stores
@@ -639,7 +646,8 @@ impl<T: TargetSystem + capes_persist::Persist> CapesSystem<T> {
         for message in &self.outbox {
             w.put_blob(|w| message.encode(w));
         }
-        self.throughput_history.encode(w);
+        // The phase record.
+        self.phase_throughput.encode(w);
         w.put_usize(self.prediction_errors.len());
         for &(tick, error) in &self.prediction_errors {
             w.put_u64(tick);
@@ -706,7 +714,7 @@ impl<T: TargetSystem + capes_persist::Persist> CapesSystem<T> {
         for _ in 0..outbox_len {
             outbox.push(decode_message(r.get_bytes()?)?);
         }
-        let throughput_history = Vec::<f64>::decode(r)?;
+        let phase_throughput = Vec::<f64>::decode(r)?;
         let errors_len = r.get_count(16)?;
         let mut prediction_errors = Vec::with_capacity(errors_len);
         for _ in 0..errors_len {
@@ -744,7 +752,7 @@ impl<T: TargetSystem + capes_persist::Persist> CapesSystem<T> {
         self.target = target;
         self.monitors = monitors;
         self.outbox = outbox;
-        self.throughput_history = throughput_history;
+        self.phase_throughput = phase_throughput;
         self.prediction_errors = prediction_errors;
         if let (Some(restored), Some(current)) = (agent, self.engine.dqn_agent_mut()) {
             *current = restored;
@@ -788,7 +796,7 @@ mod tests {
         assert_eq!(agent.action_space().len(), 3);
         assert_eq!(system.current_params(), vec![10.0]);
         assert_eq!(system.tick(), 0);
-        assert!(system.throughput_history.is_empty());
+        assert!(system.phase_throughput().is_empty());
         assert_eq!(system.engine().name(), "deep RL (DQN)");
     }
 
@@ -801,7 +809,7 @@ mod tests {
             assert!(t.prediction_error.is_none());
         }
         assert_eq!(system.current_params(), vec![10.0]);
-        assert_eq!(system.throughput_history.len(), 50);
+        assert_eq!(system.phase_throughput().len(), 50);
         // Baseline ticks still feed the replay DB (monitoring is always on).
         assert_eq!(system.replay_db().len(), 50);
     }
@@ -1182,8 +1190,8 @@ mod tests {
         assert_ne!(best, vec![10.0], "search should have moved off the default");
         // Baseline phase: parameters reset to defaults outside the control
         // path.
-        let baseline = system.run_phase(&Phase::Baseline { ticks: 5 });
-        assert_eq!(baseline.final_params, vec![10.0]);
+        let report = system.run(&[Phase::Baseline { ticks: 5 }]);
+        assert_eq!(report.sessions[0].final_params, vec![10.0]);
         assert_eq!(system.current_params(), vec![10.0]);
         // Tuned: the engine re-proposes `best`; it must take effect again.
         system.run_tick(PhaseKind::Tuned);

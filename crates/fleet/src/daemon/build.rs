@@ -129,7 +129,7 @@ impl FleetBuilder {
                 None => {
                     // Profile 0's agent seed matches the seed formula of the
                     // default single-system engine, which is what makes a
-                    // one-cluster fleet bit-identical to an `Experiment`.
+                    // one-cluster fleet bit-identical to a standalone system.
                     let agent_seed = (self.seed ^ 0x5eed)
                         .wrapping_add((profiles.len() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
                     let config = self.hyperparams.agent_config(observation_size, num_params);
@@ -163,8 +163,6 @@ impl FleetBuilder {
                 system,
                 profile,
                 row,
-                series: Vec::new(),
-                errors_before: 0,
                 measurement: TickMeasurement::default(),
                 action: ActionMessage::default(),
             });

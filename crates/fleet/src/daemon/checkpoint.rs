@@ -75,8 +75,11 @@ impl FleetDaemon {
         w.put_usize(self.sessions.len());
         for session in &self.sessions {
             w.put_str(&session.name);
-            session.series.encode(&mut w);
-            w.put_usize(session.errors_before);
+            // Two v1 slots the member blob now covers: the phase's
+            // throughput (a copy of the blob's phase record) and a
+            // prediction-error mark that is always 0.
+            f64::encode_slice(session.system.phase_throughput(), &mut w);
+            w.put_usize(0);
             // Each member system's state rides as one length-prefixed blob,
             // so restore can collect and validate all of them before
             // touching any session. An open blob is held whole in the
@@ -191,11 +194,12 @@ impl FleetDaemon {
                     session.name
                 )));
             }
-            let series = Vec::<f64>::decode(&mut r)?;
-            let errors_before = r.get_usize()?;
+            // The two v1 slots `checkpoint` fills from the member blob's
+            // phase record; the blob restores it.
+            Vec::<f64>::decode(&mut r)?;
+            r.get_usize()?;
             // The reader's window moves on; the member blob is detached.
-            let blob = r.get_byte_vec()?;
-            session_state.push((series, errors_before, blob));
+            session_state.push(r.get_byte_vec()?);
         }
         r.finish()?;
         // Everything is decoded: release the window and the file before the
@@ -214,13 +218,10 @@ impl FleetDaemon {
             profile.agent = agent;
         }
         self.profile_sharing = sharing;
-        for (session, (series, errors_before, blob)) in self.sessions.iter_mut().zip(session_state)
-        {
+        for (session, blob) in self.sessions.iter_mut().zip(session_state) {
             let mut sub = capes_persist::Reader::new(&blob);
             session.system.decode_state(&mut sub)?;
             sub.finish()?;
-            session.series = series;
-            session.errors_before = errors_before;
         }
         self.tick = tick;
         self.train_cursor = train_cursor;

@@ -42,7 +42,7 @@
 //! into its stripe, and cross-cluster sampling needs no data movement at all.
 //!
 //! A fleet of one cluster is bit-identical to a standalone
-//! [`capes::Experiment`] under the same seeds — the integration tests hold
+//! [`CapesSystem::run`] under the same seeds — the integration tests hold
 //! the two JSON reports equal — so the layer adds scale and transfer
 //! learning without changing the algorithm.
 //!
@@ -140,10 +140,6 @@ struct ClusterSession {
     profile: usize,
     /// This cluster's row in the profile's observation batch.
     row: usize,
-    /// Throughput series of the in-progress phase.
-    series: Vec<f64>,
-    /// Prediction-error count at the start of the in-progress phase.
-    errors_before: usize,
     /// The in-flight measurement: each tick's measure phase overwrites it,
     /// and `finish_tick` reads it.
     measurement: TickMeasurement,

@@ -257,7 +257,6 @@ impl FleetDaemon {
                     session
                         .system
                         .finish_tick(kind, &session.measurement, action, explored, error);
-                session.series.push(system_tick.throughput_mbps);
                 // In bounds: one objective gauge per cluster.
                 objectives[i].set(system_tick.throughput_mbps);
             }
@@ -287,10 +286,12 @@ impl FleetDaemon {
     /// second), and every cluster contributes one
     /// [`capes::ExperimentReport`]-shaped aggregate to the returned
     /// [`FleetReport`]. Each member opens and closes its phases with
-    /// [`CapesSystem::begin_phase`](capes::CapesSystem::begin_phase) and [`CapesSystem::end_phase`](capes::CapesSystem::end_phase), the
-    /// protocol a standalone [`capes::Experiment`] runs. Training draws follow
-    /// each profile's [`FleetDaemon::set_profile_sharing`] weights, which
-    /// hold across runs.
+    /// [`CapesSystem::begin_phase`](capes::CapesSystem::begin_phase) and
+    /// [`CapesSystem::end_phase`](capes::CapesSystem::end_phase), the
+    /// protocol a standalone [`CapesSystem::run`](capes::CapesSystem::run)
+    /// runs, so each member's phase record is freed when its phase ends.
+    /// Training draws follow each profile's
+    /// [`FleetDaemon::set_profile_sharing`] weights, which hold across runs.
     pub fn run(&mut self, phases: &[Phase]) -> FleetReport {
         let started = Instant::now();
         let ticks_before = self.cluster_ticks;
@@ -299,19 +300,13 @@ impl FleetDaemon {
         for phase in phases {
             let kind = phase.kind();
             for session in &mut self.sessions {
-                session.errors_before = session.system.begin_phase(kind);
-                session.series.clear();
+                session.system.begin_phase(kind);
             }
             for _ in 0..phase.ticks() {
                 self.tick_all(kind);
             }
             for (session, results) in self.sessions.iter_mut().zip(&mut per_cluster) {
-                let series = std::mem::take(&mut session.series);
-                results.push(
-                    session
-                        .system
-                        .end_phase(phase, series, session.errors_before),
-                );
+                results.push(session.system.end_phase(phase));
             }
         }
         let cluster_ticks = self.cluster_ticks - ticks_before;

@@ -123,7 +123,7 @@ pub struct ClusterReport {
     /// Human-readable scenario description (workload, geometry, seed).
     pub scenario: String,
     /// The cluster's per-phase sessions — the same aggregate a standalone
-    /// [`capes::Experiment`] run produces.
+    /// [`CapesSystem::run`](capes::CapesSystem::run) produces.
     pub report: ExperimentReport,
 }
 

@@ -9,7 +9,7 @@
 //! restore must reject configuration skew and arbitrarily corrupted files
 //! with typed errors, leaving the daemon untouched, and never panic.
 
-use capes::{Hyperparameters, PhaseKind, Transport};
+use capes::{Hyperparameters, Phase, PhaseKind, Transport};
 use capes_fleet::{ExperienceSharing, Fleet, FleetDaemon, FleetError, ScenarioSpec};
 use capes_simstore::Workload;
 use proptest::prelude::*;
@@ -236,6 +236,52 @@ fn auto_checkpoint_fires_on_the_interval() {
         fleet.tick_all(PhaseKind::Train);
     }
     assert_eq!(fleet.persist_report().auto_checkpoints, 2);
+    let _ = std::fs::remove_file(&snap);
+}
+
+#[test]
+fn snapshots_stop_growing_once_the_replay_ring_is_full() {
+    // Every member's phase record moves into the run's report when its
+    // phase ends, so once the replay ring has wrapped, another run of the
+    // same plan leaves a snapshot of the same size.
+    let mut fleet = Fleet::builder()
+        .hyperparams(Hyperparameters {
+            replay_capacity_ticks: 40,
+            ..quick_hp()
+        })
+        .seed(31)
+        .transport(Transport::Wire)
+        .scenarios([
+            ScenarioSpec::new("w", Workload::random_rw(0.1)).clients(2),
+            ScenarioSpec::new("r", Workload::random_rw(0.9)).clients(2),
+        ])
+        .build()
+        .expect("valid fleet");
+    let phases = [
+        Phase::Baseline { ticks: 20 },
+        Phase::Train { ticks: 60 },
+        Phase::Tuned {
+            ticks: 20,
+            label: "tuned".into(),
+        },
+    ];
+    let snap = temp_path("plateau.snap");
+    let mut sizes = Vec::new();
+    for _ in 0..2 {
+        let report = fleet.run(&phases);
+        assert!(!report.clusters[0].report.sessions[1]
+            .prediction_errors
+            .is_empty());
+        for cluster in 0..fleet.num_clusters() {
+            assert!(fleet.system(cluster).prediction_errors().is_empty());
+        }
+        fleet.checkpoint(&snap).expect("checkpoint");
+        sizes.push(std::fs::metadata(&snap).unwrap().len());
+    }
+    assert_eq!(
+        sizes[1], sizes[0],
+        "a second run of the same plan grew the snapshot"
+    );
     let _ = std::fs::remove_file(&snap);
 }
 

@@ -5,11 +5,11 @@
 //! strongest possible regression guard is exact equivalence at N = 1: under
 //! the same seeds and transport, a single-cluster fleet must produce a
 //! per-cluster report *bit-identical* (equal JSON) to a standalone
-//! [`capes::Experiment`] over the same simulated cluster. Every divergence in
+//! [`capes::CapesSystem::run`] over the same simulated cluster. Every divergence in
 //! RNG consumption, stage ordering, reward scaling or report assembly shows
 //! up here.
 
-use capes::{Capes, Experiment, Hyperparameters, Phase, SimulatedLustre, Transport};
+use capes::{Capes, Hyperparameters, Phase, SimulatedLustre, Transport};
 use capes_fleet::{Fleet, ScenarioSpec};
 use capes_simstore::{ClusterConfig, PiMode, Workload};
 use serde::{map_get, Serialize, Value};
@@ -59,17 +59,13 @@ fn one_cluster_fleet_is_bit_identical_to_experiment_over_wire_frames() {
         .workload(workload.clone())
         .seed(CLUSTER_SEED)
         .build();
-    let system = Capes::builder(target)
+    let mut system = Capes::builder(target)
         .hyperparams(quick_hp())
         .seed(FLEET_SEED)
         .transport(Transport::Wire)
         .build()
         .expect("valid system");
-    let mut experiment = Experiment::new(system);
-    for phase in phases() {
-        experiment = experiment.phase(phase);
-    }
-    let standalone = experiment.run();
+    let standalone = system.run(&phases());
 
     // --- One-cluster fleet -----------------------------------------------
     let mut daemon = Fleet::builder()

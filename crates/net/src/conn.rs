@@ -77,11 +77,6 @@ impl ConnState {
         }
     }
 
-    /// Bytes held for a frame still being reassembled.
-    pub fn buffered(&self) -> usize {
-        self.reassembler.buffered()
-    }
-
     /// Feeds one raw chunk. Every frame that completes is decoded as a
     /// cluster-enveloped message and handed to `sink(cluster, message)`.
     /// When `num_clusters` is set, frames naming a cluster at or beyond it

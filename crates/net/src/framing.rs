@@ -83,6 +83,7 @@ impl FrameReassembler {
     /// Bytes currently held for a frame still in flight. The payload buffer
     /// itself is retained across frames (it is reused), but its bytes only
     /// count while a frame is incomplete.
+    // capes-check: allow(dead-pub) -- the frame-cap bound of tests/reassembly_props.rs
     pub fn buffered(&self) -> usize {
         let mid_payload = if self.expecting.is_some() {
             self.payload.len()

@@ -174,18 +174,22 @@ proptest! {
         }
         const CAP: usize = 1 << 16;
         let mut state = ConnState::new(CAP);
+        // The framing layer a connection runs, fed the same chunks.
+        let mut framing = FrameReassembler::new(CAP);
         let mut offset = 0;
         let mut dead = false;
         while offset < len && !dead {
             let take = rng.gen_range(1..=7usize).min(len - offset);
-            let result = state.ingest(&stream[offset..offset + take], Some(4), |c, _| {
+            let chunk = &stream[offset..offset + take];
+            let result = state.ingest(chunk, Some(4), |c, _| {
                 // Deliveries that happen before corruption bites must still
                 // be range-checked.
                 assert!(c < 4, "delivered to out-of-range cluster");
             });
             dead = result.is_err();
+            let _ = framing.push(chunk, |_| ControlFlow::Continue(()));
             offset += take;
-            prop_assert!(state.buffered() <= CAP + 4, "buffered past the frame cap");
+            prop_assert!(framing.buffered() <= CAP + 4, "buffered past the frame cap");
         }
     }
 

@@ -154,14 +154,18 @@ fn slow_client_is_shed_for_backpressure_without_hurting_others() {
 
     // The stalled client never reads. Pump action frames at it until the
     // outbound cap (512 bytes) trips. Each frame is ~40 bytes, and loopback
-    // socket buffers absorb the first few hundred KiB, so keep sending.
+    // socket buffers absorb the first few hundred KiB or more, so keep
+    // sending until a deadline rather than for a fixed count: `send` only
+    // queues for the reactor, which may trip the cap long after the frame
+    // that overflows it was queued.
     let action = Message::Action(ActionMessage {
         tick: 1,
         action_index: 0,
         parameter_values: vec![1.0; 8],
     });
+    let deadline = Instant::now() + Duration::from_secs(20);
     let mut sheds = 0;
-    for _ in 0..100_000 {
+    while Instant::now() < deadline {
         handle.send(0, &action);
         if handle.stats().shed_backpressure == 1 {
             sheds = 1;

@@ -115,15 +115,15 @@ fn tune_with(engine: Option<Box<dyn TuningEngine>>, train_ticks: u64) -> Experim
     if let Some(engine) = engine {
         builder = builder.engine(engine);
     }
-    let system = builder.build().expect("valid configuration");
-    let mut experiment = Experiment::new(system)
-        .phase(Phase::Baseline { ticks: 400 })
-        .phase(Phase::Train { ticks: train_ticks })
-        .phase(Phase::Tuned {
+    let mut system = builder.build().expect("valid configuration");
+    system.run(&[
+        Phase::Baseline { ticks: 400 },
+        Phase::Train { ticks: train_ticks },
+        Phase::Tuned {
             ticks: 400,
             label: "tuned".into(),
-        });
-    experiment.run()
+        },
+    ])
 }
 
 fn main() {

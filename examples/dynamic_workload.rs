@@ -32,7 +32,7 @@ fn main() {
     // so the counter is an atomic.
     let explored: Arc<AtomicU64> = Arc::new(AtomicU64::new(0));
     let sink = explored.clone();
-    let system = Capes::builder(target)
+    let mut system = Capes::builder(target)
         .hyperparams(Hyperparameters::quick_test())
         .seed(5)
         .observer(move |_kind: PhaseKind, tick: &SystemTick| {
@@ -51,19 +51,16 @@ fn main() {
     ];
 
     println!("alternating workloads, {phase_ticks} ticks per phase\n");
-    let mut experiment = Experiment::new(system);
     for (i, (label, workload)) in phases.into_iter().enumerate() {
         if i > 0 {
             // The job scheduler tells CAPES that a new workload is starting;
             // exploration is bumped so the policy adapts instead of being
             // stuck in the previous workload's local maximum.
-            let system = experiment.system_mut();
             system.target_mut().cluster_mut().set_workload(workload);
             system.notify_workload_change();
         }
         let explored_before = explored.load(Ordering::Relaxed);
-        experiment = experiment.phase(Phase::Train { ticks: phase_ticks });
-        let report = experiment.run();
+        let report = system.run(&[Phase::Train { ticks: phase_ticks }]);
         let result = &report.sessions[0];
         let explored_in_phase = explored.load(Ordering::Relaxed) - explored_before;
         println!(

@@ -30,21 +30,19 @@ fn main() {
         .build();
     println!("target system : {}", target.describe());
 
-    let system = Capes::builder(target)
+    let mut system = Capes::builder(target)
         .hyperparams(Hyperparameters::quick_test())
         .seed(99)
         .build()
         .expect("valid configuration");
 
     println!("training on the fileserver workload for {train_ticks} simulated seconds…");
-    let mut experiment = Experiment::new(system).phase(Phase::Train { ticks: train_ticks });
-    let report = experiment.run();
+    let report = system.run(&[Phase::Train { ticks: train_ticks }]);
     println!(
         "  training mean throughput: {:.1} MB/s",
         report.sessions[0].mean_throughput()
     );
-    experiment
-        .system()
+    system
         .save_checkpoint(&checkpoint)
         .expect("checkpoint save");
     println!("  model checkpoint written to {}", checkpoint.display());
@@ -52,22 +50,21 @@ fn main() {
     // Three later sessions, each with drifted cluster state, as in Figure 4.
     for (i, fragmentation) in [0.0, 0.5, 1.0].into_iter().enumerate() {
         println!("\nsession {} (fragmentation {:.1}):", i + 1, fragmentation);
-        experiment
-            .system_mut()
+        system
             .target_mut()
             .cluster_mut()
             .perturb_session(fragmentation, 60 * 24 * (i as u64 + 1));
         // Each session: two hours of baseline, two hours of tuned measurement
         // in the paper; scaled down here.
-        experiment = experiment
-            .phase(Phase::Baseline {
+        let report = system.run(&[
+            Phase::Baseline {
                 ticks: measure_ticks,
-            })
-            .phase(Phase::Tuned {
+            },
+            Phase::Tuned {
                 ticks: measure_ticks,
                 label: "tuned".into(),
-            });
-        let report = experiment.run();
+            },
+        ]);
         let baseline = report.baseline().expect("baseline ran");
         let tuned = report.session("tuned").expect("tuned ran");
         println!("  {}", baseline.summary());

@@ -2,7 +2,7 @@
 //! rate limit with CAPES and compare against the untuned baseline.
 //!
 //! This follows the paper's evaluation workflow (Appendix A.4), expressed as
-//! a declarative `Experiment` plan:
+//! a declarative plan of `Phase`s that `CapesSystem::run` executes:
 //!
 //! 1. set up the target system (here: the bundled cluster simulator running
 //!    the write-heavy 1:9 random read/write workload);
@@ -39,7 +39,7 @@ fn main() {
     //    hyperparameters (γ, α, minibatch size, ε schedule shape) but shortens
     //    the exploration period so a laptop-scale run converges. Invalid
     //    configurations come back as typed `CapesError`s instead of panics.
-    let system = Capes::builder(target)
+    let mut system = Capes::builder(target)
         .hyperparams(Hyperparameters::quick_test())
         .seed(2017)
         .build()
@@ -47,16 +47,16 @@ fn main() {
 
     // 3. The paper's workflow as one declarative plan.
     println!("training for {train_ticks} simulated seconds…");
-    let mut experiment = Experiment::new(system)
-        .phase(Phase::Train { ticks: train_ticks })
-        .phase(Phase::Baseline {
+    let report = system.run(&[
+        Phase::Train { ticks: train_ticks },
+        Phase::Baseline {
             ticks: measure_ticks,
-        })
-        .phase(Phase::Tuned {
+        },
+        Phase::Tuned {
             ticks: measure_ticks,
             label: "tuned (CAPES)".into(),
-        });
-    let report = experiment.run();
+        },
+    ]);
 
     let training = &report.sessions[0];
     println!(

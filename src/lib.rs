@@ -7,9 +7,10 @@
 //!
 //! The typical entry point is the [`capes`] crate's prelude, re-exported here
 //! as [`prelude`]: the [`capes::builder::Capes`] builder assembles a system,
-//! [`capes::experiment::Experiment`] runs declarative baseline/train/tuned
-//! plans over it, and [`capes::engine::TuningEngine`] lets the DRL engine and
-//! the search comparators share one driver.
+//! its [`capes::system::CapesSystem::run`] runs declarative
+//! baseline/train/tuned [`capes::experiment::Phase`] plans, and
+//! [`capes::engine::TuningEngine`] lets the DRL engine and the search
+//! comparators share one driver.
 
 pub use capes;
 pub use capes_agents as agents;

@@ -2,7 +2,7 @@
 //! monitoring agents → interface daemon → replay DB → tuning engine → control
 //! agent → simulator) on scaled-down versions of the paper's experiments,
 //! driven through the builder-first construction API and declarative
-//! `Experiment` plans.
+//! `Phase` plans run by `CapesSystem::run`.
 
 use capes::prelude::*;
 use serde::{map_get, Serialize, Value};
@@ -33,14 +33,14 @@ fn build_system(workload: Workload, seed: u64) -> CapesSystem<SimulatedLustre> {
 fn training_improves_write_heavy_throughput_over_baseline() {
     // Scaled-down Figure 2 (1:9 column): after training, tuned throughput must
     // beat the default-settings baseline by a clear margin.
-    let mut experiment = Experiment::new(build_system(Workload::random_rw(0.1), 20170))
-        .phase(Phase::Baseline { ticks: 400 })
-        .phase(Phase::Train { ticks: 6_000 })
-        .phase(Phase::Tuned {
+    let report = build_system(Workload::random_rw(0.1), 20170).run(&[
+        Phase::Baseline { ticks: 400 },
+        Phase::Train { ticks: 6_000 },
+        Phase::Tuned {
             ticks: 400,
             label: "tuned".into(),
-        });
-    let report = experiment.run();
+        },
+    ]);
     let improvement = report
         .improvement_over_baseline("tuned")
         .expect("baseline and tuned sessions ran");
@@ -55,10 +55,8 @@ fn training_improves_write_heavy_throughput_over_baseline() {
 
 #[test]
 fn tuned_parameters_move_away_from_the_defaults() {
-    let mut experiment = Experiment::new(build_system(Workload::random_rw(0.1), 77))
-        .phase(Phase::Train { ticks: 5_000 });
-    experiment.run();
-    let system = experiment.system();
+    let mut system = build_system(Workload::random_rw(0.1), 77);
+    system.run(&[Phase::Train { ticks: 5_000 }]);
     let params = system.current_params();
     let defaults: Vec<f64> = system
         .target()
@@ -76,9 +74,7 @@ fn tuned_parameters_move_away_from_the_defaults() {
 fn prediction_error_decreases_during_training() {
     // Scaled-down Figure 5: the mean prediction error late in training must be
     // below the mean error right after the warm-up.
-    let mut experiment = Experiment::new(build_system(Workload::random_rw(0.1), 31))
-        .phase(Phase::Train { ticks: 4_000 });
-    let report = experiment.run();
+    let report = build_system(Workload::random_rw(0.1), 31).run(&[Phase::Train { ticks: 4_000 }]);
     let errors: Vec<f64> = report.sessions[0]
         .prediction_errors
         .iter()
@@ -97,10 +93,8 @@ fn prediction_error_decreases_during_training() {
 fn replay_db_fills_and_monitoring_traffic_stays_small() {
     // Scaled-down Table 2: after N ticks the replay DB holds N records and the
     // differential protocol keeps per-report sizes small.
-    let mut experiment =
-        Experiment::new(build_system(Workload::fileserver(), 8)).phase(Phase::Train { ticks: 300 });
-    experiment.run();
-    let system = experiment.system();
+    let mut system = build_system(Workload::fileserver(), 8);
+    system.run(&[Phase::Train { ticks: 300 }]);
     assert_eq!(system.replay_db().len(), 300);
     let daemon = system.daemon_stats();
     assert_eq!(daemon.reports_received, 300 * 5, "5 clients × 300 ticks");
@@ -123,10 +117,9 @@ fn checkpointed_model_keeps_its_gains_in_a_later_session() {
     // tuned run still beats the baseline.
     let checkpoint =
         std::env::temp_dir().join(format!("capes-integration-{}.ckpt", std::process::id()));
-    let mut experiment = Experiment::new(build_system(Workload::random_rw(0.1), 404))
-        .phase(Phase::Train { ticks: 6_000 });
-    experiment.run();
-    experiment.system().save_checkpoint(&checkpoint).unwrap();
+    let mut system = build_system(Workload::random_rw(0.1), 404);
+    system.run(&[Phase::Train { ticks: 6_000 }]);
+    system.save_checkpoint(&checkpoint).unwrap();
 
     // A later session: perturbed cluster, fresh CAPES deployment, restored model.
     let mut later = build_system(Workload::random_rw(0.1), 405);
@@ -136,13 +129,13 @@ fn checkpointed_model_keeps_its_gains_in_a_later_session() {
         .perturb_session(0.8, 60 * 24 * 14);
     later.restore_checkpoint(&checkpoint, 406).unwrap();
 
-    let mut experiment = Experiment::new(later)
-        .phase(Phase::Baseline { ticks: 400 })
-        .phase(Phase::Tuned {
+    let report = later.run(&[
+        Phase::Baseline { ticks: 400 },
+        Phase::Tuned {
             ticks: 400,
             label: "tuned".into(),
-        });
-    let report = experiment.run();
+        },
+    ]);
     assert!(
         report.improvement_over_baseline("tuned").unwrap() > 0.05,
         "restored model should still help: {} vs {}",
@@ -161,7 +154,7 @@ fn multi_objective_tuning_runs_and_reports() {
         .workload(Workload::random_rw(0.5))
         .seed(55)
         .build();
-    let system = Capes::builder(target)
+    let mut system = Capes::builder(target)
         .hyperparams(quick_hyperparams())
         .objective(Objective::Weighted {
             throughput_weight: 1.0,
@@ -170,8 +163,7 @@ fn multi_objective_tuning_runs_and_reports() {
         .seed(55)
         .build()
         .expect("valid configuration");
-    let mut experiment = Experiment::new(system).phase(Phase::Train { ticks: 600 });
-    let report = experiment.run();
+    let report = system.run(&[Phase::Train { ticks: 600 }]);
     assert!(report.sessions[0].mean_throughput() > 0.0);
     assert!(!report.sessions[0].prediction_errors.is_empty());
 }
@@ -241,14 +233,14 @@ fn builder_surfaces_invalid_configurations_as_typed_errors() {
 
 #[test]
 fn experiment_reports_round_trip_through_json() {
-    let mut experiment = Experiment::new(build_system(Workload::random_rw(0.5), 12))
-        .phase(Phase::Baseline { ticks: 60 })
-        .phase(Phase::Train { ticks: 120 })
-        .phase(Phase::Tuned {
+    let report = build_system(Workload::random_rw(0.5), 12).run(&[
+        Phase::Baseline { ticks: 60 },
+        Phase::Train { ticks: 120 },
+        Phase::Tuned {
             ticks: 60,
             label: "tuned".into(),
-        });
-    let report = experiment.run();
+        },
+    ]);
     // JSON is write-only: the printed report must parse back to exactly the
     // in-memory sessions, labels and counts included.
     let json: Value = serde_json::from_str(&report.to_json()).expect("valid JSON");
@@ -276,7 +268,7 @@ fn per_tick_observers_stream_during_every_phase() {
         .workload(Workload::random_rw(0.1))
         .seed(9)
         .build();
-    let system = Capes::builder(target)
+    let mut system = Capes::builder(target)
         .hyperparams(quick_hyperparams())
         .seed(9)
         .observer(move |kind: PhaseKind, _tick: &SystemTick| {
@@ -289,14 +281,14 @@ fn per_tick_observers_stream_during_every_phase() {
         })
         .build()
         .expect("valid configuration");
-    let mut experiment = Experiment::new(system)
-        .phase(Phase::Baseline { ticks: 40 })
-        .phase(Phase::Train { ticks: 70 })
-        .phase(Phase::Tuned {
+    system.run(&[
+        Phase::Baseline { ticks: 40 },
+        Phase::Train { ticks: 70 },
+        Phase::Tuned {
             ticks: 25,
             label: "t".into(),
-        });
-    experiment.run();
+        },
+    ]);
     assert_eq!(*counts.lock().unwrap(), (40, 70, 25));
 }
 
@@ -309,33 +301,33 @@ fn capes_is_competitive_with_search_tuners_on_the_simulator() {
         .workload(Workload::random_rw(0.1))
         .seed(88)
         .build();
-    let search_system = Capes::builder(target)
+    let mut search_system = Capes::builder(target)
         .hyperparams(quick_hyperparams())
         .engine(Box::new(SearchEngine::new(HillClimbing::new(40), 60)))
         .seed(88)
         .build()
         .expect("valid configuration");
-    let mut search_experiment = Experiment::new(search_system)
-        .phase(Phase::Train { ticks: 40 * 60 })
-        .phase(Phase::Tuned {
+    let search_report = search_system.run(&[
+        Phase::Train { ticks: 40 * 60 },
+        Phase::Tuned {
             ticks: 400,
             label: "hill climbing".into(),
-        });
-    let search_report = search_experiment.run();
+        },
+    ]);
     let hill_tuned = search_report.session("hill climbing").unwrap();
     assert!(
-        search_experiment.system().engine().is_converged(),
+        search_system.engine().is_converged(),
         "the hill climb should finish within its tick budget"
     );
 
-    let mut experiment = Experiment::new(build_system(Workload::random_rw(0.1), 88))
-        .phase(Phase::Train { ticks: 6_000 })
-        .phase(Phase::Baseline { ticks: 400 })
-        .phase(Phase::Tuned {
+    let report = build_system(Workload::random_rw(0.1), 88).run(&[
+        Phase::Train { ticks: 6_000 },
+        Phase::Baseline { ticks: 400 },
+        Phase::Tuned {
             ticks: 400,
             label: "capes".into(),
-        });
-    let report = experiment.run();
+        },
+    ]);
     let baseline = report.baseline().unwrap();
     let tuned = report.session("capes").unwrap();
 
