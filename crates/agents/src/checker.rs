@@ -13,9 +13,6 @@ pub enum CheckOutcome {
     Allowed,
     /// The action was rejected; the string names the violated rule.
     Rejected(String),
-    /// The action was allowed after clamping one or more values into range;
-    /// the payload is the adjusted parameter vector.
-    Clamped(Vec<f64>),
 }
 
 /// A per-parameter bound enforced by the checker.
@@ -33,25 +30,21 @@ pub struct ParamBound {
 #[derive(Debug)]
 pub struct ActionChecker {
     bounds: Vec<ParamBound>,
-    /// If `true`, out-of-range values are clamped instead of rejected.
-    clamp_instead_of_reject: bool,
 }
 
 impl ActionChecker {
-    /// Creates a checker enforcing the given per-parameter bounds.
-    pub fn new(bounds: Vec<ParamBound>, clamp_instead_of_reject: bool) -> Self {
+    /// Creates a checker that rejects any action with a value outside the
+    /// given per-parameter bounds.
+    pub fn new(bounds: Vec<ParamBound>) -> Self {
         for b in &bounds {
             assert!(b.min <= b.max, "bound for {} is inverted", b.name);
         }
-        ActionChecker {
-            bounds,
-            clamp_instead_of_reject,
-        }
+        ActionChecker { bounds }
     }
 
     /// A checker that allows everything (the paper's evaluation configuration).
     pub fn permissive() -> Self {
-        ActionChecker::new(Vec::new(), false)
+        ActionChecker::new(Vec::new())
     }
 
     /// Checks a proposed parameter vector.
@@ -66,27 +59,16 @@ impl ActionChecker {
                 proposed.len()
             ));
         }
-        let mut clamped = proposed.to_vec();
         let mut violation = None;
-        for (i, (&value, bound)) in proposed.iter().zip(&self.bounds).enumerate() {
+        for (&value, bound) in proposed.iter().zip(&self.bounds) {
             if value < bound.min || value > bound.max {
                 violation = Some(format!(
                     "{} = {value} outside [{}, {}]",
                     bound.name, bound.min, bound.max
                 ));
-                clamped[i] = value.clamp(bound.min, bound.max);
             }
         }
-        match violation {
-            None => CheckOutcome::Allowed,
-            Some(reason) => {
-                if self.clamp_instead_of_reject {
-                    CheckOutcome::Clamped(clamped)
-                } else {
-                    CheckOutcome::Rejected(reason)
-                }
-            }
-        }
+        violation.map_or(CheckOutcome::Allowed, CheckOutcome::Rejected)
     }
 }
 
@@ -118,14 +100,14 @@ mod tests {
 
     #[test]
     fn in_range_values_pass() {
-        let checker = ActionChecker::new(lustre_bounds(), false);
+        let checker = ActionChecker::new(lustre_bounds());
         let outcome = checker.check(&[16.0, 500.0]);
         assert_eq!(outcome, CheckOutcome::Allowed);
     }
 
     #[test]
     fn out_of_range_values_are_rejected_with_reason() {
-        let checker = ActionChecker::new(lustre_bounds(), false);
+        let checker = ActionChecker::new(lustre_bounds());
         match checker.check(&[4.0, 500.0]) {
             CheckOutcome::Rejected(reason) => {
                 assert!(reason.contains("max_rpcs_in_flight"));
@@ -136,32 +118,18 @@ mod tests {
     }
 
     #[test]
-    fn clamping_mode_adjusts_instead_of_rejecting() {
-        let checker = ActionChecker::new(lustre_bounds(), true);
-        match checker.check(&[4.0, 5000.0]) {
-            CheckOutcome::Clamped(values) => {
-                assert_eq!(values, vec![8.0, 2000.0]);
-            }
-            other => panic!("expected clamp, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn wrong_arity_rejected() {
-        let checker = ActionChecker::new(lustre_bounds(), true);
+        let checker = ActionChecker::new(lustre_bounds());
         assert!(matches!(checker.check(&[16.0]), CheckOutcome::Rejected(_)));
     }
 
     #[test]
     #[should_panic(expected = "inverted")]
     fn inverted_bounds_rejected() {
-        let _ = ActionChecker::new(
-            vec![ParamBound {
-                name: "x",
-                min: 10.0,
-                max: 1.0,
-            }],
-            false,
-        );
+        let _ = ActionChecker::new(vec![ParamBound {
+            name: "x",
+            min: 10.0,
+            max: 1.0,
+        }]);
     }
 }

@@ -159,7 +159,8 @@ mod tests {
         let mut w = capes_persist::Writer::new();
         agent.encode_state(&mut w);
         let mut restored = ControlAgent::default();
-        let mut r = capes_persist::Reader::new(w.as_slice());
+        let bytes = w.into_vec();
+        let mut r = capes_persist::Reader::new(&bytes);
         restored.decode_state(&mut r).expect("state decodes");
         r.finish().expect("nothing trails");
         assert_eq!(restored.stats(), agent.stats());

@@ -133,11 +133,6 @@ impl InterfaceDaemon {
         self.stats
     }
 
-    /// The replay database the daemon writes into.
-    pub fn replay_db(&self) -> &SharedReplayDb {
-        &self.db
-    }
-
     /// Ingests an encoded wire frame (as received from a Monitoring Agent).
     pub fn ingest_frame(&mut self, frame: &[u8]) -> Result<(), PersistError> {
         let message = decode_message(frame)?;
@@ -205,24 +200,19 @@ impl InterfaceDaemon {
                     .insert(*node, *value);
                 self.flush_objective(*tick);
             }
-            // Actions and workload changes travel the other way; accept them
-            // silently so a shared bus can be used for every message type.
-            Message::Action(_) | Message::WorkloadChange { .. } => {}
+            // Actions travel the other way; accept them silently so a shared
+            // bus can be used for every message type.
+            Message::Action(_) => {}
         }
     }
 
     /// Screens an action with the Action Checker and records the checked
     /// action in the Replay DB (for experience replay). Returns the action
-    /// for the Control Agent — carrying the clamped values when the checker
-    /// clamped — or `None` when the checker vetoed it.
-    pub fn broadcast_action(&mut self, mut action: ActionMessage) -> Option<ActionMessage> {
-        match self.checker.check(&action.parameter_values) {
-            CheckOutcome::Rejected(_) => {
-                self.stats.actions_rejected += 1;
-                return None;
-            }
-            CheckOutcome::Clamped(values) => action.parameter_values = values,
-            CheckOutcome::Allowed => {}
+    /// for the Control Agent, or `None` when the checker vetoed it.
+    pub fn broadcast_action(&mut self, action: ActionMessage) -> Option<ActionMessage> {
+        if let CheckOutcome::Rejected(_) = self.checker.check(&action.parameter_values) {
+            self.stats.actions_rejected += 1;
+            return None;
         }
         self.db.insert_action(action.tick, action.action_index);
         self.stats.actions_broadcast += 1;
@@ -482,14 +472,11 @@ mod tests {
         let mut daemon = InterfaceDaemon::new(
             shared.clone(),
             1,
-            ActionChecker::new(
-                vec![crate::checker::ParamBound {
-                    name: "window",
-                    min: 1.0,
-                    max: 256.0,
-                }],
-                false,
-            ),
+            ActionChecker::new(vec![crate::checker::ParamBound {
+                name: "window",
+                min: 1.0,
+                max: 256.0,
+            }]),
         );
         let ok = ActionMessage {
             tick: 3,
@@ -508,32 +495,6 @@ mod tests {
         assert_eq!(daemon.stats().actions_rejected, 1);
         assert_eq!(daemon.stats().actions_broadcast, 1);
         shared.with_read(|db| assert_eq!(db.action_at(4), None));
-    }
-
-    #[test]
-    fn clamping_checker_adjusts_before_broadcast() {
-        let shared = db(1, 3);
-        let mut daemon = InterfaceDaemon::new(
-            shared,
-            1,
-            ActionChecker::new(
-                vec![crate::checker::ParamBound {
-                    name: "window",
-                    min: 8.0,
-                    max: 256.0,
-                }],
-                true,
-            ),
-        );
-        let checked = daemon.broadcast_action(ActionMessage {
-            tick: 1,
-            action_index: 0,
-            parameter_values: vec![2.0],
-        });
-        assert_eq!(
-            checked.expect("clamped, not vetoed").parameter_values,
-            vec![8.0]
-        );
     }
 
     #[test]
@@ -747,7 +708,6 @@ mod tests {
     fn non_ingest_messages_are_tolerated() {
         let shared = db(1, 3);
         let mut daemon = InterfaceDaemon::new(shared, 1, ActionChecker::permissive());
-        daemon.ingest(&Message::WorkloadChange { tick: 1 });
         daemon.ingest(&Message::Action(ActionMessage {
             tick: 1,
             action_index: 0,

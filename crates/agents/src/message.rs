@@ -49,10 +49,4 @@ pub enum Message {
     },
     /// Interface Daemon → Control Agents.
     Action(ActionMessage),
-    /// Interface Daemon → DRL engine: a new workload has been scheduled
-    /// (bumps exploration, §3.6).
-    WorkloadChange {
-        /// Tick at which the new workload starts.
-        tick: u64,
-    },
 }

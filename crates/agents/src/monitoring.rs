@@ -197,7 +197,7 @@ mod tests {
         agent.sample(0, &[1.0, 2.0]);
         let mut w = Writer::new();
         agent.encode(&mut w);
-        let bytes = w.as_slice().to_vec();
+        let bytes = w.into_vec();
         // The slot sits between the cached values and the 24 stats bytes.
         let slot = bytes.len() - 32..bytes.len() - 24;
         assert_eq!(bytes[slot.clone()], 0.0f64.to_le_bytes());

@@ -12,7 +12,6 @@
 //!            { varint(index) f32(value) }*
 //! objective := varint(tick) varint(node) f64(value)
 //! action  := varint(tick) varint(action) varint(count) { f64(value) }*
-//! workload := varint(tick)
 //! fleet_frame := 0xF7 varint(cluster_id) frame
 //! stream_frame := u32_be(len) fleet_frame
 //! ```
@@ -43,7 +42,6 @@ use capes_persist::{Persist, PersistError, Reader, Writer};
 pub(crate) const TAG_REPORT: u8 = 0x01;
 const TAG_OBJECTIVE: u8 = 0x02;
 const TAG_ACTION: u8 = 0x03;
-const TAG_WORKLOAD: u8 = 0x04;
 const FLEET_FRAME_TAG: u8 = 0xF7;
 
 /// Initial buffer of an encoded frame; anything but a large report fits.
@@ -150,10 +148,6 @@ impl Persist for Message {
                 w.put_u8(TAG_ACTION);
                 action.encode(w);
             }
-            Message::WorkloadChange { tick } => {
-                w.put_u8(TAG_WORKLOAD);
-                w.put_varint(*tick);
-            }
         }
     }
 
@@ -166,9 +160,6 @@ impl Persist for Message {
                 value: f64::from_be_bytes(get_be(r)?),
             }),
             TAG_ACTION => ActionMessage::decode(r).map(Message::Action),
-            TAG_WORKLOAD => Ok(Message::WorkloadChange {
-                tick: r.get_varint()?,
-            }),
             _ => Err(PersistError::BadValue {
                 what: "unknown message tag",
             }),
@@ -275,8 +266,7 @@ mod tests {
             node: 2,
             value: 350.25,
         };
-        let workload = Message::WorkloadChange { tick: u64::MAX };
-        vec![report(44), report(0), objective, action(9), workload]
+        vec![report(44), report(0), objective, action(9)]
     }
 
     /// A frame of `tag` and `varints`, for crafting corrupt input.
@@ -324,9 +314,12 @@ mod tests {
 
     #[test]
     fn unknown_tag_is_rejected() {
-        let err = decode_message(&[0x7f, 0, 0]).unwrap_err();
-        assert!(matches!(err, PersistError::BadValue { .. }), "{err}");
-        assert!(err.to_string().contains("tag"));
+        // 0x04 was the retired workload-change message.
+        for tag in [0x7f, 0x04] {
+            let err = decode_message(&[tag, 0, 0]).unwrap_err();
+            assert!(matches!(err, PersistError::BadValue { .. }), "{err}");
+            assert!(err.to_string().contains("tag"));
+        }
     }
 
     #[test]
@@ -336,7 +329,7 @@ mod tests {
         let report = crafted(TAG_REPORT, &[1, 1, 1, u64::MAX]);
         let action = crafted(TAG_ACTION, &[1, 0, u64::MAX / 2]);
         for frame in [report, action] {
-            let err = decode_message(frame.as_slice()).unwrap_err();
+            let err = decode_message(&frame.into_vec()).unwrap_err();
             assert!(matches!(err, PersistError::CountTooLarge { .. }), "{err}");
         }
     }
@@ -346,7 +339,7 @@ mod tests {
         // tick, node, total_pis, count, then an index out of range.
         let mut frame = crafted(TAG_REPORT, &[1, 0, 44, 1, u16::MAX as u64 + 7]);
         frame.put_raw(&1.5f32.to_be_bytes());
-        let err = decode_message(frame.as_slice()).unwrap_err();
+        let err = decode_message(&frame.into_vec()).unwrap_err();
         assert!(matches!(err, PersistError::BadValue { .. }), "{err}");
         assert!(err.to_string().contains("pi index"));
     }
@@ -374,7 +367,12 @@ mod tests {
     fn cluster_frame_with_an_overflowing_tick_is_rejected() {
         // Shifting out its high bits would read the tick `[0xff; 9] ++ [0x7f]`
         // as u64::MAX.
-        let frame = [&[FLEET_FRAME_TAG, 3, TAG_WORKLOAD][..], &[0xff; 9], &[0x7f]].concat();
+        let frame = [
+            &[FLEET_FRAME_TAG, 3, TAG_OBJECTIVE][..],
+            &[0xff; 9],
+            &[0x7f],
+        ]
+        .concat();
         let err = decode_cluster_frame(&frame).unwrap_err();
         assert!(matches!(err, PersistError::BadValue { .. }), "{err}");
     }

@@ -50,10 +50,6 @@ fn action() -> Message {
     })
 }
 
-fn workload_change() -> Message {
-    Message::WorkloadChange { tick: u64::MAX }
-}
-
 // tag 01, tick 300 (ac 02), node 2, total 44 (2c), count 3,
 // then (index, f32 big-endian) × 3.
 const REPORT: &str = "01ac02022c03003fc0000007c01000002b43af0000";
@@ -61,7 +57,8 @@ const REPORT: &str = "01ac02022c03003fc0000007c01000002b43af0000";
 const OBJECTIVE: &str = "0207024075e40000000000";
 // tag 03, tick 9, action 3, count 2, f64 big-endian 12.0 and 1500.0.
 const ACTION: &str = "0309030240280000000000004097700000000000";
-// tag 04, tick u64::MAX as a 10-byte varint.
+// tag 04, tick u64::MAX as a 10-byte varint: the retired workload-change
+// message, which must no longer decode.
 const WORKLOAD_CHANGE: &str = "04ffffffffffffffffff01";
 // envelope tag f7, cluster 300 (ac 02), then the bare action frame.
 const CLUSTER_300_ACTION: &str = "f7ac020309030240280000000000004097700000000000";
@@ -72,7 +69,6 @@ fn every_message_kind_encodes_to_its_golden_bytes() {
         (report(), REPORT),
         (objective(), OBJECTIVE),
         (action(), ACTION),
-        (workload_change(), WORKLOAD_CHANGE),
     ] {
         assert_eq!(hex(&encode_message(&message)), golden, "{message:?}");
     }
@@ -84,10 +80,14 @@ fn every_golden_frame_decodes_to_its_message() {
         (REPORT, report()),
         (OBJECTIVE, objective()),
         (ACTION, action()),
-        (WORKLOAD_CHANGE, workload_change()),
     ] {
         assert_eq!(decode_message(&unhex(golden)).unwrap(), message, "{golden}");
     }
+    let retired = decode_message(&unhex(WORKLOAD_CHANGE)).unwrap_err();
+    assert!(
+        retired.to_string().contains("unknown message tag"),
+        "{retired}"
+    );
 }
 
 #[test]

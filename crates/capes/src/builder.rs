@@ -275,7 +275,6 @@ mod tests {
             .replay_db(arena.stripe(2))
             .build()
             .expect("matching stripe config");
-        assert_eq!(system.replay_db().arena().num_stripes(), 3);
         system.replay_db().insert_snapshot(7, 0, vec![0.5, 0.5]);
         assert_eq!(arena.stripe(2).len(), 1, "writes land in stripe 2");
         assert!(arena.stripe(0).is_empty() && arena.stripe(1).is_empty());

@@ -83,12 +83,6 @@ pub trait TuningEngine: Send {
         None
     }
 
-    /// The engine's own estimate of the best parameter vector, if it keeps
-    /// one. Default: `None`, meaning "whatever the target currently uses".
-    fn current_params(&self) -> Option<Vec<f64>> {
-        None
-    }
-
     /// Signals a scheduled workload change (paper §3.6). Default: ignored.
     fn notify_workload_change(&mut self, _tick: u64, _bump_ticks: u64) {}
 
@@ -321,10 +315,6 @@ impl<S: SearchStrategy> TuningEngine for SearchEngine<S> {
         }
     }
 
-    fn current_params(&self) -> Option<Vec<f64>> {
-        self.best.as_ref().map(|(p, _)| p.clone())
-    }
-
     fn is_converged(&self) -> bool {
         self.converged
     }
@@ -418,11 +408,12 @@ mod tests {
         // Defaults + 25 candidates, 10 ticks each.
         assert_eq!(system.engine().exploration_ticks_used(), Some(26 * 10));
         assert_eq!(system.tick(), 26 * 10);
-        let best = system.engine().current_params().expect("a best candidate");
         // Once converged, training ticks exploit: the best candidate is
-        // applied through the checker and the Control Agent.
+        // applied through the checker and the Control Agent, and stays.
         let t = system.training_tick();
         assert!(!t.explored);
+        let best = system.current_params();
+        system.training_tick();
         assert_eq!(system.current_params(), best);
         assert_eq!(system.engine().exploration_ticks_used(), Some(26 * 10));
     }
@@ -432,7 +423,8 @@ mod tests {
         let mut system = system_with(SearchEngine::new(StaticBaseline, 20), 40.0);
         train_until_converged(&mut system, 100_000);
         assert_eq!(system.engine().exploration_ticks_used(), Some(20));
-        assert_eq!(system.engine().current_params(), Some(vec![10.0]));
+        system.training_tick();
+        assert_eq!(system.current_params(), vec![10.0]);
         assert_eq!(system.engine().name(), "static defaults");
     }
 }

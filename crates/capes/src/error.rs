@@ -25,14 +25,6 @@ pub enum CapesError {
     /// The target system exposed no tunable parameters, so there is nothing
     /// to tune (the action space would be empty).
     NoTunableParameters,
-    /// The target system reported a different number of nodes than it was
-    /// built with (monitoring agents would mismatch).
-    NodeCountMismatch {
-        /// Nodes the system was assembled for.
-        expected: usize,
-        /// Nodes the target reported.
-        actual: usize,
-    },
     /// A checkpoint operation was requested on an engine that has no
     /// persistable model (e.g. the search comparators).
     EngineUnsupported {
@@ -66,10 +58,6 @@ impl fmt::Display for CapesError {
             CapesError::NoTunableParameters => {
                 write!(f, "target system has no tunable parameters")
             }
-            CapesError::NodeCountMismatch { expected, actual } => write!(
-                f,
-                "target reported {actual} nodes but the system was assembled for {expected}"
-            ),
             CapesError::EngineUnsupported { engine, operation } => {
                 write!(f, "engine `{engine}` does not support {operation}")
             }
@@ -113,11 +101,6 @@ mod tests {
         assert!(CapesError::NoTunableParameters
             .to_string()
             .contains("tunable"));
-        let e = CapesError::NodeCountMismatch {
-            expected: 5,
-            actual: 3,
-        };
-        assert!(e.to_string().contains('5') && e.to_string().contains('3'));
         let e = CapesError::EngineUnsupported {
             engine: "random search".into(),
             operation: "checkpointing",

@@ -131,18 +131,6 @@ impl ExperimentReport {
         Some(session.improvement_over(baseline))
     }
 
-    /// `(label, improvement)` for every non-baseline session, in plan order.
-    pub fn improvements_over_baseline(&self) -> Vec<(String, f64)> {
-        let Some(baseline) = self.baseline() else {
-            return Vec::new();
-        };
-        self.sessions
-            .iter()
-            .filter(|s| s.kind != PhaseKind::Baseline)
-            .map(|s| (s.label.clone(), s.improvement_over(baseline)))
-            .collect()
-    }
-
     /// Paper-style multi-line summary of every session.
     pub fn summary(&self) -> String {
         let mut out = String::new();
@@ -210,7 +198,6 @@ mod tests {
         assert!(report.baseline().is_some());
         assert!(report.session("tuned").is_some());
         assert!(report.improvement_over_baseline("tuned").is_some());
-        assert_eq!(report.improvements_over_baseline().len(), 2);
         assert!(report.summary().contains("baseline"));
         // Each phase's record moved into its session; a second run
         // continues on the same system.

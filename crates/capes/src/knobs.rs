@@ -3,7 +3,8 @@
 //! `capes-check` (rule `env-registry`) requires each `CAPES_*` string
 //! literal in non-test code to appear as a string literal in this module,
 //! so the tuning surface the process reads from its environment is
-//! documented in exactly one place.
+//! documented in exactly one place. The examples' phase lengths are
+//! constants in each example, not knobs.
 
 /// SIMD kernel level. Unset, `auto` or `1/on/true`: the highest level
 /// runtime detection finds (scalar < AVX2+FMA < AVX-512). `avx2` (or `fma`)
@@ -25,18 +26,3 @@ pub const ENV_FLEET_THREADS: &str = "CAPES_FLEET_THREADS";
 /// `1/on/true` runs the full-length experiment schedules instead of the CI
 /// quick profile.
 pub const ENV_FULL: &str = "CAPES_FULL";
-
-/// Training-phase tick count override for the single-system examples.
-pub const ENV_TRAIN_TICKS: &str = "CAPES_TRAIN_TICKS";
-
-/// Measurement-phase tick count override for the single-system examples.
-pub const ENV_MEASURE_TICKS: &str = "CAPES_MEASURE_TICKS";
-
-/// Per-phase tick count override for the dynamic-workload example.
-pub const ENV_PHASE_TICKS: &str = "CAPES_PHASE_TICKS";
-
-/// Training-phase tick count override for the fleet examples.
-pub const ENV_FLEET_TRAIN_TICKS: &str = "CAPES_FLEET_TRAIN_TICKS";
-
-/// Measurement-phase tick count override for the fleet examples.
-pub const ENV_FLEET_MEASURE_TICKS: &str = "CAPES_FLEET_MEASURE_TICKS";

@@ -177,11 +177,6 @@ impl<T: TargetSystem> CapesSystem<T> {
         &mut self.target
     }
 
-    /// The hyperparameters in force.
-    pub fn hyperparams(&self) -> &Hyperparameters {
-        &self.hyperparams
-    }
-
     /// The shared replay database.
     pub fn replay_db(&self) -> &SharedReplayDb {
         &self.db
@@ -220,11 +215,6 @@ impl<T: TargetSystem> CapesSystem<T> {
         &self.specs
     }
 
-    /// The monitoring transport the system was built with.
-    pub fn transport(&self) -> Transport {
-        self.transport
-    }
-
     /// The parameter values the target system is currently using.
     pub fn current_params(&self) -> Vec<f64> {
         self.target.current_params()
@@ -243,12 +233,10 @@ impl<T: TargetSystem> CapesSystem<T> {
     }
 
     /// Signals a scheduled workload change: the engine is informed (the DQN
-    /// bumps exploration back up, paper §3.6) and so is the daemon.
+    /// bumps exploration back up, paper §3.6).
     pub fn notify_workload_change(&mut self) {
         self.engine
             .notify_workload_change(self.tick, self.hyperparams.workload_change_bump_ticks);
-        self.daemon
-            .ingest(&Message::WorkloadChange { tick: self.tick });
     }
 
     /// One training tick: measure, store, explore, train.
@@ -939,7 +927,7 @@ mod tests {
             .transport(Transport::Wire)
             .build()
             .expect("valid configuration");
-        assert_eq!(system.transport(), Transport::Wire);
+        assert_eq!(system.transport, Transport::Wire);
         for _ in 0..60 {
             let t = system.training_tick();
             assert!(t.action.is_some());
@@ -1011,22 +999,36 @@ mod tests {
     #[test]
     fn state_round_trip_resumes_bit_identically() {
         use capes_persist::Persist;
-        let mut original = quick_system(60.0, 11);
+        use capes_replay::ReplayArena;
+        // Each system writes into an arena of its own, so the replay store
+        // can be snapshot and restored exactly as the fleet checkpoint does.
+        let with_arena = |seed| {
+            let arena = ReplayArena::single(quick_hyperparams().replay_config(1, 2));
+            let system = Capes::builder(QuadraticTarget::new(60.0))
+                .hyperparams(quick_hyperparams())
+                .seed(seed)
+                .replay_db(arena.stripe(0))
+                .build()
+                .expect("valid configuration");
+            (arena, system)
+        };
+        let (arena, mut original) = with_arena(11);
         for _ in 0..150 {
             original.training_tick();
         }
-        // Snapshot the replay store alongside the system state — exactly
-        // what the fleet checkpoint does with its arena.
         let mut w = capes_persist::Writer::new();
-        original.replay_db().with_read(|db| db.encode(&mut w));
+        arena.encode(&mut w);
         original.encode_state(&mut w);
 
         // A fresh same-geometry system under a *different* seed: every
         // divergent piece of state must be overwritten by the restore.
-        let mut restored = quick_system(60.0, 99);
-        let mut r = capes_persist::Reader::new(w.as_slice());
-        let db = capes_replay::ReplayDb::decode(&mut r).expect("store decodes");
-        restored.replay_db().with_write(|live| *live = db);
+        let (restored_arena, mut restored) = with_arena(99);
+        let bytes = w.into_vec();
+        let mut r = capes_persist::Reader::new(&bytes);
+        let snapshot = ReplayArena::decode(&mut r).expect("store decodes");
+        restored_arena
+            .restore_from(snapshot)
+            .expect("same geometry restores");
         restored.decode_state(&mut r).expect("state decodes");
         r.finish().expect("no trailing bytes");
 
@@ -1059,6 +1061,7 @@ mod tests {
         }
         let mut w = capes_persist::Writer::new();
         original.encode_state(&mut w);
+        let bytes = w.into_vec();
 
         // Transport skew.
         let mut socket = Capes::builder(QuadraticTarget::new(60.0))
@@ -1067,13 +1070,13 @@ mod tests {
             .transport(Transport::Socket)
             .build()
             .unwrap();
-        let mut r = capes_persist::Reader::new(w.as_slice());
+        let mut r = capes_persist::Reader::new(&bytes);
         let err = socket.decode_state(&mut r).unwrap_err();
         assert!(err.to_string().contains("transport"), "got: {err}");
         assert_eq!(socket.tick(), 0, "nothing was overwritten");
 
         // A snapshot of the retired in-process transport (tag 0).
-        let mut retired = w.as_slice().to_vec();
+        let mut retired = bytes.clone();
         retired[0] = 0;
         let mut wire = quick_system(60.0, 1);
         let mut r = capes_persist::Reader::new(&retired);
@@ -1091,7 +1094,7 @@ mod tests {
             .seed(1)
             .build()
             .unwrap();
-        let mut r = capes_persist::Reader::new(w.as_slice());
+        let mut r = capes_persist::Reader::new(&bytes);
         let err = narrow.decode_state(&mut r).unwrap_err();
         assert!(err.to_string().contains("agent geometry"), "got: {err}");
         assert_eq!(narrow.tick(), 0);
@@ -1103,7 +1106,7 @@ mod tests {
             .engine(Box::new(SearchEngine::new(HillClimbing::new(10), 5)))
             .build()
             .unwrap();
-        let mut r = capes_persist::Reader::new(w.as_slice());
+        let mut r = capes_persist::Reader::new(&bytes);
         let err = search.decode_state(&mut r).unwrap_err();
         assert!(err.to_string().contains("engine"), "got: {err}");
     }
@@ -1127,6 +1130,7 @@ mod tests {
         }
         let mut honest = Writer::new();
         original.encode_state(&mut honest);
+        let honest = honest.into_vec();
         // Splice `Some([42.0])` over the reserved byte behind the monitors.
         let mut crafted = Writer::new();
         crafted.put_u8(original.transport.tag());
@@ -1134,22 +1138,20 @@ mod tests {
         original.target.encode(&mut crafted);
         original.monitors.encode(&mut crafted);
         let at = crafted.len();
-        assert_eq!(honest.as_slice()[at], 0, "the reserved byte");
+        assert_eq!(honest[at], 0, "the reserved byte");
         Some(vec![42.0]).encode(&mut crafted);
-        crafted.put_raw(&honest.as_slice()[at + 1..]);
+        crafted.put_raw(&honest[at + 1..]);
 
         let mut restored = build();
         let err = restored
-            .decode_state(&mut Reader::new(crafted.as_slice()))
+            .decode_state(&mut Reader::new(&crafted.into_vec()))
             .unwrap_err();
         assert!(err.to_string().contains("reserved"), "got: {err}");
         assert_eq!(restored.tick(), 0, "nothing was overwritten");
         assert_eq!(restored.daemon_stats(), Default::default());
         // The honest snapshot restores, and the deduplicated proposal leaves
         // the knob where it was.
-        restored
-            .decode_state(&mut Reader::new(honest.as_slice()))
-            .unwrap();
+        restored.decode_state(&mut Reader::new(&honest)).unwrap();
         restored.training_tick();
         assert_eq!(restored.current_params(), vec![10.0]);
     }
@@ -1186,7 +1188,8 @@ mod tests {
             system.training_tick();
         }
         assert!(system.engine().is_converged());
-        let best = system.engine().current_params().expect("search has a best");
+        system.run_tick(PhaseKind::Tuned);
+        let best = system.current_params();
         assert_ne!(best, vec![10.0], "search should have moved off the default");
         // Baseline phase: parameters reset to defaults outside the control
         // path.
@@ -1219,13 +1222,9 @@ mod tests {
             system.engine().is_converged(),
             "31 candidates × 10 ticks < 400"
         );
-        let best = system
-            .engine()
-            .current_params()
-            .expect("search engines expose their best");
         let t = system.run_tick(PhaseKind::Tuned);
         assert!(!t.explored);
-        assert_eq!(system.current_params(), best);
+        let best = system.current_params();
         // The random search on an easy 1-D surface lands near the optimum.
         assert!(
             (best[0] - 60.0).abs() < 40.0,

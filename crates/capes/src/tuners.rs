@@ -228,7 +228,8 @@ mod tests {
         train_until_converged(&mut system, 20);
         assert!(system.engine().is_converged(), "one evaluation of 20 ticks");
         assert_eq!(system.engine().exploration_ticks_used(), Some(20));
-        assert_eq!(system.engine().current_params(), Some(vec![10.0]));
+        system.run_tick(PhaseKind::Tuned);
+        assert_eq!(system.current_params(), vec![10.0]);
         assert_eq!(system.engine().name(), "static defaults");
     }
 
@@ -243,15 +244,15 @@ mod tests {
         assert!(system.engine().is_converged());
         // Defaults + 40 candidates, 20 ticks each.
         assert_eq!(system.engine().exploration_ticks_used(), Some(41 * 20));
-        let best = system.engine().current_params().expect("a best candidate");
+        // The first tuning tick applies the best candidate; the next ones
+        // measure it.
+        system.run_tick(PhaseKind::Tuned);
+        let best = system.current_params();
         assert!(
             (best[0] - 60.0).abs() < 30.0,
             "best value {} should be near the optimum",
             best[0]
         );
-        // The first tuning tick applies the best candidate; the next ones
-        // measure it.
-        system.run_tick(PhaseKind::Tuned);
         let tuned = (0..20)
             .map(|_| system.run_tick(PhaseKind::Tuned).throughput_mbps)
             .sum::<f64>()
@@ -270,15 +271,14 @@ mod tests {
         let used = system.engine().exploration_ticks_used();
         assert!(used.is_some_and(|ticks| ticks <= 200 * 20), "{used:?}");
         assert_eq!(system.engine().name(), "hill climbing");
-        let best = system.engine().current_params().expect("a best candidate");
+        // Tuning ticks configure the target with the tuned value.
+        system.run_tick(PhaseKind::Tuned);
+        let best = system.current_params();
         assert!(
             best[0] > 25.0,
             "hill climbing stopped too early at {}",
             best[0]
         );
-        // Tuning ticks configure the target with the tuned value.
-        system.run_tick(PhaseKind::Tuned);
-        assert_eq!(system.current_params(), best);
     }
 
     #[test]

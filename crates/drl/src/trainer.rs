@@ -177,11 +177,6 @@ impl Trainer {
         &self.target
     }
 
-    /// The training hyperparameters.
-    pub fn config(&self) -> &TrainerConfig {
-        &self.config
-    }
-
     /// Number of completed training steps.
     pub fn steps(&self) -> u64 {
         self.steps
@@ -476,11 +471,24 @@ mod tests {
         trainer.train_step_batch(&batch);
         let (online, target) = (trainer.online().clone(), trainer.target().clone());
         assert!(online.mlp().parameter_distance(target.mlp()) > 0.0);
-        let resumed = Trainer::resume(online.clone(), target.clone(), *trainer.config(), 2);
+        let resumed = Trainer::resume(online.clone(), target.clone(), trainer.config, 2);
         assert_eq!(resumed.online().mlp().parameter_distance(online.mlp()), 0.0);
         assert_eq!(resumed.target().mlp().parameter_distance(target.mlp()), 0.0);
         assert_eq!(resumed.steps(), 2);
-        assert_eq!(resumed.optimizer.steps(), 0);
+        let encoded = |adam: &Adam| {
+            let mut w = capes_persist::Writer::new();
+            capes_persist::Persist::encode(adam, &mut w);
+            w.into_vec()
+        };
+        let fresh = Adam::new(
+            trainer.config.learning_rate,
+            online.mlp().parameter_shapes(),
+        );
+        assert_eq!(
+            encoded(&resumed.optimizer),
+            encoded(&fresh),
+            "a fresh optimizer"
+        );
     }
 
     #[test]

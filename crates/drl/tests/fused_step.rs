@@ -142,7 +142,7 @@ fn fused_step_matches_optimizer_step_then_blend_bitwise() {
         let mut w = Writer::new();
         trainer.encode(&mut w);
         assert!(
-            w.as_slice() == reference.encode(&config, step),
+            w.into_vec() == reference.encode(&config, step),
             "{case}: trainer snapshot (Adam moments) diverged from the reference"
         );
         // The target lags, and each step moves it toward where the online

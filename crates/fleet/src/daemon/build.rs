@@ -110,8 +110,8 @@ impl FleetBuilder {
         let mut profiles: Vec<Profile> = Vec::new();
         let mut sessions: Vec<ClusterSession> = Vec::with_capacity(self.scenarios.len());
         for (index, spec) in self.scenarios.iter().enumerate() {
-            let seed = spec.effective_seed(self.seed, index);
-            let target = spec.build_target(self.seed, index);
+            let seed = ScenarioSpec::derive_seed(self.seed, index);
+            let target = spec.build_target(seed);
             let system = Capes::builder(target)
                 .hyperparams(self.hyperparams)
                 .seed(seed)

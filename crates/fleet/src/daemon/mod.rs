@@ -230,11 +230,6 @@ impl FleetDaemon {
         self.tick
     }
 
-    /// The hyperparameters in force.
-    pub fn hyperparams(&self) -> &Hyperparameters {
-        &self.hyperparams
-    }
-
     /// The transport the fleet was built with: only a socket fleet owns a
     /// socket front end.
     fn transport(&self) -> Transport {

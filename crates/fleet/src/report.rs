@@ -550,7 +550,7 @@ mod tests {
         ] {
             let mut w = Writer::new();
             mode.encode(&mut w);
-            assert_eq!(w.as_slice(), bytes.as_slice(), "{mode:?}");
+            assert_eq!(w.into_vec(), bytes, "{mode:?}");
             let mut r = Reader::new(&bytes);
             assert_eq!(ExperienceSharing::decode(&mut r).expect("decodes"), mode);
             r.finish().expect("consumes every byte");
@@ -559,7 +559,7 @@ mod tests {
         for (own, peers, tag) in [(1.0, 0.0, 0), (1.0, 1.0, 1)] {
             let mut w = Writer::new();
             ExperienceSharing { own, peers }.encode(&mut w);
-            assert_eq!(w.as_slice(), [tag]);
+            assert_eq!(w.into_vec(), [tag]);
         }
         // Tag-2 bytes carrying (1, 0) load as the value `Disabled` is.
         let mut one_hot = vec![2];

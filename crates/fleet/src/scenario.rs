@@ -2,9 +2,10 @@
 //!
 //! The paper deploys one CAPES instance per storage cluster; a fleet run
 //! instead assigns every member cluster its own *scenario* — workload family,
-//! read/write mix, client count, PI mode, seed — so a single run exercises
-//! many operating points at once. Clusters whose observation geometry
-//! coincides share one DQN (a *profile*, see
+//! read/write mix, client count, PI mode — so a single run exercises many
+//! operating points at once; each cluster's seed is derived from the fleet
+//! seed and its index ([`ScenarioSpec::derive_seed`]). Clusters whose
+//! observation geometry coincides share one DQN (a *profile*, see
 //! [`crate::daemon::FleetDaemon`]); clusters with different geometries get
 //! their own per-profile agent automatically.
 
@@ -25,10 +26,6 @@ pub struct ScenarioSpec {
     pub num_servers: usize,
     /// Which performance-indicator set the cluster reports.
     pub pi_mode: PiMode,
-    /// Explicit simulation seed; `None` derives one deterministically from
-    /// the fleet seed and the cluster's index (see
-    /// [`ScenarioSpec::derive_seed`]).
-    pub seed: Option<u64>,
 }
 
 impl ScenarioSpec {
@@ -41,7 +38,6 @@ impl ScenarioSpec {
             num_clients: 5,
             num_servers: 4,
             pi_mode: PiMode::Compact,
-            seed: None,
         }
     }
 
@@ -49,14 +45,6 @@ impl ScenarioSpec {
     #[must_use]
     pub fn clients(mut self, num_clients: usize) -> Self {
         self.num_clients = num_clients;
-        self
-    }
-
-    /// Pins the cluster's simulation seed (otherwise derived from the fleet
-    /// seed and cluster index).
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = Some(seed);
         self
     }
 
@@ -70,13 +58,6 @@ impl ScenarioSpec {
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         z ^ (z >> 31)
-    }
-
-    /// The seed this cluster will actually use at `cluster_index` under
-    /// `fleet_seed`.
-    pub fn effective_seed(&self, fleet_seed: u64, cluster_index: usize) -> u64 {
-        self.seed
-            .unwrap_or_else(|| Self::derive_seed(fleet_seed, cluster_index))
     }
 
     /// Observation width a system built from this spec will feed the DQN
@@ -96,8 +77,9 @@ impl ScenarioSpec {
         self.workload.label()
     }
 
-    /// Builds the simulated-Lustre target for this scenario.
-    pub(crate) fn build_target(&self, fleet_seed: u64, cluster_index: usize) -> SimulatedLustre {
+    /// Builds the simulated-Lustre target for this scenario, simulated from
+    /// `seed`.
+    pub(crate) fn build_target(&self, seed: u64) -> SimulatedLustre {
         let config = ClusterConfig {
             num_clients: self.num_clients,
             num_servers: self.num_servers,
@@ -106,7 +88,7 @@ impl ScenarioSpec {
         SimulatedLustre::builder()
             .config(config)
             .workload(Workload::from_kind(self.workload))
-            .seed(self.effective_seed(fleet_seed, cluster_index))
+            .seed(seed)
             .build()
     }
 
@@ -162,8 +144,6 @@ mod tests {
         assert_eq!(a, ScenarioSpec::derive_seed(7, 0));
         assert_ne!(a, ScenarioSpec::derive_seed(7, 1));
         assert_ne!(a, ScenarioSpec::derive_seed(8, 0));
-        let spec = ScenarioSpec::new("w", Workload::fileserver()).seed(99);
-        assert_eq!(spec.effective_seed(7, 3), 99);
     }
 
     #[test]

@@ -27,13 +27,6 @@ impl Replayer {
         })
     }
 
-    /// Wraps an in-memory record log.
-    pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, PersistError> {
-        Ok(Replayer {
-            reader: RecordLogReader::from_bytes(bytes)?,
-        })
-    }
-
     /// Returns the next captured message, `Ok(None)` at a clean end of log,
     /// or a typed error on a torn tail, flipped bit, or a frame that no
     /// longer decodes as a wire message.

@@ -45,7 +45,6 @@ fn phases() -> Vec<Phase> {
 #[test]
 fn one_cluster_fleet_is_bit_identical_to_experiment_over_wire_frames() {
     const FLEET_SEED: u64 = 7;
-    const CLUSTER_SEED: u64 = 4242;
     let workload = Workload::random_rw(0.1);
     let num_clients = 2;
 
@@ -57,7 +56,7 @@ fn one_cluster_fleet_is_bit_identical_to_experiment_over_wire_frames() {
             ..ClusterConfig::default()
         })
         .workload(workload.clone())
-        .seed(CLUSTER_SEED)
+        .seed(ScenarioSpec::derive_seed(FLEET_SEED, 0))
         .build();
     let mut system = Capes::builder(target)
         .hyperparams(quick_hp())
@@ -72,9 +71,7 @@ fn one_cluster_fleet_is_bit_identical_to_experiment_over_wire_frames() {
         .hyperparams(quick_hp())
         .seed(FLEET_SEED)
         .transport(Transport::Wire)
-        .scenarios([ScenarioSpec::new("solo", workload)
-            .clients(num_clients)
-            .seed(CLUSTER_SEED)])
+        .scenarios([ScenarioSpec::new("solo", workload).clients(num_clients)])
         .build()
         .expect("valid fleet");
     let fleet = daemon.run(&phases());

@@ -24,8 +24,11 @@ fn recent_rate_advances_with_recording_off() {
     let report = fleet.run(&[Phase::Baseline { ticks: 3 }]);
 
     assert!(report.recent_cluster_ticks_per_sec > 0.0);
-    let gauge = capes_telemetry::global()
-        .snapshot()
-        .gauge("fleet.tick.recent_rate");
+    let snapshot = capes_telemetry::global().snapshot();
+    let gauge = snapshot
+        .gauges
+        .iter()
+        .find(|g| g.name == "fleet.tick.recent_rate")
+        .map(|g| g.value);
     assert!(gauge.is_some_and(|rate| rate > 0.0), "gauge {gauge:?}");
 }

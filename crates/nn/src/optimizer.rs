@@ -11,9 +11,6 @@ use capes_tensor::Matrix;
 pub trait Optimizer {
     /// Applies one update step. `grads` must come from `network.backward`.
     fn step(&mut self, network: &mut Mlp, grads: &MlpGrads);
-
-    /// The configured learning rate.
-    fn learning_rate(&self) -> f64;
 }
 
 /// The Adam optimizer (Kingma & Ba, 2015) — the paper's choice (§3.4).
@@ -69,11 +66,6 @@ impl Adam {
         } else {
             Ok(())
         }
-    }
-
-    /// Number of update steps applied so far.
-    pub fn steps(&self) -> u64 {
-        self.t
     }
 
     /// `true` if the optimizer's moment estimates are shaped for a network
@@ -220,10 +212,6 @@ impl Optimizer for Adam {
     fn step(&mut self, network: &mut Mlp, grads: &MlpGrads) {
         self.step_tensors(network, grads, None, 0.0);
     }
-
-    fn learning_rate(&self) -> f64 {
-        self.learning_rate
-    }
 }
 
 #[cfg(test)]
@@ -278,13 +266,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut net = Mlp::new(&[2, 2, 1], &mut rng);
         let mut adam = Adam::new(0.01, net.parameter_shapes());
-        assert_eq!(adam.steps(), 0);
+        assert_eq!(adam.t, 0);
         let x = Matrix::filled(1, 2, 1.0);
         let t = Matrix::filled(1, 1, 1.0);
         for i in 1..=5 {
             let (_, grads) = mse_grads(&net, &x, &t);
             adam.step(&mut net, &grads);
-            assert_eq!(adam.steps(), i);
+            assert_eq!(adam.t, i);
         }
     }
 
@@ -346,10 +334,10 @@ mod tests {
             adam.t = t;
             let mut w = Writer::new();
             adam.encode(&mut w);
-            let mut restored = Adam::decode(&mut Reader::new(w.as_slice())).expect("decodes");
+            let mut restored = Adam::decode(&mut Reader::new(&w.into_vec())).expect("decodes");
             let mut stepped = net.clone();
             restored.step(&mut stepped, &grads);
-            (stepped, restored.steps())
+            (stepped, restored.t)
         };
         // Both β powers are exactly 0.0 long before i32::MAX, so every step
         // from there on — saturated exponent or not — is the same step.
@@ -422,7 +410,7 @@ mod tests {
         use capes_persist::{Persist, PersistError, Reader, Writer};
         let mut w = Writer::new();
         Adam::new(0.01, vec![(2, 2)]).encode(&mut w);
-        let valid = w.as_slice().to_vec();
+        let valid = w.into_vec();
         assert!(Adam::decode(&mut Reader::new(&valid)).is_ok());
         // The learning rate is the first f64 of the encoding; β₁, β₂ and ε
         // the reserved slots after it, then the gradient clip's `None` tag.

@@ -148,11 +148,6 @@ impl Writer {
         self.buf
     }
 
-    /// The bytes still buffered — all of them for an in-memory writer.
-    pub fn as_slice(&self) -> &[u8] {
-        &self.buf
-    }
-
     /// Number of bytes encoded so far.
     pub fn len(&self) -> usize {
         self.position() as usize
@@ -944,7 +939,7 @@ mod tests {
     fn stream_out(window: usize, fill: impl FnOnce(&mut Writer)) -> Vec<u8> {
         stream_out_unbounded(window, |w| {
             fill(w);
-            assert!(w.as_slice().len() <= window, "buffer outgrew the window");
+            assert!(w.buf.len() <= window, "buffer outgrew the window");
         })
     }
 
@@ -1206,7 +1201,7 @@ mod tests {
         sub.put_str("tail");
         let mut expected = Writer::new();
         expected.put_u8(9);
-        expected.put_bytes(sub.as_slice());
+        expected.put_bytes(&sub.buf);
         expected.put_bytes(&[]);
 
         let fill = |w: &mut Writer| {
@@ -1219,11 +1214,11 @@ mod tests {
         };
         let mut w = Writer::new();
         fill(&mut w);
-        assert_eq!(w.as_slice(), expected.as_slice());
+        assert_eq!(w.buf, expected.buf);
         // The first blob (36 bytes) is larger than the smallest windows: it
         // stays pinned until its length slot is patched, then leaves whole.
         for window in TINY_WINDOWS {
-            assert_eq!(stream_out_unbounded(window, fill), expected.as_slice());
+            assert_eq!(stream_out_unbounded(window, fill), expected.buf);
         }
     }
 
@@ -1242,19 +1237,19 @@ mod tests {
         vec![true; 70].encode(&mut inner);
         let mut outer = Writer::new();
         outer.put_str("outer");
-        outer.put_bytes(inner.as_slice());
+        outer.put_bytes(&inner.buf);
         vec![0.25f64; 11].encode(&mut outer);
         let mut expected = Writer::new();
         vec![7u64; 9].encode(&mut expected);
-        expected.put_bytes(outer.as_slice());
+        expected.put_bytes(&outer.buf);
         expected.put_u32(3);
 
         let mut w = Writer::new();
         fill(&mut w);
-        assert_eq!(w.as_slice(), expected.as_slice());
+        assert_eq!(w.buf, expected.buf);
         for window in TINY_WINDOWS {
             let bytes = stream_out_unbounded(window, fill);
-            assert_eq!(bytes, expected.as_slice(), "window {window}");
+            assert_eq!(bytes, expected.buf, "window {window}");
             // … and the blob comes back whole through a window it dwarfs:
             // borrowed (via the spill buffer) and owned (window by window).
             let borrowed = stream_in(window, &bytes, |r| {
@@ -1264,7 +1259,7 @@ mod tests {
                 Ok(blob)
             })
             .unwrap();
-            assert_eq!(borrowed, outer.as_slice());
+            assert_eq!(borrowed, outer.buf);
             let owned = stream_in(window, &bytes, |r| {
                 Vec::<u64>::decode(r)?;
                 let blob = r.get_byte_vec()?;
@@ -1272,7 +1267,7 @@ mod tests {
                 Ok(blob)
             })
             .unwrap();
-            assert_eq!(owned, outer.as_slice());
+            assert_eq!(owned, outer.buf);
         }
     }
 
@@ -1310,7 +1305,7 @@ mod tests {
         // Encoding stays infallible and bounded long after the sink died.
         for i in 0..1000u64 {
             w.put_u64(i);
-            assert!(w.as_slice().len() <= 32);
+            assert!(w.buf.len() <= 32);
         }
         let err = w.close().map(|d| d.len).unwrap_err();
         assert!(matches!(err, PersistError::Io(_)), "{err}");
@@ -1397,7 +1392,7 @@ mod tests {
         for (v, bytes) in overlong {
             let mut minimal = Writer::new();
             minimal.put_varint(v);
-            assert_ne!(minimal.as_slice(), bytes);
+            assert_ne!(minimal.buf, bytes);
             let err = Reader::new(bytes).get_varint().unwrap_err();
             assert!(
                 matches!(

@@ -819,7 +819,8 @@ mod tests {
         let stats = w.finish().unwrap();
         let mut payload = Writer::new();
         encode_sample(&mut payload, &floats);
-        let expected = encode_snapshot(payload.as_slice());
+        let payload = payload.into_vec();
+        let expected = encode_snapshot(&payload);
         assert!(
             std::fs::read(&path).unwrap() == expected,
             "streamed bytes differ"
@@ -839,7 +840,7 @@ mod tests {
         let mut sub = Reader::new(&blob);
         assert_eq!(sub.get_str().unwrap(), "blob");
         assert!(Vec::<f64>::decode(&mut sub).unwrap() == floats[..100]);
-        assert!(read_snapshot_file(&path).unwrap() == payload.as_slice());
+        assert!(read_snapshot_file(&path).unwrap() == payload);
 
         // An empty payload is a valid container too.
         SnapshotWriter::create(&path).unwrap().finish().unwrap();

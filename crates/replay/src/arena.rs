@@ -421,7 +421,8 @@ mod tests {
         let view = arena.stripe(1);
         fill_stripe(&arena, 0, 50, 7.0);
         fill_stripe(&arena, 1, 50, 7.0);
-        let mut r = capes_persist::Reader::new(w.as_slice());
+        let bytes = w.into_vec();
+        let mut r = capes_persist::Reader::new(&bytes);
         let snapshot = ReplayArena::decode(&mut r).expect("snapshot decodes");
         arena
             .restore_from(snapshot)

@@ -701,8 +701,14 @@ impl capes_persist::Persist for ReplayDb {
                 what: "per-node index disagrees with the replay configuration",
             });
         }
+        // Every count and tick bound is a function of the slots: one that
+        // disagrees would underflow or misdirect the next insert's
+        // bookkeeping, so it is recomputed and compared, never trusted.
         let width = config.num_nodes * config.pis_per_node;
-        for slot in &slots {
+        let capacity = config.capacity_ticks as u64;
+        let (mut occupied, mut rows, mut objectives, mut actions) = (0, 0, 0, 0);
+        let (mut first, mut last): (Option<Tick>, Option<Tick>) = (None, None);
+        for (index, slot) in slots.iter().enumerate() {
             let shaped = slot.data.len() == width && slot.present.len() == config.num_nodes;
             let empty = slot.data.is_empty() && slot.present.is_empty();
             if !(shaped || (empty && slot.tick.is_none())) {
@@ -710,6 +716,34 @@ impl capes_persist::Persist for ReplayDb {
                     what: "replay slot shape disagrees with the configuration",
                 });
             }
+            let at_home = |t: Option<Tick>| t.is_none_or(|t| t % capacity == index as u64);
+            if !(at_home(slot.tick) && at_home(slot.objective_tick) && at_home(slot.action_tick)) {
+                return Err(BadValue {
+                    what: "replay slot holds a tick of another ring position",
+                });
+            }
+            objectives += usize::from(slot.objective_tick.is_some());
+            actions += usize::from(slot.action_tick.is_some());
+            if let Some(t) = slot.tick {
+                occupied += 1;
+                rows += slot.present.iter().filter(|&&p| p).count();
+                first = Some(first.map_or(t, |f| f.min(t)));
+                last = Some(last.map_or(t, |l| l.max(t)));
+            }
+        }
+        let derived = (occupied, rows, objectives, actions, first, last);
+        let stored = (
+            occupied_ticks,
+            snapshot_rows,
+            num_objectives,
+            num_actions,
+            earliest,
+            latest,
+        );
+        if derived != stored {
+            return Err(BadValue {
+                what: "replay counts or tick bounds disagree with the slots",
+            });
         }
         Ok(ReplayDb {
             config,
@@ -967,5 +1001,39 @@ mod tests {
     fn bad_pi_width_panics() {
         let mut db = ReplayDb::new(small_config());
         db.insert_snapshot(0, 0, vec![1.0]);
+    }
+
+    #[test]
+    fn decode_rejects_derived_state_that_disagrees_with_the_slots() {
+        use capes_persist::{Persist, PersistError, Reader, Writer};
+        let round_trip = |db: &ReplayDb| {
+            let mut w = Writer::new();
+            db.encode(&mut w);
+            ReplayDb::decode(&mut Reader::new(&w.into_vec()))
+        };
+        // A full ring: the next insert evicts, which is where a wrong count
+        // used to underflow.
+        let honest = filled_db(100);
+        let mut restored = round_trip(&honest).expect("an honest snapshot decodes");
+        restored.insert_snapshot(100, 0, vec![0.0; 3]);
+        assert_eq!((restored.len(), restored.earliest_tick()), (100, Some(1)));
+
+        type Corrupt = fn(&mut ReplayDb);
+        let corruptions: [(&str, Corrupt); 7] = [
+            ("occupied ticks", |db| db.occupied_ticks = 0),
+            ("snapshot rows", |db| db.snapshot_rows -= 1),
+            ("objective count", |db| db.num_objectives += 1),
+            ("action count", |db| db.num_actions = 0),
+            ("earliest", |db| db.earliest = Some(1)),
+            ("latest", |db| db.latest = None),
+            ("slot tick", |db| db.slots[3].tick = Some(4)),
+        ];
+        for (what, corrupt) in corruptions {
+            let mut db = honest.clone();
+            corrupt(&mut db);
+            let err = round_trip(&db).err();
+            let rejected = matches!(err, Some(PersistError::BadValue { .. }));
+            assert!(rejected, "{what}: {err:?}");
+        }
     }
 }

@@ -35,11 +35,6 @@ impl SharedReplayDb {
         SharedReplayDb { arena, stripe }
     }
 
-    /// The arena this view belongs to.
-    pub fn arena(&self) -> &ReplayArena {
-        &self.arena
-    }
-
     /// Writer-side: records a node's PI snapshot.
     pub fn insert_snapshot(&self, tick: Tick, node: NodeId, pis: Vec<f64>) {
         self.arena
@@ -94,11 +89,6 @@ impl SharedReplayDb {
             .with_read(self.stripe, |db| db.construct_minibatch_into(batch, rng))
     }
 
-    /// Reader-side: latest tick with data.
-    pub fn latest_tick(&self) -> Option<Tick> {
-        self.arena.with_read(self.stripe, |db| db.latest_tick())
-    }
-
     /// Reader-side: number of retained ticks.
     pub fn len(&self) -> usize {
         self.arena.with_read(self.stripe, |db| db.len())
@@ -112,11 +102,6 @@ impl SharedReplayDb {
     /// Runs `f` with read access to the underlying stripe.
     pub fn with_read<T>(&self, f: impl FnOnce(&ReplayDb) -> T) -> T {
         self.arena.with_read(self.stripe, f)
-    }
-
-    /// Runs `f` with write access to the underlying stripe.
-    pub fn with_write<T>(&self, f: impl FnOnce(&mut ReplayDb) -> T) -> T {
-        self.arena.with_write(self.stripe, f)
     }
 }
 
@@ -141,7 +126,7 @@ mod tests {
     fn basic_write_then_read() {
         let shared = SharedReplayDb::new(config());
         assert!(shared.is_empty());
-        assert_eq!(shared.arena().num_stripes(), 1);
+        assert_eq!(shared.arena.num_stripes(), 1);
         assert_eq!(shared.stripe, 0);
         for t in 0..20u64 {
             for n in 0..2 {
@@ -151,7 +136,7 @@ mod tests {
             shared.insert_action(t, 1);
         }
         assert_eq!(shared.len(), 20);
-        assert_eq!(shared.latest_tick(), Some(19));
+        assert_eq!(shared.with_read(|db| db.latest_tick()), Some(19));
         assert!(shared.observation_at(10).is_some());
         let mut rng = StdRng::seed_from_u64(1);
         let mut batch = ReplayBatch::new(4, config().observation_size());
@@ -217,11 +202,9 @@ mod tests {
     }
 
     #[test]
-    fn with_read_and_write_accessors() {
+    fn with_read_sees_the_writes() {
         let shared = SharedReplayDb::new(config());
-        shared.with_write(|db| {
-            db.insert_snapshot(0, 0, vec![1.0, 1.0, 1.0]);
-        });
+        shared.insert_snapshot(0, 0, vec![1.0, 1.0, 1.0]);
         let n = shared.with_read(|db| db.total_inserted());
         assert_eq!(n, 1);
     }

@@ -149,11 +149,6 @@ impl Cluster {
         &self.workload
     }
 
-    /// Current simulated tick (seconds since the session started).
-    pub fn tick(&self) -> u64 {
-        self.tick
-    }
-
     /// Sets the session perturbation used by the Figure-4 overfitting check:
     /// `fragmentation` in `[0, 1]` degrades disk efficiency by up to ~8 % and
     /// shifts the simulated clock, modelling the "numerous unrelated file
@@ -367,14 +362,6 @@ impl Cluster {
         self.tick += 1;
         self.last_stats = Some(stats.clone());
         stats
-    }
-
-    /// Runs `ticks` simulated seconds and returns the per-tick aggregate
-    /// throughput series (useful for baseline measurements).
-    pub fn run(&mut self, ticks: u64) -> Vec<f64> {
-        (0..ticks)
-            .map(|_| self.step().aggregate_throughput())
-            .collect()
     }
 
     /// The raw (un-normalised) performance-indicator vector of `client` for
@@ -618,9 +605,13 @@ mod tests {
 
     /// Mean aggregate throughput over `ticks` seconds after a short warm-up.
     fn mean_throughput(cluster: &mut Cluster, ticks: u64) -> f64 {
-        let _ = cluster.run(5);
-        let series = cluster.run(ticks);
-        series.iter().sum::<f64>() / series.len() as f64
+        for _ in 0..5 {
+            cluster.step();
+        }
+        let total: f64 = (0..ticks)
+            .map(|_| cluster.step().aggregate_throughput())
+            .sum();
+        total / ticks as f64
     }
 
     fn throughput_at(workload: Workload, window: f64, rate: f64, seed: u64) -> f64 {
@@ -806,8 +797,8 @@ mod tests {
     fn different_seeds_differ() {
         let mut a = cluster_with(Workload::fileserver(), TunableParams::defaults(), 1);
         let mut b = cluster_with(Workload::fileserver(), TunableParams::defaults(), 2);
-        let sa: f64 = a.run(10).iter().sum();
-        let sb: f64 = b.run(10).iter().sum();
+        let sa: f64 = (0..10).map(|_| a.step().aggregate_throughput()).sum();
+        let sb: f64 = (0..10).map(|_| b.step().aggregate_throughput()).sum();
         assert_ne!(sa, sb);
     }
 
@@ -871,7 +862,9 @@ mod tests {
 
         let mut original = cluster_with(Workload::fileserver(), TunableParams::defaults(), 77);
         original.perturb_session(0.3, 45);
-        let _ = original.run(25);
+        for _ in 0..25 {
+            original.step();
+        }
 
         let mut w = Writer::new();
         original.encode(&mut w);

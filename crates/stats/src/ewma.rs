@@ -40,11 +40,6 @@ impl Ewma {
     pub fn value_or(&self, default: f64) -> f64 {
         self.value.unwrap_or(default)
     }
-
-    /// Current value, if any sample has been seen.
-    pub fn value(&self) -> Option<f64> {
-        self.value
-    }
 }
 
 impl Persist for Ewma {
@@ -76,10 +71,10 @@ mod tests {
     #[test]
     fn first_sample_seeds_the_filter() {
         let mut e = Ewma::new(0.1);
-        assert_eq!(e.value(), None);
+        assert_eq!(e.value, None);
         assert_eq!(e.value_or(7.0), 7.0);
         assert_eq!(e.update(42.0), 42.0);
-        assert_eq!(e.value(), Some(42.0));
+        assert_eq!(e.value, Some(42.0));
     }
 
     #[test]

@@ -67,19 +67,6 @@ impl TelemetrySnapshot {
         self.histograms.iter().find(|h| h.name == name)
     }
 
-    /// The counter value named `name`, if present.
-    pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters
-            .iter()
-            .find(|c| c.name == name)
-            .map(|c| c.value)
-    }
-
-    /// The gauge value named `name`, if present.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.iter().find(|g| g.name == name).map(|g| g.value)
-    }
-
     /// Renders the snapshot as Prometheus text-format exposition: names
     /// keep only `[A-Za-z0-9_:]` (anything else becomes an underscore),
     /// counters get a `_total` suffix, histograms
@@ -224,10 +211,9 @@ mod tests {
     }
 
     #[test]
-    fn accessors_find_entries_by_name() {
+    fn histogram_is_found_by_name() {
         let snap = sample();
         assert_eq!(snap.histogram("fleet.tick.total").unwrap().count, 46);
-        assert_eq!(snap.counter("net.frames_in"), Some(460));
-        assert_eq!(snap.gauge("net.ingress.depth"), Some(3.0));
+        assert!(snap.histogram("net.frames_in").is_none(), "a counter");
     }
 }

@@ -20,7 +20,8 @@
 //!
 //! let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
 //! let b = Matrix::from_vec(2, 2, vec![1.0, 0.0, 0.0, 1.0]);
-//! let c = a.matmul(&b);
+//! let mut c = Matrix::zeros(2, 2);
+//! a.matmul_into(&b, &mut c);
 //! assert_eq!(c, a);
 //! ```
 

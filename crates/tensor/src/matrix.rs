@@ -95,11 +95,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix and returns its row-major storage.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Returns element `(r, c)` without bounds checking in release builds.
     ///
     /// # Panics

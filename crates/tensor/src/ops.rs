@@ -3,14 +3,6 @@
 use crate::Matrix;
 
 impl Matrix {
-    /// Element-wise sum `self + other`.
-    ///
-    /// # Panics
-    /// Panics if shapes differ.
-    pub fn add(&self, other: &Matrix) -> Matrix {
-        self.zip_map(other, |a, b| a + b)
-    }
-
     /// Element-wise difference `self - other`.
     pub fn sub(&self, other: &Matrix) -> Matrix {
         self.zip_map(other, |a, b| a - b)
@@ -60,19 +52,6 @@ impl Matrix {
         self.as_slice().iter().sum()
     }
 
-    /// Mean of all elements.
-    pub fn mean(&self) -> f64 {
-        self.sum() / self.len() as f64
-    }
-
-    /// Largest element (returns `-inf` only if all entries are `-inf`).
-    pub fn max(&self) -> f64 {
-        self.as_slice()
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
-
     /// Smallest element.
     pub fn min(&self) -> f64 {
         self.as_slice()
@@ -105,12 +84,6 @@ impl Matrix {
             }
         }
     }
-
-    /// Clamps every element into `[lo, hi]`.
-    pub fn clamp(&self, lo: f64, hi: f64) -> Matrix {
-        assert!(lo <= hi, "clamp bounds inverted");
-        self.map(|x| x.clamp(lo, hi))
-    }
 }
 
 #[cfg(test)]
@@ -122,10 +95,9 @@ mod tests {
     }
 
     #[test]
-    fn add_sub_scale() {
+    fn sub_scale() {
         let a = sample();
         let b = Matrix::filled(2, 3, 2.0);
-        assert_eq!(a.add(&b).get(0, 0), 3.0);
         assert_eq!(a.sub(&b).get(1, 2), 4.0);
         assert_eq!(a.scale(0.5).get(1, 2), 3.0);
     }
@@ -154,8 +126,6 @@ mod tests {
     fn reductions() {
         let a = sample();
         assert_eq!(a.sum(), 21.0);
-        assert_eq!(a.mean(), 3.5);
-        assert_eq!(a.max(), 6.0);
         assert_eq!(a.min(), 1.0);
         assert!((a.frobenius_norm() - 91.0f64.sqrt()).abs() < 1e-12);
     }
@@ -166,14 +136,6 @@ mod tests {
         let mut sums = Matrix::filled(1, 3, 9.0);
         a.sum_rows_into(&mut sums);
         assert!(sums.approx_eq(&Matrix::from_vec(1, 3, vec![2.5, 5.0, 1.0]), 1e-12));
-    }
-
-    #[test]
-    fn clamp_bounds_every_element() {
-        let a = sample();
-        let clamped = a.clamp(2.0, 5.0);
-        assert_eq!(clamped.get(0, 0), 2.0);
-        assert_eq!(clamped.get(1, 2), 5.0);
     }
 
     #[test]

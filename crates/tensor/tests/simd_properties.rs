@@ -841,7 +841,7 @@ fn bits_equal(a: &[f64], b: &[f64]) -> bool {
 /// The dispatched Matrix-level kernels and the level-explicit slice kernels
 /// must agree bit-for-bit: whatever `active_level()` resolved to (auto-detect
 /// normally, scalar under `CAPES_SIMD=off` in the dedicated CI pass) is
-/// exactly what `matmul` runs, on one thread below the pool threshold and
+/// exactly what `matmul_into` runs, on one thread below the pool threshold and
 /// split across the pool above it (under `CAPES_THREADS=2` in CI).
 #[test]
 fn dispatched_matrix_kernels_match_the_active_level_bitwise() {
@@ -852,8 +852,10 @@ fn dispatched_matrix_kernels_match_the_active_level_bitwise() {
         let b = Matrix::from_vec(k, n, random_vec(&mut rng, k * n));
         let mut expected = vec![0.0; m * n];
         gemm_rows_with(level, a.as_slice(), b.as_slice(), &mut expected, m, k, n);
+        let mut got = Matrix::zeros(m, n);
+        a.matmul_into(&b, &mut got);
         assert!(
-            bits_equal(a.matmul(&b).as_slice(), &expected),
+            bits_equal(got.as_slice(), &expected),
             "{m}x{k}x{n} must dispatch to the active SIMD level ({level})"
         );
     }

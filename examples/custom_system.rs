@@ -126,17 +126,15 @@ fn tune_with(engine: Option<Box<dyn TuningEngine>>, train_ticks: u64) -> Experim
     ])
 }
 
-fn main() {
-    let train_ticks: u64 = std::env::var("CAPES_TRAIN_TICKS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(8_000);
+/// Simulated seconds of online training per engine.
+const TRAIN_TICKS: u64 = 8_000;
 
+fn main() {
     println!("target system : {}", CacheServer::new().describe());
 
     // CAPES with the DRL engine.
-    println!("training the DRL engine for {train_ticks} ticks…");
-    let report = tune_with(None, train_ticks);
+    println!("training the DRL engine for {TRAIN_TICKS} ticks…");
+    let report = tune_with(None, TRAIN_TICKS);
     let baseline = report.baseline().expect("baseline ran");
     let tuned = report.session("tuned").expect("tuned ran");
     println!("  {}", baseline.summary());

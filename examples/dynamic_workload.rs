@@ -15,12 +15,10 @@ use capes::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-fn main() {
-    let phase_ticks: u64 = std::env::var("CAPES_PHASE_TICKS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3_000);
+/// Simulated seconds each workload runs before the next switch.
+const PHASE_TICKS: u64 = 3_000;
 
+fn main() {
     let target = SimulatedLustre::builder()
         .workload(Workload::random_rw(0.1))
         .seed(5)
@@ -50,7 +48,7 @@ fn main() {
         ("fileserver", Workload::fileserver()),
     ];
 
-    println!("alternating workloads, {phase_ticks} ticks per phase\n");
+    println!("alternating workloads, {PHASE_TICKS} ticks per phase\n");
     for (i, (label, workload)) in phases.into_iter().enumerate() {
         if i > 0 {
             // The job scheduler tells CAPES that a new workload is starting;
@@ -60,7 +58,7 @@ fn main() {
             system.notify_workload_change();
         }
         let explored_before = explored.load(Ordering::Relaxed);
-        let report = system.run(&[Phase::Train { ticks: phase_ticks }]);
+        let report = system.run(&[Phase::Train { ticks: PHASE_TICKS }]);
         let result = &report.sessions[0];
         let explored_in_phase = explored.load(Ordering::Relaxed) - explored_before;
         println!(

@@ -12,16 +12,12 @@
 
 use capes::prelude::*;
 
-fn env_ticks(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+/// Simulated seconds of online training.
+const TRAIN_TICKS: u64 = 8_000;
+/// Simulated seconds of each measurement phase.
+const MEASURE_TICKS: u64 = 600;
 
 fn main() {
-    let train_ticks = env_ticks("CAPES_TRAIN_TICKS", 8_000);
-    let measure_ticks = env_ticks("CAPES_MEASURE_TICKS", 600);
     let checkpoint = std::env::temp_dir().join("capes-fileserver-model.ckpt");
 
     let target = SimulatedLustre::builder()
@@ -36,8 +32,8 @@ fn main() {
         .build()
         .expect("valid configuration");
 
-    println!("training on the fileserver workload for {train_ticks} simulated seconds…");
-    let report = system.run(&[Phase::Train { ticks: train_ticks }]);
+    println!("training on the fileserver workload for {TRAIN_TICKS} simulated seconds…");
+    let report = system.run(&[Phase::Train { ticks: TRAIN_TICKS }]);
     println!(
         "  training mean throughput: {:.1} MB/s",
         report.sessions[0].mean_throughput()
@@ -58,10 +54,10 @@ fn main() {
         // in the paper; scaled down here.
         let report = system.run(&[
             Phase::Baseline {
-                ticks: measure_ticks,
+                ticks: MEASURE_TICKS,
             },
             Phase::Tuned {
-                ticks: measure_ticks,
+                ticks: MEASURE_TICKS,
                 label: "tuned".into(),
             },
         ]);

@@ -7,9 +7,6 @@
 //! ```bash
 //! cargo run --release --example fleet_observed
 //! ```
-//!
-//! Ticks can be scaled with `CAPES_FLEET_TRAIN_TICKS` /
-//! `CAPES_FLEET_MEASURE_TICKS` (as in `fleet_tuning.rs`).
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -18,12 +15,10 @@ use std::time::Duration;
 use capes::{Hyperparameters, Phase, Transport};
 use capes_fleet::{Fleet, ScenarioSpec};
 
-fn env_ticks(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+/// Fleet ticks of online training.
+const TRAIN_TICKS: u64 = 2_000;
+/// Fleet ticks of each measurement phase.
+const MEASURE_TICKS: u64 = 250;
 
 /// One `/metrics` scrape: plain HTTP/1.0 GET, body returned as text.
 fn scrape(addr: SocketAddr) -> std::io::Result<String> {
@@ -49,9 +44,6 @@ fn series_value(body: &str, series: &str) -> Option<f64> {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let train_ticks = env_ticks("CAPES_FLEET_TRAIN_TICKS", 2_000);
-    let measure_ticks = env_ticks("CAPES_FLEET_MEASURE_TICKS", 250);
-
     let scenarios = ScenarioSpec::heterogeneous_mix(8);
     let cluster_names: Vec<String> = scenarios.iter().map(|s| s.name.clone()).collect();
     let mut daemon = Fleet::builder()
@@ -65,11 +57,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let phases = [
         Phase::Baseline {
-            ticks: measure_ticks,
+            ticks: MEASURE_TICKS,
         },
-        Phase::Train { ticks: train_ticks },
+        Phase::Train { ticks: TRAIN_TICKS },
         Phase::Tuned {
-            ticks: measure_ticks,
+            ticks: MEASURE_TICKS,
             label: "tuned".into(),
         },
     ];

@@ -8,24 +8,16 @@
 //! ```bash
 //! cargo run --release --example fleet_socket
 //! ```
-//!
-//! Ticks can be scaled with `CAPES_FLEET_TRAIN_TICKS` /
-//! `CAPES_FLEET_MEASURE_TICKS` (as in `fleet_tuning.rs`).
 
 use capes::{Hyperparameters, Phase, Transport};
 use capes_fleet::{Fleet, ScenarioSpec};
 
-fn env_ticks(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+/// Fleet ticks of online training.
+const TRAIN_TICKS: u64 = 2_500;
+/// Fleet ticks of each measurement phase.
+const MEASURE_TICKS: u64 = 300;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let train_ticks = env_ticks("CAPES_FLEET_TRAIN_TICKS", 2_500);
-    let measure_ticks = env_ticks("CAPES_FLEET_MEASURE_TICKS", 300);
-
     let mut daemon = Fleet::builder()
         .hyperparams(Hyperparameters::quick_test())
         .seed(7)
@@ -40,11 +32,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let report = daemon.run(&[
         Phase::Baseline {
-            ticks: measure_ticks,
+            ticks: MEASURE_TICKS,
         },
-        Phase::Train { ticks: train_ticks },
+        Phase::Train { ticks: TRAIN_TICKS },
         Phase::Tuned {
-            ticks: measure_ticks,
+            ticks: MEASURE_TICKS,
             label: "tuned".into(),
         },
     ]);

@@ -15,8 +15,7 @@
 //! ([`capes_fleet::ExperienceSharing`]), so every cluster learns from the
 //! whole profile's experience.
 //!
-//! Run with `cargo run --release --example fleet_tuning`. Ticks can be scaled
-//! with `CAPES_FLEET_TRAIN_TICKS` / `CAPES_FLEET_MEASURE_TICKS`, and
+//! Run with `cargo run --release --example fleet_tuning`.
 //! `CAPES_FLEET_THREADS` shards the member ticks across that many fleet
 //! workers (default 1).
 
@@ -24,17 +23,12 @@ use capes::{Hyperparameters, Phase};
 use capes_fleet::{ExperienceSharing, Fleet, ScenarioSpec};
 use capes_simstore::Workload;
 
-fn env_ticks(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+/// Fleet ticks of online training.
+const TRAIN_TICKS: u64 = 2_500;
+/// Fleet ticks of each measurement phase.
+const MEASURE_TICKS: u64 = 300;
 
 fn main() {
-    let train_ticks = env_ticks("CAPES_FLEET_TRAIN_TICKS", 2_500);
-    let measure_ticks = env_ticks("CAPES_FLEET_MEASURE_TICKS", 300);
-
     // Eight clusters cycling the paper's workload families and read/write
     // mixes with varying client counts — one run exercises many scenarios.
     // The builder takes its worker count from CAPES_FLEET_THREADS; any worker
@@ -59,16 +53,16 @@ fn main() {
     }
 
     println!(
-        "\nrunning baseline {measure_ticks} / train {train_ticks} / tuned {measure_ticks} \
+        "\nrunning baseline {MEASURE_TICKS} / train {TRAIN_TICKS} / tuned {MEASURE_TICKS} \
          ticks across the fleet…"
     );
     let phases = [
         Phase::Baseline {
-            ticks: measure_ticks,
+            ticks: MEASURE_TICKS,
         },
-        Phase::Train { ticks: train_ticks },
+        Phase::Train { ticks: TRAIN_TICKS },
         Phase::Tuned {
-            ticks: measure_ticks,
+            ticks: MEASURE_TICKS,
             label: "tuned".into(),
         },
     ];

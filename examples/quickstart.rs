@@ -10,23 +10,18 @@
 //! 3. run an online training phase, then measure the default-parameter
 //!    baseline and the tuned performance.
 //!
-//! Run with `cargo run --release --example quickstart`. Set `CAPES_TRAIN_TICKS`
+//! Run with `cargo run --release --example quickstart`. Raise `TRAIN_TICKS`
 //! to lengthen the training session (43 200 reproduces the paper's 12-hour
 //! run).
 
 use capes::prelude::*;
 
-fn env_ticks(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+/// Simulated seconds of online training.
+const TRAIN_TICKS: u64 = 6_000;
+/// Simulated seconds of each measurement phase.
+const MEASURE_TICKS: u64 = 600;
 
 fn main() {
-    let train_ticks = env_ticks("CAPES_TRAIN_TICKS", 6_000);
-    let measure_ticks = env_ticks("CAPES_MEASURE_TICKS", 600);
-
     // 1. The target system: the paper's 4-server / 5-client cluster at
     //    saturation under a 1:9 read:write random workload.
     let target = SimulatedLustre::builder()
@@ -46,14 +41,14 @@ fn main() {
         .expect("valid configuration");
 
     // 3. The paper's workflow as one declarative plan.
-    println!("training for {train_ticks} simulated seconds…");
+    println!("training for {TRAIN_TICKS} simulated seconds…");
     let report = system.run(&[
-        Phase::Train { ticks: train_ticks },
+        Phase::Train { ticks: TRAIN_TICKS },
         Phase::Baseline {
-            ticks: measure_ticks,
+            ticks: MEASURE_TICKS,
         },
         Phase::Tuned {
-            ticks: measure_ticks,
+            ticks: MEASURE_TICKS,
             label: "tuned (CAPES)".into(),
         },
     ]);

@@ -179,21 +179,18 @@ fn action_checker_keeps_vetoed_regions_untouched() {
         .workload(Workload::random_rw(0.1))
         .seed(66)
         .build();
-    let checker = ActionChecker::new(
-        vec![
-            ParamBound {
-                name: "max_rpcs_in_flight",
-                min: 8.0,
-                max: 256.0,
-            },
-            ParamBound {
-                name: "io_rate_limit",
-                min: 50.0,
-                max: 2000.0,
-            },
-        ],
-        false,
-    );
+    let checker = ActionChecker::new(vec![
+        ParamBound {
+            name: "max_rpcs_in_flight",
+            min: 8.0,
+            max: 256.0,
+        },
+        ParamBound {
+            name: "io_rate_limit",
+            min: 50.0,
+            max: 2000.0,
+        },
+    ]);
     let mut system = Capes::builder(target)
         .hyperparams(quick_hyperparams())
         .objective(Objective::Throughput)

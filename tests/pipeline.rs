@@ -68,7 +68,7 @@ fn simulator_pis_flow_through_wire_daemon_and_replay_into_the_dqn() {
     assert!(report.prediction_error >= 0.0);
 
     // 4. And it can select an action for the latest observation.
-    let latest = db.latest_tick().unwrap();
+    let latest = db.with_read(|db| db.latest_tick()).unwrap();
     let obs = db.observation_at(latest).expect("observation available");
     let decision = agent.decide(Some(&obs), 100_000, false);
     assert!(decision.action < 5);
