@@ -659,9 +659,10 @@ mod tests {
         original.encode_state(&mut w);
         let bytes = w.into_vec();
         let mut r = Reader::new(&bytes);
-        let shared_b =
-            capes_replay::ReplayArena::from_dbs([capes_replay::ReplayDb::decode(&mut r).unwrap()])
-                .stripe(0);
+        let db = capes_replay::ReplayDb::decode(&mut r).unwrap();
+        let arena_b = capes_replay::ReplayArena::single(*db.config());
+        arena_b.restore_stripe(0, db).unwrap();
+        let shared_b = arena_b.stripe(0);
         let mut restored = InterfaceDaemon::new(shared_b.clone(), 2, ActionChecker::permissive());
         restored.decode_state(&mut r).unwrap();
         r.finish().unwrap();

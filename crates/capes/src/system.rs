@@ -1017,7 +1017,7 @@ mod tests {
             original.training_tick();
         }
         let mut w = capes_persist::Writer::new();
-        arena.encode(&mut w);
+        arena.with_read(0, |db| db.encode(&mut w));
         original.encode_state(&mut w);
 
         // A fresh same-geometry system under a *different* seed: every
@@ -1025,9 +1025,9 @@ mod tests {
         let (restored_arena, mut restored) = with_arena(99);
         let bytes = w.into_vec();
         let mut r = capes_persist::Reader::new(&bytes);
-        let snapshot = ReplayArena::decode(&mut r).expect("store decodes");
+        let stripe = capes_replay::ReplayDb::decode(&mut r).expect("store decodes");
         restored_arena
-            .restore_from(snapshot)
+            .restore_stripe(0, stripe)
             .expect("same geometry restores");
         restored.decode_state(&mut r).expect("state decodes");
         r.finish().expect("no trailing bytes");

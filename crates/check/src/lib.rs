@@ -19,10 +19,12 @@
 //! - **A reference:** the item's name in non-test code of any linted file
 //!   (`src/`, `crates/`, `examples/`, `benchmark/`), but not in comments,
 //!   strings (bar inline format arguments such as `"{NAME}"`), `use`/`pub
-//!   use` lines, the item's own definition,
-//!   `#[cfg(test)]` modules or `tests/` directories. An item declared in an
-//!   `impl` block counts only at `.name(` or `::name`, and a `.name` with
-//!   no call after it reads a field, so it names no item at all.
+//!   use` lines, the item's own definition, `#[cfg(test)]` modules,
+//!   `tests/` directories or `crates/shims/`, whose code stands in for
+//!   external crates that cannot name a workspace item. An item declared in
+//!   an `impl` block counts only at `.name(` or at the end of a `::name`
+//!   path — `::name::` is a module or type segment — and a `.name` with no
+//!   call after it reads a field, so it names no item at all.
 //! - **Test support:** waived in place with
 //!   `// capes-check: allow(dead-pub) -- <the test that uses it>`.
 //!

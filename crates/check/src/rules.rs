@@ -95,7 +95,8 @@ pub struct CrossFile {
     items: Vec<PubItem>,
     /// Identifiers non-test code names, outside `use` lines and definitions.
     names: HashSet<String>,
-    /// Those of `names` that non-test code names after `::`, or calls after `.`.
+    /// Those of `names` that non-test code names at the end of a `::` path,
+    /// or calls after `.`.
     members: HashSet<String>,
     /// Every file's well-formed suppressions, one entry per rule named.
     suppressions: Vec<Suppression>,
@@ -136,7 +137,9 @@ pub fn lint_file(
     let in_tests =
         |i: usize| is_test_file || test_regions.iter().any(|&(lo, hi)| lo <= i && i <= hi);
 
-    if !is_test_file {
+    // Shim code stands in for external crates, which cannot name a
+    // workspace item: a method a shim calls is no use of a same-named one.
+    if !is_test_file && !rel_path.starts_with("crates/shims/") {
         collect_names(&lexed, &in_tests, cross);
     }
     if !is_registry_file && is_crate_source(rel_path) {
@@ -263,7 +266,7 @@ fn is_crate_source(rel_path: &str) -> bool {
 }
 
 /// Adds the identifiers the file's non-test code names to `cross.names`, and
-/// those after `.` or `::` to `cross.members` too.
+/// those called after `.` or ending a `::` path to `cross.members` too.
 fn collect_names(lexed: &Lexed, in_tests: &dyn Fn(usize) -> bool, cross: &mut CrossFile) {
     let toks = &lexed.tokens;
     // One past the `;` that closes the current `use` line.
@@ -307,7 +310,17 @@ fn collect_names(lexed: &Lexed, in_tests: &dyn Fn(usize) -> bool, cross: &mut Cr
         if dot && !next_is('(') && !next_is(':') {
             continue;
         }
-        if dot || path {
+        // `::name::rest` is a path segment (a module or a type), not a use
+        // of an associated item named `name`; `::name::<T>` is a turbofish.
+        let segment = lexed.next_code(i + 1).is_some_and(|n| {
+            lexed.is_punct(n, ':')
+                && n + 1 < toks.len()
+                && lexed.is_punct(n + 1, ':')
+                && lexed
+                    .next_code(n + 2)
+                    .is_some_and(|m| !lexed.is_punct(m, '<'))
+        });
+        if dot || (path && !segment) {
             cross.members.insert(tok.text.clone());
         }
         cross.names.insert(tok.text.clone());

@@ -1,5 +1,5 @@
-//! Fixture: rule `dead-pub`. It fires at lines 9, 12, 15, 19, 23, 28, 49
-//! and 58; the reasonless waiver at line 57 is a `bad-suppression`.
+//! Fixture: rule `dead-pub`. It fires at lines 9, 12, 15, 19, 23, 28, 49,
+//! 58, 77 and 82; the reasonless waiver at line 57 is a `bad-suppression`.
 //! Everything else is named by non-test code (see `user.rs`) or waived.
 
 mod user;
@@ -70,4 +70,25 @@ pub(crate) mod support {
     pub fn call() {
         super::support_only();
     }
+}
+
+impl Counter {
+    /// Only the module path `crate::tally::ZERO` in `user.rs` shares its name.
+    pub fn tally(&self) -> u64 {
+        self.count
+    }
+
+    /// Only a shim (`crates/shims/gauge`) calls a `.reading()`, its own.
+    pub fn reading(&self) -> u64 {
+        self.count
+    }
+}
+
+mod tally {
+    pub const ZERO: u64 = 0;
+}
+
+impl Counter {
+    /// `user.rs` bounds it (`Counter::Tick: Copy`), a path that ends at it.
+    pub type Tick = u64;
 }

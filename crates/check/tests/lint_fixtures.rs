@@ -36,6 +36,8 @@ fn expected() -> Vec<(String, u32, &'static str)> {
         ("crates/dead/src/lib.rs", 49, "dead-pub"),
         ("crates/dead/src/lib.rs", 57, "bad-suppression"),
         ("crates/dead/src/lib.rs", 58, "dead-pub"),
+        ("crates/dead/src/lib.rs", 77, "dead-pub"),
+        ("crates/dead/src/lib.rs", 82, "dead-pub"),
         ("src/boundary.rs", 6, "boundary-panic"),
         ("src/boundary.rs", 11, "boundary-panic"),
         ("src/boundary.rs", 17, "boundary-panic"),

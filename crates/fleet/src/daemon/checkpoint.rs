@@ -5,14 +5,27 @@ use super::{FleetDaemon, FleetError};
 use crate::report::ExperienceSharing;
 use capes::CapesError;
 use capes_drl::DqnAgent;
-use capes_persist::{Persist, PersistError, SnapshotSlot};
-use capes_replay::ReplayArena;
+use capes_persist::{Persist, PersistError, Reader, SnapshotSlot};
+use capes_replay::ReplayDb;
 use std::path::{Path, PathBuf};
 
 fn checkpoint_mismatch(reason: impl Into<String>) -> FleetError {
     FleetError::Capes(CapesError::CheckpointMismatch {
         reason: reason.into(),
     })
+}
+
+fn replay_mismatch(reason: String) -> FleetError {
+    FleetError::Capes(CapesError::ReplayConfigMismatch { reason })
+}
+
+/// The two walks [`FleetDaemon::restore`] makes over a verified payload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Pass {
+    /// Decode and check each section, then drop it; the fleet is untouched.
+    Check,
+    /// Decode and check each section again, and move it into place at once.
+    Apply,
 }
 
 impl FleetDaemon {
@@ -71,7 +84,13 @@ impl FleetDaemon {
             profile.stripe_members.encode(&mut w);
             profile.agent.encode(&mut w);
         }
-        self.arena.encode(&mut w);
+        // The arena: a stripe count, then each stripe under its own read
+        // lock, one at a time like the samplers, so an encode racing live
+        // writers snapshots each stripe at some consistent point.
+        w.put_usize(self.arena.num_stripes());
+        for i in 0..self.arena.num_stripes() {
+            self.arena.with_read(i, |db| db.encode(&mut w));
+        }
         w.put_usize(self.sessions.len());
         for session in &self.sessions {
             w.put_str(&session.name);
@@ -80,11 +99,11 @@ impl FleetDaemon {
             // prediction-error mark that is always 0.
             f64::encode_slice(session.system.phase_throughput(), &mut w);
             w.put_usize(0);
-            // Each member system's state rides as one length-prefixed blob,
-            // so restore can collect and validate all of them before
-            // touching any session. An open blob is held whole in the
-            // writer's buffer; members run a `NullEngine` (their agents are
-            // the profiles' above), so theirs stay far below the window.
+            // Each member system's state rides as one length-prefixed blob:
+            // the prefix lets restore's check pass step over the blob
+            // undecoded, and the apply pass decodes it in place. An open blob is held whole in
+            // the writer's buffer; members run a `NullEngine` (their agents
+            // are the profiles' above), so theirs stay far below the window.
             w.put_blob(|w| session.system.encode_state(w));
         }
         let stats = w.finish()?;
@@ -97,31 +116,54 @@ impl FleetDaemon {
     ///
     /// The fleet must have been built with the same configuration the
     /// snapshot was taken under: same transport, same scenarios (names and
-    /// geometry in order), same replay configuration. Everything is decoded
-    /// and validated *before* any state is overwritten, so configuration
-    /// skew — wrong cluster count, wrong observation width, mismatched replay
+    /// geometry in order), same replay configuration. Configuration skew —
+    /// wrong cluster count, wrong observation width, mismatched replay
     /// capacity — is a typed error that leaves the fleet untouched:
     /// [`CapesError::CheckpointMismatch`] for geometry disagreements,
     /// [`CapesError::ReplayConfigMismatch`] for arena-stripe disagreements,
     /// [`FleetError::Persist`] for corrupt or truncated files.
     ///
-    /// One caveat: the per-session apply step runs after global validation,
-    /// so a deliberately crafted payload that passes its CRC and every
-    /// geometry check yet still fails mid-session leaves the daemon
-    /// part-restored. Such a daemon must be discarded, not run.
+    /// The file is read three times under one shared lock. The first pass
+    /// verifies the container and its CRC. The second, the check pass,
+    /// decodes the payload one section at a time — one profile's agent, one
+    /// arena stripe, one member's name and state blob — runs every check on
+    /// it and drops it, so nothing is overwritten before the whole snapshot
+    /// has been checked. The third, the apply pass, walks the payload again
+    /// with the same checks and moves each section into place as soon as it
+    /// is decoded, freeing the section it replaces before the next one is
+    /// read. The restore's heap peak is therefore the live fleet plus its
+    /// largest section, not plus a second copy of every agent and stripe.
+    ///
+    /// Two caveats, after both of which the daemon is part-restored and
+    /// must be discarded, not run: a member's state blob is only decoded in
+    /// the apply pass, so a deliberately crafted payload that passes its CRC
+    /// and every check of the check pass yet fails inside a blob stops the
+    /// apply pass midway; and so does a read error during the apply pass.
     pub fn restore(&mut self, path: &Path) -> Result<(), FleetError> {
         let _span = capes_telemetry::span!("persist.restore");
-        // Two passes over one open file. The first verifies the container —
-        // magic, version, length against the file size, CRC — before any
-        // payload byte is interpreted; the second streams the payload
-        // through the codec's window, so the file image is never resident.
+        // The verifying pass reads magic, version, length against the file
+        // size and CRC before any payload byte is interpreted; the other
+        // two stream the payload through the codec's window, so the file
+        // image is never resident.
         let mut snapshot = {
             let _verify = capes_telemetry::span!("persist.restore.verify");
             capes_persist::SnapshotFile::open(path)?
         };
-        let mut r = snapshot.reader()?;
+        {
+            let _check = capes_telemetry::span!("persist.restore.check");
+            self.restore_pass(&mut snapshot.reader()?, Pass::Check)?;
+        }
+        self.restore_pass(&mut snapshot.reader()?, Pass::Apply)?;
+        self.persist.restores.inc();
+        Ok(())
+    }
 
-        // Pure phase: decode and validate everything into locals.
+    /// One walk over a verified snapshot payload: decodes each section and
+    /// checks it against this fleet, then either drops it
+    /// ([`Pass::Check`], which leaves `self` untouched) or moves it into
+    /// place before the next section is decoded ([`Pass::Apply`]).
+    fn restore_pass(&mut self, r: &mut Reader<'_>, pass: Pass) -> Result<(), FleetError> {
+        let apply = pass == Pass::Apply;
         let tag = r.get_u8()?;
         if tag != self.transport().tag() {
             return Err(checkpoint_mismatch(format!(
@@ -132,7 +174,7 @@ impl FleetDaemon {
         let tick = r.get_u64()?;
         let train_cursor = r.get_usize()?;
         let cluster_ticks = r.get_u64()?;
-        let sharing = Vec::<ExperienceSharing>::decode(&mut r)?;
+        let sharing = Vec::<ExperienceSharing>::decode(r)?;
         if sharing.len() != self.profiles.len() {
             return Err(checkpoint_mismatch(format!(
                 "snapshot holds sharing modes for {} profiles, this fleet has {}",
@@ -144,6 +186,9 @@ impl FleetDaemon {
             mode.validate(profile.stripe_members.len())
                 .map_err(|what| PersistError::BadValue { what })?;
         }
+        if apply {
+            self.profile_sharing = sharing;
+        }
         let num_profiles = r.get_count(1)?;
         if num_profiles != self.profiles.len() {
             return Err(checkpoint_mismatch(format!(
@@ -151,11 +196,10 @@ impl FleetDaemon {
                 self.profiles.len()
             )));
         }
-        let mut agents = Vec::with_capacity(num_profiles);
-        for (i, profile) in self.profiles.iter().enumerate() {
+        for (i, profile) in self.profiles.iter_mut().enumerate() {
             let observation_size = r.get_usize()?;
             let num_params = r.get_usize()?;
-            let stripe_members = Vec::<usize>::decode(&mut r)?;
+            let stripe_members = Vec::<usize>::decode(r)?;
             if observation_size != profile.observation_size
                 || num_params != profile.num_params
                 || stripe_members != profile.stripe_members
@@ -167,7 +211,7 @@ impl FleetDaemon {
                     profile.observation_size, profile.num_params, profile.stripe_members
                 )));
             }
-            let agent = DqnAgent::decode(&mut r)?;
+            let agent = DqnAgent::decode(r)?;
             if agent.config().observation_size != profile.observation_size
                 || agent.config().num_params != profile.num_params
             {
@@ -175,9 +219,28 @@ impl FleetDaemon {
                     "profile {i}'s snapshot agent was trained for a different geometry"
                 )));
             }
-            agents.push(agent);
+            if apply {
+                profile.agent = agent;
+            }
         }
-        let arena = ReplayArena::decode(&mut r)?;
+        // The arena as `checkpoint` wrote it: a stripe count, then each
+        // stripe, checked against the live one's configuration.
+        let num_stripes = r.get_count(<ReplayDb as Persist>::MIN_SIZE)?;
+        if num_stripes != self.arena.num_stripes() {
+            return Err(replay_mismatch(format!(
+                "snapshot holds {num_stripes} arena stripes, this fleet has {}",
+                self.arena.num_stripes()
+            )));
+        }
+        for i in 0..num_stripes {
+            let db = ReplayDb::decode(r)?;
+            let placed = if apply {
+                self.arena.restore_stripe(i, db)
+            } else {
+                self.arena.check_stripe(i, &db)
+            };
+            placed.map_err(|e| replay_mismatch(e.to_string()))?;
+        }
         let num_sessions = r.get_count(1)?;
         if num_sessions != self.sessions.len() {
             return Err(checkpoint_mismatch(format!(
@@ -185,8 +248,7 @@ impl FleetDaemon {
                 self.sessions.len()
             )));
         }
-        let mut session_state = Vec::with_capacity(num_sessions);
-        for session in &self.sessions {
+        for session in &mut self.sessions {
             let name = r.get_str()?;
             if name != session.name {
                 return Err(checkpoint_mismatch(format!(
@@ -196,37 +258,22 @@ impl FleetDaemon {
             }
             // The two v1 slots `checkpoint` fills from the member blob's
             // phase record; the blob restores it.
-            Vec::<f64>::decode(&mut r)?;
+            Vec::<f64>::decode(r)?;
             r.get_usize()?;
             // The reader's window moves on; the member blob is detached.
-            session_state.push(r.get_byte_vec()?);
+            let blob = r.get_byte_vec()?;
+            if apply {
+                let mut sub = Reader::new(&blob);
+                session.system.decode_state(&mut sub)?;
+                sub.finish()?;
+            }
         }
         r.finish()?;
-        // Everything is decoded: release the window and the file before the
-        // apply phase.
-        drop(r);
-        drop(snapshot);
-
-        // Apply phase: nothing above touched `self`, and the arena checks
-        // its stripe count and configurations before it swaps anything.
-        self.arena
-            .restore_from(arena)
-            .map_err(|e| CapesError::ReplayConfigMismatch {
-                reason: e.to_string(),
-            })?;
-        for (profile, agent) in self.profiles.iter_mut().zip(agents) {
-            profile.agent = agent;
+        if apply {
+            self.tick = tick;
+            self.train_cursor = train_cursor;
+            self.cluster_ticks = cluster_ticks;
         }
-        self.profile_sharing = sharing;
-        for (session, blob) in self.sessions.iter_mut().zip(session_state) {
-            let mut sub = capes_persist::Reader::new(&blob);
-            session.system.decode_state(&mut sub)?;
-            sub.finish()?;
-        }
-        self.tick = tick;
-        self.train_cursor = train_cursor;
-        self.cluster_ticks = cluster_ticks;
-        self.persist.restores.inc();
         Ok(())
     }
 

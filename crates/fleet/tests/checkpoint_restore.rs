@@ -211,6 +211,59 @@ fn restore_rejects_geometry_skew_untouched() {
     let _ = std::fs::remove_file(&snap);
 }
 
+/// A mismatch in the payload's last section — the last cluster's name,
+/// after every agent and arena stripe — is still caught before anything is
+/// overwritten: the fleet's next checkpoint is byte-identical to the one it
+/// took before the failed restore.
+#[test]
+fn restore_rejects_a_late_mismatch_untouched() {
+    let snap = temp_path("late-skew.snap");
+    let before = temp_path("late-skew-before.snap");
+    let after = temp_path("late-skew-after.snap");
+    let mut original = two_cluster_fleet(Transport::Wire, 7);
+    for _ in 0..12 {
+        original.tick_all(PhaseKind::Train);
+    }
+    original.checkpoint(&snap).expect("checkpoint");
+
+    // Same geometry, seeds and replay configuration; only the last
+    // cluster's name differs. Its own few ticks give it state of its own.
+    let mut renamed = Fleet::builder()
+        .hyperparams(quick_hp())
+        .seed(7)
+        .transport(Transport::Wire)
+        .scenarios([
+            ScenarioSpec::new("w", Workload::random_rw(0.1)).clients(2),
+            ScenarioSpec::new("r2", Workload::random_rw(0.9)).clients(2),
+        ])
+        .build()
+        .unwrap();
+    for _ in 0..5 {
+        renamed.tick_all(PhaseKind::Train);
+    }
+    renamed.checkpoint(&before).expect("checkpoint before");
+    let err = renamed
+        .restore(&snap)
+        .expect_err("the last cluster's name must mismatch");
+    assert!(
+        matches!(
+            err,
+            FleetError::Capes(capes::CapesError::CheckpointMismatch { .. })
+        ) && err.to_string().contains("r2"),
+        "unexpected error: {err}"
+    );
+    assert_eq!(renamed.tick(), 5);
+    assert_eq!(renamed.persist_report().restores, 0);
+    renamed.checkpoint(&after).expect("checkpoint after");
+    assert!(
+        std::fs::read(&before).unwrap() == std::fs::read(&after).unwrap(),
+        "the failed restore changed the fleet"
+    );
+    for path in [&snap, &before, &after] {
+        let _ = std::fs::remove_file(path);
+    }
+}
+
 #[test]
 fn auto_checkpoint_fires_on_the_interval() {
     let snap = temp_path("auto.snap");
@@ -460,6 +513,58 @@ fn restore_rejects_invalid_sharing_modes_untouched() {
         assert_eq!(fleet.persist_report().restores, 0);
         let inserted: u64 = fleet.arena().stats().iter().map(|s| s.total_inserted).sum();
         assert_eq!(inserted, 0, "{name}: failed restore overlaid the arena");
+        assert_eq!(fleet.profile_sharing(0), ExperienceSharing::Disabled);
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
+/// Where a fleet snapshot payload's arena stripe count sits: after the
+/// header, the sharing modes and every profile's geometry and agent.
+fn stripe_count_offset(payload: &[u8]) -> usize {
+    use capes_persist::{Persist, Reader};
+    let mut r = Reader::new(payload);
+    r.get_u8().unwrap();
+    for _ in 0..3 {
+        r.get_u64().unwrap();
+    }
+    Vec::<ExperienceSharing>::decode(&mut r).unwrap();
+    for _ in 0..r.get_usize().unwrap() {
+        r.get_usize().unwrap();
+        r.get_usize().unwrap();
+        Vec::<usize>::decode(&mut r).unwrap();
+        capes_drl::DqnAgent::decode(&mut r).unwrap();
+    }
+    payload.len() - r.remaining()
+}
+
+/// An honest snapshot's arena stripe count always agrees once its profiles'
+/// stripe members do, so only a crafted payload reaches that check: a count
+/// of 0, or one more than the fleet has, is a replay-configuration mismatch
+/// that leaves the fleet untouched.
+#[test]
+fn restore_rejects_a_wrong_arena_stripe_count_untouched() {
+    let payload = self_biased_payload();
+    let at = stripe_count_offset(&payload);
+    let stripes = solo_fleet().arena().num_stripes();
+    assert_eq!(payload[at..at + 8], (stripes as u64).to_le_bytes());
+    for count in [0, stripes + 1] {
+        let mut crafted = payload.clone();
+        crafted[at..at + 8].copy_from_slice(&(count as u64).to_le_bytes());
+        let path = temp_path(&format!("stripes-{count}-{}.snap", std::process::id()));
+        capes_persist::write_atomic(&path, &capes_persist::encode_snapshot(&crafted)).unwrap();
+        let mut fleet = solo_fleet();
+        let err = fleet.restore(&path).expect_err("wrong stripe count");
+        assert!(
+            matches!(
+                err,
+                FleetError::Capes(capes::CapesError::ReplayConfigMismatch { .. })
+            ) && err.to_string().contains("arena stripes"),
+            "{count} stripes: unexpected error: {err}"
+        );
+        assert_eq!(fleet.tick(), 0, "{count} stripes: the tick moved");
+        assert_eq!(fleet.persist_report().restores, 0);
+        let inserted: u64 = fleet.arena().stats().iter().map(|s| s.total_inserted).sum();
+        assert_eq!(inserted, 0, "{count} stripes: the arena was overlaid");
         assert_eq!(fleet.profile_sharing(0), ExperienceSharing::Disabled);
         let _ = std::fs::remove_file(&path);
     }

@@ -201,8 +201,9 @@ fn checkpoint_spans_partition_the_total() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `persist.restore.verify` times each restore's verifying pass: one sample
-/// per restore, published in `/metrics`, and never more than the whole
+/// `persist.restore.verify` and `persist.restore.check` time each restore's
+/// verifying pass and its check pass: one sample each per restore, both
+/// published in `/metrics`, and neither more than the whole
 /// `persist.restore` it is part of.
 #[test]
 fn restore_verify_records_one_sample_per_restore() {
@@ -216,24 +217,35 @@ fn restore_verify_records_one_sample_per_restore() {
 
     let registry = capes_telemetry::global();
     let verify = registry.histogram("persist.restore.verify");
+    let check = registry.histogram("persist.restore.check");
     let restore = registry.histogram("persist.restore");
     let (count_before, verify_before, restore_before) =
         (verify.count(), verify.sum(), restore.sum());
+    let (check_count_before, check_before) = (check.count(), check.sum());
     let mut restored = build(Transport::Wire, 61);
     for _ in 0..3 {
         restored.restore(&snap).expect("restore");
     }
     assert_eq!(verify.count() - count_before, 3);
+    assert_eq!(check.count() - check_count_before, 3);
     assert!(verify.sum() > verify_before, "verify pass never timed");
+    assert!(check.sum() > check_before, "check pass never timed");
+    let restored_for = restore.sum() - restore_before;
     assert!(
-        verify.sum() - verify_before <= restore.sum() - restore_before,
+        verify.sum() - verify_before <= restored_for,
         "the verify pass outlasted the restores it is part of"
     );
-    let metrics = registry.snapshot().render_prometheus();
     assert!(
-        metrics.contains("persist_restore_verify_count"),
-        "{metrics}"
+        check.sum() - check_before <= restored_for,
+        "the check pass outlasted the restores it is part of"
     );
+    let metrics = registry.snapshot().render_prometheus();
+    for name in [
+        "persist_restore_verify_count",
+        "persist_restore_check_count",
+    ] {
+        assert!(metrics.contains(name), "{metrics}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

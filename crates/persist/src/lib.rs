@@ -29,7 +29,7 @@
 //! same logical state twice yields byte-identical output, which is what lets
 //! the equivalence suite compare whole checkpoints with `==`.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 
 mod codec;
 mod crc32;

@@ -14,9 +14,9 @@
 //! window — each chunk is encoded, folded into the CRC and written while it
 //! is cache-resident — under a placeholder header whose length word is
 //! patched by seek at the end; `crc(header ‖ payload)` then comes from
-//! [`combine`]. [`SnapshotFile`] reads in two passes over one open file:
-//! the first verifies magic, version, length and CRC, and only then does the
-//! second hand the payload to a windowed [`Reader`].
+//! [`combine`]. [`SnapshotFile`] reads in passes over one open file: the
+//! first verifies magic, version, length and CRC, and only then does each
+//! later pass hand the payload to a windowed [`Reader`].
 //!
 //! Files replace their destination atomically: the bytes go to a temporary
 //! file in the same directory, are fsynced, and are renamed over the
@@ -641,7 +641,8 @@ impl SnapshotFile {
     /// none can be reached unless all four checks pass.
     ///
     /// The file stays under a shared lock until this value drops, so no
-    /// [`SnapshotSlot`] overwrites it between the two passes.
+    /// [`SnapshotSlot`] overwrites it between the verifying pass and the
+    /// decoding passes.
     pub fn open(path: &Path) -> Result<Self, PersistError> {
         let mut file = open_shared(path)?;
         let file_len = file.metadata()?.len();
@@ -672,7 +673,9 @@ impl SnapshotFile {
         Ok(SnapshotFile { file, payload_len })
     }
 
-    /// The decoding pass: a windowed [`Reader`] over the payload.
+    /// A decoding pass: a windowed [`Reader`] over the payload, from its
+    /// first byte. Each call starts a new pass over the same verified bytes,
+    /// so a caller can check a payload whole before it applies any of it.
     pub fn reader(&mut self) -> Result<Reader<'_>, PersistError> {
         self.file.seek(SeekFrom::Start(HEADER as u64))?;
         Ok(Reader::streaming(&mut self.file, self.payload_len))

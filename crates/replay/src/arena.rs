@@ -111,18 +111,6 @@ impl ReplayArena {
         Self::uniform(config, 1)
     }
 
-    /// Wraps existing databases as arena stripes (e.g. loaded from disk).
-    ///
-    /// # Panics
-    /// Panics if `dbs` is empty.
-    pub fn from_dbs<I: IntoIterator<Item = ReplayDb>>(dbs: I) -> Self {
-        let stripes: Vec<RwLock<ReplayDb>> = dbs.into_iter().map(RwLock::new).collect();
-        assert!(!stripes.is_empty(), "an arena needs at least one stripe");
-        ReplayArena {
-            stripes: Arc::new(stripes),
-        }
-    }
-
     /// Number of stripes (member clusters).
     pub fn num_stripes(&self) -> usize {
         self.stripes.len()
@@ -174,36 +162,47 @@ impl ReplayArena {
             .collect()
     }
 
-    /// Overwrites every stripe's contents with `snapshot`'s, in stripe
-    /// order — the restore path: existing [`SharedReplayDb`] views (and the
-    /// member systems holding them) keep pointing at the same stripe locks
-    /// and see the restored data. Stripe count and per-stripe configuration
-    /// are validated before any stripe is touched, so a mismatching snapshot
-    /// leaves the arena unchanged.
+    /// Checks that `db` may replace stripe `index`: the stripe has `db`'s
+    /// configuration. [`ReplayArena::restore_stripe`] runs the same check.
     ///
     /// # Errors
-    /// [`capes_persist::PersistError::Mismatch`] when the snapshot's stripe
-    /// count or any stripe configuration disagrees with this arena's.
-    pub fn restore_from(&self, snapshot: ReplayArena) -> Result<(), capes_persist::PersistError> {
-        if snapshot.num_stripes() != self.num_stripes() {
+    /// [`capes_persist::PersistError::Mismatch`] when stripe `index`'s
+    /// configuration disagrees with `db`'s.
+    ///
+    /// # Panics
+    /// Panics if `index` is out of range.
+    pub fn check_stripe(
+        &self,
+        index: usize,
+        db: &ReplayDb,
+    ) -> Result<(), capes_persist::PersistError> {
+        if *db.config() != self.stripe_config(index) {
             return Err(capes_persist::PersistError::mismatch(format!(
-                "snapshot holds {} arena stripes, this fleet has {}",
-                snapshot.num_stripes(),
-                self.num_stripes()
+                "replay configuration of arena stripe {index} disagrees with the snapshot"
             )));
         }
-        for i in 0..self.num_stripes() {
-            if snapshot.stripe_config(i) != self.stripe_config(i) {
-                return Err(capes_persist::PersistError::mismatch(format!(
-                    "replay configuration of arena stripe {i} disagrees with the snapshot"
-                )));
-            }
-        }
-        // Moved, not copied: the live stripe takes the decoded one, and the
-        // stripe it replaces is freed with `snapshot`.
-        for i in 0..self.num_stripes() {
-            std::mem::swap(&mut *self.write_stripe(i), &mut *snapshot.write_stripe(i));
-        }
+        Ok(())
+    }
+
+    /// Replaces stripe `index`'s contents with `db` — the restore path, one
+    /// stripe at a time: existing [`SharedReplayDb`] views (and the member
+    /// systems holding them) keep pointing at the same stripe lock and see
+    /// the restored data, and the contents replaced are freed before this
+    /// returns. Runs [`ReplayArena::check_stripe`] first, so a mismatching
+    /// `db` leaves the stripe unchanged.
+    ///
+    /// # Errors
+    /// As [`ReplayArena::check_stripe`].
+    ///
+    /// # Panics
+    /// Panics if `index` is out of range.
+    pub fn restore_stripe(
+        &self,
+        index: usize,
+        db: ReplayDb,
+    ) -> Result<(), capes_persist::PersistError> {
+        self.check_stripe(index, &db)?;
+        *self.write_stripe(index) = db;
         Ok(())
     }
 
@@ -333,33 +332,6 @@ impl ReplayArena {
     }
 }
 
-impl capes_persist::Persist for ReplayArena {
-    const MIN_SIZE: usize = 8;
-
-    fn encode(&self, w: &mut capes_persist::Writer) {
-        // One stripe read lock at a time, like the samplers — an encode
-        // racing live writers snapshots each stripe at some consistent point.
-        w.put_usize(self.stripes.len());
-        for i in 0..self.stripes.len() {
-            self.read_stripe(i).encode(w);
-        }
-    }
-
-    fn decode(r: &mut capes_persist::Reader<'_>) -> Result<Self, capes_persist::PersistError> {
-        let count = r.get_count(<ReplayDb as capes_persist::Persist>::MIN_SIZE)?;
-        if count == 0 {
-            return Err(capes_persist::PersistError::BadValue {
-                what: "arena with no stripes",
-            });
-        }
-        let mut dbs = Vec::with_capacity(count);
-        for _ in 0..count {
-            dbs.push(ReplayDb::decode(r)?);
-        }
-        Ok(ReplayArena::from_dbs(dbs))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -410,41 +382,42 @@ mod tests {
     }
 
     #[test]
-    fn restore_from_overlays_stripes_behind_live_views() {
+    fn restore_stripe_overlays_behind_live_views() {
         use capes_persist::Persist;
         let arena = ReplayArena::uniform(config(), 2);
         fill_stripe(&arena, 0, 30, 0.0);
         fill_stripe(&arena, 1, 30, 500.0);
-        let mut w = capes_persist::Writer::new();
-        arena.encode(&mut w);
+        let encode = |i| {
+            let mut w = capes_persist::Writer::new();
+            arena.with_read(i, |db| db.encode(&mut w));
+            w.into_vec()
+        };
+        let stripes = [encode(0), encode(1)];
+        let decode = |bytes: &[u8]| {
+            let mut r = capes_persist::Reader::new(bytes);
+            ReplayDb::decode(&mut r).expect("stripe decodes")
+        };
         // A live view taken *before* the restore must see the restored data.
         let view = arena.stripe(1);
         fill_stripe(&arena, 0, 50, 7.0);
         fill_stripe(&arena, 1, 50, 7.0);
-        let bytes = w.into_vec();
-        let mut r = capes_persist::Reader::new(&bytes);
-        let snapshot = ReplayArena::decode(&mut r).expect("snapshot decodes");
-        arena
-            .restore_from(snapshot)
-            .expect("same geometry restores");
+        for (i, bytes) in stripes.iter().enumerate() {
+            arena
+                .restore_stripe(i, decode(bytes))
+                .expect("same configuration restores");
+        }
         assert_eq!(arena.stripe(0).len(), 30);
         assert_eq!(view.len(), 30, "pre-restore views track the overlay");
         assert_eq!(view.with_read(|db| db.objective_at(4)), Some(504.0));
-        // A snapshot with the wrong stripe count is rejected untouched.
-        let skewed = ReplayArena::uniform(config(), 3);
-        let err = arena.restore_from(skewed).unwrap_err();
-        assert!(err.to_string().contains("stripes"));
-        assert_eq!(arena.stripe(0).len(), 30);
-        // … and so is one with a different per-stripe configuration.
-        let narrow = ReplayArena::uniform(
-            ReplayConfig {
-                capacity_ticks: 500,
-                ..config()
-            },
-            2,
-        );
-        let err = arena.restore_from(narrow).unwrap_err();
+        // A stripe of another configuration is rejected, untouched.
+        fill_stripe(&arena, 0, 50, 7.0);
+        let narrow = ReplayDb::new(ReplayConfig {
+            capacity_ticks: 500,
+            ..config()
+        });
+        let err = arena.restore_stripe(0, narrow).unwrap_err();
         assert!(err.to_string().contains("configuration"));
+        assert_eq!(arena.stripe(0).len(), 50);
     }
 
     #[test]

@@ -37,7 +37,7 @@
 //! | arena | `arena.lock_wait`, `arena.sample` (histograms) |
 //! | daemon | `daemon.ingest` (histogram), `daemon.reports_rejected`, `daemon.implausible_ticks` (counters) |
 //! | net | `net.read`, `net.decode`, `net.egress` (histograms), `net.ingress.depth` (gauge), plus the `net.*` counters mirroring `NetStats` |
-//! | persist | `persist.checkpoint.{total,encode,crc,write,fsync,dirsync,writeback}`, `persist.restore`, `persist.restore.verify` (histograms), `persist.checkpoint.bytes` (gauge) plus `persist.*` counters |
+//! | persist | `persist.checkpoint.{total,encode,crc,write,fsync,dirsync,writeback}`, `persist.restore`, `persist.restore.{verify,check}` (histograms), `persist.checkpoint.bytes` (gauge) plus `persist.*` counters |
 //!
 //! Exposition maps every character outside `[A-Za-z0-9_:]` to an underscore
 //! (`fleet_tick_total`), so any cluster name renders a valid metric name.

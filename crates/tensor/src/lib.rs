@@ -44,7 +44,7 @@ pub use simd::SimdLevel;
 /// Handles the case where both values are non-finite in the same way
 /// (`NaN == NaN` is considered equal here so that tests can compare
 /// intentionally-poisoned matrices).
-pub fn approx_eq(a: f64, b: f64, tol: f64) -> bool {
+fn approx_eq(a: f64, b: f64, tol: f64) -> bool {
     if a.is_nan() && b.is_nan() {
         return true;
     }

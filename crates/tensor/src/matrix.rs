@@ -132,13 +132,7 @@ impl Matrix {
     /// Panics if the column counts differ or rows are out of range.
     pub fn copy_row_from(&mut self, dst_row: usize, src: &Matrix, src_row: usize) {
         assert_eq!(self.cols, src.cols, "column count mismatch");
-        let dst = self.row_mut(dst_row) as *mut [f64];
-        // SAFETY: src and self may alias only if they are the same allocation,
-        // in which case copy_from_slice on disjoint rows is still fine; for the
-        // same row it is a no-op copy.
-        unsafe {
-            (*dst).copy_from_slice(src.row(src_row));
-        }
+        self.row_mut(dst_row).copy_from_slice(src.row(src_row));
     }
 
     /// Returns a new matrix whose elements are `f(x)` for every element `x`.

@@ -65,8 +65,9 @@ fn naive_gemm(a: &[f64], b: &[f64], m: usize, k: usize, n: usize) -> Vec<f64> {
     out
 }
 
+/// Within 1e-9, or both NaN, or exactly equal (matching infinities).
 fn approx(a: f64, b: f64) -> bool {
-    capes_tensor::approx_eq(a, b, 1e-9)
+    (a.is_nan() && b.is_nan()) || a == b || (a - b).abs() <= 1e-9
 }
 
 proptest! {
