@@ -8,7 +8,7 @@
 
 /// Result of checking one proposed parameter vector.
 #[derive(Debug, Clone, PartialEq)]
-pub enum CheckOutcome {
+pub(crate) enum CheckOutcome {
     /// The action is allowed through unchanged.
     Allowed,
     /// The action was rejected; the string names the violated rule.
@@ -17,6 +17,7 @@ pub enum CheckOutcome {
 
 /// A per-parameter bound enforced by the checker.
 #[derive(Debug, Clone, Copy, PartialEq)]
+// capes-check: allow(dead-pub) -- the bound list of the public `ActionChecker::new`, which the floor test action_checker_keeps_vetoed_regions_untouched in tests/end_to_end.rs builds
 pub struct ParamBound {
     /// Parameter name (for error messages).
     pub name: &'static str,
@@ -48,7 +49,7 @@ impl ActionChecker {
     }
 
     /// Checks a proposed parameter vector.
-    pub fn check(&self, proposed: &[f64]) -> CheckOutcome {
+    pub(crate) fn check(&self, proposed: &[f64]) -> CheckOutcome {
         if self.bounds.is_empty() {
             return CheckOutcome::Allowed;
         }

@@ -8,7 +8,7 @@ use capes_persist::Persist;
 
 /// Statistics kept by a control agent.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ControlStats {
+pub(crate) struct ControlStats {
     /// Action messages received.
     pub received: u64,
     /// Action messages that actually changed at least one parameter value.
@@ -33,7 +33,8 @@ pub struct ControlAgent {
 
 impl ControlAgent {
     /// Accumulated statistics.
-    pub fn stats(&self) -> ControlStats {
+    #[cfg(test)]
+    fn stats(&self) -> ControlStats {
         self.stats
     }
 

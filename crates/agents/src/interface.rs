@@ -11,6 +11,7 @@ use crate::message::{ActionMessage, Message, PiReport};
 use crate::wire::decode_message;
 use capes_persist::{Persist, PersistError, Reader, Writer};
 use capes_replay::SharedReplayDb;
+use capes_telemetry::names;
 use std::collections::HashMap;
 
 /// Counters kept by the daemon (Table-2 style accounting).
@@ -178,7 +179,7 @@ impl InterfaceDaemon {
         // Every transport (wire frames, socket server) funnels
         // decoded traffic through here, so this one span covers ingest
         // latency fleet-wide.
-        let _span = capes_telemetry::span!("daemon.ingest");
+        let _span = capes_telemetry::span!(names::SPAN_DAEMON_INGEST);
         match message {
             Message::Report(report) => self.ingest_report(report),
             Message::Objective { tick, node, value } => {

@@ -28,7 +28,7 @@ pub mod message;
 pub mod monitoring;
 pub mod wire;
 
-pub use checker::{ActionChecker, CheckOutcome};
+pub use checker::ActionChecker;
 pub use control::ControlAgent;
 pub use interface::{InterfaceDaemon, InterfaceStats};
 pub use message::{ActionMessage, Message, PiReport};

@@ -76,7 +76,7 @@ impl Scale {
 
     /// Hyperparameters appropriate for the scale: the paper's values for the
     /// full scale, the compressed exploration schedule for the quick scale.
-    pub fn hyperparameters(&self) -> Hyperparameters {
+    pub(crate) fn hyperparameters(&self) -> Hyperparameters {
         match self {
             Scale::Quick => Hyperparameters::quick_test(),
             Scale::Full => Hyperparameters::paper(),
@@ -220,6 +220,7 @@ pub fn train_then_measure(
 
 /// One engine's outcome in the unified comparison.
 #[derive(Debug, Clone)]
+// capes-check: allow(dead-pub) -- returned by the public `compare_engines`, whose rows the table binaries print
 pub struct EngineRow {
     /// Engine name as reported by [`TuningEngine::name`].
     pub engine: String,
@@ -244,7 +245,7 @@ serde::serialize_struct! { EngineRow {
 /// The engine line-up of the paper's future-work comparison: the DRL engine
 /// (`None` = the builder's default) plus the three search comparators wrapped
 /// as [`TuningEngine`]s.
-pub fn engine_lineup(seed: u64, eval_ticks: u64) -> Vec<Option<Box<dyn TuningEngine>>> {
+pub(crate) fn engine_lineup(seed: u64, eval_ticks: u64) -> Vec<Option<Box<dyn TuningEngine>>> {
     vec![
         None,
         Some(Box::new(SearchEngine::new(StaticBaseline, eval_ticks))),

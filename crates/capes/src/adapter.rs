@@ -7,6 +7,7 @@ use capes_simstore::{Cluster, ClusterConfig, TunableParams, Workload};
 
 /// Builder for [`SimulatedLustre`].
 #[derive(Debug, Clone)]
+// capes-check: allow(dead-pub) -- returned by the public `SimulatedLustre::builder`
 pub struct SimulatedLustreBuilder {
     config: ClusterConfig,
     workload: Workload,

@@ -56,6 +56,7 @@ impl Capes {
 ///
 /// Defaults match the paper's evaluation: Table-1 hyperparameters, the
 /// throughput objective, a permissive Action Checker and the DQN engine.
+// capes-check: allow(dead-pub) -- returned by the public `Capes::builder`
 pub struct CapesBuilder<T: TargetSystem> {
     target: T,
     hyperparams: Hyperparameters,

@@ -29,6 +29,7 @@ use capes_replay::{Observation, SharedReplayDb};
 
 /// Everything an engine may inspect when proposing an action for one tick.
 #[derive(Debug)]
+// capes-check: allow(dead-pub) -- the argument of the public `TuningEngine::propose_action`
 pub struct EngineContext<'a> {
     /// Current action tick.
     pub tick: u64,
@@ -187,6 +188,7 @@ impl TuningEngine for DqnAgent {
 /// [`SearchEngine`]). Implemented by the comparators in [`crate::tuners`].
 /// `Send` because the wrapping [`SearchEngine`] is a [`TuningEngine`], which
 /// fleet worker threads may carry across threads.
+// capes-check: allow(dead-pub) -- the bound of the public `SearchEngine`
 pub trait SearchStrategy: Send {
     /// Name used in logs and benchmark output.
     fn name(&self) -> &'static str;

@@ -44,7 +44,7 @@ serde::serialize_unit_enum! { PhaseKind { Baseline, Train, Tuned } }
 
 impl PhaseKind {
     /// Lower-case label used in reports.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             PhaseKind::Baseline => "baseline",
             PhaseKind::Train => "training",
@@ -95,7 +95,7 @@ impl Phase {
     }
 
     /// The label the phase's session will carry.
-    pub fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         match self {
             Phase::Tuned { label, .. } => label.clone(),
             other => other.kind().label().to_string(),

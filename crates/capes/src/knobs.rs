@@ -5,6 +5,13 @@
 //! so the tuning surface the process reads from its environment is
 //! documented in exactly one place. The examples' phase lengths are
 //! constants in each example, not knobs.
+//!
+//! Unlike the metric names (`capes_telemetry::names`, which every call site
+//! names instead of a literal), these constants are a registry file that the
+//! rule reads: `CAPES_SIMD` and `CAPES_THREADS` are read in `capes-tensor`,
+//! which sits below this crate and cannot name its items, so the knobs stay
+//! literals at their read sites and the rule matches them against this file
+//! in both directions.
 
 /// SIMD kernel level. Unset, `auto` or `1/on/true`: the highest level
 /// runtime detection finds (scalar < AVX2+FMA < AVX-512). `avx2` (or `fma`)

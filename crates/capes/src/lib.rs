@@ -97,7 +97,7 @@ pub use target::{TargetSystem, TargetTick, TunableSpec};
 // Replay-layer types that surface through the builder API (`replay_db`):
 // re-exported so downstream crates need not depend on capes-replay directly
 // to hand a system an arena stripe.
-pub use capes_replay::{ReplayArena, SharedReplayDb, StripeStats};
+pub use capes_replay::{ReplayArena, SharedReplayDb};
 
 /// Convenient glob import for examples, benchmarks and downstream crates.
 ///

@@ -28,7 +28,7 @@ pub enum Objective {
 
 impl Objective {
     /// Evaluates the objective over one tick.
-    pub fn evaluate(&self, tick: &TargetTick) -> f64 {
+    pub(crate) fn evaluate(&self, tick: &TargetTick) -> f64 {
         match self {
             Objective::Throughput => tick.throughput_mbps,
             Objective::NegativeLatency => -tick.latency_ms,

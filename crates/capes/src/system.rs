@@ -222,7 +222,7 @@ impl<T: TargetSystem> CapesSystem<T> {
 
     /// Resets every tunable parameter to its default value (used before
     /// baseline measurements).
-    pub fn reset_params_to_defaults(&mut self) {
+    pub(crate) fn reset_params_to_defaults(&mut self) {
         let defaults: Vec<f64> = self.specs.iter().map(|s| s.default).collect();
         self.target.apply_params(&defaults);
         // The reset bypasses the control path, so the Control Agent's

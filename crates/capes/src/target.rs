@@ -20,7 +20,7 @@ pub struct TunableSpec {
 
 impl TunableSpec {
     /// Clamps `value` into the valid range.
-    pub fn clamp(&self, value: f64) -> f64 {
+    pub(crate) fn clamp(&self, value: f64) -> f64 {
         value.clamp(self.min, self.max)
     }
 }
@@ -39,7 +39,7 @@ pub struct TargetTick {
 
 impl TargetTick {
     /// Number of reporting nodes.
-    pub fn num_nodes(&self) -> usize {
+    pub(crate) fn num_nodes(&self) -> usize {
         self.per_node_pis.len()
     }
 }

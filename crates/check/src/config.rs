@@ -1,5 +1,5 @@
 //! `check.toml` manifest: which files are hardened boundaries, which are
-//! declared hot paths, where the name registries live, and what to skip.
+//! declared hot paths, where the env knob registry lives, and what to skip.
 //!
 //! The parser is a deliberately small TOML subset (tables, array-of-tables,
 //! string and string-array values, `#` comments) — enough for the manifest,
@@ -9,7 +9,7 @@ use std::fmt;
 
 /// A module declared allocation-free.
 #[derive(Debug, Clone, Default)]
-pub struct HotPath {
+pub(crate) struct HotPath {
     /// Workspace-relative path.
     pub file: String,
     /// Function names the no-alloc rule applies to; empty ⇒ the whole file
@@ -19,22 +19,21 @@ pub struct HotPath {
 
 /// Parsed manifest.
 #[derive(Debug, Clone, Default)]
+// capes-check: allow(dead-pub) -- the parameter of the public `run` and the result of `load_config`, which the CLI calls
 pub struct Config {
     /// Workspace-relative path prefixes to skip entirely.
-    pub exclude: Vec<String>,
+    pub(crate) exclude: Vec<String>,
     /// Files whose string literals define the known `CAPES_*` env vars.
-    pub env_registry: Vec<String>,
-    /// Files whose string literals define the known metric/span names.
-    pub metric_registry: Vec<String>,
+    pub(crate) env_registry: Vec<String>,
     /// Hardened-boundary path prefixes (no unwrap/expect/panic!/bare indexing).
-    pub boundary: Vec<String>,
+    pub(crate) boundary: Vec<String>,
     /// Declared allocation-free modules.
-    pub hot_paths: Vec<HotPath>,
+    pub(crate) hot_paths: Vec<HotPath>,
 }
 
 /// Manifest syntax error with its line number.
 #[derive(Debug)]
-pub struct ConfigError {
+pub(crate) struct ConfigError {
     pub line: usize,
     pub message: String,
 }
@@ -56,7 +55,7 @@ enum Section {
 }
 
 /// Parses the manifest text.
-pub fn parse(text: &str) -> Result<Config, ConfigError> {
+pub(crate) fn parse(text: &str) -> Result<Config, ConfigError> {
     let mut config = Config::default();
     let mut section = Section::None;
     let mut lines = text.lines().enumerate().peekable();
@@ -109,7 +108,6 @@ pub fn parse(text: &str) -> Result<Config, ConfigError> {
         match (&section, key) {
             (Section::Workspace, "exclude") => config.exclude = values,
             (Section::Registry, "env") => config.env_registry = values,
-            (Section::Registry, "metrics") => config.metric_registry = values,
             (Section::Boundary, "files") => config.boundary = values,
             (Section::HotPath, "file") => {
                 let hot = config
@@ -235,7 +233,6 @@ exclude = ["target", "crates/check/tests/fixtures"]
 
 [registry]
 env = "crates/capes/src/knobs.rs"
-metrics = ["crates/telemetry/src/names.rs"]
 
 [boundary]
 files = [
@@ -264,5 +261,6 @@ fns = ["run"]
         assert!(parse("[nope]\n").is_err());
         assert!(parse("[workspace]\nexclude = nope\n").is_err());
         assert!(parse("[[hot_path]]\nfns = [\"x\"]\n").is_err());
+        assert!(parse("[registry]\nmetrics = \"names.rs\"\n").is_err());
     }
 }

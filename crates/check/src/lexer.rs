@@ -10,7 +10,7 @@
 
 /// Token class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TokKind {
+pub(crate) enum TokKind {
     Ident,
     /// String literal of any flavor (`"…"`, `r#"…"#`, `b"…"`, `c"…"`). The
     /// token text is the *inner* content, escapes unprocessed.
@@ -27,7 +27,7 @@ pub enum TokKind {
 
 /// One token with its source position.
 #[derive(Debug, Clone)]
-pub struct Tok {
+pub(crate) struct Tok {
     pub kind: TokKind,
     pub text: String,
     /// 1-based line the token starts on.
@@ -41,15 +41,13 @@ pub struct Tok {
 /// A lexed file: the token stream plus per-line occupancy used by the
 /// "comment immediately above" checks.
 #[derive(Debug, Default)]
-pub struct Lexed {
+pub(crate) struct Lexed {
     pub tokens: Vec<Tok>,
-    /// Number of lines in the file.
-    pub line_count: u32,
 }
 
 impl Lexed {
     /// `true` if `line` carries any non-comment, non-attribute token.
-    pub fn line_has_code(&self, line: u32) -> bool {
+    pub(crate) fn line_has_code(&self, line: u32) -> bool {
         self.tokens
             .iter()
             .any(|t| t.kind != TokKind::Comment && !t.attr && t.line <= line && line <= t.end_line)
@@ -57,21 +55,21 @@ impl Lexed {
 
     /// `true` if `line` carries an attribute or comment token (and possibly
     /// nothing else).
-    pub fn line_has_comment_or_attr(&self, line: u32) -> bool {
+    pub(crate) fn line_has_comment_or_attr(&self, line: u32) -> bool {
         self.tokens
             .iter()
             .any(|t| (t.kind == TokKind::Comment || t.attr) && t.line <= line && line <= t.end_line)
     }
 
     /// Comments whose span covers `line`.
-    pub fn comments_on(&self, line: u32) -> impl Iterator<Item = &Tok> {
+    pub(crate) fn comments_on(&self, line: u32) -> impl Iterator<Item = &Tok> {
         self.tokens
             .iter()
             .filter(move |t| t.kind == TokKind::Comment && t.line <= line && line <= t.end_line)
     }
 
     /// Index of the next non-comment token at or after `i`.
-    pub fn next_code(&self, mut i: usize) -> Option<usize> {
+    pub(crate) fn next_code(&self, mut i: usize) -> Option<usize> {
         while i < self.tokens.len() {
             if self.tokens[i].kind != TokKind::Comment {
                 return Some(i);
@@ -82,20 +80,20 @@ impl Lexed {
     }
 
     /// Index of the previous non-comment token strictly before `i`.
-    pub fn prev_code(&self, i: usize) -> Option<usize> {
+    pub(crate) fn prev_code(&self, i: usize) -> Option<usize> {
         (0..i)
             .rev()
             .find(|&j| self.tokens[j].kind != TokKind::Comment)
     }
 
     /// `true` if the non-comment token at `i` is the identifier `name`.
-    pub fn is_ident(&self, i: usize, name: &str) -> bool {
+    pub(crate) fn is_ident(&self, i: usize, name: &str) -> bool {
         let t = &self.tokens[i];
         t.kind == TokKind::Ident && t.text == name
     }
 
     /// `true` if the token at `i` is the punctuation `c`.
-    pub fn is_punct(&self, i: usize, c: char) -> bool {
+    pub(crate) fn is_punct(&self, i: usize, c: char) -> bool {
         self.tokens[i].kind == TokKind::Punct(c)
     }
 }
@@ -133,7 +131,7 @@ fn is_ident_continue(b: u8) -> bool {
 
 /// Lexes `src` into tokens. Unterminated constructs are closed at EOF
 /// (the linter must degrade gracefully, never panic, on odd input).
-pub fn lex(src: &str) -> Lexed {
+pub(crate) fn lex(src: &str) -> Lexed {
     let mut cur = Cursor {
         src: src.as_bytes(),
         pos: 0,
@@ -411,8 +409,7 @@ pub fn lex(src: &str) -> Lexed {
             }
         }
     }
-    let line_count = cur.line;
-    let mut lexed = Lexed { tokens, line_count };
+    let mut lexed = Lexed { tokens };
     mark_attributes(&mut lexed);
     lexed
 }

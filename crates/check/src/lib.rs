@@ -3,43 +3,54 @@
 //! A dependency-free, token-level checker for the CAPES workspace's
 //! project-specific invariants — the things `rustc` and clippy cannot see:
 //! SAFETY-comment discipline, allocation-free hot paths, panic-free hardened
-//! boundaries, centrally registered env knobs and metric names, and no dead
-//! public items. See [`rules`] for the rule table and the inline suppression
+//! boundaries, centrally registered env knobs, metric names written only as
+//! `capes_telemetry::names` items, and no `pub` item that only its own crate
+//! uses. See [`rules`] for the rule table and the inline suppression
 //! syntax, and `check.toml` at the workspace root for the manifest format
-//! ([`config`]).
+//! (`config.rs`).
 //!
-//! `dead-pub` ([`rules::dead_pub`]) is the one rule `rustc` cannot stand in
-//! for: every item is `pub` across the workspace's crates, so the
-//! `dead_code` lint never sees a public function that only tests call.
+//! `dead-pub` (`rules::dead_pub`) hands the crate-local surface to `rustc`.
+//! Its `dead_code` lint is exact for a `pub(crate)` item, but it never sees
+//! a `pub` one, which another crate might use. So the rule asks one
+//! question of each `pub` item: does another crate's non-test code name
+//! it? If not, the item should be `pub(crate)`, and `rustc` then reports it
+//! if nothing in its own crate uses it either.
 //!
 //! - **Indexed:** every `pub` fn, struct, enum, trait, const, static and
 //!   type in non-shim `crates/*/src`, outside `#[cfg(test)]` modules. Not
 //!   `pub mod`, `pub use`, fields or `pub(crate)` items, and nothing in the
-//!   two `[registry]` files, which the registry rules govern.
-//! - **A reference:** the item's name in non-test code of any linted file
-//!   (`src/`, `crates/`, `examples/`, `benchmark/`), but not in comments,
-//!   strings (bar inline format arguments such as `"{NAME}"`), `use`/`pub
-//!   use` lines, the item's own definition, `#[cfg(test)]` modules,
-//!   `tests/` directories or `crates/shims/`, whose code stands in for
-//!   external crates that cannot name a workspace item. An item declared in
-//!   an `impl` block counts only at `.name(` or at the end of a `::name`
-//!   path — `::name::` is a module or type segment — and a `.name` with no
-//!   call after it reads a field, so it names no item at all.
-//! - **Test support:** waived in place with
-//!   `// capes-check: allow(dead-pub) -- <the test that uses it>`.
+//!   env knob registry, which rule `env-registry` governs.
+//! - **A crate:** a package's library, each of its `src/bin/*` and its
+//!   `src/main.rs`, each `examples/*`, the root `src/` and `benchmark/src`
+//!   (`rules::crate_of`). Names from the item's own crate do not count.
+//! - **A reference:** the item's name in non-test code of another crate
+//!   among the linted files (`src/`, `crates/`, `examples/`, `benchmark/`),
+//!   but not in comments, strings (bar inline format arguments such as
+//!   `"{NAME}"`), `pub use` re-exports, the item's own definition,
+//!   `#[cfg(test)]` modules, `tests/` directories or `crates/shims/`, whose
+//!   code stands in for external crates that cannot name a workspace item.
+//!   A plain `use` counts: `rustc` reports one the crate never uses. An item
+//!   declared in an `impl` block counts only at `.name(` or at the end of a
+//!   `::name` path — `::name::` is a module or type segment — and a `.name`
+//!   with no call after it reads a field, so it names no item at all.
+//! - **Waived in place** with `// capes-check: allow(dead-pub) -- <reason>`:
+//!   test support that another crate's tests use, and an item that a public
+//!   signature exposes (`rustc`'s `private_interfaces` lint rejects it as
+//!   `pub(crate)`).
 //!
 //! The rule is lexical and matches by name alone, so an item sharing its
-//! name with a live one (two methods both named `reset`) is never reported:
-//! it can miss dead code, but it never reports a live item.
+//! name with one that another crate uses (two methods both named `reset`)
+//! is never reported: it can miss a narrowing, but it never reports an item
+//! that must stay `pub`.
 
 #![forbid(unsafe_code)]
 
-pub mod config;
-pub mod lexer;
+mod config;
+mod lexer;
 pub mod rules;
 
 pub use config::Config;
-pub use rules::{Finding, Registries};
+pub use rules::Finding;
 
 use std::collections::HashSet;
 use std::fs;
@@ -67,19 +78,16 @@ pub fn run(root: &Path, config: &Config) -> io::Result<Report> {
     collect_rs_files(root, root, config, &mut files)?;
     files.sort();
 
-    let mut registries = Registries::default();
+    let mut env_knobs = HashSet::new();
     for rel in config.env_registry.iter() {
-        registries.env.extend(read_literals(root, rel)?);
-    }
-    for rel in config.metric_registry.iter() {
-        registries.metrics.extend(read_literals(root, rel)?);
+        env_knobs.extend(read_literals(root, rel)?);
     }
 
     let mut findings = Vec::new();
     let mut cross = rules::CrossFile::default();
     for rel in &files {
         let src = fs::read_to_string(root.join(rel))?;
-        findings.extend(rules::lint_file(rel, &src, config, &registries, &mut cross));
+        findings.extend(rules::lint_file(rel, &src, config, &env_knobs, &mut cross));
     }
     for rel in config.env_registry.iter() {
         let src = fs::read_to_string(root.join(rel))?;

@@ -9,9 +9,10 @@
 //! |                     | and every `[boundary]` entry matches a linted file               |
 //! | `env-registry`      | every `CAPES_*` literal appears in the env knob registry, and    |
 //! |                     | every registry literal appears in some non-test file             |
-//! | `metric-registry`   | every metric/span name literal appears in the name registry      |
-//! | `dead-pub`          | every `pub` item of non-shim `crates/*/src` is named by some     |
-//! |                     | non-test code (see [`dead_pub`])                                 |
+//! | `metric-registry`   | no string literal is the name of a registry sink call or of      |
+//! |                     | `LazySpan::new` in non-test code (see `check_metric_literals`)   |
+//! | `dead-pub`          | every `pub` item of non-shim `crates/*/src` is named by the      |
+//! |                     | non-test code of another crate (see `dead_pub`)                  |
 //! | `bad-suppression`   | suppression comments name a real rule and carry a reason         |
 //! | `stale-suppression` | every suppression waives some finding                            |
 //!
@@ -21,9 +22,10 @@
 
 use crate::config::Config;
 use crate::lexer::{lex, Lexed, TokKind};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 /// Stable rule ids, in reporting order.
+// capes-check: allow(dead-pub) -- the rule list tests/lint_fixtures.rs iterates
 pub const RULE_IDS: &[&str] = &[
     "safety-comment",
     "hot-path-alloc",
@@ -37,6 +39,7 @@ pub const RULE_IDS: &[&str] = &[
 
 /// One rule violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
+// capes-check: allow(dead-pub) -- the element type of the public `Report::findings`
 pub struct Finding {
     /// Workspace-relative path, `/`-separated.
     pub file: String,
@@ -56,15 +59,8 @@ impl std::fmt::Display for Finding {
     }
 }
 
-/// Interned name sets lexed out of the registry modules named in `check.toml`.
-#[derive(Debug, Default, Clone)]
-pub struct Registries {
-    pub env: HashSet<String>,
-    pub metrics: HashSet<String>,
-}
-
 /// Collects every string literal in `src` (used on registry modules).
-pub fn literal_set(src: &str) -> HashSet<String> {
+pub(crate) fn literal_set(src: &str) -> HashSet<String> {
     lex(src)
         .tokens
         .iter()
@@ -88,16 +84,17 @@ struct Suppression {
 /// [`stale_suppressions`]) need from every linted file, gathered by
 /// [`lint_file`].
 #[derive(Debug, Default)]
-pub struct CrossFile {
+pub(crate) struct CrossFile {
     /// `CAPES_*` literals held outside tests.
     pub(crate) env_reads: HashSet<String>,
     /// `pub` items of non-shim `crates/*/src`.
     items: Vec<PubItem>,
-    /// Identifiers non-test code names, outside `use` lines and definitions.
-    names: HashSet<String>,
+    /// Identifiers non-test code names, outside `use` lines and definitions,
+    /// each with the crates ([`crate_of`]) that name it.
+    names: HashMap<String, HashSet<String>>,
     /// Those of `names` that non-test code names at the end of a `::` path,
     /// or calls after `.`.
-    members: HashSet<String>,
+    members: HashMap<String, HashSet<String>>,
     /// Every file's well-formed suppressions, one entry per rule named.
     suppressions: Vec<Suppression>,
 }
@@ -105,6 +102,8 @@ pub struct CrossFile {
 #[derive(Debug)]
 struct PubItem {
     file: String,
+    /// The crate that declares it ([`crate_of`]).
+    krate: String,
     line: u32,
     kind: &'static str,
     name: String,
@@ -113,12 +112,13 @@ struct PubItem {
 }
 
 /// Lints one file; `rel_path` is workspace-relative with `/` separators.
-/// Adds what the file declares and names to `cross`.
-pub fn lint_file(
+/// `env_knobs` holds the knob names of the env registry. Adds what the file
+/// declares and names to `cross`.
+pub(crate) fn lint_file(
     rel_path: &str,
     src: &str,
     config: &Config,
-    registries: &Registries,
+    env_knobs: &HashSet<String>,
     cross: &mut CrossFile,
 ) -> Vec<Finding> {
     let lexed = lex(src);
@@ -126,8 +126,7 @@ pub fn lint_file(
     let is_test_file = rel_path.starts_with("tests/")
         || rel_path.contains("/tests/")
         || rel_path.contains("/benches/");
-    let is_registry_file = config.env_registry.iter().any(|p| p == rel_path)
-        || config.metric_registry.iter().any(|p| p == rel_path);
+    let is_registry_file = config.env_registry.iter().any(|p| p == rel_path);
 
     let mut findings: Vec<Finding> = Vec::new();
     cross
@@ -140,7 +139,7 @@ pub fn lint_file(
     // Shim code stands in for external crates, which cannot name a
     // workspace item: a method a shim calls is no use of a same-named one.
     if !is_test_file && !rel_path.starts_with("crates/shims/") {
-        collect_names(&lexed, &in_tests, cross);
+        collect_names(&crate_of(rel_path), &lexed, &in_tests, cross);
     }
     if !is_registry_file && is_crate_source(rel_path) {
         collect_pub_items(rel_path, &lexed, &in_tests, cross);
@@ -163,20 +162,13 @@ pub fn lint_file(
             rel_path,
             &lexed,
             config,
-            registries,
+            env_knobs,
             &in_tests,
             &mut cross.env_reads,
             &mut findings,
         );
-        check_metric_literals(
-            rel_path,
-            &lexed,
-            config,
-            registries,
-            &in_tests,
-            &mut findings,
-        );
     }
+    check_metric_literals(rel_path, &lexed, &in_tests, &mut findings);
 
     apply_suppressions(&mut findings, &mut cross.suppressions);
     findings
@@ -187,7 +179,7 @@ pub fn lint_file(
 /// gathered by [`lint_file`] over the workspace) documents a knob
 /// nothing reads. The waivers are those [`lint_file`] gathered from
 /// `rel_path`.
-pub fn unread_env_knobs(rel_path: &str, src: &str, cross: &mut CrossFile) -> Vec<Finding> {
+pub(crate) fn unread_env_knobs(rel_path: &str, src: &str, cross: &mut CrossFile) -> Vec<Finding> {
     let lexed = lex(src);
     let mut findings: Vec<Finding> = lexed
         .tokens
@@ -209,9 +201,11 @@ pub fn unread_env_knobs(rel_path: &str, src: &str, cross: &mut CrossFile) -> Vec
 }
 
 /// Rule `dead-pub` over what [`lint_file`] gathered into `cross`: the `pub`
-/// items no non-test code names and no suppression waives. The crate docs
-/// say what is indexed and what counts as naming an item.
-pub fn dead_pub(cross: &mut CrossFile) -> Vec<Finding> {
+/// items no other crate's non-test code names and no suppression waives.
+/// Narrowed to `pub(crate)`, such an item is rustc's to judge: its
+/// `dead_code` lint reports it if nothing in its own crate uses it either.
+/// The crate docs say what is indexed and what counts as naming an item.
+pub(crate) fn dead_pub(cross: &mut CrossFile) -> Vec<Finding> {
     let mut findings: Vec<Finding> = cross
         .items
         .iter()
@@ -221,15 +215,17 @@ pub fn dead_pub(cross: &mut CrossFile) -> Vec<Finding> {
             } else {
                 &cross.names
             };
-            !names.contains(&item.name)
+            names
+                .get(&item.name)
+                .is_none_or(|crates| crates.iter().all(|c| *c == item.krate))
         })
         .map(|item| Finding {
             file: item.file.clone(),
             line: item.line,
             rule: "dead-pub",
             message: format!(
-                "`pub {} {}` is named by no non-test code; delete it, or waive it \
-                 naming the test that uses it",
+                "`pub {} {}` is named by no other crate's non-test code; make it \
+                 `pub(crate)`, or waive it naming the test that uses it",
                 item.kind, item.name
             ),
         })
@@ -240,7 +236,7 @@ pub fn dead_pub(cross: &mut CrossFile) -> Vec<Finding> {
 
 /// Rule `stale-suppression`, after every other pass has applied the
 /// waivers in `cross`: a suppression that waived no finding.
-pub fn stale_suppressions(cross: &CrossFile) -> Vec<Finding> {
+pub(crate) fn stale_suppressions(cross: &CrossFile) -> Vec<Finding> {
     cross
         .suppressions
         .iter()
@@ -257,6 +253,22 @@ pub fn stale_suppressions(cross: &CrossFile) -> Vec<Finding> {
 /// The item kinds rule `dead-pub` indexes.
 const ITEM_KINDS: &[&str] = &["fn", "struct", "enum", "trait", "const", "static", "type"];
 
+/// The crate a file compiles into, named by its path: a package's
+/// `src/bin/<name>`, its `src/main.rs`, the rest of its `src/` (the lib), or
+/// one of its `examples/<name>`. Any other file (a test, a bench) is its own.
+fn crate_of(rel_path: &str) -> String {
+    let parts: Vec<&str> = rel_path.split('/').collect();
+    let Some(at) = parts.iter().position(|p| ["src", "examples"].contains(p)) else {
+        return rel_path.to_string();
+    };
+    let end = match &parts[at..] {
+        ["src", "bin", _, ..] => at + 3,
+        ["src", "main.rs"] | ["examples", _, ..] => at + 2,
+        _ => at + 1,
+    };
+    parts[..end].join("/").trim_end_matches(".rs").to_string()
+}
+
 /// `crates/<name>/src/…` of any crate but the shims.
 fn is_crate_source(rel_path: &str) -> bool {
     let mut parts = rel_path.split('/');
@@ -265,11 +277,24 @@ fn is_crate_source(rel_path: &str) -> bool {
         && parts.next() == Some("src")
 }
 
-/// Adds the identifiers the file's non-test code names to `cross.names`, and
-/// those called after `.` or ending a `::` path to `cross.members` too.
-fn collect_names(lexed: &Lexed, in_tests: &dyn Fn(usize) -> bool, cross: &mut CrossFile) {
+/// Adds the identifiers the non-test code of `krate`'s file names to
+/// `cross.names`, and those called after `.` or ending a `::` path to
+/// `cross.members` too.
+fn collect_names(
+    krate: &str,
+    lexed: &Lexed,
+    in_tests: &dyn Fn(usize) -> bool,
+    cross: &mut CrossFile,
+) {
+    let note = |set: &mut HashMap<String, HashSet<String>>, name: &str| {
+        set.entry(name.to_string())
+            .or_default()
+            .insert(krate.to_string());
+    };
     let toks = &lexed.tokens;
-    // One past the `;` that closes the current `use` line.
+    // One past the `;` that closes the current `pub use` line: a re-export
+    // uses nothing, where a plain `use` that the file never used would be
+    // one of rustc's `unused_imports`.
     let mut use_end = 0;
     for (i, tok) in toks.iter().enumerate() {
         if in_tests(i) {
@@ -278,16 +303,19 @@ fn collect_names(lexed: &Lexed, in_tests: &dyn Fn(usize) -> bool, cross: &mut Cr
         if tok.kind == TokKind::Str {
             // Inline format arguments (`"{NAME}"`, `"{name:>8}"`) are code.
             for arg in tok.text.split('{').skip(1) {
-                let name = arg.split(['}', ':']).next().unwrap_or_default();
-                if name.chars().all(|c| c.is_alphanumeric() || c == '_') {
-                    cross.names.insert(name.to_string());
+                let arg = arg.split(['}', ':']).next().unwrap_or_default();
+                if arg.chars().all(|c| c.is_alphanumeric() || c == '_') {
+                    note(&mut cross.names, arg);
                 }
             }
         }
         if tok.kind != TokKind::Ident {
             continue;
         }
-        if tok.text == "use" && !tok.attr {
+        if tok.text == "use"
+            && !tok.attr
+            && lexed.prev_code(i).is_some_and(|p| lexed.is_ident(p, "pub"))
+        {
             use_end = (i..toks.len())
                 .find(|&j| lexed.is_punct(j, ';'))
                 .map_or(toks.len(), |j| j + 1);
@@ -321,9 +349,9 @@ fn collect_names(lexed: &Lexed, in_tests: &dyn Fn(usize) -> bool, cross: &mut Cr
                     .is_some_and(|m| !lexed.is_punct(m, '<'))
         });
         if dot || (path && !segment) {
-            cross.members.insert(tok.text.clone());
+            note(&mut cross.members, &tok.text);
         }
-        cross.names.insert(tok.text.clone());
+        note(&mut cross.names, &tok.text);
     }
 }
 
@@ -348,6 +376,7 @@ fn collect_pub_items(
         };
         cross.items.push(PubItem {
             file: rel_path.to_string(),
+            krate: crate_of(rel_path),
             line: toks[name].line,
             kind,
             name: toks[name].text.clone(),
@@ -927,7 +956,7 @@ fn check_env_literals(
     rel_path: &str,
     lexed: &Lexed,
     config: &Config,
-    registries: &Registries,
+    env_knobs: &HashSet<String>,
     in_tests: &dyn Fn(usize) -> bool,
     env_reads: &mut HashSet<String>,
     findings: &mut Vec<Finding>,
@@ -938,7 +967,7 @@ fn check_env_literals(
             continue;
         }
         env_reads.insert(name.to_string());
-        if !registries.env.contains(name) {
+        if !env_knobs.contains(name) {
             findings.push(Finding {
                 file: rel_path.to_string(),
                 line: tok.line,
@@ -952,12 +981,15 @@ fn check_env_literals(
     }
 }
 
-/// Rule `metric-registry`.
+/// Rule `metric-registry`: a string literal as the name argument of a
+/// registry sink call or of `LazySpan::new` writes a metric name out again.
+/// Every name is a constant of `capes_telemetry::names` (or built by one of
+/// its functions), so that module lists the whole observable surface and
+/// `dead-pub` reports an entry nothing emits. `span!` needs no matching: it
+/// takes a path, so a literal there does not compile.
 fn check_metric_literals(
     rel_path: &str,
     lexed: &Lexed,
-    config: &Config,
-    registries: &Registries,
     in_tests: &dyn Fn(usize) -> bool,
     findings: &mut Vec<Finding>,
 ) {
@@ -973,40 +1005,37 @@ fn check_metric_literals(
         if in_tests(i) || toks[i].attr || toks[i].kind != TokKind::Ident {
             continue;
         }
-        let name = toks[i].text.as_str();
-        // `span!("…")`: the macro's only form is one string literal.
-        let name_tok = if name == "span" {
-            lexed
-                .next_code(i + 1)
-                .filter(|&n| lexed.is_punct(n, '!'))
-                .and_then(|n| lexed.next_code(n + 1))
-                .filter(|&p| lexed.is_punct(p, '('))
-                .and_then(|p| lexed.next_code(p + 1))
-                .filter(|&s| toks[s].kind == TokKind::Str)
-        } else if SINKS.contains(&name)
-            && lexed.prev_code(i).is_some_and(|p| lexed.is_punct(p, '.'))
-        {
-            lexed
-                .next_code(i + 1)
-                .filter(|&p| lexed.is_punct(p, '('))
-                .and_then(|p| lexed.next_code(p + 1))
-                .filter(|&s| toks[s].kind == TokKind::Str)
-        } else {
-            None
-        };
-        if let Some(s) = name_tok {
-            let metric = toks[s].text.as_str();
-            if !registries.metrics.contains(metric) {
-                findings.push(Finding {
-                    file: rel_path.to_string(),
-                    line: toks[s].line,
-                    rule: "metric-registry",
-                    message: format!(
-                        "metric/span name `{metric}` is not declared in the name registry ({})",
-                        config.metric_registry.join(", ")
-                    ),
-                });
-            }
+        let prev = lexed.prev_code(i);
+        let sink =
+            SINKS.contains(&toks[i].text.as_str()) && prev.is_some_and(|p| lexed.is_punct(p, '.'));
+        // `LazySpan::new(`
+        let span_site = toks[i].text == "new"
+            && prev.is_some_and(|p| {
+                p > 1
+                    && lexed.is_punct(p, ':')
+                    && lexed.is_punct(p - 1, ':')
+                    && lexed
+                        .prev_code(p - 1)
+                        .is_some_and(|t| lexed.is_ident(t, "LazySpan"))
+            });
+        if !(sink || span_site) {
+            continue;
+        }
+        let literal = lexed
+            .next_code(i + 1)
+            .filter(|&p| lexed.is_punct(p, '('))
+            .and_then(|p| lexed.next_code(p + 1))
+            .filter(|&s| toks[s].kind == TokKind::Str);
+        if let Some(s) = literal {
+            findings.push(Finding {
+                file: rel_path.to_string(),
+                line: toks[s].line,
+                rule: "metric-registry",
+                message: format!(
+                    "metric name `{}` is a literal; name its `capes_telemetry::names` constant",
+                    toks[s].text
+                ),
+            });
         }
     }
 }
@@ -1020,15 +1049,15 @@ mod tests {
     }
 
     fn lint(src: &str) -> Vec<Finding> {
-        lint_with(src, &bare_config(), &Registries::default())
+        lint_with(src, &bare_config(), &HashSet::new())
     }
 
-    fn lint_with(src: &str, config: &Config, registries: &Registries) -> Vec<Finding> {
+    fn lint_with(src: &str, config: &Config, env_knobs: &HashSet<String>) -> Vec<Finding> {
         lint_file(
             "crates/x/src/lib.rs",
             src,
             config,
-            registries,
+            env_knobs,
             &mut CrossFile::default(),
         )
     }
@@ -1077,14 +1106,14 @@ mod tests {
         });
         let src =
             "fn cold() { let v = Vec::new(); }\nfn hot() { let v = vec![1]; let s = x.clone(); }";
-        let findings = lint_with(src, &config, &Registries::default());
+        let findings = lint_with(src, &config, &HashSet::new());
         assert_eq!(findings.len(), 2, "{findings:?}");
         assert!(findings
             .iter()
             .all(|f| f.rule == "hot-path-alloc" && f.line == 2));
         // The `;` of an array type in the signature does not hide the body.
         let src = "fn hot(b: &[u8; 16], c: [[u8; 4]; 2]) -> u32 {\n    b.to_vec(); 0\n}";
-        let findings = lint_with(src, &config, &Registries::default());
+        let findings = lint_with(src, &config, &HashSet::new());
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert_eq!(findings[0].line, 2);
     }
@@ -1096,7 +1125,7 @@ mod tests {
         let src = "fn f(v: &[u8]) -> u8 { let x = v[0]; x }\n\
                    fn g() { q().unwrap(); panic!(\"no\"); }\n\
                    #[cfg(test)]\nmod tests { fn t() { q().unwrap(); } }";
-        let findings = lint_with(src, &config, &Registries::default());
+        let findings = lint_with(src, &config, &HashSet::new());
         let rules: Vec<_> = findings.iter().map(|f| (f.line, f.rule)).collect();
         assert_eq!(
             rules,
@@ -1109,7 +1138,7 @@ mod tests {
         );
         // A justifying comment waives the indexing finding.
         let commented = "fn f(v: &[u8]) -> u8 { v[0] } // len checked by caller";
-        let ok = lint_with(commented, &config, &Registries::default());
+        let ok = lint_with(commented, &config, &HashSet::new());
         assert!(ok.is_empty(), "{ok:?}");
     }
 
@@ -1151,7 +1180,6 @@ mod tests {
     #[test]
     fn dead_pub_sees_qualified_items_renames_raw_pointers_and_format_args() {
         let mut cross = CrossFile::default();
-        let registries = Registries::default();
         let items = "pub const fn a() {}\n\
                      pub const B: u8 = 0;\n\
                      pub static C: u8 = 0;\n\
@@ -1164,10 +1192,27 @@ mod tests {
             ("crates/x/src/lib.rs", items),
             ("crates/y/src/lib.rs", user),
         ] {
-            lint_file(path, src, &bare_config(), &registries, &mut cross);
+            lint_file(path, src, &bare_config(), &HashSet::new(), &mut cross);
         }
         let dead: Vec<_> = dead_pub(&mut cross).iter().map(|f| f.line).collect();
         assert_eq!(dead, [1, 3, 4]);
+    }
+
+    #[test]
+    fn crates_are_keyed_by_their_compile_targets() {
+        for (path, krate) in [
+            ("crates/x/src/lib.rs", "crates/x/src"),
+            ("crates/x/src/a/b.rs", "crates/x/src"),
+            ("crates/x/src/main.rs", "crates/x/src/main"),
+            ("crates/x/src/bin/tool.rs", "crates/x/src/bin/tool"),
+            ("crates/x/src/bin/tool/mod.rs", "crates/x/src/bin/tool"),
+            ("src/lib.rs", "src"),
+            ("examples/demo.rs", "examples/demo"),
+            ("benchmark/src/probes.rs", "benchmark/src"),
+            ("tests/end_to_end.rs", "tests/end_to_end.rs"),
+        ] {
+            assert_eq!(crate_of(path), krate, "{path}");
+        }
     }
 
     #[test]
@@ -1176,27 +1221,23 @@ mod tests {
         config
             .env_registry
             .push("crates/capes/src/knobs.rs".to_string());
-        config
-            .metric_registry
-            .push("crates/telemetry/src/names.rs".to_string());
-        let mut registries = Registries::default();
-        registries.env.insert("CAPES_THREADS".to_string());
-        registries.metrics.insert("gemm.pool_dispatch".to_string());
+        let env_knobs = HashSet::from(["CAPES_THREADS".to_string()]);
         let src = "fn f() {\n\
                    let _ = std::env::var(\"CAPES_THREADS\");\n\
                    let _ = std::env::var(\"CAPES_BRAND_NEW\");\n\
-                   let _s = span!(\"gemm.pool_dispatch\");\n\
-                   let _t = span!(\"gemm.mystery\");\n\
+                   let _s = span!(names::SPAN_GEMM_POOL_DISPATCH);\n\
+                   reg.counter(names::NET_READS);\n\
                    reg.counter(\"gemm.mystery\");\n\
+                   static S: LazySpan = LazySpan::new(\"gemm.mystery\");\n\
                    }";
-        let findings = lint_with(src, &config, &registries);
+        let findings = lint_with(src, &config, &env_knobs);
         let rules: Vec<_> = findings.iter().map(|f| (f.line, f.rule)).collect();
         assert_eq!(
             rules,
             [
                 (3, "env-registry"),
-                (5, "metric-registry"),
-                (6, "metric-registry")
+                (6, "metric-registry"),
+                (7, "metric-registry")
             ],
             "{findings:?}"
         );

@@ -1,6 +1,7 @@
-//! Fixture: rule `dead-pub`. It fires at lines 9, 12, 15, 19, 23, 28, 49,
-//! 58, 77 and 82; the reasonless waiver at line 57 is a `bad-suppression`.
-//! Everything else is named by non-test code (see `user.rs`) or waived.
+//! Fixture: rule `dead-pub`. It fires at lines 10, 13, 16, 20, 24, 27, 35,
+//! 61, 70, 90 and 95; the reasonless waiver at line 69 is a
+//! `bad-suppression`. Everything else is named by the non-test code of
+//! another crate (`crates/client`, `src/bin/tool.rs`) or waived.
 
 mod user;
 
@@ -15,12 +16,18 @@ pub fn test_only() {}
 pub fn support_only() {}
 
 mod inner {
-    /// A re-export does not name it; nothing else does.
+    /// A re-export does not name it; `crates/client` only re-exports it too.
     pub struct Reexported;
 }
 
 /// Only `tests/it.rs`, comments and strings name it.
 pub const ONLY_IN_TESTS_DIR: u32 = 1;
+
+/// Only `user.rs`, a file of this crate, calls it.
+pub fn crate_local() {}
+
+/// Only `src/bin/tool.rs`, a crate of its own, calls it.
+pub fn for_the_binary() {}
 
 pub struct Agent;
 
@@ -29,7 +36,7 @@ impl Agent {
         0
     }
 
-    /// `user.rs` calls it; the local binding and closure call named
+    /// `crates/client` calls it; the local binding and closure call named
     /// `greedy_action` below are not `.greedy_action`/`::greedy_action`.
     pub fn decide(&self) -> usize {
         let greedy_action = || 1;
@@ -37,8 +44,13 @@ impl Agent {
     }
 }
 
-/// `user.rs` calls it.
+/// `crates/client` calls it.
 pub fn shared_helper() {}
+
+/// `crates/client` imports it for its method and names it nowhere else.
+pub trait Stepper {
+    fn step(&self);
+}
 
 pub struct Counter {
     count: u64,
@@ -73,7 +85,8 @@ pub(crate) mod support {
 }
 
 impl Counter {
-    /// Only the module path `crate::tally::ZERO` in `user.rs` shares its name.
+    /// Only the module path `dead::tally::ZERO` in `crates/client` shares
+    /// its name.
     pub fn tally(&self) -> u64 {
         self.count
     }
@@ -84,11 +97,12 @@ impl Counter {
     }
 }
 
-mod tally {
+pub mod tally {
     pub const ZERO: u64 = 0;
 }
 
 impl Counter {
-    /// `user.rs` bounds it (`Counter::Tick: Copy`), a path that ends at it.
+    /// `crates/client` bounds it (`Counter::Tick: Copy`), a path that ends
+    /// at it.
     pub type Tick = u64;
 }

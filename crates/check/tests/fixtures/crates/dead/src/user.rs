@@ -1,18 +1,9 @@
-//! Fixture: rule `dead-pub`. Names items of `lib.rs` from a second file;
-//! the comment and string below name `unreferenced`, which does not count.
+//! Fixture: rule `dead-pub`. A second file of the `dead` crate: what it
+//! names is still named only inside that crate.
 
-use crate::{shared_helper, Agent, Counter};
+use crate::crate_local;
 
-/// Calls `unreferenced` in prose only.
-fn run() -> usize {
-    let label = "unreferenced";
-    shared_helper();
-    Agent.decide() + label.len() + crate::tally::ZERO as usize
-}
-
-/// A bound ends its path at `Tick`: one `:` after a name is no segment.
-fn bounded()
-where
-    Counter::Tick: Copy,
-{
+fn run() {
+    crate_local();
+    crate::crate_local();
 }

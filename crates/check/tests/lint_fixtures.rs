@@ -27,17 +27,18 @@ fn fixture_findings() -> Vec<(String, u32, &'static str)> {
 /// order `capes_check::run` promises.
 fn expected() -> Vec<(String, u32, &'static str)> {
     let raw: &[(&str, u32, &'static str)] = &[
-        ("crates/dead/src/lib.rs", 9, "dead-pub"),
-        ("crates/dead/src/lib.rs", 12, "dead-pub"),
-        ("crates/dead/src/lib.rs", 15, "dead-pub"),
-        ("crates/dead/src/lib.rs", 19, "dead-pub"),
-        ("crates/dead/src/lib.rs", 23, "dead-pub"),
-        ("crates/dead/src/lib.rs", 28, "dead-pub"),
-        ("crates/dead/src/lib.rs", 49, "dead-pub"),
-        ("crates/dead/src/lib.rs", 57, "bad-suppression"),
-        ("crates/dead/src/lib.rs", 58, "dead-pub"),
-        ("crates/dead/src/lib.rs", 77, "dead-pub"),
-        ("crates/dead/src/lib.rs", 82, "dead-pub"),
+        ("crates/dead/src/lib.rs", 10, "dead-pub"),
+        ("crates/dead/src/lib.rs", 13, "dead-pub"),
+        ("crates/dead/src/lib.rs", 16, "dead-pub"),
+        ("crates/dead/src/lib.rs", 20, "dead-pub"),
+        ("crates/dead/src/lib.rs", 24, "dead-pub"),
+        ("crates/dead/src/lib.rs", 27, "dead-pub"),
+        ("crates/dead/src/lib.rs", 35, "dead-pub"),
+        ("crates/dead/src/lib.rs", 61, "dead-pub"),
+        ("crates/dead/src/lib.rs", 69, "bad-suppression"),
+        ("crates/dead/src/lib.rs", 70, "dead-pub"),
+        ("crates/dead/src/lib.rs", 90, "dead-pub"),
+        ("crates/dead/src/lib.rs", 95, "dead-pub"),
         ("src/boundary.rs", 6, "boundary-panic"),
         ("src/boundary.rs", 11, "boundary-panic"),
         ("src/boundary.rs", 17, "boundary-panic"),
@@ -51,8 +52,8 @@ fn expected() -> Vec<(String, u32, &'static str)> {
         ("src/hot.rs", 23, "hot-path-alloc"),
         ("src/hot.rs", 24, "hot-path-alloc"),
         ("src/hot_fns.rs", 8, "hot-path-alloc"),
-        ("src/metrics.rs", 8, "metric-registry"),
-        ("src/metrics.rs", 13, "metric-registry"),
+        ("src/metrics.rs", 9, "metric-registry"),
+        ("src/metrics.rs", 15, "metric-registry"),
         ("src/registry_env.rs", 7, "env-registry"),
         ("src/safety.rs", 10, "safety-comment"),
         ("src/safety.rs", 20, "safety-comment"),

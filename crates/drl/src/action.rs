@@ -55,7 +55,7 @@ impl ActionSpace {
     ///
     /// # Panics
     /// Panics if `index >= self.len()`.
-    pub fn decode(&self, index: usize) -> Action {
+    pub(crate) fn decode(&self, index: usize) -> Action {
         assert!(index < self.len(), "action index {index} out of range");
         if index == 0 {
             return Action::Null;
@@ -69,7 +69,7 @@ impl ActionSpace {
     }
 
     /// Encodes an [`Action`] back to its index.
-    pub fn encode(&self, action: Action) -> usize {
+    pub(crate) fn encode(&self, action: Action) -> usize {
         match action {
             Action::Null => 0,
             Action::Increase { param } => {

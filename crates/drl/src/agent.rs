@@ -175,6 +175,7 @@ impl DqnAgent {
     }
 
     /// The slowly-updated target network.
+    // capes-check: allow(dead-pub) -- the target checks of tests/model_checkpoint.rs
     pub fn target_network(&self) -> &QNetwork {
         self.trainer.target()
     }

@@ -27,9 +27,11 @@ use std::path::Path;
 
 /// First eight payload bytes of a model checkpoint; tells it apart from the
 /// other snapshot kinds sharing the container.
+// capes-check: allow(dead-pub) -- the header check of tests/model_checkpoint.rs
 pub const MODEL_KIND: [u8; 8] = *b"DQNMODEL";
 
 /// Model payload format written and accepted by this build.
+// capes-check: allow(dead-pub) -- the header check of tests/model_checkpoint.rs
 pub const MODEL_FORMAT_VERSION: u32 = 1;
 
 impl DqnAgent {

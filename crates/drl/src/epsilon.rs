@@ -54,7 +54,7 @@ impl EpsilonSchedule {
     }
 
     /// ε at the given action tick.
-    pub fn value_at(&self, tick: u64) -> f64 {
+    pub(crate) fn value_at(&self, tick: u64) -> f64 {
         let annealed = if tick >= self.exploration_ticks {
             self.final_value
         } else {
@@ -72,7 +72,7 @@ impl EpsilonSchedule {
     /// than the workload-change value for the next `duration_ticks` ticks
     /// (the paper bumps it to 0.2 "so that the tuning agent can do some
     /// exploration while avoiding local maximums").
-    pub fn bump_for_workload_change(&mut self, tick: u64, duration_ticks: u64) {
+    pub(crate) fn bump_for_workload_change(&mut self, tick: u64, duration_ticks: u64) {
         self.bumped_until_tick = tick + duration_ticks;
         self.bumped_value = self.workload_change_value;
     }

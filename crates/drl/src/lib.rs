@@ -24,4 +24,4 @@ pub use action::{Action, ActionSpace};
 pub use agent::{ActionDecision, DqnAgent, DqnAgentConfig};
 pub use epsilon::EpsilonSchedule;
 pub use qnet::{best_action_in_row, QNetwork};
-pub use trainer::{TrainReport, Trainer, TrainerConfig};
+pub use trainer::{Trainer, TrainerConfig};

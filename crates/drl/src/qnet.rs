@@ -13,6 +13,7 @@ use rand::Rng;
 /// `Iterator::max_by`'s tie-breaking (when several entries compare equal, the
 /// last one wins). Shared by the single-decision and batched-decision paths
 /// so they pick identical actions.
+// capes-check: allow(dead-pub) -- the greedy-action check of capes-fleet's tests/model_checkpoint.rs
 pub fn best_action_in_row(q: &Matrix, row: usize) -> usize {
     let values = q.row(row);
     let mut best = 0usize;
@@ -50,7 +51,7 @@ impl QNetwork {
     }
 
     /// The underlying MLP (mutable access, used by the trainer/optimizer).
-    pub fn mlp_mut(&mut self) -> &mut Mlp {
+    pub(crate) fn mlp_mut(&mut self) -> &mut Mlp {
         &mut self.network
     }
 
@@ -60,7 +61,7 @@ impl QNetwork {
     }
 
     /// Number of actions (output neurons).
-    pub fn num_actions(&self) -> usize {
+    pub(crate) fn num_actions(&self) -> usize {
         self.network.output_dim()
     }
 
@@ -72,6 +73,7 @@ impl QNetwork {
     ///
     /// # Panics
     /// Panics if the column count differs from the network's input width.
+    // capes-check: allow(dead-pub) -- the Q-value compare of capes-fleet's tests/model_checkpoint.rs
     pub fn q_values_into<'w>(&self, observations: &Matrix, ws: &'w mut Workspace) -> &'w Matrix {
         assert_eq!(
             observations.cols(),

@@ -8,6 +8,7 @@
 use crate::qnet::QNetwork;
 use capes_nn::{Adam, Workspace};
 use capes_replay::ReplayBatch;
+use capes_telemetry::names;
 use capes_tensor::simd;
 
 /// Hyperparameters of the training step (defaults follow Table 1).
@@ -33,7 +34,7 @@ impl Default for TrainerConfig {
 
 impl TrainerConfig {
     /// Validates the hyperparameters, panicking on the first invalid one.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         if let Err(what) = self.check() {
             panic!("invalid trainer config: {what}");
         }
@@ -84,6 +85,7 @@ impl capes_persist::Persist for TrainerConfig {
 
 /// Outcome of one training step.
 #[derive(Debug, Clone, Copy, PartialEq)]
+// capes-check: allow(dead-pub) -- returned by the public `DqnAgent::train_from_db` and `DqnAgent::train_weighted`
 pub struct TrainReport {
     /// Mean-squared Bellman error of the minibatch (the optimised loss).
     pub loss: f64,
@@ -125,6 +127,7 @@ impl TrainerScratch {
 
 /// Owns the online network, the target network and the optimizer state.
 #[derive(Debug, Clone)]
+// capes-check: allow(dead-pub) -- the fused-step reference of tests/fused_step.rs
 pub struct Trainer {
     online: QNetwork,
     target: QNetwork,
@@ -148,7 +151,12 @@ impl Trainer {
     ///
     /// # Panics
     /// Panics if `config` is invalid or the two networks' shapes differ.
-    pub fn resume(online: QNetwork, target: QNetwork, config: TrainerConfig, steps: u64) -> Self {
+    pub(crate) fn resume(
+        online: QNetwork,
+        target: QNetwork,
+        config: TrainerConfig,
+        steps: u64,
+    ) -> Self {
         config.validate();
         let shapes = online.mlp().parameter_shapes();
         assert_eq!(
@@ -168,6 +176,7 @@ impl Trainer {
     }
 
     /// The online (acting) network.
+    // capes-check: allow(dead-pub) -- the parameter compare of tests/fused_step.rs
     pub fn online(&self) -> &QNetwork {
         &self.online
     }
@@ -178,7 +187,7 @@ impl Trainer {
     }
 
     /// Number of completed training steps.
-    pub fn steps(&self) -> u64 {
+    pub(crate) fn steps(&self) -> u64 {
         self.steps
     }
 
@@ -186,10 +195,11 @@ impl Trainer {
     /// [`ReplayBatch`] and soft-updates the target network. Allocation-free:
     /// after the first call sized for this batch shape, no heap allocation
     /// occurs anywhere in the step.
+    // capes-check: allow(dead-pub) -- the fused step tests/fused_step.rs drives
     pub fn train_step_batch(&mut self, batch: &ReplayBatch) -> TrainReport {
         // Covers the whole step: both forward passes, Bellman targets,
         // backprop, Adam and the soft target update.
-        let _span = capes_telemetry::span!("drl.train_step");
+        let _span = capes_telemetry::span!(names::DRL_TRAIN_STEP);
         assert_eq!(
             batch.observation_size(),
             self.online.observation_size(),
@@ -251,7 +261,7 @@ impl Trainer {
         {
             // Adam, with θ⁻ ← θ⁻ (1 − α) + θ α riding the same pass over
             // the parameters.
-            let _span = capes_telemetry::span!("nn.adam_step");
+            let _span = capes_telemetry::span!(names::SPAN_NN_ADAM_STEP);
             self.optimizer.step_with_target(
                 self.online.mlp_mut(),
                 ws_online.grads(),

@@ -259,13 +259,14 @@ fn steady_state_train_step_performs_zero_heap_allocations() {
     // this block holds the raw primitives to the same standard: once a
     // metric is interned, counter/gauge/histogram records and span
     // round-trips allocate nothing.
+    const PROBE_SPAN: &str = "zero_alloc.probe.span";
     let registry = capes_telemetry::global();
     let hist = registry.histogram("zero_alloc.probe.hist");
     let counter = registry.counter("zero_alloc.probe.count");
     let gauge = registry.gauge("zero_alloc.probe.gauge");
     {
         // Warm-up: interns the span's histogram.
-        let _span = capes_telemetry::span!("zero_alloc.probe.span");
+        let _span = capes_telemetry::span!(PROBE_SPAN);
     }
 
     let allocs_before = ALLOCATIONS.load(Ordering::SeqCst);
@@ -274,7 +275,7 @@ fn steady_state_train_step_performs_zero_heap_allocations() {
         hist.record(i * 1_000);
         counter.inc();
         gauge.set(i as f64);
-        let _span = capes_telemetry::span!("zero_alloc.probe.span");
+        let _span = capes_telemetry::span!(PROBE_SPAN);
     }
     let allocs = ALLOCATIONS.load(Ordering::SeqCst) - allocs_before;
     let deallocs = DEALLOCATIONS.load(Ordering::SeqCst) - deallocs_before;

@@ -28,6 +28,7 @@ impl Fleet {
 }
 
 /// Configures and assembles a [`FleetDaemon`].
+// capes-check: allow(dead-pub) -- returned by the public `Fleet::builder`
 pub struct FleetBuilder {
     hyperparams: Hyperparameters,
     seed: u64,

@@ -7,6 +7,7 @@ use capes::CapesError;
 use capes_drl::DqnAgent;
 use capes_persist::{Persist, PersistError, Reader, SnapshotSlot};
 use capes_replay::ReplayDb;
+use capes_telemetry::names;
 use std::path::{Path, PathBuf};
 
 fn checkpoint_mismatch(reason: impl Into<String>) -> FleetError {
@@ -66,7 +67,7 @@ impl FleetDaemon {
         {
             self.snapshot_slot = None;
         }
-        let _total = capes_telemetry::span!("persist.checkpoint.total");
+        let _total = capes_telemetry::span!(names::SPAN_PERSIST_CHECKPOINT_TOTAL);
         let transport = self.transport();
         let slot = self
             .snapshot_slot
@@ -140,17 +141,17 @@ impl FleetDaemon {
     /// and every check of the check pass yet fails inside a blob stops the
     /// apply pass midway; and so does a read error during the apply pass.
     pub fn restore(&mut self, path: &Path) -> Result<(), FleetError> {
-        let _span = capes_telemetry::span!("persist.restore");
+        let _span = capes_telemetry::span!(names::SPAN_PERSIST_RESTORE);
         // The verifying pass reads magic, version, length against the file
         // size and CRC before any payload byte is interpreted; the other
         // two stream the payload through the codec's window, so the file
         // image is never resident.
         let mut snapshot = {
-            let _verify = capes_telemetry::span!("persist.restore.verify");
+            let _verify = capes_telemetry::span!(names::SPAN_PERSIST_RESTORE_VERIFY);
             capes_persist::SnapshotFile::open(path)?
         };
         {
-            let _check = capes_telemetry::span!("persist.restore.check");
+            let _check = capes_telemetry::span!(names::SPAN_PERSIST_RESTORE_CHECK);
             self.restore_pass(&mut snapshot.reader()?, Pass::Check)?;
         }
         self.restore_pass(&mut snapshot.reader()?, Pass::Apply)?;

@@ -3,7 +3,7 @@
 
 use crate::report::PersistReport;
 use capes_persist::SnapshotStats;
-use capes_telemetry::{Counter, Gauge, Histogram};
+use capes_telemetry::{names, Counter, Gauge, Histogram};
 use std::collections::VecDeque;
 use std::time::Instant;
 
@@ -56,25 +56,25 @@ impl FleetTelemetry {
     pub(super) fn new(cluster_names: &[&str]) -> Self {
         let registry = capes_telemetry::global();
         FleetTelemetry {
-            tick_total: registry.histogram("fleet.tick.total"),
-            tick_gather: registry.histogram("fleet.tick.gather"),
-            tick_decide: registry.histogram("fleet.tick.decide"),
-            tick_scatter: registry.histogram("fleet.tick.scatter"),
-            tick_train: registry.histogram("fleet.tick.train"),
-            recent_rate: registry.gauge("fleet.tick.recent_rate"),
+            tick_total: registry.histogram(names::FLEET_TICK_TOTAL),
+            tick_gather: registry.histogram(names::FLEET_TICK_GATHER),
+            tick_decide: registry.histogram(names::FLEET_TICK_DECIDE),
+            tick_scatter: registry.histogram(names::FLEET_TICK_SCATTER),
+            tick_train: registry.histogram(names::FLEET_TICK_TRAIN),
+            recent_rate: registry.gauge(names::FLEET_TICK_RECENT_RATE),
             objectives: cluster_names
                 .iter()
-                .map(|name| registry.gauge(&format!("fleet.cluster.{name}.objective")))
+                .map(|name| registry.gauge(&names::fleet_cluster_objective(name)))
                 .collect(),
-            reports_rejected: registry.counter("daemon.reports_rejected"),
-            implausible_ticks: registry.counter("daemon.implausible_ticks"),
-            checkpoint_encode: registry.histogram("persist.checkpoint.encode"),
-            checkpoint_crc: registry.histogram("persist.checkpoint.crc"),
-            checkpoint_write: registry.histogram("persist.checkpoint.write"),
-            checkpoint_fsync: registry.histogram("persist.checkpoint.fsync"),
-            checkpoint_dirsync: registry.histogram("persist.checkpoint.dirsync"),
-            checkpoint_writeback: registry.histogram("persist.checkpoint.writeback"),
-            checkpoint_bytes: registry.gauge("persist.checkpoint.bytes"),
+            reports_rejected: registry.counter(names::DAEMON_REPORTS_REJECTED),
+            implausible_ticks: registry.counter(names::DAEMON_IMPLAUSIBLE_TICKS),
+            checkpoint_encode: registry.histogram(names::PERSIST_CHECKPOINT_ENCODE),
+            checkpoint_crc: registry.histogram(names::PERSIST_CHECKPOINT_CRC),
+            checkpoint_write: registry.histogram(names::PERSIST_CHECKPOINT_WRITE),
+            checkpoint_fsync: registry.histogram(names::PERSIST_CHECKPOINT_FSYNC),
+            checkpoint_dirsync: registry.histogram(names::PERSIST_CHECKPOINT_DIRSYNC),
+            checkpoint_writeback: registry.histogram(names::PERSIST_CHECKPOINT_WRITEBACK),
+            checkpoint_bytes: registry.gauge(names::PERSIST_CHECKPOINT_BYTES),
             window: VecDeque::with_capacity(TICK_WINDOW + 1),
             recent_rate_value: 0.0,
         }
@@ -141,15 +141,18 @@ impl PersistCounters {
     }
 
     pub(super) fn publish(&self, registry: &capes_telemetry::Registry) {
-        registry.publish_counter("persist.checkpoints_written", &self.checkpoints_written);
-        registry.publish_counter("persist.restores", &self.restores);
-        registry.publish_counter("persist.auto_checkpoints", &self.auto_checkpoints);
         registry.publish_counter(
-            "persist.auto_checkpoint_failures",
+            names::PERSIST_CHECKPOINTS_WRITTEN,
+            &self.checkpoints_written,
+        );
+        registry.publish_counter(names::PERSIST_RESTORES, &self.restores);
+        registry.publish_counter(names::PERSIST_AUTO_CHECKPOINTS, &self.auto_checkpoints);
+        registry.publish_counter(
+            names::PERSIST_AUTO_CHECKPOINT_FAILURES,
             &self.auto_checkpoint_failures,
         );
-        registry.publish_counter("persist.records_appended", &self.records_appended);
-        registry.publish_counter("persist.record_failures", &self.record_failures);
+        registry.publish_counter(names::PERSIST_RECORDS_APPENDED, &self.records_appended);
+        registry.publish_counter(names::PERSIST_RECORD_FAILURES, &self.record_failures);
     }
 
     pub(super) fn snapshot(&self) -> PersistReport {

@@ -2,7 +2,7 @@
 
 use capes::ExperimentReport;
 use capes_persist::{Persist, PersistError, Reader, Writer};
-use capes_telemetry::TelemetrySnapshot;
+use capes_telemetry::{names, TelemetrySnapshot};
 
 /// How the clusters of one profile share experience through the fleet's
 /// replay arena: the round-robin cluster's stripe is weighted `own`, every
@@ -117,6 +117,7 @@ impl Persist for ExperienceSharing {
 
 /// One member cluster's outcome within a [`FleetReport`].
 #[derive(Debug, Clone)]
+// capes-check: allow(dead-pub) -- the element type of the public `FleetReport::clusters`
 pub struct ClusterReport {
     /// Cluster name from its [`crate::ScenarioSpec`].
     pub name: String,
@@ -131,6 +132,7 @@ serde::serialize_struct! { ClusterReport { name, scenario, report } }
 
 /// Occupancy of one arena stripe at the end of a fleet run.
 #[derive(Debug, Clone)]
+// capes-check: allow(dead-pub) -- the element type of the public `FleetReport::arena`
 pub struct StripeOccupancy {
     /// Name of the cluster the stripe belongs to.
     pub cluster: String,
@@ -152,6 +154,7 @@ serde::serialize_struct! { StripeOccupancy {
 /// but `reports_rejected` is zero and `enabled` is false. Counters cover the
 /// daemon's whole lifetime, not just the reported run.
 #[derive(Debug, Clone, Default, PartialEq)]
+// capes-check: allow(dead-pub) -- the type of the public `FleetReport::net` and the result of `FleetDaemon::net_report`
 pub struct NetReport {
     /// Which transport the fleet ran on (`"wire"` or `"socket"`). Only the socket transport measures connection counters,
     /// so consumers need this tag to tell "no traffic" from "not measured":
@@ -201,6 +204,7 @@ serde::serialize_struct! { NetReport {
 /// must be byte-identical to the uninterrupted original's, and bookkeeping
 /// about checkpointing itself would diverge between the two.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+// capes-check: allow(dead-pub) -- the type of the public `FleetReport::persist` and the result of `FleetDaemon::persist_report`
 pub struct PersistReport {
     /// Snapshot files written successfully (manual and automatic).
     pub checkpoints_written: u64,
@@ -223,6 +227,7 @@ serde::serialize_struct! { PersistReport {
 
 /// The aggregated outcome of one fleet run.
 #[derive(Debug, Clone)]
+// capes-check: allow(dead-pub) -- returned by the public `FleetDaemon::run`
 pub struct FleetReport {
     /// One entry per member cluster, in scenario order.
     pub clusters: Vec<ClusterReport>,
@@ -314,7 +319,7 @@ impl FleetReport {
                 self.persist.records_appended
             ));
         }
-        if let Some(tick) = self.telemetry.histogram("fleet.tick.total") {
+        if let Some(tick) = self.telemetry.histogram(names::FLEET_TICK_TOTAL) {
             if tick.count > 0 {
                 out.push_str(&format!(
                     "telemetry: fleet tick p50 {:.2} ms, p99 {:.2} ms over {} ticks\n",
@@ -340,9 +345,9 @@ impl FleetReport {
             .telemetry
             .gauges
             .iter()
-            .find(|g| g.name == "fleet.workers")?
+            .find(|g| g.name == names::FLEET_WORKERS)?
             .value;
-        let tick = self.telemetry.histogram("fleet.tick.total")?;
+        let tick = self.telemetry.histogram(names::FLEET_TICK_TOTAL)?;
         if tick.count == 0 {
             return None;
         }
@@ -351,7 +356,7 @@ impl FleetReport {
             .telemetry
             .histograms
             .iter()
-            .filter(|h| h.name.starts_with("fleet.worker.") && h.name.ends_with(".busy"))
+            .filter(|h| names::is_fleet_worker_busy(&h.name))
             .map(|h| h.mean_ns * h.count as f64)
             .sum();
         let speedup = if wall_ns > 0.0 {

@@ -43,6 +43,7 @@ impl ScenarioSpec {
 
     /// Overrides the client count.
     #[must_use]
+    // capes-check: allow(dead-pub) -- the scenario shapes of the fleet's integration tests (tests/golden_tick.rs, tests/checkpoint_restore.rs and the rest)
     pub fn clients(mut self, num_clients: usize) -> Self {
         self.num_clients = num_clients;
         self
@@ -52,6 +53,7 @@ impl ScenarioSpec {
     /// the cluster index, so re-running a fleet with the same seed reproduces
     /// every cluster's trace regardless of how the scenario table is
     /// reordered elsewhere.
+    // capes-check: allow(dead-pub) -- the per-cluster seeds of tests/fleet_equivalence.rs
     pub fn derive_seed(fleet_seed: u64, cluster_index: usize) -> u64 {
         let mut z = fleet_seed
             .wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(cluster_index as u64 + 1));
@@ -73,7 +75,7 @@ impl ScenarioSpec {
     }
 
     /// Short label of the workload family (e.g. `"random 1:9"`).
-    pub fn workload_label(&self) -> String {
+    pub(crate) fn workload_label(&self) -> String {
         self.workload.label()
     }
 

@@ -43,14 +43,14 @@ impl FleetPool {
     pub fn new(threads: usize) -> Self {
         let threads = threads.max(1);
         let registry = capes_telemetry::global();
-        registry.gauge("fleet.workers").set(threads as f64);
+        registry.gauge(names::FLEET_WORKERS).set(threads as f64);
         FleetPool(WorkerPool::with_profile(
             threads,
             PoolProfile {
                 thread_prefix: "capes-fleet",
                 dispatch_span: &DISPATCH,
                 worker_busy: (0..threads - 1)
-                    .map(|i| registry.histogram(&format!("fleet.worker.{i}.busy")))
+                    .map(|i| registry.histogram(&names::fleet_worker_busy(i)))
                     .collect(),
             },
         ))
@@ -70,7 +70,7 @@ impl std::ops::Deref for FleetPool {
 /// set to a positive integer, otherwise **1** — the fleet stays on the
 /// sequential path unless parallelism is asked for (by this variable,
 /// `FleetBuilder::workers` or `FleetDaemon::set_workers`).
-pub fn configured_fleet_threads() -> usize {
+pub(crate) fn configured_fleet_threads() -> usize {
     std::env::var("CAPES_FLEET_THREADS")
         .ok()
         .and_then(|v| v.parse::<usize>().ok())

@@ -18,6 +18,7 @@ use crate::framing::{FrameReassembler, FramingError};
 
 /// Why a connection's ingest stream was rejected.
 #[derive(Debug)]
+// capes-check: allow(dead-pub) -- the reassembly properties of tests/reassembly_props.rs
 pub enum ConnError {
     /// The byte stream violated framing (only oversized prefixes can).
     Framing(FramingError),
@@ -65,6 +66,7 @@ impl From<FramingError> for ConnError {
 }
 
 /// Byte-stream → decoded-message state for one connection.
+// capes-check: allow(dead-pub) -- the reassembly properties of tests/reassembly_props.rs
 pub struct ConnState {
     reassembler: FrameReassembler,
 }

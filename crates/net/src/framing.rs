@@ -17,6 +17,7 @@
 use std::ops::ControlFlow;
 
 /// Bytes of length prefix in front of every frame.
+// capes-check: allow(dead-pub) -- the byte accounting of capes-fleet's tests/socket_loopback.rs
 pub const LENGTH_PREFIX_BYTES: usize = 4;
 
 /// Default cap on a single frame's payload (1 MiB). A full 1024-node PI
@@ -26,6 +27,7 @@ pub const DEFAULT_MAX_FRAME_LEN: usize = 1 << 20;
 
 /// Errors from frame reassembly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+// capes-check: allow(dead-pub) -- the error of the public `FrameReassembler::push`
 pub enum FramingError {
     /// A length prefix exceeded the configured cap. Raised before any
     /// allocation, so oversized claims cost nothing.

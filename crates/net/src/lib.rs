@@ -34,6 +34,6 @@ pub mod server;
 pub use client::{read_frame, write_frame};
 pub use conn::{ConnError, ConnState};
 pub use framing::{
-    encode_frame_into, FrameReassembler, FramingError, DEFAULT_MAX_FRAME_LEN, LENGTH_PREFIX_BYTES,
+    encode_frame_into, FrameReassembler, DEFAULT_MAX_FRAME_LEN, LENGTH_PREFIX_BYTES,
 };
-pub use server::{FleetServer, NetConfig, NetStats, NetStatsSnapshot, ServerHandle, READ_CHUNK};
+pub use server::{FleetServer, NetConfig, NetStatsSnapshot, ServerHandle, READ_CHUNK};

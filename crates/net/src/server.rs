@@ -33,7 +33,7 @@ use std::time::{Duration, Instant};
 
 use capes_agents::wire::encode_cluster_frame;
 use capes_agents::Message;
-use capes_telemetry::{Counter, Gauge};
+use capes_telemetry::{names, Counter, Gauge};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use reactor::{Events, Interest, Poll, TimerQueue, Token, Waker};
 
@@ -41,6 +41,7 @@ use crate::conn::ConnState;
 use crate::framing::{encode_frame_into, DEFAULT_MAX_FRAME_LEN, LENGTH_PREFIX_BYTES};
 
 /// Size of the reactor's read scratch buffer: one `read` syscall's worth.
+// capes-check: allow(dead-pub) -- the read-size bound of tests/server_loopback.rs
 pub const READ_CHUNK: usize = 16 * 1024;
 
 /// Tuning knobs for a [`FleetServer`]. A frame's payload is capped at
@@ -87,7 +88,7 @@ impl Default for NetConfig {
 /// instead of copying values across. `active` and `ingress_depth` are
 /// gauges (they go down); everything else only grows.
 #[derive(Debug, Default)]
-pub struct NetStats {
+pub(crate) struct NetStats {
     accepted: Counter,
     active: Gauge,
     shed_backpressure: Counter,
@@ -118,7 +119,7 @@ macro_rules! bump {
 
 impl NetStats {
     /// A consistent-enough point-in-time copy of every counter.
-    pub fn snapshot(&self) -> NetStatsSnapshot {
+    pub(crate) fn snapshot(&self) -> NetStatsSnapshot {
         NetStatsSnapshot {
             accepted: self.accepted.get(),
             active: self.active.get() as u64,
@@ -136,23 +137,24 @@ impl NetStats {
     /// Links every counter into `registry` under `net.*` names (latest
     /// server wins). The handles share storage with the reactor, so a
     /// mid-run scrape always reads live values.
-    pub fn publish(&self, registry: &capes_telemetry::Registry) {
-        registry.publish_counter("net.accepted", &self.accepted);
-        registry.publish_gauge("net.active", &self.active);
-        registry.publish_counter("net.shed_backpressure", &self.shed_backpressure);
-        registry.publish_counter("net.shed_idle", &self.shed_idle);
-        registry.publish_counter("net.disconnects", &self.disconnects);
-        registry.publish_counter("net.decode_errors", &self.decode_errors);
-        registry.publish_counter("net.frames_in", &self.frames_in);
-        registry.publish_counter("net.frames_out", &self.frames_out);
-        registry.publish_counter("net.bytes_in", &self.bytes_in);
-        registry.publish_counter("net.bytes_out", &self.bytes_out);
-        registry.publish_counter("net.reads", &self.reads);
-        registry.publish_gauge("net.ingress.depth", &self.ingress_depth);
+    pub(crate) fn publish(&self, registry: &capes_telemetry::Registry) {
+        registry.publish_counter(names::NET_ACCEPTED, &self.accepted);
+        registry.publish_gauge(names::NET_ACTIVE, &self.active);
+        registry.publish_counter(names::NET_SHED_BACKPRESSURE, &self.shed_backpressure);
+        registry.publish_counter(names::NET_SHED_IDLE, &self.shed_idle);
+        registry.publish_counter(names::NET_DISCONNECTS, &self.disconnects);
+        registry.publish_counter(names::NET_DECODE_ERRORS, &self.decode_errors);
+        registry.publish_counter(names::NET_FRAMES_IN, &self.frames_in);
+        registry.publish_counter(names::NET_FRAMES_OUT, &self.frames_out);
+        registry.publish_counter(names::NET_BYTES_IN, &self.bytes_in);
+        registry.publish_counter(names::NET_BYTES_OUT, &self.bytes_out);
+        registry.publish_counter(names::NET_READS, &self.reads);
+        registry.publish_gauge(names::NET_INGRESS_DEPTH, &self.ingress_depth);
     }
 }
 
-/// Plain-value copy of [`NetStats`], serialisable into reports.
+/// Plain-value copy of the server's live `NetStats` counters, serialisable
+/// into reports.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetStatsSnapshot {
     /// Connections accepted over the server's lifetime.
@@ -513,7 +515,7 @@ impl ServerLoop {
             let read_result = {
                 // Times the read syscall alone; the decode work below has
                 // its own span.
-                let _span = capes_telemetry::span!("net.read");
+                let _span = capes_telemetry::span!(names::SPAN_NET_READ);
                 conn.stream.read(chunk)
             };
             match read_result {
@@ -562,7 +564,7 @@ impl ServerLoop {
                     let mut consumer_gone = false;
                     let routed = &mut conn.routed;
                     let ingested = {
-                        let _span = capes_telemetry::span!("net.decode");
+                        let _span = capes_telemetry::span!(names::SPAN_NET_DECODE);
                         conn.state
                             // In bounds: `read` wrote exactly `n <= chunk.len()`.
                             .ingest(&chunk[..n], config.num_clusters, |cluster, message| {
@@ -665,7 +667,7 @@ impl ServerLoop {
     fn conn_flush(&mut self, idx: usize) {
         // One egress span per flush call: covers every write syscall the
         // socket accepts in this round.
-        let _span = capes_telemetry::span!("net.egress");
+        let _span = capes_telemetry::span!(names::SPAN_NET_EGRESS);
         loop {
             let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
                 return;

@@ -12,7 +12,7 @@ use capes_tensor::Matrix;
 /// The CAPES paper uses `Tanh` for the two hidden layers and `Identity`
 /// (a plain fully-connected linear layer) for the Q-value output head.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Activation {
+pub(crate) enum Activation {
     /// Hyperbolic tangent — the paper's choice for hidden layers.
     Tanh,
     /// No nonlinearity (linear layer) — used for the output head.
@@ -25,7 +25,7 @@ impl Activation {
     ///
     /// # Panics
     /// Panics if shapes differ.
-    pub fn forward_into(&self, z: &Matrix, out: &mut Matrix) {
+    pub(crate) fn forward_into(&self, z: &Matrix, out: &mut Matrix) {
         assert_eq!(z.shape(), out.shape(), "activation shape mismatch");
         let src = z.as_slice();
         let dst = out.as_mut_slice();
@@ -42,7 +42,7 @@ impl Activation {
     ///
     /// # Panics
     /// Panics if shapes differ.
-    pub fn apply_derivative_from_output(&self, output: &Matrix, d: &mut Matrix) {
+    pub(crate) fn apply_derivative_from_output(&self, output: &Matrix, d: &mut Matrix) {
         assert_eq!(
             output.shape(),
             d.shape(),

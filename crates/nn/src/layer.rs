@@ -6,6 +6,7 @@ use rand::Rng;
 
 /// Gradients of a [`Dense`] layer produced by one backward pass.
 #[derive(Debug, Clone, PartialEq)]
+// capes-check: allow(dead-pub) -- the gradient type of the public `Optimizer::step` and `Workspace::grads`
 pub struct LayerGrads {
     /// Gradient of the loss with respect to the weight matrix.
     pub d_weights: Matrix,
@@ -16,22 +17,23 @@ pub struct LayerGrads {
 /// A fully-connected layer computing `activation(x · W + b)`.
 ///
 /// The layer holds parameters only: training and action selection run
-/// [`Dense::forward_into`] (and training [`Dense::backward_into`]) against
+/// `Dense::forward_into` (and training `Dense::backward_into`) against
 /// caller-owned intermediates (see [`crate::Workspace`]).
 #[derive(Debug, Clone)]
+// capes-check: allow(dead-pub) -- the element type of the public `Mlp::layers`
 pub struct Dense {
     /// Weight matrix of shape `(input_dim, output_dim)`.
     pub weights: Matrix,
     /// Bias row vector of shape `(1, output_dim)`.
     pub bias: Matrix,
     /// Activation applied to the affine output.
-    pub activation: Activation,
+    pub(crate) activation: Activation,
 }
 
 impl Dense {
     /// Creates a dense layer with Xavier-uniform weights (appropriate for the
     /// tanh layers the CAPES network uses) and zero biases.
-    pub fn new<R: Rng + ?Sized>(
+    pub(crate) fn new<R: Rng + ?Sized>(
         input_dim: usize,
         output_dim: usize,
         activation: Activation,
@@ -46,7 +48,7 @@ impl Dense {
 
     /// Builds a layer from explicit parameters (used by checkpoint loading and
     /// tests).
-    pub fn from_parameters(weights: Matrix, bias: Matrix, activation: Activation) -> Self {
+    pub(crate) fn from_parameters(weights: Matrix, bias: Matrix, activation: Activation) -> Self {
         assert_eq!(bias.rows(), 1, "bias must be a row vector");
         assert_eq!(
             bias.cols(),
@@ -61,7 +63,7 @@ impl Dense {
     }
 
     /// Input dimensionality.
-    pub fn input_dim(&self) -> usize {
+    pub(crate) fn input_dim(&self) -> usize {
         self.weights.rows()
     }
 
@@ -71,13 +73,13 @@ impl Dense {
     }
 
     /// Number of trainable scalars in the layer.
-    pub fn parameter_count(&self) -> usize {
+    pub(crate) fn parameter_count(&self) -> usize {
         self.weights.len() + self.bias.len()
     }
 
     /// Allocation-free forward pass writing the pre-activation into `preact`
     /// and the activated output into `out` (both `batch × output_dim`).
-    pub fn forward_into(&self, x: &Matrix, preact: &mut Matrix, out: &mut Matrix) {
+    pub(crate) fn forward_into(&self, x: &Matrix, preact: &mut Matrix, out: &mut Matrix) {
         assert_eq!(
             x.cols(),
             self.input_dim(),
@@ -98,7 +100,7 @@ impl Dense {
     /// * the parameter gradients are written into `grads`;
     /// * `∂L/∂input` is written into `d_input` when provided — the first
     ///   layer of a network can pass `None` and skip that GEMM entirely.
-    pub fn backward_into(
+    pub(crate) fn backward_into(
         &self,
         input: &Matrix,
         output: &Matrix,

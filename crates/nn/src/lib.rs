@@ -13,11 +13,10 @@
 //! * the Adam optimizer with learning rate `1e-4`.
 //!
 //! This crate implements exactly that class of network, the mean-squared-error
-//! loss, the Adam optimizer, and finite-difference gradient checking. One
-//! allocation-free forward pass, [`Mlp::forward_into`], serves training and
-//! action selection alike. Every parameter-bearing type
-//! implements [`capes_persist::Persist`]; the model file itself (paper
-//! Appendix A.4) is written by `capes-drl`.
+//! loss and the Adam optimizer. One allocation-free forward pass,
+//! [`Mlp::forward_into`], serves training and action selection alike. Every
+//! parameter-bearing type implements [`capes_persist::Persist`]; the model
+//! file itself (paper Appendix A.4) is written by `capes-drl`.
 //!
 //! ## Example
 //!
@@ -47,17 +46,17 @@
 
 #![forbid(unsafe_code)]
 
-pub mod activation;
-pub mod gradcheck;
+mod activation;
 pub mod layer;
 pub mod loss;
 pub mod mlp;
 pub mod optimizer;
 pub mod workspace;
 
-pub use activation::Activation;
+pub(crate) use activation::Activation;
 pub use layer::{Dense, LayerGrads};
 pub use loss::MseLoss;
-pub use mlp::{Mlp, MlpGrads};
+pub use mlp::Mlp;
+pub(crate) use mlp::MlpGrads;
 pub use optimizer::{Adam, Optimizer};
 pub use workspace::Workspace;

@@ -7,10 +7,12 @@ use capes_tensor::Matrix;
 
 /// Mean-squared error, averaged over every element of the batch.
 #[derive(Debug, Clone, Copy, Default)]
+// capes-check: allow(dead-pub) -- the loss of tests/simd_determinism.rs
 pub struct MseLoss;
 
 impl MseLoss {
     /// Returns the scalar loss averaged over the batch.
+    // capes-check: allow(dead-pub) -- the crate-level example of lib.rs
     pub fn loss(&self, prediction: &Matrix, target: &Matrix) -> f64 {
         assert_eq!(prediction.shape(), target.shape(), "loss shape mismatch");
         let total: f64 = prediction
@@ -23,6 +25,7 @@ impl MseLoss {
     }
 
     /// Returns the gradient of the loss with respect to `prediction`.
+    // capes-check: allow(dead-pub) -- the loss gradient of tests/simd_determinism.rs
     pub fn grad(&self, prediction: &Matrix, target: &Matrix) -> Matrix {
         assert_eq!(prediction.shape(), target.shape(), "loss shape mismatch");
         let n = prediction.len() as f64;

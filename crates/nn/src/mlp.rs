@@ -5,7 +5,7 @@ use capes_tensor::Matrix;
 use rand::Rng;
 
 /// Gradients for every layer of an [`Mlp`], ordered input → output.
-pub type MlpGrads = Vec<LayerGrads>;
+pub(crate) type MlpGrads = Vec<LayerGrads>;
 
 /// A feed-forward multi-layered perceptron.
 ///
@@ -22,8 +22,8 @@ impl Mlp {
     /// Builds an MLP from a list of layer widths.
     ///
     /// `dims[0]` is the input width, `dims.last()` the output width; every
-    /// intermediate entry creates a [`Activation::Tanh`] hidden layer. The
-    /// output layer is always linear ([`Activation::Identity`]).
+    /// intermediate entry creates a `tanh` hidden layer. The
+    /// output layer is always linear (identity).
     ///
     /// # Panics
     /// Panics if fewer than two widths are given.
@@ -59,6 +59,7 @@ impl Mlp {
     }
 
     /// Mutable access to the layers (used by optimizers).
+    // capes-check: allow(dead-pub) -- the reference step of capes-drl's tests/fused_step.rs
     pub fn layers_mut(&mut self) -> &mut [Dense] {
         &mut self.layers
     }
@@ -74,7 +75,7 @@ impl Mlp {
     }
 
     /// Total number of trainable scalars.
-    pub fn parameter_count(&self) -> usize {
+    pub(crate) fn parameter_count(&self) -> usize {
         self.layers.iter().map(Dense::parameter_count).sum()
     }
 

@@ -27,11 +27,11 @@ pub struct Adam {
 
 impl Adam {
     /// Exponential decay of the first-moment estimate.
-    pub const BETA1: f64 = 0.9;
+    pub(crate) const BETA1: f64 = 0.9;
     /// Exponential decay of the second-moment estimate.
-    pub const BETA2: f64 = 0.999;
+    pub(crate) const BETA2: f64 = 0.999;
     /// Numerical-stability constant.
-    pub const EPSILON: f64 = 1e-8;
+    pub(crate) const EPSILON: f64 = 1e-8;
 
     /// Creates an Adam optimizer for parameters of the given shapes.
     ///

@@ -80,7 +80,7 @@ impl Workspace {
     /// matches; the steady-state call is a cheap shape comparison. An
     /// inference-only workspace ([`Workspace::new_inference`]) is rebuilt as
     /// inference-only.
-    pub fn ensure(&mut self, network: &Mlp, batch: usize) {
+    pub(crate) fn ensure(&mut self, network: &Mlp, batch: usize) {
         if !self.matches(network, batch) {
             *self = if self.grads.is_empty() && !self.acts.is_empty() {
                 Workspace::new_inference(network, batch)
@@ -106,7 +106,7 @@ impl Workspace {
     }
 
     /// `true` if this workspace also carries the backward-pass buffers.
-    pub fn supports_backward(&self) -> bool {
+    pub(crate) fn supports_backward(&self) -> bool {
         !self.grads.is_empty()
     }
 

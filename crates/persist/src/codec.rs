@@ -279,12 +279,12 @@ impl Writer {
     }
 
     /// Appends a bool as a single 0/1 byte.
-    pub fn put_bool(&mut self, v: bool) {
+    pub(crate) fn put_bool(&mut self, v: bool) {
         self.put_u8(v as u8);
     }
 
     /// Appends raw bytes with a u64 length prefix.
-    pub fn put_bytes(&mut self, v: &[u8]) {
+    pub(crate) fn put_bytes(&mut self, v: &[u8]) {
         self.put_u64(v.len() as u64);
         self.put_raw(v);
     }
@@ -304,7 +304,7 @@ impl Writer {
     }
 
     /// Appends whatever `fill` encodes as one length-prefixed blob — the same
-    /// bytes [`Writer::put_bytes`] writes for that content — without a second
+    /// bytes `Writer::put_bytes` writes for that content — without a second
     /// writer: the length slot is reserved first and back-patched after.
     /// While the outermost blob is open its slot is pinned in the buffer, so
     /// a streaming writer holds a blob whole, however large.
@@ -558,7 +558,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads a bool, rejecting any byte other than 0 or 1.
-    pub fn get_bool(&mut self) -> Result<bool, PersistError> {
+    pub(crate) fn get_bool(&mut self) -> Result<bool, PersistError> {
         match self.get_u8()? {
             0 => Ok(false),
             1 => Ok(true),

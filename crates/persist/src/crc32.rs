@@ -192,7 +192,7 @@ fn fold_word(word: u32, base: usize) -> u32 {
 /// An incremental CRC-32: feeding an input to [`Crc32::update`] in any
 /// number of pieces yields the value [`crc32`] gives for the whole.
 #[derive(Debug, Clone, Copy)]
-pub struct Crc32 {
+pub(crate) struct Crc32 {
     /// The shift register (the running value before the final inversion).
     register: u32,
 }
@@ -205,7 +205,7 @@ impl Default for Crc32 {
 
 impl Crc32 {
     /// The CRC of no bytes.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Crc32 {
             register: 0xFFFF_FFFF,
         }
@@ -215,7 +215,7 @@ impl Crc32 {
     /// blocks by carry-less multiplication on CPUs with PCLMULQDQ and
     /// SSE4.1; the rest of the input, shorter inputs, and everything on
     /// other CPUs, go through the slicing-by-16 loop.
-    pub fn update(&mut self, bytes: &[u8]) {
+    pub(crate) fn update(&mut self, bytes: &[u8]) {
         #[cfg(target_arch = "x86_64")]
         if clmul::available() {
             let (blocks, tail) = bytes.as_chunks::<16>();
@@ -231,7 +231,7 @@ impl Crc32 {
     }
 
     /// The CRC-32 of everything absorbed so far.
-    pub fn finish(&self) -> u32 {
+    pub(crate) fn finish(&self) -> u32 {
         !self.register
     }
 }
@@ -270,7 +270,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 
 /// `crc32(a ‖ b)` from `crc32(a)`, `crc32(b)` and `b`'s length, in
 /// `O(log len_b)` register multiplications and without touching a byte.
-pub fn combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
+pub(crate) fn combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
     mul_mod_p(x_pow_bytes(len_b), crc_a) ^ crc_b
 }
 

@@ -15,7 +15,7 @@
 //! * a versioned, CRC-guarded snapshot container
 //!   (`CAPESNAP` magic + version + payload length + payload + CRC32),
 //!   streamed to disk by [`SnapshotWriter`] and back by [`SnapshotFile`]
-//!   without either ever holding the file image (an incremental [`Crc32`]
+//!   without either ever holding the file image (an incremental CRC-32
 //!   folds each window as it passes), with
 //!   crash-safe atomic writes (write-to-temp + fsync + rename + directory
 //!   fsync) — a torn or truncated snapshot is detected and rejected, never
@@ -38,12 +38,10 @@ mod record;
 mod snapshot;
 
 pub use codec::{Persist, Reader, Writer};
-pub use crc32::{combine, crc32, Crc32};
+pub use crc32::crc32;
 pub use error::PersistError;
-pub use record::{
-    RecordEntry, RecordLogReader, RecordLogWriter, RECORD_LOG_MAGIC, RECORD_LOG_VERSION,
-};
+pub use record::{RecordEntry, RecordLogReader, RecordLogWriter};
 pub use snapshot::{
     decode_snapshot, encode_snapshot, read_snapshot_file, write_atomic, SnapshotFile, SnapshotSlot,
-    SnapshotStats, SnapshotWriter, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+    SnapshotStats, SnapshotWriter,
 };

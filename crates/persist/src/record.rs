@@ -21,17 +21,18 @@ use crate::error::PersistError;
 use crate::snapshot::sync_dir;
 
 /// First eight bytes of every record log.
-pub const RECORD_LOG_MAGIC: [u8; 8] = *b"CAPESLOG";
+pub(crate) const RECORD_LOG_MAGIC: [u8; 8] = *b"CAPESLOG";
 
 /// Record-log format version written and accepted by this build.
-pub const RECORD_LOG_VERSION: u32 = 1;
+pub(crate) const RECORD_LOG_VERSION: u32 = 1;
 
 /// Cap on one record's payload. A wire frame is capped at 1 MiB by the
 /// stream framing; the 16-byte tick/cluster header rides on top.
-pub const MAX_RECORD_LEN: usize = (1 << 20) + 16;
+pub(crate) const MAX_RECORD_LEN: usize = (1 << 20) + 16;
 
 /// One captured ingest event.
 #[derive(Debug, Clone, PartialEq, Eq)]
+// capes-check: allow(dead-pub) -- returned by the public `RecordLogReader::next_record`
 pub struct RecordEntry {
     /// Fleet tick during which the frame arrived.
     pub tick: u64,
@@ -55,7 +56,7 @@ pub struct RecordLogWriter {
 impl RecordLogWriter {
     /// Creates (or truncates) the log at `path` and writes the header. The
     /// directory is fsynced once the file exists, so the log's name is
-    /// durable from here on and every later [`RecordLogWriter::sync`] only
+    /// durable from here on and every later `RecordLogWriter::sync` only
     /// needs to fsync the file.
     pub fn create(path: &Path) -> Result<Self, PersistError> {
         let mut out = BufWriter::new(File::create(path)?);
@@ -89,7 +90,7 @@ impl RecordLogWriter {
     }
 
     /// Flushes buffered records and fsyncs the file.
-    pub fn sync(&mut self) -> Result<(), PersistError> {
+    pub(crate) fn sync(&mut self) -> Result<(), PersistError> {
         self.out.flush()?;
         self.out.get_ref().sync_all()?;
         Ok(())
@@ -112,7 +113,7 @@ pub struct RecordLogReader {
 
 impl RecordLogReader {
     /// Validates the header of an in-memory log.
-    pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, PersistError> {
+    pub(crate) fn from_bytes(bytes: Vec<u8>) -> Result<Self, PersistError> {
         if bytes.len() < 12 {
             return Err(PersistError::UnexpectedEof {
                 needed: 12,

@@ -93,10 +93,10 @@ use crate::crc32::{combine, crc32, Crc32};
 use crate::error::PersistError;
 
 /// First eight bytes of every snapshot file.
-pub const SNAPSHOT_MAGIC: [u8; 8] = *b"CAPESNAP";
+pub(crate) const SNAPSHOT_MAGIC: [u8; 8] = *b"CAPESNAP";
 
 /// Snapshot format version written and accepted by this build.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub(crate) const SNAPSHOT_VERSION: u32 = 1;
 
 /// Bytes of framing ahead of the payload: magic + version + length.
 const HEADER: usize = 8 + 4 + 8;

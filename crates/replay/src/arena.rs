@@ -42,11 +42,13 @@
 use crate::db::{ReplayConfig, ReplayDb};
 use crate::minibatch::{MinibatchError, ReplayBatch};
 use crate::shared::SharedReplayDb;
+use capes_telemetry::names;
 use rand::Rng;
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Occupancy snapshot of one arena stripe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+// capes-check: allow(dead-pub) -- returned by the public `ReplayArena::stripe_stats` and `ReplayArena::stats`
 pub struct StripeStats {
     /// Ticks currently holding snapshot data.
     pub occupied_ticks: u64,
@@ -70,7 +72,7 @@ impl ReplayArena {
     /// recovered, so one panicked writer does not fail every later access
     /// to its stripe.
     fn read_stripe(&self, index: usize) -> RwLockReadGuard<'_, ReplayDb> {
-        let _span = capes_telemetry::span!("arena.lock_wait");
+        let _span = capes_telemetry::span!(names::SPAN_ARENA_LOCK_WAIT);
         self.stripes[index]
             .read()
             .unwrap_or_else(PoisonError::into_inner)
@@ -79,7 +81,7 @@ impl ReplayArena {
     /// Acquires stripe `index`'s write lock; same timing discipline as
     /// [`ReplayArena::read_stripe`].
     fn write_stripe(&self, index: usize) -> RwLockWriteGuard<'_, ReplayDb> {
-        let _span = capes_telemetry::span!("arena.lock_wait");
+        let _span = capes_telemetry::span!(names::SPAN_ARENA_LOCK_WAIT);
         self.stripes[index]
             .write()
             .unwrap_or_else(PoisonError::into_inner)
@@ -102,11 +104,13 @@ impl ReplayArena {
     }
 
     /// An arena of `n` stripes sharing one configuration.
+    // capes-check: allow(dead-pub) -- the arenas of tests/arena_striping.rs, tests/group_commit.rs, capes-drl's tests/zero_alloc.rs and the unit tests of capes and capes-drl
     pub fn uniform(config: ReplayConfig, n: usize) -> Self {
         Self::new((0..n).map(|_| config))
     }
 
     /// A one-stripe arena — what a standalone deployment is.
+    // capes-check: allow(dead-pub) -- the one-stripe store of capes-drl's tests/model_checkpoint.rs and the unit tests of capes-agents and capes
     pub fn single(config: ReplayConfig) -> Self {
         Self::uniform(config, 1)
     }
@@ -141,7 +145,7 @@ impl ReplayArena {
     }
 
     /// Runs `f` with write access to stripe `index`.
-    pub fn with_write<T>(&self, index: usize, f: impl FnOnce(&mut ReplayDb) -> T) -> T {
+    pub(crate) fn with_write<T>(&self, index: usize, f: impl FnOnce(&mut ReplayDb) -> T) -> T {
         f(&mut self.write_stripe(index))
     }
 
@@ -233,7 +237,7 @@ impl ReplayArena {
     ) -> Result<(), MinibatchError> {
         // Times the whole weighted fill, including the per-draw stripe lock
         // traffic (which the nested `arena.lock_wait` spans break out).
-        let _span = capes_telemetry::span!("arena.sample");
+        let _span = capes_telemetry::span!(names::SPAN_ARENA_SAMPLE);
         assert_eq!(
             weights.len(),
             self.stripes.len(),

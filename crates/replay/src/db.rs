@@ -42,7 +42,7 @@ impl ReplayConfig {
 
     /// Validates the configuration, panicking with a description of the first
     /// problem found. Called by [`ReplayDb::new`].
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert!(self.num_nodes > 0, "at least one node required");
         assert!(self.pis_per_node > 0, "at least one PI per node required");
         assert!(
@@ -169,7 +169,7 @@ impl ReplayDb {
     /// Creates an empty database with the given configuration.
     ///
     /// # Panics
-    /// Panics if the configuration is invalid (see [`ReplayConfig::validate`]).
+    /// Panics if the configuration is invalid (see `ReplayConfig::validate`).
     pub fn new(config: ReplayConfig) -> Self {
         config.validate();
         ReplayDb {
@@ -209,7 +209,7 @@ impl ReplayDb {
     /// # Panics
     /// Panics if the node id or PI vector width does not match the
     /// configuration.
-    pub fn insert_snapshot_from(&mut self, tick: Tick, node: NodeId, pis: &[f64]) {
+    pub(crate) fn insert_snapshot_from(&mut self, tick: Tick, node: NodeId, pis: &[f64]) {
         assert!(
             node < self.config.num_nodes,
             "node {node} out of range ({} nodes)",
@@ -292,14 +292,14 @@ impl ReplayDb {
 
     /// Group commit: records one tick's snapshots for many nodes in a single
     /// call. Behaviour (retention, eviction, counters) is identical to
-    /// calling [`ReplayDb::insert_snapshot_from`] once per entry in order —
+    /// calling `ReplayDb::insert_snapshot_from` once per entry in order —
     /// the point is the *locking* layer above: a
     /// [`crate::SharedReplayDb::insert_tick_group`] takes the stripe write
     /// lock once per tick instead of once per (tick, node).
     ///
     /// # Panics
     /// Panics if any node id or PI width does not match the configuration.
-    pub fn insert_tick_group<'a, I>(&mut self, tick: Tick, entries: I)
+    pub(crate) fn insert_tick_group<'a, I>(&mut self, tick: Tick, entries: I)
     where
         I: IntoIterator<Item = (NodeId, &'a [f64])>,
     {
@@ -404,6 +404,7 @@ impl ReplayDb {
     /// The action recorded at `tick`, if retained — one index computation and
     /// one tag comparison.
     #[inline]
+    // capes-check: allow(dead-pub) -- the history reads of tests/arena_striping.rs, tests/flat_store_equivalence.rs and the unit tests of capes-agents and capes
     pub fn action_at(&self, tick: Tick) -> Option<usize> {
         self.slots
             .get(self.slot_index(tick))
@@ -414,6 +415,7 @@ impl ReplayDb {
     /// The objective value recorded at `tick`, if retained — one index
     /// computation and one tag comparison.
     #[inline]
+    // capes-check: allow(dead-pub) -- the history reads of tests/arena_striping.rs, tests/flat_store_equivalence.rs, capes-fleet's tests/checkpoint_restore.rs and capes-agents' unit tests
     pub fn objective_at(&self, tick: Tick) -> Option<f64> {
         self.slots
             .get(self.slot_index(tick))
@@ -423,16 +425,19 @@ impl ReplayDb {
 
     /// Reward of an action taken at `tick`: the objective value one tick
     /// later, which is how the paper defines the immediate reward.
+    // capes-check: allow(dead-pub) -- the reward check of the floor test cluster_objective_reward_matches_paper_definition in tests/pipeline.rs
     pub fn reward_at(&self, tick: Tick) -> Option<f64> {
         self.objective_at(tick + 1)
     }
 
     /// Latest tick for which any snapshot has been recorded.
+    // capes-check: allow(dead-pub) -- the replay-fill check of the floor test simulator_pis_flow_through_wire_daemon_and_replay_into_the_dqn in tests/pipeline.rs
     pub fn latest_tick(&self) -> Option<Tick> {
         self.latest
     }
 
     /// Earliest tick still retained.
+    // capes-check: allow(dead-pub) -- the window checks of tests/arena_striping.rs, tests/backward_fill_equivalence.rs, tests/flat_store_equivalence.rs, tests/group_commit.rs and tests/ring_equivalence.rs
     pub fn earliest_tick(&self) -> Option<Tick> {
         self.earliest
     }
@@ -448,12 +453,14 @@ impl ReplayDb {
     }
 
     /// Total snapshot rows ever inserted (including evicted ones).
+    // capes-check: allow(dead-pub) -- the fill counts of tests/backward_fill_equivalence.rs, tests/group_commit.rs and capes-agents' unit tests
     pub fn total_inserted(&self) -> u64 {
         self.total_inserted
     }
 
     /// Snapshot ticks retired by ring-slot collisions (the implicit-eviction
     /// counter behind the arena's occupancy report).
+    // capes-check: allow(dead-pub) -- the eviction counts of tests/arena_striping.rs, tests/backward_fill_equivalence.rs and tests/group_commit.rs
     pub fn evicted_ticks(&self) -> u64 {
         self.evicted_ticks
     }
@@ -492,6 +499,7 @@ impl ReplayDb {
     ///
     /// # Panics
     /// Panics if `out.len()` differs from the configured observation size.
+    // capes-check: allow(dead-pub) -- the row reads of tests/arena_striping.rs, tests/backward_fill_equivalence.rs, tests/group_commit.rs and tests/ring_equivalence.rs
     pub fn write_observation(&self, tick: Tick, out: &mut [f64]) -> bool {
         assert_eq!(
             out.len(),
@@ -539,6 +547,7 @@ impl ReplayDb {
 
     /// Ticks eligible for sampling: ticks with a recorded action whose
     /// observation window is complete.
+    // capes-check: allow(dead-pub) -- the restored-window check of capes-fleet's tests/checkpoint_restore.rs
     pub fn sampleable_range(&self) -> Option<(Tick, Tick)> {
         let earliest = self.earliest_tick()?;
         let latest = self.latest_tick()?;

@@ -35,8 +35,8 @@ pub mod minibatch;
 pub mod record;
 pub mod shared;
 
-pub use arena::{ReplayArena, StripeStats};
+pub use arena::ReplayArena;
 pub use db::{ReplayConfig, ReplayDb};
 pub use minibatch::{MinibatchError, ReplayBatch};
-pub use record::{NodeId, Observation, Tick};
+pub use record::Observation;
 pub use shared::SharedReplayDb;

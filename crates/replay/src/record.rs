@@ -3,11 +3,11 @@
 use capes_tensor::Matrix;
 
 /// Identifier of a monitored node (client) in the target system.
-pub type NodeId = usize;
+pub(crate) type NodeId = usize;
 
 /// A sampling / action tick. The paper uses one-second ticks, so a tick count
 /// is also a duration in seconds.
-pub type Tick = u64;
+pub(crate) type Tick = u64;
 
 /// An observation as defined in paper §3.4: the performance indicators of all
 /// nodes over the last `S` sampling ticks, flattened into a single row vector

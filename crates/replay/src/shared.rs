@@ -13,6 +13,7 @@ use crate::arena::ReplayArena;
 use crate::db::{ReplayConfig, ReplayDb};
 use crate::minibatch::{MinibatchError, ReplayBatch};
 use crate::record::{NodeId, Observation, Tick};
+use capes_telemetry::names;
 use rand::Rng;
 
 /// A cheaply-clonable handle to one arena stripe, shared between the Interface
@@ -84,7 +85,7 @@ impl SharedReplayDb {
     ) -> Result<(), MinibatchError> {
         // Same metric as the weighted arena sampler, so `arena.sample`
         // covers minibatch construction on every sampling path.
-        let _span = capes_telemetry::span!("arena.sample");
+        let _span = capes_telemetry::span!(names::SPAN_ARENA_SAMPLE);
         self.arena
             .with_read(self.stripe, |db| db.construct_minibatch_into(batch, rng))
     }

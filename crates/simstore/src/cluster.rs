@@ -31,6 +31,7 @@ const TYPICAL_WRITE_EFF: f64 = 0.80;
 
 /// Aggregate results of one simulated second.
 #[derive(Debug, Clone, PartialEq)]
+// capes-check: allow(dead-pub) -- returned by the public `Cluster::step`
 pub struct TickStats {
     /// The tick these statistics describe.
     pub tick: u64,
@@ -370,7 +371,7 @@ impl Cluster {
     ///
     /// # Panics
     /// Panics if `client` is out of range or no tick has been simulated yet.
-    pub fn performance_indicators(&self, client: usize) -> Vec<f64> {
+    pub(crate) fn performance_indicators(&self, client: usize) -> Vec<f64> {
         assert!(
             client < self.config.num_clients,
             "client index out of range"
@@ -427,7 +428,7 @@ impl Cluster {
     }
 
     /// Normalised performance indicators of `client` (raw values divided by
-    /// the fixed scales of [`indicators::pi_scales`]), ready for the DNN.
+    /// the fixed scales of `indicators::pi_scales`), ready for the DNN.
     pub fn normalized_indicators(&self, client: usize) -> Vec<f64> {
         let mut pis = self.performance_indicators(client);
         indicators::normalize_pis(&mut pis, self.config.pi_mode, self.config.oscs_per_client());

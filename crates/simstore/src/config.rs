@@ -114,12 +114,13 @@ impl Default for ClusterConfig {
 impl ClusterConfig {
     /// Number of OSCs per client — with the paper's stripe count of 4, each
     /// client maintains one Object Storage Client per server.
+    // capes-check: allow(dead-pub) -- the PI-width check of tests/pipeline.rs
     pub fn oscs_per_client(&self) -> usize {
         self.num_servers
     }
 
     /// Validates the configuration, panicking on the first inconsistency.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert!(self.num_servers > 0, "need at least one server");
         assert!(self.num_clients > 0, "need at least one client");
     }

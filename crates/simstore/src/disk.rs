@@ -20,7 +20,7 @@ use crate::config::{DISK_SEEK_MS, DISK_SEQ_READ_MBPS, DISK_SEQ_WRITE_MBPS, STRIP
 /// Fraction of the sequential read bandwidth achievable for random reads at
 /// the given queue depth. Seek-bound: the elevator can shorten seeks a little
 /// when it has more requests to sort, but the effect is small.
-pub fn random_read_efficiency(queue_depth: f64) -> f64 {
+pub(crate) fn random_read_efficiency(queue_depth: f64) -> f64 {
     let qd = queue_depth.max(0.0);
     (0.48 + 0.02 * (1.0 + qd).ln()).min(0.62)
 }
@@ -28,7 +28,7 @@ pub fn random_read_efficiency(queue_depth: f64) -> f64 {
 /// Fraction of the sequential write bandwidth achievable for random writes
 /// at the given queue depth. Write merging in the I/O queue makes this rise
 /// substantially with queue depth.
-pub fn random_write_efficiency(queue_depth: f64) -> f64 {
+pub(crate) fn random_write_efficiency(queue_depth: f64) -> f64 {
     let qd = queue_depth.max(0.0);
     (0.55 + 0.11 * (1.0 + qd).ln()).min(0.90)
 }
@@ -36,21 +36,21 @@ pub fn random_write_efficiency(queue_depth: f64) -> f64 {
 /// Read capacity in MB/s for a mix of sequential and random reads at the
 /// given queue depth. `sequential_fraction` is the fraction of read bytes
 /// that are sequential.
-pub fn read_capacity(queue_depth: f64, sequential_fraction: f64) -> f64 {
+pub(crate) fn read_capacity(queue_depth: f64, sequential_fraction: f64) -> f64 {
     let f = sequential_fraction.clamp(0.0, 1.0);
     DISK_SEQ_READ_MBPS * (f * 0.95 + (1.0 - f) * random_read_efficiency(queue_depth))
 }
 
 /// Write capacity in MB/s for a mix of sequential and random writes at the
 /// given queue depth.
-pub fn write_capacity(queue_depth: f64, sequential_fraction: f64) -> f64 {
+pub(crate) fn write_capacity(queue_depth: f64, sequential_fraction: f64) -> f64 {
     let f = sequential_fraction.clamp(0.0, 1.0);
     DISK_SEQ_WRITE_MBPS * (f * 0.93 + (1.0 - f) * random_write_efficiency(queue_depth))
 }
 
 /// Service time in milliseconds for one random I/O of the transfer unit at
 /// queue depth 1 — used to seed the process-time indicators.
-pub fn base_service_time_ms(is_write: bool) -> f64 {
+pub(crate) fn base_service_time_ms(is_write: bool) -> f64 {
     let bw = if is_write {
         DISK_SEQ_WRITE_MBPS
     } else {

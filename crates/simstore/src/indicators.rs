@@ -6,7 +6,7 @@
 //! components separately when workloads are cyclical, §3.1).
 //!
 //! Neural networks train poorly on raw values spanning five orders of
-//! magnitude, so [`pi_scales`] provides a per-indicator divisor that the
+//! magnitude, so `pi_scales` provides a per-indicator divisor that the
 //! monitoring layer applies before observations enter the Replay DB. The
 //! scales are fixed constants (not data-dependent), so normalisation never
 //! leaks information between training and tuning sessions.
@@ -14,13 +14,13 @@
 use crate::config::PiMode;
 
 /// Number of per-OSC indicators (paper §4.1).
-pub const PIS_PER_OSC: usize = 9;
+pub(crate) const PIS_PER_OSC: usize = 9;
 
 /// Number of client-level indicators appended in [`PiMode::Full`] mode.
-pub const CLIENT_LEVEL_PIS_FULL: usize = 8;
+pub(crate) const CLIENT_LEVEL_PIS_FULL: usize = 8;
 
 /// Number of client-level indicators appended in [`PiMode::Compact`] mode.
-pub const CLIENT_LEVEL_PIS_COMPACT: usize = 3;
+pub(crate) const CLIENT_LEVEL_PIS_COMPACT: usize = 3;
 
 /// Number of indicators reported by one client per tick in the given mode.
 ///
@@ -34,7 +34,7 @@ pub fn pis_per_client(mode: PiMode, oscs_per_client: usize) -> usize {
 
 /// Per-indicator divisor bringing every indicator roughly into `[0, a few]`,
 /// in the order of the per-client PI vector.
-pub fn pi_scales(mode: PiMode, oscs_per_client: usize) -> Vec<f64> {
+pub(crate) fn pi_scales(mode: PiMode, oscs_per_client: usize) -> Vec<f64> {
     // window, read, write, dirty, cache, ping, ack, send, pt_ratio
     const OSC_SCALES: [f64; 9] = [64.0, 50.0, 50.0, 32.0, 32.0, 100.0, 100.0, 100.0, 5.0];
     match mode {
@@ -62,7 +62,7 @@ pub fn pi_scales(mode: PiMode, oscs_per_client: usize) -> Vec<f64> {
 ///
 /// # Panics
 /// Panics if the vector length does not match the mode.
-pub fn normalize_pis(pis: &mut [f64], mode: PiMode, oscs_per_client: usize) {
+pub(crate) fn normalize_pis(pis: &mut [f64], mode: PiMode, oscs_per_client: usize) {
     let scales = pi_scales(mode, oscs_per_client);
     assert_eq!(
         pis.len(),

@@ -44,16 +44,16 @@
 
 pub mod cluster;
 pub mod config;
-pub mod disk;
+mod disk;
 pub mod indicators;
 pub mod network;
-pub mod osc;
+mod osc;
 pub mod params;
-pub mod server;
+mod server;
 pub mod workload;
 
-pub use cluster::{Cluster, TickStats};
+pub use cluster::Cluster;
 pub use config::{ClusterConfig, PiMode};
-pub use indicators::{pi_scales, pis_per_client};
-pub use params::{ParamSpec, TunableParams};
+pub use indicators::pis_per_client;
+pub use params::TunableParams;
 pub use workload::{Workload, WorkloadKind};

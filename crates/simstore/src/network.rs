@@ -14,7 +14,7 @@ use crate::config::{NETWORK_AGGREGATE_MBPS, NETWORK_BASE_LATENCY_MS, NETWORK_CON
 /// Efficiency factor in `(0, 1]` given the total number of in-flight
 /// megabytes. Below the knee the network runs at full efficiency; beyond it,
 /// retransmissions and switch-buffer overruns eat into goodput.
-pub fn efficiency(in_flight_mb: f64) -> f64 {
+pub(crate) fn efficiency(in_flight_mb: f64) -> f64 {
     let x = in_flight_mb.max(0.0);
     if x <= NETWORK_CONGESTION_KNEE_MB {
         return 1.0;
@@ -25,13 +25,13 @@ pub fn efficiency(in_flight_mb: f64) -> f64 {
 
 /// Usable aggregate bandwidth (MB/s) given the in-flight volume and any
 /// bandwidth stolen by external interference (`interference_mbps`).
-pub fn usable_aggregate(in_flight_mb: f64, interference_mbps: f64) -> f64 {
+pub(crate) fn usable_aggregate(in_flight_mb: f64, interference_mbps: f64) -> f64 {
     ((NETWORK_AGGREGATE_MBPS - interference_mbps.max(0.0)) * efficiency(in_flight_mb)).max(1.0)
 }
 
 /// Round-trip latency (ms) seen by a client when `in_flight_mb` megabytes are
 /// queued in the fabric.
-pub fn latency_ms(in_flight_mb: f64) -> f64 {
+pub(crate) fn latency_ms(in_flight_mb: f64) -> f64 {
     // Queueing delay: the in-flight data has to drain at the aggregate rate.
     NETWORK_BASE_LATENCY_MS + in_flight_mb.max(0.0) / NETWORK_AGGREGATE_MBPS * 1000.0
 }

@@ -9,7 +9,7 @@ use capes_stats::Ewma;
 
 /// Per-OSC dynamic state and the indicators derived from it.
 #[derive(Debug, Clone, PartialEq)]
-pub struct OscState {
+pub(crate) struct OscState {
     /// Congestion window currently configured (`max_rpcs_in_flight`).
     pub congestion_window: f64,
     /// Read throughput achieved during the last tick, MB/s.
@@ -32,7 +32,7 @@ pub struct OscState {
 
 impl OscState {
     /// Creates an OSC with the given window and no traffic history.
-    pub fn new(congestion_window: f64) -> Self {
+    pub(crate) fn new(congestion_window: f64) -> Self {
         OscState {
             congestion_window,
             read_throughput: 0.0,
@@ -51,7 +51,7 @@ impl OscState {
     /// inter-send gaps observed during the tick; they feed the two EWMA
     /// indicators.
     #[allow(clippy::too_many_arguments)]
-    pub fn record_tick(
+    pub(crate) fn record_tick(
         &mut self,
         congestion_window: f64,
         read_mb: f64,
@@ -73,19 +73,19 @@ impl OscState {
     }
 
     /// Current Ack-EWMA value (0 before any traffic).
-    pub fn ack_ewma_ms(&self) -> f64 {
+    pub(crate) fn ack_ewma_ms(&self) -> f64 {
         self.ack_ewma.value_or(0.0)
     }
 
     /// Current Send-EWMA value (0 before any traffic).
-    pub fn send_ewma_ms(&self) -> f64 {
+    pub(crate) fn send_ewma_ms(&self) -> f64 {
         self.send_ewma.value_or(0.0)
     }
 
     /// The nine per-OSC performance indicators of paper §4.1, in order:
     /// congestion window, read throughput, write throughput, dirty bytes,
     /// max write cache, ping latency, Ack EWMA, Send EWMA, PT ratio.
-    pub fn performance_indicators(&self) -> [f64; 9] {
+    pub(crate) fn performance_indicators(&self) -> [f64; 9] {
         [
             self.congestion_window,
             self.read_throughput,

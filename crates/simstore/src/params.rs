@@ -14,6 +14,7 @@
 //  configured in the paper's `conf.py` (§3.7: "The valid range and tuning step
 /// size are customizable for each target system").
 #[derive(Debug, Clone, Copy, PartialEq)]
+// capes-check: allow(dead-pub) -- the element type of the public `TunableParams::specs`
 pub struct ParamSpec {
     /// Human-readable name.
     pub name: &'static str,
@@ -29,7 +30,7 @@ pub struct ParamSpec {
 
 impl ParamSpec {
     /// Clamps `value` into the parameter's valid range.
-    pub fn clamp(&self, value: f64) -> f64 {
+    pub(crate) fn clamp(&self, value: f64) -> f64 {
         value.clamp(self.min, self.max)
     }
 
@@ -53,7 +54,7 @@ impl TunableParams {
     ///
     /// Lustre's default is 8; the artifact notes that values below 8 are known
     /// to be bad, and the client patch allows up to 256.
-    pub fn congestion_window_spec() -> ParamSpec {
+    pub(crate) fn congestion_window_spec() -> ParamSpec {
         ParamSpec {
             name: "max_rpcs_in_flight",
             min: 1.0,
@@ -66,7 +67,7 @@ impl TunableParams {
     /// Specification of the I/O rate-limit parameter (requests per second per
     /// client). The default is effectively "no limit" for the evaluation
     /// cluster, matching stock Lustre which has no client rate limiting.
-    pub fn io_rate_limit_spec() -> ParamSpec {
+    pub(crate) fn io_rate_limit_spec() -> ParamSpec {
         ParamSpec {
             name: "io_rate_limit",
             min: 50.0,
@@ -82,7 +83,7 @@ impl TunableParams {
     }
 
     /// The untuned defaults (the baseline configuration of every figure).
-    pub fn defaults() -> Self {
+    pub(crate) fn defaults() -> Self {
         TunableParams {
             congestion_window: Self::congestion_window_spec().default,
             io_rate_limit: Self::io_rate_limit_spec().default,

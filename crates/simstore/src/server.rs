@@ -12,7 +12,7 @@ use crate::config::SERVER_CONGESTION_KNEE;
 
 /// Dynamic state of one object storage server.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ServerState {
+pub(crate) struct ServerState {
     /// Queue depth (outstanding RPCs) observed during the last tick.
     pub queue_depth: f64,
     /// Per-request process time during the last tick, in milliseconds.
@@ -28,7 +28,7 @@ pub struct ServerState {
 
 impl ServerState {
     /// A freshly-booted server with no history.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ServerState {
             queue_depth: 0.0,
             process_time_ms: 0.0,
@@ -39,7 +39,7 @@ impl ServerState {
     }
 
     /// Records the outcome of one tick.
-    pub fn record_tick(
+    pub(crate) fn record_tick(
         &mut self,
         queue_depth: f64,
         process_time_ms: f64,
@@ -57,7 +57,7 @@ impl ServerState {
 
     /// The PT-ratio indicator: current process time divided by the shortest
     /// process time seen so far (≥ 1 whenever data exists).
-    pub fn process_time_ratio(&self) -> f64 {
+    pub(crate) fn process_time_ratio(&self) -> f64 {
         if !self.min_process_time_ms.is_finite() || self.min_process_time_ms <= 0.0 {
             return 1.0;
         }
@@ -98,20 +98,20 @@ impl capes_persist::Persist for ServerState {
 /// Efficiency multiplier for **writes** when `queue_depth` exceeds the
 /// congestion knee (`SERVER_CONGESTION_KNEE`). At or below the knee the
 /// server is fully efficient.
-pub fn write_congestion_efficiency(queue_depth: f64) -> f64 {
+pub(crate) fn write_congestion_efficiency(queue_depth: f64) -> f64 {
     congestion_efficiency(queue_depth, 1.0)
 }
 
 /// Efficiency multiplier for **reads**: reads do not hold journal locks, so
 /// the degradation is considerably milder.
-pub fn read_congestion_efficiency(queue_depth: f64) -> f64 {
+pub(crate) fn read_congestion_efficiency(queue_depth: f64) -> f64 {
     congestion_efficiency(queue_depth, 0.15)
 }
 
 /// Extra service overhead caused by metadata operations (creates, deletes,
 /// stats) sharing the server's threads: a fraction of capacity proportional to
 /// the metadata rate, capped so data traffic is never starved completely.
-pub fn metadata_overhead_factor(metadata_ops_per_sec: f64) -> f64 {
+pub(crate) fn metadata_overhead_factor(metadata_ops_per_sec: f64) -> f64 {
     let ops = metadata_ops_per_sec.max(0.0);
     // ~1000 metadata ops/s costs about 18 % of a server's capacity.
     (1.0 - 0.18 * (ops / 1000.0)).max(0.70)

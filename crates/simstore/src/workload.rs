@@ -15,7 +15,7 @@ use rand::Rng;
 
 /// Per-client, per-tick I/O demand presented to the storage cluster.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Demand {
+pub(crate) struct Demand {
     /// Read bytes the client wants to move this second, in MB.
     pub read_mb: f64,
     /// Write bytes the client wants to move this second, in MB.
@@ -121,7 +121,7 @@ impl Workload {
 
     /// Demand presented by one client during one tick. `rng` supplies the
     /// per-second fluctuation; the same seed gives the same demand trace.
-    pub fn demand<R: Rng + ?Sized>(&self, rng: &mut R) -> Demand {
+    pub(crate) fn demand<R: Rng + ?Sized>(&self, rng: &mut R) -> Demand {
         let burstiness = self.burstiness();
         let noise = |rng: &mut R| 1.0 + rng.gen_range(-burstiness..burstiness);
         match self.kind {

@@ -2,14 +2,14 @@
 
 /// The autocorrelation magnitude above which the paper's methodology treats a
 /// sample series as *not* independent and identically distributed.
-pub const IID_AUTOCORRELATION_THRESHOLD: f64 = 0.1;
+pub(crate) const IID_AUTOCORRELATION_THRESHOLD: f64 = 0.1;
 
 /// Lag-`k` sample autocorrelation of `samples`.
 ///
 /// Returns 0 when the series is too short (fewer than `k + 2` samples) or has
 /// zero variance, both of which the calling code treats as "no evidence of
 /// correlation".
-pub fn autocorrelation(samples: &[f64], lag: usize) -> f64 {
+pub(crate) fn autocorrelation(samples: &[f64], lag: usize) -> f64 {
     if samples.len() < lag + 2 {
         return 0.0;
     }

@@ -13,7 +13,7 @@
 
 /// Result of trimming transients from a sample series.
 #[derive(Debug, Clone)]
-pub struct TransientTrim {
+pub(crate) struct TransientTrim {
     /// Number of samples removed from the front (warm-up).
     pub warmup_removed: usize,
     /// Number of samples removed from the back (cool-down).
@@ -61,7 +61,7 @@ fn mser_truncation_point(samples: &[f64], max_fraction: f64) -> usize {
 /// `max_fraction` bounds how much can be removed from *each* end (the paper's
 /// sessions are long compared to their transients; 0.25 is a safe default).
 /// Series shorter than 8 samples are returned untouched.
-pub fn trim_transients(samples: &[f64], max_fraction: f64) -> TransientTrim {
+pub(crate) fn trim_transients(samples: &[f64], max_fraction: f64) -> TransientTrim {
     assert!(
         (0.0..0.5).contains(&max_fraction),
         "max_fraction must be in [0, 0.5)"

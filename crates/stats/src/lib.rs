@@ -21,17 +21,12 @@
 #![forbid(unsafe_code)]
 
 pub mod analysis;
-pub mod autocorr;
-pub mod changepoint;
+mod autocorr;
+mod changepoint;
 pub mod ewma;
-pub mod subsession;
+mod subsession;
 pub mod summary;
 
 pub use analysis::{analyze, AnalysisReport};
-pub use autocorr::autocorrelation;
-pub use changepoint::{trim_transients, TransientTrim};
 pub use ewma::Ewma;
-pub use subsession::{subsession_analysis, SubsessionResult};
-pub use summary::{
-    confidence_interval, mean, sample_variance, std_dev, t_critical, ConfidenceInterval,
-};
+pub use summary::{mean, ConfidenceInterval};

@@ -10,14 +10,14 @@ use crate::summary::{confidence_interval, ConfidenceInterval};
 
 /// Outcome of the subsession analysis.
 #[derive(Debug, Clone)]
-pub struct SubsessionResult {
-    /// The merged (batch-means) series the confidence interval was computed from.
-    pub merged: Vec<f64>,
+pub(crate) struct SubsessionResult {
     /// How many adjacent raw samples were merged into each output sample.
     pub merge_factor: usize,
     /// Lag-1 autocorrelation of the merged series.
-    pub final_autocorrelation: f64,
-    /// Confidence interval of the mean computed from the merged series.
+    #[cfg(test)]
+    final_autocorrelation: f64,
+    /// Confidence interval of the mean computed from the merged (batch-means)
+    /// series; its `samples` is that series' length.
     pub interval: ConfidenceInterval,
     /// `true` if the autocorrelation threshold was reached before running out
     /// of samples; `false` means the interval should be treated with caution.
@@ -31,7 +31,7 @@ pub struct SubsessionResult {
 /// Each merge round halves the number of samples by averaging pairs. Merging
 /// stops early (with `converged == false`) if fewer than `min_samples` merged
 /// samples would remain, because a CI over a handful of points is meaningless.
-pub fn subsession_analysis(
+pub(crate) fn subsession_analysis(
     samples: &[f64],
     confidence: f64,
     min_samples: usize,
@@ -48,8 +48,8 @@ pub fn subsession_analysis(
         if r1.abs() <= IID_AUTOCORRELATION_THRESHOLD {
             return SubsessionResult {
                 interval: confidence_interval(&merged, confidence),
+                #[cfg(test)]
                 final_autocorrelation: r1,
-                merged,
                 merge_factor,
                 converged: true,
             };
@@ -57,8 +57,8 @@ pub fn subsession_analysis(
         if merged.len() / 2 < min_samples {
             return SubsessionResult {
                 interval: confidence_interval(&merged, confidence),
+                #[cfg(test)]
                 final_autocorrelation: r1,
-                merged,
                 merge_factor,
                 converged: false,
             };
@@ -89,7 +89,7 @@ mod tests {
         let r = subsession_analysis(&xs, 0.95, 10);
         assert!(r.converged);
         assert_eq!(r.merge_factor, 1);
-        assert_eq!(r.merged.len(), xs.len());
+        assert_eq!(r.interval.samples, xs.len());
         assert!((r.interval.mean - 100.0).abs() < 1.0);
     }
 
@@ -126,7 +126,7 @@ mod tests {
         let xs: Vec<f64> = (0..64).map(|i| i as f64).collect();
         let r = subsession_analysis(&xs, 0.95, 8);
         assert!(!r.converged);
-        assert!(r.merged.len() >= 8);
+        assert!(r.interval.samples >= 8);
     }
 
     #[test]

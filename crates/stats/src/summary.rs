@@ -2,6 +2,7 @@
 
 /// A symmetric confidence interval around a sample mean.
 #[derive(Debug, Clone, Copy, PartialEq)]
+// capes-check: allow(dead-pub) -- the type of the public `AnalysisReport::interval`
 pub struct ConfidenceInterval {
     /// Sample mean.
     pub mean: f64,
@@ -25,7 +26,7 @@ pub fn mean(samples: &[f64]) -> f64 {
 
 /// Unbiased sample variance (n − 1 denominator). Returns 0 for fewer than two
 /// samples.
-pub fn sample_variance(samples: &[f64]) -> f64 {
+pub(crate) fn sample_variance(samples: &[f64]) -> f64 {
     if samples.len() < 2 {
         return 0.0;
     }
@@ -34,7 +35,7 @@ pub fn sample_variance(samples: &[f64]) -> f64 {
 }
 
 /// Sample standard deviation.
-pub fn std_dev(samples: &[f64]) -> f64 {
+pub(crate) fn std_dev(samples: &[f64]) -> f64 {
     sample_variance(samples).sqrt()
 }
 
@@ -47,7 +48,7 @@ pub fn std_dev(samples: &[f64]) -> f64 {
 ///
 /// # Panics
 /// Panics if `df == 0` or `confidence` is not strictly between 0 and 1.
-pub fn t_critical(df: usize, confidence: f64) -> f64 {
+pub(crate) fn t_critical(df: usize, confidence: f64) -> f64 {
     assert!(df > 0, "degrees of freedom must be positive");
     assert!(
         confidence > 0.0 && confidence < 1.0,
@@ -80,7 +81,7 @@ pub fn t_critical(df: usize, confidence: f64) -> f64 {
 /// Standard-normal quantile function (inverse CDF) using Acklam's rational
 /// approximation (relative error below 1.15e-9 over the full range).
 #[allow(clippy::excessive_precision)] // Acklam's published coefficients, verbatim
-pub fn normal_quantile(p: f64) -> f64 {
+pub(crate) fn normal_quantile(p: f64) -> f64 {
     assert!(p > 0.0 && p < 1.0, "probability must be in (0, 1)");
     // Coefficients for the central and tail regions.
     const A: [f64; 6] = [
@@ -134,7 +135,7 @@ pub fn normal_quantile(p: f64) -> f64 {
 /// confidence level (e.g. 0.95 for the paper's 95 % level).
 ///
 /// For fewer than two samples the half-width is reported as 0.
-pub fn confidence_interval(samples: &[f64], confidence: f64) -> ConfidenceInterval {
+pub(crate) fn confidence_interval(samples: &[f64], confidence: f64) -> ConfidenceInterval {
     let m = mean(samples);
     if samples.len() < 2 {
         return ConfidenceInterval {

@@ -27,17 +27,12 @@
 //!
 //! ## Metric naming
 //!
-//! Dotted lowercase paths, component first:
-//!
-//! | family | metrics |
-//! |---|---|
-//! | fleet | `fleet.tick.{gather,decide,scatter,train,total}` (histograms), `fleet.tick.recent_rate` (gauge), `fleet.cluster.<name>.objective` (gauge) |
-//! | drl, nn | `drl.train_step`, and inside it `nn.adam_step` (histograms) |
-//! | gemm | `gemm.pool_dispatch`, `gemm.kernel.{avx512,avx2,scalar}` (histograms) |
-//! | arena | `arena.lock_wait`, `arena.sample` (histograms) |
-//! | daemon | `daemon.ingest` (histogram), `daemon.reports_rejected`, `daemon.implausible_ticks` (counters) |
-//! | net | `net.read`, `net.decode`, `net.egress` (histograms), `net.ingress.depth` (gauge), plus the `net.*` counters mirroring `NetStats` |
-//! | persist | `persist.checkpoint.{total,encode,crc,write,fsync,dirsync,writeback}`, `persist.restore`, `persist.restore.{verify,check}` (histograms), `persist.checkpoint.bytes` (gauge) plus `persist.*` counters |
+//! Dotted lowercase paths, component first (`fleet.tick.total`,
+//! `net.frames_in`). Every name the workspace emits is written once, as a
+//! constant (or, for the per-worker and per-cluster names, a function) of
+//! [`names`], and call sites name that item: [`span!`] takes a path, so a
+//! literal name does not compile, and `capes-check` reports a literal
+//! passed to a registry sink or to [`LazySpan::new`].
 //!
 //! Exposition maps every character outside `[A-Za-z0-9_:]` to an underscore
 //! (`fleet_tick_total`), so any cluster name renders a valid metric name.
@@ -83,7 +78,7 @@ impl LazySpan {
     }
 
     /// The interned histogram handle (registered on first use).
-    pub fn histogram(&self) -> &Histogram {
+    pub(crate) fn histogram(&self) -> &Histogram {
         self.slot.get_or_init(|| global().histogram(self.name))
     }
 
@@ -116,20 +111,28 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Times the enclosing scope into a global histogram:
+/// Times the enclosing scope into a global histogram, named by a constant
+/// of [`names`]:
 ///
 /// ```
 /// fn train_step() {
-///     let _span = capes_telemetry::span!("drl.train_step");
+///     let _span = capes_telemetry::span!(capes_telemetry::names::DRL_TRAIN_STEP);
 ///     // ... work ...
 /// } // recorded here
+/// ```
+///
+/// The name is a path, so a string literal does not compile and every name
+/// stays written once, in [`names`]:
+///
+/// ```compile_fail
+/// let _span = capes_telemetry::span!("drl.train_step");
 /// ```
 ///
 /// The histogram handle is interned once per call site; steady-state cost is
 /// two clock reads and three relaxed atomic RMWs.
 #[macro_export]
 macro_rules! span {
-    ($name:literal) => {{
+    ($name:path) => {{
         static __CAPES_SPAN: $crate::LazySpan = $crate::LazySpan::new($name);
         __CAPES_SPAN.enter()
     }};
@@ -139,10 +142,13 @@ macro_rules! span {
 mod tests {
     use super::*;
 
+    const SPAN_MACRO: &str = "test.span_macro";
+    const SPAN_DISABLED_PROBE: &str = "test.span_disabled_probe";
+
     #[test]
     fn span_macro_records_into_the_named_histogram() {
         for _ in 0..10 {
-            let _span = span!("test.span_macro");
+            let _span = span!(SPAN_MACRO);
             std::hint::black_box(0u64);
         }
         let hist = global().histogram("test.span_macro");
@@ -153,16 +159,16 @@ mod tests {
     #[test]
     fn disabled_recording_skips_the_histogram() {
         {
-            let _span = span!("test.span_disabled_probe");
+            let _span = span!(SPAN_DISABLED_PROBE);
         }
         let before = global().histogram("test.span_disabled_probe").count();
         set_recording(false);
         {
-            let _span = span!("test.span_disabled_probe");
+            let _span = span!(SPAN_DISABLED_PROBE);
         }
         set_recording(true);
         {
-            let _span = span!("test.span_disabled_probe");
+            let _span = span!(SPAN_DISABLED_PROBE);
         }
         let after = global().histogram("test.span_disabled_probe").count();
         assert_eq!(after, before + 1, "only the enabled span records");

@@ -49,7 +49,7 @@ pub struct Gauge(Arc<AtomicU64>);
 
 impl Gauge {
     /// A fresh, detached gauge.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Gauge::default()
     }
 
@@ -179,7 +179,7 @@ impl Histogram {
     }
 
     /// Mean of recorded values, 0 when empty.
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         let count = self.count();
         if count == 0 {
             0.0

@@ -1,11 +1,14 @@
-//! Central registry of every metric and span name the workspace emits.
+//! Every metric and span name the workspace emits, written once.
 //!
-//! `capes-check` (rule `metric-registry`) requires each name literal passed
-//! to `span!` / `Registry::{counter,gauge,histogram}` /
-//! `Registry::publish_*` in non-test code to appear as a string literal in
-//! this module, so the full observable surface is greppable in one place.
-//! Names built at runtime (only `fleet.worker.<i>.busy`, below) cannot be
-//! literals at the call site and are listed here as their format pattern.
+//! Call sites name these items instead of repeating the string: `span!`
+//! takes a path, so a literal there does not compile, and `capes-check`
+//! (rule `metric-registry`) reports a literal passed to
+//! `Registry::{counter,gauge,histogram}`, `Registry::publish_*`, a
+//! `TelemetrySnapshot` lookup or `LazySpan::new` in non-test code. An entry
+//! that nothing emits is named by no other crate, which rule `dead-pub`
+//! reports. The two names built at runtime, one per fleet worker and one
+//! per cluster, are the functions [`fleet_worker_busy`] and
+//! [`fleet_cluster_objective`].
 //!
 //! Keep names `lowercase.dot.separated`; the leading segment is the owning
 //! subsystem.
@@ -69,9 +72,20 @@ pub const FLEET_TICK_TRAIN: &str = "fleet.tick.train";
 pub const FLEET_TICK_RECENT_RATE: &str = "fleet.tick.recent_rate";
 /// Gauge: configured shard-pool worker count.
 pub const FLEET_WORKERS: &str = "fleet.workers";
-/// Gauge pattern (runtime-formatted): per-worker busy flag,
+/// Histogram: wall time shard-pool worker `i` spends executing chunks,
 /// `fleet.worker.<i>.busy`.
-pub const FLEET_WORKER_BUSY_PATTERN: &str = "fleet.worker.{i}.busy";
+pub fn fleet_worker_busy(i: usize) -> String {
+    format!("fleet.worker.{i}.busy")
+}
+/// Whether `name` is one of the [`fleet_worker_busy`] histograms.
+pub fn is_fleet_worker_busy(name: &str) -> bool {
+    name.starts_with("fleet.worker.") && name.ends_with(".busy")
+}
+/// Gauge: objective value (throughput MB/s) of the latest tick of the fleet
+/// cluster `name`, `fleet.cluster.<name>.objective`.
+pub fn fleet_cluster_objective(name: &str) -> String {
+    format!("fleet.cluster.{name}.objective")
+}
 
 /// Counter: agent reports rejected by daemon validation.
 pub const DAEMON_REPORTS_REJECTED: &str = "daemon.reports_rejected";

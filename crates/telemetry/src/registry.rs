@@ -34,7 +34,7 @@ pub struct Registry {
 
 impl Registry {
     /// An empty registry (tests; production code uses [`global`]).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Registry::default()
     }
 

@@ -3,6 +3,7 @@
 
 /// Point-in-time value of one counter.
 #[derive(Debug, Clone, PartialEq)]
+// capes-check: allow(dead-pub) -- an element type of the public `TelemetrySnapshot`'s fields
 pub struct CounterSnapshot {
     /// Dotted metric name (`net.frames_in`).
     pub name: String,
@@ -14,6 +15,7 @@ serde::serialize_struct! { CounterSnapshot { name, value } }
 
 /// Point-in-time value of one gauge.
 #[derive(Debug, Clone, PartialEq)]
+// capes-check: allow(dead-pub) -- an element type of the public `TelemetrySnapshot`'s fields
 pub struct GaugeSnapshot {
     /// Dotted metric name (`net.ingress.depth`).
     pub name: String,
@@ -25,6 +27,7 @@ serde::serialize_struct! { GaugeSnapshot { name, value } }
 
 /// Point-in-time summary of one latency histogram (nanosecond values).
 #[derive(Debug, Clone, PartialEq)]
+// capes-check: allow(dead-pub) -- an element type of the public `TelemetrySnapshot`'s fields
 pub struct HistogramSnapshot {
     /// Dotted metric name (`fleet.tick.total`).
     pub name: String,
@@ -71,6 +74,7 @@ impl TelemetrySnapshot {
     /// keep only `[A-Za-z0-9_:]` (anything else becomes an underscore),
     /// counters get a `_total` suffix, histograms
     /// expose `{quantile="…"}` series plus `_count`, `_sum` and `_max`.
+    // capes-check: allow(dead-pub) -- the exposition checks of capes-fleet's tests/telemetry.rs
     pub fn render_prometheus(&self) -> String {
         let mut out = String::new();
         for c in &self.counters {

@@ -37,7 +37,6 @@ pub mod simd;
 pub use init::WeightInit;
 pub use matrix::Matrix;
 pub use pool::WorkerPool;
-pub use simd::SimdLevel;
 
 /// Returns `true` if `a` and `b` are within `tol` of each other.
 ///

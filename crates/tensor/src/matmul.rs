@@ -211,7 +211,7 @@ impl Matrix {
 }
 
 /// Number of hardware threads available to this process.
-pub fn available_threads() -> usize {
+pub(crate) fn available_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)

@@ -27,6 +27,7 @@ impl Matrix {
     }
 
     /// Creates a `rows × cols` matrix where every element is `value`.
+    // capes-check: allow(dead-pub) -- the constant matrices of tests/kernel_properties.rs, tests/simd_properties.rs and capes-nn's unit tests
     pub fn filled(rows: usize, cols: usize, value: f64) -> Self {
         assert!(rows > 0 && cols > 0, "matrix dimensions must be non-zero");
         Matrix {
@@ -107,7 +108,7 @@ impl Matrix {
 
     /// Sets element `(r, c)`.
     #[inline]
-    pub fn set(&mut self, r: usize, c: usize, value: f64) {
+    pub(crate) fn set(&mut self, r: usize, c: usize, value: f64) {
         debug_assert!(r < self.rows && c < self.cols);
         self.data[r * self.cols + c] = value;
     }
@@ -136,7 +137,7 @@ impl Matrix {
     }
 
     /// Returns a new matrix whose elements are `f(x)` for every element `x`.
-    pub fn map<F: Fn(f64) -> f64>(&self, f: F) -> Matrix {
+    pub(crate) fn map<F: Fn(f64) -> f64>(&self, f: F) -> Matrix {
         Matrix {
             rows: self.rows,
             cols: self.cols,
@@ -148,6 +149,7 @@ impl Matrix {
     ///
     /// # Panics
     /// Panics if shapes differ.
+    // capes-check: allow(dead-pub) -- the affine reference of tests/kernel_properties.rs
     pub fn zip_map<F: Fn(f64, f64) -> f64>(&self, other: &Matrix, f: F) -> Matrix {
         assert_eq!(self.shape(), other.shape(), "shape mismatch in zip_map");
         Matrix {
@@ -168,6 +170,7 @@ impl Matrix {
     }
 
     /// Returns `true` if all elements differ from `other` by at most `tol`.
+    // capes-check: allow(dead-pub) -- the tolerance compare of tests/kernel_properties.rs, tests/proptest_matrix.rs and capes-nn's unit tests
     pub fn approx_eq(&self, other: &Matrix, tol: f64) -> bool {
         self.shape() == other.shape()
             && self

@@ -12,6 +12,7 @@ impl Matrix {
     ///
     /// # Panics
     /// Panics if shapes differ.
+    // capes-check: allow(dead-pub) -- the output-delta fill of capes-nn's tests/workspace_gradcheck.rs, tests/simd_determinism.rs and unit tests
     pub fn copy_from(&mut self, other: &Matrix) {
         assert_eq!(self.shape(), other.shape(), "copy_from shape mismatch");
         self.as_mut_slice().copy_from_slice(other.as_slice());
@@ -50,14 +51,6 @@ impl Matrix {
     /// Sum of all elements.
     pub fn sum(&self) -> f64 {
         self.as_slice().iter().sum()
-    }
-
-    /// Smallest element.
-    pub fn min(&self) -> f64 {
-        self.as_slice()
-            .iter()
-            .copied()
-            .fold(f64::INFINITY, f64::min)
     }
 
     /// Frobenius norm (√Σx²).
@@ -126,7 +119,6 @@ mod tests {
     fn reductions() {
         let a = sample();
         assert_eq!(a.sum(), 21.0);
-        assert_eq!(a.min(), 1.0);
         assert!((a.frobenius_norm() - 91.0f64.sqrt()).abs() < 1e-12);
     }
 

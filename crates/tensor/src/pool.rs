@@ -19,7 +19,7 @@
 //! [`WorkerPool::with_profile`] (thread names, the dispatch span, optional
 //! per-worker busy histograms), not code.
 //!
-//! The process-wide GEMM pool ([`global`]) sizes itself from the
+//! The process-wide GEMM pool (`global`) sizes itself from the
 //! `CAPES_THREADS` environment variable when set (total parallelism including
 //! the calling thread), falling back to `std::thread::available_parallelism`.
 //! With one thread the pool degenerates to running the job inline, so
@@ -302,7 +302,7 @@ pub fn configured_threads() -> usize {
 /// kernel level ([`crate::simd::active_level`], honouring `CAPES_SIMD`),
 /// which is warmed here so both process-wide choices are pinned together
 /// before the first dispatch.
-pub fn global() -> &'static WorkerPool {
+pub(crate) fn global() -> &'static WorkerPool {
     static POOL: OnceLock<WorkerPool> = OnceLock::new();
     POOL.get_or_init(|| {
         let _ = crate::simd::active_level();

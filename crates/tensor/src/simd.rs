@@ -94,6 +94,7 @@ use std::sync::OnceLock;
 /// lowest first: a level runs everything the levels below it run, so "can
 /// run AVX2" is `level >= SimdLevel::Avx2Fma`, never `==`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+// capes-check: allow(dead-pub) -- the level argument of the level-explicit kernels tests/simd_properties.rs and tests/simd_dispatch.rs pin
 pub enum SimdLevel {
     /// Portable scalar kernels: the vector arms' per-element FMA chains, one
     /// element at a time, so bit-identical to every other level.
@@ -108,6 +109,7 @@ pub enum SimdLevel {
 
 impl SimdLevel {
     /// Every level, lowest first.
+    // capes-check: allow(dead-pub) -- the level loop of tests/simd_dispatch.rs
     pub const ALL: [SimdLevel; 3] = [SimdLevel::Scalar, SimdLevel::Avx2Fma, SimdLevel::Avx512];
 }
 
@@ -164,6 +166,7 @@ fn runnable(level: SimdLevel) -> SimdLevel {
 /// value the switch does not recognise degrades to the scalar kernels
 /// (with a one-time warning) rather than silently enabling the vector path:
 /// the override exists as a kill switch, so a typo must fail safe.
+// capes-check: allow(dead-pub) -- the level check of tests/simd_properties.rs and capes-nn's tests/simd_determinism.rs
 pub fn active_level() -> SimdLevel {
     static LEVEL: OnceLock<SimdLevel> = OnceLock::new();
     *LEVEL.get_or_init(|| {
@@ -207,6 +210,7 @@ pub fn active_level() -> SimdLevel {
 /// # Panics
 /// Panics if any slice length disagrees with the dimensions (the vector arms
 /// rely on the exact lengths for memory safety).
+// capes-check: allow(dead-pub) -- the level-explicit kernel of tests/simd_properties.rs and tests/simd_dispatch.rs
 pub fn gemm_rows_with(
     level: SimdLevel,
     a: &[f64],
@@ -250,6 +254,7 @@ pub fn gemm_rows_with(
 /// Panics if any slice length disagrees with the dimensions or the row range
 /// is out of bounds.
 #[allow(clippy::too_many_arguments)]
+// capes-check: allow(dead-pub) -- the level-explicit kernel of tests/simd_properties.rs and tests/simd_dispatch.rs
 pub fn gemm_ta_rows_with(
     level: SimdLevel,
     a: &[f64],
@@ -298,6 +303,7 @@ pub fn gemm_ta_rows_with(
 ///
 /// # Panics
 /// Panics if any slice length disagrees with the dimensions.
+// capes-check: allow(dead-pub) -- the level-explicit kernel of tests/simd_properties.rs and tests/simd_dispatch.rs
 pub fn gemm_tb_rows_with(
     level: SimdLevel,
     a: &[f64],
@@ -389,6 +395,7 @@ pub struct SoftTarget<'a> {
 /// # Panics
 /// Panics if `grads`, `m`, `v` or the target disagree with `params` in
 /// length.
+// capes-check: allow(dead-pub) -- the level-explicit kernel of tests/simd_properties.rs
 pub fn adam_update_with(
     level: SimdLevel,
     params: &mut [f64],
@@ -492,6 +499,7 @@ pub fn adam_update(
 ///
 /// # Panics
 /// Panics if `src` and `dst` disagree in length.
+// capes-check: allow(dead-pub) -- the level-explicit kernel of tests/simd_properties.rs
 pub fn tanh_forward_with(level: SimdLevel, src: &[f64], dst: &mut [f64]) {
     assert_eq!(src.len(), dst.len(), "tanh_forward: length mismatch");
     match runnable(level) {
@@ -584,10 +592,10 @@ pub fn bellman_targets(
 /// latency. Chunked pool dispatches record once per chunk.
 #[inline]
 fn kernel_span(level: SimdLevel) -> capes_telemetry::SpanGuard {
-    use capes_telemetry::LazySpan;
-    static AVX512: LazySpan = LazySpan::new("gemm.kernel.avx512");
-    static AVX2: LazySpan = LazySpan::new("gemm.kernel.avx2");
-    static SCALAR: LazySpan = LazySpan::new("gemm.kernel.scalar");
+    use capes_telemetry::{names, LazySpan};
+    static AVX512: LazySpan = LazySpan::new(names::SPAN_GEMM_KERNEL_AVX512);
+    static AVX2: LazySpan = LazySpan::new(names::SPAN_GEMM_KERNEL_AVX2);
+    static SCALAR: LazySpan = LazySpan::new(names::SPAN_GEMM_KERNEL_SCALAR);
     match level {
         SimdLevel::Avx512 => AVX512.enter(),
         SimdLevel::Avx2Fma => AVX2.enter(),
@@ -879,6 +887,7 @@ const EXP_C: [f64; 14] = [
 ///
 /// `tanh(0) = 0` and `tanh(-0.0) = -0.0` exactly (the rational branch is
 /// odd), `tanh(±∞) = ±1.0` exactly, `NaN` returns unchanged (same bits).
+// capes-check: allow(dead-pub) -- the scalar reference of tests/simd_properties.rs and capes-nn's unit tests
 pub fn tanh_value(x: f64) -> f64 {
     if x.is_nan() {
         return x;

@@ -14,6 +14,7 @@ use std::time::Duration;
 
 use capes::{Hyperparameters, Phase, Transport};
 use capes_fleet::{Fleet, ScenarioSpec};
+use capes_telemetry::names;
 
 /// Fleet ticks of online training.
 const TRAIN_TICKS: u64 = 2_000;
@@ -103,7 +104,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     done.store(true, std::sync::atomic::Ordering::Relaxed);
     scraper.join().expect("scraper panicked");
     println!("\n{}", report.summary());
-    if let Some(tick) = report.telemetry.histogram("fleet.tick.total") {
+    if let Some(tick) = report.telemetry.histogram(names::FLEET_TICK_TOTAL) {
         println!(
             "final tick latency: p50 {:.2} ms, p90 {:.2} ms, p99 {:.2} ms, max {:.2} ms",
             tick.p50_ns / 1e6,
