@@ -78,18 +78,23 @@ impl ControlAgent {
         self.stats.encode(w);
     }
 
-    /// Restores state captured by [`ControlAgent::encode_state`] into this
+    /// Walks state captured by [`ControlAgent::encode_state`]: a
+    /// [`capes_persist::Pass::Check`] decodes and checks it and assigns
+    /// nothing, a [`capes_persist::Pass::Apply`] restores it into this
     /// agent. On error nothing is overwritten.
     pub fn decode_state(
         &mut self,
         r: &mut capes_persist::Reader<'_>,
+        pass: capes_persist::Pass,
     ) -> Result<(), capes_persist::PersistError> {
         let last_applied_tick = Option::<u64>::decode(r)?;
         let last_values = Option::<Vec<f64>>::decode(r)?;
         let stats = ControlStats::decode(r)?;
-        self.last_applied_tick = last_applied_tick;
-        self.last_values = last_values;
-        self.stats = stats;
+        if let Some(live) = pass.target(self) {
+            live.last_applied_tick = last_applied_tick;
+            live.last_values = last_values;
+            live.stats = stats;
+        }
         Ok(())
     }
 }
@@ -162,7 +167,9 @@ mod tests {
         let mut restored = ControlAgent::default();
         let bytes = w.into_vec();
         let mut r = capes_persist::Reader::new(&bytes);
-        restored.decode_state(&mut r).expect("state decodes");
+        restored
+            .decode_state(&mut r, capes_persist::Pass::Apply)
+            .expect("state decodes");
         r.finish().expect("nothing trails");
         assert_eq!(restored.stats(), agent.stats());
         assert_eq!(restored.last_values.as_deref(), Some(&[8.0, 2000.0][..]));

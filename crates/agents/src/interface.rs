@@ -9,7 +9,7 @@
 use crate::checker::{ActionChecker, CheckOutcome};
 use crate::message::{ActionMessage, Message, PiReport};
 use crate::wire::decode_message;
-use capes_persist::{Persist, PersistError, Reader, Writer};
+use capes_persist::{Pass, Persist, PersistError, Reader, Writer};
 use capes_replay::SharedReplayDb;
 use capes_telemetry::names;
 use std::collections::HashMap;
@@ -311,11 +311,13 @@ impl InterfaceDaemon {
         self.stats.encode(w);
     }
 
-    /// Restores state written by [`InterfaceDaemon::encode_state`] into this
-    /// daemon. The snapshot's geometry must match the daemon's replay store
-    /// and expected node count; per-node vectors are re-validated against the
-    /// store's indicator width before anything is overwritten.
-    pub fn decode_state(&mut self, r: &mut Reader<'_>) -> Result<(), PersistError> {
+    /// Walks state written by [`InterfaceDaemon::encode_state`]: a
+    /// [`Pass::Check`] runs every check and assigns nothing, a
+    /// [`Pass::Apply`] restores the state into this daemon. The snapshot's
+    /// geometry must match the daemon's replay store and expected node
+    /// count; per-node vectors are re-validated against the store's
+    /// indicator width before anything is overwritten.
+    pub fn decode_state(&mut self, r: &mut Reader<'_>, pass: Pass) -> Result<(), PersistError> {
         let expected_nodes = r.get_usize()?;
         let db_nodes = r.get_usize()?;
         let db_pis_per_node = r.get_usize()?;
@@ -370,13 +372,15 @@ impl InterfaceDaemon {
             });
         }
         let stats = InterfaceStats::decode(r)?;
-        self.node_state = node_state;
-        self.pending_objectives = pending_objectives;
-        self.newest_tick = newest_tick;
-        self.staged_tick = staged_tick;
-        self.staged_len = staged.len();
-        self.staged = staged;
-        self.stats = stats;
+        if let Some(live) = pass.target(self) {
+            live.node_state = node_state;
+            live.pending_objectives = pending_objectives;
+            live.newest_tick = newest_tick;
+            live.staged_tick = staged_tick;
+            live.staged_len = staged.len();
+            live.staged = staged;
+            live.stats = stats;
+        }
         Ok(())
     }
 
@@ -660,12 +664,11 @@ mod tests {
         original.encode_state(&mut w);
         let bytes = w.into_vec();
         let mut r = Reader::new(&bytes);
-        let db = capes_replay::ReplayDb::decode(&mut r).unwrap();
-        let arena_b = capes_replay::ReplayArena::single(*db.config());
-        arena_b.restore_stripe(0, db).unwrap();
+        let arena_b = capes_replay::ReplayArena::single(shared_a.with_read(|db| *db.config()));
+        arena_b.decode_stripe(0, &mut r, Pass::Apply).unwrap();
         let shared_b = arena_b.stripe(0);
         let mut restored = InterfaceDaemon::new(shared_b.clone(), 2, ActionChecker::permissive());
-        restored.decode_state(&mut r).unwrap();
+        restored.decode_state(&mut r, Pass::Apply).unwrap();
         r.finish().unwrap();
         assert_eq!(restored.stats(), original.stats());
 
@@ -701,9 +704,13 @@ mod tests {
         let bytes = w.into_vec();
         // Same node count, different indicator width: refused up front.
         let mut skewed = InterfaceDaemon::new(db(2, 4), 2, ActionChecker::permissive());
-        let err = skewed.decode_state(&mut Reader::new(&bytes)).unwrap_err();
-        assert!(err.to_string().contains("geometry"), "{err}");
-        assert_eq!(skewed.stats(), InterfaceStats::default(), "nothing loaded");
+        for pass in [Pass::Check, Pass::Apply] {
+            let err = skewed
+                .decode_state(&mut Reader::new(&bytes), pass)
+                .unwrap_err();
+            assert!(err.to_string().contains("geometry"), "{err}");
+            assert_eq!(skewed.stats(), InterfaceStats::default(), "nothing loaded");
+        }
     }
 
     #[test]

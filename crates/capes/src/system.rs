@@ -648,23 +648,29 @@ impl<T: TargetSystem + capes_persist::Persist> CapesSystem<T> {
             }
             None => w.put_u8(0),
         }
-        // The two subsystems whose decoders validate-then-assign internally
-        // go last, so every pure decode above them can fail before anything
-        // is mutated.
+        // The two subsystems whose walks validate-then-assign internally go
+        // last, so every check above them can fail before anything is
+        // mutated.
         self.control_agent.encode_state(w);
         self.daemon.encode_state(w);
     }
 
-    /// Restores state captured by [`CapesSystem::encode_state`] into this
+    /// Walks state captured by [`CapesSystem::encode_state`] against this
     /// system, which must have been assembled with the same configuration
     /// (transport, target geometry, hyperparameter-derived widths, engine
-    /// kind). Configuration skew is rejected with a typed error before any
-    /// state is overwritten; an error raised later (only possible for a
-    /// payload that was deliberately crafted to pass the container CRC)
-    /// leaves the system part-restored, and it must be discarded.
+    /// kind). A [`Pass::Check`](capes_persist::Pass::Check) runs every
+    /// check — the Control Agent's, the Interface Daemon's and the DRL
+    /// agent's included — and assigns nothing. A
+    /// [`Pass::Apply`](capes_persist::Pass::Apply) restores the state, the
+    /// DRL agent straight into the live one's buffers; configuration skew
+    /// is still rejected before anything is overwritten, but a later error
+    /// (a payload crafted to pass the container CRC) leaves the system
+    /// part-restored. An apply over bytes a check of this system passed
+    /// cannot fail.
     pub fn decode_state(
         &mut self,
         r: &mut capes_persist::Reader<'_>,
+        pass: capes_persist::Pass,
     ) -> Result<(), capes_persist::PersistError> {
         use capes_persist::{Persist, PersistError};
         let tag = r.get_u8()?;
@@ -708,42 +714,36 @@ impl<T: TargetSystem + capes_persist::Persist> CapesSystem<T> {
         for _ in 0..errors_len {
             prediction_errors.push((r.get_u64()?, r.get_f64()?));
         }
-        let agent = match r.get_u8()? {
-            0 => None,
-            1 => Some(DqnAgent::decode(r)?),
+        match (r.get_u8()?, self.engine.dqn_agent_mut()) {
+            (0, None) => {}
+            (1, Some(agent)) => agent.decode_in_place(r, pass).map_err(|e| match e {
+                PersistError::Mismatch { .. } => PersistError::BadValue {
+                    what: "snapshot agent geometry disagrees with the deployment",
+                },
+                e => e,
+            })?,
+            (0 | 1, _) => {
+                return Err(PersistError::BadValue {
+                    what: "snapshot engine state disagrees with the deployment's engine",
+                })
+            }
             _ => {
                 return Err(PersistError::BadValue {
                     what: "invalid engine-agent tag",
                 })
             }
-        };
-        if agent.is_some() != self.dqn_agent().is_some() {
-            return Err(PersistError::BadValue {
-                what: "snapshot engine state disagrees with the deployment's engine",
-            });
         }
-        if let (Some(restored), Some(current)) = (&agent, self.dqn_agent()) {
-            if restored.config().observation_size != current.config().observation_size
-                || restored.config().num_params != current.config().num_params
-            {
-                return Err(PersistError::BadValue {
-                    what: "snapshot agent geometry disagrees with the deployment",
-                });
-            }
-        }
-        // Everything pure decoded and validated; the two self-validating
-        // subsystem restores run next, then plain assignments that cannot
-        // fail.
-        self.control_agent.decode_state(r)?;
-        self.daemon.decode_state(r)?;
-        self.tick = tick;
-        self.target = target;
-        self.monitors = monitors;
-        self.outbox = outbox;
-        self.phase_throughput = phase_throughput;
-        self.prediction_errors = prediction_errors;
-        if let (Some(restored), Some(current)) = (agent, self.engine.dqn_agent_mut()) {
-            *current = restored;
+        // Everything else checked; the two self-validating subsystem walks
+        // run next, then plain assignments that cannot fail.
+        self.control_agent.decode_state(r, pass)?;
+        self.daemon.decode_state(r, pass)?;
+        if let Some(live) = pass.target(self) {
+            live.tick = tick;
+            live.target = target;
+            live.monitors = monitors;
+            live.outbox = outbox;
+            live.phase_throughput = phase_throughput;
+            live.prediction_errors = prediction_errors;
         }
         Ok(())
     }
@@ -998,7 +998,7 @@ mod tests {
 
     #[test]
     fn state_round_trip_resumes_bit_identically() {
-        use capes_persist::Persist;
+        use capes_persist::{Pass, Persist};
         use capes_replay::ReplayArena;
         // Each system writes into an arena of its own, so the replay store
         // can be snapshot and restored exactly as the fleet checkpoint does.
@@ -1025,11 +1025,12 @@ mod tests {
         let (restored_arena, mut restored) = with_arena(99);
         let bytes = w.into_vec();
         let mut r = capes_persist::Reader::new(&bytes);
-        let stripe = capes_replay::ReplayDb::decode(&mut r).expect("store decodes");
         restored_arena
-            .restore_stripe(0, stripe)
+            .decode_stripe(0, &mut r, Pass::Apply)
             .expect("same geometry restores");
-        restored.decode_state(&mut r).expect("state decodes");
+        restored
+            .decode_state(&mut r, Pass::Apply)
+            .expect("state decodes");
         r.finish().expect("no trailing bytes");
 
         assert_eq!(restored.tick(), original.tick());
@@ -1055,6 +1056,7 @@ mod tests {
 
     #[test]
     fn state_restore_rejects_configuration_skew_untouched() {
+        use capes_persist::Pass;
         let mut original = quick_system(60.0, 12);
         for _ in 0..30 {
             original.training_tick();
@@ -1071,7 +1073,7 @@ mod tests {
             .build()
             .unwrap();
         let mut r = capes_persist::Reader::new(&bytes);
-        let err = socket.decode_state(&mut r).unwrap_err();
+        let err = socket.decode_state(&mut r, Pass::Apply).unwrap_err();
         assert!(err.to_string().contains("transport"), "got: {err}");
         assert_eq!(socket.tick(), 0, "nothing was overwritten");
 
@@ -1080,7 +1082,7 @@ mod tests {
         retired[0] = 0;
         let mut wire = quick_system(60.0, 1);
         let mut r = capes_persist::Reader::new(&retired);
-        let err = wire.decode_state(&mut r).unwrap_err();
+        let err = wire.decode_state(&mut r, Pass::Apply).unwrap_err();
         assert!(err.to_string().contains("transport"), "got: {err}");
         assert_eq!(wire.tick(), 0, "nothing was overwritten");
 
@@ -1095,7 +1097,7 @@ mod tests {
             .build()
             .unwrap();
         let mut r = capes_persist::Reader::new(&bytes);
-        let err = narrow.decode_state(&mut r).unwrap_err();
+        let err = narrow.decode_state(&mut r, Pass::Apply).unwrap_err();
         assert!(err.to_string().contains("agent geometry"), "got: {err}");
         assert_eq!(narrow.tick(), 0);
         assert_eq!(narrow.daemon_stats(), Default::default());
@@ -1107,13 +1109,13 @@ mod tests {
             .build()
             .unwrap();
         let mut r = capes_persist::Reader::new(&bytes);
-        let err = search.decode_state(&mut r).unwrap_err();
+        let err = search.decode_state(&mut r, Pass::Apply).unwrap_err();
         assert!(err.to_string().contains("engine"), "got: {err}");
     }
 
     #[test]
     fn snapshot_borne_parameters_are_rejected_untouched() {
-        use capes_persist::{Persist, Reader, Writer};
+        use capes_persist::{Pass, Persist, Reader, Writer};
         // A NullEngine re-proposes the current parameters, so its next action
         // is deduplicated by the Control Agent — the tick on which values
         // staged by a snapshot would reach the target unchecked.
@@ -1144,14 +1146,16 @@ mod tests {
 
         let mut restored = build();
         let err = restored
-            .decode_state(&mut Reader::new(&crafted.into_vec()))
+            .decode_state(&mut Reader::new(&crafted.into_vec()), Pass::Apply)
             .unwrap_err();
         assert!(err.to_string().contains("reserved"), "got: {err}");
         assert_eq!(restored.tick(), 0, "nothing was overwritten");
         assert_eq!(restored.daemon_stats(), Default::default());
         // The honest snapshot restores, and the deduplicated proposal leaves
         // the knob where it was.
-        restored.decode_state(&mut Reader::new(&honest)).unwrap();
+        restored
+            .decode_state(&mut Reader::new(&honest), Pass::Apply)
+            .unwrap();
         restored.training_tick();
         assert_eq!(restored.current_params(), vec![10.0]);
     }

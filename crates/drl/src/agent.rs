@@ -374,17 +374,62 @@ impl capes_persist::Persist for DqnAgent {
         let config = DqnAgentConfig::decode(r)?;
         let trainer = Trainer::decode(r)?;
         let epsilon = EpsilonSchedule::decode(r)?;
-        let rng_state = <[u64; 4]>::decode(r)?;
+        let rng_state = read_rng_state(r)?;
         config.check_network(trainer.online())?;
-        if rng_state == [0u64; 4] {
-            return Err(capes_persist::PersistError::BadValue {
-                what: "all-zero agent RNG state",
-            });
-        }
         let mut agent = DqnAgent::from_parts(config, trainer, StdRng::from_state(rng_state));
         agent.epsilon = epsilon;
         Ok(agent)
     }
+
+    /// The trainer walks into the live one once the stored configuration
+    /// has the live agent's observation width and parameter count; with
+    /// every network shape then equal to the live one, the network check
+    /// `decode` makes holds unchecked. The inference workspaces stay, and so
+    /// does the minibatch buffer unless the stored minibatch size differs.
+    fn decode_in_place(
+        &mut self,
+        r: &mut capes_persist::Reader<'_>,
+        pass: capes_persist::Pass,
+    ) -> Result<(), capes_persist::PersistError> {
+        let config = DqnAgentConfig::decode(r)?;
+        if (config.observation_size, config.num_params)
+            != (self.config.observation_size, self.config.num_params)
+        {
+            return Err(capes_persist::PersistError::mismatch(format!(
+                "snapshot agent is {}-wide over {} parameters, the live one {}-wide over {}",
+                config.observation_size,
+                config.num_params,
+                self.config.observation_size,
+                self.config.num_params
+            )));
+        }
+        self.trainer.decode_in_place(r, pass)?;
+        let epsilon = EpsilonSchedule::decode(r)?;
+        let rng_state = read_rng_state(r)?;
+        if let Some(live) = pass.target(self) {
+            if config.minibatch_size != live.config.minibatch_size {
+                live.batch_buf = None;
+            }
+            live.config = config;
+            live.epsilon = epsilon;
+            live.rng = StdRng::from_state(rng_state);
+        }
+        Ok(())
+    }
+}
+
+/// Reads an agent's RNG state, which must not be all zero.
+fn read_rng_state(
+    r: &mut capes_persist::Reader<'_>,
+) -> Result<[u64; 4], capes_persist::PersistError> {
+    use capes_persist::Persist;
+    let state = <[u64; 4]>::decode(r)?;
+    if state == [0u64; 4] {
+        return Err(capes_persist::PersistError::BadValue {
+            what: "all-zero agent RNG state",
+        });
+    }
+    Ok(state)
 }
 
 #[cfg(test)]
@@ -669,6 +714,61 @@ mod tests {
                 .parameter_distance(restored.q_network().mlp()),
             0.0
         );
+    }
+
+    #[test]
+    fn walks_in_place_into_an_agent_whose_weights_differ() {
+        use capes_persist::{Pass, Persist, PersistError, Reader, Writer};
+        let encode = |agent: &DqnAgent| {
+            let mut w = Writer::new();
+            agent.encode(&mut w);
+            w.into_vec()
+        };
+        let arena = filled_arena(2, 200);
+        let db = arena.stripe(0);
+        let mut original = DqnAgent::new(small_config(), 41);
+        for _ in 0..6 {
+            original.train_from_db(&db).unwrap().expect("trains");
+        }
+        let bytes = encode(&original);
+        // Other weights, moments, step count and RNG, and warm buffers.
+        let mut live = DqnAgent::new(small_config(), 99);
+        for _ in 0..2 {
+            live.train_from_db(&db).unwrap().expect("trains");
+        }
+        let before = encode(&live);
+        assert_ne!(before, bytes);
+
+        let mut r = Reader::new(&bytes);
+        live.decode_in_place(&mut r, Pass::Check).expect("check");
+        r.finish().expect("the check consumed the agent exactly");
+        assert_eq!(encode(&live), before, "the check wrote");
+        let mut r = Reader::new(&bytes);
+        live.decode_in_place(&mut r, Pass::Apply).expect("apply");
+        r.finish().expect("the apply consumed the agent exactly");
+        assert_eq!(encode(&live), bytes);
+        for _ in 0..4 {
+            let a = original.train_from_db(&db).unwrap().expect("trains");
+            let b = live.train_from_db(&db).unwrap().expect("trains");
+            assert_eq!(a, b, "the walked agent must train bit-identically");
+        }
+
+        // An agent of another geometry: the bytes decode, but neither walk
+        // fits them into it.
+        assert!(DqnAgent::decode(&mut Reader::new(&bytes)).is_ok());
+        let mut wide = DqnAgent::new(
+            DqnAgentConfig {
+                observation_size: 7,
+                ..small_config()
+            },
+            3,
+        );
+        let wide_bytes = encode(&wide);
+        for pass in [Pass::Check, Pass::Apply] {
+            let err = wide.decode_in_place(&mut Reader::new(&bytes), pass);
+            assert!(matches!(err, Err(PersistError::Mismatch { .. })), "{err:?}");
+            assert_eq!(encode(&wide), wide_bytes, "a mismatch writes nothing");
+        }
     }
 
     #[test]

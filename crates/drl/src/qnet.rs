@@ -103,6 +103,14 @@ impl capes_persist::Persist for QNetwork {
             network: Mlp::decode(r)?,
         })
     }
+
+    fn decode_in_place(
+        &mut self,
+        r: &mut capes_persist::Reader<'_>,
+        pass: capes_persist::Pass,
+    ) -> Result<(), capes_persist::PersistError> {
+        self.network.decode_in_place(r, pass)
+    }
 }
 
 #[cfg(test)]

@@ -334,6 +334,25 @@ impl capes_persist::Persist for Trainer {
             scratch: None,
         })
     }
+
+    /// Both networks and the optimizer walk into the live ones, whose shapes
+    /// the stored ones must equal, so the agreements `decode` checks hold
+    /// unchecked. The scratch buffers, shaped for those networks, stay.
+    fn decode_in_place(
+        &mut self,
+        r: &mut capes_persist::Reader<'_>,
+        pass: capes_persist::Pass,
+    ) -> Result<(), capes_persist::PersistError> {
+        self.online.decode_in_place(r, pass)?;
+        self.target.decode_in_place(r, pass)?;
+        self.optimizer.decode_in_place(r, pass)?;
+        self.config.decode_in_place(r, pass)?;
+        let steps = r.get_u64()?;
+        if let Some(live) = pass.target(self) {
+            live.steps = steps;
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]

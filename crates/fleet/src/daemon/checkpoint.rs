@@ -4,8 +4,7 @@
 use super::{FleetDaemon, FleetError};
 use crate::report::ExperienceSharing;
 use capes::CapesError;
-use capes_drl::DqnAgent;
-use capes_persist::{Persist, PersistError, Reader, SnapshotSlot};
+use capes_persist::{Pass, Persist, PersistError, Reader, SnapshotSlot};
 use capes_replay::ReplayDb;
 use capes_telemetry::names;
 use std::path::{Path, PathBuf};
@@ -20,13 +19,14 @@ fn replay_mismatch(reason: String) -> FleetError {
     FleetError::Capes(CapesError::ReplayConfigMismatch { reason })
 }
 
-/// The two walks [`FleetDaemon::restore`] makes over a verified payload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Pass {
-    /// Decode and check each section, then drop it; the fleet is untouched.
-    Check,
-    /// Decode and check each section again, and move it into place at once.
-    Apply,
+/// A section walk's error: a [`PersistError::Mismatch`] — the stored
+/// section's shapes disagree with the live one's — as `mismatch` makes it,
+/// anything else as the codec error it is.
+fn section_error(e: PersistError, mismatch: impl FnOnce(String) -> FleetError) -> FleetError {
+    match e {
+        PersistError::Mismatch { reason } => mismatch(reason),
+        e => e.into(),
+    }
 }
 
 impl FleetDaemon {
@@ -100,11 +100,11 @@ impl FleetDaemon {
             // prediction-error mark that is always 0.
             f64::encode_slice(session.system.phase_throughput(), &mut w);
             w.put_usize(0);
-            // Each member system's state rides as one length-prefixed blob:
-            // the prefix lets restore's check pass step over the blob
-            // undecoded, and the apply pass decodes it in place. An open blob is held whole in
-            // the writer's buffer; members run a `NullEngine` (their agents
-            // are the profiles' above), so theirs stay far below the window.
+            // Each member system's state rides as one length-prefixed blob,
+            // which restore detaches and walks on both passes. An open blob
+            // is held whole in the writer's buffer (and in restore's detached
+            // copy); members run a `NullEngine` (their agents are the
+            // profiles' above), so theirs stay far below the window.
             w.put_blob(|w| session.system.encode_state(w));
         }
         let stats = w.finish()?;
@@ -126,20 +126,22 @@ impl FleetDaemon {
     ///
     /// The file is read three times under one shared lock. The first pass
     /// verifies the container and its CRC. The second, the check pass,
-    /// decodes the payload one section at a time — one profile's agent, one
-    /// arena stripe, one member's name and state blob — runs every check on
-    /// it and drops it, so nothing is overwritten before the whole snapshot
-    /// has been checked. The third, the apply pass, walks the payload again
-    /// with the same checks and moves each section into place as soon as it
-    /// is decoded, freeing the section it replaces before the next one is
-    /// read. The restore's heap peak is therefore the live fleet plus its
-    /// largest section, not plus a second copy of every agent and stripe.
+    /// walks the payload against the live fleet one section at a time — one
+    /// profile's agent, one arena stripe, one member's name and state blob —
+    /// and runs every check, each member's `CapesSystem::decode_state`
+    /// included, without building an agent or a replay stripe: their stored
+    /// shapes are compared with the live ones, and their bulk `f64` runs are
+    /// stepped over once the counts are checked. Nothing is overwritten
+    /// before the whole snapshot has been checked. The third, the apply
+    /// pass, walks the payload again with the same checks and writes each
+    /// value straight into the live agents' matrices and the arena stripes'
+    /// own slot buffers. No pass holds a second copy of any section, so the
+    /// restore's heap peak is the live fleet plus a window and one member's
+    /// state blob.
     ///
-    /// Two caveats, after both of which the daemon is part-restored and
-    /// must be discarded, not run: a member's state blob is only decoded in
-    /// the apply pass, so a deliberately crafted payload that passes its CRC
-    /// and every check of the check pass yet fails inside a blob stops the
-    /// apply pass midway; and so does a read error during the apply pass.
+    /// Once the check pass has returned `Ok`, only a read error during the
+    /// apply pass can stop it; the daemon is then part-restored and must be
+    /// discarded, not run.
     pub fn restore(&mut self, path: &Path) -> Result<(), FleetError> {
         let _span = capes_telemetry::span!(names::SPAN_PERSIST_RESTORE);
         // The verifying pass reads magic, version, length against the file
@@ -159,10 +161,9 @@ impl FleetDaemon {
         Ok(())
     }
 
-    /// One walk over a verified snapshot payload: decodes each section and
-    /// checks it against this fleet, then either drops it
-    /// ([`Pass::Check`], which leaves `self` untouched) or moves it into
-    /// place before the next section is decoded ([`Pass::Apply`]).
+    /// One walk over a verified snapshot payload, section by section against
+    /// this fleet: [`Pass::Check`] checks each and leaves `self` untouched,
+    /// [`Pass::Apply`] writes each into place before the next is read.
     fn restore_pass(&mut self, r: &mut Reader<'_>, pass: Pass) -> Result<(), FleetError> {
         let apply = pass == Pass::Apply;
         let tag = r.get_u8()?;
@@ -212,20 +213,17 @@ impl FleetDaemon {
                     profile.observation_size, profile.num_params, profile.stripe_members
                 )));
             }
-            let agent = DqnAgent::decode(r)?;
-            if agent.config().observation_size != profile.observation_size
-                || agent.config().num_params != profile.num_params
-            {
-                return Err(checkpoint_mismatch(format!(
-                    "profile {i}'s snapshot agent was trained for a different geometry"
-                )));
-            }
-            if apply {
-                profile.agent = agent;
-            }
+            profile.agent.decode_in_place(r, pass).map_err(|e| {
+                section_error(e, |reason| {
+                    checkpoint_mismatch(format!(
+                        "profile {i}'s snapshot agent was trained for a different geometry \
+                         ({reason})"
+                    ))
+                })
+            })?;
         }
         // The arena as `checkpoint` wrote it: a stripe count, then each
-        // stripe, checked against the live one's configuration.
+        // stripe, walked against the live one.
         let num_stripes = r.get_count(<ReplayDb as Persist>::MIN_SIZE)?;
         if num_stripes != self.arena.num_stripes() {
             return Err(replay_mismatch(format!(
@@ -234,13 +232,9 @@ impl FleetDaemon {
             )));
         }
         for i in 0..num_stripes {
-            let db = ReplayDb::decode(r)?;
-            let placed = if apply {
-                self.arena.restore_stripe(i, db)
-            } else {
-                self.arena.check_stripe(i, &db)
-            };
-            placed.map_err(|e| replay_mismatch(e.to_string()))?;
+            self.arena
+                .decode_stripe(i, r, pass)
+                .map_err(|e| section_error(e, replay_mismatch))?;
         }
         let num_sessions = r.get_count(1)?;
         if num_sessions != self.sessions.len() {
@@ -258,16 +252,15 @@ impl FleetDaemon {
                 )));
             }
             // The two v1 slots `checkpoint` fills from the member blob's
-            // phase record; the blob restores it.
-            Vec::<f64>::decode(r)?;
+            // phase record, which the blob restores: stepped over.
+            let throughput = r.get_count(8)?;
+            r.get_f64_run(throughput, None)?;
             r.get_usize()?;
             // The reader's window moves on; the member blob is detached.
             let blob = r.get_byte_vec()?;
-            if apply {
-                let mut sub = Reader::new(&blob);
-                session.system.decode_state(&mut sub)?;
-                sub.finish()?;
-            }
+            let mut sub = Reader::new(&blob);
+            session.system.decode_state(&mut sub, pass)?;
+            sub.finish()?;
         }
         r.finish()?;
         if apply {

@@ -264,6 +264,106 @@ fn restore_rejects_a_late_mismatch_untouched() {
     }
 }
 
+/// Where the last member blob's engine-agent tag sits in a fleet snapshot
+/// payload: behind every profile, arena stripe and earlier member, then
+/// inside the blob behind the member's target, monitors, reserved byte,
+/// outbox and phase record.
+fn last_engine_tag_offset(payload: &[u8]) -> usize {
+    use capes_persist::{Persist, Reader};
+    let mut r = Reader::new(payload);
+    r.get_u8().unwrap();
+    for _ in 0..3 {
+        r.get_u64().unwrap();
+    }
+    Vec::<ExperienceSharing>::decode(&mut r).unwrap();
+    for _ in 0..r.get_usize().unwrap() {
+        r.get_usize().unwrap();
+        r.get_usize().unwrap();
+        Vec::<usize>::decode(&mut r).unwrap();
+        capes_drl::DqnAgent::decode(&mut r).unwrap();
+    }
+    for _ in 0..r.get_usize().unwrap() {
+        capes_replay::ReplayDb::decode(&mut r).unwrap();
+    }
+    let mut blob_start = 0;
+    for _ in 0..r.get_usize().unwrap() {
+        r.get_str().unwrap();
+        Vec::<f64>::decode(&mut r).unwrap();
+        r.get_usize().unwrap();
+        let len = r.get_count(1).unwrap();
+        blob_start = payload.len() - r.remaining();
+        r.take(len).unwrap();
+    }
+    let blob = &payload[blob_start..];
+    let mut b = Reader::new(blob);
+    b.get_u8().unwrap();
+    b.get_u64().unwrap();
+    capes::SimulatedLustre::decode(&mut b).unwrap();
+    Vec::<capes_agents::MonitoringAgent>::decode(&mut b).unwrap();
+    b.get_u8().unwrap();
+    for _ in 0..b.get_usize().unwrap() {
+        b.get_bytes().unwrap();
+    }
+    Vec::<f64>::decode(&mut b).unwrap();
+    for _ in 0..b.get_usize().unwrap() {
+        b.get_u64().unwrap();
+        b.get_f64().unwrap();
+    }
+    blob_start + blob.len() - b.remaining()
+}
+
+/// A payload that passes the CRC but fails inside the last member's state
+/// blob — an engine-agent tag that is neither 0 nor 1 — is caught by the
+/// check pass, which walks every blob: restore returns a typed error before
+/// anything is overwritten, and the fleet's next checkpoint is
+/// byte-identical to the one it took before.
+#[test]
+fn restore_rejects_a_crafted_member_blob_untouched() {
+    let snap = temp_path("crafted-blob.snap");
+    let crafted_path = temp_path("crafted-blob-crafted.snap");
+    let before = temp_path("crafted-blob-before.snap");
+    let after = temp_path("crafted-blob-after.snap");
+    let mut original = two_cluster_fleet(Transport::Wire, 7);
+    for _ in 0..12 {
+        original.tick_all(PhaseKind::Train);
+    }
+    original.checkpoint(&snap).expect("checkpoint");
+    let payload = capes_persist::read_snapshot_file(&snap).expect("valid snapshot");
+    let at = last_engine_tag_offset(&payload);
+    assert_eq!(payload[at], 0, "members run without an agent of their own");
+    let mut crafted = payload;
+    crafted[at] = 2;
+    capes_persist::write_atomic(&crafted_path, &capes_persist::encode_snapshot(&crafted)).unwrap();
+
+    // Same configuration, its own few ticks: every section the snapshot
+    // would overwrite differs from the stored one.
+    let mut fleet = two_cluster_fleet(Transport::Wire, 7);
+    for _ in 0..5 {
+        fleet.tick_all(PhaseKind::Train);
+    }
+    fleet.checkpoint(&before).expect("checkpoint before");
+    let err = fleet
+        .restore(&crafted_path)
+        .expect_err("the crafted engine-agent tag must be rejected");
+    assert!(
+        matches!(
+            err,
+            FleetError::Persist(capes_persist::PersistError::BadValue { .. })
+        ) && err.to_string().contains("engine-agent tag"),
+        "unexpected error: {err}"
+    );
+    assert_eq!(fleet.tick(), 5);
+    assert_eq!(fleet.persist_report().restores, 0);
+    fleet.checkpoint(&after).expect("checkpoint after");
+    assert!(
+        std::fs::read(&before).unwrap() == std::fs::read(&after).unwrap(),
+        "the failed restore changed the fleet"
+    );
+    for path in [&snap, &crafted_path, &before, &after] {
+        let _ = std::fs::remove_file(path);
+    }
+}
+
 #[test]
 fn auto_checkpoint_fires_on_the_interval() {
     let snap = temp_path("auto.snap");

@@ -147,6 +147,18 @@ impl capes_persist::Persist for Dense {
         }
         Ok(Dense::from_parameters(weights, bias, activation))
     }
+
+    /// Both matrices walk into the live ones, whose shapes the stored ones
+    /// must equal, so the bias invariant `decode` checks holds unchecked.
+    fn decode_in_place(
+        &mut self,
+        r: &mut capes_persist::Reader<'_>,
+        pass: capes_persist::Pass,
+    ) -> Result<(), capes_persist::PersistError> {
+        self.weights.decode_in_place(r, pass)?;
+        self.bias.decode_in_place(r, pass)?;
+        self.activation.decode_in_place(r, pass)
+    }
 }
 
 #[cfg(test)]

@@ -192,6 +192,16 @@ impl capes_persist::Persist for Mlp {
         }
         Ok(Mlp { layers })
     }
+
+    /// Layer by layer into the live network, whose depth and shapes the
+    /// stored ones must equal, so the chain `decode` checks holds unchecked.
+    fn decode_in_place(
+        &mut self,
+        r: &mut capes_persist::Reader<'_>,
+        pass: capes_persist::Pass,
+    ) -> Result<(), capes_persist::PersistError> {
+        capes_persist::decode_slice_in_place(&mut self.layers, r, pass, "MLP layers")
+    }
 }
 
 #[cfg(test)]

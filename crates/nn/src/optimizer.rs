@@ -59,13 +59,39 @@ impl Adam {
     /// errors (NaN fails every one of them).
     fn check(&self) -> Result<(), &'static str> {
         let (m, v) = (&self.m, &self.v);
-        if !(self.learning_rate.is_finite() && self.learning_rate > 0.0) {
-            Err("Adam learning rate not finite and positive")
-        } else if m.len() != v.len() || m.iter().zip(v).any(|(a, b)| a.shape() != b.shape()) {
+        Self::check_learning_rate(self.learning_rate)?;
+        if m.len() != v.len() || m.iter().zip(v).any(|(a, b)| a.shape() != b.shape()) {
             Err("Adam moment vectors disagree in shape")
         } else {
             Ok(())
         }
+    }
+
+    fn check_learning_rate(learning_rate: f64) -> Result<(), &'static str> {
+        if learning_rate.is_finite() && learning_rate > 0.0 {
+            Ok(())
+        } else {
+            Err("Adam learning rate not finite and positive")
+        }
+    }
+
+    /// Reads the encoding's scalar head — the learning rate, the v1 slots
+    /// of the retired fields, and the step count — checking each.
+    fn read_scalars(
+        r: &mut capes_persist::Reader<'_>,
+    ) -> Result<(f64, u64), capes_persist::PersistError> {
+        let learning_rate = r.get_f64()?;
+        r.expect_f64(Self::BETA1, "Adam β₁ slot is not the constant")?;
+        r.expect_f64(Self::BETA2, "Adam β₂ slot is not the constant")?;
+        r.expect_f64(Self::EPSILON, "Adam ε slot is not the constant")?;
+        if r.get_u8()? != 0 {
+            return Err(capes_persist::PersistError::BadValue {
+                what: "Adam gradient-clip slot is not `None`",
+            });
+        }
+        Self::check_learning_rate(learning_rate)
+            .map_err(|what| capes_persist::PersistError::BadValue { what })?;
+        Ok((learning_rate, r.get_u64()?))
     }
 
     /// `true` if the optimizer's moment estimates are shaped for a network
@@ -97,24 +123,34 @@ impl capes_persist::Persist for Adam {
     }
 
     fn decode(r: &mut capes_persist::Reader<'_>) -> Result<Self, capes_persist::PersistError> {
-        let learning_rate = r.get_f64()?;
-        r.expect_f64(Self::BETA1, "Adam β₁ slot is not the constant")?;
-        r.expect_f64(Self::BETA2, "Adam β₂ slot is not the constant")?;
-        r.expect_f64(Self::EPSILON, "Adam ε slot is not the constant")?;
-        if r.get_u8()? != 0 {
-            return Err(capes_persist::PersistError::BadValue {
-                what: "Adam gradient-clip slot is not `None`",
-            });
-        }
+        let (learning_rate, t) = Self::read_scalars(r)?;
         let adam = Adam {
             learning_rate,
-            t: r.get_u64()?,
+            t,
             m: Vec::<Matrix>::decode(r)?,
             v: Vec::<Matrix>::decode(r)?,
         };
         adam.check()
             .map_err(|what| capes_persist::PersistError::BadValue { what })?;
         Ok(adam)
+    }
+
+    /// Both moment vectors walk into the live ones, whose shapes the stored
+    /// ones must equal, so the shape agreement `decode` checks holds
+    /// unchecked.
+    fn decode_in_place(
+        &mut self,
+        r: &mut capes_persist::Reader<'_>,
+        pass: capes_persist::Pass,
+    ) -> Result<(), capes_persist::PersistError> {
+        let (learning_rate, t) = Self::read_scalars(r)?;
+        capes_persist::decode_slice_in_place(&mut self.m, r, pass, "Adam first moments")?;
+        capes_persist::decode_slice_in_place(&mut self.v, r, pass, "Adam second moments")?;
+        if let Some(live) = pass.target(self) {
+            live.learning_rate = learning_rate;
+            live.t = t;
+        }
+        Ok(())
     }
 }
 

@@ -613,18 +613,11 @@ impl<'a> Reader<'a> {
 
     /// Reads a count-prefixed run of 8-byte little-endian words into one
     /// allocation, made only after `get_count` has proven that `count * 8`
-    /// bytes are present; the words move window → destination, one bounds
-    /// check per piece.
+    /// bytes are present.
     fn get_words<T>(&mut self, from_le: impl Fn([u8; 8]) -> T) -> Result<Vec<T>, PersistError> {
         let count = self.get_count(8)?;
         let mut out = Vec::with_capacity(count);
-        let mut left = count * 8;
-        while left > 0 {
-            let piece = self.run_piece(left, 8);
-            let (words, _) = self.take(piece)?.as_chunks::<8>();
-            out.extend(words.iter().map(|word| from_le(*word)));
-            left -= piece;
-        }
+        self.words_run(count, Some(&mut out), from_le)?;
         Ok(out)
     }
 
@@ -632,7 +625,78 @@ impl<'a> Reader<'a> {
     fn get_bools(&mut self) -> Result<Vec<bool>, PersistError> {
         let count = self.get_count(1)?;
         let mut out = Vec::with_capacity(count);
-        let mut left = count;
+        self.get_bool_run(count, Some(&mut out))?;
+        Ok(out)
+    }
+
+    /// Fails unless `count` elements of `elem` bytes each are left, before a
+    /// run reader touches its destination.
+    fn check_run(&self, count: usize, elem: usize) -> Result<usize, PersistError> {
+        let max = self.remaining() / elem;
+        if count > max {
+            return Err(PersistError::CountTooLarge {
+                count: count as u64,
+                max: max as u64,
+            });
+        }
+        Ok(count * elem)
+    }
+
+    /// Reads the `count` words of a run whose count prefix the caller has
+    /// already read: into `out`, which is cleared and refilled within its own
+    /// capacity when that suffices, or, given `None`, only stepping over
+    /// them. Either way the words move window by window, one bounds check
+    /// per piece.
+    fn words_run<T>(
+        &mut self,
+        count: usize,
+        mut out: Option<&mut Vec<T>>,
+        from_le: impl Fn([u8; 8]) -> T,
+    ) -> Result<(), PersistError> {
+        let mut left = self.check_run(count, 8)?;
+        if let Some(out) = out.as_deref_mut() {
+            out.clear();
+            out.reserve(count);
+        }
+        while left > 0 {
+            let piece = self.run_piece(left, 8);
+            let bytes = self.take(piece)?;
+            if let Some(out) = out.as_deref_mut() {
+                let (words, _) = bytes.as_chunks::<8>();
+                out.extend(words.iter().map(|word| from_le(*word)));
+            }
+            left -= piece;
+        }
+        Ok(())
+    }
+
+    /// The body of a run that `Vec<f64>::encode` wrote, once the caller has
+    /// read its count (with [`Reader::get_count`]) and checked it: into
+    /// `out`, which is cleared and refilled reusing its capacity, or, given
+    /// `None`, only stepping over the run.
+    pub fn get_f64_run(
+        &mut self,
+        count: usize,
+        out: Option<&mut Vec<f64>>,
+    ) -> Result<(), PersistError> {
+        self.words_run(count, out, |word| f64::from_bits(u64::from_le_bytes(word)))
+    }
+
+    /// The body of a run that `Vec<bool>::encode` wrote, once the caller has
+    /// read its count: into `out` like [`Reader::get_f64_run`], or, given
+    /// `None`, only stepping over it. Any byte other than 0 or 1 is rejected
+    /// either way. Returns how many of the values are `true`.
+    pub fn get_bool_run(
+        &mut self,
+        count: usize,
+        mut out: Option<&mut Vec<bool>>,
+    ) -> Result<usize, PersistError> {
+        let mut left = self.check_run(count, 1)?;
+        if let Some(out) = out.as_deref_mut() {
+            out.clear();
+            out.reserve(count);
+        }
+        let mut set = 0;
         while left > 0 {
             let piece = self.run_piece(left, 1);
             let bytes = self.take(piece)?;
@@ -641,10 +705,13 @@ impl<'a> Reader<'a> {
                     what: "bool byte not 0 or 1",
                 });
             }
-            out.extend(bytes.iter().map(|&b| b == 1));
+            set += bytes.iter().filter(|&&b| b == 1).count();
+            if let Some(out) = out.as_deref_mut() {
+                out.extend(bytes.iter().map(|&b| b == 1));
+            }
             left -= piece;
         }
-        Ok(out)
+        Ok(set)
     }
 
     /// Succeeds only if every input byte has been consumed.
@@ -694,6 +761,28 @@ impl Stream<'_> {
     }
 }
 
+/// The two walks a restore makes over a verified payload with
+/// [`Persist::decode_in_place`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Pass {
+    /// Run every check against the live value and assign nothing: a walk
+    /// that returns `Ok` has proven the bytes fit the live value.
+    Check,
+    /// Write each value into the live value's own storage as it is read.
+    Apply,
+}
+
+impl Pass {
+    /// `live` on an [`Pass::Apply`] walk, `None` on a [`Pass::Check`] walk:
+    /// where a walk writes what it reads.
+    pub fn target<T>(self, live: &mut T) -> Option<&mut T> {
+        match self {
+            Pass::Check => None,
+            Pass::Apply => Some(live),
+        }
+    }
+}
+
 /// A type that can round-trip through the binary checkpoint codec.
 pub trait Persist: Sized {
     /// Minimum bytes one encoded value occupies — lets collection decoders
@@ -705,6 +794,25 @@ pub trait Persist: Sized {
 
     /// Decodes one value, consuming exactly the bytes `encode` produced.
     fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError>;
+
+    /// Walks one encoded value into `self`, consuming the bytes
+    /// [`Persist::decode`] would: a [`Pass::Check`] runs every check of
+    /// `decode` and assigns nothing, a [`Pass::Apply`] leaves `self` equal to
+    /// what `decode` would return. The default decodes, then assigns or
+    /// drops. Types that hold bulk runs override it to check the stored
+    /// shapes against the live ones — a disagreement is
+    /// [`PersistError::Mismatch`] — and to step over the runs on a check and
+    /// write them into the live storage on an apply, so neither walk
+    /// allocates a second copy. An apply that fails midway leaves `self`
+    /// part-written; one over bytes a check of the same `self` passed
+    /// cannot fail but on a read error.
+    fn decode_in_place(&mut self, r: &mut Reader<'_>, pass: Pass) -> Result<(), PersistError> {
+        let value = Self::decode(r)?;
+        if let Some(live) = pass.target(self) {
+            *live = value;
+        }
+        Ok(())
+    }
 
     /// Appends a count-prefixed run of values: the encoding of `Vec<Self>`.
     /// Types whose runs can move in bulk (`f64`, `u64`, `bool`) override
@@ -726,6 +834,28 @@ pub trait Persist: Sized {
         }
         Ok(out)
     }
+}
+
+/// Walks what [`Persist::encode_slice`] wrote into `live` element by element
+/// with [`Persist::decode_in_place`]: the stored count must be `live`'s
+/// length, or the walk stops with [`PersistError::Mismatch`] naming `what`.
+pub fn decode_slice_in_place<T: Persist>(
+    live: &mut [T],
+    r: &mut Reader<'_>,
+    pass: Pass,
+    what: &str,
+) -> Result<(), PersistError> {
+    let count = r.get_count(T::MIN_SIZE)?;
+    if count != live.len() {
+        return Err(PersistError::mismatch(format!(
+            "snapshot holds {count} {what}, the live value {}",
+            live.len()
+        )));
+    }
+    for v in live {
+        v.decode_in_place(r, pass)?;
+    }
+    Ok(())
 }
 
 impl Persist for u8 {
@@ -1192,6 +1322,59 @@ mod tests {
         let reference = decode_per_element::<bool>(&bytes).unwrap_err();
         assert!(matches!(bulk, PersistError::BadValue { .. }), "{bulk}");
         assert_eq!(bulk.to_string(), reference.to_string());
+    }
+
+    #[test]
+    fn run_readers_fill_in_place_or_step_over_alike() {
+        let floats: Vec<f64> = (0..40).map(|i| i as f64 * -1.5).collect();
+        let flags: Vec<bool> = (0..40).map(|i| i % 3 == 0).collect();
+        let mut w = Writer::new();
+        floats.encode(&mut w);
+        flags.encode(&mut w);
+        w.put_u8(7);
+        let bytes = w.into_vec();
+        // Filled: into vectors whose capacity already suffices, so the
+        // storage is reused; skipped: only the trailing byte is left to read.
+        let read = |r: &mut Reader<'_>, fill: bool| -> Result<_, PersistError> {
+            let mut f = Vec::with_capacity(64);
+            let mut b = Vec::with_capacity(64);
+            let (f_ptr, b_ptr) = (f.as_ptr(), b.as_ptr());
+            let n = r.get_count(8)?;
+            r.get_f64_run(n, fill.then_some(&mut f))?;
+            let n = r.get_count(1)?;
+            let set = r.get_bool_run(n, fill.then_some(&mut b))?;
+            assert_eq!((f.as_ptr(), b.as_ptr()), (f_ptr, b_ptr), "reallocated");
+            Ok((f, b, set, r.get_u8()?))
+        };
+        for fill in [true, false] {
+            let mut runs = vec![read(&mut Reader::new(&bytes), fill).unwrap()];
+            for window in TINY_WINDOWS {
+                runs.push(stream_in(window, &bytes, |r| read(r, fill)).unwrap());
+            }
+            for (f, b, set, tail) in runs {
+                assert_eq!((set, tail), (14, 7));
+                if fill {
+                    assert_eq!((f, b), (floats.clone(), flags.clone()));
+                } else {
+                    assert!(f.is_empty() && b.is_empty());
+                }
+            }
+        }
+        // A stray bool byte is rejected whether the run is kept or not.
+        let mut stray = bytes.clone();
+        stray[8 + 40 * 8 + 8 + 5] = 2;
+        for fill in [true, false] {
+            let err = read(&mut Reader::new(&stray), fill).unwrap_err();
+            assert!(matches!(err, PersistError::BadValue { .. }), "{err}");
+        }
+        // A count the input cannot hold fails before the destination is
+        // touched.
+        let mut out = vec![1.0];
+        let err = Reader::new(&bytes[..16])
+            .get_f64_run(3, Some(&mut out))
+            .unwrap_err();
+        assert!(matches!(err, PersistError::CountTooLarge { .. }), "{err}");
+        assert_eq!(out, [1.0]);
     }
 
     #[test]

@@ -11,7 +11,10 @@
 //!   window;
 //! * a [`Persist`] trait implemented by every checkpointable type in the
 //!   workspace and by the wire messages (`capes_agents::wire` keeps their
-//!   frame layout);
+//!   frame layout), whose `decode_in_place` walks a stored value against a
+//!   live one — checking it ([`Pass::Check`]) or writing it into the live
+//!   value's own storage ([`Pass::Apply`]) — so a restore builds no second
+//!   copy;
 //! * a versioned, CRC-guarded snapshot container
 //!   (`CAPESNAP` magic + version + payload length + payload + CRC32),
 //!   streamed to disk by [`SnapshotWriter`] and back by [`SnapshotFile`]
@@ -37,7 +40,7 @@ mod error;
 mod record;
 mod snapshot;
 
-pub use codec::{Persist, Reader, Writer};
+pub use codec::{decode_slice_in_place, Pass, Persist, Reader, Writer};
 pub use crc32::crc32;
 pub use error::PersistError;
 pub use record::{RecordEntry, RecordLogReader, RecordLogWriter};

@@ -42,6 +42,7 @@
 use crate::db::{ReplayConfig, ReplayDb};
 use crate::minibatch::{MinibatchError, ReplayBatch};
 use crate::shared::SharedReplayDb;
+use capes_persist::{Pass, Persist, PersistError, Reader};
 use capes_telemetry::names;
 use rand::Rng;
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -166,48 +167,40 @@ impl ReplayArena {
             .collect()
     }
 
-    /// Checks that `db` may replace stripe `index`: the stripe has `db`'s
-    /// configuration. [`ReplayArena::restore_stripe`] runs the same check.
+    /// Walks a stored [`ReplayDb`] into stripe `index` in place — the
+    /// restore path, one stripe at a time. A [`Pass::Check`] holds the
+    /// stripe's read lock and runs every check of `ReplayDb::decode` against
+    /// it, building nothing; a [`Pass::Apply`] holds the write lock and
+    /// writes the stored ring into the stripe's own slot buffers, so
+    /// existing [`SharedReplayDb`] views (and the member systems holding
+    /// them) see the restored data and no second ring is ever built.
     ///
     /// # Errors
-    /// [`capes_persist::PersistError::Mismatch`] when stripe `index`'s
-    /// configuration disagrees with `db`'s.
+    /// [`PersistError::Mismatch`] when stripe `index`'s configuration
+    /// disagrees with the stored one; any other [`PersistError`] the stored
+    /// bytes fail with.
     ///
     /// # Panics
     /// Panics if `index` is out of range.
-    pub fn check_stripe(
+    pub fn decode_stripe(
         &self,
         index: usize,
-        db: &ReplayDb,
-    ) -> Result<(), capes_persist::PersistError> {
-        if *db.config() != self.stripe_config(index) {
-            return Err(capes_persist::PersistError::mismatch(format!(
+        r: &mut Reader<'_>,
+        pass: Pass,
+    ) -> Result<(), PersistError> {
+        let walked = match pass {
+            Pass::Check => {
+                let db = self.read_stripe(index);
+                ReplayDb::walk(db.config(), r, None)
+            }
+            Pass::Apply => self.write_stripe(index).decode_in_place(r, pass),
+        };
+        walked.map_err(|e| match e {
+            PersistError::Mismatch { .. } => PersistError::mismatch(format!(
                 "replay configuration of arena stripe {index} disagrees with the snapshot"
-            )));
-        }
-        Ok(())
-    }
-
-    /// Replaces stripe `index`'s contents with `db` — the restore path, one
-    /// stripe at a time: existing [`SharedReplayDb`] views (and the member
-    /// systems holding them) keep pointing at the same stripe lock and see
-    /// the restored data, and the contents replaced are freed before this
-    /// returns. Runs [`ReplayArena::check_stripe`] first, so a mismatching
-    /// `db` leaves the stripe unchanged.
-    ///
-    /// # Errors
-    /// As [`ReplayArena::check_stripe`].
-    ///
-    /// # Panics
-    /// Panics if `index` is out of range.
-    pub fn restore_stripe(
-        &self,
-        index: usize,
-        db: ReplayDb,
-    ) -> Result<(), capes_persist::PersistError> {
-        self.check_stripe(index, &db)?;
-        *self.write_stripe(index) = db;
-        Ok(())
+            )),
+            e => e,
+        })
     }
 
     /// Generalised Algorithm 1 over a stripe set: fills every row of `batch`
@@ -386,8 +379,7 @@ mod tests {
     }
 
     #[test]
-    fn restore_stripe_overlays_behind_live_views() {
-        use capes_persist::Persist;
+    fn decode_stripe_overlays_behind_live_views() {
         let arena = ReplayArena::uniform(config(), 2);
         fill_stripe(&arena, 0, 30, 0.0);
         fill_stripe(&arena, 1, 30, 500.0);
@@ -397,17 +389,13 @@ mod tests {
             w.into_vec()
         };
         let stripes = [encode(0), encode(1)];
-        let decode = |bytes: &[u8]| {
-            let mut r = capes_persist::Reader::new(bytes);
-            ReplayDb::decode(&mut r).expect("stripe decodes")
-        };
         // A live view taken *before* the restore must see the restored data.
         let view = arena.stripe(1);
         fill_stripe(&arena, 0, 50, 7.0);
         fill_stripe(&arena, 1, 50, 7.0);
         for (i, bytes) in stripes.iter().enumerate() {
             arena
-                .restore_stripe(i, decode(bytes))
+                .decode_stripe(i, &mut Reader::new(bytes), Pass::Apply)
                 .expect("same configuration restores");
         }
         assert_eq!(arena.stripe(0).len(), 30);
@@ -415,13 +403,20 @@ mod tests {
         assert_eq!(view.with_read(|db| db.objective_at(4)), Some(504.0));
         // A stripe of another configuration is rejected, untouched.
         fill_stripe(&arena, 0, 50, 7.0);
-        let narrow = ReplayDb::new(ReplayConfig {
+        let mut narrow = capes_persist::Writer::new();
+        ReplayDb::new(ReplayConfig {
             capacity_ticks: 500,
             ..config()
-        });
-        let err = arena.restore_stripe(0, narrow).unwrap_err();
-        assert!(err.to_string().contains("configuration"));
-        assert_eq!(arena.stripe(0).len(), 50);
+        })
+        .encode(&mut narrow);
+        let narrow = narrow.into_vec();
+        for pass in [Pass::Check, Pass::Apply] {
+            let err = arena
+                .decode_stripe(0, &mut Reader::new(&narrow), pass)
+                .unwrap_err();
+            assert!(err.to_string().contains("configuration"));
+            assert_eq!(arena.stripe(0).len(), 50);
+        }
     }
 
     #[test]

@@ -642,10 +642,24 @@ impl capes_persist::Persist for ReplayConfig {
     }
 }
 
-impl capes_persist::Persist for TickSlot {
-    const MIN_SIZE: usize = 1 + 8 + 8 + 1 + 8 + 1 + 8;
+/// What the ring walk checks of one stored slot: its tick tags, the lengths
+/// of its two runs and how many nodes it marks present.
+struct StoredSlot {
+    tick: Option<Tick>,
+    data_len: usize,
+    present_len: usize,
+    present_rows: usize,
+    objective_tick: Option<Tick>,
+    action_tick: Option<Tick>,
+}
 
-    fn encode(&self, w: &mut capes_persist::Writer) {
+impl TickSlot {
+    /// Fewest bytes a stored slot takes.
+    const MIN_STORED: usize = 1 + 8 + 8 + 1 + 8 + 1 + 8;
+
+    /// Appends the slot's fields, which `TickSlot::read_fields` reads back.
+    fn write_fields(&self, w: &mut capes_persist::Writer) {
+        use capes_persist::Persist;
         self.tick.encode(w);
         self.data.encode(w);
         self.present.encode(w);
@@ -655,40 +669,122 @@ impl capes_persist::Persist for TickSlot {
         w.put_usize(self.action);
     }
 
-    fn decode(r: &mut capes_persist::Reader<'_>) -> Result<Self, capes_persist::PersistError> {
-        Ok(TickSlot {
-            tick: Option::<Tick>::decode(r)?,
-            data: Vec::<f64>::decode(r)?,
-            present: Vec::<bool>::decode(r)?,
-            objective_tick: Option::<Tick>::decode(r)?,
-            objective: r.get_f64()?,
-            action_tick: Option::<Tick>::decode(r)?,
-            action: r.get_usize()?,
+    /// Reads one stored slot into `into`'s own buffers, or only past it
+    /// when `into` is `None`, returning what the ring walk checks: the slot
+    /// itself checks nothing.
+    fn read_fields(
+        r: &mut capes_persist::Reader<'_>,
+        mut into: Option<&mut TickSlot>,
+    ) -> Result<StoredSlot, capes_persist::PersistError> {
+        use capes_persist::Persist;
+        let tick = Option::<Tick>::decode(r)?;
+        let data_len = r.get_count(8)?;
+        r.get_f64_run(data_len, into.as_deref_mut().map(|s| &mut s.data))?;
+        let present_len = r.get_count(1)?;
+        let present_rows =
+            r.get_bool_run(present_len, into.as_deref_mut().map(|s| &mut s.present))?;
+        let objective_tick = Option::<Tick>::decode(r)?;
+        let objective = r.get_f64()?;
+        let action_tick = Option::<Tick>::decode(r)?;
+        let action = r.get_usize()?;
+        if let Some(live) = into {
+            live.tick = tick;
+            live.objective_tick = objective_tick;
+            live.objective = objective;
+            live.action_tick = action_tick;
+            live.action = action;
+        }
+        Ok(StoredSlot {
+            tick,
+            data_len,
+            present_len,
+            present_rows,
+            objective_tick,
+            action_tick,
         })
     }
 }
 
-impl capes_persist::Persist for ReplayDb {
-    const MIN_SIZE: usize = ReplayConfig::MIN_SIZE;
-
-    fn encode(&self, w: &mut capes_persist::Writer) {
-        self.config.encode(w);
-        self.slots.encode(w);
-        self.earliest.encode(w);
-        self.latest.encode(w);
-        w.put_usize(self.occupied_ticks);
-        w.put_usize(self.snapshot_rows);
-        self.node_latest.encode(w);
-        w.put_usize(self.num_objectives);
-        w.put_usize(self.num_actions);
-        w.put_u64(self.evicted_ticks);
-        w.put_u64(self.total_inserted);
+impl ReplayDb {
+    /// Walks a stored database against the live configuration `live`: the
+    /// stored one must equal it (`PersistError::Mismatch` otherwise), then
+    /// the ring and the bookkeeping go through `ReplayDb::read_ring`,
+    /// written into `into` — the database `live` belongs to — on an apply,
+    /// or only checked when `into` is `None`, as the arena's check pass does
+    /// under a stripe's read lock.
+    pub(crate) fn walk(
+        live: &ReplayConfig,
+        r: &mut capes_persist::Reader<'_>,
+        into: Option<&mut ReplayDb>,
+    ) -> Result<(), capes_persist::PersistError> {
+        use capes_persist::Persist;
+        if ReplayConfig::decode(r)? != *live {
+            return Err(capes_persist::PersistError::mismatch(
+                "replay configuration disagrees with the snapshot",
+            ));
+        }
+        Self::read_ring(*live, r, into)
     }
 
-    fn decode(r: &mut capes_persist::Reader<'_>) -> Result<Self, capes_persist::PersistError> {
+    /// Reads the ring and the bookkeeping stored after a configuration
+    /// `config`, checking every slot against it. On an apply (`into` is
+    /// `Some`) each stored slot lands in the live slot at its index, whose
+    /// buffers it reuses; the ring grows or shrinks to the stored length.
+    /// Every count and tick bound is a function of the slots: one that
+    /// disagrees would underflow or misdirect the next insert's
+    /// bookkeeping, so all six are recomputed and compared, on both passes,
+    /// and never trusted.
+    fn read_ring(
+        config: ReplayConfig,
+        r: &mut capes_persist::Reader<'_>,
+        mut into: Option<&mut ReplayDb>,
+    ) -> Result<(), capes_persist::PersistError> {
+        use capes_persist::Persist;
         use capes_persist::PersistError::BadValue;
-        let config = ReplayConfig::decode(r)?;
-        let slots = Vec::<TickSlot>::decode(r)?;
+        let len = r.get_count(TickSlot::MIN_STORED)?;
+        // The ring geometry must agree with the configuration before any
+        // indexing arithmetic trusts it.
+        if len > config.capacity_ticks {
+            return Err(BadValue {
+                what: "replay ring longer than its configured capacity",
+            });
+        }
+        if let Some(db) = into.as_deref_mut() {
+            db.slots.truncate(len);
+            db.slots.resize_with(len, TickSlot::empty);
+        }
+        let width = config.num_nodes * config.pis_per_node;
+        let capacity = config.capacity_ticks as u64;
+        let (mut occupied, mut rows, mut objectives, mut actions) = (0, 0, 0, 0);
+        let (mut first, mut last): (Option<Tick>, Option<Tick>) = (None, None);
+        for index in 0..len {
+            let slot = into.as_deref_mut().map(|db| &mut db.slots[index]);
+            let stored = TickSlot::read_fields(r, slot)?;
+            let shaped = stored.data_len == width && stored.present_len == config.num_nodes;
+            let empty = stored.data_len == 0 && stored.present_len == 0;
+            if !(shaped || (empty && stored.tick.is_none())) {
+                return Err(BadValue {
+                    what: "replay slot shape disagrees with the configuration",
+                });
+            }
+            let at_home = |t: Option<Tick>| t.is_none_or(|t| t % capacity == index as u64);
+            if !(at_home(stored.tick)
+                && at_home(stored.objective_tick)
+                && at_home(stored.action_tick))
+            {
+                return Err(BadValue {
+                    what: "replay slot holds a tick of another ring position",
+                });
+            }
+            objectives += usize::from(stored.objective_tick.is_some());
+            actions += usize::from(stored.action_tick.is_some());
+            if let Some(t) = stored.tick {
+                occupied += 1;
+                rows += stored.present_rows;
+                first = Some(first.map_or(t, |f| f.min(t)));
+                last = Some(last.map_or(t, |l| l.max(t)));
+            }
+        }
         let earliest = Option::<Tick>::decode(r)?;
         let latest = Option::<Tick>::decode(r)?;
         let occupied_ticks = r.get_usize()?;
@@ -698,47 +794,10 @@ impl capes_persist::Persist for ReplayDb {
         let num_actions = r.get_usize()?;
         let evicted_ticks = r.get_u64()?;
         let total_inserted = r.get_u64()?;
-        // The ring geometry must agree with the configuration before any
-        // indexing arithmetic trusts it.
-        if slots.len() > config.capacity_ticks {
-            return Err(BadValue {
-                what: "replay ring longer than its configured capacity",
-            });
-        }
         if node_latest.len() != config.num_nodes {
             return Err(BadValue {
                 what: "per-node index disagrees with the replay configuration",
             });
-        }
-        // Every count and tick bound is a function of the slots: one that
-        // disagrees would underflow or misdirect the next insert's
-        // bookkeeping, so it is recomputed and compared, never trusted.
-        let width = config.num_nodes * config.pis_per_node;
-        let capacity = config.capacity_ticks as u64;
-        let (mut occupied, mut rows, mut objectives, mut actions) = (0, 0, 0, 0);
-        let (mut first, mut last): (Option<Tick>, Option<Tick>) = (None, None);
-        for (index, slot) in slots.iter().enumerate() {
-            let shaped = slot.data.len() == width && slot.present.len() == config.num_nodes;
-            let empty = slot.data.is_empty() && slot.present.is_empty();
-            if !(shaped || (empty && slot.tick.is_none())) {
-                return Err(BadValue {
-                    what: "replay slot shape disagrees with the configuration",
-                });
-            }
-            let at_home = |t: Option<Tick>| t.is_none_or(|t| t % capacity == index as u64);
-            if !(at_home(slot.tick) && at_home(slot.objective_tick) && at_home(slot.action_tick)) {
-                return Err(BadValue {
-                    what: "replay slot holds a tick of another ring position",
-                });
-            }
-            objectives += usize::from(slot.objective_tick.is_some());
-            actions += usize::from(slot.action_tick.is_some());
-            if let Some(t) = slot.tick {
-                occupied += 1;
-                rows += slot.present.iter().filter(|&&p| p).count();
-                first = Some(first.map_or(t, |f| f.min(t)));
-                last = Some(last.map_or(t, |l| l.max(t)));
-            }
         }
         let derived = (occupied, rows, objectives, actions, first, last);
         let stored = (
@@ -754,25 +813,67 @@ impl capes_persist::Persist for ReplayDb {
                 what: "replay counts or tick bounds disagree with the slots",
             });
         }
-        Ok(ReplayDb {
-            config,
-            slots,
-            earliest,
-            latest,
-            occupied_ticks,
-            snapshot_rows,
-            node_latest,
-            num_objectives,
-            num_actions,
-            evicted_ticks,
-            total_inserted,
-        })
+        if let Some(db) = into {
+            db.earliest = earliest;
+            db.latest = latest;
+            db.occupied_ticks = occupied_ticks;
+            db.snapshot_rows = snapshot_rows;
+            db.node_latest = node_latest;
+            db.num_objectives = num_objectives;
+            db.num_actions = num_actions;
+            db.evicted_ticks = evicted_ticks;
+            db.total_inserted = total_inserted;
+        }
+        Ok(())
+    }
+}
+
+impl capes_persist::Persist for ReplayDb {
+    const MIN_SIZE: usize = ReplayConfig::MIN_SIZE;
+
+    fn encode(&self, w: &mut capes_persist::Writer) {
+        self.config.encode(w);
+        w.put_usize(self.slots.len());
+        for slot in &self.slots {
+            slot.write_fields(w);
+        }
+        self.earliest.encode(w);
+        self.latest.encode(w);
+        w.put_usize(self.occupied_ticks);
+        w.put_usize(self.snapshot_rows);
+        self.node_latest.encode(w);
+        w.put_usize(self.num_objectives);
+        w.put_usize(self.num_actions);
+        w.put_u64(self.evicted_ticks);
+        w.put_u64(self.total_inserted);
+    }
+
+    /// An empty database of the stored configuration, then the same ring
+    /// walk as `decode_in_place`.
+    fn decode(r: &mut capes_persist::Reader<'_>) -> Result<Self, capes_persist::PersistError> {
+        let mut db = ReplayDb::new(ReplayConfig::decode(r)?);
+        Self::read_ring(db.config, r, Some(&mut db))?;
+        Ok(db)
+    }
+
+    /// Walks a stored database into this one, whose configuration it must
+    /// have ([`capes_persist::PersistError::Mismatch`] otherwise): a check
+    /// builds nothing, and an apply reuses every slot's buffers and never
+    /// builds a new ring.
+    fn decode_in_place(
+        &mut self,
+        r: &mut capes_persist::Reader<'_>,
+        pass: capes_persist::Pass,
+    ) -> Result<(), capes_persist::PersistError> {
+        let live = self.config;
+        Self::walk(&live, r, pass.target(self))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use capes_persist::Pass;
 
     fn small_config() -> ReplayConfig {
         ReplayConfig {
@@ -1037,12 +1138,83 @@ mod tests {
             ("latest", |db| db.latest = None),
             ("slot tick", |db| db.slots[3].tick = Some(4)),
         ];
+        let encode = |db: &ReplayDb| {
+            let mut w = Writer::new();
+            db.encode(&mut w);
+            w.into_vec()
+        };
+        let mut live = filled_db(30);
+        let live_bytes = encode(&live);
         for (what, corrupt) in corruptions {
             let mut db = honest.clone();
             corrupt(&mut db);
             let err = round_trip(&db).err();
             let rejected = matches!(err, Some(PersistError::BadValue { .. }));
             assert!(rejected, "{what}: {err:?}");
+            // The check pass rejects it the same way, into a live store of
+            // the same configuration, writing nothing.
+            let err = live.decode_in_place(&mut Reader::new(&encode(&db)), Pass::Check);
+            let rejected = matches!(err, Err(PersistError::BadValue { .. }));
+            assert!(rejected, "{what}, check pass: {err:?}");
+            assert_eq!(encode(&live), live_bytes, "{what}: the check pass wrote");
+        }
+    }
+
+    /// Fills `db` with `ticks` ticks of values unlike `filled_db`'s.
+    fn fill_other(db: &mut ReplayDb, ticks: u64) {
+        for t in 0..ticks {
+            db.insert_snapshot(t, 1, vec![-(t as f64); 3]);
+            db.insert_objective(t, -1.0);
+        }
+    }
+
+    #[test]
+    fn walks_in_place_into_longer_and_shorter_rings() {
+        use capes_persist::{Persist, Reader, Writer};
+        let encode = |db: &ReplayDb| {
+            let mut w = Writer::new();
+            db.encode(&mut w);
+            w.into_vec()
+        };
+        let stored = filled_db(40);
+        let bytes = encode(&stored);
+        // Empty, shorter, as long, longer, and a full ring that has evicted.
+        for live_ticks in [0, 10, 40, 90, 250] {
+            let mut live = ReplayDb::new(small_config());
+            fill_other(&mut live, live_ticks);
+            let before = encode(&live);
+            let mut r = Reader::new(&bytes);
+            live.decode_in_place(&mut r, Pass::Check).expect("check");
+            r.finish().expect("the check consumed the store exactly");
+            assert_eq!(encode(&live), before, "{live_ticks} ticks: the check wrote");
+
+            let mut r = Reader::new(&bytes);
+            live.decode_in_place(&mut r, Pass::Apply).expect("apply");
+            r.finish().expect("the apply consumed the store exactly");
+            assert_eq!(encode(&live), bytes, "{live_ticks} ticks: apply differs");
+            assert_eq!(live.len(), 40);
+            assert_eq!(
+                live.observation_at(39).unwrap().features,
+                stored.observation_at(39).unwrap().features
+            );
+        }
+    }
+
+    #[test]
+    fn walks_into_a_store_of_another_configuration_are_mismatches() {
+        use capes_persist::{Persist, PersistError, Reader, Writer};
+        let mut w = Writer::new();
+        filled_db(40).encode(&mut w);
+        let bytes = w.into_vec();
+        let mut live = ReplayDb::new(ReplayConfig {
+            capacity_ticks: 50,
+            ..small_config()
+        });
+        fill_other(&mut live, 20);
+        for pass in [Pass::Check, Pass::Apply] {
+            let err = live.decode_in_place(&mut Reader::new(&bytes), pass);
+            assert!(matches!(err, Err(PersistError::Mismatch { .. })), "{err:?}");
+            assert_eq!(live.len(), 20, "a mismatch writes nothing");
         }
     }
 }

@@ -53,9 +53,9 @@ pub const SPAN_PERSIST_RESTORE: &str = "persist.restore";
 /// version, length and the CRC over every byte — before any decoding; its
 /// share of `persist.restore` is the CRC's share of a restore.
 pub const SPAN_PERSIST_RESTORE_VERIFY: &str = "persist.restore.verify";
-/// Span: a restore's check pass — the payload decoded one section at a time
-/// and every section checked against the fleet, then dropped — between the
-/// verifying pass and the apply pass that moves the sections into place.
+/// Span: a restore's check pass — the payload walked one section at a time
+/// against the live fleet, every check run and nothing built — between the
+/// verifying pass and the apply pass that writes the sections into place.
 pub const SPAN_PERSIST_RESTORE_CHECK: &str = "persist.restore.check";
 
 /// Histogram: whole fleet tick latency.

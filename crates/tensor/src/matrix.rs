@@ -1,6 +1,6 @@
 //! Row-major dense matrix of `f64`.
 
-use capes_persist::{Persist, PersistError, Reader, Writer};
+use capes_persist::{Pass, Persist, PersistError, Reader, Writer};
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
@@ -181,6 +181,39 @@ impl Matrix {
     }
 }
 
+impl Matrix {
+    /// Reads a stored `rows × cols` header: both non-zero, and their product
+    /// representable.
+    fn read_shape(r: &mut Reader<'_>) -> Result<(usize, usize), PersistError> {
+        let rows = r.get_usize()?;
+        let cols = r.get_usize()?;
+        if rows == 0 || cols == 0 {
+            return Err(PersistError::BadValue {
+                what: "matrix dimension is zero",
+            });
+        }
+        if rows.checked_mul(cols).is_none() {
+            return Err(PersistError::BadValue {
+                what: "matrix dimensions overflow",
+            });
+        }
+        Ok((rows, cols))
+    }
+
+    /// Reads the element run behind a header `self` already carries: its
+    /// count must be `rows · cols`, checked before anything is written; the
+    /// elements land in `data`'s own storage on an apply and are stepped
+    /// over on a check.
+    fn read_data(&mut self, r: &mut Reader<'_>, pass: Pass) -> Result<(), PersistError> {
+        if r.get_count(8)? != self.rows * self.cols {
+            return Err(PersistError::BadValue {
+                what: "matrix data length disagrees with its dimensions",
+            });
+        }
+        r.get_f64_run(self.rows * self.cols, pass.target(&mut self.data))
+    }
+}
+
 impl Persist for Matrix {
     // rows + cols + element count.
     const MIN_SIZE: usize = 24;
@@ -192,26 +225,27 @@ impl Persist for Matrix {
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        let rows = r.get_usize()?;
-        let cols = r.get_usize()?;
-        if rows == 0 || cols == 0 {
-            return Err(PersistError::BadValue {
-                what: "matrix dimension is zero",
-            });
+        let (rows, cols) = Self::read_shape(r)?;
+        // `data` is sized by the run itself, whose count `read_data` bounds
+        // against the remaining bytes before allocating.
+        let mut m = Matrix {
+            rows,
+            cols,
+            data: Vec::new(),
+        };
+        m.read_data(r, Pass::Apply)?;
+        Ok(m)
+    }
+
+    fn decode_in_place(&mut self, r: &mut Reader<'_>, pass: Pass) -> Result<(), PersistError> {
+        let (rows, cols) = Self::read_shape(r)?;
+        if (rows, cols) != self.shape() {
+            return Err(PersistError::mismatch(format!(
+                "snapshot matrix is {rows}×{cols}, the live one {}×{}",
+                self.rows, self.cols
+            )));
         }
-        // rows · cols must not overflow and must agree with the stored
-        // element count — checked before `Vec<f64>::decode` sizes its
-        // allocation against the remaining bytes.
-        let expected = rows.checked_mul(cols).ok_or(PersistError::BadValue {
-            what: "matrix dimensions overflow",
-        })?;
-        let data = Vec::<f64>::decode(r)?;
-        if data.len() != expected {
-            return Err(PersistError::BadValue {
-                what: "matrix data length disagrees with its dimensions",
-            });
-        }
-        Ok(Matrix { rows, cols, data })
+        self.read_data(r, pass)
     }
 }
 

@@ -1,6 +1,6 @@
 //! Property-based tests for the matrix algebra kernels.
 
-use capes_persist::{Persist, Reader, Writer};
+use capes_persist::{Pass, Persist, PersistError, Reader, Writer};
 use capes_tensor::Matrix;
 use proptest::prelude::*;
 
@@ -107,5 +107,30 @@ proptest! {
         let mut r = Reader::new(&bytes);
         prop_assert_eq!(Matrix::decode(&mut r).unwrap(), m);
         prop_assert!(r.finish().is_ok());
+    }
+
+    /// A walk into a live matrix of the same shape: the check writes
+    /// nothing, the apply leaves the stored matrix; one of another shape is
+    /// a mismatch on both passes.
+    #[test]
+    fn persist_walks_in_place(m in matrix(3, 5), live in matrix(3, 5)) {
+        let mut w = Writer::new();
+        m.encode(&mut w);
+        let bytes = w.into_vec();
+        let mut walked = live.clone();
+        let mut r = Reader::new(&bytes);
+        walked.decode_in_place(&mut r, Pass::Check).unwrap();
+        prop_assert!(r.finish().is_ok());
+        prop_assert_eq!(&walked, &live);
+        let mut r = Reader::new(&bytes);
+        walked.decode_in_place(&mut r, Pass::Apply).unwrap();
+        prop_assert!(r.finish().is_ok());
+        prop_assert_eq!(&walked, &m);
+        let mut other = Matrix::zeros(5, 3);
+        for pass in [Pass::Check, Pass::Apply] {
+            let err = other.decode_in_place(&mut Reader::new(&bytes), pass);
+            prop_assert!(matches!(err, Err(PersistError::Mismatch { .. })));
+            prop_assert_eq!(&other, &Matrix::zeros(5, 3));
+        }
     }
 }
