@@ -90,3 +90,40 @@ fn batched_rows_match_single_row_forwards_bitwise() {
         }
     }
 }
+
+/// `DqnAgent::decide_batch` replicates `decide` row for row only if a
+/// batched forward pass returns, bit for bit, the Q-values of one-row
+/// forwards. The fleet's profiles are CAPES Q-networks at widths 144–336
+/// with 5 actions, decided in batches of their member count. Every batch of
+/// 1–9 rows runs a different mix of the multi-row sweep, the 4 × 8 tiles
+/// and the 8 × 24 tiles at whatever level the host dispatches.
+#[test]
+fn batched_q_values_match_one_row_forwards_at_fleet_widths() {
+    for &width in &[144usize, 192, 240, 288, 336] {
+        let mut rng = StdRng::seed_from_u64(width as u64);
+        let net = Mlp::capes_q_network(width, 5, &mut rng);
+        let x = Matrix::random_init(9, width, WeightInit::Uniform { limit: 1.0 }, &mut rng);
+        let mut ws_one = Workspace::new(&net, 1);
+        let singles: Vec<Matrix> = (0..9)
+            .map(|r| {
+                let row = Matrix::from_vec(1, width, x.row(r).to_vec());
+                net.forward_into(&row, &mut ws_one).clone()
+            })
+            .collect();
+        for batch in 1..=9usize {
+            let rows = Matrix::from_vec(batch, width, x.as_slice()[..batch * width].to_vec());
+            let mut ws = Workspace::new(&net, batch);
+            let q = net.forward_into(&rows, &mut ws);
+            for (r, single) in singles.iter().take(batch).enumerate() {
+                assert!(
+                    q.row(r)
+                        .iter()
+                        .zip(single.as_slice())
+                        .all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "width {width}, batch {batch}: row {r} differs from its one-row forward at level {}",
+                    simd::active_level()
+                );
+            }
+        }
+    }
+}

@@ -18,8 +18,8 @@
 //! | level     | what it vectorises                                              |
 //! |-----------|-----------------------------------------------------------------|
 //! | `Scalar`  | nothing by hand — portable kernels running the vector arms' FMA chains one element at a time |
-//! | `Avx2Fma` | everything below: 4 × 8 `ymm` GEMM tiles, the `a · bᵀ` dot kernel, Adam, the tanh forward pass |
-//! | `Avx512`  | the shared GEMM panel of `out += a · b` and of the zero-seeded `out = aᵀ · b` (8 × 24 `zmm` tiles), `a · bᵀ` (8 a-rows × 4 b-rows, two a-rows per `zmm`) and the tanh forward pass (8 lanes); remainders run the 256-bit code, and Adam runs its `Avx2Fma` arm |
+//! | `Avx2Fma` | everything below: 4 × 8 `ymm` GEMM tiles and a multi-row broadcast sweep for panels of 1–7 rows, the `a · bᵀ` dot kernel, Adam, the tanh forward pass |
+//! | `Avx512`  | the shared GEMM panel of `out += a · b` and of the zero-seeded `out = aᵀ · b` (8 × 24 `zmm` tiles), `a · bᵀ` (8 a-rows × 4 b-rows, two a-rows per `zmm`) and the tanh forward pass (8 lanes); the 256-bit code runs the remainders, including the `rows % 8` bottom rows that the sweep takes whole, and Adam runs its `Avx2Fma` arm |
 //!
 //! Every 512-bit arm is **bit-identical** to `Avx2Fma`, because each output
 //! element keeps its exact operation chain. The panel's per-element FMA
@@ -28,9 +28,10 @@
 //! would change bits), so the 512-bit tile keeps four lanes per dot and puts
 //! two a-rows in one register instead. tanh is a fixed sequence of
 //! individually rounded operations, whatever the width; at 4 × 83 µs per
-//! Table 2 step it is ≈ 6 % of the step. Adam stays 256-bit: it is bound by
-//! its one division and one square root per element and its nine parameter
-//! streams (`vdivpd zmm` has the same per-element throughput as `ymm`). The
+//! Table 2 step it is ≈ 6 % of the step. Adam stays 256-bit: at the
+//! networks' sizes it is bound by its nine parameter streams, not by its
+//! division and square root (see [`adam_update_with`]), so wider registers
+//! would buy nothing. The
 //! Bellman targets and tanh backward have one portable loop and no level:
 //! on the DQN's 32-row minibatch a vector arm saved at most ~2 µs a call,
 //! under 0.1 % of a Table 2 step.
@@ -384,10 +385,15 @@ pub struct SoftTarget<'a> {
 /// that return the IEEE quotient's bits (Markstein's theorem). A vector
 /// with a nonzero lane outside `[2⁻⁹⁰⁰, 2⁹⁰⁰]` in magnitude, or a bias
 /// correction outside `[2⁻⁵³, 1]`, divides instead. The update is bound by
-/// its one division and one square root per element and by its nine
-/// parameter streams, so the blend's loads and multiplies hide under them,
-/// and a 512-bit arm would buy nothing: [`SimdLevel::Avx512`] runs the
-/// `Avx2Fma` arm. A `bias1` that has rounded to exactly `1.0` is not
+/// the memory traffic of its nine parameter streams (five reads, four
+/// writes), not by its division and square root. On a 2-vCPU AVX-512 Xeon,
+/// a kernel that moves the same streams with neither took 1.6–1.75
+/// ns/element against the update's 1.9–2.7 at 115 000 and 727 000
+/// elements, the sizes of the networks, so a cheaper quotient could save
+/// at most ~16 % of the step (11–34 % across 20 runs). Only an L2-resident call waits on the
+/// divider (0.85 against 1.9 ns/element at 2 048). A 512-bit arm would buy
+/// nothing: [`SimdLevel::Avx512`] runs the `Avx2Fma` arm. A `bias1` that
+/// has rounded to exactly `1.0` is not
 /// divided by (same bits, one quotient fewer; property-tested against the
 /// always-dividing formula). Unrunnable level requests are clamped down as
 /// in [`gemm_rows_with`].
@@ -1009,10 +1015,11 @@ mod avx2 {
     /// quarters the L2 traffic per FMA compared with a row-at-a-time sweep —
     /// that traffic, not the ALUs, is what bounds the un-tiled kernel.
     /// Remainder columns go through [`row_tail`] (4-wide and scalar-FMA
-    /// lanes) and remainder rows through single-row sweeps, so every shape
-    /// is handled and every output element is produced by one in-order FMA
-    /// chain regardless of how callers chunk the rows (this is what keeps
-    /// pooled and single-threaded dispatch bit-identical).
+    /// lanes). A panel of at most [`SWEEP_ROWS`] rows, and the `rows % 4`
+    /// rows below the tiles of a taller one, go through [`sweep`] instead,
+    /// so every shape is handled and every output element is produced by
+    /// one in-order FMA chain regardless of how callers chunk the rows (this
+    /// is what keeps pooled and single-threaded dispatch bit-identical).
     ///
     /// # Safety
     /// The CPU must support AVX2+FMA, and every `a`/`b`/`out` index reachable
@@ -1032,13 +1039,14 @@ mod avx2 {
             cols,
             steps,
         } = p;
-        // SAFETY: the caller upholds this function's `# Safety` contract.
+        let tiled = if rows <= SWEEP_ROWS { 0 } else { rows / 4 * 4 };
+        // SAFETY: the caller upholds this function's `# Safety` contract;
+        // the swept sub-panel lies inside the panel.
         unsafe {
             // The `w = cols % 8` remainder columns, from `full` on.
             let full = cols / 8 * 8;
             let w = cols - full;
-            let mut t = 0usize;
-            while t + 4 <= rows {
+            for t in (0..tiled).step_by(4) {
                 let a0 = a.add(t * a_row_stride);
                 let a1 = a.add((t + 1) * a_row_stride);
                 let a2 = a.add((t + 2) * a_row_stride);
@@ -1074,7 +1082,7 @@ mod avx2 {
                         let v3 = _mm256_broadcast_sd(&*a3.add(off));
                         acc30 = _mm256_fmadd_pd(v3, bv0, acc30);
                         acc31 = _mm256_fmadd_pd(v3, bv1, acc31);
-                        bp = bp.add(b_stride);
+                        bp = bp.wrapping_add(b_stride);
                         off += a_step;
                     }
                     _mm256_storeu_pd(o0.add(j), acc00);
@@ -1101,62 +1109,143 @@ mod avx2 {
                         );
                     }
                 }
-                t += 4;
             }
-            while t < rows {
-                let a_row = a.add(t * a_row_stride);
-                let o_row = out.add(t * cols_out);
-                // A remainder row sweeps each b-row contiguously
-                // (broadcast-sweep like the scalar kernel) instead of
-                // walking b_stride-strided column strips: a lone row — the
-                // 1-row inference forward pass — has no register reuse to
-                // win, and the strided walk defeats the hardware prefetcher
-                // on large matrices. The per-element FMA chain is the same
-                // step-ordered sequence either way, so results stay
-                // bit-identical to the tiled path regardless of where row
-                // chunking lands. An overwriting sweep zeroes its row
-                // first: every chain then starts from `+0.0`, as in the
-                // tiles.
-                if OVERWRITE {
-                    o_row.write_bytes(0, cols);
+            if tiled < rows {
+                sweep::<OVERWRITE>(p.sub(tiled, rows - tiled, 0, cols));
+            }
+        }
+    }
+
+    /// The most output rows [`panel`] hands to one [`sweep`] whole. A
+    /// product of a few rows does about one FMA per weight it loads, so it
+    /// is bound by how fast `b` streams in. The sweep reads each `b` row
+    /// once for all of its rows. Below 8 rows that also beats the 4-row
+    /// tiles, which walk `b` in strided column strips: a cold 4-row product
+    /// with 240 × 240 weights took 20 µs swept against 25 tiled, and with
+    /// 600 × 600 weights 119 against 280.
+    const SWEEP_ROWS: usize = 7;
+
+    /// The multi-row broadcast sweep over a panel of 1 to [`SWEEP_ROWS`]
+    /// rows: every `b` row is read once, contiguously, for all of the
+    /// panel's rows. A row-at-a-time sweep would re-stream `b` per row, and
+    /// walking `b_stride`-strided column strips instead (the tiles' order)
+    /// defeats the hardware prefetcher on large matrices.
+    ///
+    /// The reduction runs in blocks of `S` steps. Within a block, each
+    /// 8-column slice of every row is held in registers while the block's
+    /// `b` fragments stream past, so `out` is loaded and stored once per
+    /// block rather than once per step. Each element still runs its one
+    /// step-ordered `fmadd` chain — storing an accumulator between blocks
+    /// rounds nothing — so the result is bit-identical to the tiles. An
+    /// overwriting sweep seeds its first block from `+0.0` and never reads
+    /// `out` before writing it. The `cols % 8` right-hand columns go through
+    /// [`row_tail`] row by row.
+    ///
+    /// Two or more rows take 8-step blocks: in cold-weight microbenches at
+    /// widths 144–600, 2-step blocks were slower and 4- or 16-step blocks
+    /// no faster. A lone row takes 1-step blocks, which read `b` as one
+    /// sequential stream; 8 interleaved row streams read up to 6 % slower
+    /// at widths 288–600.
+    ///
+    /// # Safety
+    /// As in [`panel`]; `p.rows` must be `1..=SWEEP_ROWS`.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn sweep<const OVERWRITE: bool>(p: Panel) {
+        debug_assert!((1..=SWEEP_ROWS).contains(&p.rows));
+        // SAFETY: the caller upholds this function's `# Safety` contract.
+        unsafe {
+            match p.rows {
+                1 => sweep_rows::<OVERWRITE, 1, 1>(p),
+                2 => sweep_rows::<OVERWRITE, 2, 8>(p),
+                3 => sweep_rows::<OVERWRITE, 3, 8>(p),
+                4 => sweep_rows::<OVERWRITE, 4, 8>(p),
+                5 => sweep_rows::<OVERWRITE, 5, 8>(p),
+                6 => sweep_rows::<OVERWRITE, 6, 8>(p),
+                _ => sweep_rows::<OVERWRITE, 7, 8>(p),
+            }
+        }
+    }
+
+    /// [`sweep`] at `R` rows and `S`-step blocks.
+    ///
+    /// # Safety
+    /// As in [`panel`]; `p.rows` must be `R`.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    #[inline]
+    unsafe fn sweep_rows<const OVERWRITE: bool, const R: usize, const S: usize>(p: Panel) {
+        let Panel {
+            a,
+            a_row_stride,
+            a_step,
+            b,
+            b_stride,
+            out,
+            cols_out,
+            rows,
+            cols,
+            steps,
+        } = p;
+        debug_assert_eq!(rows, R);
+        let full = cols / 8 * 8;
+        // SAFETY: the caller upholds this function's `# Safety` contract;
+        // every block starts at a step below `steps` (or at 0), every slice
+        // ends at or before `full <= cols`, and the stepping pointers are
+        // only dereferenced for the block's `n` steps.
+        unsafe {
+            // At least one block runs, so a zero-step overwriting panel
+            // still stores its `+0.0` seeds.
+            let mut s0 = 0usize;
+            loop {
+                let n = S.min(steps - s0);
+                let from_zero = OVERWRITE && s0 == 0;
+                let a_blk = a.add(s0 * a_step);
+                let b_blk = b.add(s0 * b_stride);
+                for j in (0..full).step_by(8) {
+                    let mut acc = [[_mm256_setzero_pd(); 2]; R];
+                    if !from_zero {
+                        for (r, row) in acc.iter_mut().enumerate() {
+                            let o = out.add(r * cols_out + j);
+                            *row = [_mm256_loadu_pd(o), _mm256_loadu_pd(o.add(4))];
+                        }
+                    }
+                    let mut bp = b_blk.add(j);
+                    let mut ap = a_blk;
+                    for _ in 0..n {
+                        let bv = [_mm256_loadu_pd(bp), _mm256_loadu_pd(bp.add(4))];
+                        for (r, row) in acc.iter_mut().enumerate() {
+                            let v = _mm256_broadcast_sd(&*ap.add(r * a_row_stride));
+                            for (lane, &frag) in row.iter_mut().zip(&bv) {
+                                *lane = _mm256_fmadd_pd(v, frag, *lane);
+                            }
+                        }
+                        // Wrapping: after the block's last step these may
+                        // point past the operands (and are not read again).
+                        bp = bp.wrapping_add(b_stride);
+                        ap = ap.wrapping_add(a_step);
+                    }
+                    for (r, row) in acc.iter().enumerate() {
+                        let o = out.add(r * cols_out + j);
+                        _mm256_storeu_pd(o, row[0]);
+                        _mm256_storeu_pd(o.add(4), row[1]);
+                    }
                 }
-                let mut bp = b;
-                let mut off = 0usize;
-                for _ in 0..steps {
-                    let v = _mm256_broadcast_sd(&*a_row.add(off));
-                    let mut j = 0usize;
-                    while j + 8 <= cols {
-                        let acc0 = _mm256_fmadd_pd(
-                            v,
-                            _mm256_loadu_pd(bp.add(j)),
-                            _mm256_loadu_pd(o_row.add(j)),
-                        );
-                        let acc1 = _mm256_fmadd_pd(
-                            v,
-                            _mm256_loadu_pd(bp.add(j + 4)),
-                            _mm256_loadu_pd(o_row.add(j + 4)),
-                        );
-                        _mm256_storeu_pd(o_row.add(j), acc0);
-                        _mm256_storeu_pd(o_row.add(j + 4), acc1);
-                        j += 8;
-                    }
-                    if j + 4 <= cols {
-                        let acc = _mm256_fmadd_pd(
-                            v,
-                            _mm256_loadu_pd(bp.add(j)),
-                            _mm256_loadu_pd(o_row.add(j)),
-                        );
-                        _mm256_storeu_pd(o_row.add(j), acc);
-                        j += 4;
-                    }
-                    while j < cols {
-                        *o_row.add(j) = fmadd_sd(*a_row.add(off), *bp.add(j), *o_row.add(j));
-                        j += 1;
-                    }
-                    bp = bp.add(b_stride);
-                    off += a_step;
+                s0 += n;
+                if s0 >= steps {
+                    break;
                 }
-                t += 1;
+            }
+            if full < cols {
+                for r in 0..R {
+                    row_tail::<OVERWRITE>(
+                        a.add(r * a_row_stride),
+                        a_step,
+                        b.add(full),
+                        b_stride,
+                        out.add(r * cols_out + full),
+                        cols - full,
+                        steps,
+                    );
+                }
             }
         }
     }
@@ -1862,7 +1951,9 @@ mod avx512 {
     /// is **bit-identical** to [`avx2::panel`]. That also makes the seams
     /// free: the `rows % 8` bottom rows and `cols % 24` right-hand columns
     /// (and every panel smaller than one tile) are handed to the 256-bit
-    /// microkernel as sub-panels.
+    /// microkernel as sub-panels. A bottom of 1–7 rows, like every panel
+    /// that short, goes whole to its multi-row sweep, which reads each `b`
+    /// row once for all of those rows.
     ///
     /// # Safety
     /// As in [`avx2::panel`]; the CPU must additionally support `avx512f`.

@@ -418,12 +418,15 @@ proptest! {
 
 /// Every runnable level's `out += a · b` and `out = aᵀ · b` against the
 /// scalar arm, **bit for bit**, on shapes that hit every seam of the 4 × 8
-/// and 8 × 24 tiles: no full row tile, exactly one, one plus a remainder,
-/// the training batch and one past it, and a panel tall enough to flip the
-/// 512-bit tile order (`72 · 64` elements of `a` outgrow the L1-resident
-/// block, so the row tiles go outer); no full column tile, one short of one,
-/// exactly one, one past, the 600-wide network and one past it; a single
-/// step, half a k-panel, and both sides of the 64-step panel edge. `out` is
+/// and 8 × 24 tiles and of the multi-row sweep: every row count the sweep
+/// takes whole (1–7), exactly one 512-bit row tile, one plus a remainder,
+/// both sides of two row tiles, the training batch and one past it, and a
+/// panel tall enough to flip the 512-bit tile order (`72 · 64` elements of
+/// `a` outgrow the L1-resident block, so the row tiles go outer); no full
+/// column tile, one short of one, exactly one, one past, the 600-wide
+/// network and one past it; a single step, reductions that end inside the
+/// sweep's first step block, half a k-panel, and both sides of the 64-step
+/// panel edge. `out` is
 /// seeded non-zero for `gemm_rows` (the chains start from it) and
 /// NaN-poisoned for `gemm_ta_rows` (which overwrites), and `gemm_ta_rows`
 /// additionally runs over sub-ranges
@@ -439,9 +442,10 @@ fn gemm_panel_is_bit_identical_to_scalar_at_every_level_on_every_seam() {
         runnable_levels()
     );
     let mut rng = StdRng::seed_from_u64(512);
-    for &rows in &[1usize, 7, 8, 9, 32, 33, 72] {
+    let row_counts = (1usize..=9).chain([15, 16, 17, 32, 33, 72]);
+    for rows in row_counts {
         for &cols in &[5usize, 23, 24, 25, 600, 601] {
-            for &k in &[1usize, 32, 63, 64, 65, 600] {
+            for &k in &[1usize, 2, 3, 5, 6, 32, 63, 64, 65, 600] {
                 let shape = format!("{rows}x{k}x{cols}");
                 let mut a = random_vec(&mut rng, rows * k);
                 let b = random_vec(&mut rng, k * cols);
